@@ -2,11 +2,15 @@
 //!
 //! [`HcaCore`] owns one node's verbs objects — memory table, queue pairs,
 //! completion queues — and implements the *time-passive* half of the HCA:
-//! validating work requests, gathering payloads, matching posted receives,
-//! performing DMA placement and generating completions. All timing (WQE
-//! processing latency, link serialization, propagation) is applied by the
-//! driver (`sim::SimNet` for virtual time, `threaded::ThreadNet` for real
-//! time), which is what lets both backends share this logic.
+//! validating work requests, matching posted receives, performing DMA
+//! placement and generating completions. All timing (WQE processing
+//! latency, link serialization, propagation) is applied by the driver
+//! (`sim::SimNet` for virtual time, `threaded::ThreadNet` for real time),
+//! which is what lets both backends share this logic. The driver also
+//! decides when a send's source buffer is read: [`HcaCore::prepare_send`]
+//! only validates and describes it ([`Payload::Source`]), and
+//! [`HcaCore::handle_wire`] places whatever bytes the driver resolved
+//! that description to.
 //!
 //! Wire-facing behaviour follows RC semantics: operations are processed
 //! in arrival order, SEND and WRITE-WITH-IMM consume posted receives
@@ -26,7 +30,7 @@ use crate::types::{
     Access, CqId, Cqe, MrKey, NodeId, QpNum, RecvWr, Result, SendOpcode, SendWr, Sge, VerbsError,
     WcOpcode, WcStatus,
 };
-use crate::wire::{WireMessage, WireOp};
+use crate::wire::{Payload, WireMessage, WireOp};
 
 /// Static HCA parameters.
 #[derive(Clone, Debug)]
@@ -76,14 +80,18 @@ pub enum Effect {
 }
 
 /// A send work request validated and translated into wire form, plus the
-/// completion to deliver when transmission finishes.
+/// completion to deliver when the send finishes.
 #[derive(Debug)]
 pub struct PreparedSend {
     /// The message to carry to the peer.
     pub msg: WireMessage,
-    /// Send-side completion to deliver at wire departure (`None` for
-    /// unsignaled sends and for RDMA READ, which completes on response).
-    pub completion_at_tx: Option<Cqe>,
+    /// Send-side completion for the driver to hand to
+    /// [`HcaCore::tx_finished`] once the source buffer is no longer
+    /// needed: `SimNet` does so when the peer's acknowledgment returns
+    /// (after the message was delivered), `ThreadNet` as soon as it has
+    /// captured the payload. `None` for unsignaled sends and for RDMA
+    /// READ, which completes on response.
+    pub completion: Option<Cqe>,
     /// True for RDMA READ requests: the SQ slot stays occupied until the
     /// response arrives.
     pub is_read: bool,
@@ -153,6 +161,12 @@ impl HcaCore {
     /// Deregisters a memory region.
     pub fn deregister_mr(&mut self, key: MrKey) -> Result<()> {
         self.mem.deregister(key)
+    }
+
+    /// Payload bytes this HCA's memory table has moved
+    /// ([`MemoryTable::bytes_copied`]).
+    pub fn bytes_copied(&self) -> u64 {
+        self.mem.bytes_copied()
     }
 
     /// Creates a completion queue of the given depth (0 uses the
@@ -266,20 +280,15 @@ impl HcaCore {
         // real HCA's address translation check.
         if let Some(sge) = wr.sge {
             self.mem
-                .dma_read(sge.lkey, sge.addr, 0, Access::NONE)
-                .and_then(|_| {
-                    // Zero-length read checks the key; bounds for the full
-                    // span are checked here.
-                    self.mem
-                        .dma_read(sge.lkey, sge.addr, sge.len as u64, Access::NONE)
-                        .map(|_| ())
-                })?;
+                .dma_slice(sge.lkey, sge.addr, sge.len as u64, Access::NONE)?;
         }
         self.qp_mut(qpn)?.post_recv(wr)
     }
 
     /// Validates a send work request and translates it to wire form.
-    /// Timing and delivery are the driver's job.
+    /// Timing, delivery and the moment the source buffer is read are the
+    /// driver's job: a payload in registered memory leaves here as a
+    /// checked [`Payload::Source`] description, not as bytes.
     pub fn prepare_send(&mut self, qpn: QpNum, wr: SendWr) -> Result<PreparedSend> {
         let max_inline = self.qp(qpn)?.caps().max_inline;
         if let Some(inline) = &wr.inline {
@@ -294,25 +303,23 @@ impl HcaCore {
             return Err(VerbsError::MalformedWr("both inline and sge present"));
         }
 
-        // Gather the payload now: zero-copy contract says the app must
-        // not touch the buffer until completion, so the content at post
-        // time is the content on the wire.
-        let payload: Bytes = if let Some(inline) = &wr.inline {
-            inline.clone()
-        } else if let Some(sge) = &wr.sge {
+        // The zero-copy contract says the app must not touch the buffer
+        // until completion, so its content is the same whenever the
+        // driver reads it; check the range now so misuse fails at post
+        // time.
+        let payload = if let Some(inline) = &wr.inline {
+            Payload::Owned(inline.clone())
+        } else if let Some(sge) = wr.sge {
+            self.mem
+                .dma_slice(sge.lkey, sge.addr, sge.len as u64, Access::NONE)?;
             if wr.opcode == SendOpcode::RdmaRead {
-                // Local destination: validated, not gathered.
-                self.mem
-                    .dma_read(sge.lkey, sge.addr, sge.len as u64, Access::NONE)?;
-                Bytes::new()
+                // The SGE is the local destination of the response.
+                Payload::Owned(Bytes::new())
             } else {
-                Bytes::from(
-                    self.mem
-                        .dma_read(sge.lkey, sge.addr, sge.len as u64, Access::NONE)?,
-                )
+                Payload::Source(sge)
             }
         } else {
-            Bytes::new()
+            Payload::Owned(Bytes::new())
         };
 
         let qp = self.qp_mut(qpn)?;
@@ -369,7 +376,7 @@ impl HcaCore {
         };
 
         let is_read = wr.opcode == SendOpcode::RdmaRead;
-        let completion_at_tx = if wr.signaled && !is_read {
+        let completion = if wr.signaled && !is_read {
             Some(Cqe {
                 wr_id: wr.wr_id,
                 status: WcStatus::Success,
@@ -392,13 +399,28 @@ impl HcaCore {
                 op,
                 payload,
             },
-            completion_at_tx,
+            completion,
             is_read,
         })
     }
 
-    /// Called by the driver when a non-READ send's wire transmission
-    /// finishes. Selective-signaling semantics: an unsignaled WQE's SQ
+    /// The payload as bytes the caller owns: a copy of the range a
+    /// [`Payload::Source`] names (one allocation, one copy), or another
+    /// handle on bytes that are already owned. For a driver that cannot
+    /// leave the payload in the source buffer until delivery.
+    pub fn capture_payload(&mut self, payload: &Payload) -> Result<Bytes> {
+        match payload {
+            Payload::Owned(bytes) => Ok(bytes.clone()),
+            Payload::Source(sge) => {
+                self.mem
+                    .capture(sge.lkey, sge.addr, sge.len as u64, Access::NONE)
+            }
+        }
+    }
+
+    /// Called by the driver when a non-READ send finishes (see
+    /// [`PreparedSend::completion`] for when that is).
+    /// Selective-signaling semantics: an unsignaled WQE's SQ
     /// slot is *not* freed here — it is parked until the next signaled
     /// completion on the same QP, which retires the whole unsignaled
     /// run plus itself in one batch (the ULP can only learn slots are
@@ -433,19 +455,20 @@ impl HcaCore {
     }
 
     /// Processes an arriving wire message, producing completions,
-    /// responder transmissions and/or fatal errors.
-    pub fn handle_wire(&mut self, msg: WireMessage) -> Vec<Effect> {
+    /// responder transmissions and/or fatal errors. `data` is the
+    /// message's payload as the driver resolved it — the message's own
+    /// bytes, or a borrowed view of the source region — and is copied
+    /// exactly once, into the destination region.
+    pub fn handle_wire(&mut self, msg: &WireMessage, data: &[u8]) -> Vec<Effect> {
+        debug_assert_eq!(data.len(), msg.payload.len());
         let mut effects = Vec::new();
         let qpn = msg.dst.1;
         match msg.op {
             WireOp::Send { imm } => {
-                self.receive_into_posted(qpn, &msg.payload, imm, WcOpcode::Recv, &mut effects);
+                self.receive_into_posted(qpn, data, imm, WcOpcode::Recv, &mut effects);
             }
             WireOp::Write { raddr, rkey } => {
-                if let Err(e) = self
-                    .mem
-                    .dma_write(rkey, raddr, &msg.payload, Access::REMOTE_WRITE)
-                {
+                if let Err(e) = self.mem.dma_write(rkey, raddr, data, Access::REMOTE_WRITE) {
                     effects.push(Effect::Fatal {
                         qpn,
                         status: WcStatus::RemoteAccessError,
@@ -454,10 +477,7 @@ impl HcaCore {
                 }
             }
             WireOp::WriteImm { raddr, rkey, imm } => {
-                if let Err(e) = self
-                    .mem
-                    .dma_write(rkey, raddr, &msg.payload, Access::REMOTE_WRITE)
-                {
+                if let Err(e) = self.mem.dma_write(rkey, raddr, data, Access::REMOTE_WRITE) {
                     effects.push(Effect::Fatal {
                         qpn,
                         status: WcStatus::RemoteAccessError,
@@ -477,7 +497,7 @@ impl HcaCore {
                                 wr_id: recv.wr_id,
                                 status: WcStatus::Success,
                                 opcode: WcOpcode::RecvRdmaWithImm,
-                                byte_len: msg.payload.len() as u32,
+                                byte_len: data.len() as u32,
                                 imm: Some(imm),
                                 qpn,
                             },
@@ -498,14 +518,14 @@ impl HcaCore {
                 token,
             } => match self
                 .mem
-                .dma_read(rkey, raddr, len as u64, Access::REMOTE_READ)
+                .capture(rkey, raddr, len as u64, Access::REMOTE_READ)
             {
-                Ok(data) => {
+                Ok(bytes) => {
                     effects.push(Effect::Transmit(WireMessage {
                         src: msg.dst,
                         dst: msg.src,
                         op: WireOp::ReadResp { token },
-                        payload: Bytes::from(data),
+                        payload: Payload::Owned(bytes),
                     }));
                 }
                 Err(e) => effects.push(Effect::Fatal {
@@ -526,7 +546,7 @@ impl HcaCore {
                 if let Err(e) = self.mem.dma_write(
                     pending.sge.lkey,
                     pending.sge.addr,
-                    &msg.payload,
+                    data,
                     Access::LOCAL_WRITE,
                 ) {
                     effects.push(Effect::Fatal {
@@ -544,7 +564,7 @@ impl HcaCore {
                         wr_id: pending.wr_id,
                         status: WcStatus::Success,
                         opcode: WcOpcode::RdmaRead,
-                        byte_len: msg.payload.len() as u32,
+                        byte_len: data.len() as u32,
                         imm: None,
                         qpn: pending.qpn,
                     };
@@ -558,7 +578,7 @@ impl HcaCore {
     fn receive_into_posted(
         &mut self,
         qpn: QpNum,
-        payload: &Bytes,
+        payload: &[u8],
         imm: Option<u32>,
         opcode: WcOpcode,
         effects: &mut Vec<Effect>,
@@ -648,6 +668,12 @@ mod tests {
         (a, b, qa, qb, (a_scq, a_rcq), (b_scq, b_rcq))
     }
 
+    /// Delivers `msg` from `from` to `to` the way `SimNet` does: the
+    /// payload is read where it lies and copied once, into place.
+    fn deliver(from: &HcaCore, to: &mut HcaCore, msg: &WireMessage) -> Vec<Effect> {
+        to.handle_wire(msg, msg.payload.resolve(from.mem()).unwrap())
+    }
+
     fn drain(hca: &mut HcaCore, cq: CqId) -> Vec<Cqe> {
         let mut out = Vec::new();
         hca.poll_cq(cq, usize::MAX, &mut out).unwrap();
@@ -666,13 +692,13 @@ mod tests {
         assert!(!prep.is_read);
         // Simulate transmission finishing, then delivery.
         let mut fx = Vec::new();
-        a.tx_finished(qa, prep.completion_at_tx, &mut fx);
+        a.tx_finished(qa, prep.completion, &mut fx);
         assert!(matches!(fx[0], Effect::Completion { cq, .. } if cq == a_scq));
         let send_cqes = drain(&mut a, a_scq);
         assert_eq!(send_cqes.len(), 1);
         assert_eq!(send_cqes[0].wr_id, 11);
 
-        let fx = b.handle_wire(prep.msg);
+        let fx = deliver(&a, &mut b, &prep.msg);
         assert_eq!(fx.len(), 1);
         let recv_cqes = drain(&mut b, b_rcq);
         assert_eq!(recv_cqes.len(), 1);
@@ -689,7 +715,7 @@ mod tests {
         let (mut a, mut b, qa, _, _, _) = pair();
         let src = a.register_mr(8, Access::NONE);
         let prep = a.prepare_send(qa, SendWr::send(1, src.sge(0, 8))).unwrap();
-        let fx = b.handle_wire(prep.msg);
+        let fx = deliver(&a, &mut b, &prep.msg);
         assert!(matches!(
             fx[0],
             Effect::Fatal {
@@ -717,7 +743,7 @@ mod tests {
             },
         );
         let prep = a.prepare_send(qa, wr).unwrap();
-        let fx = b.handle_wire(prep.msg);
+        let fx = deliver(&a, &mut b, &prep.msg);
         assert!(fx.is_empty(), "pure WRITE generates no receiver effects");
         assert!(drain(&mut b, b_rcq).is_empty());
         let mut buf = [0u8; 10];
@@ -745,7 +771,7 @@ mod tests {
             0xDEAD,
         );
         let prep = a.prepare_send(qa, wr).unwrap();
-        b.handle_wire(prep.msg);
+        deliver(&a, &mut b, &prep.msg);
         let cqes = drain(&mut b, b_rcq);
         assert_eq!(cqes.len(), 1);
         assert_eq!(cqes[0].wr_id, 42);
@@ -772,7 +798,7 @@ mod tests {
             1,
         );
         let prep = a.prepare_send(qa, wr).unwrap();
-        let fx = b.handle_wire(prep.msg);
+        let fx = deliver(&a, &mut b, &prep.msg);
         assert!(matches!(
             fx[0],
             Effect::Fatal {
@@ -797,7 +823,7 @@ mod tests {
             },
         );
         let prep = a.prepare_send(qa, wr).unwrap();
-        let fx = b.handle_wire(prep.msg);
+        let fx = deliver(&a, &mut b, &prep.msg);
         assert!(matches!(
             fx[0],
             Effect::Fatal {
@@ -821,7 +847,7 @@ mod tests {
             },
         );
         let prep = a.prepare_send(qa, wr).unwrap();
-        let fx = b.handle_wire(prep.msg);
+        let fx = deliver(&a, &mut b, &prep.msg);
         assert!(matches!(fx[0], Effect::Fatal { .. }));
     }
 
@@ -844,19 +870,19 @@ mod tests {
         );
         let prep = a.prepare_send(qa, wr).unwrap();
         assert!(prep.is_read);
-        assert!(prep.completion_at_tx.is_none());
+        assert!(prep.completion.is_none());
         assert_eq!(prep.msg.payload_len(), 0);
         assert_eq!(a.qp(qa).unwrap().sq_outstanding(), 1);
 
         // Responder handles the request and produces a response.
-        let fx = b.handle_wire(prep.msg);
+        let fx = deliver(&a, &mut b, &prep.msg);
         let Effect::Transmit(resp) = &fx[0] else {
             panic!("expected Transmit effect");
         };
         assert_eq!(resp.payload_len(), 7);
 
         // Requester consumes the response.
-        let fx = a.handle_wire(resp.clone());
+        let fx = deliver(&b, &mut a, resp);
         assert!(matches!(fx[0], Effect::Completion { cq, .. } if cq == a_scq));
         assert_eq!(a.qp(qa).unwrap().sq_outstanding(), 0);
         let cqes = drain(&mut a, a_scq);
@@ -881,7 +907,7 @@ mod tests {
             },
         );
         let prep = a.prepare_send(qa, wr).unwrap();
-        let fx = b.handle_wire(prep.msg);
+        let fx = deliver(&a, &mut b, &prep.msg);
         assert!(matches!(
             fx[0],
             Effect::Fatal {
@@ -910,9 +936,9 @@ mod tests {
         let prep = a
             .prepare_send(qa, SendWr::send(1, src.sge(0, 8)).unsignaled())
             .unwrap();
-        assert!(prep.completion_at_tx.is_none());
+        assert!(prep.completion.is_none());
         let mut fx = Vec::new();
-        a.tx_finished(qa, prep.completion_at_tx, &mut fx);
+        a.tx_finished(qa, prep.completion, &mut fx);
         assert!(fx.is_empty());
         assert!(drain(&mut a, a_scq).is_empty());
         // The unsignaled WQE's SQ slot stays parked until a signaled
@@ -931,14 +957,14 @@ mod tests {
                 .prepare_send(qa, SendWr::send(wr_id, src.sge(0, 8)).unsignaled())
                 .unwrap();
             let mut fx = Vec::new();
-            a.tx_finished(qa, prep.completion_at_tx, &mut fx);
+            a.tx_finished(qa, prep.completion, &mut fx);
         }
         assert_eq!(a.qp(qa).unwrap().sq_outstanding(), 3);
         // The fourth, signaled send retires all four slots at once.
         let prep = a.prepare_send(qa, SendWr::send(4, src.sge(0, 8))).unwrap();
         assert_eq!(a.qp(qa).unwrap().sq_outstanding(), 4);
         let mut fx = Vec::new();
-        a.tx_finished(qa, prep.completion_at_tx, &mut fx);
+        a.tx_finished(qa, prep.completion, &mut fx);
         assert_eq!(a.qp(qa).unwrap().sq_outstanding(), 0);
         assert_eq!(a.qp(qa).unwrap().sq_deferred(), 0);
         let cqes = drain(&mut a, a_scq);
@@ -955,7 +981,7 @@ mod tests {
         let dst = b.register_mr(16, Access::LOCAL_WRITE);
         b.post_recv(qb, RecvWr::new(1, dst.full_sge())).unwrap();
         let prep = a.prepare_send(qa, SendWr::send(1, src.sge(0, 64))).unwrap();
-        let fx = b.handle_wire(prep.msg);
+        let fx = deliver(&a, &mut b, &prep.msg);
         assert!(matches!(
             fx[0],
             Effect::Fatal {
@@ -997,12 +1023,12 @@ mod tests {
         assert!(!b.arm_cq(b_rcq).unwrap());
 
         let prep = a.prepare_send(qa, SendWr::send(1, src.sge(0, 8))).unwrap();
-        let fx = b.handle_wire(prep.msg);
+        let fx = deliver(&a, &mut b, &prep.msg);
         assert!(matches!(fx[0], Effect::Completion { notify: true, .. }));
 
         // Second completion without re-arming does not notify.
         let prep = a.prepare_send(qa, SendWr::send(2, src.sge(0, 8))).unwrap();
-        let fx = b.handle_wire(prep.msg);
+        let fx = deliver(&a, &mut b, &prep.msg);
         assert!(matches!(fx[0], Effect::Completion { notify: false, .. }));
 
         // Arming with pending completions reports immediately.

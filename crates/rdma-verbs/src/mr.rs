@@ -3,11 +3,16 @@
 //! Each node has a flat virtual address space. Registering a region
 //! allocates a page-aligned address range, pins a byte buffer behind it,
 //! and returns a key usable as both lkey and rkey. All DMA performed by
-//! the simulated HCA goes through [`MemoryTable::dma_write`] /
-//! [`MemoryTable::dma_read`], which validate key, bounds and access flags
-//! exactly as a real HCA's translation and protection table would.
+//! the simulated HCA goes through [`MemoryTable::dma_slice`] (a borrowed
+//! view of the source, no copy), [`MemoryTable::dma_write`] (placement)
+//! and [`MemoryTable::capture`] (an owned copy of the source), which
+//! validate key, bounds and access flags exactly as a real HCA's
+//! translation and protection table would. Every byte the table itself
+//! moves is counted in [`MemoryTable::bytes_copied`].
 
 use std::collections::HashMap;
+
+use bytes::Bytes;
 
 use crate::types::{Access, MrKey, Result, Sge, VerbsError};
 
@@ -96,6 +101,7 @@ pub struct MemoryTable {
     regions: HashMap<u32, MemoryRegion>,
     next_key: u32,
     cursor: u64,
+    bytes_copied: u64,
 }
 
 impl MemoryTable {
@@ -105,6 +111,7 @@ impl MemoryTable {
             regions: HashMap::new(),
             next_key: 1,
             cursor: VA_BASE,
+            bytes_copied: 0,
         }
     }
 
@@ -154,6 +161,16 @@ impl MemoryTable {
         self.regions.get(&key.0).map(|r| r.data.len())
     }
 
+    /// Bytes this table has moved since creation: DMA placement
+    /// ([`MemoryTable::dma_write`]), payload capture
+    /// ([`MemoryTable::capture`]) and [`MemoryTable::local_copy`]. The
+    /// application's own `app_read`/`app_write` are not HCA work and are
+    /// not counted. The copy-budget tests hold this against the payload
+    /// size, so a staging copy that creeps back in fails exactly.
+    pub fn bytes_copied(&self) -> u64 {
+        self.bytes_copied
+    }
+
     fn region(&self, key: MrKey) -> Result<&MemoryRegion> {
         self.regions.get(&key.0).ok_or(VerbsError::UnknownKey(key))
     }
@@ -180,23 +197,42 @@ impl MemoryTable {
         }
         let off = region.check_range(addr, data.len() as u64)?;
         region.data[off..off + data.len()].copy_from_slice(data);
+        self.bytes_copied += data.len() as u64;
         Ok(())
     }
 
-    /// HCA-side DMA read (gathering outgoing data).
-    pub fn dma_read(
+    /// HCA-side DMA read as a borrowed view of `[addr, addr+len)`: the
+    /// key, bounds and access check of a gather, without the copy. Also
+    /// how a work request's SGE is validated at post time.
+    pub fn dma_slice(
         &self,
         key: MrKey,
         addr: u64,
         len: u64,
         required_access: Access,
-    ) -> Result<Vec<u8>> {
+    ) -> Result<&[u8]> {
         let region = self.region(key)?;
         if !region.access.contains(required_access) {
             return Err(VerbsError::AccessViolation);
         }
         let off = region.check_range(addr, len)?;
-        Ok(region.data[off..off + len as usize].to_vec())
+        Ok(&region.data[off..off + len as usize])
+    }
+
+    /// HCA-side DMA read into bytes the caller owns: one allocation and
+    /// one copy. For payloads that must outlive the source's validity —
+    /// an RDMA READ response, and every send on the thread backend,
+    /// which completes sends at post time.
+    pub fn capture(
+        &mut self,
+        key: MrKey,
+        addr: u64,
+        len: u64,
+        required_access: Access,
+    ) -> Result<Bytes> {
+        let bytes = Bytes::copy_from_slice(self.dma_slice(key, addr, len, required_access)?);
+        self.bytes_copied += len;
+        Ok(bytes)
     }
 
     /// Application-side write into its own registered memory (bounds
@@ -218,7 +254,9 @@ impl MemoryTable {
 
     /// Copies between two registered regions on the same node (the EXS
     /// receiver's intermediate-buffer → user-buffer copy). Returns the
-    /// number of bytes copied.
+    /// number of bytes copied. Ranges within one region may overlap
+    /// (memmove semantics). Nothing is written unless both ranges are
+    /// valid.
     pub fn local_copy(
         &mut self,
         src_key: MrKey,
@@ -227,12 +265,21 @@ impl MemoryTable {
         dst_addr: u64,
         len: u64,
     ) -> Result<u64> {
-        // Read then write; regions may be the same key with
-        // non-overlapping ranges.
-        let data = self.dma_read(src_key, src_addr, len, Access::NONE)?;
-        let region = self.region_mut(dst_key)?;
-        let off = region.check_range(dst_addr, len)?;
-        region.data[off..off + len as usize].copy_from_slice(&data);
+        let n = len as usize;
+        if src_key == dst_key {
+            let region = self.region_mut(src_key)?;
+            let from = region.check_range(src_addr, len)?;
+            let to = region.check_range(dst_addr, len)?;
+            region.data.copy_within(from..from + n, to);
+        } else {
+            let [src, dst] = self.regions.get_disjoint_mut([&src_key.0, &dst_key.0]);
+            let src = src.ok_or(VerbsError::UnknownKey(src_key))?;
+            let dst = dst.ok_or(VerbsError::UnknownKey(dst_key))?;
+            let from = src.check_range(src_addr, len)?;
+            let to = dst.check_range(dst_addr, len)?;
+            dst.data[to..to + n].copy_from_slice(&src.data[from..from + n]);
+        }
+        self.bytes_copied += len;
         Ok(len)
     }
 }
@@ -281,7 +328,7 @@ mod tests {
         t.app_write(mr.key, mr.addr + 15, &[9]).unwrap();
         // Overflow-safe end computation.
         assert!(matches!(
-            t.dma_read(mr.key, u64::MAX, 2, Access::NONE),
+            t.dma_slice(mr.key, u64::MAX, 2, Access::NONE),
             Err(VerbsError::OutOfBounds { .. })
         ));
     }
@@ -309,15 +356,19 @@ mod tests {
             Err(VerbsError::AccessViolation)
         );
         // Remote read is allowed.
-        assert!(t.dma_read(ro.key, ro.addr, 2, Access::REMOTE_READ).is_ok());
+        assert!(t.dma_slice(ro.key, ro.addr, 2, Access::REMOTE_READ).is_ok());
         let wo = t.register(32, Access::local_remote_write());
         assert!(t
             .dma_write(wo.key, wo.addr, &[1, 2], Access::REMOTE_WRITE)
             .is_ok());
         // Remote read without permission fails.
         assert_eq!(
-            t.dma_read(wo.key, wo.addr, 2, Access::REMOTE_READ),
-            Err(VerbsError::AccessViolation)
+            t.dma_slice(wo.key, wo.addr, 2, Access::REMOTE_READ).err(),
+            Some(VerbsError::AccessViolation)
+        );
+        assert_eq!(
+            t.capture(wo.key, wo.addr, 2, Access::REMOTE_READ).err(),
+            Some(VerbsError::AccessViolation)
         );
     }
 
@@ -346,6 +397,86 @@ mod tests {
         let mut buf = [0u8; 12];
         t.app_read(dst.key, dst.addr + 4, &mut buf).unwrap();
         assert_eq!(&buf, b"stream-bytes");
+        assert_eq!(t.bytes_copied(), 12);
+    }
+
+    #[test]
+    fn local_copy_within_one_region_has_memmove_semantics() {
+        let mut t = MemoryTable::new();
+        let mr = t.register(16, Access::all());
+        let fill = |t: &mut MemoryTable| t.app_write(mr.key, mr.addr, b"0123456789abcdef").unwrap();
+        let read = |t: &MemoryTable| {
+            let mut buf = [0u8; 16];
+            t.app_read(mr.key, mr.addr, &mut buf).unwrap();
+            buf
+        };
+        // Forward overlap: destination starts inside the source range.
+        fill(&mut t);
+        t.local_copy(mr.key, mr.addr, mr.key, mr.addr + 4, 10)
+            .unwrap();
+        assert_eq!(&read(&t), b"01230123456789ef");
+        // Backward overlap: source starts inside the destination range.
+        fill(&mut t);
+        t.local_copy(mr.key, mr.addr + 4, mr.key, mr.addr, 10)
+            .unwrap();
+        assert_eq!(&read(&t), b"456789abcdabcdef");
+        // Disjoint ranges of one region.
+        fill(&mut t);
+        t.local_copy(mr.key, mr.addr, mr.key, mr.addr + 8, 8)
+            .unwrap();
+        assert_eq!(&read(&t), b"0123456701234567");
+        assert_eq!(t.bytes_copied(), 28);
+    }
+
+    #[test]
+    fn local_copy_rejects_bad_ranges_without_writing() {
+        let mut t = MemoryTable::new();
+        let src = t.register(8, Access::all());
+        let dst = t.register(8, Access::all());
+        t.app_write(dst.key, dst.addr, b"untouchd").unwrap();
+        assert!(matches!(
+            t.local_copy(src.key, src.addr, dst.key, dst.addr + 4, 8),
+            Err(VerbsError::OutOfBounds { .. })
+        ));
+        assert!(matches!(
+            t.local_copy(src.key, src.addr + 4, dst.key, dst.addr, 8),
+            Err(VerbsError::OutOfBounds { .. })
+        ));
+        assert_eq!(
+            t.local_copy(MrKey(99), src.addr, dst.key, dst.addr, 8),
+            Err(VerbsError::UnknownKey(MrKey(99)))
+        );
+        assert_eq!(
+            t.local_copy(src.key, src.addr, MrKey(98), dst.addr, 8),
+            Err(VerbsError::UnknownKey(MrKey(98)))
+        );
+        assert!(matches!(
+            t.local_copy(dst.key, dst.addr, dst.key, dst.addr + 1, 8),
+            Err(VerbsError::OutOfBounds { .. })
+        ));
+        let mut buf = [0u8; 8];
+        t.app_read(dst.key, dst.addr, &mut buf).unwrap();
+        assert_eq!(&buf, b"untouchd");
+        assert_eq!(t.bytes_copied(), 0);
+    }
+
+    #[test]
+    fn capture_and_placement_count_their_bytes_and_views_do_not() {
+        let mut t = MemoryTable::new();
+        let mr = t.register(32, Access::all());
+        t.app_write(mr.key, mr.addr, b"payload").unwrap();
+        assert_eq!(t.bytes_copied(), 0, "the app's own writes are not HCA work");
+        assert_eq!(
+            t.dma_slice(mr.key, mr.addr, 7, Access::NONE).unwrap(),
+            b"payload"
+        );
+        assert_eq!(t.bytes_copied(), 0, "a borrowed view moves nothing");
+        let owned = t.capture(mr.key, mr.addr, 7, Access::NONE).unwrap();
+        assert_eq!(&owned[..], b"payload");
+        assert_eq!(t.bytes_copied(), 7);
+        t.dma_write(mr.key, mr.addr + 16, &owned, Access::LOCAL_WRITE)
+            .unwrap();
+        assert_eq!(t.bytes_copied(), 14);
     }
 
     #[test]

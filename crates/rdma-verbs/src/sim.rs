@@ -7,8 +7,16 @@
 //! * **Verbs timing** — a posted send occupies the QP's HCA pipeline for
 //!   `wqe_process`, then serializes onto the link (which models
 //!   transmitter-busy, per-packet framing, propagation and optional
-//!   jitter). The send completion is delivered at wire departure; the
-//!   message is delivered to the peer HCA at arrival.
+//!   jitter). The message is delivered to the peer HCA at arrival, and
+//!   the send completion when the peer's acknowledgment returns, one
+//!   WQE turnaround and one propagation later.
+//! * **Payload bytes** — posting copies nothing. A payload in
+//!   registered memory travels as a description of its source range and
+//!   is copied once, source region to destination region, when the
+//!   message is delivered. Virtual time does not see this: it is host
+//!   work of the model, and the bytes are the same at post time and at
+//!   delivery because the send completion — the application's licence
+//!   to reuse the buffer — is always delivered after the message.
 //! * **CPU timing** — each node has one simulated core ([`CpuMeter`]).
 //!   Application handlers run when the core is free; every verbs call,
 //!   completion handling step and memory copy charges the core. This is
@@ -481,42 +489,52 @@ impl SimNet {
             }
             match ev {
                 Ev::Deliver { msg } => {
-                    let dst = msg.dst_node();
-                    if self.down_links.contains(&(msg.src_node().0, dst.0)) {
-                        // Lost on the wire. RC would retransmit and give
-                        // up after the retry period: fail the sender QP.
+                    let (src, dst) = (msg.src_node(), msg.dst_node());
+                    // The link is checked first: a message lost on the
+                    // wire never has its source read.
+                    let lost = if self.down_links.contains(&(src.0, dst.0)) {
+                        Some("link down")
+                    } else {
+                        if self.trace.is_enabled() {
+                            self.trace.push(
+                                now,
+                                "deliver",
+                                format!(
+                                    "{src:?}->{dst:?} {} len={}",
+                                    op_tag(&msg.op),
+                                    msg.payload_len()
+                                ),
+                            );
+                        }
+                        match place(&mut self.nodes, &msg) {
+                            Ok(effects) => {
+                                self.apply_effects(dst, effects, now);
+                                None
+                            }
+                            // The posted range is no longer registered:
+                            // the sender is tearing down after a QP
+                            // error, or broke the posted-buffer contract.
+                            Err(_) => Some("source unreadable"),
+                        }
+                    };
+                    if let Some(why) = lost {
+                        // RC would retransmit and give up after the
+                        // retry period: fail the sender QP.
                         if self.trace.is_enabled() {
                             self.trace.push(
                                 now,
                                 "dropped",
-                                format!("{:?}->{:?} {}", msg.src_node(), dst, op_tag(&msg.op)),
+                                format!("{src:?}->{dst:?} {} ({why})", op_tag(&msg.op)),
                             );
                         }
-                        let (src_node, src_qpn) = msg.src;
                         self.sched.schedule_after(
                             RETRY_PERIOD,
                             Ev::QpFail {
-                                node: src_node,
-                                qpn: src_qpn,
+                                node: src,
+                                qpn: msg.src.1,
                             },
                         );
-                        continue;
                     }
-                    if self.trace.is_enabled() {
-                        self.trace.push(
-                            now,
-                            "deliver",
-                            format!(
-                                "{:?}->{:?} {} len={}",
-                                msg.src_node(),
-                                dst,
-                                op_tag(&msg.op),
-                                msg.payload_len()
-                            ),
-                        );
-                    }
-                    let effects = self.nodes[dst.index()].hca.handle_wire(msg);
-                    self.apply_effects(dst, effects, now);
                 }
                 Ev::TxDone { node, qpn, cqe } => {
                     let mut effects = Vec::new();
@@ -627,8 +645,10 @@ impl SimNet {
                         .remove(&transfer.token)
                         .expect("completed transfer has no message");
                     let (src_node, src_qpn) = pending.msg.src;
-                    // Same RC ack model as the FIFO path: the SQ slot
-                    // retires when the responder's hardware ack returns.
+                    // Same RC ack model as the FIFO path (see `launch`,
+                    // also for why delivery is scheduled first).
+                    self.sched
+                        .schedule_at(arrival, Ev::Deliver { msg: pending.msg });
                     if pending.owns_sq_slot && !pending.is_read {
                         let wqe_process = self.nodes[src_node.index()].hca.config().wqe_process;
                         let acked = arrival + wqe_process + prop;
@@ -641,8 +661,6 @@ impl SimNet {
                             },
                         );
                     }
-                    self.sched
-                        .schedule_at(arrival, Ev::Deliver { msg: pending.msg });
                     apply_flow_changes(&mut self.sched, &mut self.fabric.head_events, now, changes);
                 }
             }
@@ -674,7 +692,7 @@ impl SimNet {
                         fabric,
                         PreparedSend {
                             msg,
-                            completion_at_tx: None,
+                            completion: None,
                             is_read: false,
                         },
                         now,
@@ -757,7 +775,7 @@ fn launch(
             token,
             PendingTx {
                 msg: prepared.msg,
-                cqe: prepared.completion_at_tx,
+                cqe: prepared.completion,
                 is_read: prepared.is_read,
                 owns_sq_slot,
             },
@@ -773,6 +791,12 @@ fn launch(
     let back_prop = link.config().propagation;
     let arrival = link.transit(proc_done, payload_len);
 
+    // Delivery is scheduled before the completion so that it also runs
+    // first when the two fall on the same instant (zero turnaround and
+    // propagation): delivery is when the source buffer is read, and the
+    // completion is what lets the application overwrite it.
+    sched.schedule_at(arrival, Ev::Deliver { msg: prepared.msg });
+
     // Reliable-connected semantics: the send completes (and its SQ slot
     // retires) when the responder HCA's hardware acknowledgment returns
     // — one propagation after arrival plus the responder's WQE
@@ -784,11 +808,33 @@ fn launch(
             Ev::TxDone {
                 node: src_node,
                 qpn: src_qpn,
-                cqe: prepared.completion_at_tx,
+                cqe: prepared.completion,
             },
         );
     }
-    sched.schedule_at(arrival, Ev::Deliver { msg: prepared.msg });
+}
+
+/// Delivers `msg` to its destination HCA, copying the payload once:
+/// straight from the source node's region when the message only
+/// describes it. Fails, having placed nothing, if that range can no
+/// longer be read.
+fn place(nodes: &mut [NodeRuntime], msg: &WireMessage) -> Result<Vec<Effect>> {
+    let (src, dst) = (msg.src_node().index(), msg.dst_node().index());
+    if src == dst {
+        // Loopback: one table cannot be lent out as source and
+        // destination at once, so the payload is staged.
+        let hca = &mut nodes[dst].hca;
+        let staged = hca.capture_payload(&msg.payload)?;
+        return Ok(hca.handle_wire(msg, &staged));
+    }
+    let (low, high) = nodes.split_at_mut(src.max(dst));
+    let (from, to) = if src < dst {
+        (&low[src], &mut high[0])
+    } else {
+        (&high[0], &mut low[dst])
+    };
+    let data = msg.payload.resolve(from.hca.mem())?;
+    Ok(to.hca.handle_wire(msg, data))
 }
 
 /// Per-node handle passed to [`NodeApp`] callbacks and
@@ -1568,5 +1614,356 @@ mod wake_model_tests {
         let stalled = one_message_end(host);
         let base = one_message_end(latency_host());
         assert!(stalled >= base, "a certain stall cannot make things faster");
+    }
+}
+
+/// The driver reads a send's source buffer when the message is
+/// delivered, not when it is posted. These tests pin what makes that
+/// sound — the completion never overtakes the delivery — and the fault
+/// edges around a source that is gone by delivery time.
+#[cfg(test)]
+mod placement_tests {
+    use super::*;
+    use crate::cm::{connect_pair, ConnHalf};
+    use crate::types::{RemoteAddr, SendOpcode};
+    use simnet::fabric::FairShareConfig;
+
+    const LEN: u32 = 256;
+    const ORIGINAL: u8 = 0x5A;
+    const SCRIBBLE: u8 = 0xEE;
+
+    /// Runs until the event queue drains.
+    struct Drain;
+    impl NodeApp for Drain {
+        fn on_start(&mut self, _api: &mut NodeApi<'_>) {}
+        fn on_wake(&mut self, _api: &mut NodeApi<'_>) {}
+    }
+
+    struct Pair {
+        net: SimNet,
+        a: ConnHalf,
+        b: ConnHalf,
+        /// Two `LEN`-byte slots on `a`, filled with `ORIGINAL`.
+        src: MrInfo,
+        /// Two zeroed `LEN`-byte slots on `b`.
+        dst: MrInfo,
+    }
+
+    fn pair_on(mut net: SimNet, hca: HcaConfig, link: LinkConfig, loopback: bool) -> Pair {
+        let a = net.add_node(HostModel::free(), hca.clone());
+        let b = if loopback {
+            a
+        } else {
+            net.add_node(HostModel::free(), hca)
+        };
+        net.connect_nodes(a, b, link, 9);
+        let (ha, hb) = connect_pair(&mut net, a, b, QpCaps::default(), 64).unwrap();
+        let src = net.with_api(a, |api| {
+            let mr = api.register_mr(2 * LEN as usize, Access::NONE);
+            api.write_mr(mr.key, mr.addr, &[ORIGINAL; 2 * LEN as usize])
+                .unwrap();
+            mr
+        });
+        let dst = net.with_api(b, |api| {
+            api.register_mr(2 * LEN as usize, Access::local_remote_write())
+        });
+        Pair {
+            net,
+            a: ha,
+            b: hb,
+            src,
+            dst,
+        }
+    }
+
+    fn pair() -> Pair {
+        let link = LinkConfig::simple(100_000_000_000, SimDuration::from_micros(1));
+        pair_on(SimNet::new(), HcaConfig::default(), link, false)
+    }
+
+    impl Pair {
+        /// The work request moving slot `slot` of `src` to slot `slot`
+        /// of `dst`; posts the receive it consumes, if any.
+        fn wr(&mut self, opcode: SendOpcode, slot: u64) -> SendWr {
+            let sge = self.src.sge(slot * LEN as u64, LEN);
+            let remote = RemoteAddr {
+                addr: self.dst.addr + slot * LEN as u64,
+                rkey: self.dst.key,
+            };
+            let recv = match opcode {
+                SendOpcode::Send => Some(RecvWr::new(slot, self.dst.sge(slot * LEN as u64, LEN))),
+                SendOpcode::RdmaWriteImm => Some(RecvWr::empty(slot)),
+                _ => None,
+            };
+            if let Some(recv) = recv {
+                let qpn = self.b.qpn;
+                self.net
+                    .with_api(self.b.node, |api| api.post_recv(qpn, recv))
+                    .unwrap();
+            }
+            match opcode {
+                SendOpcode::Send => SendWr::send(slot, sge),
+                SendOpcode::RdmaWrite => SendWr::write(slot, sge, remote),
+                SendOpcode::RdmaWriteImm => SendWr::write_imm(slot, sge, remote, 7),
+                SendOpcode::RdmaRead => unreachable!("not a payload-carrying send"),
+            }
+        }
+
+        fn dst_bytes(&mut self) -> Vec<u8> {
+            let mut buf = vec![0u8; self.dst.len];
+            let dst = self.dst;
+            self.net
+                .with_api(self.b.node, |api| api.read_mr(dst.key, dst.addr, &mut buf))
+                .unwrap();
+            buf
+        }
+
+        fn bytes_copied(&mut self) -> u64 {
+            let a = self
+                .net
+                .with_api(self.a.node, |api| api.hca().bytes_copied());
+            let b = self
+                .net
+                .with_api(self.b.node, |api| api.hca().bytes_copied());
+            if self.a.node == self.b.node {
+                a
+            } else {
+                a + b
+            }
+        }
+    }
+
+    /// Posts its work requests, then polls its send CQ on every wake and
+    /// on a 5 ns timer, and overwrites the whole source region the
+    /// moment a completion is pollable — what the posted-buffer contract
+    /// allows from then on.
+    struct Scribbler {
+        conn: ConnHalf,
+        src: MrInfo,
+        wrs: Vec<SendWr>,
+        scribbled: bool,
+    }
+
+    impl Scribbler {
+        fn poll(&mut self, api: &mut NodeApi<'_>) {
+            let mut cqes = Vec::new();
+            api.poll_cq(self.conn.send_cq, usize::MAX, &mut cqes)
+                .unwrap();
+            if cqes.is_empty() {
+                api.set_timer(SimDuration::from_nanos(5), 0);
+                return;
+            }
+            assert_eq!(cqes.len(), 1, "only the last work request is signaled");
+            api.write_mr(self.src.key, self.src.addr, &vec![SCRIBBLE; self.src.len])
+                .unwrap();
+            self.scribbled = true;
+        }
+    }
+
+    impl NodeApp for Scribbler {
+        fn on_start(&mut self, api: &mut NodeApi<'_>) {
+            api.post_send_list(self.conn.qpn, std::mem::take(&mut self.wrs))
+                .unwrap();
+            self.poll(api);
+        }
+        fn on_wake(&mut self, api: &mut NodeApi<'_>) {
+            if !self.scribbled {
+                self.poll(api);
+            }
+        }
+        fn on_timer(&mut self, api: &mut NodeApi<'_>, _token: u64) {
+            if !self.scribbled {
+                self.poll(api);
+            }
+        }
+        fn is_done(&self) -> bool {
+            self.scribbled
+        }
+    }
+
+    /// One send of `opcode` (after an unsignaled one, if asked) whose
+    /// source is scribbled on at its completion: the destination must
+    /// still receive the original bytes.
+    fn scribble_at_completion(
+        fair_share: bool,
+        zero_latency: bool,
+        opcode: SendOpcode,
+        unsignaled_first: bool,
+    ) {
+        let case = format!(
+            "fair share {fair_share}, zero latency {zero_latency}, {opcode:?}, \
+             unsignaled first {unsignaled_first}"
+        );
+        let mut net = SimNet::new();
+        if fair_share {
+            net.set_fabric(FabricModel::FairShare(FairShareConfig::new(7)));
+        }
+        // Zero turnaround and propagation put the delivery and the
+        // completion on the same instant: the tie must go to delivery.
+        let (hca, propagation) = if zero_latency {
+            let hca = HcaConfig {
+                wqe_process: SimDuration::ZERO,
+                ..HcaConfig::default()
+            };
+            (hca, SimDuration::ZERO)
+        } else {
+            (HcaConfig::default(), SimDuration::from_micros(1))
+        };
+        let link = LinkConfig::simple(100_000_000_000, propagation);
+        let mut p = pair_on(net, hca, link, false);
+        let mut wrs = Vec::new();
+        if unsignaled_first {
+            wrs.push(p.wr(opcode, 0).unsignaled());
+        }
+        wrs.push(p.wr(opcode, 1));
+        let placed = wrs.len() * LEN as usize;
+        let mut sender = Scribbler {
+            conn: p.a,
+            src: p.src,
+            wrs,
+            scribbled: false,
+        };
+        let outcome = p
+            .net
+            .run(&mut [&mut sender, &mut Drain], SimTime::from_secs(1));
+        assert!(sender.scribbled, "{case}: no completion: {outcome:?}");
+        let dst = p.dst_bytes();
+        let (skipped, written) = dst.split_at(dst.len() - placed);
+        assert!(
+            written.iter().all(|&b| b == ORIGINAL),
+            "{case}: the source was read after its completion"
+        );
+        assert!(skipped.iter().all(|&b| b == 0), "{case}");
+        assert_eq!(p.bytes_copied(), placed as u64, "{case}");
+    }
+
+    #[test]
+    fn send_completion_is_never_pollable_before_the_payload_is_placed() {
+        for fair_share in [false, true] {
+            for zero_latency in [false, true] {
+                for opcode in [
+                    SendOpcode::Send,
+                    SendOpcode::RdmaWrite,
+                    SendOpcode::RdmaWriteImm,
+                ] {
+                    for unsignaled_first in [false, true] {
+                        scribble_at_completion(fair_share, zero_latency, opcode, unsignaled_first);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Counts receive completions.
+    struct RecvCounter {
+        cq: CqId,
+        seen: usize,
+    }
+    impl NodeApp for RecvCounter {
+        fn on_start(&mut self, _api: &mut NodeApi<'_>) {}
+        fn on_wake(&mut self, api: &mut NodeApi<'_>) {
+            let mut cqes = Vec::new();
+            api.poll_cq(self.cq, usize::MAX, &mut cqes).unwrap();
+            self.seen += cqes.len();
+        }
+    }
+
+    #[test]
+    fn message_in_flight_is_lost_when_its_source_is_deregistered_after_a_qp_error() {
+        let mut p = pair();
+        p.net.enable_trace(64);
+        let wr = p.wr(SendOpcode::RdmaWriteImm, 0);
+        let (a, b) = (p.a, p.b);
+        p.net
+            .with_api(a.node, |api| api.post_send(a.qpn, wr))
+            .unwrap();
+        // The QP fails with the message on the wire; the application
+        // learns of it and tears its buffers down.
+        p.net.inject_qp_error(a.node, a.qpn).unwrap();
+        let src = p.src;
+        p.net
+            .with_api(a.node, |api| api.hca_deregister(src.key))
+            .unwrap();
+
+        let mut receiver = RecvCounter {
+            cq: b.recv_cq,
+            seen: 0,
+        };
+        let outcome = p
+            .net
+            .run(&mut [&mut Drain, &mut receiver], SimTime::from_secs(1));
+        assert!(!outcome.completed, "the queue drains; nobody is ever done");
+        assert_eq!(receiver.seen, 0, "a lost message completes nothing");
+        assert!(p.dst_bytes().iter().all(|&b| b == 0), "no stale bytes");
+        assert_eq!(p.bytes_copied(), 0);
+        assert!(p.net.fatal_errors().is_empty());
+        assert!(
+            p.net.dump_trace().contains("(source unreadable)"),
+            "{}",
+            p.net.dump_trace()
+        );
+        let rq_left = p.net.with_api(b.node, |api| api.rq_len(b.qpn));
+        assert_eq!(rq_left, 1, "the receive was not consumed");
+    }
+
+    #[test]
+    fn downed_link_drops_without_reading_the_source() {
+        let mut p = pair();
+        p.net.enable_trace(64);
+        let (a, b) = (p.a, p.b);
+        p.net.set_link_up(a.node, b.node, false);
+        let wr = p.wr(SendOpcode::Send, 0);
+        p.net
+            .with_api(a.node, |api| api.post_send(a.qpn, wr))
+            .unwrap();
+        // With the source gone too, a driver that looked at it before
+        // the link would report the wrong loss.
+        let src = p.src;
+        p.net
+            .with_api(a.node, |api| api.hca_deregister(src.key))
+            .unwrap();
+        p.net
+            .run(&mut [&mut Drain, &mut Drain], SimTime::from_secs(1));
+        let trace = p.net.dump_trace();
+        assert!(trace.contains("(link down)"), "{trace}");
+        assert!(!trace.contains("(source unreadable)"), "{trace}");
+        assert_eq!(p.bytes_copied(), 0);
+        assert!(p.dst_bytes().iter().all(|&b| b == 0));
+        // Retry exhaustion failed the sender QP.
+        let wr = SendWr::send_inline(9, vec![1u8]);
+        assert!(p
+            .net
+            .with_api(a.node, |api| api.post_send(a.qpn, wr))
+            .is_err());
+    }
+
+    #[test]
+    fn loopback_pair_delivers_byte_exact() {
+        let link = LinkConfig::simple(100_000_000_000, SimDuration::from_micros(1));
+        let mut p = pair_on(SimNet::new(), HcaConfig::default(), link, true);
+        assert_eq!(p.a.node, p.b.node);
+        let pattern: Vec<u8> = (0..2 * LEN).map(|i| (i * 7 + 3) as u8).collect();
+        let src = p.src;
+        p.net
+            .with_api(p.a.node, |api| api.write_mr(src.key, src.addr, &pattern))
+            .unwrap();
+        let wrs = vec![
+            p.wr(SendOpcode::RdmaWrite, 0).unsignaled(),
+            p.wr(SendOpcode::Send, 1),
+        ];
+        let (a, b) = (p.a, p.b);
+        p.net
+            .with_api(a.node, |api| api.post_send_list(a.qpn, wrs))
+            .unwrap();
+        let mut app = RecvCounter {
+            cq: b.recv_cq,
+            seen: 0,
+        };
+        p.net.run(&mut [&mut app], SimTime::from_secs(1));
+        assert_eq!(app.seen, 1);
+        assert_eq!(p.dst_bytes(), pattern);
+        // One table cannot be source and destination of one copy: a
+        // loopback payload is staged, so it is copied twice.
+        assert_eq!(p.bytes_copied(), 2 * 2 * LEN as u64);
     }
 }

@@ -25,7 +25,7 @@ use parking_lot::{Condvar, Mutex};
 
 use crate::hca::{Effect, HcaConfig, HcaCore, PreparedSend};
 use crate::types::{CqId, Cqe, NodeId, QpNum, RecvWr, Result, SendWr};
-use crate::wire::WireMessage;
+use crate::wire::{Payload, WireMessage};
 
 /// One node: the HCA core behind a lock, plus completion signalling.
 pub struct ThreadNode {
@@ -191,7 +191,7 @@ impl ThreadNet {
                     if !delay.is_zero() {
                         std::thread::sleep(delay);
                     }
-                    let effects = dst.hca.lock().handle_wire(msg);
+                    let effects = deliver(&dst, &msg);
                     apply_effects(&dst, &src_arc, effects);
                     in_flight.fetch_sub(1, Ordering::AcqRel);
                 }
@@ -202,20 +202,19 @@ impl ThreadNet {
 
     /// Posts a send on behalf of `node` (thread-safe): validates,
     /// captures the payload, hands the message to the link thread, and
-    /// delivers the send completion (the buffer content is captured at
-    /// post time, so the local completion is immediate in this backend).
+    /// delivers the send completion. This backend completes a send
+    /// before its message is delivered, so unlike `SimNet` it cannot
+    /// leave the payload in the source buffer: it copies it out once,
+    /// here, and the delivery thread copies it into place.
     pub fn post_send(&self, node: &Arc<ThreadNode>, qpn: QpNum, wr: SendWr) -> Result<()> {
-        let prepared: PreparedSend = {
-            let mut hca = node.hca.lock();
-            hca.prepare_send(qpn, wr)?
-        };
+        let prepared = prepare_captured(&mut node.hca.lock(), qpn, wr)?;
         let dst = prepared.msg.dst_node();
         let tx = self
             .links
             .get(&(node.id.0, dst.0))
             .unwrap_or_else(|| panic!("no link from {:?} to {dst:?}", node.id));
         let is_read = prepared.is_read;
-        let completion = prepared.completion_at_tx;
+        let completion = prepared.completion;
         self.in_flight.fetch_add(1, Ordering::AcqRel);
         tx.send(prepared.msg).expect("link thread alive");
         if !is_read {
@@ -253,7 +252,7 @@ impl ThreadNet {
             let mut hca = node.hca.lock();
             let mut err = Ok(());
             for wr in wrs {
-                match hca.prepare_send(qpn, wr) {
+                match prepare_captured(&mut hca, qpn, wr) {
                     Ok(p) => prepared.push(p),
                     Err(e) => {
                         err = Err(e);
@@ -271,7 +270,7 @@ impl ThreadNet {
                 .get(&(node.id.0, dst.0))
                 .unwrap_or_else(|| panic!("no link from {:?} to {dst:?}", node.id));
             let is_read = p.is_read;
-            let completion = p.completion_at_tx;
+            let completion = p.completion;
             self.in_flight.fetch_add(1, Ordering::AcqRel);
             tx.send(p.msg).expect("link thread alive");
             if !is_read {
@@ -328,6 +327,25 @@ impl Drop for ThreadNet {
     }
 }
 
+/// The one place this backend reads a send's source buffer: at post
+/// time, under the lock that validated it.
+fn prepare_captured(hca: &mut HcaCore, qpn: QpNum, wr: SendWr) -> Result<PreparedSend> {
+    let mut prepared = hca.prepare_send(qpn, wr)?;
+    let bytes = hca
+        .capture_payload(&prepared.msg.payload)
+        .expect("prepare_send validated the range under this lock");
+    prepared.msg.payload = Payload::Owned(bytes);
+    Ok(prepared)
+}
+
+/// Applies an arrived message at `node`.
+fn deliver(node: &ThreadNode, msg: &WireMessage) -> Vec<Effect> {
+    let Payload::Owned(data) = &msg.payload else {
+        unreachable!("every payload is captured at post time")
+    };
+    node.hca.lock().handle_wire(msg, data)
+}
+
 fn apply_effects(dst: &Arc<ThreadNode>, src: &Arc<ThreadNode>, effects: Vec<Effect>) {
     let mut notified = false;
     for effect in effects {
@@ -343,7 +361,7 @@ fn apply_effects(dst: &Arc<ThreadNode>, src: &Arc<ThreadNode>, effects: Vec<Effe
                 // requester (this delivery thread is the only producer
                 // for response traffic in this direction, so FIFO
                 // holds).
-                let effects = src.hca.lock().handle_wire(msg);
+                let effects = deliver(src, &msg);
                 let mut n2 = false;
                 for e in effects {
                     match e {

@@ -9,7 +9,8 @@
 
 use bytes::Bytes;
 
-use crate::types::{MrKey, NodeId, QpNum};
+use crate::mr::MemoryTable;
+use crate::types::{Access, MrKey, NodeId, QpNum, Result, Sge};
 
 /// The operation carried by a wire message.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -54,6 +55,57 @@ pub enum WireOp {
     },
 }
 
+/// Where an in-flight message's payload bytes are.
+///
+/// A real HCA reads the source buffer as it transmits. The driver of
+/// this model decides when that read happens, and this type carries the
+/// decision: `SimNet` leaves registered-memory payloads as `Source` and
+/// copies them once, source region to destination region, when the
+/// message is delivered; `ThreadNet` completes sends at post time, so it
+/// turns every `Source` into `Owned` before the post returns
+/// ([`crate::hca::HcaCore::capture_payload`]).
+#[derive(Clone, Debug)]
+pub enum Payload {
+    /// Bytes the message owns: inline data, an RDMA READ response, or a
+    /// payload captured at post time.
+    Owned(Bytes),
+    /// A range of the source node's registered memory, validated when
+    /// the work request was posted and read when the message is
+    /// delivered. Sound because the application may not touch or
+    /// deregister a posted buffer before its completion, and the send
+    /// completion is never delivered before the message is.
+    Source(Sge),
+}
+
+impl Payload {
+    /// Payload length in bytes.
+    pub fn len(&self) -> usize {
+        match self {
+            Payload::Owned(bytes) => bytes.len(),
+            Payload::Source(sge) => sge.len as usize,
+        }
+    }
+
+    /// True for a message that carries no payload bytes.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The payload bytes without copying them: the message's own, or a
+    /// view of the range a `Source` names in `src_mem`, the source
+    /// node's table. Fails if that range is no longer registered (the
+    /// application broke the posted-buffer contract, or is tearing down
+    /// after a QP error).
+    pub fn resolve<'a>(&'a self, src_mem: &'a MemoryTable) -> Result<&'a [u8]> {
+        match self {
+            Payload::Owned(bytes) => Ok(bytes),
+            Payload::Source(sge) => {
+                src_mem.dma_slice(sge.lkey, sge.addr, sge.len as u64, Access::NONE)
+            }
+        }
+    }
+}
+
 /// One operation in flight between two HCAs.
 #[derive(Clone, Debug)]
 pub struct WireMessage {
@@ -63,8 +115,8 @@ pub struct WireMessage {
     pub dst: (NodeId, QpNum),
     /// Operation descriptor.
     pub op: WireOp,
-    /// Payload bytes (empty for `ReadReq` and pure notifications).
-    pub payload: Bytes,
+    /// Payload (empty for `ReadReq` and pure notifications).
+    pub payload: Payload,
 }
 
 impl WireMessage {
@@ -94,10 +146,14 @@ mod tests {
             src: (NodeId(0), QpNum(1)),
             dst: (NodeId(1), QpNum(2)),
             op: WireOp::Send { imm: Some(5) },
-            payload: Bytes::from_static(b"abc"),
+            payload: Payload::Owned(Bytes::from_static(b"abc")),
         };
         assert_eq!(m.payload_len(), 3);
         assert_eq!(m.src_node(), NodeId(0));
         assert_eq!(m.dst_node(), NodeId(1));
+        let described = Payload::Source(Sge::new(0x1000, 64, MrKey(1)));
+        assert_eq!(described.len(), 64);
+        assert!(!described.is_empty());
+        assert!(Payload::Owned(Bytes::new()).is_empty());
     }
 }
