@@ -20,10 +20,10 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use exs::{
-    connect_mux_pair, shard::choose_shard, AioStats, ConnId, ConnStats, DirectPolicy, Executor,
-    ExsConfig, ExsError, ExsEvent, MemPool, MemPoolConfig, MrLease, MuxEndpoint, MuxEvent, MuxId,
-    PoolStats, Reactor, ReactorConfig, ReactorPool, ReactorStats, ShardBalance, ShardConfig,
-    ShardHandle, ShardPolicy, ShardStats, SimShardDriver, StreamSocket,
+    connect_mux_pair, AioStats, ConnStats, DirectPolicy, Executor, ExsConfig, ExsError, ExsEvent,
+    MemPool, MemPoolConfig, MrLease, MuxEndpoint, MuxEvent, PoolStats, Reactor, ReactorConfig,
+    ReactorPool, ReactorStats, ShardBalance, ShardConfig, ShardHandle, ShardMuxHandle, ShardPolicy,
+    ShardStats, SimShardDriver, StreamSocket,
 };
 use rdma_verbs::{
     Access, FabricModel, FabricStats, HwProfile, MrInfo, NodeApi, NodeApp, NodeId, SimNet,
@@ -416,16 +416,58 @@ impl FanInReport {
     }
 }
 
-struct ConnState {
-    sock: StreamSocket,
-    /// Global connection index (pattern + digest identity).
+/// What every stream of the run has delivered so far: byte counts and
+/// the running FNV-1a digests. The callback receive cycle and the aio
+/// server tasks both fold through [`Delivered::absorb`], so the two
+/// consumption models verify and digest identically.
+struct Delivered {
+    digests: Vec<u64>,
+    received: Vec<u64>,
+    verify: VerifyLevel,
+    seed: u64,
+}
+
+impl Delivered {
+    fn new(spec: &FanInSpec) -> Delivered {
+        Delivered {
+            digests: vec![FNV_OFFSET; spec.conns],
+            received: vec![0; spec.conns],
+            verify: spec.verify,
+            seed: spec.seed,
+        }
+    }
+
+    /// Folds the next chunk of stream `idx`, in arrival order. FNV-1a
+    /// folds chunk by chunk into the same value however the stream is
+    /// sliced.
+    fn absorb(&mut self, idx: usize, bytes: &[u8]) {
+        let at = self.received[idx];
+        if self.verify == VerifyLevel::Full {
+            for (i, &b) in bytes.iter().enumerate() {
+                assert_eq!(
+                    b,
+                    payload_byte(self.seed, idx, at + i as u64),
+                    "stream {idx} corrupted at offset {}",
+                    at + i as u64
+                );
+            }
+        }
+        self.digests[idx] = fnv1a(self.digests[idx], bytes);
+        self.received[idx] = at + bytes.len() as u64;
+    }
+}
+
+/// One outbound stream's send-slot cycle: up to `max_outstanding`
+/// message buffers in flight, each reusable once its send completes.
+struct SendCycle {
+    /// Global connection index (pattern + digest identity; in mux mode
+    /// also the stream id).
     idx: usize,
-    /// Up-front registered send slots (unpooled mode; empty when
-    /// pooled).
+    /// Up-front registered send slots (empty when pooled).
     slots: Vec<MrInfo>,
     free: Vec<usize>,
     slot_of: HashMap<u64, usize>,
-    /// Outstanding-send cap (slot count in unpooled mode).
+    /// Outstanding-send cap (slot count when not pooled).
     max_outstanding: usize,
     /// Live send leases by operation id (pooled mode); dropping one on
     /// completion returns the buffer to the node's pin-down cache.
@@ -436,11 +478,37 @@ struct ConnState {
     shutdown: bool,
 }
 
-/// One client node driving several outbound connections, each with its
-/// own private CQs and service loop (the conventional per-connection
-/// pattern the server-side reactor is measured against).
+impl SendCycle {
+    /// Send `id` completed: its slot (or lease) is free for the next
+    /// kick.
+    fn on_send_complete(&mut self, id: u64) {
+        if let Some(slot) = self.slot_of.remove(&id) {
+            self.free.push(slot);
+        }
+        self.leases.remove(&id);
+        self.acked += 1;
+    }
+}
+
+/// What carries a client node's streams to the server.
+enum ClientLink {
+    /// One private QP per stream, each with its own CQs and service
+    /// loop (the conventional per-connection pattern the server-side
+    /// reactor is measured against); `socks[i]` carries `conns[i]`.
+    Socks(Vec<StreamSocket>),
+    /// Every stream rides one pooled-QP endpoint, so the node drives a
+    /// single `handle_wake`; `by_stream` maps a stream id to its index
+    /// in `conns`.
+    Mux {
+        ep: Box<MuxEndpoint>,
+        by_stream: HashMap<u32, usize>,
+    },
+}
+
+/// One client node driving several outbound streams.
 struct FanInClient {
-    conns: Vec<ConnState>,
+    link: ClientLink,
+    conns: Vec<SendCycle>,
     msgs: usize,
     msg_len: u64,
     verify: VerifyLevel,
@@ -481,12 +549,20 @@ impl FanInClient {
                     .extend((0..msg_len).map(|i| payload_byte(self.seed, c.idx, c.pos + i)));
                 api.write_mr(mr.key, mr.addr, &self.scratch).unwrap();
             }
-            c.sock.exs_send(api, &mr, 0, msg_len, id);
+            match &mut self.link {
+                ClientLink::Socks(socks) => socks[ci].exs_send(api, &mr, 0, msg_len, id),
+                ClientLink::Mux { ep, .. } => ep
+                    .mux_send(api, c.idx as u32, &mr, 0, msg_len, id)
+                    .expect("mux send on an open stream"),
+            }
             c.pos += msg_len;
             c.sent += 1;
         }
         if c.sent == msgs && c.acked == msgs && !c.shutdown {
-            c.sock.exs_shutdown(api);
+            match &mut self.link {
+                ClientLink::Socks(socks) => socks[ci].exs_shutdown(api),
+                ClientLink::Mux { ep, .. } => ep.close_stream(api, c.idx as u32),
+            }
             c.shutdown = true;
         }
     }
@@ -499,20 +575,38 @@ impl NodeApp for FanInClient {
         }
     }
     fn on_wake(&mut self, api: &mut NodeApi<'_>) {
-        for ci in 0..self.conns.len() {
-            let c = &mut self.conns[ci];
-            c.sock.handle_wake(api);
-            for ev in c.sock.take_events() {
+        if let ClientLink::Mux { ep, by_stream } = &mut self.link {
+            ep.handle_wake(api);
+            let mut touched = Vec::new();
+            for ev in ep.take_events() {
                 match ev {
-                    ExsEvent::SendComplete { id, .. } => {
-                        if let Some(slot) = c.slot_of.remove(&id) {
-                            c.free.push(slot);
-                        }
-                        // Pooled mode: the lease drops here and its
-                        // buffer returns to the cache for the next kick.
-                        c.leases.remove(&id);
-                        c.acked += 1;
+                    MuxEvent::SendComplete { stream, id, .. } => {
+                        let ci = by_stream[&stream];
+                        self.conns[ci].on_send_complete(id);
+                        touched.push(ci);
                     }
+                    MuxEvent::TransportError { slot } => panic!(
+                        "fan-in mux client transport slot {slot} failed: {:?}",
+                        ep.last_error()
+                    ),
+                    // The server's FIN answering ours; nothing left to do.
+                    MuxEvent::StreamClosed { .. } | MuxEvent::RecvComplete { .. } => {}
+                }
+            }
+            for ci in touched {
+                self.kick(api, ci);
+            }
+            return;
+        }
+        for ci in 0..self.conns.len() {
+            let ClientLink::Socks(socks) = &mut self.link else {
+                unreachable!("the mux link returned above");
+            };
+            let c = &mut self.conns[ci];
+            socks[ci].handle_wake(api);
+            for ev in socks[ci].take_events() {
+                match ev {
+                    ExsEvent::SendComplete { id, .. } => c.on_send_complete(id),
                     ExsEvent::ConnectionError => panic!("fan-in client conn {} failed", c.idx),
                     _ => {}
                 }
@@ -525,40 +619,85 @@ impl NodeApp for FanInClient {
     }
 }
 
-/// The server: every accepted connection multiplexed through a
-/// [`ReactorPool`] (one shard ⇒ the classic single reactor over shared
-/// CQs), serviced to quiescence on each wake. The sim driver
-/// interleaves the shards in shard order, so a sharded run is exactly
-/// as deterministic as a single-loop run.
+/// The callback server's pre-posted receive cycle, for every stream it
+/// carries: `prepost_recvs` buffers per stream, each re-posted as soon
+/// as its completion is consumed.
+struct RecvCycle {
+    /// Per-stream pre-posted receive slots.
+    mrs: Vec<Vec<MrInfo>>,
+    /// Posted-but-uncompleted `(recv id, slot)` pairs per stream, in
+    /// posting order — receives complete FIFO, so the front is always
+    /// the completing slot.
+    posted: Vec<VecDeque<(u64, usize)>>,
+    /// Slot indices currently free to re-post, per stream.
+    free: Vec<Vec<usize>>,
+    recv_len: u32,
+    /// Expected bytes per stream.
+    expected: u64,
+    eof: Vec<bool>,
+    delivered: Delivered,
+    next_id: u64,
+    scratch: Vec<u8>,
+}
+
+impl RecvCycle {
+    /// Receive `id` of stream `idx` completed with `len` bytes: verify
+    /// and digest them, and free the slot.
+    fn on_recv_complete(&mut self, api: &mut NodeApi<'_>, idx: usize, id: u64, len: u32) {
+        let (pid, slot) = self.posted[idx]
+            .pop_front()
+            .expect("completion without a posted receive");
+        assert_eq!(pid, id, "receives must complete in posting order");
+        if len > 0 {
+            let mr = self.mrs[idx][slot];
+            self.scratch.resize(len as usize, 0);
+            api.read_mr(mr.key, mr.addr, &mut self.scratch).unwrap();
+            self.delivered.absorb(idx, &self.scratch);
+        }
+        self.free[idx].push(slot);
+    }
+
+    /// The next buffer and receive id to post on stream `idx`, while it
+    /// still owes bytes and has a free slot. Refilling to depth sends
+    /// every freed slot straight back out, so the advert queue never
+    /// drains below depth at the sender's next decision point. Receives
+    /// left over at end-of-stream complete with zero bytes.
+    fn next_post(&mut self, idx: usize) -> Option<(MrInfo, u64)> {
+        if self.eof[idx] || self.delivered.received[idx] >= self.expected {
+            return None;
+        }
+        let slot = self.free[idx].pop()?;
+        let id = self.next_id;
+        self.next_id += 1;
+        self.posted[idx].push_back((id, slot));
+        Some((self.mrs[idx][slot], id))
+    }
+
+    fn is_done(&self) -> bool {
+        self.eof.iter().all(|&e| e) && self.delivered.received.iter().all(|&r| r == self.expected)
+    }
+}
+
+/// The callback server: everything it accepted — private-QP sockets,
+/// or in mux mode one [`MuxEndpoint`] per client node — multiplexed
+/// through a [`ReactorPool`] (one shard ⇒ the classic single reactor
+/// over shared CQs) and serviced to quiescence on each wake. The sim
+/// driver interleaves the shards in shard order, so a sharded run is
+/// exactly as deterministic as a single-loop run.
 struct ReactorServer {
     pool: ReactorPool,
-    /// Global connection index → pool handle (shard + local id).
+    /// Global connection index → pool handle (empty in mux mode).
     handles: Vec<ShardHandle>,
     /// Pool handle → global connection index (pattern + digest
     /// identity is keyed globally, not per shard).
     idx_of: HashMap<ShardHandle, usize>,
+    /// Hosted endpoints with the global stream indices each carries
+    /// (empty outside mux mode).
+    muxes: Vec<(ShardMuxHandle, Vec<usize>)>,
     /// Reusable readiness buffer for the service loop.
     ready: Vec<(ShardHandle, exs::Readiness)>,
-    /// Per-connection pre-posted receive slots (`prepost_recvs` buffers
-    /// each).
-    mrs: Vec<Vec<MrInfo>>,
-    /// Posted-but-uncompleted `(recv id, slot)` pairs per connection, in
-    /// posting order — receives complete FIFO, so the front is always
-    /// the completing slot.
-    posted: Vec<VecDeque<(u64, usize)>>,
-    /// Slot indices currently free to re-post, per connection.
-    free: Vec<Vec<usize>>,
-    recv_len: u32,
-    /// Expected bytes per connection.
-    expected: u64,
-    received: Vec<u64>,
-    eof: Vec<bool>,
-    digests: Vec<u64>,
-    verify: VerifyLevel,
-    seed: u64,
-    next_id: u64,
+    cycle: RecvCycle,
     finished_at: Option<SimTime>,
-    scratch: Vec<u8>,
 }
 
 impl ReactorServer {
@@ -572,63 +711,71 @@ impl ReactorServer {
         for ev in events {
             match ev {
                 ExsEvent::RecvComplete { id, len } => {
-                    let (pid, slot) = self.posted[idx]
-                        .pop_front()
-                        .expect("completion without a posted receive");
-                    assert_eq!(pid, id, "receives must complete in posting order");
-                    if len > 0 {
-                        let mr = self.mrs[idx][slot];
-                        self.scratch.resize(len as usize, 0);
-                        api.read_mr(mr.key, mr.addr, &mut self.scratch).unwrap();
-                        if self.verify == VerifyLevel::Full {
-                            for (i, &b) in self.scratch.iter().enumerate() {
-                                assert_eq!(
-                                    b,
-                                    payload_byte(self.seed, idx, self.received[idx] + i as u64),
-                                    "conn {idx} corrupted at offset {}",
-                                    self.received[idx] + i as u64
-                                );
-                            }
-                        }
-                        self.digests[idx] = fnv1a(self.digests[idx], &self.scratch);
-                        self.received[idx] += len as u64;
-                    }
-                    self.free[idx].push(slot);
+                    self.cycle.on_recv_complete(api, idx, id, len)
                 }
-                ExsEvent::PeerClosed => self.eof[idx] = true,
+                ExsEvent::PeerClosed => self.cycle.eof[idx] = true,
                 ExsEvent::ConnectionError => panic!("fan-in server conn {idx} failed"),
                 ExsEvent::SendComplete { .. } => {}
             }
         }
-        // Refill to depth: every freed slot goes straight back out while
-        // the stream still owes bytes, so the advert queue never drains
-        // below depth at the sender's next decision point. Receives left
-        // over at end-of-stream complete with zero bytes.
-        while !self.eof[idx] && self.received[idx] < self.expected {
-            let Some(slot) = self.free[idx].pop() else {
-                break;
-            };
-            let mr = self.mrs[idx][slot];
-            let id = self.next_id;
-            self.next_id += 1;
+        while let Some((mr, id)) = self.cycle.next_post(idx) {
             self.pool.shard_mut(h.shard).conn_mut(h.conn).exs_recv(
                 api,
                 &mr,
                 0,
-                self.recv_len,
+                self.cycle.recv_len,
                 false,
                 id,
             );
-            self.posted[idx].push_back((id, slot));
             progressed = true;
         }
         progressed
     }
 
-    /// Polls every shard until quiescent: no connection made progress
+    /// [`ReactorServer::handle_conn`] for one hosted endpoint and every
+    /// stream it carries.
+    fn handle_mux(&mut self, api: &mut NodeApi<'_>, mi: usize) -> bool {
+        let ReactorServer {
+            pool, muxes, cycle, ..
+        } = self;
+        let (m, streams) = &muxes[mi];
+        let reactor = pool.shard_mut(m.shard);
+        let events = reactor.take_mux_events(m.mux);
+        let mut progressed = !events.is_empty();
+        for ev in events {
+            match ev {
+                MuxEvent::RecvComplete { stream, id, len } => {
+                    cycle.on_recv_complete(api, stream as usize, id, len)
+                }
+                MuxEvent::StreamClosed { stream } => {
+                    cycle.eof[stream as usize] = true;
+                    // Close the unused send half so the stream's state
+                    // retires without disturbing its siblings.
+                    reactor.mux_mut(m.mux).close_stream(api, stream);
+                }
+                MuxEvent::TransportError { slot } => panic!(
+                    "fan-in mux server transport {mi}/{slot} failed: {:?}",
+                    reactor.mux(m.mux).last_error()
+                ),
+                MuxEvent::SendComplete { .. } => {}
+            }
+        }
+        for &idx in streams {
+            while let Some((mr, id)) = cycle.next_post(idx) {
+                reactor
+                    .mux_mut(m.mux)
+                    .mux_recv(api, idx as u32, &mr, 0, cycle.recv_len, false, id)
+                    .expect("mux receive on an open stream");
+                progressed = true;
+            }
+        }
+        progressed
+    }
+
+    /// Polls every shard until quiescent: nothing hosted made progress
     /// and no CQ/budget backlog remains on any shard. Bounded because
-    /// each iteration consumes queued completions and each connection
-    /// posts at most one receive per iteration.
+    /// each iteration consumes queued completions and each stream
+    /// posts at most `prepost_recvs` receives per iteration.
     fn service(&mut self, api: &mut NodeApi<'_>) {
         let mut ready = std::mem::take(&mut self.ready);
         loop {
@@ -640,7 +787,10 @@ impl ReactorServer {
                     progressed |= self.handle_conn(api, idx);
                 }
             }
-            if self.finished_at.is_none() && self.is_done() {
+            for mi in 0..self.muxes.len() {
+                progressed |= self.handle_mux(api, mi);
+            }
+            if self.finished_at.is_none() && self.cycle.is_done() {
                 self.finished_at = Some(api.now());
             }
             if !progressed && !self.pool.has_backlog() {
@@ -653,310 +803,36 @@ impl ReactorServer {
 
 impl NodeApp for ReactorServer {
     fn on_start(&mut self, api: &mut NodeApi<'_>) {
-        // Post the initial receive on every connection (none is
-        // "readable" yet, so prime directly rather than via poll).
+        // Post the initial receives on every stream (none is "readable"
+        // yet, so prime directly rather than via poll).
         for idx in 0..self.handles.len() {
             self.handle_conn(api, idx);
+        }
+        for mi in 0..self.muxes.len() {
+            self.handle_mux(api, mi);
         }
     }
     fn on_wake(&mut self, api: &mut NodeApi<'_>) {
         self.service(api);
     }
     fn is_done(&self) -> bool {
-        self.eof.iter().all(|&e| e) && self.received.iter().all(|&r| r == self.expected)
-    }
-}
-
-/// Runs one fan-in experiment on the simulated fabric.
-///
-/// # Panics
-/// Panics on deadlock/timeout, payload corruption (with
-/// [`VerifyLevel::Full`]), or any connection error — all protocol bugs.
-pub fn run_fan_in(spec: &FanInSpec) -> FanInReport {
-    if spec.aio {
-        assert!(
-            !spec.mux,
-            "aio fan-in drives per-connection streams; mux+aio is not wired"
-        );
-        return run_fan_in_aio(spec);
-    }
-    if spec.mux {
-        assert!(
-            spec.effective_shards() == 1,
-            "sharded mux fan-in is not wired; use shards=1 with mux"
-        );
-        return run_fan_in_mux(spec);
-    }
-    assert!(spec.conns >= 1, "need at least one connection");
-    let expected = spec.msgs_per_conn as u64 * spec.msg_len;
-    let recv_len = spec.effective_recv_len();
-    let prepost = spec.effective_prepost();
-    let nshards = spec.effective_shards();
-
-    let mut net = SimNet::new();
-    net.set_fabric(spec.fabric.clone());
-    net.set_host_seed(
-        spec.seed
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            .wrapping_add(3),
-    );
-    let server_node = net.add_node(spec.profile.host.clone(), spec.profile.hca.clone());
-    let nclients = spec.client_nodes.clamp(1, spec.conns);
-    let client_nodes: Vec<NodeId> = (0..nclients)
-        .map(|_| net.add_node(spec.profile.host.clone(), spec.profile.hca.clone()))
-        .collect();
-    for (i, &c) in client_nodes.iter().enumerate() {
-        net.connect_nodes(
-            c,
-            server_node,
-            spec.profile.link.clone(),
-            spec.seed.wrapping_add(i as u64),
-        );
-    }
-
-    // Shared CQs sized for every connection's worst case — full size
-    // per shard, since a skewed policy may put most connections on one
-    // shard and CQ overflow is fatal.
-    let setup_start = std::time::Instant::now();
-    let per_conn_cq = spec.cfg.sq_depth * 2 + spec.cfg.credits as usize * 2;
-    let reactors: Vec<Reactor> = (0..nshards)
-        .map(|_| {
-            let (send_cq, recv_cq) = net.with_api(server_node, |api| {
-                (
-                    api.create_cq(per_conn_cq * spec.conns),
-                    api.create_cq(per_conn_cq * spec.conns),
-                )
-            });
-            Reactor::new(send_cq, recv_cq, spec.reactor)
-        })
-        .collect();
-    let mut pool = ReactorPool::new(reactors, spec.shard_cfg());
-
-    // One pool per node in pooled mode: each client node's connections
-    // share a pin-down cache, as does the server behind the reactor.
-    let server_pool = spec.pooled.then(|| MemPool::new(spec.cfg.pool.clone()));
-    let mut clients: Vec<FanInClient> = (0..nclients)
-        .map(|_| FanInClient {
-            conns: Vec::new(),
-            msgs: spec.msgs_per_conn,
-            msg_len: spec.msg_len,
-            verify: spec.verify,
-            pool: spec.pooled.then(|| MemPool::new(spec.cfg.pool.clone())),
-            seed: spec.seed,
-            scratch: Vec::new(),
-        })
-        .collect();
-    let mut server_mrs = Vec::with_capacity(spec.conns);
-    // Server-side receive leases: held for the whole run (the reactor
-    // re-posts into the same buffer), released together at the end.
-    let mut server_leases: Vec<MrLease> = Vec::new();
-    let mut handles = Vec::with_capacity(spec.conns);
-    let mut idx_of = HashMap::with_capacity(spec.conns);
-    for idx in 0..spec.conns {
-        let cnode = client_nodes[idx % nclients];
-        // Affinity policy keys on the client node, so one client's
-        // connections share a shard (and its caches).
-        let shard = pool.pick_shard(Some(cnode.0 as u64));
-        let (send_cq, recv_cq) = pool.shard_cqs(shard);
-        let (csock, ssock) =
-            StreamSocket::pair_shared(&mut net, cnode, server_node, send_cq, recv_cq, &spec.cfg);
-        let handle = pool.accept_on(shard, ssock);
-        handles.push(handle);
-        idx_of.insert(handle, idx);
-        let max_outstanding = spec.outstanding_sends.max(1);
-        let slots = if spec.pooled {
-            Vec::new()
-        } else {
-            net.with_api(cnode, |api| {
-                (0..max_outstanding)
-                    .map(|_| api.register_mr(spec.msg_len as usize, Access::NONE))
-                    .collect::<Vec<_>>()
-            })
-        };
-        let free = (0..slots.len()).collect();
-        clients[idx % nclients].conns.push(ConnState {
-            sock: csock,
-            idx,
-            slots,
-            free,
-            slot_of: HashMap::new(),
-            max_outstanding,
-            leases: HashMap::new(),
-            sent: 0,
-            acked: 0,
-            pos: 0,
-            shutdown: false,
-        });
-        let slots: Vec<MrInfo> = (0..prepost)
-            .map(|_| match &server_pool {
-                Some(pool) => net.with_api(server_node, |api| {
-                    let lease = pool.acquire(api, recv_len as usize, Access::local_remote_write());
-                    let info = *lease.info();
-                    server_leases.push(lease);
-                    info
-                }),
-                None => net.with_api(server_node, |api| {
-                    api.register_mr(recv_len as usize, Access::local_remote_write())
-                }),
-            })
-            .collect();
-        server_mrs.push(slots);
-    }
-    let setup_wall = setup_start.elapsed();
-
-    let mut server = ReactorServer {
-        pool,
-        handles,
-        idx_of,
-        ready: Vec::new(),
-        mrs: server_mrs,
-        posted: (0..spec.conns).map(|_| VecDeque::new()).collect(),
-        free: (0..spec.conns).map(|_| (0..prepost).collect()).collect(),
-        recv_len,
-        expected,
-        received: vec![0; spec.conns],
-        eof: vec![false; spec.conns],
-        digests: vec![FNV_OFFSET; spec.conns],
-        verify: spec.verify,
-        seed: spec.seed,
-        next_id: 0,
-        finished_at: None,
-        scratch: Vec::new(),
-    };
-
-    let mut apps: Vec<&mut dyn NodeApp> = Vec::with_capacity(1 + nclients);
-    apps.push(&mut server);
-    for c in clients.iter_mut() {
-        apps.push(c);
-    }
-    let outcome = net.run(&mut apps, SimTime::ZERO + spec.time_limit);
-    assert!(
-        outcome.completed,
-        "fan-in deadlocked or timed out: {} of {} conns at EOF, {:?} received, ended {:?}",
-        server.eof.iter().filter(|&&e| e).count(),
-        spec.conns,
-        server.received.iter().sum::<u64>(),
-        outcome.end,
-    );
-
-    let end = server.finished_at.unwrap_or(outcome.end);
-    // Fold the shared CQs' pressure gauges into every snapshot before
-    // serializing (overflow here would mean the per-conn sizing above
-    // was wrong).
-    net.with_api(server_node, |api| {
-        for &h in &server.handles {
-            server
-                .pool
-                .shard_mut(h.shard)
-                .conn_mut(h.conn)
-                .sync_cq_stats(api);
-        }
-    });
-    let fabric_stats = net.fabric_stats();
-    // Per-conn snapshots in *global* index order, regardless of which
-    // shard each connection landed on — snapshots across shard counts
-    // must stay row-for-row comparable.
-    let mut per_conn: Vec<ConnStats> = server
-        .handles
-        .iter()
-        .map(|&h| server.pool.shard(h.shard).conn(h.conn).stats().clone())
-        .collect();
-    let mut aggregate = server.pool.aggregate_conn_stats();
-    if let Some(fs) = &fabric_stats {
-        // Annotate every connection with its carrying flow's telemetry
-        // (connections round-robin over client nodes; the flow is the
-        // client→server node pair).
-        for (idx, stats) in per_conn.iter_mut().enumerate() {
-            let cnode = client_nodes[idx % nclients];
-            if let Some(flow) = fs
-                .flows
-                .iter()
-                .find(|f| f.src == cnode.0 && f.dst == server_node.0)
-            {
-                stats.fabric_respeeds = flow.respeeds;
-                stats.record_fabric_flow(flow.achieved_mbps());
-            }
-        }
-        aggregate.fabric_respeeds = fs.respeeds;
-        for flow in fs.flows.iter() {
-            aggregate.record_fabric_flow(flow.achieved_mbps());
-        }
-    }
-    let reactor_stats = server.pool.reactor_stats();
-    let shard_stats = server.pool.shard_stats();
-    assert_eq!(reactor_stats.orphan_cqes, 0, "no completion went unrouted");
-    assert_eq!(
-        aggregate.bytes_received,
-        expected * spec.conns as u64,
-        "every stream fully delivered"
-    );
-
-    // Sender-side counters live in the client sockets — fold the CQ
-    // gauges in and merge them so direct/indirect accounting is
-    // auditable end to end (the server-side aggregate only ever sees
-    // the receive half).
-    let mut aggregate_tx = ConnStats::default();
-    for (i, c) in clients.iter_mut().enumerate() {
-        let cnode = client_nodes[i];
-        net.with_api(cnode, |api| {
-            for cs in c.conns.iter_mut() {
-                cs.sock.sync_cq_stats(api);
-            }
-        });
-        for cs in c.conns.iter() {
-            aggregate_tx.merge(cs.sock.stats());
-        }
-    }
-    assert_eq!(
-        aggregate_tx.bytes_sent,
-        expected * spec.conns as u64,
-        "every stream fully sent"
-    );
-
-    let pool = server_pool.map(|sp| {
-        let mut total = sp.stats();
-        for c in &clients {
-            if let Some(cp) = &c.pool {
-                total.merge(&cp.stats());
-            }
-        }
-        total
-    });
-    drop(server_leases);
-
-    FanInReport {
-        conns: spec.conns,
-        bytes: expected * spec.conns as u64,
-        elapsed: end.saturating_duration_since(SimTime::ZERO),
-        per_conn,
-        digests: server.digests,
-        aggregate,
-        aggregate_tx,
-        reactor: reactor_stats,
-        pool,
-        link_bandwidth_bps: spec.profile.link.bandwidth_bps,
-        fabric: fabric_stats,
-        setup_wall,
-        mux_footprint: None,
-        mux_baseline: None,
-        aio: None,
-        shard_stats: Some(shard_stats),
-        aio_per_shard: None,
-        events: outcome.events,
+        self.cycle.is_done()
     }
 }
 
 /// The aio-mode server node: a [`SimShardDriver`] pumping one async
-/// executor per shard (one shard ⇒ the same turn sequence as
-/// [`SimDriver`]), plus a completion-time probe ([`ReactorServer`]
-/// records `finished_at` the same way, so the two modes' elapsed times
-/// are comparable).
-struct AioFanInServer {
+/// executor per shard, one `recv_some` task per connection, plus a
+/// completion-time probe ([`ReactorServer`] records `finished_at` the
+/// same way, so the two modes' elapsed times are comparable).
+struct AioServer {
     drv: SimShardDriver,
+    /// Shared with the server tasks (single-threaded executors, so a
+    /// plain `RefCell`).
+    delivered: Rc<RefCell<Delivered>>,
     finished_at: Option<SimTime>,
 }
 
-impl AioFanInServer {
+impl AioServer {
     fn note(&mut self, api: &mut NodeApi<'_>) {
         if self.finished_at.is_none() && self.drv.is_done() {
             self.finished_at = Some(api.now());
@@ -964,7 +840,7 @@ impl AioFanInServer {
     }
 }
 
-impl NodeApp for AioFanInServer {
+impl NodeApp for AioServer {
     fn on_start(&mut self, api: &mut NodeApi<'_>) {
         self.drv.on_start(api);
         self.note(api);
@@ -982,28 +858,91 @@ impl NodeApp for AioFanInServer {
     }
 }
 
-/// Per-connection delivery state shared between the aio server tasks
-/// and the harness (single-threaded executor, so a plain `RefCell`).
-struct AioShared {
-    digests: Vec<u64>,
-    received: Vec<u64>,
+/// The server front-end a run selected ([`FanInSpec::aio`]); both host
+/// one [`Reactor`] per shard.
+enum Server {
+    Callback(Box<ReactorServer>),
+    Aio(AioServer),
 }
 
-/// Runs one fan-in experiment with the async server (one task per
-/// connection on a single [`exs::aio`] executor). Clients are the
-/// unchanged callback [`FanInClient`]s, so any digest difference
-/// against [`run_fan_in`] is attributable to the server's consumption
-/// model — and there must be none: FNV-1a folds chunk-by-chunk into
-/// the same value regardless of how `recv_some` slices the stream.
+impl Server {
+    fn app(&mut self) -> &mut dyn NodeApp {
+        match self {
+            Server::Callback(s) => s.as_mut(),
+            Server::Aio(s) => s,
+        }
+    }
+
+    fn finished_at(&self) -> Option<SimTime> {
+        match self {
+            Server::Callback(s) => s.finished_at,
+            Server::Aio(s) => s.finished_at,
+        }
+    }
+
+    fn with_shard<R>(&mut self, shard: u32, f: impl FnOnce(&mut Reactor) -> R) -> R {
+        match self {
+            Server::Callback(s) => f(s.pool.shard_mut(shard)),
+            Server::Aio(s) => s.drv.executor(shard as usize).with_reactor(f),
+        }
+    }
+
+    fn with_delivered<R>(&self, f: impl FnOnce(&Delivered) -> R) -> R {
+        match self {
+            Server::Callback(s) => f(&s.cycle.delivered),
+            Server::Aio(s) => f(&s.delivered.borrow()),
+        }
+    }
+
+    fn into_digests(self) -> Vec<u64> {
+        match self {
+            Server::Callback(s) => s.cycle.delivered.digests,
+            Server::Aio(s) => {
+                Rc::try_unwrap(s.delivered)
+                    .ok()
+                    .expect("all tasks completed, so the harness holds the last ref")
+                    .into_inner()
+                    .digests
+            }
+        }
+    }
+}
+
+/// Runs one fan-in experiment on the simulated fabric: build the
+/// topology, build the clients and connect every stream, stand up the
+/// server front-end the spec selects, run, and assemble the report.
+///
+/// * Default: the callback `ReactorServer` over private-QP sockets.
+/// * [`FanInSpec::aio`]: one async task per connection on one
+///   [`exs::aio`] executor per shard. Clients are the same callback
+///   `FanInClient`s, so any digest difference against the default is
+///   attributable to the server's consumption model — and there must be
+///   none.
+/// * [`FanInSpec::mux`]: connection `idx` becomes stream `idx` on the
+///   endpoint pair of client node `idx % client_nodes`; delivered bytes
+///   and digests are comparable one-to-one with the QP-per-connection
+///   path.
 ///
 /// # Panics
-/// Same contract as [`run_fan_in`].
-pub fn run_fan_in_aio(spec: &FanInSpec) -> FanInReport {
+/// Panics on deadlock/timeout, payload corruption (with
+/// [`VerifyLevel::Full`]), or any connection or transport error — all
+/// protocol bugs.
+pub fn run_fan_in(spec: &FanInSpec) -> FanInReport {
     assert!(spec.conns >= 1, "need at least one connection");
+    assert!(
+        !(spec.aio && spec.mux),
+        "aio fan-in drives per-connection streams; mux+aio is not wired"
+    );
+    assert!(
+        !spec.mux || spec.effective_shards() == 1,
+        "sharded mux fan-in is not wired; use shards=1 with mux"
+    );
     let expected = spec.msgs_per_conn as u64 * spec.msg_len;
     let recv_len = spec.effective_recv_len();
     let prepost = spec.effective_prepost();
-    let nshards = spec.effective_shards();
+    let max_outstanding = spec.outstanding_sends.max(1);
+    // Mux mode registers every buffer up front.
+    let pooled = spec.pooled && !spec.mux;
 
     let mut net = SimNet::new();
     net.set_fabric(spec.fabric.clone());
@@ -1026,78 +965,113 @@ pub fn run_fan_in_aio(spec: &FanInSpec) -> FanInReport {
         );
     }
 
+    // One reactor per shard, each over its own CQ pair sized for every
+    // stream's worst case — full size per shard, since a skewed policy
+    // may put most connections on one shard and CQ overflow is fatal.
     let setup_start = std::time::Instant::now();
-    let per_conn_cq = spec.cfg.sq_depth * 2 + spec.cfg.credits as usize * 2;
-    // One reactor (and later one executor) per shard, each over its own
-    // CQ pair — sized for the full fan-in per shard, since a skewed
-    // policy may pile every connection on one shard.
-    let mut reactors: Vec<Reactor> = (0..nshards)
+    let cq_depth = if spec.mux {
+        nclients * MuxEndpoint::shared_cq_depth(&spec.cfg)
+    } else {
+        spec.cfg.cq_depth(spec.conns)
+    };
+    let reactors: Vec<Reactor> = (0..spec.effective_shards())
         .map(|_| {
             let (send_cq, recv_cq) = net.with_api(server_node, |api| {
-                (
-                    api.create_cq(per_conn_cq * spec.conns),
-                    api.create_cq(per_conn_cq * spec.conns),
-                )
+                (api.create_cq(cq_depth), api.create_cq(cq_depth))
             });
             Reactor::new(send_cq, recv_cq, spec.reactor)
         })
         .collect();
+    let mut pool = ReactorPool::new(reactors, spec.shard_cfg());
 
-    let mut clients: Vec<FanInClient> = (0..nclients)
-        .map(|_| FanInClient {
+    // One pool per node in pooled mode: each client node's connections
+    // share a pin-down cache, as does the callback server behind the
+    // reactor. (The aio server's executors always lease; see below.)
+    let mut server_pools: Vec<MemPool> = Vec::new();
+    if pooled && !spec.aio {
+        server_pools.push(MemPool::new(spec.cfg.pool.clone()));
+    }
+    let mut clients: Vec<FanInClient> = client_nodes
+        .iter()
+        .map(|&cnode| FanInClient {
+            link: if spec.mux {
+                ClientLink::Mux {
+                    ep: Box::new(MuxEndpoint::new(cnode, &spec.cfg)),
+                    by_stream: HashMap::new(),
+                }
+            } else {
+                ClientLink::Socks(Vec::new())
+            },
             conns: Vec::new(),
             msgs: spec.msgs_per_conn,
             msg_len: spec.msg_len,
             verify: spec.verify,
-            pool: spec.pooled.then(|| MemPool::new(spec.cfg.pool.clone())),
+            pool: pooled.then(|| MemPool::new(spec.cfg.pool.clone())),
             seed: spec.seed,
             scratch: Vec::new(),
         })
         .collect();
-    // Placement mirrors the callback path: the same `choose_shard`
-    // decision sequence for the same inputs, so a conn lands on the
-    // same shard in both server modes.
-    let mut conn_locs: Vec<(usize, ConnId)> = Vec::with_capacity(spec.conns);
-    let mut assigned = vec![0u64; nshards];
-    let mut steals = vec![0u64; nshards];
-    let mut rr = 0usize;
+    // Mux mode: the server end of each client node's endpoint pair,
+    // completing onto the (single) shard's CQs.
+    let mut server_eps: Vec<(MuxEndpoint, Vec<usize>)> = Vec::new();
+    if spec.mux {
+        let (send_cq, recv_cq) = pool.shard_cqs(0);
+        server_eps.extend((0..nclients).map(|_| {
+            let mut ep = MuxEndpoint::new(server_node, &spec.cfg);
+            ep.set_cqs(send_cq, recv_cq);
+            (ep, Vec::new())
+        }));
+    }
+
+    let mut handles: Vec<ShardHandle> = Vec::new();
+    let mut server_mrs: Vec<Vec<MrInfo>> = Vec::new();
+    // Server-side receive leases: held for the whole run (the reactor
+    // re-posts into the same buffer), released together at the end.
+    let mut server_leases: Vec<MrLease> = Vec::new();
     for idx in 0..spec.conns {
-        let cnode = client_nodes[idx % nclients];
-        let shard = {
-            let reactors = &reactors;
-            let (chosen, stole) =
-                choose_shard(spec.shard_policy, rr, nshards, Some(cnode.0 as u64), |s| {
-                    let st = reactors[s].stats();
-                    st.conns_added - st.conns_removed
-                });
-            rr = (rr + 1) % nshards;
-            assigned[chosen] += 1;
-            if stole {
-                steals[chosen] += 1;
+        let ci = idx % nclients;
+        let cnode = client_nodes[ci];
+        let nth = clients[ci].conns.len();
+        match &mut clients[ci].link {
+            ClientLink::Socks(socks) => {
+                // Affinity policy keys on the client node, so one
+                // client's connections share a shard (and its caches).
+                let shard = pool.pick_shard(Some(cnode.0 as u64));
+                let (send_cq, recv_cq) = pool.shard_cqs(shard);
+                let (csock, ssock) = StreamSocket::pair_shared(
+                    &mut net,
+                    cnode,
+                    server_node,
+                    send_cq,
+                    recv_cq,
+                    &spec.cfg,
+                );
+                handles.push(pool.accept_on(shard, ssock));
+                socks.push(csock);
             }
-            chosen
-        };
-        let (send_cq, recv_cq) = (reactors[shard].send_cq(), reactors[shard].recv_cq());
-        let (csock, ssock) =
-            StreamSocket::pair_shared(&mut net, cnode, server_node, send_cq, recv_cq, &spec.cfg);
-        let conn = reactors[shard].accept(ssock);
-        conn_locs.push((shard, conn));
-        let max_outstanding = spec.outstanding_sends.max(1);
-        let slots = if spec.pooled {
+            ClientLink::Mux { ep, by_stream } => {
+                ep.open_stream(idx as u32).expect("stream id fits");
+                server_eps[ci]
+                    .0
+                    .open_stream(idx as u32)
+                    .expect("stream id fits");
+                server_eps[ci].1.push(idx);
+                by_stream.insert(idx as u32, nth);
+            }
+        }
+        let slots: Vec<MrInfo> = if pooled {
             Vec::new()
         } else {
             net.with_api(cnode, |api| {
                 (0..max_outstanding)
                     .map(|_| api.register_mr(spec.msg_len as usize, Access::NONE))
-                    .collect::<Vec<_>>()
+                    .collect()
             })
         };
-        let free = (0..slots.len()).collect();
-        clients[idx % nclients].conns.push(ConnState {
-            sock: csock,
+        clients[ci].conns.push(SendCycle {
             idx,
+            free: (0..slots.len()).collect(),
             slots,
-            free,
             slot_of: HashMap::new(),
             max_outstanding,
             leases: HashMap::new(),
@@ -1106,629 +1080,199 @@ pub fn run_fan_in_aio(spec: &FanInSpec) -> FanInReport {
             pos: 0,
             shutdown: false,
         });
-    }
-
-    // Each shard's executor pool carries its connections' readahead
-    // leases for the whole run; budget them up front so a 10k-way
-    // fan-in never churns the pin-down cache. Pre-registering happens
-    // now, during setup, through the uncharged path — the callback
-    // server's up-front `register_mr` calls are setup-cost-free by the
-    // same rule, and the timed window must compare consumption models.
-    // Without this, conns × prepost pin-down misses (~35 µs each,
-    // serialized on the server core at time zero) masquerade as an 8×
-    // async slowdown.
-    let class = (recv_len as u64).next_power_of_two().max(4096);
-    let mut server_pools = Vec::with_capacity(nshards);
-    let mut executors = Vec::with_capacity(nshards);
-    for (shard, reactor) in reactors.into_iter().enumerate() {
-        let pool = MemPool::new(MemPoolConfig {
-            pinned_budget: (assigned[shard] * prepost as u64 * class)
-                .max(spec.cfg.pool.pinned_budget),
-            ..spec.cfg.pool.clone()
-        });
-        net.with_api(server_node, |api| {
-            pool.prewarm(
-                api,
-                assigned[shard] as usize * prepost,
-                recv_len as usize,
-                Access::local_remote_write(),
-            );
-        });
-        executors.push(Executor::with_pool(reactor, pool.clone()));
-        server_pools.push(pool);
-    }
-    let shared = Rc::new(RefCell::new(AioShared {
-        digests: vec![FNV_OFFSET; spec.conns],
-        received: vec![0; spec.conns],
-    }));
-    for (idx, &(shard, conn)) in conn_locs.iter().enumerate() {
-        let handle = executors[shard].handle();
-        let stream = handle.stream_with(conn, recv_len, prepost);
-        let shared = Rc::clone(&shared);
-        let verify = spec.verify;
-        let seed = spec.seed;
-        let chunk = recv_len as usize;
-        handle.spawn(async move {
-            loop {
-                match stream.recv_some(chunk).await {
-                    Ok(bytes) => {
-                        let mut s = shared.borrow_mut();
-                        if verify == VerifyLevel::Full {
-                            for (i, &b) in bytes.iter().enumerate() {
-                                assert_eq!(
-                                    b,
-                                    payload_byte(seed, idx, s.received[idx] + i as u64),
-                                    "conn {idx} corrupted at offset {}",
-                                    s.received[idx] + i as u64
-                                );
-                            }
+        if !spec.aio {
+            server_mrs.push(net.with_api(server_node, |api| {
+                (0..prepost)
+                    .map(|_| match server_pools.first() {
+                        Some(pool) => {
+                            let lease =
+                                pool.acquire(api, recv_len as usize, Access::local_remote_write());
+                            let info = *lease.info();
+                            server_leases.push(lease);
+                            info
                         }
-                        s.digests[idx] = fnv1a(s.digests[idx], &bytes);
-                        s.received[idx] += bytes.len() as u64;
-                    }
-                    Err(ExsError::Eof) => break,
-                    Err(e) => panic!("aio fan-in conn {idx} failed: {e}"),
-                }
-            }
-        });
-    }
-    let setup_wall = setup_start.elapsed();
-
-    let mut server = AioFanInServer {
-        drv: SimShardDriver::new(executors),
-        finished_at: None,
-    };
-    let mut apps: Vec<&mut dyn NodeApp> = Vec::with_capacity(1 + nclients);
-    apps.push(&mut server);
-    for c in clients.iter_mut() {
-        apps.push(c);
-    }
-    let outcome = net.run(&mut apps, SimTime::ZERO + spec.time_limit);
-    {
-        let s = shared.borrow();
-        assert!(
-            outcome.completed,
-            "aio fan-in deadlocked or timed out: {} of {} conns done, {:?} received, ended {:?}",
-            s.received.iter().filter(|&&r| r == expected).count(),
-            spec.conns,
-            s.received.iter().sum::<u64>(),
-            outcome.end,
-        );
-        for (idx, &r) in s.received.iter().enumerate() {
-            assert_eq!(r, expected, "conn {idx} delivered short");
+                        None => api.register_mr(recv_len as usize, Access::local_remote_write()),
+                    })
+                    .collect()
+            }));
         }
     }
 
-    let end = server.finished_at.unwrap_or(outcome.end);
-    net.with_api(server_node, |api| {
-        for shard in 0..nshards {
-            server.drv.executor(shard).with_reactor(|r| {
-                for conn in r.conn_ids() {
-                    r.conn_mut(conn).sync_cq_stats(api);
+    // Placement is final; the poll/dispatch columns are filled in from
+    // the reactors after the run.
+    let mut shard_stats = pool.shard_stats();
+    let mut mux_handles: Vec<ShardMuxHandle> = Vec::new();
+    let mut mux_footprint = 0;
+    let delivered = Delivered::new(spec);
+    let mut server = if spec.aio {
+        // Each shard's executor pool carries its connections' readahead
+        // leases for the whole run; budget them up front so a 10k-way
+        // fan-in never churns the pin-down cache. Pre-registering happens
+        // now, during setup, through the uncharged path — the callback
+        // server's up-front `register_mr` calls are setup-cost-free by the
+        // same rule, and the timed window must compare consumption models.
+        // Without this, conns × prepost pin-down misses (~35 µs each,
+        // serialized on the server core at time zero) masquerade as an 8×
+        // async slowdown.
+        let class = (recv_len as u64).next_power_of_two().max(4096);
+        let mut executors = Vec::with_capacity(shard_stats.len());
+        for (reactor, row) in pool.into_shards().into_iter().zip(&shard_stats) {
+            let mpool = MemPool::new(MemPoolConfig {
+                pinned_budget: (row.assigned * prepost as u64 * class)
+                    .max(spec.cfg.pool.pinned_budget),
+                ..spec.cfg.pool.clone()
+            });
+            net.with_api(server_node, |api| {
+                mpool.prewarm(
+                    api,
+                    row.assigned as usize * prepost,
+                    recv_len as usize,
+                    Access::local_remote_write(),
+                );
+            });
+            executors.push(Executor::with_pool(reactor, mpool.clone()));
+            server_pools.push(mpool);
+        }
+        let delivered = Rc::new(RefCell::new(delivered));
+        for (idx, h) in handles.iter().enumerate() {
+            let handle = executors[h.shard as usize].handle();
+            let stream = handle.stream_with(h.conn, recv_len, prepost);
+            let delivered = Rc::clone(&delivered);
+            let chunk = recv_len as usize;
+            handle.spawn(async move {
+                loop {
+                    match stream.recv_some(chunk).await {
+                        Ok(bytes) => delivered.borrow_mut().absorb(idx, &bytes),
+                        Err(ExsError::Eof) => break,
+                        Err(e) => panic!("aio fan-in conn {idx} failed: {e}"),
+                    }
                 }
             });
         }
-    });
-    let fabric_stats = net.fabric_stats();
-    // Per-conn snapshots in *global* index order (each conn id is only
-    // shard-local), merged protocol and event-loop counters across
-    // shards, and the per-shard telemetry rows.
-    let mut per_conn: Vec<ConnStats> = conn_locs
-        .iter()
-        .map(|&(shard, conn)| {
-            server
-                .drv
-                .executor_ref(shard)
-                .with_reactor(|r| r.conn(conn).stats().clone())
+        Server::Aio(AioServer {
+            drv: SimShardDriver::new(executors),
+            delivered,
+            finished_at: None,
         })
-        .collect();
-    let mut aggregate = ConnStats::default();
-    let mut reactor_stats = ReactorStats::default();
-    let mut shard_stats = Vec::with_capacity(nshards);
-    for shard in 0..nshards {
-        let (agg, rs) = server
-            .drv
-            .executor_ref(shard)
-            .with_reactor(|r| (r.aggregate_conn_stats(), r.stats().clone()));
-        aggregate.merge(&agg);
-        shard_stats.push(ShardStats {
-            shard_id: shard as u32,
-            conns: rs.conns_added - rs.conns_removed,
-            assigned: assigned[shard],
-            steals: steals[shard],
-            commands: 0,
-            polls: rs.polls,
-            cqes_dispatched: rs.cqes_dispatched,
-            busy_ns: 0,
-            wall_ns: 0,
-        });
-        reactor_stats.merge(&rs);
-    }
-    if let Some(fs) = &fabric_stats {
-        for (idx, stats) in per_conn.iter_mut().enumerate() {
-            let cnode = client_nodes[idx % nclients];
-            if let Some(flow) = fs
-                .flows
-                .iter()
-                .find(|f| f.src == cnode.0 && f.dst == server_node.0)
-            {
-                stats.fabric_respeeds = flow.respeeds;
-                stats.record_fabric_flow(flow.achieved_mbps());
-            }
-        }
-        aggregate.fabric_respeeds = fs.respeeds;
-        for flow in fs.flows.iter() {
-            aggregate.record_fabric_flow(flow.achieved_mbps());
-        }
-    }
-    assert_eq!(reactor_stats.orphan_cqes, 0, "no completion went unrouted");
-    assert_eq!(
-        aggregate.bytes_received,
-        expected * spec.conns as u64,
-        "every stream fully delivered"
-    );
-    let aio_stats = server.drv.merged_stats();
-    let aio_per_shard = server.drv.per_shard_stats();
-    assert_eq!(
-        aio_stats.tasks_completed, spec.conns as u64,
-        "every connection task ran to completion"
-    );
-
-    let mut aggregate_tx = ConnStats::default();
-    for (i, c) in clients.iter_mut().enumerate() {
-        let cnode = client_nodes[i];
-        net.with_api(cnode, |api| {
-            for cs in c.conns.iter_mut() {
-                cs.sock.sync_cq_stats(api);
-            }
-        });
-        for cs in c.conns.iter() {
-            aggregate_tx.merge(cs.sock.stats());
-        }
-    }
-    assert_eq!(
-        aggregate_tx.bytes_sent,
-        expected * spec.conns as u64,
-        "every stream fully sent"
-    );
-
-    let pool = spec.pooled.then(|| {
-        let mut total = PoolStats::default();
-        for sp in &server_pools {
-            total.merge(&sp.stats());
-        }
-        for c in &clients {
-            if let Some(cp) = &c.pool {
-                total.merge(&cp.stats());
-            }
-        }
-        total
-    });
-
-    let shared = Rc::try_unwrap(shared)
-        .ok()
-        .expect("all tasks completed, so the harness holds the last ref")
-        .into_inner();
-    FanInReport {
-        conns: spec.conns,
-        bytes: expected * spec.conns as u64,
-        elapsed: end.saturating_duration_since(SimTime::ZERO),
-        per_conn,
-        digests: shared.digests,
-        aggregate,
-        aggregate_tx,
-        reactor: reactor_stats,
-        pool,
-        link_bandwidth_bps: spec.profile.link.bandwidth_bps,
-        fabric: fabric_stats,
-        setup_wall,
-        mux_footprint: None,
-        mux_baseline: None,
-        aio: Some(aio_stats),
-        shard_stats: Some(shard_stats),
-        aio_per_shard: Some(aio_per_shard),
-        events: outcome.events,
-    }
-}
-
-/// One stream of a mux-mode client: the same send-slot cycle as
-/// [`ConnState`], minus the private socket — data rides the node's
-/// shared [`MuxEndpoint`].
-struct MuxConnState {
-    /// Stream id on the endpoint == global connection index.
-    idx: usize,
-    slots: Vec<MrInfo>,
-    free: Vec<usize>,
-    slot_of: HashMap<u64, usize>,
-    sent: usize,
-    acked: usize,
-    pos: u64,
-    closed: bool,
-}
-
-/// One client node in mux mode: every outbound connection is a stream
-/// on one pooled-QP endpoint, so the node drives a single `handle_wake`
-/// instead of a service loop per connection.
-struct MuxFanInClient {
-    ep: MuxEndpoint,
-    conns: Vec<MuxConnState>,
-    /// Stream id → index into `conns`.
-    by_stream: HashMap<u32, usize>,
-    msgs: usize,
-    msg_len: u64,
-    verify: VerifyLevel,
-    seed: u64,
-    scratch: Vec<u8>,
-}
-
-impl MuxFanInClient {
-    fn kick(&mut self, api: &mut NodeApi<'_>, ci: usize) {
-        let msgs = self.msgs;
-        let msg_len = self.msg_len;
-        let c = &mut self.conns[ci];
-        while c.sent < msgs {
-            let Some(slot) = c.free.pop() else {
-                break;
+    } else {
+        let mut muxes = Vec::with_capacity(server_eps.len());
+        for (c, (mut sep, streams)) in clients.iter_mut().zip(server_eps) {
+            let ClientLink::Mux { ep, .. } = &mut c.link else {
+                unreachable!("server endpoints exist only in mux mode");
             };
-            let id = c.sent as u64;
-            c.slot_of.insert(id, slot);
-            let mr = c.slots[slot];
-            if self.verify == VerifyLevel::Full {
-                self.scratch.clear();
-                self.scratch
-                    .extend((0..msg_len).map(|i| payload_byte(self.seed, c.idx, c.pos + i)));
-                api.write_mr(mr.key, mr.addr, &self.scratch).unwrap();
-            }
-            self.ep
-                .mux_send(api, c.idx as u32, &mr, 0, msg_len, id)
-                .expect("mux send on an open stream");
-            c.pos += msg_len;
-            c.sent += 1;
+            connect_mux_pair(&mut net, ep, &mut sep);
+            // Capture the memory model at full fan-out: every stream
+            // open, every pool transport up (streams retire as they
+            // close).
+            mux_footprint += sep.memory_footprint();
+            let m = pool.accept_mux_on(0, sep);
+            mux_handles.push(m);
+            muxes.push((m, streams));
         }
-        if c.sent == msgs && c.acked == msgs && !c.closed {
-            self.ep.close_stream(api, c.idx as u32);
-            c.closed = true;
-        }
-    }
-}
-
-impl NodeApp for MuxFanInClient {
-    fn on_start(&mut self, api: &mut NodeApi<'_>) {
-        for ci in 0..self.conns.len() {
-            self.kick(api, ci);
-        }
-    }
-    fn on_wake(&mut self, api: &mut NodeApi<'_>) {
-        self.ep.handle_wake(api);
-        let mut touched = Vec::new();
-        for ev in self.ep.take_events() {
-            match ev {
-                MuxEvent::SendComplete { stream, id, .. } => {
-                    let ci = self.by_stream[&stream];
-                    let c = &mut self.conns[ci];
-                    if let Some(slot) = c.slot_of.remove(&id) {
-                        c.free.push(slot);
-                    }
-                    c.acked += 1;
-                    touched.push(ci);
-                }
-                MuxEvent::TransportError { slot } => panic!(
-                    "fan-in mux client transport slot {slot} failed: {:?}",
-                    self.ep.last_error()
-                ),
-                // The server's FIN answering ours; nothing left to do.
-                MuxEvent::StreamClosed { .. } | MuxEvent::RecvComplete { .. } => {}
-            }
-        }
-        for ci in touched {
-            self.kick(api, ci);
-        }
-    }
-    fn is_done(&self) -> bool {
-        self.conns.iter().all(|c| c.closed)
-    }
-}
-
-/// The mux-mode server: one [`MuxEndpoint`] per client node, all hosted
-/// in the one [`Reactor`] over its shared CQ pair, with the same
-/// pre-posted receive cycle and digest fold as [`ReactorServer`] —
-/// indexed by stream id instead of connection id.
-struct MuxReactorServer {
-    reactor: Reactor,
-    mux_ids: Vec<MuxId>,
-    /// Global stream indices carried by each endpoint.
-    streams_of: Vec<Vec<usize>>,
-    mrs: Vec<Vec<MrInfo>>,
-    posted: Vec<VecDeque<(u64, usize)>>,
-    free: Vec<Vec<usize>>,
-    recv_len: u32,
-    expected: u64,
-    received: Vec<u64>,
-    eof: Vec<bool>,
-    digests: Vec<u64>,
-    verify: VerifyLevel,
-    seed: u64,
-    next_id: u64,
-    finished_at: Option<SimTime>,
-    scratch: Vec<u8>,
-}
-
-impl MuxReactorServer {
-    /// Consumes one endpoint's events and refills the pre-posted
-    /// receive queue of every stream it carries. Returns true on any
-    /// progress.
-    fn handle_mux(&mut self, api: &mut NodeApi<'_>, mi: usize) -> bool {
-        let mux = self.mux_ids[mi];
-        let events = self.reactor.take_mux_events(mux);
-        let mut progressed = !events.is_empty();
-        for ev in events {
-            match ev {
-                MuxEvent::RecvComplete { stream, id, len } => {
-                    let idx = stream as usize;
-                    let (pid, slot) = self.posted[idx]
-                        .pop_front()
-                        .expect("completion without a posted receive");
-                    assert_eq!(pid, id, "receives must complete in posting order");
-                    if len > 0 {
-                        let mr = self.mrs[idx][slot];
-                        self.scratch.resize(len as usize, 0);
-                        api.read_mr(mr.key, mr.addr, &mut self.scratch).unwrap();
-                        if self.verify == VerifyLevel::Full {
-                            for (i, &b) in self.scratch.iter().enumerate() {
-                                assert_eq!(
-                                    b,
-                                    payload_byte(self.seed, idx, self.received[idx] + i as u64),
-                                    "stream {idx} corrupted at offset {}",
-                                    self.received[idx] + i as u64
-                                );
-                            }
-                        }
-                        self.digests[idx] = fnv1a(self.digests[idx], &self.scratch);
-                        self.received[idx] += len as u64;
-                    }
-                    self.free[idx].push(slot);
-                }
-                MuxEvent::StreamClosed { stream } => {
-                    self.eof[stream as usize] = true;
-                    // Close the unused send half so the stream's state
-                    // retires without disturbing its siblings.
-                    self.reactor.mux_mut(mux).close_stream(api, stream);
-                }
-                MuxEvent::TransportError { slot } => panic!(
-                    "fan-in mux server transport {mi}/{slot} failed: {:?}",
-                    self.reactor.mux(mux).last_error()
-                ),
-                MuxEvent::SendComplete { .. } => {}
-            }
-        }
-        for si in 0..self.streams_of[mi].len() {
-            let idx = self.streams_of[mi][si];
-            while !self.eof[idx] && self.received[idx] < self.expected {
-                let Some(slot) = self.free[idx].pop() else {
-                    break;
-                };
-                let mr = self.mrs[idx][slot];
-                let id = self.next_id;
-                self.next_id += 1;
-                self.reactor
-                    .mux_mut(mux)
-                    .mux_recv(api, idx as u32, &mr, 0, self.recv_len, false, id)
-                    .expect("mux receive on an open stream");
-                self.posted[idx].push_back((id, slot));
-                progressed = true;
-            }
-        }
-        progressed
-    }
-
-    /// Polls the reactor (which services the hosted endpoints) until no
-    /// endpoint produces events or postings and no backlog remains.
-    fn service(&mut self, api: &mut NodeApi<'_>) {
-        loop {
-            let _ = self.reactor.poll(api);
-            let mut progressed = false;
-            for mi in 0..self.mux_ids.len() {
-                progressed |= self.handle_mux(api, mi);
-            }
-            if self.finished_at.is_none() && self.is_done() {
-                self.finished_at = Some(api.now());
-            }
-            if !progressed && !self.reactor.has_backlog() {
-                break;
-            }
-        }
-    }
-}
-
-impl NodeApp for MuxReactorServer {
-    fn on_start(&mut self, api: &mut NodeApi<'_>) {
-        for mi in 0..self.mux_ids.len() {
-            self.handle_mux(api, mi);
-        }
-    }
-    fn on_wake(&mut self, api: &mut NodeApi<'_>) {
-        self.service(api);
-    }
-    fn is_done(&self) -> bool {
-        self.eof.iter().all(|&e| e) && self.received.iter().all(|&r| r == self.expected)
-    }
-}
-
-/// Runs one fan-in experiment with connections multiplexed as streams
-/// over pooled-QP shared transports ([`FanInSpec::mux`]).
-///
-/// Connection `idx` becomes stream `idx` on the endpoint pair of client
-/// node `idx % client_nodes`; delivered bytes and digests are
-/// comparable one-to-one with [`run_fan_in`]'s QP-per-connection path.
-///
-/// # Panics
-/// Panics on deadlock/timeout, payload corruption (with
-/// [`VerifyLevel::Full`]), or any transport failure.
-pub fn run_fan_in_mux(spec: &FanInSpec) -> FanInReport {
-    assert!(spec.conns >= 1, "need at least one connection");
-    let expected = spec.msgs_per_conn as u64 * spec.msg_len;
-    let recv_len = spec.effective_recv_len();
-    let prepost = spec.effective_prepost();
-
-    let mut net = SimNet::new();
-    net.set_fabric(spec.fabric.clone());
-    net.set_host_seed(
-        spec.seed
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            .wrapping_add(3),
-    );
-    let server_node = net.add_node(spec.profile.host.clone(), spec.profile.hca.clone());
-    let nclients = spec.client_nodes.clamp(1, spec.conns);
-    let client_nodes: Vec<NodeId> = (0..nclients)
-        .map(|_| net.add_node(spec.profile.host.clone(), spec.profile.hca.clone()))
-        .collect();
-    for (i, &c) in client_nodes.iter().enumerate() {
-        net.connect_nodes(
-            c,
-            server_node,
-            spec.profile.link.clone(),
-            spec.seed.wrapping_add(i as u64),
-        );
-    }
-
-    let setup_start = std::time::Instant::now();
-    // The reactor's CQ pair is shared by every server-side endpoint's
-    // whole pool; size it for all of them at once.
-    let cq_depth = nclients * MuxEndpoint::shared_cq_depth(&spec.cfg);
-    let (send_cq, recv_cq) = net.with_api(server_node, |api| {
-        (api.create_cq(cq_depth), api.create_cq(cq_depth))
-    });
-    let mut reactor = Reactor::new(send_cq, recv_cq, spec.reactor);
-
-    let mut clients: Vec<MuxFanInClient> = client_nodes
-        .iter()
-        .map(|&cnode| MuxFanInClient {
-            ep: MuxEndpoint::new(cnode, &spec.cfg),
-            conns: Vec::new(),
-            by_stream: HashMap::new(),
-            msgs: spec.msgs_per_conn,
-            msg_len: spec.msg_len,
-            verify: spec.verify,
-            seed: spec.seed,
-            scratch: Vec::new(),
-        })
-        .collect();
-    let mut server_eps: Vec<MuxEndpoint> = (0..nclients)
-        .map(|_| {
-            let mut ep = MuxEndpoint::new(server_node, &spec.cfg);
-            ep.set_cqs(send_cq, recv_cq);
-            ep
-        })
-        .collect();
-
-    let max_outstanding = spec.outstanding_sends.max(1);
-    let mut server_mrs: Vec<Vec<MrInfo>> = Vec::with_capacity(spec.conns);
-    let mut streams_of: Vec<Vec<usize>> = vec![Vec::new(); nclients];
-    for idx in 0..spec.conns {
-        let ci = idx % nclients;
-        clients[ci]
-            .ep
-            .open_stream(idx as u32)
-            .expect("stream id fits");
-        server_eps[ci]
-            .open_stream(idx as u32)
-            .expect("stream id fits");
-        streams_of[ci].push(idx);
-        let slots: Vec<MrInfo> = net.with_api(client_nodes[ci], |api| {
-            (0..max_outstanding)
-                .map(|_| api.register_mr(spec.msg_len as usize, Access::NONE))
-                .collect()
-        });
-        let free = (0..slots.len()).collect();
-        let ci_conns = clients[ci].conns.len();
-        clients[ci].by_stream.insert(idx as u32, ci_conns);
-        clients[ci].conns.push(MuxConnState {
-            idx,
-            slots,
-            free,
-            slot_of: HashMap::new(),
-            sent: 0,
-            acked: 0,
-            pos: 0,
-            closed: false,
-        });
-        server_mrs.push(net.with_api(server_node, |api| {
-            (0..prepost)
-                .map(|_| api.register_mr(recv_len as usize, Access::local_remote_write()))
-                .collect()
-        }));
-    }
-    let mut mux_ids = Vec::with_capacity(nclients);
-    let mut mux_footprint = 0;
-    for (c, mut sep) in clients.iter_mut().zip(server_eps.drain(..)) {
-        connect_mux_pair(&mut net, &mut c.ep, &mut sep);
-        // Capture the memory model at full fan-out: every stream open,
-        // every pool transport up (streams retire as they close).
-        mux_footprint += sep.memory_footprint();
-        mux_ids.push(reactor.accept_mux(sep));
-    }
-    let setup_wall = setup_start.elapsed();
-    let mux_baseline = MuxEndpoint::baseline_footprint(&spec.cfg, spec.conns as u64);
-
-    let mut server = MuxReactorServer {
-        reactor,
-        mux_ids,
-        streams_of,
-        mrs: server_mrs,
-        posted: (0..spec.conns).map(|_| VecDeque::new()).collect(),
-        free: (0..spec.conns).map(|_| (0..prepost).collect()).collect(),
-        recv_len,
-        expected,
-        received: vec![0; spec.conns],
-        eof: vec![false; spec.conns],
-        digests: vec![FNV_OFFSET; spec.conns],
-        verify: spec.verify,
-        seed: spec.seed,
-        next_id: 0,
-        finished_at: None,
-        scratch: Vec::new(),
+        Server::Callback(Box::new(ReactorServer {
+            pool,
+            idx_of: handles.iter().enumerate().map(|(i, &h)| (h, i)).collect(),
+            handles: handles.clone(),
+            muxes,
+            ready: Vec::new(),
+            cycle: RecvCycle {
+                mrs: server_mrs,
+                posted: (0..spec.conns).map(|_| VecDeque::new()).collect(),
+                free: (0..spec.conns).map(|_| (0..prepost).collect()).collect(),
+                recv_len,
+                expected,
+                eof: vec![false; spec.conns],
+                delivered,
+                next_id: 0,
+                scratch: Vec::new(),
+            },
+            finished_at: None,
+        }))
     };
+    let setup_wall = setup_start.elapsed();
 
     let mut apps: Vec<&mut dyn NodeApp> = Vec::with_capacity(1 + nclients);
-    apps.push(&mut server);
+    apps.push(server.app());
     for c in clients.iter_mut() {
         apps.push(c);
     }
     let outcome = net.run(&mut apps, SimTime::ZERO + spec.time_limit);
     if !outcome.completed {
         let mut dump = String::new();
-        for (mi, &id) in server.mux_ids.iter().enumerate() {
-            dump.push_str(&format!(
-                "server ep {mi}:\n{}",
-                server.reactor.mux(id).debug_summary()
-            ));
+        for (mi, m) in mux_handles.iter().enumerate() {
+            let summary = server.with_shard(m.shard, |r| r.mux(m.mux).debug_summary());
+            dump.push_str(&format!("server ep {mi}:\n{summary}"));
         }
         for (ci, c) in clients.iter().enumerate() {
-            dump.push_str(&format!("client ep {ci}:\n{}", c.ep.debug_summary()));
+            if let ClientLink::Mux { ep, .. } = &c.link {
+                dump.push_str(&format!("client ep {ci}:\n{}", ep.debug_summary()));
+            }
         }
+        let (done, bytes) = server.with_delivered(|d| {
+            (
+                d.received.iter().filter(|&&r| r == expected).count(),
+                d.received.iter().sum::<u64>(),
+            )
+        });
         panic!(
-            "mux fan-in deadlocked or timed out: {} of {} streams at EOF, {:?} received, \
-             ended {:?}\n{dump}",
-            server.eof.iter().filter(|&&e| e).count(),
-            spec.conns,
-            server.received.iter().sum::<u64>(),
-            outcome.end,
+            "fan-in deadlocked or timed out: {done} of {} streams fully delivered, \
+             {bytes} bytes received, ended {:?}\n{dump}",
+            spec.conns, outcome.end,
         );
     }
+    server.with_delivered(|d| {
+        for (idx, &r) in d.received.iter().enumerate() {
+            assert_eq!(r, expected, "stream {idx} delivered short");
+        }
+    });
 
-    let end = server.finished_at.unwrap_or(outcome.end);
+    let end = server.finished_at().unwrap_or(outcome.end);
     let fabric_stats = net.fabric_stats();
-    // One counter block per server-side endpoint (= per client node):
-    // the pool aggregates its streams, which is the point of the mode.
-    let mut per_conn: Vec<ConnStats> = server
-        .mux_ids
-        .iter()
-        .map(|&id| server.reactor.mux(id).stats().clone())
-        .collect();
-    let mut aggregate = server.reactor.aggregate_conn_stats();
+    // One snapshot per connection in *global* index order, regardless of
+    // which shard each landed on — snapshots across shard counts must
+    // stay row-for-row comparable — with the shared CQs' pressure gauges
+    // folded in (overflow here would mean the CQ sizing above was
+    // wrong). Mux mode: one per server-side endpoint (= per client
+    // node); the pool aggregates its streams, which is the point of the
+    // mode.
+    let mut per_conn: Vec<ConnStats> = net.with_api(server_node, |api| {
+        let mut per_conn: Vec<ConnStats> = handles
+            .iter()
+            .map(|h| {
+                server.with_shard(h.shard, |r| {
+                    let sock = r.conn_mut(h.conn);
+                    sock.sync_cq_stats(api);
+                    sock.stats().clone()
+                })
+            })
+            .collect();
+        per_conn.extend(
+            mux_handles
+                .iter()
+                .map(|m| server.with_shard(m.shard, |r| r.mux(m.mux).stats().clone())),
+        );
+        per_conn
+    });
+    // Protocol and event-loop counters merged across shards, and the
+    // per-shard telemetry rows.
+    let mut aggregate = ConnStats::default();
+    let mut reactor_stats = ReactorStats::default();
+    for row in shard_stats.iter_mut() {
+        server.with_shard(row.shard_id, |r| {
+            let rs = r.stats();
+            row.conns = rs.conns_added - rs.conns_removed;
+            row.polls = rs.polls;
+            row.cqes_dispatched = rs.cqes_dispatched;
+            reactor_stats.merge(rs);
+            aggregate.merge(&r.aggregate_conn_stats());
+        });
+    }
     if let Some(fs) = &fabric_stats {
-        for (ci, stats) in per_conn.iter_mut().enumerate() {
-            let cnode = client_nodes[ci];
+        // Annotate every snapshot with its carrying flow's telemetry
+        // (connections round-robin over client nodes; the flow is the
+        // client→server node pair).
+        for (i, stats) in per_conn.iter_mut().enumerate() {
+            let cnode = client_nodes[i % nclients];
             if let Some(flow) = fs
                 .flows
                 .iter()
@@ -1743,17 +1287,37 @@ pub fn run_fan_in_mux(spec: &FanInSpec) -> FanInReport {
             aggregate.record_fabric_flow(flow.achieved_mbps());
         }
     }
-    let reactor_stats = server.reactor.stats().clone();
     assert_eq!(reactor_stats.orphan_cqes, 0, "no completion went unrouted");
     assert_eq!(
         aggregate.bytes_received,
         expected * spec.conns as u64,
         "every stream fully delivered"
     );
+    let (aio, aio_per_shard) = match &server {
+        Server::Aio(s) => (Some(s.drv.merged_stats()), Some(s.drv.per_shard_stats())),
+        Server::Callback(_) => (None, None),
+    };
+    if let Some(aio) = &aio {
+        assert_eq!(
+            aio.tasks_completed, spec.conns as u64,
+            "every connection task ran to completion"
+        );
+    }
 
+    // Sender-side counters live at the clients — fold the CQ gauges in
+    // and merge them so direct/indirect accounting is auditable end to
+    // end (the server-side aggregate only ever sees the receive half).
     let mut aggregate_tx = ConnStats::default();
-    for c in clients.iter() {
-        aggregate_tx.merge(c.ep.stats());
+    for (c, &cnode) in clients.iter_mut().zip(&client_nodes) {
+        match &mut c.link {
+            ClientLink::Socks(socks) => net.with_api(cnode, |api| {
+                for sock in socks.iter_mut() {
+                    sock.sync_cq_stats(api);
+                    aggregate_tx.merge(sock.stats());
+                }
+            }),
+            ClientLink::Mux { ep, .. } => aggregate_tx.merge(ep.stats()),
+        }
     }
     assert_eq!(
         aggregate_tx.bytes_sent,
@@ -1761,24 +1325,38 @@ pub fn run_fan_in_mux(spec: &FanInSpec) -> FanInReport {
         "every stream fully sent"
     );
 
+    let pool_stats = pooled.then(|| {
+        let mut total = PoolStats::default();
+        for p in server_pools
+            .iter()
+            .chain(clients.iter().flat_map(|c| &c.pool))
+        {
+            total.merge(&p.stats());
+        }
+        total
+    });
+    drop(server_leases);
+
     FanInReport {
         conns: spec.conns,
         bytes: expected * spec.conns as u64,
         elapsed: end.saturating_duration_since(SimTime::ZERO),
         per_conn,
-        digests: server.digests,
+        digests: server.into_digests(),
         aggregate,
         aggregate_tx,
         reactor: reactor_stats,
-        pool: None,
+        pool: pool_stats,
         link_bandwidth_bps: spec.profile.link.bandwidth_bps,
         fabric: fabric_stats,
         setup_wall,
-        mux_footprint: Some(mux_footprint),
-        mux_baseline: Some(mux_baseline),
-        aio: None,
-        shard_stats: None,
-        aio_per_shard: None,
+        mux_footprint: spec.mux.then_some(mux_footprint),
+        mux_baseline: spec
+            .mux
+            .then(|| MuxEndpoint::baseline_footprint(&spec.cfg, spec.conns as u64)),
+        aio,
+        shard_stats: (!spec.mux).then_some(shard_stats),
+        aio_per_shard,
         events: outcome.events,
     }
 }

@@ -875,7 +875,7 @@ impl Inner {
 /// A small deterministic single-threaded executor over one
 /// [`Reactor`].
 ///
-/// On the simulator, wrap it in a [`SimDriver`] and run it as a
+/// On the simulator, wrap it in a [`SimShardDriver`] and run it as a
 /// `NodeApp`: timers become simulator events and whole runs stay byte-
 /// and schedule-deterministic. On the thread fabric, call
 /// [`Executor::run_threaded`] from one service thread: the same turn
@@ -1057,81 +1057,16 @@ impl Executor {
     }
 }
 
-/// Adapts an [`Executor`] to the simulator's [`rdma_verbs::NodeApp`]
-/// protocol: every wake-up and timer event runs one turn, and pending
-/// timer deadlines are re-armed as simulator timer events — simulated
-/// time and task time interleave deterministically.
-pub struct SimDriver {
-    ex: Executor,
-    armed: u64,
-}
-
-impl SimDriver {
-    /// Wraps an executor for `SimNet::run`.
-    pub fn new(ex: Executor) -> SimDriver {
-        SimDriver { ex, armed: 0 }
-    }
-
-    /// The wrapped executor.
-    pub fn executor(&mut self) -> &mut Executor {
-        &mut self.ex
-    }
-
-    /// Shared view of the wrapped executor.
-    pub fn executor_ref(&self) -> &Executor {
-        &self.ex
-    }
-
-    /// A task/stream handle onto the wrapped executor.
-    pub fn handle(&self) -> AioHandle {
-        self.ex.handle()
-    }
-
-    fn pump(&mut self, api: &mut rdma_verbs::NodeApi<'_>) {
-        let now = api.now().as_nanos();
-        let next = self.ex.turn(api, now);
-        if let Some(deadline) = next {
-            // Lazy re-arm: only when no earlier live timer is armed.
-            // Stale fires land on an up-to-date turn and are ignored.
-            if self.armed <= now || deadline < self.armed {
-                api.set_timer(
-                    simnet::SimDuration::from_nanos(deadline.saturating_sub(now).max(1)),
-                    0,
-                );
-                self.armed = deadline.max(now + 1);
-            }
-        }
-    }
-}
-
-impl rdma_verbs::NodeApp for SimDriver {
-    fn on_start(&mut self, api: &mut rdma_verbs::NodeApi<'_>) {
-        self.pump(api);
-    }
-
-    fn on_wake(&mut self, api: &mut rdma_verbs::NodeApi<'_>) {
-        self.pump(api);
-    }
-
-    fn on_timer(&mut self, api: &mut rdma_verbs::NodeApi<'_>, _token: u64) {
-        self.armed = 0;
-        self.pump(api);
-    }
-
-    fn is_done(&self) -> bool {
-        self.ex.drained()
-    }
-}
-
-/// Drives one executor per reactor shard on a single simulated node:
-/// the deterministic counterpart of N shard service threads. Every
+/// Adapts [`Executor`]s to the simulator's [`rdma_verbs::NodeApp`]
+/// protocol, one executor per reactor shard on a single simulated node
+/// (a plain single-reactor server is the one-executor case). Every
 /// wake-up and timer event runs one turn of *each* executor, in shard
-/// order — on the simulator "parallel" shards interleave on one
-/// timeline, so runs stay byte- and schedule-deterministic while
-/// exercising exactly the sharded placement the thread backend uses.
-/// The node is done only when every shard is drained
-/// ([`Executor::drained`]), the pool-wide extension of the PR-9
-/// teardown condition.
+/// order, and the earliest pending timer deadline is re-armed as a
+/// simulator timer event — simulated time and task time interleave
+/// deterministically. "Parallel" shards interleave on one timeline, so
+/// runs stay byte- and schedule-deterministic while exercising exactly
+/// the sharded placement the thread backend uses. The node is done
+/// only when every shard is drained ([`Executor::drained`]).
 pub struct SimShardDriver {
     shards: Vec<Executor>,
     armed: u64,
@@ -1197,6 +1132,8 @@ impl SimShardDriver {
             };
         }
         if let Some(deadline) = next {
+            // Lazy re-arm: only when no earlier live timer is armed.
+            // Stale fires land on an up-to-date turn and are ignored.
             if self.armed <= now || deadline < self.armed {
                 api.set_timer(
                     simnet::SimDuration::from_nanos(deadline.saturating_sub(now).max(1)),

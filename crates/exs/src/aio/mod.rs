@@ -16,8 +16,8 @@
 //!    the reactor, routes completions back to per-channel state, and
 //!    polls woken tasks. One turn is a pure function of
 //!    (state, port, now), so the same application code is byte- and
-//!    schedule-deterministic under the simulator ([`SimDriver`] turns
-//!    timers into sim events) and a parking poll loop on the thread
+//!    schedule-deterministic under the simulator ([`SimShardDriver`]
+//!    turns timers into sim events) and a parking poll loop on the thread
 //!    backend ([`Executor::run_threaded`]).
 //! 2. **Readahead keeps zero-copy alive.** Each wrapped stream keeps a
 //!    FIFO of chunk-sized receives posted (depth ≥ 2), so the paper's
@@ -38,7 +38,7 @@ mod handle;
 mod select;
 mod time;
 
-pub use executor::{Executor, SimDriver, SimShardDriver};
+pub use executor::{Executor, SimShardDriver};
 pub use handle::{Accept, AioHandle, AioMux, AsyncStream, Ctl, Recv, SendAll};
 pub use select::{select, Either, Select};
 pub use time::{timeout, Sleep, Timeout};

@@ -34,8 +34,9 @@ pub struct Select<A, B> {
 impl<A: Future, B: Future> Future for Select<A, B> {
     type Output = Either<A::Output, B::Output>;
 
+    #[allow(unsafe_code)]
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        // Safety: the projected fields are never moved out; both stay
+        // SAFETY: the projected fields are never moved out; both stay
         // pinned inside `Select` until drop.
         let this = unsafe { self.get_unchecked_mut() };
         let a = unsafe { Pin::new_unchecked(&mut this.a) };

@@ -98,8 +98,9 @@ pub struct Timeout<F> {
 impl<F: Future> Future for Timeout<F> {
     type Output = Result<F::Output, ExsError>;
 
+    #[allow(unsafe_code)]
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        // Safety: neither projected field is moved out of `this`; the
+        // SAFETY: neither projected field is moved out of `this`; the
         // inner future stays pinned inside `Timeout` until drop.
         let this = unsafe { self.get_unchecked_mut() };
         let fut = unsafe { Pin::new_unchecked(&mut this.fut) };

@@ -432,6 +432,15 @@ impl ExsConfig {
         }
     }
 
+    /// Depth of a completion queue that `qps` QPs of this shape
+    /// complete onto: room for `2 × sq_depth` send and `2 × credits`
+    /// receive completions per QP. CQ overflow is fatal, so every CQ in
+    /// the crate — a socket's private pair, a reactor shard's shared
+    /// pair, a mux pool's pair — is sized by this one rule.
+    pub fn cq_depth(&self, qps: usize) -> usize {
+        qps * (self.sq_depth * 2 + self.credits as usize * 2)
+    }
+
     /// Effective ACK threshold.
     pub fn effective_ack_threshold(&self) -> u64 {
         if self.ack_threshold == 0 {

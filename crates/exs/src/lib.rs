@@ -43,6 +43,7 @@
 //! | [`stats`] | Table III counters + event-loop aggregates |
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod aio;
 pub mod api;
@@ -65,7 +66,7 @@ pub mod stream;
 pub mod threaded;
 mod txpipe;
 
-pub use aio::{AioHandle, AioMux, AsyncStream, Executor, SimDriver, SimShardDriver};
+pub use aio::{AioHandle, AioMux, AsyncStream, Executor, SimShardDriver};
 pub use api::{Event, ExsContext, ExsFd, MsgFlags, QueuedEvent, SockType};
 pub use config::{
     ConfigError, DirectPolicy, ExsConfig, MuxAssignment, MuxConfig, ProtocolMode, ShardConfig,
@@ -83,4 +84,4 @@ pub use seqpacket::{SeqPacketEvent, SeqPacketSocket};
 pub use shard::{ReactorPool, ShardBalance, ShardHandle, ShardMuxHandle};
 pub use stats::{AioStats, ConnStats, PoolStats, ReactorStats, ShardStats};
 pub use stream::{ExsEvent, StreamSocket};
-pub use threaded::{ThreadPort, ThreadReactor, ThreadReactorPool, ThreadStream};
+pub use threaded::{ThreadPort, ThreadReactorPool, ThreadStream};

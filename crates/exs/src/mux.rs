@@ -524,7 +524,7 @@ impl MuxEndpoint {
     /// Depth for the shared CQ pair: every pool member's SQ and RQ can
     /// complete onto it concurrently.
     pub fn shared_cq_depth(cfg: &ExsConfig) -> usize {
-        cfg.mux.qp_pool_size * (cfg.sq_depth * 2 + cfg.credits as usize * 2)
+        cfg.cq_depth(cfg.mux.qp_pool_size)
     }
 
     /// Asynchronous send on a stream: queues and returns immediately;

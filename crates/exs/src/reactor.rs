@@ -20,8 +20,8 @@
 //!
 //! The reactor is backend-agnostic: it drives any [`VerbsPort`], so the
 //! same code runs one step per wake deterministically under the
-//! discrete-event simulator and inside a single service thread over the
-//! real-thread fabric (see [`crate::threaded::ThreadReactor`]).
+//! discrete-event simulator and inside a shard's service thread over
+//! the real-thread fabric (see [`crate::threaded::ThreadReactorPool`]).
 //!
 //! ```text
 //!    shared recv CQ ─┐  batched drain   ┌─ conn 0 queue ─ service ≤ budget

@@ -153,7 +153,7 @@ impl SeqPacketSocket {
             max_recv_wr: cfg.credits as usize + 8,
             max_inline: 256,
         };
-        let cq_depth = cfg.sq_depth * 2 + cfg.credits as usize * 2;
+        let cq_depth = cfg.cq_depth(1);
         let (ha, hb) = connect_pair(net, a, b, caps, cq_depth).expect("connect");
         let (pa, ia) = net.with_api(a, |api| {
             SeqPacketSocket::prepare(api, ha.qpn, ha.send_cq, ha.recv_cq, cfg)

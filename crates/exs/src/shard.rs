@@ -12,11 +12,11 @@
 //! * **Assignment happens once, at accept time.** [`ReactorPool::pick_shard`]
 //!   applies the configured [`ShardPolicy`] and the connection's CQs,
 //!   socket state and event queues live on that shard until close.
-//! * **No cross-shard locks on the data path.** A shard's poll loop
-//!   touches only its own reactor. The only cross-shard traffic is the
-//!   accept handoff and (on the thread backend) a lock-free MPSC
-//!   command queue per shard — see
-//!   [`crate::threaded::ThreadReactorPool`].
+//! * **No cross-shard locks.** A shard's poll loop touches only its
+//!   own reactor; posting on or closing a connection takes only its
+//!   owning shard's lock. The only cross-shard step is placement at
+//!   accept — see [`crate::threaded::ThreadReactorPool`] for the
+//!   thread backend.
 //! * **Stats merge sums.** [`ReactorPool::reactor_stats`] and
 //!   [`ReactorPool::aggregate_conn_stats`] sum counters across shards
 //!   (peaks take the max), mirroring the `ConnStats::merge` fix that
@@ -167,6 +167,16 @@ impl ReactorPool {
         ShardMuxHandle { shard, mux }
     }
 
+    /// Dissolves the pool into its shard reactors, in shard order, each
+    /// still hosting what was accepted on it — for a driver that owns
+    /// one reactor per shard (an [`crate::Executor`] each) once the
+    /// pool has placed the connections. Take
+    /// [`ReactorPool::shard_stats`] first if the placement counts are
+    /// wanted.
+    pub fn into_shards(self) -> Vec<Reactor> {
+        self.shards
+    }
+
     /// Deregisters and returns a connection's socket.
     pub fn remove(&mut self, handle: ShardHandle) -> StreamSocket {
         self.shards[handle.shard as usize].remove(handle.conn)
@@ -233,9 +243,9 @@ impl ReactorPool {
     }
 
     /// Per-shard telemetry (placement, steals, poll/dispatch volume).
-    /// `busy_ns`/`wall_ns`/`commands` stay zero here — only the thread
-    /// backend's service loops sample a wall clock; its pool overlays
-    /// them (see `ThreadReactorPool::shard_stats`).
+    /// `busy_ns`/`wall_ns` stay zero here — only the thread backend's
+    /// service loops sample a wall clock (see
+    /// `ThreadReactorPool::shard_stats`).
     pub fn shard_stats(&self) -> Vec<ShardStats> {
         self.shards
             .iter()
@@ -247,7 +257,6 @@ impl ReactorPool {
                     conns: rs.conns_added - rs.conns_removed,
                     assigned: self.assigned[s],
                     steals: self.steals[s],
-                    commands: 0,
                     polls: rs.polls,
                     cqes_dispatched: rs.cqes_dispatched,
                     busy_ns: 0,

@@ -402,9 +402,8 @@ impl ReactorStats {
 /// Telemetry for one shard of a sharded reactor
 /// ([`crate::shard::ReactorPool`] /
 /// [`crate::threaded::ThreadReactorPool`]): how many connections the
-/// assignment policy routed here, how hard its service loop is working
-/// (busy ratio), and how often peers reached across the shard boundary
-/// (handoff commands). One of these per shard rides in every snapshot
+/// assignment policy routed here and how hard its service loop is
+/// working (busy ratio). One of these per shard rides in every snapshot
 /// so imbalance is visible, not averaged away.
 #[derive(Clone, Debug, Default)]
 pub struct ShardStats {
@@ -418,9 +417,6 @@ pub struct ShardStats {
     /// successor — a measure of how often load-awareness actually
     /// changed placement.
     pub steals: u64,
-    /// Cross-shard commands (close/wake handoffs) drained from the
-    /// shard's MPSC queue.
-    pub commands: u64,
     /// `Reactor::poll` calls executed by this shard.
     pub polls: u64,
     /// Completions this shard's reactor dispatched.
@@ -451,7 +447,7 @@ impl ShardStats {
         format!(
             concat!(
                 "{{\"shard_id\":{},\"conns\":{},\"assigned\":{},",
-                "\"steals\":{},\"commands\":{},\"polls\":{},",
+                "\"steals\":{},\"polls\":{},",
                 "\"cqes_dispatched\":{},\"busy_ns\":{},\"wall_ns\":{},",
                 "\"busy_ratio\":{:.6}}}"
             ),
@@ -459,7 +455,6 @@ impl ShardStats {
             self.conns,
             self.assigned,
             self.steals,
-            self.commands,
             self.polls,
             self.cqes_dispatched,
             self.busy_ns,
@@ -888,7 +883,6 @@ mod tests {
             conns: 7,
             assigned: 9,
             steals: 2,
-            commands: 4,
             polls: 100,
             cqes_dispatched: 250,
             busy_ns: 250,

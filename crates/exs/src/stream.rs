@@ -217,7 +217,7 @@ impl StreamSocket {
             max_recv_wr: cfg.credits as usize + 8,
             max_inline: 256,
         };
-        let cq_depth = cfg.sq_depth * 2 + cfg.credits as usize * 2;
+        let cq_depth = cfg.cq_depth(1);
         let (ha, hb) = connect_pair(net, a, b, caps, cq_depth).expect("connect");
         let (pa, ia) = net.with_api(a, |api| {
             StreamSocket::prepare(api, ha.qpn, ha.send_cq, ha.recv_cq, cfg)
@@ -246,7 +246,7 @@ impl StreamSocket {
             max_recv_wr: cfg.credits as usize + 8,
             max_inline: 256,
         };
-        let cq_depth = cfg.sq_depth * 2 + cfg.credits as usize * 2;
+        let cq_depth = cfg.cq_depth(1);
         let (hc, hs) = connect_pair_on_cqs(
             net,
             client,

@@ -10,14 +10,17 @@
 //! * a service thread per endpoint waits on the node's completion
 //!   signal, drives `handle_wake`, and publishes completion events;
 //! * any number of application threads issue sends and receives
-//!   concurrently and block on their completions.
+//!   concurrently and block on their completions;
+//! * a server hosts its accepted connections in a
+//!   [`ThreadReactorPool`] instead — one service thread per reactor
+//!   shard (one shard by default), however many connections.
 //!
 //! Concurrent `send` calls are each atomic in the byte stream (the
 //! socket lock orders them); the interleaving *between* threads is
 //! unspecified, exactly like concurrent `write(2)` on a pipe.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -130,7 +133,7 @@ fn endpoint_objects(
         max_recv_wr: cfg.credits as usize + 8,
         max_inline: 256,
     };
-    let cq_depth = cfg.sq_depth * 2 + cfg.credits as usize * 2;
+    let cq_depth = cfg.cq_depth(1);
     node.with_hca(|h| {
         let (send_cq, recv_cq) = match shared_cqs {
             Some(cqs) => cqs,
@@ -148,8 +151,8 @@ fn endpoint_objects(
 
 /// Connects a fresh [`StreamSocket`] pair between two nodes of an
 /// existing thread fabric. With `b_cqs`, `b`'s QP completes onto those
-/// shared CQs (the [`ThreadReactor`] accept path) instead of private
-/// ones.
+/// shared CQs (the [`ThreadReactorPool`] accept path) instead of
+/// private ones.
 pub fn connect_sockets_over(
     a: &Arc<ThreadNode>,
     b: &Arc<ThreadNode>,
@@ -267,6 +270,38 @@ impl EventBuf {
     }
 }
 
+/// The one blocking wait of this module: parks on `cv` until `take`
+/// finds its completion in the guarded state, or `timeout` passes.
+/// `take` answers `None` when the handle it looks under has no
+/// [`EventBuf`] — closed or never accepted; the wait then returns
+/// `None` at once instead of sleeping out the timeout.
+fn wait_event<G, T>(
+    state: &Mutex<G>,
+    cv: &Condvar,
+    timeout: Duration,
+    take: impl Fn(&mut G) -> Option<Option<T>>,
+) -> Option<T> {
+    let deadline = std::time::Instant::now() + timeout;
+    let mut guard = state.lock();
+    loop {
+        let done = take(&mut guard)?;
+        if done.is_some() {
+            return done;
+        }
+        let now = std::time::Instant::now();
+        if now >= deadline {
+            return None;
+        }
+        cv.wait_for(&mut guard, deadline.saturating_duration_since(now));
+    }
+}
+
+/// A socket's protocol counters with the CQ-pressure gauges folded in.
+fn synced_stats(sock: &mut StreamSocket, port: &ThreadPort<'_>) -> ConnStats {
+    sock.sync_cq_stats(port);
+    sock.stats().clone()
+}
+
 struct Shared {
     sock: Mutex<StreamSocket>,
     events: Mutex<EventBuf>,
@@ -298,8 +333,8 @@ pub struct ThreadStream {
     node: Arc<ThreadNode>,
     shared: Arc<Shared>,
     /// Staging-buffer pool, shared with every other endpoint on the
-    /// same node (the reactor accept path hands all clients of one
-    /// node the same pool).
+    /// same node (the reactor pool's accept path hands all clients of
+    /// one node the same pool).
     pool: MemPool,
     next_id: AtomicU64,
     service: Option<std::thread::JoinHandle<()>>,
@@ -424,39 +459,17 @@ impl ThreadStream {
     /// Blocks until send `id` completes; returns the bytes sent, or
     /// `None` on timeout.
     pub fn wait_send(&self, id: u64, timeout: Duration) -> Option<u64> {
-        let deadline = std::time::Instant::now() + timeout;
-        let mut buf = self.shared.events.lock();
-        loop {
-            if let Some(len) = buf.sends_done.remove(&id) {
-                return Some(len);
-            }
-            let now = std::time::Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            self.shared
-                .cv
-                .wait_for(&mut buf, deadline.saturating_duration_since(now));
-        }
+        wait_event(&self.shared.events, &self.shared.cv, timeout, |buf| {
+            Some(buf.sends_done.remove(&id))
+        })
     }
 
     /// Blocks until receive `id` completes; returns the bytes received,
     /// or `None` on timeout.
     pub fn wait_recv(&self, id: u64, timeout: Duration) -> Option<u32> {
-        let deadline = std::time::Instant::now() + timeout;
-        let mut buf = self.shared.events.lock();
-        loop {
-            if let Some(len) = buf.recvs_done.remove(&id) {
-                return Some(len);
-            }
-            let now = std::time::Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            self.shared
-                .cv
-                .wait_for(&mut buf, deadline.saturating_duration_since(now));
-        }
+        wait_event(&self.shared.events, &self.shared.cv, timeout, |buf| {
+            Some(buf.recvs_done.remove(&id))
+        })
     }
 
     /// Convenience: sends `data` through a pool-leased staging buffer
@@ -521,9 +534,10 @@ impl ThreadStream {
         self.shared.events.lock().broken
     }
 
-    /// Protocol statistics snapshot.
-    pub fn stats(&self) -> crate::stats::ConnStats {
-        self.shared.sock.lock().stats().clone()
+    /// Protocol statistics snapshot, CQ-pressure gauges included.
+    pub fn stats(&self) -> ConnStats {
+        let port = ThreadPort::new(&self.net, &self.node);
+        synced_stats(&mut self.shared.sock.lock(), &port)
     }
 
     /// Closes the endpoint: stops the service thread, releases every
@@ -557,137 +571,54 @@ impl Drop for ThreadStream {
     }
 }
 
-struct ReactorShared {
+/// One shard of a [`ThreadReactorPool`]: a reactor over its own CQ
+/// pair, the completion buffers of the connections it hosts, and its
+/// service thread's telemetry.
+///
+/// Lock order is `reactor`, then `events`. A connection's buffer is
+/// inserted, filled and removed only while `reactor` is held, so the
+/// buffer exists exactly as long as the reactor hosts the connection
+/// and a recycled [`ConnId`] never inherits its predecessor's
+/// completions.
+struct Shard {
+    cqs: (CqId, CqId),
     reactor: Mutex<Reactor>,
     /// Per-connection completion buffers, keyed by `ConnId.0`.
     events: Mutex<HashMap<u32, EventBuf>>,
     cv: Condvar,
     stop: AtomicBool,
-}
-
-/// A cross-shard request for a shard's service thread, delivered
-/// through its lock-free [`CommandQueue`] — the only way (besides the
-/// accept handoff) anything outside a shard touches its state.
-#[derive(Clone, Copy, Debug)]
-enum ShardCommand {
-    /// Detach a connection from the shard's reactor; the socket is
-    /// handed back through the retire mailbox for the caller to close.
-    Close(ConnId),
-}
-
-/// Lock-free MPSC command queue: a Treiber stack that any thread
-/// pushes onto and the owning shard's service thread drains (swap the
-/// head, then reverse for FIFO order). Commands are rare (closes,
-/// teardown nudges) — the point is not queue throughput but that the
-/// data path never takes a cross-shard lock, so a command push can
-/// never block a peer shard's poll loop.
-struct CommandQueue {
-    head: AtomicPtr<CmdNode>,
-}
-
-struct CmdNode {
-    cmd: ShardCommand,
-    next: *mut CmdNode,
-}
-
-unsafe impl Send for CommandQueue {}
-unsafe impl Sync for CommandQueue {}
-
-impl CommandQueue {
-    fn new() -> CommandQueue {
-        CommandQueue {
-            head: AtomicPtr::new(std::ptr::null_mut()),
-        }
-    }
-
-    fn push(&self, cmd: ShardCommand) {
-        let node = Box::into_raw(Box::new(CmdNode {
-            cmd,
-            next: std::ptr::null_mut(),
-        }));
-        loop {
-            let head = self.head.load(Ordering::Acquire);
-            unsafe { (*node).next = head };
-            if self
-                .head
-                .compare_exchange_weak(head, node, Ordering::Release, Ordering::Acquire)
-                .is_ok()
-            {
-                break;
-            }
-        }
-    }
-
-    fn is_empty(&self) -> bool {
-        self.head.load(Ordering::Acquire).is_null()
-    }
-
-    /// Detaches the whole stack and appends the commands to `out` in
-    /// FIFO (push) order.
-    fn drain_into(&self, out: &mut Vec<ShardCommand>) {
-        let mut head = self.head.swap(std::ptr::null_mut(), Ordering::AcqRel);
-        let start = out.len();
-        while !head.is_null() {
-            let node = unsafe { Box::from_raw(head) };
-            head = node.next;
-            out.push(node.cmd);
-        }
-        out[start..].reverse();
-    }
-}
-
-impl Drop for CommandQueue {
-    fn drop(&mut self) {
-        let mut sink = Vec::new();
-        self.drain_into(&mut sink);
-    }
-}
-
-/// Per-shard control block shared between a pool and one shard's
-/// service thread: the command queue, the retire mailbox for closed
-/// sockets, and the shard's busy/wall telemetry.
-struct ShardCtl {
-    commands: CommandQueue,
-    /// Sockets detached by a `Close` command, waiting for the caller
-    /// to finalize (quiesce + deregister). Keyed by `ConnId.0`.
-    retired: Mutex<Vec<(u32, StreamSocket)>>,
-    commands_drained: AtomicU64,
     busy_ns: AtomicU64,
     wall_ns: AtomicU64,
 }
 
-impl ShardCtl {
-    fn new() -> ShardCtl {
-        ShardCtl {
-            commands: CommandQueue::new(),
-            retired: Mutex::new(Vec::new()),
-            commands_drained: AtomicU64::new(0),
-            busy_ns: AtomicU64::new(0),
-            wall_ns: AtomicU64::new(0),
+impl Shard {
+    /// Publishes `events` to `conn`'s waiters. The caller holds this
+    /// shard's reactor lock (see the lock order above).
+    fn publish(&self, conn: ConnId, events: Vec<ExsEvent>) {
+        if events.is_empty() {
+            return;
         }
+        if let Some(buf) = self.events.lock().get_mut(&conn.0) {
+            buf.absorb(events);
+        }
+        self.cv.notify_all();
     }
 }
 
-/// The reactor service loop shared by [`ThreadReactor`] (one shard, no
-/// control block) and [`ThreadReactorPool`] (one of these threads per
-/// shard). Parks on the node's completion signal, drains cross-shard
-/// commands, performs one bounded poll, and publishes harvested events
-/// — reusing its readiness/harvest buffers so the steady state
-/// allocates nothing per wake.
-fn spawn_reactor_service(
+/// One shard's service loop: parks on the node's completion signal,
+/// performs one bounded poll, and publishes what it harvested — reusing
+/// its readiness buffer so the steady state allocates nothing per wake.
+fn spawn_shard_service(
     net: Arc<ThreadNet>,
     node: Arc<ThreadNode>,
-    shared: Arc<ReactorShared>,
-    ctl: Option<Arc<ShardCtl>>,
+    shard: Arc<Shard>,
 ) -> std::thread::JoinHandle<()> {
     std::thread::spawn(move || {
         let epoch = std::time::Instant::now();
         let mut seen = node.generation();
         let mut backlog = false;
         let mut ready: Vec<(ConnId, Readiness)> = Vec::new();
-        let mut harvested: Vec<(u32, Vec<ExsEvent>)> = Vec::new();
-        let mut commands: Vec<ShardCommand> = Vec::new();
-        while !shared.stop.load(Ordering::Acquire) {
+        while !shard.stop.load(Ordering::Acquire) {
             if !backlog {
                 // Park on the completion signal only when the last
                 // poll fully drained: bounded polls are edge-free, so
@@ -696,82 +627,56 @@ fn spawn_reactor_service(
                 seen = node.wait_any(seen, Duration::from_millis(50));
             }
             let work_start = std::time::Instant::now();
-            if let Some(ctl) = &ctl {
-                ctl.commands.drain_into(&mut commands);
-                if !commands.is_empty() {
-                    ctl.commands_drained
-                        .fetch_add(commands.len() as u64, Ordering::Relaxed);
-                    let mut reactor = shared.reactor.lock();
-                    for cmd in commands.drain(..) {
-                        match cmd {
-                            ShardCommand::Close(conn) => {
-                                let sock = reactor.remove(conn);
-                                shared.events.lock().remove(&conn.0);
-                                ctl.retired.lock().push((conn.0, sock));
-                            }
-                        }
-                    }
-                    drop(reactor);
-                    shared.cv.notify_all();
-                }
-            }
             {
-                let mut reactor = shared.reactor.lock();
+                let mut reactor = shard.reactor.lock();
                 let mut port = ThreadPort::new(&net, &node);
                 reactor.poll_into(&mut port, &mut ready);
                 backlog = reactor.has_backlog();
-                for &(conn, readiness) in &ready {
-                    if readiness.readable || readiness.closed || readiness.error {
-                        let events = reactor.take_events(conn);
-                        let closed = reactor.conn(conn).peer_closed();
-                        let broken = reactor.conn(conn).is_broken();
-                        harvested.push((conn.0, events));
+                if !ready.is_empty() {
+                    let mut bufs = shard.events.lock();
+                    for &(conn, _) in &ready {
+                        let Some(buf) = bufs.get_mut(&conn.0) else {
+                            continue;
+                        };
+                        buf.absorb(reactor.take_events(conn));
                         // Closed/error are level-triggered states with
                         // no event after the first take; mirror them
                         // into the buffer directly.
-                        if closed || broken {
-                            let last = harvested.last_mut().expect("just pushed");
-                            if closed {
-                                last.1.push(ExsEvent::PeerClosed);
-                            }
-                            if broken {
-                                last.1.push(ExsEvent::ConnectionError);
-                            }
-                        }
+                        let sock = reactor.conn(conn);
+                        buf.peer_closed |= sock.peer_closed();
+                        buf.broken |= sock.is_broken();
                     }
+                    drop(bufs);
+                    shard.cv.notify_all();
                 }
             }
-            if !harvested.is_empty() {
-                let mut bufs = shared.events.lock();
-                for (conn, events) in harvested.drain(..) {
-                    bufs.entry(conn).or_default().absorb(events);
-                }
-                drop(bufs);
-                shared.cv.notify_all();
-            }
-            if let Some(ctl) = &ctl {
-                ctl.busy_ns
-                    .fetch_add(work_start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                ctl.wall_ns
-                    .store(epoch.elapsed().as_nanos() as u64, Ordering::Relaxed);
-            }
+            shard
+                .busy_ns
+                .fetch_add(work_start.elapsed().as_nanos() as u64, Ordering::Relaxed);
+            shard
+                .wall_ns
+                .store(epoch.elapsed().as_nanos() as u64, Ordering::Relaxed);
         }
     })
 }
 
-/// Actively polls a reactor until nothing it hosts still owes traffic
-/// to the wire ([`Reactor::has_unsent`]) or the bounded deadline
-/// passes — the thread-backend extension of the aio `drained()`
-/// teardown condition. Called before stopping a service thread: a
-/// loop that stops at "no events pending" can strand a FIN queued
-/// behind flow control, leaving the peer waiting for an end-of-stream
-/// that never comes.
-fn drain_reactor_unsent(net: &Arc<ThreadNet>, node: &Arc<ThreadNode>, shared: &ReactorShared) {
-    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+/// Actively polls a shard's reactor until nothing it hosts still owes
+/// traffic to the wire ([`Reactor::has_unsent`]) or `deadline` passes —
+/// the thread-backend extension of the aio `drained()` teardown
+/// condition. Called before stopping a service thread: a loop that
+/// stops at "no events pending" can strand a FIN queued behind flow
+/// control, leaving the peer waiting for an end-of-stream that never
+/// comes.
+fn drain_reactor_unsent(
+    net: &ThreadNet,
+    node: &Arc<ThreadNode>,
+    shard: &Shard,
+    deadline: std::time::Instant,
+) {
     let mut scratch: Vec<(ConnId, Readiness)> = Vec::new();
     loop {
         {
-            let mut reactor = shared.reactor.lock();
+            let mut reactor = shard.reactor.lock();
             if !reactor.has_unsent() {
                 break;
             }
@@ -785,258 +690,6 @@ fn drain_reactor_unsent(net: &Arc<ThreadNet>, node: &Arc<ThreadNode>, shared: &R
     }
 }
 
-/// A [`Reactor`] hosted on one node of the real-thread fabric.
-///
-/// Where each [`ThreadStream`] endpoint burns a service thread, a
-/// `ThreadReactor` runs **one** service thread for every accepted
-/// connection: the thread parks on the node's completion signal
-/// ([`ThreadNode::wait_any`] — the completion-channel analogue), and
-/// each wake performs one bounded [`Reactor::poll`] over the shared
-/// CQs. Application threads post sends/receives on any accepted
-/// connection and block on per-connection completions.
-pub struct ThreadReactor {
-    net: Arc<ThreadNet>,
-    node: Arc<ThreadNode>,
-    send_cq: CqId,
-    recv_cq: CqId,
-    shared: Arc<ReactorShared>,
-    /// Pin-down cache for server-side buffers on the reactor's node.
-    pool: MemPool,
-    /// One staging pool per client node, shared by every endpoint
-    /// [`ThreadReactor::accept`] creates on that node.
-    client_pools: Mutex<HashMap<u32, MemPool>>,
-    next_id: AtomicU64,
-    service: Option<std::thread::JoinHandle<()>>,
-}
-
-impl ThreadReactor {
-    /// Creates the reactor on `node`, with shared CQs sized for
-    /// `max_conns` connections under `cfg`-shaped sockets.
-    pub fn new(
-        net: Arc<ThreadNet>,
-        node: Arc<ThreadNode>,
-        cfg: ReactorConfig,
-        exs_cfg: &ExsConfig,
-        max_conns: usize,
-    ) -> ThreadReactor {
-        let per_conn = exs_cfg.sq_depth * 2 + exs_cfg.credits as usize * 2;
-        let cq_depth = per_conn * max_conns.max(1);
-        let (send_cq, recv_cq) = node.with_hca(|h| (h.create_cq(cq_depth), h.create_cq(cq_depth)));
-        let shared = Arc::new(ReactorShared {
-            reactor: Mutex::new(Reactor::new(send_cq, recv_cq, cfg)),
-            events: Mutex::new(HashMap::new()),
-            cv: Condvar::new(),
-            stop: AtomicBool::new(false),
-        });
-        let service = spawn_reactor_service(net.clone(), node.clone(), shared.clone(), None);
-        ThreadReactor {
-            net,
-            node,
-            send_cq,
-            recv_cq,
-            shared,
-            pool: MemPool::new(exs_cfg.pool.clone()),
-            client_pools: Mutex::new(HashMap::new()),
-            next_id: AtomicU64::new(1),
-            service: Some(service),
-        }
-    }
-
-    /// The reactor's node.
-    pub fn node(&self) -> &Arc<ThreadNode> {
-        &self.node
-    }
-
-    /// Accepts a new connection from `peer`: builds a QP pair whose
-    /// server side completes onto the shared CQs, registers the server
-    /// socket with the reactor, and returns the blocking client
-    /// endpoint (which runs its own service thread, as every
-    /// [`ThreadStream`] does).
-    pub fn accept(&self, peer: &Arc<ThreadNode>, cfg: &ExsConfig) -> (ConnId, ThreadStream) {
-        let (client_sock, server_sock) =
-            connect_sockets_over(peer, &self.node, cfg, Some((self.send_cq, self.recv_cq)));
-        let conn = self.shared.reactor.lock().accept(server_sock);
-        let pool = self
-            .client_pools
-            .lock()
-            .entry(peer.id().0)
-            .or_insert_with(|| MemPool::new(cfg.pool.clone()))
-            .clone();
-        let client = ThreadStream::start(self.net.clone(), peer.clone(), client_sock, pool);
-        (conn, client)
-    }
-
-    /// Registers I/O memory on the reactor's node. The caller owns the
-    /// registration; prefer [`ThreadReactor::acquire`] for pool-cached
-    /// buffers that release themselves.
-    pub fn register(&self, len: usize, access: Access) -> MrInfo {
-        self.node.with_hca(|h| h.register_mr(len, access))
-    }
-
-    /// Leases a registered buffer from the reactor node's pin-down
-    /// cache.
-    pub fn acquire(&self, len: usize, access: Access) -> MrLease {
-        let mut port = ThreadPort::new(&self.net, &self.node);
-        self.pool.acquire(&mut port, len, access)
-    }
-
-    /// The reactor node's pool handle.
-    pub fn pool(&self) -> &MemPool {
-        &self.pool
-    }
-
-    /// Aggregated pool counters: the reactor node's pool merged with
-    /// every per-client-node pool created by accepts.
-    pub fn pool_stats(&self) -> PoolStats {
-        let mut total = self.pool.stats();
-        for pool in self.client_pools.lock().values() {
-            total.merge(&pool.stats());
-        }
-        total
-    }
-
-    /// Closes an accepted connection: detaches it from the reactor and
-    /// releases every registration the server-side socket owns.
-    pub fn close_conn(&self, conn: ConnId) {
-        let mut sock = self.shared.reactor.lock().remove(conn);
-        // Drain in-flight control traffic aimed at this connection's
-        // slots before deregistering them.
-        self.net.quiesce();
-        let mut port = ThreadPort::new(&self.net, &self.node);
-        sock.close(&mut port);
-        self.shared.events.lock().remove(&conn.0);
-    }
-
-    /// Posts an asynchronous receive on an accepted connection.
-    pub fn post_recv(
-        &self,
-        conn: ConnId,
-        mr: &MrInfo,
-        offset: u64,
-        len: u32,
-        waitall: bool,
-    ) -> u64 {
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let events = {
-            let mut reactor = self.shared.reactor.lock();
-            let mut port = ThreadPort::new(&self.net, &self.node);
-            let sock = reactor.conn_mut(conn);
-            sock.exs_recv(&mut port, mr, offset, len, waitall, id);
-            sock.take_events()
-        };
-        self.publish(conn, events);
-        id
-    }
-
-    /// Posts an asynchronous send on an accepted connection.
-    pub fn post_send(&self, conn: ConnId, mr: &MrInfo, offset: u64, len: u64) -> u64 {
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let events = {
-            let mut reactor = self.shared.reactor.lock();
-            let mut port = ThreadPort::new(&self.net, &self.node);
-            let sock = reactor.conn_mut(conn);
-            sock.exs_send(&mut port, mr, offset, len, id);
-            sock.take_events()
-        };
-        self.publish(conn, events);
-        id
-    }
-
-    fn publish(&self, conn: ConnId, events: Vec<ExsEvent>) {
-        if events.is_empty() {
-            return;
-        }
-        self.shared
-            .events
-            .lock()
-            .entry(conn.0)
-            .or_default()
-            .absorb(events);
-        self.shared.cv.notify_all();
-    }
-
-    /// Blocks until receive `id` on `conn` completes.
-    pub fn wait_recv(&self, conn: ConnId, id: u64, timeout: Duration) -> Option<u32> {
-        let deadline = std::time::Instant::now() + timeout;
-        let mut bufs = self.shared.events.lock();
-        loop {
-            if let Some(len) = bufs.entry(conn.0).or_default().recvs_done.remove(&id) {
-                return Some(len);
-            }
-            let now = std::time::Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            self.shared
-                .cv
-                .wait_for(&mut bufs, deadline.saturating_duration_since(now));
-        }
-    }
-
-    /// Blocks until send `id` on `conn` completes.
-    pub fn wait_send(&self, conn: ConnId, id: u64, timeout: Duration) -> Option<u64> {
-        let deadline = std::time::Instant::now() + timeout;
-        let mut bufs = self.shared.events.lock();
-        loop {
-            if let Some(len) = bufs.entry(conn.0).or_default().sends_done.remove(&id) {
-                return Some(len);
-            }
-            let now = std::time::Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            self.shared
-                .cv
-                .wait_for(&mut bufs, deadline.saturating_duration_since(now));
-        }
-    }
-
-    /// True once `conn`'s peer closed and its stream fully drained.
-    pub fn peer_closed(&self, conn: ConnId) -> bool {
-        self.shared.reactor.lock().conn(conn).peer_closed()
-    }
-
-    /// Protocol counters of one accepted connection.
-    pub fn conn_stats(&self, conn: ConnId) -> ConnStats {
-        self.shared.reactor.lock().conn(conn).stats().clone()
-    }
-
-    /// Sum of all accepted connections' protocol counters.
-    pub fn aggregate_stats(&self) -> ConnStats {
-        self.shared.reactor.lock().aggregate_conn_stats()
-    }
-
-    /// Event-loop statistics snapshot.
-    pub fn reactor_stats(&self) -> crate::stats::ReactorStats {
-        self.shared.reactor.lock().stats().clone()
-    }
-}
-
-impl Drop for ThreadReactor {
-    fn drop(&mut self) {
-        // Flush hosted streams' unsent traffic before signalling stop:
-        // a FIN queued behind flow control at teardown must still reach
-        // the wire or the peer hangs waiting for end-of-stream.
-        drain_reactor_unsent(&self.net, &self.node, &self.shared);
-        self.shared.stop.store(true, Ordering::Release);
-        self.shared.cv.notify_all();
-        self.node.notify();
-        if let Some(h) = self.service.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-/// One shard of a [`ThreadReactorPool`]: its CQ pair, reactor state,
-/// control block, and dedicated service thread.
-struct ShardRuntime {
-    send_cq: CqId,
-    recv_cq: CqId,
-    shared: Arc<ReactorShared>,
-    ctl: Arc<ShardCtl>,
-    service: Option<std::thread::JoinHandle<()>>,
-}
-
 /// Placement bookkeeping shared by all accept callers; touched only on
 /// the accept path, never while moving bytes.
 struct Placement {
@@ -1045,30 +698,42 @@ struct Placement {
     steals: Vec<u64>,
 }
 
-/// A pool of [`ThreadReactor`]-style shards on one node: each shard
-/// owns its own CQ pair, reactor, and service thread, so CQE dispatch
-/// and readiness harvesting scale across cores instead of serialising
-/// on a single reactor lock.
+/// [`Reactor`]s hosted on one node of the real-thread fabric — the
+/// thread backend's one serving front-end.
+///
+/// Where each [`ThreadStream`] endpoint burns a service thread, the
+/// pool runs **one service thread per shard** for every connection it
+/// accepted: the thread parks on the node's completion signal
+/// ([`ThreadNode::wait_any`] — the completion-channel analogue), and
+/// each wake performs one bounded [`Reactor::poll`] over the shard's
+/// shared CQs. Application threads post sends/receives on any accepted
+/// connection and block on per-connection completions. With
+/// `shard.shards = 1` (the [`ExsConfig`] default) this is the classic
+/// single reactor; more shards spread CQE dispatch and readiness
+/// harvesting across cores instead of serialising on one reactor lock.
 ///
 /// Sharding invariants (mirrors [`crate::shard::ReactorPool`]):
 ///
 /// * A connection is assigned to a shard **once**, at accept, by the
 ///   configured [`crate::config::ShardPolicy`]; it never migrates.
-/// * The data path (post/wait/poll) touches only that shard's state —
-///   no cross-shard locks.
-/// * Cross-shard interaction is limited to the accept handoff and each
-///   shard's lock-free [`CommandQueue`] (close requests, teardown
-///   nudges).
+/// * Post, wait, poll and close touch only the owning shard's state —
+///   no cross-shard locks. [`ThreadReactorPool::close_conn`] detaches
+///   the socket under the shard's reactor lock, the same lock every
+///   post takes, so it needs no message to the service thread.
 /// * Statistics aggregate by **summing** counters across shards
 ///   (peaks take a max); per-shard telemetry is preserved in
 ///   [`ThreadReactorPool::shard_stats`].
 pub struct ThreadReactorPool {
     net: Arc<ThreadNet>,
     node: Arc<ThreadNode>,
-    shards: Vec<ShardRuntime>,
+    shards: Vec<Arc<Shard>>,
+    services: Vec<std::thread::JoinHandle<()>>,
     policy: crate::config::ShardPolicy,
     placement: Mutex<Placement>,
+    /// Pin-down cache for server-side buffers on the pool's node.
     pool: MemPool,
+    /// One staging pool per client node, shared by every endpoint
+    /// [`ThreadReactorPool::accept`] creates on that node.
     client_pools: Mutex<HashMap<u32, MemPool>>,
     next_id: AtomicU64,
 }
@@ -1085,33 +750,32 @@ impl ThreadReactorPool {
         max_conns: usize,
     ) -> ThreadReactorPool {
         let nshards = exs_cfg.shard.effective_shards();
-        let per_conn = exs_cfg.sq_depth * 2 + exs_cfg.credits as usize * 2;
-        let cq_depth = per_conn * max_conns.max(1);
+        let cq_depth = exs_cfg.cq_depth(max_conns.max(1));
         let mut shards = Vec::with_capacity(nshards);
+        let mut services = Vec::with_capacity(nshards);
         for _ in 0..nshards {
-            let (send_cq, recv_cq) =
-                node.with_hca(|h| (h.create_cq(cq_depth), h.create_cq(cq_depth)));
-            let shared = Arc::new(ReactorShared {
-                reactor: Mutex::new(Reactor::new(send_cq, recv_cq, cfg)),
+            let cqs = node.with_hca(|h| (h.create_cq(cq_depth), h.create_cq(cq_depth)));
+            let shard = Arc::new(Shard {
+                cqs,
+                reactor: Mutex::new(Reactor::new(cqs.0, cqs.1, cfg)),
                 events: Mutex::new(HashMap::new()),
                 cv: Condvar::new(),
                 stop: AtomicBool::new(false),
+                busy_ns: AtomicU64::new(0),
+                wall_ns: AtomicU64::new(0),
             });
-            let ctl = Arc::new(ShardCtl::new());
-            let service =
-                spawn_reactor_service(net.clone(), node.clone(), shared.clone(), Some(ctl.clone()));
-            shards.push(ShardRuntime {
-                send_cq,
-                recv_cq,
-                shared,
-                ctl,
-                service: Some(service),
-            });
+            services.push(spawn_shard_service(
+                net.clone(),
+                node.clone(),
+                shard.clone(),
+            ));
+            shards.push(shard);
         }
         ThreadReactorPool {
             net,
             node,
             shards,
+            services,
             policy: exs_cfg.shard.policy,
             placement: Mutex::new(Placement {
                 rr_next: 0,
@@ -1135,7 +799,8 @@ impl ThreadReactorPool {
     }
 
     fn live_conns(&self, shard: usize) -> u64 {
-        let st = self.shards[shard].shared.reactor.lock().stats().clone();
+        let reactor = self.shards[shard].reactor.lock();
+        let st = reactor.stats();
         st.conns_added - st.conns_removed
     }
 
@@ -1154,8 +819,11 @@ impl ThreadReactorPool {
     }
 
     /// Accepts a new connection from `peer`, placing it by the pool's
-    /// policy; returns the shard-qualified handle plus the blocking
-    /// client endpoint.
+    /// policy: builds a QP pair whose server side completes onto the
+    /// chosen shard's CQs, registers the server socket with that
+    /// shard's reactor, and returns the shard-qualified handle plus the
+    /// blocking client endpoint (which runs its own service thread, as
+    /// every [`ThreadStream`] does).
     pub fn accept(&self, peer: &Arc<ThreadNode>, cfg: &ExsConfig) -> (ShardHandle, ThreadStream) {
         self.accept_with_affinity(peer, cfg, None)
     }
@@ -1171,9 +839,13 @@ impl ThreadReactorPool {
     ) -> (ShardHandle, ThreadStream) {
         let shard = self.pick_shard(affinity);
         let rt = &self.shards[shard as usize];
-        let (client_sock, server_sock) =
-            connect_sockets_over(peer, &self.node, cfg, Some((rt.send_cq, rt.recv_cq)));
-        let conn = rt.shared.reactor.lock().accept(server_sock);
+        let (client_sock, server_sock) = connect_sockets_over(peer, &self.node, cfg, Some(rt.cqs));
+        let conn = {
+            let mut reactor = rt.reactor.lock();
+            let conn = reactor.accept(server_sock);
+            rt.events.lock().insert(conn.0, EventBuf::default());
+            conn
+        };
         let pool = self
             .client_pools
             .lock()
@@ -1184,45 +856,58 @@ impl ThreadReactorPool {
         (ShardHandle { shard, conn }, client)
     }
 
+    /// Registers I/O memory on the pool's node. The caller owns the
+    /// registration; prefer [`ThreadReactorPool::acquire`] for
+    /// pool-cached buffers that release themselves.
+    pub fn register(&self, len: usize, access: Access) -> MrInfo {
+        self.node.with_hca(|h| h.register_mr(len, access))
+    }
+
     /// Leases a registered buffer from the pool node's pin-down cache.
     pub fn acquire(&self, len: usize, access: Access) -> MrLease {
         let mut port = ThreadPort::new(&self.net, &self.node);
         self.pool.acquire(&mut port, len, access)
     }
 
-    /// Registers I/O memory on the pool's node.
-    pub fn register(&self, len: usize, access: Access) -> MrInfo {
-        self.node.with_hca(|h| h.register_mr(len, access))
+    /// The pool node's buffer-pool handle.
+    pub fn pool(&self) -> &MemPool {
+        &self.pool
     }
 
-    /// Closes an accepted connection. The close request travels through
-    /// the owning shard's command queue — the service thread detaches
-    /// the socket and hands it back for finalization here, so no
-    /// cross-shard reactor lock is taken on a running service path.
+    /// Closes an accepted connection: detaches it from its shard's
+    /// reactor (waiters on it return `None`) and releases every
+    /// registration the server-side socket owns.
     pub fn close_conn(&self, handle: ShardHandle) {
         let rt = &self.shards[handle.shard as usize];
-        rt.ctl.commands.push(ShardCommand::Close(handle.conn));
-        self.node.notify();
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        let mut sock = loop {
-            if let Some(pos) = {
-                let retired = rt.ctl.retired.lock();
-                retired.iter().position(|(id, _)| *id == handle.conn.0)
-            } {
-                break rt.ctl.retired.lock().swap_remove(pos).1;
-            }
-            if rt.shared.stop.load(Ordering::Acquire) || std::time::Instant::now() >= deadline {
-                // Service thread already stopped (or wedged): detach
-                // directly — nothing else is polling this reactor.
-                let mut reactor = rt.shared.reactor.lock();
-                rt.shared.events.lock().remove(&handle.conn.0);
-                break reactor.remove(handle.conn);
-            }
-            std::thread::yield_now();
+        let mut sock = {
+            let mut reactor = rt.reactor.lock();
+            rt.events.lock().remove(&handle.conn.0);
+            reactor.remove(handle.conn)
         };
+        rt.cv.notify_all();
+        // Drain in-flight control traffic aimed at this connection's
+        // slots before deregistering them.
         self.net.quiesce();
         let mut port = ThreadPort::new(&self.net, &self.node);
         sock.close(&mut port);
+    }
+
+    /// Runs one posting call on an accepted connection under its
+    /// shard's reactor lock and publishes the events it completed
+    /// inline; returns the new operation id.
+    fn post(
+        &self,
+        handle: ShardHandle,
+        op: impl FnOnce(&mut StreamSocket, &mut ThreadPort<'_>, u64),
+    ) -> u64 {
+        let rt = &self.shards[handle.shard as usize];
+        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
+        let mut reactor = rt.reactor.lock();
+        let mut port = ThreadPort::new(&self.net, &self.node);
+        let sock = reactor.conn_mut(handle.conn);
+        op(sock, &mut port, id);
+        rt.publish(handle.conn, sock.take_events());
+        id
     }
 
     /// Posts an asynchronous receive on an accepted connection.
@@ -1234,99 +919,39 @@ impl ThreadReactorPool {
         len: u32,
         waitall: bool,
     ) -> u64 {
-        let rt = &self.shards[handle.shard as usize];
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let events = {
-            let mut reactor = rt.shared.reactor.lock();
-            let mut port = ThreadPort::new(&self.net, &self.node);
-            let sock = reactor.conn_mut(handle.conn);
-            sock.exs_recv(&mut port, mr, offset, len, waitall, id);
-            sock.take_events()
-        };
-        self.publish(rt, handle.conn, events);
-        id
+        self.post(handle, |sock, port, id| {
+            sock.exs_recv(port, mr, offset, len, waitall, id)
+        })
     }
 
     /// Posts an asynchronous send on an accepted connection.
     pub fn post_send(&self, handle: ShardHandle, mr: &MrInfo, offset: u64, len: u64) -> u64 {
-        let rt = &self.shards[handle.shard as usize];
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let events = {
-            let mut reactor = rt.shared.reactor.lock();
-            let mut port = ThreadPort::new(&self.net, &self.node);
-            let sock = reactor.conn_mut(handle.conn);
-            sock.exs_send(&mut port, mr, offset, len, id);
-            sock.take_events()
-        };
-        self.publish(rt, handle.conn, events);
-        id
+        self.post(handle, |sock, port, id| {
+            sock.exs_send(port, mr, offset, len, id)
+        })
     }
 
-    fn publish(&self, rt: &ShardRuntime, conn: ConnId, events: Vec<ExsEvent>) {
-        if events.is_empty() {
-            return;
-        }
-        rt.shared
-            .events
-            .lock()
-            .entry(conn.0)
-            .or_default()
-            .absorb(events);
-        rt.shared.cv.notify_all();
-    }
-
-    /// Blocks until receive `id` on `handle` completes.
+    /// Blocks until receive `id` on `handle` completes; `None` on
+    /// timeout, or at once if the connection is closed.
     pub fn wait_recv(&self, handle: ShardHandle, id: u64, timeout: Duration) -> Option<u32> {
         let rt = &self.shards[handle.shard as usize];
-        let deadline = std::time::Instant::now() + timeout;
-        let mut bufs = rt.shared.events.lock();
-        loop {
-            if let Some(len) = bufs
-                .entry(handle.conn.0)
-                .or_default()
-                .recvs_done
-                .remove(&id)
-            {
-                return Some(len);
-            }
-            let now = std::time::Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            rt.shared
-                .cv
-                .wait_for(&mut bufs, deadline.saturating_duration_since(now));
-        }
+        wait_event(&rt.events, &rt.cv, timeout, |bufs| {
+            Some(bufs.get_mut(&handle.conn.0)?.recvs_done.remove(&id))
+        })
     }
 
-    /// Blocks until send `id` on `handle` completes.
+    /// Blocks until send `id` on `handle` completes; `None` on timeout,
+    /// or at once if the connection is closed.
     pub fn wait_send(&self, handle: ShardHandle, id: u64, timeout: Duration) -> Option<u64> {
         let rt = &self.shards[handle.shard as usize];
-        let deadline = std::time::Instant::now() + timeout;
-        let mut bufs = rt.shared.events.lock();
-        loop {
-            if let Some(len) = bufs
-                .entry(handle.conn.0)
-                .or_default()
-                .sends_done
-                .remove(&id)
-            {
-                return Some(len);
-            }
-            let now = std::time::Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            rt.shared
-                .cv
-                .wait_for(&mut bufs, deadline.saturating_duration_since(now));
-        }
+        wait_event(&rt.events, &rt.cv, timeout, |bufs| {
+            Some(bufs.get_mut(&handle.conn.0)?.sends_done.remove(&id))
+        })
     }
 
     /// True once `handle`'s peer closed and its stream fully drained.
     pub fn peer_closed(&self, handle: ShardHandle) -> bool {
         self.shards[handle.shard as usize]
-            .shared
             .reactor
             .lock()
             .conn(handle.conn)
@@ -1335,13 +960,9 @@ impl ThreadReactorPool {
 
     /// Protocol counters of one accepted connection.
     pub fn conn_stats(&self, handle: ShardHandle) -> ConnStats {
-        self.shards[handle.shard as usize]
-            .shared
-            .reactor
-            .lock()
-            .conn(handle.conn)
-            .stats()
-            .clone()
+        let mut reactor = self.shards[handle.shard as usize].reactor.lock();
+        let port = ThreadPort::new(&self.net, &self.node);
+        synced_stats(reactor.conn_mut(handle.conn), &port)
     }
 
     /// Sum of all accepted connections' protocol counters, across every
@@ -1349,7 +970,7 @@ impl ThreadReactorPool {
     pub fn aggregate_stats(&self) -> ConnStats {
         let mut total = ConnStats::default();
         for rt in &self.shards {
-            total.merge(&rt.shared.reactor.lock().aggregate_conn_stats());
+            total.merge(&rt.reactor.lock().aggregate_conn_stats());
         }
         total
     }
@@ -1359,7 +980,7 @@ impl ThreadReactorPool {
     pub fn reactor_stats(&self) -> ReactorStats {
         let mut total = ReactorStats::default();
         for rt in &self.shards {
-            total.merge(rt.shared.reactor.lock().stats());
+            total.merge(rt.reactor.lock().stats());
         }
         total
     }
@@ -1375,25 +996,24 @@ impl ThreadReactorPool {
     }
 
     /// Per-shard telemetry snapshot: live connections, poll/dispatch
-    /// counters, placement decisions, command traffic, and the service
-    /// thread's busy ratio.
+    /// counters, placement decisions, and the service thread's busy
+    /// ratio.
     pub fn shard_stats(&self) -> Vec<ShardStats> {
         let placement = self.placement.lock();
         self.shards
             .iter()
             .enumerate()
             .map(|(i, rt)| {
-                let st = rt.shared.reactor.lock().stats().clone();
+                let st = rt.reactor.lock().stats().clone();
                 ShardStats {
                     shard_id: i as u32,
                     conns: st.conns_added - st.conns_removed,
                     assigned: placement.assigned[i],
                     steals: placement.steals[i],
-                    commands: rt.ctl.commands_drained.load(Ordering::Relaxed),
                     polls: st.polls,
                     cqes_dispatched: st.cqes_dispatched,
-                    busy_ns: rt.ctl.busy_ns.load(Ordering::Relaxed),
-                    wall_ns: rt.ctl.wall_ns.load(Ordering::Relaxed),
+                    busy_ns: rt.busy_ns.load(Ordering::Relaxed),
+                    wall_ns: rt.wall_ns.load(Ordering::Relaxed),
                 }
             })
             .collect()
@@ -1402,51 +1022,23 @@ impl ThreadReactorPool {
 
 impl Drop for ThreadReactorPool {
     fn drop(&mut self) {
-        // Phase 1: every shard must drain — pending cross-shard
-        // commands handled and unsent stream traffic flushed — before
-        // ANY shard stops. A shard stopping early while a peer still
-        // holds a handoff command for it would strand the command (and
-        // any ctrl message the close would have produced).
+        // Every shard flushes its hosted streams' unsent traffic before
+        // any shard stops: a FIN queued behind flow control at teardown
+        // must still reach the wire or the peer hangs waiting for
+        // end-of-stream.
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        loop {
-            let mut all_drained = true;
-            for rt in &self.shards {
-                if !rt.ctl.commands.is_empty() {
-                    all_drained = false;
-                    self.node.notify();
-                    continue;
-                }
-                if rt.shared.reactor.lock().has_unsent() {
-                    all_drained = false;
-                    drain_reactor_unsent(&self.net, &self.node, &rt.shared);
-                }
-            }
-            if all_drained || std::time::Instant::now() >= deadline {
-                break;
-            }
-            std::thread::yield_now();
-        }
-        // Phase 2: signal every shard, then wake all parked service
-        // threads at once.
         for rt in &self.shards {
-            rt.shared.stop.store(true, Ordering::Release);
-            rt.shared.cv.notify_all();
+            drain_reactor_unsent(&self.net, &self.node, rt, deadline);
+        }
+        // Signal every shard, wake all parked service threads at once,
+        // then join.
+        for rt in &self.shards {
+            rt.stop.store(true, Ordering::Release);
+            rt.cv.notify_all();
         }
         self.node.notify();
-        // Phase 3: join.
-        for rt in &mut self.shards {
-            if let Some(h) = rt.service.take() {
-                let _ = h.join();
-            }
-        }
-        // Finalize any sockets retired by close commands but never
-        // collected by a caller.
-        self.net.quiesce();
-        let mut port = ThreadPort::new(&self.net, &self.node);
-        for rt in &self.shards {
-            for (_, mut sock) in rt.ctl.retired.lock().drain(..) {
-                sock.close(&mut port);
-            }
+        for h in self.services.drain(..) {
+            let _ = h.join();
         }
     }
 }
@@ -1568,5 +1160,28 @@ mod tests {
         let (a, _b) = ThreadStream::pair(&ExsConfig::default(), Duration::ZERO);
         assert_eq!(a.wait_send(9999, Duration::from_millis(50)), None);
         assert_eq!(a.wait_recv(9999, Duration::from_millis(50)), None);
+    }
+
+    /// A wait on a handle `close_conn` already removed used to re-insert
+    /// an `EventBuf` nobody would free and then sleep out its timeout.
+    #[test]
+    fn wait_on_a_closed_handle_returns_at_once_and_inserts_nothing() {
+        let cfg = ExsConfig::default();
+        let mut net = ThreadNet::new();
+        let server = net.add_node(rdma_verbs::HcaConfig::default());
+        let peer = net.add_node(rdma_verbs::HcaConfig::default());
+        net.connect_nodes(&peer, &server, Duration::ZERO);
+        let pool = ThreadReactorPool::new(Arc::new(net), server, ReactorConfig::default(), &cfg, 2);
+        let (closed, _c1) = pool.accept(&peer, &cfg);
+        let (live, _c2) = pool.accept(&peer, &cfg);
+        pool.close_conn(closed);
+
+        let start = std::time::Instant::now();
+        let long = Duration::from_secs(30);
+        assert_eq!(pool.wait_recv(closed, 1, long), None);
+        assert_eq!(pool.wait_send(closed, 1, long), None);
+        assert!(start.elapsed() < Duration::from_secs(5));
+        let bufs = pool.shards[0].events.lock();
+        assert_eq!(bufs.keys().collect::<Vec<_>>(), [&live.conn.0]);
     }
 }

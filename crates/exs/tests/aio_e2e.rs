@@ -12,7 +12,7 @@ use exs::aio::{select, timeout, Either};
 use exs::threaded::connect_sockets_shared;
 use exs::{
     connect_mux_pair, Executor, ExsConfig, ExsError, MuxEndpoint, Reactor, ReactorConfig,
-    SimDriver, StreamSocket,
+    SimShardDriver, StreamSocket,
 };
 use rdma_verbs::{HcaConfig, HostModel, NodeApi, NodeApp, SimNet, ThreadNet};
 use simnet::{LinkConfig, SimDuration, SimTime};
@@ -109,14 +109,14 @@ fn sim_async_echo_roundtrip() {
         *done2.borrow_mut() = true;
     });
 
-    let mut server = SimDriver::new(server_ex);
-    let mut client = SimDriver::new(client_ex);
+    let mut server = SimShardDriver::new(vec![server_ex]);
+    let mut client = SimShardDriver::new(vec![client_ex]);
     let outcome = net.run(&mut [&mut server, &mut client], SimTime::from_secs(10));
     assert!(outcome.completed, "echo stalled: {outcome:?}");
     assert!(*done.borrow(), "client task must run to completion");
 
     for drv in [&server, &client] {
-        let stats = drv.executor_ref().stats();
+        let stats = drv.executor_ref(0).stats();
         assert_eq!(stats.tasks_spawned, 1);
         assert_eq!(stats.tasks_completed, 1);
         assert!(stats.wakeups > 0, "completions must wake the task");
@@ -126,7 +126,7 @@ fn sim_async_echo_roundtrip() {
         );
     }
     let agg = server
-        .executor_ref()
+        .executor_ref(0)
         .with_reactor(|r| r.aggregate_conn_stats());
     assert_eq!(agg.bytes_received, (ROUNDS * MSG) as u64);
     assert_eq!(agg.bytes_sent, (ROUNDS * MSG) as u64);
@@ -175,12 +175,12 @@ fn sim_timeout_fires_then_recv_recovers() {
         }
     });
 
-    let mut server = SimDriver::new(server_ex);
-    let mut client = SimDriver::new(client_ex);
+    let mut server = SimShardDriver::new(vec![server_ex]);
+    let mut client = SimShardDriver::new(vec![client_ex]);
     let outcome = net.run(&mut [&mut server, &mut client], SimTime::from_secs(10));
     assert!(outcome.completed, "timeout scenario stalled: {outcome:?}");
 
-    let stats = server.executor_ref().stats();
+    let stats = server.executor_ref(0).stats();
     assert!(stats.timer_fires >= 1, "the 1 ms timeout must fire");
     assert!(
         stats.timer_cancels >= 1,
@@ -286,13 +286,13 @@ fn sim_select_follows_readiness_with_left_bias() {
         let _ = stream_b.recv_some(1).await;
     });
 
-    let mut server = SimDriver::new(server_ex);
-    let mut da = SimDriver::new(ex_a);
-    let mut db = SimDriver::new(ex_b);
+    let mut server = SimShardDriver::new(vec![server_ex]);
+    let mut da = SimShardDriver::new(vec![ex_a]);
+    let mut db = SimShardDriver::new(vec![ex_b]);
     let outcome = net.run(&mut [&mut server, &mut da, &mut db], SimTime::from_secs(10));
     assert!(outcome.completed, "select scenario stalled: {outcome:?}");
     assert_eq!(*order.borrow(), vec!['b', 'a']);
-    let stats = server.executor_ref().stats();
+    let stats = server.executor_ref(0).stats();
     // The first select's losing receive parked a waiter and must
     // cancel cleanly. (The tie-break round's loser resolves on the
     // winner's first poll and is dropped before it ever registers —
@@ -345,8 +345,8 @@ fn sim_unissued_send_cancels_clean_and_stream_stays_usable() {
         let _ = stream.recv_some(1).await;
     });
 
-    let mut server = SimDriver::new(server_ex);
-    let mut client = SimDriver::new(client_ex);
+    let mut server = SimShardDriver::new(vec![server_ex]);
+    let mut client = SimShardDriver::new(vec![client_ex]);
     let outcome = net.run(&mut [&mut server, &mut client], SimTime::from_secs(10));
     assert!(outcome.completed, "cancel scenario stalled: {outcome:?}");
 
@@ -356,7 +356,7 @@ fn sim_unissued_send_cancels_clean_and_stream_stays_usable() {
         got.iter().enumerate().all(|(i, &b)| b == pattern(0, i)),
         "no byte of the cancelled message reached the peer"
     );
-    let stats = client.executor_ref().stats();
+    let stats = client.executor_ref(0).stats();
     assert!(stats.cancels_clean >= 1, "the queued send unwinds cleanly");
     assert_eq!(stats.cancels_poisoned, 0);
 }
@@ -392,7 +392,7 @@ fn stale_ids_error_instead_of_panicking() {
     ex.handle().spawn(async move {
         *verdict2.borrow_mut() = Some(stream.recv_exact(16).await);
     });
-    let mut server = SimDriver::new(ex);
+    let mut server = SimShardDriver::new(vec![ex]);
     let mut idle = Idle;
     let outcome = net.run(&mut [&mut server, &mut idle], SimTime::from_secs(1));
     assert!(outcome.completed, "stale scenario stalled: {outcome:?}");
@@ -515,13 +515,13 @@ fn sim_mux_streams_accept_and_deliver() {
         });
     }
 
-    let mut recv_drv = SimDriver::new(ex);
+    let mut recv_drv = SimShardDriver::new(vec![ex]);
     let outcome = net.run(&mut [&mut sender, &mut recv_drv], SimTime::from_secs(10));
     assert!(outcome.completed, "mux scenario stalled: {outcome:?}");
     let mut seen = accepted.borrow().clone();
     seen.sort_unstable();
     assert_eq!(seen, vec![0, 1, 2], "each stream accepted exactly once");
-    let stats = recv_drv.executor_ref().stats();
+    let stats = recv_drv.executor_ref(0).stats();
     assert_eq!(stats.tasks_completed, STREAMS as u64 + 1);
 }
 

@@ -14,7 +14,7 @@ use proptest::prelude::*;
 
 use exs::aio::timeout;
 use exs::threaded::connect_sockets_shared;
-use exs::{Executor, ExsConfig, ExsError, Reactor, ReactorConfig, SimDriver, StreamSocket};
+use exs::{Executor, ExsConfig, ExsError, Reactor, ReactorConfig, SimShardDriver, StreamSocket};
 use rdma_verbs::{HcaConfig, HostModel, SimNet, ThreadNet};
 use simnet::{LinkConfig, SimDuration, SimTime};
 
@@ -194,8 +194,8 @@ fn run_sim_case(sizes: Vec<usize>, cancel_nanos: Vec<u64>, recv_timeout_nanos: u
         Rc::clone(&delivered),
     ));
 
-    let mut ds = SimDriver::new(send_ex);
-    let mut dr = SimDriver::new(recv_ex);
+    let mut ds = SimShardDriver::new(vec![send_ex]);
+    let mut dr = SimShardDriver::new(vec![recv_ex]);
     let outcome = net.run(&mut [&mut ds, &mut dr], SimTime::from_secs(30));
     assert!(outcome.completed, "cancel case stalled: {outcome:?}");
 

@@ -357,6 +357,13 @@ fn run_case(
     );
 }
 
+/// Shard counts 1–4, with the pool of one — the single-reactor server,
+/// which has no implementation of its own — weighted so that every run
+/// samples it.
+fn any_shards() -> impl Strategy<Value = usize> {
+    prop_oneof![Just(1usize), 1usize..5]
+}
+
 fn any_policy() -> impl Strategy<Value = ShardPolicy> {
     prop_oneof![
         Just(ShardPolicy::RoundRobin),
@@ -372,7 +379,7 @@ proptest! {
     /// or drop a byte.
     #[test]
     fn sharding_never_reorders_or_drops(
-        shards in 1usize..5,
+        shards in any_shards(),
         policy in any_policy(),
         (conns, msgs, msg_len) in (2usize..6, 1usize..4, 1u64..4000),
         recv_len in 1u32..2048,

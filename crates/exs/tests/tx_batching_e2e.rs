@@ -204,3 +204,28 @@ fn sim_and_threaded_backends_deliver_identical_bytes() {
     assert!(st.wqes_posted >= st.doorbells);
     assert!(!st.cq_overflowed);
 }
+
+/// `ThreadStream::stats` folds the CQ gauges in: they used to stay
+/// structurally zero on the thread backend, which made the
+/// `cq_overflowed` check above vacuous.
+#[test]
+fn thread_stream_stats_report_the_cq_gauges() {
+    const MSGS: usize = 64;
+    let (a, b) = ThreadStream::pair(&ExsConfig::default(), Duration::ZERO);
+    let reader = std::thread::spawn(move || {
+        let mut buf = [0u8; 64];
+        for _ in 0..MSGS {
+            b.recv_exact(&mut buf).expect("threaded receive");
+        }
+        b.stats()
+    });
+    for m in 0..MSGS {
+        a.send_bytes(&[m as u8; 64]).expect("threaded send");
+    }
+    let rx = reader.join().expect("reader thread");
+    for (side, st) in [("sender", a.stats()), ("receiver", rx)] {
+        assert!(st.cq_nonempty_polls > 0, "{side}: {st:?}");
+        assert!(st.cq_max_batch >= 1, "{side}: {st:?}");
+        assert!(!st.cq_overflowed, "{side}");
+    }
+}

@@ -29,6 +29,7 @@
 //! the EXS layer above is a faithful port of what runs on real hardware.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod cm;
 pub mod cq;

@@ -40,8 +40,8 @@ pub struct ThreadNode {
 impl ThreadNode {
     /// Wakes every thread parked in [`ThreadNode::wait_any`] without a
     /// completion having landed. Used to nudge service threads when
-    /// out-of-band work arrives (e.g. a cross-shard command queued for
-    /// a parked reactor shard); spurious wakeups are harmless since
+    /// out-of-band state changes (e.g. a reactor pool telling its
+    /// parked shards to stop); spurious wakeups are harmless since
     /// sleepers re-check their state.
     pub fn notify(&self) {
         self.generation.fetch_add(1, Ordering::Release);
@@ -140,6 +140,19 @@ pub struct ThreadNet {
     /// Messages handed to delivery threads but not yet applied at their
     /// destination; [`ThreadNet::quiesce`] waits for this to reach zero.
     in_flight: Arc<AtomicUsize>,
+    /// Every [`Effect::Fatal`] a delivery raised, as text.
+    fatal: Arc<Mutex<Vec<String>>>,
+}
+
+/// Counts one message out of [`ThreadNet::in_flight`] when its delivery
+/// ends, however it ends: a delivery that unwinds must not leave
+/// [`ThreadNet::quiesce`] spinning on a message nobody will apply.
+struct Delivery<'a>(&'a AtomicUsize);
+
+impl Drop for Delivery<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::AcqRel);
+    }
 }
 
 impl ThreadNet {
@@ -151,6 +164,7 @@ impl ThreadNet {
             stop: Arc::new(AtomicBool::new(false)),
             handles: Vec::new(),
             in_flight: Arc::new(AtomicUsize::new(0)),
+            fatal: Arc::new(Mutex::new(Vec::new())),
         }
     }
 
@@ -178,22 +192,22 @@ impl ThreadNet {
             let src_arc = src.clone();
             let stop = self.stop.clone();
             let in_flight = self.in_flight.clone();
+            let fatal = self.fatal.clone();
             // The back-link may not exist yet; responder transmissions
             // (RDMA READ responses) are delivered by locking the peer
             // directly, preserving FIFO because this thread is the only
             // producer for that direction's responses.
             let handle = std::thread::spawn(move || {
                 while let Ok(msg) = rx.recv() {
+                    let _delivery = Delivery(&in_flight);
                     if stop.load(Ordering::Acquire) {
-                        in_flight.fetch_sub(1, Ordering::AcqRel);
                         break;
                     }
                     if !delay.is_zero() {
                         std::thread::sleep(delay);
                     }
                     let effects = deliver(&dst, &msg);
-                    apply_effects(&dst, &src_arc, effects);
-                    in_flight.fetch_sub(1, Ordering::AcqRel);
+                    apply_effects(&dst, &src_arc, effects, &fatal);
                 }
             });
             self.handles.push(handle);
@@ -304,6 +318,17 @@ impl ThreadNet {
         }
     }
 
+    /// Every fatal verbs error a delivery has raised so far (RNR, remote
+    /// access error, placement into a deregistered buffer), as text — the
+    /// counterpart of `SimNet::fatal_errors`. The delivery thread does
+    /// not panic on one: like a real HCA it moves the violated QP to the
+    /// error state, which flushes its posted receives with
+    /// `WrFlushError` completions, and carries on with the link's other
+    /// traffic.
+    pub fn fatal_errors(&self) -> Vec<String> {
+        self.fatal.lock().clone()
+    }
+
     /// Stops the delivery threads and joins them.
     pub fn shutdown(&mut self) {
         self.stop.store(true, Ordering::Release);
@@ -346,42 +371,42 @@ fn deliver(node: &ThreadNode, msg: &WireMessage) -> Vec<Effect> {
     node.hca.lock().handle_wire(msg, data)
 }
 
-fn apply_effects(dst: &Arc<ThreadNode>, src: &Arc<ThreadNode>, effects: Vec<Effect>) {
-    let mut notified = false;
+/// Applies what a delivery at `at` produced; `peer` is the other end of
+/// the link, where a READ response goes.
+fn apply_effects(
+    at: &Arc<ThreadNode>,
+    peer: &Arc<ThreadNode>,
+    effects: Vec<Effect>,
+    fatal: &Mutex<Vec<String>>,
+) {
+    let mut completed = false;
     for effect in effects {
         match effect {
-            Effect::Completion { .. } => {
-                if !notified {
-                    dst.notify();
-                    notified = true;
-                }
-            }
+            Effect::Completion { .. } => completed = true,
             Effect::Transmit(msg) => {
                 // RDMA READ response: deliver synchronously to the
                 // requester (this delivery thread is the only producer
                 // for response traffic in this direction, so FIFO
-                // holds).
-                let effects = deliver(src, &msg);
-                let mut n2 = false;
-                for e in effects {
-                    match e {
-                        Effect::Completion { .. } => {
-                            if !n2 {
-                                src.notify();
-                                n2 = true;
-                            }
-                        }
-                        Effect::Transmit(_) => unreachable!("responses do not chain"),
-                        Effect::Fatal { detail, .. } => {
-                            panic!("fatal verbs error on read response: {detail}")
-                        }
-                    }
+                // holds). Responses do not chain, so this nests once.
+                let effects = deliver(peer, &msg);
+                apply_effects(peer, at, effects, fatal);
+            }
+            Effect::Fatal {
+                qpn,
+                status,
+                detail,
+            } => {
+                fatal
+                    .lock()
+                    .push(format!("node {:?} qp {qpn:?}: {status:?}: {detail}", at.id));
+                if let Ok(flushed) = at.hca.lock().fail_qp(qpn) {
+                    completed |= !flushed.is_empty();
                 }
             }
-            Effect::Fatal { qpn, detail, .. } => {
-                panic!("fatal verbs error at {:?} qp {qpn:?}: {detail}", dst.id)
-            }
         }
+    }
+    if completed {
+        at.notify();
     }
 }
 
@@ -609,6 +634,41 @@ mod tests {
         let mut buf = [0u8; 8];
         a.with_hca(|h| h.mem().app_read(local.key, local.addr, &mut buf).unwrap());
         assert_eq!(&buf, b"read-far");
+    }
+
+    /// A late SEND can land in a receive buffer its owner already
+    /// deregistered (a peer's final ACK racing `close`). The delivery
+    /// thread used to panic there without counting the message out, so
+    /// `quiesce` spun forever.
+    #[test]
+    fn send_into_deregistered_recv_buffer_fails_the_qp_and_quiesces() {
+        let (net, a, b) = pair(Duration::ZERO);
+        let (a_qp, b_qp, _a_scq, b_rcq) = connect(&a, &b);
+        let src = a.with_hca(|h| h.register_mr(64, Access::NONE));
+        let dst = b.with_hca(|h| h.register_mr(64, Access::LOCAL_WRITE));
+        b.post_recv(b_qp, RecvWr::new(7, dst.full_sge())).unwrap();
+        b.post_recv(b_qp, RecvWr::new(8, dst.full_sge())).unwrap();
+        b.with_hca(|h| h.deregister_mr(dst.key)).unwrap();
+
+        net.post_send(&a, a_qp, SendWr::send(1, src.sge(0, 9)))
+            .unwrap();
+        net.quiesce();
+        let errors = net.fatal_errors();
+        assert_eq!(errors.len(), 1, "{errors:?}");
+        assert!(errors[0].contains("RECV placement failed"), "{errors:?}");
+        // The QP went to the error state: the receive still posted was
+        // flushed, and the waiter was woken for it.
+        let cqes = b.wait_cq(b_rcq, Duration::from_secs(5));
+        assert_eq!(cqes.len(), 1);
+        assert_eq!(cqes[0].wr_id, 8);
+        assert_eq!(cqes[0].status, crate::types::WcStatus::WrFlushError);
+
+        // The link thread survived: the next message is delivered (to a
+        // dead QP), recorded, and counted out too.
+        net.post_send(&a, a_qp, SendWr::send(2, src.sge(0, 9)))
+            .unwrap();
+        net.quiesce();
+        assert_eq!(net.fatal_errors().len(), 2);
     }
 
     #[test]

@@ -27,6 +27,7 @@
 //! protocol state machines but not this scheduler.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod event;
 pub mod fabric;

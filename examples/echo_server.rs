@@ -18,7 +18,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use rdma_stream::exs::{
-    Executor, ExsConfig, ExsError, Reactor, ReactorConfig, SimDriver, StreamSocket,
+    Executor, ExsConfig, ExsError, Reactor, ReactorConfig, SimShardDriver, StreamSocket,
 };
 use rdma_stream::simnet::SimTime;
 use rdma_stream::verbs::{profiles, NodeApp, NodeId, SimNet};
@@ -95,12 +95,12 @@ fn main() {
             stream.shutdown().await.expect("echo shutdown failed");
         });
     }
-    let mut server = SimDriver::new(server_ex);
+    let mut server = SimShardDriver::new(vec![server_ex]);
 
     // Clients: each node gets its own small executor over a private
     // reactor (its one socket's CQs), running a single ping-pong task.
     // Same async code shape as the server — that's the point.
-    let mut client_drivers: Vec<SimDriver> = Vec::with_capacity(CLIENTS);
+    let mut client_drivers: Vec<SimShardDriver> = Vec::with_capacity(CLIENTS);
     for (idx, _cnode, csock) in client_socks {
         let mut reactor = Reactor::new(csock.send_cq(), csock.recv_cq(), ReactorConfig::default());
         let conn = reactor.accept(csock);
@@ -127,7 +127,7 @@ fn main() {
                 other => panic!("client {idx} expected EOF, got {other:?}"),
             }
         });
-        client_drivers.push(SimDriver::new(ex));
+        client_drivers.push(SimShardDriver::new(vec![ex]));
     }
 
     let mut apps: Vec<&mut dyn NodeApp> = Vec::with_capacity(1 + CLIENTS);
@@ -138,7 +138,7 @@ fn main() {
     let outcome = net.run(&mut apps, SimTime::from_secs(60));
     assert!(outcome.completed, "echo workload stalled: {outcome:?}");
 
-    let ex = server.executor_ref();
+    let ex = server.executor_ref(0);
     let (rs, agg) = ex.with_reactor(|r| (r.stats().clone(), r.aggregate_conn_stats()));
     let aio = ex.stats();
     println!("echo server: {CLIENTS} async tasks x {ROUNDS} rounds x {MSG} B");

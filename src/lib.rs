@@ -21,6 +21,7 @@
 //! and the per-figure experiment index.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub use blast;
 pub use exs;

@@ -14,7 +14,7 @@ use rdma_stream::blast::fan_in::expected_digest;
 use rdma_stream::blast::{run_fan_in, FanInSpec, VerifyLevel};
 use rdma_stream::exs::threaded::connect_sockets_shared;
 use rdma_stream::exs::{
-    Executor, ExsConfig, ExsError, Reactor, ReactorConfig, SimDriver, StreamSocket,
+    Executor, ExsConfig, ExsError, Reactor, ReactorConfig, SimShardDriver, StreamSocket,
 };
 use rdma_stream::simnet::SimTime;
 use rdma_stream::verbs::{profiles, HcaConfig, NodeApp, NodeId, SimNet, ThreadNet};
@@ -138,9 +138,9 @@ fn sim_echo_digests() -> Vec<u64> {
         let stream = ex.handle().stream_with(cconn, MSG as u32, 2);
         ex.handle()
             .spawn(echo_client(stream, idx, Rc::clone(&digests[idx])));
-        client_drivers.push(SimDriver::new(ex));
+        client_drivers.push(SimShardDriver::new(vec![ex]));
     }
-    let mut server = SimDriver::new(server_ex);
+    let mut server = SimShardDriver::new(vec![server_ex]);
 
     let mut apps: Vec<&mut dyn NodeApp> = Vec::with_capacity(1 + CONNS);
     apps.push(&mut server);
@@ -149,7 +149,7 @@ fn sim_echo_digests() -> Vec<u64> {
     }
     let outcome = net.run(&mut apps, SimTime::from_secs(30));
     assert!(outcome.completed, "sim echo stalled: {outcome:?}");
-    assert_eq!(server.executor_ref().stats().tasks_completed, CONNS as u64);
+    assert_eq!(server.executor_ref(0).stats().tasks_completed, CONNS as u64);
 
     digests.into_iter().map(|d| *d.borrow()).collect()
 }

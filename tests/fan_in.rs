@@ -10,7 +10,7 @@ use rdma_stream::blast::fan_in::{expected_digest, fan_in_cfg, fnv1a, payload_byt
 use rdma_stream::blast::{run_fan_in, FanInSpec, VerifyLevel};
 use rdma_stream::exs::{
     ConnStats, DirectPolicy, Event, ExsConfig, ExsContext, ExsFd, MsgFlags, ProtocolMode,
-    ReactorConfig, SockType, ThreadReactor,
+    ReactorConfig, SockType, ThreadReactorPool,
 };
 use rdma_stream::simnet::SimTime;
 use rdma_stream::verbs::threaded::ThreadNet;
@@ -237,7 +237,7 @@ fn threaded_fan_in_digests(
         net.connect_nodes(p, &server, Duration::ZERO);
     }
     let net = Arc::new(net);
-    let reactor = Arc::new(ThreadReactor::new(
+    let reactor = Arc::new(ThreadReactorPool::new(
         net.clone(),
         server.clone(),
         ReactorConfig::default(),

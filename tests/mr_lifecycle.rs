@@ -12,8 +12,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use rdma_stream::exs::{
-    Event, ExsConfig, ExsContext, MsgFlags, ProtocolMode, ReactorConfig, SockType, ThreadPort,
-    ThreadReactor, ThreadStream,
+    Event, ExsConfig, ExsContext, MsgFlags, ProtocolMode, ReactorConfig, ShardConfig, ShardPolicy,
+    SockType, ThreadPort, ThreadReactorPool, ThreadStream,
 };
 use rdma_stream::simnet::SimTime;
 use rdma_stream::verbs::threaded::ThreadNet;
@@ -203,7 +203,7 @@ fn thread_reactor_close_releases_registrations() {
     let peer = net.add_node(HcaConfig::default());
     net.connect_nodes(&peer, &server, Duration::ZERO);
     let net = Arc::new(net);
-    let reactor = ThreadReactor::new(
+    let reactor = ThreadReactorPool::new(
         net.clone(),
         server.clone(),
         ReactorConfig::default(),
@@ -246,4 +246,179 @@ fn thread_reactor_close_releases_registrations() {
         0,
         "client node leaked registrations"
     );
+}
+
+/// `close_conn` detaches a connection under its owning shard's reactor
+/// lock — the lock every post takes — with no message to the service
+/// thread. On a pool of one and a pool of four, a separate thread closes
+/// half the connections while the other half are mid-transfer: every
+/// surviving stream still delivers its exact bytes, the closes are all
+/// counted, the server node's registrations return to where they
+/// started, and the pool drops.
+#[test]
+fn thread_pool_close_races_live_transfers_without_leaks() {
+    use rdma_stream::blast::fan_in::{expected_digest, fnv1a, payload_byte, FNV_OFFSET};
+    use std::sync::{mpsc, Barrier};
+
+    const SEED: u64 = 41;
+    const CONNS: usize = 8;
+    const LIVE: usize = CONNS / 2;
+    const MSGS: usize = 8;
+    const MSG_LEN: usize = 4096;
+    const TOTAL: u64 = (MSGS * MSG_LEN) as u64;
+
+    for shards in [1usize, 4] {
+        let cfg = ExsConfig {
+            ring_capacity: 16 << 10,
+            credits: 8,
+            sq_depth: 8,
+            shard: ShardConfig {
+                shards,
+                policy: ShardPolicy::RoundRobin,
+            },
+            ..ExsConfig::default()
+        };
+        let mut net = ThreadNet::new();
+        let server = net.add_node(HcaConfig::default());
+        let peers: Vec<_> = (0..2).map(|_| net.add_node(HcaConfig::default())).collect();
+        for p in &peers {
+            net.connect_nodes(p, &server, Duration::ZERO);
+        }
+        let net = Arc::new(net);
+        let pool = ThreadReactorPool::new(
+            net.clone(),
+            server.clone(),
+            ReactorConfig::default(),
+            &cfg,
+            CONNS,
+        );
+        assert_eq!(pool.shards(), shards);
+        let registered_before = server.with_hca(|h| h.mem().len());
+
+        // Even connections carry traffic; odd ones sit idle until closed.
+        let mut live = Vec::new();
+        let mut idle = Vec::new();
+        for idx in 0..CONNS {
+            let (handle, client) = pool.accept(&peers[idx % peers.len()], &cfg);
+            if idx % 2 == 0 {
+                live.push((idx, handle, client));
+            } else {
+                idle.push((handle, client));
+            }
+        }
+        let live_handles: Vec<_> = live.iter().map(|&(_, h, _)| h).collect();
+
+        // Forced interleaving: the closer starts only once every live
+        // stream has delivered its first message, and no live stream
+        // sends its last message before the closer is done.
+        let (started_tx, started_rx) = mpsc::channel::<()>();
+        let closer_done = Barrier::new(LIVE + 1);
+        let digests: Vec<u64> = std::thread::scope(|s| {
+            let (pool, net, closer_done) = (&pool, &net, &closer_done);
+            let consumers: Vec<_> = live_handles
+                .iter()
+                .map(|&handle| {
+                    let started = started_tx.clone();
+                    let server = server.clone();
+                    s.spawn(move || {
+                        let lease = pool.acquire(MSG_LEN, Access::local_remote_write());
+                        let port = ThreadPort::new(net, &server);
+                        let mut buf = vec![0u8; MSG_LEN];
+                        let mut digest = FNV_OFFSET;
+                        let mut received = 0u64;
+                        loop {
+                            let id = pool.post_recv(handle, lease.info(), 0, MSG_LEN as u32, false);
+                            let len = pool
+                                .wait_recv(handle, id, Duration::from_secs(30))
+                                .expect("live stream's receive completes")
+                                as usize;
+                            if len == 0 {
+                                break;
+                            }
+                            lease.read(&port, 0, &mut buf[..len]).unwrap();
+                            digest = fnv1a(digest, &buf[..len]);
+                            if received == 0 {
+                                started.send(()).unwrap();
+                            }
+                            received += len as u64;
+                        }
+                        assert_eq!(received, TOTAL);
+                        digest
+                    })
+                })
+                .collect();
+            let senders: Vec<_> = live
+                .into_iter()
+                .map(|(idx, _, client)| {
+                    s.spawn(move || {
+                        for m in 0..MSGS {
+                            if m == MSGS - 1 {
+                                closer_done.wait();
+                            }
+                            let base = (m * MSG_LEN) as u64;
+                            let data: Vec<u8> = (0..MSG_LEN as u64)
+                                .map(|i| payload_byte(SEED, idx, base + i))
+                                .collect();
+                            client.send_bytes(&data).expect("live stream's send");
+                        }
+                        client.shutdown();
+                        client
+                    })
+                })
+                .collect();
+            let closer = s.spawn(move || {
+                for _ in 0..LIVE {
+                    started_rx.recv().expect("a live stream started");
+                }
+                let mut clients = Vec::new();
+                for (handle, client) in idle {
+                    pool.close_conn(handle);
+                    assert_eq!(pool.wait_recv(handle, 0, Duration::from_secs(30)), None);
+                    clients.push(client);
+                }
+                assert_eq!(pool.reactor_stats().conns_removed, (CONNS - LIVE) as u64);
+                closer_done.wait();
+                clients
+            });
+
+            let digests = consumers
+                .into_iter()
+                .map(|c| c.join().expect("consumer thread"))
+                .collect();
+            // Client endpoints close only after the server drained
+            // their streams (their service threads flush the FIN).
+            for sender in senders {
+                sender.join().expect("sender thread").close();
+            }
+            for mut client in closer.join().expect("closer thread") {
+                client.close();
+            }
+            digests
+        });
+        for (i, digest) in digests.into_iter().enumerate() {
+            assert_eq!(
+                digest,
+                expected_digest(SEED, 2 * i, TOTAL),
+                "{shards} shard(s): surviving conn {} digest moved",
+                2 * i
+            );
+        }
+
+        for handle in live_handles {
+            pool.close_conn(handle);
+        }
+        let stats = pool.reactor_stats();
+        assert_eq!(
+            (stats.conns_added, stats.conns_removed),
+            (CONNS as u64, CONNS as u64)
+        );
+        let mut port = ThreadPort::new(&net, &server);
+        pool.pool().trim(&mut port);
+        assert_eq!(
+            server.with_hca(|h| h.mem().len()),
+            registered_before,
+            "{shards} shard(s): server node leaked registrations"
+        );
+        drop(pool);
+    }
 }

@@ -8,7 +8,7 @@
 //!   one reactor over two shared CQs, with full payload verification —
 //!   per-stream in-order delivery at thousand-way fan-in;
 //! * 64 concurrent streams on the real-thread fabric through a
-//!   [`ThreadReactor`], whose single service thread replaces the 64
+//!   [`ThreadReactorPool`], whose single service thread replaces the 64
 //!   per-socket service threads the blocking API would burn.
 //!
 //! Memory stays bounded by construction: each connection runs a small
@@ -20,7 +20,7 @@ use std::time::Duration;
 
 use rdma_stream::blast::fan_in::{expected_digest, fnv1a, payload_byte, FNV_OFFSET};
 use rdma_stream::blast::{run_fan_in, FanInSpec, VerifyLevel};
-use rdma_stream::exs::{ExsConfig, ReactorConfig, ThreadReactor};
+use rdma_stream::exs::{ExsConfig, ReactorConfig, ThreadReactorPool};
 use rdma_stream::verbs::threaded::ThreadNet;
 use rdma_stream::verbs::{profiles, Access, HcaConfig};
 
@@ -91,7 +91,7 @@ fn sixty_four_threaded_streams_one_service_thread() {
         net.connect_nodes(p, &server, Duration::ZERO);
     }
     let net = Arc::new(net);
-    let reactor = Arc::new(ThreadReactor::new(
+    let reactor = Arc::new(ThreadReactorPool::new(
         net.clone(),
         server.clone(),
         ReactorConfig::default(),
