@@ -185,7 +185,7 @@ struct Server {
     sock: Option<StreamSocket>,
     slots: Vec<MrInfo>,
     free_slots: Vec<usize>,
-    slot_of: std::collections::HashMap<u64, usize>,
+    slot_of: simnet::IntMap<u64, usize>,
     recv_len: u32,
     waitall: bool,
     expected_total: u64,
@@ -348,7 +348,7 @@ pub fn run_blast(spec: &BlastSpec) -> BlastReport {
         sock: Some(sock_s),
         slots: Vec::new(),
         free_slots: (0..spec.outstanding_recvs).collect(),
-        slot_of: std::collections::HashMap::new(),
+        slot_of: simnet::IntMap::default(),
         recv_len,
         waitall: spec.waitall,
         expected_total: total,

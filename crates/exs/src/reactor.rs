@@ -8,8 +8,10 @@
 //! * every accepted connection's QP completes onto **one shared send CQ
 //!   and one shared receive CQ** (see
 //!   [`rdma_verbs::connect_pair_on_cqs`]), so a wake-up costs one
-//!   batched drain of two CQs regardless of connection count;
-//! * drained completions are **dispatched by QP number** to the owning
+//!   batched drain of two CQs — two verbs calls — regardless of
+//!   connection count;
+//! * drained completions are **dispatched by QP number** (an index into
+//!   a table, QP numbers being dense per node) to the owning
 //!   connection, then connections are serviced **round-robin with a
 //!   bounded per-poll budget** — a blast-heavy peer cannot starve the
 //!   other nine hundred;
@@ -17,6 +19,14 @@
 //!   connection is reported readable as long as completion events are
 //!   queued for the application, writable while a new send would
 //!   dispatch immediately, closed/error when the stream ended.
+//!
+//! What is *not* independent of connection count is the reactor's own
+//! bookkeeping: each [`Reactor::poll_into`] walks every connection slot
+//! twice (the service round, then the readiness scan), and
+//! [`Reactor::has_backlog`] / [`Reactor::has_unsent`] walk them once
+//! more, so a poll costs O(connections) host time even when one
+//! connection had work. Only [`Reactor::len`] / [`Reactor::is_empty`]
+//! are O(1).
 //!
 //! The reactor is backend-agnostic: it drives any [`VerbsPort`], so the
 //! same code runs one step per wake deterministically under the
@@ -41,7 +51,7 @@
 //! `ExsConfig::direct` knobs) to recover direct mode after indirect
 //! episodes; see DESIGN.md §13 and `blast::fan_in` for the pattern.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use rdma_verbs::{CqId, Cqe, QpNum};
 
@@ -185,9 +195,12 @@ pub struct Reactor {
     cfg: ReactorConfig,
     conns: Vec<Option<Conn>>,
     free: Vec<u32>,
+    /// Occupied entries of `conns`.
+    live: usize,
     muxes: Vec<Option<MuxHost>>,
     mux_free: Vec<u32>,
-    by_qpn: HashMap<QpNum, Owner>,
+    /// Indexed by QP number (dense per node, counted from 1).
+    by_qpn: Vec<Option<Owner>>,
     /// Next slab slot to service first (round-robin fairness cursor).
     cursor: usize,
     /// Last drain stopped at the batch bound with the CQ possibly
@@ -208,9 +221,10 @@ impl Reactor {
             cfg,
             conns: Vec::new(),
             free: Vec::new(),
+            live: 0,
             muxes: Vec::new(),
             mux_free: Vec::new(),
-            by_qpn: HashMap::new(),
+            by_qpn: Vec::new(),
             cursor: 0,
             saturated: false,
             stats: ReactorStats::default(),
@@ -243,6 +257,7 @@ impl Reactor {
             sock,
         };
         self.stats.conns_added += 1;
+        self.live += 1;
         let idx = match self.free.pop() {
             Some(idx) => {
                 self.conns[idx as usize] = Some(conn);
@@ -258,9 +273,18 @@ impl Reactor {
             .expect("just added")
             .sock
             .qpn();
-        let prev = self.by_qpn.insert(qpn, Owner::Conn(idx));
+        let prev = self.owner_entry(qpn).replace(Owner::Conn(idx));
         assert!(prev.is_none(), "duplicate QP {qpn:?} in reactor");
         ConnId(idx)
+    }
+
+    /// The `by_qpn` entry of `qpn`, growing the table to reach it.
+    fn owner_entry(&mut self, qpn: QpNum) -> &mut Option<Owner> {
+        let idx = qpn.0 as usize;
+        if self.by_qpn.len() <= idx {
+            self.by_qpn.resize(idx + 1, None);
+        }
+        &mut self.by_qpn[idx]
     }
 
     /// Hosts a [`MuxEndpoint`] in the event loop: every QP of its
@@ -309,7 +333,7 @@ impl Reactor {
             }
         }
         for qpn in qpns {
-            match self.by_qpn.insert(qpn, Owner::Mux(id.0)) {
+            match self.owner_entry(qpn).replace(Owner::Mux(id.0)) {
                 None => {}
                 Some(Owner::Mux(prev)) if prev == id.0 => {}
                 Some(_) => panic!("QP {qpn:?} already owned by another handler"),
@@ -323,8 +347,11 @@ impl Reactor {
         let host = self.muxes[id.0 as usize]
             .take()
             .expect("removing a live mux endpoint");
-        self.by_qpn
-            .retain(|_, owner| !matches!(owner, Owner::Mux(i) if *i == id.0));
+        for owner in &mut self.by_qpn {
+            if matches!(owner, Some(Owner::Mux(i)) if *i == id.0) {
+                *owner = None;
+            }
+        }
         self.mux_free.push(id.0);
         self.stats.orphan_cqes += host.queued.len() as u64;
         host.ep
@@ -379,8 +406,9 @@ impl Reactor {
         let conn = self.conns[id.0 as usize]
             .take()
             .expect("removing a live connection");
-        self.by_qpn.remove(&conn.sock.qpn());
+        *self.owner_entry(conn.sock.qpn()) = None;
         self.free.push(id.0);
+        self.live -= 1;
         self.stats.conns_removed += 1;
         self.stats.orphan_cqes += conn.queued.len() as u64;
         conn.sock
@@ -388,12 +416,12 @@ impl Reactor {
 
     /// Number of live connections.
     pub fn len(&self) -> usize {
-        self.conns.iter().filter(|c| c.is_some()).count()
+        self.live
     }
 
     /// True when no connections are registered.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.live == 0
     }
 
     /// Shared access to a connection's socket, or `None` for a stale
@@ -549,8 +577,8 @@ impl Reactor {
             self.stats.cq_batches += 1;
             self.stats.max_cq_batch = self.stats.max_cq_batch.max(got as u64);
             for cqe in self.scratch.drain(..) {
-                match self.by_qpn.get(&cqe.qpn) {
-                    Some(&Owner::Conn(idx)) => {
+                match self.by_qpn.get(cqe.qpn.0 as usize).copied().flatten() {
+                    Some(Owner::Conn(idx)) => {
                         self.conns[idx as usize]
                             .as_mut()
                             .expect("by_qpn points at live conn")
@@ -558,7 +586,7 @@ impl Reactor {
                             .push_back((side, cqe));
                         self.stats.cqes_dispatched += 1;
                     }
-                    Some(&Owner::Mux(idx)) => {
+                    Some(Owner::Mux(idx)) => {
                         self.muxes[idx as usize]
                             .as_mut()
                             .expect("by_qpn points at live mux")

@@ -21,13 +21,14 @@
 //! [`StreamSocket::handle_wake`] whenever the node wakes, then drain
 //! [`StreamSocket::take_events`].
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use rdma_verbs::{
     connect_pair, connect_pair_on_cqs, Cqe, MrInfo, NodeApi, NodeId, QpCaps, QpNum, RecvWr,
     RemoteAddr, SendWr, Sge, SimNet, WcOpcode, WcStatus,
 };
 use rdma_verbs::{Access, CqId, MrKey};
+use simnet::IntMap;
 
 use crate::port::VerbsPort;
 
@@ -121,7 +122,7 @@ pub struct StreamSocket {
     ring_mr: MrInfo,
     ctrl_mr: MrInfo,
     pending_sends: VecDeque<PendingSend>,
-    inflight: HashMap<u64, SendTrack>,
+    inflight: IntMap<u64, SendTrack>,
     /// Data WQEs awaiting retirement, in posting (= wr_id) order. RC
     /// FIFO means a signaled CQE for wr_id `W` implies every WQE with a
     /// smaller wr_id also completed, so one CQE drains the whole prefix
@@ -138,7 +139,7 @@ pub struct StreamSocket {
     stats: ConnStats,
     actions_scratch: Vec<RecvAction>,
     /// BCopy-mode staging regions, freed when the send completes.
-    staging: HashMap<u64, MrKey>,
+    staging: IntMap<u64, MrKey>,
     /// Staging regions whose send was cancelled; freed at the next
     /// progress round (`exs_cancel` has no backend handle to free them
     /// immediately).
@@ -1107,7 +1108,7 @@ impl PreparedSocket {
             ring_mr: self.ring_mr,
             ctrl_mr: self.ctrl_mr,
             pending_sends: VecDeque::new(),
-            inflight: HashMap::new(),
+            inflight: IntMap::default(),
             wwi_owner: VecDeque::new(),
             next_wr: 1,
             tx: TxPipe::new(),
@@ -1118,7 +1119,7 @@ impl PreparedSocket {
             events: Vec::new(),
             stats: ConnStats::default(),
             actions_scratch: Vec::new(),
-            staging: HashMap::new(),
+            staging: IntMap::default(),
             staging_orphans: Vec::new(),
             mrs_released: false,
             send_closed: false,

@@ -18,10 +18,8 @@
 //! RDMA WRITE/READ validate rkey, bounds and access flags against the
 //! registration table.
 
-use std::collections::HashMap;
-
 use bytes::Bytes;
-use simnet::SimDuration;
+use simnet::{SimDuration, Slab};
 
 use crate::cq::CompletionQueue;
 use crate::mr::{MemoryTable, MrInfo};
@@ -104,17 +102,27 @@ struct PendingRead {
     signaled: bool,
 }
 
+/// Table index of a QP number or CQ id: both count from 1. Id 0 wraps
+/// to an index no table reaches, so it reads as unknown.
+#[inline]
+fn index_of(id: u32) -> usize {
+    id.wrapping_sub(1) as usize
+}
+
 /// One node's verbs state.
+///
+/// Every id is an index. QP numbers and CQ ids are handed out from 1
+/// and never retired, so QP `n` is `qps[n - 1]` and CQ `n` is
+/// `cqs[n - 1]`; a READ's wire token is the slot its `PendingRead`
+/// waits in; memory keys are slot + generation (see [`crate::mr`]).
+/// Anything that walks these tables does so in id order.
 pub struct HcaCore {
     node: NodeId,
     cfg: HcaConfig,
     mem: MemoryTable,
-    qps: HashMap<u32, QueuePair>,
-    cqs: HashMap<u32, CompletionQueue>,
-    next_qpn: u32,
-    next_cq: u32,
-    pending_reads: HashMap<u64, PendingRead>,
-    next_read_token: u64,
+    qps: Vec<QueuePair>,
+    cqs: Vec<CompletionQueue>,
+    pending_reads: Slab<PendingRead>,
 }
 
 impl HcaCore {
@@ -124,12 +132,9 @@ impl HcaCore {
             node,
             cfg,
             mem: MemoryTable::new(),
-            qps: HashMap::new(),
-            cqs: HashMap::new(),
-            next_qpn: 1,
-            next_cq: 1,
-            pending_reads: HashMap::new(),
-            next_read_token: 1,
+            qps: Vec::new(),
+            cqs: Vec::new(),
+            pending_reads: Slab::new(),
         }
     }
 
@@ -172,29 +177,22 @@ impl HcaCore {
     /// Creates a completion queue of the given depth (0 uses the
     /// configured default).
     pub fn create_cq(&mut self, depth: usize) -> CqId {
-        let id = CqId(self.next_cq);
-        self.next_cq += 1;
+        let id = CqId(self.cqs.len() as u32 + 1);
         let depth = if depth == 0 {
             self.cfg.default_cq_depth
         } else {
             depth
         };
-        self.cqs.insert(id.0, CompletionQueue::new(id, depth));
+        self.cqs.push(CompletionQueue::new(id, depth));
         id
     }
 
     /// Creates a queue pair in the RESET state.
     pub fn create_qp(&mut self, send_cq: CqId, recv_cq: CqId, caps: QpCaps) -> Result<QpNum> {
-        if !self.cqs.contains_key(&send_cq.0) {
-            return Err(VerbsError::UnknownCq(send_cq));
-        }
-        if !self.cqs.contains_key(&recv_cq.0) {
-            return Err(VerbsError::UnknownCq(recv_cq));
-        }
-        let qpn = QpNum(self.next_qpn);
-        self.next_qpn += 1;
-        self.qps
-            .insert(qpn.0, QueuePair::new(qpn, send_cq, recv_cq, caps));
+        self.cq(send_cq)?;
+        self.cq(recv_cq)?;
+        let qpn = QpNum(self.qps.len() as u32 + 1);
+        self.qps.push(QueuePair::new(qpn, send_cq, recv_cq, caps));
         Ok(qpn)
     }
 
@@ -208,23 +206,35 @@ impl HcaCore {
     }
 
     /// Immutable QP access.
+    #[inline]
     pub fn qp(&self, qpn: QpNum) -> Result<&QueuePair> {
-        self.qps.get(&qpn.0).ok_or(VerbsError::UnknownQp(qpn))
+        self.qps
+            .get(index_of(qpn.0))
+            .ok_or(VerbsError::UnknownQp(qpn))
     }
 
     /// Mutable QP access.
+    #[inline]
     pub fn qp_mut(&mut self, qpn: QpNum) -> Result<&mut QueuePair> {
-        self.qps.get_mut(&qpn.0).ok_or(VerbsError::UnknownQp(qpn))
+        self.qps
+            .get_mut(index_of(qpn.0))
+            .ok_or(VerbsError::UnknownQp(qpn))
     }
 
     /// Immutable CQ access.
+    #[inline]
     pub fn cq(&self, cq: CqId) -> Result<&CompletionQueue> {
-        self.cqs.get(&cq.0).ok_or(VerbsError::UnknownCq(cq))
+        self.cqs
+            .get(index_of(cq.0))
+            .ok_or(VerbsError::UnknownCq(cq))
     }
 
     /// Mutable CQ access.
+    #[inline]
     pub fn cq_mut(&mut self, cq: CqId) -> Result<&mut CompletionQueue> {
-        self.cqs.get_mut(&cq.0).ok_or(VerbsError::UnknownCq(cq))
+        self.cqs
+            .get_mut(index_of(cq.0))
+            .ok_or(VerbsError::UnknownCq(cq))
     }
 
     /// Polls up to `max` completions from `cq`.
@@ -245,19 +255,19 @@ impl HcaCore {
 
     /// True if any CQ on this node holds completions (driver helper).
     pub fn any_cq_nonempty(&self) -> bool {
-        self.cqs.values().any(|c| !c.is_empty())
+        self.cqs.iter().any(|c| !c.is_empty())
     }
 
     /// Forces a QP into the error state (fault injection: cable pull,
     /// retry exhaustion, peer death). Every posted receive is flushed
     /// with a `WrFlushError` completion, as real RC hardware does, so
-    /// the ULP can learn which buffers were never filled.
-    pub fn fail_qp(&mut self, qpn: QpNum) -> Result<Vec<Effect>> {
+    /// the ULP can learn which buffers were never filled. One
+    /// [`Effect::Completion`] per flushed receive is appended to
+    /// `effects`.
+    pub fn fail_qp(&mut self, qpn: QpNum, effects: &mut Vec<Effect>) -> Result<()> {
         let qp = self.qp_mut(qpn)?;
         let recv_cq = qp.recv_cq();
-        let flushed = qp.to_error();
-        let mut effects = Vec::with_capacity(flushed.len());
-        for wr in flushed {
+        for wr in qp.to_error() {
             self.push_cqe(
                 recv_cq,
                 Cqe {
@@ -268,10 +278,10 @@ impl HcaCore {
                     imm: None,
                     qpn,
                 },
-                &mut effects,
+                effects,
             );
         }
-        Ok(effects)
+        Ok(())
     }
 
     /// Posts a receive WQE.
@@ -355,22 +365,17 @@ impl HcaCore {
                 let sge = wr
                     .sge
                     .ok_or(VerbsError::MalformedWr("RDMA READ without sge"))?;
-                let token = self.next_read_token;
-                self.next_read_token += 1;
-                self.pending_reads.insert(
-                    token,
-                    PendingRead {
-                        qpn,
-                        wr_id: wr.wr_id,
-                        sge,
-                        signaled: wr.signaled,
-                    },
-                );
+                let token = self.pending_reads.insert(PendingRead {
+                    qpn,
+                    wr_id: wr.wr_id,
+                    sge,
+                    signaled: wr.signaled,
+                });
                 WireOp::ReadReq {
                     raddr: r.addr,
                     rkey: r.rkey,
                     len: sge.len,
-                    token,
+                    token: token as u64,
                 }
             }
         };
@@ -449,23 +454,23 @@ impl HcaCore {
     }
 
     fn push_cqe(&mut self, cq: CqId, cqe: Cqe, effects: &mut Vec<Effect>) {
-        let q = self.cqs.get_mut(&cq.0).expect("CQ vanished");
-        let notify = q.push(cqe);
+        let notify = self.cqs[index_of(cq.0)].push(cqe);
         effects.push(Effect::Completion { cq, notify });
     }
 
-    /// Processes an arriving wire message, producing completions,
-    /// responder transmissions and/or fatal errors. `data` is the
-    /// message's payload as the driver resolved it — the message's own
-    /// bytes, or a borrowed view of the source region — and is copied
-    /// exactly once, into the destination region.
-    pub fn handle_wire(&mut self, msg: &WireMessage, data: &[u8]) -> Vec<Effect> {
+    /// Processes an arriving wire message, appending the completions,
+    /// responder transmissions and/or fatal errors it produces to
+    /// `effects` (the driver's scratch list, so a delivery allocates
+    /// nothing of its own). `data` is the message's payload as the
+    /// driver resolved it — the message's own bytes, or a borrowed view
+    /// of the source region — and is copied exactly once, into the
+    /// destination region.
+    pub fn handle_wire(&mut self, msg: &WireMessage, data: &[u8], effects: &mut Vec<Effect>) {
         debug_assert_eq!(data.len(), msg.payload.len());
-        let mut effects = Vec::new();
         let qpn = msg.dst.1;
         match msg.op {
             WireOp::Send { imm } => {
-                self.receive_into_posted(qpn, data, imm, WcOpcode::Recv, &mut effects);
+                self.receive_into_posted(qpn, data, imm, WcOpcode::Recv, effects);
             }
             WireOp::Write { raddr, rkey } => {
                 if let Err(e) = self.mem.dma_write(rkey, raddr, data, Access::REMOTE_WRITE) {
@@ -483,14 +488,13 @@ impl HcaCore {
                         status: WcStatus::RemoteAccessError,
                         detail: format!("RDMA WRITE WITH IMM rejected: {e}"),
                     });
-                    return effects;
+                    return;
                 }
                 // The notification consumes a receive WQE, but the data
                 // was placed by the WRITE part: the RECV's own buffer is
                 // untouched.
-                match self.qp_mut(qpn).ok().and_then(|qp| qp.consume_recv()) {
-                    Some(recv) => {
-                        let cq = self.qp(qpn).expect("qp exists").recv_cq();
+                match self.consume_recv(qpn) {
+                    Some((recv, cq)) => {
                         self.push_cqe(
                             cq,
                             Cqe {
@@ -501,7 +505,7 @@ impl HcaCore {
                                 imm: Some(imm),
                                 qpn,
                             },
-                            &mut effects,
+                            effects,
                         );
                     }
                     None => effects.push(Effect::Fatal {
@@ -535,13 +539,16 @@ impl HcaCore {
                 }),
             },
             WireOp::ReadResp { token } => {
-                let Some(pending) = self.pending_reads.remove(&token) else {
+                let pending = u32::try_from(token)
+                    .ok()
+                    .and_then(|slot| self.pending_reads.remove(slot));
+                let Some(pending) = pending else {
                     effects.push(Effect::Fatal {
                         qpn,
                         status: WcStatus::LocalProtectionError,
                         detail: format!("READ response with unknown token {token}"),
                     });
-                    return effects;
+                    return;
                 };
                 if let Err(e) = self.mem.dma_write(
                     pending.sge.lkey,
@@ -554,7 +561,7 @@ impl HcaCore {
                         status: WcStatus::LocalProtectionError,
                         detail: format!("READ response placement failed: {e}"),
                     });
-                    return effects;
+                    return;
                 }
                 if let Ok(qp) = self.qp_mut(pending.qpn) {
                     qp.release_sq_slot();
@@ -568,11 +575,17 @@ impl HcaCore {
                         imm: None,
                         qpn: pending.qpn,
                     };
-                    self.push_completion_for_send(pending.qpn, cqe, &mut effects);
+                    self.push_completion_for_send(pending.qpn, cqe, effects);
                 }
             }
         }
-        effects
+    }
+
+    /// Takes the receive WQE at the head of `qpn`'s RQ, with the CQ its
+    /// completion goes to. `None` means receiver-not-ready.
+    fn consume_recv(&mut self, qpn: QpNum) -> Option<(RecvWr, CqId)> {
+        let qp = self.qp_mut(qpn).ok()?;
+        Some((qp.consume_recv()?, qp.recv_cq()))
     }
 
     fn receive_into_posted(
@@ -583,7 +596,7 @@ impl HcaCore {
         opcode: WcOpcode,
         effects: &mut Vec<Effect>,
     ) {
-        let recv = match self.qp_mut(qpn).ok().and_then(|qp| qp.consume_recv()) {
+        let (recv, cq) = match self.consume_recv(qpn) {
             Some(r) => r,
             None => {
                 effects.push(Effect::Fatal {
@@ -631,7 +644,6 @@ impl HcaCore {
                 return;
             }
         }
-        let cq = self.qp(qpn).expect("qp exists").recv_cq();
         self.push_cqe(
             cq,
             Cqe {
@@ -671,7 +683,9 @@ mod tests {
     /// Delivers `msg` from `from` to `to` the way `SimNet` does: the
     /// payload is read where it lies and copied once, into place.
     fn deliver(from: &HcaCore, to: &mut HcaCore, msg: &WireMessage) -> Vec<Effect> {
-        to.handle_wire(msg, msg.payload.resolve(from.mem()).unwrap())
+        let mut effects = Vec::new();
+        to.handle_wire(msg, msg.payload.resolve(from.mem()).unwrap(), &mut effects);
+        effects
     }
 
     fn drain(hca: &mut HcaCore, cq: CqId) -> Vec<Cqe> {

@@ -9,8 +9,16 @@
 //! validate key, bounds and access flags exactly as a real HCA's
 //! translation and protection table would. Every byte the table itself
 //! moves is counted in [`MemoryTable::bytes_copied`].
-
-use std::collections::HashMap;
+//!
+//! A key is an index, not a name to look up: its low 20 bits (`SLOT_BITS`)
+//! are the region's slot in the table and the bits above them the
+//! slot's *generation*, the way a real HCA's key is a table index plus
+//! a key byte. Deregistering bumps the slot's generation and frees it
+//! for the next registration, so the table stays as large as the live
+//! set under registration churn, while a stale key — same slot, older
+//! generation — fails `UnknownKey` like a key that never existed. A
+//! slot whose generations are used up is retired rather than wrapped,
+//! so that holds for every key ever issued.
 
 use bytes::Bytes;
 
@@ -95,42 +103,85 @@ impl MrInfo {
     }
 }
 
+/// Low bits of a key that hold the slot index: up to 2^20 regions live
+/// at once per node.
+const SLOT_BITS: u32 = 20;
+const SLOT_MASK: u32 = (1 << SLOT_BITS) - 1;
+/// Last generation of a slot: 4096 registrations, then it is retired.
+const MAX_GENERATION: u32 = (1 << (32 - SLOT_BITS)) - 1;
+
+/// Table index a key names (whatever its generation).
+#[inline]
+fn slot_of(key: MrKey) -> usize {
+    (key.0 & SLOT_MASK) as usize
+}
+
+/// One entry of the table: the generation its next (or current) key
+/// carries, and the region while one is registered here.
+struct Slot {
+    generation: u32,
+    region: Option<MemoryRegion>,
+}
+
 /// The per-node registration table.
-#[derive(Default)]
 pub struct MemoryTable {
-    regions: HashMap<u32, MemoryRegion>,
-    next_key: u32,
+    /// Indexed by a key's slot bits. Slot 0 is never allocated, so no
+    /// key is 0 and a table that never deregisters hands out 1, 2, 3, ….
+    slots: Vec<Slot>,
+    /// Vacant slots with generations left, most recently freed last.
+    free: Vec<u32>,
+    live: usize,
     cursor: u64,
     bytes_copied: u64,
+}
+
+impl Default for MemoryTable {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl MemoryTable {
     /// Creates an empty table.
     pub fn new() -> Self {
         MemoryTable {
-            regions: HashMap::new(),
-            next_key: 1,
+            slots: vec![Slot {
+                generation: 0,
+                region: None,
+            }],
+            free: Vec::new(),
+            live: 0,
             cursor: VA_BASE,
             bytes_copied: 0,
         }
     }
 
     /// Registers a zero-initialized region of `len` bytes.
+    ///
+    /// # Panics
+    /// Panics if 2^20 - 1 regions are already live on this node.
     pub fn register(&mut self, len: usize, access: Access) -> MrInfo {
-        let key = MrKey(self.next_key);
-        self.next_key += 1;
+        let slot = self.free.pop().unwrap_or_else(|| {
+            let slot = self.slots.len() as u32;
+            assert!(slot <= SLOT_MASK, "memory table full: {slot} regions");
+            self.slots.push(Slot {
+                generation: 0,
+                region: None,
+            });
+            slot
+        });
+        let entry = &mut self.slots[slot as usize];
+        let key = MrKey(entry.generation << SLOT_BITS | slot);
         let base = self.cursor;
         let span = (len as u64).div_ceil(PAGE).max(1) * PAGE;
         self.cursor += span;
-        self.regions.insert(
-            key.0,
-            MemoryRegion {
-                key,
-                base,
-                data: vec![0; len],
-                access,
-            },
-        );
+        entry.region = Some(MemoryRegion {
+            key,
+            base,
+            data: vec![0; len],
+            access,
+        });
+        self.live += 1;
         MrInfo {
             key,
             addr: base,
@@ -138,27 +189,42 @@ impl MemoryTable {
         }
     }
 
-    /// Deregisters a region. Returns an error for unknown keys.
+    /// Deregisters a region. Returns an error for unknown keys. The
+    /// region's slot is reused by a later registration under a new
+    /// generation, so `key` stays unknown from here on.
     pub fn deregister(&mut self, key: MrKey) -> Result<()> {
-        self.regions
-            .remove(&key.0)
-            .map(|_| ())
-            .ok_or(VerbsError::UnknownKey(key))
+        self.region(key)?;
+        let entry = &mut self.slots[slot_of(key)];
+        entry.region = None;
+        self.live -= 1;
+        if entry.generation < MAX_GENERATION {
+            entry.generation += 1;
+            self.free.push(slot_of(key) as u32);
+        }
+        Ok(())
     }
 
     /// Number of live registrations.
     pub fn len(&self) -> usize {
-        self.regions.len()
+        self.live
     }
 
     /// True when no regions are registered.
     pub fn is_empty(&self) -> bool {
-        self.regions.is_empty()
+        self.live == 0
+    }
+
+    /// Number of table slots allocated so far, vacant ones included:
+    /// the most regions that were ever live at once, plus the reserved
+    /// slot 0 and one retired slot per 4096 registrations that cycled
+    /// through the same slot.
+    pub fn slots(&self) -> usize {
+        self.slots.len()
     }
 
     /// Length in bytes of a live registration, if `key` is known.
     pub fn len_of(&self, key: MrKey) -> Option<usize> {
-        self.regions.get(&key.0).map(|r| r.data.len())
+        self.region(key).ok().map(|r| r.data.len())
     }
 
     /// Bytes this table has moved since creation: DMA placement
@@ -171,13 +237,23 @@ impl MemoryTable {
         self.bytes_copied
     }
 
+    /// The region `key` names: the one in its slot, if that region was
+    /// registered under this very key (slot and generation).
+    #[inline]
     fn region(&self, key: MrKey) -> Result<&MemoryRegion> {
-        self.regions.get(&key.0).ok_or(VerbsError::UnknownKey(key))
+        self.slots
+            .get(slot_of(key))
+            .and_then(|slot| slot.region.as_ref())
+            .filter(|region| region.key == key)
+            .ok_or(VerbsError::UnknownKey(key))
     }
 
+    #[inline]
     fn region_mut(&mut self, key: MrKey) -> Result<&mut MemoryRegion> {
-        self.regions
-            .get_mut(&key.0)
+        self.slots
+            .get_mut(slot_of(key))
+            .and_then(|slot| slot.region.as_mut())
+            .filter(|region| region.key == key)
             .ok_or(VerbsError::UnknownKey(key))
     }
 
@@ -272,9 +348,15 @@ impl MemoryTable {
             let to = region.check_range(dst_addr, len)?;
             region.data.copy_within(from..from + n, to);
         } else {
-            let [src, dst] = self.regions.get_disjoint_mut([&src_key.0, &dst_key.0]);
-            let src = src.ok_or(VerbsError::UnknownKey(src_key))?;
-            let dst = dst.ok_or(VerbsError::UnknownKey(dst_key))?;
+            self.region(src_key)?;
+            self.region(dst_key)?;
+            // Both keys are live and differ, so their slots differ too.
+            let [src, dst] = self
+                .slots
+                .get_disjoint_mut([slot_of(src_key), slot_of(dst_key)])
+                .expect("two live keys share a slot");
+            let src = src.region.as_ref().expect("checked live above");
+            let dst = dst.region.as_mut().expect("checked live above");
             let from = src.check_range(src_addr, len)?;
             let to = dst.check_range(dst_addr, len)?;
             dst.data[to..to + n].copy_from_slice(&src.data[from..from + n]);
@@ -382,6 +464,91 @@ mod tests {
             Err(VerbsError::UnknownKey(mr.key))
         );
         assert!(t.is_empty());
+    }
+
+    /// Every accessor, handed `key`, must refuse it as unknown.
+    fn assert_unknown_everywhere(t: &mut MemoryTable, key: MrKey, addr: u64, live: MrInfo) {
+        let unknown = Some(VerbsError::UnknownKey(key));
+        let results = [
+            t.dma_slice(key, addr, 1, Access::NONE).map(drop),
+            t.dma_write(key, addr, &[1], Access::NONE),
+            t.capture(key, addr, 1, Access::NONE).map(drop),
+            t.app_read(key, addr, &mut [0u8; 1]),
+            t.app_write(key, addr, &[1]),
+            t.local_copy(key, addr, live.key, live.addr, 1).map(drop),
+            t.local_copy(live.key, live.addr, key, addr, 1).map(drop),
+            t.local_copy(key, addr, key, addr, 1).map(drop),
+            t.deregister(key),
+        ];
+        for (i, result) in results.into_iter().enumerate() {
+            assert_eq!(result.err(), unknown, "accessor #{i}");
+        }
+        assert_eq!(t.len_of(key), None);
+    }
+
+    #[test]
+    fn stale_key_stays_unknown_after_its_slot_is_reused() {
+        let mut t = MemoryTable::new();
+        let other = t.register(8, Access::all());
+        let old = t.register(8, Access::all());
+        t.deregister(old.key).unwrap();
+        assert_unknown_everywhere(&mut t, old.key, old.addr, other);
+
+        // The next registration takes the freed slot under a new key.
+        let new = t.register(8, Access::all());
+        assert_eq!(slot_of(new.key), slot_of(old.key), "slot reused");
+        assert_ne!(new.key, old.key);
+        assert_eq!(t.slots(), 3, "reserved slot 0 + two regions");
+        // Neither the old key at its old address nor at the new region's
+        // address reaches the slot's new occupant.
+        assert_unknown_everywhere(&mut t, old.key, old.addr, other);
+        assert_unknown_everywhere(&mut t, old.key, new.addr, other);
+        t.app_write(new.key, new.addr, b"intact").unwrap();
+        let mut buf = [0u8; 6];
+        t.app_read(new.key, new.addr, &mut buf).unwrap();
+        assert_eq!(&buf, b"intact");
+        assert_eq!((t.len(), t.bytes_copied()), (2, 0));
+    }
+
+    #[test]
+    fn keys_of_a_table_that_never_deregisters_count_from_one() {
+        let mut t = MemoryTable::new();
+        let keys: Vec<u32> = (0..5).map(|_| t.register(1, Access::NONE).key.0).collect();
+        assert_eq!(keys, [1, 2, 3, 4, 5]);
+        assert_eq!(
+            t.app_read(MrKey(0), VA_BASE, &mut [0u8; 1]),
+            Err(VerbsError::UnknownKey(MrKey(0)))
+        );
+    }
+
+    #[test]
+    fn registration_churn_is_bounded_by_the_live_set_and_never_repeats_a_key() {
+        const CYCLES: usize = 100_000;
+        let mut t = MemoryTable::new();
+        let pinned: Vec<MrInfo> = (0..3).map(|_| t.register(16, Access::all())).collect();
+        let mut seen = std::collections::BTreeSet::new();
+        let mut first = None;
+        for _ in 0..CYCLES {
+            let a = t.register(16, Access::all());
+            let b = t.register(16, Access::all());
+            assert!(seen.insert(a.key) && seen.insert(b.key), "key issued twice");
+            first.get_or_insert(a.key);
+            t.deregister(a.key).unwrap();
+            t.deregister(b.key).unwrap();
+        }
+        assert_eq!(t.len(), pinned.len());
+        // Five regions live at the peak, the reserved slot, and one
+        // retired slot per MAX_GENERATION + 1 uses of a slot.
+        let retired = 2 * CYCLES / (MAX_GENERATION as usize + 1);
+        assert!(
+            t.slots() <= 1 + 5 + retired + 2,
+            "{} slots after {CYCLES} cycles",
+            t.slots()
+        );
+        assert_unknown_everywhere(&mut t, first.unwrap(), VA_BASE, pinned[0]);
+        for mr in pinned {
+            t.app_write(mr.key, mr.addr, &[7]).unwrap();
+        }
     }
 
     #[test]

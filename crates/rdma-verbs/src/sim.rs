@@ -28,11 +28,9 @@
 //!   per wake, modelling event notification rather than busy polling
 //!   (the mode used by the paper's measurements).
 
-use std::collections::HashMap;
-
 use simnet::fabric::{FabricModel, FabricStats, FairShareFabric, FlowKey, Transfer};
 use simnet::trace::TraceRing;
-use simnet::{EventId, Link, LinkConfig, Scheduler, SimDuration, SimTime, Xoshiro256};
+use simnet::{EventId, Link, LinkConfig, Scheduler, SimDuration, SimTime, Slab, Xoshiro256};
 
 use crate::hca::{Effect, HcaConfig, HcaCore, PreparedSend};
 use crate::host::{CpuMeter, HostModel};
@@ -86,7 +84,7 @@ enum Ev {
     /// to the fabric allocator (the flow-level analogue of
     /// `Link::transit`).
     FabricStart {
-        token: u64,
+        token: u32,
     },
     /// Fair-share mode: the head transfer of flow `src → dst` moved its
     /// last bit. Scheduled at the allocator's predicted finish time and
@@ -112,13 +110,8 @@ struct PendingTx {
 struct FabricRt {
     model: FabricModel,
     fair: Option<FairShareFabric>,
-    /// Messages owned by the allocator, by transfer token.
-    pending: HashMap<u64, PendingTx>,
-    next_token: u64,
-    /// The scheduled head-completion event per active flow. Entries are
-    /// removed when the event fires, so a cancel here always targets a
-    /// still-pending event (the scheduler's lazy-cancel contract).
-    head_events: HashMap<FlowKey, EventId>,
+    /// Messages owned by the allocator; a transfer's token is its slot.
+    pending: Slab<PendingTx>,
 }
 
 impl FabricRt {
@@ -126,10 +119,66 @@ impl FabricRt {
         FabricRt {
             model: FabricModel::Fifo,
             fair: None,
-            pending: HashMap::new(),
-            next_token: 0,
-            head_events: HashMap::new(),
+            pending: Slab::new(),
         }
+    }
+}
+
+/// The directed link `src → dst` and the driver state kept per node
+/// pair.
+struct PairLink {
+    link: Link,
+    /// Fault injection: messages arriving over this link are lost.
+    down: bool,
+    /// Fair-share mode: the scheduled head-completion event of the
+    /// flow on this link, `None` while the flow is idle or the event is
+    /// being handled.
+    head_event: Option<EventId>,
+}
+
+/// Every connected directed link, one row per source node indexed by
+/// destination node.
+#[derive(Default)]
+struct LinkTable {
+    rows: Vec<Vec<Option<PairLink>>>,
+}
+
+impl LinkTable {
+    fn is_empty(&self) -> bool {
+        self.rows.is_empty()
+    }
+
+    fn connect(&mut self, src: u32, dst: u32, link: Link) {
+        let (src, dst) = (src as usize, dst as usize);
+        if self.rows.len() <= src {
+            self.rows.resize_with(src + 1, Vec::new);
+        }
+        let row = &mut self.rows[src];
+        if row.len() <= dst {
+            row.resize_with(dst + 1, || None);
+        }
+        row[dst] = Some(PairLink {
+            link,
+            down: false,
+            head_event: None,
+        });
+    }
+
+    fn get(&self, src: u32, dst: u32) -> Option<&PairLink> {
+        self.rows.get(src as usize)?.get(dst as usize)?.as_ref()
+    }
+
+    /// The link a message or flow is already travelling on.
+    ///
+    /// # Panics
+    /// Panics if `src → dst` was never connected.
+    #[inline]
+    fn expect_mut(&mut self, src: u32, dst: u32) -> &mut PairLink {
+        self.rows
+            .get_mut(src as usize)
+            .and_then(|row| row.get_mut(dst as usize))
+            .and_then(Option::as_mut)
+            .unwrap_or_else(|| panic!("no link from {:?} to {:?}", NodeId(src), NodeId(dst)))
     }
 }
 
@@ -138,22 +187,16 @@ impl FabricRt {
 /// to `now` so the scheduler's monotonic contract holds.
 fn apply_flow_changes(
     sched: &mut Scheduler<Ev>,
-    head_events: &mut HashMap<FlowKey, EventId>,
+    links: &mut LinkTable,
     now: SimTime,
     changes: Vec<(FlowKey, SimTime)>,
 ) {
-    for (key, finish) in changes {
-        if let Some(ev) = head_events.remove(&key) {
+    for ((src, dst), finish) in changes {
+        let head_event = &mut links.expect_mut(src, dst).head_event;
+        if let Some(ev) = head_event.take() {
             sched.cancel(ev);
         }
-        let id = sched.schedule_at(
-            finish.max(now),
-            Ev::FlowHeadDone {
-                src: key.0,
-                dst: key.1,
-            },
-        );
-        head_events.insert(key, id);
+        *head_event = Some(sched.schedule_at(finish.max(now), Ev::FlowHeadDone { src, dst }));
     }
 }
 
@@ -225,13 +268,16 @@ pub struct RunOutcome {
 pub struct SimNet {
     sched: Scheduler<Ev>,
     nodes: Vec<NodeRuntime>,
-    links: HashMap<(u32, u32), Link>,
+    links: LinkTable,
     fabric: FabricRt,
     fatal: Vec<String>,
     panic_on_fatal: bool,
     host_seed: u64,
     trace: TraceRing,
-    down_links: std::collections::HashSet<(u32, u32)>,
+    /// What the event being handled produced; filled by the HCA, drained
+    /// by `apply_effects`, and reused so the per-event path allocates
+    /// nothing for it.
+    effects: Vec<Effect>,
 }
 
 impl Default for SimNet {
@@ -246,13 +292,13 @@ impl SimNet {
         SimNet {
             sched: Scheduler::new(),
             nodes: Vec::new(),
-            links: HashMap::new(),
+            links: LinkTable::default(),
             fabric: FabricRt::fifo(),
             fatal: Vec::new(),
             panic_on_fatal: true,
             host_seed: 0x5EED,
             trace: TraceRing::disabled(),
-            down_links: std::collections::HashSet::new(),
+            effects: Vec::new(),
         }
     }
 
@@ -340,9 +386,9 @@ impl SimNet {
             fair.register_link(b.0, a.0, b_to_a.bandwidth_bps);
         }
         self.links
-            .insert((a.0, b.0), Link::new(a_to_b, seed.wrapping_mul(2)));
+            .connect(a.0, b.0, Link::new(a_to_b, seed.wrapping_mul(2)));
         self.links
-            .insert((b.0, a.0), Link::new(b_to_a, seed.wrapping_mul(2) + 1));
+            .connect(b.0, a.0, Link::new(b_to_a, seed.wrapping_mul(2) + 1));
     }
 
     /// By default a [`Effect::Fatal`] (RNR, remote access error) panics,
@@ -381,8 +427,8 @@ impl SimNet {
     /// Payload bytes carried so far on the directed link `a → b`.
     pub fn link_bytes(&self, a: NodeId, b: NodeId) -> u64 {
         self.links
-            .get(&(a.0, b.0))
-            .map(|l| l.bytes_sent())
+            .get(a.0, b.0)
+            .map(|l| l.link.bytes_sent())
             .unwrap_or(0)
     }
 
@@ -392,12 +438,11 @@ impl SimNet {
     /// the transport retry period the sending QP fails with
     /// `RnrRetryExceeded`-style transport errors, flushing its receives
     /// — the observable behaviour of RC retry exhaustion.
+    ///
+    /// # Panics
+    /// Panics if `a → b` was never connected.
     pub fn set_link_up(&mut self, a: NodeId, b: NodeId, up: bool) {
-        if up {
-            self.down_links.remove(&(a.0, b.0));
-        } else {
-            self.down_links.insert((a.0, b.0));
-        }
+        self.links.expect_mut(a.0, b.0).down = !up;
     }
 
     /// Fault injection: fails a QP (error state + receive flush) at the
@@ -405,8 +450,10 @@ impl SimNet {
     /// like any other completion.
     pub fn inject_qp_error(&mut self, node: NodeId, qpn: QpNum) -> Result<()> {
         let now = self.sched.now();
-        let effects = self.nodes[node.index()].hca.fail_qp(qpn)?;
-        self.apply_effects(node, effects, now);
+        self.nodes[node.index()]
+            .hca
+            .fail_qp(qpn, &mut self.effects)?;
+        self.apply_effects(node, now);
         Ok(())
     }
 
@@ -492,7 +539,7 @@ impl SimNet {
                     let (src, dst) = (msg.src_node(), msg.dst_node());
                     // The link is checked first: a message lost on the
                     // wire never has its source read.
-                    let lost = if self.down_links.contains(&(src.0, dst.0)) {
+                    let lost = if self.links.get(src.0, dst.0).is_some_and(|l| l.down) {
                         Some("link down")
                     } else {
                         if self.trace.is_enabled() {
@@ -506,9 +553,9 @@ impl SimNet {
                                 ),
                             );
                         }
-                        match place(&mut self.nodes, &msg) {
-                            Ok(effects) => {
-                                self.apply_effects(dst, effects, now);
+                        match place(&mut self.nodes, &msg, &mut self.effects) {
+                            Ok(()) => {
+                                self.apply_effects(dst, now);
                                 None
                             }
                             // The posted range is no longer registered:
@@ -537,11 +584,10 @@ impl SimNet {
                     }
                 }
                 Ev::TxDone { node, qpn, cqe } => {
-                    let mut effects = Vec::new();
                     self.nodes[node.index()]
                         .hca
-                        .tx_finished(qpn, cqe, &mut effects);
-                    self.apply_effects(node, effects, now);
+                        .tx_finished(qpn, cqe, &mut self.effects);
+                    self.apply_effects(node, now);
                 }
                 Ev::Wake { node } => {
                     if self.trace.is_enabled() {
@@ -595,23 +641,24 @@ impl SimNet {
                     // Retry exhaustion for a message lost on a downed
                     // link. The QP may already be in the error state
                     // (several losses); that is fine.
-                    if let Ok(effects) = self.nodes[node.index()].hca.fail_qp(qpn) {
-                        self.apply_effects(node, effects, now);
+                    if self.nodes[node.index()]
+                        .hca
+                        .fail_qp(qpn, &mut self.effects)
+                        .is_ok()
+                    {
+                        self.apply_effects(node, now);
                     }
                 }
                 Ev::FabricStart { token } => {
                     let pending = self
                         .fabric
                         .pending
-                        .get(&token)
+                        .get(token)
                         .expect("FabricStart for unknown transfer");
                     let src = pending.msg.src_node();
                     let dst = pending.msg.dst_node();
                     let payload = pending.msg.payload_len();
-                    let link = self
-                        .links
-                        .get_mut(&(src.0, dst.0))
-                        .unwrap_or_else(|| panic!("no link from {src:?} to {dst:?}"));
+                    let link = &mut self.links.expect_mut(src.0, dst.0).link;
                     // Utilisation gauges still live on the per-pair link;
                     // timing moves to the allocator.
                     link.account(payload);
@@ -622,27 +669,24 @@ impl SimNet {
                         src.0,
                         dst.0,
                         Transfer {
-                            token,
+                            token: token as u64,
                             wire_bytes,
                             payload_bytes: payload,
                         },
                     );
-                    apply_flow_changes(&mut self.sched, &mut self.fabric.head_events, now, changes);
+                    apply_flow_changes(&mut self.sched, &mut self.links, now, changes);
                 }
                 Ev::FlowHeadDone { src, dst } => {
-                    self.fabric.head_events.remove(&(src, dst));
-                    let link_cfg = self
-                        .links
-                        .get(&(src, dst))
-                        .expect("flow on unknown link")
-                        .config();
+                    let pair = self.links.expect_mut(src, dst);
+                    pair.head_event = None;
+                    let link_cfg = pair.link.config();
                     let (prop, jitter) = (link_cfg.propagation, link_cfg.jitter);
                     let fair = self.fabric.fair.as_mut().expect("fair-share mode");
                     let (transfer, arrival, changes) = fair.complete(now, src, dst, prop, jitter);
                     let pending = self
                         .fabric
                         .pending
-                        .remove(&transfer.token)
+                        .remove(transfer.token as u32)
                         .expect("completed transfer has no message");
                     let (src_node, src_qpn) = pending.msg.src;
                     // Same RC ack model as the FIFO path (see `launch`,
@@ -661,14 +705,19 @@ impl SimNet {
                             },
                         );
                     }
-                    apply_flow_changes(&mut self.sched, &mut self.fabric.head_events, now, changes);
+                    apply_flow_changes(&mut self.sched, &mut self.links, now, changes);
                 }
             }
         }
     }
 
-    fn apply_effects(&mut self, node: NodeId, effects: Vec<Effect>, now: SimTime) {
-        for effect in effects {
+    /// Applies, then clears, what the HCA of `node` left in
+    /// `self.effects`.
+    fn apply_effects(&mut self, node: NodeId, now: SimTime) {
+        // Taken out for the loop: applying an effect needs `self`, and
+        // never produces another one.
+        let mut effects = std::mem::take(&mut self.effects);
+        for effect in effects.drain(..) {
             match effect {
                 Effect::Completion { .. } => {
                     let SimNet { sched, nodes, .. } = self;
@@ -713,6 +762,7 @@ impl SimNet {
                 }
             }
         }
+        self.effects = effects;
     }
 }
 
@@ -745,7 +795,7 @@ fn op_tag(op: &crate::wire::WireOp) -> &'static str {
 /// responses, which bypass the send queue.
 fn launch(
     rt: &mut NodeRuntime,
-    links: &mut HashMap<(u32, u32), Link>,
+    links: &mut LinkTable,
     sched: &mut Scheduler<Ev>,
     fabric: &mut FabricRt,
     prepared: PreparedSend,
@@ -769,24 +819,17 @@ fn launch(
 
     if fabric.fair.is_some() {
         // Fair-share mode: the wire phase belongs to the allocator.
-        let token = fabric.next_token;
-        fabric.next_token += 1;
-        fabric.pending.insert(
-            token,
-            PendingTx {
-                msg: prepared.msg,
-                cqe: prepared.completion,
-                is_read: prepared.is_read,
-                owns_sq_slot,
-            },
-        );
+        let token = fabric.pending.insert(PendingTx {
+            msg: prepared.msg,
+            cqe: prepared.completion,
+            is_read: prepared.is_read,
+            owns_sq_slot,
+        });
         sched.schedule_at(proc_done, Ev::FabricStart { token });
         return;
     }
 
-    let link = links
-        .get_mut(&(src_node.0, dst_node.0))
-        .unwrap_or_else(|| panic!("no link from {src_node:?} to {dst_node:?}"));
+    let link = &mut links.expect_mut(src_node.0, dst_node.0).link;
     let payload_len = prepared.msg.payload_len();
     let back_prop = link.config().propagation;
     let arrival = link.transit(proc_done, payload_len);
@@ -817,15 +860,16 @@ fn launch(
 /// Delivers `msg` to its destination HCA, copying the payload once:
 /// straight from the source node's region when the message only
 /// describes it. Fails, having placed nothing, if that range can no
-/// longer be read.
-fn place(nodes: &mut [NodeRuntime], msg: &WireMessage) -> Result<Vec<Effect>> {
+/// longer be read. What the delivery produced is appended to `effects`.
+fn place(nodes: &mut [NodeRuntime], msg: &WireMessage, effects: &mut Vec<Effect>) -> Result<()> {
     let (src, dst) = (msg.src_node().index(), msg.dst_node().index());
     if src == dst {
         // Loopback: one table cannot be lent out as source and
         // destination at once, so the payload is staged.
         let hca = &mut nodes[dst].hca;
         let staged = hca.capture_payload(&msg.payload)?;
-        return Ok(hca.handle_wire(msg, &staged));
+        hca.handle_wire(msg, &staged, effects);
+        return Ok(());
     }
     let (low, high) = nodes.split_at_mut(src.max(dst));
     let (from, to) = if src < dst {
@@ -834,7 +878,8 @@ fn place(nodes: &mut [NodeRuntime], msg: &WireMessage) -> Result<Vec<Effect>> {
         (&high[0], &mut low[dst])
     };
     let data = msg.payload.resolve(from.hca.mem())?;
-    Ok(to.hca.handle_wire(msg, data))
+    to.hca.handle_wire(msg, data, effects);
+    Ok(())
 }
 
 /// Per-node handle passed to [`NodeApp`] callbacks and
@@ -842,7 +887,7 @@ fn place(nodes: &mut [NodeRuntime], msg: &WireMessage) -> Result<Vec<Effect>> {
 pub struct NodeApi<'a> {
     node: NodeId,
     rt: &'a mut NodeRuntime,
-    links: &'a mut HashMap<(u32, u32), Link>,
+    links: &'a mut LinkTable,
     sched: &'a mut Scheduler<Ev>,
     fabric: &'a mut FabricRt,
     /// This handler's CPU-time cursor: verbs posts issued through the api

@@ -198,6 +198,7 @@ impl ThreadNet {
             // directly, preserving FIFO because this thread is the only
             // producer for that direction's responses.
             let handle = std::thread::spawn(move || {
+                let mut effects = Vec::new();
                 while let Ok(msg) = rx.recv() {
                     let _delivery = Delivery(&in_flight);
                     if stop.load(Ordering::Acquire) {
@@ -206,8 +207,8 @@ impl ThreadNet {
                     if !delay.is_zero() {
                         std::thread::sleep(delay);
                     }
-                    let effects = deliver(&dst, &msg);
-                    apply_effects(&dst, &src_arc, effects, &fatal);
+                    deliver(&dst, &msg, &mut effects);
+                    apply_effects(&dst, &src_arc, &mut effects, &fatal);
                 }
             });
             self.handles.push(handle);
@@ -363,24 +364,25 @@ fn prepare_captured(hca: &mut HcaCore, qpn: QpNum, wr: SendWr) -> Result<Prepare
     Ok(prepared)
 }
 
-/// Applies an arrived message at `node`.
-fn deliver(node: &ThreadNode, msg: &WireMessage) -> Vec<Effect> {
+/// Applies an arrived message at `node`, appending what that produced
+/// to `effects`.
+fn deliver(node: &ThreadNode, msg: &WireMessage, effects: &mut Vec<Effect>) {
     let Payload::Owned(data) = &msg.payload else {
         unreachable!("every payload is captured at post time")
     };
-    node.hca.lock().handle_wire(msg, data)
+    node.hca.lock().handle_wire(msg, data, effects);
 }
 
-/// Applies what a delivery at `at` produced; `peer` is the other end of
-/// the link, where a READ response goes.
+/// Applies, and drains, what a delivery at `at` produced; `peer` is the
+/// other end of the link, where a READ response goes.
 fn apply_effects(
     at: &Arc<ThreadNode>,
     peer: &Arc<ThreadNode>,
-    effects: Vec<Effect>,
+    effects: &mut Vec<Effect>,
     fatal: &Mutex<Vec<String>>,
 ) {
     let mut completed = false;
-    for effect in effects {
+    for effect in effects.drain(..) {
         match effect {
             Effect::Completion { .. } => completed = true,
             Effect::Transmit(msg) => {
@@ -388,8 +390,9 @@ fn apply_effects(
                 // requester (this delivery thread is the only producer
                 // for response traffic in this direction, so FIFO
                 // holds). Responses do not chain, so this nests once.
-                let effects = deliver(peer, &msg);
-                apply_effects(peer, at, effects, fatal);
+                let mut effects = Vec::new();
+                deliver(peer, &msg, &mut effects);
+                apply_effects(peer, at, &mut effects, fatal);
             }
             Effect::Fatal {
                 qpn,
@@ -399,7 +402,8 @@ fn apply_effects(
                 fatal
                     .lock()
                     .push(format!("node {:?} qp {qpn:?}: {status:?}: {detail}", at.id));
-                if let Ok(flushed) = at.hca.lock().fail_qp(qpn) {
+                let mut flushed = Vec::new();
+                if at.hca.lock().fail_qp(qpn, &mut flushed).is_ok() {
                     completed |= !flushed.is_empty();
                 }
             }

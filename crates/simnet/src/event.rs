@@ -10,44 +10,32 @@
 //!    monotonically increasing sequence number). This is what makes whole
 //!    simulation runs reproducible.
 //! 3. **Cancellation.** Every scheduled event gets an [`EventId`];
-//!    cancelling marks it dead and it is skipped on pop. This implements
-//!    timers cheaply without rebuilding the heap.
+//!    cancelling drops the payload at once and the event is never
+//!    delivered. This implements timers cheaply without rebuilding the
+//!    heap.
+//!
+//! The heap orders 24-byte `(at, seq, slot)` keys only; each payload
+//! waits in a [`Slab`] slot, stamped with its sequence number, and is
+//! moved twice in its life — in at `schedule_at`, out at `pop` — however
+//! deep the heap is. Cancelling empties the slot and leaves the key
+//! behind; `pop` and `peek_time` discard keys whose slot is empty, and
+//! only then is the slot reused, so a key never names another event's
+//! payload. An [`EventId`] is the slot plus the stamp: an id whose event
+//! fired or was cancelled finds the slot vacant, empty or restamped, and
+//! [`Scheduler::cancel`] answers `false` without keeping any record of
+//! it.
 
-use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashSet};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
+use crate::slab::Slab;
 use crate::time::SimTime;
 
 /// Handle for a scheduled event, usable to cancel it before it fires.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-pub struct EventId(u64);
-
-struct Entry<E> {
-    at: SimTime,
+pub struct EventId {
     seq: u64,
-    id: EventId,
-    payload: E,
-}
-
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<E> Eq for Entry<E> {}
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest (time, seq) wins.
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
+    slot: u32,
 }
 
 /// A deterministic discrete-event queue with a virtual clock.
@@ -64,11 +52,15 @@ impl<E> Ord for Entry<E> {
 /// assert_eq!(sched.now(), SimTime::from_micros(1));
 /// ```
 pub struct Scheduler<E> {
-    heap: BinaryHeap<Entry<E>>,
+    /// Min-heap on `(at, seq)`; `seq` is unique, so `slot` never
+    /// decides an ordering.
+    heap: BinaryHeap<Reverse<(SimTime, u64, u32)>>,
+    /// One slot per key in the heap: the event's sequence number and
+    /// its payload, `None` once cancelled.
+    payloads: Slab<(u64, Option<E>)>,
     now: SimTime,
     next_seq: u64,
-    next_id: u64,
-    cancelled: HashSet<EventId>,
+    live: usize,
     popped: u64,
 }
 
@@ -83,10 +75,10 @@ impl<E> Scheduler<E> {
     pub fn new() -> Self {
         Scheduler {
             heap: BinaryHeap::new(),
+            payloads: Slab::new(),
             now: SimTime::ZERO,
             next_seq: 0,
-            next_id: 0,
-            cancelled: HashSet::new(),
+            live: 0,
             popped: 0,
         }
     }
@@ -100,12 +92,12 @@ impl<E> Scheduler<E> {
 
     /// Number of live (not cancelled) events still queued.
     pub fn len(&self) -> usize {
-        self.heap.len() - self.cancelled.len()
+        self.live
     }
 
     /// True if no live events remain.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.live == 0
     }
 
     /// Total number of events delivered so far.
@@ -123,17 +115,12 @@ impl<E> Scheduler<E> {
             "scheduling into the past: at={at:?} now={:?}",
             self.now
         );
-        let id = EventId(self.next_id);
-        self.next_id += 1;
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.heap.push(Entry {
-            at,
-            seq,
-            id,
-            payload,
-        });
-        id
+        let slot = self.payloads.insert((seq, Some(payload)));
+        self.heap.push(Reverse((at, seq, slot)));
+        self.live += 1;
+        EventId { seq, slot }
     }
 
     /// Schedules `payload` to fire `delay` after the current clock.
@@ -141,46 +128,46 @@ impl<E> Scheduler<E> {
         self.schedule_at(self.now + delay, payload)
     }
 
-    /// Cancels a pending event. Returns `true` if the event was still
-    /// pending (it will now never be delivered), `false` if it already
-    /// fired or was already cancelled.
+    /// Cancels a pending event, dropping its payload. Returns `true` if
+    /// the event was still pending (it will now never be delivered),
+    /// `false` if it already fired or was already cancelled.
     pub fn cancel(&mut self, id: EventId) -> bool {
-        if id.0 >= self.next_id {
-            return false;
+        match self.payloads.get_mut(id.slot) {
+            Some((seq, payload)) if *seq == id.seq && payload.is_some() => {
+                *payload = None;
+                self.live -= 1;
+                true
+            }
+            _ => false,
         }
-        // An id is pending iff it is in the heap; we cannot test the heap
-        // directly, so rely on the cancellation set plus pop-side skipping.
-        // Inserting an id that already fired is harmless: pop removes
-        // cancelled ids lazily and the set entry is dropped when the heap
-        // entry would have been delivered, or never consulted again.
-        self.cancelled.insert(id)
     }
 
     /// Pops the next live event, advancing the clock to its timestamp.
     /// Returns `None` when the queue is exhausted.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        while let Some(entry) = self.heap.pop() {
-            if self.cancelled.remove(&entry.id) {
-                continue;
-            }
-            debug_assert!(entry.at >= self.now, "event queue went backwards");
-            self.now = entry.at;
+        while let Some(Reverse((at, _, slot))) = self.heap.pop() {
+            let (_, payload) = self.payloads.remove(slot).expect("heap key without a slot");
+            let Some(payload) = payload else {
+                continue; // cancelled
+            };
+            debug_assert!(at >= self.now, "event queue went backwards");
+            self.now = at;
+            self.live -= 1;
             self.popped += 1;
-            return Some((entry.at, entry.payload));
+            return Some((at, payload));
         }
         None
     }
 
     /// The timestamp of the next live event without popping it.
     pub fn peek_time(&mut self) -> Option<SimTime> {
-        // Drop dead entries from the top so peek is accurate.
-        while let Some(entry) = self.heap.peek() {
-            if self.cancelled.contains(&entry.id) {
-                let e = self.heap.pop().expect("peeked entry vanished");
-                self.cancelled.remove(&e.id);
-                continue;
+        // Drop cancelled keys from the top so peek is accurate.
+        while let Some(&Reverse((at, _, slot))) = self.heap.peek() {
+            if matches!(self.payloads.get(slot), Some((_, Some(_)))) {
+                return Some(at);
             }
-            return Some(entry.at);
+            self.heap.pop();
+            self.payloads.remove(slot);
         }
         None
     }
@@ -267,11 +254,48 @@ mod tests {
         let mut s = Scheduler::new();
         let a = s.schedule_at(SimTime::from_nanos(1), ());
         s.pop().unwrap();
-        // Already fired: cancel returns true only the first time it is
-        // marked, but the event is gone either way; the important property
-        // is that a bogus id is rejected.
-        assert!(!s.cancel(EventId(999)));
-        let _ = a;
+        assert!(!s.cancel(a), "already fired");
+        assert_eq!(s.len(), 0);
+        assert!(!s.cancel(EventId {
+            seq: 999,
+            slot: 999
+        }));
+        // The fired event's slot is reused; its id must not reach the
+        // new occupant.
+        let b = s.schedule_at(SimTime::from_nanos(2), ());
+        assert!(!s.cancel(a));
+        assert_eq!(s.len(), 1);
+        assert!(s.cancel(b));
+        assert!(!s.cancel(b), "already cancelled");
+        assert_eq!(s.len(), 0);
+        assert!(s.pop().is_none());
+        assert_eq!(s.delivered(), 1);
+    }
+
+    #[test]
+    fn cancel_drops_the_payload_at_once() {
+        let payload = std::rc::Rc::new(());
+        let mut s = Scheduler::new();
+        let id = s.schedule_at(SimTime::from_nanos(1), payload.clone());
+        assert_eq!(std::rc::Rc::strong_count(&payload), 2);
+        assert!(s.cancel(id));
+        assert_eq!(std::rc::Rc::strong_count(&payload), 1);
+    }
+
+    #[test]
+    fn slots_are_bounded_by_pending_events_not_by_events_scheduled() {
+        let mut s = Scheduler::new();
+        for i in 0..10_000u64 {
+            let keep = s.schedule_at(SimTime::from_nanos(i), i);
+            let drop = s.schedule_at(SimTime::from_nanos(i), u64::MAX);
+            assert!(s.cancel(drop));
+            assert_eq!(s.pop(), Some((SimTime::from_nanos(i), i)));
+            assert!(!s.cancel(keep));
+        }
+        // Each round's cancelled key surfaces during the next round's
+        // pop at the latest, so a handful of slots serve 20 000 events.
+        assert!(s.payloads.slots() <= 3, "slots: {}", s.payloads.slots());
+        assert_eq!((s.len(), s.delivered()), (0, 10_000));
     }
 
     #[test]

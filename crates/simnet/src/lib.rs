@@ -6,6 +6,9 @@
 //! * a virtual nanosecond clock ([`SimTime`], [`SimDuration`]),
 //! * a deterministic event scheduler ([`event::Scheduler`]) with stable
 //!   FIFO ordering for simultaneous events and cancellable timers,
+//! * the two id → state tables the layers above share: [`slab::Slab`]
+//!   (the id *is* the index) and [`intmap::IntMap`] (caller-chosen
+//!   integer ids, cheaply hashed),
 //! * a point-to-point link model ([`link::Link`]) with configurable
 //!   bandwidth, propagation delay and jitter, preserving strict FIFO
 //!   delivery (the ordering guarantee of an RDMA reliable-connected
@@ -31,13 +34,17 @@
 
 pub mod event;
 pub mod fabric;
+pub mod intmap;
 pub mod link;
 pub mod rng;
+pub mod slab;
 pub mod time;
 pub mod trace;
 
 pub use event::{EventId, Scheduler};
 pub use fabric::{FabricModel, FabricStats, FairShareConfig, FairShareFabric, FlowStats, Transfer};
+pub use intmap::IntMap;
 pub use link::{Link, LinkConfig};
 pub use rng::{SplitMix64, Xoshiro256};
+pub use slab::Slab;
 pub use time::{SimDuration, SimTime};

@@ -53,6 +53,70 @@ proptest! {
         prop_assert_eq!(popped, kept);
     }
 
+    /// The scheduler against a sorted-`Vec` reference model under any
+    /// interleaving of schedule, cancel (of a pending, fired, already
+    /// cancelled or repeated id), pop and `peek_time`: same delivery
+    /// order, same `cancel` answers, same `len()` and `delivered()`
+    /// after every step.
+    #[test]
+    fn scheduler_matches_reference_model(
+        ops in proptest::collection::vec((0u8..8, 0u64..40, any::<u16>()), 1..400),
+    ) {
+        let mut s = Scheduler::new();
+        // Reference: pending events as (at, payload), kept sorted by
+        // (at, payload); payloads are issued in scheduling order, so
+        // that is the (time, FIFO) order. `ids[payload]` is its handle.
+        let mut pending: Vec<(u64, usize)> = Vec::new();
+        let mut ids = Vec::new();
+        let mut now = 0u64;
+        let mut delivered = 0u64;
+        for (op, delta, pick) in ops {
+            match op {
+                // Schedule, weighted to keep the queue populated.
+                0..=3 => {
+                    let at = now + delta;
+                    let payload = ids.len();
+                    ids.push(s.schedule_at(SimTime::from_nanos(at), payload));
+                    let pos = pending.partition_point(|&e| e <= (at, payload));
+                    pending.insert(pos, (at, payload));
+                }
+                // Cancel any id ever issued, whatever became of it.
+                4 | 5 if !ids.is_empty() => {
+                    let victim = pick as usize % ids.len();
+                    let pos = pending.iter().position(|&(_, p)| p == victim);
+                    if let Some(pos) = pos {
+                        pending.remove(pos);
+                    }
+                    prop_assert_eq!(s.cancel(ids[victim]), pos.is_some());
+                }
+                6 => {
+                    let expect = if pending.is_empty() { None } else { Some(pending.remove(0)) };
+                    let got = s.pop().map(|(at, payload)| (at.as_nanos(), payload));
+                    prop_assert_eq!(got, expect);
+                    if let Some((at, _)) = expect {
+                        now = at;
+                        delivered += 1;
+                    }
+                    prop_assert_eq!(s.now().as_nanos(), now);
+                }
+                _ => {
+                    let expect = pending.first().map(|&(at, _)| at);
+                    prop_assert_eq!(s.peek_time().map(|t| t.as_nanos()), expect);
+                }
+            }
+            prop_assert_eq!(s.len(), pending.len());
+            prop_assert_eq!(s.is_empty(), pending.is_empty());
+            prop_assert_eq!(s.delivered(), delivered);
+        }
+        // Drain: what is left comes out in reference order.
+        for expect in pending {
+            let got = s.pop().map(|(at, payload)| (at.as_nanos(), payload));
+            prop_assert_eq!(got, Some(expect));
+        }
+        prop_assert!(s.pop().is_none());
+        prop_assert_eq!(s.len(), 0);
+    }
+
     /// Link delivery is FIFO for any jitter bound and submission pattern,
     /// and never earlier than physically possible.
     #[test]

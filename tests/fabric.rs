@@ -111,6 +111,7 @@ fn fair_share_fan_in_digests_match_fifo() {
         again.events, fair.events,
         "fair-share run is not reproducible"
     );
+    assert_eq!(again.elapsed, fair.elapsed);
     assert_eq!(again.digests, fair.digests);
 }
 

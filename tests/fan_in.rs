@@ -351,6 +351,7 @@ fn reactor_fan_in_is_byte_identical_across_backends() {
     // event for event.
     let again = run_fan_in(&spec);
     assert_eq!(again.events, sim.events, "sim run is not reproducible");
+    assert_eq!(again.elapsed, sim.elapsed);
     assert_eq!(again.digests, sim.digests);
 }
 
