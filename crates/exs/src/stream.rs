@@ -971,7 +971,25 @@ impl StreamSocket {
                 _ => CREDIT_RESERVE + 1,
             };
             if self.peer_credits < needed {
-                return;
+                // The reserved credit exists so that a credit return
+                // always gets through. One queued behind messages that
+                // cannot go would never use it, and with scarce credits
+                // both sides end up owing each other everything and
+                // unable to say so. A CREDIT carries nothing but the
+                // count, so its place among ADVERTs and ACKs means
+                // nothing: it overtakes.
+                let credit = self
+                    .pending_ctrl
+                    .iter()
+                    .position(|c| matches!(c, Ctrl::Credit));
+                match credit {
+                    Some(at) if self.peer_credits >= CREDIT_RESERVE => {
+                        self.pending_ctrl.remove(at);
+                        self.pending_ctrl.push_front(Ctrl::Credit);
+                        continue;
+                    }
+                    _ => return,
+                }
             }
             if api.sq_outstanding(self.qpn) + self.tx.staged() >= self.cfg.sq_depth {
                 return;

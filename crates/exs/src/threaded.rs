@@ -6,27 +6,39 @@
 //! simulator regenerates the figures; this module runs the *same*
 //! protocol state machines under genuine OS concurrency:
 //!
-//! * a [`ThreadStream`] endpoint wraps a [`StreamSocket`] in a mutex;
-//! * a service thread per endpoint waits on the node's completion
-//!   signal, drives `handle_wake`, and publishes completion events;
+//! * a [`ThreadStream`] endpoint wraps a [`StreamSocket`] in a mutex
+//!   and has no thread of its own: **the blocked caller is the progress
+//!   engine**. A thread waiting in `wait_send`/`wait_recv` (hence
+//!   `send_bytes`/`recv_exact`) polls the endpoint's CQs and drives
+//!   `handle_wake` itself, spins briefly on the node's completion
+//!   generation, then parks on it;
 //! * any number of application threads issue sends and receives
 //!   concurrently and block on their completions;
 //! * a server hosts its accepted connections in a
 //!   [`ThreadReactorPool`] instead — one service thread per reactor
-//!   shard (one shard by default), however many connections.
+//!   shard (one shard by default), however many connections: a server
+//!   owes its peers progress nobody called for.
+//!
+//! The contract that follows: **an endpoint progresses inside its
+//! calls.** Nothing works for a [`ThreadStream`] after a call returns,
+//! so the calls that end the caller's interest in it —
+//! [`ThreadStream::shutdown`], [`ThreadStream::flush`],
+//! [`ThreadStream::close`] — drive the socket until it owes the wire
+//! nothing ([`StreamSocket::has_unsent`]).
 //!
 //! Concurrent `send` calls are each atomic in the byte stream (the
 //! socket lock orders them); the interleaving *between* threads is
 //! unspecified, exactly like concurrent `write(2)` on a pipe.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
+use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
 use rdma_verbs::threaded::{ThreadNet, ThreadNode};
 use rdma_verbs::{Access, CqId, Cqe, MrInfo, MrKey, QpCaps, QpNum, RecvWr, Result, SendWr};
+use simnet::IntMap;
 
 use crate::config::ExsConfig;
 use crate::mempool::{MemPool, MrLease};
@@ -247,8 +259,8 @@ pub fn connect_mux_over(
 
 #[derive(Default)]
 struct EventBuf {
-    sends_done: HashMap<u64, u64>,
-    recvs_done: HashMap<u64, u32>,
+    sends_done: IntMap<u64, u64>,
+    recvs_done: IntMap<u64, u32>,
     peer_closed: bool,
     broken: bool,
 }
@@ -270,8 +282,9 @@ impl EventBuf {
     }
 }
 
-/// The one blocking wait of this module: parks on `cv` until `take`
-/// finds its completion in the guarded state, or `timeout` passes.
+/// The blocking wait of a [`ThreadReactorPool`] handle, whose shard's
+/// service thread does the polling: parks on `cv` until `take` finds
+/// its completion in the guarded state, or `timeout` passes.
 /// `take` answers `None` when the handle it looks under has no
 /// [`EventBuf`] — closed or never accepted; the wait then returns
 /// `None` at once instead of sleeping out the timeout.
@@ -302,18 +315,58 @@ fn synced_stats(sock: &mut StreamSocket, port: &ThreadPort<'_>) -> ConnStats {
     sock.stats().clone()
 }
 
+/// How long a blocked caller spins on the node's completion generation
+/// before it parks. A zero-delay round trip takes ~10 µs, a park and its
+/// wake-up several times that, so a caller whose completion is already
+/// on its way should not go to sleep for it.
+const SPIN: Duration = Duration::from_micros(50);
+
+/// Callers spinning right now, process-wide. At most one per core may:
+/// more would only take the cores from the threads they wait for.
+static SPINNERS: AtomicUsize = AtomicUsize::new(0);
+
+fn spin_limit() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
+
+/// Waits for `node`'s generation to leave `seen` or for `deadline`:
+/// spinning for up to [`SPIN`] if a spin slot is free, then parked.
+fn spin_then_park(node: &ThreadNode, seen: u64, deadline: Instant) {
+    if SPINNERS.fetch_add(1, Ordering::Relaxed) < spin_limit() {
+        let spin_until = deadline.min(Instant::now() + SPIN);
+        while node.generation() == seen && Instant::now() < spin_until {
+            std::hint::spin_loop();
+        }
+    }
+    SPINNERS.fetch_sub(1, Ordering::Relaxed);
+    node.wait_any(seen, deadline.saturating_duration_since(Instant::now()));
+}
+
+/// Lock order is `sock`, then `events`: whoever takes events off the
+/// socket absorbs them into the buffer before it releases the socket
+/// lock. A second caller, which polls after the first, then finds in the
+/// buffer whatever the first took off the CQs — otherwise it could poll
+/// an empty CQ, miss an event taken but not yet published, and park on a
+/// generation that has already moved.
 struct Shared {
     sock: Mutex<StreamSocket>,
     events: Mutex<EventBuf>,
-    cv: Condvar,
-    stop: AtomicBool,
+    /// Callers between announcing a wait and leaving it. Events one
+    /// caller publishes wake the node only when this is non-zero, so
+    /// the node's generation keeps meaning "completions landed". Same
+    /// store-then-load handshake as [`ThreadNode::notify`]: a waiter
+    /// counts itself in and then looks in `events`, a publisher fills
+    /// `events` and then reads the count.
+    waiters: AtomicUsize,
 }
 
 /// A blocking, thread-safe stream endpoint.
 ///
 /// Cloning the handle (via `Arc`) lets many threads share one
 /// connection; each operation blocks its calling thread until the
-/// protocol reports completion.
+/// protocol reports completion. The endpoint has no thread of its own:
+/// it progresses inside these calls (see the module docs).
 ///
 /// ```
 /// use exs::{ExsConfig, ThreadStream};
@@ -331,18 +384,18 @@ struct Shared {
 pub struct ThreadStream {
     net: Arc<ThreadNet>,
     node: Arc<ThreadNode>,
-    shared: Arc<Shared>,
+    shared: Shared,
     /// Staging-buffer pool, shared with every other endpoint on the
     /// same node (the reactor pool's accept path hands all clients of
     /// one node the same pool).
     pool: MemPool,
     next_id: AtomicU64,
-    service: Option<std::thread::JoinHandle<()>>,
 }
 
 impl ThreadStream {
     /// Creates a connected pair of blocking stream endpoints over a
     /// fresh two-node thread fabric with the given real link delay.
+    /// With no delay this starts no thread at all.
     pub fn pair(cfg: &ExsConfig, delay: Duration) -> (ThreadStream, ThreadStream) {
         let mut net = ThreadNet::new();
         let a = net.add_node(rdma_verbs::HcaConfig::default());
@@ -351,51 +404,27 @@ impl ThreadStream {
         let net = Arc::new(net);
         let (sock_a, sock_b) = connect_sockets_over(&a, &b, cfg, None);
         (
-            ThreadStream::start(net.clone(), a, sock_a, MemPool::new(cfg.pool.clone())),
-            ThreadStream::start(net, b, sock_b, MemPool::new(cfg.pool.clone())),
+            ThreadStream::new(net.clone(), a, sock_a, MemPool::new(cfg.pool.clone())),
+            ThreadStream::new(net, b, sock_b, MemPool::new(cfg.pool.clone())),
         )
     }
 
-    fn start(
+    fn new(
         net: Arc<ThreadNet>,
         node: Arc<ThreadNode>,
         sock: StreamSocket,
         pool: MemPool,
     ) -> ThreadStream {
-        let shared = Arc::new(Shared {
-            sock: Mutex::new(sock),
-            events: Mutex::new(EventBuf::default()),
-            cv: Condvar::new(),
-            stop: AtomicBool::new(false),
-        });
-        let service = {
-            let shared = shared.clone();
-            let net = net.clone();
-            let node = node.clone();
-            std::thread::spawn(move || {
-                let mut seen = node.generation();
-                while !shared.stop.load(Ordering::Acquire) {
-                    seen = node.wait_any(seen, Duration::from_millis(50));
-                    let events = {
-                        let mut sock = shared.sock.lock();
-                        let mut port = ThreadPort::new(&net, &node);
-                        sock.handle_wake(&mut port);
-                        sock.take_events()
-                    };
-                    if !events.is_empty() {
-                        shared.events.lock().absorb(events);
-                        shared.cv.notify_all();
-                    }
-                }
-            })
-        };
         ThreadStream {
             net,
             node,
-            shared,
+            shared: Shared {
+                sock: Mutex::new(sock),
+                events: Mutex::new(EventBuf::default()),
+                waiters: AtomicUsize::new(0),
+            },
             pool,
             next_id: AtomicU64::new(1),
-            service: Some(service),
         }
     }
 
@@ -422,54 +451,82 @@ impl ThreadStream {
         &self.pool
     }
 
+    /// Runs `op` on the locked socket and publishes the events it
+    /// produced: into the buffer before the socket lock is released
+    /// (see [`Shared`]), then a wake-up if another caller of this
+    /// stream is waiting for one.
+    fn with_sock<R>(&self, op: impl FnOnce(&mut StreamSocket, &mut ThreadPort<'_>) -> R) -> R {
+        let mut sock = self.shared.sock.lock();
+        let mut port = ThreadPort::new(&self.net, &self.node);
+        let result = op(&mut sock, &mut port);
+        let events = sock.take_events();
+        if events.is_empty() {
+            return result;
+        }
+        self.shared.events.lock().absorb(events);
+        drop(sock);
+        if self.shared.waiters.load(Ordering::SeqCst) != 0 {
+            self.node.notify();
+        }
+        result
+    }
+
+    /// One progress step on the calling thread: drains both CQs and
+    /// advances the protocol.
+    fn progress(&self) {
+        self.with_sock(|sock, port| sock.handle_wake(port));
+    }
+
     /// Starts an asynchronous send from registered memory; returns the
     /// operation id. The buffer must stay untouched until
     /// [`ThreadStream::wait_send`] returns it.
     pub fn send(&self, mr: &MrInfo, offset: u64, len: u64) -> u64 {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let mut sock = self.shared.sock.lock();
-        let mut port = ThreadPort::new(&self.net, &self.node);
-        sock.exs_send(&mut port, mr, offset, len, id);
-        let events = sock.take_events();
-        drop(sock);
-        self.publish(events);
+        self.with_sock(|sock, port| sock.exs_send(port, mr, offset, len, id));
         id
     }
 
     /// Starts an asynchronous receive into registered memory.
     pub fn recv(&self, mr: &MrInfo, offset: u64, len: u32, waitall: bool) -> u64 {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let mut sock = self.shared.sock.lock();
-        let mut port = ThreadPort::new(&self.net, &self.node);
-        sock.exs_recv(&mut port, mr, offset, len, waitall, id);
-        let events = sock.take_events();
-        drop(sock);
-        self.publish(events);
+        self.with_sock(|sock, port| sock.exs_recv(port, mr, offset, len, waitall, id));
         id
     }
 
-    fn publish(&self, events: Vec<ExsEvent>) {
-        if events.is_empty() {
-            return;
+    /// The blocking wait of this type, with the calling thread as the
+    /// progress engine: take a progress step, look for the completion
+    /// `take` wants, and if it is not there wait for the node's
+    /// generation to move ([`spin_then_park`]) — until `timeout`.
+    fn wait<T>(&self, timeout: Duration, take: impl Fn(&mut EventBuf) -> Option<T>) -> Option<T> {
+        let deadline = Instant::now() + timeout;
+        loop {
+            // Read before polling: whatever lands after this moves the
+            // generation, and the wait below returns at once.
+            let seen = self.node.generation();
+            self.progress();
+            self.shared.waiters.fetch_add(1, Ordering::SeqCst);
+            let done = take(&mut self.shared.events.lock());
+            let over = done.is_some() || Instant::now() >= deadline;
+            if !over {
+                spin_then_park(&self.node, seen, deadline);
+            }
+            self.shared.waiters.fetch_sub(1, Ordering::SeqCst);
+            if over {
+                return done;
+            }
         }
-        self.shared.events.lock().absorb(events);
-        self.shared.cv.notify_all();
     }
 
     /// Blocks until send `id` completes; returns the bytes sent, or
     /// `None` on timeout.
     pub fn wait_send(&self, id: u64, timeout: Duration) -> Option<u64> {
-        wait_event(&self.shared.events, &self.shared.cv, timeout, |buf| {
-            Some(buf.sends_done.remove(&id))
-        })
+        self.wait(timeout, |buf| buf.sends_done.remove(&id))
     }
 
     /// Blocks until receive `id` completes; returns the bytes received,
     /// or `None` on timeout.
     pub fn wait_recv(&self, id: u64, timeout: Duration) -> Option<u32> {
-        wait_event(&self.shared.events, &self.shared.cv, timeout, |buf| {
-            Some(buf.recvs_done.remove(&id))
-        })
+        self.wait(timeout, |buf| buf.recvs_done.remove(&id))
     }
 
     /// Convenience: sends `data` through a pool-leased staging buffer
@@ -503,34 +560,53 @@ impl ThreadStream {
         lease.read(&port, 0, buf).map_err(|_| "staging read failed")
     }
 
-    /// Pushes any coalesced-and-held small sends and staged WQEs to the
-    /// HCA immediately (the latency opt-out from transmit batching;
-    /// without it a held send goes out at the next service-thread
-    /// wake).
-    pub fn flush(&self) {
-        let events = {
-            let mut sock = self.shared.sock.lock();
-            let mut port = ThreadPort::new(&self.net, &self.node);
-            sock.tx_flush(&mut port);
-            sock.take_events()
-        };
-        self.publish(events);
+    /// Drives the socket on the calling thread until it owes the wire
+    /// nothing ([`StreamSocket::has_unsent`]) — bounded, so a peer that
+    /// never grants the credits cannot hold the caller for ever. What
+    /// `shutdown`, `flush` and `close` end with: after they return the
+    /// caller may never call again, and nothing else would send a FIN or
+    /// a held-back message queued behind flow control.
+    fn drain_unsent(&self) {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        loop {
+            let seen = self.node.generation();
+            let unsent = self.with_sock(|sock, port| {
+                sock.handle_wake(port);
+                sock.has_unsent()
+            });
+            if !unsent || Instant::now() >= deadline {
+                return;
+            }
+            spin_then_park(&self.node, seen, deadline);
+        }
     }
 
-    /// Half-closes the sending direction; queued data still drains.
+    /// Pushes any coalesced-and-held small sends and staged WQEs to the
+    /// HCA immediately (the latency opt-out from transmit batching), and
+    /// stays until everything queued has reached the wire: without it a
+    /// held send goes out inside the caller's next blocking call.
+    pub fn flush(&self) {
+        self.with_sock(|sock, port| sock.tx_flush(port));
+        self.drain_unsent();
+    }
+
+    /// Half-closes the sending direction. Queued data drains and the
+    /// FIN follows it before this returns (or after five seconds of a
+    /// peer granting nothing).
     pub fn shutdown(&self) {
-        let mut sock = self.shared.sock.lock();
-        let mut port = ThreadPort::new(&self.net, &self.node);
-        sock.exs_shutdown(&mut port);
+        self.with_sock(|sock, port| sock.exs_shutdown(port));
+        self.drain_unsent();
     }
 
     /// True once the peer has closed and its stream fully drained.
     pub fn peer_closed(&self) -> bool {
+        self.progress();
         self.shared.events.lock().peer_closed
     }
 
     /// True once the transport failed underneath the socket.
     pub fn is_broken(&self) -> bool {
+        self.progress();
         self.shared.events.lock().broken
     }
 
@@ -540,34 +616,20 @@ impl ThreadStream {
         synced_stats(&mut self.shared.sock.lock(), &port)
     }
 
-    /// Closes the endpoint: stops the service thread, releases every
+    /// Closes the endpoint: sends what it still owes, releases every
     /// registration the socket owns, and trims this handle's share of
     /// the staging pool. Idle registrations held for other endpoints on
     /// the same node stay cached; live leases elsewhere are untouched.
     pub fn close(&mut self) {
-        self.shared.stop.store(true, Ordering::Release);
-        self.shared.cv.notify_all();
-        if let Some(h) = self.service.take() {
-            let _ = h.join();
-        }
+        self.drain_unsent();
         // Late control traffic from the peer (final ACKs, credit
-        // returns) may still be in flight; let it land while our
-        // control slots are still registered.
+        // returns) may still be in flight on a delayed link; let it
+        // land while our control slots are still registered.
         self.net.quiesce();
         let mut sock = self.shared.sock.lock();
         let mut port = ThreadPort::new(&self.net, &self.node);
         sock.close(&mut port);
         self.pool.trim(&mut port);
-    }
-}
-
-impl Drop for ThreadStream {
-    fn drop(&mut self) {
-        self.shared.stop.store(true, Ordering::Release);
-        self.shared.cv.notify_all();
-        if let Some(h) = self.service.take() {
-            let _ = h.join();
-        }
     }
 }
 
@@ -701,9 +763,9 @@ struct Placement {
 /// [`Reactor`]s hosted on one node of the real-thread fabric — the
 /// thread backend's one serving front-end.
 ///
-/// Where each [`ThreadStream`] endpoint burns a service thread, the
-/// pool runs **one service thread per shard** for every connection it
-/// accepted: the thread parks on the node's completion signal
+/// Where a [`ThreadStream`] endpoint progresses only inside its
+/// owner's calls, the pool runs **one service thread per shard** for
+/// every connection it accepted: the thread parks on the node's completion signal
 /// ([`ThreadNode::wait_any`] — the completion-channel analogue), and
 /// each wake performs one bounded [`Reactor::poll`] over the shard's
 /// shared CQs. Application threads post sends/receives on any accepted
@@ -822,8 +884,8 @@ impl ThreadReactorPool {
     /// policy: builds a QP pair whose server side completes onto the
     /// chosen shard's CQs, registers the server socket with that
     /// shard's reactor, and returns the shard-qualified handle plus the
-    /// blocking client endpoint (which runs its own service thread, as
-    /// every [`ThreadStream`] does).
+    /// blocking client endpoint (which, as every [`ThreadStream`] does,
+    /// progresses inside its owner's calls).
     pub fn accept(&self, peer: &Arc<ThreadNode>, cfg: &ExsConfig) -> (ShardHandle, ThreadStream) {
         self.accept_with_affinity(peer, cfg, None)
     }
@@ -852,7 +914,7 @@ impl ThreadReactorPool {
             .entry(peer.id().0)
             .or_insert_with(|| MemPool::new(cfg.pool.clone()))
             .clone();
-        let client = ThreadStream::start(self.net.clone(), peer.clone(), client_sock, pool);
+        let client = ThreadStream::new(self.net.clone(), peer.clone(), client_sock, pool);
         (ShardHandle { shard, conn }, client)
     }
 
@@ -1153,6 +1215,135 @@ mod tests {
 
         let seen = reader.join().unwrap();
         assert_eq!(seen, vec![FRAMES as u32; WRITERS]);
+    }
+
+    /// Runs `body` on a thread of its own and fails if it is not done
+    /// within `limit` — far below the 30 s a blocking call sleeps when a
+    /// wake-up is lost.
+    fn within(limit: Duration, body: impl FnOnce() + Send + 'static) {
+        let (done, finished) = std::sync::mpsc::channel();
+        let thread = std::thread::spawn(move || {
+            body();
+            let _ = done.send(());
+        });
+        if let Err(std::sync::mpsc::RecvTimeoutError::Timeout) = finished.recv_timeout(limit) {
+            panic!("not done within {limit:?}: a wake-up was lost");
+        }
+        thread.join().expect("body panicked");
+    }
+
+    /// Both sides wait a millisecond before every send, so both leave
+    /// the spin and park on every trip: each message has to wake a
+    /// parked caller, and nothing else would.
+    #[test]
+    fn pingpong_between_parked_callers_loses_no_wakeup() {
+        const TRIPS: u32 = 500;
+        let pause = Duration::from_millis(1);
+        within(Duration::from_secs(15), move || {
+            let (a, b) = ThreadStream::pair(&ExsConfig::default(), Duration::ZERO);
+            let echo = std::thread::spawn(move || {
+                let mut buf = [0u8; 4];
+                for _ in 0..TRIPS {
+                    b.recv_exact(&mut buf).unwrap();
+                    std::thread::sleep(pause);
+                    b.send_bytes(&buf).unwrap();
+                }
+            });
+            let mut buf = [0u8; 4];
+            for trip in 0..TRIPS {
+                std::thread::sleep(pause);
+                a.send_bytes(&trip.to_le_bytes()).unwrap();
+                a.recv_exact(&mut buf).unwrap();
+                assert_eq!(u32::from_le_bytes(buf), trip);
+            }
+            echo.join().unwrap();
+        });
+    }
+
+    /// Four writers share one stream and pause between frames, so the
+    /// reader parks, and each writer's progress step keeps taking the
+    /// others' completions off the CQ: those reach their owners through
+    /// the buffer, and a waiting owner is woken for them.
+    #[test]
+    fn four_writers_share_a_stream_while_the_reader_parks() {
+        const WRITERS: u32 = 4;
+        const FRAMES: u32 = 100;
+        within(Duration::from_secs(15), || {
+            let (a, b) = ThreadStream::pair(&ExsConfig::default(), Duration::ZERO);
+            std::thread::scope(|s| {
+                for writer in 0..WRITERS {
+                    let a = &a;
+                    s.spawn(move || {
+                        for frame in 0..FRAMES {
+                            std::thread::sleep(Duration::from_micros(300));
+                            let mut bytes = [0u8; 8];
+                            bytes[..4].copy_from_slice(&writer.to_le_bytes());
+                            bytes[4..].copy_from_slice(&frame.to_le_bytes());
+                            a.send_bytes(&bytes).unwrap();
+                        }
+                    });
+                }
+                let mut next = [0u32; WRITERS as usize];
+                let mut bytes = [0u8; 8];
+                for _ in 0..WRITERS * FRAMES {
+                    b.recv_exact(&mut bytes).unwrap();
+                    let writer = u32::from_le_bytes(bytes[..4].try_into().unwrap()) as usize;
+                    let frame = u32::from_le_bytes(bytes[4..].try_into().unwrap());
+                    assert_eq!(frame, next[writer], "writer {writer} out of order");
+                    next[writer] += 1;
+                }
+                assert_eq!(next, [FRAMES; WRITERS as usize]);
+            });
+        });
+    }
+
+    /// `shutdown` is the closing side's last call. With the credits
+    /// spent the FIN cannot even be queued when it is made, and nothing
+    /// would send it later: the call itself has to stay until the peer
+    /// has read enough for it to go.
+    #[test]
+    fn shutdown_behind_exhausted_credits_still_delivers_end_of_stream() {
+        const MSGS: u64 = 64;
+        const LEN: u64 = 32;
+        within(Duration::from_secs(15), || {
+            let cfg = ExsConfig {
+                credits: 4,
+                coalesce_threshold: 0,
+                ..ExsConfig::default()
+            };
+            let (a, b) = ThreadStream::pair(&cfg, Duration::ZERO);
+            let src = a.register((MSGS * LEN) as usize, Access::NONE);
+            let pattern: Vec<u8> = (0..MSGS * LEN).map(|i| i as u8).collect();
+            a.node()
+                .with_hca(|h| h.mem_mut().app_write(src.key, src.addr, &pattern))
+                .unwrap();
+            // The peer has made no call yet, so it has returned no
+            // credit: most of these stay queued.
+            for msg in 0..MSGS {
+                a.send(&src, msg * LEN, LEN);
+            }
+            assert!(a.shared.sock.lock().has_unsent(), "credits never ran out");
+
+            std::thread::scope(|s| {
+                s.spawn(|| a.shutdown());
+                let dst = b.register((MSGS * LEN) as usize, Access::local_remote_write());
+                let long = Duration::from_secs(10);
+                let mut got = 0u64;
+                while got < MSGS * LEN {
+                    let id = b.recv(&dst, got, (MSGS * LEN - got) as u32, false);
+                    got += u64::from(b.wait_recv(id, long).expect("data stalled"));
+                }
+                let id = b.recv(&dst, 0, 1, false);
+                assert_eq!(b.wait_recv(id, long), Some(0), "end of stream");
+                assert!(b.peer_closed());
+                let mut read = vec![0u8; pattern.len()];
+                b.node()
+                    .with_hca(|h| h.mem().app_read(dst.key, dst.addr, &mut read))
+                    .unwrap();
+                assert_eq!(read, pattern);
+            });
+            assert!(!a.shared.sock.lock().has_unsent());
+        });
     }
 
     #[test]

@@ -320,6 +320,31 @@ fn waitall_fills_buffers_exactly() {
     }
 }
 
+/// Registered memory is backed on first touch: a one-way blast that
+/// wraps the intermediate ring several times backs all of the
+/// receiver's ring and none of the sender's, which nothing ever writes.
+#[test]
+fn a_blast_that_wraps_the_ring_backs_the_receivers_ring_and_not_the_senders() {
+    const RING: u64 = 1 << 20;
+    let cfg = ExsConfig {
+        ring_capacity: RING,
+        ..ExsConfig::with_mode(ProtocolMode::IndirectOnly)
+    };
+    let msgs = vec![8192; 4 * (RING / 8192) as usize];
+    let (s, r, mut net) = run_exchange(ideal(), cfg, msgs, 4, 8192, false, 8, 5);
+    assert_eq!(r.received, 4 * RING);
+    let mut backed = |sock: &StreamSocket| {
+        net.with_api(sock.node(), |api| api.hca().mem().backed_bytes()) as u64
+    };
+    let (sender, receiver) = (
+        backed(s.sock.as_ref().unwrap()),
+        backed(r.sock.as_ref().unwrap()),
+    );
+    assert!(receiver >= RING, "receiver backs {receiver} bytes");
+    // Four 8 KiB source buffers and the control slots a reply landed in.
+    assert!(sender < RING / 4, "sender backs {sender} bytes");
+}
+
 #[test]
 fn tiny_ring_forces_flow_control() {
     // A 4 KiB intermediate buffer with 64 KiB messages: the indirect path

@@ -86,8 +86,8 @@ pub struct PreparedSend {
     /// Send-side completion for the driver to hand to
     /// [`HcaCore::tx_finished`] once the source buffer is no longer
     /// needed: `SimNet` does so when the peer's acknowledgment returns
-    /// (after the message was delivered), `ThreadNet` as soon as it has
-    /// captured the payload. `None` for unsignaled sends and for RDMA
+    /// (after the message was delivered), `ThreadNet` right after it
+    /// delivered the message. `None` for unsignaled sends and for RDMA
     /// READ, which completes on response.
     pub completion: Option<Cqe>,
     /// True for RDMA READ requests: the SQ slot stays occupied until the
@@ -290,7 +290,7 @@ impl HcaCore {
         // real HCA's address translation check.
         if let Some(sge) = wr.sge {
             self.mem
-                .dma_slice(sge.lkey, sge.addr, sge.len as u64, Access::NONE)?;
+                .check(sge.lkey, sge.addr, sge.len as u64, Access::NONE)?;
         }
         self.qp_mut(qpn)?.post_recv(wr)
     }
@@ -321,7 +321,7 @@ impl HcaCore {
             Payload::Owned(inline.clone())
         } else if let Some(sge) = wr.sge {
             self.mem
-                .dma_slice(sge.lkey, sge.addr, sge.len as u64, Access::NONE)?;
+                .check(sge.lkey, sge.addr, sge.len as u64, Access::NONE)?;
             if wr.opcode == SendOpcode::RdmaRead {
                 // The SGE is the local destination of the response.
                 Payload::Owned(Bytes::new())
@@ -682,9 +682,10 @@ mod tests {
 
     /// Delivers `msg` from `from` to `to` the way `SimNet` does: the
     /// payload is read where it lies and copied once, into place.
-    fn deliver(from: &HcaCore, to: &mut HcaCore, msg: &WireMessage) -> Vec<Effect> {
+    fn deliver(from: &mut HcaCore, to: &mut HcaCore, msg: &WireMessage) -> Vec<Effect> {
         let mut effects = Vec::new();
-        to.handle_wire(msg, msg.payload.resolve(from.mem()).unwrap(), &mut effects);
+        let data = msg.payload.resolve(from.mem_mut()).unwrap();
+        to.handle_wire(msg, data, &mut effects);
         effects
     }
 
@@ -712,7 +713,7 @@ mod tests {
         assert_eq!(send_cqes.len(), 1);
         assert_eq!(send_cqes[0].wr_id, 11);
 
-        let fx = deliver(&a, &mut b, &prep.msg);
+        let fx = deliver(&mut a, &mut b, &prep.msg);
         assert_eq!(fx.len(), 1);
         let recv_cqes = drain(&mut b, b_rcq);
         assert_eq!(recv_cqes.len(), 1);
@@ -729,7 +730,7 @@ mod tests {
         let (mut a, mut b, qa, _, _, _) = pair();
         let src = a.register_mr(8, Access::NONE);
         let prep = a.prepare_send(qa, SendWr::send(1, src.sge(0, 8))).unwrap();
-        let fx = deliver(&a, &mut b, &prep.msg);
+        let fx = deliver(&mut a, &mut b, &prep.msg);
         assert!(matches!(
             fx[0],
             Effect::Fatal {
@@ -757,7 +758,7 @@ mod tests {
             },
         );
         let prep = a.prepare_send(qa, wr).unwrap();
-        let fx = deliver(&a, &mut b, &prep.msg);
+        let fx = deliver(&mut a, &mut b, &prep.msg);
         assert!(fx.is_empty(), "pure WRITE generates no receiver effects");
         assert!(drain(&mut b, b_rcq).is_empty());
         let mut buf = [0u8; 10];
@@ -785,7 +786,7 @@ mod tests {
             0xDEAD,
         );
         let prep = a.prepare_send(qa, wr).unwrap();
-        deliver(&a, &mut b, &prep.msg);
+        deliver(&mut a, &mut b, &prep.msg);
         let cqes = drain(&mut b, b_rcq);
         assert_eq!(cqes.len(), 1);
         assert_eq!(cqes[0].wr_id, 42);
@@ -812,7 +813,7 @@ mod tests {
             1,
         );
         let prep = a.prepare_send(qa, wr).unwrap();
-        let fx = deliver(&a, &mut b, &prep.msg);
+        let fx = deliver(&mut a, &mut b, &prep.msg);
         assert!(matches!(
             fx[0],
             Effect::Fatal {
@@ -837,7 +838,7 @@ mod tests {
             },
         );
         let prep = a.prepare_send(qa, wr).unwrap();
-        let fx = deliver(&a, &mut b, &prep.msg);
+        let fx = deliver(&mut a, &mut b, &prep.msg);
         assert!(matches!(
             fx[0],
             Effect::Fatal {
@@ -861,7 +862,7 @@ mod tests {
             },
         );
         let prep = a.prepare_send(qa, wr).unwrap();
-        let fx = deliver(&a, &mut b, &prep.msg);
+        let fx = deliver(&mut a, &mut b, &prep.msg);
         assert!(matches!(fx[0], Effect::Fatal { .. }));
     }
 
@@ -889,14 +890,14 @@ mod tests {
         assert_eq!(a.qp(qa).unwrap().sq_outstanding(), 1);
 
         // Responder handles the request and produces a response.
-        let fx = deliver(&a, &mut b, &prep.msg);
+        let fx = deliver(&mut a, &mut b, &prep.msg);
         let Effect::Transmit(resp) = &fx[0] else {
             panic!("expected Transmit effect");
         };
         assert_eq!(resp.payload_len(), 7);
 
         // Requester consumes the response.
-        let fx = deliver(&b, &mut a, resp);
+        let fx = deliver(&mut b, &mut a, resp);
         assert!(matches!(fx[0], Effect::Completion { cq, .. } if cq == a_scq));
         assert_eq!(a.qp(qa).unwrap().sq_outstanding(), 0);
         let cqes = drain(&mut a, a_scq);
@@ -921,7 +922,7 @@ mod tests {
             },
         );
         let prep = a.prepare_send(qa, wr).unwrap();
-        let fx = deliver(&a, &mut b, &prep.msg);
+        let fx = deliver(&mut a, &mut b, &prep.msg);
         assert!(matches!(
             fx[0],
             Effect::Fatal {
@@ -995,7 +996,7 @@ mod tests {
         let dst = b.register_mr(16, Access::LOCAL_WRITE);
         b.post_recv(qb, RecvWr::new(1, dst.full_sge())).unwrap();
         let prep = a.prepare_send(qa, SendWr::send(1, src.sge(0, 64))).unwrap();
-        let fx = deliver(&a, &mut b, &prep.msg);
+        let fx = deliver(&mut a, &mut b, &prep.msg);
         assert!(matches!(
             fx[0],
             Effect::Fatal {
@@ -1037,12 +1038,12 @@ mod tests {
         assert!(!b.arm_cq(b_rcq).unwrap());
 
         let prep = a.prepare_send(qa, SendWr::send(1, src.sge(0, 8))).unwrap();
-        let fx = deliver(&a, &mut b, &prep.msg);
+        let fx = deliver(&mut a, &mut b, &prep.msg);
         assert!(matches!(fx[0], Effect::Completion { notify: true, .. }));
 
         // Second completion without re-arming does not notify.
         let prep = a.prepare_send(qa, SendWr::send(2, src.sge(0, 8))).unwrap();
-        let fx = deliver(&a, &mut b, &prep.msg);
+        let fx = deliver(&mut a, &mut b, &prep.msg);
         assert!(matches!(fx[0], Effect::Completion { notify: false, .. }));
 
         // Arming with pending completions reports immediately.

@@ -1,14 +1,26 @@
 //! Registered memory regions and the per-node memory table.
 //!
 //! Each node has a flat virtual address space. Registering a region
-//! allocates a page-aligned address range, pins a byte buffer behind it,
-//! and returns a key usable as both lkey and rkey. All DMA performed by
-//! the simulated HCA goes through [`MemoryTable::dma_slice`] (a borrowed
-//! view of the source, no copy), [`MemoryTable::dma_write`] (placement)
-//! and [`MemoryTable::capture`] (an owned copy of the source), which
-//! validate key, bounds and access flags exactly as a real HCA's
-//! translation and protection table would. Every byte the table itself
-//! moves is counted in [`MemoryTable::bytes_copied`].
+//! allocates a page-aligned address range, reserves a byte buffer behind
+//! it, and returns a key usable as both lkey and rkey. All DMA performed
+//! by the simulated HCA goes through [`MemoryTable::dma_slice`] (a
+//! borrowed view of the source, no copy), [`MemoryTable::dma_write`]
+//! (placement) and [`MemoryTable::capture`] (an owned copy of the
+//! source), which validate key, bounds and access flags exactly as a
+//! real HCA's translation and protection table would. Every byte the
+//! table itself moves is counted in [`MemoryTable::bytes_copied`].
+//!
+//! A region is *backed on first touch*. Registration reserves the whole
+//! length in one allocation and writes none of it; the region then keeps
+//! only the prefix that something has touched, and a byte beyond that
+//! prefix reads as the zero it would have been. A 16 MiB ring of which a
+//! run uses 1 MiB costs the host 1 MiB and no zero-fill at set-up; a
+//! sequential placement is written once, not zeroed and then written.
+//! The rule that follows: whatever hands out a view of region bytes
+//! ([`MemoryTable::dma_slice`], [`MemoryTable::capture`], the source of
+//! [`MemoryTable::local_copy`]) takes `&mut self` and backs the range
+//! first; [`MemoryTable::app_read`], which only fills the caller's
+//! buffer, and [`MemoryTable::check`] stay `&self` and touch nothing.
 //!
 //! A key is an index, not a name to look up: its low 20 bits (`SLOT_BITS`)
 //! are the region's slot in the table and the bits above them the
@@ -34,6 +46,9 @@ const VA_BASE: u64 = 0x1000_0000;
 pub struct MemoryRegion {
     key: MrKey,
     base: u64,
+    len: usize,
+    /// The touched prefix of the region. Its capacity is `len` from
+    /// registration on, so growing it never reallocates or moves bytes.
     data: Vec<u8>,
     access: Access,
 }
@@ -51,12 +66,12 @@ impl MemoryRegion {
 
     /// Length in bytes.
     pub fn len(&self) -> usize {
-        self.data.len()
+        self.len
     }
 
     /// True for a zero-length registration.
     pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
+        self.len == 0
     }
 
     /// Granted access flags.
@@ -68,10 +83,60 @@ impl MemoryRegion {
         let end = addr
             .checked_add(len)
             .ok_or(VerbsError::OutOfBounds { addr, len })?;
-        if addr < self.base || end > self.base + self.data.len() as u64 {
+        if addr < self.base || end > self.base + self.len as u64 {
             return Err(VerbsError::OutOfBounds { addr, len });
         }
         Ok((addr - self.base) as usize)
+    }
+
+    /// Extends the touched prefix to `end` with the zeros those bytes
+    /// always read as. `end` is within the region. Callers skip empty
+    /// ranges: one at a high offset would back everything below it.
+    #[inline]
+    fn back(&mut self, end: usize) {
+        if self.data.len() < end {
+            self.data.resize(end, 0);
+        }
+    }
+
+    /// Writes `src` at `off`. `off + src.len()` is within the region.
+    #[inline]
+    fn write(&mut self, off: usize, src: &[u8]) {
+        // The steady state of a ring or a reused buffer: all of the
+        // range has been touched before.
+        match self.data.get_mut(off..off + src.len()) {
+            Some(backed) => backed.copy_from_slice(src),
+            None => self.write_past_prefix(off, src),
+        }
+    }
+
+    /// [`MemoryRegion::write`] of a range that reaches past the touched
+    /// prefix: over the prefix where they overlap, appended where they
+    /// do not, so bytes that extend the prefix are written once.
+    #[cold]
+    fn write_past_prefix(&mut self, off: usize, src: &[u8]) {
+        if src.is_empty() {
+            return;
+        }
+        // A gap between the prefix and `off` is zero-filled.
+        self.back(off);
+        let over = self.data.len() - off;
+        self.data[off..].copy_from_slice(&src[..over]);
+        self.data.extend_from_slice(&src[over..]);
+    }
+
+    /// Fills `buf` from `off`: touched bytes as they are, the rest zero.
+    #[inline]
+    fn read(&self, off: usize, buf: &mut [u8]) {
+        match self.data.get(off..off + buf.len()) {
+            Some(backed) => buf.copy_from_slice(backed),
+            None => {
+                let backed = self.data.get(off..).unwrap_or(&[]);
+                let (head, tail) = buf.split_at_mut(backed.len().min(buf.len()));
+                head.copy_from_slice(&backed[..head.len()]);
+                tail.fill(0);
+            }
+        }
     }
 }
 
@@ -156,7 +221,9 @@ impl MemoryTable {
         }
     }
 
-    /// Registers a zero-initialized region of `len` bytes.
+    /// Registers a region of `len` bytes, every one of which reads 0
+    /// until written. The bytes are reserved, not touched (see the
+    /// module docs).
     ///
     /// # Panics
     /// Panics if 2^20 - 1 regions are already live on this node.
@@ -178,7 +245,8 @@ impl MemoryTable {
         entry.region = Some(MemoryRegion {
             key,
             base,
-            data: vec![0; len],
+            len,
+            data: Vec::with_capacity(len),
             access,
         });
         self.live += 1;
@@ -224,7 +292,18 @@ impl MemoryTable {
 
     /// Length in bytes of a live registration, if `key` is known.
     pub fn len_of(&self, key: MrKey) -> Option<usize> {
-        self.region(key).ok().map(|r| r.data.len())
+        self.region(key).ok().map(|r| r.len)
+    }
+
+    /// Bytes of live registrations that something has touched so far,
+    /// which is what they cost the host; the rest of each region is
+    /// reserved address space.
+    pub fn backed_bytes(&self) -> usize {
+        self.slots
+            .iter()
+            .filter_map(|slot| slot.region.as_ref())
+            .map(|region| region.data.len())
+            .sum()
     }
 
     /// Bytes this table has moved since creation: DMA placement
@@ -272,33 +351,49 @@ impl MemoryTable {
             return Err(VerbsError::AccessViolation);
         }
         let off = region.check_range(addr, data.len() as u64)?;
-        region.data[off..off + data.len()].copy_from_slice(data);
+        region.write(off, data);
         self.bytes_copied += data.len() as u64;
         Ok(())
     }
 
+    /// The key, bounds and access check of a DMA over `[addr, addr+len)`
+    /// and nothing else: how a work request's SGE is validated at post
+    /// time.
+    pub fn check(&self, key: MrKey, addr: u64, len: u64, required_access: Access) -> Result<()> {
+        let region = self.region(key)?;
+        if !region.access.contains(required_access) {
+            return Err(VerbsError::AccessViolation);
+        }
+        region.check_range(addr, len).map(drop)
+    }
+
     /// HCA-side DMA read as a borrowed view of `[addr, addr+len)`: the
-    /// key, bounds and access check of a gather, without the copy. Also
-    /// how a work request's SGE is validated at post time.
+    /// key, bounds and access check of a gather, without the copy. The
+    /// view is of real bytes, so the range is backed first.
     pub fn dma_slice(
-        &self,
+        &mut self,
         key: MrKey,
         addr: u64,
         len: u64,
         required_access: Access,
     ) -> Result<&[u8]> {
-        let region = self.region(key)?;
+        let region = self.region_mut(key)?;
         if !region.access.contains(required_access) {
             return Err(VerbsError::AccessViolation);
         }
         let off = region.check_range(addr, len)?;
-        Ok(&region.data[off..off + len as usize])
+        if len == 0 {
+            return Ok(&[]);
+        }
+        let end = off + len as usize;
+        region.back(end);
+        Ok(&region.data[off..end])
     }
 
     /// HCA-side DMA read into bytes the caller owns: one allocation and
-    /// one copy. For payloads that must outlive the source's validity —
-    /// an RDMA READ response, and every send on the thread backend,
-    /// which completes sends at post time.
+    /// one copy. For payloads that leave the lock their source is read
+    /// under — an RDMA READ response, and every send on the thread
+    /// backend, which delivers under the destination's lock alone.
     pub fn capture(
         &mut self,
         key: MrKey,
@@ -316,7 +411,7 @@ impl MemoryTable {
     pub fn app_write(&mut self, key: MrKey, addr: u64, data: &[u8]) -> Result<()> {
         let region = self.region_mut(key)?;
         let off = region.check_range(addr, data.len() as u64)?;
-        region.data[off..off + data.len()].copy_from_slice(data);
+        region.write(off, data);
         Ok(())
     }
 
@@ -324,7 +419,7 @@ impl MemoryTable {
     pub fn app_read(&self, key: MrKey, addr: u64, buf: &mut [u8]) -> Result<()> {
         let region = self.region(key)?;
         let off = region.check_range(addr, buf.len() as u64)?;
-        buf.copy_from_slice(&region.data[off..off + buf.len()]);
+        region.read(off, buf);
         Ok(())
     }
 
@@ -346,7 +441,10 @@ impl MemoryTable {
             let region = self.region_mut(src_key)?;
             let from = region.check_range(src_addr, len)?;
             let to = region.check_range(dst_addr, len)?;
-            region.data.copy_within(from..from + n, to);
+            if n > 0 {
+                region.back(from.max(to) + n);
+                region.data.copy_within(from..from + n, to);
+            }
         } else {
             self.region(src_key)?;
             self.region(dst_key)?;
@@ -355,11 +453,14 @@ impl MemoryTable {
                 .slots
                 .get_disjoint_mut([slot_of(src_key), slot_of(dst_key)])
                 .expect("two live keys share a slot");
-            let src = src.region.as_ref().expect("checked live above");
+            let src = src.region.as_mut().expect("checked live above");
             let dst = dst.region.as_mut().expect("checked live above");
             let from = src.check_range(src_addr, len)?;
             let to = dst.check_range(dst_addr, len)?;
-            dst.data[to..to + n].copy_from_slice(&src.data[from..from + n]);
+            if n > 0 {
+                src.back(from + n);
+                dst.write(to, &src.data[from..from + n]);
+            }
         }
         self.bytes_copied += len;
         Ok(len)

@@ -873,11 +873,11 @@ fn place(nodes: &mut [NodeRuntime], msg: &WireMessage, effects: &mut Vec<Effect>
     }
     let (low, high) = nodes.split_at_mut(src.max(dst));
     let (from, to) = if src < dst {
-        (&low[src], &mut high[0])
+        (&mut low[src], &mut high[0])
     } else {
-        (&high[0], &mut low[dst])
+        (&mut high[0], &mut low[dst])
     };
-    let data = msg.payload.resolve(from.hca.mem())?;
+    let data = msg.payload.resolve(from.hca.mem_mut())?;
     to.hca.handle_wire(msg, data, effects);
     Ok(())
 }

@@ -2,25 +2,40 @@
 //!
 //! [`ThreadNet`] runs the same [`HcaCore`] state machines as the
 //! discrete-event driver, but under genuine OS concurrency: application
-//! threads post work from wherever they like, per-link delivery threads
-//! carry wire messages (preserving the FIFO guarantee of a
-//! reliable-connected channel, with an optional real propagation
-//! delay), and receivers block on a condition variable until
-//! completions arrive.
+//! threads post work from wherever they like, each direction of a link
+//! carries wire messages in FIFO order (the guarantee of a
+//! reliable-connected channel), and receivers block on a condition
+//! variable until completions arrive.
+//!
+//! A link without modelled delay has no thread of its own: **the posting
+//! thread delivers**. A post hands its message to the direction's FIFO
+//! while it still holds the source HCA lock, so queue order is
+//! send-queue order, and then applies whatever is queued at the
+//! destination under the direction's delivery lock. Whoever holds that
+//! lock applies every queued message in order, each followed by its send
+//! completion at the source; a post returns only once the queue is
+//! empty, so its own message has landed whoever delivered it. A link
+//! with a real propagation delay has to sleep, so it keeps one delivery
+//! thread per direction, which drains the same FIFO the same way, one
+//! sleep per batch of queued messages.
+//!
+//! Locks: source HCA lock → FIFO lock (a leaf) while posting; the
+//! delivery lock is taken with no HCA lock held, and under it the HCA
+//! locks of the two ends are taken one at a time. No HCA lock is ever
+//! held while waiting for another.
 //!
 //! The paper's problem statement asks for "a thread-safe algorithm"
 //! (§I); the deterministic simulator cannot exercise data races, so
 //! this backend exists to do exactly that — the concurrency tests hammer
-//! one node from many threads while deliveries land from link threads.
+//! one node from many threads while deliveries land from other posters.
 //! Timing measurements still belong to the deterministic driver: real
 //! threads give real (noisy) time.
 
-use std::collections::HashMap;
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use crossbeam::channel::{unbounded, Sender};
 use parking_lot::{Condvar, Mutex};
 
 use crate::hca::{Effect, HcaConfig, HcaCore, PreparedSend};
@@ -33,6 +48,8 @@ pub struct ThreadNode {
     hca: Mutex<HcaCore>,
     /// Bumped whenever a completion lands; sleepers re-check their CQs.
     generation: AtomicU64,
+    /// Threads parked in [`ThreadNode::park`], or about to be.
+    sleepers: AtomicUsize,
     wakeup: Mutex<()>,
     condvar: Condvar,
 }
@@ -43,10 +60,32 @@ impl ThreadNode {
     /// out-of-band state changes (e.g. a reactor pool telling its
     /// parked shards to stop); spurious wakeups are harmless since
     /// sleepers re-check their state.
+    ///
+    /// With nobody parked this is one increment and one load: the
+    /// mutex and the condition variable's `FUTEX_WAKE` are skipped. No
+    /// wake-up is lost to that: this side stores the generation and
+    /// then loads `sleepers`, a thread about to park stores `sleepers`
+    /// and then loads the generation, all `SeqCst`, so at least one of
+    /// the two sees the other's store.
     pub fn notify(&self) {
-        self.generation.fetch_add(1, Ordering::Release);
-        let _guard = self.wakeup.lock();
-        self.condvar.notify_all();
+        self.generation.fetch_add(1, Ordering::SeqCst);
+        if self.sleepers.load(Ordering::SeqCst) != 0 {
+            let _guard = self.wakeup.lock();
+            self.condvar.notify_all();
+        }
+    }
+
+    /// Parks until the generation leaves `seen` or `deadline` passes
+    /// (spurious returns possible; callers loop). The other half of the
+    /// handshake in [`ThreadNode::notify`].
+    fn park(&self, seen: u64, deadline: Instant) {
+        let mut guard = self.wakeup.lock();
+        self.sleepers.fetch_add(1, Ordering::SeqCst);
+        if self.generation.load(Ordering::SeqCst) == seen {
+            let left = deadline.saturating_duration_since(Instant::now());
+            self.condvar.wait_for(&mut guard, left);
+        }
+        self.sleepers.fetch_sub(1, Ordering::SeqCst);
     }
 
     /// The node id.
@@ -75,28 +114,19 @@ impl ThreadNode {
     /// Returns the new generation value. Callers poll their CQs after
     /// each wakeup — the multi-CQ analogue of a completion channel.
     pub fn wait_any(&self, seen: u64, timeout: Duration) -> u64 {
-        let deadline = std::time::Instant::now() + timeout;
+        let deadline = Instant::now() + timeout;
         loop {
-            let gen = self.generation.load(Ordering::Acquire);
-            if gen != seen {
+            let gen = self.generation();
+            if gen != seen || Instant::now() >= deadline {
                 return gen;
             }
-            let now = std::time::Instant::now();
-            if now >= deadline {
-                return gen;
-            }
-            let mut guard = self.wakeup.lock();
-            if self.generation.load(Ordering::Acquire) != seen {
-                continue;
-            }
-            self.condvar
-                .wait_for(&mut guard, deadline.saturating_duration_since(now));
+            self.park(seen, deadline);
         }
     }
 
     /// Current completion generation (pair with [`ThreadNode::wait_any`]).
     pub fn generation(&self) -> u64 {
-        self.generation.load(Ordering::Acquire)
+        self.generation.load(Ordering::SeqCst)
     }
 
     /// Blocks until `cq` has at least one completion or the timeout
@@ -104,55 +134,85 @@ impl ThreadNode {
     /// timeout). This is the completion-channel wait (`ibv_get_cq_event`
     /// style) of the threaded backend.
     pub fn wait_cq(&self, cq: CqId, timeout: Duration) -> Vec<Cqe> {
-        let deadline = std::time::Instant::now() + timeout;
+        let deadline = Instant::now() + timeout;
         let mut out = Vec::new();
         loop {
-            let gen = self.generation.load(Ordering::Acquire);
+            // Read before the poll: a completion that lands after it
+            // moves the generation and the park below returns at once.
+            let gen = self.generation();
             self.hca
                 .lock()
                 .poll_cq(cq, usize::MAX, &mut out)
                 .expect("wait on unknown CQ");
-            if !out.is_empty() {
+            if !out.is_empty() || Instant::now() >= deadline {
                 return out;
             }
-            let now = std::time::Instant::now();
-            if now >= deadline {
-                return out;
-            }
-            let mut guard = self.wakeup.lock();
-            // Re-check under the lock to avoid a lost wakeup between the
-            // poll above and the wait below.
-            if self.generation.load(Ordering::Acquire) != gen {
-                continue;
-            }
-            self.condvar
-                .wait_for(&mut guard, deadline.saturating_duration_since(now));
+            self.park(gen, deadline);
         }
     }
 }
 
-/// A fabric of [`ThreadNode`]s joined by delivery threads.
-pub struct ThreadNet {
-    nodes: Vec<Arc<ThreadNode>>,
-    links: HashMap<(u32, u32), Sender<WireMessage>>,
-    stop: Arc<AtomicBool>,
-    handles: Vec<std::thread::JoinHandle<()>>,
-    /// Messages handed to delivery threads but not yet applied at their
-    /// destination; [`ThreadNet::quiesce`] waits for this to reach zero.
-    in_flight: Arc<AtomicUsize>,
-    /// Every [`Effect::Fatal`] a delivery raised, as text.
-    fatal: Arc<Mutex<Vec<String>>>,
+/// One direction of a connection between two nodes.
+struct Link {
+    src: Arc<ThreadNode>,
+    dst: Arc<ThreadNode>,
+    /// Real propagation delay. Zero: posters deliver. Otherwise this
+    /// direction's delivery thread does: it sleeps this long, then
+    /// delivers what was queued when it went to sleep, so every message
+    /// spends at least this long between its post and its delivery.
+    delay: Duration,
+    /// Messages posted and not yet applied at `dst`, in the order of
+    /// their send-queue slots (pushed under `src`'s HCA lock).
+    queue: Mutex<VecDeque<PreparedSend>>,
+    /// Signals the delivery thread of a delayed link that `queue` grew
+    /// (or that the fabric is stopping).
+    arrived: Condvar,
+    /// The delivery lock: held while one queued message is taken and
+    /// applied, so deliveries happen one at a time and in queue order.
+    /// Guards the scratch list deliveries collect their effects in.
+    delivering: Mutex<Vec<Effect>>,
 }
 
-/// Counts one message out of [`ThreadNet::in_flight`] when its delivery
-/// ends, however it ends: a delivery that unwinds must not leave
-/// [`ThreadNet::quiesce`] spinning on a message nobody will apply.
-struct Delivery<'a>(&'a AtomicUsize);
-
-impl Drop for Delivery<'_> {
-    fn drop(&mut self) {
-        self.0.fetch_sub(1, Ordering::AcqRel);
+impl Link {
+    /// Applies the oldest queued message at the destination and then its
+    /// send completion at the source — this backend, like the simulator,
+    /// never completes a send before its message is delivered, and
+    /// completes sends in send-queue order. False, having held the
+    /// delivery lock, when nothing was queued: everything posted before
+    /// that moment has been applied in full.
+    fn deliver_next(&self, fatal: &Mutex<Vec<String>>) -> bool {
+        let mut effects = self.delivering.lock();
+        let Some(sent) = self.queue.lock().pop_front() else {
+            return false;
+        };
+        deliver(&self.dst, &sent.msg, &mut effects);
+        apply_effects(&self.dst, &self.src, &mut effects, fatal);
+        if !sent.is_read {
+            // A READ completes when its response is placed, above.
+            self.src
+                .hca
+                .lock()
+                .tx_finished(sent.msg.src.1, sent.completion, &mut effects);
+            if !effects.is_empty() {
+                effects.clear();
+                self.src.notify();
+            }
+        }
+        true
     }
+}
+
+/// A fabric of [`ThreadNode`]s joined by FIFO links.
+pub struct ThreadNet {
+    nodes: Vec<Arc<ThreadNode>>,
+    /// `links[src][dst]`: node ids are table indices, as everywhere in
+    /// this crate.
+    links: Vec<Vec<Option<Arc<Link>>>>,
+    stop: Arc<AtomicBool>,
+    /// Delivery threads: one per direction of a link with a delay.
+    handles: Vec<std::thread::JoinHandle<()>>,
+    /// Every [`Effect::Fatal`] a delivery raised, as text.
+    fatal: Arc<Mutex<Vec<String>>>,
 }
 
 impl ThreadNet {
@@ -160,10 +220,9 @@ impl ThreadNet {
     pub fn new() -> Self {
         ThreadNet {
             nodes: Vec::new(),
-            links: HashMap::new(),
+            links: Vec::new(),
             stop: Arc::new(AtomicBool::new(false)),
             handles: Vec::new(),
-            in_flight: Arc::new(AtomicUsize::new(0)),
             fatal: Arc::new(Mutex::new(Vec::new())),
         }
     }
@@ -175,80 +234,87 @@ impl ThreadNet {
             id,
             hca: Mutex::new(HcaCore::new(id, cfg)),
             generation: AtomicU64::new(0),
+            sleepers: AtomicUsize::new(0),
             wakeup: Mutex::new(()),
             condvar: Condvar::new(),
         });
         self.nodes.push(node.clone());
+        self.links.push(Vec::new());
         node
     }
 
-    /// Connects two nodes with symmetric FIFO links; each direction gets
-    /// a delivery thread applying `delay` of real propagation latency.
+    /// Connects two nodes with symmetric FIFO links applying `delay` of
+    /// real propagation latency. With no delay nothing is spawned — a
+    /// message is delivered by the thread that posts it; otherwise each
+    /// direction gets a delivery thread. The delay is latency, not
+    /// service time: messages queued together travel together, one
+    /// sleep for all of them, and a message posted while they travel
+    /// goes with the next batch.
     pub fn connect_nodes(&mut self, a: &Arc<ThreadNode>, b: &Arc<ThreadNode>, delay: Duration) {
         for (src, dst) in [(a, b), (b, a)] {
-            let (tx, rx) = unbounded::<WireMessage>();
-            self.links.insert((src.id.0, dst.id.0), tx);
-            let dst = dst.clone();
-            let src_arc = src.clone();
-            let stop = self.stop.clone();
-            let in_flight = self.in_flight.clone();
-            let fatal = self.fatal.clone();
-            // The back-link may not exist yet; responder transmissions
-            // (RDMA READ responses) are delivered by locking the peer
-            // directly, preserving FIFO because this thread is the only
-            // producer for that direction's responses.
-            let handle = std::thread::spawn(move || {
-                let mut effects = Vec::new();
-                while let Ok(msg) = rx.recv() {
-                    let _delivery = Delivery(&in_flight);
-                    if stop.load(Ordering::Acquire) {
-                        break;
-                    }
-                    if !delay.is_zero() {
-                        std::thread::sleep(delay);
-                    }
-                    deliver(&dst, &msg, &mut effects);
-                    apply_effects(&dst, &src_arc, &mut effects, &fatal);
-                }
+            let link = Arc::new(Link {
+                src: src.clone(),
+                dst: dst.clone(),
+                delay,
+                queue: Mutex::new(VecDeque::new()),
+                arrived: Condvar::new(),
+                delivering: Mutex::new(Vec::new()),
             });
-            self.handles.push(handle);
+            let row = &mut self.links[src.id.index()];
+            if row.len() <= dst.id.index() {
+                row.resize(dst.id.index() + 1, None);
+            }
+            row[dst.id.index()] = Some(link.clone());
+            if delay.is_zero() {
+                continue;
+            }
+            let stop = self.stop.clone();
+            let fatal = self.fatal.clone();
+            self.handles.push(std::thread::spawn(move || loop {
+                let in_flight = {
+                    let mut queue = link.queue.lock();
+                    while queue.is_empty() {
+                        if stop.load(Ordering::Acquire) {
+                            return;
+                        }
+                        link.arrived.wait(&mut queue);
+                    }
+                    queue.len()
+                };
+                // Everything queued by now travels together; what is
+                // posted during the sleep travels in the next round.
+                std::thread::sleep(link.delay);
+                for _ in 0..in_flight {
+                    if stop.load(Ordering::Acquire) {
+                        return;
+                    }
+                    link.deliver_next(&fatal);
+                }
+            }));
         }
+    }
+
+    fn link(&self, src: NodeId, dst: NodeId) -> &Link {
+        self.links[src.index()]
+            .get(dst.index())
+            .and_then(Option::as_deref)
+            .unwrap_or_else(|| panic!("no link from {src:?} to {dst:?}"))
     }
 
     /// Posts a send on behalf of `node` (thread-safe): validates,
-    /// captures the payload, hands the message to the link thread, and
-    /// delivers the send completion. This backend completes a send
-    /// before its message is delivered, so unlike `SimNet` it cannot
-    /// leave the payload in the source buffer: it copies it out once,
-    /// here, and the delivery thread copies it into place.
+    /// captures the payload, queues the message on its link, and — on a
+    /// link without delay — returns once the message has been applied at
+    /// the peer and its send completion delivered here. The payload is
+    /// copied out once at post time, under the lock that validated it,
+    /// and copied into place at delivery.
     pub fn post_send(&self, node: &Arc<ThreadNode>, qpn: QpNum, wr: SendWr) -> Result<()> {
-        let prepared = prepare_captured(&mut node.hca.lock(), qpn, wr)?;
-        let dst = prepared.msg.dst_node();
-        let tx = self
-            .links
-            .get(&(node.id.0, dst.0))
-            .unwrap_or_else(|| panic!("no link from {:?} to {dst:?}", node.id));
-        let is_read = prepared.is_read;
-        let completion = prepared.completion;
-        self.in_flight.fetch_add(1, Ordering::AcqRel);
-        tx.send(prepared.msg).expect("link thread alive");
-        if !is_read {
-            let mut effects = Vec::new();
-            node.hca.lock().tx_finished(qpn, completion, &mut effects);
-            if !effects.is_empty() {
-                node.notify();
-            }
-        }
-        Ok(())
+        self.post(node, qpn, [wr])
     }
 
     /// Posts a chain of work requests on behalf of `node` as one
-    /// postlist: all WQEs are validated and their payloads captured
-    /// under a single HCA lock acquisition (the analogue of one
-    /// doorbell write for a linked WQE chain), the wire messages are
-    /// handed to the link thread in order, and all non-READ send
-    /// completions are applied under one further lock acquisition with
-    /// at most one wakeup notification.
+    /// postlist: all WQEs are validated, their payloads captured and
+    /// their messages queued under a single HCA lock acquisition (the
+    /// analogue of one doorbell write for a linked WQE chain).
     ///
     /// Mirrors the `ibv_post_send` bad_wr contract: on the first
     /// invalid WR the error is returned and the remaining WRs are not
@@ -259,82 +325,79 @@ impl ThreadNet {
         qpn: QpNum,
         wrs: Vec<SendWr>,
     ) -> Result<()> {
-        if wrs.is_empty() {
-            return Ok(());
-        }
-        let mut prepared: Vec<PreparedSend> = Vec::with_capacity(wrs.len());
+        self.post(node, qpn, wrs)
+    }
+
+    fn post(
+        &self,
+        node: &Arc<ThreadNode>,
+        qpn: QpNum,
+        wrs: impl IntoIterator<Item = SendWr>,
+    ) -> Result<()> {
+        // A QP has one peer, so the whole list travels one link.
+        let mut link = None;
         let res = {
             let mut hca = node.hca.lock();
-            let mut err = Ok(());
-            for wr in wrs {
-                match prepare_captured(&mut hca, qpn, wr) {
-                    Ok(p) => prepared.push(p),
-                    Err(e) => {
-                        err = Err(e);
-                        break;
-                    }
-                }
-            }
-            err
+            wrs.into_iter().try_for_each(|wr| {
+                let prepared = prepare_captured(&mut hca, qpn, wr)?;
+                link.get_or_insert_with(|| self.link(node.id, prepared.msg.dst_node()))
+                    .queue
+                    .lock()
+                    .push_back(prepared);
+                Ok(())
+            })
         };
-        let mut finishes: Vec<Option<Cqe>> = Vec::with_capacity(prepared.len());
-        for p in prepared {
-            let dst = p.msg.dst_node();
-            let tx = self
-                .links
-                .get(&(node.id.0, dst.0))
-                .unwrap_or_else(|| panic!("no link from {:?} to {dst:?}", node.id));
-            let is_read = p.is_read;
-            let completion = p.completion;
-            self.in_flight.fetch_add(1, Ordering::AcqRel);
-            tx.send(p.msg).expect("link thread alive");
-            if !is_read {
-                finishes.push(completion);
-            }
-        }
-        if !finishes.is_empty() {
-            let mut effects = Vec::new();
-            {
-                let mut hca = node.hca.lock();
-                for completion in finishes {
-                    hca.tx_finished(qpn, completion, &mut effects);
-                }
-            }
-            if !effects.is_empty() {
-                node.notify();
+        if let Some(link) = link {
+            if link.delay.is_zero() {
+                while link.deliver_next(&self.fatal) {}
+            } else {
+                link.arrived.notify_one();
             }
         }
         res
     }
 
-    /// Blocks until every message handed to a delivery thread has been
-    /// applied at its destination. Only meaningful once the caller has
-    /// stopped the threads that post new sends — with active posters
-    /// the zero reading is just a momentary snapshot. Teardown paths
-    /// use this to drain in-flight control traffic (late ACKs, credit
-    /// returns) before deregistering the memory it lands in.
+    /// Blocks until every message queued on a link has been applied at
+    /// its destination. Only meaningful once the caller has stopped the
+    /// threads that post new sends — with active posters the quiet
+    /// reading is just a momentary snapshot. On links without delay a
+    /// post returns with its messages applied, so there is nothing to
+    /// wait for; teardown paths use this to drain control traffic still
+    /// sleeping on a delayed link (late ACKs, credit returns) before
+    /// deregistering the memory it lands in.
     pub fn quiesce(&self) {
-        while self.in_flight.load(Ordering::Acquire) != 0 {
-            std::thread::sleep(Duration::from_micros(50));
+        for link in self.links.iter().flatten().flatten() {
+            // Empty under the delivery lock: nothing queued, and nothing
+            // taken off the queue is still being applied.
+            while {
+                let _delivering = link.delivering.lock();
+                !link.queue.lock().is_empty()
+            } {
+                std::thread::sleep(Duration::from_micros(50));
+            }
         }
     }
 
     /// Every fatal verbs error a delivery has raised so far (RNR, remote
     /// access error, placement into a deregistered buffer), as text — the
-    /// counterpart of `SimNet::fatal_errors`. The delivery thread does
-    /// not panic on one: like a real HCA it moves the violated QP to the
-    /// error state, which flushes its posted receives with
-    /// `WrFlushError` completions, and carries on with the link's other
-    /// traffic.
+    /// counterpart of `SimNet::fatal_errors`. A delivery does not panic
+    /// on one: like a real HCA it moves the violated QP to the error
+    /// state, which flushes its posted receives with `WrFlushError`
+    /// completions, and carries on with the link's other traffic.
     pub fn fatal_errors(&self) -> Vec<String> {
         self.fatal.lock().clone()
     }
 
-    /// Stops the delivery threads and joins them.
+    /// Stops the delivery threads of delayed links and joins them;
+    /// messages still queued there are dropped.
     pub fn shutdown(&mut self) {
         self.stop.store(true, Ordering::Release);
-        // Dropping the senders closes the channels.
-        self.links.clear();
+        for link in self.links.iter().flatten().flatten() {
+            // Under the queue lock, so the wake-up cannot fall between a
+            // delivery thread's look at `stop` and its wait.
+            let _queue = link.queue.lock();
+            link.arrived.notify_all();
+        }
         for h in self.handles.drain(..) {
             let _ = h.join();
         }
@@ -387,9 +450,10 @@ fn apply_effects(
             Effect::Completion { .. } => completed = true,
             Effect::Transmit(msg) => {
                 // RDMA READ response: deliver synchronously to the
-                // requester (this delivery thread is the only producer
-                // for response traffic in this direction, so FIFO
-                // holds). Responses do not chain, so this nests once.
+                // requester, under the delivery lock of the request's
+                // direction, so a link's responses stay in the order of
+                // its requests. Responses do not chain, so this nests
+                // once.
                 let mut effects = Vec::new();
                 deliver(peer, &msg, &mut effects);
                 apply_effects(peer, at, &mut effects, fatal);
@@ -493,28 +557,25 @@ mod tests {
 
     #[test]
     fn concurrent_senders_all_deliver_in_order_per_qp() {
-        // Four threads hammer one QP with WWI notifications while the
-        // receiver consumes them: exercises the HCA lock and the FIFO
-        // delivery under real concurrency.
+        // Four threads hammer one QP with signaled WWI notifications:
+        // whichever of them ends up delivering, the messages arrive, and
+        // the sends complete, in the order of their send-queue slots.
         const PER_THREAD: usize = 500;
         const THREADS: usize = 4;
+        const TOTAL: usize = PER_THREAD * THREADS;
 
         let (net, a, b) = pair(Duration::ZERO);
-        let (a_qp, b_qp, _a_scq, b_rcq) = connect(&a, &b);
+        let (a_qp, b_qp, a_scq, b_rcq) = connect(&a, &b);
         let ring = b.with_hca(|h| h.register_mr(1 << 16, Access::local_remote_write()));
-        for i in 0..(PER_THREAD * THREADS) as u64 {
+        for i in 0..TOTAL as u64 {
             b.post_recv(b_qp, RecvWr::empty(i)).unwrap();
         }
 
-        let net = Arc::new(net);
         let src = a.with_hca(|h| h.register_mr(64, Access::NONE));
-        let counter = Arc::new(AtomicU64::new(0));
+        let counter = AtomicU64::new(0);
         std::thread::scope(|s| {
             for _ in 0..THREADS {
-                let net = net.clone();
-                let a = a.clone();
-                let counter = counter.clone();
-                s.spawn(move || {
+                s.spawn(|| {
                     for _ in 0..PER_THREAD {
                         let n = counter.fetch_add(1, Ordering::Relaxed);
                         let wr = SendWr::write_imm(
@@ -525,46 +586,28 @@ mod tests {
                                 rkey: ring.key,
                             },
                             n as u32,
-                        )
-                        .unsignaled();
-                        // Retry on a momentarily full send queue.
-                        loop {
-                            match net.post_send(&a, a_qp, wr.clone()) {
-                                Ok(()) => break,
-                                Err(crate::types::VerbsError::SqFull) => std::thread::yield_now(),
-                                Err(e) => panic!("post failed: {e}"),
-                            }
-                        }
+                        );
+                        net.post_send(&a, a_qp, wr).expect("post failed");
                     }
                 });
             }
         });
 
-        // Drain all notifications.
-        let mut got = Vec::new();
-        let deadline = std::time::Instant::now() + Duration::from_secs(20);
-        while got.len() < PER_THREAD * THREADS {
-            let cqes = b.wait_cq(b_rcq, Duration::from_millis(200));
-            for c in &cqes {
-                assert_eq!(c.opcode, WcOpcode::RecvRdmaWithImm);
-            }
-            got.extend(cqes.into_iter().map(|c| c.imm.unwrap()));
-            assert!(
-                std::time::Instant::now() < deadline,
-                "drain timed out at {} of {}",
-                got.len(),
-                PER_THREAD * THREADS
-            );
-        }
+        // Every post has returned, so everything has landed.
+        let arrived = b.wait_cq(b_rcq, Duration::from_secs(20));
+        let completed = a.wait_cq(a_scq, Duration::from_secs(20));
+        assert!(arrived
+            .iter()
+            .all(|c| c.opcode == WcOpcode::RecvRdmaWithImm));
+        let arrived: Vec<u64> = arrived.iter().map(|c| c.imm.unwrap() as u64).collect();
+        let completed: Vec<u64> = completed.iter().map(|c| c.wr_id).collect();
+        assert_eq!(arrived.len(), TOTAL);
+        assert_eq!(arrived, completed, "arrival order is send-completion order");
         // Every message arrived exactly once.
-        let mut sorted: Vec<u32> = got.clone();
+        let mut sorted = arrived;
         sorted.sort_unstable();
         sorted.dedup();
-        assert_eq!(
-            sorted.len(),
-            PER_THREAD * THREADS,
-            "lost or duplicated messages"
-        );
+        assert_eq!(sorted.len(), TOTAL, "lost or duplicated messages");
     }
 
     #[test]
@@ -595,8 +638,9 @@ mod tests {
         }
         net.post_send_list(&a, a_qp, wrs).unwrap();
 
-        // In this backend send completions land at post time, so the
-        // batch retirement is observable immediately.
+        // A post on a link without delay returns with its messages
+        // delivered and their send completions applied, so the batch
+        // retirement is observable immediately.
         a.with_hca(|h| {
             let qp = h.qp(a_qp).unwrap();
             assert_eq!(qp.sq_outstanding(), 0, "signaled CQE must retire the run");
@@ -641,9 +685,8 @@ mod tests {
     }
 
     /// A late SEND can land in a receive buffer its owner already
-    /// deregistered (a peer's final ACK racing `close`). The delivery
-    /// thread used to panic there without counting the message out, so
-    /// `quiesce` spun forever.
+    /// deregistered (a peer's final ACK racing `close`). That is the
+    /// peer's QP failing, not a panic in whoever delivers.
     #[test]
     fn send_into_deregistered_recv_buffer_fails_the_qp_and_quiesces() {
         let (net, a, b) = pair(Duration::ZERO);
@@ -667,12 +710,45 @@ mod tests {
         assert_eq!(cqes[0].wr_id, 8);
         assert_eq!(cqes[0].status, crate::types::WcStatus::WrFlushError);
 
-        // The link thread survived: the next message is delivered (to a
-        // dead QP), recorded, and counted out too.
+        // The link carries on: the next message is delivered (to a dead
+        // QP) and recorded too.
         net.post_send(&a, a_qp, SendWr::send(2, src.sge(0, 9)))
             .unwrap();
         net.quiesce();
         assert_eq!(net.fatal_errors().len(), 2);
+    }
+
+    #[test]
+    fn only_a_link_with_delay_has_delivery_threads() {
+        let (net, _a, _b) = pair(Duration::ZERO);
+        assert!(net.handles.is_empty(), "the posting thread delivers");
+        let (net, _a, _b) = pair(Duration::from_micros(10));
+        assert_eq!(net.handles.len(), 2, "one per direction");
+    }
+
+    /// Two threads hand a token back and forth, each parking in
+    /// `wait_any` until the other's `notify`: every notify races a park,
+    /// and one lost wake-up would sleep out a timeout far longer than
+    /// the whole run is allowed.
+    #[test]
+    fn wait_any_returns_promptly_when_notify_races_the_park() {
+        const HANDOFFS: u64 = 10_000;
+        let long = Duration::from_secs(20);
+        let (_net, a, b) = pair(Duration::ZERO);
+        let start = Instant::now();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                for turn in 0..HANDOFFS {
+                    assert_eq!(a.wait_any(turn, long), turn + 1);
+                    b.notify();
+                }
+            });
+            for turn in 0..HANDOFFS {
+                a.notify();
+                assert_eq!(b.wait_any(turn, long), turn + 1);
+            }
+        });
+        assert!(start.elapsed() < long / 2, "a wake-up was lost");
     }
 
     #[test]

@@ -61,9 +61,10 @@ pub enum WireOp {
 /// this model decides when that read happens, and this type carries the
 /// decision: `SimNet` leaves registered-memory payloads as `Source` and
 /// copies them once, source region to destination region, when the
-/// message is delivered; `ThreadNet` completes sends at post time, so it
-/// turns every `Source` into `Owned` before the post returns
-/// ([`crate::hca::HcaCore::capture_payload`]).
+/// message is delivered; `ThreadNet` delivers under the destination
+/// node's lock alone, where the source node's memory is out of reach,
+/// so it turns every `Source` into `Owned` under the source node's lock
+/// at post time ([`crate::hca::HcaCore::capture_payload`]).
 #[derive(Clone, Debug)]
 pub enum Payload {
     /// Bytes the message owns: inline data, an RDMA READ response, or a
@@ -93,10 +94,11 @@ impl Payload {
 
     /// The payload bytes without copying them: the message's own, or a
     /// view of the range a `Source` names in `src_mem`, the source
-    /// node's table. Fails if that range is no longer registered (the
-    /// application broke the posted-buffer contract, or is tearing down
-    /// after a QP error).
-    pub fn resolve<'a>(&'a self, src_mem: &'a MemoryTable) -> Result<&'a [u8]> {
+    /// node's table — lent mutably, because a view is of backed bytes
+    /// (see [`crate::mr`]). Fails if that range is no longer registered
+    /// (the application broke the posted-buffer contract, or is tearing
+    /// down after a QP error).
+    pub fn resolve<'a>(&'a self, src_mem: &'a mut MemoryTable) -> Result<&'a [u8]> {
         match self {
             Payload::Owned(bytes) => Ok(bytes),
             Payload::Source(sge) => {

@@ -4,7 +4,8 @@
 //! the NIC has to move the bytes somewhere, and the budget is one copy
 //! per payload byte on the simulator (source region → destination
 //! region at delivery) and two on the thread backend (captured at post
-//! time because the send completes there, then placed). `bytes_copied`
+//! time under the source node's lock, then placed under the
+//! destination's). `bytes_copied`
 //! counts every byte a node's memory table moves, so a staging copy
 //! that creeps back in fails here, deterministically, not in a noisy
 //! timing.

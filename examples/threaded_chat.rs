@@ -108,8 +108,8 @@ fn main() {
         ps.pinned_peak / 1024
     );
 
-    // Teardown: `close()` joins the service threads, releases every
-    // socket registration, and unpins the pools.
+    // Teardown: `close()` sends whatever the endpoint still owes,
+    // releases every socket registration, and unpins the pools.
     let mut alice = Arc::try_unwrap(alice).ok().expect("chat threads joined");
     let mut bob = Arc::try_unwrap(bob).ok().expect("chat threads joined");
     alice.close();

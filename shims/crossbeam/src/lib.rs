@@ -3,7 +3,7 @@
 //! This build environment has no registry access, so the workspace
 //! vendors the subset it uses: `crossbeam::channel::{unbounded, Sender,
 //! Receiver}`, backed by `std::sync::mpsc` (whose `Sender` has been
-//! `Sync` since Rust 1.72, which is all the fabric's link threads need).
+//! `Sync` since Rust 1.72).
 
 #![warn(missing_docs)]
 

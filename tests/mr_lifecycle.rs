@@ -386,7 +386,7 @@ fn thread_pool_close_races_live_transfers_without_leaks() {
                 .map(|c| c.join().expect("consumer thread"))
                 .collect();
             // Client endpoints close only after the server drained
-            // their streams (their service threads flush the FIN).
+            // their streams (`shutdown` above already sent the FIN).
             for sender in senders {
                 sender.join().expect("sender thread").close();
             }

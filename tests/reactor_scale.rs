@@ -8,8 +8,9 @@
 //!   one reactor over two shared CQs, with full payload verification —
 //!   per-stream in-order delivery at thousand-way fan-in;
 //! * 64 concurrent streams on the real-thread fabric through a
-//!   [`ThreadReactorPool`], whose single service thread replaces the 64
-//!   per-socket service threads the blocking API would burn.
+//!   [`ThreadReactorPool`], whose single service thread serves all 64
+//!   server sockets; the blocking client endpoints progress inside
+//!   their owners' calls.
 //!
 //! Memory stays bounded by construction: each connection runs a small
 //! fixed ring and credit budget ([`fan_in_cfg`]-style), and the server
@@ -121,9 +122,10 @@ fn sixty_four_threaded_streams_one_service_thread() {
                     .expect("send completion");
                 pos += MSG_LEN as u64;
             }
+            // Returns once the FIN is on the wire.
             client.shutdown();
-            // Keep the endpoint (and its FIN-flushing service thread)
-            // alive until the server has drained everything.
+            // Keep the endpoint's registrations alive until the server
+            // has drained everything.
             client
         }));
 
@@ -166,7 +168,7 @@ fn sixty_four_threaded_streams_one_service_thread() {
     let rs = reactor.reactor_stats();
     assert_eq!(rs.conns_added, CONNS as u64);
     assert_eq!(rs.orphan_cqes, 0);
-    // Only now drop the client endpoints (stopping their service threads).
+    // Only now drop the client endpoints.
     for h in client_handles {
         drop(h.join().expect("client side of a connection panicked"));
     }
