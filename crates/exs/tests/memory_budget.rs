@@ -1,6 +1,6 @@
 //! Host memory, asserted like the copy budget
 //! (`rdma-verbs/tests/copy_budget.rs`): registered memory costs what a
-//! run touches, not what it reserves. Every endpoint registers a 16 MiB
+//! run touches, not what it registers. Every endpoint registers a 16 MiB
 //! intermediate ring by default; a ping-pong uses a sliver of it, and
 //! `MemoryTable::backed_bytes` says so exactly, where a peak-RSS reading
 //! would be noisy.

@@ -1,8 +1,9 @@
 //! Registered memory regions and the per-node memory table.
 //!
 //! Each node has a flat virtual address space. Registering a region
-//! allocates a page-aligned address range, reserves a byte buffer behind
-//! it, and returns a key usable as both lkey and rkey. All DMA performed
+//! allocates a page-aligned address range and returns a key usable as
+//! both lkey and rkey; the byte buffer behind the range comes with the
+//! first byte something touches. All DMA performed
 //! by the simulated HCA goes through [`MemoryTable::dma_slice`] (a
 //! borrowed view of the source, no copy), [`MemoryTable::dma_write`]
 //! (placement) and [`MemoryTable::capture`] (an owned copy of the
@@ -10,12 +11,17 @@
 //! real HCA's translation and protection table would. Every byte the
 //! table itself moves is counted in [`MemoryTable::bytes_copied`].
 //!
-//! A region is *backed on first touch*. Registration reserves the whole
-//! length in one allocation and writes none of it; the region then keeps
-//! only the prefix that something has touched, and a byte beyond that
-//! prefix reads as the zero it would have been. A 16 MiB ring of which a
-//! run uses 1 MiB costs the host 1 MiB and no zero-fill at set-up; a
-//! sequential placement is written once, not zeroed and then written.
+//! A region is *backed on first touch*. Registration allocates nothing;
+//! the first touch gives the region its buffer, the whole length in one
+//! allocation so that bytes never move, and the region then keeps only
+//! the prefix that something has touched: a byte beyond that prefix
+//! reads as the zero it would have been. A 16 MiB ring of which a run
+//! uses 1 MiB costs the host 1 MiB and no zero-fill at set-up, one that
+//! is never used costs nothing, and a sequential placement is written
+//! once, not zeroed and then written. A dropped region's buffer, if it
+//! is large, goes to the next region of the same length rather than
+//! back to the allocator (see `SPARE`), so that the pages a process has
+//! touched for a ring are the pages its next such ring uses.
 //! The rule that follows: whatever hands out a view of region bytes
 //! ([`MemoryTable::dma_slice`], [`MemoryTable::capture`], the source of
 //! [`MemoryTable::local_copy`]) takes `&mut self` and backs the range
@@ -32,6 +38,8 @@
 //! slot whose generations are used up is retired rather than wrapped,
 //! so that holds for every key ever issued.
 
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
 use bytes::Bytes;
 
 use crate::types::{Access, MrKey, Result, Sge, VerbsError};
@@ -42,15 +50,58 @@ const PAGE: u64 = 4096;
 /// offset so that address 0 is always invalid).
 const VA_BASE: u64 = 0x1000_0000;
 
+/// Smallest buffer [`SPARE`] keeps; a smaller one is the allocator's
+/// business.
+const SPARE_MIN: usize = 1 << 20;
+/// Most capacity [`SPARE`] holds on to; beyond it the oldest buffers go
+/// back to the allocator.
+const SPARE_MAX: usize = 128 << 20;
+
+/// Buffers of dropped regions, oldest first, each waiting for a region
+/// of its length to touch its first byte.
+///
+/// What a region costs the host is the pages it has touched, and a
+/// general-purpose allocator does not keep them with the region's next
+/// incarnation: it hands a freed 16 MiB ring to whichever same-sized
+/// request comes first, or splits it for small ones. A ring that is
+/// never written then sits on the resident pages while the ring that is
+/// written takes fresh ones, and the process's resident set depends on
+/// allocation order (a 512 B blast that re-creates its two sockets per
+/// run held 22 MiB or 38 MiB, by seed). Large buffers therefore go from
+/// region to region here, the way a verbs library's registration cache
+/// keeps pinned pages across deregistration.
+static SPARE: Mutex<Vec<Vec<u8>>> = Mutex::new(Vec::new());
+
+fn spare() -> MutexGuard<'static, Vec<Vec<u8>>> {
+    SPARE.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// A registered memory region.
 pub struct MemoryRegion {
     key: MrKey,
     base: u64,
     len: usize,
-    /// The touched prefix of the region. Its capacity is `len` from
-    /// registration on, so growing it never reallocates or moves bytes.
+    /// The touched prefix of the region: empty and unallocated until
+    /// the first touch, of capacity `len` from then on, so growing it
+    /// never reallocates or moves bytes.
     data: Vec<u8>,
     access: Access,
+}
+
+impl Drop for MemoryRegion {
+    fn drop(&mut self) {
+        if self.data.capacity() < SPARE_MIN {
+            return;
+        }
+        let mut buf = std::mem::take(&mut self.data);
+        buf.clear();
+        let mut spare = spare();
+        spare.push(buf);
+        let mut held: usize = spare.iter().map(Vec::capacity).sum();
+        while held > SPARE_MAX {
+            held -= spare.remove(0).capacity();
+        }
+    }
 }
 
 impl MemoryRegion {
@@ -89,12 +140,30 @@ impl MemoryRegion {
         Ok((addr - self.base) as usize)
     }
 
+    /// Gives the region its buffer, all `len` bytes of capacity, if
+    /// nothing has touched it before: the spare one a region of this
+    /// length dropped last, else the region's one allocation.
+    fn reserve(&mut self) {
+        if self.data.capacity() != 0 {
+            return;
+        }
+        if self.len >= SPARE_MIN {
+            let mut spare = spare();
+            if let Some(i) = spare.iter().rposition(|buf| buf.capacity() == self.len) {
+                self.data = spare.remove(i);
+                return;
+            }
+        }
+        self.data.reserve_exact(self.len);
+    }
+
     /// Extends the touched prefix to `end` with the zeros those bytes
     /// always read as. `end` is within the region. Callers skip empty
     /// ranges: one at a high offset would back everything below it.
     #[inline]
     fn back(&mut self, end: usize) {
         if self.data.len() < end {
+            self.reserve();
             self.data.resize(end, 0);
         }
     }
@@ -118,6 +187,7 @@ impl MemoryRegion {
         if src.is_empty() {
             return;
         }
+        self.reserve();
         // A gap between the prefix and `off` is zero-filled.
         self.back(off);
         let over = self.data.len() - off;
@@ -222,8 +292,8 @@ impl MemoryTable {
     }
 
     /// Registers a region of `len` bytes, every one of which reads 0
-    /// until written. The bytes are reserved, not touched (see the
-    /// module docs).
+    /// until written. No host memory is allocated for them until then
+    /// (see the module docs).
     ///
     /// # Panics
     /// Panics if 2^20 - 1 regions are already live on this node.
@@ -246,7 +316,7 @@ impl MemoryTable {
             key,
             base,
             len,
-            data: Vec::with_capacity(len),
+            data: Vec::new(),
             access,
         });
         self.live += 1;
@@ -297,7 +367,7 @@ impl MemoryTable {
 
     /// Bytes of live registrations that something has touched so far,
     /// which is what they cost the host; the rest of each region is
-    /// reserved address space.
+    /// address space at most.
     pub fn backed_bytes(&self) -> usize {
         self.slots
             .iter()
@@ -745,6 +815,76 @@ mod tests {
         t.dma_write(mr.key, mr.addr + 16, &owned, Access::LOCAL_WRITE)
             .unwrap();
         assert_eq!(t.bytes_copied(), 14);
+    }
+
+    #[test]
+    fn a_region_has_no_buffer_until_its_first_touch() {
+        let mut t = MemoryTable::new();
+        let mr = t.register(SPARE_MIN - 1, Access::all());
+        let capacity = |t: &MemoryTable| t.region(mr.key).unwrap().data.capacity();
+        let mut buf = [1u8; 8];
+        t.app_read(mr.key, mr.addr + 100, &mut buf).unwrap();
+        t.check(mr.key, mr.addr, mr.len as u64, Access::REMOTE_WRITE)
+            .unwrap();
+        assert_eq!((buf, capacity(&t)), ([0; 8], 0));
+        t.app_write(mr.key, mr.addr + 100, &[7]).unwrap();
+        assert_eq!((capacity(&t), t.backed_bytes()), (mr.len, 101));
+    }
+
+    /// One test, because the spare list is the process's: a second test
+    /// pushing large buffers meanwhile could evict this one's.
+    #[test]
+    fn a_large_buffer_passes_to_the_next_region_of_its_length_reading_zero() {
+        const LEN: usize = SPARE_MIN + 3 * PAGE as usize + 5;
+        let spare_of_len = || spare().iter().filter(|b| b.capacity() == LEN).count();
+        let ptr = |t: &MemoryTable, key| t.region(key).unwrap().data.as_ptr();
+
+        let mut t = MemoryTable::new();
+        let old = t.register(LEN, Access::all());
+        t.app_write(old.key, old.addr, &vec![0xAB; LEN]).unwrap();
+        let buffer = ptr(&t, old.key);
+        // A region nobody touched leaves nothing behind.
+        let idle = t.register(LEN, Access::all());
+        t.deregister(idle.key).unwrap();
+        assert_eq!(spare_of_len(), 0);
+        t.deregister(old.key).unwrap();
+        assert_eq!(spare_of_len(), 1);
+
+        // Registering takes nothing; the first touch takes the buffer,
+        // and none of what the last region wrote shows through it.
+        let new = t.register(LEN, Access::all());
+        let mut reference = vec![0u8; LEN];
+        let mut read = vec![1u8; LEN];
+        t.app_read(new.key, new.addr, &mut read).unwrap();
+        assert_eq!((spare_of_len(), &read), (1, &reference));
+        let high = LEN - 9;
+        t.app_write(new.key, new.addr + high as u64, b"tail")
+            .unwrap();
+        reference[high..high + 4].copy_from_slice(b"tail");
+        assert_eq!((spare_of_len(), ptr(&t, new.key)), (0, buffer));
+        t.app_read(new.key, new.addr, &mut read).unwrap();
+        assert!(read == reference, "the gap below a high write reads zero");
+        let view = t.dma_slice(new.key, new.addr, LEN as u64, Access::NONE);
+        assert!(view.unwrap() == reference, "so does a view to the end");
+        // A second region of the length finds the list empty and
+        // allocates its own.
+        let other = t.register(LEN, Access::all());
+        t.app_write(other.key, other.addr, &[1]).unwrap();
+        assert_ne!(ptr(&t, other.key), buffer);
+        drop(t);
+        assert_eq!(spare_of_len(), 2);
+
+        // The list is bounded: the oldest buffers leave first.
+        let mut t = MemoryTable::new();
+        for _ in 0..SPARE_MAX / (16 << 20) {
+            let mr = t.register(16 << 20, Access::all());
+            t.app_write(mr.key, mr.addr, &[1]).unwrap();
+        }
+        drop(t);
+        let held: usize = spare().iter().map(Vec::capacity).sum();
+        assert!(held <= SPARE_MAX, "{held} bytes spare");
+        assert_eq!(spare_of_len(), 0);
+        spare().clear();
     }
 
     #[test]

@@ -1,12 +1,14 @@
 //! Backed-on-first-touch memory against a reference that is not.
 //!
-//! `MemoryTable` reserves a region at registration and backs only the
-//! prefix something has touched (`mr.rs` module docs). Nothing about
-//! that may show: random interleavings of every accessor — writes that
-//! start at the highest offset, reads of ranges never written, copies
-//! that overlap within a region, ranges and keys that must be refused,
-//! a slot deregistered and registered again — leave the same bytes and
-//! return the same results as a plain `vec![0; len]` per region. What
+//! `MemoryTable` allocates a region's buffer at its first touch and backs
+//! only the prefix something has touched (`mr.rs` module docs; its unit
+//! tests cover a large buffer passing from a dropped region to the
+//! next). Nothing about that may show: random interleavings of every
+//! accessor — writes that start at the highest offset, reads of ranges
+//! never written, copies that overlap within a region, ranges and keys
+//! that must be refused, a slot deregistered and registered again —
+//! leave the same bytes and return the same results as a plain
+//! `vec![0; len]` per region. What
 //! does show is the cost, and that is pinned too: `backed_bytes` is the
 //! highest byte a write or a view has reached in each region, so a
 //! check or an `app_read` that starts touching memory fails here.
