@@ -277,6 +277,7 @@ impl ExsContext {
                             len: len as u64,
                         },
                         SeqPacketEvent::RecvComplete { id, len } => Event::RecvComplete { id, len },
+                        SeqPacketEvent::ConnectionError => Event::ConnectionError,
                     };
                     self.queue.push(QueuedEvent { fd, event });
                 }

@@ -1,5 +1,7 @@
 //! Connection configuration.
 
+use rdma_verbs::QpCaps;
+
 use crate::mempool::MemPoolConfig;
 use crate::messages::MAX_WWI_LEN;
 
@@ -439,6 +441,20 @@ impl ExsConfig {
     /// pair, a mux pool's pair — is sized by this one rule.
     pub fn cq_depth(&self, qps: usize) -> usize {
         qps * (self.sq_depth * 2 + self.credits as usize * 2)
+    }
+
+    /// Capabilities of every QP the crate creates under this config —
+    /// a socket's private QP, a reactor connection's, a mux pool
+    /// member's: the iWARP WWI emulation posts two WQEs per transfer,
+    /// so the send queue reserves headroom beyond the pump's
+    /// `sq_depth` gate; the receive queue holds the `credits`
+    /// pre-posted control slots; control messages travel inline.
+    pub fn qp_caps(&self) -> QpCaps {
+        QpCaps {
+            max_send_wr: self.sq_depth * 2 + 8,
+            max_recv_wr: self.credits as usize + 8,
+            max_inline: 256,
+        }
     }
 
     /// Effective ACK threshold.

@@ -48,6 +48,7 @@
 pub mod aio;
 pub mod api;
 pub mod buffer;
+mod chan;
 pub mod config;
 pub mod error;
 pub mod mempool;

@@ -11,7 +11,7 @@
 //! * the 32-bit WWI immediate carries the **stream id** (top bit =
 //!   indirect placement); the chunk length travels in the completion's
 //!   `byte_len` — see [`crate::messages::encode_mux_imm`];
-//! * control messages are stream-tagged [`MuxCtrlMsg`]s;
+//! * control messages are stream-tagged [`crate::messages::MuxCtrlMsg`]s;
 //! * each pooled transport owns **one** intermediate ring and **one**
 //!   credit window, shared by every stream assigned to its slot; both
 //!   ends mirror the ring cursor deterministically (FIFO channel), so
@@ -50,9 +50,9 @@
 //! Three independent controls compose:
 //!
 //! 1. **receive credits** (transport): every WWI or control SEND
-//!    consumes one pre-posted 64-byte receive slot, returned
-//!    piggybacked on control traffic — identical to the single-stream
-//!    socket;
+//!    consumes one pre-posted receive slot, returned piggybacked on
+//!    control traffic — the same `chan::Channel` the
+//!    single-stream socket holds, with the stream id as its tag;
 //! 2. **shared-ring space** (transport): indirect bytes reserve space
 //!    on the send-side ring mirror; the receiver frees space only as
 //!    the fully-copied *prefix* of the chunk FIFO pops, and returns it
@@ -68,26 +68,21 @@
 use std::collections::{HashMap, HashSet, VecDeque};
 
 use rdma_verbs::{
-    connect_pool, Access, CqId, Cqe, MrInfo, MrKey, NodeId, QpCaps, QpNum, RecvWr, RemoteAddr,
-    SendWr, Sge, SimNet, WcOpcode, WcStatus,
+    connect_pool, Access, CqId, Cqe, MrInfo, MrKey, NodeId, QpNum, RemoteAddr, SendWr, Sge, SimNet,
+    WcOpcode, WcStatus,
 };
 
 use crate::buffer::SenderRing;
+use crate::chan::{ctrl_region_bytes, poll_cqs, Channel};
 use crate::config::ExsConfig;
 use crate::error::{ExsError, ProtocolError};
 use crate::messages::{
-    decode_mux_imm, encode_mux_imm, Advert, Ctrl, CtrlMsg, MuxCtrlMsg, TransferKind, CTRL_MSG_LEN,
-    MAX_MUX_STREAM, STREAM_NONE,
+    decode_mux_imm, encode_mux_imm, Advert, Ctrl, TransferKind, MAX_MUX_STREAM, STREAM_NONE,
 };
 use crate::phase::Phase;
 use crate::port::VerbsPort;
 use crate::seq::Seq;
 use crate::stats::ConnStats;
-use crate::stream::CTRL_SLOT;
-use crate::txpipe::TxPipe;
-
-/// Credits kept in reserve so a CREDIT message can always be sent.
-const CREDIT_RESERVE: u32 = 1;
 
 /// Modeled bytes per SQ/RQ/CQ slot in the deterministic memory
 /// accounting (a WQE or CQE context entry; real HCAs use 64-byte
@@ -131,14 +126,9 @@ pub enum MuxEvent {
 }
 
 /// Transport parameters one side shares with its peer when a pool slot
-/// is established (the mux analogue of the per-socket `SetupInfo`).
-#[derive(Clone, Copy, Debug)]
-pub struct MuxPeerInfo {
-    ring_addr: u64,
-    ring_rkey: u32,
-    ring_capacity: u64,
-    credits: u32,
-}
+/// is established: the same ring and credit figures a stream socket
+/// shares.
+pub use crate::stream::SetupInfo as MuxPeerInfo;
 
 /// An accepted advert: permission to RDMA WRITE directly into the
 /// peer's posted receive buffer.
@@ -248,9 +238,10 @@ impl MuxStream {
 
 /// One pooled QP with the shared resources every assigned stream rides.
 struct MuxTransport {
-    qpn: QpNum,
+    /// The pooled QP's control channel, tagged with stream ids; a data
+    /// WQE's owner is the `(stream, send id)` it carries.
+    chan: Channel<u32, (u32, u64)>,
     ring_mr: MrInfo,
-    ctrl_mr: MrInfo,
     /// Peer parameters exchanged; sending is gated until then.
     connected: bool,
     peer_ring_addr: u64,
@@ -265,14 +256,6 @@ struct MuxTransport {
     chunk_base: u64,
     /// Ring bytes freed by prefix pops, not yet ACKed to the peer.
     owed_ring: u64,
-    peer_credits: u32,
-    owed_credits: u32,
-    pending_ctrl: VecDeque<(u32, Ctrl)>,
-    tx: TxPipe,
-    next_wr: u64,
-    /// Data WQEs awaiting retirement in posting order; one signaled CQE
-    /// retires the whole prefix (RC FIFO).
-    wwi_owner: VecDeque<(u64, (u32, u64))>,
     inflight: HashMap<(u32, u64), SendTrack>,
     /// Streams with dispatchable sends, pumped round-robin.
     sendable: VecDeque<u32>,
@@ -390,7 +373,7 @@ impl MuxEndpoint {
     /// The QP established for a slot, if any (the reactor's dispatch
     /// key).
     pub fn slot_qpn(&self, slot: usize) -> Option<QpNum> {
-        self.transports[slot].as_ref().map(|t| t.qpn)
+        self.transports[slot].as_ref().map(|t| t.chan.qpn())
     }
 
     /// Opens a stream. The id must be new (never opened before on this
@@ -422,6 +405,16 @@ impl MuxEndpoint {
         (0..pool).filter(|&s| pending[s]).collect()
     }
 
+    /// The pool slots a pair of endpoints still has to establish:
+    /// pending on either side and set up on neither, in slot order.
+    pub(crate) fn slots_to_establish(a: &MuxEndpoint, b: &MuxEndpoint) -> Vec<usize> {
+        let (pending_a, pending_b) = (a.pending_slots(), b.pending_slots());
+        (0..a.transports.len())
+            .filter(|slot| pending_a.contains(slot) || pending_b.contains(slot))
+            .filter(|&slot| a.transports[slot].is_none() && b.transports[slot].is_none())
+            .collect()
+    }
+
     /// Establishes the local half of a pool slot over an
     /// already-connected QP: registers the shared ring and control
     /// slots, pre-posts the receive credits, and returns the
@@ -448,27 +441,13 @@ impl MuxEndpoint {
             self.cfg.ring_capacity as usize,
             Access::local_remote_write(),
         );
-        let ctrl_mr = api.register_mr(
-            (self.cfg.credits as u64 * CTRL_SLOT) as usize,
-            Access::LOCAL_WRITE,
-        );
-        for slot_ix in 0..self.cfg.credits {
-            let sge = ctrl_mr.sge(slot_ix as u64 * CTRL_SLOT, CTRL_SLOT as u32);
-            api.post_recv(qpn, RecvWr::new(slot_ix as u64, sge))
-                .expect("pre-posting control receives");
-        }
-        let info = MuxPeerInfo {
-            ring_addr: ring_mr.addr,
-            ring_rkey: ring_mr.key.0,
-            ring_capacity: self.cfg.ring_capacity,
-            credits: self.cfg.credits,
-        };
+        let chan = Channel::prepare(api, qpn, send_cq, recv_cq, &self.cfg);
+        let info = MuxPeerInfo::of(&ring_mr, &self.cfg);
         self.by_qpn.insert(qpn, slot);
         self.transports[slot] = Some(MuxTransport {
-            qpn,
+            chan,
             recv_mirror: SenderRing::new(ring_mr.len as u64),
             ring_mr,
-            ctrl_mr,
             connected: false,
             peer_ring_addr: 0,
             peer_ring_rkey: 0,
@@ -476,12 +455,6 @@ impl MuxEndpoint {
             chunks: VecDeque::new(),
             chunk_base: 0,
             owed_ring: 0,
-            peer_credits: 0,
-            owed_credits: 0,
-            pending_ctrl: VecDeque::new(),
-            tx: TxPipe::new(),
-            next_wr: 1,
-            wwi_owner: VecDeque::new(),
             inflight: HashMap::new(),
             sendable: VecDeque::new(),
             broken: false,
@@ -499,7 +472,7 @@ impl MuxEndpoint {
         t.send_mirror = SenderRing::new(peer.ring_capacity);
         t.peer_ring_addr = peer.ring_addr;
         t.peer_ring_rkey = peer.ring_rkey;
-        t.peer_credits = peer.credits;
+        t.chan.open(peer.credits);
         t.connected = true;
         for (&id, s) in self.streams.iter_mut() {
             if self.cfg.mux.assignment.slot(id, pool) == slot
@@ -509,15 +482,6 @@ impl MuxEndpoint {
                 s.in_send_queue = true;
                 t.sendable.push_back(id);
             }
-        }
-    }
-
-    /// QP capabilities a pooled transport needs under this config.
-    pub fn transport_caps(cfg: &ExsConfig) -> QpCaps {
-        QpCaps {
-            max_send_wr: cfg.sq_depth * 2 + 8,
-            max_recv_wr: cfg.credits as usize + 8,
-            max_inline: 256,
         }
     }
 
@@ -574,8 +538,7 @@ impl MuxEndpoint {
                 }
             }
             self.pump_transport(api, slot);
-            self.flush_ctrl(slot, api);
-            self.flush_tx(api, slot);
+            self.flush(api, slot);
         }
         Ok(())
     }
@@ -617,8 +580,7 @@ impl MuxEndpoint {
             filled: 0,
         });
         self.service_recv(api, slot, stream);
-        self.flush_ctrl(slot, api);
-        self.flush_tx(api, slot);
+        self.flush(api, slot);
         Ok(())
     }
 
@@ -636,8 +598,7 @@ impl MuxEndpoint {
         self.try_queue_fin(slot, stream);
         if self.transports[slot].is_some() {
             self.pump_transport(api, slot);
-            self.flush_ctrl(slot, api);
-            self.flush_tx(api, slot);
+            self.flush(api, slot);
         }
         self.maybe_retire(stream);
     }
@@ -658,12 +619,8 @@ impl MuxEndpoint {
             return;
         }
         s.fin_queued = true;
-        t.pending_ctrl.push_back((
-            stream,
-            Ctrl::Fin {
-                final_seq: s.send_seq,
-            },
-        ));
+        let final_seq = s.send_seq;
+        t.chan.push_ctrl(stream, Ctrl::Fin { final_seq });
     }
 
     /// Reclaims a stream whose both directions are fully done.
@@ -686,14 +643,8 @@ impl MuxEndpoint {
     /// pair, advances every transport, and queues user events.
     pub fn handle_wake(&mut self, api: &mut impl VerbsPort) {
         if let Some((send_cq, recv_cq)) = self.cqs {
-            let mut cqes: Vec<Cqe> = Vec::new();
-            api.poll_cq(recv_cq, usize::MAX, &mut cqes)
-                .expect("poll recv cq");
-            let recv_count = cqes.len();
-            api.poll_cq(send_cq, usize::MAX, &mut cqes)
-                .expect("poll send cq");
-            for (i, cqe) in cqes.into_iter().enumerate() {
-                if i < recv_count {
+            for (cqe, is_recv) in poll_cqs(api, send_cq, recv_cq) {
+                if is_recv {
                     self.on_recv_cqe(api, cqe);
                 } else {
                     self.on_send_cqe(api, cqe);
@@ -716,10 +667,10 @@ impl MuxEndpoint {
                 continue;
             }
             self.pump_transport(api, slot);
-            self.flush_ctrl(slot, api);
-            self.maybe_send_credit(slot);
-            self.flush_ctrl(slot, api);
-            self.flush_tx(api, slot);
+            let t = self.transports[slot].as_mut().expect("checked above");
+            t.chan.flush_ctrl(api, &mut self.stats);
+            t.chan.maybe_send_credit(api, &mut self.stats);
+            t.chan.flush_tx(api, &mut self.stats);
         }
     }
 
@@ -752,15 +703,8 @@ impl MuxEndpoint {
         let Some(t) = self.transports[slot].as_mut() else {
             return;
         };
-        t.tx.on_signaled_cqe();
-        // RC FIFO: one signaled CQE retires every data WQE posted
-        // before it.
         let mut completed: Vec<(u32, u64, u64)> = Vec::new();
-        while let Some(&(wr_id, (stream, send_id))) = t.wwi_owner.front() {
-            if wr_id > cqe.wr_id {
-                break;
-            }
-            t.wwi_owner.pop_front();
+        for (stream, send_id) in t.chan.retire(cqe.wr_id) {
             let track = t
                 .inflight
                 .get_mut(&(stream, send_id))
@@ -830,26 +774,13 @@ impl MuxEndpoint {
             }
             WcOpcode::Recv => {
                 let t = self.transports[slot].as_mut().expect("slot exists");
-                let slot_ix = cqe.wr_id;
-                let mut buf = [0u8; CTRL_MSG_LEN];
-                api.read_mr(
-                    t.ctrl_mr.key,
-                    t.ctrl_mr.addr + slot_ix * CTRL_SLOT,
-                    &mut buf,
-                )?;
-                let msg = MuxCtrlMsg::decode(&buf)?;
-                t.peer_credits += msg.msg.credit_return;
-                self.on_ctrl(api, slot, msg.stream, msg.msg.ctrl)?;
+                let (stream, ctrl) = t.chan.recv_ctrl(api, &cqe)?;
+                self.on_ctrl(api, slot, stream, ctrl)?;
             }
             _ => return Err(ProtocolError::UnexpectedOpcode.into()),
         }
-        // Re-post the consumed slot immediately and account the return.
         let t = self.transports[slot].as_mut().expect("slot exists");
-        let slot_ix = cqe.wr_id;
-        let sge = t.ctrl_mr.sge(slot_ix * CTRL_SLOT, CTRL_SLOT as u32);
-        api.post_recv(t.qpn, RecvWr::new(slot_ix, sge))?;
-        t.owed_credits += 1;
-        Ok(())
+        t.chan.repost(api, &cqe)
     }
 
     /// A zero-copy chunk landed in an advertised receive buffer.
@@ -1189,32 +1120,29 @@ impl MuxEndpoint {
             let op = s.recvs.front().expect("non-empty");
             s.advert_live = true;
             self.stats.adverts_sent += 1;
-            t.pending_ctrl.push_back((
-                stream,
-                Ctrl::Advert(Advert {
-                    seq: Seq(s.recv_seq),
-                    phase: Phase(0),
-                    addr: op.addr + op.filled as u64,
-                    len: op.len - op.filled,
-                    rkey: op.key,
-                    waitall: op.waitall,
-                }),
-            ));
+            let advert = Advert {
+                seq: Seq(s.recv_seq),
+                phase: Phase(0),
+                addr: op.addr + op.filled as u64,
+                len: op.len - op.filled,
+                rkey: op.key,
+                waitall: op.waitall,
+            };
+            t.chan.push_ctrl(stream, Ctrl::Advert(advert));
         }
         // Window return: at half-window, or when the stream drains.
         if s.owed_window > 0 && (s.owed_window * 2 >= window || s.buffered == 0) {
             let freed = s.owed_window;
             s.owed_window = 0;
             self.stats.acks_sent += 1;
-            t.pending_ctrl.push_back((stream, Ctrl::Ack { freed }));
+            t.chan.push_ctrl(stream, Ctrl::Ack { freed });
         }
         self.free_ring_prefix(slot);
         if closed_now {
             self.events.push(MuxEvent::StreamClosed { stream });
             self.maybe_retire(stream);
         }
-        self.flush_ctrl(slot, api);
-        self.flush_tx(api, slot);
+        self.flush(api, slot);
     }
 
     /// Pops the fully-copied prefix of the chunk FIFO, releasing its
@@ -1244,7 +1172,7 @@ impl MuxEndpoint {
             let freed = t.owed_ring;
             t.owed_ring = 0;
             self.stats.acks_sent += 1;
-            t.pending_ctrl.push_back((STREAM_NONE, Ctrl::Ack { freed }));
+            t.chan.push_ctrl(STREAM_NONE, Ctrl::Ack { freed });
         }
     }
 
@@ -1265,10 +1193,7 @@ impl MuxEndpoint {
         let max_chunk = self.cfg.max_wwi_chunk as u64;
         let mut drained_fins: Vec<u32> = Vec::new();
         loop {
-            if t.peer_credits <= CREDIT_RESERVE {
-                break;
-            }
-            if api.sq_outstanding(t.qpn) + t.tx.staged() >= self.cfg.sq_depth {
+            if !t.chan.can_send_data(api) {
                 break;
             }
             let Some(stream) = t.sendable.pop_front() else {
@@ -1310,8 +1235,6 @@ impl MuxEndpoint {
                 (t.peer_ring_addr + off, t.peer_ring_rkey, got, false)
             };
             debug_assert!(chunk > 0, "pump issued an empty chunk");
-            let wr_id = t.next_wr;
-            t.next_wr += 1;
             let sge = Sge::new(head.addr + head.dispatched, chunk as u32, head.key);
             let remote = RemoteAddr {
                 addr: raddr,
@@ -1357,16 +1280,10 @@ impl MuxEndpoint {
             track.len += chunk;
             track.outstanding += 1;
             track.dispatched_all = head_done;
-            let occupancy = api.sq_outstanding(t.qpn) + t.tx.staged();
-            t.tx.stage(
-                occupancy,
-                &self.cfg,
-                SendWr::write_imm(wr_id, sge, remote, imm),
-                true,
-                &mut self.stats,
-            );
-            t.peer_credits -= 1;
-            t.wwi_owner.push_back((wr_id, (stream, send_id)));
+            t.chan
+                .stage_data(api, &mut self.stats, (stream, send_id), |wr_id| {
+                    SendWr::write_imm(wr_id, sge, remote, imm)
+                });
             if s.sends.is_empty() {
                 s.in_send_queue = false;
                 if s.send_closed && !s.fin_queued {
@@ -1381,99 +1298,17 @@ impl MuxEndpoint {
         }
     }
 
-    /// Moves eligible stream-tagged control messages onto the TX
-    /// queue; they share the next flush's doorbell with staged data.
-    fn flush_ctrl(&mut self, slot: usize, api: &mut impl VerbsPort) {
+    /// Stages whatever control traffic the slot's credit gate lets
+    /// through and posts the transport's TX queue; control messages
+    /// share the doorbell with data staged in the same pass.
+    fn flush(&mut self, api: &mut impl VerbsPort, slot: usize) {
         let Some(t) = self.transports[slot].as_mut() else {
             return;
         };
-        if t.broken || !t.connected {
-            return;
+        if !t.broken {
+            t.chan.flush_ctrl(api, &mut self.stats);
         }
-        loop {
-            let Some(&(_, front)) = t.pending_ctrl.front() else {
-                return;
-            };
-            let needed = match front {
-                Ctrl::Credit => CREDIT_RESERVE,
-                _ => CREDIT_RESERVE + 1,
-            };
-            let pick = if t.peer_credits >= needed {
-                0
-            } else if t.peer_credits >= CREDIT_RESERVE {
-                // Head-of-line rescue: the reserve credit exists so
-                // CREDIT returns always flow. A stream ctrl blocked at
-                // the head must not trap a CREDIT queued behind it —
-                // with both sides down to their reserve, that ordering
-                // is a distributed deadlock (each waits for the
-                // other's return stuck behind an unsendable FIN).
-                match t
-                    .pending_ctrl
-                    .iter()
-                    .position(|(_, c)| matches!(c, Ctrl::Credit))
-                {
-                    Some(pos) => pos,
-                    None => return,
-                }
-            } else {
-                return;
-            };
-            if api.sq_outstanding(t.qpn) + t.tx.staged() >= self.cfg.sq_depth {
-                return;
-            }
-            let (stream, ctrl) = t.pending_ctrl.remove(pick).expect("position just found");
-            // A CREDIT whose return was already piggybacked on an
-            // earlier message carries nothing — don't spend the
-            // reserve on it.
-            if matches!(ctrl, Ctrl::Credit) && t.owed_credits == 0 {
-                continue;
-            }
-            let msg = MuxCtrlMsg {
-                stream,
-                msg: CtrlMsg {
-                    ctrl,
-                    credit_return: t.owed_credits,
-                },
-            };
-            t.owed_credits = 0;
-            let wr_id = t.next_wr;
-            t.next_wr += 1;
-            let occupancy = api.sq_outstanding(t.qpn) + t.tx.staged();
-            t.tx.stage(
-                occupancy,
-                &self.cfg,
-                SendWr::send_inline(wr_id, msg.encode_bytes()),
-                false,
-                &mut self.stats,
-            );
-            t.peer_credits -= 1;
-        }
-    }
-
-    /// Standalone CREDIT when returns pile up with nothing flowing.
-    fn maybe_send_credit(&mut self, slot: usize) {
-        let threshold = self.cfg.effective_credit_threshold();
-        let Some(t) = self.transports[slot].as_mut() else {
-            return;
-        };
-        if t.owed_credits >= threshold
-            && t.peer_credits >= CREDIT_RESERVE
-            && !t
-                .pending_ctrl
-                .iter()
-                .any(|(_, c)| matches!(c, Ctrl::Credit))
-        {
-            t.pending_ctrl.push_back((STREAM_NONE, Ctrl::Credit));
-            self.stats.credits_sent += 1;
-        }
-    }
-
-    /// Posts the staged TX queue of one transport as postlists.
-    fn flush_tx(&mut self, api: &mut impl VerbsPort, slot: usize) {
-        let Some(t) = self.transports[slot].as_mut() else {
-            return;
-        };
-        t.tx.flush(api, t.qpn, &self.cfg, &mut self.stats);
+        t.chan.flush_tx(api, &mut self.stats);
     }
 
     /// True when no user send is queued or awaiting completion, on any
@@ -1500,7 +1335,7 @@ impl MuxEndpoint {
                 .transports
                 .iter()
                 .flatten()
-                .any(|t| !t.pending_ctrl.is_empty() || t.tx.staged() > 0)
+                .any(|t| t.chan.has_unsent())
     }
 
     /// Releases every registration the endpoint owns (shared rings and
@@ -1508,8 +1343,7 @@ impl MuxEndpoint {
     /// slot; call at teardown.
     pub fn close(&mut self, api: &mut impl VerbsPort) {
         for t in self.transports.iter_mut().flatten() {
-            api.deregister_mr(t.ctrl_mr.key)
-                .expect("free control slots at close");
+            t.chan.close(api);
             api.deregister_mr(t.ring_mr.key)
                 .expect("free shared ring at close");
         }
@@ -1529,13 +1363,10 @@ impl MuxEndpoint {
             let Some(t) = t else { continue };
             let _ = writeln!(
                 out,
-                "  slot {i}: qpn={} broken={} peer_credits={} owed_credits={} \
-                 pending_ctrl={} sendable={} ring {}/{} chunks={} inflight={}",
-                t.qpn.0,
+                "  slot {i}: qpn={} broken={} {} sendable={} ring {}/{} chunks={} inflight={}",
+                t.chan.qpn().0,
                 t.broken,
-                t.peer_credits,
-                t.owed_credits,
-                t.pending_ctrl.len(),
+                t.chan.gauges(),
                 t.sendable.len(),
                 t.send_mirror.in_use(),
                 t.send_mirror.capacity(),
@@ -1595,10 +1426,9 @@ impl MuxEndpoint {
     /// Modeled fixed cost of one transport (ring + control slots + QP
     /// rings + CQ share) under `cfg`.
     fn transport_fixed_bytes(cfg: &ExsConfig) -> u64 {
-        let sq = (cfg.sq_depth as u64 * 2 + 8) * WQE_SLOT_BYTES;
-        let rq = (cfg.credits as u64 + 8) * WQE_SLOT_BYTES;
-        let cq = (cfg.sq_depth as u64 * 2 + cfg.credits as u64 * 2) * WQE_SLOT_BYTES;
-        cfg.ring_capacity + cfg.credits as u64 * CTRL_SLOT + sq + rq + cq
+        let caps = cfg.qp_caps();
+        let slots = (caps.max_send_wr + caps.max_recv_wr + cfg.cq_depth(1)) as u64;
+        cfg.ring_capacity + ctrl_region_bytes(cfg.credits) + slots * WQE_SLOT_BYTES
     }
 }
 
@@ -1607,28 +1437,15 @@ impl MuxEndpoint {
 /// connects one QP per pending slot (shared CQs on **both** sides via
 /// [`connect_pool`]), and runs the out-of-band parameter exchange.
 pub fn connect_mux_pair(net: &mut SimNet, a: &mut MuxEndpoint, b: &mut MuxEndpoint) {
-    let mut slots: Vec<usize> = a.pending_slots();
-    for s in b.pending_slots() {
-        if !slots.contains(&s) {
-            slots.push(s);
-        }
-    }
-    slots.sort_unstable();
-    let caps = MuxEndpoint::transport_caps(&a.cfg);
+    let caps = a.cfg.qp_caps();
     let cq_depth = MuxEndpoint::shared_cq_depth(&a.cfg);
-    for slot in slots {
-        if a.transports[slot].is_some() || b.transports[slot].is_some() {
-            continue;
-        }
-        if a.cqs.is_none() {
-            a.cqs = Some(net.with_api(a.node, |api| {
-                (api.create_cq(cq_depth), api.create_cq(cq_depth))
-            }));
-        }
-        if b.cqs.is_none() {
-            b.cqs = Some(net.with_api(b.node, |api| {
-                (api.create_cq(cq_depth), api.create_cq(cq_depth))
-            }));
+    for slot in MuxEndpoint::slots_to_establish(a, b) {
+        for ep in [&mut *a, &mut *b] {
+            ep.cqs.get_or_insert_with(|| {
+                net.with_api(ep.node, |api| {
+                    (api.create_cq(cq_depth), api.create_cq(cq_depth))
+                })
+            });
         }
         let (ha, hb) = connect_pool(net, a.node, b.node, caps, cq_depth, a.cqs, b.cqs)
             .expect("connect mux transport");

@@ -8,10 +8,10 @@
 //!   intermediate ring, as the Fig. 2 algorithm decides;
 //! * ADVERT / ACK / CREDIT control messages travel as small inline
 //!   SENDs;
-//! * every side pre-posts `credits` receive WQEs (64-byte slots); every
-//!   arrival consumes one and is immediately re-posted, with returns
-//!   piggybacked on control messages and topped up by standalone CREDIT
-//!   messages (paper §II-B);
+//! * the QP's control channel — pre-posted receive slots, the credit
+//!   rule, control-message queueing, postlist staging — is one
+//!   `chan::Channel`, shared with the message socket and the
+//!   mux transport (paper §II-B);
 //! * completions surface as [`ExsEvent`]s through an event-queue-style
 //!   API, mirroring the asynchronous UNH EXS interface where
 //!   `exs_send`/`exs_recv` return immediately and the application polls
@@ -24,31 +24,22 @@
 use std::collections::VecDeque;
 
 use rdma_verbs::{
-    connect_pair, connect_pair_on_cqs, Cqe, MrInfo, NodeApi, NodeId, QpCaps, QpNum, RecvWr,
-    RemoteAddr, SendWr, Sge, SimNet, WcOpcode, WcStatus,
+    connect_pair_on_cqs, ConnHalf, Cqe, MrInfo, NodeId, QpNum, RemoteAddr, SendWr, Sge, SimNet,
+    WcOpcode, WcStatus,
 };
 use rdma_verbs::{Access, CqId, MrKey};
 use simnet::IntMap;
 
 use crate::port::VerbsPort;
 
+use crate::chan::{poll_cqs, Channel};
 use crate::config::{ExsConfig, ProtocolMode, WwiMode};
 use crate::error::{ExsError, ProtocolError};
-use crate::messages::{decode_imm, encode_imm, Ctrl, CtrlMsg, TransferKind, CTRL_MSG_LEN};
+use crate::messages::{decode_imm, encode_imm, Ctrl, TransferKind};
 use crate::receiver::{LocalRing, ReceiverHalf, RecvAction, RecvOp};
 use crate::sender::{RemoteRing, SenderHalf, WwiPlan};
 use crate::seq::Seq;
 use crate::stats::ConnStats;
-use crate::txpipe::TxPipe;
-
-/// Size of one pre-posted control receive slot.
-pub(crate) const CTRL_SLOT: u64 = 64;
-const _: () = assert!(
-    CTRL_MSG_LEN <= CTRL_SLOT as usize,
-    "slots must hold control messages"
-);
-/// Credits kept in reserve so a CREDIT message can always be sent.
-const CREDIT_RESERVE: u32 = 1;
 
 /// Completion events delivered to the application.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -101,40 +92,40 @@ struct SendTrack {
     members: Vec<(u64, u64)>,
 }
 
-/// Connection parameters one side shares with its peer at setup.
+/// Parameters one side of a ring-backed QP — a stream socket's, a mux
+/// pool member's — shares with its peer at setup.
 #[derive(Clone, Copy, Debug)]
 pub struct SetupInfo {
-    ring_addr: u64,
-    ring_rkey: u32,
-    ring_capacity: u64,
-    credits: u32,
+    pub(crate) ring_addr: u64,
+    pub(crate) ring_rkey: u32,
+    pub(crate) ring_capacity: u64,
+    pub(crate) credits: u32,
+}
+
+impl SetupInfo {
+    /// What the peer needs to know about an endpoint whose intermediate
+    /// ring is `ring_mr`.
+    pub(crate) fn of(ring_mr: &MrInfo, cfg: &ExsConfig) -> SetupInfo {
+        SetupInfo {
+            ring_addr: ring_mr.addr,
+            ring_rkey: ring_mr.key.0,
+            ring_capacity: cfg.ring_capacity,
+            credits: cfg.credits,
+        }
+    }
 }
 
 /// A stream-oriented EXS socket endpoint.
 pub struct StreamSocket {
     node: NodeId,
-    qpn: QpNum,
-    send_cq: CqId,
-    recv_cq: CqId,
-    cfg: ExsConfig,
     sender: SenderHalf,
     receiver: ReceiverHalf,
     ring_mr: MrInfo,
-    ctrl_mr: MrInfo,
+    /// The QP's control channel; a data WQE's owner is the id of the
+    /// user send it carries.
+    chan: Channel<(), u64>,
     pending_sends: VecDeque<PendingSend>,
     inflight: IntMap<u64, SendTrack>,
-    /// Data WQEs awaiting retirement, in posting (= wr_id) order. RC
-    /// FIFO means a signaled CQE for wr_id `W` implies every WQE with a
-    /// smaller wr_id also completed, so one CQE drains the whole prefix
-    /// `wr_id <= W` — the EXS-level half of batched SQ reclamation.
-    wwi_owner: VecDeque<(u64, u64)>,
-    next_wr: u64,
-    /// Postlist staging and selective-signaling state.
-    tx: TxPipe,
-    peer_credits: u32,
-    owed_credits: u32,
-    credit_threshold: u32,
-    pending_ctrl: VecDeque<Ctrl>,
     events: Vec<ExsEvent>,
     stats: ConnStats,
     actions_scratch: Vec<RecvAction>,
@@ -144,8 +135,6 @@ pub struct StreamSocket {
     /// progress round (`exs_cancel` has no backend handle to free them
     /// immediately).
     staging_orphans: Vec<MrKey>,
-    /// Registrations already released; the socket is closed.
-    mrs_released: bool,
     /// Local half-close requested; no further sends accepted.
     send_closed: bool,
     /// FIN queued to the peer (exactly once, after all data dispatched).
@@ -161,12 +150,14 @@ pub struct StreamSocket {
 }
 
 impl StreamSocket {
-    /// Builds one endpoint: registers the intermediate ring and control
+    /// Builds one endpoint on `node` over an already-connected QP, on
+    /// either backend: registers the intermediate ring and the control
     /// slots and pre-posts the receive credits. The returned
     /// [`SetupInfo`] must be exchanged with the peer (connection setup is
     /// out of band, like `rdma_cm` parameter exchange).
     pub fn prepare(
-        api: &mut NodeApi<'_>,
+        api: &mut impl VerbsPort,
+        node: NodeId,
         qpn: QpNum,
         send_cq: CqId,
         recv_cq: CqId,
@@ -174,33 +165,14 @@ impl StreamSocket {
     ) -> (PreparedSocket, SetupInfo) {
         cfg.validate().expect("invalid EXS configuration");
         let ring_mr = api.register_mr(cfg.ring_capacity as usize, Access::local_remote_write());
-        let ctrl_mr = api.register_mr(
-            (cfg.credits as u64 * CTRL_SLOT) as usize,
-            Access::LOCAL_WRITE,
-        );
-        for slot in 0..cfg.credits {
-            let sge = ctrl_mr.sge(slot as u64 * CTRL_SLOT, CTRL_SLOT as u32);
-            api.post_recv(qpn, RecvWr::new(slot as u64, sge))
-                .expect("pre-posting control receives");
-        }
-        let info = SetupInfo {
-            ring_addr: ring_mr.addr,
-            ring_rkey: ring_mr.key.0,
-            ring_capacity: cfg.ring_capacity,
-            credits: cfg.credits,
+        let chan = Channel::prepare(api, qpn, send_cq, recv_cq, cfg);
+        let info = SetupInfo::of(&ring_mr, cfg);
+        let prepared = PreparedSocket {
+            node,
+            ring_mr,
+            chan,
         };
-        (
-            PreparedSocket {
-                node: api.node(),
-                qpn,
-                send_cq,
-                recv_cq,
-                cfg: cfg.clone(),
-                ring_mr,
-                ctrl_mr,
-            },
-            info,
-        )
+        (prepared, info)
     }
 
     /// Creates a fully connected pair of stream sockets over `net`,
@@ -211,22 +183,7 @@ impl StreamSocket {
         b: NodeId,
         cfg: &ExsConfig,
     ) -> (StreamSocket, StreamSocket) {
-        let caps = QpCaps {
-            // The iWARP WWI emulation posts two WQEs per transfer;
-            // reserve headroom beyond the pump's sq_depth gate.
-            max_send_wr: cfg.sq_depth * 2 + 8,
-            max_recv_wr: cfg.credits as usize + 8,
-            max_inline: 256,
-        };
-        let cq_depth = cfg.cq_depth(1);
-        let (ha, hb) = connect_pair(net, a, b, caps, cq_depth).expect("connect");
-        let (pa, ia) = net.with_api(a, |api| {
-            StreamSocket::prepare(api, ha.qpn, ha.send_cq, ha.recv_cq, cfg)
-        });
-        let (pb, ib) = net.with_api(b, |api| {
-            StreamSocket::prepare(api, hb.qpn, hb.send_cq, hb.recv_cq, cfg)
-        });
-        (pa.complete(ib), pb.complete(ia))
+        Self::pair_on(net, a, b, None, cfg)
     }
 
     /// Like [`StreamSocket::pair`], but the `server` endpoint's QP
@@ -242,28 +199,26 @@ impl StreamSocket {
         server_recv_cq: CqId,
         cfg: &ExsConfig,
     ) -> (StreamSocket, StreamSocket) {
-        let caps = QpCaps {
-            max_send_wr: cfg.sq_depth * 2 + 8,
-            max_recv_wr: cfg.credits as usize + 8,
-            max_inline: 256,
+        let server_cqs = Some((server_send_cq, server_recv_cq));
+        Self::pair_on(net, client, server, server_cqs, cfg)
+    }
+
+    fn pair_on(
+        net: &mut SimNet,
+        a: NodeId,
+        b: NodeId,
+        b_cqs: Option<(CqId, CqId)>,
+        cfg: &ExsConfig,
+    ) -> (StreamSocket, StreamSocket) {
+        let (ha, hb) =
+            connect_pair_on_cqs(net, a, b, cfg.qp_caps(), cfg.cq_depth(1), b_cqs).expect("connect");
+        let mut prepare = |node, h: ConnHalf| {
+            net.with_api(node, |api| {
+                StreamSocket::prepare(api, node, h.qpn, h.send_cq, h.recv_cq, cfg)
+            })
         };
-        let cq_depth = cfg.cq_depth(1);
-        let (hc, hs) = connect_pair_on_cqs(
-            net,
-            client,
-            server,
-            caps,
-            cq_depth,
-            Some((server_send_cq, server_recv_cq)),
-        )
-        .expect("connect");
-        let (pc, ic) = net.with_api(client, |api| {
-            StreamSocket::prepare(api, hc.qpn, hc.send_cq, hc.recv_cq, cfg)
-        });
-        let (ps, is) = net.with_api(server, |api| {
-            StreamSocket::prepare(api, hs.qpn, hs.send_cq, hs.recv_cq, cfg)
-        });
-        (pc.complete(is), ps.complete(ic))
+        let ((pa, ia), (pb, ib)) = (prepare(a, ha), prepare(b, hb));
+        (pa.complete(ib), pb.complete(ia))
     }
 
     /// This endpoint's node.
@@ -273,17 +228,17 @@ impl StreamSocket {
 
     /// The queue pair this endpoint owns (the reactor's dispatch key).
     pub fn qpn(&self) -> QpNum {
-        self.qpn
+        self.chan.qpn()
     }
 
     /// The CQ this endpoint's send completions land on.
     pub fn send_cq(&self) -> CqId {
-        self.send_cq
+        self.chan.send_cq()
     }
 
     /// The CQ this endpoint's receive completions land on.
     pub fn recv_cq(&self) -> CqId {
-        self.recv_cq
+        self.chan.recv_cq()
     }
 
     /// Number of user events queued and not yet taken.
@@ -305,7 +260,7 @@ impl StreamSocket {
 
     /// The configured protocol mode.
     pub fn mode(&self) -> ProtocolMode {
-        self.cfg.mode
+        self.chan.cfg().mode
     }
 
     /// True when no user send is queued or awaiting completion.
@@ -341,12 +296,12 @@ impl StreamSocket {
             self.events.push(ExsEvent::SendComplete { id, len: 0 });
             return;
         }
-        let coalesce = self.cfg.effective_coalesce_threshold();
-        if self.cfg.mode == ProtocolMode::BCopy && coalesce > 0 && len <= coalesce {
+        let coalesce = self.chan.cfg().effective_coalesce_threshold();
+        if self.chan.cfg().mode == ProtocolMode::BCopy && coalesce > 0 && len <= coalesce {
             self.coalesce_send(api, mr, offset, len, id);
             return;
         }
-        let (addr, key, open_cap) = if self.cfg.mode == ProtocolMode::BCopy {
+        let (addr, key, open_cap) = if self.chan.cfg().mode == ProtocolMode::BCopy {
             // rsockets-style BCopy: copy the user data into an internal
             // staging region first (charged to the sender's CPU), then
             // transfer from the staging copy. The user buffer is
@@ -362,8 +317,8 @@ impl StreamSocket {
         };
         self.queue_send(id, addr, len, key, open_cap);
         self.pump_sends(api);
-        self.flush_ctrl(api);
-        self.flush_tx(api);
+        self.chan.flush_ctrl(api, &mut self.stats);
+        self.chan.flush_tx(api, &mut self.stats);
     }
 
     /// Queues one pending send, closing any open coalesce run ahead of
@@ -439,18 +394,18 @@ impl StreamSocket {
             _ => false,
         };
         if !appended {
-            let cap = self.cfg.effective_coalesce_threshold();
+            let cap = self.chan.cfg().effective_coalesce_threshold();
             let stage = api.register_mr(cap as usize, Access::NONE);
             api.copy_mr(mr.key, mr.addr + offset, stage.key, stage.addr, len)
                 .expect("BCopy staging copy");
             self.staging.insert(id, stage.key);
             self.queue_send(id, stage.addr, len, stage.key, Some(cap - len));
         }
-        if self.tx.signaled_outstanding() == 0 {
+        if self.chan.signaled_outstanding() == 0 {
             // Nothing in flight will wake us later; dispatch now.
             self.pump_sends(api);
-            self.flush_ctrl(api);
-            self.flush_tx(api);
+            self.chan.flush_ctrl(api, &mut self.stats);
+            self.chan.flush_tx(api, &mut self.stats);
         }
     }
 
@@ -463,9 +418,9 @@ impl StreamSocket {
         }
         if !self.broken {
             self.pump_sends(api);
-            self.flush_ctrl(api);
+            self.chan.flush_ctrl(api, &mut self.stats);
         }
-        self.flush_tx(api);
+        self.chan.flush_tx(api, &mut self.stats);
     }
 
     /// Asynchronous receive (ES-API `exs_recv`): queues the operation and
@@ -503,9 +458,9 @@ impl StreamSocket {
         self.receiver.push_recv(op, &mut self.stats, &mut actions);
         self.execute_actions(api, &mut actions);
         self.actions_scratch = actions;
-        self.flush_ctrl(api);
+        self.chan.flush_ctrl(api, &mut self.stats);
         self.check_eof(api);
-        self.flush_tx(api);
+        self.chan.flush_tx(api, &mut self.stats);
     }
 
     /// Best-effort cancellation of a pending operation (ES-API
@@ -551,7 +506,7 @@ impl StreamSocket {
             self.pump_sends(api);
         }
         self.try_queue_fin(api);
-        self.flush_tx(api);
+        self.chan.flush_tx(api, &mut self.stats);
     }
 
     /// True once the local sending direction is closed.
@@ -570,8 +525,7 @@ impl StreamSocket {
             return false;
         }
         !self.pending_sends.is_empty()
-            || !self.pending_ctrl.is_empty()
-            || self.tx.staged() > 0
+            || self.chan.has_unsent()
             || (self.send_closed && !self.fin_queued)
     }
 
@@ -582,10 +536,9 @@ impl StreamSocket {
     /// regions stay pinned for the life of the node: registrations
     /// have no other owner.
     pub fn close(&mut self, api: &mut impl VerbsPort) {
-        if self.mrs_released {
+        if !self.chan.close(api) {
             return;
         }
-        self.mrs_released = true;
         for (_, key) in self.staging.drain() {
             api.deregister_mr(key)
                 .expect("free staging region at close");
@@ -594,8 +547,6 @@ impl StreamSocket {
             api.deregister_mr(key)
                 .expect("free cancelled staging region");
         }
-        api.deregister_mr(self.ctrl_mr.key)
-            .expect("free control slots at close");
         api.deregister_mr(self.ring_mr.key)
             .expect("free intermediate ring at close");
     }
@@ -603,7 +554,7 @@ impl StreamSocket {
     /// True once [`StreamSocket::close`] has released the socket's
     /// registrations.
     pub fn is_closed(&self) -> bool {
-        self.mrs_released
+        self.chan.is_closed()
     }
 
     /// True once the peer's stream has fully ended (FIN seen and every
@@ -619,10 +570,9 @@ impl StreamSocket {
             return;
         }
         self.fin_queued = true;
-        self.pending_ctrl.push_back(Ctrl::Fin {
-            final_seq: self.sender.seq().0,
-        });
-        self.flush_ctrl(api);
+        let final_seq = self.sender.seq().0;
+        self.chan.push_ctrl((), Ctrl::Fin { final_seq });
+        self.chan.flush_ctrl(api, &mut self.stats);
     }
 
     /// Delivers end-of-stream if the peer has closed and all its bytes
@@ -677,14 +627,8 @@ impl StreamSocket {
     /// Drives the socket from a node wake: drains both completion
     /// queues, advances the protocol, and queues user events.
     pub fn handle_wake(&mut self, api: &mut impl VerbsPort) {
-        let mut cqes: Vec<Cqe> = Vec::new();
-        api.poll_cq(self.recv_cq, usize::MAX, &mut cqes)
-            .expect("poll recv cq");
-        let recv_count = cqes.len();
-        api.poll_cq(self.send_cq, usize::MAX, &mut cqes)
-            .expect("poll send cq");
-        for (i, cqe) in cqes.into_iter().enumerate() {
-            if i < recv_count {
+        for (cqe, is_recv) in poll_cqs(api, self.chan.send_cq(), self.chan.recv_cq()) {
+            if is_recv {
                 self.on_recv_cqe(api, cqe);
             } else {
                 self.on_send_cqe(api, cqe);
@@ -708,10 +652,10 @@ impl StreamSocket {
         }
         self.pump_sends(api);
         self.try_queue_fin(api);
-        self.flush_ctrl(api);
-        self.maybe_send_credit(api);
+        self.chan.flush_ctrl(api, &mut self.stats);
+        self.chan.maybe_send_credit(api, &mut self.stats);
         self.check_eof(api);
-        self.flush_tx(api);
+        self.chan.flush_tx(api, &mut self.stats);
     }
 
     /// Takes the accumulated user events.
@@ -743,17 +687,8 @@ impl StreamSocket {
                 self.apply_transfer(api, kind, len)?;
             }
             WcOpcode::Recv => {
-                // Control message: parse from the slot buffer.
-                let slot = cqe.wr_id;
-                let mut buf = [0u8; CTRL_MSG_LEN];
-                api.read_mr(
-                    self.ctrl_mr.key,
-                    self.ctrl_mr.addr + slot * CTRL_SLOT,
-                    &mut buf,
-                )?;
-                let msg = CtrlMsg::decode(&buf)?;
-                self.peer_credits += msg.credit_return;
-                match msg.ctrl {
+                let ((), ctrl) = self.chan.recv_ctrl(api, &cqe)?;
+                match ctrl {
                     Ctrl::Advert(ad) => self.sender.push_advert(ad, &mut self.stats)?,
                     Ctrl::Ack { freed } => self.sender.on_ack(freed, &mut self.stats)?,
                     Ctrl::Credit => {}
@@ -789,12 +724,7 @@ impl StreamSocket {
             }
             _ => return Err(ProtocolError::UnexpectedOpcode.into()),
         }
-        // Re-post the consumed slot immediately and account the return.
-        let slot = cqe.wr_id;
-        let sge = self.ctrl_mr.sge(slot * CTRL_SLOT, CTRL_SLOT as u32);
-        api.post_recv(self.qpn, RecvWr::new(slot, sge))?;
-        self.owed_credits += 1;
-        Ok(())
+        self.chan.repost(api, &cqe)
     }
 
     /// Feeds one arriving transfer to the receiver half, preserving the
@@ -828,16 +758,7 @@ impl StreamSocket {
             "unexpected send-side completion {:?}",
             cqe.opcode
         );
-        self.tx.on_signaled_cqe();
-        // RC FIFO: this signaled completion retires every WQE posted
-        // before it, so drain all owners up to and including its wr_id
-        // (a signaled control SEND may retire data WWIs posted ahead of
-        // it and own no entry itself).
-        while let Some(&(wr_id, owner)) = self.wwi_owner.front() {
-            if wr_id > cqe.wr_id {
-                break;
-            }
-            self.wwi_owner.pop_front();
+        for owner in self.chan.retire(cqe.wr_id) {
             let track = self
                 .inflight
                 .get_mut(&owner)
@@ -862,14 +783,7 @@ impl StreamSocket {
             let Some(head) = self.pending_sends.front() else {
                 return;
             };
-            // Resource gates: a WWI needs a peer receive credit (it
-            // consumes a posted RECV) and a send-queue slot. Staged
-            // WQEs count against the SQ: they will occupy slots the
-            // moment the queue flushes.
-            if self.peer_credits <= CREDIT_RESERVE {
-                return;
-            }
-            if api.sq_outstanding(self.qpn) + self.tx.staged() >= self.cfg.sq_depth {
+            if !self.chan.can_send_data(api) {
                 return;
             }
             let remaining = head.len - head.dispatched;
@@ -882,8 +796,6 @@ impl StreamSocket {
 
     fn issue_wwi(&mut self, api: &mut impl VerbsPort, plan: WwiPlan) {
         let head = self.pending_sends.front_mut().expect("pump checked head");
-        let wr_id = self.next_wr;
-        self.next_wr += 1;
         let sge = Sge::new(head.addr + head.dispatched, plan.len, head.key);
         let kind = if plan.indirect {
             TransferKind::Indirect
@@ -910,33 +822,21 @@ impl StreamSocket {
         if head_done {
             self.pending_sends.pop_front();
         }
-        match self.cfg.wwi_mode {
-            WwiMode::Native => {
-                self.stage_wr(api, SendWr::write_imm(wr_id, sge, remote, imm), true);
-            }
+        let (chan, stats) = (&mut self.chan, &mut self.stats);
+        match chan.cfg().wwi_mode {
+            WwiMode::Native => chan.stage_data(api, stats, owner, |wr_id| {
+                SendWr::write_imm(wr_id, sge, remote, imm)
+            }),
             WwiMode::WritePlusSend => {
                 // Old-iWARP emulation (paper §II-B): a plain RDMA WRITE
                 // places the data, then a small SEND notifies the peer.
                 // The QP's FIFO ordering guarantees the notification
                 // arrives after the data; the notification SEND also
                 // returns any accumulated credit.
-                self.stage_wr(api, SendWr::write(wr_id, sge, remote), true);
-                let msg = CtrlMsg {
-                    ctrl: Ctrl::DataNotify { imm },
-                    credit_return: self.owed_credits,
-                };
-                self.owed_credits = 0;
-                let notify_wr = self.next_wr;
-                self.next_wr += 1;
-                self.stage_wr(
-                    api,
-                    SendWr::send_inline(notify_wr, msg.encode_bytes()),
-                    true,
-                );
+                chan.stage_data(api, stats, owner, |wr_id| SendWr::write(wr_id, sge, remote));
+                chan.stage_notify(api, stats, Ctrl::DataNotify { imm });
             }
         }
-        self.peer_credits -= 1;
-        self.wwi_owner.push_back((wr_id, owner));
     }
 
     fn execute_actions(&mut self, api: &mut impl VerbsPort, actions: &mut Vec<RecvAction>) {
@@ -951,133 +851,21 @@ impl StreamSocket {
                     api.copy_mr(self.ring_mr.key, src_addr, MrKey(dst_key), dst_addr, len)
                         .expect("intermediate buffer copy-out");
                 }
-                RecvAction::SendAdvert(ad) => self.pending_ctrl.push_back(Ctrl::Advert(ad)),
-                RecvAction::SendAck { freed } => self.pending_ctrl.push_back(Ctrl::Ack { freed }),
+                RecvAction::SendAdvert(ad) => self.chan.push_ctrl((), Ctrl::Advert(ad)),
+                RecvAction::SendAck { freed } => self.chan.push_ctrl((), Ctrl::Ack { freed }),
                 RecvAction::Complete { id, len } => {
                     self.events.push(ExsEvent::RecvComplete { id, len })
                 }
             }
         }
-        self.flush_ctrl(api);
-    }
-
-    /// Moves eligible control messages onto the TX queue (they are
-    /// posted by the next [`StreamSocket::flush_tx`], sharing its
-    /// doorbell with any data WQEs staged in the same pass).
-    fn flush_ctrl(&mut self, api: &mut impl VerbsPort) {
-        while let Some(front) = self.pending_ctrl.front() {
-            let needed = match front {
-                Ctrl::Credit => CREDIT_RESERVE,
-                _ => CREDIT_RESERVE + 1,
-            };
-            if self.peer_credits < needed {
-                // The reserved credit exists so that a credit return
-                // always gets through. One queued behind messages that
-                // cannot go would never use it, and with scarce credits
-                // both sides end up owing each other everything and
-                // unable to say so. A CREDIT carries nothing but the
-                // count, so its place among ADVERTs and ACKs means
-                // nothing: it overtakes.
-                let credit = self
-                    .pending_ctrl
-                    .iter()
-                    .position(|c| matches!(c, Ctrl::Credit));
-                match credit {
-                    Some(at) if self.peer_credits >= CREDIT_RESERVE => {
-                        self.pending_ctrl.remove(at);
-                        self.pending_ctrl.push_front(Ctrl::Credit);
-                        continue;
-                    }
-                    _ => return,
-                }
-            }
-            if api.sq_outstanding(self.qpn) + self.tx.staged() >= self.cfg.sq_depth {
-                return;
-            }
-            let ctrl = self.pending_ctrl.pop_front().expect("front exists");
-            let msg = CtrlMsg {
-                ctrl,
-                credit_return: self.owed_credits,
-            };
-            self.owed_credits = 0;
-            let wr_id = self.next_wr;
-            self.next_wr += 1;
-            self.stage_wr(api, SendWr::send_inline(wr_id, msg.encode_bytes()), false);
-            self.peer_credits -= 1;
-        }
-    }
-
-    /// Stages one WQE on the TX pipe (see [`TxPipe::stage`] for the
-    /// signaling policy). `is_data` marks WQEs whose completion the
-    /// application waits for.
-    fn stage_wr(&mut self, api: &mut impl VerbsPort, wr: SendWr, is_data: bool) {
-        let occupancy = api.sq_outstanding(self.qpn) + self.tx.staged();
-        self.tx
-            .stage(occupancy, &self.cfg, wr, is_data, &mut self.stats);
-    }
-
-    /// Posts the staged TX queue as postlists (see [`TxPipe::flush`]).
-    fn flush_tx(&mut self, api: &mut impl VerbsPort) {
-        self.tx.flush(api, self.qpn, &self.cfg, &mut self.stats);
+        self.chan.flush_ctrl(api, &mut self.stats);
     }
 
     /// Refreshes the CQ-pressure gauges (`overflowed`, `max_batch`,
     /// `nonempty_polls`) from the backend into this endpoint's stats;
     /// call before serializing a snapshot.
     pub fn sync_cq_stats(&mut self, api: &impl VerbsPort) {
-        let s = api.cq_pressure(self.send_cq);
-        let r = api.cq_pressure(self.recv_cq);
-        self.stats.cq_overflowed = s.overflowed || r.overflowed;
-        self.stats.cq_max_batch = s.max_batch.max(r.max_batch);
-        self.stats.cq_nonempty_polls = s.nonempty_polls + r.nonempty_polls;
-    }
-
-    fn maybe_send_credit(&mut self, api: &mut impl VerbsPort) {
-        if self.owed_credits >= self.credit_threshold
-            && self.peer_credits >= CREDIT_RESERVE
-            && !self.pending_ctrl.iter().any(|c| matches!(c, Ctrl::Credit))
-        {
-            self.pending_ctrl.push_back(Ctrl::Credit);
-            self.stats.credits_sent += 1;
-            self.flush_ctrl(api);
-        }
-    }
-}
-
-impl PreparedSocket {
-    /// Low-level constructor for backends that manage their own verbs
-    /// objects (the threaded fabric): the caller has already created the
-    /// QP/CQs, registered `ring_mr` (local+remote write) and `ctrl_mr`
-    /// (local write, `credits` × 64-byte slots), and pre-posted one
-    /// receive per slot with `wr_id == slot`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn from_raw(
-        node: NodeId,
-        qpn: QpNum,
-        send_cq: CqId,
-        recv_cq: CqId,
-        cfg: ExsConfig,
-        ring_mr: MrInfo,
-        ctrl_mr: MrInfo,
-    ) -> (PreparedSocket, SetupInfo) {
-        let info = SetupInfo {
-            ring_addr: ring_mr.addr,
-            ring_rkey: ring_mr.key.0,
-            ring_capacity: cfg.ring_capacity,
-            credits: cfg.credits,
-        };
-        (
-            PreparedSocket {
-                node,
-                qpn,
-                send_cq,
-                recv_cq,
-                cfg,
-                ring_mr,
-                ctrl_mr,
-            },
-            info,
-        )
+        self.chan.sync_cq_stats(api, &mut self.stats);
     }
 }
 
@@ -1085,68 +873,54 @@ impl PreparedSocket {
 /// set up; the peer's [`SetupInfo`] completes the socket.
 pub struct PreparedSocket {
     node: NodeId,
-    qpn: QpNum,
-    send_cq: CqId,
-    recv_cq: CqId,
-    cfg: ExsConfig,
     ring_mr: MrInfo,
-    ctrl_mr: MrInfo,
+    chan: Channel<(), u64>,
 }
 
 impl PreparedSocket {
     /// Finishes construction with the peer's parameters.
     pub fn complete(self, peer: SetupInfo) -> StreamSocket {
+        let cfg = self.chan.cfg();
         let sender = SenderHalf::with_policy(
-            self.cfg.mode,
+            cfg.mode,
             RemoteRing {
                 addr: peer.ring_addr,
                 rkey: peer.ring_rkey,
                 capacity: peer.ring_capacity,
             },
-            self.cfg.max_wwi_chunk,
-            self.cfg.direct,
+            cfg.max_wwi_chunk,
+            cfg.direct,
         );
         let receiver = ReceiverHalf::new(
-            self.cfg.mode,
+            cfg.mode,
             LocalRing {
                 addr: self.ring_mr.addr,
                 key: self.ring_mr.key.0,
-                capacity: self.cfg.ring_capacity,
+                capacity: cfg.ring_capacity,
             },
-            self.cfg.effective_ack_threshold(),
+            cfg.effective_ack_threshold(),
         );
-        let credit_threshold = self.cfg.effective_credit_threshold();
+        let mut chan = self.chan;
+        chan.open(peer.credits);
         StreamSocket {
             node: self.node,
-            qpn: self.qpn,
-            send_cq: self.send_cq,
-            recv_cq: self.recv_cq,
             sender,
             receiver,
             ring_mr: self.ring_mr,
-            ctrl_mr: self.ctrl_mr,
+            chan,
             pending_sends: VecDeque::new(),
             inflight: IntMap::default(),
-            wwi_owner: VecDeque::new(),
-            next_wr: 1,
-            tx: TxPipe::new(),
-            peer_credits: peer.credits,
-            owed_credits: 0,
-            credit_threshold,
-            pending_ctrl: VecDeque::new(),
             events: Vec::new(),
             stats: ConnStats::default(),
             actions_scratch: Vec::new(),
             staging: IntMap::default(),
             staging_orphans: Vec::new(),
-            mrs_released: false,
             send_closed: false,
             fin_queued: false,
             peer_fin: None,
             eof_delivered: false,
             broken: false,
             last_error: None,
-            cfg: self.cfg,
         }
     }
 }

@@ -37,7 +37,7 @@ use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
 use rdma_verbs::threaded::{ThreadNet, ThreadNode};
-use rdma_verbs::{Access, CqId, Cqe, MrInfo, MrKey, QpCaps, QpNum, RecvWr, Result, SendWr};
+use rdma_verbs::{Access, CqId, Cqe, MrInfo, MrKey, QpNum, RecvWr, Result, SendWr};
 use simnet::IntMap;
 
 use crate::config::ExsConfig;
@@ -47,28 +47,37 @@ use crate::port::VerbsPort;
 use crate::reactor::{ConnId, Reactor, ReactorConfig, Readiness};
 use crate::shard::{choose_shard, ShardHandle};
 use crate::stats::{ConnStats, PoolStats, ReactorStats, ShardStats};
-use crate::stream::{ExsEvent, PreparedSocket, StreamSocket, CTRL_SLOT};
+use crate::stream::{ExsEvent, StreamSocket};
 
 /// [`VerbsPort`] implementation over a [`ThreadNet`] node.
 pub struct ThreadPort<'a> {
-    net: &'a ThreadNet,
+    /// `None` on the port connection set-up uses, which only registers
+    /// memory and posts receives (the connect helpers take no fabric).
+    net: Option<&'a ThreadNet>,
     node: &'a Arc<ThreadNode>,
 }
 
 impl<'a> ThreadPort<'a> {
     /// Builds a port for one node.
     pub fn new(net: &'a ThreadNet, node: &'a Arc<ThreadNode>) -> Self {
-        ThreadPort { net, node }
+        ThreadPort {
+            net: Some(net),
+            node,
+        }
+    }
+
+    fn net(&self) -> &'a ThreadNet {
+        self.net.expect("a set-up port posts no sends")
     }
 }
 
 impl VerbsPort for ThreadPort<'_> {
     fn post_send(&mut self, qpn: QpNum, wr: SendWr) -> Result<()> {
-        self.net.post_send(self.node, qpn, wr)
+        self.net().post_send(self.node, qpn, wr)
     }
 
     fn post_send_list(&mut self, qpn: QpNum, wrs: Vec<SendWr>) -> Result<()> {
-        self.net.post_send_list(self.node, qpn, wrs)
+        self.net().post_send_list(self.node, qpn, wrs)
     }
 
     fn post_recv(&mut self, qpn: QpNum, wr: RecvWr) -> Result<()> {
@@ -132,33 +141,28 @@ impl VerbsPort for ThreadPort<'_> {
     }
 }
 
-/// Creates one endpoint's verbs objects on `node`: CQs (or the given
-/// shared ones), a QP, the intermediate ring and the control-slot
-/// region. Returns `(qpn, send_cq, recv_cq, ring_mr, ctrl_mr)`.
-fn endpoint_objects(
-    node: &Arc<ThreadNode>,
+/// One end of a QP: `(qpn, send_cq, recv_cq)`.
+type QpEnd = (QpNum, CqId, CqId);
+
+/// Creates and connects one QP between `a` and `b`, each end
+/// completing onto the given shared CQs or a fresh private pair.
+fn connect_qps(
     cfg: &ExsConfig,
-    shared_cqs: Option<(CqId, CqId)>,
-) -> (QpNum, CqId, CqId, MrInfo, MrInfo) {
-    let caps = QpCaps {
-        max_send_wr: cfg.sq_depth * 2 + 8,
-        max_recv_wr: cfg.credits as usize + 8,
-        max_inline: 256,
+    (a, a_cqs): (&Arc<ThreadNode>, Option<(CqId, CqId)>),
+    (b, b_cqs): (&Arc<ThreadNode>, Option<(CqId, CqId)>),
+) -> (QpEnd, QpEnd) {
+    let create = |node: &Arc<ThreadNode>, shared_cqs: Option<(CqId, CqId)>| {
+        node.with_hca(|h| {
+            let depth = cfg.cq_depth(1);
+            let (scq, rcq) = shared_cqs.unwrap_or_else(|| (h.create_cq(depth), h.create_cq(depth)));
+            let qpn = h.create_qp(scq, rcq, cfg.qp_caps()).expect("create qp");
+            (qpn, scq, rcq)
+        })
     };
-    let cq_depth = cfg.cq_depth(1);
-    node.with_hca(|h| {
-        let (send_cq, recv_cq) = match shared_cqs {
-            Some(cqs) => cqs,
-            None => (h.create_cq(cq_depth), h.create_cq(cq_depth)),
-        };
-        let qpn = h.create_qp(send_cq, recv_cq, caps).expect("create qp");
-        let ring_mr = h.register_mr(cfg.ring_capacity as usize, Access::local_remote_write());
-        let ctrl_mr = h.register_mr(
-            (cfg.credits as u64 * CTRL_SLOT) as usize,
-            Access::LOCAL_WRITE,
-        );
-        (qpn, send_cq, recv_cq, ring_mr, ctrl_mr)
-    })
+    let (a_end, b_end) = (create(a, a_cqs), create(b, b_cqs));
+    a.with_hca(|h| h.connect_qp(a_end.0, (b.id(), b_end.0)).expect("connect a"));
+    b.with_hca(|h| h.connect_qp(b_end.0, (a.id(), a_end.0)).expect("connect b"));
+    (a_end, b_end)
 }
 
 /// Connects a fresh [`StreamSocket`] pair between two nodes of an
@@ -185,21 +189,12 @@ pub fn connect_sockets_shared(
     a_cqs: Option<(CqId, CqId)>,
     b_cqs: Option<(CqId, CqId)>,
 ) -> (StreamSocket, StreamSocket) {
-    let (a_qp, a_scq, a_rcq, a_ring, a_ctrl) = endpoint_objects(a, cfg, a_cqs);
-    let (b_qp, b_scq, b_rcq, b_ring, b_ctrl) = endpoint_objects(b, cfg, b_cqs);
-    a.with_hca(|h| h.connect_qp(a_qp, (b.id(), b_qp)).expect("connect a"));
-    b.with_hca(|h| h.connect_qp(b_qp, (a.id(), a_qp)).expect("connect b"));
-    for (node, qpn, ctrl) in [(a, a_qp, a_ctrl), (b, b_qp, b_ctrl)] {
-        for slot in 0..cfg.credits {
-            let sge = ctrl.sge(slot as u64 * CTRL_SLOT, CTRL_SLOT as u32);
-            node.post_recv(qpn, RecvWr::new(slot as u64, sge))
-                .expect("pre-post control receive");
-        }
-    }
-    let (pa, ia) =
-        PreparedSocket::from_raw(a.id(), a_qp, a_scq, a_rcq, cfg.clone(), a_ring, a_ctrl);
-    let (pb, ib) =
-        PreparedSocket::from_raw(b.id(), b_qp, b_scq, b_rcq, cfg.clone(), b_ring, b_ctrl);
+    let (a_end, b_end) = connect_qps(cfg, (a, a_cqs), (b, b_cqs));
+    let prepare = |node: &Arc<ThreadNode>, (qpn, send_cq, recv_cq): QpEnd| {
+        let mut port = ThreadPort { net: None, node };
+        StreamSocket::prepare(&mut port, node.id(), qpn, send_cq, recv_cq, cfg)
+    };
+    let ((pa, ia), (pb, ib)) = (prepare(a, a_end), prepare(b, b_end));
     (pa.complete(ib), pb.complete(ia))
 }
 
@@ -217,41 +212,18 @@ pub fn connect_mux_over(
 ) {
     let (an, a_ep) = a;
     let (bn, b_ep) = b;
-    let caps = MuxEndpoint::transport_caps(a_ep.config());
     let cq_depth = MuxEndpoint::shared_cq_depth(a_ep.config());
-    let mut slots = a_ep.pending_slots();
-    for s in b_ep.pending_slots() {
-        if !slots.contains(&s) {
-            slots.push(s);
+    for slot in MuxEndpoint::slots_to_establish(a_ep, b_ep) {
+        for (node, ep) in [(an, &mut *a_ep), (bn, &mut *b_ep)] {
+            if ep.cqs().is_none() {
+                let (s, r) = node.with_hca(|h| (h.create_cq(cq_depth), h.create_cq(cq_depth)));
+                ep.set_cqs(s, r);
+            }
         }
-    }
-    slots.sort_unstable();
-    for slot in slots {
-        if a_ep.slot_qpn(slot).is_some() || b_ep.slot_qpn(slot).is_some() {
-            continue;
-        }
-        if a_ep.cqs().is_none() {
-            let (s, r) = an.with_hca(|h| (h.create_cq(cq_depth), h.create_cq(cq_depth)));
-            a_ep.set_cqs(s, r);
-        }
-        if b_ep.cqs().is_none() {
-            let (s, r) = bn.with_hca(|h| (h.create_cq(cq_depth), h.create_cq(cq_depth)));
-            b_ep.set_cqs(s, r);
-        }
-        let (a_scq, a_rcq) = a_ep.cqs().expect("just set");
-        let (b_scq, b_rcq) = b_ep.cqs().expect("just set");
-        let a_qp = an.with_hca(|h| h.create_qp(a_scq, a_rcq, caps).expect("create mux qp"));
-        let b_qp = bn.with_hca(|h| h.create_qp(b_scq, b_rcq, caps).expect("create mux qp"));
-        an.with_hca(|h| h.connect_qp(a_qp, (bn.id(), b_qp)).expect("connect a"));
-        bn.with_hca(|h| h.connect_qp(b_qp, (an.id(), a_qp)).expect("connect b"));
-        let ia = {
-            let mut port = ThreadPort::new(net, an);
-            a_ep.prepare_transport(&mut port, slot, a_qp, a_scq, a_rcq)
-        };
-        let ib = {
-            let mut port = ThreadPort::new(net, bn);
-            b_ep.prepare_transport(&mut port, slot, b_qp, b_scq, b_rcq)
-        };
+        let ((a_qp, a_scq, a_rcq), (b_qp, b_scq, b_rcq)) =
+            connect_qps(a_ep.config(), (an, a_ep.cqs()), (bn, b_ep.cqs()));
+        let ia = a_ep.prepare_transport(&mut ThreadPort::new(net, an), slot, a_qp, a_scq, a_rcq);
+        let ib = b_ep.prepare_transport(&mut ThreadPort::new(net, bn), slot, b_qp, b_scq, b_rcq);
         a_ep.connect_transport(slot, ib);
         b_ep.connect_transport(slot, ia);
     }

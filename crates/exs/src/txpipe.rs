@@ -1,15 +1,15 @@
 //! Shared transmit pipeline: postlist staging, selective signaling,
 //! and doorbell accounting.
 //!
-//! Both socket flavours ([`crate::stream::StreamSocket`],
-//! [`crate::seqpacket::SeqPacketSocket`]) collect every WQE plannable
-//! in one progress pass — data WWIs and the control traffic they
-//! trigger — into a [`TxPipe`], then flush it as postlists of at most
-//! `tx_batch_limit` linked WQEs, each postlist paying a single doorbell
-//! (`HostModel::post_overhead`). Staged WQEs are unsignaled by default;
+//! Every [`crate::chan::Channel`] (one per QP, under a stream socket,
+//! a message socket or a pooled mux transport) collects every WQE
+//! plannable in one progress pass — data WWIs and the control traffic
+//! they trigger — into a [`TxPipe`], then flushes it as postlists of at
+//! most `tx_batch_limit` linked WQEs, each postlist paying a single
+//! doorbell (`HostModel::post_overhead`). Staged WQEs are unsignaled by default;
 //! every `signal_interval`-th is signaled, and the next signaled CQE
 //! batch-retires all unsignaled SQ slots before it (both here, via the
-//! owner queues in the sockets, and in the verbs layer's deferred slot
+//! channel's owner queue, and in the verbs layer's deferred slot
 //! release). Two forced signals keep the pipeline live at any interval:
 //!
 //! * **SQ near full** — posting into the last two SQ slots always
@@ -122,15 +122,24 @@ impl TxPipe {
         }
         self.has_data = false;
         let limit = cfg.effective_tx_batch_limit().max(1);
-        let mut queue = std::mem::take(&mut self.queue);
-        while !queue.is_empty() {
-            let take = queue.len().min(limit);
-            let chunk: Vec<SendWr> = queue.drain(..take).collect();
+        let mut post = |chunk: Vec<SendWr>| {
+            let n = chunk.len() as u64;
             stats.doorbells += 1;
-            stats.wqes_posted += take as u64;
-            stats.max_wqes_per_doorbell = stats.max_wqes_per_doorbell.max(take as u64);
+            stats.wqes_posted += n;
+            stats.max_wqes_per_doorbell = stats.max_wqes_per_doorbell.max(n);
             api.post_send_list(qpn, chunk)
                 .expect("posting transmit batch");
+        };
+        // The backend takes a postlist by value. A queue that fits one
+        // postlist (the common case) is handed over as it is; a longer
+        // one is copied out chunk by chunk and keeps its capacity.
+        if self.queue.len() <= limit {
+            post(std::mem::take(&mut self.queue));
+        } else {
+            while !self.queue.is_empty() {
+                let take = self.queue.len().min(limit);
+                post(self.queue.drain(..take).collect());
+            }
         }
     }
 }

@@ -238,3 +238,240 @@ fn works_on_fdr_profile() {
     assert_eq!(st.direct_transfers, 10);
     assert_eq!(st.direct_bytes, 10 << 20);
 }
+
+/// One side of a symmetric exchange: from `on_start` it posts `n`
+/// receives and then `n` sends, so both sides fill their control
+/// queues with ADVERTs before either has returned a credit.
+struct Peer {
+    sock: Option<SeqPacketSocket>,
+    tag: u8,
+    n: usize,
+    send_mr: Option<MrInfo>,
+    recv_mr: Option<MrInfo>,
+    sent: usize,
+    received: Vec<(u64, u32)>,
+}
+
+const SLOT: usize = 64;
+
+/// Message `i` from the side tagged `tag`: a length that differs from
+/// its neighbours' and bytes that name the sender and the message.
+fn message(tag: u8, i: usize) -> Vec<u8> {
+    vec![tag ^ i as u8; 1 + (i * 7) % SLOT]
+}
+
+impl NodeApp for Peer {
+    fn on_start(&mut self, api: &mut NodeApi<'_>) {
+        let (send_mr, recv_mr) = (self.send_mr.unwrap(), self.recv_mr.unwrap());
+        let sock = self.sock.as_mut().unwrap();
+        for i in 0..self.n {
+            sock.exs_recv(api, &recv_mr, (i * SLOT) as u64, SLOT as u32, i as u64);
+        }
+        for i in 0..self.n {
+            let data = message(self.tag, i);
+            let at = (i * SLOT) as u64;
+            api.write_mr(send_mr.key, send_mr.addr + at, &data).unwrap();
+            sock.exs_send(api, &send_mr, at, data.len() as u32, i as u64);
+        }
+    }
+    fn on_wake(&mut self, api: &mut NodeApi<'_>) {
+        let sock = self.sock.as_mut().unwrap();
+        sock.handle_wake(api);
+        for ev in sock.take_events() {
+            match ev {
+                SeqPacketEvent::SendComplete { .. } => self.sent += 1,
+                SeqPacketEvent::RecvComplete { id, len } => self.received.push((id, len)),
+                other => panic!("unexpected {other:?}"),
+            }
+        }
+    }
+    fn is_done(&self) -> bool {
+        self.sent == self.n && self.received.len() == self.n
+    }
+}
+
+#[test]
+fn symmetric_exchange_completes_when_both_sides_advertise_first() {
+    for (credits, n) in [(8, 8), (8, 64), (16, 200), (4, 16)] {
+        let profile = ideal();
+        let mut net = SimNet::new();
+        let a = net.add_node(profile.host.clone(), profile.hca.clone());
+        let b = net.add_node(profile.host.clone(), profile.hca.clone());
+        net.connect_nodes(a, b, profile.link.clone(), 1);
+        let cfg = ExsConfig {
+            credits,
+            ..ExsConfig::default()
+        };
+        let (sa, sb) = SeqPacketSocket::pair(&mut net, a, b, &cfg);
+        let mut peers = [(a, sa, 0x40u8), (b, sb, 0x80u8)].map(|(node, sock, tag)| {
+            net.with_api(node, |api| Peer {
+                sock: Some(sock),
+                tag,
+                n,
+                send_mr: Some(api.register_mr(n * SLOT, Access::NONE)),
+                recv_mr: Some(api.register_mr(n * SLOT, Access::local_remote_write())),
+                sent: 0,
+                received: Vec::new(),
+            })
+        });
+        let [pa, pb] = &mut peers;
+        let outcome = net.run(&mut [pa, pb], SimTime::from_secs(1));
+        assert!(
+            outcome.completed,
+            "credits {credits}, {n} messages a side: delivered {} + {}",
+            peers[0].received.len(),
+            peers[1].received.len()
+        );
+        // Every message arrived whole, in order, in its own buffer.
+        for (me, (node, peer_tag)) in [(a, 0x80u8), (b, 0x40u8)].into_iter().enumerate() {
+            let mr = peers[me].recv_mr.unwrap();
+            for (i, &(id, len)) in peers[me].received.iter().enumerate() {
+                let want = message(peer_tag, i);
+                assert_eq!((id, len as usize), (i as u64, want.len()));
+                let mut got = vec![0u8; want.len()];
+                net.with_api(node, |api| {
+                    api.read_mr(mr.key, mr.addr + (i * SLOT) as u64, &mut got)
+                        .unwrap()
+                });
+                assert_eq!(got, want, "credits {credits}: message {i} to side {me}");
+            }
+        }
+    }
+}
+
+/// Keeps the simulation running to its horizon: the wrapped app works
+/// as before but is never done.
+struct Idle<'a, A>(&'a mut A);
+
+impl<A: NodeApp> NodeApp for Idle<'_, A> {
+    fn on_start(&mut self, api: &mut NodeApi<'_>) {
+        self.0.on_start(api)
+    }
+    fn on_wake(&mut self, api: &mut NodeApi<'_>) {
+        self.0.on_wake(api)
+    }
+    fn is_done(&self) -> bool {
+        false
+    }
+}
+
+#[test]
+fn an_idle_pair_goes_quiet_at_every_credit_count() {
+    for credits in [4, 5, 7, 8] {
+        let profile = ideal();
+        let mut net = SimNet::new();
+        let a = net.add_node(profile.host.clone(), profile.hca.clone());
+        let b = net.add_node(profile.host.clone(), profile.hca.clone());
+        net.connect_nodes(a, b, profile.link.clone(), 1);
+        let cfg = ExsConfig {
+            credits,
+            ..ExsConfig::default()
+        };
+        let (sa, sb) = SeqPacketSocket::pair(&mut net, a, b, &cfg);
+        let mut sender = MsgSender {
+            sock: Some(sa),
+            mr: Some(net.with_api(a, |api| api.register_mr(64, Access::NONE))),
+            msgs: vec![64; 8],
+            next: 0,
+            completions: Vec::new(),
+        };
+        let mut receiver = MsgReceiver {
+            sock: Some(sb),
+            mrs: Vec::new(),
+            recv_len: 64,
+            posted: 0,
+            expect: 8,
+            received: Vec::new(),
+        };
+        // (credits_sent, wqes_posted) of both sides at a horizon.
+        let mut gauges_at = |ms: u64| {
+            let (s, r) = (&mut Idle(&mut sender), &mut Idle(&mut receiver));
+            net.run(&mut [s, r], SimTime::from_millis(ms));
+            [&sender.sock, &receiver.sock].map(|sock| {
+                let st = sock.as_ref().unwrap().stats();
+                (st.credits_sent, st.wqes_posted)
+            })
+        };
+        let early = gauges_at(1);
+        let late = gauges_at(5);
+        assert_eq!(early, late, "credits {credits}: still sending while idle");
+        assert!(late.iter().all(|&(credits_sent, _)| credits_sent <= 8));
+        assert_eq!(receiver.received.len(), 8, "credits {credits}");
+    }
+}
+
+#[test]
+fn a_forged_ack_breaks_the_socket_not_the_process() {
+    use exs::{Ctrl, CtrlMsg, ExsError, ProtocolError};
+    use rdma_verbs::{connect_pair, SendWr};
+
+    let profile = ideal();
+    let mut net = SimNet::new();
+    let a = net.add_node(profile.host.clone(), profile.hca.clone());
+    let b = net.add_node(profile.host.clone(), profile.hca.clone());
+    net.connect_nodes(a, b, profile.link.clone(), 1);
+    let cfg = ExsConfig::default();
+    let (ha, hb) = connect_pair(&mut net, a, b, cfg.qp_caps(), cfg.cq_depth(1)).unwrap();
+    // The attacker sets its end up like a socket (so the victim has
+    // parameters to complete with) but then drives the QP by hand.
+    let (_, attacker_info) = net.with_api(a, |api| {
+        SeqPacketSocket::prepare(api, a, ha.qpn, ha.send_cq, ha.recv_cq, &cfg)
+    });
+    let (mut victim, _) = net.with_api(b, |api| {
+        SeqPacketSocket::prepare(api, b, hb.qpn, hb.send_cq, hb.recv_cq, &cfg)
+    });
+    victim.connect(attacker_info);
+    // ACKs free intermediate-ring space; a message socket has no ring.
+    let forged = CtrlMsg {
+        ctrl: Ctrl::Ack { freed: 4096 },
+        credit_return: 0,
+    };
+    net.with_api(a, |api| {
+        api.post_send(ha.qpn, SendWr::send_inline(1, forged.encode_bytes()))
+            .unwrap()
+    });
+
+    struct Victim(SeqPacketSocket, Vec<SeqPacketEvent>);
+    impl NodeApp for Victim {
+        fn on_start(&mut self, _api: &mut NodeApi<'_>) {}
+        fn on_wake(&mut self, api: &mut NodeApi<'_>) {
+            self.0.handle_wake(api);
+            self.1.extend(self.0.take_events());
+        }
+        fn is_done(&self) -> bool {
+            self.0.is_broken()
+        }
+    }
+    struct Attacker;
+    impl NodeApp for Attacker {
+        fn on_start(&mut self, _api: &mut NodeApi<'_>) {}
+        fn on_wake(&mut self, _api: &mut NodeApi<'_>) {}
+        fn is_done(&self) -> bool {
+            true
+        }
+    }
+    let mut victim = Victim(victim, Vec::new());
+    let outcome = net.run(&mut [&mut Attacker, &mut victim], SimTime::from_secs(1));
+    assert!(outcome.completed, "the forged ACK was not noticed");
+    assert_eq!(victim.1, [SeqPacketEvent::ConnectionError]);
+    assert_eq!(
+        victim.0.last_error(),
+        Some(&ExsError::Protocol(ProtocolError::UnexpectedOpcode))
+    );
+    assert_eq!(victim.0.stats().protocol_errors, 1);
+}
+
+#[test]
+#[should_panic(expected = "invalid EXS configuration")]
+fn two_credits_are_rejected_at_setup() {
+    let profile = ideal();
+    let mut net = SimNet::new();
+    let a = net.add_node(profile.host.clone(), profile.hca.clone());
+    let b = net.add_node(profile.host.clone(), profile.hca.clone());
+    net.connect_nodes(a, b, profile.link.clone(), 1);
+    let cfg = ExsConfig {
+        credits: 2,
+        ..ExsConfig::default()
+    };
+    SeqPacketSocket::pair(&mut net, a, b, &cfg);
+}

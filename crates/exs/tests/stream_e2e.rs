@@ -428,3 +428,55 @@ fn one_large_message_through_small_recvs() {
         assert_eq!(r.received, 1 << 20, "mode {mode:?}");
     }
 }
+
+/// Keeps the simulation running to its horizon: the wrapped app works
+/// as before but is never done.
+struct Idle<'a, A>(&'a mut A);
+
+impl<A: NodeApp> NodeApp for Idle<'_, A> {
+    fn on_start(&mut self, api: &mut NodeApi<'_>) {
+        self.0.on_start(api)
+    }
+    fn on_wake(&mut self, api: &mut NodeApi<'_>) {
+        self.0.on_wake(api)
+    }
+    fn is_done(&self) -> bool {
+        false
+    }
+}
+
+#[test]
+fn an_idle_pair_goes_quiet_at_every_credit_count() {
+    // Below eight credits the default return threshold is 1, and a bare
+    // CREDIT used to be answered with a bare CREDIT for ever.
+    for credits in [4, 5, 7, 8] {
+        let profile = ideal();
+        let mut net = SimNet::new();
+        let a = net.add_node(profile.host.clone(), profile.hca.clone());
+        let b = net.add_node(profile.host.clone(), profile.hca.clone());
+        net.connect_nodes(a, b, profile.link.clone(), 1);
+        let cfg = ExsConfig {
+            credits,
+            ..ExsConfig::default()
+        };
+        let (sock_a, sock_b) = StreamSocket::pair(&mut net, a, b, &cfg);
+        let mut sender = SenderApp::new(vec![512; 8], 8);
+        let mut receiver = ReceiverApp::new(512, false, 8, 8 * 512);
+        net.with_api(a, |api| sender.setup(api, sock_a, 512));
+        net.with_api(b, |api| receiver.setup(api, sock_b));
+        // (credits_sent, wqes_posted) of both sides at a horizon.
+        let mut gauges_at = |ms: u64| {
+            let (s, r) = (&mut Idle(&mut sender), &mut Idle(&mut receiver));
+            net.run(&mut [s, r], SimTime::from_millis(ms));
+            [&sender.sock, &receiver.sock].map(|sock| {
+                let st = sock.as_ref().unwrap().stats();
+                (st.credits_sent, st.wqes_posted)
+            })
+        };
+        let early = gauges_at(1);
+        let late = gauges_at(5);
+        assert_eq!(early, late, "credits {credits}: still sending while idle");
+        assert!(late.iter().all(|&(credits_sent, _)| credits_sent <= 8));
+        assert_eq!(receiver.received, 8 * 512, "credits {credits}");
+    }
+}

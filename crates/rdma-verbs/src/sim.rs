@@ -528,6 +528,10 @@ impl SimNet {
                 };
             };
             if now > limit {
+                // Not this run's event: put it back for the next run
+                // (dropping it would lose, say, a node's pending wake,
+                // and with it every later wake of that node).
+                self.sched.schedule_at(now, ev);
                 return RunOutcome {
                     end: now,
                     completed: false,
@@ -1514,6 +1518,38 @@ mod tests {
         assert!(outcome.completed);
         assert_eq!(app.fired, vec![2, 1]);
         assert_eq!(net.now(), SimTime::from_micros(5));
+    }
+
+    #[test]
+    fn an_event_past_the_horizon_waits_for_the_next_run() {
+        struct Alarm {
+            set: bool,
+            fired: bool,
+        }
+        impl NodeApp for Alarm {
+            fn on_start(&mut self, api: &mut NodeApi<'_>) {
+                if !std::mem::replace(&mut self.set, true) {
+                    api.set_timer(SimDuration::from_micros(5), 0);
+                }
+            }
+            fn on_wake(&mut self, _api: &mut NodeApi<'_>) {}
+            fn on_timer(&mut self, _api: &mut NodeApi<'_>, _token: u64) {
+                self.fired = true;
+            }
+            fn is_done(&self) -> bool {
+                self.fired
+            }
+        }
+        let mut net = SimNet::new();
+        let _a = net.add_node(HostModel::free(), HcaConfig::default());
+        let mut app = Alarm {
+            set: false,
+            fired: false,
+        };
+        let early = net.run(&mut [&mut app], SimTime::from_micros(3));
+        assert!(!early.completed && !app.fired);
+        let late = net.run(&mut [&mut app], SimTime::from_secs(1));
+        assert!(late.completed, "the timer was lost at the first horizon");
     }
 
     #[test]

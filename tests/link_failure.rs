@@ -2,7 +2,9 @@
 //! down mid-stream, RC retry exhaustion fails the QP, and the EXS socket
 //! surfaces a `ConnectionError` event instead of hanging or panicking.
 
-use rdma_stream::exs::{ExsConfig, ExsEvent, ProtocolMode, StreamSocket};
+use rdma_stream::exs::{
+    ExsConfig, ExsEvent, ProtocolMode, SeqPacketEvent, SeqPacketSocket, StreamSocket,
+};
 use rdma_stream::simnet::{SimDuration, SimTime};
 use rdma_stream::verbs::{profiles, Access, MrInfo, NodeApi, NodeApp, SimNet};
 
@@ -143,6 +145,109 @@ fn link_cut_surfaces_connection_error() {
     assert!(sender.sock.as_ref().unwrap().is_broken());
     // The trace recorded the drops.
     assert!(net.dump_trace().contains("dropped"));
+}
+
+/// One side of a two-way message exchange that never ends by itself:
+/// keeps two receives advertised and two sends in flight.
+struct MsgPeer {
+    sock: SeqPacketSocket,
+    send_mr: MrInfo,
+    recv_mr: MrInfo,
+    sends_in_flight: usize,
+    recvs_posted: usize,
+    received: u64,
+    broken: bool,
+}
+
+const MSG: u32 = 64 << 10;
+
+impl MsgPeer {
+    fn kick(&mut self, api: &mut NodeApi<'_>) {
+        while !self.broken && self.recvs_posted < 2 {
+            self.sock.exs_recv(api, &self.recv_mr, 0, MSG, 0);
+            self.recvs_posted += 1;
+        }
+        while !self.broken && self.sends_in_flight < 2 {
+            self.sock.exs_send(api, &self.send_mr, 0, MSG, 0);
+            self.sends_in_flight += 1;
+        }
+    }
+}
+
+impl NodeApp for MsgPeer {
+    fn on_start(&mut self, api: &mut NodeApi<'_>) {
+        self.kick(api);
+    }
+    fn on_wake(&mut self, api: &mut NodeApi<'_>) {
+        self.sock.handle_wake(api);
+        for ev in self.sock.take_events() {
+            match ev {
+                SeqPacketEvent::SendComplete { .. } => self.sends_in_flight -= 1,
+                SeqPacketEvent::RecvComplete { len, .. } => {
+                    self.recvs_posted -= 1;
+                    self.received += len as u64;
+                }
+                SeqPacketEvent::ConnectionError => self.broken = true,
+                SeqPacketEvent::SendError { .. } => panic!("every message fits"),
+            }
+        }
+        self.kick(api);
+    }
+    fn is_done(&self) -> bool {
+        self.broken
+    }
+}
+
+#[test]
+fn link_cut_breaks_a_message_socket_with_a_typed_error() {
+    let profile = profiles::fdr_infiniband();
+    let mut net = SimNet::new();
+    let a = net.add_node(profile.host.clone(), profile.hca.clone());
+    let b = net.add_node(profile.host.clone(), profile.hca.clone());
+    net.connect_nodes(a, b, profile.link.clone(), 8);
+    let (sa, sb) = SeqPacketSocket::pair(&mut net, a, b, &ExsConfig::default());
+    let mut peers = [(a, sa), (b, sb)].map(|(node, sock)| {
+        net.with_api(node, |api| MsgPeer {
+            sock,
+            send_mr: api.register_mr(MSG as usize, Access::NONE),
+            recv_mr: api.register_mr(MSG as usize, Access::local_remote_write()),
+            sends_in_flight: 0,
+            recvs_posted: 0,
+            received: 0,
+            broken: false,
+        })
+    });
+
+    // Run a while, then cut both directions and keep running: each
+    // side has ADVERTs or data on the wire, so each exhausts its retries.
+    let [pa, pb] = &mut peers;
+    let mid = net.run(&mut [pa, pb], SimTime::from_millis(2));
+    assert!(
+        !mid.completed,
+        "exchange should still be running at the cut"
+    );
+    assert!(
+        peers.iter().all(|p| p.received > 0),
+        "data flowed both ways"
+    );
+    net.set_link_up(a, b, false);
+    net.set_link_up(b, a, false);
+    let [pa, pb] = &mut peers;
+    let outcome = net.run(&mut [pa, pb], SimTime::from_millis(200));
+    assert!(outcome.completed, "both sides must observe the failure");
+
+    for (node, peer) in [a, b].into_iter().zip(&mut peers) {
+        assert!(peer.sock.is_broken());
+        assert!(peer.sock.last_error().is_some());
+        // A transport failure is not the peer's protocol violation.
+        assert_eq!(peer.sock.stats().protocol_errors, 0);
+        // Close returns the socket's registration; the two user
+        // buffers are all that remains on the node.
+        net.with_api(node, |api| {
+            peer.sock.close(api);
+            assert_eq!(api.mr_count(), 2, "socket leaked a registration");
+        });
+    }
 }
 
 #[test]
