@@ -20,10 +20,10 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use exs::{
-    connect_mux_pair, AioStats, ConnStats, DirectPolicy, Executor, ExsConfig, ExsError, ExsEvent,
+    connect_mux_pair, AioStats, ConnStats, DirectPolicy, Endpoint, Executor, ExsConfig, ExsError,
     MemPool, MemPoolConfig, MrLease, MuxEndpoint, MuxEvent, PoolStats, Reactor, ReactorConfig,
-    ReactorPool, ReactorStats, ShardBalance, ShardConfig, ShardHandle, ShardMuxHandle, ShardPolicy,
-    ShardStats, SimShardDriver, StreamSocket,
+    ReactorPool, ReactorStats, ShardBalance, ShardConfig, ShardHandle, ShardPolicy, ShardStats,
+    SimShardDriver, StreamSocket,
 };
 use rdma_verbs::{
     Access, FabricModel, FabricStats, HwProfile, MrInfo, NodeApi, NodeApp, NodeId, SimNet,
@@ -126,20 +126,20 @@ pub struct FanInSpec {
     /// transport resource model changes. Ignores `pooled`.
     pub mux: bool,
     /// Async server mode: instead of the callback [`ReactorServer`]
-    /// loop, the server runs one async task per connection on a single
-    /// [`exs::aio`] executor (`recv_some` loop folding the same FNV-1a
-    /// digest). Delivered bytes and digests are identical to the
+    /// loop, the server runs one async task per stream on one
+    /// [`exs::aio`] executor per shard (`recv_some` loop folding the
+    /// same FNV-1a digest). Delivered bytes and digests are identical to the
     /// callback path; only the consumption model changes. Ignores
     /// `pooled` on the server side (the executor's readahead buffers
     /// are always pool leases).
     pub aio: bool,
     /// Reactor shards at the server (0/1 ⇒ one reactor, the classic
     /// single-loop server). With N > 1 the server runs a
-    /// [`ReactorPool`]: each shard gets its own CQ pair, connections
-    /// are routed once at accept by `shard_policy`, and the sim driver
-    /// interleaves the shards deterministically — delivered bytes and
-    /// digests are identical to the single-shard run. Not wired for
-    /// `mux` mode.
+    /// [`ReactorPool`]: each shard gets its own CQ pair, endpoints (a
+    /// connection's socket; in `mux` mode a client node's whole pooled
+    /// endpoint) are routed once at accept by `shard_policy`, and the
+    /// sim driver interleaves the shards deterministically — delivered
+    /// bytes and digests are identical to the single-shard run.
     pub shards: usize,
     /// Placement policy for `shards > 1`.
     pub shard_policy: ShardPolicy,
@@ -259,7 +259,8 @@ pub struct FanInReport {
     /// dispatch volume, busy ratio where a wall clock exists). Present
     /// on every sharded-capable path — a single-shard run reports one
     /// entry, so snapshots across shard counts stay structurally
-    /// comparable. `None` only in mux mode (not wired for shards).
+    /// comparable. `None` in mux mode: the rows count hosted endpoints,
+    /// and a mux run hosts one per client node, not one per connection.
     pub shard_stats: Option<Vec<ShardStats>>,
     /// Per-shard async-executor counters for a sharded aio run.
     pub aio_per_shard: Option<Vec<AioStats>>,
@@ -460,9 +461,12 @@ impl Delivered {
 /// One outbound stream's send-slot cycle: up to `max_outstanding`
 /// message buffers in flight, each reusable once its send completes.
 struct SendCycle {
-    /// Global connection index (pattern + digest identity; in mux mode
-    /// also the stream id).
+    /// Global connection index (pattern + digest identity).
     idx: usize,
+    /// The endpoint in [`FanInClient::links`] carrying this stream, and
+    /// the stream's id on it.
+    link: usize,
+    stream: u32,
     /// Up-front registered send slots (empty when pooled).
     slots: Vec<MrInfo>,
     free: Vec<usize>,
@@ -490,25 +494,17 @@ impl SendCycle {
     }
 }
 
-/// What carries a client node's streams to the server.
-enum ClientLink {
-    /// One private QP per stream, each with its own CQs and service
-    /// loop (the conventional per-connection pattern the server-side
-    /// reactor is measured against); `socks[i]` carries `conns[i]`.
-    Socks(Vec<StreamSocket>),
-    /// Every stream rides one pooled-QP endpoint, so the node drives a
-    /// single `handle_wake`; `by_stream` maps a stream id to its index
-    /// in `conns`.
-    Mux {
-        ep: Box<MuxEndpoint>,
-        by_stream: HashMap<u32, usize>,
-    },
-}
-
 /// One client node driving several outbound streams.
 struct FanInClient {
-    link: ClientLink,
+    /// What carries this node's streams to the server, each driven by
+    /// its own `handle_wake`: one private-QP socket per stream with its
+    /// own CQs (the conventional per-connection pattern the server-side
+    /// reactor is measured against), or in mux mode a single pooled-QP
+    /// endpoint carrying them all.
+    links: Vec<Endpoint>,
     conns: Vec<SendCycle>,
+    /// `(link, stream id)` → index in `conns`.
+    by_stream: HashMap<(usize, u32), usize>,
     msgs: usize,
     msg_len: u64,
     verify: VerifyLevel,
@@ -519,10 +515,19 @@ struct FanInClient {
 }
 
 impl FanInClient {
+    /// The node's one link in mux mode, for the set-up only a pooled
+    /// endpoint has (opening stream ids, connecting pool transports).
+    fn pooled_link(&mut self) -> &mut MuxEndpoint {
+        self.links[0]
+            .as_mux_mut()
+            .expect("a mux-mode client's one link is a pooled endpoint")
+    }
+
     fn kick(&mut self, api: &mut NodeApi<'_>, ci: usize) {
         let msgs = self.msgs;
         let msg_len = self.msg_len;
         let c = &mut self.conns[ci];
+        let link = &mut self.links[c.link];
         while c.sent < msgs {
             let id = c.sent as u64;
             let mr = match &self.pool {
@@ -549,20 +554,13 @@ impl FanInClient {
                     .extend((0..msg_len).map(|i| payload_byte(self.seed, c.idx, c.pos + i)));
                 api.write_mr(mr.key, mr.addr, &self.scratch).unwrap();
             }
-            match &mut self.link {
-                ClientLink::Socks(socks) => socks[ci].exs_send(api, &mr, 0, msg_len, id),
-                ClientLink::Mux { ep, .. } => ep
-                    .mux_send(api, c.idx as u32, &mr, 0, msg_len, id)
-                    .expect("mux send on an open stream"),
-            }
+            link.send(api, c.stream, &mr, 0, msg_len, id)
+                .expect("send on an open stream");
             c.pos += msg_len;
             c.sent += 1;
         }
         if c.sent == msgs && c.acked == msgs && !c.shutdown {
-            match &mut self.link {
-                ClientLink::Socks(socks) => socks[ci].exs_shutdown(api),
-                ClientLink::Mux { ep, .. } => ep.close_stream(api, c.idx as u32),
-            }
+            link.shutdown(api, c.stream);
             c.shutdown = true;
         }
     }
@@ -575,43 +573,30 @@ impl NodeApp for FanInClient {
         }
     }
     fn on_wake(&mut self, api: &mut NodeApi<'_>) {
-        if let ClientLink::Mux { ep, by_stream } = &mut self.link {
-            ep.handle_wake(api);
-            let mut touched = Vec::new();
-            for ev in ep.take_events() {
+        let mut touched = Vec::new();
+        for li in 0..self.links.len() {
+            let link = &mut self.links[li];
+            link.handle_wake(api);
+            for ev in link.take_events() {
                 match ev {
                     MuxEvent::SendComplete { stream, id, .. } => {
-                        let ci = by_stream[&stream];
+                        let ci = self.by_stream[&(li, stream)];
                         self.conns[ci].on_send_complete(id);
                         touched.push(ci);
                     }
                     MuxEvent::TransportError { slot } => panic!(
-                        "fan-in mux client transport slot {slot} failed: {:?}",
-                        ep.last_error()
+                        "fan-in client link {li} transport slot {slot} failed: {:?}",
+                        link.last_error()
                     ),
                     // The server's FIN answering ours; nothing left to do.
                     MuxEvent::StreamClosed { .. } | MuxEvent::RecvComplete { .. } => {}
                 }
             }
-            for ci in touched {
+            // A stream without a completion has no free slot to send
+            // from: only the touched ones can move.
+            for ci in touched.drain(..) {
                 self.kick(api, ci);
             }
-            return;
-        }
-        for ci in 0..self.conns.len() {
-            let ClientLink::Socks(socks) = &mut self.link else {
-                unreachable!("the mux link returned above");
-            };
-            let c = &mut self.conns[ci];
-            socks[ci].handle_wake(api);
-            for ev in socks[ci].take_events() {
-                match ev {
-                    ExsEvent::SendComplete { id, .. } => c.on_send_complete(id),
-                    ExsEvent::ConnectionError => panic!("fan-in client conn {} failed", c.idx),
-                    _ => {}
-                }
-            }
-            self.kick(api, ci);
         }
     }
     fn is_done(&self) -> bool {
@@ -678,94 +663,78 @@ impl RecvCycle {
     }
 }
 
+/// One endpoint the server hosts and the connections it carries.
+struct Host {
+    at: ShardHandle,
+    /// Stream `s` of this endpoint is global connection `first + s`: a
+    /// socket's one stream (id 0) is its own connection, a pooled
+    /// endpoint numbers its streams by global index (`first` = 0).
+    first: usize,
+    /// Global indices of the connections carried, ascending.
+    carried: std::iter::StepBy<std::ops::Range<usize>>,
+}
+
 /// The callback server: everything it accepted — private-QP sockets,
 /// or in mux mode one [`MuxEndpoint`] per client node — multiplexed
 /// through a [`ReactorPool`] (one shard ⇒ the classic single reactor
 /// over shared CQs) and serviced to quiescence on each wake. The sim
 /// driver interleaves the shards in shard order, so a sharded run is
 /// exactly as deterministic as a single-loop run.
-struct ReactorServer {
+struct ReactorServer<'a> {
     pool: ReactorPool,
-    /// Global connection index → pool handle (empty in mux mode).
-    handles: Vec<ShardHandle>,
-    /// Pool handle → global connection index (pattern + digest
-    /// identity is keyed globally, not per shard).
-    idx_of: HashMap<ShardHandle, usize>,
-    /// Hosted endpoints with the global stream indices each carries
-    /// (empty outside mux mode).
-    muxes: Vec<(ShardMuxHandle, Vec<usize>)>,
+    hosts: &'a [Host],
+    /// Pool handle → index in `hosts`.
+    host_of: HashMap<ShardHandle, usize>,
+    /// Close our unused sending half of a stream when the peer's half
+    /// ends, so a pooled endpoint retires the stream's state
+    /// ([`FanInSpec::mux`]); a private-QP socket's stays open.
+    close_on_eof: bool,
     /// Reusable readiness buffer for the service loop.
     ready: Vec<(ShardHandle, exs::Readiness)>,
     cycle: RecvCycle,
     finished_at: Option<SimTime>,
 }
 
-impl ReactorServer {
-    /// Consumes one ready connection's events and refills its
-    /// pre-posted receive queue to full depth. Returns true if anything
-    /// was consumed or posted (progress).
-    fn handle_conn(&mut self, api: &mut NodeApi<'_>, idx: usize) -> bool {
-        let h = self.handles[idx];
-        let events = self.pool.shard_mut(h.shard).take_events(h.conn);
-        let mut progressed = !events.is_empty();
-        for ev in events {
-            match ev {
-                ExsEvent::RecvComplete { id, len } => {
-                    self.cycle.on_recv_complete(api, idx, id, len)
-                }
-                ExsEvent::PeerClosed => self.cycle.eof[idx] = true,
-                ExsEvent::ConnectionError => panic!("fan-in server conn {idx} failed"),
-                ExsEvent::SendComplete { .. } => {}
-            }
-        }
-        while let Some((mr, id)) = self.cycle.next_post(idx) {
-            self.pool.shard_mut(h.shard).conn_mut(h.conn).exs_recv(
-                api,
-                &mr,
-                0,
-                self.cycle.recv_len,
-                false,
-                id,
-            );
-            progressed = true;
-        }
-        progressed
-    }
-
-    /// [`ReactorServer::handle_conn`] for one hosted endpoint and every
-    /// stream it carries.
-    fn handle_mux(&mut self, api: &mut NodeApi<'_>, mi: usize) -> bool {
+impl ReactorServer<'_> {
+    /// Consumes one hosted endpoint's events and refills the
+    /// pre-posted receive queue of every stream it carries to full
+    /// depth. Returns true if anything was consumed or posted
+    /// (progress).
+    fn handle_host(&mut self, api: &mut NodeApi<'_>, hi: usize) -> bool {
         let ReactorServer {
-            pool, muxes, cycle, ..
+            pool,
+            hosts,
+            cycle,
+            close_on_eof,
+            ..
         } = self;
-        let (m, streams) = &muxes[mi];
-        let reactor = pool.shard_mut(m.shard);
-        let events = reactor.take_mux_events(m.mux);
+        let host = &hosts[hi];
+        let ep = pool.shard_mut(host.at.shard).conn_mut(host.at.conn);
+        let events = ep.take_events();
         let mut progressed = !events.is_empty();
         for ev in events {
             match ev {
                 MuxEvent::RecvComplete { stream, id, len } => {
-                    cycle.on_recv_complete(api, stream as usize, id, len)
+                    cycle.on_recv_complete(api, host.first + stream as usize, id, len)
                 }
                 MuxEvent::StreamClosed { stream } => {
-                    cycle.eof[stream as usize] = true;
-                    // Close the unused send half so the stream's state
-                    // retires without disturbing its siblings.
-                    reactor.mux_mut(m.mux).close_stream(api, stream);
+                    cycle.eof[host.first + stream as usize] = true;
+                    if *close_on_eof {
+                        ep.shutdown(api, stream);
+                    }
                 }
                 MuxEvent::TransportError { slot } => panic!(
-                    "fan-in mux server transport {mi}/{slot} failed: {:?}",
-                    reactor.mux(m.mux).last_error()
+                    "fan-in server endpoint {hi} transport slot {slot} failed: {:?}",
+                    ep.last_error()
                 ),
                 MuxEvent::SendComplete { .. } => {}
             }
         }
-        for &idx in streams {
+        for idx in host.carried.clone() {
             while let Some((mr, id)) = cycle.next_post(idx) {
-                reactor
-                    .mux_mut(m.mux)
-                    .mux_recv(api, idx as u32, &mr, 0, cycle.recv_len, false, id)
-                    .expect("mux receive on an open stream");
+                let stream = (idx - host.first) as u32;
+                ep.recv(api, stream, &mr, 0, cycle.recv_len, false, id)
+                    .expect("receive on an open stream");
                 progressed = true;
             }
         }
@@ -783,12 +752,9 @@ impl ReactorServer {
             let mut progressed = false;
             for &(h, r) in ready.iter() {
                 if r.readable || r.closed || r.error {
-                    let idx = self.idx_of[&h];
-                    progressed |= self.handle_conn(api, idx);
+                    let hi = self.host_of[&h];
+                    progressed |= self.handle_host(api, hi);
                 }
-            }
-            for mi in 0..self.muxes.len() {
-                progressed |= self.handle_mux(api, mi);
             }
             if self.finished_at.is_none() && self.cycle.is_done() {
                 self.finished_at = Some(api.now());
@@ -801,15 +767,12 @@ impl ReactorServer {
     }
 }
 
-impl NodeApp for ReactorServer {
+impl NodeApp for ReactorServer<'_> {
     fn on_start(&mut self, api: &mut NodeApi<'_>) {
         // Post the initial receives on every stream (none is "readable"
         // yet, so prime directly rather than via poll).
-        for idx in 0..self.handles.len() {
-            self.handle_conn(api, idx);
-        }
-        for mi in 0..self.muxes.len() {
-            self.handle_mux(api, mi);
+        for hi in 0..self.hosts.len() {
+            self.handle_host(api, hi);
         }
     }
     fn on_wake(&mut self, api: &mut NodeApi<'_>) {
@@ -860,12 +823,12 @@ impl NodeApp for AioServer {
 
 /// The server front-end a run selected ([`FanInSpec::aio`]); both host
 /// one [`Reactor`] per shard.
-enum Server {
-    Callback(Box<ReactorServer>),
+enum Server<'a> {
+    Callback(Box<ReactorServer<'a>>),
     Aio(AioServer),
 }
 
-impl Server {
+impl Server<'_> {
     fn app(&mut self) -> &mut dyn NodeApp {
         match self {
             Server::Callback(s) => s.as_mut(),
@@ -913,7 +876,7 @@ impl Server {
 /// server front-end the spec selects, run, and assemble the report.
 ///
 /// * Default: the callback `ReactorServer` over private-QP sockets.
-/// * [`FanInSpec::aio`]: one async task per connection on one
+/// * [`FanInSpec::aio`]: one async task per stream on one
 ///   [`exs::aio`] executor per shard. Clients are the same callback
 ///   `FanInClient`s, so any digest difference against the default is
 ///   attributable to the server's consumption model — and there must be
@@ -923,20 +886,16 @@ impl Server {
 ///   and digests are comparable one-to-one with the QP-per-connection
 ///   path.
 ///
+/// The three switches and `shards` combine freely: every front-end
+/// serves `(hosted endpoint, stream id)` pairs and does not ask which
+/// kind of endpoint it is.
+///
 /// # Panics
 /// Panics on deadlock/timeout, payload corruption (with
 /// [`VerifyLevel::Full`]), or any connection or transport error — all
 /// protocol bugs.
 pub fn run_fan_in(spec: &FanInSpec) -> FanInReport {
     assert!(spec.conns >= 1, "need at least one connection");
-    assert!(
-        !(spec.aio && spec.mux),
-        "aio fan-in drives per-connection streams; mux+aio is not wired"
-    );
-    assert!(
-        !spec.mux || spec.effective_shards() == 1,
-        "sharded mux fan-in is not wired; use shards=1 with mux"
-    );
     let expected = spec.msgs_per_conn as u64 * spec.msg_len;
     let recv_len = spec.effective_recv_len();
     let prepost = spec.effective_prepost();
@@ -993,16 +952,10 @@ pub fn run_fan_in(spec: &FanInSpec) -> FanInReport {
     }
     let mut clients: Vec<FanInClient> = client_nodes
         .iter()
-        .map(|&cnode| FanInClient {
-            link: if spec.mux {
-                ClientLink::Mux {
-                    ep: Box::new(MuxEndpoint::new(cnode, &spec.cfg)),
-                    by_stream: HashMap::new(),
-                }
-            } else {
-                ClientLink::Socks(Vec::new())
-            },
+        .map(|_| FanInClient {
+            links: Vec::new(),
             conns: Vec::new(),
+            by_stream: HashMap::new(),
             msgs: spec.msgs_per_conn,
             msg_len: spec.msg_len,
             verify: spec.verify,
@@ -1011,19 +964,23 @@ pub fn run_fan_in(spec: &FanInSpec) -> FanInReport {
             scratch: Vec::new(),
         })
         .collect();
-    // Mux mode: the server end of each client node's endpoint pair,
-    // completing onto the (single) shard's CQs.
-    let mut server_eps: Vec<(MuxEndpoint, Vec<usize>)> = Vec::new();
+    // Mux mode: one endpoint pair per client node, its server end placed
+    // on a shard like any accepted endpoint (the affinity policy keys
+    // on the client node, so one client's traffic shares a shard and
+    // its caches) and hosted once every stream is open.
+    let mut server_eps: Vec<(u32, MuxEndpoint)> = Vec::new();
     if spec.mux {
-        let (send_cq, recv_cq) = pool.shard_cqs(0);
-        server_eps.extend((0..nclients).map(|_| {
+        for (c, &cnode) in clients.iter_mut().zip(&client_nodes) {
+            c.links.push(MuxEndpoint::new(cnode, &spec.cfg).into());
+            let shard = pool.pick_shard(Some(cnode.0 as u64));
+            let (send_cq, recv_cq) = pool.shard_cqs(shard);
             let mut ep = MuxEndpoint::new(server_node, &spec.cfg);
             ep.set_cqs(send_cq, recv_cq);
-            (ep, Vec::new())
-        }));
+            server_eps.push((shard, ep));
+        }
     }
 
-    let mut handles: Vec<ShardHandle> = Vec::new();
+    let mut hosts: Vec<Host> = Vec::new();
     let mut server_mrs: Vec<Vec<MrInfo>> = Vec::new();
     // Server-side receive leases: held for the whole run (the reactor
     // re-posts into the same buffer), released together at the end.
@@ -1031,34 +988,30 @@ pub fn run_fan_in(spec: &FanInSpec) -> FanInReport {
     for idx in 0..spec.conns {
         let ci = idx % nclients;
         let cnode = client_nodes[ci];
-        let nth = clients[ci].conns.len();
-        match &mut clients[ci].link {
-            ClientLink::Socks(socks) => {
-                // Affinity policy keys on the client node, so one
-                // client's connections share a shard (and its caches).
-                let shard = pool.pick_shard(Some(cnode.0 as u64));
-                let (send_cq, recv_cq) = pool.shard_cqs(shard);
-                let (csock, ssock) = StreamSocket::pair_shared(
-                    &mut net,
-                    cnode,
-                    server_node,
-                    send_cq,
-                    recv_cq,
-                    &spec.cfg,
-                );
-                handles.push(pool.accept_on(shard, ssock));
-                socks.push(csock);
-            }
-            ClientLink::Mux { ep, by_stream } => {
+        let (link, stream) = if spec.mux {
+            for ep in [clients[ci].pooled_link(), &mut server_eps[ci].1] {
                 ep.open_stream(idx as u32).expect("stream id fits");
-                server_eps[ci]
-                    .0
-                    .open_stream(idx as u32)
-                    .expect("stream id fits");
-                server_eps[ci].1.push(idx);
-                by_stream.insert(idx as u32, nth);
             }
-        }
+            (0, idx as u32)
+        } else {
+            let shard = pool.pick_shard(Some(cnode.0 as u64));
+            let (send_cq, recv_cq) = pool.shard_cqs(shard);
+            let (csock, ssock) = StreamSocket::pair_shared(
+                &mut net,
+                cnode,
+                server_node,
+                send_cq,
+                recv_cq,
+                &spec.cfg,
+            );
+            hosts.push(Host {
+                at: pool.accept_on(shard, ssock),
+                first: idx,
+                carried: (idx..idx + 1).step_by(1),
+            });
+            clients[ci].links.push(csock.into());
+            (clients[ci].links.len() - 1, 0)
+        };
         let slots: Vec<MrInfo> = if pooled {
             Vec::new()
         } else {
@@ -1068,8 +1021,12 @@ pub fn run_fan_in(spec: &FanInSpec) -> FanInReport {
                     .collect()
             })
         };
+        let nth = clients[ci].conns.len();
+        clients[ci].by_stream.insert((link, stream), nth);
         clients[ci].conns.push(SendCycle {
             idx,
+            link,
+            stream,
             free: (0..slots.len()).collect(),
             slots,
             slot_of: HashMap::new(),
@@ -1097,15 +1054,25 @@ pub fn run_fan_in(spec: &FanInSpec) -> FanInReport {
             }));
         }
     }
+    let mut mux_footprint = 0;
+    for (ci, (shard, mut sep)) in server_eps.into_iter().enumerate() {
+        connect_mux_pair(&mut net, clients[ci].pooled_link(), &mut sep);
+        // Capture the memory model at full fan-out: every stream open,
+        // every pool transport up (streams retire as they close).
+        mux_footprint += sep.memory_footprint();
+        hosts.push(Host {
+            at: pool.accept_on(shard, sep),
+            first: 0,
+            carried: (ci..spec.conns).step_by(nclients),
+        });
+    }
 
     // Placement is final; the poll/dispatch columns are filled in from
     // the reactors after the run.
     let mut shard_stats = pool.shard_stats();
-    let mut mux_handles: Vec<ShardMuxHandle> = Vec::new();
-    let mut mux_footprint = 0;
     let delivered = Delivered::new(spec);
     let mut server = if spec.aio {
-        // Each shard's executor pool carries its connections' readahead
+        // Each shard's executor pool carries its streams' readahead
         // leases for the whole run; budget them up front so a 10k-way
         // fan-in never churns the pin-down cache. Pre-registering happens
         // now, during setup, through the uncharged path — the callback
@@ -1116,16 +1083,21 @@ pub fn run_fan_in(spec: &FanInSpec) -> FanInReport {
         // async slowdown.
         let class = (recv_len as u64).next_power_of_two().max(4096);
         let mut executors = Vec::with_capacity(shard_stats.len());
-        for (reactor, row) in pool.into_shards().into_iter().zip(&shard_stats) {
+        for (shard, reactor) in pool.into_shards().into_iter().enumerate() {
+            let streams: usize = hosts
+                .iter()
+                .filter(|h| h.at.shard as usize == shard)
+                .map(|h| h.carried.len())
+                .sum();
             let mpool = MemPool::new(MemPoolConfig {
-                pinned_budget: (row.assigned * prepost as u64 * class)
+                pinned_budget: (streams as u64 * prepost as u64 * class)
                     .max(spec.cfg.pool.pinned_budget),
                 ..spec.cfg.pool.clone()
             });
             net.with_api(server_node, |api| {
                 mpool.prewarm(
                     api,
-                    row.assigned as usize * prepost,
+                    streams * prepost,
                     recv_len as usize,
                     Access::local_remote_write(),
                 );
@@ -1134,20 +1106,27 @@ pub fn run_fan_in(spec: &FanInSpec) -> FanInReport {
             server_pools.push(mpool);
         }
         let delivered = Rc::new(RefCell::new(delivered));
-        for (idx, h) in handles.iter().enumerate() {
-            let handle = executors[h.shard as usize].handle();
-            let stream = handle.stream_with(h.conn, recv_len, prepost);
-            let delivered = Rc::clone(&delivered);
-            let chunk = recv_len as usize;
-            handle.spawn(async move {
-                loop {
-                    match stream.recv_some(chunk).await {
-                        Ok(bytes) => delivered.borrow_mut().absorb(idx, &bytes),
-                        Err(ExsError::Eof) => break,
-                        Err(e) => panic!("aio fan-in conn {idx} failed: {e}"),
+        for host in &hosts {
+            for idx in host.carried.clone() {
+                let handle = executors[host.at.shard as usize].handle();
+                let sid = (idx - host.first) as u32;
+                let stream = handle.stream_of(host.at.conn, sid, recv_len, prepost);
+                let delivered = Rc::clone(&delivered);
+                let chunk = recv_len as usize;
+                let close_on_eof = spec.mux;
+                handle.spawn(async move {
+                    loop {
+                        match stream.recv_some(chunk).await {
+                            Ok(bytes) => delivered.borrow_mut().absorb(idx, &bytes),
+                            Err(ExsError::Eof) => break,
+                            Err(e) => panic!("aio fan-in conn {idx} failed: {e}"),
+                        }
                     }
-                }
-            });
+                    if close_on_eof {
+                        stream.shutdown().await.expect("close our half at EOF");
+                    }
+                });
+            }
         }
         Server::Aio(AioServer {
             drv: SimShardDriver::new(executors),
@@ -1155,25 +1134,11 @@ pub fn run_fan_in(spec: &FanInSpec) -> FanInReport {
             finished_at: None,
         })
     } else {
-        let mut muxes = Vec::with_capacity(server_eps.len());
-        for (c, (mut sep, streams)) in clients.iter_mut().zip(server_eps) {
-            let ClientLink::Mux { ep, .. } = &mut c.link else {
-                unreachable!("server endpoints exist only in mux mode");
-            };
-            connect_mux_pair(&mut net, ep, &mut sep);
-            // Capture the memory model at full fan-out: every stream
-            // open, every pool transport up (streams retire as they
-            // close).
-            mux_footprint += sep.memory_footprint();
-            let m = pool.accept_mux_on(0, sep);
-            mux_handles.push(m);
-            muxes.push((m, streams));
-        }
         Server::Callback(Box::new(ReactorServer {
             pool,
-            idx_of: handles.iter().enumerate().map(|(i, &h)| (h, i)).collect(),
-            handles: handles.clone(),
-            muxes,
+            host_of: hosts.iter().enumerate().map(|(i, h)| (h.at, i)).collect(),
+            hosts: &hosts,
+            close_on_eof: spec.mux,
             ready: Vec::new(),
             cycle: RecvCycle {
                 mrs: server_mrs,
@@ -1199,12 +1164,16 @@ pub fn run_fan_in(spec: &FanInSpec) -> FanInReport {
     let outcome = net.run(&mut apps, SimTime::ZERO + spec.time_limit);
     if !outcome.completed {
         let mut dump = String::new();
-        for (mi, m) in mux_handles.iter().enumerate() {
-            let summary = server.with_shard(m.shard, |r| r.mux(m.mux).debug_summary());
-            dump.push_str(&format!("server ep {mi}:\n{summary}"));
+        for (hi, h) in hosts.iter().enumerate() {
+            let summary = server.with_shard(h.at.shard, |r| {
+                r.conn(h.at.conn).as_mux().map(MuxEndpoint::debug_summary)
+            });
+            if let Some(summary) = summary {
+                dump.push_str(&format!("server ep {hi}:\n{summary}"));
+            }
         }
         for (ci, c) in clients.iter().enumerate() {
-            if let ClientLink::Mux { ep, .. } = &c.link {
+            for ep in c.links.iter().filter_map(Endpoint::as_mux) {
                 dump.push_str(&format!("client ep {ci}:\n{}", ep.debug_summary()));
             }
         }
@@ -1228,30 +1197,24 @@ pub fn run_fan_in(spec: &FanInSpec) -> FanInReport {
 
     let end = server.finished_at().unwrap_or(outcome.end);
     let fabric_stats = net.fabric_stats();
-    // One snapshot per connection in *global* index order, regardless of
+    // One snapshot per hosted endpoint, in accept order regardless of
     // which shard each landed on — snapshots across shard counts must
     // stay row-for-row comparable — with the shared CQs' pressure gauges
     // folded in (overflow here would mean the CQ sizing above was
-    // wrong). Mux mode: one per server-side endpoint (= per client
-    // node); the pool aggregates its streams, which is the point of the
-    // mode.
+    // wrong). That is one per connection in global index order, or in
+    // mux mode one per client node: the pool aggregates its streams,
+    // which is the point of the mode.
     let mut per_conn: Vec<ConnStats> = net.with_api(server_node, |api| {
-        let mut per_conn: Vec<ConnStats> = handles
+        hosts
             .iter()
             .map(|h| {
-                server.with_shard(h.shard, |r| {
-                    let sock = r.conn_mut(h.conn);
-                    sock.sync_cq_stats(api);
-                    sock.stats().clone()
+                server.with_shard(h.at.shard, |r| {
+                    let ep = r.conn_mut(h.at.conn);
+                    ep.sync_cq_stats(api);
+                    ep.stats().clone()
                 })
             })
-            .collect();
-        per_conn.extend(
-            mux_handles
-                .iter()
-                .map(|m| server.with_shard(m.shard, |r| r.mux(m.mux).stats().clone())),
-        );
-        per_conn
+            .collect()
     });
     // Protocol and event-loop counters merged across shards, and the
     // per-shard telemetry rows.
@@ -1300,7 +1263,7 @@ pub fn run_fan_in(spec: &FanInSpec) -> FanInReport {
     if let Some(aio) = &aio {
         assert_eq!(
             aio.tasks_completed, spec.conns as u64,
-            "every connection task ran to completion"
+            "every stream's task ran to completion"
         );
     }
 
@@ -1309,15 +1272,12 @@ pub fn run_fan_in(spec: &FanInSpec) -> FanInReport {
     // end (the server-side aggregate only ever sees the receive half).
     let mut aggregate_tx = ConnStats::default();
     for (c, &cnode) in clients.iter_mut().zip(&client_nodes) {
-        match &mut c.link {
-            ClientLink::Socks(socks) => net.with_api(cnode, |api| {
-                for sock in socks.iter_mut() {
-                    sock.sync_cq_stats(api);
-                    aggregate_tx.merge(sock.stats());
-                }
-            }),
-            ClientLink::Mux { ep, .. } => aggregate_tx.merge(ep.stats()),
-        }
+        net.with_api(cnode, |api| {
+            for link in c.links.iter_mut() {
+                link.sync_cq_stats(api);
+                aggregate_tx.merge(link.stats());
+            }
+        });
     }
     assert_eq!(
         aggregate_tx.bytes_sent,

@@ -68,6 +68,25 @@ fn sim_digests_identical_across_shard_counts() {
     }
 }
 
+/// Pooled endpoints are placed on shards like sockets — one per client
+/// node here, two to a shard — and deliver the same bytes as the
+/// single-loop callback server over private QPs.
+#[test]
+fn mux_sharded_matches_callback() {
+    let callback = run_fan_in(&spec(1, ShardPolicy::RoundRobin, false));
+    let mux = run_fan_in(&FanInSpec {
+        mux: true,
+        ..spec(2, ShardPolicy::RoundRobin, false)
+    });
+    assert_eq!(
+        callback.digests, mux.digests,
+        "sharded mux server diverged from the callback server"
+    );
+    assert_expected(&mux.digests, "mux x2");
+    assert_eq!(mux.per_conn.len(), 4, "one endpoint per client node");
+    assert_eq!(mux.reactor.conns_added, 4, "each counted by its shard");
+}
+
 /// The async per-task server over a 4-way sharded driver delivers the
 /// same bytes as the single-loop callback server.
 #[test]

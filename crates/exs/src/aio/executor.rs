@@ -30,9 +30,8 @@ use crate::error::ExsError;
 use crate::mempool::{MemPool, MemPoolConfig, MrLease};
 use crate::mux::MuxEvent;
 use crate::port::VerbsPort;
-use crate::reactor::{ConnId, MuxId, Reactor, Readiness};
+use crate::reactor::{ConnId, Reactor, Readiness};
 use crate::stats::AioStats;
-use crate::stream::ExsEvent;
 
 use super::handle::AioHandle;
 
@@ -43,15 +42,9 @@ pub(crate) const DEFAULT_DEPTH: usize = 4;
 
 type TaskFut = Pin<Box<dyn Future<Output = ()>>>;
 
-/// Identifies one byte-stream channel the executor manages: either a
-/// reactor connection or one stream of a hosted mux endpoint.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub(crate) enum ChanKey {
-    /// A [`ConnId`] slab index.
-    Conn(u32),
-    /// A stream of a hosted [`MuxId`].
-    Mux { mux: u32, stream: u32 },
-}
+/// Identifies one byte-stream channel the executor manages: a stream
+/// id on a hosted endpoint (a socket's one stream is id 0).
+pub(crate) type ChanKey = (ConnId, u32);
 
 /// Operations futures enqueue for the next `turn` to apply with the
 /// port. Kept FIFO so a task's `send_all` → `shutdown` sequence hits
@@ -116,7 +109,7 @@ pub(crate) struct Chan {
     posted: VecDeque<(u64, usize)>,
     pub(crate) rx_buf: VecDeque<u8>,
     pub(crate) eof: bool,
-    /// Surfaced through `AioMux::accept` already (mux streams only).
+    /// Surfaced through `AioMux::accept` already.
     pub(crate) announced: bool,
     pub(crate) error: Option<ExsError>,
     /// Send-direction poison left by an unclean cancellation.
@@ -196,10 +189,46 @@ impl Chan {
         }
         self.wake_readers();
     }
+
+    /// Posts a readahead receive into every free slot, lowest slot
+    /// first. A slot whose post fails stays free.
+    fn post_free(
+        &mut self,
+        reactor: &mut Reactor,
+        port: &mut impl VerbsPort,
+        key: ChanKey,
+        next_op: &mut u64,
+    ) -> Result<(), ExsError> {
+        while let Some(&slot) = self.free.last() {
+            *next_op += 1;
+            let lease = self.slots[slot].info();
+            reactor
+                .try_conn_mut(key.0)
+                .ok_or(ExsError::Stale)?
+                .recv(port, key.1, lease, 0, self.chunk, false, *next_op)?;
+            self.free.pop();
+            self.posted.push_back((*next_op, slot));
+        }
+        Ok(())
+    }
+
+    /// The stream's first observed activity surfaces it through its
+    /// host's `accept()`, when the host is wrapped in an `AioMux`.
+    fn announce(&mut self, muxes: &mut HashMap<ConnId, MuxReg>, host: ConnId, stream: u32) {
+        if std::mem::replace(&mut self.announced, true) {
+            return;
+        }
+        if let Some(reg) = muxes.get_mut(&host) {
+            reg.accept_ready.push_back(stream);
+            for w in reg.accept_waiters.drain(..) {
+                w.wake();
+            }
+        }
+    }
 }
 
-/// Accept state for one hosted mux endpoint: streams that saw their
-/// first activity queue up for `accept()`.
+/// Accept state for one hosted endpoint wrapped in an `AioMux`: streams
+/// that saw their first activity queue up for `accept()`.
 pub(crate) struct MuxReg {
     pub(crate) accept_ready: VecDeque<u32>,
     pub(crate) accept_waiters: Vec<Waker>,
@@ -267,7 +296,7 @@ pub(crate) struct Inner {
     pub(crate) reactor: Reactor,
     pub(crate) pool: MemPool,
     pub(crate) chans: HashMap<ChanKey, Chan>,
-    pub(crate) muxes: HashMap<u32, MuxReg>,
+    pub(crate) muxes: HashMap<ConnId, MuxReg>,
     pub(crate) actions: VecDeque<Action>,
     timers: BinaryHeap<Reverse<(u64, u64)>>,
     pub(crate) timer_entries: HashMap<u64, TimerEntry>,
@@ -295,7 +324,13 @@ impl Inner {
 
     pub(crate) fn ensure_chan(&mut self, key: ChanKey, chunk: u32, depth: usize) {
         if let std::collections::hash_map::Entry::Vacant(e) = self.chans.entry(key) {
-            e.insert(Chan::new(chunk, depth));
+            let chan = e.insert(Chan::new(chunk, depth));
+            // A transport that failed before the stream was wrapped
+            // announced it to nobody; later failures arrive as events.
+            chan.error = self
+                .reactor
+                .try_conn(key.0)
+                .and_then(|ep| ep.stream_error(key.1));
             self.actions.push_back(Action::Open { key });
         }
     }
@@ -402,41 +437,13 @@ impl Inner {
             return;
         }
         chan.opened = true;
-        for _ in 0..chan.depth {
+        for slot in (0..chan.depth).rev() {
             let lease = pool.acquire(port, chan.chunk as usize, Access::local_remote_write());
             chan.slots.push(lease);
+            chan.free.push(slot);
         }
-        for slot in 0..chan.slots.len() {
-            *next_op += 1;
-            let token = *next_op;
-            let lease = &chan.slots[slot];
-            match key {
-                ChanKey::Conn(c) => match reactor.try_conn_mut(ConnId(c)) {
-                    Some(sock) => {
-                        sock.exs_recv(port, lease.info(), 0, chan.chunk, false, token);
-                        chan.posted.push_back((token, slot));
-                    }
-                    None => {
-                        chan.fail_all(&ExsError::Stale);
-                        return;
-                    }
-                },
-                ChanKey::Mux { mux, stream } => match reactor.try_mux_mut(MuxId(mux)) {
-                    Some(ep) => {
-                        match ep.mux_recv(port, stream, lease.info(), 0, chan.chunk, false, token) {
-                            Ok(()) => chan.posted.push_back((token, slot)),
-                            Err(e) => {
-                                chan.fail_all(&e);
-                                return;
-                            }
-                        }
-                    }
-                    None => {
-                        chan.fail_all(&ExsError::Stale);
-                        return;
-                    }
-                },
-            }
+        if let Err(e) = chan.post_free(reactor, port, key, next_op) {
+            chan.fail_all(&e);
         }
     }
 
@@ -481,30 +488,16 @@ impl Inner {
             complete_err(entry, ExsError::Verbs(e));
             return;
         }
-        match key {
-            ChanKey::Conn(c) => match reactor.try_conn_mut(ConnId(c)) {
-                Some(sock) if !sock.is_broken() && !sock.send_closed() => {
-                    sock.exs_send(port, lease.info(), 0, data.len() as u64, op);
-                    entry.lease = Some(lease);
-                    entry.issued = true;
-                }
-                Some(sock) => {
-                    let err = sock.last_error().cloned().unwrap_or(ExsError::Broken);
-                    complete_err(entry, err);
-                }
-                None => complete_err(entry, ExsError::Stale),
-            },
-            ChanKey::Mux { mux, stream } => match reactor.try_mux_mut(MuxId(mux)) {
-                Some(ep) => match ep.mux_send(port, stream, lease.info(), 0, data.len() as u64, op)
-                {
-                    Ok(()) => {
-                        entry.lease = Some(lease);
-                        entry.issued = true;
-                    }
-                    Err(e) => complete_err(entry, e),
-                },
-                None => complete_err(entry, ExsError::Stale),
-            },
+        let sent = reactor
+            .try_conn_mut(key.0)
+            .ok_or(ExsError::Stale)
+            .and_then(|ep| ep.send(port, key.1, lease.info(), 0, data.len() as u64, op));
+        match sent {
+            Ok(()) => {
+                entry.lease = Some(lease);
+                entry.issued = true;
+            }
+            Err(e) => complete_err(entry, e),
         }
     }
 
@@ -516,32 +509,11 @@ impl Inner {
         let Some(entry) = chan.ctl_ops.get_mut(&op) else {
             return;
         };
-        let mut result = Ok(());
-        match key {
-            ChanKey::Conn(c) => match reactor.try_conn_mut(ConnId(c)) {
-                Some(sock) => {
-                    if shutdown {
-                        if !sock.send_closed() {
-                            sock.exs_shutdown(port);
-                        }
-                    } else {
-                        sock.tx_flush(port);
-                    }
-                }
-                None => result = Err(ExsError::Stale),
-            },
-            ChanKey::Mux { mux, stream } => match reactor.try_mux_mut(MuxId(mux)) {
-                Some(ep) => {
-                    if shutdown {
-                        ep.close_stream(port, stream);
-                    } else {
-                        ep.progress(port);
-                    }
-                }
-                None => result = Err(ExsError::Stale),
-            },
-        }
-        entry.done = Some(result);
+        let applied = reactor.try_conn_mut(key.0).map(|ep| match shutdown {
+            true => ep.shutdown(port, key.1),
+            false => ep.flush(port),
+        });
+        entry.done = Some(applied.ok_or(ExsError::Stale));
         if let Some(w) = entry.waker.take() {
             w.wake();
         }
@@ -554,142 +526,71 @@ impl Inner {
         let mut ready = std::mem::take(&mut self.ready_buf);
         self.reactor.poll_into(port, &mut ready);
         let mut progressed = false;
-        for &(conn, r) in &ready {
+        for &(host, r) in &ready {
             if !(r.readable || r.closed || r.error) {
                 continue;
             }
-            let events = match self.reactor.try_take_events(conn) {
-                Ok(events) => events,
-                Err(_) => continue,
-            };
-            let key = ChanKey::Conn(conn.0);
-            if !self.chans.contains_key(&key) {
-                // Connection accepted into the reactor but never
-                // wrapped in an AsyncStream: nobody is listening.
-                continue;
-            }
-            progressed |= !events.is_empty();
-            for ev in events {
-                self.dispatch_conn_event(port, conn, ev);
-            }
             // Dispatching can generate follow-on events (a readahead
             // repost satisfied straight from buffered ring data, the
-            // end-of-stream completion behind it). Drain to quiescence
-            // before consulting the level-triggered closed/error
-            // fallback below — otherwise `peer_closed()` can flip true
-            // while data events are still queued, and marking the
-            // channel EOF here would jump that data.
-            while let Ok(more) = self.reactor.try_take_events(conn) {
-                if more.is_empty() {
+            // end-of-stream completion behind it); drain to quiescence
+            // so they cost no further reactor poll.
+            while let Some(ep) = self.reactor.try_conn_mut(host) {
+                let events = ep.take_events();
+                if events.is_empty() {
                     break;
                 }
                 progressed = true;
-                for ev in more {
-                    self.dispatch_conn_event(port, conn, ev);
+                for ev in events {
+                    self.dispatch_event(port, host, ev);
                 }
             }
-            let (closed, error) = match self.reactor.try_conn(conn) {
-                Some(sock) => (
-                    sock.peer_closed(),
-                    sock.is_broken()
-                        .then(|| sock.last_error().cloned().unwrap_or(ExsError::Broken)),
-                ),
-                None => (false, Some(ExsError::Stale)),
-            };
-            let chan = self.chans.get_mut(&key).expect("checked above");
-            if let Some(err) = error {
-                if chan.error.is_none() {
-                    chan.fail_all(&err);
-                    progressed = true;
-                }
-            } else if closed && !chan.eof {
-                chan.eof = true;
-                progressed = true;
-            }
-            chan.wake_readers();
         }
         self.ready_buf = ready;
-        let mux_ids: Vec<u32> = self.muxes.keys().copied().collect();
-        for mux in mux_ids {
-            let events = match self.reactor.try_take_mux_events(MuxId(mux)) {
-                Ok(events) => events,
-                Err(_) => continue,
-            };
-            progressed |= !events.is_empty();
-            for ev in events {
-                self.dispatch_mux_event(port, mux, ev);
-            }
-        }
         progressed
     }
 
-    fn dispatch_conn_event(&mut self, port: &mut impl VerbsPort, conn: ConnId, ev: ExsEvent) {
-        let key = ChanKey::Conn(conn.0);
-        match ev {
-            ExsEvent::RecvComplete { id, len } => {
-                self.readahead_complete(port, key, id, len);
-            }
-            ExsEvent::SendComplete { id, .. } => {
-                self.send_complete(key, id);
-            }
-            ExsEvent::PeerClosed => {
-                if let Some(chan) = self.chans.get_mut(&key) {
-                    chan.eof = true;
-                    chan.wake_readers();
-                }
-            }
-            ExsEvent::ConnectionError => {
-                let err = self
-                    .reactor
-                    .try_conn(conn)
-                    .and_then(|s| s.last_error().cloned())
-                    .unwrap_or(ExsError::Broken);
-                if let Some(chan) = self.chans.get_mut(&key) {
-                    chan.fail_all(&err);
-                }
-            }
-        }
-    }
-
-    fn dispatch_mux_event(&mut self, port: &mut impl VerbsPort, mux: u32, ev: MuxEvent) {
+    fn dispatch_event(&mut self, port: &mut impl VerbsPort, host: ConnId, ev: MuxEvent) {
         match ev {
             MuxEvent::RecvComplete { stream, id, len } => {
-                let key = ChanKey::Mux { mux, stream };
-                self.readahead_complete(port, key, id, len);
-                self.maybe_announce(mux, stream);
+                self.readahead_complete(port, (host, stream), id, len);
             }
-            MuxEvent::SendComplete { stream, id, .. } => {
-                self.send_complete(ChanKey::Mux { mux, stream }, id);
-            }
+            MuxEvent::SendComplete { stream, id, .. } => self.send_complete((host, stream), id),
             MuxEvent::StreamClosed { stream } => {
-                let key = ChanKey::Mux { mux, stream };
-                if let Some(chan) = self.chans.get_mut(&key) {
+                if let Some(chan) = self.chans.get_mut(&(host, stream)) {
                     chan.eof = true;
                     chan.wake_readers();
+                    chan.announce(&mut self.muxes, host, stream);
                 }
-                self.maybe_announce(mux, stream);
             }
             MuxEvent::TransportError { .. } => {
-                let err = self
-                    .reactor
-                    .try_mux(MuxId(mux))
-                    .and_then(|ep| ep.last_error().cloned())
-                    .unwrap_or(ExsError::Broken);
-                let keys: Vec<ChanKey> = self
+                let Some(ep) = self.reactor.try_conn(host) else {
+                    return;
+                };
+                // Only the streams a failed slot carries are dead; in id
+                // order, so the wake order repeats from run to run.
+                let mut mine: Vec<u32> = self
                     .chans
                     .keys()
-                    .copied()
-                    .filter(|k| matches!(k, ChanKey::Mux { mux: m, .. } if *m == mux))
+                    .filter(|k| k.0 == host)
+                    .map(|k| k.1)
                     .collect();
-                for key in keys {
-                    if let Some(chan) = self.chans.get_mut(&key) {
-                        chan.fail_all(&err);
+                mine.sort_unstable();
+                for stream in mine {
+                    if let Some(err) = ep.stream_error(stream) {
+                        self.chans
+                            .get_mut(&(host, stream))
+                            .expect("key just listed")
+                            .fail_all(&err);
                     }
                 }
-                if let Some(reg) = self.muxes.get_mut(&mux) {
-                    reg.error = Some(err);
-                    for w in reg.accept_waiters.drain(..) {
-                        w.wake();
+                // `accept()` keeps serving live slots; with none left it
+                // can only ever fail.
+                if !ep.alive() {
+                    if let Some(reg) = self.muxes.get_mut(&host) {
+                        reg.error = Some(ep.last_error().cloned().unwrap_or(ExsError::Broken));
+                        for w in reg.accept_waiters.drain(..) {
+                            w.wake();
+                        }
                     }
                 }
             }
@@ -703,6 +604,7 @@ impl Inner {
         let Inner {
             reactor,
             chans,
+            muxes,
             next_op,
             scratch,
             ..
@@ -727,34 +629,11 @@ impl Inner {
         }
         chan.free.push(slot);
         if !chan.eof && chan.error.is_none() {
-            while let Some(slot) = chan.free.pop() {
-                *next_op += 1;
-                let token = *next_op;
-                let lease = &chan.slots[slot];
-                let posted = match key {
-                    ChanKey::Conn(c) => match reactor.try_conn_mut(ConnId(c)) {
-                        Some(sock) => {
-                            sock.exs_recv(port, lease.info(), 0, chan.chunk, false, token);
-                            true
-                        }
-                        None => false,
-                    },
-                    ChanKey::Mux { mux, stream } => match reactor.try_mux_mut(MuxId(mux)) {
-                        Some(ep) => ep
-                            .mux_recv(port, stream, lease.info(), 0, chan.chunk, false, token)
-                            .is_ok(),
-                        None => false,
-                    },
-                };
-                if posted {
-                    chan.posted.push_back((token, slot));
-                } else {
-                    chan.free.push(slot);
-                    break;
-                }
-            }
+            // Best effort: a stream that cannot take the post is ending.
+            let _ = chan.post_free(reactor, port, key, next_op);
         }
         chan.wake_readers();
+        chan.announce(muxes, key.0, key.1);
     }
 
     fn send_complete(&mut self, key: ChanKey, id: u64) {
@@ -774,25 +653,6 @@ impl Inner {
         }
         if let Some(w) = entry.waker.take() {
             w.wake();
-        }
-    }
-
-    /// A mux stream's first observed activity surfaces it through
-    /// `accept()`.
-    fn maybe_announce(&mut self, mux: u32, stream: u32) {
-        let key = ChanKey::Mux { mux, stream };
-        let Some(chan) = self.chans.get_mut(&key) else {
-            return;
-        };
-        if chan.announced {
-            return;
-        }
-        chan.announced = true;
-        if let Some(reg) = self.muxes.get_mut(&mux) {
-            reg.accept_ready.push_back(stream);
-            for w in reg.accept_waiters.drain(..) {
-                w.wake();
-            }
         }
     }
 
@@ -820,14 +680,11 @@ impl Inner {
             self.stats.cancels_clean += 1;
             return;
         }
-        if let ChanKey::Conn(c) = key {
-            if let Some(sock) = self.reactor.try_conn_mut(ConnId(c)) {
-                if sock.exs_cancel(op) {
-                    chan.send_ops.remove(&op);
-                    self.stats.cancels_clean += 1;
-                    return;
-                }
-            }
+        let revoked = self.reactor.try_conn_mut(key.0);
+        if revoked.is_some_and(|ep| ep.cancel(key.1, op)) {
+            chan.send_ops.remove(&op);
+            self.stats.cancels_clean += 1;
+            return;
         }
         entry.detached = true;
         entry.waker = None;

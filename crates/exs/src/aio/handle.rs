@@ -1,7 +1,7 @@
 //! Handles and stream futures: the application-facing face of aio.
 //!
 //! An [`AioHandle`] is a cheap clone of the executor's shared state;
-//! it spawns tasks and wraps reactor connections / mux streams into
+//! it spawns tasks and wraps the streams of hosted endpoints into
 //! [`AsyncStream`]s whose methods return futures. The futures follow
 //! one protocol: first poll enqueues an operation and parks with the
 //! task's waker; completion routing (executor turn) wakes the task;
@@ -16,8 +16,9 @@ use std::rc::Rc;
 use std::sync::Arc;
 use std::task::{Context, Poll, Waker};
 
+use crate::endpoint::Endpoint;
 use crate::error::ExsError;
-use crate::reactor::{ConnId, MuxId};
+use crate::reactor::ConnId;
 
 use super::executor::{
     Action, Chan, ChanKey, CtlOp, Inner, MuxReg, ReadyQueue, RecvMode, RecvWaiter, SendOp,
@@ -45,17 +46,24 @@ impl AioHandle {
         self.ready.push_spawn(id);
     }
 
-    /// Wraps a reactor connection with default readahead (16 KiB
-    /// chunks, depth 4).
+    /// Wraps a hosted socket's stream (id 0) with default readahead
+    /// (16 KiB chunks, depth 4).
     pub fn stream(&self, conn: ConnId) -> AsyncStream {
         self.stream_with(conn, DEFAULT_CHUNK, DEFAULT_DEPTH)
     }
 
-    /// Wraps a reactor connection, keeping `depth` receives of `chunk`
-    /// bytes posted. Depth ≥ 2 keeps the advert gate open (zero-copy
-    /// delivery); chunk bounds each `recv` completion's size.
+    /// Wraps a hosted socket's stream (id 0), keeping `depth` receives
+    /// of `chunk` bytes posted. Depth ≥ 2 keeps the advert gate open
+    /// (zero-copy delivery); chunk bounds each `recv` completion's size.
     pub fn stream_with(&self, conn: ConnId, chunk: u32, depth: usize) -> AsyncStream {
-        let key = ChanKey::Conn(conn.0);
+        self.stream_of(conn, 0, chunk, depth)
+    }
+
+    /// Wraps stream `stream` of a hosted endpoint — the general form of
+    /// [`AioHandle::stream_with`] and [`AioMux::stream_with`]. The id
+    /// must already be open on the endpoint.
+    pub fn stream_of(&self, conn: ConnId, stream: u32, chunk: u32, depth: usize) -> AsyncStream {
+        let key = (conn, stream);
         self.inner.borrow_mut().ensure_chan(key, chunk, depth);
         AsyncStream {
             inner: self.inner.clone(),
@@ -63,20 +71,22 @@ impl AioHandle {
         }
     }
 
-    /// Wraps a hosted mux endpoint for stream accept/open.
-    pub fn mux(&self, id: MuxId) -> AioMux {
+    /// The stream-id view of a hosted endpoint: open ids on a pooled
+    /// endpoint, accept the ones the peer starts using, wrap any id the
+    /// endpoint carries.
+    pub fn mux(&self, id: ConnId) -> AioMux {
         self.inner
             .borrow_mut()
             .muxes
-            .entry(id.0)
+            .entry(id)
             .or_insert_with(|| MuxReg {
                 accept_ready: std::collections::VecDeque::new(),
                 accept_waiters: Vec::new(),
                 error: None,
             });
         AioMux {
-            inner: self.inner.clone(),
-            mux: id.0,
+            handle: self.clone(),
+            host: id,
         }
     }
 
@@ -92,8 +102,8 @@ impl AioHandle {
     }
 }
 
-/// An async byte-stream over one reactor connection or one mux
-/// stream. Clones share the underlying channel state.
+/// An async byte-stream over one stream of a hosted endpoint. Clones
+/// share the underlying channel state.
 #[derive(Clone)]
 pub struct AsyncStream {
     inner: Rc<RefCell<Inner>>,
@@ -427,12 +437,12 @@ impl Drop for Ctl {
     }
 }
 
-/// Async view of a hosted [`crate::MuxEndpoint`]: open streams and
-/// accept the ones the peer starts using.
+/// Async view of a hosted endpoint's stream ids: open streams on a
+/// [`crate::MuxEndpoint`] and accept the ones the peer starts using.
 #[derive(Clone)]
 pub struct AioMux {
-    inner: Rc<RefCell<Inner>>,
-    mux: u32,
+    handle: AioHandle,
+    host: ConnId,
 }
 
 impl AioMux {
@@ -445,37 +455,32 @@ impl AioMux {
     }
 
     /// Opens stream `id` with explicit readahead sizing and wraps it.
+    /// [`ExsError::Stale`] if the id no longer names a pooled endpoint.
     pub fn open_stream_with(
         &self,
         stream: u32,
         chunk: u32,
         depth: usize,
     ) -> Result<AsyncStream, ExsError> {
-        let key = ChanKey::Mux {
-            mux: self.mux,
-            stream,
-        };
-        let mut g = self.inner.borrow_mut();
+        let mut g = self.handle.inner.borrow_mut();
         g.reactor
-            .try_mux_mut(MuxId(self.mux))
+            .try_conn_mut(self.host)
+            .and_then(Endpoint::as_mux_mut)
             .ok_or(ExsError::Stale)?
             .open_stream(stream)?;
-        g.ensure_chan(key, chunk, depth);
-        Ok(AsyncStream {
-            inner: self.inner.clone(),
-            key,
-        })
+        drop(g);
+        Ok(self.stream_with(stream, chunk, depth))
     }
 
     /// Resolves with the id of the next locally-opened stream that
     /// shows peer activity (first delivered bytes or close) and has
     /// not been surfaced yet — the accept-loop shape for servers that
     /// pre-open a window of stream ids and spawn a task per live
-    /// stream.
+    /// stream. Fails once no transport slot of the endpoint is alive.
     pub fn accept(&self) -> Accept {
         Accept {
-            inner: self.inner.clone(),
-            mux: self.mux,
+            inner: self.handle.inner.clone(),
+            host: self.host,
         }
     }
 
@@ -489,22 +494,14 @@ impl AioMux {
     /// sizing. Unlike [`AioMux::open_stream_with`] this does not open
     /// the id on the endpoint — it must already be open there.
     pub fn stream_with(&self, stream: u32, chunk: u32, depth: usize) -> AsyncStream {
-        let key = ChanKey::Mux {
-            mux: self.mux,
-            stream,
-        };
-        self.inner.borrow_mut().ensure_chan(key, chunk, depth);
-        AsyncStream {
-            inner: self.inner.clone(),
-            key,
-        }
+        self.handle.stream_of(self.host, stream, chunk, depth)
     }
 }
 
 /// Future of [`AioMux::accept`].
 pub struct Accept {
     inner: Rc<RefCell<Inner>>,
-    mux: u32,
+    host: ConnId,
 }
 
 impl Future for Accept {
@@ -513,7 +510,7 @@ impl Future for Accept {
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
         let this = self.get_mut();
         let mut g = this.inner.borrow_mut();
-        let Some(reg) = g.muxes.get_mut(&this.mux) else {
+        let Some(reg) = g.muxes.get_mut(&this.host) else {
             return Poll::Ready(Err(ExsError::Stale));
         };
         if let Some(stream) = reg.accept_ready.pop_front() {

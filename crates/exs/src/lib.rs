@@ -36,7 +36,8 @@
 //! | [`mux`] | many streams multiplexed over a pooled QP set |
 //! | [`api`] | ES-API-flavoured convenience layer |
 //! | [`mempool`] | pin-down cache / slab MR pools / buffer leases |
-//! | [`reactor`] | epoll-style readiness multiplexing of many streams |
+//! | [`endpoint`] | what a reactor hosts: one QP and stream 0, or a QP pool and many ids |
+//! | [`reactor`] | epoll-style readiness multiplexing of many endpoints |
 //! | [`shard`] | sharded reactor pool — scale service across cores |
 //! | [`aio`] | async/await futures + deterministic executor over the reactor |
 //! | [`error`] | typed peer-attributable failures |
@@ -50,6 +51,7 @@ pub mod api;
 pub mod buffer;
 mod chan;
 pub mod config;
+pub mod endpoint;
 pub mod error;
 pub mod mempool;
 pub mod messages;
@@ -73,16 +75,17 @@ pub use config::{
     ConfigError, DirectPolicy, ExsConfig, MuxAssignment, MuxConfig, ProtocolMode, ShardConfig,
     ShardPolicy, WwiMode,
 };
+pub use endpoint::Endpoint;
 pub use error::{ExsError, ProtocolError};
 pub use mempool::{MemPool, MemPoolConfig, MrLease};
 pub use messages::{Advert, Ctrl, CtrlMsg, MuxCtrlMsg, TransferKind};
 pub use mux::{connect_mux_pair, MuxEndpoint, MuxEvent};
 pub use phase::Phase;
 pub use port::{CqPressure, VerbsPort};
-pub use reactor::{ConnId, MuxId, Reactor, ReactorConfig, Readiness};
+pub use reactor::{ConnId, Reactor, ReactorConfig, Readiness};
 pub use seq::Seq;
 pub use seqpacket::{SeqPacketEvent, SeqPacketSocket};
-pub use shard::{ReactorPool, ShardBalance, ShardHandle, ShardMuxHandle};
+pub use shard::{ReactorPool, ShardBalance, ShardHandle};
 pub use stats::{AioStats, ConnStats, PoolStats, ReactorStats, ShardStats};
 pub use stream::{ExsEvent, StreamSocket};
 pub use threaded::{ThreadPort, ThreadReactorPool, ThreadStream};

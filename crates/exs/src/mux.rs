@@ -89,7 +89,9 @@ use crate::stats::ConnStats;
 /// strides for both).
 pub const WQE_SLOT_BYTES: u64 = 64;
 
-/// Completion events delivered to the application by a [`MuxEndpoint`].
+/// Stream-tagged completion events: what a [`MuxEndpoint`] delivers to
+/// the application, and what every hosted [`crate::Endpoint`] delivers
+/// through a reactor (a socket is stream 0 on slot 0).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum MuxEvent {
     /// A `mux_send` finished: every byte left the user buffer.
@@ -111,14 +113,15 @@ pub enum MuxEvent {
         /// Bytes delivered.
         len: u32,
     },
-    /// Both directions of the stream have fully closed; its state has
-    /// been reclaimed and the id retired.
+    /// The peer closed the stream and every byte of it was delivered;
+    /// later receives complete with zero bytes. (A pooled endpoint
+    /// retires the id once the local direction has closed as well.)
     StreamClosed {
         /// The closed stream.
         stream: u32,
     },
-    /// A pooled transport failed (QP error or peer protocol violation).
-    /// Every stream assigned to its slot is dead.
+    /// A transport failed (QP error or peer protocol violation). Every
+    /// stream assigned to its slot is dead; streams on other slots live.
     TransportError {
         /// Pool slot of the failed transport.
         slot: usize,
@@ -343,6 +346,11 @@ impl MuxEndpoint {
         std::mem::take(&mut self.events)
     }
 
+    /// Number of user events queued and not yet taken.
+    pub fn events_pending(&self) -> usize {
+        self.events.len()
+    }
+
     /// The shared CQ pair every pooled transport completes onto, once
     /// established.
     pub fn cqs(&self) -> Option<(CqId, CqId)> {
@@ -374,6 +382,12 @@ impl MuxEndpoint {
     /// key).
     pub fn slot_qpn(&self, slot: usize) -> Option<QpNum> {
         self.transports[slot].as_ref().map(|t| t.chan.qpn())
+    }
+
+    /// True once the slot's transport has failed: every stream assigned
+    /// to it is dead.
+    pub fn slot_broken(&self, slot: usize) -> bool {
+        self.transports[slot].as_ref().is_some_and(|t| t.broken)
     }
 
     /// Opens a stream. The id must be new (never opened before on this

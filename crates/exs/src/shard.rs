@@ -30,14 +30,13 @@
 //! enforced by the `shard_identity` tests.
 
 use crate::config::{ShardConfig, ShardPolicy};
-use crate::mux::MuxEndpoint;
+use crate::endpoint::Endpoint;
 use crate::port::VerbsPort;
-use crate::reactor::{ConnId, MuxId, Reactor, Readiness};
+use crate::reactor::{ConnId, Reactor, Readiness};
 use crate::stats::{ConnStats, ReactorStats, ShardStats};
-use crate::stream::StreamSocket;
 use rdma_verbs::CqId;
 
-/// A connection hosted by a [`ReactorPool`]: which shard it lives on
+/// An endpoint hosted by a [`ReactorPool`]: which shard it lives on
 /// and its [`ConnId`] within that shard's reactor. The pair is the
 /// pool-wide identity; bare `ConnId`s are only meaningful shard-locally.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -46,15 +45,6 @@ pub struct ShardHandle {
     pub shard: u32,
     /// Slot within the shard's reactor.
     pub conn: ConnId,
-}
-
-/// A mux endpoint hosted by a [`ReactorPool`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct ShardMuxHandle {
-    /// Owning shard (0-based).
-    pub shard: u32,
-    /// Slot within the shard's reactor.
-    pub mux: MuxId,
 }
 
 /// N reactors behind one assignment policy. Backend-agnostic: the
@@ -125,7 +115,7 @@ impl ReactorPool {
         (r.send_cq(), r.recv_cq())
     }
 
-    /// Live connections currently hosted on one shard.
+    /// Live endpoints currently hosted on one shard.
     pub fn shard_conns(&self, shard: u32) -> u64 {
         let s = self.shards[shard as usize].stats();
         s.conns_added - s.conns_removed
@@ -153,18 +143,12 @@ impl ReactorPool {
         chosen as u32
     }
 
-    /// Registers a socket on the given shard (normally the one
+    /// Registers an endpoint on the given shard (normally the one
     /// [`ReactorPool::pick_shard`] just chose). The shard's reactor
-    /// asserts the socket was created on its CQ pair.
-    pub fn accept_on(&mut self, shard: u32, sock: StreamSocket) -> ShardHandle {
-        let conn = self.shards[shard as usize].accept(sock);
+    /// asserts the endpoint was created on its CQ pair.
+    pub fn accept_on(&mut self, shard: u32, ep: impl Into<Endpoint>) -> ShardHandle {
+        let conn = self.shards[shard as usize].accept(ep);
         ShardHandle { shard, conn }
-    }
-
-    /// Registers a mux endpoint on the given shard.
-    pub fn accept_mux_on(&mut self, shard: u32, ep: MuxEndpoint) -> ShardMuxHandle {
-        let mux = self.shards[shard as usize].accept_mux(ep);
-        ShardMuxHandle { shard, mux }
     }
 
     /// Dissolves the pool into its shard reactors, in shard order, each
@@ -177,8 +161,8 @@ impl ReactorPool {
         self.shards
     }
 
-    /// Deregisters and returns a connection's socket.
-    pub fn remove(&mut self, handle: ShardHandle) -> StreamSocket {
+    /// Deregisters and returns an endpoint.
+    pub fn remove(&mut self, handle: ShardHandle) -> Endpoint {
         self.shards[handle.shard as usize].remove(handle.conn)
     }
 
@@ -232,8 +216,7 @@ impl ReactorPool {
         total
     }
 
-    /// Protocol counters of every connection and mux endpoint on every
-    /// shard, merged.
+    /// Protocol counters of every endpoint on every shard, merged.
     pub fn aggregate_conn_stats(&self) -> ConnStats {
         let mut total = ConnStats::default();
         for r in &self.shards {
@@ -457,19 +440,23 @@ mod tests {
             sq_depth: 16,
             ..ExsConfig::default()
         };
-        let shard_cfg = ShardConfig {
-            shards: 2,
-            policy: ShardPolicy::LeastLoaded,
+        let least_loaded = |net: &mut SimNet| {
+            let shard_cfg = ShardConfig {
+                shards: 2,
+                policy: ShardPolicy::LeastLoaded,
+            };
+            let reactors = (0..2)
+                .map(|_| {
+                    let (scq, rcq) =
+                        net.with_api(b, |api| (api.create_cq(256), api.create_cq(256)));
+                    Reactor::new(scq, rcq, ReactorConfig::default())
+                })
+                .collect();
+            ReactorPool::new(reactors, shard_cfg)
         };
-        let reactors = (0..2)
-            .map(|_| {
-                let (scq, rcq) = net.with_api(b, |api| (api.create_cq(256), api.create_cq(256)));
-                Reactor::new(scq, rcq, ReactorConfig::default())
-            })
-            .collect();
-        let mut pool = ReactorPool::new(reactors, shard_cfg);
 
         // Preload shard 0 with two conns placed directly, skewing load.
+        let mut pool = least_loaded(&mut net);
         for _ in 0..2 {
             let (send_cq, recv_cq) = pool.shard_cqs(0);
             let (_c, s) =
@@ -482,5 +469,23 @@ mod tests {
         assert_eq!(shard, 1);
         let stats = pool.shard_stats();
         assert_eq!(stats[1].steals, 1);
+
+        // A hosted pool endpoint is load like any socket: with one
+        // placed directly on shard 0, the second goes to shard 1.
+        let mut pool = least_loaded(&mut net);
+        let host_on = |pool: &mut ReactorPool, shard: u32| {
+            let mut ep = crate::MuxEndpoint::new(b, &cfg);
+            let (send_cq, recv_cq) = pool.shard_cqs(shard);
+            ep.set_cqs(send_cq, recv_cq);
+            pool.accept_on(shard, ep)
+        };
+        host_on(&mut pool, 0);
+        assert!(!pool.shard(0).is_empty(), "an endpoint is hosted there");
+        let shard = pool.pick_shard(None);
+        assert_eq!(shard, 1, "two endpoints, two shards");
+        host_on(&mut pool, shard);
+        assert_eq!((pool.shard_conns(0), pool.shard_conns(1)), (1, 1));
+        assert_eq!(pool.shard_stats()[1].conns, 1);
+        assert_eq!(pool.reactor_stats().conns_added, 2);
     }
 }

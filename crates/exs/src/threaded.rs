@@ -639,6 +639,14 @@ impl Shard {
     }
 }
 
+/// The socket behind `conn`: sockets are all this pool accepts.
+fn hosted_sock(reactor: &mut Reactor, conn: ConnId) -> &mut StreamSocket {
+    reactor
+        .conn_mut(conn)
+        .as_socket_mut()
+        .expect("the pool hosts sockets only")
+}
+
 /// One shard's service loop: parks on the node's completion signal,
 /// performs one bounded poll, and publishes what it harvested — reusing
 /// its readiness buffer so the steady state allocates nothing per wake.
@@ -672,11 +680,11 @@ fn spawn_shard_service(
                         let Some(buf) = bufs.get_mut(&conn.0) else {
                             continue;
                         };
-                        buf.absorb(reactor.take_events(conn));
+                        let sock = hosted_sock(&mut reactor, conn);
+                        buf.absorb(sock.take_events());
                         // Closed/error are level-triggered states with
                         // no event after the first take; mirror them
                         // into the buffer directly.
-                        let sock = reactor.conn(conn);
                         buf.peer_closed |= sock.peer_closed();
                         buf.broken |= sock.is_broken();
                     }
@@ -938,7 +946,7 @@ impl ThreadReactorPool {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let mut reactor = rt.reactor.lock();
         let mut port = ThreadPort::new(&self.net, &self.node);
-        let sock = reactor.conn_mut(handle.conn);
+        let sock = hosted_sock(&mut reactor, handle.conn);
         op(sock, &mut port, id);
         rt.publish(handle.conn, sock.take_events());
         id
@@ -985,18 +993,15 @@ impl ThreadReactorPool {
 
     /// True once `handle`'s peer closed and its stream fully drained.
     pub fn peer_closed(&self, handle: ShardHandle) -> bool {
-        self.shards[handle.shard as usize]
-            .reactor
-            .lock()
-            .conn(handle.conn)
-            .peer_closed()
+        let mut reactor = self.shards[handle.shard as usize].reactor.lock();
+        hosted_sock(&mut reactor, handle.conn).peer_closed()
     }
 
     /// Protocol counters of one accepted connection.
     pub fn conn_stats(&self, handle: ShardHandle) -> ConnStats {
         let mut reactor = self.shards[handle.shard as usize].reactor.lock();
         let port = ThreadPort::new(&self.net, &self.node);
-        synced_stats(reactor.conn_mut(handle.conn), &port)
+        synced_stats(hosted_sock(&mut reactor, handle.conn), &port)
     }
 
     /// Sum of all accepted connections' protocol counters, across every

@@ -53,6 +53,54 @@ impl NodeApp for Idle {
     }
 }
 
+/// Callback-driven pooled endpoint posting one whole-buffer message on
+/// each of `msgs`' streams, then closing each stream once its send
+/// completes.
+struct MuxSender {
+    ep: MuxEndpoint,
+    msgs: Vec<(u32, rdma_verbs::MrInfo)>,
+    sent: Vec<bool>,
+    closed: Vec<bool>,
+}
+
+impl MuxSender {
+    fn new(ep: MuxEndpoint, msgs: Vec<(u32, rdma_verbs::MrInfo)>) -> MuxSender {
+        MuxSender {
+            ep,
+            sent: vec![false; msgs.len()],
+            closed: vec![false; msgs.len()],
+            msgs,
+        }
+    }
+}
+
+impl NodeApp for MuxSender {
+    fn on_start(&mut self, api: &mut NodeApi<'_>) {
+        for (i, (stream, mr)) in self.msgs.iter().enumerate() {
+            self.ep
+                .mux_send(api, *stream, mr, 0, mr.len as u64, i as u64)
+                .unwrap();
+        }
+    }
+    fn on_wake(&mut self, api: &mut NodeApi<'_>) {
+        self.ep.handle_wake(api);
+        for ev in self.ep.take_events() {
+            if let exs::MuxEvent::SendComplete { id, .. } = ev {
+                self.sent[id as usize] = true;
+            }
+        }
+        for i in 0..self.msgs.len() {
+            if self.sent[i] && !self.closed[i] {
+                self.ep.close_stream(api, self.msgs[i].0);
+                self.closed[i] = true;
+            }
+        }
+    }
+    fn is_done(&self) -> bool {
+        self.closed.iter().all(|&c| c) && self.ep.sends_drained()
+    }
+}
+
 /// Wraps a private-CQ socket in its own single-connection executor.
 fn solo_executor(sock: StreamSocket) -> (Executor, exs::AsyncStream) {
     let mut reactor = Reactor::new(sock.send_cq(), sock.recv_cq(), ReactorConfig::default());
@@ -373,16 +421,15 @@ fn stale_ids_error_instead_of_panicking() {
     let mut reactor = Reactor::new(sock_a.send_cq(), sock_a.recv_cq(), ReactorConfig::default());
     let conn = reactor.accept(sock_a);
     assert!(reactor.try_conn(conn).is_some());
-    assert!(reactor.try_take_events(conn).is_ok());
-    assert!(reactor.try_mux(exs::MuxId(0)).is_none(), "no mux hosted");
-    assert!(reactor.try_take_mux_events(exs::MuxId(3)).is_err());
+    let typed = reactor.try_conn(conn).and_then(exs::Endpoint::as_mux);
+    assert!(typed.is_none(), "the id names a socket, not a pool");
+    assert!(reactor.try_conn(exs::ConnId(3)).is_none(), "never issued");
 
     let ex = Executor::new(reactor);
     let stream = ex.handle().stream_with(conn, 4096, 2);
     let removed = ex.with_reactor(|r| {
         let sock = r.remove(conn);
         assert!(r.try_conn(conn).is_none(), "removed id is stale");
-        assert!(matches!(r.try_take_events(conn), Err(ExsError::Stale)));
         sock
     });
     drop(removed);
@@ -426,49 +473,6 @@ fn sim_mux_streams_accept_and_deliver() {
     let total = |s: u32| 600 + s as usize * 137;
     let payload = |s: u32, i: usize| (s as usize * 97 + i * 31) as u8;
 
-    // Sender: callback-driven endpoint posting one message per stream,
-    // then closing each stream once its send completes.
-    struct MuxSender {
-        ep: Option<MuxEndpoint>,
-        mrs: Vec<rdma_verbs::MrInfo>,
-        sent: Vec<bool>,
-        closed: Vec<bool>,
-    }
-    impl NodeApp for MuxSender {
-        fn on_start(&mut self, api: &mut NodeApi<'_>) {
-            let ep = self.ep.as_mut().unwrap();
-            for s in 0..self.mrs.len() as u32 {
-                ep.mux_send(
-                    api,
-                    s,
-                    &self.mrs[s as usize],
-                    0,
-                    (600 + s as usize * 137) as u64,
-                    s as u64,
-                )
-                .unwrap();
-            }
-        }
-        fn on_wake(&mut self, api: &mut NodeApi<'_>) {
-            let ep = self.ep.as_mut().unwrap();
-            ep.handle_wake(api);
-            for ev in ep.take_events() {
-                if let exs::MuxEvent::SendComplete { stream, .. } = ev {
-                    self.sent[stream as usize] = true;
-                }
-            }
-            for s in 0..self.sent.len() {
-                if self.sent[s] && !self.closed[s] {
-                    ep.close_stream(api, s as u32);
-                    self.closed[s] = true;
-                }
-            }
-        }
-        fn is_done(&self) -> bool {
-            self.closed.iter().all(|&c| c) && self.ep.as_ref().unwrap().sends_drained()
-        }
-    }
-
     let mrs: Vec<rdma_verbs::MrInfo> = (0..STREAMS)
         .map(|s| {
             net.with_api(na, |api| {
@@ -479,17 +483,12 @@ fn sim_mux_streams_accept_and_deliver() {
             })
         })
         .collect();
-    let mut sender = MuxSender {
-        ep: Some(a),
-        mrs,
-        sent: vec![false; STREAMS as usize],
-        closed: vec![false; STREAMS as usize],
-    };
+    let mut sender = MuxSender::new(a, (0..STREAMS).zip(mrs).collect());
 
     // Receiver: the endpoint hosted in a reactor, one async task per
     // stream plus an accept task observing first-activity order.
     let mut reactor = Reactor::new(scq, rcq, ReactorConfig::default());
-    let mid = reactor.accept_mux(b);
+    let mid = reactor.accept(b);
     let ex = Executor::new(reactor);
     let amux = ex.handle().mux(mid);
     let accepted = Rc::new(RefCell::new(Vec::new()));
@@ -523,6 +522,94 @@ fn sim_mux_streams_accept_and_deliver() {
     assert_eq!(seen, vec![0, 1, 2], "each stream accepted exactly once");
     let stats = recv_drv.executor_ref(0).stats();
     assert_eq!(stats.tasks_completed, STREAMS as u64 + 1);
+}
+
+/// A pool slot that dies takes exactly its own streams with it: tasks
+/// on the broken slot resolve to the typed error, a stream on the other
+/// slot still delivers byte-exact and reaches EOF, and `accept` keeps
+/// surfacing streams of the live slot.
+#[test]
+fn a_forged_ack_on_one_pool_slot_fails_only_its_streams() {
+    use exs::{Ctrl, CtrlMsg, MuxCtrlMsg, ProtocolError};
+    const LEN: usize = 3000;
+    let (mut net, na, nb) = two_node_net();
+    let mut cfg = ExsConfig::default();
+    cfg.mux.qp_pool_size = 2;
+    let mut a = MuxEndpoint::new(na, &cfg);
+    let mut b = MuxEndpoint::new(nb, &cfg);
+    for id in 0..3 {
+        a.open_stream(id).unwrap();
+        b.open_stream(id).unwrap();
+    }
+    assert_eq!((b.slot_of(0), b.slot_of(1), b.slot_of(2)), (0, 1, 0));
+    let depth = MuxEndpoint::shared_cq_depth(&cfg);
+    let (scq, rcq) = net.with_api(nb, |api| (api.create_cq(depth), api.create_cq(depth)));
+    b.set_cqs(scq, rcq);
+    connect_mux_pair(&mut net, &mut a, &mut b);
+
+    // A stream-scoped ACK returning window bytes stream 0 never sent,
+    // posted by hand on slot 0's QP — unsignaled, so the sending
+    // endpoint sees no completion for a WQE it did not stage.
+    let forged = MuxCtrlMsg {
+        stream: 0,
+        msg: CtrlMsg {
+            ctrl: Ctrl::Ack { freed: 4096 },
+            credit_return: 0,
+        },
+    };
+    let qpn = a.slot_qpn(0).expect("slot 0 established");
+    let mr = net.with_api(na, |api| {
+        let wr = rdma_verbs::SendWr::send_inline(1, forged.encode_bytes()).unsignaled();
+        api.post_send(qpn, wr).unwrap();
+        let mr = api.register_mr(LEN, rdma_verbs::Access::NONE);
+        let data: Vec<u8> = (0..LEN).map(|i| pattern(1, i)).collect();
+        api.write_mr(mr.key, mr.addr, &data).unwrap();
+        mr
+    });
+    let mut sender = MuxSender::new(a, vec![(1, mr)]);
+
+    let mut reactor = Reactor::new(scq, rcq, ReactorConfig::default());
+    let host = reactor.accept(b);
+    let ex = Executor::new(reactor);
+    let amux = ex.handle().mux(host);
+    let verdicts = Rc::new(RefCell::new(Vec::new()));
+    for sid in [0, 2] {
+        let (stream, verdicts) = (amux.stream(sid), Rc::clone(&verdicts));
+        ex.handle().spawn(async move {
+            let got = stream.recv_some(64).await;
+            verdicts.borrow_mut().push((sid, got));
+        });
+    }
+    let live = amux.stream(1);
+    ex.handle().spawn(async move {
+        let data = live.recv_exact(LEN).await.expect("the live slot delivers");
+        assert!(data.iter().enumerate().all(|(i, &b)| b == pattern(1, i)));
+        assert_eq!(live.recv_some(64).await, Err(ExsError::Eof));
+    });
+    let accepted = Rc::new(RefCell::new(None));
+    let accepted2 = Rc::clone(&accepted);
+    ex.handle().spawn(async move {
+        *accepted2.borrow_mut() = Some(amux.accept().await);
+    });
+
+    let mut recv_drv = SimShardDriver::new(vec![ex]);
+    let outcome = net.run(&mut [&mut sender, &mut recv_drv], SimTime::from_secs(10));
+    assert!(
+        outcome.completed,
+        "slot-failure scenario stalled: {outcome:?}"
+    );
+    let err = ExsError::Protocol(ProtocolError::AckUnderflow);
+    assert_eq!(
+        *verdicts.borrow(),
+        [(0, Err(err.clone())), (2, Err(err))],
+        "both streams of the broken slot fail with the typed error"
+    );
+    assert_eq!(
+        *accepted.borrow(),
+        Some(Ok(1)),
+        "accept serves the live slot"
+    );
+    assert_eq!(recv_drv.executor_ref(0).stats().tasks_completed, 4);
 }
 
 /// The identical task code on the real-thread backend: a shared-CQ

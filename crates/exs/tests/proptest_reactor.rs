@@ -3,9 +3,11 @@
 //! Under randomized workload shapes — connection counts, message sizes,
 //! outstanding-send depth, per-poll budgets, drain batch sizes and host
 //! jitter seeds (which randomize the CQE interleavings across the
-//! shared CQs) — the reactor must never lose or duplicate readiness:
+//! shared CQs) — and with a pooled [`MuxEndpoint`] hosted beside the
+//! sockets in the same slab, the reactor must never lose or duplicate
+//! readiness for either kind:
 //!
-//! * a connection with pending completed events is reported readable in
+//! * an endpoint with pending completed events is reported readable in
 //!   the same poll cycle (checked after **every** poll);
 //! * every posted operation completes exactly once (no lost CQEs, no
 //!   duplicated completions);
@@ -15,7 +17,10 @@ use std::collections::{HashMap, HashSet};
 
 use proptest::prelude::*;
 
-use exs::{ConnId, ExsConfig, ExsEvent, Reactor, ReactorConfig, StreamSocket};
+use exs::{
+    connect_mux_pair, ConnId, Endpoint, Executor, ExsConfig, ExsError, MuxEndpoint, MuxEvent,
+    Reactor, ReactorConfig, StreamSocket,
+};
 use rdma_verbs::{profiles, Access, MrInfo, NodeApi, NodeApp, NodeId, SimNet};
 use simnet::SimTime;
 
@@ -25,9 +30,12 @@ fn pattern(seed: u64, conn: usize, off: u64) -> u8 {
         .wrapping_add(seed) as u8
 }
 
-struct PropClient {
-    sock: StreamSocket,
+/// One outbound stream of a [`PropClient`].
+struct Flow {
+    /// Global stream index (pattern identity).
     idx: usize,
+    /// Stream id on the client's link.
+    stream: u32,
     slots: Vec<MrInfo>,
     free: Vec<usize>,
     slot_of: HashMap<u64, usize>,
@@ -35,6 +43,13 @@ struct PropClient {
     acked: usize,
     pos: u64,
     shutdown: bool,
+}
+
+/// One client node: a socket carrying one flow, or a pooled endpoint
+/// carrying several.
+struct PropClient {
+    link: Endpoint,
+    flows: Vec<Flow>,
     msgs: usize,
     msg_len: u64,
     seed: u64,
@@ -42,22 +57,25 @@ struct PropClient {
 
 impl PropClient {
     fn kick(&mut self, api: &mut NodeApi<'_>) {
-        while self.sent < self.msgs {
-            let Some(slot) = self.free.pop() else { break };
-            let mr = self.slots[slot];
-            let data: Vec<u8> = (0..self.msg_len)
-                .map(|i| pattern(self.seed, self.idx, self.pos + i))
-                .collect();
-            api.write_mr(mr.key, mr.addr, &data).unwrap();
-            self.slot_of.insert(self.sent as u64, slot);
-            self.sock
-                .exs_send(api, &mr, 0, self.msg_len, self.sent as u64);
-            self.pos += self.msg_len;
-            self.sent += 1;
-        }
-        if self.sent == self.msgs && self.acked == self.msgs && !self.shutdown {
-            self.sock.exs_shutdown(api);
-            self.shutdown = true;
+        for f in &mut self.flows {
+            while f.sent < self.msgs {
+                let Some(slot) = f.free.pop() else { break };
+                let mr = f.slots[slot];
+                let data: Vec<u8> = (0..self.msg_len)
+                    .map(|i| pattern(self.seed, f.idx, f.pos + i))
+                    .collect();
+                api.write_mr(mr.key, mr.addr, &data).unwrap();
+                f.slot_of.insert(f.sent as u64, slot);
+                self.link
+                    .send(api, f.stream, &mr, 0, self.msg_len, f.sent as u64)
+                    .expect("send on an open stream");
+                f.pos += self.msg_len;
+                f.sent += 1;
+            }
+            if f.sent == self.msgs && f.acked == self.msgs && !f.shutdown {
+                self.link.shutdown(api, f.stream);
+                f.shutdown = true;
+            }
         }
     }
 }
@@ -67,28 +85,42 @@ impl NodeApp for PropClient {
         self.kick(api);
     }
     fn on_wake(&mut self, api: &mut NodeApi<'_>) {
-        self.sock.handle_wake(api);
-        for ev in self.sock.take_events() {
-            if let ExsEvent::SendComplete { id, .. } = ev {
-                self.free.push(self.slot_of.remove(&id).expect("send slot"));
-                self.acked += 1;
+        self.link.handle_wake(api);
+        for ev in self.link.take_events() {
+            if let MuxEvent::SendComplete { stream, id, .. } = ev {
+                let f = self
+                    .flows
+                    .iter_mut()
+                    .find(|f| f.stream == stream)
+                    .expect("flow of the completed send");
+                f.free.push(f.slot_of.remove(&id).expect("send slot"));
+                f.acked += 1;
             }
         }
         self.kick(api);
     }
     fn is_done(&self) -> bool {
-        self.shutdown
+        self.flows.iter().all(|f| f.shutdown)
     }
+}
+
+/// One inbound stream at the server: where it lives and how far it got.
+struct Inbound {
+    host: ConnId,
+    stream: u32,
+    mr: MrInfo,
+    received: u64,
+    eof: bool,
+    outstanding: bool,
 }
 
 struct PropServer {
     reactor: Reactor,
-    mrs: Vec<MrInfo>,
+    /// Indexed by global stream index.
+    streams: Vec<Inbound>,
+    by_key: HashMap<(ConnId, u32), usize>,
     recv_len: u32,
     expected: u64,
-    received: Vec<u64>,
-    eof: Vec<bool>,
-    outstanding: Vec<bool>,
     /// Every completed receive id ever observed (duplicate detection).
     seen_recv_ids: HashSet<u64>,
     posted_recvs: u64,
@@ -98,50 +130,54 @@ struct PropServer {
 }
 
 impl PropServer {
-    fn handle_conn(&mut self, api: &mut NodeApi<'_>, conn: ConnId) -> bool {
-        let idx = conn.0 as usize;
-        let events = self.reactor.take_events(conn);
+    fn handle_host(&mut self, api: &mut NodeApi<'_>, host: ConnId) -> bool {
+        let events = self.reactor.conn_mut(host).take_events();
         let mut progressed = !events.is_empty();
         for ev in events {
             match ev {
-                ExsEvent::RecvComplete { id, len } => {
+                MuxEvent::RecvComplete { stream, id, len } => {
+                    let idx = self.by_key[&(host, stream)];
+                    let s = &mut self.streams[idx];
                     assert!(
                         self.seen_recv_ids.insert(id),
-                        "receive {id} completed twice on conn {idx}"
+                        "receive {id} completed twice on stream {idx}"
                     );
-                    assert!(self.outstanding[idx], "completion without a posted recv");
-                    self.outstanding[idx] = false;
+                    assert!(s.outstanding, "completion without a posted recv");
+                    s.outstanding = false;
                     self.completed_recvs += 1;
                     if len > 0 {
-                        let mr = self.mrs[idx];
                         let mut buf = vec![0u8; len as usize];
-                        api.read_mr(mr.key, mr.addr, &mut buf).unwrap();
+                        api.read_mr(s.mr.key, s.mr.addr, &mut buf).unwrap();
                         for (i, &b) in buf.iter().enumerate() {
                             assert_eq!(
                                 b,
-                                pattern(self.seed, idx, self.received[idx] + i as u64),
-                                "conn {idx} out of order at {}",
-                                self.received[idx] + i as u64
+                                pattern(self.seed, idx, s.received + i as u64),
+                                "stream {idx} out of order at {}",
+                                s.received + i as u64
                             );
                         }
-                        self.received[idx] += len as u64;
+                        s.received += len as u64;
                     }
                 }
-                ExsEvent::PeerClosed => self.eof[idx] = true,
-                ExsEvent::ConnectionError => panic!("conn {idx} broke"),
-                ExsEvent::SendComplete { .. } => {}
+                MuxEvent::StreamClosed { stream } => {
+                    self.streams[self.by_key[&(host, stream)]].eof = true
+                }
+                MuxEvent::TransportError { slot } => panic!("host {host:?} slot {slot} broke"),
+                MuxEvent::SendComplete { .. } => {}
             }
         }
-        if !self.eof[idx] && !self.outstanding[idx] && self.received[idx] < self.expected {
-            let mr = self.mrs[idx];
-            let id = self.next_id;
-            self.next_id += 1;
-            self.reactor
-                .conn_mut(conn)
-                .exs_recv(api, &mr, 0, self.recv_len, false, id);
-            self.outstanding[idx] = true;
-            self.posted_recvs += 1;
-            progressed = true;
+        for s in self.streams.iter_mut().filter(|s| s.host == host) {
+            if !s.eof && !s.outstanding && s.received < self.expected {
+                let id = self.next_id;
+                self.next_id += 1;
+                self.reactor
+                    .conn_mut(host)
+                    .recv(api, s.stream, &s.mr, 0, self.recv_len, false, id)
+                    .expect("receive on an open stream");
+                s.outstanding = true;
+                self.posted_recvs += 1;
+                progressed = true;
+            }
         }
         progressed
     }
@@ -149,7 +185,7 @@ impl PropServer {
     fn service(&mut self, api: &mut NodeApi<'_>) {
         loop {
             let ready = self.reactor.poll(api);
-            // THE readiness invariant: after a poll, any connection
+            // THE readiness invariant: after a poll, any endpoint
             // holding undelivered events must have been reported
             // readable in that poll's result.
             let readable: HashSet<u32> = ready
@@ -161,7 +197,7 @@ impl PropServer {
                 if self.reactor.conn(conn).events_pending() > 0 {
                     assert!(
                         readable.contains(&conn.0),
-                        "conn {} has pending events but was not reported readable",
+                        "endpoint {} has pending events but was not reported readable",
                         conn.0
                     );
                 }
@@ -169,7 +205,7 @@ impl PropServer {
             let mut progressed = false;
             for (conn, r) in ready {
                 if r.readable || r.closed || r.error {
-                    progressed |= self.handle_conn(api, conn);
+                    progressed |= self.handle_host(api, conn);
                 }
             }
             if !progressed && !self.reactor.has_backlog() {
@@ -182,21 +218,28 @@ impl PropServer {
 impl NodeApp for PropServer {
     fn on_start(&mut self, api: &mut NodeApi<'_>) {
         for conn in self.reactor.conn_ids() {
-            self.handle_conn(api, conn);
+            self.handle_host(api, conn);
         }
     }
     fn on_wake(&mut self, api: &mut NodeApi<'_>) {
         self.service(api);
     }
     fn is_done(&self) -> bool {
-        self.eof.iter().all(|&e| e) && self.received.iter().all(|&r| r == self.expected)
+        self.streams
+            .iter()
+            .all(|s| s.eof && s.received == self.expected)
     }
 }
 
-/// Runs one randomized fan-in through the reactor; panics on any
-/// invariant violation. Returns (reactor deferrals, cqes dispatched).
+/// Runs one randomized fan-in through the reactor — `conns` sockets
+/// and, when `mux_streams > 0`, one pooled endpoint carrying that many
+/// streams from one more client node, hosted in the same reactor;
+/// panics on any invariant violation. Returns (reactor deferrals, cqes
+/// dispatched).
+#[allow(clippy::too_many_arguments)]
 fn run_case(
     conns: usize,
+    mux_streams: usize,
     msgs: usize,
     msg_len: u64,
     outstanding: usize,
@@ -213,11 +256,12 @@ fn run_case(
     };
     let recv_len = msg_len.clamp(1, 2048) as u32;
     let expected = msgs as u64 * msg_len;
+    let nodes = conns + usize::from(mux_streams > 0);
 
     let mut net = SimNet::new();
     net.set_host_seed(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
     let server_node = net.add_node(profile.host.clone(), profile.hca.clone());
-    let client_nodes: Vec<NodeId> = (0..conns)
+    let client_nodes: Vec<NodeId> = (0..nodes)
         .map(|_| net.add_node(profile.host.clone(), profile.hca.clone()))
         .collect();
     for (i, &c) in client_nodes.iter().enumerate() {
@@ -229,12 +273,9 @@ fn run_case(
         );
     }
 
-    let per_conn_cq = cfg.sq_depth * 2 + cfg.credits as usize * 2;
+    let cq_depth = cfg.cq_depth(conns) + MuxEndpoint::shared_cq_depth(&cfg);
     let (send_cq, recv_cq) = net.with_api(server_node, |api| {
-        (
-            api.create_cq(per_conn_cq * conns),
-            api.create_cq(per_conn_cq * conns),
-        )
+        (api.create_cq(cq_depth), api.create_cq(cq_depth))
     });
     let mut reactor = Reactor::new(
         send_cq,
@@ -245,45 +286,83 @@ fn run_case(
         },
     );
 
-    let mut clients = Vec::new();
-    let mut mrs = Vec::new();
-    for (idx, &cnode) in client_nodes.iter().enumerate() {
-        let (csock, ssock) =
-            StreamSocket::pair_shared(&mut net, cnode, server_node, send_cq, recv_cq, &cfg);
-        reactor.accept(ssock);
-        let slots: Vec<MrInfo> = net.with_api(cnode, |api| {
+    let mut clients: Vec<PropClient> = Vec::new();
+    let mut streams: Vec<Inbound> = Vec::new();
+    let flow = |net: &mut SimNet, cnode: NodeId, idx: usize, stream: u32| Flow {
+        idx,
+        stream,
+        slots: net.with_api(cnode, |api| {
             (0..outstanding)
                 .map(|_| api.register_mr(msg_len as usize, Access::NONE))
                 .collect()
-        });
-        let free = (0..slots.len()).collect();
+        }),
+        free: (0..outstanding).collect(),
+        slot_of: HashMap::new(),
+        sent: 0,
+        acked: 0,
+        pos: 0,
+        shutdown: false,
+    };
+    let inbound = |net: &mut SimNet, host: ConnId, stream: u32| Inbound {
+        host,
+        stream,
+        mr: net.with_api(server_node, |api| {
+            api.register_mr(recv_len as usize, Access::local_remote_write())
+        }),
+        received: 0,
+        eof: false,
+        outstanding: false,
+    };
+    for (idx, &cnode) in client_nodes.iter().enumerate().take(conns) {
+        let (csock, ssock) =
+            StreamSocket::pair_shared(&mut net, cnode, server_node, send_cq, recv_cq, &cfg);
+        let host = reactor.accept(ssock);
+        streams.push(inbound(&mut net, host, 0));
         clients.push(PropClient {
-            sock: csock,
-            idx,
-            slots,
-            free,
-            slot_of: HashMap::new(),
-            sent: 0,
-            acked: 0,
-            pos: 0,
-            shutdown: false,
+            link: csock.into(),
+            flows: vec![flow(&mut net, cnode, idx, 0)],
             msgs,
             msg_len,
             seed,
         });
-        mrs.push(net.with_api(server_node, |api| {
-            api.register_mr(recv_len as usize, Access::local_remote_write())
-        }));
     }
+    if mux_streams > 0 {
+        let cnode = client_nodes[conns];
+        let mut cep = MuxEndpoint::new(cnode, &cfg);
+        let mut sep = MuxEndpoint::new(server_node, &cfg);
+        sep.set_cqs(send_cq, recv_cq);
+        for sid in 0..mux_streams as u32 {
+            cep.open_stream(sid).unwrap();
+            sep.open_stream(sid).unwrap();
+        }
+        connect_mux_pair(&mut net, &mut cep, &mut sep);
+        let host = reactor.accept(sep);
+        let flows = (0..mux_streams as u32)
+            .map(|sid| {
+                streams.push(inbound(&mut net, host, sid));
+                flow(&mut net, cnode, conns + sid as usize, sid)
+            })
+            .collect();
+        clients.push(PropClient {
+            link: cep.into(),
+            flows,
+            msgs,
+            msg_len,
+            seed,
+        });
+    }
+    assert_eq!(reactor.len(), nodes, "one slab counts both kinds");
 
     let mut server = PropServer {
         reactor,
-        mrs,
+        by_key: streams
+            .iter()
+            .enumerate()
+            .map(|(i, s)| ((s.host, s.stream), i))
+            .collect(),
+        streams,
         recv_len,
         expected,
-        received: vec![0; conns],
-        eof: vec![false; conns],
-        outstanding: vec![false; conns],
         seen_recv_ids: HashSet::new(),
         posted_recvs: 0,
         completed_recvs: 0,
@@ -291,7 +370,7 @@ fn run_case(
         next_id: 0,
     };
 
-    let mut apps: Vec<&mut dyn NodeApp> = Vec::with_capacity(1 + conns);
+    let mut apps: Vec<&mut dyn NodeApp> = Vec::with_capacity(1 + nodes);
     apps.push(&mut server);
     for c in clients.iter_mut() {
         apps.push(c);
@@ -311,14 +390,15 @@ fn run_case(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Randomized CQE interleavings never lose or duplicate readiness.
+    /// Randomized CQE interleavings never lose or duplicate readiness,
+    /// with or without a pooled endpoint hosted beside the sockets.
     #[test]
     fn readiness_no_loss_no_dup(
-        (conns, msgs, msg_len) in (2usize..6, 1usize..5, 1u64..5000),
+        (conns, mux_streams, msgs, msg_len) in (2usize..6, 0usize..4, 1usize..5, 1u64..5000),
         (outstanding, budget, drain) in (1usize..4, 1usize..9, 1usize..65),
         seed in 0u64..10_000,
     ) {
-        run_case(conns, msgs, msg_len, outstanding, budget, drain, seed);
+        run_case(conns, mux_streams, msgs, msg_len, outstanding, budget, drain, seed);
     }
 }
 
@@ -327,10 +407,73 @@ proptest! {
 /// up without any new wake edge, which is what `has_backlog` guards.
 #[test]
 fn budget_one_defers_and_still_drains() {
-    let (deferrals, dispatched) = run_case(3, 4, 8192, 2, 1, 4, 42);
-    assert!(dispatched > 0);
-    assert!(
-        deferrals > 0,
-        "budget=1 over chunked traffic should have deferred at least once"
+    // Sockets only, sockets beside a pooled endpoint, a pooled endpoint
+    // with a single socket: one budget, one `deferrals` counter.
+    for (conns, mux_streams) in [(3, 0), (2, 3), (1, 4)] {
+        let (deferrals, dispatched) = run_case(conns, mux_streams, 4, 8192, 2, 1, 4, 42);
+        assert!(dispatched > 0);
+        assert!(
+            deferrals > 0,
+            "budget=1 over chunked traffic should have deferred at least once \
+             ({conns} sockets, {mux_streams} pooled streams)"
+        );
+    }
+}
+
+/// A slab id outlives what it named: once the slot is recycled by the
+/// other kind of endpoint, the typed views answer `None` and the aio
+/// layer `ExsError::Stale` — never a panic, never the wrong endpoint.
+#[test]
+fn an_id_recycled_by_the_other_kind_is_stale_to_typed_access() {
+    let profile = profiles::ideal();
+    let cfg = ExsConfig::default();
+    let mut net = SimNet::new();
+    let a = net.add_node(profile.host.clone(), profile.hca.clone());
+    let b = net.add_node(profile.host.clone(), profile.hca.clone());
+    net.connect_nodes(a, b, profile.link.clone(), 1);
+    let depth = cfg.cq_depth(1) + MuxEndpoint::shared_cq_depth(&cfg);
+    let (scq, rcq) = net.with_api(b, |api| (api.create_cq(depth), api.create_cq(depth)));
+    let mut reactor = Reactor::new(scq, rcq, ReactorConfig::default());
+    let pooled = |net: &mut SimNet| {
+        let (mut cep, mut sep) = (MuxEndpoint::new(a, &cfg), MuxEndpoint::new(b, &cfg));
+        sep.set_cqs(scq, rcq);
+        cep.open_stream(0).unwrap();
+        sep.open_stream(0).unwrap();
+        connect_mux_pair(net, &mut cep, &mut sep);
+        sep
+    };
+
+    // Socket, then a pool in its slot.
+    let (_c, s) = StreamSocket::pair_shared(&mut net, a, b, scq, rcq, &cfg);
+    let id = reactor.accept(s);
+    assert!(reactor.conn(id).as_mux().is_none());
+    let sock = reactor.remove(id);
+    assert!(reactor.is_empty() && reactor.try_conn(id).is_none());
+    assert_eq!(
+        reactor.accept(pooled(&mut net)),
+        id,
+        "slab ids are recycled"
     );
+    assert!(
+        !reactor.is_empty(),
+        "a reactor hosting only a pool is not empty"
+    );
+    assert!(reactor.conn_mut(id).as_socket_mut().is_none());
+    assert_eq!(
+        reactor.conn(id).as_mux().map(MuxEndpoint::streams_open),
+        Some(1)
+    );
+
+    // And a socket in the pool's slot: the stale `AioMux` cannot open
+    // stream ids on it.
+    drop(reactor.remove(id));
+    assert_eq!(reactor.accept(sock), id);
+    assert!(reactor
+        .try_conn_mut(id)
+        .and_then(Endpoint::as_mux_mut)
+        .is_none());
+    let ex = Executor::new(reactor);
+    let stale = ex.handle().mux(id);
+    assert!(matches!(stale.open_stream(1), Err(ExsError::Stale)));
+    ex.with_reactor(|r| assert_eq!((r.len(), r.stats().conns_added), (1, 3)));
 }

@@ -20,7 +20,7 @@ use std::collections::{HashMap, HashSet};
 use proptest::prelude::*;
 
 use exs::{
-    ExsConfig, ExsEvent, Reactor, ReactorConfig, ReactorPool, ShardConfig, ShardHandle,
+    ExsConfig, ExsEvent, MuxEvent, Reactor, ReactorConfig, ReactorPool, ShardConfig, ShardHandle,
     ShardPolicy, StreamSocket,
 };
 use rdma_verbs::{profiles, Access, MrInfo, NodeApi, NodeApp, NodeId, SimNet};
@@ -111,11 +111,11 @@ struct PropPoolServer {
 impl PropPoolServer {
     fn handle_conn(&mut self, api: &mut NodeApi<'_>, idx: usize) -> bool {
         let h = self.handles[idx];
-        let events = self.pool.shard_mut(h.shard).take_events(h.conn);
+        let events = self.pool.shard_mut(h.shard).conn_mut(h.conn).take_events();
         let mut progressed = !events.is_empty();
         for ev in events {
             match ev {
-                ExsEvent::RecvComplete { id, len } => {
+                MuxEvent::RecvComplete { id, len, .. } => {
                     assert!(
                         self.seen_recv_ids.insert(id),
                         "receive {id} completed twice on conn {idx}"
@@ -139,23 +139,20 @@ impl PropPoolServer {
                         self.received[idx] += len as u64;
                     }
                 }
-                ExsEvent::PeerClosed => self.eof[idx] = true,
-                ExsEvent::ConnectionError => panic!("conn {idx} broke"),
-                ExsEvent::SendComplete { .. } => {}
+                MuxEvent::StreamClosed { .. } => self.eof[idx] = true,
+                MuxEvent::TransportError { .. } => panic!("conn {idx} broke"),
+                MuxEvent::SendComplete { .. } => {}
             }
         }
         if !self.eof[idx] && !self.outstanding[idx] && self.received[idx] < self.expected {
             let mr = self.mrs[idx];
             let id = self.next_id;
             self.next_id += 1;
-            self.pool.shard_mut(h.shard).conn_mut(h.conn).exs_recv(
-                api,
-                &mr,
-                0,
-                self.recv_len,
-                false,
-                id,
-            );
+            self.pool
+                .shard_mut(h.shard)
+                .conn_mut(h.conn)
+                .recv(api, 0, &mr, 0, self.recv_len, false, id)
+                .expect("receive on the socket's stream");
             self.outstanding[idx] = true;
             self.posted_recvs += 1;
             progressed = true;

@@ -232,22 +232,26 @@ fn async_fan_in_matches_callback_model() {
         client_nodes: 3,
         ..FanInSpec::new(profiles::fdr_infiniband(), 6)
     };
-    let aio_spec = FanInSpec {
-        aio: true,
-        ..base.clone()
-    };
     let plain = run_fan_in(&base);
-    let aio = run_fan_in(&aio_spec);
-    assert_eq!(
-        plain.digests, aio.digests,
-        "consumption model changed bytes"
-    );
-    assert_eq!(plain.bytes, aio.bytes);
-    for (i, &d) in aio.digests.iter().enumerate() {
-        assert_eq!(d, expected_digest(base.seed, i, 5 * (16 << 10)));
+    // Over private-QP sockets, and over the streams of pooled endpoints:
+    // a task is spawned per (hosted endpoint, stream id) either way.
+    for mux in [false, true] {
+        let aio = run_fan_in(&FanInSpec {
+            aio: true,
+            mux,
+            ..base.clone()
+        });
+        assert_eq!(
+            plain.digests, aio.digests,
+            "consumption model changed bytes (mux: {mux})"
+        );
+        assert_eq!(plain.bytes, aio.bytes);
+        for (i, &d) in aio.digests.iter().enumerate() {
+            assert_eq!(d, expected_digest(base.seed, i, 5 * (16 << 10)));
+        }
+        let stats = aio.aio.as_ref().expect("aio run reports executor stats");
+        assert_eq!(stats.tasks_completed, 6);
     }
-    let stats = aio.aio.as_ref().expect("aio run reports executor stats");
-    assert_eq!(stats.tasks_completed, 6);
 }
 
 /// The same async echo program produces identical digests on the
