@@ -22,7 +22,11 @@ fn usage() -> ! {
          \x20            [--mode dynamic|direct|indirect|bcopy] [--wwi native|emulated]\n\
          \x20            [--sends N] [--recvs N] [--messages N] [--runs N] [--seed N]\n\
          \x20            [--size exp|fixed:BYTES|uniform:LO:HI|bursty:LARGE:SMALL:LEN]\n\
-         \x20            [--ring BYTES] [--credits N] [--waitall] [--verify]"
+         \x20            [--ring BYTES] [--credits N] [--waitall] [--verify]\n\
+         \n\
+         --verify  fill every byte with the position pattern, read back, check and\n\
+         \x20         digest every delivered byte; without it no payload is generated,\n\
+         \x20         read back or digested and delivery is checked by byte count"
     );
     std::process::exit(2)
 }

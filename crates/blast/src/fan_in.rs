@@ -8,9 +8,12 @@
 //!
 //! The run reports aggregate ingress throughput, the per-connection
 //! direct:indirect split, and the reactor's event-loop counters (CQ
-//! drain batch sizes, fairness deferrals). Per-connection delivery is
-//! digested with FNV-1a in arrival order so different backends running
-//! the same seed can be compared byte-for-byte.
+//! drain batch sizes, fairness deferrals). At [`VerifyLevel::Full`]
+//! per-connection delivery is digested with FNV-1a in arrival order so
+//! different backends running the same seed can be compared
+//! byte-for-byte; at [`VerifyLevel::None`] the harness counts bytes and
+//! touches no payload, so a timed run measures the stack and not its
+//! own checking.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::Write as _;
@@ -109,7 +112,12 @@ pub struct FanInSpec {
     /// advertised, so the sender's next transfer decision sees a usable
     /// ADVERT instead of falling back to the intermediate ring.
     pub prepost_recvs: usize,
-    /// Payload verification level.
+    /// Payload verification level. [`VerifyLevel::Full`]: clients fill
+    /// every byte with [`payload_byte`], the server reads every
+    /// delivered byte back, checks it and folds it into the stream's
+    /// digest. [`VerifyLevel::None`]: no payload is generated, nothing
+    /// is read back or digested — delivery is checked by byte count
+    /// alone and [`FanInReport::digests`] is empty.
     pub verify: VerifyLevel,
     /// Source buffers through registered-memory pools: clients lease a
     /// send buffer per message from their node's pin-down cache (first
@@ -127,8 +135,9 @@ pub struct FanInSpec {
     pub mux: bool,
     /// Async server mode: instead of the callback [`ReactorServer`]
     /// loop, the server runs one async task per stream on one
-    /// [`exs::aio`] executor per shard (`recv_some` loop folding the
-    /// same FNV-1a digest). Delivered bytes and digests are identical to the
+    /// [`exs::aio`] executor per shard (a `recv_some` loop that counts,
+    /// and when verifying checks and digests, exactly as the callback
+    /// loop does). Delivered bytes and digests are identical to the
     /// callback path; only the consumption model changes. Ignores
     /// `pooled` on the server side (the executor's readahead buffers
     /// are always pool leases).
@@ -218,7 +227,7 @@ pub struct FanInReport {
     /// Each connection's server-side protocol counters.
     pub per_conn: Vec<ConnStats>,
     /// FNV-1a digest of each connection's delivered stream, in delivery
-    /// order.
+    /// order. Empty at [`VerifyLevel::None`], which digests nothing.
     pub digests: Vec<u64>,
     /// Sum of the per-connection counters at the server (receiver
     /// side: copies out of the ring, receives completed, ADVERTs sent).
@@ -386,14 +395,17 @@ impl FanInReport {
             }
             out.push_str("},");
         }
-        out.push_str("\"digests\":[");
-        for (i, d) in self.digests.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
+        if !self.digests.is_empty() {
+            out.push_str("\"digests\":[");
+            for (i, d) in self.digests.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                out.push_str(&format!("\"{d:016x}\""));
             }
-            out.push_str(&format!("\"{d:016x}\""));
+            out.push_str("],");
         }
-        out.push_str("],\"per_conn\":[");
+        out.push_str("\"per_conn\":[");
         for (i, s) in self.per_conn.iter().enumerate() {
             if i > 0 {
                 out.push(',');
@@ -417,33 +429,51 @@ impl FanInReport {
     }
 }
 
-/// What every stream of the run has delivered so far: byte counts and
-/// the running FNV-1a digests. The callback receive cycle and the aio
-/// server tasks both fold through [`Delivered::absorb`], so the two
-/// consumption models verify and digest identically.
+/// What every stream of the run has delivered so far: byte counts, and
+/// at [`VerifyLevel::Full`] the running FNV-1a digests. The callback
+/// receive cycle and the aio server tasks both account through here, so
+/// the two consumption models verify and digest identically. At
+/// [`VerifyLevel::None`] only the counts exist: no payload byte is
+/// compared or folded and `digests` stays empty.
 struct Delivered {
+    /// One running digest per stream; empty at [`VerifyLevel::None`].
     digests: Vec<u64>,
     received: Vec<u64>,
-    verify: VerifyLevel,
     seed: u64,
 }
 
 impl Delivered {
     fn new(spec: &FanInSpec) -> Delivered {
+        let digested = match spec.verify {
+            VerifyLevel::Full => spec.conns,
+            VerifyLevel::None => 0,
+        };
         Delivered {
-            digests: vec![FNV_OFFSET; spec.conns],
+            digests: vec![FNV_OFFSET; digested],
             received: vec![0; spec.conns],
-            verify: spec.verify,
             seed: spec.seed,
         }
     }
 
-    /// Folds the next chunk of stream `idx`, in arrival order. FNV-1a
-    /// folds chunk by chunk into the same value however the stream is
-    /// sliced.
+    /// True when delivered payload must be handed to
+    /// [`Delivered::absorb`]; otherwise [`Delivered::count`] is enough.
+    fn verifies(&self) -> bool {
+        !self.digests.is_empty()
+    }
+
+    /// Accounts `len` more bytes of stream `idx` without looking at
+    /// them.
+    fn count(&mut self, idx: usize, len: u64) {
+        self.received[idx] += len;
+    }
+
+    /// Accounts the next chunk of stream `idx`, in arrival order; when
+    /// verifying, checks every byte against the pattern and folds it
+    /// into the stream's digest. FNV-1a folds chunk by chunk into the
+    /// same value however the stream is sliced.
     fn absorb(&mut self, idx: usize, bytes: &[u8]) {
         let at = self.received[idx];
-        if self.verify == VerifyLevel::Full {
+        if let Some(digest) = self.digests.get_mut(idx) {
             for (i, &b) in bytes.iter().enumerate() {
                 assert_eq!(
                     b,
@@ -452,10 +482,23 @@ impl Delivered {
                     at + i as u64
                 );
             }
+            *digest = fnv1a(*digest, bytes);
         }
-        self.digests[idx] = fnv1a(self.digests[idx], bytes);
-        self.received[idx] = at + bytes.len() as u64;
+        self.count(idx, bytes.len() as u64);
     }
+}
+
+/// Sets `table[row][col] = value` in a two-level index table, growing
+/// it as needed (an entry never set reads `usize::MAX`).
+fn place(table: &mut Vec<Vec<usize>>, row: usize, col: usize, value: usize) {
+    if table.len() <= row {
+        table.resize_with(row + 1, Vec::new);
+    }
+    let row = &mut table[row];
+    if row.len() <= col {
+        row.resize(col + 1, usize::MAX);
+    }
+    row[col] = value;
 }
 
 /// One outbound stream's send-slot cycle: up to `max_outstanding`
@@ -503,8 +546,10 @@ struct FanInClient {
     /// endpoint carrying them all.
     links: Vec<Endpoint>,
     conns: Vec<SendCycle>,
-    /// `(link, stream id)` → index in `conns`.
-    by_stream: HashMap<(usize, u32), usize>,
+    /// Index in `conns`, by link and then by stream id.
+    by_stream: Vec<Vec<usize>>,
+    /// Reusable event buffer for the wake loop.
+    events: Vec<MuxEvent>,
     msgs: usize,
     msg_len: u64,
     verify: VerifyLevel,
@@ -573,16 +618,16 @@ impl NodeApp for FanInClient {
         }
     }
     fn on_wake(&mut self, api: &mut NodeApi<'_>) {
-        let mut touched = Vec::new();
+        let mut events = std::mem::take(&mut self.events);
         for li in 0..self.links.len() {
             let link = &mut self.links[li];
             link.handle_wake(api);
-            for ev in link.take_events() {
-                match ev {
+            link.take_events_into(&mut events);
+            for ev in &events {
+                match *ev {
                     MuxEvent::SendComplete { stream, id, .. } => {
-                        let ci = self.by_stream[&(li, stream)];
+                        let ci = self.by_stream[li][stream as usize];
                         self.conns[ci].on_send_complete(id);
-                        touched.push(ci);
                     }
                     MuxEvent::TransportError { slot } => panic!(
                         "fan-in client link {li} transport slot {slot} failed: {:?}",
@@ -593,11 +638,14 @@ impl NodeApp for FanInClient {
                 }
             }
             // A stream without a completion has no free slot to send
-            // from: only the touched ones can move.
-            for ci in touched.drain(..) {
-                self.kick(api, ci);
+            // from: only the others can move, once per completion.
+            for ev in events.drain(..) {
+                if let MuxEvent::SendComplete { stream, .. } = ev {
+                    self.kick(api, self.by_stream[li][stream as usize]);
+                }
             }
         }
+        self.events = events;
     }
     fn is_done(&self) -> bool {
         self.conns.iter().all(|c| c.shutdown)
@@ -626,14 +674,17 @@ struct RecvCycle {
 }
 
 impl RecvCycle {
-    /// Receive `id` of stream `idx` completed with `len` bytes: verify
-    /// and digest them, and free the slot.
+    /// Receive `id` of stream `idx` completed with `len` bytes: account
+    /// them (read back, checked and digested only when verifying), and
+    /// free the slot.
     fn on_recv_complete(&mut self, api: &mut NodeApi<'_>, idx: usize, id: u64, len: u32) {
         let (pid, slot) = self.posted[idx]
             .pop_front()
             .expect("completion without a posted receive");
         assert_eq!(pid, id, "receives must complete in posting order");
-        if len > 0 {
+        if !self.delivered.verifies() {
+            self.delivered.count(idx, len as u64);
+        } else if len > 0 {
             let mr = self.mrs[idx][slot];
             self.scratch.resize(len as usize, 0);
             api.read_mr(mr.key, mr.addr, &mut self.scratch).unwrap();
@@ -683,14 +734,16 @@ struct Host {
 struct ReactorServer<'a> {
     pool: ReactorPool,
     hosts: &'a [Host],
-    /// Pool handle → index in `hosts`.
-    host_of: HashMap<ShardHandle, usize>,
+    /// Index in `hosts`, by shard and then by slot in the shard's
+    /// reactor.
+    host_of: Vec<Vec<usize>>,
     /// Close our unused sending half of a stream when the peer's half
     /// ends, so a pooled endpoint retires the stream's state
     /// ([`FanInSpec::mux`]); a private-QP socket's stays open.
     close_on_eof: bool,
-    /// Reusable readiness buffer for the service loop.
+    /// Reusable readiness and event buffers for the service loop.
     ready: Vec<(ShardHandle, exs::Readiness)>,
+    events: Vec<MuxEvent>,
     cycle: RecvCycle,
     finished_at: Option<SimTime>,
 }
@@ -706,13 +759,14 @@ impl ReactorServer<'_> {
             hosts,
             cycle,
             close_on_eof,
+            events,
             ..
         } = self;
         let host = &hosts[hi];
         let ep = pool.shard_mut(host.at.shard).conn_mut(host.at.conn);
-        let events = ep.take_events();
+        ep.take_events_into(events);
         let mut progressed = !events.is_empty();
-        for ev in events {
+        for ev in events.drain(..) {
             match ev {
                 MuxEvent::RecvComplete { stream, id, len } => {
                     cycle.on_recv_complete(api, host.first + stream as usize, id, len)
@@ -752,7 +806,7 @@ impl ReactorServer<'_> {
             let mut progressed = false;
             for &(h, r) in ready.iter() {
                 if r.readable || r.closed || r.error {
-                    let hi = self.host_of[&h];
+                    let hi = self.host_of[h.shard as usize][h.conn.0 as usize];
                     progressed |= self.handle_host(api, hi);
                 }
             }
@@ -955,7 +1009,8 @@ pub fn run_fan_in(spec: &FanInSpec) -> FanInReport {
         .map(|_| FanInClient {
             links: Vec::new(),
             conns: Vec::new(),
-            by_stream: HashMap::new(),
+            by_stream: Vec::new(),
+            events: Vec::new(),
             msgs: spec.msgs_per_conn,
             msg_len: spec.msg_len,
             verify: spec.verify,
@@ -1022,7 +1077,7 @@ pub fn run_fan_in(spec: &FanInSpec) -> FanInReport {
             })
         };
         let nth = clients[ci].conns.len();
-        clients[ci].by_stream.insert((link, stream), nth);
+        place(&mut clients[ci].by_stream, link, stream as usize, nth);
         clients[ci].conns.push(SendCycle {
             idx,
             link,
@@ -1134,12 +1189,17 @@ pub fn run_fan_in(spec: &FanInSpec) -> FanInReport {
             finished_at: None,
         })
     } else {
+        let mut host_of = Vec::new();
+        for (hi, h) in hosts.iter().enumerate() {
+            place(&mut host_of, h.at.shard as usize, h.at.conn.0 as usize, hi);
+        }
         Server::Callback(Box::new(ReactorServer {
             pool,
-            host_of: hosts.iter().enumerate().map(|(i, h)| (h.at, i)).collect(),
+            host_of,
             hosts: &hosts,
             close_on_eof: spec.mux,
             ready: Vec::new(),
+            events: Vec::new(),
             cycle: RecvCycle {
                 mrs: server_mrs,
                 posted: (0..spec.conns).map(|_| VecDeque::new()).collect(),
@@ -1354,6 +1414,38 @@ mod tests {
         assert!(json.contains("\"per_conn\":["));
         assert!(json.contains("\"reactor\":{"));
         assert!(!json.contains("\"pool\":{"), "unpooled run reports no pool");
+    }
+
+    #[test]
+    fn digests_exist_only_when_verifying_on_every_front_end() {
+        for (mux, aio) in [(false, false), (false, true), (true, false)] {
+            let spec = |verify| FanInSpec {
+                msgs_per_conn: 3,
+                msg_len: 8 << 10,
+                client_nodes: 2,
+                verify,
+                mux,
+                aio,
+                ..FanInSpec::new(profiles::fdr_infiniband(), 4)
+            };
+            let unchecked = run_fan_in(&spec(VerifyLevel::None));
+            assert!(unchecked.digests.is_empty(), "mux {mux} aio {aio}");
+            assert!(!unchecked.to_json().contains("\"digests\""));
+            let checked = run_fan_in(&spec(VerifyLevel::Full));
+            assert_eq!(checked.digests.len(), 4, "mux {mux} aio {aio}");
+            for (i, &d) in checked.digests.iter().enumerate() {
+                assert_eq!(
+                    d,
+                    expected_digest(1, i, 3 * (8 << 10)),
+                    "mux {mux} aio {aio}"
+                );
+            }
+            assert!(checked.to_json().contains("\"digests\":[\""));
+            // Checking touches payload only: the model cannot tell.
+            assert_eq!(unchecked.bytes, checked.bytes);
+            assert_eq!(unchecked.elapsed, checked.elapsed);
+            assert_eq!(unchecked.events, checked.events);
+        }
     }
 
     #[test]

@@ -19,12 +19,15 @@ use crate::metrics::BlastReport;
 /// How much payload verification the receiver performs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum VerifyLevel {
-    /// No payload is generated or checked (fastest; used by benches —
+    /// No payload is generated, read back, checked or digested: delivery
+    /// is checked by byte count alone (fastest; used by benches —
     /// transfer timing is unaffected because the simulator moves payload
-    /// bytes either way).
+    /// bytes either way). On the fan-in path
+    /// [`crate::FanInReport::digests`] is empty.
     None,
     /// The sender fills every byte with a position-dependent pattern and
-    /// the receiver checks every delivered byte (used by tests).
+    /// the receiver reads back, checks and digests every delivered byte
+    /// (used by tests and by a benchmark's check repetition).
     Full,
 }
 

@@ -181,9 +181,17 @@ impl Endpoint {
 
     /// Takes the queued completion events, stream-tagged.
     pub fn take_events(&mut self) -> Vec<MuxEvent> {
+        let mut events = Vec::new();
+        self.take_events_into(&mut events);
+        events
+    }
+
+    /// [`Endpoint::take_events`], appending to a caller-owned buffer: a
+    /// loop that keeps one buffer takes events without allocating.
+    pub fn take_events_into(&mut self, out: &mut Vec<MuxEvent>) {
         match &mut self.0 {
-            Kind::Socket(s) => s.take_events().into_iter().map(tagged).collect(),
-            Kind::Mux(m) => m.take_events(),
+            Kind::Socket(s) => out.extend(s.drain_events().map(tagged)),
+            Kind::Mux(m) => out.extend(m.drain_events()),
         }
     }
 
@@ -299,24 +307,34 @@ impl Endpoint {
         }
     }
 
-    /// Advances the protocol after a service round that applied
-    /// completions (`served`). An idle socket with nothing to send is
-    /// left alone — a thousand of them share a poll.
-    pub(crate) fn progress(&mut self, api: &mut impl VerbsPort, served: bool) {
-        match &mut self.0 {
-            Kind::Socket(s) => {
-                if served || !s.sends_drained() || s.send_closed() {
-                    s.progress(api);
-                }
-            }
-            Kind::Mux(m) => m.progress(api),
+    /// True for an endpoint the host must progress on every poll,
+    /// completions or not: a socket with sends in flight or a
+    /// half-close under way, and any pooled endpoint. An idle socket
+    /// with nothing to send is left alone — a thousand of them share a
+    /// poll.
+    pub(crate) fn progressed_every_poll(&self) -> bool {
+        match &self.0 {
+            Kind::Socket(s) => !s.sends_drained() || s.send_closed(),
+            Kind::Mux(_) => true,
         }
     }
 
-    /// Level-triggered readiness. A pooled endpoint is only ever
-    /// `readable`: writability, end of stream and failure are per
-    /// stream or per slot there, and arrive as events.
-    pub(crate) fn readiness(&self) -> Readiness {
+    /// Advances the protocol at the end of a service turn, if the turn
+    /// applied completions (`served`) or progress is owed regardless.
+    pub(crate) fn progress(&mut self, api: &mut impl VerbsPort, served: bool) {
+        if served || self.progressed_every_poll() {
+            match &mut self.0 {
+                Kind::Socket(s) => s.progress(api),
+                Kind::Mux(m) => m.progress(api),
+            }
+        }
+    }
+
+    /// Level-triggered readiness: what [`crate::Reactor::poll`] reports
+    /// for this endpoint, before its interest mask. A pooled endpoint
+    /// is only ever `readable`: writability, end of stream and failure
+    /// are per stream or per slot there, and arrive as events.
+    pub fn readiness(&self) -> Readiness {
         match &self.0 {
             Kind::Socket(s) => Readiness {
                 readable: s.events_pending() > 0,

@@ -346,6 +346,12 @@ impl MuxEndpoint {
         std::mem::take(&mut self.events)
     }
 
+    /// Takes the accumulated user events one by one, keeping the
+    /// queue's storage for the next ones.
+    pub(crate) fn drain_events(&mut self) -> std::vec::Drain<'_, MuxEvent> {
+        self.events.drain(..)
+    }
+
     /// Number of user events queued and not yet taken.
     pub fn events_pending(&self) -> usize {
         self.events.len()

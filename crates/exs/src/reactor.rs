@@ -33,12 +33,39 @@
 //!   stream ended (a multi-stream endpoint says those per stream, as
 //!   events).
 //!
-//! What is *not* independent of connection count is the reactor's own
-//! bookkeeping: each [`Reactor::poll_into`] walks every slot twice (the
-//! service round, then the readiness scan), and
-//! [`Reactor::has_backlog`] / [`Reactor::has_unsent`] walk them once
-//! more, so a poll costs O(endpoints) host time even when one had
-//! work. Only [`Reactor::len`] / [`Reactor::is_empty`] are O(1).
+//! **A poll costs what completed, not what is hosted.** The reactor
+//! keeps three sets of slab indices as word bitmaps, and a poll walks
+//! only their members:
+//!
+//! * *work* — endpoints that need a service turn: completions are queued
+//!   for them, or they must be progressed on every poll (a socket with
+//!   sends in flight or a half-close under way; a pooled endpoint,
+//!   always);
+//! * *ready* — endpoints whose readiness intersects their interest,
+//!   which is the level-triggered report;
+//! * *unsent* — endpoints that may still owe traffic to the wire.
+//!
+//! An endpoint's state changes at two points only, and both update the
+//! sets. Its **service turn** is the only place the reactor itself
+//! mutates it: completions are applied, the protocol advances, and the
+//! three memberships are recomputed from the endpoint right there.
+//! An **application borrow** ([`Reactor::accept`], [`Reactor::conn_mut`],
+//! [`Reactor::try_conn_mut`], [`Reactor::set_interest`]) hands out
+//! `&mut` access the reactor cannot watch — a send, a receive, a
+//! shutdown, taking the events — so the borrow itself puts the slot in
+//! *work* and *unsent*: the next poll gives it a turn (a turn with
+//! nothing to apply and nothing to progress changes nothing) and
+//! recomputes its memberships before the report is built, and
+//! [`Reactor::has_unsent`] asks the members of *unsent* rather than
+//! trusting them. Dispatching a completion puts its owner in *work*;
+//! [`Reactor::remove`] takes the slot out of all three. Nothing else
+//! can move an endpoint between sets — shared access
+//! ([`Reactor::conn`]) cannot mutate, and readiness depends on nothing
+//! but the endpoint — so an endpoint outside *work* is exactly as the
+//! last poll left it and is not looked at. Service order is unchanged
+//! from a full walk: sockets in slab order from the rotating cursor,
+//! then pooled endpoints in slab order, then the report in slab order.
+//! [`crate::ReactorStats::slots_visited`] counts the slots looked at.
 //!
 //! The reactor is backend-agnostic: it drives any [`VerbsPort`], so the
 //! same code runs one step per wake deterministically under the
@@ -63,6 +90,7 @@
 //! `ExsConfig::direct` knobs) to recover direct mode after indirect
 //! episodes; see DESIGN.md §13 and `blast::fan_in` for the pattern.
 
+use std::cell::Cell;
 use std::collections::VecDeque;
 
 use rdma_verbs::{CqId, Cqe};
@@ -194,6 +222,45 @@ impl Slot {
     }
 }
 
+/// A set of slab indices as a word bitmap: update and test are O(1), a
+/// walk costs one step per member plus one per 64 slots.
+#[derive(Default)]
+struct SlotSet {
+    words: Vec<u64>,
+}
+
+impl SlotSet {
+    fn set(&mut self, idx: usize, member: bool) {
+        let (word, bit) = (idx / 64, 1u64 << (idx % 64));
+        if member {
+            if self.words.len() <= word {
+                self.words.resize(word + 1, 0);
+            }
+            self.words[word] |= bit;
+        } else if let Some(w) = self.words.get_mut(word) {
+            *w &= !bit;
+        }
+    }
+
+    /// The smallest member that is at least `from`. Asking again from
+    /// one past the answer walks the set in slab order, and stays
+    /// correct while members come and go between the questions.
+    fn next(&self, from: usize) -> Option<usize> {
+        let mut word = from / 64;
+        let mut bits = *self.words.get(word)? & (!0u64 << (from % 64));
+        while bits == 0 {
+            word += 1;
+            bits = *self.words.get(word)?;
+        }
+        Some(word * 64 + bits.trailing_zeros() as usize)
+    }
+
+    /// The members in slab order.
+    fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        std::iter::successors(self.next(0), |&idx| self.next(idx + 1))
+    }
+}
+
 /// An epoll-style event loop owning many [`Endpoint`]s on one node.
 ///
 /// Every endpoint must share this reactor's send and receive CQs (build
@@ -216,10 +283,28 @@ pub struct Reactor {
     by_qpn: Vec<Option<u32>>,
     /// Next slab slot to service first (round-robin fairness cursor).
     cursor: usize,
+    /// Slots that get a service turn in the next poll: completions
+    /// queued, progress owed on every poll, or borrowed by the
+    /// application since their last turn. See the module docs for the
+    /// three sets.
+    work: SlotSet,
+    /// Slots whose readiness intersected their interest at their last
+    /// turn — exact whenever `work` holds every borrowed slot, so exact
+    /// once a poll's service rounds are over.
+    ready: SlotSet,
+    /// Slots that owed traffic to the wire at their last turn, plus
+    /// those borrowed since: every endpoint with unsent traffic is a
+    /// member, a member need not have any.
+    unsent: SlotSet,
+    /// Slots the last poll left with completions still queued.
+    deferred: usize,
     /// Last drain stopped at the batch bound with the CQ possibly
     /// non-empty.
     saturated: bool,
     stats: ReactorStats,
+    /// Slots [`Reactor::has_unsent`] looked at since the last poll,
+    /// which adds them to [`ReactorStats::slots_visited`].
+    probed: Cell<u64>,
     scratch: Vec<Cqe>,
 }
 
@@ -237,8 +322,13 @@ impl Reactor {
             live: 0,
             by_qpn: Vec::new(),
             cursor: 0,
+            work: SlotSet::default(),
+            ready: SlotSet::default(),
+            unsent: SlotSet::default(),
+            deferred: 0,
             saturated: false,
             stats: ReactorStats::default(),
+            probed: Cell::new(0),
             scratch: Vec::new(),
         }
     }
@@ -285,7 +375,17 @@ impl Reactor {
             }
         };
         self.index_qps(id);
+        self.borrowed(id.0 as usize);
         id
+    }
+
+    /// The application got `&mut` access to slot `idx`, or changed what
+    /// it asks of it: whatever it does there, the next poll gives the
+    /// slot a turn and recomputes its set memberships, and until then
+    /// it counts as possibly owing traffic.
+    fn borrowed(&mut self, idx: usize) {
+        self.work.set(idx, true);
+        self.unsent.set(idx, true);
     }
 
     /// Re-scans a hosted endpoint's QPs and indexes those established
@@ -310,13 +410,21 @@ impl Reactor {
     /// Removes an endpoint, returning it. Completions still in flight
     /// for its QPs are dropped (counted as orphans).
     pub fn remove(&mut self, id: ConnId) -> Endpoint {
-        let slot = self.slots[id.0 as usize]
-            .take()
-            .expect("removing a live connection");
-        for owner in &mut self.by_qpn {
-            if *owner == Some(id.0) {
+        let idx = id.0 as usize;
+        let slot = self.slots[idx].take().expect("removing a live connection");
+        // QPs a pool established since the last `index_qps` have no
+        // entry to clear.
+        let by_qpn = &mut self.by_qpn;
+        slot.ep.for_each_qpn(|qpn| {
+            if let Some(owner) = by_qpn.get_mut(qpn.0 as usize) {
                 *owner = None;
             }
+        });
+        for set in [&mut self.work, &mut self.ready, &mut self.unsent] {
+            set.set(idx, false);
+        }
+        if !slot.queued.is_empty() {
+            self.deferred -= 1;
         }
         self.free.push(id.0);
         self.live -= 1;
@@ -347,10 +455,10 @@ impl Reactor {
 
     /// Exclusive access to a hosted endpoint, or `None` for a stale id.
     pub fn try_conn_mut(&mut self, id: ConnId) -> Option<&mut Endpoint> {
-        self.slots
-            .get_mut(id.0 as usize)?
-            .as_mut()
-            .map(|s| &mut s.ep)
+        let idx = id.0 as usize;
+        self.slots.get(idx)?.as_ref()?;
+        self.borrowed(idx);
+        self.slots[idx].as_mut().map(|s| &mut s.ep)
     }
 
     /// Shared access to a hosted endpoint.
@@ -370,6 +478,7 @@ impl Reactor {
             .as_mut()
             .expect("live conn")
             .interest = interest;
+        self.borrowed(id.0 as usize);
     }
 
     /// Live endpoint ids, in slab order.
@@ -414,9 +523,11 @@ impl Reactor {
     pub fn poll_into(&mut self, api: &mut impl VerbsPort, out: &mut Vec<(ConnId, Readiness)>) {
         out.clear();
         self.stats.polls += 1;
+        self.stats.slots_visited += self.probed.take();
         let recv_full = self.drain_cq(api, CqSide::Recv);
         let send_full = self.drain_cq(api, CqSide::Send);
         self.saturated = recv_full || send_full;
+        self.deferred = 0;
 
         // Service round for single-stream endpoints: start at the
         // fairness cursor so the one served first rotates between
@@ -424,31 +535,51 @@ impl Reactor {
         let n = self.slots.len();
         if n > 0 {
             self.cursor %= n;
-            for step in 0..n {
-                match &mut self.slots[(self.cursor + step) % n] {
-                    Some(slot) if !slot.ep.multi_stream() => {
-                        slot.serve(api, &self.cfg, &mut self.stats)
-                    }
-                    _ => {}
+            for (from, to) in [(self.cursor, n), (0, self.cursor)] {
+                let mut at = from;
+                while let Some(idx) = self.work.next(at).filter(|&idx| idx < to) {
+                    self.turn(api, idx, false);
+                    at = idx + 1;
                 }
             }
             self.cursor = (self.cursor + 1) % n;
         }
         // Multi-stream endpoints do their own per-stream fairness; they
-        // are served after the rotation, in slab order, on the way
-        // through the readiness scan (an endpoint's readiness depends
-        // on nothing but itself).
-        for (idx, slot) in self.slots.iter_mut().enumerate() {
-            let Some(slot) = slot else { continue };
-            if slot.ep.multi_stream() {
-                slot.serve(api, &self.cfg, &mut self.stats);
-            }
-            let readiness = slot.ep.readiness().mask(slot.interest);
-            if readiness.any() {
-                out.push((ConnId(idx as u32), readiness));
-            }
+        // are served after the rotation, in slab order (an endpoint's
+        // readiness depends on nothing but itself).
+        let mut at = 0;
+        while let Some(idx) = self.work.next(at) {
+            self.turn(api, idx, true);
+            at = idx + 1;
+        }
+        // Every slot borrowed since its last turn has just had one, so
+        // `ready` is exact.
+        for idx in self.ready.iter() {
+            self.stats.slots_visited += 1;
+            let slot = self.slots[idx].as_ref().expect("ready slots are live");
+            out.push((ConnId(idx as u32), slot.ep.readiness().mask(slot.interest)));
         }
         self.stats.readiness_reports += out.len() as u64;
+    }
+
+    /// Slot `idx`'s service turn in the round for multi-stream
+    /// endpoints or the one for single-stream endpoints — a slot of
+    /// the other kind is passed over — and the one place its set
+    /// memberships are recomputed.
+    fn turn(&mut self, api: &mut impl VerbsPort, idx: usize, multi_stream: bool) {
+        self.stats.slots_visited += 1;
+        let slot = self.slots[idx].as_mut().expect("work slots are live");
+        if slot.ep.multi_stream() != multi_stream {
+            return;
+        }
+        slot.serve(api, &self.cfg, &mut self.stats);
+        let deferred = !slot.queued.is_empty();
+        self.deferred += usize::from(deferred);
+        self.work
+            .set(idx, deferred || slot.ep.progressed_every_poll());
+        self.ready
+            .set(idx, slot.ep.readiness().mask(slot.interest).any());
+        self.unsent.set(idx, slot.ep.has_unsent());
     }
 
     /// Returns true if the drain stopped at the per-poll bound (the CQ
@@ -479,6 +610,7 @@ impl Reactor {
                             .expect("by_qpn points at a live slot")
                             .queued
                             .push_back((side, cqe));
+                        self.work.set(idx as usize, true);
                         self.stats.cqes_dispatched += 1;
                     }
                     None => self.stats.orphan_cqes += 1,
@@ -495,12 +627,7 @@ impl Reactor {
     /// wake-ups are edge-triggered, and deferred work generates no new
     /// edge.
     pub fn has_backlog(&self) -> bool {
-        self.saturated
-            || self
-                .slots
-                .iter()
-                .flatten()
-                .any(|slot| !slot.queued.is_empty())
+        self.saturated || self.deferred > 0
     }
 
     /// True while any hosted endpoint still owes traffic to the wire
@@ -510,13 +637,156 @@ impl Reactor {
     /// waiting for an end-of-stream that never comes. Broken endpoints
     /// are ignored.
     pub fn has_unsent(&self) -> bool {
-        self.slots.iter().flatten().any(|slot| slot.ep.has_unsent())
+        self.unsent.iter().any(|idx| {
+            self.probed.set(self.probed.get() + 1);
+            let slot = self.slots[idx].as_ref().expect("unsent slots are live");
+            slot.ep.has_unsent()
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{ExsConfig, MuxEvent, StreamSocket};
+    use rdma_verbs::{Access, HcaConfig, HostModel, NodeApi, NodeApp, NodeId, SimNet};
+    use simnet::{LinkConfig, SimDuration, SimTime};
+
+    /// A node whose application never reacts: what the fabric delivers
+    /// stays in its CQs until the test polls.
+    struct Parked;
+
+    impl NodeApp for Parked {
+        fn on_start(&mut self, _: &mut NodeApi<'_>) {}
+        fn on_wake(&mut self, _: &mut NodeApi<'_>) {}
+    }
+
+    /// A reactor on node `b` hosting `idle` sockets nobody talks to and
+    /// then one more, whose id and peer socket (on node `a`) are
+    /// returned. Every slot has had its first turn.
+    fn hosting(
+        idle: usize,
+        cfg: ReactorConfig,
+    ) -> (SimNet, NodeId, NodeId, Reactor, ConnId, StreamSocket) {
+        let exs = ExsConfig {
+            ring_capacity: 4096,
+            credits: 8,
+            sq_depth: 8,
+            ..ExsConfig::default()
+        };
+        let mut net = SimNet::new();
+        let a = net.add_node(HostModel::free(), HcaConfig::default());
+        let b = net.add_node(HostModel::free(), HcaConfig::default());
+        let link = LinkConfig::simple(100_000_000_000, SimDuration::from_micros(1));
+        net.connect_nodes(a, b, link, 0);
+        let depth = exs.cq_depth(idle + 1);
+        let (scq, rcq) = net.with_api(b, |api| (api.create_cq(depth), api.create_cq(depth)));
+        let mut reactor = Reactor::new(scq, rcq, cfg);
+        let mut last = None;
+        for _ in 0..=idle {
+            let (peer, hosted) = StreamSocket::pair_shared(&mut net, a, b, scq, rcq, &exs);
+            last = Some((reactor.accept(hosted), peer));
+        }
+        let (id, peer) = last.expect("at least the busy socket");
+        net.with_api(b, |api| reactor.poll(api));
+        (net, a, b, reactor, id, peer)
+    }
+
+    /// Sends `msgs` 64-byte messages from `peer` and lets the fabric
+    /// deliver them; their completions wait in the reactor's CQs.
+    fn deliver(net: &mut SimNet, a: NodeId, peer: &mut StreamSocket, msgs: u64) {
+        net.with_api(a, |api| {
+            let mr = api.register_mr(64, Access::NONE);
+            for id in 0..msgs {
+                peer.exs_send(api, &mr, 0, 64, id);
+            }
+        });
+        net.run(&mut [&mut Parked, &mut Parked], SimTime::from_secs(1));
+    }
+
+    #[test]
+    fn a_poll_visits_the_slots_with_work_however_many_are_hosted() {
+        let visits = |idle: usize| {
+            let (mut net, a, b, mut reactor, busy, mut peer) =
+                hosting(idle, ReactorConfig::default());
+            net.with_api(b, |api| {
+                let mr = api.register_mr(64, Access::local_remote_write());
+                reactor
+                    .conn_mut(busy)
+                    .recv(api, 0, &mr, 0, 64, false, 7)
+                    .expect("receive on an open stream");
+                reactor.poll(api);
+            });
+            deliver(&mut net, a, &mut peer, 1);
+            let mut per_poll = Vec::new();
+            net.with_api(b, |api| {
+                let mut ready = Vec::new();
+                for poll in 0..4 {
+                    let before = reactor.stats().slots_visited;
+                    reactor.poll_into(api, &mut ready);
+                    per_poll.push(reactor.stats().slots_visited - before);
+                    assert_eq!(ready.len(), 1, "the busy socket, and only it");
+                    assert_eq!((ready[0].0, ready[0].1.readable), (busy, true));
+                    // The predicates before every poll but the last:
+                    // they look at no slot, so the last costs the same.
+                    if poll < 2 {
+                        assert!(!reactor.has_backlog() && !reactor.has_unsent());
+                    }
+                }
+            });
+            assert_eq!(reactor.stats().cqes_dispatched, 1);
+            let got = reactor.conn_mut(busy).take_events();
+            assert_eq!(
+                got,
+                [MuxEvent::RecvComplete {
+                    stream: 0,
+                    id: 7,
+                    len: 64
+                }]
+            );
+            per_poll
+        };
+        let few = visits(8);
+        assert_eq!(few, visits(512), "visits per poll, 8 idle sockets vs 512");
+        // The poll that applies the completion gives the socket its
+        // turn and reports it; the later ones only report it.
+        assert_eq!(few, [2, 1, 1, 1]);
+    }
+
+    #[test]
+    fn a_recycled_id_inherits_nothing_from_the_endpoint_before_it() {
+        let cfg = ReactorConfig {
+            cqe_budget: 1,
+            ..ReactorConfig::default()
+        };
+        let (mut net, a, b, mut reactor, id, mut peer) = hosting(2, cfg);
+        reactor.set_interest(id, Readiness::ALL);
+        deliver(&mut net, a, &mut peer, 3);
+        let ready = net.with_api(b, |api| reactor.poll(api));
+        // Ready, backlogged (budget 1 of 3 completions) and borrowed.
+        assert!(ready.iter().any(|&(c, r)| c == id && r.writable));
+        assert!(reactor.has_backlog());
+        assert_eq!(reactor.stats().deferrals, 1);
+
+        drop(reactor.remove(id));
+        assert_eq!(reactor.len(), 2);
+        assert!(!reactor.has_backlog(), "the backlog left with its slot");
+        assert_eq!(reactor.stats().orphan_cqes, 2);
+
+        let exs = ExsConfig::default();
+        let (scq, rcq) = (reactor.send_cq(), reactor.recv_cq());
+        let (_fresh_peer, fresh) = StreamSocket::pair_shared(&mut net, a, b, scq, rcq, &exs);
+        assert_eq!(reactor.accept(fresh), id, "slab ids are recycled");
+        assert_eq!(reactor.len(), 3);
+        // The old endpoint's QP is nobody's: what still arrives on it is
+        // an orphan, not a completion for the slot's new tenant.
+        deliver(&mut net, a, &mut peer, 1);
+        let ready = net.with_api(b, |api| reactor.poll(api));
+        assert!(ready.is_empty(), "stale readiness: {ready:?}");
+        assert!(!reactor.has_backlog() && !reactor.has_unsent());
+        assert_eq!(reactor.stats().orphan_cqes, 3);
+        assert_eq!(reactor.conn(id).events_pending(), 0);
+    }
 
     #[test]
     fn readiness_mask_and_any() {

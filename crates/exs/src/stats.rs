@@ -346,6 +346,12 @@ pub struct ReactorStats {
     pub orphan_cqes: u64,
     /// `(conn, readiness)` entries reported to the caller, total.
     pub readiness_reports: u64,
+    /// Hosted slots whose state `Reactor::poll_into`,
+    /// `Reactor::has_backlog` or `Reactor::has_unsent` looked at, total
+    /// (a predicate's share is added by the poll that follows it). Per
+    /// poll this follows the endpoints that had work or were ready,
+    /// not the number hosted.
+    pub slots_visited: u64,
 }
 
 impl ReactorStats {
@@ -373,6 +379,7 @@ impl ReactorStats {
         self.deferrals += other.deferrals;
         self.orphan_cqes += other.orphan_cqes;
         self.readiness_reports += other.readiness_reports;
+        self.slots_visited += other.slots_visited;
     }
 
     /// Serializes the counters as a JSON object (dependency-free, like
@@ -383,7 +390,8 @@ impl ReactorStats {
                 "{{\"conns_added\":{},\"conns_removed\":{},\"polls\":{},",
                 "\"cq_batches\":{},\"cqes_dispatched\":{},",
                 "\"max_cq_batch\":{},\"deferrals\":{},\"orphan_cqes\":{},",
-                "\"readiness_reports\":{},\"mean_batch\":{:.6}}}"
+                "\"readiness_reports\":{},\"slots_visited\":{},",
+                "\"mean_batch\":{:.6}}}"
             ),
             self.conns_added,
             self.conns_removed,
@@ -394,6 +402,7 @@ impl ReactorStats {
             self.deferrals,
             self.orphan_cqes,
             self.readiness_reports,
+            self.slots_visited,
             self.mean_batch(),
         )
     }

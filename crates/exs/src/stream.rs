@@ -625,16 +625,25 @@ impl StreamSocket {
     }
 
     /// Drives the socket from a node wake: drains both completion
-    /// queues, advances the protocol, and queues user events.
+    /// queues, advances the protocol, and queues user events. A wake
+    /// meant for a neighbour costs the two empty polls and nothing
+    /// more: protocol state moves on a completion or on an application
+    /// call, and each of those ends by advancing the protocol as far as
+    /// it goes, so with nothing drained and nothing owed there is
+    /// nothing further to advance.
     pub fn handle_wake(&mut self, api: &mut impl VerbsPort) {
+        let mut drained = false;
         for (cqe, is_recv) in poll_cqs(api, self.chan.send_cq(), self.chan.recv_cq()) {
+            drained = true;
             if is_recv {
                 self.on_recv_cqe(api, cqe);
             } else {
                 self.on_send_cqe(api, cqe);
             }
         }
-        self.progress(api);
+        if drained || !self.staging_orphans.is_empty() || self.has_unsent() {
+            self.progress(api);
+        }
     }
 
     /// Advances the protocol after completions were applied: dispatches
@@ -661,6 +670,12 @@ impl StreamSocket {
     /// Takes the accumulated user events.
     pub fn take_events(&mut self) -> Vec<ExsEvent> {
         std::mem::take(&mut self.events)
+    }
+
+    /// Takes the accumulated user events one by one, keeping the
+    /// queue's storage for the next ones.
+    pub(crate) fn drain_events(&mut self) -> std::vec::Drain<'_, ExsEvent> {
+        self.events.drain(..)
     }
 
     pub(crate) fn on_recv_cqe(&mut self, api: &mut impl VerbsPort, cqe: Cqe) {

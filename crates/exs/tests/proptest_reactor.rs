@@ -7,8 +7,13 @@
 //! sockets in the same slab, the reactor must never lose or duplicate
 //! readiness for either kind:
 //!
-//! * an endpoint with pending completed events is reported readable in
-//!   the same poll cycle (checked after **every** poll);
+//! * what a poll reports is exactly what a walk over every hosted slot
+//!   would report — `readiness ∧ interest` of each, in slab order —
+//!   checked after **every** poll against that walk, done here on the
+//!   test's side (so in particular an endpoint with pending completed
+//!   events is reported readable in the same poll cycle), and
+//!   `has_unsent` agrees with asking every endpoint, before and after
+//!   the application's borrows;
 //! * every posted operation completes exactly once (no lost CQEs, no
 //!   duplicated completions);
 //! * each stream's bytes arrive in order (pattern-verified).
@@ -19,7 +24,7 @@ use proptest::prelude::*;
 
 use exs::{
     connect_mux_pair, ConnId, Endpoint, Executor, ExsConfig, ExsError, MuxEndpoint, MuxEvent,
-    Reactor, ReactorConfig, StreamSocket,
+    Reactor, ReactorConfig, Readiness, StreamSocket,
 };
 use rdma_verbs::{profiles, Access, MrInfo, NodeApi, NodeApp, NodeId, SimNet};
 use simnet::SimTime;
@@ -116,6 +121,9 @@ struct Inbound {
 
 struct PropServer {
     reactor: Reactor,
+    /// What each hosted endpoint is registered for, by slab index (the
+    /// reactor does not say; the test set it).
+    interest: Vec<Readiness>,
     /// Indexed by global stream index.
     streams: Vec<Inbound>,
     by_key: HashMap<(ConnId, u32), usize>,
@@ -182,32 +190,42 @@ impl PropServer {
         progressed
     }
 
+    /// The report of the full walk the reactor used to make: every
+    /// live slot's readiness through its interest, in slab order.
+    fn full_scan(&self) -> Vec<(ConnId, Readiness)> {
+        let masked = |c: ConnId| {
+            let interest = self.interest[c.0 as usize];
+            self.reactor.conn(c).readiness().mask(interest)
+        };
+        let all = self.reactor.conn_ids().into_iter();
+        all.map(|c| (c, masked(c)))
+            .filter(|(_, r)| r.any())
+            .collect()
+    }
+
+    /// `has_unsent` against asking every endpoint.
+    fn assert_unsent_agrees(&self) {
+        let ids = self.reactor.conn_ids();
+        let any = ids.iter().any(|&c| self.reactor.conn(c).has_unsent());
+        assert_eq!(self.reactor.has_unsent(), any);
+    }
+
     fn service(&mut self, api: &mut NodeApi<'_>) {
         loop {
             let ready = self.reactor.poll(api);
-            // THE readiness invariant: after a poll, any endpoint
-            // holding undelivered events must have been reported
-            // readable in that poll's result.
-            let readable: HashSet<u32> = ready
-                .iter()
-                .filter(|(_, r)| r.readable)
-                .map(|(c, _)| c.0)
-                .collect();
-            for conn in self.reactor.conn_ids() {
-                if self.reactor.conn(conn).events_pending() > 0 {
-                    assert!(
-                        readable.contains(&conn.0),
-                        "endpoint {} has pending events but was not reported readable",
-                        conn.0
-                    );
-                }
-            }
+            // THE readiness invariant: a poll reports what walking
+            // every slot would — nothing lost (an endpoint holding
+            // undelivered events is reported readable by this very
+            // poll), nothing stale, same order.
+            assert_eq!(ready, self.full_scan(), "poll report vs full scan");
+            self.assert_unsent_agrees();
             let mut progressed = false;
             for (conn, r) in ready {
                 if r.readable || r.closed || r.error {
                     progressed |= self.handle_host(api, conn);
                 }
             }
+            self.assert_unsent_agrees();
             if !progressed && !self.reactor.has_backlog() {
                 break;
             }
@@ -352,9 +370,18 @@ fn run_case(
         });
     }
     assert_eq!(reactor.len(), nodes, "one slab counts both kinds");
+    // Every other endpoint also asks for `writable`, which is true most
+    // of the time: reports then differ by interest, not only by state.
+    let interest: Vec<Readiness> = (0..nodes)
+        .map(|i| [Readiness::INPUT, Readiness::ALL][i % 2])
+        .collect();
+    for (i, &wanted) in interest.iter().enumerate() {
+        reactor.set_interest(ConnId(i as u32), wanted);
+    }
 
     let mut server = PropServer {
         reactor,
+        interest,
         by_key: streams
             .iter()
             .enumerate()

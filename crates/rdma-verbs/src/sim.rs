@@ -189,9 +189,9 @@ fn apply_flow_changes(
     sched: &mut Scheduler<Ev>,
     links: &mut LinkTable,
     now: SimTime,
-    changes: Vec<(FlowKey, SimTime)>,
+    changes: &[(FlowKey, SimTime)],
 ) {
-    for ((src, dst), finish) in changes {
+    for &((src, dst), finish) in changes {
         let head_event = &mut links.expect_mut(src, dst).head_event;
         if let Some(ev) = head_event.take() {
             sched.cancel(ev);

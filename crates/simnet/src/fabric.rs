@@ -24,7 +24,7 @@
 //! this model under a byte-stream protocol changes **timing only** —
 //! delivered bytes and their order are identical to the FIFO link model.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 use crate::rng::Xoshiro256;
 use crate::time::{SimDuration, SimTime};
@@ -112,8 +112,10 @@ pub struct Transfer {
 /// A directed flow identity: `(source node, destination node)`.
 pub type FlowKey = (u32, u32);
 
-/// A shared resource in the two-hop topology.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+/// A shared resource in the two-hop topology. The allocator considers
+/// them in declaration order, node ids ascending within a kind; the
+/// first of several equal shares is the bottleneck.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Rid {
     /// A node's NIC egress.
     Up(u32),
@@ -123,8 +125,8 @@ enum Rid {
     Core,
 }
 
-#[derive(Default)]
 struct Flow {
+    key: FlowKey,
     queue: VecDeque<Transfer>,
     /// Current allocated rate for the head transfer (bps; may be
     /// `f64::INFINITY` when no finite resource constrains the flow).
@@ -147,6 +149,60 @@ struct Flow {
     active_ns: u64,
 }
 
+impl Flow {
+    fn new(key: FlowKey) -> Flow {
+        Flow {
+            key,
+            queue: VecDeque::new(),
+            rate_bps: 0.0,
+            has_rate: false,
+            rem_bits: 0.0,
+            last_arrival: SimTime::ZERO,
+            bytes: 0,
+            transfers: 0,
+            respeeds: 0,
+            active_ns: 0,
+        }
+    }
+
+    /// Head-completion time at the current rate, seen from `now`.
+    fn finish_time(&self, now: SimTime) -> SimTime {
+        if self.rate_bps.is_infinite() || self.rem_bits <= 0.0 {
+            return now;
+        }
+        // Ceil so the scheduled event never fires before the last bit
+        // lands (rem_bits may be epsilon-positive at the event
+        // otherwise).
+        let ns = (self.rem_bits * 1e9 / self.rate_bps).ceil() as u64;
+        now + SimDuration::from_nanos(ns)
+    }
+}
+
+/// The allocator's working state, kept between runs so that a run
+/// allocates nothing. The per-node vectors are indexed by node id (node
+/// ids are dense).
+#[derive(Default)]
+struct Filling {
+    /// Capacity not yet handed out on each node's uplink / downlink;
+    /// set by a run for the nodes it lists in `ups` and `downs`,
+    /// garbage elsewhere.
+    rem_up: Vec<f64>,
+    rem_down: Vec<f64>,
+    /// Unfrozen flows crossing each node's uplink / downlink. All zero
+    /// between runs: a flow counts itself in when a run starts and out
+    /// when it is frozen, and every run freezes every flow that
+    /// counted.
+    users_up: Vec<u32>,
+    users_down: Vec<u32>,
+    /// Nodes whose finite uplink (downlink) an active flow crosses,
+    /// ascending.
+    ups: Vec<u32>,
+    downs: Vec<u32>,
+    /// The rate each active flow was frozen at, in the order of
+    /// `FairShareFabric::active`; `None` while unfrozen.
+    rates: Vec<Option<f64>>,
+}
+
 /// Event-driven max-min bandwidth allocator over the two-hop topology.
 ///
 /// The driver owns the event loop; this type answers two questions —
@@ -155,28 +211,56 @@ struct Flow {
 /// and returns, for every flow whose head-completion time changed, the
 /// new completion time so the driver can reschedule its event.
 ///
+/// Rates are a pure function of which flows are active and of the
+/// registered capacities: nothing else enters the allocation. Every
+/// change to either runs the allocator, so between two runs each active
+/// flow already holds the rate a fresh run would give it — which is why
+/// a head completing with another transfer queued behind it (same
+/// flows active) only reschedules that one flow.
+///
 /// [`submit`]: FairShareFabric::submit
 /// [`complete`]: FairShareFabric::complete
 pub struct FairShareFabric {
     cfg: FairShareConfig,
-    /// NIC egress capacity per node (bps; absent or 0 = unlimited).
-    up: BTreeMap<u32, u64>,
-    /// NIC ingress capacity per node.
-    down: BTreeMap<u32, u64>,
-    flows: BTreeMap<FlowKey, Flow>,
-    /// Flows with a transfer in progress.
-    active: BTreeSet<FlowKey>,
+    /// NIC egress capacity by node id (bps; 0 = unlimited, as is a node
+    /// past the end).
+    up: Vec<u64>,
+    /// NIC ingress capacity by node id.
+    down: Vec<u64>,
+    /// Sum of `up`: the core's capacity before oversubscription.
+    up_total: u64,
+    /// Every flow that ever carried a transfer, in first-use order.
+    flows: Vec<Flow>,
+    /// Index in `flows` by key.
+    by_key: BTreeMap<FlowKey, usize>,
+    /// Flows with a transfer in progress (indices in `flows`), ordered
+    /// by key.
+    active: Vec<usize>,
     /// The allocator's clock: the `now` of the last submit/complete.
     now: SimTime,
     rng: Xoshiro256,
     /// Global re-speed count (sum over flows).
     respeeds: u64,
+    /// Times the progressive filling ran.
+    allocator_runs: u64,
+    /// A capacity was registered since the allocator last ran, so the
+    /// rates in force are not what a run would give now.
+    rates_stale: bool,
+    fill: Filling,
+    /// The reschedule list the last `submit`/`complete` returned.
+    changes: Vec<(FlowKey, SimTime)>,
 }
 
 /// Relative tolerance when deciding whether a recomputed rate actually
 /// changed (fp noise from repeated subtraction must not count as a
 /// re-speed or force an event reschedule).
 const RATE_EPS: f64 = 1e-9;
+
+/// A node's finite capacity in `caps`, if it has one.
+fn finite(caps: &[u64], node: u32) -> Option<f64> {
+    let cap = *caps.get(node as usize)?;
+    (cap > 0).then_some(cap as f64)
+}
 
 impl FairShareFabric {
     /// An empty fabric with no links registered.
@@ -189,13 +273,19 @@ impl FairShareFabric {
         let seed = cfg.seed;
         FairShareFabric {
             cfg,
-            up: BTreeMap::new(),
-            down: BTreeMap::new(),
-            flows: BTreeMap::new(),
-            active: BTreeSet::new(),
+            up: Vec::new(),
+            down: Vec::new(),
+            up_total: 0,
+            flows: Vec::new(),
+            by_key: BTreeMap::new(),
+            active: Vec::new(),
             now: SimTime::ZERO,
             rng: Xoshiro256::new(seed),
             respeeds: 0,
+            allocator_runs: 0,
+            rates_stale: false,
+            fill: Filling::default(),
+            changes: Vec::new(),
         }
     }
 
@@ -209,10 +299,15 @@ impl FairShareFabric {
     /// Bandwidth 0 means unlimited (the ideal-hardware profile).
     /// Registering the same node twice keeps the larger capacity.
     pub fn register_link(&mut self, src: u32, dst: u32, bandwidth_bps: u64) {
-        let up = self.up.entry(src).or_insert(0);
+        let nodes = self.up.len().max(src.max(dst) as usize + 1);
+        self.up.resize(nodes, 0);
+        self.down.resize(nodes, 0);
+        let up = &mut self.up[src as usize];
+        self.up_total += bandwidth_bps.saturating_sub(*up);
         *up = (*up).max(bandwidth_bps);
-        let down = self.down.entry(dst).or_insert(0);
+        let down = &mut self.down[dst as usize];
         *down = (*down).max(bandwidth_bps);
+        self.rates_stale = true;
     }
 
     /// Core capacity in bps: sum of the finite registered uplinks,
@@ -220,12 +315,7 @@ impl FairShareFabric {
     /// is unlimited (the core cannot be the bottleneck of an ideal
     /// fabric).
     fn core_capacity(&self) -> Option<f64> {
-        let total: u64 = self.up.values().copied().filter(|&c| c > 0).sum();
-        if total == 0 {
-            None
-        } else {
-            Some(total as f64 / self.cfg.oversubscription)
-        }
+        (self.up_total > 0).then(|| self.up_total as f64 / self.cfg.oversubscription)
     }
 
     /// Drains elapsed wall-clock into every in-progress transfer at the
@@ -234,8 +324,8 @@ impl FairShareFabric {
         debug_assert!(now >= self.now, "fabric clock went backwards");
         let dt_ns = now.as_nanos().saturating_sub(self.now.as_nanos());
         if dt_ns > 0 {
-            for key in &self.active {
-                let flow = self.flows.get_mut(key).expect("active flow missing");
+            for &i in &self.active {
+                let flow = &mut self.flows[i];
                 if flow.rate_bps.is_infinite() {
                     flow.rem_bits = 0.0;
                 } else {
@@ -247,27 +337,13 @@ impl FairShareFabric {
         self.now = now;
     }
 
-    /// The resources flow `key` crosses, restricted to those with
-    /// finite capacity.
+    /// True if flow `key` crosses resource `rid`.
     fn crosses(key: FlowKey, rid: Rid) -> bool {
         match rid {
             Rid::Up(n) => key.0 == n,
             Rid::Down(n) => key.1 == n,
             Rid::Core => true,
         }
-    }
-
-    /// Head-completion time for `key` at its current rate.
-    fn finish_time(&self, key: FlowKey) -> SimTime {
-        let flow = &self.flows[&key];
-        if flow.rate_bps.is_infinite() || flow.rem_bits <= 0.0 {
-            return self.now;
-        }
-        // Ceil so the scheduled event never fires before the last bit
-        // lands (rem_bits may be epsilon-positive at the event
-        // otherwise).
-        let ns = (flow.rem_bits * 1e9 / flow.rate_bps).ceil() as u64;
-        self.now + SimDuration::from_nanos(ns)
     }
 
     /// Progressive-filling max-min allocation over the active flows.
@@ -278,71 +354,130 @@ impl FairShareFabric {
     /// and repeats. Flows crossing no finite resource run infinitely
     /// fast (ideal profile).
     ///
-    /// Returns `(flow, new head-completion time)` for every flow whose
-    /// rate materially changed — plus `touched`, whose completion event
-    /// must be (re)scheduled even at an unchanged rate (it just started
-    /// a new head transfer).
-    fn recompute(&mut self, touched: Option<FlowKey>) -> Vec<(FlowKey, SimTime)> {
-        let mut rem: BTreeMap<Rid, f64> = BTreeMap::new();
-        for &(s, d) in &self.active {
-            if let Some(&cap) = self.up.get(&s) {
-                if cap > 0 {
-                    rem.insert(Rid::Up(s), cap as f64);
-                }
-            }
-            if let Some(&cap) = self.down.get(&d) {
-                if cap > 0 {
-                    rem.insert(Rid::Down(d), cap as f64);
-                }
-            }
-        }
-        if !self.active.is_empty() {
-            if let Some(core) = self.core_capacity() {
-                rem.insert(Rid::Core, core);
-            }
-        }
+    /// Leaves in `self.changes` `(flow, new head-completion time)` for
+    /// every flow whose rate materially changed — plus `touched`, whose
+    /// completion event must be (re)scheduled even at an unchanged rate
+    /// (it just started a new head transfer).
+    fn allocate(&mut self, touched: Option<FlowKey>) {
+        self.allocator_runs += 1;
+        self.rates_stale = false;
+        let core = self.core_capacity();
+        let FairShareFabric {
+            up,
+            down,
+            flows,
+            active,
+            fill,
+            ..
+        } = self;
+        let Filling {
+            rem_up,
+            rem_down,
+            users_up,
+            users_down,
+            ups,
+            downs,
+            rates,
+        } = fill;
 
-        let mut unfrozen: BTreeSet<FlowKey> = self.active.iter().copied().collect();
-        let mut new_rates: BTreeMap<FlowKey, f64> = BTreeMap::new();
-        while !unfrozen.is_empty() {
+        // The finite resources in play, each kind in ascending node
+        // order, and who uses them: `active` is ordered by source
+        // first, so its sources arrive sorted; destinations are sorted
+        // below. A user count of zero marks a node not yet seen.
+        ups.clear();
+        downs.clear();
+        rates.clear();
+        rem_up.resize(up.len(), 0.0);
+        users_up.resize(up.len(), 0);
+        rem_down.resize(down.len(), 0.0);
+        users_down.resize(down.len(), 0);
+        for &i in active.iter() {
+            let (s, d) = flows[i].key;
+            rates.push(None);
+            if let Some(cap) = finite(up, s) {
+                if users_up[s as usize] == 0 {
+                    ups.push(s);
+                    rem_up[s as usize] = cap;
+                }
+                users_up[s as usize] += 1;
+            }
+            if let Some(cap) = finite(down, d) {
+                if users_down[d as usize] == 0 {
+                    downs.push(d);
+                    rem_down[d as usize] = cap;
+                }
+                users_down[d as usize] += 1;
+            }
+        }
+        downs.sort_unstable();
+        let mut rem_core = if active.is_empty() { None } else { core };
+
+        let mut unfrozen = active.len();
+        while unfrozen > 0 {
             let mut best: Option<(Rid, f64)> = None;
-            for (&rid, &cap) in &rem {
-                let users = unfrozen.iter().filter(|&&k| Self::crosses(k, rid)).count();
-                if users == 0 {
-                    continue;
+            let mut consider = |rid: Rid, cap: f64, users: usize| {
+                if users > 0 {
+                    let share = cap / users as f64;
+                    if best.is_none_or(|(_, s)| share < s) {
+                        best = Some((rid, share));
+                    }
                 }
-                let share = cap / users as f64;
-                if best.is_none_or(|(_, s)| share < s) {
-                    best = Some((rid, share));
-                }
+            };
+            for &n in ups.iter() {
+                consider(
+                    Rid::Up(n),
+                    rem_up[n as usize],
+                    users_up[n as usize] as usize,
+                );
+            }
+            for &n in downs.iter() {
+                consider(
+                    Rid::Down(n),
+                    rem_down[n as usize],
+                    users_down[n as usize] as usize,
+                );
+            }
+            if let Some(cap) = rem_core {
+                consider(Rid::Core, cap, unfrozen);
             }
             let Some((bottleneck, share)) = best else {
                 // No finite resource constrains the remaining flows.
-                for k in unfrozen {
-                    new_rates.insert(k, f64::INFINITY);
+                for rate in rates.iter_mut() {
+                    rate.get_or_insert(f64::INFINITY);
                 }
                 break;
             };
             let share = share.max(0.0);
-            let frozen: Vec<FlowKey> = unfrozen
-                .iter()
-                .filter(|&&k| Self::crosses(k, bottleneck))
-                .copied()
-                .collect();
-            for k in frozen {
-                new_rates.insert(k, share);
-                unfrozen.remove(&k);
-                for rid in [Rid::Up(k.0), Rid::Down(k.1), Rid::Core] {
-                    if let Some(cap) = rem.get_mut(&rid) {
-                        *cap = (*cap - share).max(0.0);
-                    }
+            for (rate, &i) in rates.iter_mut().zip(active.iter()) {
+                let key = flows[i].key;
+                if rate.is_some() || !Self::crosses(key, bottleneck) {
+                    continue;
+                }
+                *rate = Some(share);
+                unfrozen -= 1;
+                if finite(up, key.0).is_some() {
+                    let cap = &mut rem_up[key.0 as usize];
+                    *cap = (*cap - share).max(0.0);
+                    users_up[key.0 as usize] -= 1;
+                }
+                if finite(down, key.1).is_some() {
+                    let cap = &mut rem_down[key.1 as usize];
+                    *cap = (*cap - share).max(0.0);
+                    users_down[key.1 as usize] -= 1;
+                }
+                if let Some(cap) = &mut rem_core {
+                    *cap = (*cap - share).max(0.0);
                 }
             }
         }
 
-        let mut changes = Vec::new();
-        for (key, rate) in new_rates {
-            let flow = self.flows.get_mut(&key).expect("allocated unknown flow");
+        debug_assert!(ups.iter().all(|&n| users_up[n as usize] == 0));
+        debug_assert!(downs.iter().all(|&n| users_down[n as usize] == 0));
+
+        self.changes.clear();
+        for (rate, &i) in rates.iter().zip(active.iter()) {
+            let rate = rate.expect("every active flow was frozen");
+            let flow = &mut flows[i];
             let old = flow.rate_bps;
             let same = if flow.has_rate {
                 if old.is_infinite() && rate.is_infinite() {
@@ -359,11 +494,10 @@ impl FairShareFabric {
             }
             flow.rate_bps = rate;
             flow.has_rate = true;
-            if !same || touched == Some(key) {
-                changes.push((key, self.finish_time(key)));
+            if !same || touched == Some(flow.key) {
+                self.changes.push((flow.key, flow.finish_time(self.now)));
             }
         }
-        changes
     }
 
     /// Hands a transfer to the fabric at `now`. If the flow is idle the
@@ -379,26 +513,38 @@ impl FairShareFabric {
         src: u32,
         dst: u32,
         transfer: Transfer,
-    ) -> Vec<(FlowKey, SimTime)> {
+    ) -> &[(FlowKey, SimTime)] {
         self.advance(now);
         let key = (src, dst);
-        let flow = self.flows.entry(key).or_default();
+        let flows = &mut self.flows;
+        let i = *self.by_key.entry(key).or_insert_with(|| {
+            flows.push(Flow::new(key));
+            flows.len() - 1
+        });
+        let flow = &mut self.flows[i];
         flow.queue.push_back(transfer);
-        if self.active.contains(&key) {
-            return Vec::new();
+        // A flow is active exactly while its queue is non-empty.
+        if flow.queue.len() > 1 {
+            return &[];
         }
-        let head_bits = (flow.queue.front().expect("just pushed").wire_bytes * 8) as f64;
-        flow.rem_bits = head_bits;
+        flow.rem_bits = (transfer.wire_bytes * 8) as f64;
         flow.has_rate = false;
         flow.rate_bps = 0.0;
-        self.active.insert(key);
-        self.recompute(Some(key))
+        let at = self.active_position(key);
+        self.active.insert(at, i);
+        self.allocate(Some(key));
+        &self.changes
+    }
+
+    /// Where `key` is, or belongs, in `active`.
+    fn active_position(&self, key: FlowKey) -> usize {
+        self.active.partition_point(|&i| self.flows[i].key < key)
     }
 
     /// Completes the head transfer of `(src, dst)` at `now` (the driver
     /// calls this from the head-completion event scheduled at the time
-    /// returned by [`FairShareFabric::submit`] /
-    /// [`FairShareFabric::recompute`] changes).
+    /// returned by [`FairShareFabric::submit`] or by an earlier
+    /// `complete`).
     ///
     /// Returns the finished transfer, its receiver-side arrival time
     /// (`now` + propagation + jittered extra, FIFO-clamped within the
@@ -410,10 +556,11 @@ impl FairShareFabric {
         dst: u32,
         propagation: SimDuration,
         jitter: SimDuration,
-    ) -> (Transfer, SimTime, Vec<(FlowKey, SimTime)>) {
+    ) -> (Transfer, SimTime, &[(FlowKey, SimTime)]) {
         self.advance(now);
         let key = (src, dst);
-        let flow = self.flows.get_mut(&key).expect("complete on unknown flow");
+        let i = *self.by_key.get(&key).expect("complete on unknown flow");
+        let flow = &mut self.flows[i];
         debug_assert!(
             flow.rem_bits < 8.0 || flow.rate_bps.is_infinite(),
             "head completion fired with {} bits left on {key:?}",
@@ -432,25 +579,38 @@ impl FairShareFabric {
         arrival = arrival.max(flow.last_arrival);
         flow.last_arrival = arrival;
 
-        let changes = if let Some(next) = flow.queue.front() {
-            let bits = (next.wire_bytes * 8) as f64;
-            let flow = self.flows.get_mut(&key).expect("flow vanished");
-            flow.rem_bits = bits;
-            self.recompute(Some(key))
+        if let Some(next) = flow.queue.front() {
+            flow.rem_bits = (next.wire_bytes * 8) as f64;
+            if self.rates_stale {
+                self.allocate(Some(key));
+            } else {
+                // The same flows are active under the same capacities,
+                // so every rate stands; only this flow has a new head
+                // to schedule.
+                self.changes.clear();
+                self.changes.push((key, flow.finish_time(now)));
+            }
         } else {
-            let flow = self.flows.get_mut(&key).expect("flow vanished");
             flow.rate_bps = 0.0;
             flow.has_rate = false;
             flow.rem_bits = 0.0;
-            self.active.remove(&key);
-            self.recompute(None)
-        };
-        (transfer, arrival, changes)
+            let at = self.active_position(key);
+            self.active.remove(at);
+            self.allocate(None);
+        }
+        (transfer, arrival, &self.changes)
     }
 
     /// Number of flows with a transfer currently in progress.
     pub fn active_flows(&self) -> usize {
         self.active.len()
+    }
+
+    /// The rate (bps) the in-progress transfer of `(src, dst)` moves at,
+    /// `None` while the flow is idle.
+    pub fn head_rate_bps(&self, src: u32, dst: u32) -> Option<f64> {
+        let flow = &self.flows[*self.by_key.get(&(src, dst))?];
+        flow.has_rate.then_some(flow.rate_bps)
     }
 
     /// Telemetry snapshot: per-flow achieved rates, re-speed counts and
@@ -465,9 +625,10 @@ impl FairShareFabric {
     /// "unfair" relative to 512 bulk flows into the server.
     pub fn stats(&self) -> FabricStats {
         let flows: Vec<FlowStats> = self
-            .flows
+            .by_key
             .iter()
-            .map(|(&(src, dst), f)| {
+            .map(|(&(src, dst), &i)| {
+                let f = &self.flows[i];
                 let achieved_bps = if f.active_ns == 0 {
                     0.0
                 } else {
@@ -498,6 +659,7 @@ impl FairShareFabric {
             oversubscription: self.cfg.oversubscription,
             seed: self.cfg.seed,
             respeeds: self.respeeds,
+            allocator_runs: self.allocator_runs,
             jain_index: worst_group_jain,
             flows,
         }
@@ -556,6 +718,9 @@ pub struct FabricStats {
     pub seed: u64,
     /// Global re-speed count.
     pub respeeds: u64,
+    /// Times the max-min allocation was computed: once per change of
+    /// the set of active flows, not once per transfer.
+    pub allocator_runs: u64,
     /// Jain fairness index over per-flow achieved rates (flows that
     /// moved at least one byte).
     pub jain_index: f64,
@@ -570,8 +735,13 @@ impl FabricStats {
         let mut out = String::with_capacity(128 + self.flows.len() * 96);
         out.push_str(&format!(
             "{{\"model\":\"{}\",\"oversubscription\":{:.3},\"seed\":{},\
-             \"respeeds\":{},\"jain_index\":{:.6},\"flows\":[",
-            self.model, self.oversubscription, self.seed, self.respeeds, self.jain_index,
+             \"respeeds\":{},\"allocator_runs\":{},\"jain_index\":{:.6},\"flows\":[",
+            self.model,
+            self.oversubscription,
+            self.seed,
+            self.respeeds,
+            self.allocator_runs,
+            self.jain_index,
         ));
         for (i, f) in self.flows.iter().enumerate() {
             if i > 0 {
@@ -638,7 +808,7 @@ mod tests {
         // Second flow arrives halfway: flow 1 has 5_000 bits left, now
         // runs at 5 Gbit/s → finishes 1000 ns later (t=1500).
         let c2 = f.submit(SimTime::from_nanos(500), 2, 0, t(1, 1250));
-        let m: BTreeMap<_, _> = c2.into_iter().collect();
+        let m: BTreeMap<_, _> = c2.iter().copied().collect();
         assert_eq!(m[&(1, 0)].as_nanos(), 1_500);
         // Flow 2 moves 10_000 bits at 5 Gbit/s → 2000 ns from t=500.
         assert_eq!(m[&(2, 0)].as_nanos(), 2_500);
@@ -661,7 +831,7 @@ mod tests {
         assert_eq!(arrival.as_nanos(), 2_000);
         // Flow 2 re-speeds to the full 10G: 10_000 of its 20_000 bits
         // remain → finishes 1000 ns later.
-        let m: BTreeMap<_, _> = changes.into_iter().collect();
+        let m: BTreeMap<_, _> = changes.iter().copied().collect();
         assert_eq!(m[&(2, 0)].as_nanos(), 3_000);
         let s = f.stats();
         let f1 = s.flows.iter().find(|fl| fl.src == 1).unwrap();
@@ -686,7 +856,7 @@ mod tests {
         f.submit(SimTime::ZERO, 2, 0, t(1, 125_000));
         let changes = f.submit(SimTime::ZERO, 2, 3, t(2, 125_000));
         // 1_000_000 bits at 5 Gbit/s = 200_000 ns for every flow.
-        let m: BTreeMap<_, _> = changes.into_iter().collect();
+        let m: BTreeMap<_, _> = changes.iter().copied().collect();
         for fin in m.values() {
             assert_eq!(fin.as_nanos(), 200_000);
         }
@@ -718,7 +888,9 @@ mod tests {
         }
         let mut last = Vec::new();
         for c in 0..4u32 {
-            last = f.submit(SimTime::ZERO, c, c + 4, t(c as u64, 125_000));
+            last = f
+                .submit(SimTime::ZERO, c, c + 4, t(c as u64, 125_000))
+                .to_vec();
         }
         // 1_000_000 bits at 2.5 Gbit/s = 400_000 ns.
         let m: BTreeMap<_, _> = last.into_iter().collect();
@@ -767,6 +939,61 @@ mod tests {
         let s = f.stats();
         assert_eq!(s.respeeds, 0, "a lone flow never re-speeds");
         assert_eq!(s.flows[0].transfers, 3);
+        assert_eq!(
+            s.allocator_runs, 2,
+            "the flow starting and the flow going idle; not the heads in between"
+        );
+    }
+
+    #[test]
+    fn transfers_queued_on_a_busy_flow_keep_every_rate_without_allocating() {
+        let mut f = star(3, 10 * GBIT, FairShareConfig::new(1));
+        f.submit(SimTime::ZERO, 1, 0, t(0, 1250));
+        f.submit(SimTime::ZERO, 2, 0, t(1, 125_000));
+        let k = 5;
+        for token in 0..k {
+            f.submit(SimTime::ZERO, 1, 0, t(2 + token, 1250));
+        }
+        let runs = f.stats().allocator_runs;
+        assert_eq!(runs, 2, "one run per flow that became active");
+        let rates = [f.head_rate_bps(1, 0), f.head_rate_bps(2, 0)];
+        assert_eq!(rates, [Some(5e9), Some(5e9)]);
+        // Flow 1's heads complete one after another, 2000 ns each at
+        // 5 Gbit/s, while flow 2 stays busy: the active set never
+        // changes, so no head costs an allocation.
+        let mut now = SimTime::from_nanos(2_000);
+        for _ in 0..k {
+            let (_, _, changes) = f.complete(now, 1, 0, SimDuration::ZERO, SimDuration::ZERO);
+            assert_eq!(changes, [((1, 0), now + SimDuration::from_nanos(2_000))]);
+            now = changes[0].1;
+        }
+        assert_eq!(f.stats().allocator_runs, runs);
+        assert_eq!([f.head_rate_bps(1, 0), f.head_rate_bps(2, 0)], rates);
+        // The last head leaves the flow idle: that changes the set.
+        let (_, _, changes) = f.complete(now, 1, 0, SimDuration::ZERO, SimDuration::ZERO);
+        assert_eq!(changes.len(), 1, "flow 2 re-speeds to the full link");
+        assert_eq!(f.stats().allocator_runs, runs + 1);
+        assert_eq!(f.head_rate_bps(1, 0), None);
+        assert_eq!(f.head_rate_bps(2, 0), Some(10e9));
+    }
+
+    #[test]
+    fn a_capacity_registered_mid_run_is_applied_at_the_next_head() {
+        let mut f = star(2, 10 * GBIT, FairShareConfig::new(1));
+        f.submit(SimTime::ZERO, 1, 0, t(0, 1250));
+        f.submit(SimTime::ZERO, 1, 0, t(1, 1250));
+        f.register_link(1, 0, 20 * GBIT);
+        f.register_link(0, 1, 20 * GBIT);
+        let (_, _, changes) = f.complete(
+            SimTime::from_nanos(1_000),
+            1,
+            0,
+            SimDuration::ZERO,
+            SimDuration::ZERO,
+        );
+        // 10_000 bits at the new 20 Gbit/s.
+        assert_eq!(changes, [((1, 0), SimTime::from_nanos(1_500))]);
+        assert_eq!(f.head_rate_bps(1, 0), Some(20e9));
     }
 
     #[test]
@@ -776,8 +1003,7 @@ mod tests {
             let mut arrivals = Vec::new();
             let mut now = SimTime::ZERO;
             for i in 0..50u64 {
-                let changes = f.submit(now, 1, 0, t(i, 1250));
-                now = changes[0].1;
+                now = f.submit(now, 1, 0, t(i, 1250))[0].1;
                 let (_, arrival, _) = f.complete(
                     now,
                     1,
@@ -837,7 +1063,7 @@ mod tests {
         let bytes_each = 125_000u64; // 1_000_000 bits
         let mut pending: BTreeMap<FlowKey, SimTime> = BTreeMap::new();
         for c in 1..=n {
-            for (k, fin) in f.submit(SimTime::ZERO, c, 0, t(c as u64, bytes_each)) {
+            for &(k, fin) in f.submit(SimTime::ZERO, c, 0, t(c as u64, bytes_each)) {
                 pending.insert(k, fin);
             }
         }
@@ -848,7 +1074,7 @@ mod tests {
             pending.remove(&key);
             let (_, _, changes) =
                 f.complete(fin, key.0, key.1, SimDuration::ZERO, SimDuration::ZERO);
-            for (k, nf) in changes {
+            for &(k, nf) in changes {
                 pending.insert(k, nf);
             }
             done += 1;
