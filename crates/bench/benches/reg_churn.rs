@@ -14,7 +14,6 @@
 //! Each working set's result is written to
 //! `bench-results/reg_churn_<N>buf.json`.
 
-use std::io::Write as _;
 use std::path::Path;
 
 use exs::{MemPool, MemPoolConfig};
@@ -22,6 +21,7 @@ use exs_bench::quick;
 use rdma_verbs::profiles;
 use rdma_verbs::sim::SimNet;
 use rdma_verbs::types::Access;
+use simnet::json;
 
 const BUF_LEN: usize = 64 << 10;
 
@@ -100,13 +100,17 @@ fn main() {
             stats.pinned_peak / 1024,
         );
 
-        let json = format!(
-            "{{\"bench\":\"reg_churn\",\"working_set\":{n},\"buf_len\":{BUF_LEN},\
-             \"iters\":{iters},\"unpooled_ns\":{unpooled_ns},\"pooled_ns\":{pooled_ns},\
-             \"speedup\":{speedup:.2},\"pool\":{}}}",
-            stats.to_json()
-        );
-        match write_snapshot(&out_dir, &format!("reg_churn_{n}buf"), &json) {
+        let doc = |o: &mut json::Object<'_>| {
+            o.string("bench", "reg_churn");
+            o.uint("working_set", n as u64);
+            o.uint("buf_len", BUF_LEN as u64);
+            o.uint("iters", iters as u64);
+            o.uint("unpooled_ns", unpooled_ns);
+            o.uint("pooled_ns", pooled_ns);
+            o.float("speedup", speedup, 2);
+            o.object("pool", &stats);
+        };
+        match json::write_snapshot(&out_dir, &format!("reg_churn_{n}buf"), &doc) {
             Ok(path) => println!("         snapshot: {}", path.display()),
             Err(e) => eprintln!("         snapshot write failed: {e}"),
         }
@@ -127,13 +131,4 @@ fn main() {
     println!();
     println!("expected shape: unpooled cost grows linearly with churn; pooled cost is");
     println!("one cold pass plus near-free hits, so the gap widens with the working set.");
-}
-
-fn write_snapshot(dir: &Path, name: &str, json: &str) -> std::io::Result<std::path::PathBuf> {
-    std::fs::create_dir_all(dir)?;
-    let path = dir.join(format!("{name}.json"));
-    let mut f = std::fs::File::create(&path)?;
-    f.write_all(json.as_bytes())?;
-    f.write_all(b"\n")?;
-    Ok(path)
 }

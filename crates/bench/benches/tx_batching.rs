@@ -15,13 +15,13 @@
 //! stream digest; each size's result is written to
 //! `bench-results/tx_batching_<size>B.json`.
 
-use std::io::Write as _;
 use std::path::Path;
 
 use blast::{run_blast, BlastSpec, SizeDist, VerifyLevel};
 use exs::{ExsConfig, ProtocolMode};
 use exs_bench::quick;
 use rdma_verbs::profiles;
+use simnet::json;
 
 fn spec(size: u64, messages: usize, tx_batch_limit: usize) -> BlastSpec {
     BlastSpec {
@@ -96,17 +96,18 @@ fn main() {
             batched.sender.coalesced_msgs,
         );
 
-        let json = format!(
-            "{{\"bench\":\"tx_batching\",\"size\":{size},\"messages\":{messages},\
-             \"batched_mbps\":{:.3},\"unbatched_mbps\":{:.3},\"speedup\":{speedup:.3},\
-             \"digest\":{},\"batched_sender\":{},\"unbatched_sender\":{}}}",
-            batched.throughput_mbps(),
-            unbatched.throughput_mbps(),
-            batched.digest,
-            batched.sender.to_json(),
-            unbatched.sender.to_json(),
-        );
-        match write_snapshot(&out_dir, &format!("tx_batching_{size}B"), &json) {
+        let doc = |o: &mut json::Object<'_>| {
+            o.string("bench", "tx_batching");
+            o.uint("size", size);
+            o.uint("messages", messages as u64);
+            o.float("batched_mbps", batched.throughput_mbps(), 3);
+            o.float("unbatched_mbps", unbatched.throughput_mbps(), 3);
+            o.float("speedup", speedup, 3);
+            o.uint("digest", batched.digest);
+            o.object("batched_sender", &batched.sender);
+            o.object("unbatched_sender", &unbatched.sender);
+        };
+        match json::write_snapshot(&out_dir, &format!("tx_batching_{size}B"), &doc) {
             Ok(path) => println!("         snapshot: {}", path.display()),
             Err(e) => eprintln!("         snapshot write failed: {e}"),
         }
@@ -141,13 +142,4 @@ fn main() {
     println!();
     println!("expected shape: the gap is widest at the smallest sizes, where per-doorbell");
     println!("and per-CQE overheads dominate the wire time, and closes as payload grows.");
-}
-
-fn write_snapshot(dir: &Path, name: &str, json: &str) -> std::io::Result<std::path::PathBuf> {
-    std::fs::create_dir_all(dir)?;
-    let path = dir.join(format!("{name}.json"));
-    let mut f = std::fs::File::create(&path)?;
-    f.write_all(json.as_bytes())?;
-    f.write_all(b"\n")?;
-    Ok(path)
 }

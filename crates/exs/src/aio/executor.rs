@@ -962,11 +962,7 @@ impl SimShardDriver {
 
     /// Executor counters merged across shards.
     pub fn merged_stats(&self) -> AioStats {
-        let mut total = AioStats::default();
-        for ex in &self.shards {
-            total.merge(&ex.stats());
-        }
-        total
+        simnet::stats::merged(self.shards.iter().map(Executor::stats))
     }
 
     /// Per-shard executor counters, in shard order.

@@ -35,6 +35,7 @@ use crate::port::VerbsPort;
 use crate::reactor::{ConnId, Reactor, Readiness};
 use crate::stats::{ConnStats, ReactorStats, ShardStats};
 use rdma_verbs::CqId;
+use simnet::stats::merged;
 
 /// An endpoint hosted by a [`ReactorPool`]: which shard it lives on
 /// and its [`ConnId`] within that shard's reactor. The pair is the
@@ -54,13 +55,7 @@ pub struct ShardHandle {
 pub struct ReactorPool {
     shards: Vec<Reactor>,
     cfg: ShardConfig,
-    /// Next round-robin target; also the tie-breaker for LeastLoaded.
-    rr_next: usize,
-    /// Per-shard: connections ever routed here by the policy.
-    assigned: Vec<u64>,
-    /// Per-shard: LeastLoaded placements that deviated from the
-    /// round-robin successor.
-    steals: Vec<u64>,
+    placement: Placement,
     /// Reusable per-shard readiness buffer for `poll_all_into`.
     ready_buf: Vec<(ConnId, Readiness)>,
 }
@@ -77,13 +72,10 @@ impl ReactorPool {
             cfg.effective_shards(),
             "shard count must match the config"
         );
-        let n = shards.len();
         ReactorPool {
+            placement: Placement::new(cfg.policy, shards.len()),
             shards,
             cfg,
-            rr_next: 0,
-            assigned: vec![0; n],
-            steals: vec![0; n],
             ready_buf: Vec::new(),
         }
     }
@@ -117,8 +109,7 @@ impl ReactorPool {
 
     /// Live endpoints currently hosted on one shard.
     pub fn shard_conns(&self, shard: u32) -> u64 {
-        let s = self.shards[shard as usize].stats();
-        s.conns_added - s.conns_removed
+        self.shards[shard as usize].stats().live_conns()
     }
 
     /// Chooses the shard for the next accepted connection and charges
@@ -128,19 +119,9 @@ impl ReactorPool {
     /// [`ShardPolicy::Affinity`]; the other policies ignore it, and
     /// `Affinity` without a key degrades to round-robin.
     pub fn pick_shard(&mut self, affinity: Option<u64>) -> u32 {
-        let n = self.shards.len();
-        let rr = self.rr_next;
-        let (chosen, stole) = choose_shard(self.cfg.policy, rr, n, affinity, |s| {
-            self.shard_conns(s as u32)
-        });
-        if stole {
-            self.steals[chosen] += 1;
-        }
-        // The rotation advances on every pick regardless of policy, so
-        // tie-breaking and affinity fallback stay spread out.
-        self.rr_next = (rr + 1) % n;
-        self.assigned[chosen] += 1;
-        chosen as u32
+        let shards = &self.shards;
+        self.placement
+            .pick(affinity, |s| shards[s].stats().live_conns())
     }
 
     /// Registers an endpoint on the given shard (normally the one
@@ -209,83 +190,86 @@ impl ReactorPool {
     /// Event-loop counters merged across shards: counters sum, peaks
     /// take the max (see [`ReactorStats::merge`]).
     pub fn reactor_stats(&self) -> ReactorStats {
-        let mut total = ReactorStats::default();
-        for r in &self.shards {
-            total.merge(r.stats());
-        }
-        total
+        merged(self.shards.iter().map(Reactor::stats))
     }
 
     /// Protocol counters of every endpoint on every shard, merged.
     pub fn aggregate_conn_stats(&self) -> ConnStats {
-        let mut total = ConnStats::default();
-        for r in &self.shards {
-            total.merge(&r.aggregate_conn_stats());
-        }
-        total
+        merged(self.shards.iter().map(Reactor::aggregate_conn_stats))
     }
 
     /// Per-shard telemetry (placement, steals, poll/dispatch volume).
-    /// `busy_ns`/`wall_ns` stay zero here — only the thread backend's
-    /// service loops sample a wall clock (see
+    /// No `busy_ns`/`wall_ns` here — only the thread backend's service
+    /// loops sample a wall clock (see
     /// `ThreadReactorPool::shard_stats`).
     pub fn shard_stats(&self) -> Vec<ShardStats> {
-        self.shards
-            .iter()
-            .enumerate()
-            .map(|(s, r)| {
-                let rs = r.stats();
-                ShardStats {
-                    shard_id: s as u32,
-                    conns: rs.conns_added - rs.conns_removed,
-                    assigned: self.assigned[s],
-                    steals: self.steals[s],
-                    polls: rs.polls,
-                    cqes_dispatched: rs.cqes_dispatched,
-                    busy_ns: 0,
-                    wall_ns: 0,
-                }
-            })
+        (self.shards.iter().enumerate())
+            .map(|(s, r)| self.placement.row(s, r.stats()))
             .collect()
     }
 }
 
-/// Applies a [`ShardPolicy`] to one placement decision. `rr` is the
-/// current rotation cursor, `load` probes a shard's live connection
-/// count (consulted only by `LeastLoaded`). Returns `(chosen, stole)`
-/// where `stole` marks a `LeastLoaded` deviation from the round-robin
-/// successor. Shared by [`ReactorPool`] and the thread backend's
-/// `ThreadReactorPool`, so both backends place identically for the
-/// same inputs — the property the cross-backend identity tests lean
-/// on.
-pub fn choose_shard(
+/// Where a pool's accepted connections go: the [`ShardPolicy`], its
+/// rotation cursor and the per-shard placement counts. [`ReactorPool`]
+/// and the thread backend's `ThreadReactorPool` each hold one, so both
+/// backends place identically for the same inputs — the property the
+/// cross-backend identity tests lean on.
+pub struct Placement {
     policy: ShardPolicy,
-    rr: usize,
-    shards: usize,
-    affinity: Option<u64>,
-    load: impl Fn(usize) -> u64,
-) -> (usize, bool) {
-    match policy {
-        ShardPolicy::RoundRobin => (rr, false),
-        ShardPolicy::LeastLoaded => {
-            // Min live conns; ties break toward the round-robin
-            // successor so a fresh pool still spreads evenly.
-            let mut best = rr;
-            let mut best_load = load(rr);
-            for step in 1..shards {
-                let s = (rr + step) % shards;
-                let l = load(s);
-                if l < best_load {
-                    best = s;
-                    best_load = l;
-                }
-            }
-            (best, best != rr)
+    /// Next round-robin target; also the tie-breaker for LeastLoaded.
+    rr_next: usize,
+    /// Per shard: connections ever routed here.
+    assigned: Vec<u64>,
+    /// Per shard: LeastLoaded placements that deviated from the
+    /// round-robin successor.
+    steals: Vec<u64>,
+}
+
+impl Placement {
+    /// A fresh placement over `shards` shards.
+    pub fn new(policy: ShardPolicy, shards: usize) -> Placement {
+        Placement {
+            policy,
+            rr_next: 0,
+            assigned: vec![0; shards],
+            steals: vec![0; shards],
         }
-        ShardPolicy::Affinity => match affinity {
-            Some(key) => (ShardPolicy::affinity_shard(key, shards), false),
-            None => (rr, false),
-        },
+    }
+
+    /// Chooses the shard for the next connection and charges the
+    /// assignment to it. `load` probes a shard's live connection count
+    /// (consulted only by `LeastLoaded`); `affinity` feeds
+    /// [`ShardPolicy::Affinity`], which degrades to the rotation
+    /// without a key.
+    pub fn pick(&mut self, affinity: Option<u64>, load: impl Fn(usize) -> u64) -> u32 {
+        let shards = self.assigned.len();
+        let rr = self.rr_next;
+        let chosen = match (self.policy, affinity) {
+            (ShardPolicy::LeastLoaded, _) => {
+                // Min live conns; ties break toward the round-robin
+                // successor so a fresh pool still spreads evenly.
+                (0..shards)
+                    .map(|step| (rr + step) % shards)
+                    .min_by_key(|&s| load(s))
+                    .expect("a pool has at least one shard")
+            }
+            (ShardPolicy::Affinity, Some(key)) => ShardPolicy::affinity_shard(key, shards),
+            (ShardPolicy::RoundRobin | ShardPolicy::Affinity, _) => rr,
+        };
+        if self.policy == ShardPolicy::LeastLoaded && chosen != rr {
+            self.steals[chosen] += 1;
+        }
+        // The rotation advances on every pick regardless of policy, so
+        // tie-breaking and affinity fallback stay spread out.
+        self.rr_next = (rr + 1) % shards;
+        self.assigned[chosen] += 1;
+        chosen as u32
+    }
+
+    /// One shard's telemetry row: its placement counts beside its
+    /// reactor's counters.
+    pub fn row(&self, shard: usize, rs: &ReactorStats) -> ShardStats {
+        ShardStats::new(shard as u32, rs, self.assigned[shard], self.steals[shard])
     }
 }
 

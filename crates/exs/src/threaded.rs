@@ -45,9 +45,10 @@ use crate::mempool::{MemPool, MrLease};
 use crate::mux::MuxEndpoint;
 use crate::port::VerbsPort;
 use crate::reactor::{ConnId, Reactor, ReactorConfig, Readiness};
-use crate::shard::{choose_shard, ShardHandle};
+use crate::shard::{Placement, ShardHandle};
 use crate::stats::{ConnStats, PoolStats, ReactorStats, ShardStats};
 use crate::stream::{ExsEvent, StreamSocket};
+use simnet::stats::merged;
 
 /// [`VerbsPort`] implementation over a [`ThreadNet`] node.
 pub struct ThreadPort<'a> {
@@ -732,14 +733,6 @@ fn drain_reactor_unsent(
     }
 }
 
-/// Placement bookkeeping shared by all accept callers; touched only on
-/// the accept path, never while moving bytes.
-struct Placement {
-    rr_next: usize,
-    assigned: Vec<u64>,
-    steals: Vec<u64>,
-}
-
 /// [`Reactor`]s hosted on one node of the real-thread fabric — the
 /// thread backend's one serving front-end.
 ///
@@ -770,7 +763,8 @@ pub struct ThreadReactorPool {
     node: Arc<ThreadNode>,
     shards: Vec<Arc<Shard>>,
     services: Vec<std::thread::JoinHandle<()>>,
-    policy: crate::config::ShardPolicy,
+    /// Shared by all accept callers; touched only on the accept path,
+    /// never while moving bytes.
     placement: Mutex<Placement>,
     /// Pin-down cache for server-side buffers on the pool's node.
     pool: MemPool,
@@ -818,12 +812,7 @@ impl ThreadReactorPool {
             node,
             shards,
             services,
-            policy: exs_cfg.shard.policy,
-            placement: Mutex::new(Placement {
-                rr_next: 0,
-                assigned: vec![0; nshards],
-                steals: vec![0; nshards],
-            }),
+            placement: Mutex::new(Placement::new(exs_cfg.shard.policy, nshards)),
             pool: MemPool::new(exs_cfg.pool.clone()),
             client_pools: Mutex::new(HashMap::new()),
             next_id: AtomicU64::new(1),
@@ -840,24 +829,9 @@ impl ThreadReactorPool {
         self.shards.len()
     }
 
-    fn live_conns(&self, shard: usize) -> u64 {
-        let reactor = self.shards[shard].reactor.lock();
-        let st = reactor.stats();
-        st.conns_added - st.conns_removed
-    }
-
     fn pick_shard(&self, affinity: Option<u64>) -> u32 {
-        let mut placement = self.placement.lock();
-        let rr = placement.rr_next;
-        let (shard, stolen) = choose_shard(self.policy, rr, self.shards.len(), affinity, |s| {
-            self.live_conns(s)
-        });
-        placement.rr_next = (rr + 1) % self.shards.len();
-        placement.assigned[shard] += 1;
-        if stolen {
-            placement.steals[shard] += 1;
-        }
-        shard as u32
+        let load = |s: usize| self.shards[s].reactor.lock().stats().live_conns();
+        self.placement.lock().pick(affinity, load)
     }
 
     /// Accepts a new connection from `peer`, placing it by the pool's
@@ -1007,31 +981,24 @@ impl ThreadReactorPool {
     /// Sum of all accepted connections' protocol counters, across every
     /// shard.
     pub fn aggregate_stats(&self) -> ConnStats {
-        let mut total = ConnStats::default();
-        for rt in &self.shards {
-            total.merge(&rt.reactor.lock().aggregate_conn_stats());
-        }
-        total
+        merged((self.shards.iter()).map(|rt| rt.reactor.lock().aggregate_conn_stats()))
     }
 
     /// Event-loop statistics merged across shards: counters sum, peaks
     /// take the max.
     pub fn reactor_stats(&self) -> ReactorStats {
-        let mut total = ReactorStats::default();
-        for rt in &self.shards {
-            total.merge(rt.reactor.lock().stats());
-        }
-        total
+        merged((self.shards.iter()).map(|rt| rt.reactor.lock().stats().clone()))
     }
 
     /// Aggregated pool counters: the pool node's buffer pool merged
     /// with every per-client-node pool created by accepts.
     pub fn pool_stats(&self) -> PoolStats {
-        let mut total = self.pool.stats();
-        for pool in self.client_pools.lock().values() {
-            total.merge(&pool.stats());
-        }
-        total
+        let clients = self.client_pools.lock();
+        merged(
+            std::iter::once(&self.pool)
+                .chain(clients.values())
+                .map(MemPool::stats),
+        )
     }
 
     /// Per-shard telemetry snapshot: live connections, poll/dispatch
@@ -1042,18 +1009,10 @@ impl ThreadReactorPool {
         self.shards
             .iter()
             .enumerate()
-            .map(|(i, rt)| {
-                let st = rt.reactor.lock().stats().clone();
-                ShardStats {
-                    shard_id: i as u32,
-                    conns: st.conns_added - st.conns_removed,
-                    assigned: placement.assigned[i],
-                    steals: placement.steals[i],
-                    polls: st.polls,
-                    cqes_dispatched: st.cqes_dispatched,
-                    busy_ns: rt.busy_ns.load(Ordering::Relaxed),
-                    wall_ns: rt.wall_ns.load(Ordering::Relaxed),
-                }
+            .map(|(i, rt)| ShardStats {
+                busy_ns: rt.busy_ns.load(Ordering::Relaxed),
+                wall_ns: rt.wall_ns.load(Ordering::Relaxed),
+                ..placement.row(i, rt.reactor.lock().stats())
             })
             .collect()
     }

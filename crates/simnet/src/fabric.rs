@@ -680,87 +680,50 @@ pub fn jain_index(rates: &[f64]) -> f64 {
     sum * sum / (rates.len() as f64 * sq)
 }
 
-/// One flow's telemetry.
-#[derive(Clone, Debug)]
-pub struct FlowStats {
-    /// Source node.
-    pub src: u32,
-    /// Destination node.
-    pub dst: u32,
-    /// Completed payload bytes.
-    pub bytes: u64,
-    /// Completed transfers.
-    pub transfers: u64,
-    /// Times an in-progress transfer re-sped because another flow
-    /// arrived or left.
-    pub respeeds: u64,
-    /// Nanoseconds the flow had a transfer in progress.
-    pub active_ns: u64,
-    /// Payload throughput while active, bits per second.
-    pub achieved_bps: f64,
-}
-
-impl FlowStats {
-    /// Achieved payload rate in Mbit/s.
-    pub fn achieved_mbps(&self) -> f64 {
-        self.achieved_bps / 1e6
+crate::stats! {
+    /// One flow's telemetry.
+    #[derive(Clone, Debug)]
+    pub struct FlowStats {
+        /// Source node.
+        val src: u32,
+        /// Destination node.
+        val dst: u32,
+        /// Completed payload bytes.
+        val bytes: u64,
+        /// Completed transfers.
+        val transfers: u64,
+        /// Times an in-progress transfer re-sped because another flow
+        /// arrived or left.
+        val respeeds: u64,
+        /// Nanoseconds the flow had a transfer in progress.
+        val active_ns: u64,
+        /// Payload throughput while active, bits per second.
+        val achieved_bps: f64 [hidden],
+        /// Achieved payload rate in Mbit/s.
+        ratio achieved_mbps = achieved_bps / 1e6 [3],
     }
 }
 
-/// Whole-fabric telemetry snapshot.
-#[derive(Clone, Debug)]
-pub struct FabricStats {
-    /// Model name (`"fair_share"`).
-    pub model: &'static str,
-    /// Configured core oversubscription factor.
-    pub oversubscription: f64,
-    /// Configured jitter-RNG seed.
-    pub seed: u64,
-    /// Global re-speed count.
-    pub respeeds: u64,
-    /// Times the max-min allocation was computed: once per change of
-    /// the set of active flows, not once per transfer.
-    pub allocator_runs: u64,
-    /// Jain fairness index over per-flow achieved rates (flows that
-    /// moved at least one byte).
-    pub jain_index: f64,
-    /// Per-flow telemetry, ordered by `(src, dst)`.
-    pub flows: Vec<FlowStats>,
-}
-
-impl FabricStats {
-    /// Serializes the snapshot as a JSON object (dependency-free, in
-    /// the style of the stats types downstream).
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(128 + self.flows.len() * 96);
-        out.push_str(&format!(
-            "{{\"model\":\"{}\",\"oversubscription\":{:.3},\"seed\":{},\
-             \"respeeds\":{},\"allocator_runs\":{},\"jain_index\":{:.6},\"flows\":[",
-            self.model,
-            self.oversubscription,
-            self.seed,
-            self.respeeds,
-            self.allocator_runs,
-            self.jain_index,
-        ));
-        for (i, f) in self.flows.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"src\":{},\"dst\":{},\"bytes\":{},\"transfers\":{},\
-                 \"respeeds\":{},\"active_ns\":{},\"achieved_mbps\":{:.3}}}",
-                f.src,
-                f.dst,
-                f.bytes,
-                f.transfers,
-                f.respeeds,
-                f.active_ns,
-                f.achieved_mbps(),
-            ));
-        }
-        out.push_str("]}");
-        out
+crate::stats! {
+    /// Whole-fabric telemetry snapshot.
+    #[derive(Clone, Debug)]
+    pub struct FabricStats {
+        /// Model name (`"fair_share"`).
+        val model: &'static str,
+        /// Configured core oversubscription factor.
+        val oversubscription: f64 [3],
+        /// Configured jitter-RNG seed.
+        val seed: u64,
+        /// Global re-speed count.
+        val respeeds: u64,
+        /// Times the max-min allocation was computed: once per change of
+        /// the set of active flows, not once per transfer.
+        val allocator_runs: u64,
+        /// Jain fairness index over per-flow achieved rates (flows that
+        /// moved at least one byte).
+        val jain_index: f64 [6],
+        /// Per-flow telemetry, ordered by `(src, dst)`.
+        val flows: Vec<FlowStats>,
     }
 }
 
@@ -1034,7 +997,56 @@ mod tests {
     }
 
     #[test]
-    fn stats_json_shape() {
+    fn stats_json_follows_the_declarations() {
+        use crate::stats::check;
+        // (c) one populated snapshot, byte for byte what the
+        // hand-written writer printed before `stats!` replaced it.
+        let s = FabricStats {
+            model: "fair_share",
+            oversubscription: 1.5,
+            seed: 9,
+            respeeds: 4,
+            allocator_runs: 6,
+            jain_index: 0.987654321,
+            flows: vec![
+                FlowStats {
+                    src: 1,
+                    dst: 0,
+                    bytes: 1250,
+                    transfers: 1,
+                    respeeds: 2,
+                    active_ns: 1000,
+                    achieved_bps: 1e10,
+                },
+                FlowStats {
+                    src: 2,
+                    dst: 0,
+                    bytes: 0,
+                    transfers: 0,
+                    respeeds: 0,
+                    active_ns: 0,
+                    achieved_bps: 0.0,
+                },
+            ],
+        };
+        let j = s.to_json();
+        assert_eq!(
+            j,
+            "{\"model\":\"fair_share\",\"oversubscription\":1.500,\"seed\":9,\"respeeds\":4,\
+             \"allocator_runs\":6,\"jain_index\":0.987654,\"flows\":[\
+             {\"src\":1,\"dst\":0,\"bytes\":1250,\"transfers\":1,\"respeeds\":2,\
+             \"active_ns\":1000,\"achieved_mbps\":10000.000},\
+             {\"src\":2,\"dst\":0,\"bytes\":0,\"transfers\":0,\"respeeds\":0,\
+             \"active_ns\":0,\"achieved_mbps\":0.000}]}"
+        );
+        // (b) every declared key once, in declaration order.
+        check::json_follows_declaration::<FabricStats>(&j, true);
+        for flow in &s.flows {
+            check::json_follows_declaration::<FlowStats>(&flow.to_json(), true);
+        }
+
+        // And a snapshot the fabric itself produced: 1250 bytes in
+        // 1000 ns of active time = 10 Gbit/s.
         let mut f = star(2, 10 * GBIT, FairShareConfig::new(9));
         f.submit(SimTime::ZERO, 1, 0, t(0, 1250));
         f.complete(
@@ -1044,14 +1056,10 @@ mod tests {
             SimDuration::ZERO,
             SimDuration::ZERO,
         );
-        let s = f.stats();
-        let j = s.to_json();
-        assert!(j.starts_with('{') && j.ends_with('}'));
-        assert!(j.contains("\"model\":\"fair_share\""));
-        assert!(j.contains("\"seed\":9"));
-        assert!(j.contains("\"flows\":[{\"src\":1,\"dst\":0,\"bytes\":1250"));
-        // 1250 bytes in 1000 ns of active time = 10 Gbit/s.
-        assert!(j.contains("\"achieved_mbps\":10000.000"));
+        let live = f.stats();
+        assert_eq!((live.model, live.seed), ("fair_share", 9));
+        assert_eq!(live.flows[0].achieved_mbps(), 10_000.0);
+        check::json_follows_declaration::<FabricStats>(&live.to_json(), true);
     }
 
     #[test]

@@ -9,6 +9,9 @@
 //! * the two id → state tables the layers above share: [`slab::Slab`]
 //!   (the id *is* the index) and [`intmap::IntMap`] (caller-chosen
 //!   integer ids, cheaply hashed),
+//! * the one way the layers above declare and print counters:
+//!   [`stats!`] (field, merge rule and JSON key from one table) and the
+//!   [`json`] writer every snapshot goes through,
 //! * a point-to-point link model ([`link::Link`]) with configurable
 //!   bandwidth, propagation delay and jitter, preserving strict FIFO
 //!   delivery (the ordering guarantee of an RDMA reliable-connected
@@ -35,9 +38,11 @@
 pub mod event;
 pub mod fabric;
 pub mod intmap;
+pub mod json;
 pub mod link;
 pub mod rng;
 pub mod slab;
+pub mod stats;
 pub mod time;
 pub mod trace;
 
