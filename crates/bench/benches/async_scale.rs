@@ -27,7 +27,7 @@ use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Instant;
 
-use blast::fan_in::{expected_digest, payload_byte, FNV_OFFSET};
+use blast::fan_in::{expected_digest, fnv1a, payload_byte, FNV_OFFSET};
 use blast::{run_fan_in, FanInSpec, VerifyLevel};
 use exs::threaded::connect_sockets_shared;
 use exs::{Executor, ExsConfig, ExsError, Reactor, ReactorConfig};
@@ -50,14 +50,6 @@ fn spec_for(conns: usize, aio: bool) -> FanInSpec {
         seed: SEED,
         ..FanInSpec::new(profiles::fdr_infiniband(), conns)
     }
-}
-
-fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
 }
 
 /// 10k tasks on one real service thread: N streams spread over a few

@@ -33,7 +33,7 @@ use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Instant;
 
-use blast::fan_in::{expected_digest, payload_byte, FNV_OFFSET};
+use blast::fan_in::{expected_digest, fnv1a, payload_byte, FNV_OFFSET};
 use blast::{run_fan_in, FanInSpec, VerifyLevel};
 use exs::threaded::connect_sockets_shared;
 use exs::{Executor, ExsConfig, ExsError, Reactor, ReactorConfig, ShardBalance};
@@ -57,14 +57,6 @@ fn spec_for(conns: usize, shards: usize) -> FanInSpec {
         seed: SEED,
         ..FanInSpec::new(profiles::fdr_infiniband(), conns)
     }
-}
-
-fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
 }
 
 /// The threaded fan-in, sharded: one executor service thread per

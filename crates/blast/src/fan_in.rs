@@ -22,9 +22,9 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use exs::{
-    connect_mux_pair, AioStats, ConnStats, DirectPolicy, Endpoint, Executor, ExsConfig, ExsError,
-    MemPool, MemPoolConfig, MrLease, MuxEndpoint, MuxEvent, PoolStats, Reactor, ReactorConfig,
-    ReactorPool, ReactorStats, ShardBalance, ShardConfig, ShardHandle, ShardPolicy, ShardStats,
+    connect_mux_pair, AioStats, ConnId, ConnStats, DirectPolicy, Endpoint, Executor, ExsConfig,
+    ExsError, MemPool, MemPoolConfig, MrLease, MuxEndpoint, MuxEvent, Placement, PoolStats,
+    Reactor, ReactorConfig, ReactorStats, ShardBalance, ShardHandle, ShardPolicy, ShardStats,
     SimShardDriver, StreamSocket,
 };
 use rdma_verbs::{
@@ -143,8 +143,8 @@ pub struct FanInSpec {
     /// are always pool leases).
     pub aio: bool,
     /// Reactor shards at the server (0/1 ⇒ one reactor, the classic
-    /// single-loop server). With N > 1 the server runs a
-    /// [`ReactorPool`]: each shard gets its own CQ pair, endpoints (a
+    /// single-loop server). With N > 1 the server runs one [`Reactor`]
+    /// per shard: each shard gets its own CQ pair, endpoints (a
     /// connection's socket; in `mux` mode a client node's whole pooled
     /// endpoint) are routed once at accept by `shard_policy`, and the
     /// sim driver interleaves the shards deterministically — delivered
@@ -205,13 +205,6 @@ impl FanInSpec {
 
     fn effective_shards(&self) -> usize {
         self.shards.max(1)
-    }
-
-    fn shard_cfg(&self) -> ShardConfig {
-        ShardConfig {
-            shards: self.effective_shards(),
-            policy: self.shard_policy,
-        }
     }
 }
 
@@ -696,12 +689,12 @@ struct Host {
 
 /// The callback server: everything it accepted — private-QP sockets,
 /// or in mux mode one [`MuxEndpoint`] per client node — multiplexed
-/// through a [`ReactorPool`] (one shard ⇒ the classic single reactor
-/// over shared CQs) and serviced to quiescence on each wake. The sim
-/// driver interleaves the shards in shard order, so a sharded run is
+/// through one [`Reactor`] per shard (one shard ⇒ the classic single
+/// reactor over shared CQs) and serviced to quiescence on each wake.
+/// The shards are interleaved in shard order, so a sharded run is
 /// exactly as deterministic as a single-loop run.
 struct ReactorServer<'a> {
-    pool: ReactorPool,
+    shards: Vec<Reactor>,
     hosts: &'a [Host],
     /// Index in `hosts`, by shard and then by slot in the shard's
     /// reactor.
@@ -710,8 +703,9 @@ struct ReactorServer<'a> {
     /// ends, so a pooled endpoint retires the stream's state
     /// ([`FanInSpec::mux`]); a private-QP socket's stays open.
     close_on_eof: bool,
-    /// Reusable readiness and event buffers for the service loop.
-    ready: Vec<(ShardHandle, exs::Readiness)>,
+    /// Reusable readiness (one buffer per shard) and event buffers for
+    /// the service loop.
+    ready: Vec<Vec<(ConnId, exs::Readiness)>>,
     events: Vec<MuxEvent>,
     cycle: RecvCycle,
     finished_at: Option<SimTime>,
@@ -724,7 +718,7 @@ impl ReactorServer<'_> {
     /// (progress).
     fn handle_host(&mut self, api: &mut NodeApi<'_>, hi: usize) -> bool {
         let ReactorServer {
-            pool,
+            shards,
             hosts,
             cycle,
             close_on_eof,
@@ -732,7 +726,7 @@ impl ReactorServer<'_> {
             ..
         } = self;
         let host = &hosts[hi];
-        let ep = pool.shard_mut(host.at.shard).conn_mut(host.at.conn);
+        let ep = shards[host.at.shard as usize].conn_mut(host.at.conn);
         ep.take_events_into(events);
         let mut progressed = !events.is_empty();
         for ev in events.drain(..) {
@@ -771,18 +765,24 @@ impl ReactorServer<'_> {
     fn service(&mut self, api: &mut NodeApi<'_>) {
         let mut ready = std::mem::take(&mut self.ready);
         loop {
-            self.pool.poll_all_into(api, &mut ready);
+            // Service order is behaviour: every shard is polled, in
+            // shard order, before anything ready is handled.
+            for (reactor, ready) in self.shards.iter_mut().zip(&mut ready) {
+                reactor.poll_into(api, ready);
+            }
             let mut progressed = false;
-            for &(h, r) in ready.iter() {
-                if r.readable || r.closed || r.error {
-                    let hi = self.host_of[h.shard as usize][h.conn.0 as usize];
-                    progressed |= self.handle_host(api, hi);
+            for (shard, ready) in ready.iter().enumerate() {
+                for &(conn, r) in ready {
+                    if r.readable || r.closed || r.error {
+                        let hi = self.host_of[shard][conn.0 as usize];
+                        progressed |= self.handle_host(api, hi);
+                    }
                 }
             }
             if self.finished_at.is_none() && self.cycle.is_done() {
                 self.finished_at = Some(api.now());
             }
-            if !progressed && !self.pool.has_backlog() {
+            if !progressed && !self.shards.iter().any(Reactor::has_backlog) {
                 break;
             }
         }
@@ -868,7 +868,7 @@ impl Server<'_> {
 
     fn with_shard<R>(&mut self, shard: u32, f: impl FnOnce(&mut Reactor) -> R) -> R {
         match self {
-            Server::Callback(s) => f(s.pool.shard_mut(shard)),
+            Server::Callback(s) => f(&mut s.shards[shard as usize]),
             Server::Aio(s) => s.drv.executor(shard as usize).with_reactor(f),
         }
     }
@@ -956,7 +956,7 @@ pub fn run_fan_in(spec: &FanInSpec) -> FanInReport {
     } else {
         spec.cfg.cq_depth(spec.conns)
     };
-    let reactors: Vec<Reactor> = (0..spec.effective_shards())
+    let mut shards: Vec<Reactor> = (0..spec.effective_shards())
         .map(|_| {
             let (send_cq, recv_cq) = net.with_api(server_node, |api| {
                 (api.create_cq(cq_depth), api.create_cq(cq_depth))
@@ -964,7 +964,19 @@ pub fn run_fan_in(spec: &FanInSpec) -> FanInReport {
             Reactor::new(send_cq, recv_cq, spec.reactor)
         })
         .collect();
-    let mut pool = ReactorPool::new(reactors, spec.shard_cfg());
+    // Placement happens once, before the endpoint exists: the choice
+    // binds it to the shard's CQ pair. The affinity key is the client
+    // node.
+    let mut placement = Placement::new(spec.shard_policy, shards.len());
+    let mut pick = |shards: &[Reactor], cnode: NodeId| {
+        let shard = placement.pick(Some(cnode.0 as u64), |s| shards[s].stats().live_conns());
+        let reactor = &shards[shard as usize];
+        (shard, reactor.send_cq(), reactor.recv_cq())
+    };
+    let accept = |shards: &mut [Reactor], shard: u32, ep: Endpoint| ShardHandle {
+        shard,
+        conn: shards[shard as usize].accept(ep),
+    };
 
     // One pool per node in pooled mode: each client node's connections
     // share a pin-down cache, as does the callback server behind the
@@ -996,8 +1008,7 @@ pub fn run_fan_in(spec: &FanInSpec) -> FanInReport {
     if spec.mux {
         for (c, &cnode) in clients.iter_mut().zip(&client_nodes) {
             c.links.push(MuxEndpoint::new(cnode, &spec.cfg).into());
-            let shard = pool.pick_shard(Some(cnode.0 as u64));
-            let (send_cq, recv_cq) = pool.shard_cqs(shard);
+            let (shard, send_cq, recv_cq) = pick(&shards, cnode);
             let mut ep = MuxEndpoint::new(server_node, &spec.cfg);
             ep.set_cqs(send_cq, recv_cq);
             server_eps.push((shard, ep));
@@ -1018,8 +1029,7 @@ pub fn run_fan_in(spec: &FanInSpec) -> FanInReport {
             }
             (0, idx as u32)
         } else {
-            let shard = pool.pick_shard(Some(cnode.0 as u64));
-            let (send_cq, recv_cq) = pool.shard_cqs(shard);
+            let (shard, send_cq, recv_cq) = pick(&shards, cnode);
             let (csock, ssock) = StreamSocket::pair_shared(
                 &mut net,
                 cnode,
@@ -1029,7 +1039,7 @@ pub fn run_fan_in(spec: &FanInSpec) -> FanInReport {
                 &spec.cfg,
             );
             hosts.push(Host {
-                at: pool.accept_on(shard, ssock),
+                at: accept(&mut shards, shard, ssock.into()),
                 first: idx,
                 carried: (idx..idx + 1).step_by(1),
             });
@@ -1085,7 +1095,7 @@ pub fn run_fan_in(spec: &FanInSpec) -> FanInReport {
         // every pool transport up (streams retire as they close).
         mux_footprint += sep.memory_footprint();
         hosts.push(Host {
-            at: pool.accept_on(shard, sep),
+            at: accept(&mut shards, shard, sep.into()),
             first: 0,
             carried: (ci..spec.conns).step_by(nclients),
         });
@@ -1093,7 +1103,9 @@ pub fn run_fan_in(spec: &FanInSpec) -> FanInReport {
 
     // Placement is final; the poll/dispatch columns are filled in from
     // the reactors after the run.
-    let mut shard_stats = pool.shard_stats();
+    let mut shard_stats: Vec<ShardStats> = (shards.iter().enumerate())
+        .map(|(s, r)| placement.row(s, r.stats()))
+        .collect();
     let delivered = Delivered::new(spec);
     let mut server = if spec.aio {
         // Each shard's executor pool carries its streams' readahead
@@ -1107,7 +1119,7 @@ pub fn run_fan_in(spec: &FanInSpec) -> FanInReport {
         // async slowdown.
         let class = (recv_len as u64).next_power_of_two().max(4096);
         let mut executors = Vec::with_capacity(shard_stats.len());
-        for (shard, reactor) in pool.into_shards().into_iter().enumerate() {
+        for (shard, reactor) in shards.into_iter().enumerate() {
             let streams: usize = hosts
                 .iter()
                 .filter(|h| h.at.shard as usize == shard)
@@ -1163,11 +1175,11 @@ pub fn run_fan_in(spec: &FanInSpec) -> FanInReport {
             place(&mut host_of, h.at.shard as usize, h.at.conn.0 as usize, hi);
         }
         Server::Callback(Box::new(ReactorServer {
-            pool,
+            ready: vec![Vec::new(); shards.len()],
+            shards,
             host_of,
             hosts: &hosts,
             close_on_eof: spec.mux,
-            ready: Vec::new(),
             events: Vec::new(),
             cycle: RecvCycle {
                 mrs: server_mrs,

@@ -8,7 +8,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use blast::fan_in::{expected_digest, payload_byte, FNV_OFFSET};
+use blast::fan_in::{expected_digest, fnv1a, payload_byte, FNV_OFFSET};
 use blast::{run_fan_in, FanInSpec, VerifyLevel};
 use exs::{ExsConfig, ShardConfig, ShardPolicy, ThreadPort, ThreadReactorPool, VerbsPort};
 use rdma_verbs::{profiles, Access, HcaConfig, ThreadNet};
@@ -129,14 +129,6 @@ fn placement_policies_deliver_identical_bytes() {
     // each shard hosts exactly one node's connections.
     let affinity = run_fan_in(&spec(4, ShardPolicy::Affinity, false));
     assert_eq!(affinity.digests, rr.digests);
-}
-
-fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
 }
 
 /// The real-thread backend behind a 4-shard `ThreadReactorPool`

@@ -801,11 +801,6 @@ impl Executor {
         inner.outstanding == 0 && !inner.reactor.has_unsent()
     }
 
-    /// Tasks spawned and not yet complete.
-    pub fn tasks_outstanding(&self) -> usize {
-        self.inner.borrow().outstanding
-    }
-
     /// Executor counters, with the waker-side wake count folded in.
     pub fn stats(&self) -> AioStats {
         let mut stats = self.inner.borrow().stats.clone();

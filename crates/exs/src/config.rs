@@ -192,8 +192,8 @@ impl MuxConfig {
 }
 
 /// How accepted connections (and mux endpoints) are assigned to the
-/// shards of a sharded reactor ([`crate::shard::ReactorPool`],
-/// [`crate::threaded::ThreadReactorPool`]).
+/// shards of a sharded server ([`crate::shard::Placement`] applies it
+/// on both backends).
 ///
 /// Assignment happens exactly once, at accept time; per-connection
 /// state then stays shard-local for the connection's whole life, so

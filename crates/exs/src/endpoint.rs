@@ -10,9 +10,8 @@
 //!   stream id the application opens on it.
 //!
 //! This module is the only code that tells the two apart. Everything
-//! above it — [`crate::Reactor`], [`crate::ReactorPool`], the aio
-//! executor, the fan-in harness — addresses a stream as `(endpoint,
-//! stream id)`, posts through [`Endpoint::send`] / [`Endpoint::recv`] /
+//! above it — [`crate::Reactor`], the aio executor, the fan-in harness —
+//! addresses a stream as `(endpoint, stream id)`, posts through [`Endpoint::send`] / [`Endpoint::recv`] /
 //! [`Endpoint::shutdown`] and consumes one stream-tagged event type,
 //! [`MuxEvent`] (a socket's `PeerClosed` is `StreamClosed { stream: 0 }`,
 //! its `ConnectionError` is `TransportError { slot: 0 }`). What only one

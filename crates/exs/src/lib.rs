@@ -85,7 +85,7 @@ pub use port::{CqPressure, VerbsPort};
 pub use reactor::{ConnId, Reactor, ReactorConfig, Readiness};
 pub use seq::Seq;
 pub use seqpacket::{SeqPacketEvent, SeqPacketSocket};
-pub use shard::{ReactorPool, ShardBalance, ShardHandle};
+pub use shard::{Placement, ShardBalance, ShardHandle};
 pub use stats::{AioStats, ConnStats, PoolStats, ReactorStats, ShardStats};
 pub use stream::{ExsEvent, StreamSocket};
 pub use threaded::{ThreadPort, ThreadReactorPool, ThreadStream};

@@ -166,11 +166,6 @@ impl SeqPacketSocket {
         &self.stats
     }
 
-    /// Queued ADVERTs from the peer (receive buffers ready for us).
-    pub fn adverts_available(&self) -> usize {
-        self.adverts.len()
-    }
-
     /// Releases the socket's control-slot registration — full-socket
     /// close (`exs_close`); idempotent. Message mode registers no ring
     /// and no staging, so the control slots are its only registration.

@@ -1,45 +1,44 @@
-//! Sharded reactor: N independent [`Reactor`]s behind one assignment
-//! policy, so event-loop throughput scales with cores instead of
-//! saturating a single service loop.
+//! Sharding: N independent [`Reactor`](crate::Reactor)s behind one
+//! assignment policy, so event-loop throughput scales with cores instead
+//! of saturating a single service loop.
 //!
 //! The paper's stream semantics are per-connection-independent — no
 //! protocol state is shared between two EXS streams — which makes
 //! horizontal scaling structurally simple: give each shard its own CQ
 //! pair and its own reactor, route every accepted connection to exactly
-//! one shard, and never look across the boundary again. The invariants
-//! the design holds:
+//! one shard, and never look across the boundary again. A sharded server
+//! therefore *is* a `Vec<Reactor>` and a [`Placement`]; there is no pool
+//! type on the simulator (the fan-in harness and `proptest_shard.rs`
+//! hold the two directly), and the invariants are:
 //!
-//! * **Assignment happens once, at accept time.** [`ReactorPool::pick_shard`]
-//!   applies the configured [`ShardPolicy`] and the connection's CQs,
+//! * **Assignment happens once, at accept time.** [`Placement::pick`]
+//!   applies the configured [`ShardPolicy`] *before* the endpoint is
+//!   created, because the choice binds it to the shard's CQ pair; its
 //!   socket state and event queues live on that shard until close.
 //! * **No cross-shard locks.** A shard's poll loop touches only its
 //!   own reactor; posting on or closing a connection takes only its
 //!   owning shard's lock. The only cross-shard step is placement at
 //!   accept — see [`crate::threaded::ThreadReactorPool`] for the
 //!   thread backend.
-//! * **Stats merge sums.** [`ReactorPool::reactor_stats`] and
-//!   [`ReactorPool::aggregate_conn_stats`] sum counters across shards
-//!   (peaks take the max), mirroring the `ConnStats::merge` fix that
-//!   the fabric telemetry forced; per-shard [`ShardStats`] ride along
-//!   so imbalance stays visible.
+//! * **Stats merge sums.** `simnet::stats::merged` over the shards'
+//!   [`ReactorStats`] sums counters (peaks take the max); per-shard
+//!   [`ShardStats`] rows ([`Placement::row`]) ride along so imbalance
+//!   stays visible.
 //!
-//! On the simulator the pool is driven by one deterministic caller
-//! ([`ReactorPool::poll_all_into`] interleaves the shards in shard
-//! order); on the thread backend each shard gets its own service
-//! thread. Both produce byte-identical streams for the same workload —
-//! enforced by the `shard_identity` tests.
+//! On the simulator one deterministic caller polls every shard in shard
+//! order and then handles what is ready in that order; on the thread
+//! backend each shard gets its own service thread. Both produce
+//! byte-identical streams for the same workload — enforced by the
+//! `shard_identity` tests.
 
-use crate::config::{ShardConfig, ShardPolicy};
-use crate::endpoint::Endpoint;
-use crate::port::VerbsPort;
-use crate::reactor::{ConnId, Reactor, Readiness};
-use crate::stats::{ConnStats, ReactorStats, ShardStats};
-use rdma_verbs::CqId;
-use simnet::stats::merged;
+use crate::config::ShardPolicy;
+use crate::reactor::ConnId;
+use crate::stats::{ReactorStats, ShardStats};
 
-/// An endpoint hosted by a [`ReactorPool`]: which shard it lives on
-/// and its [`ConnId`] within that shard's reactor. The pair is the
-/// pool-wide identity; bare `ConnId`s are only meaningful shard-locally.
+/// An endpoint hosted by a sharded server: which shard it lives on and
+/// its [`ConnId`] within that shard's reactor. The pair is the
+/// server-wide identity; bare `ConnId`s are only meaningful
+/// shard-locally.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct ShardHandle {
     /// Owning shard (0-based).
@@ -48,172 +47,11 @@ pub struct ShardHandle {
     pub conn: ConnId,
 }
 
-/// N reactors behind one assignment policy. Backend-agnostic: the
-/// caller creates each shard's reactor over its own CQ pair (CQ
-/// creation is a backend operation), the pool owns placement and
-/// aggregation. See the module docs for the invariants.
-pub struct ReactorPool {
-    shards: Vec<Reactor>,
-    cfg: ShardConfig,
-    placement: Placement,
-    /// Reusable per-shard readiness buffer for `poll_all_into`.
-    ready_buf: Vec<(ConnId, Readiness)>,
-}
-
-impl ReactorPool {
-    /// Builds a pool over pre-constructed shard reactors (one per CQ
-    /// pair). Panics if `shards` is empty or disagrees with
-    /// `cfg.effective_shards()` — a mismatch means the caller sized the
-    /// CQs for a different pool than it configured.
-    pub fn new(shards: Vec<Reactor>, cfg: ShardConfig) -> ReactorPool {
-        assert!(!shards.is_empty(), "a pool needs at least one shard");
-        assert_eq!(
-            shards.len(),
-            cfg.effective_shards(),
-            "shard count must match the config"
-        );
-        ReactorPool {
-            placement: Placement::new(cfg.policy, shards.len()),
-            shards,
-            cfg,
-            ready_buf: Vec::new(),
-        }
-    }
-
-    /// Number of shards.
-    pub fn shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The pool's shard configuration.
-    pub fn config(&self) -> &ShardConfig {
-        &self.cfg
-    }
-
-    /// One shard's reactor.
-    pub fn shard(&self, shard: u32) -> &Reactor {
-        &self.shards[shard as usize]
-    }
-
-    /// One shard's reactor, mutably (accept sockets, take events).
-    pub fn shard_mut(&mut self, shard: u32) -> &mut Reactor {
-        &mut self.shards[shard as usize]
-    }
-
-    /// The CQ pair `(send, recv)` a socket must be created on to land
-    /// on the given shard.
-    pub fn shard_cqs(&self, shard: u32) -> (CqId, CqId) {
-        let r = &self.shards[shard as usize];
-        (r.send_cq(), r.recv_cq())
-    }
-
-    /// Live endpoints currently hosted on one shard.
-    pub fn shard_conns(&self, shard: u32) -> u64 {
-        self.shards[shard as usize].stats().live_conns()
-    }
-
-    /// Chooses the shard for the next accepted connection and charges
-    /// the assignment to it. Call this *before* creating the socket —
-    /// the socket's CQs must be the chosen shard's
-    /// ([`ReactorPool::shard_cqs`]). `affinity` feeds
-    /// [`ShardPolicy::Affinity`]; the other policies ignore it, and
-    /// `Affinity` without a key degrades to round-robin.
-    pub fn pick_shard(&mut self, affinity: Option<u64>) -> u32 {
-        let shards = &self.shards;
-        self.placement
-            .pick(affinity, |s| shards[s].stats().live_conns())
-    }
-
-    /// Registers an endpoint on the given shard (normally the one
-    /// [`ReactorPool::pick_shard`] just chose). The shard's reactor
-    /// asserts the endpoint was created on its CQ pair.
-    pub fn accept_on(&mut self, shard: u32, ep: impl Into<Endpoint>) -> ShardHandle {
-        let conn = self.shards[shard as usize].accept(ep);
-        ShardHandle { shard, conn }
-    }
-
-    /// Dissolves the pool into its shard reactors, in shard order, each
-    /// still hosting what was accepted on it — for a driver that owns
-    /// one reactor per shard (an [`crate::Executor`] each) once the
-    /// pool has placed the connections. Take
-    /// [`ReactorPool::shard_stats`] first if the placement counts are
-    /// wanted.
-    pub fn into_shards(self) -> Vec<Reactor> {
-        self.shards
-    }
-
-    /// Deregisters and returns an endpoint.
-    pub fn remove(&mut self, handle: ShardHandle) -> Endpoint {
-        self.shards[handle.shard as usize].remove(handle.conn)
-    }
-
-    /// Polls every shard once, in shard order (the deterministic sim
-    /// driver), appending each ready connection as `(handle,
-    /// readiness)` to `out`. `out` is cleared first and the internal
-    /// per-shard buffer is reused, so the steady state allocates
-    /// nothing.
-    pub fn poll_all_into(
-        &mut self,
-        api: &mut impl VerbsPort,
-        out: &mut Vec<(ShardHandle, Readiness)>,
-    ) {
-        out.clear();
-        let mut ready = std::mem::take(&mut self.ready_buf);
-        for (s, reactor) in self.shards.iter_mut().enumerate() {
-            reactor.poll_into(api, &mut ready);
-            out.extend(ready.iter().map(|&(conn, r)| {
-                (
-                    ShardHandle {
-                        shard: s as u32,
-                        conn,
-                    },
-                    r,
-                )
-            }));
-        }
-        self.ready_buf = ready;
-    }
-
-    /// True when any shard's last poll left work behind (see
-    /// [`Reactor::has_backlog`]).
-    pub fn has_backlog(&self) -> bool {
-        self.shards.iter().any(|r| r.has_backlog())
-    }
-
-    /// True while any shard still owes traffic to the wire (see
-    /// [`Reactor::has_unsent`]). The pool-wide teardown condition: a
-    /// driver that stops polling while this holds can strand a FIN.
-    pub fn has_unsent(&self) -> bool {
-        self.shards.iter().any(|r| r.has_unsent())
-    }
-
-    /// Event-loop counters merged across shards: counters sum, peaks
-    /// take the max (see [`ReactorStats::merge`]).
-    pub fn reactor_stats(&self) -> ReactorStats {
-        merged(self.shards.iter().map(Reactor::stats))
-    }
-
-    /// Protocol counters of every endpoint on every shard, merged.
-    pub fn aggregate_conn_stats(&self) -> ConnStats {
-        merged(self.shards.iter().map(Reactor::aggregate_conn_stats))
-    }
-
-    /// Per-shard telemetry (placement, steals, poll/dispatch volume).
-    /// No `busy_ns`/`wall_ns` here — only the thread backend's service
-    /// loops sample a wall clock (see
-    /// `ThreadReactorPool::shard_stats`).
-    pub fn shard_stats(&self) -> Vec<ShardStats> {
-        (self.shards.iter().enumerate())
-            .map(|(s, r)| self.placement.row(s, r.stats()))
-            .collect()
-    }
-}
-
 /// Where a pool's accepted connections go: the [`ShardPolicy`], its
-/// rotation cursor and the per-shard placement counts. [`ReactorPool`]
-/// and the thread backend's `ThreadReactorPool` each hold one, so both
-/// backends place identically for the same inputs — the property the
-/// cross-backend identity tests lean on.
+/// rotation cursor and the per-shard placement counts. The simulator's
+/// servers and the thread backend's `ThreadReactorPool` each hold one,
+/// so both backends place identically for the same inputs — the
+/// property the cross-backend identity tests lean on.
 pub struct Placement {
     policy: ShardPolicy,
     /// Next round-robin target; also the tie-breaker for LeastLoaded.
@@ -311,47 +149,41 @@ impl ShardBalance {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::ShardPolicy;
-    use crate::reactor::ReactorConfig;
-    use crate::ExsConfig;
-    use rdma_verbs::{HcaConfig, HostModel, NodeId, SimNet};
-    use simnet::{LinkConfig, SimDuration};
+    use crate::{ExsConfig, MuxEndpoint, Reactor, ReactorConfig};
+    use rdma_verbs::{CqId, NodeId};
+    use simnet::stats::merged;
 
-    fn pool_on(net: &mut SimNet, node: NodeId, shards: usize) -> ReactorPool {
-        let cfg = ShardConfig {
-            shards,
-            ..ShardConfig::default()
-        };
-        let reactors = (0..shards)
-            .map(|_| {
-                let (scq, rcq) = net.with_api(node, |api| (api.create_cq(256), api.create_cq(256)));
-                Reactor::new(scq, rcq, ReactorConfig::default())
+    /// A placement over `shards` shards and the live-connection counts
+    /// a server would report for them: a pick lands where it was
+    /// placed, as `Reactor::accept` would make it.
+    fn picks(
+        policy: ShardPolicy,
+        preloaded: &[u64],
+        keys: &[Option<u64>],
+    ) -> (Vec<u32>, Placement) {
+        let mut live = preloaded.to_vec();
+        let mut placement = Placement::new(policy, live.len());
+        let picks = (keys.iter())
+            .map(|&key| {
+                let shard = placement.pick(key, |s| live[s]);
+                live[shard as usize] += 1;
+                shard
             })
             .collect();
-        ReactorPool::new(reactors, cfg)
+        (picks, placement)
     }
 
-    fn two_nodes() -> (SimNet, NodeId, NodeId) {
-        let mut net = SimNet::new();
-        let a = net.add_node(HostModel::free(), HcaConfig::default());
-        let b = net.add_node(HostModel::free(), HcaConfig::default());
-        net.connect_nodes(
-            a,
-            b,
-            LinkConfig::simple(100_000_000_000, SimDuration::from_micros(1)),
-            0,
-        );
-        (net, a, b)
+    fn rows(placement: &Placement, shards: usize) -> Vec<ShardStats> {
+        (0..shards)
+            .map(|s| placement.row(s, &ReactorStats::default()))
+            .collect()
     }
 
     #[test]
     fn round_robin_spreads_evenly() {
-        let mut net = SimNet::new();
-        let node = net.add_node(HostModel::free(), HcaConfig::default());
-        let mut pool = pool_on(&mut net, node, 4);
-        let picks: Vec<u32> = (0..12).map(|_| pool.pick_shard(None)).collect();
+        let (picks, placement) = picks(ShardPolicy::RoundRobin, &[0; 4], &[None; 12]);
         assert_eq!(picks, vec![0, 1, 2, 3, 0, 1, 2, 3, 0, 1, 2, 3]);
-        let stats = pool.shard_stats();
+        let stats = rows(&placement, 4);
         assert!(stats.iter().all(|s| s.assigned == 3));
         assert!(stats.iter().all(|s| s.steals == 0));
         let bal = ShardBalance::of(&stats);
@@ -361,115 +193,59 @@ mod tests {
 
     #[test]
     fn affinity_is_sticky_and_in_range() {
-        let mut net = SimNet::new();
-        let node = net.add_node(HostModel::free(), HcaConfig::default());
-        let cfg = ShardConfig {
-            shards: 4,
-            policy: ShardPolicy::Affinity,
-        };
-        let reactors = (0..4)
-            .map(|_| {
-                let (scq, rcq) = net.with_api(node, |api| (api.create_cq(64), api.create_cq(64)));
-                Reactor::new(scq, rcq, ReactorConfig::default())
-            })
-            .collect();
-        let mut pool = ReactorPool::new(reactors, cfg);
-        for key in 0..64u64 {
-            let a = pool.pick_shard(Some(key));
-            let b = pool.pick_shard(Some(key));
-            assert_eq!(a, b, "same key must land on the same shard");
-            assert!((a as usize) < 4);
-            assert_eq!(a as usize, ShardPolicy::affinity_shard(key, 4));
+        let keys: Vec<Option<u64>> = (0..64).flat_map(|key| [Some(key), Some(key)]).collect();
+        let (picks, mut placement) = picks(ShardPolicy::Affinity, &[0; 4], &keys);
+        for (pair, key) in picks.chunks(2).zip(0..64u64) {
+            assert_eq!(pair[0], pair[1], "same key must land on the same shard");
+            assert_eq!(pair[0] as usize, ShardPolicy::affinity_shard(key, 4));
         }
         // No key: degrades to the rotation, still in range.
-        assert!((pool.pick_shard(None) as usize) < 4);
+        assert!((placement.pick(None, |_| 0) as usize) < 4);
     }
 
     #[test]
-    fn accept_places_conn_on_chosen_shard_and_stats_merge() {
-        let (mut net, a, b) = two_nodes();
-        let cfg = ExsConfig {
-            ring_capacity: 4096,
-            credits: 8,
-            sq_depth: 16,
-            ..ExsConfig::default()
-        };
-        let mut pool = pool_on(&mut net, b, 2);
-        let mut handles = Vec::new();
-        for _ in 0..4 {
-            let shard = pool.pick_shard(None);
-            let (send_cq, recv_cq) = pool.shard_cqs(shard);
-            let (_c, s) =
-                crate::stream::StreamSocket::pair_shared(&mut net, a, b, send_cq, recv_cq, &cfg);
-            handles.push(pool.accept_on(shard, s));
-        }
-        assert_eq!(pool.shard_conns(0), 2);
-        assert_eq!(pool.shard_conns(1), 2);
-        assert_eq!(handles[0].shard, 0);
-        assert_eq!(handles[1].shard, 1);
-        let merged = pool.reactor_stats();
-        assert_eq!(merged.conns_added, 4, "merged stats sum across shards");
-        let removed = pool.remove(handles[2]);
-        drop(removed);
-        assert_eq!(pool.shard_conns(0), 1);
-        assert_eq!(pool.reactor_stats().conns_removed, 1);
+    fn least_loaded_prefers_the_emptier_shard_and_counts_steals() {
+        // Shard 0 already hosts two endpoints: the pick must go to
+        // shard 1 even though the rotation points at 0 — that deviation
+        // is a steal.
+        let (picked, placement) = picks(ShardPolicy::LeastLoaded, &[2, 0], &[None]);
+        assert_eq!(picked, vec![1]);
+        let stats = rows(&placement, 2);
+        assert_eq!((stats[0].steals, stats[1].steals), (0, 1));
+        assert_eq!((stats[0].assigned, stats[1].assigned), (0, 1));
+
+        // From empty, ties break toward the rotation's successor, so a
+        // fresh server still spreads evenly and steals nothing.
+        let (picked, placement) = picks(ShardPolicy::LeastLoaded, &[0, 0], &[None; 4]);
+        assert_eq!(picked, vec![0, 1, 0, 1]);
+        assert!(rows(&placement, 2).iter().all(|s| s.steals == 0));
     }
 
     #[test]
-    fn least_loaded_prefers_empty_shard_and_counts_steals() {
-        let (mut net, a, b) = two_nodes();
-        let cfg = ExsConfig {
-            ring_capacity: 4096,
-            credits: 8,
-            sq_depth: 16,
-            ..ExsConfig::default()
+    fn a_hosted_pooled_endpoint_is_load_like_any_socket() {
+        // A server's load probe is its reactors' live-endpoint count.
+        let cfg = ExsConfig::default();
+        let mut shards: Vec<Reactor> = (0..2)
+            .map(|s| Reactor::new(CqId(2 * s + 1), CqId(2 * s + 2), ReactorConfig::default()))
+            .collect();
+        let host_on = |shards: &mut [Reactor], shard: usize| {
+            let mut ep = MuxEndpoint::new(NodeId(0), &cfg);
+            ep.set_cqs(shards[shard].send_cq(), shards[shard].recv_cq());
+            shards[shard].accept(ep);
         };
-        let least_loaded = |net: &mut SimNet| {
-            let shard_cfg = ShardConfig {
-                shards: 2,
-                policy: ShardPolicy::LeastLoaded,
-            };
-            let reactors = (0..2)
-                .map(|_| {
-                    let (scq, rcq) =
-                        net.with_api(b, |api| (api.create_cq(256), api.create_cq(256)));
-                    Reactor::new(scq, rcq, ReactorConfig::default())
-                })
-                .collect();
-            ReactorPool::new(reactors, shard_cfg)
-        };
-
-        // Preload shard 0 with two conns placed directly, skewing load.
-        let mut pool = least_loaded(&mut net);
-        for _ in 0..2 {
-            let (send_cq, recv_cq) = pool.shard_cqs(0);
-            let (_c, s) =
-                crate::stream::StreamSocket::pair_shared(&mut net, a, b, send_cq, recv_cq, &cfg);
-            pool.accept_on(0, s);
-        }
-        // Least-loaded must route to shard 1 even when the rotation
-        // points at 0 — that deviation is a steal.
-        let shard = pool.pick_shard(None);
-        assert_eq!(shard, 1);
-        let stats = pool.shard_stats();
-        assert_eq!(stats[1].steals, 1);
-
-        // A hosted pool endpoint is load like any socket: with one
-        // placed directly on shard 0, the second goes to shard 1.
-        let mut pool = least_loaded(&mut net);
-        let host_on = |pool: &mut ReactorPool, shard: u32| {
-            let mut ep = crate::MuxEndpoint::new(b, &cfg);
-            let (send_cq, recv_cq) = pool.shard_cqs(shard);
-            ep.set_cqs(send_cq, recv_cq);
-            pool.accept_on(shard, ep)
-        };
-        host_on(&mut pool, 0);
-        assert!(!pool.shard(0).is_empty(), "an endpoint is hosted there");
-        let shard = pool.pick_shard(None);
+        // One endpoint placed directly on shard 0; the rotation still
+        // points there, and least-loaded must look past it.
+        host_on(&mut shards, 0);
+        let mut placement = Placement::new(ShardPolicy::LeastLoaded, 2);
+        let shard = placement.pick(None, |s| shards[s].stats().live_conns());
         assert_eq!(shard, 1, "two endpoints, two shards");
-        host_on(&mut pool, shard);
-        assert_eq!((pool.shard_conns(0), pool.shard_conns(1)), (1, 1));
-        assert_eq!(pool.shard_stats()[1].conns, 1);
-        assert_eq!(pool.reactor_stats().conns_added, 2);
+        host_on(&mut shards, 1);
+        let rows: Vec<ShardStats> = (shards.iter().enumerate())
+            .map(|(s, r)| placement.row(s, r.stats()))
+            .collect();
+        assert_eq!((rows[0].conns, rows[1].conns), (1, 1));
+        assert_eq!(rows[1].steals, 1);
+        let total: ReactorStats = merged(shards.iter().map(Reactor::stats));
+        assert_eq!(total.conns_added, 2, "merged stats sum across shards");
     }
 }

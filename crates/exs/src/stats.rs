@@ -210,11 +210,11 @@ simnet::stats! {
 }
 
 simnet::stats! {
-    /// Telemetry for one shard of a sharded reactor
-    /// ([`crate::shard::ReactorPool`] /
-    /// [`crate::threaded::ThreadReactorPool`]): how many connections the
-    /// assignment policy routed here and how hard its service loop is
-    /// working (busy ratio). One of these per shard rides in every snapshot
+    /// Telemetry for one shard of a sharded server (a row of
+    /// [`crate::shard::Placement`] beside its reactor's counters, on
+    /// the simulator and in [`crate::threaded::ThreadReactorPool`]): how
+    /// many connections the assignment policy routed here and how hard
+    /// its service loop is working (busy ratio). One of these per shard rides in every snapshot
     /// so imbalance is visible, not averaged away.
     #[derive(Clone, Debug, Default)]
     pub struct ShardStats {

@@ -747,7 +747,7 @@ fn drain_reactor_unsent(
 /// single reactor; more shards spread CQE dispatch and readiness
 /// harvesting across cores instead of serialising on one reactor lock.
 ///
-/// Sharding invariants (mirrors [`crate::shard::ReactorPool`]):
+/// Sharding invariants (those of [`crate::shard`]):
 ///
 /// * A connection is assigned to a shard **once**, at accept, by the
 ///   configured [`crate::config::ShardPolicy`]; it never migrates.
@@ -969,13 +969,6 @@ impl ThreadReactorPool {
     pub fn peer_closed(&self, handle: ShardHandle) -> bool {
         let mut reactor = self.shards[handle.shard as usize].reactor.lock();
         hosted_sock(&mut reactor, handle.conn).peer_closed()
-    }
-
-    /// Protocol counters of one accepted connection.
-    pub fn conn_stats(&self, handle: ShardHandle) -> ConnStats {
-        let mut reactor = self.shards[handle.shard as usize].reactor.lock();
-        let port = ThreadPort::new(&self.net, &self.node);
-        synced_stats(hosted_sock(&mut reactor, handle.conn), &port)
     }
 
     /// Sum of all accepted connections' protocol counters, across every

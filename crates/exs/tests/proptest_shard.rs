@@ -1,8 +1,9 @@
-//! Property tests for the sharded reactor pool.
+//! Property tests for the sharded server: one `Reactor` per shard and a
+//! `Placement`.
 //!
-//! Under randomized pool shapes — shard counts, placement policies,
+//! Under randomized shapes — shard counts, placement policies,
 //! connection counts, message sizes, receive-split sizes and host
-//! jitter seeds — the pool must behave exactly like N independent
+//! jitter seeds — the server must behave exactly like N independent
 //! reactors behind a router:
 //!
 //! * every stream's bytes arrive **in order** (pattern-verified on
@@ -20,10 +21,11 @@ use std::collections::{HashMap, HashSet};
 use proptest::prelude::*;
 
 use exs::{
-    ExsConfig, ExsEvent, MuxEvent, Reactor, ReactorConfig, ReactorPool, ShardConfig, ShardHandle,
-    ShardPolicy, StreamSocket,
+    ConnId, ExsConfig, ExsEvent, MuxEvent, Placement, Reactor, ReactorConfig, ReactorStats,
+    ShardHandle, ShardPolicy, ShardStats, StreamSocket,
 };
 use rdma_verbs::{profiles, Access, MrInfo, NodeApi, NodeApp, NodeId, SimNet};
+use simnet::stats::merged;
 use simnet::SimTime;
 
 fn pattern(seed: u64, conn: usize, off: u64) -> u8 {
@@ -89,10 +91,11 @@ impl NodeApp for PropClient {
 }
 
 struct PropPoolServer {
-    pool: ReactorPool,
-    /// Global connection index → pool handle.
+    shards: Vec<Reactor>,
+    placement: Placement,
+    /// Global connection index → server-wide handle.
     handles: Vec<ShardHandle>,
-    /// Pool handle → global connection index.
+    /// Server-wide handle → global connection index.
     idx_of: HashMap<ShardHandle, usize>,
     mrs: Vec<MrInfo>,
     recv_len: u32,
@@ -105,13 +108,20 @@ struct PropPoolServer {
     completed_recvs: u64,
     seed: u64,
     next_id: u64,
-    ready: Vec<(ShardHandle, exs::Readiness)>,
+    /// One readiness buffer per shard.
+    ready: Vec<Vec<(ConnId, exs::Readiness)>>,
 }
 
 impl PropPoolServer {
+    fn shard_rows(&self) -> Vec<ShardStats> {
+        (self.shards.iter().enumerate())
+            .map(|(s, r)| self.placement.row(s, r.stats()))
+            .collect()
+    }
+
     fn handle_conn(&mut self, api: &mut NodeApi<'_>, idx: usize) -> bool {
         let h = self.handles[idx];
-        let events = self.pool.shard_mut(h.shard).conn_mut(h.conn).take_events();
+        let events = self.shards[h.shard as usize].conn_mut(h.conn).take_events();
         let mut progressed = !events.is_empty();
         for ev in events {
             match ev {
@@ -148,8 +158,7 @@ impl PropPoolServer {
             let mr = self.mrs[idx];
             let id = self.next_id;
             self.next_id += 1;
-            self.pool
-                .shard_mut(h.shard)
+            self.shards[h.shard as usize]
                 .conn_mut(h.conn)
                 .recv(api, 0, &mr, 0, self.recv_len, false, id)
                 .expect("receive on the socket's stream");
@@ -163,25 +172,33 @@ impl PropPoolServer {
     fn service(&mut self, api: &mut NodeApi<'_>) {
         let mut ready = std::mem::take(&mut self.ready);
         loop {
-            self.pool.poll_all_into(api, &mut ready);
-            // Routing invariant: everything the poll reports must be a
-            // handle this pool accepted, on the shard it was accepted
-            // on — a foreign or mis-sharded handle is a dispatch bug.
-            for &(h, _) in ready.iter() {
-                let idx = *self
-                    .idx_of
-                    .get(&h)
-                    .unwrap_or_else(|| panic!("poll reported unknown handle {h:?}"));
-                assert_eq!(self.handles[idx], h);
+            // Every shard is polled, in shard order, and then what is
+            // ready is handled in that order.
+            for (reactor, ready) in self.shards.iter_mut().zip(&mut ready) {
+                reactor.poll_into(api, ready);
             }
             let mut progressed = false;
-            for &(h, r) in &ready {
-                if r.readable || r.closed || r.error {
-                    let idx = self.idx_of[&h];
-                    progressed |= self.handle_conn(api, idx);
+            for (s, ready) in ready.iter().enumerate() {
+                for &(conn, r) in ready {
+                    // Routing invariant: everything a poll reports must
+                    // be a handle this server accepted, on the shard it
+                    // was accepted on — a foreign or mis-sharded handle
+                    // is a dispatch bug.
+                    let h = ShardHandle {
+                        shard: s as u32,
+                        conn,
+                    };
+                    let idx = *self
+                        .idx_of
+                        .get(&h)
+                        .unwrap_or_else(|| panic!("poll reported unknown handle {h:?}"));
+                    assert_eq!(self.handles[idx], h);
+                    if r.readable || r.closed || r.error {
+                        progressed |= self.handle_conn(api, idx);
+                    }
                 }
             }
-            if !progressed && !self.pool.has_backlog() {
+            if !progressed && !self.shards.iter().any(Reactor::has_backlog) {
                 break;
             }
         }
@@ -203,7 +220,7 @@ impl NodeApp for PropPoolServer {
     }
 }
 
-/// Runs one randomized fan-in through a sharded pool; panics on any
+/// Runs one randomized fan-in through a sharded server; panics on any
 /// invariant violation.
 #[allow(clippy::too_many_arguments)]
 fn run_case(
@@ -242,7 +259,7 @@ fn run_case(
     }
 
     let per_conn_cq = cfg.sq_depth * 2 + cfg.credits as usize * 2;
-    let reactors: Vec<Reactor> = (0..shards)
+    let mut reactors: Vec<Reactor> = (0..shards)
         .map(|_| {
             let (send_cq, recv_cq) = net.with_api(server_node, |api| {
                 (
@@ -253,7 +270,7 @@ fn run_case(
             Reactor::new(send_cq, recv_cq, ReactorConfig::default())
         })
         .collect();
-    let mut pool = ReactorPool::new(reactors, ShardConfig { shards, policy });
+    let mut placement = Placement::new(policy, shards);
 
     let mut clients = Vec::new();
     let mut mrs = Vec::new();
@@ -262,11 +279,14 @@ fn run_case(
     for (idx, &cnode) in client_nodes.iter().enumerate() {
         // Affinity keys repeat across connections so the policy gets to
         // pile several conns onto one shard.
-        let shard = pool.pick_shard(Some((idx % 3) as u64));
-        let (send_cq, recv_cq) = pool.shard_cqs(shard);
+        let key = Some((idx % 3) as u64);
+        let shard = placement.pick(key, |s| reactors[s].stats().live_conns());
+        let reactor = &mut reactors[shard as usize];
+        let (send_cq, recv_cq) = (reactor.send_cq(), reactor.recv_cq());
         let (csock, ssock) =
             StreamSocket::pair_shared(&mut net, cnode, server_node, send_cq, recv_cq, &cfg);
-        let handle = pool.accept_on(shard, ssock);
+        let conn = reactor.accept(ssock);
+        let handle = ShardHandle { shard, conn };
         assert!((handle.shard as usize) < shards);
         handles.push(handle);
         idx_of.insert(handle, idx);
@@ -295,18 +315,10 @@ fn run_case(
         }));
     }
 
-    // Placement accounting before any traffic: assignments sum to the
-    // accept count and live conns match.
-    let stats = pool.shard_stats();
-    assert_eq!(stats.iter().map(|s| s.assigned).sum::<u64>(), conns as u64);
-    assert_eq!(stats.iter().map(|s| s.conns).sum::<u64>(), conns as u64);
-    for (s, row) in stats.iter().enumerate() {
-        assert_eq!(row.shard_id as usize, s);
-        assert_eq!(row.conns, pool.shard_conns(s as u32));
-    }
-
     let mut server = PropPoolServer {
-        pool,
+        ready: vec![Vec::new(); shards],
+        shards: reactors,
+        placement,
         handles,
         idx_of,
         mrs,
@@ -320,8 +332,17 @@ fn run_case(
         completed_recvs: 0,
         seed,
         next_id: 0,
-        ready: Vec::new(),
     };
+
+    // Placement accounting before any traffic: assignments sum to the
+    // accept count and live conns match.
+    let stats = server.shard_rows();
+    assert_eq!(stats.iter().map(|s| s.assigned).sum::<u64>(), conns as u64);
+    assert_eq!(stats.iter().map(|s| s.conns).sum::<u64>(), conns as u64);
+    for (s, row) in stats.iter().enumerate() {
+        assert_eq!(row.shard_id as usize, s);
+        assert_eq!(row.conns, server.shards[s].stats().live_conns());
+    }
 
     let mut apps: Vec<&mut dyn NodeApp> = Vec::with_capacity(1 + conns);
     apps.push(&mut server);
@@ -339,9 +360,9 @@ fn run_case(
     assert!(server.received.iter().all(|&r| r == expected));
 
     // Merged stats are the sum of the per-shard rows.
-    let merged = server.pool.reactor_stats();
+    let merged: ReactorStats = merged(server.shards.iter().map(Reactor::stats));
     assert_eq!(merged.orphan_cqes, 0);
-    let rows = server.pool.shard_stats();
+    let rows = server.shard_rows();
     assert_eq!(
         merged.polls,
         rows.iter().map(|s| s.polls).sum::<u64>(),
@@ -354,7 +375,7 @@ fn run_case(
     );
 }
 
-/// Shard counts 1–4, with the pool of one — the single-reactor server,
+/// Shard counts 1–4, with the server of one — the single-reactor server,
 /// which has no implementation of its own — weighted so that every run
 /// samples it.
 fn any_shards() -> impl Strategy<Value = usize> {

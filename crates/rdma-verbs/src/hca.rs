@@ -253,11 +253,6 @@ impl HcaCore {
         Ok(self.cq_mut(cq)?.arm())
     }
 
-    /// True if any CQ on this node holds completions (driver helper).
-    pub fn any_cq_nonempty(&self) -> bool {
-        self.cqs.iter().any(|c| !c.is_empty())
-    }
-
     /// Forces a QP into the error state (fault injection: cable pull,
     /// retry exhaustion, peer death). Every posted receive is flushed
     /// with a `WrFlushError` completion, as real RC hardware does, so

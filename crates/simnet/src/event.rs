@@ -145,7 +145,23 @@ impl<E> Scheduler<E> {
     /// Pops the next live event, advancing the clock to its timestamp.
     /// Returns `None` when the queue is exhausted.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        while let Some(Reverse((at, _, slot))) = self.heap.pop() {
+        self.pop_until(SimTime::MAX)
+    }
+
+    /// [`Scheduler::pop`], refusing an event later than `limit`: that
+    /// event stays queued in its place (same sequence number, so events
+    /// of one instant keep their order), the clock does not move and
+    /// nothing is counted as delivered. `None` therefore means "nothing
+    /// left at or before `limit`"; [`Scheduler::is_empty`] tells a
+    /// drained queue from a horizon.
+    pub fn pop_until(&mut self, limit: SimTime) -> Option<(SimTime, E)> {
+        // The top key is the earliest of all, live or cancelled: once it
+        // is past `limit`, so is every live event.
+        while let Some(&Reverse((at, _, slot))) = self.heap.peek() {
+            if at > limit {
+                return None;
+            }
+            self.heap.pop();
             let (_, payload) = self.payloads.remove(slot).expect("heap key without a slot");
             let Some(payload) = payload else {
                 continue; // cancelled
@@ -296,6 +312,33 @@ mod tests {
         // pop at the latest, so a handful of slots serve 20 000 events.
         assert!(s.payloads.slots() <= 3, "slots: {}", s.payloads.slots());
         assert_eq!((s.len(), s.delivered()), (0, 10_000));
+    }
+
+    #[test]
+    fn pop_until_leaves_a_later_event_exactly_where_it_was() {
+        let mut s = Scheduler::new();
+        let t = SimTime::from_nanos(10);
+        s.schedule_at(SimTime::from_nanos(1), "early");
+        let gone = s.schedule_at(SimTime::from_nanos(2), "cancelled");
+        s.schedule_at(t, "first");
+        s.schedule_at(t, "second");
+        s.cancel(gone);
+        let horizon = SimTime::from_nanos(5);
+        assert_eq!(
+            s.pop_until(horizon),
+            Some((SimTime::from_nanos(1), "early"))
+        );
+        assert_eq!(s.pop_until(horizon), None);
+        assert_eq!(
+            (s.now(), s.delivered(), s.len()),
+            (SimTime::from_nanos(1), 1, 2)
+        );
+        // Still in scheduling order, also against a later arrival at
+        // the same instant.
+        s.schedule_at(t, "third");
+        let order: Vec<_> = std::iter::from_fn(|| s.pop_until(t)).collect();
+        assert_eq!(order, vec![(t, "first"), (t, "second"), (t, "third")]);
+        assert_eq!(s.delivered(), 4);
     }
 
     #[test]

@@ -43,11 +43,6 @@ pub enum FabricModel {
 }
 
 impl FabricModel {
-    /// True when this model runs the fair-share allocator.
-    pub fn is_fair_share(&self) -> bool {
-        matches!(self, FabricModel::FairShare(_))
-    }
-
     /// Short stable name for reports (`"fifo"` / `"fair_share"`).
     pub fn name(&self) -> &'static str {
         match self {

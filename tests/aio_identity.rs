@@ -10,7 +10,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::Arc;
 
-use rdma_stream::blast::fan_in::expected_digest;
+use rdma_stream::blast::fan_in::{expected_digest, fnv1a, FNV_OFFSET};
 use rdma_stream::blast::{run_fan_in, FanInSpec, VerifyLevel};
 use rdma_stream::exs::threaded::connect_sockets_shared;
 use rdma_stream::exs::{
@@ -22,16 +22,6 @@ use rdma_stream::verbs::{profiles, HcaConfig, NodeApp, NodeId, SimNet, ThreadNet
 const CONNS: usize = 4;
 const ROUNDS: usize = 3;
 const MSG: usize = 4096;
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
-fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x100_0000_01b3);
-    }
-    hash
-}
 
 fn pattern(conn: usize, round: usize, i: usize) -> u8 {
     (i.wrapping_mul(31) ^ conn.wrapping_mul(7) ^ round.wrapping_mul(131)) as u8
