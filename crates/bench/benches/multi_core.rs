@@ -1,8 +1,8 @@
 //! Multi-core reactor sweep — the same fan-in carried by 1 / 2 / 4 / 8
 //! reactor shards, on both backends.
 //!
-//! The question this answers: does sharding the reactor (PR's
-//! `ReactorPool` / `ThreadReactorPool`) actually buy event-loop
+//! The question this answers: does sharding the reactor (N reactors
+//! behind one `Placement`, DESIGN §17) actually buy event-loop
 //! throughput on real cores, and does it buy it **without changing a
 //! single delivered byte**? Per-connection EXS state is independent, so
 //! the sharded server must produce digest-for-digest the same streams

@@ -132,8 +132,8 @@ fn placement_policies_deliver_identical_bytes() {
 }
 
 /// The real-thread backend behind a 4-shard `ThreadReactorPool`
-/// (blocking post/wait API, one service thread per shard, odd-sized
-/// receive splits) delivers the same closed-form digests as the
+/// (server ends are blocking `ThreadStream`s, one service thread per
+/// shard, odd-sized receive splits) delivers the same closed-form digests as the
 /// simulator runs above — the cross-backend leg of the identity.
 #[test]
 fn thread_pool_sharded_digests_match_sim() {
@@ -164,12 +164,12 @@ fn thread_pool_sharded_digests_match_sim() {
     );
     assert_eq!(pool.shards(), 4);
 
-    let mut handles = Vec::with_capacity(CONNS);
+    let mut servers = Vec::with_capacity(CONNS);
     let mut clients = Vec::with_capacity(CONNS);
     for idx in 0..CONNS {
-        let (handle, stream) = pool.accept(&client_nodes[idx % client_nodes.len()], &cfg);
-        handles.push(handle);
-        clients.push((idx, stream));
+        let (server, client) = pool.accept(&client_nodes[idx % client_nodes.len()], &cfg);
+        servers.push(server);
+        clients.push((idx, client));
     }
     let rows = pool.shard_stats();
     assert_eq!(rows.iter().map(|s| s.assigned).sum::<u64>(), CONNS as u64);
@@ -179,35 +179,36 @@ fn thread_pool_sharded_digests_match_sim() {
     );
 
     let digests = std::thread::scope(|s| {
-        let servers: Vec<_> = handles
+        let consumers: Vec<_> = servers
             .iter()
-            .map(|&handle| {
-                let pool = &pool;
+            .map(|server| {
                 let net = &net;
                 s.spawn(move || {
-                    let mr = pool.register(RECV_LEN as usize, Access::local_remote_write());
-                    let node = pool.node().clone();
+                    let mr = server.register(RECV_LEN as usize, Access::local_remote_write());
                     let mut digest = FNV_OFFSET;
                     let mut received = 0u64;
                     let mut buf = vec![0u8; RECV_LEN as usize];
                     // One extra receive past the payload picks up the
                     // zero-length EOF completion.
                     loop {
-                        let id = pool.post_recv(handle, &mr, 0, RECV_LEN, false);
-                        let len = pool
-                            .wait_recv(handle, id, Duration::from_secs(30))
+                        let id = server.recv(&mr, 0, RECV_LEN, false);
+                        let len = server
+                            .wait_recv(id, Duration::from_secs(30))
                             .expect("server receive timed out");
                         if len == 0 {
                             assert_eq!(received, EXPECTED, "EOF before the full stream");
                             break;
                         }
-                        let port = ThreadPort::new(net, &node);
+                        let port = ThreadPort::new(net, server.node());
                         port.read_mr(mr.key, mr.addr, &mut buf[..len as usize])
                             .expect("read delivered bytes");
                         digest = fnv1a(digest, &buf[..len as usize]);
                         received += len as u64;
                     }
-                    assert!(pool.peer_closed(handle));
+                    assert!(server.peer_closed());
+                    // A graceful close: each side ends its stream and
+                    // reads the other's end before it closes.
+                    server.shutdown();
                     digest
                 })
             })
@@ -226,6 +227,9 @@ fn thread_pool_sharded_digests_match_sim() {
                         stream.send_bytes(&data).expect("client send");
                     }
                     stream.shutdown();
+                    let eof = stream.register(1, Access::local_remote_write());
+                    let id = stream.recv(&eof, 0, 1, false);
+                    assert_eq!(stream.wait_recv(id, Duration::from_secs(30)), Some(0));
                     stream.close();
                 })
             })
@@ -233,7 +237,7 @@ fn thread_pool_sharded_digests_match_sim() {
         for c in client_threads {
             c.join().expect("client thread");
         }
-        servers
+        consumers
             .into_iter()
             .map(|h| h.join().expect("server consumer"))
             .collect::<Vec<u64>>()
@@ -245,8 +249,8 @@ fn thread_pool_sharded_digests_match_sim() {
     let sim = run_fan_in(&spec(4, ShardPolicy::RoundRobin, false));
     assert_eq!(sim.digests, digests, "thread backend diverged from sim");
 
-    for handle in handles {
-        pool.close_conn(handle);
+    for mut server in servers {
+        server.close();
     }
     let merged = pool.reactor_stats();
     assert_eq!(merged.conns_added, CONNS as u64);

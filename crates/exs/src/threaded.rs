@@ -4,51 +4,57 @@
 //! that combines the zero-copy benefit of RDMA with the fast send
 //! response benefit of TCP-style buffering" (§I). The deterministic
 //! simulator regenerates the figures; this module runs the *same*
-//! protocol state machines under genuine OS concurrency:
+//! protocol state machines under genuine OS concurrency.
 //!
-//! * a [`ThreadStream`] endpoint wraps a [`StreamSocket`] in a mutex
-//!   and has no thread of its own: **the blocked caller is the progress
+//! There is one blocking connection, [`ThreadStream`], and one thing
+//! behind every handle: a **host** — a [`Reactor`] over one CQ pair, the
+//! completion mailboxes of the handles it hosts, and a count of the
+//! callers waiting on them. A handle is `(host, ConnId)`, and whichever
+//! end it is, it waits, takes progress steps, drains and closes through
+//! its host's one implementation of each:
+//!
+//! * each end of [`ThreadStream::pair`], and the client end of a
+//!   [`ThreadReactorPool`] accept, is the only handle of a host of its
+//!   own, and nothing runs for it: **the blocked caller is the progress
 //!   engine**. A thread waiting in `wait_send`/`wait_recv` (hence
-//!   `send_bytes`/`recv_exact`) polls the endpoint's CQs and drives
-//!   `handle_wake` itself, spins briefly on the node's completion
-//!   generation, then parks on it;
-//! * any number of application threads issue sends and receives
-//!   concurrently and block on their completions;
-//! * a server hosts its accepted connections in a
-//!   [`ThreadReactorPool`] instead — one service thread per reactor
-//!   shard (one shard by default), however many connections: a server
-//!   owes its peers progress nobody called for.
+//!   `send_bytes`/`recv_exact`) polls the host itself, spins briefly on
+//!   the node's completion generation, then parks on it;
+//! * the server ends of a [`ThreadReactorPool`] share their shard's
+//!   host, which one service thread polls however many connections it
+//!   hosts — a server owes its peers progress nobody called for. Their
+//!   callers wait the same way; the service thread wakes them.
 //!
 //! The contract that follows: **an endpoint progresses inside its
-//! calls.** Nothing works for a [`ThreadStream`] after a call returns,
-//! so the calls that end the caller's interest in it —
-//! [`ThreadStream::shutdown`], [`ThreadStream::flush`],
-//! [`ThreadStream::close`] — drive the socket until it owes the wire
-//! nothing ([`StreamSocket::has_unsent`]).
+//! calls** unless a service thread polls its host. Nothing else works
+//! for it after a call returns, so the calls that end the caller's
+//! interest in it — [`ThreadStream::shutdown`], [`ThreadStream::flush`],
+//! [`ThreadStream::close`] — drive it until it owes the wire nothing
+//! ([`StreamSocket::has_unsent`]).
 //!
 //! Concurrent `send` calls are each atomic in the byte stream (the
-//! socket lock orders them); the interleaving *between* threads is
+//! host's lock orders them); the interleaving *between* threads is
 //! unspecified, exactly like concurrent `write(2)` on a pipe.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use parking_lot::{Condvar, Mutex};
-use rdma_verbs::threaded::{ThreadNet, ThreadNode};
+use parking_lot::Mutex;
+use rdma_verbs::threaded::{deadline_after, passed, ThreadNet, ThreadNode};
 use rdma_verbs::{Access, CqId, Cqe, MrInfo, MrKey, QpNum, RecvWr, Result, SendWr};
+use simnet::stats::merged;
 use simnet::IntMap;
 
 use crate::config::ExsConfig;
+use crate::endpoint::Endpoint;
 use crate::mempool::{MemPool, MrLease};
-use crate::mux::MuxEndpoint;
+use crate::mux::{MuxEndpoint, MuxEvent};
 use crate::port::VerbsPort;
 use crate::reactor::{ConnId, Reactor, ReactorConfig, Readiness};
-use crate::shard::{Placement, ShardHandle};
+use crate::shard::Placement;
 use crate::stats::{ConnStats, PoolStats, ReactorStats, ShardStats};
-use crate::stream::{ExsEvent, StreamSocket};
-use simnet::stats::merged;
+use crate::stream::StreamSocket;
 
 /// [`VerbsPort`] implementation over a [`ThreadNet`] node.
 pub struct ThreadPort<'a> {
@@ -167,22 +173,10 @@ fn connect_qps(
 }
 
 /// Connects a fresh [`StreamSocket`] pair between two nodes of an
-/// existing thread fabric. With `b_cqs`, `b`'s QP completes onto those
-/// shared CQs (the [`ThreadReactorPool`] accept path) instead of
-/// private ones.
-pub fn connect_sockets_over(
-    a: &Arc<ThreadNode>,
-    b: &Arc<ThreadNode>,
-    cfg: &ExsConfig,
-    b_cqs: Option<(CqId, CqId)>,
-) -> (StreamSocket, StreamSocket) {
-    connect_sockets_shared(a, b, cfg, None, b_cqs)
-}
-
-/// [`connect_sockets_over`] with shared CQs available on *either*
-/// side: a client-side reactor/executor that multiplexes several
-/// outbound connections needs `a`'s QPs to complete onto one CQ pair
-/// just like the server accept path does.
+/// existing thread fabric. Each side's QP completes onto the shared CQs
+/// given for it — a reactor's pair, as every [`ThreadStream`] host and
+/// every client-side reactor or executor multiplexing several outbound
+/// connections has — or onto a private pair for `None`.
 pub fn connect_sockets_shared(
     a: &Arc<ThreadNode>,
     b: &Arc<ThreadNode>,
@@ -230,62 +224,34 @@ pub fn connect_mux_over(
     }
 }
 
+/// The completions of one hosted handle, waiting for its callers to
+/// take them by operation id. End of stream and transport failure are
+/// not kept here: they are states of the endpoint ([`Readiness`]).
 #[derive(Default)]
-struct EventBuf {
+struct Mailbox {
     sends_done: IntMap<u64, u64>,
     recvs_done: IntMap<u64, u32>,
-    peer_closed: bool,
-    broken: bool,
 }
 
-impl EventBuf {
-    fn absorb(&mut self, events: Vec<ExsEvent>) {
-        for ev in events {
+impl Mailbox {
+    /// Moves what `ep` completed into the mailbox, through `scratch`
+    /// (which keeps its storage); true if anything moved.
+    fn absorb(&mut self, ep: &mut Endpoint, scratch: &mut Vec<MuxEvent>) -> bool {
+        ep.take_events_into(scratch);
+        let moved = !scratch.is_empty();
+        for ev in scratch.drain(..) {
             match ev {
-                ExsEvent::SendComplete { id, len } => {
+                MuxEvent::SendComplete { id, len, .. } => {
                     self.sends_done.insert(id, len);
                 }
-                ExsEvent::RecvComplete { id, len } => {
+                MuxEvent::RecvComplete { id, len, .. } => {
                     self.recvs_done.insert(id, len);
                 }
-                ExsEvent::PeerClosed => self.peer_closed = true,
-                ExsEvent::ConnectionError => self.broken = true,
+                MuxEvent::StreamClosed { .. } | MuxEvent::TransportError { .. } => {}
             }
         }
+        moved
     }
-}
-
-/// The blocking wait of a [`ThreadReactorPool`] handle, whose shard's
-/// service thread does the polling: parks on `cv` until `take` finds
-/// its completion in the guarded state, or `timeout` passes.
-/// `take` answers `None` when the handle it looks under has no
-/// [`EventBuf`] — closed or never accepted; the wait then returns
-/// `None` at once instead of sleeping out the timeout.
-fn wait_event<G, T>(
-    state: &Mutex<G>,
-    cv: &Condvar,
-    timeout: Duration,
-    take: impl Fn(&mut G) -> Option<Option<T>>,
-) -> Option<T> {
-    let deadline = std::time::Instant::now() + timeout;
-    let mut guard = state.lock();
-    loop {
-        let done = take(&mut guard)?;
-        if done.is_some() {
-            return done;
-        }
-        let now = std::time::Instant::now();
-        if now >= deadline {
-            return None;
-        }
-        cv.wait_for(&mut guard, deadline.saturating_duration_since(now));
-    }
-}
-
-/// A socket's protocol counters with the CQ-pressure gauges folded in.
-fn synced_stats(sock: &mut StreamSocket, port: &ThreadPort<'_>) -> ConnStats {
-    sock.sync_cq_stats(port);
-    sock.stats().clone()
 }
 
 /// How long a blocked caller spins on the node's completion generation
@@ -293,6 +259,10 @@ fn synced_stats(sock: &mut StreamSocket, port: &ThreadPort<'_>) -> ConnStats {
 /// wake-up several times that, so a caller whose completion is already
 /// on its way should not go to sleep for it.
 const SPIN: Duration = Duration::from_micros(50);
+
+/// The longest `shutdown`, `flush`, `close` and a pool's teardown stay
+/// for traffic a peer that grants no credits keeps from the wire.
+const DRAIN_BOUND: Duration = Duration::from_secs(5);
 
 /// Callers spinning right now, process-wide. At most one per core may:
 /// more would only take the cores from the threads they wait for.
@@ -303,43 +273,229 @@ fn spin_limit() -> usize {
     *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
-/// Waits for `node`'s generation to leave `seen` or for `deadline`:
-/// spinning for up to [`SPIN`] if a spin slot is free, then parked.
-fn spin_then_park(node: &ThreadNode, seen: u64, deadline: Instant) {
+/// Waits for `node`'s generation to leave `seen` or for `deadline`
+/// (`None`: none): spinning for up to [`SPIN`] if a spin slot is free,
+/// then parked.
+fn spin_then_park(node: &ThreadNode, seen: u64, deadline: Option<Instant>) {
     if SPINNERS.fetch_add(1, Ordering::Relaxed) < spin_limit() {
-        let spin_until = deadline.min(Instant::now() + SPIN);
+        let spin_until = Instant::now() + SPIN;
+        let spin_until = deadline.map_or(spin_until, |at| at.min(spin_until));
         while node.generation() == seen && Instant::now() < spin_until {
             std::hint::spin_loop();
         }
     }
     SPINNERS.fetch_sub(1, Ordering::Relaxed);
-    node.wait_any(seen, deadline.saturating_duration_since(Instant::now()));
+    let left = deadline.map_or(Duration::MAX, |at| {
+        at.saturating_duration_since(Instant::now())
+    });
+    node.wait_any(seen, left);
 }
 
-/// Lock order is `sock`, then `events`: whoever takes events off the
-/// socket absorbs them into the buffer before it releases the socket
-/// lock. A second caller, which polls after the first, then finds in the
-/// buffer whatever the first took off the CQs — otherwise it could poll
+/// What a host's lock guards: its reactor, and the buffers a progress
+/// step reuses so that it allocates nothing.
+struct Engine {
+    reactor: Reactor,
+    ready: Vec<(ConnId, Readiness)>,
+    events: Vec<MuxEvent>,
+}
+
+/// The one thing behind every [`ThreadStream`]: a reactor over one CQ
+/// pair on one node, and the mailboxes of the handles it hosts.
+///
+/// Lock order is `engine`, then `mailboxes`. A mailbox is created,
+/// filled and dropped only while `engine` is held, so it exists exactly
+/// as long as the reactor hosts its handle. Whoever takes completions
+/// off the reactor puts them in the mailboxes before it releases
+/// `engine`: a second caller, which polls after the first, then finds
+/// there whatever the first took off the CQs — otherwise it could poll
 /// an empty CQ, miss an event taken but not yet published, and park on a
 /// generation that has already moved.
-struct Shared {
-    sock: Mutex<StreamSocket>,
-    events: Mutex<EventBuf>,
-    /// Callers between announcing a wait and leaving it. Events one
-    /// caller publishes wake the node only when this is non-zero, so
-    /// the node's generation keeps meaning "completions landed". Same
-    /// store-then-load handshake as [`ThreadNode::notify`]: a waiter
-    /// counts itself in and then looks in `events`, a publisher fills
-    /// `events` and then reads the count.
+struct Host {
+    net: Arc<ThreadNet>,
+    node: Arc<ThreadNode>,
+    /// The reactor's `(send, recv)` CQ pair.
+    cqs: (CqId, CqId),
+    engine: Mutex<Engine>,
+    /// Indexed by [`ConnId`]; `None` at a free slot.
+    mailboxes: Mutex<Vec<Option<Mailbox>>>,
+    /// Callers between announcing a wait and leaving it. A progress step
+    /// that published completions wakes the node only when this is
+    /// non-zero, so the node's generation keeps meaning "completions
+    /// landed". Same store-then-load handshake as [`ThreadNode::notify`]:
+    /// a waiter counts itself in and then looks in its mailbox, a
+    /// publisher fills mailboxes and then reads the count.
     waiters: AtomicUsize,
+    /// True while a service thread polls this host; otherwise its blocked
+    /// callers do.
+    serviced: AtomicBool,
+    /// The service thread's time inside progress steps, and since it
+    /// started.
+    busy_ns: AtomicU64,
+    wall_ns: AtomicU64,
 }
 
-/// A blocking, thread-safe stream endpoint.
+/// The entry at `idx`, growing `table` to hold it.
+fn slot<T>(table: &mut Vec<Option<T>>, idx: usize) -> &mut Option<T> {
+    if table.len() <= idx {
+        table.resize_with(idx + 1, || None);
+    }
+    &mut table[idx]
+}
+
+/// `conn`'s mailbox, which exists while `conn` is hosted.
+fn mailbox(boxes: &mut [Option<Mailbox>], conn: ConnId) -> &mut Mailbox {
+    boxes[conn.0 as usize]
+        .as_mut()
+        .expect("a hosted handle has a mailbox")
+}
+
+impl Host {
+    /// A host on `node` over a fresh CQ pair of `cq_depth`; a service
+    /// thread polls it if `serviced`.
+    fn new(
+        net: &Arc<ThreadNet>,
+        node: &Arc<ThreadNode>,
+        cq_depth: usize,
+        cfg: ReactorConfig,
+        serviced: bool,
+    ) -> Arc<Host> {
+        let (send_cq, recv_cq) = node.with_hca(|h| (h.create_cq(cq_depth), h.create_cq(cq_depth)));
+        Arc::new(Host {
+            net: net.clone(),
+            node: node.clone(),
+            cqs: (send_cq, recv_cq),
+            engine: Mutex::new(Engine {
+                reactor: Reactor::new(send_cq, recv_cq, cfg),
+                ready: Vec::new(),
+                events: Vec::new(),
+            }),
+            mailboxes: Mutex::new(Vec::new()),
+            waiters: AtomicUsize::new(0),
+            serviced: AtomicBool::new(serviced),
+            busy_ns: AtomicU64::new(0),
+            wall_ns: AtomicU64::new(0),
+        })
+    }
+
+    /// A host of one endpoint, over a private CQ pair, that its blocked
+    /// callers poll.
+    fn own(net: &Arc<ThreadNet>, node: &Arc<ThreadNode>, cfg: &ExsConfig) -> Arc<Host> {
+        Host::new(net, node, cfg.cq_depth(1), ReactorConfig::default(), false)
+    }
+
+    fn port(&self) -> ThreadPort<'_> {
+        ThreadPort::new(&self.net, &self.node)
+    }
+
+    fn serviced(&self) -> bool {
+        self.serviced.load(Ordering::SeqCst)
+    }
+
+    /// Wakes the node's parked callers after completions were published,
+    /// if anyone waits (see `waiters`).
+    fn wake(&self, published: bool) {
+        if published && self.waiters.load(Ordering::SeqCst) != 0 {
+            self.node.notify();
+        }
+    }
+
+    /// The one progress step, taken by the service thread or by a
+    /// blocked caller: one bounded poll, then every ready handle's
+    /// completions into its mailbox, under the reactor lock; then the
+    /// wake-up. True if the poll left work behind
+    /// ([`Reactor::has_backlog`]), which moves no generation: step again
+    /// before parking.
+    fn poll(&self) -> bool {
+        let mut engine = self.engine.lock();
+        let Engine {
+            reactor,
+            ready,
+            events,
+        } = &mut *engine;
+        reactor.poll_into(&mut self.port(), ready);
+        let mut published = false;
+        if !ready.is_empty() {
+            let mut boxes = self.mailboxes.lock();
+            for &(conn, _) in ready.iter() {
+                published |= mailbox(&mut boxes, conn).absorb(reactor.conn_mut(conn), events);
+            }
+        }
+        let backlog = reactor.has_backlog();
+        drop(engine);
+        self.wake(published);
+        backlog
+    }
+
+    /// Runs `op` on `conn`'s endpoint under the reactor lock, and
+    /// publishes what it completed inside the call the same way.
+    fn with_endpoint<R>(
+        &self,
+        conn: ConnId,
+        op: impl FnOnce(&mut Endpoint, &mut ThreadPort<'_>) -> R,
+    ) -> R {
+        let mut engine = self.engine.lock();
+        let Engine {
+            reactor, events, ..
+        } = &mut *engine;
+        let ep = reactor.conn_mut(conn);
+        let result = op(ep, &mut self.port());
+        let published =
+            ep.events_pending() > 0 && mailbox(&mut self.mailboxes.lock(), conn).absorb(ep, events);
+        drop(engine);
+        self.wake(published);
+        result
+    }
+
+    /// The one blocking wait, for every handle on either kind of host:
+    /// until `done` finds what it looks for, or `deadline` passes
+    /// (`None`: never). Each round reads the node's generation, takes a
+    /// progress step unless a service thread takes them (`poll_always`:
+    /// even then), asks `done`, and if the answer is not there waits for
+    /// the generation to move ([`spin_then_park`]).
+    fn wait<T>(
+        &self,
+        deadline: Option<Instant>,
+        poll_always: bool,
+        mut done: impl FnMut() -> Option<T>,
+    ) -> Option<T> {
+        loop {
+            // Read before polling: whatever lands after this moves the
+            // generation, and the wait below returns at once.
+            let seen = self.node.generation();
+            let backlog = (poll_always || !self.serviced()) && self.poll();
+            self.waiters.fetch_add(1, Ordering::SeqCst);
+            let found = done();
+            let over = found.is_some() || passed(deadline);
+            if !over && !backlog {
+                spin_then_park(&self.node, seen, deadline);
+            }
+            self.waiters.fetch_sub(1, Ordering::SeqCst);
+            if over {
+                return found;
+            }
+        }
+    }
+
+    /// The one drain: progress steps until `owes` clears or `deadline`
+    /// passes. What `shutdown`, `flush`, `close` and a pool's teardown
+    /// end with — after them nothing would send a FIN or a held-back
+    /// message queued behind flow control. It polls even a serviced host,
+    /// since a step that only sends publishes nothing to wake it.
+    fn drain(&self, deadline: Option<Instant>, owes: impl Fn(&Reactor) -> bool) {
+        self.wait(deadline, true, || {
+            (!owes(&self.engine.lock().reactor)).then_some(())
+        });
+    }
+}
+
+/// A blocking, thread-safe stream endpoint: either end of a
+/// [`ThreadStream::pair`], or either end of a connection a
+/// [`ThreadReactorPool`] accepted.
 ///
-/// Cloning the handle (via `Arc`) lets many threads share one
-/// connection; each operation blocks its calling thread until the
-/// protocol reports completion. The endpoint has no thread of its own:
-/// it progresses inside these calls (see the module docs).
+/// Sharing the handle (via `Arc`) lets many threads use one connection;
+/// each operation blocks its calling thread until the protocol reports
+/// completion. Unless a pool's service thread polls its host, the
+/// endpoint progresses inside these calls (see the module docs).
 ///
 /// ```
 /// use exs::{ExsConfig, ThreadStream};
@@ -355,47 +511,63 @@ struct Shared {
 /// writer.join().unwrap();
 /// ```
 pub struct ThreadStream {
-    net: Arc<ThreadNet>,
-    node: Arc<ThreadNode>,
-    shared: Shared,
+    host: Arc<Host>,
+    /// This handle's slot in its host's reactor; `None` once closed, so
+    /// the handle cannot reach whoever is hosted there next.
+    conn: Option<ConnId>,
     /// Staging-buffer pool, shared with every other endpoint on the
-    /// same node (the reactor pool's accept path hands all clients of
-    /// one node the same pool).
+    /// same node that came from the same pair or pool.
     pool: MemPool,
     next_id: AtomicU64,
 }
 
 impl ThreadStream {
     /// Creates a connected pair of blocking stream endpoints over a
-    /// fresh two-node thread fabric with the given real link delay.
-    /// With no delay this starts no thread at all.
+    /// fresh two-node thread fabric with the given real link delay,
+    /// each the one handle of a host of its own. With no delay this
+    /// starts no thread at all.
     pub fn pair(cfg: &ExsConfig, delay: Duration) -> (ThreadStream, ThreadStream) {
         let mut net = ThreadNet::new();
         let a = net.add_node(rdma_verbs::HcaConfig::default());
         let b = net.add_node(rdma_verbs::HcaConfig::default());
         net.connect_nodes(&a, &b, delay);
         let net = Arc::new(net);
-        let (sock_a, sock_b) = connect_sockets_over(&a, &b, cfg, None);
+        let own = |node| (Host::own(&net, node, cfg), MemPool::new(cfg.pool.clone()));
+        ThreadStream::connect(cfg, own(&a), own(&b))
+    }
+
+    /// Connects a socket pair between two hosts' nodes, each side
+    /// completing onto its host's CQs, and hosts each end there with the
+    /// staging pool given for it.
+    fn connect(
+        cfg: &ExsConfig,
+        (host_a, pool_a): (Arc<Host>, MemPool),
+        (host_b, pool_b): (Arc<Host>, MemPool),
+    ) -> (ThreadStream, ThreadStream) {
+        let (sock_a, sock_b) = connect_sockets_shared(
+            &host_a.node,
+            &host_b.node,
+            cfg,
+            Some(host_a.cqs),
+            Some(host_b.cqs),
+        );
         (
-            ThreadStream::new(net.clone(), a, sock_a, MemPool::new(cfg.pool.clone())),
-            ThreadStream::new(net, b, sock_b, MemPool::new(cfg.pool.clone())),
+            ThreadStream::hosted(host_a, sock_a, pool_a),
+            ThreadStream::hosted(host_b, sock_b, pool_b),
         )
     }
 
-    fn new(
-        net: Arc<ThreadNet>,
-        node: Arc<ThreadNode>,
-        sock: StreamSocket,
-        pool: MemPool,
-    ) -> ThreadStream {
+    /// Hosts `sock` on `host` and gives it its mailbox.
+    fn hosted(host: Arc<Host>, sock: StreamSocket, pool: MemPool) -> ThreadStream {
+        let conn = {
+            let mut engine = host.engine.lock();
+            let conn = engine.reactor.accept(sock);
+            *slot(&mut host.mailboxes.lock(), conn.0 as usize) = Some(Mailbox::default());
+            conn
+        };
         ThreadStream {
-            net,
-            node,
-            shared: Shared {
-                sock: Mutex::new(sock),
-                events: Mutex::new(EventBuf::default()),
-                waiters: AtomicUsize::new(0),
-            },
+            host,
+            conn: Some(conn),
             pool,
             next_id: AtomicU64::new(1),
         }
@@ -403,20 +575,19 @@ impl ThreadStream {
 
     /// The endpoint's node (for memory registration and inspection).
     pub fn node(&self) -> &Arc<ThreadNode> {
-        &self.node
+        &self.host.node
     }
 
     /// Registers I/O memory on this endpoint's node. The caller owns
     /// the registration; prefer [`ThreadStream::acquire`] for
     /// pool-cached buffers that release themselves.
     pub fn register(&self, len: usize, access: Access) -> MrInfo {
-        self.node.with_hca(|h| h.register_mr(len, access))
+        self.host.node.with_hca(|h| h.register_mr(len, access))
     }
 
     /// Leases a registered buffer from this node's pin-down cache.
     pub fn acquire(&self, len: usize, access: Access) -> MrLease {
-        let mut port = ThreadPort::new(&self.net, &self.node);
-        self.pool.acquire(&mut port, len, access)
+        self.pool.acquire(&mut self.host.port(), len, access)
     }
 
     /// This node's staging-pool handle.
@@ -424,82 +595,53 @@ impl ThreadStream {
         &self.pool
     }
 
-    /// Runs `op` on the locked socket and publishes the events it
-    /// produced: into the buffer before the socket lock is released
-    /// (see [`Shared`]), then a wake-up if another caller of this
-    /// stream is waiting for one.
-    fn with_sock<R>(&self, op: impl FnOnce(&mut StreamSocket, &mut ThreadPort<'_>) -> R) -> R {
-        let mut sock = self.shared.sock.lock();
-        let mut port = ThreadPort::new(&self.net, &self.node);
-        let result = op(&mut sock, &mut port);
-        let events = sock.take_events();
-        if events.is_empty() {
-            return result;
-        }
-        self.shared.events.lock().absorb(events);
-        drop(sock);
-        if self.shared.waiters.load(Ordering::SeqCst) != 0 {
-            self.node.notify();
-        }
-        result
-    }
-
-    /// One progress step on the calling thread: drains both CQs and
-    /// advances the protocol.
-    fn progress(&self) {
-        self.with_sock(|sock, port| sock.handle_wake(port));
+    /// Runs `op` on this handle's endpoint; `None` once closed.
+    fn with_endpoint<R>(
+        &self,
+        op: impl FnOnce(&mut Endpoint, &mut ThreadPort<'_>) -> R,
+    ) -> Option<R> {
+        Some(self.host.with_endpoint(self.conn?, op))
     }
 
     /// Starts an asynchronous send from registered memory; returns the
     /// operation id. The buffer must stay untouched until
-    /// [`ThreadStream::wait_send`] returns it.
+    /// [`ThreadStream::wait_send`] returns it. A send the stream refuses
+    /// — it is broken, shut down or closed — never completes.
     pub fn send(&self, mr: &MrInfo, offset: u64, len: u64) -> u64 {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        self.with_sock(|sock, port| sock.exs_send(port, mr, offset, len, id));
+        self.with_endpoint(|ep, port| ep.send(port, 0, mr, offset, len, id));
         id
     }
 
     /// Starts an asynchronous receive into registered memory.
     pub fn recv(&self, mr: &MrInfo, offset: u64, len: u32, waitall: bool) -> u64 {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        self.with_sock(|sock, port| sock.exs_recv(port, mr, offset, len, waitall, id));
+        self.with_endpoint(|ep, port| ep.recv(port, 0, mr, offset, len, waitall, id));
         id
     }
 
-    /// The blocking wait of this type, with the calling thread as the
-    /// progress engine: take a progress step, look for the completion
-    /// `take` wants, and if it is not there wait for the node's
-    /// generation to move ([`spin_then_park`]) — until `timeout`.
-    fn wait<T>(&self, timeout: Duration, take: impl Fn(&mut EventBuf) -> Option<T>) -> Option<T> {
-        let deadline = Instant::now() + timeout;
-        loop {
-            // Read before polling: whatever lands after this moves the
-            // generation, and the wait below returns at once.
-            let seen = self.node.generation();
-            self.progress();
-            self.shared.waiters.fetch_add(1, Ordering::SeqCst);
-            let done = take(&mut self.shared.events.lock());
-            let over = done.is_some() || Instant::now() >= deadline;
-            if !over {
-                spin_then_park(&self.node, seen, deadline);
-            }
-            self.shared.waiters.fetch_sub(1, Ordering::SeqCst);
-            if over {
-                return done;
-            }
-        }
+    /// Waits for the completion `take` finds in this handle's mailbox;
+    /// `None` at `timeout`, or at once on a closed handle.
+    fn wait<T>(&self, timeout: Duration, take: impl Fn(&mut Mailbox) -> Option<T>) -> Option<T> {
+        let conn = self.conn?;
+        let host = &self.host;
+        host.wait(deadline_after(timeout), false, || {
+            take(mailbox(&mut host.mailboxes.lock(), conn))
+        })
     }
 
     /// Blocks until send `id` completes; returns the bytes sent, or
-    /// `None` on timeout.
+    /// `None` on timeout (`Duration::MAX` waits for ever) or once the
+    /// handle is closed.
     pub fn wait_send(&self, id: u64, timeout: Duration) -> Option<u64> {
-        self.wait(timeout, |buf| buf.sends_done.remove(&id))
+        self.wait(timeout, |mailbox| mailbox.sends_done.remove(&id))
     }
 
     /// Blocks until receive `id` completes; returns the bytes received,
-    /// or `None` on timeout.
+    /// or `None` on timeout (`Duration::MAX` waits for ever) or once the
+    /// handle is closed.
     pub fn wait_recv(&self, id: u64, timeout: Duration) -> Option<u32> {
-        self.wait(timeout, |buf| buf.recvs_done.remove(&id))
+        self.wait(timeout, |mailbox| mailbox.recvs_done.remove(&id))
     }
 
     /// Convenience: sends `data` through a pool-leased staging buffer
@@ -510,12 +652,9 @@ impl ThreadStream {
     /// (and leaking) a region per call.
     pub fn send_bytes(&self, data: &[u8]) -> std::result::Result<(), &'static str> {
         let lease = self.acquire(data.len().max(1), Access::NONE);
-        {
-            let mut port = ThreadPort::new(&self.net, &self.node);
-            lease
-                .write(&mut port, 0, data)
-                .map_err(|_| "staging write failed")?;
-        }
+        lease
+            .write(&mut self.host.port(), 0, data)
+            .map_err(|_| "staging write failed")?;
         let id = self.send(lease.info(), 0, data.len() as u64);
         self.wait_send(id, Duration::from_secs(30))
             .map(|_| ())
@@ -529,28 +668,19 @@ impl ThreadStream {
         let id = self.recv(lease.info(), 0, buf.len() as u32, true);
         self.wait_recv(id, Duration::from_secs(30))
             .ok_or("receive timed out")?;
-        let port = ThreadPort::new(&self.net, &self.node);
-        lease.read(&port, 0, buf).map_err(|_| "staging read failed")
+        lease
+            .read(&self.host.port(), 0, buf)
+            .map_err(|_| "staging read failed")
     }
 
-    /// Drives the socket on the calling thread until it owes the wire
-    /// nothing ([`StreamSocket::has_unsent`]) — bounded, so a peer that
-    /// never grants the credits cannot hold the caller for ever. What
-    /// `shutdown`, `flush` and `close` end with: after they return the
-    /// caller may never call again, and nothing else would send a FIN or
-    /// a held-back message queued behind flow control.
-    fn drain_unsent(&self) {
-        let deadline = Instant::now() + Duration::from_secs(5);
-        loop {
-            let seen = self.node.generation();
-            let unsent = self.with_sock(|sock, port| {
-                sock.handle_wake(port);
-                sock.has_unsent()
+    /// Stays until this handle owes the wire nothing, for at most
+    /// [`DRAIN_BOUND`] — a peer that never grants the credits cannot
+    /// hold the caller for ever.
+    fn drain(&self) {
+        if let Some(conn) = self.conn {
+            self.host.drain(deadline_after(DRAIN_BOUND), |reactor| {
+                reactor.conn(conn).has_unsent()
             });
-            if !unsent || Instant::now() >= deadline {
-                return;
-            }
-            spin_then_park(&self.node, seen, deadline);
         }
     }
 
@@ -559,192 +689,122 @@ impl ThreadStream {
     /// stays until everything queued has reached the wire: without it a
     /// held send goes out inside the caller's next blocking call.
     pub fn flush(&self) {
-        self.with_sock(|sock, port| sock.tx_flush(port));
-        self.drain_unsent();
+        self.with_endpoint(|ep, port| ep.flush(port));
+        self.drain();
     }
 
     /// Half-closes the sending direction. Queued data drains and the
     /// FIN follows it before this returns (or after five seconds of a
     /// peer granting nothing).
     pub fn shutdown(&self) {
-        self.with_sock(|sock, port| sock.exs_shutdown(port));
-        self.drain_unsent();
+        self.with_endpoint(|ep, port| ep.shutdown(port, 0));
+        self.drain();
     }
 
-    /// True once the peer has closed and its stream fully drained.
+    /// One progress step (unless a service thread takes them), then the
+    /// endpoint's level-triggered state. A closed handle reads as ended.
+    fn state(&self) -> Readiness {
+        let Some(conn) = self.conn else {
+            return Readiness {
+                closed: true,
+                ..Readiness::NONE
+            };
+        };
+        if !self.host.serviced() {
+            self.host.poll();
+        }
+        self.host.engine.lock().reactor.conn(conn).readiness()
+    }
+
+    /// True once the peer has closed and its stream fully drained, and
+    /// on a closed handle.
     pub fn peer_closed(&self) -> bool {
-        self.progress();
-        self.shared.events.lock().peer_closed
+        self.state().closed
     }
 
     /// True once the transport failed underneath the socket.
     pub fn is_broken(&self) -> bool {
-        self.progress();
-        self.shared.events.lock().broken
+        self.state().error
     }
 
-    /// Protocol statistics snapshot, CQ-pressure gauges included.
+    /// Protocol statistics snapshot, CQ-pressure gauges included; all
+    /// zero on a closed handle.
     pub fn stats(&self) -> ConnStats {
-        let port = ThreadPort::new(&self.net, &self.node);
-        synced_stats(&mut self.shared.sock.lock(), &port)
+        self.with_endpoint(|ep, port| {
+            ep.sync_cq_stats(port);
+            ep.stats().clone()
+        })
+        .unwrap_or_default()
     }
 
-    /// Closes the endpoint: sends what it still owes, releases every
-    /// registration the socket owns, and trims this handle's share of
-    /// the staging pool. Idle registrations held for other endpoints on
-    /// the same node stay cached; live leases elsewhere are untouched.
+    /// Closes the endpoint: sends what it still owes, detaches it from
+    /// its host together with its mailbox, releases every registration
+    /// the socket owns, and trims this handle's share of the staging
+    /// pool. Idle registrations held for other endpoints on the same
+    /// node stay cached; live leases elsewhere are untouched. Every later
+    /// call on the handle answers "closed".
     pub fn close(&mut self) {
-        self.drain_unsent();
+        let Some(conn) = self.conn else {
+            return;
+        };
+        self.drain();
+        self.conn = None;
+        let host = &self.host;
+        let mut ep = {
+            let mut engine = host.engine.lock();
+            host.mailboxes.lock()[conn.0 as usize] = None;
+            engine.reactor.remove(conn)
+        };
         // Late control traffic from the peer (final ACKs, credit
         // returns) may still be in flight on a delayed link; let it
         // land while our control slots are still registered.
-        self.net.quiesce();
-        let mut sock = self.shared.sock.lock();
-        let mut port = ThreadPort::new(&self.net, &self.node);
-        sock.close(&mut port);
+        host.net.quiesce();
+        let mut port = host.port();
+        ep.close(&mut port);
         self.pool.trim(&mut port);
     }
 }
 
-/// One shard of a [`ThreadReactorPool`]: a reactor over its own CQ
-/// pair, the completion buffers of the connections it hosts, and its
-/// service thread's telemetry.
-///
-/// Lock order is `reactor`, then `events`. A connection's buffer is
-/// inserted, filled and removed only while `reactor` is held, so the
-/// buffer exists exactly as long as the reactor hosts the connection
-/// and a recycled [`ConnId`] never inherits its predecessor's
-/// completions.
-struct Shard {
-    cqs: (CqId, CqId),
-    reactor: Mutex<Reactor>,
-    /// Per-connection completion buffers, keyed by `ConnId.0`.
-    events: Mutex<HashMap<u32, EventBuf>>,
-    cv: Condvar,
-    stop: AtomicBool,
-    busy_ns: AtomicU64,
-    wall_ns: AtomicU64,
-}
-
-impl Shard {
-    /// Publishes `events` to `conn`'s waiters. The caller holds this
-    /// shard's reactor lock (see the lock order above).
-    fn publish(&self, conn: ConnId, events: Vec<ExsEvent>) {
-        if events.is_empty() {
-            return;
-        }
-        if let Some(buf) = self.events.lock().get_mut(&conn.0) {
-            buf.absorb(events);
-        }
-        self.cv.notify_all();
-    }
-}
-
-/// The socket behind `conn`: sockets are all this pool accepts.
-fn hosted_sock(reactor: &mut Reactor, conn: ConnId) -> &mut StreamSocket {
-    reactor
-        .conn_mut(conn)
-        .as_socket_mut()
-        .expect("the pool hosts sockets only")
-}
-
 /// One shard's service loop: parks on the node's completion signal,
-/// performs one bounded poll, and publishes what it harvested — reusing
-/// its readiness buffer so the steady state allocates nothing per wake.
-fn spawn_shard_service(
-    net: Arc<ThreadNet>,
-    node: Arc<ThreadNode>,
-    shard: Arc<Shard>,
-) -> std::thread::JoinHandle<()> {
+/// takes one progress step per wake — which wakes the shard's parked
+/// callers for what it published — and stops once the host is no longer
+/// serviced.
+fn spawn_service(host: Arc<Host>) -> JoinHandle<()> {
     std::thread::spawn(move || {
-        let epoch = std::time::Instant::now();
-        let mut seen = node.generation();
+        let epoch = Instant::now();
+        let mut seen = host.node.generation();
         let mut backlog = false;
-        let mut ready: Vec<(ConnId, Readiness)> = Vec::new();
-        while !shard.stop.load(Ordering::Acquire) {
+        while host.serviced() {
             if !backlog {
                 // Park on the completion signal only when the last
-                // poll fully drained: bounded polls are edge-free, so
+                // step fully drained: bounded polls are edge-free, so
                 // leftover work must be serviced without waiting for a
                 // new completion.
-                seen = node.wait_any(seen, Duration::from_millis(50));
+                seen = host.node.wait_any(seen, Duration::from_millis(50));
             }
-            let work_start = std::time::Instant::now();
-            {
-                let mut reactor = shard.reactor.lock();
-                let mut port = ThreadPort::new(&net, &node);
-                reactor.poll_into(&mut port, &mut ready);
-                backlog = reactor.has_backlog();
-                if !ready.is_empty() {
-                    let mut bufs = shard.events.lock();
-                    for &(conn, _) in &ready {
-                        let Some(buf) = bufs.get_mut(&conn.0) else {
-                            continue;
-                        };
-                        let sock = hosted_sock(&mut reactor, conn);
-                        buf.absorb(sock.take_events());
-                        // Closed/error are level-triggered states with
-                        // no event after the first take; mirror them
-                        // into the buffer directly.
-                        buf.peer_closed |= sock.peer_closed();
-                        buf.broken |= sock.is_broken();
-                    }
-                    drop(bufs);
-                    shard.cv.notify_all();
-                }
-            }
-            shard
-                .busy_ns
+            let work_start = Instant::now();
+            backlog = host.poll();
+            host.busy_ns
                 .fetch_add(work_start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-            shard
-                .wall_ns
+            host.wall_ns
                 .store(epoch.elapsed().as_nanos() as u64, Ordering::Relaxed);
         }
     })
 }
 
-/// Actively polls a shard's reactor until nothing it hosts still owes
-/// traffic to the wire ([`Reactor::has_unsent`]) or `deadline` passes —
-/// the thread-backend extension of the aio `drained()` teardown
-/// condition. Called before stopping a service thread: a loop that
-/// stops at "no events pending" can strand a FIN queued behind flow
-/// control, leaving the peer waiting for an end-of-stream that never
-/// comes.
-fn drain_reactor_unsent(
-    net: &ThreadNet,
-    node: &Arc<ThreadNode>,
-    shard: &Shard,
-    deadline: std::time::Instant,
-) {
-    let mut scratch: Vec<(ConnId, Readiness)> = Vec::new();
-    loop {
-        {
-            let mut reactor = shard.reactor.lock();
-            if !reactor.has_unsent() {
-                break;
-            }
-            let mut port = ThreadPort::new(net, node);
-            reactor.poll_into(&mut port, &mut scratch);
-        }
-        if std::time::Instant::now() >= deadline {
-            break;
-        }
-        std::thread::yield_now();
-    }
-}
-
 /// [`Reactor`]s hosted on one node of the real-thread fabric — the
-/// thread backend's one serving front-end.
+/// thread backend's one serving front-end: one host per shard, one
+/// service thread per host, and a [`Placement`].
 ///
-/// Where a [`ThreadStream`] endpoint progresses only inside its
-/// owner's calls, the pool runs **one service thread per shard** for
-/// every connection it accepted: the thread parks on the node's completion signal
-/// ([`ThreadNode::wait_any`] — the completion-channel analogue), and
-/// each wake performs one bounded [`Reactor::poll`] over the shard's
-/// shared CQs. Application threads post sends/receives on any accepted
-/// connection and block on per-connection completions. With
-/// `shard.shards = 1` (the [`ExsConfig`] default) this is the classic
-/// single reactor; more shards spread CQE dispatch and readiness
+/// Where a caller-polled [`ThreadStream`] progresses only inside its
+/// owner's calls, the pool's **service thread per shard** polls for
+/// every server end it accepted: the thread parks on the node's
+/// completion signal ([`ThreadNode::wait_any`] — the completion-channel
+/// analogue), and each wake performs one bounded [`Reactor::poll`] over
+/// the shard's shared CQs. A server end is a whole [`ThreadStream`];
+/// its callers park on the same signal and the service thread wakes
+/// them. With `shard.shards = 1` (the [`ExsConfig`] default) this is the
+/// classic single reactor; more shards spread CQE dispatch and readiness
 /// harvesting across cores instead of serialising on one reactor lock.
 ///
 /// Sharding invariants (those of [`crate::shard`]):
@@ -752,26 +812,24 @@ fn drain_reactor_unsent(
 /// * A connection is assigned to a shard **once**, at accept, by the
 ///   configured [`crate::config::ShardPolicy`]; it never migrates.
 /// * Post, wait, poll and close touch only the owning shard's state —
-///   no cross-shard locks. [`ThreadReactorPool::close_conn`] detaches
-///   the socket under the shard's reactor lock, the same lock every
-///   post takes, so it needs no message to the service thread.
+///   no cross-shard locks. [`ThreadStream::close`] detaches the socket
+///   under the shard's reactor lock, the same lock every post takes, so
+///   it needs no message to the service thread.
 /// * Statistics aggregate by **summing** counters across shards
 ///   (peaks take a max); per-shard telemetry is preserved in
 ///   [`ThreadReactorPool::shard_stats`].
 pub struct ThreadReactorPool {
-    net: Arc<ThreadNet>,
-    node: Arc<ThreadNode>,
-    shards: Vec<Arc<Shard>>,
-    services: Vec<std::thread::JoinHandle<()>>,
+    /// One per shard, all on the pool's node.
+    hosts: Vec<Arc<Host>>,
+    services: Vec<JoinHandle<()>>,
     /// Shared by all accept callers; touched only on the accept path,
     /// never while moving bytes.
     placement: Mutex<Placement>,
-    /// Pin-down cache for server-side buffers on the pool's node.
+    /// Staging pool of the server ends, on the pool's node.
     pool: MemPool,
-    /// One staging pool per client node, shared by every endpoint
-    /// [`ThreadReactorPool::accept`] creates on that node.
-    client_pools: Mutex<HashMap<u32, MemPool>>,
-    next_id: AtomicU64,
+    /// One staging pool per client node, indexed by node id, shared by
+    /// every client end accepted from that node.
+    client_pools: Mutex<Vec<Option<MemPool>>>,
 }
 
 impl ThreadReactorPool {
@@ -785,62 +843,36 @@ impl ThreadReactorPool {
         exs_cfg: &ExsConfig,
         max_conns: usize,
     ) -> ThreadReactorPool {
-        let nshards = exs_cfg.shard.effective_shards();
+        let shards = exs_cfg.shard.effective_shards();
         let cq_depth = exs_cfg.cq_depth(max_conns.max(1));
-        let mut shards = Vec::with_capacity(nshards);
-        let mut services = Vec::with_capacity(nshards);
-        for _ in 0..nshards {
-            let cqs = node.with_hca(|h| (h.create_cq(cq_depth), h.create_cq(cq_depth)));
-            let shard = Arc::new(Shard {
-                cqs,
-                reactor: Mutex::new(Reactor::new(cqs.0, cqs.1, cfg)),
-                events: Mutex::new(HashMap::new()),
-                cv: Condvar::new(),
-                stop: AtomicBool::new(false),
-                busy_ns: AtomicU64::new(0),
-                wall_ns: AtomicU64::new(0),
-            });
-            services.push(spawn_shard_service(
-                net.clone(),
-                node.clone(),
-                shard.clone(),
-            ));
-            shards.push(shard);
-        }
+        let hosts: Vec<Arc<Host>> = (0..shards)
+            .map(|_| Host::new(&net, &node, cq_depth, cfg, true))
+            .collect();
         ThreadReactorPool {
-            net,
-            node,
-            shards,
-            services,
-            placement: Mutex::new(Placement::new(exs_cfg.shard.policy, nshards)),
+            services: hosts.iter().cloned().map(spawn_service).collect(),
+            hosts,
+            placement: Mutex::new(Placement::new(exs_cfg.shard.policy, shards)),
             pool: MemPool::new(exs_cfg.pool.clone()),
-            client_pools: Mutex::new(HashMap::new()),
-            next_id: AtomicU64::new(1),
+            client_pools: Mutex::new(Vec::new()),
         }
     }
 
     /// The pool's node.
     pub fn node(&self) -> &Arc<ThreadNode> {
-        &self.node
+        &self.hosts[0].node
     }
 
     /// Number of shards.
     pub fn shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    fn pick_shard(&self, affinity: Option<u64>) -> u32 {
-        let load = |s: usize| self.shards[s].reactor.lock().stats().live_conns();
-        self.placement.lock().pick(affinity, load)
+        self.hosts.len()
     }
 
     /// Accepts a new connection from `peer`, placing it by the pool's
     /// policy: builds a QP pair whose server side completes onto the
-    /// chosen shard's CQs, registers the server socket with that
-    /// shard's reactor, and returns the shard-qualified handle plus the
-    /// blocking client endpoint (which, as every [`ThreadStream`] does,
-    /// progresses inside its owner's calls).
-    pub fn accept(&self, peer: &Arc<ThreadNode>, cfg: &ExsConfig) -> (ShardHandle, ThreadStream) {
+    /// chosen shard's CQs and is hosted there, and returns the server
+    /// end and the client end — the latter the one handle of a host of
+    /// its own, which progresses inside its owner's calls.
+    pub fn accept(&self, peer: &Arc<ThreadNode>, cfg: &ExsConfig) -> (ThreadStream, ThreadStream) {
         self.accept_with_affinity(peer, cfg, None)
     }
 
@@ -852,144 +884,40 @@ impl ThreadReactorPool {
         peer: &Arc<ThreadNode>,
         cfg: &ExsConfig,
         affinity: Option<u64>,
-    ) -> (ShardHandle, ThreadStream) {
-        let shard = self.pick_shard(affinity);
-        let rt = &self.shards[shard as usize];
-        let (client_sock, server_sock) = connect_sockets_over(peer, &self.node, cfg, Some(rt.cqs));
-        let conn = {
-            let mut reactor = rt.reactor.lock();
-            let conn = reactor.accept(server_sock);
-            rt.events.lock().insert(conn.0, EventBuf::default());
-            conn
+    ) -> (ThreadStream, ThreadStream) {
+        let load = |s: usize| self.hosts[s].engine.lock().reactor.stats().live_conns();
+        let shard = self.placement.lock().pick(affinity, load);
+        let server = &self.hosts[shard as usize];
+        let client_pool = {
+            let mut pools = self.client_pools.lock();
+            let pool = slot(&mut pools, peer.id().0 as usize);
+            (pool.get_or_insert_with(|| MemPool::new(cfg.pool.clone()))).clone()
         };
-        let pool = self
-            .client_pools
-            .lock()
-            .entry(peer.id().0)
-            .or_insert_with(|| MemPool::new(cfg.pool.clone()))
-            .clone();
-        let client = ThreadStream::new(self.net.clone(), peer.clone(), client_sock, pool);
-        (ShardHandle { shard, conn }, client)
-    }
-
-    /// Registers I/O memory on the pool's node. The caller owns the
-    /// registration; prefer [`ThreadReactorPool::acquire`] for
-    /// pool-cached buffers that release themselves.
-    pub fn register(&self, len: usize, access: Access) -> MrInfo {
-        self.node.with_hca(|h| h.register_mr(len, access))
-    }
-
-    /// Leases a registered buffer from the pool node's pin-down cache.
-    pub fn acquire(&self, len: usize, access: Access) -> MrLease {
-        let mut port = ThreadPort::new(&self.net, &self.node);
-        self.pool.acquire(&mut port, len, access)
-    }
-
-    /// The pool node's buffer-pool handle.
-    pub fn pool(&self) -> &MemPool {
-        &self.pool
-    }
-
-    /// Closes an accepted connection: detaches it from its shard's
-    /// reactor (waiters on it return `None`) and releases every
-    /// registration the server-side socket owns.
-    pub fn close_conn(&self, handle: ShardHandle) {
-        let rt = &self.shards[handle.shard as usize];
-        let mut sock = {
-            let mut reactor = rt.reactor.lock();
-            rt.events.lock().remove(&handle.conn.0);
-            reactor.remove(handle.conn)
-        };
-        rt.cv.notify_all();
-        // Drain in-flight control traffic aimed at this connection's
-        // slots before deregistering them.
-        self.net.quiesce();
-        let mut port = ThreadPort::new(&self.net, &self.node);
-        sock.close(&mut port);
-    }
-
-    /// Runs one posting call on an accepted connection under its
-    /// shard's reactor lock and publishes the events it completed
-    /// inline; returns the new operation id.
-    fn post(
-        &self,
-        handle: ShardHandle,
-        op: impl FnOnce(&mut StreamSocket, &mut ThreadPort<'_>, u64),
-    ) -> u64 {
-        let rt = &self.shards[handle.shard as usize];
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let mut reactor = rt.reactor.lock();
-        let mut port = ThreadPort::new(&self.net, &self.node);
-        let sock = hosted_sock(&mut reactor, handle.conn);
-        op(sock, &mut port, id);
-        rt.publish(handle.conn, sock.take_events());
-        id
-    }
-
-    /// Posts an asynchronous receive on an accepted connection.
-    pub fn post_recv(
-        &self,
-        handle: ShardHandle,
-        mr: &MrInfo,
-        offset: u64,
-        len: u32,
-        waitall: bool,
-    ) -> u64 {
-        self.post(handle, |sock, port, id| {
-            sock.exs_recv(port, mr, offset, len, waitall, id)
-        })
-    }
-
-    /// Posts an asynchronous send on an accepted connection.
-    pub fn post_send(&self, handle: ShardHandle, mr: &MrInfo, offset: u64, len: u64) -> u64 {
-        self.post(handle, |sock, port, id| {
-            sock.exs_send(port, mr, offset, len, id)
-        })
-    }
-
-    /// Blocks until receive `id` on `handle` completes; `None` on
-    /// timeout, or at once if the connection is closed.
-    pub fn wait_recv(&self, handle: ShardHandle, id: u64, timeout: Duration) -> Option<u32> {
-        let rt = &self.shards[handle.shard as usize];
-        wait_event(&rt.events, &rt.cv, timeout, |bufs| {
-            Some(bufs.get_mut(&handle.conn.0)?.recvs_done.remove(&id))
-        })
-    }
-
-    /// Blocks until send `id` on `handle` completes; `None` on timeout,
-    /// or at once if the connection is closed.
-    pub fn wait_send(&self, handle: ShardHandle, id: u64, timeout: Duration) -> Option<u64> {
-        let rt = &self.shards[handle.shard as usize];
-        wait_event(&rt.events, &rt.cv, timeout, |bufs| {
-            Some(bufs.get_mut(&handle.conn.0)?.sends_done.remove(&id))
-        })
-    }
-
-    /// True once `handle`'s peer closed and its stream fully drained.
-    pub fn peer_closed(&self, handle: ShardHandle) -> bool {
-        let mut reactor = self.shards[handle.shard as usize].reactor.lock();
-        hosted_sock(&mut reactor, handle.conn).peer_closed()
+        let client = (Host::own(&server.net, peer, cfg), client_pool);
+        let (client, server) =
+            ThreadStream::connect(cfg, client, (server.clone(), self.pool.clone()));
+        (server, client)
     }
 
     /// Sum of all accepted connections' protocol counters, across every
     /// shard.
     pub fn aggregate_stats(&self) -> ConnStats {
-        merged((self.shards.iter()).map(|rt| rt.reactor.lock().aggregate_conn_stats()))
+        merged((self.hosts.iter()).map(|host| host.engine.lock().reactor.aggregate_conn_stats()))
     }
 
     /// Event-loop statistics merged across shards: counters sum, peaks
     /// take the max.
     pub fn reactor_stats(&self) -> ReactorStats {
-        merged((self.shards.iter()).map(|rt| rt.reactor.lock().stats().clone()))
+        merged((self.hosts.iter()).map(|host| host.engine.lock().reactor.stats().clone()))
     }
 
-    /// Aggregated pool counters: the pool node's buffer pool merged
+    /// Aggregated pool counters: the server ends' staging pool merged
     /// with every per-client-node pool created by accepts.
     pub fn pool_stats(&self) -> PoolStats {
         let clients = self.client_pools.lock();
         merged(
             std::iter::once(&self.pool)
-                .chain(clients.values())
+                .chain(clients.iter().flatten())
                 .map(MemPool::stats),
         )
     }
@@ -999,13 +927,11 @@ impl ThreadReactorPool {
     /// ratio.
     pub fn shard_stats(&self) -> Vec<ShardStats> {
         let placement = self.placement.lock();
-        self.shards
-            .iter()
-            .enumerate()
-            .map(|(i, rt)| ShardStats {
-                busy_ns: rt.busy_ns.load(Ordering::Relaxed),
-                wall_ns: rt.wall_ns.load(Ordering::Relaxed),
-                ..placement.row(i, rt.reactor.lock().stats())
+        (self.hosts.iter().enumerate())
+            .map(|(i, host)| ShardStats {
+                busy_ns: host.busy_ns.load(Ordering::Relaxed),
+                wall_ns: host.wall_ns.load(Ordering::Relaxed),
+                ..placement.row(i, host.engine.lock().reactor.stats())
             })
             .collect()
     }
@@ -1013,23 +939,22 @@ impl ThreadReactorPool {
 
 impl Drop for ThreadReactorPool {
     fn drop(&mut self) {
-        // Every shard flushes its hosted streams' unsent traffic before
-        // any shard stops: a FIN queued behind flow control at teardown
-        // must still reach the wire or the peer hangs waiting for
-        // end-of-stream.
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        for rt in &self.shards {
-            drain_reactor_unsent(&self.net, &self.node, rt, deadline);
+        // Every shard drains before any stops (one shared deadline): a
+        // FIN queued behind flow control at teardown must still reach
+        // the wire or the peer hangs waiting for end-of-stream.
+        let deadline = deadline_after(DRAIN_BOUND);
+        for host in &self.hosts {
+            host.drain(deadline, Reactor::has_unsent);
         }
-        // Signal every shard, wake all parked service threads at once,
-        // then join.
-        for rt in &self.shards {
-            rt.stop.store(true, Ordering::Release);
-            rt.cv.notify_all();
+        // Then stop every service thread, wake them all at once, and
+        // join. A server end still open is its callers' to poll from
+        // here on.
+        for host in &self.hosts {
+            host.serviced.store(false, Ordering::SeqCst);
         }
-        self.node.notify();
-        for h in self.services.drain(..) {
-            let _ = h.join();
+        self.node().notify();
+        for service in self.services.drain(..) {
+            let _ = service.join();
         }
     }
 }
@@ -1226,6 +1151,12 @@ mod tests {
         });
     }
 
+    /// True while `stream` still owes traffic to the wire.
+    fn owes(stream: &ThreadStream) -> bool {
+        let engine = stream.host.engine.lock();
+        engine.reactor.conn(stream.conn.unwrap()).has_unsent()
+    }
+
     /// `shutdown` is the closing side's last call. With the credits
     /// spent the FIN cannot even be queued when it is made, and nothing
     /// would send it later: the call itself has to stay until the peer
@@ -1251,7 +1182,7 @@ mod tests {
             for msg in 0..MSGS {
                 a.send(&src, msg * LEN, LEN);
             }
-            assert!(a.shared.sock.lock().has_unsent(), "credits never ran out");
+            assert!(owes(&a), "credits never ran out");
 
             std::thread::scope(|s| {
                 s.spawn(|| a.shutdown());
@@ -1271,7 +1202,7 @@ mod tests {
                     .unwrap();
                 assert_eq!(read, pattern);
             });
-            assert!(!a.shared.sock.lock().has_unsent());
+            assert!(!owes(&a));
         });
     }
 
@@ -1282,26 +1213,159 @@ mod tests {
         assert_eq!(a.wait_recv(9999, Duration::from_millis(50)), None);
     }
 
-    /// A wait on a handle `close_conn` already removed used to re-insert
-    /// an `EventBuf` nobody would free and then sleep out its timeout.
+    /// A wait for ever is `Duration::MAX`, which no `Instant` can be
+    /// moved by: it must wait without a deadline, not overflow.
     #[test]
-    fn wait_on_a_closed_handle_returns_at_once_and_inserts_nothing() {
-        let cfg = ExsConfig::default();
+    fn a_wait_for_ever_returns_once_the_peer_sends() {
+        within(Duration::from_secs(15), || {
+            let (a, b) = ThreadStream::pair(&ExsConfig::default(), Duration::ZERO);
+            let dst = b.register(4, Access::local_remote_write());
+            let id = b.recv(&dst, 0, 4, true);
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    std::thread::sleep(Duration::from_millis(10));
+                    a.send_bytes(b"late").unwrap();
+                });
+                assert_eq!(b.wait_recv(id, Duration::MAX), Some(4));
+            });
+        });
+    }
+
+    /// A one-shard pool over a server node and one peer node.
+    fn pool_of(cfg: &ExsConfig, max_conns: usize) -> (ThreadReactorPool, Arc<ThreadNode>) {
         let mut net = ThreadNet::new();
         let server = net.add_node(rdma_verbs::HcaConfig::default());
         let peer = net.add_node(rdma_verbs::HcaConfig::default());
         net.connect_nodes(&peer, &server, Duration::ZERO);
-        let pool = ThreadReactorPool::new(Arc::new(net), server, ReactorConfig::default(), &cfg, 2);
-        let (closed, _c1) = pool.accept(&peer, &cfg);
+        let pool = ThreadReactorPool::new(
+            Arc::new(net),
+            server,
+            ReactorConfig::default(),
+            cfg,
+            max_conns,
+        );
+        (pool, peer)
+    }
+
+    /// A wait on a closed server end used to re-insert a completion
+    /// buffer nobody would free and then sleep out its timeout.
+    #[test]
+    fn wait_on_a_closed_handle_returns_at_once_and_inserts_nothing() {
+        let cfg = ExsConfig::default();
+        let (pool, peer) = pool_of(&cfg, 2);
+        let (mut closed, _c1) = pool.accept(&peer, &cfg);
         let (live, _c2) = pool.accept(&peer, &cfg);
-        pool.close_conn(closed);
+        closed.close();
 
         let start = std::time::Instant::now();
         let long = Duration::from_secs(30);
-        assert_eq!(pool.wait_recv(closed, 1, long), None);
-        assert_eq!(pool.wait_send(closed, 1, long), None);
+        assert_eq!(closed.wait_recv(1, long), None);
+        assert_eq!(closed.wait_send(1, long), None);
         assert!(start.elapsed() < Duration::from_secs(5));
-        let bufs = pool.shards[0].events.lock();
-        assert_eq!(bufs.keys().collect::<Vec<_>>(), [&live.conn.0]);
+        let boxes = pool.hosts[0].mailboxes.lock();
+        let hosted: Vec<usize> = (boxes.iter().enumerate())
+            .filter_map(|(slot, mailbox)| mailbox.as_ref().map(|_| slot))
+            .collect();
+        assert_eq!(hosted, [live.conn.unwrap().0 as usize]);
+    }
+
+    /// A closed handle forgets its slot. The next accept reuses it, and
+    /// the closed handle reaches nothing there: its waits answer `None`
+    /// at once instead of finding the newcomer's mailbox, and a receive
+    /// on it posts nothing that could take the newcomer's bytes.
+    #[test]
+    fn a_closed_handle_does_not_reach_the_connection_that_reuses_its_slot() {
+        within(Duration::from_secs(15), || {
+            let cfg = ExsConfig::default();
+            let (pool, peer) = pool_of(&cfg, 2);
+            let (mut stale, _stale_client) = pool.accept(&peer, &cfg);
+            let slot = stale.conn;
+            stale.close();
+            let (fresh, fresh_client) = pool.accept(&peer, &cfg);
+            assert_eq!(fresh.conn, slot, "the slab reuses the freed slot");
+
+            let start = std::time::Instant::now();
+            assert_eq!(stale.wait_recv(1, Duration::from_secs(30)), None);
+            let dst = stale.register(64, Access::local_remote_write());
+            let id = stale.recv(&dst, 0, 64, false);
+            assert_eq!(stale.wait_recv(id, Duration::from_secs(30)), None);
+            assert!(start.elapsed() < Duration::from_secs(1));
+
+            std::thread::scope(|s| {
+                s.spawn(|| fresh_client.send_bytes(b"for the newcomer").unwrap());
+                let mut buf = [0u8; 16];
+                fresh.recv_exact(&mut buf).unwrap();
+                assert_eq!(&buf, b"for the newcomer");
+            });
+        });
+    }
+
+    /// The server end of a pool connection is a whole stream: over two
+    /// shards, server ends echo with `recv_exact`/`send_bytes`, shut
+    /// down (the client reads end-of-stream), report their counters and
+    /// close. Both sides pause before every message, so every hop — the
+    /// service thread's progress step, then the node's notify — has to
+    /// wake a parked caller of a serviced host.
+    #[test]
+    fn pool_server_ends_echo_shut_down_and_close_between_parked_callers() {
+        const CONNS: usize = 4;
+        const TRIPS: u32 = 50;
+        let pause = Duration::from_millis(1);
+        within(Duration::from_secs(15), move || {
+            let cfg = ExsConfig {
+                shard: crate::ShardConfig {
+                    shards: 2,
+                    policy: crate::ShardPolicy::RoundRobin,
+                },
+                ..ExsConfig::default()
+            };
+            let (pool, peer) = pool_of(&cfg, CONNS);
+            let servers: Vec<ThreadStream> = std::thread::scope(|s| {
+                let echoes: Vec<_> = (0..CONNS)
+                    .map(|_| {
+                        let (server, mut client) = pool.accept(&peer, &cfg);
+                        s.spawn(move || {
+                            let mut buf = [0u8; 4];
+                            for trip in 0..TRIPS {
+                                std::thread::sleep(pause);
+                                client.send_bytes(&trip.to_le_bytes()).unwrap();
+                                client.recv_exact(&mut buf).unwrap();
+                                assert_eq!(u32::from_le_bytes(buf), trip);
+                            }
+                            let dst = client.register(1, Access::local_remote_write());
+                            let id = client.recv(&dst, 0, 1, false);
+                            assert_eq!(client.wait_recv(id, Duration::from_secs(10)), Some(0));
+                            assert!(client.peer_closed());
+                            client.close();
+                        });
+                        s.spawn(move || {
+                            let mut buf = [0u8; 4];
+                            for _ in 0..TRIPS {
+                                server.recv_exact(&mut buf).unwrap();
+                                std::thread::sleep(pause);
+                                server.send_bytes(&buf).unwrap();
+                            }
+                            server.shutdown();
+                            server
+                        })
+                    })
+                    .collect();
+                echoes.into_iter().map(|h| h.join().unwrap()).collect()
+            });
+            assert!(pool.shard_stats().iter().all(|row| row.conns == 2));
+            for mut server in servers {
+                let stats = server.stats();
+                assert_eq!(stats.bytes_sent, 4 * u64::from(TRIPS));
+                assert_eq!(stats.bytes_received, 4 * u64::from(TRIPS));
+                assert!(!server.is_broken());
+                server.close();
+                assert_eq!(
+                    server.stats().bytes_sent,
+                    0,
+                    "a closed handle reports nothing"
+                );
+            }
+            assert_eq!(pool.reactor_stats().conns_removed, CONNS as u64);
+        });
     }
 }

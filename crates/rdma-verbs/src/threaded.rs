@@ -75,15 +75,20 @@ impl ThreadNode {
         }
     }
 
-    /// Parks until the generation leaves `seen` or `deadline` passes
-    /// (spurious returns possible; callers loop). The other half of the
-    /// handshake in [`ThreadNode::notify`].
-    fn park(&self, seen: u64, deadline: Instant) {
+    /// Parks until the generation leaves `seen` or `deadline` passes —
+    /// `None` is no deadline (spurious returns possible; callers loop).
+    /// The other half of the handshake in [`ThreadNode::notify`].
+    fn park(&self, seen: u64, deadline: Option<Instant>) {
         let mut guard = self.wakeup.lock();
         self.sleepers.fetch_add(1, Ordering::SeqCst);
         if self.generation.load(Ordering::SeqCst) == seen {
-            let left = deadline.saturating_duration_since(Instant::now());
-            self.condvar.wait_for(&mut guard, left);
+            match deadline {
+                Some(at) => {
+                    let left = at.saturating_duration_since(Instant::now());
+                    self.condvar.wait_for(&mut guard, left);
+                }
+                None => self.condvar.wait(&mut guard),
+            }
         }
         self.sleepers.fetch_sub(1, Ordering::SeqCst);
     }
@@ -114,10 +119,10 @@ impl ThreadNode {
     /// Returns the new generation value. Callers poll their CQs after
     /// each wakeup — the multi-CQ analogue of a completion channel.
     pub fn wait_any(&self, seen: u64, timeout: Duration) -> u64 {
-        let deadline = Instant::now() + timeout;
+        let deadline = deadline_after(timeout);
         loop {
             let gen = self.generation();
-            if gen != seen || Instant::now() >= deadline {
+            if gen != seen || passed(deadline) {
                 return gen;
             }
             self.park(seen, deadline);
@@ -134,7 +139,7 @@ impl ThreadNode {
     /// timeout). This is the completion-channel wait (`ibv_get_cq_event`
     /// style) of the threaded backend.
     pub fn wait_cq(&self, cq: CqId, timeout: Duration) -> Vec<Cqe> {
-        let deadline = Instant::now() + timeout;
+        let deadline = deadline_after(timeout);
         let mut out = Vec::new();
         loop {
             // Read before the poll: a completion that lands after it
@@ -144,12 +149,23 @@ impl ThreadNode {
                 .lock()
                 .poll_cq(cq, usize::MAX, &mut out)
                 .expect("wait on unknown CQ");
-            if !out.is_empty() || Instant::now() >= deadline {
+            if !out.is_empty() || passed(deadline) {
                 return out;
             }
             self.park(gen, deadline);
         }
     }
+}
+
+/// The instant `timeout` from now, or `None` — no deadline — for a
+/// timeout too long to add to one (`Duration::MAX` waits for ever).
+pub fn deadline_after(timeout: Duration) -> Option<Instant> {
+    Instant::now().checked_add(timeout)
+}
+
+/// True once `deadline` has passed; never for no deadline.
+pub fn passed(deadline: Option<Instant>) -> bool {
+    deadline.is_some_and(|at| Instant::now() >= at)
 }
 
 /// One direction of a connection between two nodes.
@@ -749,6 +765,21 @@ mod tests {
             }
         });
         assert!(start.elapsed() < long / 2, "a wake-up was lost");
+    }
+
+    /// A wait for ever is `Duration::MAX`, which no `Instant` can be
+    /// moved by: it must park without a deadline, not overflow.
+    #[test]
+    fn wait_any_for_ever_returns_after_a_notify() {
+        let (_net, a, _b) = pair(Duration::ZERO);
+        let seen = a.generation();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                std::thread::sleep(Duration::from_millis(10));
+                a.notify();
+            });
+            assert_eq!(a.wait_any(seen, Duration::MAX), seen + 1);
+        });
     }
 
     #[test]

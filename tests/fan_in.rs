@@ -236,19 +236,13 @@ fn threaded_fan_in_digests(
     for p in &peers {
         net.connect_nodes(p, &server, Duration::ZERO);
     }
-    let net = Arc::new(net);
-    let reactor = Arc::new(ThreadReactorPool::new(
-        net.clone(),
-        server.clone(),
-        ReactorConfig::default(),
-        &cfg,
-        conns,
-    ));
+    let reactor =
+        ThreadReactorPool::new(Arc::new(net), server, ReactorConfig::default(), &cfg, conns);
 
     let mut clients = Vec::new();
     let mut servers = Vec::new();
     for idx in 0..conns {
-        let (conn, client) = reactor.accept(&peers[idx % peers_n], &cfg);
+        let (server, client) = reactor.accept(&peers[idx % peers_n], &cfg);
         clients.push(std::thread::spawn(move || {
             let mr = client.register(msg_len, Access::NONE);
             let mut pos = 0u64;
@@ -267,38 +261,35 @@ fn threaded_fan_in_digests(
             client.shutdown();
             client // keep alive until the server drained the FIN
         }));
-        let reactor = reactor.clone();
         servers.push(std::thread::spawn(move || {
             // One registration per pre-posted slot; keep `prepost`
             // receives outstanding so an advert is always pending when
             // the sender finishes a message (direct-mode re-entry).
             let mrs: Vec<MrInfo> = (0..prepost)
-                .map(|_| reactor.register(msg_len, Access::local_remote_write()))
+                .map(|_| server.register(msg_len, Access::local_remote_write()))
                 .collect();
             let mut posted: std::collections::VecDeque<(u64, usize)> =
                 std::collections::VecDeque::new();
             for (slot, mr) in mrs.iter().enumerate() {
-                let id = reactor.post_recv(conn, mr, 0, msg_len as u32, false);
+                let id = server.recv(mr, 0, msg_len as u32, false);
                 posted.push_back((id, slot));
             }
             let mut digest = FNV_OFFSET;
             let mut buf = vec![0u8; msg_len];
             loop {
                 let (id, slot) = posted.pop_front().expect("a receive is always posted");
-                let len = reactor
-                    .wait_recv(conn, id, Duration::from_secs(30))
-                    .expect("recv");
+                let len = server.wait_recv(id, Duration::from_secs(30)).expect("recv");
                 if len == 0 {
                     break;
                 }
                 let mr = &mrs[slot];
                 buf.resize(len as usize, 0);
-                reactor
+                server
                     .node()
                     .with_hca(|h| h.mem().app_read(mr.key, mr.addr, &mut buf))
                     .unwrap();
                 digest = fnv1a(digest, &buf);
-                let id = reactor.post_recv(conn, mr, 0, msg_len as u32, false);
+                let id = server.recv(mr, 0, msg_len as u32, false);
                 posted.push_back((id, slot));
             }
             digest

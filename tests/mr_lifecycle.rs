@@ -202,39 +202,27 @@ fn thread_reactor_close_releases_registrations() {
     let server = net.add_node(HcaConfig::default());
     let peer = net.add_node(HcaConfig::default());
     net.connect_nodes(&peer, &server, Duration::ZERO);
-    let net = Arc::new(net);
     let reactor = ThreadReactorPool::new(
-        net.clone(),
+        Arc::new(net),
         server.clone(),
         ReactorConfig::default(),
         &cfg,
         2,
     );
 
-    let (conn, client) = reactor.accept(&peer, &cfg);
+    let (mut conn, client) = reactor.accept(&peer, &cfg);
     let t = std::thread::spawn(move || {
         client.send_bytes(b"pooled fan-in bytes").unwrap();
         client
     });
-    let lease = reactor.acquire(64, Access::local_remote_write());
-    let id = reactor.post_recv(conn, lease.info(), 0, 19, true);
-    let len = reactor
-        .wait_recv(conn, id, Duration::from_secs(30))
-        .expect("recv completion");
-    assert_eq!(len, 19);
     let mut buf = [0u8; 19];
-    let port = ThreadPort::new(&net, &server);
-    lease.read(&port, 0, &mut buf).unwrap();
+    conn.recv_exact(&mut buf).unwrap();
     assert_eq!(&buf, b"pooled fan-in bytes");
     let mut client = t.join().unwrap();
 
-    // Teardown: server socket via close_conn, the reactor pool's
-    // cached lease via trim, the client endpoint (socket + pool) via
-    // close.
-    drop(lease);
-    reactor.close_conn(conn);
-    let mut port = ThreadPort::new(&net, &server);
-    reactor.pool().trim(&mut port);
+    // Teardown: each end's close releases its socket and trims its
+    // staging pool (the server end's lease is back in the cache).
+    conn.close();
     client.close();
     assert_eq!(
         server.with_hca(|h| h.mem().len()),
@@ -248,13 +236,13 @@ fn thread_reactor_close_releases_registrations() {
     );
 }
 
-/// `close_conn` detaches a connection under its owning shard's reactor
-/// lock — the lock every post takes — with no message to the service
-/// thread. On a pool of one and a pool of four, a separate thread closes
-/// half the connections while the other half are mid-transfer: every
-/// surviving stream still delivers its exact bytes, the closes are all
-/// counted, the server node's registrations return to where they
-/// started, and the pool drops.
+/// A server end's `close` detaches its connection under the owning
+/// shard's reactor lock — the lock every post takes — with no message to
+/// the service thread. On a pool of one and a pool of four, a separate
+/// thread closes half the connections while the other half are
+/// mid-transfer: every surviving stream still delivers its exact bytes,
+/// the closes are all counted, the server node's registrations return to
+/// where they started, and the pool drops.
 #[test]
 fn thread_pool_close_races_live_transfers_without_leaks() {
     use rdma_stream::blast::fan_in::{expected_digest, fnv1a, payload_byte, FNV_OFFSET};
@@ -297,16 +285,17 @@ fn thread_pool_close_races_live_transfers_without_leaks() {
 
         // Even connections carry traffic; odd ones sit idle until closed.
         let mut live = Vec::new();
+        let mut live_servers = Vec::new();
         let mut idle = Vec::new();
         for idx in 0..CONNS {
-            let (handle, client) = pool.accept(&peers[idx % peers.len()], &cfg);
+            let (server_end, client) = pool.accept(&peers[idx % peers.len()], &cfg);
             if idx % 2 == 0 {
-                live.push((idx, handle, client));
+                live.push((idx, client));
+                live_servers.push(server_end);
             } else {
-                idle.push((handle, client));
+                idle.push((server_end, client));
             }
         }
-        let live_handles: Vec<_> = live.iter().map(|&(_, h, _)| h).collect();
 
         // Forced interleaving: the closer starts only once every live
         // stream has delivered its first message, and no live stream
@@ -315,21 +304,21 @@ fn thread_pool_close_races_live_transfers_without_leaks() {
         let closer_done = Barrier::new(LIVE + 1);
         let digests: Vec<u64> = std::thread::scope(|s| {
             let (pool, net, closer_done) = (&pool, &net, &closer_done);
-            let consumers: Vec<_> = live_handles
+            let consumers: Vec<_> = live_servers
                 .iter()
-                .map(|&handle| {
+                .map(|server_end| {
                     let started = started_tx.clone();
                     let server = server.clone();
                     s.spawn(move || {
-                        let lease = pool.acquire(MSG_LEN, Access::local_remote_write());
+                        let lease = server_end.acquire(MSG_LEN, Access::local_remote_write());
                         let port = ThreadPort::new(net, &server);
                         let mut buf = vec![0u8; MSG_LEN];
                         let mut digest = FNV_OFFSET;
                         let mut received = 0u64;
                         loop {
-                            let id = pool.post_recv(handle, lease.info(), 0, MSG_LEN as u32, false);
-                            let len = pool
-                                .wait_recv(handle, id, Duration::from_secs(30))
+                            let id = server_end.recv(lease.info(), 0, MSG_LEN as u32, false);
+                            let len = server_end
+                                .wait_recv(id, Duration::from_secs(30))
                                 .expect("live stream's receive completes")
                                 as usize;
                             if len == 0 {
@@ -349,7 +338,7 @@ fn thread_pool_close_races_live_transfers_without_leaks() {
                 .collect();
             let senders: Vec<_> = live
                 .into_iter()
-                .map(|(idx, _, client)| {
+                .map(|(idx, client)| {
                     s.spawn(move || {
                         for m in 0..MSGS {
                             if m == MSGS - 1 {
@@ -371,9 +360,9 @@ fn thread_pool_close_races_live_transfers_without_leaks() {
                     started_rx.recv().expect("a live stream started");
                 }
                 let mut clients = Vec::new();
-                for (handle, client) in idle {
-                    pool.close_conn(handle);
-                    assert_eq!(pool.wait_recv(handle, 0, Duration::from_secs(30)), None);
+                for (mut server_end, client) in idle {
+                    server_end.close();
+                    assert_eq!(server_end.wait_recv(0, Duration::from_secs(30)), None);
                     clients.push(client);
                 }
                 assert_eq!(pool.reactor_stats().conns_removed, (CONNS - LIVE) as u64);
@@ -404,16 +393,14 @@ fn thread_pool_close_races_live_transfers_without_leaks() {
             );
         }
 
-        for handle in live_handles {
-            pool.close_conn(handle);
+        for mut server_end in live_servers {
+            server_end.close();
         }
         let stats = pool.reactor_stats();
         assert_eq!(
             (stats.conns_added, stats.conns_removed),
             (CONNS as u64, CONNS as u64)
         );
-        let mut port = ThreadPort::new(&net, &server);
-        pool.pool().trim(&mut port);
         assert_eq!(
             server.with_hca(|h| h.mem().len()),
             registered_before,

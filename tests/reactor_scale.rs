@@ -9,8 +9,7 @@
 //!   per-stream in-order delivery at thousand-way fan-in;
 //! * 64 concurrent streams on the real-thread fabric through a
 //!   [`ThreadReactorPool`], whose single service thread serves all 64
-//!   server sockets; the blocking client endpoints progress inside
-//!   their owners' calls.
+//!   server ends; the client ends progress inside their owners' calls.
 //!
 //! Memory stays bounded by construction: each connection runs a small
 //! fixed ring and credit budget ([`fan_in_cfg`]-style), and the server
@@ -91,19 +90,13 @@ fn sixty_four_threaded_streams_one_service_thread() {
     for p in &peers {
         net.connect_nodes(p, &server, Duration::ZERO);
     }
-    let net = Arc::new(net);
-    let reactor = Arc::new(ThreadReactorPool::new(
-        net.clone(),
-        server.clone(),
-        ReactorConfig::default(),
-        &cfg,
-        CONNS,
-    ));
+    let reactor =
+        ThreadReactorPool::new(Arc::new(net), server, ReactorConfig::default(), &cfg, CONNS);
 
     let mut client_handles = Vec::new();
     let mut server_handles = Vec::new();
     for idx in 0..CONNS {
-        let (conn, client) = reactor.accept(&peers[idx % PEERS], &cfg);
+        let (server, client) = reactor.accept(&peers[idx % PEERS], &cfg);
 
         client_handles.push(std::thread::spawn(move || {
             let mr = client.register(MSG_LEN, Access::NONE);
@@ -129,22 +122,21 @@ fn sixty_four_threaded_streams_one_service_thread() {
             client
         }));
 
-        let reactor = reactor.clone();
         server_handles.push(std::thread::spawn(move || {
-            let mr = reactor.register(MSG_LEN, Access::local_remote_write());
+            let mr = server.register(MSG_LEN, Access::local_remote_write());
             let mut digest = FNV_OFFSET;
             let mut received = 0u64;
             let mut buf = vec![0u8; MSG_LEN];
             loop {
-                let id = reactor.post_recv(conn, &mr, 0, MSG_LEN as u32, false);
-                let len = reactor
-                    .wait_recv(conn, id, Duration::from_secs(30))
+                let id = server.recv(&mr, 0, MSG_LEN as u32, false);
+                let len = server
+                    .wait_recv(id, Duration::from_secs(30))
                     .expect("recv completion");
                 if len == 0 {
                     break;
                 }
                 buf.resize(len as usize, 0);
-                reactor
+                server
                     .node()
                     .with_hca(|h| h.mem().app_read(mr.key, mr.addr, &mut buf))
                     .unwrap();
