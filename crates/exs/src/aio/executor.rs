@@ -22,9 +22,10 @@ use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::task::{Context, Poll, Wake, Waker};
+use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
-use rdma_verbs::Access;
+use rdma_verbs::{Access, ThreadNet, ThreadNode};
 
 use crate::error::ExsError;
 use crate::mempool::{MemPool, MemPoolConfig, MrLease};
@@ -32,6 +33,7 @@ use crate::mux::MuxEvent;
 use crate::port::VerbsPort;
 use crate::reactor::{ConnId, Reactor, Readiness};
 use crate::stats::AioStats;
+use crate::threaded::ThreadPort;
 
 use super::handle::AioHandle;
 
@@ -242,35 +244,65 @@ pub(crate) struct TimerEntry {
 
 /// The shared ready queue task wakers push onto. Lives outside the
 /// `RefCell` so a waker may fire while executor state is borrowed
-/// (e.g. waking a reader from inside event dispatch).
+/// (e.g. waking a reader from inside event dispatch), or on another
+/// thread.
 pub(crate) struct ReadyQueue {
-    q: Mutex<VecDeque<usize>>,
+    q: Mutex<Ready>,
     wakeups: AtomicU64,
+}
+
+#[derive(Default)]
+struct Ready {
+    tasks: VecDeque<usize>,
+    /// The node [`Executor::run_threaded`] waits on, from announcing the
+    /// wait until it leaves it: a wake pushed meanwhile notifies it.
+    parked_on: Option<Arc<ThreadNode>>,
 }
 
 impl ReadyQueue {
     fn new() -> Arc<ReadyQueue> {
         Arc::new(ReadyQueue {
-            q: Mutex::new(VecDeque::new()),
+            q: Mutex::new(Ready::default()),
             wakeups: AtomicU64::new(0),
         })
     }
 
     fn push_wake(&self, id: usize) {
         self.wakeups.fetch_add(1, Ordering::Relaxed);
-        self.q.lock().push_back(id);
+        let mut ready = self.q.lock();
+        ready.tasks.push_back(id);
+        if let Some(node) = &ready.parked_on {
+            node.notify();
+        }
     }
 
     pub(crate) fn push_spawn(&self, id: usize) {
-        self.q.lock().push_back(id);
+        self.q.lock().tasks.push_back(id);
     }
 
     fn pop(&self) -> Option<usize> {
-        self.q.lock().pop_front()
+        self.q.lock().tasks.pop_front()
     }
 
     fn wakeups(&self) -> u64 {
         self.wakeups.load(Ordering::Relaxed)
+    }
+
+    /// Waits on `node` as [`ThreadNode::wait_any`] does, unless a task
+    /// is ready. The announcement and the look at the queue are one
+    /// step under the queue's lock, as a wake's push and its look at the
+    /// announcement are, so a waker fired on another thread either is
+    /// seen here or notifies the node.
+    fn wait(&self, node: &Arc<ThreadNode>, seen: u64, deadline: Option<Instant>) {
+        {
+            let mut ready = self.q.lock();
+            if !ready.tasks.is_empty() {
+                return;
+            }
+            ready.parked_on = Some(node.clone());
+        }
+        node.wait_any(seen, deadline);
+        self.q.lock().parked_on = None;
     }
 }
 
@@ -736,7 +768,9 @@ impl Inner {
 /// `NodeApp`: timers become simulator events and whole runs stay byte-
 /// and schedule-deterministic. On the thread fabric, call
 /// [`Executor::run_threaded`] from one service thread: the same turn
-/// function runs behind a parking poll loop ([`rdma_verbs::threaded::ThreadNode::wait_any`]).
+/// function runs between waits on the node's completion generation
+/// ([`ThreadNode::wait_any`]), which a waker fired on another thread
+/// also ends.
 pub struct Executor {
     inner: Rc<RefCell<Inner>>,
     ready: Arc<ReadyQueue>,
@@ -874,37 +908,24 @@ impl Executor {
     }
 
     /// Runs the executor on the calling thread over the real-thread
-    /// fabric until every task completes: turn, then park on the
-    /// node's completion generation (bounded by the next timer
-    /// deadline), repeat. This is the "10k tasks on one service
-    /// thread" loop — tasks and reactor share the caller's thread.
-    pub fn run_threaded(
-        &mut self,
-        net: &rdma_verbs::ThreadNet,
-        node: &Arc<rdma_verbs::ThreadNode>,
-    ) {
-        let epoch = std::time::Instant::now();
-        let mut seen = node.generation();
+    /// fabric until it is drained: read the node's generation, turn,
+    /// then wait for the generation to move, for the next timer
+    /// deadline, or for a waker fired on another thread — whichever
+    /// comes first. This is the "10k tasks on one service thread" loop:
+    /// tasks and reactor share the caller's thread.
+    pub fn run_threaded(&mut self, net: &ThreadNet, node: &Arc<ThreadNode>) {
+        let epoch = Instant::now();
         loop {
+            let seen = node.generation();
             let now = epoch.elapsed().as_nanos() as u64;
-            let next = {
-                let mut port = crate::threaded::ThreadPort::new(net, node);
-                self.turn(&mut port, now)
-            };
+            let next = self.turn(&mut ThreadPort::new(net, node), now);
             if self.drained() {
                 break;
             }
-            if self.inner.borrow().reactor.has_backlog() {
-                continue;
+            if !self.inner.borrow().reactor.has_backlog() {
+                let deadline = next.and_then(|at| epoch.checked_add(Duration::from_nanos(at)));
+                self.ready.wait(node, seen, deadline);
             }
-            let now = epoch.elapsed().as_nanos() as u64;
-            let wait = match next {
-                Some(deadline) => {
-                    std::time::Duration::from_nanos(deadline.saturating_sub(now).max(1))
-                }
-                None => std::time::Duration::from_millis(50),
-            };
-            seen = node.wait_any(seen, wait.min(std::time::Duration::from_millis(50)));
         }
     }
 }

@@ -21,8 +21,9 @@
 //!   the node's completion generation, then parks on it;
 //! * the server ends of a [`ThreadReactorPool`] share their shard's
 //!   host, which one service thread polls however many connections it
-//!   hosts — a server owes its peers progress nobody called for. Their
-//!   callers wait the same way; the service thread wakes them.
+//!   hosts — a server owes its peers progress nobody called for. The
+//!   service thread and their callers wait the same way, in the host's
+//!   one wait; the service thread's progress steps wake the callers.
 //!
 //! The contract that follows: **an endpoint progresses inside its
 //! calls** unless a service thread polls its host. Nothing else works
@@ -36,7 +37,7 @@
 //! unspecified, exactly like concurrent `write(2)` on a pipe.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -254,42 +255,9 @@ impl Mailbox {
     }
 }
 
-/// How long a blocked caller spins on the node's completion generation
-/// before it parks. A zero-delay round trip takes ~10 µs, a park and its
-/// wake-up several times that, so a caller whose completion is already
-/// on its way should not go to sleep for it.
-const SPIN: Duration = Duration::from_micros(50);
-
 /// The longest `shutdown`, `flush`, `close` and a pool's teardown stay
 /// for traffic a peer that grants no credits keeps from the wire.
 const DRAIN_BOUND: Duration = Duration::from_secs(5);
-
-/// Callers spinning right now, process-wide. At most one per core may:
-/// more would only take the cores from the threads they wait for.
-static SPINNERS: AtomicUsize = AtomicUsize::new(0);
-
-fn spin_limit() -> usize {
-    static CORES: OnceLock<usize> = OnceLock::new();
-    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
-}
-
-/// Waits for `node`'s generation to leave `seen` or for `deadline`
-/// (`None`: none): spinning for up to [`SPIN`] if a spin slot is free,
-/// then parked.
-fn spin_then_park(node: &ThreadNode, seen: u64, deadline: Option<Instant>) {
-    if SPINNERS.fetch_add(1, Ordering::Relaxed) < spin_limit() {
-        let spin_until = Instant::now() + SPIN;
-        let spin_until = deadline.map_or(spin_until, |at| at.min(spin_until));
-        while node.generation() == seen && Instant::now() < spin_until {
-            std::hint::spin_loop();
-        }
-    }
-    SPINNERS.fetch_sub(1, Ordering::Relaxed);
-    let left = deadline.map_or(Duration::MAX, |at| {
-        at.saturating_duration_since(Instant::now())
-    });
-    node.wait_any(seen, left);
-}
 
 /// What a host's lock guards: its reactor, and the buffers a progress
 /// step reuses so that it allocates nothing.
@@ -318,18 +286,21 @@ struct Host {
     engine: Mutex<Engine>,
     /// Indexed by [`ConnId`]; `None` at a free slot.
     mailboxes: Mutex<Vec<Option<Mailbox>>>,
-    /// Callers between announcing a wait and leaving it. A progress step
-    /// that published completions wakes the node only when this is
-    /// non-zero, so the node's generation keeps meaning "completions
-    /// landed". Same store-then-load handshake as [`ThreadNode::notify`]:
-    /// a waiter counts itself in and then looks in its mailbox, a
-    /// publisher fills mailboxes and then reads the count.
+    /// Callers between announcing a wait and leaving it; a thread that
+    /// polls the host whatever happens (the service thread, a drain) is
+    /// not one. A progress step that published completions wakes the
+    /// node only when this is non-zero, so the node's generation keeps
+    /// meaning "completions landed". Same store-then-load handshake as
+    /// [`ThreadNode::notify`]: a waiter counts itself in and then looks
+    /// in its mailbox, a publisher fills mailboxes and then reads the
+    /// count.
     waiters: AtomicUsize,
     /// True while a service thread polls this host; otherwise its blocked
     /// callers do.
     serviced: AtomicBool,
-    /// The service thread's time inside progress steps, and since it
-    /// started.
+    /// Time inside the progress steps of the threads that poll the host
+    /// whatever happens — its service thread, a drain — and the service
+    /// thread's age.
     busy_ns: AtomicU64,
     wall_ns: AtomicU64,
 }
@@ -446,12 +417,15 @@ impl Host {
         result
     }
 
-    /// The one blocking wait, for every handle on either kind of host:
-    /// until `done` finds what it looks for, or `deadline` passes
-    /// (`None`: never). Each round reads the node's generation, takes a
-    /// progress step unless a service thread takes them (`poll_always`:
-    /// even then), asks `done`, and if the answer is not there waits for
-    /// the generation to move ([`spin_then_park`]).
+    /// The one blocking wait on a host — every handle's, a drain's, and
+    /// the service thread's: until `done` finds what it looks for, or
+    /// `deadline` passes (`None`: never). Each round reads the node's
+    /// generation, takes a progress step unless a service thread takes
+    /// them (`poll_always`: even then), asks `done`, and if the answer is
+    /// not there waits for the generation to move
+    /// ([`ThreadNode::wait_any`]). A `poll_always` thread is not counted
+    /// in `waiters`: what it waits for follows completions, which move
+    /// the generation on their own.
     fn wait<T>(
         &self,
         deadline: Option<Instant>,
@@ -462,14 +436,26 @@ impl Host {
             // Read before polling: whatever lands after this moves the
             // generation, and the wait below returns at once.
             let seen = self.node.generation();
-            let backlog = (poll_always || !self.serviced()) && self.poll();
-            self.waiters.fetch_add(1, Ordering::SeqCst);
+            let backlog = if poll_always {
+                let start = Instant::now();
+                let backlog = self.poll();
+                let busy = start.elapsed().as_nanos() as u64;
+                self.busy_ns.fetch_add(busy, Ordering::Relaxed);
+                backlog
+            } else {
+                !self.serviced() && self.poll()
+            };
+            if !poll_always {
+                self.waiters.fetch_add(1, Ordering::SeqCst);
+            }
             let found = done();
             let over = found.is_some() || passed(deadline);
             if !over && !backlog {
-                spin_then_park(&self.node, seen, deadline);
+                self.node.wait_any(seen, deadline);
             }
-            self.waiters.fetch_sub(1, Ordering::SeqCst);
+            if !poll_always {
+                self.waiters.fetch_sub(1, Ordering::SeqCst);
+            }
             if over {
                 return found;
             }
@@ -765,30 +751,17 @@ impl ThreadStream {
     }
 }
 
-/// One shard's service loop: parks on the node's completion signal,
-/// takes one progress step per wake — which wakes the shard's parked
-/// callers for what it published — and stops once the host is no longer
-/// serviced.
+/// One shard's service thread: its host's one wait, polling always,
+/// until the host is no longer serviced. Each step wakes the shard's
+/// waiting callers for what it published.
 fn spawn_service(host: Arc<Host>) -> JoinHandle<()> {
     std::thread::spawn(move || {
         let epoch = Instant::now();
-        let mut seen = host.node.generation();
-        let mut backlog = false;
-        while host.serviced() {
-            if !backlog {
-                // Park on the completion signal only when the last
-                // step fully drained: bounded polls are edge-free, so
-                // leftover work must be serviced without waiting for a
-                // new completion.
-                seen = host.node.wait_any(seen, Duration::from_millis(50));
-            }
-            let work_start = Instant::now();
-            backlog = host.poll();
-            host.busy_ns
-                .fetch_add(work_start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-            host.wall_ns
-                .store(epoch.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        }
+        host.wait(None, true, || {
+            let age = epoch.elapsed().as_nanos() as u64;
+            host.wall_ns.store(age, Ordering::Relaxed);
+            (!host.serviced()).then_some(())
+        });
     })
 }
 
@@ -798,11 +771,12 @@ fn spawn_service(host: Arc<Host>) -> JoinHandle<()> {
 ///
 /// Where a caller-polled [`ThreadStream`] progresses only inside its
 /// owner's calls, the pool's **service thread per shard** polls for
-/// every server end it accepted: the thread parks on the node's
-/// completion signal ([`ThreadNode::wait_any`] — the completion-channel
-/// analogue), and each wake performs one bounded [`Reactor::poll`] over
-/// the shard's shared CQs. A server end is a whole [`ThreadStream`];
-/// its callers park on the same signal and the service thread wakes
+/// every server end it accepted: the thread is the shard host's one
+/// wait with no deadline, taking one bounded [`Reactor::poll`] over the
+/// shard's shared CQs per round and waiting on the node's completion
+/// generation ([`ThreadNode::wait_any`] — the completion-channel
+/// analogue) in between. A server end is a whole [`ThreadStream`]; its
+/// callers wait on the same generation and the service thread wakes
 /// them. With `shard.shards = 1` (the [`ExsConfig`] default) this is the
 /// classic single reactor; more shards spread CQE dispatch and readiness
 /// harvesting across cores instead of serialising on one reactor lock.
@@ -958,6 +932,9 @@ impl Drop for ThreadReactorPool {
         }
     }
 }
+
+#[cfg(test)]
+mod wake_check;
 
 #[cfg(test)]
 mod tests {
@@ -1209,8 +1186,8 @@ mod tests {
     #[test]
     fn wait_times_out() {
         let (a, _b) = ThreadStream::pair(&ExsConfig::default(), Duration::ZERO);
-        assert_eq!(a.wait_send(9999, Duration::from_millis(50)), None);
-        assert_eq!(a.wait_recv(9999, Duration::from_millis(50)), None);
+        assert_eq!(a.wait_send(9999, Duration::from_millis(20)), None);
+        assert_eq!(a.wait_recv(9999, Duration::from_millis(20)), None);
     }
 
     /// A wait for ever is `Duration::MAX`, which no `Instant` can be
@@ -1245,6 +1222,79 @@ mod tests {
             max_conns,
         );
         (pool, peer)
+    }
+
+    /// With nothing arriving, a pool's service thread stays parked after
+    /// its first step: its wait has no deadline to re-poll on.
+    #[test]
+    fn an_idle_pool_takes_no_progress_steps() {
+        let cfg = ExsConfig::default();
+        let (pool, _peer) = pool_of(&cfg, 1);
+        let start = Instant::now();
+        while pool.reactor_stats().polls == 0 {
+            assert!(start.elapsed() < Duration::from_secs(10), "never polled");
+            std::thread::yield_now();
+        }
+        let polls = pool.reactor_stats().polls;
+        std::thread::sleep(Duration::from_millis(200));
+        assert_eq!(pool.reactor_stats().polls, polls);
+    }
+
+    /// An executor over an empty reactor on a node of its own.
+    fn lone_executor() -> (ThreadNet, Arc<ThreadNode>, crate::Executor) {
+        let mut net = ThreadNet::new();
+        let node = net.add_node(rdma_verbs::HcaConfig::default());
+        let (send_cq, recv_cq) = node.with_hca(|h| (h.create_cq(16), h.create_cq(16)));
+        let reactor = Reactor::new(send_cq, recv_cq, ReactorConfig::default());
+        (net, node, crate::Executor::new(reactor))
+    }
+
+    /// An executor whose one task sleeps turns when the timer is due,
+    /// not on a fixed tick while it waits for it.
+    #[test]
+    fn an_idle_executor_turns_for_its_timer_only() {
+        let (net, node, mut ex) = lone_executor();
+        let handle = ex.handle();
+        ex.handle()
+            .spawn(async move { handle.sleep(Duration::from_millis(200)).await });
+        let start = Instant::now();
+        ex.run_threaded(&net, &node);
+        assert!(start.elapsed() >= Duration::from_millis(200));
+        let turns = ex.stats().turns;
+        assert!(turns <= 3, "{turns} turns for one timer");
+    }
+
+    /// A waker fired on another thread is the only thing that can end
+    /// this executor's wait: no timer is armed and nothing arrives.
+    #[test]
+    fn a_waker_fired_on_another_thread_ends_the_executors_wait() {
+        within(Duration::from_secs(15), || {
+            let (net, node, mut ex) = lone_executor();
+            let fired = Arc::new(AtomicBool::new(false));
+            let (give, take) = std::sync::mpsc::channel::<std::task::Waker>();
+            let waker_thread = {
+                let fired = fired.clone();
+                std::thread::spawn(move || {
+                    let waker = take.recv().expect("the task registers its waker");
+                    std::thread::sleep(Duration::from_millis(10));
+                    fired.store(true, Ordering::SeqCst);
+                    waker.wake();
+                })
+            };
+            let mut give = Some(give);
+            ex.handle().spawn(std::future::poll_fn(move |cx| {
+                if fired.load(Ordering::SeqCst) {
+                    return std::task::Poll::Ready(());
+                }
+                if let Some(give) = give.take() {
+                    give.send(cx.waker().clone())
+                        .expect("waker thread is alive");
+                }
+                std::task::Poll::Pending
+            }));
+            ex.run_threaded(&net, &node);
+            waker_thread.join().expect("waker thread panicked");
+        });
     }
 
     /// A wait on a closed server end used to re-insert a completion

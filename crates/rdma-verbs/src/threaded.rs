@@ -4,8 +4,9 @@
 //! discrete-event driver, but under genuine OS concurrency: application
 //! threads post work from wherever they like, each direction of a link
 //! carries wire messages in FIFO order (the guarantee of a
-//! reliable-connected channel), and receivers block on a condition
-//! variable until completions arrive.
+//! reliable-connected channel), and a thread waiting for completions
+//! spins briefly on its node's completion generation and then parks on
+//! it — [`ThreadNode::wait_any`], the one wait of this backend.
 //!
 //! A link without modelled delay has no thread of its own: **the posting
 //! thread delivers**. A post hands its message to the direction's FIFO
@@ -33,7 +34,7 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
@@ -48,18 +49,33 @@ pub struct ThreadNode {
     hca: Mutex<HcaCore>,
     /// Bumped whenever a completion lands; sleepers re-check their CQs.
     generation: AtomicU64,
-    /// Threads parked in [`ThreadNode::park`], or about to be.
+    /// Threads parked in [`ThreadNode::wait_any`], or about to be.
     sleepers: AtomicUsize,
     wakeup: Mutex<()>,
     condvar: Condvar,
 }
 
+/// How long a waiting thread spins on the node's completion generation
+/// before it parks. A zero-delay round trip takes ~10 µs, a park and its
+/// wake-up several times that, so a caller whose completion is already
+/// on its way should not go to sleep for it.
+const SPIN: Duration = Duration::from_micros(50);
+
+/// Threads spinning right now, process-wide. At most one per core may:
+/// more would only take the cores from the threads they wait for.
+static SPINNERS: AtomicUsize = AtomicUsize::new(0);
+
+fn spin_limit() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
+
 impl ThreadNode {
-    /// Wakes every thread parked in [`ThreadNode::wait_any`] without a
-    /// completion having landed. Used to nudge service threads when
-    /// out-of-band state changes (e.g. a reactor pool telling its
-    /// parked shards to stop); spurious wakeups are harmless since
-    /// sleepers re-check their state.
+    /// Moves the generation and wakes every thread waiting in
+    /// [`ThreadNode::wait_any`]. A delivery calls it when completions
+    /// land; code whose waiters look at some other state (a reactor pool
+    /// telling its shards to stop, a waker fired for a parked executor)
+    /// calls it after changing that state.
     ///
     /// With nobody parked this is one increment and one load: the
     /// mutex and the condition variable's `FUTEX_WAKE` are skipped. No
@@ -75,22 +91,36 @@ impl ThreadNode {
         }
     }
 
-    /// Parks until the generation leaves `seen` or `deadline` passes —
-    /// `None` is no deadline (spurious returns possible; callers loop).
-    /// The other half of the handshake in [`ThreadNode::notify`].
-    fn park(&self, seen: u64, deadline: Option<Instant>) {
-        let mut guard = self.wakeup.lock();
-        self.sleepers.fetch_add(1, Ordering::SeqCst);
-        if self.generation.load(Ordering::SeqCst) == seen {
-            match deadline {
-                Some(at) => {
-                    let left = at.saturating_duration_since(Instant::now());
-                    self.condvar.wait_for(&mut guard, left);
-                }
-                None => self.condvar.wait(&mut guard),
+    /// The one wait of the thread backend: returns the generation once
+    /// it has left `seen`, or once `deadline` passes (`None`: never).
+    /// Spins for up to `SPIN` if a spin slot is free, then parks — the
+    /// other half of the handshake in [`ThreadNode::notify`]. Read `seen`
+    /// *before* looking for what you wait for: whatever lands after that
+    /// moves the generation, and this returns at once.
+    pub fn wait_any(&self, seen: u64, deadline: Option<Instant>) -> u64 {
+        if SPINNERS.fetch_add(1, Ordering::Relaxed) < spin_limit() {
+            let spin_until = Instant::now() + SPIN;
+            let spin_until = deadline.map_or(spin_until, |at| at.min(spin_until));
+            while self.generation() == seen && Instant::now() < spin_until {
+                std::hint::spin_loop();
             }
         }
-        self.sleepers.fetch_sub(1, Ordering::SeqCst);
+        SPINNERS.fetch_sub(1, Ordering::Relaxed);
+        if self.generation() == seen && !passed(deadline) {
+            let mut guard = self.wakeup.lock();
+            self.sleepers.fetch_add(1, Ordering::SeqCst);
+            while self.generation() == seen && !passed(deadline) {
+                match deadline {
+                    Some(at) => {
+                        let left = at.saturating_duration_since(Instant::now());
+                        self.condvar.wait_for(&mut guard, left);
+                    }
+                    None => self.condvar.wait(&mut guard),
+                }
+            }
+            self.sleepers.fetch_sub(1, Ordering::SeqCst);
+        }
+        self.generation()
     }
 
     /// The node id.
@@ -114,21 +144,6 @@ impl ThreadNode {
         self.hca.lock().poll_cq(cq, max, out)
     }
 
-    /// Blocks until any completion lands anywhere on this node (the
-    /// generation counter advances past `seen`) or the timeout elapses.
-    /// Returns the new generation value. Callers poll their CQs after
-    /// each wakeup — the multi-CQ analogue of a completion channel.
-    pub fn wait_any(&self, seen: u64, timeout: Duration) -> u64 {
-        let deadline = deadline_after(timeout);
-        loop {
-            let gen = self.generation();
-            if gen != seen || passed(deadline) {
-                return gen;
-            }
-            self.park(seen, deadline);
-        }
-    }
-
     /// Current completion generation (pair with [`ThreadNode::wait_any`]).
     pub fn generation(&self) -> u64 {
         self.generation.load(Ordering::SeqCst)
@@ -142,17 +157,13 @@ impl ThreadNode {
         let deadline = deadline_after(timeout);
         let mut out = Vec::new();
         loop {
-            // Read before the poll: a completion that lands after it
-            // moves the generation and the park below returns at once.
-            let gen = self.generation();
-            self.hca
-                .lock()
-                .poll_cq(cq, usize::MAX, &mut out)
+            let seen = self.generation();
+            self.poll_cq(cq, usize::MAX, &mut out)
                 .expect("wait on unknown CQ");
             if !out.is_empty() || passed(deadline) {
                 return out;
             }
-            self.park(gen, deadline);
+            self.wait_any(seen, deadline);
         }
     }
 }
@@ -742,7 +753,7 @@ mod tests {
         assert_eq!(net.handles.len(), 2, "one per direction");
     }
 
-    /// Two threads hand a token back and forth, each parking in
+    /// Two threads hand a token back and forth, each waiting in
     /// `wait_any` until the other's `notify`: every notify races a park,
     /// and one lost wake-up would sleep out a timeout far longer than
     /// the whole run is allowed.
@@ -755,13 +766,13 @@ mod tests {
         std::thread::scope(|s| {
             s.spawn(|| {
                 for turn in 0..HANDOFFS {
-                    assert_eq!(a.wait_any(turn, long), turn + 1);
+                    assert_eq!(a.wait_any(turn, deadline_after(long)), turn + 1);
                     b.notify();
                 }
             });
             for turn in 0..HANDOFFS {
                 a.notify();
-                assert_eq!(b.wait_any(turn, long), turn + 1);
+                assert_eq!(b.wait_any(turn, deadline_after(long)), turn + 1);
             }
         });
         assert!(start.elapsed() < long / 2, "a wake-up was lost");
@@ -778,7 +789,7 @@ mod tests {
                 std::thread::sleep(Duration::from_millis(10));
                 a.notify();
             });
-            assert_eq!(a.wait_any(seen, Duration::MAX), seen + 1);
+            assert_eq!(a.wait_any(seen, deadline_after(Duration::MAX)), seen + 1);
         });
     }
 
