@@ -31,7 +31,7 @@ pub mod metrics;
 pub mod runner;
 
 pub use distribution::SizeDist;
-pub use fan_in::{run_fan_in, FanInReport, FanInSpec};
+pub use fan_in::{run_fan_in, run_fan_in_threaded, FanInReport, FanInSpec};
 pub use latency::{run_pingpong, PingPongReport, PingPongSpec};
 pub use metrics::{BlastReport, Summary};
 pub use runner::{run_blast, run_blast_seeds, BlastSpec, VerifyLevel};

@@ -27,25 +27,13 @@
 //!
 //! On the simulator one deterministic caller polls every shard in shard
 //! order and then handles what is ready in that order; on the thread
-//! backend each shard gets its own service thread. Both produce
-//! byte-identical streams for the same workload — enforced by the
-//! `shard_identity` tests.
+//! backend each shard is owned by a thread of its own (a pool's service
+//! thread, or an executor's). That is the only difference between the
+//! drivers: both produce byte-identical streams for the same workload —
+//! enforced by the `shard_identity` tests, which run each spec on both.
 
 use crate::config::ShardPolicy;
-use crate::reactor::ConnId;
 use crate::stats::{ReactorStats, ShardStats};
-
-/// An endpoint hosted by a sharded server: which shard it lives on and
-/// its [`ConnId`] within that shard's reactor. The pair is the
-/// server-wide identity; bare `ConnId`s are only meaningful
-/// shard-locally.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct ShardHandle {
-    /// Owning shard (0-based).
-    pub shard: u32,
-    /// Slot within the shard's reactor.
-    pub conn: ConnId,
-}
 
 /// Where a pool's accepted connections go: the [`ShardPolicy`], its
 /// rotation cursor and the per-shard placement counts. The simulator's

@@ -262,9 +262,9 @@ fn sim_select_follows_readiness_with_left_bias() {
         );
     }
     let cfg = small_cfg();
-    let per_conn = cfg.sq_depth * 2 + cfg.credits as usize * 2;
+    let depth = cfg.cq_depth(2);
     let (scq, rcq) = net.with_api(server_node, |api| {
-        (api.create_cq(per_conn * 2), api.create_cq(per_conn * 2))
+        (api.create_cq(depth), api.create_cq(depth))
     });
     let mut reactor = Reactor::new(scq, rcq, ReactorConfig::default());
     let (sock_ca, ssock_a) = StreamSocket::pair_shared(&mut net, ca, server_node, scq, rcq, &cfg);
@@ -627,9 +627,8 @@ fn threaded_async_echo_roundtrip() {
     for c in &client_nodes {
         net.connect_nodes(c, &server_node, Duration::from_micros(20));
     }
-    let per_conn = cfg.sq_depth * 2 + cfg.credits as usize * 2;
-    let (scq, rcq) =
-        server_node.with_hca(|h| (h.create_cq(per_conn * CONNS), h.create_cq(per_conn * CONNS)));
+    let depth = cfg.cq_depth(CONNS);
+    let (scq, rcq) = server_node.with_hca(|h| (h.create_cq(depth), h.create_cq(depth)));
     let mut reactor = Reactor::new(scq, rcq, ReactorConfig::default());
     let mut client_socks = Vec::new();
     for c in &client_nodes {

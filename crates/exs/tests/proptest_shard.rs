@@ -22,7 +22,7 @@ use proptest::prelude::*;
 
 use exs::{
     ConnId, ExsConfig, ExsEvent, MuxEvent, Placement, Reactor, ReactorConfig, ReactorStats,
-    ShardHandle, ShardPolicy, ShardStats, StreamSocket,
+    ShardPolicy, ShardStats, StreamSocket,
 };
 use rdma_verbs::{profiles, Access, MrInfo, NodeApi, NodeApp, NodeId, SimNet};
 use simnet::stats::merged;
@@ -93,10 +93,11 @@ impl NodeApp for PropClient {
 struct PropPoolServer {
     shards: Vec<Reactor>,
     placement: Placement,
-    /// Global connection index → server-wide handle.
-    handles: Vec<ShardHandle>,
-    /// Server-wide handle → global connection index.
-    idx_of: HashMap<ShardHandle, usize>,
+    /// Global connection index → server-wide key: the owning shard and
+    /// the slot in its reactor (a bare `ConnId` is only shard-local).
+    handles: Vec<(u32, ConnId)>,
+    /// Server-wide key → global connection index.
+    idx_of: HashMap<(u32, ConnId), usize>,
     mrs: Vec<MrInfo>,
     recv_len: u32,
     expected: u64,
@@ -120,8 +121,8 @@ impl PropPoolServer {
     }
 
     fn handle_conn(&mut self, api: &mut NodeApi<'_>, idx: usize) -> bool {
-        let h = self.handles[idx];
-        let events = self.shards[h.shard as usize].conn_mut(h.conn).take_events();
+        let (shard, conn) = self.handles[idx];
+        let events = self.shards[shard as usize].conn_mut(conn).take_events();
         let mut progressed = !events.is_empty();
         for ev in events {
             match ev {
@@ -141,8 +142,7 @@ impl PropPoolServer {
                             assert_eq!(
                                 b,
                                 pattern(self.seed, idx, self.received[idx] + i as u64),
-                                "conn {idx} (shard {}) out of order at {}",
-                                h.shard,
+                                "conn {idx} (shard {shard}) out of order at {}",
                                 self.received[idx] + i as u64
                             );
                         }
@@ -158,8 +158,8 @@ impl PropPoolServer {
             let mr = self.mrs[idx];
             let id = self.next_id;
             self.next_id += 1;
-            self.shards[h.shard as usize]
-                .conn_mut(h.conn)
+            self.shards[shard as usize]
+                .conn_mut(conn)
                 .recv(api, 0, &mr, 0, self.recv_len, false, id)
                 .expect("receive on the socket's stream");
             self.outstanding[idx] = true;
@@ -184,10 +184,7 @@ impl PropPoolServer {
                     // be a handle this server accepted, on the shard it
                     // was accepted on — a foreign or mis-sharded handle
                     // is a dispatch bug.
-                    let h = ShardHandle {
-                        shard: s as u32,
-                        conn,
-                    };
+                    let h = (s as u32, conn);
                     let idx = *self
                         .idx_of
                         .get(&h)
@@ -258,14 +255,11 @@ fn run_case(
         );
     }
 
-    let per_conn_cq = cfg.sq_depth * 2 + cfg.credits as usize * 2;
     let mut reactors: Vec<Reactor> = (0..shards)
         .map(|_| {
+            let depth = cfg.cq_depth(conns);
             let (send_cq, recv_cq) = net.with_api(server_node, |api| {
-                (
-                    api.create_cq(per_conn_cq * conns),
-                    api.create_cq(per_conn_cq * conns),
-                )
+                (api.create_cq(depth), api.create_cq(depth))
             });
             Reactor::new(send_cq, recv_cq, ReactorConfig::default())
         })
@@ -285,9 +279,8 @@ fn run_case(
         let (send_cq, recv_cq) = (reactor.send_cq(), reactor.recv_cq());
         let (csock, ssock) =
             StreamSocket::pair_shared(&mut net, cnode, server_node, send_cq, recv_cq, &cfg);
-        let conn = reactor.accept(ssock);
-        let handle = ShardHandle { shard, conn };
-        assert!((handle.shard as usize) < shards);
+        let handle = (shard, reactor.accept(ssock));
+        assert!((shard as usize) < shards);
         handles.push(handle);
         idx_of.insert(handle, idx);
         let slots: Vec<MrInfo> = net.with_api(cnode, |api| {

@@ -52,12 +52,9 @@ fn main() {
     }
 
     // Two shared CQs for all 100 connections, one reactor over them.
-    let per_conn = cfg.sq_depth * 2 + cfg.credits as usize * 2;
+    let depth = cfg.cq_depth(CLIENTS);
     let (send_cq, recv_cq) = net.with_api(server_node, |api| {
-        (
-            api.create_cq(per_conn * CLIENTS),
-            api.create_cq(per_conn * CLIENTS),
-        )
+        (api.create_cq(depth), api.create_cq(depth))
     });
     let mut server_reactor = Reactor::new(send_cq, recv_cq, ReactorConfig::default());
 

@@ -96,12 +96,9 @@ fn sim_echo_digests() -> Vec<u64> {
         net.connect_nodes(c, server_node, profile.link.clone(), i as u64);
     }
 
-    let per_conn = cfg.sq_depth * 2 + cfg.credits as usize * 2;
+    let depth = cfg.cq_depth(CONNS);
     let (send_cq, recv_cq) = net.with_api(server_node, |api| {
-        (
-            api.create_cq(per_conn * CONNS),
-            api.create_cq(per_conn * CONNS),
-        )
+        (api.create_cq(depth), api.create_cq(depth))
     });
     let mut server_reactor = Reactor::new(send_cq, recv_cq, ReactorConfig::default());
 
@@ -157,9 +154,8 @@ fn threaded_echo_digests() -> Vec<u64> {
     for c in &client_nodes {
         net.connect_nodes(c, &server_node, std::time::Duration::from_micros(20));
     }
-    let per_conn = cfg.sq_depth * 2 + cfg.credits as usize * 2;
-    let (scq, rcq) =
-        server_node.with_hca(|h| (h.create_cq(per_conn * CONNS), h.create_cq(per_conn * CONNS)));
+    let depth = cfg.cq_depth(CONNS);
+    let (scq, rcq) = server_node.with_hca(|h| (h.create_cq(depth), h.create_cq(depth)));
     let mut server_reactor = Reactor::new(scq, rcq, ReactorConfig::default());
     let mut client_socks = Vec::with_capacity(CONNS);
     let mut server_conns = Vec::with_capacity(CONNS);

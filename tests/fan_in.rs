@@ -3,18 +3,13 @@
 //! per-stream integrity under CPU contention at the shared receiver,
 //! and link sharing on the server's ingress.
 
-use std::sync::Arc;
-use std::time::Duration;
-
-use rdma_stream::blast::fan_in::{expected_digest, fan_in_cfg, fnv1a, payload_byte, FNV_OFFSET};
-use rdma_stream::blast::{run_fan_in, FanInSpec, VerifyLevel};
+use rdma_stream::blast::fan_in::{expected_digest, fan_in_cfg};
+use rdma_stream::blast::{run_fan_in, run_fan_in_threaded, FanInSpec, VerifyLevel};
 use rdma_stream::exs::{
-    ConnStats, DirectPolicy, Event, ExsConfig, ExsContext, ExsFd, MsgFlags, ProtocolMode,
-    ReactorConfig, SockType, ThreadReactorPool,
+    DirectPolicy, Event, ExsConfig, ExsContext, ExsFd, MsgFlags, ProtocolMode, SockType,
 };
 use rdma_stream::simnet::SimTime;
-use rdma_stream::verbs::threaded::ThreadNet;
-use rdma_stream::verbs::{profiles, Access, HcaConfig, MrInfo, NodeApi, NodeApp, NodeId, SimNet};
+use rdma_stream::verbs::{profiles, Access, MrInfo, NodeApi, NodeApp, NodeId, SimNet};
 
 const CLIENTS: usize = 3;
 const MSGS: usize = 30;
@@ -205,110 +200,7 @@ fn three_clients_one_server_streams_stay_isolated() {
     );
 }
 
-/// Runs the reactor fan-in workload on the real-thread fabric and
-/// returns each connection's delivery digest (in connection order)
-/// plus the merged client-side (sender) counters. Each server
-/// connection keeps `prepost` receives posted ahead of the data, so
-/// the Fig. 3 advert gate stays open across message boundaries.
-fn threaded_fan_in_digests(
-    seed: u64,
-    conns: usize,
-    msgs: usize,
-    msg_len: usize,
-    prepost: usize,
-) -> (Vec<u64>, ConnStats) {
-    let cfg = ExsConfig {
-        ring_capacity: 64 << 10,
-        credits: 8,
-        sq_depth: 16,
-        direct: DirectPolicy {
-            min_direct_size: 4 << 10,
-            ..DirectPolicy::default()
-        },
-        ..ExsConfig::default()
-    };
-    let peers_n = conns.min(2);
-    let mut net = ThreadNet::new();
-    let server = net.add_node(HcaConfig::default());
-    let peers: Vec<_> = (0..peers_n)
-        .map(|_| net.add_node(HcaConfig::default()))
-        .collect();
-    for p in &peers {
-        net.connect_nodes(p, &server, Duration::ZERO);
-    }
-    let reactor =
-        ThreadReactorPool::new(Arc::new(net), server, ReactorConfig::default(), &cfg, conns);
-
-    let mut clients = Vec::new();
-    let mut servers = Vec::new();
-    for idx in 0..conns {
-        let (server, client) = reactor.accept(&peers[idx % peers_n], &cfg);
-        clients.push(std::thread::spawn(move || {
-            let mr = client.register(msg_len, Access::NONE);
-            let mut pos = 0u64;
-            for _ in 0..msgs {
-                let data: Vec<u8> = (0..msg_len as u64)
-                    .map(|i| payload_byte(seed, idx, pos + i))
-                    .collect();
-                client
-                    .node()
-                    .with_hca(|h| h.mem_mut().app_write(mr.key, mr.addr, &data))
-                    .unwrap();
-                let id = client.send(&mr, 0, msg_len as u64);
-                client.wait_send(id, Duration::from_secs(30)).expect("send");
-                pos += msg_len as u64;
-            }
-            client.shutdown();
-            client // keep alive until the server drained the FIN
-        }));
-        servers.push(std::thread::spawn(move || {
-            // One registration per pre-posted slot; keep `prepost`
-            // receives outstanding so an advert is always pending when
-            // the sender finishes a message (direct-mode re-entry).
-            let mrs: Vec<MrInfo> = (0..prepost)
-                .map(|_| server.register(msg_len, Access::local_remote_write()))
-                .collect();
-            let mut posted: std::collections::VecDeque<(u64, usize)> =
-                std::collections::VecDeque::new();
-            for (slot, mr) in mrs.iter().enumerate() {
-                let id = server.recv(mr, 0, msg_len as u32, false);
-                posted.push_back((id, slot));
-            }
-            let mut digest = FNV_OFFSET;
-            let mut buf = vec![0u8; msg_len];
-            loop {
-                let (id, slot) = posted.pop_front().expect("a receive is always posted");
-                let len = server.wait_recv(id, Duration::from_secs(30)).expect("recv");
-                if len == 0 {
-                    break;
-                }
-                let mr = &mrs[slot];
-                buf.resize(len as usize, 0);
-                server
-                    .node()
-                    .with_hca(|h| h.mem().app_read(mr.key, mr.addr, &mut buf))
-                    .unwrap();
-                digest = fnv1a(digest, &buf);
-                let id = server.recv(mr, 0, msg_len as u32, false);
-                posted.push_back((id, slot));
-            }
-            digest
-        }));
-    }
-    let digests: Vec<u64> = servers
-        .into_iter()
-        .map(|h| h.join().expect("server thread"))
-        .collect();
-    let mut tx = ConnStats::default();
-    for h in clients {
-        let client = h.join().expect("client thread");
-        tx.merge(&client.stats());
-        drop(client);
-    }
-    (digests, tx)
-}
-
-/// The same seeded fan-in workload, run through the reactor on the
+/// The same seeded fan-in spec, run through the reactor on the
 /// deterministic simulator AND on the real-thread fabric, must deliver
 /// byte-for-byte identical per-connection streams (same FNV digest per
 /// connection, matching the pattern-derived expectation).
@@ -328,7 +220,7 @@ fn reactor_fan_in_is_byte_identical_across_backends() {
         ..FanInSpec::new(profiles::fdr_infiniband(), CONNS)
     };
     let sim = run_fan_in(&spec);
-    let (threaded, _tx) = threaded_fan_in_digests(SEED, CONNS, MSGS, MSG_LEN, 4);
+    let threaded = run_fan_in_threaded(&spec).digests;
 
     assert_eq!(sim.digests.len(), CONNS);
     assert_eq!(threaded.len(), CONNS);
@@ -370,9 +262,9 @@ fn fair_share_fan_in_is_byte_identical_across_backends() {
     let fifo = run_fan_in(&base);
     let fair = run_fan_in(&FanInSpec {
         fabric: FabricModel::FairShare(FairShareConfig::new(0xFA1B)),
-        ..base
+        ..base.clone()
     });
-    let (threaded, _tx) = threaded_fan_in_digests(SEED, CONNS, MSGS, MSG_LEN, 4);
+    let threaded = run_fan_in_threaded(&base).digests;
 
     assert_eq!(fifo.digests, fair.digests, "fabric model altered bytes");
     for (idx, &thr) in threaded.iter().enumerate() {
@@ -397,7 +289,7 @@ fn pooled_fan_in_matches_unpooled_and_threaded_digests() {
     const MSGS: usize = 3;
     const MSG_LEN: usize = 4096;
 
-    let pooled = run_fan_in(&FanInSpec {
+    let spec = FanInSpec {
         client_nodes: 2,
         msgs_per_conn: MSGS,
         msg_len: MSG_LEN as u64,
@@ -405,20 +297,27 @@ fn pooled_fan_in_matches_unpooled_and_threaded_digests() {
         pooled: true,
         seed: SEED,
         ..FanInSpec::new(profiles::fdr_infiniband(), CONNS)
-    });
-    let (threaded, _tx) = threaded_fan_in_digests(SEED, CONNS, MSGS, MSG_LEN, 4);
+    };
+    let pooled = run_fan_in(&spec);
+    let threaded = run_fan_in_threaded(&spec);
 
-    for (idx, &thr) in threaded.iter().enumerate() {
+    assert_eq!(threaded.digests.len(), CONNS);
+    for (idx, &thr) in threaded.digests.iter().enumerate() {
         let want = expected_digest(SEED, idx, (MSGS * MSG_LEN) as u64);
         assert_eq!(pooled.digests[idx], want, "pooled sim conn {idx} delivery");
-        assert_eq!(thr, want, "threaded conn {idx} delivery");
+        assert_eq!(thr, want, "threaded pooled conn {idx} delivery");
     }
-    let pool = pooled.pool.expect("pooled run reports pool counters");
-    assert!(
-        pool.hits > 0,
-        "send leases never hit the pin-down cache: {pool:?}"
-    );
-    assert_eq!(pool.evictions, 0, "default budget should not evict here");
+    for (backend, report) in [("sim", pooled), ("thread", threaded)] {
+        let pool = report.pool.expect("pooled run reports pool counters");
+        assert!(
+            pool.hits > 0,
+            "{backend}: send leases never hit the pin-down cache: {pool:?}"
+        );
+        assert_eq!(
+            pool.evictions, 0,
+            "{backend}: default budget should not evict here"
+        );
+    }
 }
 
 /// Tentpole acceptance: with pre-posted receive queues keeping the
@@ -493,20 +392,17 @@ fn large_message_fan_in_recovers_direct_mode_on_both_backends() {
             baseline.throughput_mbps()
         );
 
-        // Real-thread backend: same workload, same bar.
-        let msgs = if conns == 8 { MSGS } else { 4 };
-        let (digests, tx) = threaded_fan_in_digests(SEED, conns, msgs, MSG_LEN, 4);
-        for (idx, &d) in digests.iter().enumerate() {
-            assert_eq!(
-                d,
-                expected_digest(SEED, idx, (msgs * MSG_LEN) as u64),
-                "threaded conn {idx} delivery at {conns} conns"
-            );
-        }
+        // Real-thread backend: the same spec, the same bar.
+        let threaded = run_fan_in_threaded(&spec);
+        assert_eq!(
+            threaded.digests, report.digests,
+            "backends disagree at {conns} conns"
+        );
         assert!(
-            tx.direct_byte_ratio() >= 0.9,
-            "threaded {conns} conns stuck indirect: direct_byte_ratio {:.4}, tx {tx:?}",
-            tx.direct_byte_ratio()
+            threaded.direct_byte_ratio() >= 0.9,
+            "threaded {conns} conns stuck indirect: direct_byte_ratio {:.4}, tx {:?}",
+            threaded.direct_byte_ratio(),
+            threaded.aggregate_tx
         );
     }
 }

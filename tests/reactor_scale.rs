@@ -7,22 +7,19 @@
 //! * 1000 concurrent streams on the deterministic simulator, through
 //!   one reactor over two shared CQs, with full payload verification —
 //!   per-stream in-order delivery at thousand-way fan-in;
-//! * 64 concurrent streams on the real-thread fabric through a
-//!   [`ThreadReactorPool`], whose single service thread serves all 64
-//!   server ends; the client ends progress inside their owners' calls.
+//! * 64 concurrent streams on the real-thread fabric through
+//!   `run_fan_in_threaded`: a one-shard `ThreadReactorPool`, whose
+//!   single service thread serves all 64 server ends, while the client
+//!   ends progress inside their owners' calls.
 //!
 //! Memory stays bounded by construction: each connection runs a small
 //! fixed ring and credit budget ([`fan_in_cfg`]-style), and the server
 //! keeps exactly one outstanding receive per stream.
 
-use std::sync::Arc;
-use std::time::Duration;
-
-use rdma_stream::blast::fan_in::{expected_digest, fnv1a, payload_byte, FNV_OFFSET};
-use rdma_stream::blast::{run_fan_in, FanInSpec, VerifyLevel};
-use rdma_stream::exs::{ExsConfig, ReactorConfig, ThreadReactorPool};
-use rdma_stream::verbs::threaded::ThreadNet;
-use rdma_stream::verbs::{profiles, Access, HcaConfig};
+use rdma_stream::blast::fan_in::expected_digest;
+use rdma_stream::blast::{run_fan_in, run_fan_in_threaded, FanInSpec, VerifyLevel};
+use rdma_stream::exs::ExsConfig;
+use rdma_stream::verbs::profiles;
 
 #[test]
 fn thousand_sim_streams_through_one_reactor() {
@@ -71,97 +68,37 @@ fn thousand_sim_streams_through_one_reactor() {
 #[test]
 fn sixty_four_threaded_streams_one_service_thread() {
     const CONNS: usize = 64;
-    const PEERS: usize = 4;
     const MSGS: usize = 4;
-    const MSG_LEN: usize = 2048;
-    const SEED: u64 = 23;
-    let cfg = ExsConfig {
-        ring_capacity: 64 << 10,
-        credits: 8,
-        sq_depth: 16,
-        ..ExsConfig::default()
+    const MSG_LEN: u64 = 2048;
+    let spec = FanInSpec {
+        cfg: ExsConfig {
+            ring_capacity: 64 << 10,
+            credits: 8,
+            sq_depth: 16,
+            ..ExsConfig::default()
+        },
+        client_nodes: 4,
+        msgs_per_conn: MSGS,
+        msg_len: MSG_LEN,
+        outstanding_sends: 1,
+        prepost_recvs: 1,
+        verify: VerifyLevel::Full,
+        seed: 23,
+        ..FanInSpec::new(profiles::fdr_infiniband(), CONNS)
     };
+    let report = run_fan_in_threaded(&spec);
 
-    let mut net = ThreadNet::new();
-    let server = net.add_node(HcaConfig::default());
-    let peers: Vec<_> = (0..PEERS)
-        .map(|_| net.add_node(HcaConfig::default()))
-        .collect();
-    for p in &peers {
-        net.connect_nodes(p, &server, Duration::ZERO);
-    }
-    let reactor =
-        ThreadReactorPool::new(Arc::new(net), server, ReactorConfig::default(), &cfg, CONNS);
-
-    let mut client_handles = Vec::new();
-    let mut server_handles = Vec::new();
-    for idx in 0..CONNS {
-        let (server, client) = reactor.accept(&peers[idx % PEERS], &cfg);
-
-        client_handles.push(std::thread::spawn(move || {
-            let mr = client.register(MSG_LEN, Access::NONE);
-            let mut pos = 0u64;
-            for _ in 0..MSGS {
-                let data: Vec<u8> = (0..MSG_LEN as u64)
-                    .map(|i| payload_byte(SEED, idx, pos + i))
-                    .collect();
-                client
-                    .node()
-                    .with_hca(|h| h.mem_mut().app_write(mr.key, mr.addr, &data))
-                    .unwrap();
-                let id = client.send(&mr, 0, MSG_LEN as u64);
-                client
-                    .wait_send(id, Duration::from_secs(30))
-                    .expect("send completion");
-                pos += MSG_LEN as u64;
-            }
-            // Returns once the FIN is on the wire.
-            client.shutdown();
-            // Keep the endpoint's registrations alive until the server
-            // has drained everything.
-            client
-        }));
-
-        server_handles.push(std::thread::spawn(move || {
-            let mr = server.register(MSG_LEN, Access::local_remote_write());
-            let mut digest = FNV_OFFSET;
-            let mut received = 0u64;
-            let mut buf = vec![0u8; MSG_LEN];
-            loop {
-                let id = server.recv(&mr, 0, MSG_LEN as u32, false);
-                let len = server
-                    .wait_recv(id, Duration::from_secs(30))
-                    .expect("recv completion");
-                if len == 0 {
-                    break;
-                }
-                buf.resize(len as usize, 0);
-                server
-                    .node()
-                    .with_hca(|h| h.mem().app_read(mr.key, mr.addr, &mut buf))
-                    .unwrap();
-                digest = fnv1a(digest, &buf);
-                received += len as u64;
-            }
-            assert_eq!(received, (MSGS * MSG_LEN) as u64, "conn {idx} length");
-            assert_eq!(
-                digest,
-                expected_digest(SEED, idx, (MSGS * MSG_LEN) as u64),
-                "conn {idx} delivered bytes out of order or corrupted"
-            );
-        }));
-    }
-
-    for h in server_handles {
-        h.join().expect("server side of a connection panicked");
-    }
-    let stats = reactor.aggregate_stats();
-    assert_eq!(stats.bytes_received, (CONNS * MSGS * MSG_LEN) as u64);
-    let rs = reactor.reactor_stats();
-    assert_eq!(rs.conns_added, CONNS as u64);
-    assert_eq!(rs.orphan_cqes, 0);
-    // Only now drop the client endpoints.
-    for h in client_handles {
-        drop(h.join().expect("client side of a connection panicked"));
+    // One shard: one service thread served all 64 server ends.
+    assert_eq!(report.shard_stats.as_ref().map(Vec::len), Some(1));
+    assert_eq!(report.aggregate.bytes_received, report.bytes);
+    assert_eq!(report.reactor.conns_added, CONNS as u64);
+    assert_eq!(report.reactor.orphan_cqes, 0);
+    assert_eq!(report.digests.len(), CONNS);
+    for (idx, &d) in report.digests.iter().enumerate() {
+        assert_eq!(
+            d,
+            expected_digest(spec.seed, idx, MSGS as u64 * MSG_LEN),
+            "conn {idx} delivered bytes out of order or corrupted"
+        );
     }
 }
