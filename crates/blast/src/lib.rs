@@ -19,13 +19,16 @@
 //!   over repeated seeds;
 //! * [`fan_in`] — the server-scalability workload: M client streams
 //!   into one node multiplexed by a single `exs` reactor, with JSON
-//!   counter snapshots for `bench-results/`.
+//!   counter snapshots for `bench-results/`;
+//! * [`figures`] — the paper's evaluation as data: every figure, table
+//!   and ablation is a view over sweeps that run each configuration once.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod distribution;
 pub mod fan_in;
+pub mod figures;
 pub mod latency;
 pub mod metrics;
 pub mod runner;

@@ -2,22 +2,19 @@
 //! "shape" of every figure. If a refactor or recalibration breaks who
 //! wins, by what factor, or where a crossover falls, these fail.
 //!
-//! Each test uses reduced run counts (shapes are robust); the full
-//! sweeps live in `crates/bench/benches/`.
+//! Each test builds its specs with the constructors the figure tables
+//! use (`blast::figures`) at its own reduced seeds and message counts
+//! (shapes are robust); `cargo bench -p exs-bench --bench figures`
+//! prints the full sweeps.
 
-use rdma_stream::blast::{run_blast_seeds, BlastSpec, SizeDist};
-use rdma_stream::exs::{ExsConfig, ProtocolMode};
+use rdma_stream::blast::figures::{fixed_size_spec, ops_spec, pingpong_spec, wan_spec};
+use rdma_stream::blast::{run_blast_seeds, run_pingpong, BlastSpec};
+use rdma_stream::exs::ProtocolMode;
 use rdma_stream::simnet::SimDuration;
-use rdma_stream::verbs::profiles;
+use rdma_stream::verbs::{profiles, HwProfile};
 
 fn fdr_spec(mode: ProtocolMode, sends: usize, recvs: usize) -> BlastSpec {
-    BlastSpec {
-        cfg: ExsConfig::with_mode(mode),
-        outstanding_sends: sends,
-        outstanding_recvs: recvs,
-        messages: 150,
-        ..BlastSpec::new(profiles::fdr_infiniband())
-    }
+    ops_spec(profiles::fdr_infiniband(), mode, sends, recvs, 150)
 }
 
 fn mean_tput(spec: &BlastSpec, seeds: &[u64]) -> f64 {
@@ -33,6 +30,21 @@ fn mean_ratio(spec: &BlastSpec, seeds: &[u64]) -> f64 {
 fn mean_cpu_recv(spec: &BlastSpec, seeds: &[u64]) -> f64 {
     let reports = run_blast_seeds(spec, seeds);
     reports.iter().map(|r| r.cpu_receiver).sum::<f64>() / reports.len() as f64
+}
+
+fn mean_cpu_send(spec: &BlastSpec, seeds: &[u64]) -> f64 {
+    let reports = run_blast_seeds(spec, seeds);
+    reports.iter().map(|r| r.cpu_sender).sum::<f64>() / reports.len() as f64
+}
+
+/// Mean round-trip time in µs of 200 ping-pongs of `size` bytes.
+fn mean_rtt(profile: &HwProfile, mode: ProtocolMode, size: u32, seeds: &[u64]) -> f64 {
+    let mut spec = pingpong_spec(profile.clone(), mode, size, 200);
+    let rtts = seeds.iter().map(|&seed| {
+        spec.seed = seed;
+        run_pingpong(&spec).mean_us()
+    });
+    rtts.sum::<f64>() / seeds.len() as f64
 }
 
 const SEEDS: [u64; 3] = [101, 102, 103];
@@ -120,14 +132,7 @@ fn table3_shape() {
 /// (recvs = 4, sends = 2) and is far below 1 for small messages.
 #[test]
 fn fig12_crossover_shape() {
-    let spec = |size: u64| BlastSpec {
-        cfg: ExsConfig::with_mode(ProtocolMode::Dynamic),
-        outstanding_sends: 2,
-        outstanding_recvs: 4,
-        sizes: SizeDist::Fixed(size),
-        messages: 150,
-        ..BlastSpec::new(profiles::fdr_infiniband())
-    };
+    let spec = |size: u64| fixed_size_spec(size, 2, 4, 150);
     let small = mean_ratio(&spec(8 << 10), &SEEDS);
     let large = mean_ratio(&spec(512 << 10), &SEEDS);
     let huge = mean_ratio(&spec(2 << 20), &SEEDS);
@@ -143,18 +148,7 @@ fn fig12_crossover_shape() {
 /// percent, and throughput scales with outstanding ops.
 #[test]
 fn fig13_distance_shape() {
-    let spec = |mode: ProtocolMode, ops: usize| {
-        let mut cfg = ExsConfig::with_mode(mode);
-        cfg.ring_capacity = 256 << 20;
-        BlastSpec {
-            cfg,
-            outstanding_sends: ops,
-            outstanding_recvs: ops,
-            messages: 60,
-            time_limit: SimDuration::from_secs(3600),
-            ..BlastSpec::new(profiles::roce_10g_wan())
-        }
-    };
+    let spec = |mode: ProtocolMode, ops: usize| wan_spec(mode, ops, SimDuration::ZERO, 60);
     let seeds = [7u64];
     let d4 = mean_tput(&spec(ProtocolMode::DirectOnly, 4), &seeds);
     let i4 = mean_tput(&spec(ProtocolMode::IndirectOnly, 4), &seeds);
@@ -176,14 +170,8 @@ fn fig13_distance_shape() {
 /// compared to FDR (paper §IV-B1 remark).
 #[test]
 fn qdr_gap_shrinks() {
-    let gap = |profile: rdma_stream::verbs::HwProfile| {
-        let spec = |mode| BlastSpec {
-            cfg: ExsConfig::with_mode(mode),
-            outstanding_sends: 8,
-            outstanding_recvs: 8,
-            messages: 100,
-            ..BlastSpec::new(profile.clone())
-        };
+    let gap = |profile: HwProfile| {
+        let spec = |mode| ops_spec(profile.clone(), mode, 8, 8, 100);
         let d = mean_tput(&spec(ProtocolMode::DirectOnly), &SEEDS);
         let i = mean_tput(&spec(ProtocolMode::IndirectOnly), &SEEDS);
         (d - i) / d
@@ -193,5 +181,79 @@ fn qdr_gap_shrinks() {
     assert!(
         qdr_gap < fdr_gap * 0.5,
         "QDR gap {qdr_gap:.2} should be far below FDR gap {fdr_gap:.2}"
+    );
+}
+
+/// Fig. 11: with 32 receives outstanding, 1 MiB messages stay direct
+/// while the sender has fewer operations outstanding, and once it has as
+/// many (sends = 32, no standing pool of ADVERTs) every size falls to the
+/// indirect level — within Fig. 9a's 15 % band of indirect-only.
+#[test]
+fn fig11_outstanding_sends_shape() {
+    for sends in [1, 2, 4, 8, 16] {
+        let ratio = mean_ratio(&fixed_size_spec(1 << 20, sends, 32, 150), &SEEDS);
+        assert!(ratio >= 0.99, "1 MiB, {sends} sends: direct ratio {ratio}");
+    }
+    for size in [512, 8 << 10, 128 << 10, 1 << 20] {
+        let dynamic = fixed_size_spec(size, 32, 32, 150);
+        let mut indirect = dynamic.clone();
+        indirect.cfg.mode = ProtocolMode::IndirectOnly;
+        let (d, i) = (mean_tput(&dynamic, &SEEDS), mean_tput(&indirect, &SEEDS));
+        assert!(
+            (d - i).abs() / i < 0.15,
+            "{size} B, 32 sends: dynamic ({d:.3e}) should sit at indirect-only ({i:.3e})"
+        );
+    }
+}
+
+/// rsockets ablation (paper §II-A): BCopy's send-side copy costs far
+/// more sender CPU than indirect-only and gains no throughput.
+#[test]
+fn rsockets_bcopy_shape() {
+    for (sends, recvs) in [(2, 4), (8, 16)] {
+        let bcopy = fdr_spec(ProtocolMode::BCopy, sends, recvs);
+        let indirect = fdr_spec(ProtocolMode::IndirectOnly, sends, recvs);
+        let (b_cpu, i_cpu) = (
+            mean_cpu_send(&bcopy, &SEEDS),
+            mean_cpu_send(&indirect, &SEEDS),
+        );
+        assert!(
+            b_cpu > 10.0 * i_cpu,
+            "({sends}, {recvs}): bcopy sender CPU {b_cpu} vs indirect {i_cpu}"
+        );
+        let (b, i) = (mean_tput(&bcopy, &SEEDS), mean_tput(&indirect, &SEEDS));
+        assert!(
+            b <= i,
+            "({sends}, {recvs}): bcopy {b:.3e} above indirect {i:.3e}"
+        );
+    }
+}
+
+/// Latency ablation: the indirect path pays the receiver copy on both
+/// hops at every size, and busy polling halves a small message's round
+/// trip (the wake-up latency is most of it). That the saving is < 1 % at
+/// 1 MiB holds in the full figure table but not at this budget
+/// (EXPERIMENTS.md, "One figure table"), so it is not asserted.
+#[test]
+fn latency_shape() {
+    let fdr = profiles::fdr_infiniband();
+    for size in [64, 4 << 10, 64 << 10, 1 << 20] {
+        let direct = mean_rtt(&fdr, ProtocolMode::DirectOnly, size, &SEEDS);
+        let indirect = mean_rtt(&fdr, ProtocolMode::IndirectOnly, size, &SEEDS);
+        assert!(
+            indirect > direct,
+            "{size} B: indirect {indirect} us, direct {direct} us"
+        );
+    }
+    let event = mean_rtt(&fdr, ProtocolMode::Dynamic, 64, &SEEDS);
+    let busy = mean_rtt(
+        &profiles::fdr_infiniband_busy_poll(),
+        ProtocolMode::Dynamic,
+        64,
+        &SEEDS,
+    );
+    assert!(
+        event - busy > 0.4 * event,
+        "64 B: busy polling {busy} us vs event notification {event} us"
     );
 }
