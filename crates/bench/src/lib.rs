@@ -1,7 +1,7 @@
-//! Shared by the bench targets in `benches/`: `figures` prints every
-//! table and figure of the paper's evaluation (§IV-B) from
-//! `blast::figures`; the others measure the serving stack and write
-//! JSON snapshots into `bench-results/`.
+//! Shared by the two bench targets in `benches/`: `figures` prints every
+//! table of the paper's evaluation (§IV-B) and of the serving stack from
+//! `blast::figures`; `thread_fan_in` runs two serving sweeps on real
+//! threads.
 
 /// Smoke-test mode (`EXS_BENCH_QUICK=1`): every target shrinks its
 /// sweep, as CI runs them.
