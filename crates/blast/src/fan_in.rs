@@ -20,7 +20,6 @@
 use std::collections::{HashMap, VecDeque};
 use std::future::Future;
 use std::ops::Range;
-use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::thread::ScopedJoinHandle;
 use std::time::{Duration, Instant};
@@ -386,12 +385,6 @@ impl FanInReport {
     /// document ([`simnet::json::document`]).
     pub fn to_json(&self) -> String {
         json::document(self)
-    }
-
-    /// Writes the JSON snapshot to `dir/name.json` (creating `dir`),
-    /// returning the path written.
-    pub fn write_snapshot(&self, dir: impl AsRef<Path>, name: &str) -> std::io::Result<PathBuf> {
-        json::write_snapshot(dir, name, self)
     }
 }
 

@@ -302,8 +302,8 @@ simnet::stats! {
 simnet::stats! {
     /// Counters for one [`crate::aio::Executor`]: task lifecycle, wake-up
     /// efficiency (polls per wake, spurious-wake ratio), timer activity and
-    /// cancellation outcomes. Snapshots ride along with [`ConnStats`] /
-    /// [`ReactorStats`] in the bench-results JSON.
+    /// cancellation outcomes. Printed beside [`ConnStats`] /
+    /// [`ReactorStats`] in a fan-in report's JSON.
     #[derive(Clone, Debug, Default, PartialEq, Eq)]
     pub struct AioStats: Merge {
         /// Tasks handed to `spawn`.

@@ -6,13 +6,15 @@
 //! 1. a `signal_interval` far beyond the SQ depth never deadlocks the
 //!    stream (the near-full forced signal keeps reclamation alive);
 //! 2. batching + coalescing deliver a byte-identical stream while
-//!    ringing strictly fewer doorbells than the unbatched pipeline;
+//!    ringing strictly fewer doorbells than the unbatched pipeline, and
+//!    small messages go at least twice as fast;
 //! 3. the simulated and the real-thread backend produce the same
 //!    delivered-stream digest for the same coalesced+batched workload.
 
 use std::time::Duration;
 
 use blast::fan_in::{fnv1a, FNV_OFFSET};
+use blast::figures::batching_spec;
 use blast::{run_blast, BlastSpec, SizeDist, VerifyLevel};
 use exs::threaded::ThreadStream;
 use exs::{ExsConfig, ProtocolMode};
@@ -64,7 +66,8 @@ fn huge_signal_interval_never_deadlocks() {
 }
 
 /// Batched + coalesced vs. unbatched (`tx_batch_limit = 1`): same
-/// bytes, same digest, at least 2x fewer doorbells.
+/// bytes, same digest, at least 2x fewer doorbells; and on the batching
+/// table's blasts, at least twice the throughput at 512 B and below.
 #[test]
 fn batching_preserves_bytes_and_halves_doorbells() {
     let spec = |tx_batch_limit: usize| BlastSpec {
@@ -119,6 +122,30 @@ fn batching_preserves_bytes_and_halves_doorbells() {
     assert!(batched.sender.unsignaled_ratio() > 0.0);
 
     assert!(!batched.sender.cq_overflowed && !batched.receiver.cq_overflowed);
+
+    // The batching table's blasts (16 outstanding, 3 KiB coalescing
+    // threshold): at 512 B and below, the same stream in fewer doorbells
+    // at no less than twice the virtual throughput.
+    for size in [64, 128, 256, 512] {
+        let [on, off] = [0, 1].map(|limit| {
+            run_blast(&BlastSpec {
+                seed: 7,
+                ..batching_spec(size, limit, 600)
+            })
+        });
+        assert_eq!(on.digest, off.digest, "{size} B");
+        assert!(on.sender.doorbells < off.sender.doorbells, "{size} B");
+        assert!(on.sender.coalesced_msgs > 0, "{size} B");
+        for r in [&on, &off] {
+            assert!(!r.sender.cq_overflowed && !r.receiver.cq_overflowed);
+        }
+        assert!(
+            on.throughput_mbps() >= 2.0 * off.throughput_mbps(),
+            "{size} B: batched {:.1} vs unbatched {:.1} Mbit/s",
+            on.throughput_mbps(),
+            off.throughput_mbps()
+        );
+    }
 }
 
 /// Cross-backend byte identity: the same logical byte stream pushed

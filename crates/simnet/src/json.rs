@@ -1,5 +1,5 @@
-//! The one JSON writer: every snapshot in `bench-results/` and every
-//! `to_json` in the workspace is a [`Visit`] walk rendered here.
+//! The one JSON writer: every `to_json` in the workspace is a [`Visit`]
+//! walk rendered here.
 //!
 //! Dependency-free on purpose — the protocol crates must not pull in a
 //! serialization framework to print counters. The writer owns the
@@ -8,16 +8,15 @@
 //! module contains a quote-colon. Schema rules, applied here and in
 //! [`crate::stats!`]:
 //!
-//! * a **document** (what [`write_snapshot`] writes, [`document`]
-//!   renders) starts with `"schema_version":`[`SCHEMA_VERSION`];
-//!   nested objects carry no version of their own;
+//! * a **document** (what [`document`] renders) starts with
+//!   `"schema_version":`[`SCHEMA_VERSION`]; nested objects carry no
+//!   version of their own;
 //! * a key whose value is undefined for the run (a ratio over a zero
 //!   denominator, a wall-clock field where no wall clock was sampled)
 //!   is **absent**, never printed as `0`;
 //! * a non-finite float prints as `null`, so every document parses.
 
 use std::fmt::Write as _;
-use std::path::{Path, PathBuf};
 
 /// Version of the snapshot schema; bump when a key changes meaning.
 /// 1: versioned documents, undefined values omitted.
@@ -153,20 +152,6 @@ pub fn document(v: &impl Visit) -> String {
         o.uint("schema_version", SCHEMA_VERSION);
         v.visit(o);
     })
-}
-
-/// Writes `v` as a versioned document to `dir/name.json` (creating
-/// `dir`), newline-terminated, returning the path written.
-pub fn write_snapshot(
-    dir: impl AsRef<Path>,
-    name: &str,
-    v: &impl Visit,
-) -> std::io::Result<PathBuf> {
-    let dir = dir.as_ref();
-    std::fs::create_dir_all(dir)?;
-    let path = dir.join(format!("{name}.json"));
-    std::fs::write(&path, document(v) + "\n")?;
-    Ok(path)
 }
 
 #[cfg(test)]

@@ -237,6 +237,16 @@ fn async_fan_in_matches_callback_model() {
         }
         let stats = aio.aio.as_ref().expect("aio run reports executor stats");
         assert_eq!(stats.tasks_completed, 6);
+        if !mux {
+            // The waker registry and op queue cost the same connections
+            // at most a tenth of the callback server's throughput.
+            assert!(
+                aio.throughput_mbps() >= 0.9 * plain.throughput_mbps(),
+                "aio {:.1} vs callback {:.1} Mbit/s",
+                aio.throughput_mbps(),
+                plain.throughput_mbps()
+            );
+        }
     }
 }
 
