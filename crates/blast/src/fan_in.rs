@@ -17,7 +17,7 @@
 //! the harness counts bytes and touches no payload, so a timed run
 //! measures the stack and not its own checking.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::future::Future;
 use std::ops::Range;
 use std::sync::Arc;
@@ -36,11 +36,11 @@ use exs::{
     ThreadStream, VerbsPort,
 };
 use rdma_verbs::{
-    Access, FabricModel, FabricStats, HcaConfig, HwProfile, MrInfo, NodeApi, NodeApp, NodeId,
+    Access, CqId, FabricModel, FabricStats, HcaConfig, HwProfile, MrInfo, NodeApi, NodeApp, NodeId,
     SimNet, ThreadNet, ThreadNode,
 };
 use simnet::stats::merged;
-use simnet::{json, SimDuration, SimTime};
+use simnet::{json, IntMap, SimDuration, SimTime};
 
 use crate::runner::VerifyLevel;
 
@@ -296,6 +296,12 @@ pub struct FanInReport {
     pub aio_per_shard: Option<Vec<AioStats>>,
     /// Simulator events processed; zero on a thread run.
     pub events: u64,
+    /// `poll_cq` calls the client nodes executed on the simulator
+    /// ([`rdma_verbs::HcaCore::polls_executed`]); zero on a thread run.
+    /// A count of host work, not of the model's: a poll the model
+    /// charged but the client skipped (a quiet link with empty CQs) is
+    /// not in it.
+    pub client_polls: u64,
 }
 
 impl FanInReport {
@@ -415,6 +421,9 @@ impl json::Visit for FanInReport {
         o.uint("transfer_wall_us", self.transfer_wall.as_micros() as u64);
         if self.events != 0 {
             o.uint("events", self.events);
+        }
+        if self.client_polls != 0 {
+            o.uint("client_polls", self.client_polls);
         }
         if let (Some(fp), Some(base)) = (self.mux_footprint, self.mux_baseline) {
             o.uint("mux_footprint", fp);
@@ -557,12 +566,12 @@ struct SendCycle {
     /// Up-front registered send slots (empty when pooled).
     slots: Vec<MrInfo>,
     free: Vec<usize>,
-    slot_of: HashMap<u64, usize>,
+    slot_of: IntMap<u64, usize>,
     /// Outstanding-send cap (slot count when not pooled).
     max_outstanding: usize,
     /// Live send leases by operation id (pooled mode); dropping one on
     /// completion returns the buffer to the node's pin-down cache.
-    leases: HashMap<u64, MrLease>,
+    leases: IntMap<u64, MrLease>,
     sent: usize,
     acked: usize,
     pos: u64,
@@ -582,6 +591,15 @@ impl SendCycle {
 }
 
 /// One client node driving several outbound streams.
+///
+/// A wake walks the links in order. The model charges a poll of every
+/// private CQ on every wake, but the host makes only the polls that can
+/// find work: a link that ended its last turn quiet (the rule in
+/// [`StreamSocket::handle_wake`]) and whose two CQs are still empty is
+/// charged those two polls and skipped. That is exact: a socket's state
+/// moves only on a completion or an application call, and this client
+/// calls into link `li` only during `li`'s turn, so the skipped turn
+/// would have polled two empty CQs and done nothing else.
 struct FanInClient {
     /// What carries this node's streams to the server, each driven by
     /// its own `handle_wake`: one private-QP socket per stream with its
@@ -589,6 +607,9 @@ struct FanInClient {
     /// reactor is measured against), or in mux mode a single pooled-QP
     /// endpoint carrying them all.
     links: Vec<Endpoint>,
+    /// Per link, [`Endpoint::quiet_cqs`] as the link's last turn left
+    /// it (`None` before its first wake).
+    quiet: Vec<Option<(CqId, CqId)>>,
     conns: Vec<SendCycle>,
     /// Index in `conns`, by link and then by stream id.
     by_stream: Vec<Vec<usize>>,
@@ -657,13 +678,21 @@ impl FanInClient {
 
 impl NodeApp for FanInClient {
     fn on_start(&mut self, api: &mut NodeApi<'_>) {
+        self.quiet = vec![None; self.links.len()];
         for ci in 0..self.conns.len() {
             self.kick(api, ci);
         }
     }
     fn on_wake(&mut self, api: &mut NodeApi<'_>) {
         let mut events = std::mem::take(&mut self.events);
+        let empty = |api: &NodeApi<'_>, cq| api.hca().cq(cq).expect("a link's CQ").is_empty();
         for li in 0..self.links.len() {
+            if let Some((send_cq, recv_cq)) = self.quiet[li] {
+                if empty(api, send_cq) && empty(api, recv_cq) {
+                    api.charge_empty_polls(2);
+                    continue;
+                }
+            }
             let link = &mut self.links[li];
             link.handle_wake(api);
             link.take_events_into(&mut events);
@@ -688,6 +717,7 @@ impl NodeApp for FanInClient {
                     self.kick(api, self.by_stream[li][stream as usize]);
                 }
             }
+            self.quiet[li] = self.links[li].quiet_cqs();
         }
         self.events = events;
     }
@@ -1121,6 +1151,7 @@ pub fn run_fan_in(spec: &FanInSpec) -> FanInReport {
         .iter()
         .map(|_| FanInClient {
             links: Vec::new(),
+            quiet: Vec::new(),
             conns: Vec::new(),
             by_stream: Vec::new(),
             events: Vec::new(),
@@ -1196,9 +1227,9 @@ pub fn run_fan_in(spec: &FanInSpec) -> FanInReport {
             stream,
             free: (0..slots.len()).collect(),
             slots,
-            slot_of: HashMap::new(),
+            slot_of: IntMap::default(),
             max_outstanding,
-            leases: HashMap::new(),
+            leases: IntMap::default(),
             sent: 0,
             acked: 0,
             pos: 0,
@@ -1334,6 +1365,9 @@ pub fn run_fan_in(spec: &FanInSpec) -> FanInReport {
     }
     let end = server.finished_at().unwrap_or(outcome.end);
     let fabric_stats = net.fabric_stats();
+    let client_polls = (client_nodes.iter())
+        .map(|&cnode| net.with_api(cnode, |api| api.hca().polls_executed()))
+        .sum();
     // One snapshot per hosted endpoint, in accept order regardless of
     // which shard each landed on — snapshots across shard counts must
     // stay row-for-row comparable — with the shared CQs' pressure gauges
@@ -1435,6 +1469,7 @@ pub fn run_fan_in(spec: &FanInSpec) -> FanInReport {
         shard_stats: (!spec.mux).then_some(shard_stats),
         aio_per_shard,
         events: outcome.events,
+        client_polls,
     }
     .finish(server.into_delivered())
 }
@@ -1969,6 +2004,7 @@ mod tests {
             aio: Some(aio),
             reactor,
             events: 123,
+            client_polls: 45,
         }
     }
 
@@ -1985,7 +2021,7 @@ mod tests {
              \"throughput_mbps\":16000.000,\"link_bandwidth_bps\":40000000000,\
              \"offered_load_ratio\":0.400000,\"direct_ratio\":0.750000,\
              \"direct_byte_ratio\":0.750000,\"setup_wall_us\":77,\"transfer_wall_us\":1234,\
-             \"events\":123,\
+             \"events\":123,\"client_polls\":45,\
              \"mux_footprint\":1048576,\"mux_baseline\":4194304,\"memory_per_stream\":524288,\
              \"aggregate\":{agg},\"aggregate_tx\":{agg},\"reactor\":{reactor},\
              \"fabric\":{fabric},\"pool\":{pool},\"aio\":{aio},\
@@ -2010,7 +2046,7 @@ mod tests {
     /// nesting balances.
     #[test]
     fn document_keys_follow_one_layout_on_every_front_end() {
-        const LAYOUT: [&str; 24] = [
+        const LAYOUT: [&str; 25] = [
             "schema_version",
             "conns",
             "bytes",
@@ -2023,6 +2059,7 @@ mod tests {
             "setup_wall_us",
             "transfer_wall_us",
             "events",
+            "client_polls",
             "mux_footprint",
             "mux_baseline",
             "memory_per_stream",
@@ -2107,9 +2144,10 @@ mod tests {
     }
 
     /// A thread run has no virtual time: its snapshot is a simulator
-    /// run's without `elapsed_ns`, `events` and the figures derived from
-    /// them. Both carry `transfer_wall_us`, the one key a simulator
-    /// snapshot gained (the golden test above pins where).
+    /// run's without `elapsed_ns`, `events`, `client_polls` and the
+    /// figures derived from them. Both carry `transfer_wall_us`, the
+    /// one key a simulator snapshot gained (the golden test above pins
+    /// where).
     #[test]
     fn a_thread_snapshot_is_the_sim_snapshot_without_virtual_time() {
         for aio in [false, true] {
@@ -2129,6 +2167,7 @@ mod tests {
                 "throughput_mbps",
                 "offered_load_ratio",
                 "events",
+                "client_polls",
             ];
             sim.retain(|k| !virtual_time.contains(&k.as_str()));
             assert_eq!(thread, sim, "aio {aio}");
@@ -2142,6 +2181,39 @@ mod tests {
             mux: true,
             ..FanInSpec::new(profiles::fdr_infiniband(), 2)
         });
+    }
+
+    /// A client wake polls only the links with work: the CQ polls the
+    /// client nodes execute per message stay a small constant from 64
+    /// to 512 connections (before, every wake polled every private CQ:
+    /// 31 per message at 64 connections, 172 at 512). The spec is the
+    /// repo benchmark's `sim_fanin_reactor` with fewer messages.
+    #[test]
+    fn client_polls_per_message_do_not_grow_with_connections() {
+        for conns in [64, 512] {
+            let spec = FanInSpec {
+                cfg: fan_in_cfg(),
+                reactor: ReactorConfig {
+                    cqe_budget: 64,
+                    drain_batch: 4096,
+                },
+                client_nodes: 8,
+                msgs_per_conn: 8,
+                msg_len: 16 << 10,
+                recv_len: 16 << 10,
+                fabric: FabricModel::FairShare(simnet::FairShareConfig {
+                    oversubscription: 1.0,
+                    seed: 1,
+                }),
+                ..FanInSpec::new(profiles::fdr_infiniband(), conns)
+            };
+            let report = run_fan_in(&spec);
+            let per_msg = report.client_polls as f64 / (conns * spec.msgs_per_conn) as f64;
+            assert!(
+                per_msg <= 8.0,
+                "{conns} conns: {per_msg:.2} client polls per message"
+            );
+        }
     }
 
     #[test]

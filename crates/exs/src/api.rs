@@ -13,8 +13,6 @@
 //! one per-context event queue, and flags follow the sockets convention
 //! ([`MsgFlags::WAITALL`] = MSG_WAITALL).
 
-use std::collections::HashMap;
-
 use rdma_verbs::{Access, MrInfo, NodeApi, NodeId, SimNet};
 
 use crate::config::ExsConfig;
@@ -98,11 +96,19 @@ enum Sock {
     SeqPacket(Box<SeqPacketSocket>),
 }
 
+/// The first descriptor a context hands out: 0-2 are reserved, like
+/// file descriptors.
+const FIRST_FD: u32 = 3;
+
 /// Per-node ES-API context: a descriptor table plus one event queue.
+///
+/// The table is in descriptor order and a wake services the sockets in
+/// that order, so a run is the same timeline every time it is made.
 pub struct ExsContext {
     node: NodeId,
-    sockets: HashMap<u32, Sock>,
-    next_fd: u32,
+    /// Socket `fd` at index `fd - FIRST_FD`; `None` once closed.
+    /// Descriptors are never reused.
+    sockets: Vec<Option<Sock>>,
     queue: Vec<QueuedEvent>,
 }
 
@@ -111,8 +117,7 @@ impl ExsContext {
     pub fn new(node: NodeId) -> Self {
         ExsContext {
             node,
-            sockets: HashMap::new(),
-            next_fd: 3, // 0-2 reserved, like file descriptors
+            sockets: Vec::new(),
             queue: Vec::new(),
         }
     }
@@ -124,7 +129,7 @@ impl ExsContext {
 
     /// Number of open sockets.
     pub fn open_sockets(&self) -> usize {
-        self.sockets.len()
+        self.sockets.iter().flatten().count()
     }
 
     /// Registers I/O memory (`exs_mregister`). EXS exposes registration
@@ -141,10 +146,15 @@ impl ExsContext {
     }
 
     fn install(&mut self, sock: Sock) -> ExsFd {
-        let fd = ExsFd(self.next_fd);
-        self.next_fd += 1;
-        self.sockets.insert(fd.0, sock);
+        let fd = ExsFd(FIRST_FD + self.sockets.len() as u32);
+        self.sockets.push(Some(sock));
         fd
+    }
+
+    /// The table index of `fd`, if this context issued it.
+    fn index(&self, fd: ExsFd) -> Option<usize> {
+        let idx = fd.0.checked_sub(FIRST_FD)? as usize;
+        (idx < self.sockets.len()).then_some(idx)
     }
 
     /// Creates a connected socket pair across two contexts — the
@@ -177,8 +187,8 @@ impl ExsContext {
     }
 
     fn sock_mut(&mut self, fd: ExsFd) -> &mut Sock {
-        self.sockets
-            .get_mut(&fd.0)
+        self.index(fd)
+            .and_then(|idx| self.sockets[idx].as_mut())
             .unwrap_or_else(|| panic!("unknown socket descriptor {fd:?}"))
     }
 
@@ -239,21 +249,22 @@ impl ExsContext {
         self.collect(fd);
     }
 
-    /// Drives every socket from a node wake; call from
-    /// `NodeApp::on_wake`.
+    /// Drives every socket from a node wake, in descriptor order; call
+    /// from `NodeApp::on_wake`.
     pub fn handle_wake(&mut self, api: &mut NodeApi<'_>) {
-        let fds: Vec<u32> = self.sockets.keys().copied().collect();
-        for fd in fds {
-            match self.sockets.get_mut(&fd).expect("fd present") {
-                Sock::Stream(s) => s.handle_wake(api),
-                Sock::SeqPacket(s) => s.handle_wake(api),
+        for idx in 0..self.sockets.len() {
+            let fd = ExsFd(FIRST_FD + idx as u32);
+            match &mut self.sockets[idx] {
+                Some(Sock::Stream(s)) => s.handle_wake(api),
+                Some(Sock::SeqPacket(s)) => s.handle_wake(api),
+                None => continue,
             }
-            self.collect(ExsFd(fd));
+            self.collect(fd);
         }
     }
 
     fn collect(&mut self, fd: ExsFd) {
-        match self.sockets.get_mut(&fd.0).expect("fd present") {
+        match self.sock_mut(fd) {
             Sock::Stream(s) => {
                 for ev in s.take_events() {
                     let event = match ev {
@@ -292,7 +303,8 @@ impl ExsContext {
 
     /// Statistics for one socket.
     pub fn stats(&self, fd: ExsFd) -> &ConnStats {
-        match self.sockets.get(&fd.0).expect("fd present") {
+        let sock = self.index(fd).and_then(|idx| self.sockets[idx].as_ref());
+        match sock.expect("fd present") {
             Sock::Stream(s) => s.stats(),
             Sock::SeqPacket(s) => s.stats(),
         }
@@ -304,7 +316,7 @@ impl ExsContext {
     /// library's job; only `exs_mregister`ed user regions remain the
     /// application's to release.
     pub fn exs_close(&mut self, api: &mut NodeApi<'_>, fd: ExsFd) {
-        if let Some(mut sock) = self.sockets.remove(&fd.0) {
+        if let Some(mut sock) = self.index(fd).and_then(|idx| self.sockets[idx].take()) {
             match &mut sock {
                 Sock::Stream(s) => s.close(api),
                 Sock::SeqPacket(s) => s.close(api),
@@ -316,10 +328,124 @@ impl ExsContext {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rdma_verbs::{profiles, NodeApp};
+    use simnet::SimTime;
 
     #[test]
     fn flags() {
         assert!(!MsgFlags::NONE.waitall());
         assert!(MsgFlags::WAITALL.waitall());
+    }
+
+    const SOCKETS: usize = 8;
+    const MSGS: u64 = 16;
+    const MSG: u64 = 64 << 10;
+
+    /// One end of a many-socket context: every socket keeps two sends
+    /// (or two full-length receives) outstanding until it has moved
+    /// `MSGS` messages.
+    struct End {
+        ctx: ExsContext,
+        fds: Vec<(ExsFd, MrInfo)>,
+        sender: bool,
+        issued: [u64; SOCKETS],
+        completed: [u64; SOCKETS],
+    }
+
+    impl End {
+        fn kick(&mut self, api: &mut NodeApi<'_>) {
+            for (idx, &(fd, mr)) in self.fds.iter().enumerate() {
+                while self.issued[idx] < MSGS && self.issued[idx] - self.completed[idx] < 2 {
+                    let id = (idx as u64) << 32 | self.issued[idx];
+                    if self.sender {
+                        self.ctx.exs_send(api, fd, &mr, 0, MSG, id);
+                    } else {
+                        let flags = MsgFlags::WAITALL;
+                        self.ctx.exs_recv(api, fd, &mr, 0, MSG as u32, flags, id);
+                    }
+                    self.issued[idx] += 1;
+                }
+            }
+        }
+    }
+
+    impl NodeApp for End {
+        fn on_start(&mut self, api: &mut NodeApi<'_>) {
+            self.kick(api);
+        }
+        fn on_wake(&mut self, api: &mut NodeApi<'_>) {
+            self.ctx.handle_wake(api);
+            loop {
+                let events = self.ctx.exs_qdequeue();
+                if events.is_empty() {
+                    break;
+                }
+                for qe in events {
+                    let id = match qe.event {
+                        Event::SendComplete { id, len } => (len == MSG).then_some(id),
+                        Event::RecvComplete { id, len } => (len as u64 == MSG).then_some(id),
+                        _ => None,
+                    };
+                    let id = id.unwrap_or_else(|| panic!("unexpected {qe:?}"));
+                    self.completed[(id >> 32) as usize] += 1;
+                }
+                self.kick(api);
+            }
+        }
+        fn is_done(&self) -> bool {
+            self.completed.iter().all(|&c| c == MSGS)
+        }
+    }
+
+    /// Eight stream sockets between two contexts on jittered hosts: the
+    /// run's end time, event count and bytes received.
+    fn eight_sockets() -> (SimTime, u64, u64) {
+        let profile = profiles::fdr_infiniband();
+        let mut net = SimNet::new();
+        let a = net.add_node(profile.host.clone(), profile.hca.clone());
+        let b = net.add_node(profile.host.clone(), profile.hca.clone());
+        net.connect_nodes(a, b, profile.link.clone(), 9);
+        let (mut ca, mut cb) = (ExsContext::new(a), ExsContext::new(b));
+        let cfg = ExsConfig {
+            ring_capacity: 256 << 10,
+            ..ExsConfig::default()
+        };
+        let (mut fa, mut fb) = (Vec::new(), Vec::new());
+        for _ in 0..SOCKETS {
+            let (x, y) =
+                ExsContext::socket_pair(&mut net, &mut ca, &mut cb, SockType::Stream, &cfg);
+            let src = net.with_api(a, |api| ca.exs_mregister(api, MSG as usize, Access::NONE));
+            let access = Access::local_remote_write();
+            let dst = net.with_api(b, |api| cb.exs_mregister(api, MSG as usize, access));
+            fa.push((x, src));
+            fb.push((y, dst));
+        }
+        let end = |ctx, fds, sender| End {
+            ctx,
+            fds,
+            sender,
+            issued: [0; SOCKETS],
+            completed: [0; SOCKETS],
+        };
+        let (mut tx, mut rx) = (end(ca, fa, true), end(cb, fb, false));
+        let outcome = net.run(&mut [&mut tx, &mut rx], SimTime::from_secs(10));
+        assert!(outcome.completed, "{outcome:?}");
+        let bytes = (rx.fds.iter())
+            .map(|&(fd, _)| rx.ctx.stats(fd).bytes_received)
+            .sum();
+        (outcome.end, outcome.events, bytes)
+    }
+
+    /// A wake services the sockets in descriptor order, so the same
+    /// program makes the same timeline on every run — it used to follow
+    /// a randomly keyed hash map's iteration order, which a new context
+    /// draws afresh.
+    #[test]
+    fn a_many_socket_context_runs_the_same_timeline_every_time() {
+        let first = eight_sockets();
+        assert_eq!(first.2, SOCKETS as u64 * MSGS * MSG);
+        for run in 1..5 {
+            assert_eq!(eight_sockets(), first, "run {run}");
+        }
     }
 }

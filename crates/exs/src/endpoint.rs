@@ -211,6 +211,17 @@ impl Endpoint {
         }
     }
 
+    /// The socket's `(send, recv)` CQ pair while it is quiet (the rule
+    /// in [`StreamSocket::handle_wake`]): if both are empty, a wake
+    /// would only poll them. `None` for a socket with work and for a
+    /// pooled endpoint.
+    pub fn quiet_cqs(&self) -> Option<(CqId, CqId)> {
+        match &self.0 {
+            Kind::Socket(s) => s.quiet().then(|| (s.send_cq(), s.recv_cq())),
+            Kind::Mux(_) => None,
+        }
+    }
+
     /// True while the endpoint still owes traffic to the wire (see
     /// [`StreamSocket::has_unsent`]).
     pub fn has_unsent(&self) -> bool {

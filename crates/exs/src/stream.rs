@@ -625,12 +625,19 @@ impl StreamSocket {
     }
 
     /// Drives the socket from a node wake: drains both completion
-    /// queues, advances the protocol, and queues user events. A wake
-    /// meant for a neighbour costs the two empty polls and nothing
-    /// more: protocol state moves on a completion or on an application
-    /// call, and each of those ends by advancing the protocol as far as
-    /// it goes, so with nothing drained and nothing owed there is
-    /// nothing further to advance.
+    /// queues, advances the protocol, and queues user events.
+    ///
+    /// **The quiet rule.** A socket with no user events queued, no
+    /// cancelled staging region to free and nothing unsent
+    /// ([`StreamSocket::has_unsent`]) is *quiet*: a wake that finds both
+    /// CQs empty costs it the two empty polls and nothing more. Protocol
+    /// state moves on a completion or on an application call, and each
+    /// of those ends by advancing the protocol as far as it goes, so
+    /// with nothing drained and nothing owed there is nothing further to
+    /// advance. A quiet socket stays quiet until one of the two happens,
+    /// which is what lets a caller that owns many sockets
+    /// ([`crate::Endpoint::quiet_cqs`]) charge those two polls for it
+    /// instead of making them.
     pub fn handle_wake(&mut self, api: &mut impl VerbsPort) {
         let mut drained = false;
         for (cqe, is_recv) in poll_cqs(api, self.chan.send_cq(), self.chan.recv_cq()) {
@@ -641,9 +648,19 @@ impl StreamSocket {
                 self.on_send_cqe(api, cqe);
             }
         }
-        if drained || !self.staging_orphans.is_empty() || self.has_unsent() {
+        if drained || self.owes_progress() {
             self.progress(api);
         }
+    }
+
+    /// Work a wake must do even when it drains nothing.
+    fn owes_progress(&self) -> bool {
+        !self.staging_orphans.is_empty() || self.has_unsent()
+    }
+
+    /// The quiet rule of [`StreamSocket::handle_wake`].
+    pub(crate) fn quiet(&self) -> bool {
+        self.events.is_empty() && !self.owes_progress()
     }
 
     /// Advances the protocol after completions were applied: dispatches

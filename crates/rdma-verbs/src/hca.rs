@@ -123,6 +123,7 @@ pub struct HcaCore {
     qps: Vec<QueuePair>,
     cqs: Vec<CompletionQueue>,
     pending_reads: Slab<PendingRead>,
+    polls_executed: u64,
 }
 
 impl HcaCore {
@@ -135,6 +136,7 @@ impl HcaCore {
             qps: Vec::new(),
             cqs: Vec::new(),
             pending_reads: Slab::new(),
+            polls_executed: 0,
         }
     }
 
@@ -172,6 +174,13 @@ impl HcaCore {
     /// ([`MemoryTable::bytes_copied`]).
     pub fn bytes_copied(&self) -> u64 {
         self.mem.bytes_copied()
+    }
+
+    /// `poll_cq` calls this HCA has executed. A poll only charged
+    /// (`NodeApi::charge_empty_polls`) is not one: this counts the
+    /// host's work, the virtual clock counts the model's.
+    pub fn polls_executed(&self) -> u64 {
+        self.polls_executed
     }
 
     /// Creates a completion queue of the given depth (0 uses the
@@ -239,6 +248,7 @@ impl HcaCore {
 
     /// Polls up to `max` completions from `cq`.
     pub fn poll_cq(&mut self, cq: CqId, max: usize, out: &mut Vec<Cqe>) -> Result<usize> {
+        self.polls_executed += 1;
         let q = self.cq_mut(cq)?;
         assert!(
             !q.overflowed(),

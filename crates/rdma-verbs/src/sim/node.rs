@@ -13,6 +13,24 @@ use crate::mr::MrInfo;
 use crate::qp::QpCaps;
 use crate::types::{Access, CqId, Cqe, MrKey, NodeId, QpNum, RecvWr, Result, SendWr};
 
+/// `x.round().max(0.0) as u64`, exactly, without the libm call `round`
+/// becomes on a target without SSE4.1. Halves round away from zero;
+/// NaN and everything at or below zero give 0; from 2^52 up every
+/// double is an integer, and the cast saturates as the original does.
+#[inline]
+fn round_ns(x: f64) -> u64 {
+    const EXACT: f64 = (1u64 << 52) as f64;
+    if x.is_nan() || x <= 0.0 {
+        0
+    } else if x >= EXACT {
+        x as u64
+    } else {
+        // `x - t` is the exact fractional part below 2^52.
+        let t = x as i64;
+        (t + (x - t as f64 >= 0.5) as i64) as u64
+    }
+}
+
 pub(super) struct NodeRuntime {
     pub(super) hca: HcaCore,
     pub(super) cpu: CpuMeter,
@@ -34,12 +52,25 @@ impl NodeRuntime {
     }
 
     fn jittered(&mut self, work: SimDuration) -> SimDuration {
-        if self.host.jitter_frac > 0.0 && !work.is_zero() {
-            let u = self.rng.next_f64();
-            let factor = 1.0 + self.host.jitter_frac * (2.0 * u - 1.0);
-            SimDuration::from_nanos((work.as_nanos() as f64 * factor).round().max(0.0) as u64)
+        self.jittered_n(work, 1)
+    }
+
+    /// The sum of `n` successive [`NodeRuntime::jittered`] draws of
+    /// `work`: the same draws, in the same order.
+    #[inline]
+    fn jittered_n(&mut self, work: SimDuration, n: u64) -> SimDuration {
+        let frac = self.host.jitter_frac;
+        if frac > 0.0 && !work.is_zero() {
+            let ns = work.as_nanos() as f64;
+            let rng = &mut self.rng;
+            let mut total = 0;
+            for _ in 0..n {
+                let u = rng.next_f64();
+                total += round_ns(ns * (1.0 + frac * (2.0 * u - 1.0)));
+            }
+            SimDuration::from_nanos(total)
         } else {
-            work
+            work.mul_u64(n)
         }
     }
 
@@ -224,6 +255,19 @@ impl<'a> NodeApi<'a> {
         let overhead = self.rt.host.poll_overhead;
         self.charge(overhead);
         self.rt.hca.poll_cq(cq, max, out)
+    }
+
+    /// Charges exactly what `n` calls of [`NodeApi::poll_cq`] on empty
+    /// CQs would — `n` jittered poll overheads, drawn in order — without
+    /// making them. One charge of the sum ends where `n` charges would:
+    /// after the first, the cursor is the core's `free_at`, so each
+    /// later one starts where the one before ended.
+    pub fn charge_empty_polls(&mut self, n: u64) {
+        if n == 0 {
+            return;
+        }
+        let work = self.rt.jittered_n(self.rt.host.poll_overhead, n);
+        self.cpu_now = self.rt.cpu.charge(self.cpu_now, work);
     }
 
     /// Arms a CQ for one notification.
@@ -436,6 +480,113 @@ mod tests {
         let polled = one_message_end(host);
         let free = one_message_end(HostModel::free());
         assert_eq!(polled, free, "busy polling must see events immediately");
+    }
+
+    /// One node whose core is busy past the handler's start, after `n`
+    /// empty polls — made, or only charged — then 16 real ones: the
+    /// cursor after the `n`, the core's busy total, the cursor after
+    /// each of the 16, and the polls the HCA executed.
+    fn after_empty_polls(host: &HostModel, n: u64, charged: bool) -> [Vec<u64>; 4] {
+        let mut net = SimNet::new();
+        net.set_host_seed(11);
+        let a = net.add_node(host.clone(), HcaConfig::default());
+        let cq = net.with_api(a, |api| {
+            api.charge(SimDuration::from_micros(3));
+            api.create_cq(16)
+        });
+        let mut out = Vec::new();
+        let cursor = net.with_api(a, |api| {
+            if charged {
+                api.charge_empty_polls(n);
+            } else {
+                for _ in 0..n {
+                    assert_eq!(api.poll_cq(cq, usize::MAX, &mut out).unwrap(), 0);
+                }
+            }
+            api.now().as_nanos()
+        });
+        let busy = net.cpu_busy_total(a).as_nanos();
+        let next: Vec<u64> = net.with_api(a, |api| {
+            (0..16)
+                .map(|_| {
+                    api.poll_cq(cq, usize::MAX, &mut out).unwrap();
+                    api.now().as_nanos()
+                })
+                .collect()
+        });
+        let executed = net.with_api(a, |api| api.hca().polls_executed());
+        [vec![cursor], vec![busy], next, vec![executed]]
+    }
+
+    #[test]
+    fn charged_empty_polls_equal_made_ones() {
+        let mut wild = crate::profiles::fdr_infiniband().host;
+        wild.jitter_frac = 1.5;
+        let hosts = [
+            HostModel::free(),
+            crate::profiles::fdr_infiniband().host,
+            crate::profiles::roce_10g(SimDuration::from_micros(1)).host,
+            wild,
+        ];
+        for (h, host) in hosts.iter().enumerate() {
+            for n in [0, 1, 2, 3, 127, 128] {
+                let [cursor, busy, next, executed] = after_empty_polls(host, n, false);
+                let charged = after_empty_polls(host, n, true);
+                assert_eq!(charged[..3], [cursor, busy, next], "host {h}, n {n}");
+                assert_eq!(
+                    (executed[0], charged[3][0]),
+                    (n + 16, 16),
+                    "host {h}, n {n}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn round_ns_equals_round_max_cast() {
+        let check = |x: f64| {
+            let want = x.round().max(0.0) as u64;
+            assert_eq!(round_ns(x), want, "{x:e} (bits {:#x})", x.to_bits());
+        };
+        let two = |e: i32| 2f64.powi(e);
+        let edges = [
+            0.0,
+            -0.0,
+            f64::MIN_POSITIVE,
+            f64::MIN_POSITIVE / 4.0,
+            -f64::MIN_POSITIVE / 4.0,
+            f64::from_bits(1),
+            -f64::from_bits(1),
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            -0.4,
+            -0.5,
+            -0.6,
+            -1.5,
+            -1e300,
+            f64::MIN,
+            f64::MAX,
+            two(52) - 1.0,
+            two(52) - 0.5,
+            two(52),
+            two(52) + 1.0,
+            two(53),
+            two(63),
+            two(64),
+        ];
+        edges.into_iter().for_each(check);
+        for k in 0..1u64 << 20 {
+            let half = k as f64 + 0.5;
+            for x in [half.next_down(), half, half.next_up()] {
+                check(x);
+            }
+        }
+        let mut rng = Xoshiro256::new(7);
+        for _ in 0..1_000_000 {
+            check(rng.next_f64() * two(53));
+        }
     }
 
     #[test]
