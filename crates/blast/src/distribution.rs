@@ -99,6 +99,11 @@ impl SizeDist {
 
     /// Draws a whole workload of `count` messages.
     pub fn sample_many(&self, seed: u64, count: usize) -> Vec<u64> {
+        // A fixed law draws nothing from the RNG: one fill instead of a
+        // per-message loop, whose speed followed its code alignment.
+        if let SizeDist::Fixed(n) = *self {
+            return vec![n.max(1); count];
+        }
         let mut rng = Xoshiro256::new(seed);
         (0..count)
             .map(|i| self.sample(&mut rng, i as u64))

@@ -18,8 +18,8 @@
 //!   CPU usage, direct-transfer ratios, and mean ± 95% CI aggregation
 //!   over repeated seeds;
 //! * [`fan_in`] — the server-scalability workload: M client streams
-//!   into one node multiplexed by a single `exs` reactor, with a JSON
-//!   document of its counters;
+//!   into one node multiplexed by a single `exs` reactor, on either
+//!   backend, reporting its counters as typed fields;
 //! * [`figures`] — the paper's evaluation and the serving stack's
 //!   measurements as data: every figure, table and ablation is a view
 //!   over sweeps that run each configuration once.

@@ -216,7 +216,7 @@ pub enum ShardPolicy {
 }
 
 impl ShardPolicy {
-    /// Short label used in reports and snapshots.
+    /// Short human-readable name, for printing a policy.
     pub fn label(self) -> &'static str {
         match self {
             ShardPolicy::RoundRobin => "round-robin",

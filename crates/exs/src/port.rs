@@ -68,8 +68,8 @@ pub trait VerbsPort {
     /// transport).
     fn write_mr(&mut self, key: MrKey, addr: u64, data: &[u8]) -> Result<()>;
     /// CQ pressure gauges: `(overflowed, max_batch, nonempty_polls)`
-    /// for one completion queue, surfaced into stats snapshots so bench
-    /// output shows when a CQ was sized too small. Backends without
+    /// for one completion queue, copied into [`crate::ConnStats`] so a
+    /// test or the benchmark can tell when a CQ was sized too small. Backends without
     /// introspection return the neutral reading.
     fn cq_pressure(&self, cq: CqId) -> CqPressure {
         let _ = cq;

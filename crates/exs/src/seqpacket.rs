@@ -381,7 +381,8 @@ impl SeqPacketSocket {
     }
 
     /// Refreshes the CQ-pressure gauges from the backend into this
-    /// endpoint's stats; call before serializing a snapshot.
+    /// endpoint's stats; call before reading them (a test's overflow
+    /// check, a report's `cq_max_batch`).
     pub fn sync_cq_stats(&mut self, api: &impl VerbsPort) {
         self.chan.sync_cq_stats(api, &mut self.stats);
     }

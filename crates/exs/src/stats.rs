@@ -8,15 +8,11 @@
 //! Every struct here is one [`simnet::stats!`] table, in which a counter
 //! appears once: its doc, its merge rule (`sum`, `max`, sticky `or`, or
 //! `val` for a row that never merges), its name and type. The struct,
-//! `merge`, the ratio accessors, `to_json` and the schema
+//! `merge`, the ratio accessors and the schema
 //! ([`simnet::stats::Stats::FIELDS`]) are derived from the table, so
 //! adding a counter is one line — `sum polls_skipped: u64,` under its
-//! doc comment — and the declaration tests below cover it unedited.
-//! JSON keys print in declaration order through the one writer,
-//! [`simnet::json`]; a ratio over a zero denominator, and a field
-//! marked `[if x]` while `x` is zero, are **absent** from the JSON (an
-//! undefined value is not a measurement) while the Rust accessor
-//! returns `0.0`.
+//! doc comment — and the merge-law test below covers it unedited. A
+//! ratio over a zero denominator reads `0.0`.
 
 simnet::stats! {
     /// Counters for one connection endpoint.
@@ -55,11 +51,11 @@ simnet::stats! {
         max advert_queue_peak: u64,
         /// Sum of the advert-queue depth samples (see `advert_queue_peak`);
         /// divide by `advert_queue_samples` for the mean depth.
-        sum advert_queue_sum: u64 [hidden],
+        sum advert_queue_sum: u64,
         /// Number of advert-queue depth samples taken.
-        sum advert_queue_samples: u64 [hidden],
+        sum advert_queue_samples: u64,
         /// Mean advert-queue depth across samples.
-        ratio advert_queue_mean = advert_queue_sum / advert_queue_samples [6],
+        ratio advert_queue_mean = advert_queue_sum / advert_queue_samples,
         /// ACK messages emitted.
         sum acks_sent: u64,
         /// ACK messages received.
@@ -112,12 +108,12 @@ simnet::stats! {
         /// Sum of per-flow achieved payload rates (Mbit/s) recorded via
         /// [`ConnStats::record_fabric_flow`]; divide by
         /// `fabric_flow_samples` for the mean flow rate.
-        sum fabric_flow_mbps_sum: f64 [hidden],
+        sum fabric_flow_mbps_sum: f64,
         /// Mean fabric-flow achieved rate across samples.
-        ratio fabric_flow_mbps_mean = fabric_flow_mbps_sum / fabric_flow_samples [3],
+        ratio fabric_flow_mbps_mean = fabric_flow_mbps_sum / fabric_flow_samples,
         /// Fastest single fabric flow observed (Mbit/s) — the old
         /// max-merge semantics, kept as an explicit gauge.
-        max fabric_flow_mbps_max: f64 [3 if fabric_flow_samples],
+        max fabric_flow_mbps_max: f64,
         /// Number of fabric-flow rate samples recorded.
         sum fabric_flow_samples: u64,
         /// Largest number of multiplexed streams concurrently live on this
@@ -133,14 +129,14 @@ simnet::stats! {
         sum protocol_errors: u64,
         /// Mean WQEs per doorbell — the postlist amortization factor (1.0
         /// means every WQE paid its own doorbell).
-        ratio mean_wqes_per_doorbell = wqes_posted / doorbells [6],
+        ratio mean_wqes_per_doorbell = wqes_posted / doorbells,
         /// Fraction of posted WQEs that completed unsignaled (CQEs saved).
-        ratio unsignaled_ratio = unsignaled_wqes / signaled_wqes + unsignaled_wqes [6],
+        ratio unsignaled_ratio = unsignaled_wqes / signaled_wqes + unsignaled_wqes,
         /// Ratio of direct transfers to total transfers (Table III, Fig. 11b,
         /// Fig. 12b).
-        ratio direct_ratio = direct_transfers / direct_transfers + indirect_transfers [6],
+        ratio direct_ratio = direct_transfers / direct_transfers + indirect_transfers,
         /// Ratio of direct bytes to total bytes.
-        ratio direct_byte_ratio = direct_bytes / direct_bytes + indirect_bytes [6],
+        ratio direct_byte_ratio = direct_bytes / direct_bytes + indirect_bytes,
     }
 }
 
@@ -205,7 +201,7 @@ simnet::stats! {
         /// not the number hosted.
         sum slots_visited: u64,
         /// Mean completions per non-empty CQ drain batch.
-        ratio mean_batch = cqes_dispatched / cq_batches [6],
+        ratio mean_batch = cqes_dispatched / cq_batches,
     }
 }
 
@@ -214,8 +210,10 @@ simnet::stats! {
     /// [`crate::shard::Placement`] beside its reactor's counters, on
     /// the simulator and in [`crate::threaded::ThreadReactorPool`]): how
     /// many connections the assignment policy routed here and how hard
-    /// its service loop is working (busy ratio). One of these per shard rides in every snapshot
-    /// so imbalance is visible, not averaged away.
+    /// its service loop is working (busy ratio). A fan-in report keeps one
+    /// row per shard, so [`crate::shard::ShardBalance`] (the shard table
+    /// in `blast::figures`, the benchmark's imbalance) reads imbalance
+    /// from the rows instead of an average.
     #[derive(Clone, Debug, Default)]
     pub struct ShardStats {
         /// Which shard this is (0-based, stable for the pool's lifetime).
@@ -234,14 +232,14 @@ simnet::stats! {
         val cqes_dispatched: u64,
         /// Nanoseconds the service loop spent doing work (holding the
         /// reactor, harvesting events) — the numerator of the busy ratio.
-        val busy_ns: u64 [if wall_ns],
+        val busy_ns: u64,
         /// Nanoseconds the service loop existed (work + parked waiting) —
         /// the denominator of the busy ratio. Zero on the sim backend,
         /// where there is no wall clock to sample.
-        val wall_ns: u64 [if wall_ns],
+        val wall_ns: u64,
         /// Fraction of the shard's lifetime spent servicing rather than
         /// parked; timer jitter can push busy past wall, so it is capped at 1.
-        ratio busy_ratio = busy_ns / wall_ns [6] cap 1.0,
+        ratio busy_ratio = busy_ns / wall_ns cap 1.0,
     }
 }
 
@@ -295,15 +293,16 @@ simnet::stats! {
         /// Bytes sitting idle in the free lists.
         sum free_bytes: u64,
         /// Fraction of acquires served from the cache.
-        ratio hit_rate = hits / hits + misses [6],
+        ratio hit_rate = hits / hits + misses,
     }
 }
 
 simnet::stats! {
     /// Counters for one [`crate::aio::Executor`]: task lifecycle, wake-up
     /// efficiency (polls per wake, spurious-wake ratio), timer activity and
-    /// cancellation outcomes. Printed beside [`ConnStats`] /
-    /// [`ReactorStats`] in a fan-in report's JSON.
+    /// cancellation outcomes. A fan-in report carries them beside
+    /// [`ConnStats`] / [`ReactorStats`]; the async-task table in
+    /// `blast::figures` and the benchmark read the wake-up figures.
     #[derive(Clone, Debug, Default, PartialEq, Eq)]
     pub struct AioStats: Merge {
         /// Tasks handed to `spawn`.
@@ -334,20 +333,19 @@ simnet::stats! {
         /// Executor turns (reactor pump + task batch cycles).
         sum turns: u64,
         /// Mean task polls per wake-up.
-        ratio polls_per_wake = polls / wakeups [6],
+        ratio polls_per_wake = polls / wakeups,
         /// Fraction of task polls that were spurious.
-        ratio spurious_wake_ratio = spurious_polls / polls [6],
+        ratio spurious_wake_ratio = spurious_polls / polls,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simnet::stats::{check, Merge, Stats};
+    use simnet::stats::{check, Stats};
 
     // The populated values end in `..default()` although they name every
-    // field today: a counter declared tomorrow must not need an edit
-    // here for tests (a) and (b) to cover it.
+    // field today: a counter declared tomorrow must not need an edit here.
 
     #[allow(clippy::needless_update)]
     fn conn() -> ConnStats {
@@ -460,7 +458,7 @@ mod tests {
         }
     }
 
-    /// (a) `merge` is what the declaration says, for every field there
+    /// `merge` is what the declaration says, for every field there
     /// is or will be: sums add, peaks take the max, flags stick, the
     /// order of merging does not matter and `default()` changes nothing.
     #[test]
@@ -493,105 +491,26 @@ mod tests {
             .all(|f| (f.rule == Max) == (f.name == "max_cq_batch")));
     }
 
-    /// (b) the JSON is the declaration: every printed field and every
-    /// defined ratio once, in declaration order, nesting balanced —
-    /// on a value where everything is defined, on one where nothing
-    /// is, and on random ones.
-    #[test]
-    fn json_follows_each_declaration() {
-        fn holds<T: Merge>(populated: &T) {
-            check::json_follows_declaration::<T>(&simnet::json::to_string(populated), true);
-            check::json_follows_declaration::<T>(&simnet::json::to_string(&T::default()), false);
-            let mut rng = simnet::SplitMix64::new(7);
-            let random = T::sample(&mut || rng.next_u64());
-            check::json_follows_declaration::<T>(&simnet::json::to_string(&random), false);
-        }
-        holds(&conn());
-        holds(&reactor());
-        holds(&pool());
-        holds(&aio());
-        check::json_follows_declaration::<ShardStats>(&shard().to_json(), true);
-        check::json_follows_declaration::<ShardStats>(&ShardStats::default().to_json(), false);
-    }
-
-    // (c) one populated value per struct, byte for byte. These strings
-    // are the hand-written writers' output at the commit that removed
-    // them; schema version 1 changed none of them, because it only
-    // omits what is undefined and everything here is defined.
-
-    #[test]
-    fn golden_conn_stats() {
-        assert_eq!(
-            conn().to_json(),
-            "{\"direct_transfers\":3,\"indirect_transfers\":1,\"direct_bytes\":3000,\
-             \"indirect_bytes\":1000,\"mode_switches\":2,\"adverts_sent\":5,\
-             \"adverts_received\":6,\"adverts_discarded\":7,\"resyncs_attempted\":4,\
-             \"resyncs_completed\":3,\"advert_queue_peak\":5,\"advert_queue_mean\":2.666667,\
-             \"acks_sent\":9,\"acks_received\":10,\"credits_sent\":11,\
-             \"bytes_copied_out\":1000,\"sends_completed\":12,\"recvs_completed\":13,\
-             \"bytes_sent\":4000,\"bytes_received\":4001,\"doorbells\":4,\"wqes_posted\":12,\
-             \"max_wqes_per_doorbell\":6,\"signaled_wqes\":3,\"unsignaled_wqes\":9,\
-             \"coalesced_msgs\":5,\"coalesced_bytes\":640,\"cq_overflowed\":true,\
-             \"cq_max_batch\":7,\"cq_nonempty_polls\":11,\"fabric_respeeds\":3,\
-             \"fabric_flow_mbps_mean\":2550.250,\"fabric_flow_mbps_max\":5000.500,\
-             \"fabric_flow_samples\":2,\"mux_streams_peak\":100,\"mux_demux_errors\":2,\
-             \"protocol_errors\":1,\"mean_wqes_per_doorbell\":3.000000,\
-             \"unsignaled_ratio\":0.750000,\"direct_ratio\":0.750000,\
-             \"direct_byte_ratio\":0.750000}"
-        );
-    }
-
-    #[test]
-    fn golden_reactor_stats() {
-        assert_eq!(
-            reactor().to_json(),
-            "{\"conns_added\":4,\"conns_removed\":1,\"polls\":100,\"cq_batches\":10,\
-             \"cqes_dispatched\":55,\"max_cq_batch\":12,\"deferrals\":1,\"orphan_cqes\":2,\
-             \"readiness_reports\":40,\"slots_visited\":77,\"mean_batch\":5.500000}"
-        );
-    }
-
-    #[test]
-    fn golden_shard_stats() {
-        assert_eq!(
-            shard().to_json(),
-            "{\"shard_id\":3,\"conns\":7,\"assigned\":9,\"steals\":2,\"polls\":100,\
-             \"cqes_dispatched\":250,\"busy_ns\":250,\"wall_ns\":1000,\"busy_ratio\":0.250000}"
-        );
-    }
-
-    #[test]
-    fn golden_pool_stats() {
-        assert_eq!(
-            pool().to_json(),
-            "{\"hits\":3,\"misses\":1,\"evictions\":2,\"registrations\":5,\
-             \"deregistrations\":4,\"pinned_bytes\":4096,\"pinned_peak\":8192,\
-             \"leased_bytes\":1024,\"free_bytes\":3072,\"hit_rate\":0.750000}"
-        );
-    }
-
-    #[test]
-    fn golden_aio_stats() {
-        assert_eq!(
-            aio().to_json(),
-            "{\"tasks_spawned\":4,\"tasks_completed\":3,\"wakeups\":10,\"polls\":15,\
-             \"spurious_polls\":3,\"timers_set\":5,\"timer_fires\":2,\"timer_cancels\":3,\
-             \"cancels_clean\":1,\"cancels_poisoned\":6,\"turns\":20,\
-             \"polls_per_wake\":1.500000,\"spurious_wake_ratio\":0.200000}"
-        );
-    }
-
     /// Callers (the benchmark among them) read ratios as plain numbers:
-    /// an undefined one reads 0, whatever the JSON does.
+    /// an undefined one reads 0 — on an empty value, and on a receiving
+    /// endpoint that never posted a send (no transfer split, no
+    /// doorbell amortisation, no signalling ratio, no advert sample).
     #[test]
     fn ratio_accessors_read_zero_when_undefined() {
-        let c = ConnStats::default();
-        assert_eq!(c.direct_ratio(), 0.0);
-        assert_eq!(c.direct_byte_ratio(), 0.0);
-        assert_eq!(c.mean_wqes_per_doorbell(), 0.0);
-        assert_eq!(c.unsignaled_ratio(), 0.0);
-        assert_eq!(c.advert_queue_mean(), 0.0);
-        assert_eq!(c.fabric_flow_mbps_mean(), 0.0);
+        let rx = ConnStats {
+            adverts_sent: 8,
+            recvs_completed: 8,
+            bytes_received: 1 << 20,
+            ..ConnStats::default()
+        };
+        for c in [ConnStats::default(), rx] {
+            assert_eq!(c.direct_ratio(), 0.0);
+            assert_eq!(c.direct_byte_ratio(), 0.0);
+            assert_eq!(c.mean_wqes_per_doorbell(), 0.0);
+            assert_eq!(c.unsignaled_ratio(), 0.0);
+            assert_eq!(c.advert_queue_mean(), 0.0);
+            assert_eq!(c.fabric_flow_mbps_mean(), 0.0);
+        }
         assert_eq!(ReactorStats::default().mean_batch(), 0.0);
         assert_eq!(PoolStats::default().hit_rate(), 0.0);
         assert_eq!(AioStats::default().polls_per_wake(), 0.0);
@@ -604,52 +523,20 @@ mod tests {
         assert!((c.direct_byte_ratio() - 0.75).abs() < 1e-12);
         assert!((c.mean_wqes_per_doorbell() - 3.0).abs() < 1e-12);
         assert!((c.unsignaled_ratio() - 0.75).abs() < 1e-12);
+        assert!((c.advert_queue_mean() - 8.0 / 3.0).abs() < 1e-12);
+        assert!((c.fabric_flow_mbps_mean() - 2550.25).abs() < 1e-9);
         assert!((reactor().mean_batch() - 5.5).abs() < 1e-12);
         assert!((pool().hit_rate() - 0.75).abs() < 1e-12);
         assert!((aio().polls_per_wake() - 1.5).abs() < 1e-12);
         assert!((aio().spurious_wake_ratio() - 0.2).abs() < 1e-12);
+        assert!((shard().busy_ratio() - 0.25).abs() < 1e-12);
     }
 
-    /// A receiving endpoint that never posted a send has no transfer
-    /// split, no doorbell amortisation and no signalling ratio: the
-    /// keys are absent, not `0.000000`.
-    #[test]
-    fn receiver_side_counters_print_no_sender_ratios() {
-        let rx = ConnStats {
-            adverts_sent: 8,
-            recvs_completed: 8,
-            bytes_received: 1 << 20,
-            ..ConnStats::default()
-        };
-        let keys = check::keys(&rx.to_json());
-        for absent in [
-            "direct_ratio",
-            "direct_byte_ratio",
-            "mean_wqes_per_doorbell",
-            "unsignaled_ratio",
-            "advert_queue_mean",
-        ] {
-            assert!(
-                !keys.iter().any(|k| k == absent),
-                "{absent} is undefined here"
-            );
-        }
-        assert!(keys.iter().any(|k| k == "bytes_received"));
-        // The sending side of the same connection keeps all four.
-        let keys = check::keys(&conn().to_json());
-        for present in [
-            "direct_ratio",
-            "direct_byte_ratio",
-            "mean_wqes_per_doorbell",
-            "unsignaled_ratio",
-        ] {
-            assert!(keys.iter().any(|k| k == present), "{present}");
-        }
-    }
-
+    /// The mean advert-queue depth reads 0 until a depth is sampled.
     #[test]
     fn advert_queue_samples_feed_peak_and_mean() {
         let mut s = ConnStats::default();
+        assert_eq!((s.advert_queue_peak, s.advert_queue_mean()), (0, 0.0));
         s.sample_advert_queue(3);
         s.sample_advert_queue(5);
         assert_eq!(s.advert_queue_peak, 5);
@@ -658,48 +545,40 @@ mod tests {
     }
 
     /// Fabric-flow rates exist only once a flow was recorded (the
-    /// fair-share model, post-run): without a sample neither the mean
-    /// nor the max gauge is printed.
+    /// fair-share model, post-run): without a sample the mean and the
+    /// max gauge read 0, whatever the re-speed count.
     #[test]
-    fn fabric_flow_rates_print_only_once_sampled() {
+    fn fabric_flow_rates_read_zero_until_sampled() {
         let mut s = ConnStats {
             fabric_respeeds: 3,
             ..ConnStats::default()
         };
-        let keys = check::keys(&s.to_json());
-        assert!(!keys.iter().any(|k| k.starts_with("fabric_flow_mbps")));
-        assert!(keys.iter().any(|k| k == "fabric_flow_samples"));
+        assert_eq!(
+            (s.fabric_flow_mbps_mean(), s.fabric_flow_mbps_max),
+            (0.0, 0.0)
+        );
 
         s.record_fabric_flow(5000.5);
         s.record_fabric_flow(100.0);
         assert_eq!(s.fabric_flow_samples, 2);
         assert!((s.fabric_flow_mbps_mean() - 2550.25).abs() < 1e-9);
         assert_eq!(s.fabric_flow_mbps_max, 5000.5);
-        let json = s.to_json();
-        assert!(
-            json.contains("\"fabric_flow_mbps_mean\":2550.250,\"fabric_flow_mbps_max\":5000.500")
-        );
     }
 
-    /// A sim shard samples no wall clock, so its row has no `busy_ns`,
-    /// `wall_ns` or `busy_ratio`; a thread-backend row has all three.
+    /// A sim shard samples no wall clock, so its row has no busy time
+    /// and its busy ratio reads 0; a thread-backend row has all three.
+    /// Timer jitter can push busy past wall; the ratio stays <= 1.
     #[test]
-    fn shard_rows_print_busy_figures_only_with_a_wall_clock() {
+    fn shard_rows_have_busy_figures_only_with_a_wall_clock() {
         let sim = ShardStats::new(0, &reactor(), 4, 0);
-        assert_eq!(
-            sim.to_json(),
-            "{\"shard_id\":0,\"conns\":3,\"assigned\":4,\"steals\":0,\"polls\":100,\
-             \"cqes_dispatched\":55}"
-        );
-        assert_eq!(sim.busy_ratio(), 0.0);
-        assert!((shard().busy_ratio() - 0.25).abs() < 1e-12);
-        // Timer jitter can push busy past wall; the ratio stays <= 1.
+        assert_eq!((sim.conns, sim.assigned, sim.steals), (3, 4, 0));
+        assert_eq!((sim.polls, sim.cqes_dispatched), (100, 55));
+        assert_eq!((sim.busy_ns, sim.wall_ns, sim.busy_ratio()), (0, 0, 0.0));
         let hot = ShardStats {
             busy_ns: 1200,
             wall_ns: 1000,
             ..ShardStats::default()
         };
         assert_eq!(hot.busy_ratio(), 1.0);
-        assert!(hot.to_json().ends_with("\"busy_ratio\":1.000000}"));
     }
 }

@@ -895,7 +895,8 @@ impl StreamSocket {
 
     /// Refreshes the CQ-pressure gauges (`overflowed`, `max_batch`,
     /// `nonempty_polls`) from the backend into this endpoint's stats;
-    /// call before serializing a snapshot.
+    /// call before reading them (a test's overflow check, a report's
+    /// `cq_max_batch`).
     pub fn sync_cq_stats(&mut self, api: &impl VerbsPort) {
         self.chan.sync_cq_stats(api, &mut self.stats);
     }

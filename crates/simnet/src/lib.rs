@@ -9,9 +9,8 @@
 //! * the two id → state tables the layers above share: [`slab::Slab`]
 //!   (the id *is* the index) and [`intmap::IntMap`] (caller-chosen
 //!   integer ids, cheaply hashed),
-//! * the one way the layers above declare and print counters:
-//!   [`stats!`] (field, merge rule and JSON key from one table) and the
-//!   [`json`] writer every snapshot goes through,
+//! * the one way the layers above declare counters: [`stats!`] (field,
+//!   merge rule and ratio accessors from one table),
 //! * a point-to-point link model ([`link::Link`]) with configurable
 //!   bandwidth, propagation delay and jitter, preserving strict FIFO
 //!   delivery (the ordering guarantee of an RDMA reliable-connected
@@ -29,7 +28,7 @@
 //! The engine is intentionally single-threaded: determinism is what lets
 //! the benchmark harnesses regenerate the paper's figures bit-for-bit
 //! across runs. Thread-level concurrency is exercised by the separate
-//! `ThreadFabric` backend in the `rdma-verbs` crate, which shares the
+//! `ThreadNet` backend in the `rdma-verbs` crate, which shares the
 //! protocol state machines but not this scheduler.
 
 #![warn(missing_docs)]
@@ -38,7 +37,6 @@
 pub mod event;
 pub mod fabric;
 pub mod intmap;
-pub mod json;
 pub mod link;
 pub mod rng;
 pub mod slab;

@@ -361,18 +361,6 @@ fn large_message_fan_in_recovers_direct_mode_on_both_backends() {
             "policy never resynced at {conns} conns: {:?}",
             report.aggregate_tx
         );
-        // The counters the tentpole promises are in the JSON snapshot.
-        let json = report.to_json();
-        for key in [
-            "\"mode_switches\":",
-            "\"resyncs_attempted\":",
-            "\"resyncs_completed\":",
-            "\"advert_queue_peak\":",
-            "\"advert_queue_mean\":",
-            "\"aggregate_tx\":",
-        ] {
-            assert!(json.contains(key), "snapshot lost {key}");
-        }
 
         // Recovering zero-copy must not cost throughput: compare
         // against the same run with the policy off and every byte
