@@ -109,21 +109,6 @@ impl SizeDist {
             .map(|i| self.sample(&mut rng, i as u64))
             .collect()
     }
-
-    /// Draws messages until at least `budget` total bytes.
-    pub fn sample_budget(&self, seed: u64, budget: u64) -> Vec<u64> {
-        let mut rng = Xoshiro256::new(seed);
-        let mut out = Vec::new();
-        let mut total = 0u64;
-        let mut i = 0u64;
-        while total < budget {
-            let n = self.sample(&mut rng, i);
-            total += n;
-            out.push(n);
-            i += 1;
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -172,14 +157,6 @@ mod tests {
             sizes,
             vec![1000, 1000, 1000, 10, 10, 10, 1000, 1000, 1000, 10, 10, 10]
         );
-    }
-
-    #[test]
-    fn budget_sampling_reaches_budget() {
-        let d = SizeDist::Fixed(1000);
-        let sizes = d.sample_budget(1, 9_500);
-        assert_eq!(sizes.len(), 10);
-        assert!(sizes.iter().sum::<u64>() >= 9_500);
     }
 
     #[test]

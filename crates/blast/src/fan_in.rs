@@ -158,11 +158,11 @@ pub struct FanInSpec {
     /// single-loop server). With N > 1 the server runs one [`Reactor`]
     /// per shard: each shard gets its own CQ pair, endpoints (a
     /// connection's socket; in `mux` mode a client node's whole pooled
-    /// endpoint) are routed once at accept by `shard_policy`, and the
+    /// endpoint) are routed once at accept by the rotation, and the
     /// sim driver interleaves the shards deterministically — delivered
     /// bytes and digests are identical to the single-shard run.
     pub shards: usize,
-    /// Placement policy for `shards > 1`.
+    /// Placement policy for `shards > 1`: the rotation, the one policy.
     pub shard_policy: ShardPolicy,
     /// Workload seed: the payload pattern on both backends, and on the
     /// simulator the host jitter and link seeds.
@@ -285,7 +285,7 @@ pub struct FanInReport {
     /// cancellations) for an aio-mode run; `None` on the callback
     /// paths.
     pub aio: Option<AioStats>,
-    /// Per-shard service-loop telemetry (placement, steals, poll and
+    /// Per-shard service-loop telemetry (placement, poll and
     /// dispatch volume, busy ratio where a wall clock exists). Present
     /// on every sharded-capable path — a single-shard run reports one
     /// entry, so reports across shard counts stay row-for-row
@@ -1037,8 +1037,9 @@ pub fn run_fan_in(spec: &FanInSpec) -> FanInReport {
     }
 
     // One reactor per shard, each over its own CQ pair sized for every
-    // stream's worst case — full size per shard, since a skewed policy
-    // may put most connections on one shard and CQ overflow is fatal.
+    // stream's worst case — full size per shard: the rotation puts at
+    // most a shard's share on it, but CQ overflow is fatal, so the depth
+    // does not lean on the placement rule.
     let setup_start = std::time::Instant::now();
     let cq_depth = if spec.mux {
         nclients * MuxEndpoint::shared_cq_depth(&spec.cfg)
@@ -1054,11 +1055,10 @@ pub fn run_fan_in(spec: &FanInSpec) -> FanInReport {
         })
         .collect();
     // Placement happens once, before the endpoint exists: the choice
-    // binds it to the shard's CQ pair. The affinity key is the client
-    // node.
-    let mut placement = Placement::new(spec.shard_policy, shards.len());
-    let mut pick = |shards: &[Reactor], cnode: NodeId| {
-        let shard = placement.pick(Some(cnode.0 as u64), |s| shards[s].stats().live_conns());
+    // binds it to the shard's CQ pair.
+    let mut placement = Placement::new(shards.len());
+    let mut pick = |shards: &[Reactor]| {
+        let shard = placement.pick();
         let reactor = &shards[shard as usize];
         (shard, reactor.send_cq(), reactor.recv_cq())
     };
@@ -1087,14 +1087,13 @@ pub fn run_fan_in(spec: &FanInSpec) -> FanInReport {
         })
         .collect();
     // Mux mode: one endpoint pair per client node, its server end placed
-    // on a shard like any accepted endpoint (the affinity policy keys
-    // on the client node, so one client's traffic shares a shard and
-    // its caches) and hosted once every stream is open.
+    // on a shard like any accepted endpoint and hosted once every stream
+    // is open.
     let mut server_eps: Vec<(u32, MuxEndpoint)> = Vec::new();
     if spec.mux {
         for (c, &cnode) in clients.iter_mut().zip(&client_nodes) {
             c.links.push(MuxEndpoint::new(cnode, &spec.cfg).into());
-            let (shard, send_cq, recv_cq) = pick(&shards, cnode);
+            let (shard, send_cq, recv_cq) = pick(&shards);
             let mut ep = MuxEndpoint::new(server_node, &spec.cfg);
             ep.set_cqs(send_cq, recv_cq);
             server_eps.push((shard, ep));
@@ -1115,7 +1114,7 @@ pub fn run_fan_in(spec: &FanInSpec) -> FanInReport {
             }
             (0, idx as u32)
         } else {
-            let (shard, send_cq, recv_cq) = pick(&shards, cnode);
+            let (shard, send_cq, recv_cq) = pick(&shards);
             let (csock, ssock) = StreamSocket::pair_shared(
                 &mut net,
                 cnode,
@@ -1451,12 +1450,6 @@ fn joined<T>(thread: ScopedJoinHandle<'_, T>) -> T {
     thread.join().expect("a fan-in thread failed a check")
 }
 
-/// The client node connection `idx` comes from, and its affinity key.
-fn client_of(clients: &[Arc<ThreadNode>], idx: usize) -> (&Arc<ThreadNode>, Option<u64>) {
-    let node = &clients[idx % clients.len()];
-    (node, Some(node.id().0 as u64))
-}
-
 /// The default front-end of [`run_fan_in_threaded`].
 fn blocking_fan_in_threaded(
     spec: &FanInSpec,
@@ -1474,8 +1467,8 @@ fn blocking_fan_in_threaded(
     let recv_len = spec.effective_recv_len() as usize;
     let ends: Vec<_> = (0..spec.conns)
         .map(|idx| {
-            let (node, key) = client_of(clients, idx);
-            let (server_end, client_end) = pool.accept_with_affinity(node, &cfg, key);
+            let node = &clients[idx % clients.len()];
+            let (server_end, client_end) = pool.accept(node, &cfg);
             // Pooled: every send buffer is leased as it is needed.
             let slots: Vec<MrInfo> = (0..spec.outstanding_sends.max(1))
                 .filter(|_| !spec.pooled)
@@ -1642,8 +1635,9 @@ fn aio_fan_in_threaded(
         let (send_cq, recv_cq) = node.with_hca(|h| (h.create_cq(depth), h.create_cq(depth)));
         Reactor::new(send_cq, recv_cq, cfg)
     };
-    // Full-size CQs per shard: a skewed policy may put every connection
-    // on one shard, and CQ overflow is fatal.
+    // Full-size CQs per shard: the rotation puts at most a shard's share
+    // on it, but CQ overflow is fatal, so the depth does not lean on the
+    // placement rule.
     let mut shards: Vec<Reactor> = (0..spec.effective_shards())
         .map(|_| reactor_on(server, spec.conns, spec.reactor))
         .collect();
@@ -1651,13 +1645,13 @@ fn aio_fan_in_threaded(
     let mut senders: Vec<Reactor> = (clients.iter())
         .map(|c| reactor_on(c, per_client, ReactorConfig::default()))
         .collect();
-    let mut placement = Placement::new(spec.shard_policy, shards.len());
+    let mut placement = Placement::new(shards.len());
     let mut served: Vec<Vec<(ConnId, usize)>> = vec![Vec::new(); shards.len()];
     let mut sent: Vec<Vec<(ConnId, usize)>> = vec![Vec::new(); clients.len()];
     for idx in 0..spec.conns {
-        let (node, key) = client_of(clients, idx);
-        let shard = placement.pick(key, |s| shards[s].stats().live_conns()) as usize;
         let ci = idx % clients.len();
+        let node = &clients[ci];
+        let shard = placement.pick() as usize;
         let cqs = |r: &Reactor| Some((r.send_cq(), r.recv_cq()));
         let (csock, ssock) = connect_sockets_shared(
             node,

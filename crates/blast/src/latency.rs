@@ -62,10 +62,7 @@ impl PingPongReport {
 
     /// Minimum round-trip time in microseconds.
     pub fn min_us(&self) -> f64 {
-        self.rtts
-            .iter()
-            .map(|d| d.as_secs_f64() * 1e6)
-            .fold(f64::INFINITY, f64::min)
+        (self.rtts.iter().min()).map_or(0.0, |d| d.as_secs_f64() * 1e6)
     }
 
     /// The given percentile (0–100) in microseconds.
@@ -248,6 +245,16 @@ mod tests {
         assert!(rep.min_us() >= 0.0);
         assert!(rep.mean_us() >= rep.min_us());
         assert!(rep.percentile_us(99.0) >= rep.percentile_us(50.0));
+    }
+
+    /// A report of no round trips (`iterations: 0`) reads 0.0 from
+    /// every accessor, as a value undefined for the run does.
+    #[test]
+    fn an_empty_report_reads_zero() {
+        let rep = PingPongReport { rtts: vec![] };
+        assert_eq!(rep.min_us(), 0.0);
+        assert_eq!(rep.mean_us(), 0.0);
+        assert_eq!(rep.percentile_us(50.0), 0.0);
     }
 
     #[test]

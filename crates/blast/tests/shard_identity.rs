@@ -1,5 +1,5 @@
 //! Sharding is routing, not protocol: delivered bytes must be
-//! bit-identical whatever the shard count, placement policy, server
+//! bit-identical whatever the shard count, server
 //! consumption model (callback vs async) or backend (deterministic sim
 //! vs real threads). Every test pins the digests to the same closed
 //! form, `expected_digest`, so the identity is transitive across all of
@@ -7,7 +7,6 @@
 
 use blast::fan_in::expected_digest;
 use blast::{run_fan_in, run_fan_in_threaded, FanInReport, FanInSpec, VerifyLevel};
-use exs::ShardPolicy;
 use rdma_verbs::profiles;
 
 const SEED: u64 = 61;
@@ -16,10 +15,9 @@ const MSGS: usize = 3;
 const MSG_LEN: u64 = 4 << 10;
 const EXPECTED: u64 = MSGS as u64 * MSG_LEN;
 
-fn spec(shards: usize, policy: ShardPolicy, aio: bool) -> FanInSpec {
+fn spec(shards: usize, aio: bool) -> FanInSpec {
     FanInSpec {
         shards,
-        shard_policy: policy,
         aio,
         msgs_per_conn: MSGS,
         msg_len: MSG_LEN,
@@ -45,10 +43,10 @@ fn assert_expected(digests: &[u64], what: &str) {
 /// and both equal the closed form.
 #[test]
 fn sim_digests_identical_across_shard_counts() {
-    let single = run_fan_in(&spec(1, ShardPolicy::RoundRobin, false));
+    let single = run_fan_in(&spec(1, false));
     assert_expected(&single.digests, "1 shard");
     for shards in [2usize, 4] {
-        let sharded = run_fan_in(&spec(shards, ShardPolicy::RoundRobin, false));
+        let sharded = run_fan_in(&spec(shards, false));
         assert_eq!(
             single.digests, sharded.digests,
             "{shards}-shard delivery diverged from the single-shard run"
@@ -73,10 +71,10 @@ fn sim_digests_identical_across_shard_counts() {
 /// single-loop callback server over private QPs.
 #[test]
 fn mux_sharded_matches_callback() {
-    let callback = run_fan_in(&spec(1, ShardPolicy::RoundRobin, false));
+    let callback = run_fan_in(&spec(1, false));
     let mux = run_fan_in(&FanInSpec {
         mux: true,
-        ..spec(2, ShardPolicy::RoundRobin, false)
+        ..spec(2, false)
     });
     assert_eq!(
         callback.digests, mux.digests,
@@ -110,22 +108,13 @@ fn row(spec: &FanInSpec, what: &str) -> [FanInReport; 2] {
     runs
 }
 
-/// Placement policy moves connections between shards, never bytes
-/// within a stream: blocking server ends behind one and four shards,
-/// under every policy, on both backends.
+/// Placement moves connections between shards, never bytes within a
+/// stream: blocking server ends behind one and four shards, on both
+/// backends.
 #[test]
 fn thread_pool_blocking_rows_match_sim() {
     for shards in [1usize, 4] {
-        for policy in [
-            ShardPolicy::RoundRobin,
-            ShardPolicy::LeastLoaded,
-            ShardPolicy::Affinity,
-        ] {
-            row(
-                &spec(shards, policy, false),
-                &format!("x{shards} {policy:?}"),
-            );
-        }
+        row(&spec(shards, false), &format!("x{shards}"));
     }
 }
 
@@ -134,7 +123,7 @@ fn thread_pool_blocking_rows_match_sim() {
 #[test]
 fn thread_pool_aio_rows_match_sim() {
     for shards in [1usize, 4] {
-        for run in row(&spec(shards, ShardPolicy::RoundRobin, true), "aio") {
+        for run in row(&spec(shards, true), "aio") {
             let per_shard = run.aio_per_shard.expect("per-shard executor stats");
             assert_eq!(per_shard.len(), shards);
             let tasks: u64 = per_shard.iter().map(|s| s.tasks_completed).sum();
@@ -150,7 +139,7 @@ fn thread_pool_aio_rows_match_sim() {
 fn thread_pool_sharded_digests_match_sim() {
     let spec = FanInSpec {
         recv_len: 1500, // deliberately not a divisor of MSG_LEN
-        ..spec(4, ShardPolicy::RoundRobin, false)
+        ..spec(4, false)
     };
     let [_, thread] = row(&spec, "x4, 1500-byte receives");
     let rows = thread.shard_stats.expect("per-shard telemetry");

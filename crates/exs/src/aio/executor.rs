@@ -111,8 +111,6 @@ pub(crate) struct Chan {
     posted: VecDeque<(u64, usize)>,
     pub(crate) rx_buf: VecDeque<u8>,
     pub(crate) eof: bool,
-    /// Surfaced through `AioMux::accept` already.
-    pub(crate) announced: bool,
     pub(crate) error: Option<ExsError>,
     /// Send-direction poison left by an unclean cancellation.
     pub(crate) poison: Option<ExsError>,
@@ -133,7 +131,6 @@ impl Chan {
             posted: VecDeque::new(),
             rx_buf: VecDeque::new(),
             eof: false,
-            announced: false,
             error: None,
             poison: None,
             shutdown_requested: false,
@@ -213,28 +210,6 @@ impl Chan {
         }
         Ok(())
     }
-
-    /// The stream's first observed activity surfaces it through its
-    /// host's `accept()`, when the host is wrapped in an `AioMux`.
-    fn announce(&mut self, muxes: &mut HashMap<ConnId, MuxReg>, host: ConnId, stream: u32) {
-        if std::mem::replace(&mut self.announced, true) {
-            return;
-        }
-        if let Some(reg) = muxes.get_mut(&host) {
-            reg.accept_ready.push_back(stream);
-            for w in reg.accept_waiters.drain(..) {
-                w.wake();
-            }
-        }
-    }
-}
-
-/// Accept state for one hosted endpoint wrapped in an `AioMux`: streams
-/// that saw their first activity queue up for `accept()`.
-pub(crate) struct MuxReg {
-    pub(crate) accept_ready: VecDeque<u32>,
-    pub(crate) accept_waiters: Vec<Waker>,
-    pub(crate) error: Option<ExsError>,
 }
 
 pub(crate) struct TimerEntry {
@@ -328,7 +303,6 @@ pub(crate) struct Inner {
     pub(crate) reactor: Reactor,
     pub(crate) pool: MemPool,
     pub(crate) chans: HashMap<ChanKey, Chan>,
-    pub(crate) muxes: HashMap<ConnId, MuxReg>,
     pub(crate) actions: VecDeque<Action>,
     timers: BinaryHeap<Reverse<(u64, u64)>>,
     pub(crate) timer_entries: HashMap<u64, TimerEntry>,
@@ -558,10 +532,7 @@ impl Inner {
         let mut ready = std::mem::take(&mut self.ready_buf);
         self.reactor.poll_into(port, &mut ready);
         let mut progressed = false;
-        for &(host, r) in &ready {
-            if !(r.readable || r.closed || r.error) {
-                continue;
-            }
+        for &(host, _) in &ready {
             // Dispatching can generate follow-on events (a readahead
             // repost satisfied straight from buffered ring data, the
             // end-of-stream completion behind it); drain to quiescence
@@ -591,7 +562,6 @@ impl Inner {
                 if let Some(chan) = self.chans.get_mut(&(host, stream)) {
                     chan.eof = true;
                     chan.wake_readers();
-                    chan.announce(&mut self.muxes, host, stream);
                 }
             }
             MuxEvent::TransportError { .. } => {
@@ -615,16 +585,6 @@ impl Inner {
                             .fail_all(&err);
                     }
                 }
-                // `accept()` keeps serving live slots; with none left it
-                // can only ever fail.
-                if !ep.alive() {
-                    if let Some(reg) = self.muxes.get_mut(&host) {
-                        reg.error = Some(ep.last_error().cloned().unwrap_or(ExsError::Broken));
-                        for w in reg.accept_waiters.drain(..) {
-                            w.wake();
-                        }
-                    }
-                }
             }
         }
     }
@@ -636,7 +596,6 @@ impl Inner {
         let Inner {
             reactor,
             chans,
-            muxes,
             next_op,
             scratch,
             ..
@@ -665,7 +624,6 @@ impl Inner {
             let _ = chan.post_free(reactor, port, key, next_op);
         }
         chan.wake_readers();
-        chan.announce(muxes, key.0, key.1);
     }
 
     fn send_complete(&mut self, key: ChanKey, id: u64) {
@@ -791,7 +749,6 @@ impl Executor {
                 reactor,
                 pool,
                 chans: HashMap::new(),
-                muxes: HashMap::new(),
                 actions: VecDeque::new(),
                 timers: BinaryHeap::new(),
                 timer_entries: HashMap::new(),

@@ -14,15 +14,14 @@ use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
 use std::sync::Arc;
-use std::task::{Context, Poll, Waker};
+use std::task::{Context, Poll};
 
-use crate::endpoint::Endpoint;
 use crate::error::ExsError;
 use crate::reactor::ConnId;
 
 use super::executor::{
-    Action, Chan, ChanKey, CtlOp, Inner, MuxReg, ReadyQueue, RecvMode, RecvWaiter, SendOp,
-    DEFAULT_CHUNK, DEFAULT_DEPTH,
+    Action, Chan, ChanKey, CtlOp, Inner, ReadyQueue, RecvMode, RecvWaiter, SendOp, DEFAULT_CHUNK,
+    DEFAULT_DEPTH,
 };
 use super::time::Sleep;
 
@@ -60,33 +59,14 @@ impl AioHandle {
     }
 
     /// Wraps stream `stream` of a hosted endpoint — the general form of
-    /// [`AioHandle::stream_with`] and [`AioMux::stream_with`]. The id
-    /// must already be open on the endpoint.
+    /// [`AioHandle::stream_with`]. The id must already be open on the
+    /// endpoint.
     pub fn stream_of(&self, conn: ConnId, stream: u32, chunk: u32, depth: usize) -> AsyncStream {
         let key = (conn, stream);
         self.inner.borrow_mut().ensure_chan(key, chunk, depth);
         AsyncStream {
             inner: self.inner.clone(),
             key,
-        }
-    }
-
-    /// The stream-id view of a hosted endpoint: open ids on a pooled
-    /// endpoint, accept the ones the peer starts using, wrap any id the
-    /// endpoint carries.
-    pub fn mux(&self, id: ConnId) -> AioMux {
-        self.inner
-            .borrow_mut()
-            .muxes
-            .entry(id)
-            .or_insert_with(|| MuxReg {
-                accept_ready: std::collections::VecDeque::new(),
-                accept_waiters: Vec::new(),
-                error: None,
-            });
-        AioMux {
-            handle: self.clone(),
-            host: id,
         }
     }
 
@@ -434,93 +414,5 @@ impl Drop for Ctl {
         if let Some(op) = self.op {
             self.inner.borrow_mut().cancel_ctl(self.key, op);
         }
-    }
-}
-
-/// Async view of a hosted endpoint's stream ids: open streams on a
-/// [`crate::MuxEndpoint`] and accept the ones the peer starts using.
-#[derive(Clone)]
-pub struct AioMux {
-    handle: AioHandle,
-    host: ConnId,
-}
-
-impl AioMux {
-    /// Opens stream `id` with default readahead and wraps it. The mux
-    /// protocol requires both sides to open an id before traffic flows
-    /// (there is no wire-level SYN); `accept` then surfaces the ids
-    /// the peer actually starts writing to.
-    pub fn open_stream(&self, stream: u32) -> Result<AsyncStream, ExsError> {
-        self.open_stream_with(stream, DEFAULT_CHUNK, DEFAULT_DEPTH)
-    }
-
-    /// Opens stream `id` with explicit readahead sizing and wraps it.
-    /// [`ExsError::Stale`] if the id no longer names a pooled endpoint.
-    pub fn open_stream_with(
-        &self,
-        stream: u32,
-        chunk: u32,
-        depth: usize,
-    ) -> Result<AsyncStream, ExsError> {
-        let mut g = self.handle.inner.borrow_mut();
-        g.reactor
-            .try_conn_mut(self.host)
-            .and_then(Endpoint::as_mux_mut)
-            .ok_or(ExsError::Stale)?
-            .open_stream(stream)?;
-        drop(g);
-        Ok(self.stream_with(stream, chunk, depth))
-    }
-
-    /// Resolves with the id of the next locally-opened stream that
-    /// shows peer activity (first delivered bytes or close) and has
-    /// not been surfaced yet — the accept-loop shape for servers that
-    /// pre-open a window of stream ids and spawn a task per live
-    /// stream. Fails once no transport slot of the endpoint is alive.
-    pub fn accept(&self) -> Accept {
-        Accept {
-            inner: self.handle.inner.clone(),
-            host: self.host,
-        }
-    }
-
-    /// Wraps an already-opened stream id (e.g. one `accept` returned)
-    /// with default readahead.
-    pub fn stream(&self, stream: u32) -> AsyncStream {
-        self.stream_with(stream, DEFAULT_CHUNK, DEFAULT_DEPTH)
-    }
-
-    /// Wraps an already-opened stream id with explicit readahead
-    /// sizing. Unlike [`AioMux::open_stream_with`] this does not open
-    /// the id on the endpoint — it must already be open there.
-    pub fn stream_with(&self, stream: u32, chunk: u32, depth: usize) -> AsyncStream {
-        self.handle.stream_of(self.host, stream, chunk, depth)
-    }
-}
-
-/// Future of [`AioMux::accept`].
-pub struct Accept {
-    inner: Rc<RefCell<Inner>>,
-    host: ConnId,
-}
-
-impl Future for Accept {
-    type Output = Result<u32, ExsError>;
-
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        let this = self.get_mut();
-        let mut g = this.inner.borrow_mut();
-        let Some(reg) = g.muxes.get_mut(&this.host) else {
-            return Poll::Ready(Err(ExsError::Stale));
-        };
-        if let Some(stream) = reg.accept_ready.pop_front() {
-            return Poll::Ready(Ok(stream));
-        }
-        if let Some(err) = reg.error.clone() {
-            return Poll::Ready(Err(err));
-        }
-        let waker: Waker = cx.waker().clone();
-        reg.accept_waiters.push(waker);
-        Poll::Pending
     }
 }

@@ -39,6 +39,6 @@ mod select;
 mod time;
 
 pub use executor::{Executor, SimShardDriver};
-pub use handle::{Accept, AioHandle, AioMux, AsyncStream, Ctl, Recv, SendAll};
+pub use handle::{AioHandle, AsyncStream, Ctl, Recv, SendAll};
 pub use select::{select, Either, Select};
 pub use time::{timeout, Sleep, Timeout};

@@ -70,13 +70,13 @@ pub enum WwiMode {
 /// round-trip that the receiver's pre-posted receive queue will deliver
 /// a fresh ADVERT (see `DESIGN.md` §13). All fields default to the
 /// conservative zero values; `min_direct_size == 0` disables the policy
-/// entirely, which is the legacy behaviour.
+/// entirely, which leaves the paper's Fig. 2 matching rule as it is.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DirectPolicy {
     /// Smallest send (remaining bytes) worth pausing for a resync
     /// round-trip. `0` disables adaptive re-entry entirely: the sender
     /// never waits for an ADVERT while the intermediate buffer has room
-    /// (the legacy behaviour, and the default).
+    /// (Fig. 2 as the paper states it, and the default).
     pub min_direct_size: u64,
     /// While in an indirect phase, pause only when at most this many
     /// un-ACKed bytes sit in the intermediate buffer — a deep backlog
@@ -120,31 +120,19 @@ impl DirectPolicy {
 
 /// How stream ids map onto the QPs of a shared-transport pool (both
 /// sides derive the slot purely from the id, so no coordination
-/// message is needed).
+/// message is needed). There is one rule; the type stays so configs
+/// can name it.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum MuxAssignment {
     /// `id % qp_pool_size` — even spread for sequentially allocated ids.
     #[default]
     RoundRobin,
-    /// FNV-1a hash of the id modulo the pool size — even spread for
-    /// arbitrary (sparse, random) id schemes.
-    Hash,
 }
 
 impl MuxAssignment {
     /// The transport slot carrying the given stream.
     pub fn slot(self, stream: u32, pool: usize) -> usize {
-        match self {
-            MuxAssignment::RoundRobin => stream as usize % pool,
-            MuxAssignment::Hash => {
-                let mut h = 0xcbf29ce484222325u64;
-                for b in stream.to_le_bytes() {
-                    h ^= b as u64;
-                    h = h.wrapping_mul(0x100000001b3);
-                }
-                (h % pool as u64) as usize
-            }
-        }
+        stream as usize % pool
     }
 }
 
@@ -193,7 +181,8 @@ impl MuxConfig {
 
 /// How accepted connections (and mux endpoints) are assigned to the
 /// shards of a sharded server ([`crate::shard::Placement`] applies it
-/// on both backends).
+/// on both backends). There is one rule; the type stays so configs can
+/// name it.
 ///
 /// Assignment happens exactly once, at accept time; per-connection
 /// state then stays shard-local for the connection's whole life, so
@@ -201,54 +190,23 @@ impl MuxConfig {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ShardPolicy {
     /// Strict rotation over the shards — even spread for uniform
-    /// workloads and the only policy whose placement is independent of
-    /// load timing (so cross-backend runs place identically).
+    /// workloads, and independent of load timing, so cross-backend runs
+    /// place identically.
     #[default]
     RoundRobin,
-    /// The shard currently hosting the fewest connections; ties break
-    /// toward the round-robin successor. Adapts to uneven connection
-    /// lifetimes at the cost of timing-dependent placement.
-    LeastLoaded,
-    /// FNV-1a hash of a caller-supplied affinity key (peer node id,
-    /// tenant id, …) modulo the shard count — connections sharing a
-    /// key land on the same shard and so share its cache warmth.
-    Affinity,
-}
-
-impl ShardPolicy {
-    /// Short human-readable name, for printing a policy.
-    pub fn label(self) -> &'static str {
-        match self {
-            ShardPolicy::RoundRobin => "round-robin",
-            ShardPolicy::LeastLoaded => "least-loaded",
-            ShardPolicy::Affinity => "affinity",
-        }
-    }
-
-    /// The shard an affinity key maps to (used by
-    /// [`ShardPolicy::Affinity`]; exposed so tests and peers can
-    /// predict placement).
-    pub fn affinity_shard(key: u64, shards: usize) -> usize {
-        let mut h = 0xcbf29ce484222325u64;
-        for b in key.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        }
-        (h % shards.max(1) as u64) as usize
-    }
 }
 
 /// Sharded-reactor tunables (`ExsConfig::shard`): how many independent
-/// reactor shards a pool spreads its connections over, and by what
-/// policy. Each shard owns its own CQ pair and (on the thread backend)
-/// its own service thread, so aggregate throughput scales with cores
-/// instead of saturating one service thread.
+/// reactor shards a pool spreads its connections over. Each shard owns
+/// its own CQ pair and (on the thread backend) its own service thread,
+/// so aggregate throughput scales with cores instead of saturating one
+/// service thread.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ShardConfig {
     /// Number of reactor shards. `0` or `1` ⇒ a single shard (the
     /// pre-sharding behaviour). Bounded by [`ShardConfig::MAX_SHARDS`].
     pub shards: usize,
-    /// Connection-to-shard assignment policy.
+    /// Connection-to-shard assignment: the rotation, the one policy.
     pub policy: ShardPolicy,
 }
 
@@ -643,15 +601,11 @@ mod tests {
         };
         assert!(good.validate().is_ok());
 
-        // Both policies keep every slot inside the pool and derive it
-        // purely from the id (both ends agree with no coordination).
-        for policy in [MuxAssignment::RoundRobin, MuxAssignment::Hash] {
-            for id in 0..1000u32 {
-                assert!(policy.slot(id, 4) < 4);
-                assert_eq!(policy.slot(id, 4), policy.slot(id, 4));
-            }
+        // The slot stays inside the pool and is derived purely from the
+        // id (both ends agree with no coordination).
+        for id in 0..1000u32 {
+            assert_eq!(MuxAssignment::RoundRobin.slot(id, 4), id as usize % 4);
         }
-        assert_eq!(MuxAssignment::RoundRobin.slot(6, 4), 2);
 
         // Window default scales with the ring but never exceeds it.
         let m = MuxConfig::default();
@@ -665,7 +619,7 @@ mod tests {
     }
 
     #[test]
-    fn shard_config_validation_and_affinity() {
+    fn shard_config_validation() {
         let c = ExsConfig::default();
         assert_eq!(c.shard.effective_shards(), 1, "sharding must default off");
         assert_eq!(c.shard.policy, ShardPolicy::RoundRobin);
@@ -692,20 +646,6 @@ mod tests {
             ..ExsConfig::default()
         };
         assert!(good.validate().is_ok());
-
-        // Affinity placement is a pure function of the key and stays in
-        // range for every shard count.
-        for shards in 1..=16usize {
-            for key in 0..256u64 {
-                let s = ShardPolicy::affinity_shard(key, shards);
-                assert!(s < shards);
-                assert_eq!(s, ShardPolicy::affinity_shard(key, shards));
-            }
-        }
-
-        assert_eq!(ShardPolicy::RoundRobin.label(), "round-robin");
-        assert_eq!(ShardPolicy::LeastLoaded.label(), "least-loaded");
-        assert_eq!(ShardPolicy::Affinity.label(), "affinity");
     }
 
     #[test]

@@ -250,14 +250,6 @@ impl Endpoint {
         dead.then(|| self.last_error().cloned().unwrap_or(ExsError::Broken))
     }
 
-    /// True while at least one transport slot can still carry a stream.
-    pub fn alive(&self) -> bool {
-        match &self.0 {
-            Kind::Socket(s) => !s.is_broken(),
-            Kind::Mux(m) => (0..m.pool_size()).any(|slot| !m.slot_broken(slot)),
-        }
-    }
-
     /// Protocol counters: a socket's own, a pooled endpoint's summed
     /// over its pool.
     pub fn stats(&self) -> &ConnStats {
@@ -341,14 +333,13 @@ impl Endpoint {
     }
 
     /// Level-triggered readiness: what [`crate::Reactor::poll`] reports
-    /// for this endpoint, before its interest mask. A pooled endpoint
-    /// is only ever `readable`: writability, end of stream and failure
-    /// are per stream or per slot there, and arrive as events.
+    /// for this endpoint. A pooled endpoint is only ever `readable`:
+    /// end of stream and failure are per stream or per slot there, and
+    /// arrive as events.
     pub fn readiness(&self) -> Readiness {
         match &self.0 {
             Kind::Socket(s) => Readiness {
                 readable: s.events_pending() > 0,
-                writable: s.writable(),
                 closed: s.peer_closed(),
                 error: s.is_broken(),
             },

@@ -69,7 +69,7 @@ pub mod stream;
 pub mod threaded;
 mod txpipe;
 
-pub use aio::{AioHandle, AioMux, AsyncStream, Executor, SimShardDriver};
+pub use aio::{AioHandle, AsyncStream, Executor, SimShardDriver};
 pub use api::{Event, ExsContext, ExsFd, MsgFlags, QueuedEvent, SockType};
 pub use config::{
     ConfigError, DirectPolicy, ExsConfig, MuxAssignment, MuxConfig, ProtocolMode, ShardConfig,

@@ -28,10 +28,10 @@
 //!   hundred;
 //! * [`Reactor::poll`] returns **level-triggered readiness** — an
 //!   endpoint is reported readable as long as completion events are
-//!   queued for the application; a single-stream endpoint also writable
-//!   while a new send would dispatch immediately, closed/error when its
-//!   stream ended (a multi-stream endpoint says those per stream, as
-//!   events).
+//!   queued for the application; a single-stream endpoint also
+//!   closed/error when its stream ended (a multi-stream endpoint says
+//!   those per stream, as events). There is no interest mask: every
+//!   hosted endpoint is reported on exactly these flags.
 //!
 //! **A poll costs what completed, not what is hosted.** The reactor
 //! keeps three sets of slab indices as word bitmaps, and a poll walks
@@ -41,8 +41,8 @@
 //!   for them, or they must be progressed on every poll (a socket with
 //!   sends in flight or a half-close under way; a pooled endpoint,
 //!   always);
-//! * *ready* — endpoints whose readiness intersects their interest,
-//!   which is the level-triggered report;
+//! * *ready* — endpoints that are readable, closed or failed, which is
+//!   the level-triggered report;
 //! * *unsent* — endpoints that may still owe traffic to the wire.
 //!
 //! An endpoint's state changes at two points only, and both update the
@@ -50,7 +50,7 @@
 //! mutates it: completions are applied, the protocol advances, and the
 //! three memberships are recomputed from the endpoint right there.
 //! An **application borrow** ([`Reactor::accept`], [`Reactor::conn_mut`],
-//! [`Reactor::try_conn_mut`], [`Reactor::set_interest`]) hands out
+//! [`Reactor::try_conn_mut`]) hands out
 //! `&mut` access the reactor cannot watch — a send, a receive, a
 //! shutdown, taking the events — so the borrow itself puts the slot in
 //! *work* and *unsent*: the next poll gives it a turn (a turn with
@@ -110,15 +110,12 @@ use crate::stats::{ConnStats, ReactorStats};
 pub struct ConnId(pub u32);
 
 /// Level-triggered readiness flags for one connection, in the spirit of
-/// `epoll`'s `EPOLLIN`/`EPOLLOUT`/`EPOLLHUP`/`EPOLLERR`.
+/// `epoll`'s `EPOLLIN`/`EPOLLHUP`/`EPOLLERR`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Readiness {
     /// Completion events are queued: [`Endpoint::take_events`] returns
     /// at least one event right now.
     pub readable: bool,
-    /// A new `exs_send` would start dispatching immediately (sending
-    /// direction open, no queued sends ahead of it).
-    pub writable: bool,
     /// The peer half-closed and its stream fully drained (`EPOLLHUP`).
     pub closed: bool,
     /// The transport failed underneath the connection (`EPOLLERR`).
@@ -129,42 +126,13 @@ impl Readiness {
     /// Readiness with every flag clear.
     pub const NONE: Readiness = Readiness {
         readable: false,
-        writable: false,
         closed: false,
         error: false,
     };
 
-    /// Interest mask selecting only readable/closed/error — the default
-    /// registration (writable is true most of the time on an idle
-    /// connection and would dominate every poll result).
-    pub const INPUT: Readiness = Readiness {
-        readable: true,
-        writable: false,
-        closed: true,
-        error: true,
-    };
-
-    /// Interest mask selecting every flag.
-    pub const ALL: Readiness = Readiness {
-        readable: true,
-        writable: true,
-        closed: true,
-        error: true,
-    };
-
     /// True if any flag is set.
     pub fn any(&self) -> bool {
-        self.readable || self.writable || self.closed || self.error
-    }
-
-    /// Flag-wise AND (readiness filtered through an interest mask).
-    pub fn mask(&self, interest: Readiness) -> Readiness {
-        Readiness {
-            readable: self.readable && interest.readable,
-            writable: self.writable && interest.writable,
-            closed: self.closed && interest.closed,
-            error: self.error && interest.error,
-        }
+        self.readable || self.closed || self.error
     }
 }
 
@@ -199,7 +167,6 @@ struct Slot {
     /// Completions dispatched to this endpoint and not yet serviced
     /// (non-empty only after a budget deferral).
     queued: VecDeque<(CqSide, Cqe)>,
-    interest: Readiness,
     ep: Endpoint,
 }
 
@@ -288,9 +255,9 @@ pub struct Reactor {
     /// application since their last turn. See the module docs for the
     /// three sets.
     work: SlotSet,
-    /// Slots whose readiness intersected their interest at their last
-    /// turn — exact whenever `work` holds every borrowed slot, so exact
-    /// once a poll's service rounds are over.
+    /// Slots that were ready at their last turn — exact whenever `work`
+    /// holds every borrowed slot, so exact once a poll's service rounds
+    /// are over.
     ready: SlotSet,
     /// Slots that owed traffic to the wire at their last turn, plus
     /// those borrowed since: every endpoint with unsent traffic is a
@@ -347,7 +314,7 @@ impl Reactor {
     /// [`crate::MuxEndpoint`] — into the event loop: every QP it owns
     /// (a pool's future ones after [`Reactor::index_qps`]) is
     /// dispatched back to it by QP number. Its CQs must be this
-    /// reactor's shared CQs. Default interest is [`Readiness::INPUT`].
+    /// reactor's shared CQs.
     pub fn accept(&mut self, ep: impl Into<Endpoint>) -> ConnId {
         let ep = ep.into();
         if let Some(cqs) = ep.cqs() {
@@ -360,7 +327,6 @@ impl Reactor {
         let slot = Some(Slot {
             ep,
             queued: VecDeque::new(),
-            interest: Readiness::INPUT,
         });
         self.stats.conns_added += 1;
         self.live += 1;
@@ -379,10 +345,10 @@ impl Reactor {
         id
     }
 
-    /// The application got `&mut` access to slot `idx`, or changed what
-    /// it asks of it: whatever it does there, the next poll gives the
-    /// slot a turn and recomputes its set memberships, and until then
-    /// it counts as possibly owing traffic.
+    /// The application got `&mut` access to slot `idx`: whatever it
+    /// does there, the next poll gives the slot a turn and recomputes
+    /// its set memberships, and until then it counts as possibly owing
+    /// traffic.
     fn borrowed(&mut self, idx: usize) {
         self.work.set(idx, true);
         self.unsent.set(idx, true);
@@ -471,16 +437,6 @@ impl Reactor {
         self.try_conn_mut(id).expect("live conn")
     }
 
-    /// Sets which readiness flags [`Reactor::poll`] reports for this
-    /// endpoint (epoll_ctl-style re-registration).
-    pub fn set_interest(&mut self, id: ConnId, interest: Readiness) {
-        self.slots[id.0 as usize]
-            .as_mut()
-            .expect("live conn")
-            .interest = interest;
-        self.borrowed(id.0 as usize);
-    }
-
     /// Live endpoint ids, in slab order.
     pub fn conn_ids(&self) -> Vec<ConnId> {
         (0..self.slots.len() as u32)
@@ -506,7 +462,7 @@ impl Reactor {
     /// One bounded reactor step: drains the shared CQs in batches,
     /// dispatches completions to their owning endpoints, services each
     /// endpoint under the per-poll budget, and returns the endpoints
-    /// whose readiness intersects their interest. Level-triggered: an
+    /// that are readable, closed or failed. Level-triggered: an
     /// endpoint stays in the result until the condition is gone (events
     /// taken, stream closed handled, ...).
     pub fn poll(&mut self, api: &mut impl VerbsPort) -> Vec<(ConnId, Readiness)> {
@@ -557,7 +513,7 @@ impl Reactor {
         for idx in self.ready.iter() {
             self.stats.slots_visited += 1;
             let slot = self.slots[idx].as_ref().expect("ready slots are live");
-            out.push((ConnId(idx as u32), slot.ep.readiness().mask(slot.interest)));
+            out.push((ConnId(idx as u32), slot.ep.readiness()));
         }
         self.stats.readiness_reports += out.len() as u64;
     }
@@ -577,8 +533,7 @@ impl Reactor {
         self.deferred += usize::from(deferred);
         self.work
             .set(idx, deferred || slot.ep.progressed_every_poll());
-        self.ready
-            .set(idx, slot.ep.readiness().mask(slot.interest).any());
+        self.ready.set(idx, slot.ep.readiness().any());
         self.unsent.set(idx, slot.ep.has_unsent());
     }
 
@@ -760,11 +715,18 @@ mod tests {
             ..ReactorConfig::default()
         };
         let (mut net, a, b, mut reactor, id, mut peer) = hosting(2, cfg);
-        reactor.set_interest(id, Readiness::ALL);
+        net.with_api(b, |api| {
+            let mr = api.register_mr(64, Access::local_remote_write());
+            reactor
+                .conn_mut(id)
+                .recv(api, 0, &mr, 0, 64, false, 7)
+                .expect("receive on an open stream");
+            reactor.poll(api);
+        });
         deliver(&mut net, a, &mut peer, 3);
         let ready = net.with_api(b, |api| reactor.poll(api));
         // Ready, backlogged (budget 1 of 3 completions) and borrowed.
-        assert!(ready.iter().any(|&(c, r)| c == id && r.writable));
+        assert!(ready.iter().any(|&(c, r)| c == id && r.readable));
         assert!(reactor.has_backlog());
         assert_eq!(reactor.stats().deferrals, 1);
 
@@ -779,27 +741,24 @@ mod tests {
         assert_eq!(reactor.accept(fresh), id, "slab ids are recycled");
         assert_eq!(reactor.len(), 3);
         // The old endpoint's QP is nobody's: what still arrives on it is
-        // an orphan, not a completion for the slot's new tenant.
+        // an orphan, not a completion for the slot's new tenant — one
+        // new message, and one completion of what the old endpoint had
+        // in flight when it left.
         deliver(&mut net, a, &mut peer, 1);
         let ready = net.with_api(b, |api| reactor.poll(api));
         assert!(ready.is_empty(), "stale readiness: {ready:?}");
         assert!(!reactor.has_backlog() && !reactor.has_unsent());
-        assert_eq!(reactor.stats().orphan_cqes, 3);
+        assert_eq!(reactor.stats().orphan_cqes, 4);
         assert_eq!(reactor.conn(id).events_pending(), 0);
     }
 
     #[test]
-    fn readiness_mask_and_any() {
+    fn readiness_any() {
         let r = Readiness {
-            readable: true,
-            writable: true,
-            closed: false,
-            error: false,
+            closed: true,
+            ..Readiness::NONE
         };
         assert!(r.any());
-        let masked = r.mask(Readiness::INPUT);
-        assert!(masked.readable && !masked.writable);
         assert!(!Readiness::NONE.any());
-        assert_eq!(r.mask(Readiness::ALL), r);
     }
 }

@@ -1,6 +1,6 @@
 //! Sharding: N independent [`Reactor`](crate::Reactor)s behind one
-//! assignment policy, so event-loop throughput scales with cores instead
-//! of saturating a single service loop.
+//! round-robin placement, so event-loop throughput scales with cores
+//! instead of saturating a single service loop.
 //!
 //! The paper's stream semantics are per-connection-independent — no
 //! protocol state is shared between two EXS streams — which makes
@@ -12,7 +12,7 @@
 //! hold the two directly), and the invariants are:
 //!
 //! * **Assignment happens once, at accept time.** [`Placement::pick`]
-//!   applies the configured [`ShardPolicy`] *before* the endpoint is
+//!   takes the next shard in the rotation *before* the endpoint is
 //!   created, because the choice binds it to the shard's CQ pair; its
 //!   socket state and event queues live on that shard until close.
 //! * **No cross-shard locks.** A shard's poll loop touches only its
@@ -32,70 +32,42 @@
 //! drivers: both produce byte-identical streams for the same workload —
 //! enforced by the `shard_identity` tests, which run each spec on both.
 
-use crate::config::ShardPolicy;
 use crate::stats::{ReactorStats, ShardStats};
 
-/// Where a pool's accepted connections go: the [`ShardPolicy`], its
-/// rotation cursor and the per-shard placement counts. The simulator's
+/// Where a pool's accepted connections go: the next shard in a strict
+/// rotation, and the per-shard placement counts. The simulator's
 /// servers and the thread backend's `ThreadReactorPool` each hold one,
 /// so both backends place identically for the same inputs — the
 /// property the cross-backend identity tests lean on.
 pub struct Placement {
-    policy: ShardPolicy,
-    /// Next round-robin target; also the tie-breaker for LeastLoaded.
+    /// Next round-robin target.
     rr_next: usize,
     /// Per shard: connections ever routed here.
     assigned: Vec<u64>,
-    /// Per shard: LeastLoaded placements that deviated from the
-    /// round-robin successor.
-    steals: Vec<u64>,
 }
 
 impl Placement {
     /// A fresh placement over `shards` shards.
-    pub fn new(policy: ShardPolicy, shards: usize) -> Placement {
+    pub fn new(shards: usize) -> Placement {
         Placement {
-            policy,
             rr_next: 0,
             assigned: vec![0; shards],
-            steals: vec![0; shards],
         }
     }
 
     /// Chooses the shard for the next connection and charges the
-    /// assignment to it. `load` probes a shard's live connection count
-    /// (consulted only by `LeastLoaded`); `affinity` feeds
-    /// [`ShardPolicy::Affinity`], which degrades to the rotation
-    /// without a key.
-    pub fn pick(&mut self, affinity: Option<u64>, load: impl Fn(usize) -> u64) -> u32 {
-        let shards = self.assigned.len();
-        let rr = self.rr_next;
-        let chosen = match (self.policy, affinity) {
-            (ShardPolicy::LeastLoaded, _) => {
-                // Min live conns; ties break toward the round-robin
-                // successor so a fresh pool still spreads evenly.
-                (0..shards)
-                    .map(|step| (rr + step) % shards)
-                    .min_by_key(|&s| load(s))
-                    .expect("a pool has at least one shard")
-            }
-            (ShardPolicy::Affinity, Some(key)) => ShardPolicy::affinity_shard(key, shards),
-            (ShardPolicy::RoundRobin | ShardPolicy::Affinity, _) => rr,
-        };
-        if self.policy == ShardPolicy::LeastLoaded && chosen != rr {
-            self.steals[chosen] += 1;
-        }
-        // The rotation advances on every pick regardless of policy, so
-        // tie-breaking and affinity fallback stay spread out.
-        self.rr_next = (rr + 1) % shards;
+    /// assignment to it.
+    pub fn pick(&mut self) -> u32 {
+        let chosen = self.rr_next;
+        self.rr_next = (chosen + 1) % self.assigned.len();
         self.assigned[chosen] += 1;
         chosen as u32
     }
 
-    /// One shard's telemetry row: its placement counts beside its
+    /// One shard's telemetry row: its placement count beside its
     /// reactor's counters.
     pub fn row(&self, shard: usize, rs: &ReactorStats) -> ShardStats {
-        ShardStats::new(shard as u32, rs, self.assigned[shard], self.steals[shard])
+        ShardStats::new(shard as u32, rs, self.assigned[shard])
     }
 }
 
@@ -141,26 +113,6 @@ mod tests {
     use rdma_verbs::{CqId, NodeId};
     use simnet::stats::merged;
 
-    /// A placement over `shards` shards and the live-connection counts
-    /// a server would report for them: a pick lands where it was
-    /// placed, as `Reactor::accept` would make it.
-    fn picks(
-        policy: ShardPolicy,
-        preloaded: &[u64],
-        keys: &[Option<u64>],
-    ) -> (Vec<u32>, Placement) {
-        let mut live = preloaded.to_vec();
-        let mut placement = Placement::new(policy, live.len());
-        let picks = (keys.iter())
-            .map(|&key| {
-                let shard = placement.pick(key, |s| live[s]);
-                live[shard as usize] += 1;
-                shard
-            })
-            .collect();
-        (picks, placement)
-    }
-
     fn rows(placement: &Placement, shards: usize) -> Vec<ShardStats> {
         (0..shards)
             .map(|s| placement.row(s, &ReactorStats::default()))
@@ -169,71 +121,38 @@ mod tests {
 
     #[test]
     fn round_robin_spreads_evenly() {
-        let (picks, placement) = picks(ShardPolicy::RoundRobin, &[0; 4], &[None; 12]);
+        let mut placement = Placement::new(4);
+        let picks: Vec<u32> = (0..12).map(|_| placement.pick()).collect();
         assert_eq!(picks, vec![0, 1, 2, 3, 0, 1, 2, 3, 0, 1, 2, 3]);
         let stats = rows(&placement, 4);
         assert!(stats.iter().all(|s| s.assigned == 3));
-        assert!(stats.iter().all(|s| s.steals == 0));
         let bal = ShardBalance::of(&stats);
         assert_eq!(bal.max_conns, 3);
         assert!((bal.imbalance() - 1.0).abs() < 1e-12);
     }
 
     #[test]
-    fn affinity_is_sticky_and_in_range() {
-        let keys: Vec<Option<u64>> = (0..64).flat_map(|key| [Some(key), Some(key)]).collect();
-        let (picks, mut placement) = picks(ShardPolicy::Affinity, &[0; 4], &keys);
-        for (pair, key) in picks.chunks(2).zip(0..64u64) {
-            assert_eq!(pair[0], pair[1], "same key must land on the same shard");
-            assert_eq!(pair[0] as usize, ShardPolicy::affinity_shard(key, 4));
-        }
-        // No key: degrades to the rotation, still in range.
-        assert!((placement.pick(None, |_| 0) as usize) < 4);
-    }
-
-    #[test]
-    fn least_loaded_prefers_the_emptier_shard_and_counts_steals() {
-        // Shard 0 already hosts two endpoints: the pick must go to
-        // shard 1 even though the rotation points at 0 — that deviation
-        // is a steal.
-        let (picked, placement) = picks(ShardPolicy::LeastLoaded, &[2, 0], &[None]);
-        assert_eq!(picked, vec![1]);
-        let stats = rows(&placement, 2);
-        assert_eq!((stats[0].steals, stats[1].steals), (0, 1));
-        assert_eq!((stats[0].assigned, stats[1].assigned), (0, 1));
-
-        // From empty, ties break toward the rotation's successor, so a
-        // fresh server still spreads evenly and steals nothing.
-        let (picked, placement) = picks(ShardPolicy::LeastLoaded, &[0, 0], &[None; 4]);
-        assert_eq!(picked, vec![0, 1, 0, 1]);
-        assert!(rows(&placement, 2).iter().all(|s| s.steals == 0));
-    }
-
-    #[test]
     fn a_hosted_pooled_endpoint_is_load_like_any_socket() {
-        // A server's load probe is its reactors' live-endpoint count.
+        // A shard's load is its reactor's live-endpoint count, whatever
+        // kind of endpoint it hosts.
         let cfg = ExsConfig::default();
         let mut shards: Vec<Reactor> = (0..2)
             .map(|s| Reactor::new(CqId(2 * s + 1), CqId(2 * s + 2), ReactorConfig::default()))
             .collect();
-        let host_on = |shards: &mut [Reactor], shard: usize| {
+        let mut placement = Placement::new(2);
+        for _ in 0..2 {
+            let shard = placement.pick() as usize;
             let mut ep = MuxEndpoint::new(NodeId(0), &cfg);
             ep.set_cqs(shards[shard].send_cq(), shards[shard].recv_cq());
             shards[shard].accept(ep);
-        };
-        // One endpoint placed directly on shard 0; the rotation still
-        // points there, and least-loaded must look past it.
-        host_on(&mut shards, 0);
-        let mut placement = Placement::new(ShardPolicy::LeastLoaded, 2);
-        let shard = placement.pick(None, |s| shards[s].stats().live_conns());
-        assert_eq!(shard, 1, "two endpoints, two shards");
-        host_on(&mut shards, 1);
+        }
         let rows: Vec<ShardStats> = (shards.iter().enumerate())
             .map(|(s, r)| placement.row(s, r.stats()))
             .collect();
         assert_eq!((rows[0].conns, rows[1].conns), (1, 1));
-        assert_eq!(rows[1].steals, 1);
+        assert_eq!((rows[0].assigned, rows[1].assigned), (1, 1));
         let total: ReactorStats = merged(shards.iter().map(Reactor::stats));
         assert_eq!(total.conns_added, 2, "merged stats sum across shards");
+        assert_eq!(total.live_conns(), 2, "a pooled endpoint counts as one");
     }
 }

@@ -220,12 +220,8 @@ simnet::stats! {
         val shard_id: u32,
         /// Connections currently hosted on the shard.
         val conns: u64,
-        /// Connections the assignment policy ever routed here.
+        /// Connections the rotation ever routed here.
         val assigned: u64,
-        /// Assignments where `LeastLoaded` deviated from the round-robin
-        /// successor — a measure of how often load-awareness actually
-        /// changed placement.
-        val steals: u64,
         /// `Reactor::poll` calls executed by this shard.
         val polls: u64,
         /// Completions this shard's reactor dispatched.
@@ -252,14 +248,13 @@ impl ReactorStats {
 
 impl ShardStats {
     /// A shard's row from its reactor's counters and its placement
-    /// counts. No wall clock is sampled here; the thread backend, which
+    /// count. No wall clock is sampled here; the thread backend, which
     /// has one, fills `busy_ns`/`wall_ns` in.
-    pub fn new(shard_id: u32, reactor: &ReactorStats, assigned: u64, steals: u64) -> ShardStats {
+    pub fn new(shard_id: u32, reactor: &ReactorStats, assigned: u64) -> ShardStats {
         ShardStats {
             shard_id,
             conns: reactor.live_conns(),
             assigned,
-            steals,
             polls: reactor.polls,
             cqes_dispatched: reactor.cqes_dispatched,
             busy_ns: 0,
@@ -415,7 +410,6 @@ mod tests {
             shard_id: 3,
             conns: 7,
             assigned: 9,
-            steals: 2,
             polls: 100,
             cqes_dispatched: 250,
             busy_ns: 250,
@@ -570,8 +564,8 @@ mod tests {
     /// Timer jitter can push busy past wall; the ratio stays <= 1.
     #[test]
     fn shard_rows_have_busy_figures_only_with_a_wall_clock() {
-        let sim = ShardStats::new(0, &reactor(), 4, 0);
-        assert_eq!((sim.conns, sim.assigned, sim.steals), (3, 4, 0));
+        let sim = ShardStats::new(0, &reactor(), 4);
+        assert_eq!((sim.conns, sim.assigned), (3, 4));
         assert_eq!((sim.polls, sim.cqes_dispatched), (100, 55));
         assert_eq!((sim.busy_ns, sim.wall_ns, sim.busy_ratio()), (0, 0, 0.0));
         let hot = ShardStats {

@@ -246,13 +246,6 @@ impl StreamSocket {
         self.events.len()
     }
 
-    /// Level-triggered writability: a new `exs_send` would start
-    /// dispatching immediately instead of queueing behind earlier sends
-    /// (and the sending direction is still open).
-    pub fn writable(&self) -> bool {
-        !self.send_closed && !self.broken && self.pending_sends.is_empty()
-    }
-
     /// Protocol statistics for this endpoint.
     pub fn stats(&self) -> &ConnStats {
         &self.stats

@@ -784,7 +784,7 @@ fn spawn_service(host: Arc<Host>) -> JoinHandle<()> {
 /// Sharding invariants (those of [`crate::shard`]):
 ///
 /// * A connection is assigned to a shard **once**, at accept, by the
-///   configured [`crate::config::ShardPolicy`]; it never migrates.
+///   rotation; it never migrates.
 /// * Post, wait, poll and close touch only the owning shard's state —
 ///   no cross-shard locks. [`ThreadStream::close`] detaches the socket
 ///   under the shard's reactor lock, the same lock every post takes, so
@@ -808,8 +808,9 @@ pub struct ThreadReactorPool {
 
 impl ThreadReactorPool {
     /// Creates `exs_cfg.shard.effective_shards()` shards on `node`,
-    /// each with CQs sized for `max_conns` connections (full size per
-    /// shard: policies may skew placement, and CQ overflow is fatal).
+    /// each with CQs sized for `max_conns` connections. The rotation
+    /// puts at most ⌈max_conns / shards⌉ on one shard, but CQ overflow
+    /// is fatal, so the depth does not lean on the placement rule.
     pub fn new(
         net: Arc<ThreadNet>,
         node: Arc<ThreadNode>,
@@ -825,7 +826,7 @@ impl ThreadReactorPool {
         ThreadReactorPool {
             services: hosts.iter().cloned().map(spawn_service).collect(),
             hosts,
-            placement: Mutex::new(Placement::new(exs_cfg.shard.policy, shards)),
+            placement: Mutex::new(Placement::new(shards)),
             pool: MemPool::new(exs_cfg.pool.clone()),
             client_pools: Mutex::new(Vec::new()),
         }
@@ -841,26 +842,13 @@ impl ThreadReactorPool {
         self.hosts.len()
     }
 
-    /// Accepts a new connection from `peer`, placing it by the pool's
-    /// policy: builds a QP pair whose server side completes onto the
+    /// Accepts a new connection from `peer` on the next shard in the
+    /// rotation: builds a QP pair whose server side completes onto the
     /// chosen shard's CQs and is hosted there, and returns the server
     /// end and the client end — the latter the one handle of a host of
     /// its own, which progresses inside its owner's calls.
     pub fn accept(&self, peer: &Arc<ThreadNode>, cfg: &ExsConfig) -> (ThreadStream, ThreadStream) {
-        self.accept_with_affinity(peer, cfg, None)
-    }
-
-    /// [`ThreadReactorPool::accept`] with an explicit affinity key —
-    /// connections sharing a key land on the same shard under
-    /// [`crate::config::ShardPolicy::Affinity`].
-    pub fn accept_with_affinity(
-        &self,
-        peer: &Arc<ThreadNode>,
-        cfg: &ExsConfig,
-        affinity: Option<u64>,
-    ) -> (ThreadStream, ThreadStream) {
-        let load = |s: usize| self.hosts[s].engine.lock().reactor.stats().live_conns();
-        let shard = self.placement.lock().pick(affinity, load);
+        let shard = self.placement.lock().pick();
         let server = &self.hosts[shard as usize];
         let client_pool = {
             let mut pools = self.client_pools.lock();

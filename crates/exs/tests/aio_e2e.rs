@@ -451,11 +451,10 @@ fn stale_ids_error_instead_of_panicking() {
 }
 
 /// Async streams over a hosted [`MuxEndpoint`]: per-stream tasks
-/// receive interleaved multiplexed traffic, `accept` surfaces each
-/// stream exactly once on first activity, and `StreamClosed` becomes
+/// receive interleaved multiplexed traffic, and `StreamClosed` becomes
 /// a clean EOF.
 #[test]
-fn sim_mux_streams_accept_and_deliver() {
+fn sim_mux_streams_deliver() {
     const STREAMS: u32 = 3;
     let (mut net, na, nb) = two_node_net();
     let cfg = ExsConfig::default();
@@ -486,22 +485,12 @@ fn sim_mux_streams_accept_and_deliver() {
     let mut sender = MuxSender::new(a, (0..STREAMS).zip(mrs).collect());
 
     // Receiver: the endpoint hosted in a reactor, one async task per
-    // stream plus an accept task observing first-activity order.
+    // stream.
     let mut reactor = Reactor::new(scq, rcq, ReactorConfig::default());
     let mid = reactor.accept(b);
     let ex = Executor::new(reactor);
-    let amux = ex.handle().mux(mid);
-    let accepted = Rc::new(RefCell::new(Vec::new()));
-    let acc2 = Rc::clone(&accepted);
-    let amux2 = amux.clone();
-    ex.handle().spawn(async move {
-        for _ in 0..STREAMS {
-            let sid = amux2.accept().await.expect("accept");
-            acc2.borrow_mut().push(sid);
-        }
-    });
     for sid in 0..STREAMS {
-        let stream = amux.stream(sid);
+        let stream = ex.handle().stream_of(mid, sid, 16 << 10, 4);
         ex.handle().spawn(async move {
             let data = stream.recv_exact(total(sid)).await.expect("stream bytes");
             for (i, &byte) in data.iter().enumerate() {
@@ -517,17 +506,13 @@ fn sim_mux_streams_accept_and_deliver() {
     let mut recv_drv = SimShardDriver::new(vec![ex]);
     let outcome = net.run(&mut [&mut sender, &mut recv_drv], SimTime::from_secs(10));
     assert!(outcome.completed, "mux scenario stalled: {outcome:?}");
-    let mut seen = accepted.borrow().clone();
-    seen.sort_unstable();
-    assert_eq!(seen, vec![0, 1, 2], "each stream accepted exactly once");
     let stats = recv_drv.executor_ref(0).stats();
-    assert_eq!(stats.tasks_completed, STREAMS as u64 + 1);
+    assert_eq!(stats.tasks_completed, STREAMS as u64);
 }
 
 /// A pool slot that dies takes exactly its own streams with it: tasks
-/// on the broken slot resolve to the typed error, a stream on the other
-/// slot still delivers byte-exact and reaches EOF, and `accept` keeps
-/// surfacing streams of the live slot.
+/// on the broken slot resolve to the typed error, and a stream on the
+/// other slot still delivers byte-exact and reaches EOF.
 #[test]
 fn a_forged_ack_on_one_pool_slot_fails_only_its_streams() {
     use exs::{Ctrl, CtrlMsg, MuxCtrlMsg, ProtocolError};
@@ -571,25 +556,20 @@ fn a_forged_ack_on_one_pool_slot_fails_only_its_streams() {
     let mut reactor = Reactor::new(scq, rcq, ReactorConfig::default());
     let host = reactor.accept(b);
     let ex = Executor::new(reactor);
-    let amux = ex.handle().mux(host);
+    let stream_of = |sid| ex.handle().stream_of(host, sid, 16 << 10, 4);
     let verdicts = Rc::new(RefCell::new(Vec::new()));
     for sid in [0, 2] {
-        let (stream, verdicts) = (amux.stream(sid), Rc::clone(&verdicts));
+        let (stream, verdicts) = (stream_of(sid), Rc::clone(&verdicts));
         ex.handle().spawn(async move {
             let got = stream.recv_some(64).await;
             verdicts.borrow_mut().push((sid, got));
         });
     }
-    let live = amux.stream(1);
+    let live = stream_of(1);
     ex.handle().spawn(async move {
         let data = live.recv_exact(LEN).await.expect("the live slot delivers");
         assert!(data.iter().enumerate().all(|(i, &b)| b == pattern(1, i)));
         assert_eq!(live.recv_some(64).await, Err(ExsError::Eof));
-    });
-    let accepted = Rc::new(RefCell::new(None));
-    let accepted2 = Rc::clone(&accepted);
-    ex.handle().spawn(async move {
-        *accepted2.borrow_mut() = Some(amux.accept().await);
     });
 
     let mut recv_drv = SimShardDriver::new(vec![ex]);
@@ -604,12 +584,7 @@ fn a_forged_ack_on_one_pool_slot_fails_only_its_streams() {
         [(0, Err(err.clone())), (2, Err(err))],
         "both streams of the broken slot fail with the typed error"
     );
-    assert_eq!(
-        *accepted.borrow(),
-        Some(Ok(1)),
-        "accept serves the live slot"
-    );
-    assert_eq!(recv_drv.executor_ref(0).stats().tasks_completed, 4);
+    assert_eq!(recv_drv.executor_ref(0).stats().tasks_completed, 3);
 }
 
 /// The identical task code on the real-thread backend: a shared-CQ

@@ -8,7 +8,7 @@
 //! readiness for either kind:
 //!
 //! * what a poll reports is exactly what a walk over every hosted slot
-//!   would report — `readiness ∧ interest` of each, in slab order —
+//!   would report — the readiness of each that has any, in slab order —
 //!   checked after **every** poll against that walk, done here on the
 //!   test's side (so in particular an endpoint with pending completed
 //!   events is reported readable in the same poll cycle), and
@@ -23,8 +23,8 @@ use std::collections::{HashMap, HashSet};
 use proptest::prelude::*;
 
 use exs::{
-    connect_mux_pair, ConnId, Endpoint, Executor, ExsConfig, ExsError, MuxEndpoint, MuxEvent,
-    Reactor, ReactorConfig, Readiness, StreamSocket,
+    connect_mux_pair, ConnId, Endpoint, ExsConfig, MuxEndpoint, MuxEvent, Reactor, ReactorConfig,
+    Readiness, StreamSocket,
 };
 use rdma_verbs::{profiles, Access, MrInfo, NodeApi, NodeApp, NodeId, SimNet};
 use simnet::SimTime;
@@ -121,9 +121,6 @@ struct Inbound {
 
 struct PropServer {
     reactor: Reactor,
-    /// What each hosted endpoint is registered for, by slab index (the
-    /// reactor does not say; the test set it).
-    interest: Vec<Readiness>,
     /// Indexed by global stream index.
     streams: Vec<Inbound>,
     by_key: HashMap<(ConnId, u32), usize>,
@@ -191,14 +188,10 @@ impl PropServer {
     }
 
     /// The report of the full walk the reactor used to make: every
-    /// live slot's readiness through its interest, in slab order.
+    /// live slot's readiness, in slab order.
     fn full_scan(&self) -> Vec<(ConnId, Readiness)> {
-        let masked = |c: ConnId| {
-            let interest = self.interest[c.0 as usize];
-            self.reactor.conn(c).readiness().mask(interest)
-        };
         let all = self.reactor.conn_ids().into_iter();
-        all.map(|c| (c, masked(c)))
+        all.map(|c| (c, self.reactor.conn(c).readiness()))
             .filter(|(_, r)| r.any())
             .collect()
     }
@@ -220,10 +213,8 @@ impl PropServer {
             assert_eq!(ready, self.full_scan(), "poll report vs full scan");
             self.assert_unsent_agrees();
             let mut progressed = false;
-            for (conn, r) in ready {
-                if r.readable || r.closed || r.error {
-                    progressed |= self.handle_host(api, conn);
-                }
+            for (conn, _) in ready {
+                progressed |= self.handle_host(api, conn);
             }
             self.assert_unsent_agrees();
             if !progressed && !self.reactor.has_backlog() {
@@ -370,18 +361,9 @@ fn run_case(
         });
     }
     assert_eq!(reactor.len(), nodes, "one slab counts both kinds");
-    // Every other endpoint also asks for `writable`, which is true most
-    // of the time: reports then differ by interest, not only by state.
-    let interest: Vec<Readiness> = (0..nodes)
-        .map(|i| [Readiness::INPUT, Readiness::ALL][i % 2])
-        .collect();
-    for (i, &wanted) in interest.iter().enumerate() {
-        reactor.set_interest(ConnId(i as u32), wanted);
-    }
 
     let mut server = PropServer {
         reactor,
-        interest,
         by_key: streams
             .iter()
             .enumerate()
@@ -448,8 +430,8 @@ fn budget_one_defers_and_still_drains() {
 }
 
 /// A slab id outlives what it named: once the slot is recycled by the
-/// other kind of endpoint, the typed views answer `None` and the aio
-/// layer `ExsError::Stale` — never a panic, never the wrong endpoint.
+/// other kind of endpoint, the typed views answer `None` — never a
+/// panic, never the wrong endpoint.
 #[test]
 fn an_id_recycled_by_the_other_kind_is_stale_to_typed_access() {
     let profile = profiles::ideal();
@@ -491,16 +473,13 @@ fn an_id_recycled_by_the_other_kind_is_stale_to_typed_access() {
         Some(1)
     );
 
-    // And a socket in the pool's slot: the stale `AioMux` cannot open
-    // stream ids on it.
+    // And a socket in the pool's slot: the pooled view of the id is
+    // gone, so no stream id can be opened through it.
     drop(reactor.remove(id));
     assert_eq!(reactor.accept(sock), id);
     assert!(reactor
         .try_conn_mut(id)
         .and_then(Endpoint::as_mux_mut)
         .is_none());
-    let ex = Executor::new(reactor);
-    let stale = ex.handle().mux(id);
-    assert!(matches!(stale.open_stream(1), Err(ExsError::Stale)));
-    ex.with_reactor(|r| assert_eq!((r.len(), r.stats().conns_added), (1, 3)));
+    assert_eq!((reactor.len(), reactor.stats().conns_added), (1, 3));
 }

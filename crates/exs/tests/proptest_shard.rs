@@ -1,19 +1,19 @@
 //! Property tests for the sharded server: one `Reactor` per shard and a
 //! `Placement`.
 //!
-//! Under randomized shapes — shard counts, placement policies,
-//! connection counts, message sizes, receive-split sizes and host
-//! jitter seeds — the server must behave exactly like N independent
-//! reactors behind a router:
+//! Under randomized shapes — shard counts, connection counts, message
+//! sizes, receive-split sizes and host jitter seeds — the server must
+//! behave exactly like N independent reactors behind a router:
 //!
 //! * every stream's bytes arrive **in order** (pattern-verified on
 //!   every delivered byte) and nothing is dropped or duplicated,
-//!   regardless of which shard the policy picked;
+//!   regardless of which shard the rotation picked;
 //! * a connection's traffic only ever surfaces on the shard it was
 //!   assigned to at accept (readiness for a foreign handle would be a
 //!   routing bug);
-//! * placement accounting stays consistent: assignments sum to the
-//!   accept count and every handle's shard is in range;
+//! * placement accounting stays consistent: connection `i` lands on
+//!   shard `i % shards`, assignments sum to the accept count and every
+//!   handle's shard is in range;
 //! * merged statistics equal the sum of the per-shard rows.
 
 use std::collections::{HashMap, HashSet};
@@ -22,7 +22,7 @@ use proptest::prelude::*;
 
 use exs::{
     ConnId, ExsConfig, ExsEvent, MuxEvent, Placement, Reactor, ReactorConfig, ReactorStats,
-    ShardPolicy, ShardStats, StreamSocket,
+    ShardStats, StreamSocket,
 };
 use rdma_verbs::{profiles, Access, MrInfo, NodeApi, NodeApp, NodeId, SimNet};
 use simnet::stats::merged;
@@ -219,10 +219,8 @@ impl NodeApp for PropPoolServer {
 
 /// Runs one randomized fan-in through a sharded server; panics on any
 /// invariant violation.
-#[allow(clippy::too_many_arguments)]
 fn run_case(
     shards: usize,
-    policy: ShardPolicy,
     conns: usize,
     msgs: usize,
     msg_len: u64,
@@ -264,17 +262,15 @@ fn run_case(
             Reactor::new(send_cq, recv_cq, ReactorConfig::default())
         })
         .collect();
-    let mut placement = Placement::new(policy, shards);
+    let mut placement = Placement::new(shards);
 
     let mut clients = Vec::new();
     let mut mrs = Vec::new();
     let mut handles = Vec::new();
     let mut idx_of = HashMap::new();
     for (idx, &cnode) in client_nodes.iter().enumerate() {
-        // Affinity keys repeat across connections so the policy gets to
-        // pile several conns onto one shard.
-        let key = Some((idx % 3) as u64);
-        let shard = placement.pick(key, |s| reactors[s].stats().live_conns());
+        let shard = placement.pick();
+        assert_eq!(shard as usize, idx % shards, "the rotation");
         let reactor = &mut reactors[shard as usize];
         let (send_cq, recv_cq) = (reactor.send_cq(), reactor.recv_cq());
         let (csock, ssock) =
@@ -375,36 +371,19 @@ fn any_shards() -> impl Strategy<Value = usize> {
     prop_oneof![Just(1usize), 1usize..5]
 }
 
-fn any_policy() -> impl Strategy<Value = ShardPolicy> {
-    prop_oneof![
-        Just(ShardPolicy::RoundRobin),
-        Just(ShardPolicy::LeastLoaded),
-        Just(ShardPolicy::Affinity),
-    ]
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(20))]
 
-    /// Random shard policies × conn counts × recv splits never reorder
+    /// Random shard counts × conn counts × recv splits never reorder
     /// or drop a byte.
     #[test]
     fn sharding_never_reorders_or_drops(
         shards in any_shards(),
-        policy in any_policy(),
         (conns, msgs, msg_len) in (2usize..6, 1usize..4, 1u64..4000),
         recv_len in 1u32..2048,
         outstanding in 1usize..3,
         seed in 0u64..10_000,
     ) {
-        run_case(shards, policy, conns, msgs, msg_len, recv_len, outstanding, seed);
+        run_case(shards, conns, msgs, msg_len, recv_len, outstanding, seed);
     }
-}
-
-/// A deliberately skewed affinity workload (every connection shares one
-/// key) funnels everything onto one shard — and still delivers every
-/// byte in order, with the other shards idle but polled.
-#[test]
-fn single_hot_shard_still_delivers() {
-    run_case(4, ShardPolicy::Affinity, 5, 3, 2500, 512, 2, 77);
 }

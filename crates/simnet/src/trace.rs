@@ -60,11 +60,6 @@ impl TraceRing {
         self.enabled
     }
 
-    /// Enables or disables storage.
-    pub fn set_enabled(&mut self, enabled: bool) {
-        self.enabled = enabled;
-    }
-
     /// Appends a record, evicting the oldest if at capacity.
     pub fn push(&mut self, at: SimTime, tag: &'static str, detail: impl Into<String>) {
         self.total += 1;
@@ -141,17 +136,6 @@ mod tests {
         assert!(ring.is_empty());
         assert_eq!(ring.total_pushed(), 1);
         assert!(!ring.is_enabled());
-    }
-
-    #[test]
-    fn enable_toggle() {
-        let mut ring = TraceRing::new(10);
-        ring.set_enabled(false);
-        ring.push(SimTime::ZERO, "t", "dropped");
-        ring.set_enabled(true);
-        ring.push(SimTime::ZERO, "t", "kept");
-        assert_eq!(ring.len(), 1);
-        assert_eq!(ring.records().next().unwrap().detail, "kept");
     }
 
     #[test]
