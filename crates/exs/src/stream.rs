@@ -86,10 +86,45 @@ struct SendTrack {
     len: u64,
     outstanding: u32,
     dispatched_all: bool,
-    /// User sends carried by this entry (more than one when small
-    /// BCopy sends were coalesced into a shared staging run); each gets
-    /// its own `SendComplete` when the run's last WWI completes.
-    members: Vec<(u64, u64)>,
+    /// User sends carried by this entry; each gets its own
+    /// `SendComplete` when the entry's last WWI completes.
+    members: Members,
+}
+
+/// The `(id, len)` of each user send a [`SendTrack`] carries: its own,
+/// and those of the small BCopy sends coalesced into its staging run
+/// after it. Only a coalesced run allocates: a send on its own holds its
+/// one member inline.
+struct Members {
+    first: (u64, u64),
+    coalesced: Vec<(u64, u64)>,
+}
+
+impl Members {
+    fn one(id: u64, len: u64) -> Members {
+        Members {
+            first: (id, len),
+            coalesced: Vec::new(),
+        }
+    }
+
+    /// True once another send has joined the first.
+    fn is_coalesced(&self) -> bool {
+        !self.coalesced.is_empty()
+    }
+
+    fn push(&mut self, id: u64, len: u64) {
+        self.coalesced.push((id, len));
+    }
+}
+
+impl IntoIterator for Members {
+    type Item = (u64, u64);
+    type IntoIter = std::iter::Chain<std::iter::Once<(u64, u64)>, std::vec::IntoIter<(u64, u64)>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        std::iter::once(self.first).chain(self.coalesced)
+    }
 }
 
 /// Parameters one side of a ring-backed QP — a stream socket's, a mux
@@ -335,7 +370,7 @@ impl StreamSocket {
                 len,
                 outstanding: 0,
                 dispatched_all: false,
-                members: vec![(id, len)],
+                members: Members::one(id, len),
             },
         );
     }
@@ -372,7 +407,7 @@ impl StreamSocket {
                     .inflight
                     .get_mut(&tail.id)
                     .expect("open run has a track");
-                if track.members.len() == 1 {
+                if !track.members.is_coalesced() {
                     // The run just became a coalesced one: count its
                     // first member too.
                     self.stats.coalesced_msgs += 1;
@@ -381,7 +416,7 @@ impl StreamSocket {
                 self.stats.coalesced_msgs += 1;
                 self.stats.coalesced_bytes += len;
                 track.len += len;
-                track.members.push((id, len));
+                track.members.push(id, len);
                 true
             }
             _ => false,
@@ -472,7 +507,10 @@ impl StreamSocket {
         if let Some(pos) = self.pending_sends.iter().position(|p| {
             p.id == id
                 && p.dispatched == 0
-                && self.inflight.get(&id).is_some_and(|t| t.members.len() == 1)
+                && self
+                    .inflight
+                    .get(&id)
+                    .is_some_and(|t| !t.members.is_coalesced())
         }) {
             self.pending_sends.remove(pos);
             self.inflight.remove(&id);
@@ -948,5 +986,39 @@ impl PreparedSocket {
             broken: false,
             last_error: None,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use rdma_verbs::{HcaConfig, HostModel, SimNet};
+    use simnet::{LinkConfig, SimDuration};
+
+    use super::*;
+
+    #[test]
+    fn a_send_that_is_not_coalesced_holds_no_heap_vec() {
+        let mut net = SimNet::new();
+        let a = net.add_node(HostModel::free(), HcaConfig::default());
+        let b = net.add_node(HostModel::free(), HcaConfig::default());
+        let link = LinkConfig::simple(10_000_000_000, SimDuration::from_micros(1));
+        net.connect_nodes(a, b, link, 1);
+        let (mut sock, _peer) = StreamSocket::pair(&mut net, a, b, &ExsConfig::default());
+        net.with_api(a, |api| {
+            let mr = api.register_mr(8192, Access::NONE);
+            sock.exs_send(api, &mr, 0, 8192, 7);
+        });
+        let track = sock.inflight.get(&7).expect("in flight until it completes");
+        assert_eq!(track.members.coalesced.capacity(), 0);
+
+        // A coalesced run lists its members in send order.
+        let mut run = Members::one(1, 10);
+        run.push(2, 20);
+        run.push(3, 5);
+        assert!(run.is_coalesced());
+        assert_eq!(
+            run.into_iter().collect::<Vec<_>>(),
+            [(1, 10), (2, 20), (3, 5)]
+        );
     }
 }

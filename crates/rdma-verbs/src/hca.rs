@@ -9,8 +9,9 @@
 //! which is what lets both backends share this logic. The driver also
 //! decides when a send's source buffer is read: [`HcaCore::prepare_send`]
 //! only validates and describes it ([`Payload::Source`]), and
-//! [`HcaCore::handle_wire`] places whatever bytes the driver resolved
-//! that description to.
+//! [`HcaCore::handle_wire`] places whatever source the driver resolved
+//! that description to: bytes, or a view of the source node's region,
+//! whose whole pages the placement takes by reference.
 //!
 //! Wire-facing behaviour follows RC semantics: operations are processed
 //! in arrival order, SEND and WRITE-WITH-IMM consume posted receives
@@ -22,7 +23,7 @@ use bytes::Bytes;
 use simnet::{SimDuration, Slab};
 
 use crate::cq::CompletionQueue;
-use crate::mr::{MemoryTable, MrInfo};
+use crate::mr::{DmaSource, MemoryTable, MrInfo};
 use crate::qp::{QpCaps, QueuePair};
 use crate::types::{
     Access, CqId, Cqe, MrKey, NodeId, QpNum, RecvWr, Result, SendOpcode, SendWr, Sge, VerbsError,
@@ -467,10 +468,16 @@ impl HcaCore {
     /// responder transmissions and/or fatal errors it produces to
     /// `effects` (the driver's scratch list, so a delivery allocates
     /// nothing of its own). `data` is the message's payload as the
-    /// driver resolved it — the message's own bytes, or a borrowed view
-    /// of the source region — and is copied exactly once, into the
-    /// destination region.
-    pub fn handle_wire(&mut self, msg: &WireMessage, data: &[u8], effects: &mut Vec<Effect>) {
+    /// driver resolved it — the message's own bytes, or a view of the
+    /// source region — and is placed exactly once, into the destination
+    /// region ([`MemoryTable::dma_write`]).
+    pub fn handle_wire(
+        &mut self,
+        msg: &WireMessage,
+        data: DmaSource<'_>,
+        effects: &mut Vec<Effect>,
+    ) {
+        let len = data.len() as u32;
         debug_assert_eq!(data.len(), msg.payload.len());
         let qpn = msg.dst.1;
         match msg.op {
@@ -506,7 +513,7 @@ impl HcaCore {
                                 wr_id: recv.wr_id,
                                 status: WcStatus::Success,
                                 opcode: WcOpcode::RecvRdmaWithImm,
-                                byte_len: data.len() as u32,
+                                byte_len: len,
                                 imm: Some(imm),
                                 qpn,
                             },
@@ -576,7 +583,7 @@ impl HcaCore {
                         wr_id: pending.wr_id,
                         status: WcStatus::Success,
                         opcode: WcOpcode::RdmaRead,
-                        byte_len: data.len() as u32,
+                        byte_len: len,
                         imm: None,
                         qpn: pending.qpn,
                     };
@@ -596,27 +603,25 @@ impl HcaCore {
     fn receive_into_posted(
         &mut self,
         qpn: QpNum,
-        payload: &[u8],
+        payload: DmaSource<'_>,
         imm: Option<u32>,
         opcode: WcOpcode,
         effects: &mut Vec<Effect>,
     ) {
+        let len = payload.len();
         let (recv, cq) = match self.consume_recv(qpn) {
             Some(r) => r,
             None => {
                 effects.push(Effect::Fatal {
                     qpn,
                     status: WcStatus::RnrRetryExceeded,
-                    detail: format!(
-                        "SEND of {} bytes arrived with no posted RECV",
-                        payload.len()
-                    ),
+                    detail: format!("SEND of {len} bytes arrived with no posted RECV"),
                 });
                 return;
             }
         };
         // Place the payload into the receive buffer.
-        if !payload.is_empty() {
+        if len > 0 {
             let Some(sge) = recv.sge else {
                 effects.push(Effect::Fatal {
                     qpn,
@@ -625,13 +630,12 @@ impl HcaCore {
                 });
                 return;
             };
-            if payload.len() as u64 > sge.len as u64 {
+            if len as u64 > sge.len as u64 {
                 effects.push(Effect::Fatal {
                     qpn,
                     status: WcStatus::LocalProtectionError,
                     detail: format!(
-                        "SEND of {} bytes exceeds RECV buffer of {} bytes",
-                        payload.len(),
+                        "SEND of {len} bytes exceeds RECV buffer of {} bytes",
                         sge.len
                     ),
                 });
@@ -655,7 +659,7 @@ impl HcaCore {
                 wr_id: recv.wr_id,
                 status: WcStatus::Success,
                 opcode,
-                byte_len: payload.len() as u32,
+                byte_len: len as u32,
                 imm,
                 qpn,
             },
@@ -686,7 +690,7 @@ mod tests {
     }
 
     /// Delivers `msg` from `from` to `to` the way `SimNet` does: the
-    /// payload is read where it lies and copied once, into place.
+    /// payload is read where it lies and placed once.
     fn deliver(from: &mut HcaCore, to: &mut HcaCore, msg: &WireMessage) -> Vec<Effect> {
         let mut effects = Vec::new();
         let data = msg.payload.resolve(from.mem_mut()).unwrap();

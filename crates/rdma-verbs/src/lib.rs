@@ -47,7 +47,7 @@ pub use cm::{connect_pair, connect_pair_on_cqs, connect_pool, ConnHalf};
 pub use cq::CompletionQueue;
 pub use hca::{Effect, HcaConfig, HcaCore, PreparedSend};
 pub use host::{CpuMeter, HostModel};
-pub use mr::{MemoryTable, MrInfo};
+pub use mr::{DmaSource, MemoryTable, MrInfo};
 pub use profiles::HwProfile;
 pub use qp::{QpCaps, QpState, QueuePair};
 pub use sim::{NodeApi, NodeApp, RunOutcome, SimNet};

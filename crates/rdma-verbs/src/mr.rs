@@ -2,31 +2,43 @@
 //!
 //! Each node has a flat virtual address space. Registering a region
 //! allocates a page-aligned address range and returns a key usable as
-//! both lkey and rkey; the byte buffer behind the range comes with the
-//! first byte something touches. All DMA performed
-//! by the simulated HCA goes through [`MemoryTable::dma_slice`] (a
-//! borrowed view of the source, no copy), [`MemoryTable::dma_write`]
-//! (placement) and [`MemoryTable::capture`] (an owned copy of the
-//! source), which validate key, bounds and access flags exactly as a
-//! real HCA's translation and protection table would. Every byte the
-//! table itself moves is counted in [`MemoryTable::bytes_copied`].
+//! both lkey and rkey. All DMA performed by the simulated HCA goes
+//! through [`MemoryTable::dma_view`] (a view of a source range, no
+//! copy), [`MemoryTable::dma_write`] (placement, from bytes or from a
+//! view of another table's region) and [`MemoryTable::capture`] (an
+//! owned copy of the source), which validate key, bounds and access
+//! flags exactly as a real HCA's translation and protection table
+//! would. Every byte the table places or captures is counted in
+//! [`MemoryTable::bytes_copied`], the model's DMA budget, however little
+//! of it the host had to copy.
 //!
-//! A region is *backed on first touch*. Registration allocates nothing;
-//! the first touch gives the region its buffer, the whole length in one
-//! allocation so that bytes never move, and the region then keeps only
-//! the prefix that something has touched: a byte beyond that prefix
-//! reads as the zero it would have been. A 16 MiB ring of which a run
-//! uses 1 MiB costs the host 1 MiB and no zero-fill at set-up, one that
-//! is never used costs nothing, and a sequential placement is written
-//! once, not zeroed and then written. A dropped region's buffer, if it
-//! is large, goes to the next region of the same length rather than
-//! back to the allocator (see `SPARE`), so that the pages a process has
-//! touched for a ring are the pages its next such ring uses.
-//! The rule that follows: whatever hands out a view of region bytes
-//! ([`MemoryTable::dma_slice`], [`MemoryTable::capture`], the source of
-//! [`MemoryTable::local_copy`]) takes `&mut self` and backs the range
-//! first; [`MemoryTable::app_read`], which only fills the caller's
-//! buffer, and [`MemoryTable::check`] stay `&self` and touch nothing.
+//! A region holds its bytes in 4 KiB pages, the registration alignment;
+//! its last page is only as long as the region. Registration allocates
+//! nothing: the page table comes with the first write, one slot per
+//! page, and each slot is in one of three states —
+//!
+//! * *empty*: the page reads as zeros and costs nothing;
+//! * *owned*: a buffer only this region holds, written in place;
+//! * *shared*: a buffer other regions may hold too, copied on write.
+//!
+//! A placement whose source is a region ([`DmaSource::Region`]: a send
+//! on the simulator, a [`MemoryTable::local_copy`] between two regions)
+//! hands every page it covers whole — whole in both regions, at the same
+//! offset in a page on both sides — to the destination by reference: the
+//! source page becomes shared and the destination's old page is dropped.
+//! Only partial head and tail pages are copied, so the host's cost of a
+//! placement is proportional to pages, not bytes;
+//! [`MemoryTable::pages_shared`] counts the pages handed over. Copy on
+//! write keeps the semantics of a copy: a later write to either side
+//! leaves the other's bytes as they were placed. A write that covers a
+//! whole page replaces it rather than copying the bytes it overwrites,
+//! and a partial copy of an empty source page into an empty destination
+//! page writes nothing. Reading touches nothing: a view, a capture or an
+//! [`MemoryTable::app_read`] of an empty page reads zeros from no buffer.
+//! What a run costs the host is therefore the pages it has written
+//! ([`MemoryTable::backed_bytes`]), not what it has registered, and a
+//! dropped region's pages go back to the allocator one by one, at a size
+//! every region reuses.
 //!
 //! A key is an index, not a name to look up: its low 20 bits (`SLOT_BITS`)
 //! are the region's slot in the table and the bits above them the
@@ -38,42 +50,114 @@
 //! slot whose generations are used up is retired rather than wrapped,
 //! so that holds for every key ever issued.
 
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::Arc;
 
 use bytes::Bytes;
 
 use crate::types::{Access, MrKey, Result, Sge, VerbsError};
 
-/// Alignment of region base addresses.
+/// Alignment of region base addresses, and the unit in which a region
+/// holds, shares and copies on write its bytes.
 const PAGE: u64 = 4096;
+const PAGE_LEN: usize = PAGE as usize;
 /// Base of the simulated virtual address space (an arbitrary non-zero
 /// offset so that address 0 is always invalid).
 const VA_BASE: u64 = 0x1000_0000;
 
-/// Smallest buffer [`SPARE`] keeps; a smaller one is the allocator's
-/// business.
-const SPARE_MIN: usize = 1 << 20;
-/// Most capacity [`SPARE`] holds on to; beyond it the oldest buffers go
-/// back to the allocator.
-const SPARE_MAX: usize = 128 << 20;
+/// What an empty page reads as.
+static ZEROS: [u8; PAGE_LEN] = [0; PAGE_LEN];
 
-/// Buffers of dropped regions, oldest first, each waiting for a region
-/// of its length to touch its first byte.
-///
-/// What a region costs the host is the pages it has touched, and a
-/// general-purpose allocator does not keep them with the region's next
-/// incarnation: it hands a freed 16 MiB ring to whichever same-sized
-/// request comes first, or splits it for small ones. A ring that is
-/// never written then sits on the resident pages while the ring that is
-/// written takes fresh ones, and the process's resident set depends on
-/// allocation order (a 512 B blast that re-creates its two sockets per
-/// run held 22 MiB or 38 MiB, by seed). Large buffers therefore go from
-/// region to region here, the way a verbs library's registration cache
-/// keeps pinned pages across deregistration.
-static SPARE: Mutex<Vec<Vec<u8>>> = Mutex::new(Vec::new());
+/// One page of a region (see the module docs).
+#[derive(Default)]
+enum Page {
+    #[default]
+    Empty,
+    Owned(Box<[u8]>),
+    /// A `Box` behind the `Arc`, so that an owned page becomes shared,
+    /// and a shared one that no other region holds any more becomes
+    /// owned again, without copying its bytes.
+    Shared(Arc<Box<[u8]>>),
+}
 
-fn spare() -> MutexGuard<'static, Vec<Vec<u8>>> {
-    SPARE.lock().unwrap_or_else(PoisonError::into_inner)
+impl Page {
+    /// The page's bytes, or `None` for an empty page.
+    #[inline]
+    fn bytes(&self) -> Option<&[u8]> {
+        match self {
+            Page::Empty => None,
+            Page::Owned(bytes) => Some(bytes),
+            Page::Shared(shared) => Some(shared),
+        }
+    }
+
+    /// The page's bytes to write in place, `len` of them: zeros for an
+    /// empty page, this region's own copy of a page another region
+    /// still holds.
+    fn owned(&mut self, len: usize) -> &mut [u8] {
+        if !matches!(self, Page::Owned(_)) {
+            let bytes = match std::mem::take(self) {
+                Page::Shared(shared) => Arc::try_unwrap(shared).unwrap_or_else(|s| (*s).clone()),
+                _ => vec![0; len].into_boxed_slice(),
+            };
+            *self = Page::Owned(bytes);
+        }
+        let Page::Owned(bytes) = self else {
+            unreachable!("made owned above")
+        };
+        bytes
+    }
+
+    /// Writes `src` at `off` of this page, which is `len` bytes long.
+    #[inline]
+    fn write(&mut self, off: usize, src: &[u8], len: usize) {
+        match self {
+            Page::Owned(bytes) => bytes[off..off + src.len()].copy_from_slice(src),
+            // Every old byte is overwritten: a buffer another region
+            // still holds is left to it rather than copied first, and
+            // one nobody else holds is reused (`owned`) rather than
+            // freed and allocated again.
+            Page::Shared(shared) if src.len() == len && Arc::strong_count(shared) > 1 => {
+                *self = Page::Owned(src.into())
+            }
+            Page::Empty if src.len() == len => *self = Page::Owned(src.into()),
+            _ => self.owned(len)[off..off + src.len()].copy_from_slice(src),
+        }
+    }
+
+    /// Writes `n` zeros at `off`: nothing to do on an empty page.
+    fn zero(&mut self, off: usize, n: usize, len: usize) {
+        if !matches!(self, Page::Empty) {
+            self.owned(len)[off..off + n].fill(0);
+        }
+    }
+
+    /// Another handle on this page, for a second region to hold by
+    /// reference: an owned page becomes shared.
+    fn share(&mut self) -> Page {
+        match self {
+            Page::Empty => Page::Empty,
+            Page::Shared(shared) => Page::Shared(Arc::clone(shared)),
+            Page::Owned(bytes) => {
+                let shared = Arc::new(std::mem::take(bytes));
+                *self = Page::Shared(Arc::clone(&shared));
+                Page::Shared(shared)
+            }
+        }
+    }
+}
+
+/// The pages `[off, off + len)` of a region spans, as `(page, offset in
+/// the page, length)` pieces, lowest first.
+fn spans(off: usize, len: usize) -> impl Iterator<Item = (usize, usize, usize)> {
+    let (mut at, end) = (off, off + len);
+    std::iter::from_fn(move || {
+        (at < end).then(|| {
+            let (page, offset) = (at / PAGE_LEN, at % PAGE_LEN);
+            let n = (PAGE_LEN - offset).min(end - at);
+            at += n;
+            (page, offset, n)
+        })
+    })
 }
 
 /// A registered memory region.
@@ -81,27 +165,10 @@ pub struct MemoryRegion {
     key: MrKey,
     base: u64,
     len: usize,
-    /// The touched prefix of the region: empty and unallocated until
-    /// the first touch, of capacity `len` from then on, so growing it
-    /// never reallocates or moves bytes.
-    data: Vec<u8>,
+    /// One slot per page from the first write on; empty, and every byte
+    /// zero, until then.
+    pages: Vec<Page>,
     access: Access,
-}
-
-impl Drop for MemoryRegion {
-    fn drop(&mut self) {
-        if self.data.capacity() < SPARE_MIN {
-            return;
-        }
-        let mut buf = std::mem::take(&mut self.data);
-        buf.clear();
-        let mut spare = spare();
-        spare.push(buf);
-        let mut held: usize = spare.iter().map(Vec::capacity).sum();
-        while held > SPARE_MAX {
-            held -= spare.remove(0).capacity();
-        }
-    }
 }
 
 impl MemoryRegion {
@@ -140,73 +207,159 @@ impl MemoryRegion {
         Ok((addr - self.base) as usize)
     }
 
-    /// Gives the region its buffer, all `len` bytes of capacity, if
-    /// nothing has touched it before: the spare one a region of this
-    /// length dropped last, else the region's one allocation.
-    fn reserve(&mut self) {
-        if self.data.capacity() != 0 {
-            return;
-        }
-        if self.len >= SPARE_MIN {
-            let mut spare = spare();
-            if let Some(i) = spare.iter().rposition(|buf| buf.capacity() == self.len) {
-                self.data = spare.remove(i);
-                return;
-            }
-        }
-        self.data.reserve_exact(self.len);
+    /// Length of page `page`: the last one is only as long as the region.
+    #[inline]
+    fn page_len(&self, page: usize) -> usize {
+        PAGE_LEN.min(self.len - page * PAGE_LEN)
     }
 
-    /// Extends the touched prefix to `end` with the zeros those bytes
-    /// always read as. `end` is within the region. Callers skip empty
-    /// ranges: one at a high offset would back everything below it.
+    /// Page `page` to write, the page table created at the first write.
     #[inline]
-    fn back(&mut self, end: usize) {
-        if self.data.len() < end {
-            self.reserve();
-            self.data.resize(end, 0);
+    fn page_mut(&mut self, page: usize) -> &mut Page {
+        if self.pages.is_empty() {
+            self.pages
+                .resize_with(self.len.div_ceil(PAGE_LEN), Page::default);
         }
+        &mut self.pages[page]
+    }
+
+    /// The bytes of page `page`, zeros for an empty one.
+    #[inline]
+    fn page_bytes(&self, page: usize) -> &[u8] {
+        self.pages
+            .get(page)
+            .and_then(Page::bytes)
+            .unwrap_or(&ZEROS[..self.page_len(page)])
     }
 
     /// Writes `src` at `off`. `off + src.len()` is within the region.
-    #[inline]
-    fn write(&mut self, off: usize, src: &[u8]) {
-        // The steady state of a ring or a reused buffer: all of the
-        // range has been touched before.
-        match self.data.get_mut(off..off + src.len()) {
-            Some(backed) => backed.copy_from_slice(src),
-            None => self.write_past_prefix(off, src),
+    fn write(&mut self, off: usize, mut src: &[u8]) {
+        for (page, at, n) in spans(off, src.len()) {
+            let (piece, rest) = src.split_at(n);
+            let len = self.page_len(page);
+            self.page_mut(page).write(at, piece, len);
+            src = rest;
         }
     }
 
-    /// [`MemoryRegion::write`] of a range that reaches past the touched
-    /// prefix: over the prefix where they overlap, appended where they
-    /// do not, so bytes that extend the prefix are written once.
-    #[cold]
-    fn write_past_prefix(&mut self, off: usize, src: &[u8]) {
-        if src.is_empty() {
-            return;
+    /// Fills `buf` from `off`: written bytes as they are, the rest zero.
+    fn read(&self, off: usize, mut buf: &mut [u8]) {
+        for (page, at, n) in spans(off, buf.len()) {
+            let (piece, rest) = std::mem::take(&mut buf).split_at_mut(n);
+            piece.copy_from_slice(&self.page_bytes(page)[at..at + n]);
+            buf = rest;
         }
-        self.reserve();
-        // A gap between the prefix and `off` is zero-filled.
-        self.back(off);
-        let over = self.data.len() - off;
-        self.data[off..].copy_from_slice(&src[..over]);
-        self.data.extend_from_slice(&src[over..]);
     }
 
-    /// Fills `buf` from `off`: touched bytes as they are, the rest zero.
-    #[inline]
-    fn read(&self, off: usize, buf: &mut [u8]) {
-        match self.data.get(off..off + buf.len()) {
-            Some(backed) => buf.copy_from_slice(backed),
-            None => {
-                let backed = self.data.get(off..).unwrap_or(&[]);
-                let (head, tail) = buf.split_at_mut(backed.len().min(buf.len()));
-                head.copy_from_slice(&backed[..head.len()]);
-                tail.fill(0);
+    /// Places `len` bytes from `src_off` of `src` at `off`: every page
+    /// the range covers whole in both regions, at the same offset, by
+    /// reference; the rest by copy. Both ranges are within their
+    /// regions. Returns the number of pages handed over.
+    fn place(&mut self, off: usize, src: &mut MemoryRegion, src_off: usize, len: usize) -> u64 {
+        let mut shared = 0;
+        let (mut at, mut from, end) = (off, src_off, off + len);
+        while at < end {
+            let (page, offset) = (at / PAGE_LEN, at % PAGE_LEN);
+            let (src_page, src_offset) = (from / PAGE_LEN, from % PAGE_LEN);
+            let n = (PAGE_LEN - offset.max(src_offset)).min(end - at);
+            let page_len = self.page_len(page);
+            if offset == 0 && src_offset == 0 && n == page_len && n == src.page_len(src_page) {
+                let handed = src.pages.get_mut(src_page).map_or(Page::Empty, Page::share);
+                // Nothing to do for an empty page over a region that has
+                // never been written.
+                if !(matches!(handed, Page::Empty) && self.pages.is_empty()) {
+                    *self.page_mut(page) = handed;
+                }
+                shared += 1;
+            } else {
+                match src.pages.get(src_page).and_then(Page::bytes) {
+                    Some(bytes) => {
+                        let piece = &bytes[src_offset..src_offset + n];
+                        self.page_mut(page).write(offset, piece, page_len);
+                    }
+                    None => {
+                        if let Some(dst) = self.pages.get_mut(page) {
+                            dst.zero(offset, n, page_len);
+                        }
+                    }
+                }
             }
+            at += n;
+            from += n;
         }
+        shared
+    }
+
+    /// Bytes held in pages: each page that is not empty, whole.
+    fn backed_bytes(&self) -> usize {
+        self.pages
+            .iter()
+            .filter_map(Page::bytes)
+            .map(<[u8]>::len)
+            .sum()
+    }
+}
+
+/// A checked range of one region that a DMA reads
+/// ([`MemoryTable::dma_view`]): a view, no copy. It holds the region
+/// mutably because placing it elsewhere turns the pages it hands over
+/// into shared ones.
+pub struct RegionView<'a> {
+    region: &'a mut MemoryRegion,
+    off: usize,
+    len: usize,
+}
+
+impl RegionView<'_> {
+    /// Length of the range in bytes.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True for an empty range.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The range's bytes, copied.
+    pub fn to_vec(&self) -> Vec<u8> {
+        let mut out = vec![0; self.len];
+        self.region.read(self.off, &mut out);
+        out
+    }
+
+    /// The range's bytes as an owned buffer: one allocation, zeroed and
+    /// then written with one copy of the range.
+    fn to_bytes(&self) -> Bytes {
+        let mut bytes: Arc<[u8]> = std::iter::repeat_n(0, self.len).collect();
+        let buf = Arc::get_mut(&mut bytes).expect("nothing else holds a new buffer");
+        self.region.read(self.off, buf);
+        Bytes::from(bytes)
+    }
+}
+
+/// Where the bytes a placement writes come from.
+pub enum DmaSource<'a> {
+    /// Bytes the caller holds: inline data, a captured payload, an RDMA
+    /// READ response.
+    Slice(&'a [u8]),
+    /// A range of a region in another table, placed by page reference
+    /// wherever the pages line up (see the module docs).
+    Region(RegionView<'a>),
+}
+
+impl DmaSource<'_> {
+    /// Length in bytes.
+    pub fn len(&self) -> usize {
+        match self {
+            DmaSource::Slice(bytes) => bytes.len(),
+            DmaSource::Region(view) => view.len(),
+        }
+    }
+
+    /// True when there is nothing to place.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
     }
 }
 
@@ -268,6 +421,7 @@ pub struct MemoryTable {
     live: usize,
     cursor: u64,
     bytes_copied: u64,
+    pages_shared: u64,
 }
 
 impl Default for MemoryTable {
@@ -288,6 +442,7 @@ impl MemoryTable {
             live: 0,
             cursor: VA_BASE,
             bytes_copied: 0,
+            pages_shared: 0,
         }
     }
 
@@ -316,7 +471,7 @@ impl MemoryTable {
             key,
             base,
             len,
-            data: Vec::new(),
+            pages: Vec::new(),
             access,
         });
         self.live += 1;
@@ -365,25 +520,37 @@ impl MemoryTable {
         self.region(key).ok().map(|r| r.len)
     }
 
-    /// Bytes of live registrations that something has touched so far,
-    /// which is what they cost the host; the rest of each region is
-    /// address space at most.
+    /// Bytes of live registrations held in pages, which is what they
+    /// cost the host: every page that is not empty counts whole (a
+    /// region's last page only as long as the region), in each region
+    /// that holds it. A page is held once something has written it or a
+    /// placement has handed it a page that was; the rest of each region
+    /// is address space at most.
     pub fn backed_bytes(&self) -> usize {
         self.slots
             .iter()
             .filter_map(|slot| slot.region.as_ref())
-            .map(|region| region.data.len())
+            .map(MemoryRegion::backed_bytes)
             .sum()
     }
 
-    /// Bytes this table has moved since creation: DMA placement
-    /// ([`MemoryTable::dma_write`]), payload capture
-    /// ([`MemoryTable::capture`]) and [`MemoryTable::local_copy`]. The
-    /// application's own `app_read`/`app_write` are not HCA work and are
-    /// not counted. The copy-budget tests hold this against the payload
-    /// size, so a staging copy that creeps back in fails exactly.
+    /// Bytes this table has placed or captured since creation: DMA
+    /// placement ([`MemoryTable::dma_write`]), payload capture
+    /// ([`MemoryTable::capture`]) and [`MemoryTable::local_copy`] — the
+    /// model's DMA budget, counted whether the host copied a byte or
+    /// handed over the page it lies in. The application's own
+    /// `app_read`/`app_write` are not HCA work and are not counted. The
+    /// copy-budget tests hold this against the payload size, so a
+    /// staging copy that creeps back in fails exactly.
     pub fn bytes_copied(&self) -> u64 {
         self.bytes_copied
+    }
+
+    /// Pages this table's placements have taken by reference rather than
+    /// by copy (see the module docs): the host's work that
+    /// [`MemoryTable::bytes_copied`] does not show, counted exactly.
+    pub fn pages_shared(&self) -> u64 {
+        self.pages_shared
     }
 
     /// The region `key` names: the one in its slot, if that region was
@@ -408,21 +575,31 @@ impl MemoryTable {
 
     /// HCA-side DMA write (placing incoming data). Requires
     /// `required_access` (e.g. [`Access::REMOTE_WRITE`] for RDMA,
-    /// [`Access::LOCAL_WRITE`] for RECV placement).
+    /// [`Access::LOCAL_WRITE`] for RECV placement). A
+    /// [`DmaSource::Region`] is placed by page reference wherever the
+    /// pages line up.
     pub fn dma_write(
         &mut self,
         key: MrKey,
         addr: u64,
-        data: &[u8],
+        data: DmaSource<'_>,
         required_access: Access,
     ) -> Result<()> {
+        let len = data.len();
         let region = self.region_mut(key)?;
         if !region.access.contains(required_access) {
             return Err(VerbsError::AccessViolation);
         }
-        let off = region.check_range(addr, data.len() as u64)?;
-        region.write(off, data);
-        self.bytes_copied += data.len() as u64;
+        let off = region.check_range(addr, len as u64)?;
+        let shared = match data {
+            DmaSource::Slice(bytes) => {
+                region.write(off, bytes);
+                0
+            }
+            DmaSource::Region(view) => region.place(off, view.region, view.off, len),
+        };
+        self.bytes_copied += len as u64;
+        self.pages_shared += shared;
         Ok(())
     }
 
@@ -437,27 +614,27 @@ impl MemoryTable {
         region.check_range(addr, len).map(drop)
     }
 
-    /// HCA-side DMA read as a borrowed view of `[addr, addr+len)`: the
-    /// key, bounds and access check of a gather, without the copy. The
-    /// view is of real bytes, so the range is backed first.
-    pub fn dma_slice(
+    /// HCA-side DMA read as a view of `[addr, addr+len)`: the key,
+    /// bounds and access check of a gather, without the copy. The table
+    /// is lent mutably so that a placement of the view can share its
+    /// pages (see the module docs).
+    pub fn dma_view(
         &mut self,
         key: MrKey,
         addr: u64,
         len: u64,
         required_access: Access,
-    ) -> Result<&[u8]> {
+    ) -> Result<RegionView<'_>> {
         let region = self.region_mut(key)?;
         if !region.access.contains(required_access) {
             return Err(VerbsError::AccessViolation);
         }
         let off = region.check_range(addr, len)?;
-        if len == 0 {
-            return Ok(&[]);
-        }
-        let end = off + len as usize;
-        region.back(end);
-        Ok(&region.data[off..end])
+        Ok(RegionView {
+            region,
+            off,
+            len: len as usize,
+        })
     }
 
     /// HCA-side DMA read into bytes the caller owns: one allocation and
@@ -471,7 +648,7 @@ impl MemoryTable {
         len: u64,
         required_access: Access,
     ) -> Result<Bytes> {
-        let bytes = Bytes::copy_from_slice(self.dma_slice(key, addr, len, required_access)?);
+        let bytes = self.dma_view(key, addr, len, required_access)?.to_bytes();
         self.bytes_copied += len;
         Ok(bytes)
     }
@@ -495,7 +672,9 @@ impl MemoryTable {
 
     /// Copies between two registered regions on the same node (the EXS
     /// receiver's intermediate-buffer → user-buffer copy). Returns the
-    /// number of bytes copied. Ranges within one region may overlap
+    /// number of bytes copied. Between two regions, pages that line up
+    /// are placed by reference, as [`MemoryTable::dma_write`] places a
+    /// [`DmaSource::Region`]. Ranges within one region may overlap
     /// (memmove semantics). Nothing is written unless both ranges are
     /// valid.
     pub fn local_copy(
@@ -512,8 +691,10 @@ impl MemoryTable {
             let from = region.check_range(src_addr, len)?;
             let to = region.check_range(dst_addr, len)?;
             if n > 0 {
-                region.back(from.max(to) + n);
-                region.data.copy_within(from..from + n, to);
+                // Read out first: the ranges may overlap.
+                let mut moved = vec![0; n];
+                region.read(from, &mut moved);
+                region.write(to, &moved);
             }
         } else {
             self.region(src_key)?;
@@ -527,10 +708,7 @@ impl MemoryTable {
             let dst = dst.region.as_mut().expect("checked live above");
             let from = src.check_range(src_addr, len)?;
             let to = dst.check_range(dst_addr, len)?;
-            if n > 0 {
-                src.back(from + n);
-                dst.write(to, &src.data[from..from + n]);
-            }
+            self.pages_shared += dst.place(to, src, from, n);
         }
         self.bytes_copied += len;
         Ok(len)
@@ -540,6 +718,7 @@ impl MemoryTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use DmaSource::Slice;
 
     #[test]
     fn register_allocates_disjoint_aligned_ranges() {
@@ -581,7 +760,7 @@ mod tests {
         t.app_write(mr.key, mr.addr + 15, &[9]).unwrap();
         // Overflow-safe end computation.
         assert!(matches!(
-            t.dma_slice(mr.key, u64::MAX, 2, Access::NONE),
+            t.dma_view(mr.key, u64::MAX, 2, Access::NONE),
             Err(VerbsError::OutOfBounds { .. })
         ));
     }
@@ -605,18 +784,18 @@ mod tests {
         let ro = t.register(32, Access::REMOTE_READ);
         // Remote write against a read-only region fails.
         assert_eq!(
-            t.dma_write(ro.key, ro.addr, &[1, 2], Access::REMOTE_WRITE),
+            t.dma_write(ro.key, ro.addr, Slice(&[1, 2]), Access::REMOTE_WRITE),
             Err(VerbsError::AccessViolation)
         );
         // Remote read is allowed.
-        assert!(t.dma_slice(ro.key, ro.addr, 2, Access::REMOTE_READ).is_ok());
+        assert!(t.dma_view(ro.key, ro.addr, 2, Access::REMOTE_READ).is_ok());
         let wo = t.register(32, Access::local_remote_write());
         assert!(t
-            .dma_write(wo.key, wo.addr, &[1, 2], Access::REMOTE_WRITE)
+            .dma_write(wo.key, wo.addr, Slice(&[1, 2]), Access::REMOTE_WRITE)
             .is_ok());
         // Remote read without permission fails.
         assert_eq!(
-            t.dma_slice(wo.key, wo.addr, 2, Access::REMOTE_READ).err(),
+            t.dma_view(wo.key, wo.addr, 2, Access::REMOTE_READ).err(),
             Some(VerbsError::AccessViolation)
         );
         assert_eq!(
@@ -641,8 +820,8 @@ mod tests {
     fn assert_unknown_everywhere(t: &mut MemoryTable, key: MrKey, addr: u64, live: MrInfo) {
         let unknown = Some(VerbsError::UnknownKey(key));
         let results = [
-            t.dma_slice(key, addr, 1, Access::NONE).map(drop),
-            t.dma_write(key, addr, &[1], Access::NONE),
+            t.dma_view(key, addr, 1, Access::NONE).map(drop),
+            t.dma_write(key, addr, Slice(&[1]), Access::NONE),
             t.capture(key, addr, 1, Access::NONE).map(drop),
             t.app_read(key, addr, &mut [0u8; 1]),
             t.app_write(key, addr, &[1]),
@@ -805,86 +984,118 @@ mod tests {
         t.app_write(mr.key, mr.addr, b"payload").unwrap();
         assert_eq!(t.bytes_copied(), 0, "the app's own writes are not HCA work");
         assert_eq!(
-            t.dma_slice(mr.key, mr.addr, 7, Access::NONE).unwrap(),
+            t.dma_view(mr.key, mr.addr, 7, Access::NONE)
+                .unwrap()
+                .to_vec(),
             b"payload"
         );
-        assert_eq!(t.bytes_copied(), 0, "a borrowed view moves nothing");
+        assert_eq!(t.bytes_copied(), 0, "a view moves nothing");
         let owned = t.capture(mr.key, mr.addr, 7, Access::NONE).unwrap();
         assert_eq!(&owned[..], b"payload");
         assert_eq!(t.bytes_copied(), 7);
-        t.dma_write(mr.key, mr.addr + 16, &owned, Access::LOCAL_WRITE)
+        t.dma_write(mr.key, mr.addr + 16, Slice(&owned), Access::LOCAL_WRITE)
             .unwrap();
         assert_eq!(t.bytes_copied(), 14);
     }
 
     #[test]
-    fn a_region_has_no_buffer_until_its_first_touch() {
+    fn a_region_has_no_page_table_until_its_first_write() {
         let mut t = MemoryTable::new();
-        let mr = t.register(SPARE_MIN - 1, Access::all());
-        let capacity = |t: &MemoryTable| t.region(mr.key).unwrap().data.capacity();
+        let mr = t.register(3 * PAGE_LEN + 5, Access::all());
+        let pages = |t: &MemoryTable| t.region(mr.key).unwrap().pages.len();
         let mut buf = [1u8; 8];
         t.app_read(mr.key, mr.addr + 100, &mut buf).unwrap();
         t.check(mr.key, mr.addr, mr.len as u64, Access::REMOTE_WRITE)
             .unwrap();
-        assert_eq!((buf, capacity(&t)), ([0; 8], 0));
-        t.app_write(mr.key, mr.addr + 100, &[7]).unwrap();
-        assert_eq!((capacity(&t), t.backed_bytes()), (mr.len, 101));
+        let view = t.dma_view(mr.key, mr.addr, mr.len as u64, Access::NONE);
+        assert!(view.unwrap().to_vec().iter().all(|&b| b == 0));
+        t.capture(mr.key, mr.addr + 4090, 10, Access::NONE).unwrap();
+        assert_eq!((buf, pages(&t), t.backed_bytes()), ([0; 8], 0, 0));
+        t.app_write(mr.key, mr.addr + PAGE + 100, &[7]).unwrap();
+        assert_eq!((pages(&t), t.backed_bytes()), (4, PAGE_LEN));
+        // The last page is only as long as the region.
+        t.app_write(mr.key, mr.addr + 3 * PAGE, &[7]).unwrap();
+        assert_eq!(t.backed_bytes(), PAGE_LEN + 5);
     }
 
-    /// One test, because the spare list is the process's: a second test
-    /// pushing large buffers meanwhile could evict this one's.
+    /// The address of the buffer of page `page` of `mr`, if it has one:
+    /// two regions showing one address hold one page between them.
+    fn page_ptr(t: &MemoryTable, mr: MrInfo, page: usize) -> Option<*const u8> {
+        let region = t.region(mr.key).unwrap();
+        region
+            .pages
+            .get(page)
+            .and_then(Page::bytes)
+            .map(<[u8]>::as_ptr)
+    }
+
     #[test]
-    fn a_large_buffer_passes_to_the_next_region_of_its_length_reading_zero() {
-        const LEN: usize = SPARE_MIN + 3 * PAGE as usize + 5;
-        let spare_of_len = || spare().iter().filter(|b| b.capacity() == LEN).count();
-        let ptr = |t: &MemoryTable, key| t.region(key).unwrap().data.as_ptr();
+    fn a_placement_hands_over_the_pages_it_covers_whole_and_copies_the_rest() {
+        const LEN: usize = 3 * PAGE_LEN + 100;
+        let (mut a, mut b) = (MemoryTable::new(), MemoryTable::new());
+        let src = a.register(LEN, Access::all());
+        let dst = b.register(LEN, Access::all());
+        let pattern: Vec<u8> = (0..LEN).map(|i| (i % 251) as u8).collect();
+        a.app_write(src.key, src.addr, &pattern).unwrap();
+        let place = |a: &mut MemoryTable, b: &mut MemoryTable, from: u64, to: u64, len: u64| {
+            let view = a.dma_view(src.key, src.addr + from, len, Access::NONE);
+            let view = DmaSource::Region(view.unwrap());
+            b.dma_write(dst.key, dst.addr + to, view, Access::NONE)
+                .unwrap();
+        };
 
-        let mut t = MemoryTable::new();
-        let old = t.register(LEN, Access::all());
-        t.app_write(old.key, old.addr, &vec![0xAB; LEN]).unwrap();
-        let buffer = ptr(&t, old.key);
-        // A region nobody touched leaves nothing behind.
-        let idle = t.register(LEN, Access::all());
-        t.deregister(idle.key).unwrap();
-        assert_eq!(spare_of_len(), 0);
-        t.deregister(old.key).unwrap();
-        assert_eq!(spare_of_len(), 1);
-
-        // Registering takes nothing; the first touch takes the buffer,
-        // and none of what the last region wrote shows through it.
-        let new = t.register(LEN, Access::all());
-        let mut reference = vec![0u8; LEN];
-        let mut read = vec![1u8; LEN];
-        t.app_read(new.key, new.addr, &mut read).unwrap();
-        assert_eq!((spare_of_len(), &read), (1, &reference));
-        let high = LEN - 9;
-        t.app_write(new.key, new.addr + high as u64, b"tail")
-            .unwrap();
-        reference[high..high + 4].copy_from_slice(b"tail");
-        assert_eq!((spare_of_len(), ptr(&t, new.key)), (0, buffer));
-        t.app_read(new.key, new.addr, &mut read).unwrap();
-        assert!(read == reference, "the gap below a high write reads zero");
-        let view = t.dma_slice(new.key, new.addr, LEN as u64, Access::NONE);
-        assert!(view.unwrap() == reference, "so does a view to the end");
-        // A second region of the length finds the list empty and
-        // allocates its own.
-        let other = t.register(LEN, Access::all());
-        t.app_write(other.key, other.addr, &[1]).unwrap();
-        assert_ne!(ptr(&t, other.key), buffer);
-        drop(t);
-        assert_eq!(spare_of_len(), 2);
-
-        // The list is bounded: the oldest buffers leave first.
-        let mut t = MemoryTable::new();
-        for _ in 0..SPARE_MAX / (16 << 20) {
-            let mr = t.register(16 << 20, Access::all());
-            t.app_write(mr.key, mr.addr, &[1]).unwrap();
+        // Aligned: every page, the short last one too, by reference.
+        place(&mut a, &mut b, 0, 0, LEN as u64);
+        assert_eq!((b.pages_shared(), b.bytes_copied()), (4, LEN as u64));
+        for page in 0..4 {
+            assert_eq!(page_ptr(&a, src, page), page_ptr(&b, dst, page));
         }
-        drop(t);
-        let held: usize = spare().iter().map(Vec::capacity).sum();
-        assert!(held <= SPARE_MAX, "{held} bytes spare");
-        assert_eq!(spare_of_len(), 0);
-        spare().clear();
+        // One byte in on both sides: the head page is copied.
+        place(&mut a, &mut b, 1, 1, LEN as u64 - 1);
+        assert_eq!(b.pages_shared(), 4 + 3);
+        // Offsets that differ within a page: nothing lines up.
+        place(&mut a, &mut b, 0, 1, LEN as u64 - 1);
+        assert_eq!(b.pages_shared(), 7);
+        assert_eq!(a.pages_shared(), 0, "the destination counts");
+        let mut read = vec![0u8; LEN];
+        b.app_read(dst.key, dst.addr, &mut read).unwrap();
+        assert_eq!(read[0], pattern[0]);
+        assert_eq!(read[1..], pattern[..LEN - 1]);
+    }
+
+    #[test]
+    fn copy_on_write_a_shared_page_on_either_side() {
+        let (mut a, mut b) = (MemoryTable::new(), MemoryTable::new());
+        let src = a.register(2 * PAGE_LEN, Access::all());
+        let dst = b.register(2 * PAGE_LEN, Access::all());
+        a.app_write(src.key, src.addr, &[1; 2 * PAGE_LEN]).unwrap();
+        let view = a.dma_view(src.key, src.addr, 2 * PAGE, Access::NONE);
+        b.dma_write(
+            dst.key,
+            dst.addr,
+            DmaSource::Region(view.unwrap()),
+            Access::NONE,
+        )
+        .unwrap();
+        let shared = page_ptr(&a, src, 0);
+        assert_eq!(page_ptr(&b, dst, 0), shared);
+
+        // A partial write copies the page first; a whole one replaces it.
+        a.app_write(src.key, src.addr + 10, &[2]).unwrap();
+        b.app_write(dst.key, dst.addr + PAGE, &[3; PAGE_LEN])
+            .unwrap();
+        assert_ne!(page_ptr(&a, src, 0), shared);
+        assert_eq!(page_ptr(&b, dst, 0), shared, "b still holds the old page");
+        let read = |t: &MemoryTable, mr: MrInfo, at: u64| {
+            let mut byte = [0u8];
+            t.app_read(mr.key, mr.addr + at, &mut byte).unwrap();
+            byte[0]
+        };
+        assert_eq!((read(&a, src, 10), read(&b, dst, 10)), (2, 1));
+        assert_eq!((read(&a, src, PAGE), read(&b, dst, PAGE)), (1, 3));
+        // The last holder of a once-shared page writes it in place.
+        b.app_write(dst.key, dst.addr + 10, &[4]).unwrap();
+        assert_eq!(page_ptr(&b, dst, 0), shared);
     }
 
     #[test]

@@ -12,11 +12,13 @@
 //!   WQE turnaround and one propagation later.
 //! * **Payload bytes** — posting copies nothing. A payload in
 //!   registered memory travels as a description of its source range and
-//!   is copied once, source region to destination region, when the
-//!   message is delivered. Virtual time does not see this: it is host
-//!   work of the model, and the bytes are the same at post time and at
-//!   delivery because the send completion — the application's licence
-//!   to reuse the buffer — is always delivered after the message.
+//!   is placed once, source region to destination region, when the
+//!   message is delivered: every page it covers whole by reference
+//!   (copied on write), the rest by copy ([`crate::mr`]). Virtual time
+//!   does not see this: it is host work of the model, and the bytes are
+//!   the same at post time and at delivery because the send completion
+//!   — the application's licence to reuse the buffer — is always
+//!   delivered after the message.
 //! * **CPU timing** — each node has one simulated core ([`crate::CpuMeter`]).
 //!   Application handlers run when the core is free; every verbs call,
 //!   completion handling step and memory copy charges the core. This is

@@ -17,6 +17,7 @@ use super::node::NodeRuntime;
 use super::run::Ev;
 use super::SimNet;
 use crate::hca::{Effect, PreparedSend};
+use crate::mr::DmaSource;
 use crate::types::{Cqe, NodeId, Result};
 use crate::wire::{WireMessage, WireOp};
 
@@ -310,10 +311,11 @@ fn op_tag(op: &WireOp) -> &'static str {
     }
 }
 
-/// Delivers `msg` to its destination HCA, copying the payload once:
+/// Delivers `msg` to its destination HCA, placing the payload once:
 /// straight from the source node's region when the message only
-/// describes it. Fails, having placed nothing, if that range can no
-/// longer be read. What the delivery produced is appended to `effects`.
+/// describes it, whole pages by reference. Fails, having placed
+/// nothing, if that range can no longer be read. What the delivery
+/// produced is appended to `effects`.
 fn place(nodes: &mut [NodeRuntime], msg: &WireMessage, effects: &mut Vec<Effect>) -> Result<()> {
     let (src, dst) = (msg.src_node().index(), msg.dst_node().index());
     if src == dst {
@@ -321,7 +323,7 @@ fn place(nodes: &mut [NodeRuntime], msg: &WireMessage, effects: &mut Vec<Effect>
         // destination at once, so the payload is staged.
         let hca = &mut nodes[dst].hca;
         let staged = hca.capture_payload(&msg.payload)?;
-        hca.handle_wire(msg, &staged, effects);
+        hca.handle_wire(msg, DmaSource::Slice(&staged), effects);
         return Ok(());
     }
     let (low, high) = nodes.split_at_mut(src.max(dst));
@@ -596,6 +598,49 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A WRITE of whole pages hands them to the receiver by reference;
+    /// the sender then overwrites its buffer at the completion, and the
+    /// receiver still reads the first payload.
+    #[test]
+    fn copy_on_write_the_receiver_keeps_a_payload_the_sender_overwrote() {
+        const BYTES: usize = 2 * 4096;
+        let mut net = SimNet::new();
+        let a = net.add_node(HostModel::free(), HcaConfig::default());
+        let b = net.add_node(HostModel::free(), HcaConfig::default());
+        let link = LinkConfig::simple(100_000_000_000, SimDuration::from_micros(1));
+        net.connect_nodes(a, b, link, 9);
+        let (ha, _) = connect_pair(&mut net, a, b, QpCaps::default(), 64).unwrap();
+        let src = net.with_api(a, |api| {
+            let mr = api.register_mr(BYTES, Access::NONE);
+            api.write_mr(mr.key, mr.addr, &[ORIGINAL; BYTES]).unwrap();
+            mr
+        });
+        let dst = net.with_api(b, |api| {
+            api.register_mr(BYTES, Access::local_remote_write())
+        });
+        let remote = RemoteAddr {
+            addr: dst.addr,
+            rkey: dst.key,
+        };
+        let mut sender = Scribbler {
+            conn: ha,
+            src,
+            wrs: vec![SendWr::write(1, src.full_sge(), remote)],
+            scribbled: false,
+        };
+        net.run(&mut [&mut sender, &mut Drain], SimTime::from_secs(1));
+        assert!(sender.scribbled);
+        assert_eq!(net.with_api(b, |api| api.hca().mem().pages_shared()), 2);
+        let mut read = |node, mr: MrInfo| {
+            let mut buf = vec![0u8; BYTES];
+            net.with_api(node, |api| api.read_mr(mr.key, mr.addr, &mut buf))
+                .unwrap();
+            buf
+        };
+        assert!(read(b, dst).iter().all(|&x| x == ORIGINAL));
+        assert!(read(a, src).iter().all(|&x| x == SCRIBBLE));
     }
 
     /// Counts receive completions.

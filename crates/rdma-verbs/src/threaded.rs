@@ -40,6 +40,7 @@ use std::time::{Duration, Instant};
 use parking_lot::{Condvar, Mutex};
 
 use crate::hca::{Effect, HcaConfig, HcaCore, PreparedSend};
+use crate::mr::DmaSource;
 use crate::types::{CqId, Cqe, NodeId, QpNum, RecvWr, Result, SendWr};
 use crate::wire::{Payload, WireMessage};
 
@@ -460,7 +461,9 @@ fn deliver(node: &ThreadNode, msg: &WireMessage, effects: &mut Vec<Effect>) {
     let Payload::Owned(data) = &msg.payload else {
         unreachable!("every payload is captured at post time")
     };
-    node.hca.lock().handle_wire(msg, data, effects);
+    node.hca
+        .lock()
+        .handle_wire(msg, DmaSource::Slice(data), effects);
 }
 
 /// Applies, and drains, what a delivery at `at` produced; `peer` is the

@@ -9,7 +9,7 @@
 
 use bytes::Bytes;
 
-use crate::mr::MemoryTable;
+use crate::mr::{DmaSource, MemoryTable};
 use crate::types::{Access, MrKey, NodeId, QpNum, Result, Sge};
 
 /// The operation carried by a wire message.
@@ -60,8 +60,9 @@ pub enum WireOp {
 /// A real HCA reads the source buffer as it transmits. The driver of
 /// this model decides when that read happens, and this type carries the
 /// decision: `SimNet` leaves registered-memory payloads as `Source` and
-/// copies them once, source region to destination region, when the
-/// message is delivered; `ThreadNet` delivers under the destination
+/// places them once, source region to destination region (by page
+/// reference where the pages line up), when the message is delivered;
+/// `ThreadNet` delivers under the destination
 /// node's lock alone, where the source node's memory is out of reach,
 /// so it turns every `Source` into `Owned` under the source node's lock
 /// at post time ([`crate::hca::HcaCore::capture_payload`]).
@@ -92,18 +93,18 @@ impl Payload {
         self.len() == 0
     }
 
-    /// The payload bytes without copying them: the message's own, or a
-    /// view of the range a `Source` names in `src_mem`, the source
-    /// node's table — lent mutably, because a view is of backed bytes
-    /// (see [`crate::mr`]). Fails if that range is no longer registered
-    /// (the application broke the posted-buffer contract, or is tearing
-    /// down after a QP error).
-    pub fn resolve<'a>(&'a self, src_mem: &'a mut MemoryTable) -> Result<&'a [u8]> {
+    /// The payload as a placement's source, copying nothing: the
+    /// message's own bytes, or a view of the range a `Source` names in
+    /// `src_mem`, the source node's table — lent mutably, because the
+    /// placement shares the pages it takes (see [`crate::mr`]). Fails if
+    /// that range is no longer registered (the application broke the
+    /// posted-buffer contract, or is tearing down after a QP error).
+    pub fn resolve<'a>(&'a self, src_mem: &'a mut MemoryTable) -> Result<DmaSource<'a>> {
         match self {
-            Payload::Owned(bytes) => Ok(bytes),
-            Payload::Source(sge) => {
-                src_mem.dma_slice(sge.lkey, sge.addr, sge.len as u64, Access::NONE)
-            }
+            Payload::Owned(bytes) => Ok(DmaSource::Slice(bytes)),
+            Payload::Source(sge) => src_mem
+                .dma_view(sge.lkey, sge.addr, sge.len as u64, Access::NONE)
+                .map(DmaSource::Region),
         }
     }
 }

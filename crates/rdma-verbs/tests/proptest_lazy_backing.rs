@@ -1,38 +1,55 @@
-//! Backed-on-first-touch memory against a reference that is not.
+//! Paged, copy-on-write memory against a reference that is neither.
 //!
-//! `MemoryTable` allocates a region's buffer at its first touch and backs
-//! only the prefix something has touched (`mr.rs` module docs; its unit
-//! tests cover a large buffer passing from a dropped region to the
-//! next). Nothing about that may show: random interleavings of every
-//! accessor — writes that start at the highest offset, reads of ranges
-//! never written, copies that overlap within a region, ranges and keys
-//! that must be refused, a slot deregistered and registered again —
+//! `MemoryTable` holds a region's bytes in 4 KiB pages that come with
+//! the first write, and a placement from another region hands over the
+//! pages it covers whole by reference, copying a shared page only when
+//! one side writes it (`mr.rs` module docs). Nothing about that may
+//! show: random interleavings of every accessor on two tables — writes
+//! at page boundaries and beside them, whole and partial pages, reads
+//! of ranges never written, copies that overlap within a region,
+//! placements between the tables that do and do not line up, a region's
+//! short last page, ranges and keys that must be refused, a slot
+//! deregistered (its pages possibly shared) and registered again —
 //! leave the same bytes and return the same results as a plain
-//! `vec![0; len]` per region. What
-//! does show is the cost, and that is pinned too: `backed_bytes` is the
-//! highest byte a write or a view has reached in each region, so a
-//! check or an `app_read` that starts touching memory fails here.
+//! `vec![0; len]` per region.
+//!
+//! What does show is the cost, and that is pinned too, at page
+//! granularity: `backed_bytes` counts each page that is not empty whole
+//! (a region's last page only as long as the region). A write backs the
+//! pages it touches; a page a placement hands over is backed exactly
+//! when its source page is; a partial placement backs a page when a
+//! source page it reads from is backed; reads, views, captures and
+//! checks back nothing. `pages_shared` counts, per destination table,
+//! the pages placed by reference, and `bytes_copied` every placed or
+//! captured byte, shared or not.
 
 use proptest::prelude::*;
-use rdma_verbs::{Access, MemoryTable, MrInfo, MrKey, VerbsError};
+use rdma_verbs::{Access, DmaSource, MemoryTable, MrInfo, MrKey, VerbsError};
 
-/// Lengths of the two regions: small, so offsets collide and ranges
-/// often cross the end.
-const LENS: [usize; 2] = [192, 160];
-/// Offsets and lengths are drawn up to this far past a region's end.
-const SLACK: u64 = 16;
+const PAGE: usize = 4096;
+/// Region lengths: regions 0 and 1 live in table 0, regions 2 and 3 in
+/// table 1. Regions 0 and 2 end in short last pages of one length, so
+/// those pages can be shared; region 3's is a different length.
+const LENS: [usize; 4] = [2 * PAGE + 100, 3 * PAGE, 2 * PAGE + 100, 3 * PAGE + 7];
+
+fn table_of(region: usize) -> usize {
+    region / 2
+}
 
 #[derive(Clone, Copy, Debug)]
 enum Op {
     AppWrite(Range, u8),
     AppRead(Range),
     DmaWrite(Range, u8, usize),
-    DmaSlice(Range, usize),
+    DmaView(Range, usize),
     Capture(Range, usize),
     Check(Range, usize),
-    /// `len` bytes from `src` to `dst_off` of region `dst` (the same
-    /// region, overlapping or not, or the other one).
+    /// `len` bytes from `src` to `dst_off` of region `dst` of the same
+    /// table (the same region, overlapping or not, or the other one).
     LocalCopy(Range, usize, u64),
+    /// A placement of `src` at `dst_off` of region `dst` of the other
+    /// table, requiring the access at the index.
+    Place(Range, usize, u64, usize),
     /// Deregister the region and register its slot again.
     Reregister(usize),
 }
@@ -56,32 +73,66 @@ const ACCESS: [Access; 4] = [
     Access::REMOTE_WRITE,
 ];
 
+/// `pages` whole pages, then mostly nothing, else a step beside the
+/// boundary, a short last page's length or a few bytes.
+fn near_page(pages: u64, jitter: u8) -> u64 {
+    let base = pages * PAGE as u64;
+    match jitter % 6 {
+        0 | 1 => base,
+        2 => base + 1,
+        3 => base.saturating_sub(1),
+        4 => base + 100,
+        _ => base + u64::from(jitter) % 24,
+    }
+}
+
 fn range() -> impl Strategy<Value = Range> {
-    (0usize..2, any::<u64>(), any::<u64>(), 0u32..8).prop_map(|(region, off, len, stale)| {
-        let span = LENS[region] as u64 + SLACK;
-        Range {
-            region,
-            off: off % span,
-            // Mostly short ranges, so that many fit; sometimes any.
-            len: if len % 4 == 0 { len % span } else { len % 24 },
-            stale_key: stale == 0,
-        }
-    })
+    (
+        0usize..LENS.len(),
+        (0u64..4, any::<u8>()),
+        (0u64..4, any::<u8>()),
+        0u32..8,
+        0u32..16,
+    )
+        .prop_map(
+            |(region, (page, jitter), (pages, len_jitter), shape, stale)| {
+                let off = near_page(page, jitter);
+                let len = match shape {
+                    0..=2 => near_page(pages, len_jitter),
+                    // To the region's end, where its last page is.
+                    3 | 4 => (LENS[region] as u64).saturating_sub(off),
+                    _ => u64::from(len_jitter) % 24,
+                };
+                Range {
+                    region,
+                    off,
+                    len,
+                    stale_key: stale == 0,
+                }
+            },
+        )
+}
+
+fn dst_off() -> impl Strategy<Value = u64> {
+    (0u64..4, any::<u8>()).prop_map(|(page, jitter)| near_page(page, jitter))
 }
 
 fn op() -> impl Strategy<Value = Op> {
     let access = 0usize..ACCESS.len();
     prop_oneof![
         4 => (range(), any::<u8>()).prop_map(|(r, seed)| Op::AppWrite(r, seed)),
-        4 => range().prop_map(Op::AppRead),
+        3 => range().prop_map(Op::AppRead),
         4 => (range(), any::<u8>(), access.clone()).prop_map(|(r, seed, a)| Op::DmaWrite(r, seed, a)),
-        3 => (range(), access.clone()).prop_map(|(r, a)| Op::DmaSlice(r, a)),
-        3 => (range(), access.clone()).prop_map(|(r, a)| Op::Capture(r, a)),
-        2 => (range(), access).prop_map(|(r, a)| Op::Check(r, a)),
-        4 => (range(), 0usize..2, any::<u64>()).prop_map(|(r, dst, off)| {
-            Op::LocalCopy(r, dst, off % (LENS[dst] as u64 + SLACK))
+        2 => (range(), access.clone()).prop_map(|(r, a)| Op::DmaView(r, a)),
+        2 => (range(), access.clone()).prop_map(|(r, a)| Op::Capture(r, a)),
+        2 => (range(), access.clone()).prop_map(|(r, a)| Op::Check(r, a)),
+        3 => (range(), 0usize..2, dst_off()).prop_map(|(r, other, off)| {
+            Op::LocalCopy(r, table_of(r.region) * 2 + other, off)
         }),
-        1 => (0usize..2).prop_map(Op::Reregister),
+        6 => (range(), 0usize..2, dst_off(), access).prop_map(|(r, other, off, a)| {
+            Op::Place(r, (1 - table_of(r.region)) * 2 + other, off, a)
+        }),
+        1 => (0usize..LENS.len()).prop_map(Op::Reregister),
     ]
 }
 
@@ -89,19 +140,26 @@ fn fill(seed: u8, len: u64) -> Vec<u8> {
     (0..len).map(|i| (i as u8).wrapping_mul(7) ^ seed).collect()
 }
 
-/// One region of the reference: every byte there from the start.
+/// Length of page `page` of a region of `len` bytes.
+fn page_len(len: usize, page: usize) -> usize {
+    PAGE.min(len - page * PAGE)
+}
+
+/// One region of the reference: every byte there from the start, and
+/// which of its pages the table should be holding.
 struct Plain {
     info: MrInfo,
     stale: MrKey,
     access: Access,
     bytes: Vec<u8>,
-    /// End of the highest range a write or a view has covered.
-    touched: usize,
+    backed: Vec<bool>,
 }
 
 struct Reference {
     regions: Vec<Plain>,
-    copied: u64,
+    /// Per table.
+    copied: [u64; 2],
+    shared: [u64; 2],
 }
 
 impl Reference {
@@ -121,11 +179,65 @@ impl Reference {
         Ok((r.off as usize, (r.off + r.len) as usize))
     }
 
-    fn touch(&mut self, region: usize, from: usize, to: usize) {
-        if to > from {
-            let touched = &mut self.regions[region].touched;
-            *touched = (*touched).max(to);
+    /// Writes `data` at `from` of `region`, backing every page it
+    /// touches.
+    fn write(&mut self, region: usize, from: usize, data: &[u8]) {
+        let plain = &mut self.regions[region];
+        plain.bytes[from..from + data.len()].copy_from_slice(data);
+        if !data.is_empty() {
+            let pages = from / PAGE..(from + data.len()).div_ceil(PAGE);
+            plain.backed[pages].fill(true);
         }
+    }
+
+    /// Places `n` bytes from `from` of region `src` at `to` of region
+    /// `dst` (another region) by the table's page rules; returns the
+    /// pages handed over.
+    fn place(&mut self, src: usize, from: usize, dst: usize, to: usize, n: usize) -> u64 {
+        let moved = self.regions[src].bytes[from..from + n].to_vec();
+        let src_backed = self.regions[src].backed.clone();
+        let src_len = self.regions[src].bytes.len();
+        let plain = &mut self.regions[dst];
+        plain.bytes[to..to + n].copy_from_slice(&moved);
+        let dst_len = plain.bytes.len();
+        let mut shared = 0;
+        let pages = if n == 0 {
+            0..0
+        } else {
+            to / PAGE..(to + n).div_ceil(PAGE)
+        };
+        for page in pages {
+            let (start, end) = (page * PAGE, page * PAGE + page_len(dst_len, page));
+            let (lo, hi) = (start.max(to), end.min(to + n));
+            let (src_lo, src_hi) = (lo - to + from, hi - to + from);
+            let whole = lo == start
+                && hi == end
+                && src_lo % PAGE == 0
+                && page_len(src_len, src_lo / PAGE) == hi - lo;
+            if whole {
+                plain.backed[page] = src_backed[src_lo / PAGE];
+                shared += 1;
+            } else {
+                let read = src_lo / PAGE..src_hi.div_ceil(PAGE);
+                plain.backed[page] |= src_backed[read].contains(&true);
+            }
+        }
+        shared
+    }
+
+    fn backed_bytes(&self, table: usize) -> usize {
+        let regions = self.regions.iter().enumerate();
+        regions
+            .filter(|(i, _)| table_of(*i) == table)
+            .flat_map(|(_, r)| {
+                let len = r.bytes.len();
+                r.backed
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, &b)| b)
+                    .map(move |(page, _)| page_len(len, page))
+            })
+            .sum()
     }
 }
 
@@ -139,13 +251,13 @@ fn key_and_addr(reference: &Reference, r: Range) -> (MrKey, u64) {
     (key, region.info.addr + r.off)
 }
 
-fn register(table: &mut MemoryTable, region: usize, access: Access, stale: MrKey) -> Plain {
+fn register(tables: &mut [MemoryTable; 2], region: usize, access: Access, stale: MrKey) -> Plain {
     Plain {
-        info: table.register(LENS[region], access),
+        info: tables[table_of(region)].register(LENS[region], access),
         stale,
         access,
         bytes: vec![0; LENS[region]],
-        touched: 0,
+        backed: vec![false; LENS[region].div_ceil(PAGE)],
     }
 }
 
@@ -153,34 +265,31 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
-    fn lazily_backed_regions_read_and_refuse_like_plain_vectors(
+    fn paged_regions_read_and_refuse_like_plain_vectors(
         ops in proptest::collection::vec(op(), 1..60),
-        access in (0usize..12, 0usize..12),
+        access in proptest::collection::vec(0usize..12, LENS.len()),
     ) {
         // Most runs grant everything, so that most operations succeed.
         let grant = |i: usize| ACCESS.get(i).copied().unwrap_or(Access::all());
-        let mut table = MemoryTable::new();
+        let mut tables = [MemoryTable::new(), MemoryTable::new()];
         // A key that was never issued stands in for "stale" until the
         // first re-registration.
         let never = MrKey(0xFFF0_0000);
-        let mut reference = Reference {
-            regions: vec![
-                register(&mut table, 0, grant(access.0), never),
-                register(&mut table, 1, grant(access.1), never),
-            ],
-            copied: 0,
-        };
+        let regions = (0..LENS.len())
+            .map(|region| register(&mut tables, region, grant(access[region]), never))
+            .collect();
+        let mut reference = Reference { regions, copied: [0; 2], shared: [0; 2] };
 
         for (step, op) in ops.iter().copied().enumerate() {
             match op {
                 Op::AppWrite(r, seed) => {
                     let data = fill(seed, r.len);
                     let (key, addr) = key_and_addr(&reference, r);
-                    let expect = reference.locate(r, Access::NONE).map(|(from, to)| {
-                        reference.regions[r.region].bytes[from..to].copy_from_slice(&data);
-                        reference.touch(r.region, from, to);
-                    });
-                    prop_assert_eq!(table.app_write(key, addr, &data), expect, "step {}", step);
+                    let expect = reference
+                        .locate(r, Access::NONE)
+                        .map(|(from, _)| reference.write(r.region, from, &data));
+                    let got = tables[table_of(r.region)].app_write(key, addr, &data);
+                    prop_assert_eq!(got, expect, "step {}", step);
                 }
                 Op::AppRead(r) => {
                     let mut buf = vec![0xEE; r.len as usize];
@@ -188,45 +297,47 @@ proptest! {
                     let expect = reference
                         .locate(r, Access::NONE)
                         .map(|(from, to)| reference.regions[r.region].bytes[from..to].to_vec());
-                    let got = table.app_read(key, addr, &mut buf).map(|()| buf);
+                    let got = tables[table_of(r.region)].app_read(key, addr, &mut buf).map(|()| buf);
                     prop_assert_eq!(got, expect, "step {}", step);
                 }
                 Op::DmaWrite(r, seed, required) => {
                     let data = fill(seed, r.len);
                     let (key, addr) = key_and_addr(&reference, r);
-                    let expect = reference.locate(r, ACCESS[required]).map(|(from, to)| {
-                        reference.regions[r.region].bytes[from..to].copy_from_slice(&data);
-                        reference.touch(r.region, from, to);
-                        reference.copied += r.len;
+                    let t = table_of(r.region);
+                    let expect = reference.locate(r, ACCESS[required]).map(|(from, _)| {
+                        reference.write(r.region, from, &data);
+                        reference.copied[t] += r.len;
                     });
-                    let got = table.dma_write(key, addr, &data, ACCESS[required]);
+                    let got = tables[t].dma_write(key, addr, DmaSource::Slice(&data), ACCESS[required]);
                     prop_assert_eq!(got, expect, "step {}", step);
                 }
-                Op::DmaSlice(r, required) | Op::Capture(r, required) => {
+                Op::DmaView(r, required) | Op::Capture(r, required) => {
                     let (key, addr) = key_and_addr(&reference, r);
-                    let expect = reference.locate(r, ACCESS[required]).map(|(from, to)| {
-                        reference.touch(r.region, from, to);
-                        reference.regions[r.region].bytes[from..to].to_vec()
-                    });
+                    let t = table_of(r.region);
+                    let expect = reference
+                        .locate(r, ACCESS[required])
+                        .map(|(from, to)| reference.regions[r.region].bytes[from..to].to_vec());
                     let got = if matches!(op, Op::Capture(..)) {
                         if expect.is_ok() {
-                            reference.copied += r.len;
+                            reference.copied[t] += r.len;
                         }
-                        table.capture(key, addr, r.len, ACCESS[required]).map(|b| b.to_vec())
+                        tables[t].capture(key, addr, r.len, ACCESS[required]).map(|b| b.to_vec())
                     } else {
-                        table.dma_slice(key, addr, r.len, ACCESS[required]).map(<[u8]>::to_vec)
+                        tables[t].dma_view(key, addr, r.len, ACCESS[required]).map(|v| v.to_vec())
                     };
                     prop_assert_eq!(got, expect, "step {}", step);
                 }
                 Op::Check(r, required) => {
                     let (key, addr) = key_and_addr(&reference, r);
                     let expect = reference.locate(r, ACCESS[required]).map(drop);
-                    prop_assert_eq!(table.check(key, addr, r.len, ACCESS[required]), expect);
+                    let got = tables[table_of(r.region)].check(key, addr, r.len, ACCESS[required]);
+                    prop_assert_eq!(got, expect);
                 }
                 Op::LocalCopy(src, dst_region, dst_off) => {
                     let dst = Range { region: dst_region, off: dst_off, ..src };
                     let (src_key, src_addr) = key_and_addr(&reference, src);
                     let (dst_key, dst_addr) = key_and_addr(&reference, dst);
+                    let t = table_of(src.region);
                     // Both keys are looked up before either range.
                     let expect = reference
                         .locate(Range { off: 0, len: 0, ..src }, Access::NONE)
@@ -236,74 +347,134 @@ proptest! {
                             let to = reference.locate(dst, Access::NONE)?;
                             Ok((from, to))
                         })
-                        .map(|((from, from_end), (to, to_end))| {
-                            let moved = reference.regions[src.region].bytes[from..from_end].to_vec();
-                            reference.regions[dst.region].bytes[to..to_end].copy_from_slice(&moved);
-                            reference.touch(src.region, from, from_end);
-                            reference.touch(dst.region, to, to_end);
-                            reference.copied += src.len;
+                        .map(|((from, from_end), (to, _))| {
+                            if src.region == dst.region {
+                                let moved = reference.regions[src.region].bytes[from..from_end].to_vec();
+                                reference.write(dst.region, to, &moved);
+                            } else {
+                                let n = src.len as usize;
+                                reference.shared[t] += reference.place(src.region, from, dst.region, to, n);
+                            }
+                            reference.copied[t] += src.len;
                             src.len
                         });
-                    let got = table.local_copy(src_key, src_addr, dst_key, dst_addr, src.len);
+                    let got = tables[t].local_copy(src_key, src_addr, dst_key, dst_addr, src.len);
+                    prop_assert_eq!(got, expect, "step {}", step);
+                }
+                Op::Place(src, dst_region, dst_off, required) => {
+                    let dst = Range { region: dst_region, off: dst_off, ..src };
+                    let (src_key, src_addr) = key_and_addr(&reference, src);
+                    let (dst_key, dst_addr) = key_and_addr(&reference, dst);
+                    let t = table_of(dst.region);
+                    // The source is viewed before the destination is
+                    // looked up.
+                    let expect = reference.locate(src, Access::NONE).and_then(|(from, _)| {
+                        let (to, _) = reference.locate(dst, ACCESS[required])?;
+                        let n = src.len as usize;
+                        reference.shared[t] += reference.place(src.region, from, dst.region, to, n);
+                        reference.copied[t] += src.len;
+                        Ok(())
+                    });
+                    let [a, b] = &mut tables;
+                    let (from_table, to_table) = if t == 1 { (a, b) } else { (b, a) };
+                    let got = from_table
+                        .dma_view(src_key, src_addr, src.len, Access::NONE)
+                        .and_then(|view| {
+                            let view = DmaSource::Region(view);
+                            to_table.dma_write(dst_key, dst_addr, view, ACCESS[required])
+                        });
                     prop_assert_eq!(got, expect, "step {}", step);
                 }
                 Op::Reregister(region) => {
                     let old = &reference.regions[region];
                     let (stale, access) = (old.info.key, old.access);
-                    prop_assert_eq!(table.deregister(stale), Ok(()));
-                    reference.regions[region] = register(&mut table, region, access, stale);
+                    prop_assert_eq!(tables[table_of(region)].deregister(stale), Ok(()));
+                    reference.regions[region] = register(&mut tables, region, access, stale);
                     prop_assert_ne!(reference.regions[region].info.key, stale);
                 }
             }
 
-            // Every byte of both regions, what has been counted as
-            // moved, and what has been backed.
-            for region in &reference.regions {
+            // Every byte of every region, and per table what has been
+            // counted as moved and shared, and what is backed.
+            for (i, region) in reference.regions.iter().enumerate() {
                 let mut all = vec![0xEE; region.bytes.len()];
-                table.app_read(region.info.key, region.info.addr, &mut all).unwrap();
+                tables[table_of(i)].app_read(region.info.key, region.info.addr, &mut all).unwrap();
                 prop_assert_eq!(&all, &region.bytes, "step {}: {:?}", step, op);
             }
-            prop_assert_eq!(table.bytes_copied(), reference.copied, "step {}", step);
-            let touched: usize = reference.regions.iter().map(|r| r.touched).sum();
-            prop_assert_eq!(table.backed_bytes(), touched, "step {}: {:?}", step, op);
+            for (t, table) in tables.iter().enumerate() {
+                prop_assert_eq!(table.bytes_copied(), reference.copied[t], "step {}", step);
+                prop_assert_eq!(table.pages_shared(), reference.shared[t], "step {}: {:?}", step, op);
+                let backed = reference.backed_bytes(t);
+                prop_assert_eq!(table.backed_bytes(), backed, "step {}: {:?}", step, op);
+            }
         }
     }
 }
 
 /// The order the random script reaches only by luck: the last byte
 /// first, then downwards, then a read across all of it and beyond what
-/// was written.
+/// was written. Each write backs the one page it lands in.
 #[test]
 fn highest_offset_first_writes_then_reads_of_the_gaps() {
     let mut table = MemoryTable::new();
-    let mr = table.register(4096, Access::all());
+    let mr = table.register(3 * PAGE, Access::all());
     assert_eq!(table.backed_bytes(), 0, "registration touches nothing");
-    let mut all = vec![0xEE; 4096];
+    let mut all = vec![0xEE; 3 * PAGE];
     table.app_read(mr.key, mr.addr, &mut all).unwrap();
     assert!(all.iter().all(|&b| b == 0), "an untouched byte reads 0");
     assert_eq!(table.backed_bytes(), 0, "app_read touches nothing");
 
-    table.app_write(mr.key, mr.addr + 4095, &[9]).unwrap();
     table
-        .dma_write(mr.key, mr.addr + 2048, &[7; 16], Access::REMOTE_WRITE)
+        .app_write(mr.key, mr.addr + 3 * PAGE as u64 - 1, &[9])
+        .unwrap();
+    assert_eq!(table.backed_bytes(), PAGE);
+    let at = mr.addr + PAGE as u64 + 2048;
+    let data = DmaSource::Slice(&[7; 16]);
+    table
+        .dma_write(mr.key, at, data, Access::REMOTE_WRITE)
         .unwrap();
     table.app_write(mr.key, mr.addr, &[1, 2, 3]).unwrap();
-    assert_eq!(table.backed_bytes(), 4096);
+    assert_eq!(table.backed_bytes(), 3 * PAGE);
 
-    let mut expect = vec![0u8; 4096];
-    expect[4095] = 9;
-    expect[2048..2064].fill(7);
+    let mut expect = vec![0u8; 3 * PAGE];
+    expect[3 * PAGE - 1] = 9;
+    expect[PAGE + 2048..PAGE + 2064].fill(7);
     expect[..3].copy_from_slice(&[1, 2, 3]);
     table.app_read(mr.key, mr.addr, &mut all).unwrap();
     assert_eq!(all, expect);
 
     // The slot's next occupant starts from nothing again.
     table.deregister(mr.key).unwrap();
-    let again = table.register(4096, Access::all());
+    let again = table.register(3 * PAGE, Access::all());
     assert_eq!(table.backed_bytes(), 0);
     let view = table
-        .dma_slice(again.key, again.addr + 100, 28, Access::NONE)
+        .dma_view(again.key, again.addr + 100, 28, Access::NONE)
         .unwrap();
-    assert_eq!(view, [0u8; 28]);
-    assert_eq!(table.backed_bytes(), 128, "a view is of backed bytes");
+    assert_eq!(view.to_vec(), [0u8; 28]);
+    assert_eq!(table.backed_bytes(), 0, "a view touches nothing");
+}
+
+/// A placement's pages outlive their source: deregistering the region
+/// that was placed from leaves the destination its bytes, and the
+/// destination writes them in place from then on.
+#[test]
+fn a_source_deregistered_after_a_share_leaves_the_destination_its_bytes() {
+    let (mut a, mut b) = (MemoryTable::new(), MemoryTable::new());
+    let src = a.register(2 * PAGE, Access::all());
+    let dst = b.register(2 * PAGE, Access::all());
+    let payload = fill(3, 2 * PAGE as u64);
+    a.app_write(src.key, src.addr, &payload).unwrap();
+    let view = a.dma_view(src.key, src.addr, 2 * PAGE as u64, Access::NONE);
+    let view = DmaSource::Region(view.unwrap());
+    b.dma_write(dst.key, dst.addr, view, Access::NONE).unwrap();
+    assert_eq!(b.pages_shared(), 2);
+
+    a.deregister(src.key).unwrap();
+    let mut read = vec![0u8; 2 * PAGE];
+    b.app_read(dst.key, dst.addr, &mut read).unwrap();
+    assert_eq!(read, payload);
+    b.app_write(dst.key, dst.addr + 5, &[0xAA]).unwrap();
+    b.app_read(dst.key, dst.addr, &mut read).unwrap();
+    assert_eq!((read[5], &read[6..]), (0xAA, &payload[6..]));
+    assert_eq!((a.backed_bytes(), b.backed_bytes()), (0, 2 * PAGE));
 }

@@ -12,7 +12,9 @@
 //! its reference counts in front of the data, so the `Vec`'s buffer
 //! cannot be adopted). Callers holding a slice should therefore pass the
 //! slice, not `to_vec()` it first. [`Bytes::new`], `default()` and
-//! `clone()` neither copy nor allocate.
+//! `clone()` neither copy nor allocate, and `From<Arc<[u8]>>` adopts a
+//! buffer a caller filled in place (a shim-only constructor: the real
+//! crate's zero-copy one is `From<Vec<u8>>`).
 
 #![warn(missing_docs)]
 
@@ -72,6 +74,15 @@ impl AsRef<[u8]> for Bytes {
 impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Self {
         Self::copy_from_slice(&v)
+    }
+}
+
+/// Adopts the buffer: no copy.
+impl From<Arc<[u8]>> for Bytes {
+    fn from(data: Arc<[u8]>) -> Self {
+        Bytes {
+            data: (!data.is_empty()).then_some(data),
+        }
     }
 }
 
