@@ -24,8 +24,8 @@ pub struct ConnHalf {
     pub recv_cq: CqId,
 }
 
-/// Creates CQs and a QP on each node and connects them, RTS on both
-/// sides. `cq_depth` of 0 uses the HCA default.
+/// Creates CQs of `cq_depth` entries and a QP on each node and connects
+/// them, RTS on both sides.
 pub fn connect_pair(
     net: &mut SimNet,
     a: NodeId,

@@ -1,13 +1,13 @@
-//! Completion queues with poll and event-notification semantics.
+//! Completion queues.
 //!
 //! A [`CompletionQueue`] buffers work completions until the application
-//! polls them. The notification model follows verbs: the queue starts
-//! un-armed; `arm()` requests a single notification which fires when the
-//! next completion is pushed (or immediately if completions are already
-//! pending, matching `ibv_req_notify_cq` + the solicited-event race rules
-//! applications must handle). The paper's measurements use event
-//! notification rather than busy polling for large messages (§IV-B), and
-//! the host model charges a wakeup cost per notification.
+//! polls them. It keeps no notification state. The paper's measurements
+//! use event notification rather than busy polling for large messages
+//! (§IV-B); the simulator models that as one wake of the owning node's
+//! app per burst of completions (a completion while a wake is pending
+//! adds none), and the `HostModel` charges the wakeup cost once per
+//! wake. The app drains its CQs on each wake, so there is no arm to
+//! renew and no wake-up to lose.
 
 use std::collections::VecDeque;
 
@@ -18,12 +18,9 @@ pub struct CompletionQueue {
     id: CqId,
     entries: VecDeque<Cqe>,
     capacity: usize,
-    armed: bool,
     /// Set if a push ever found the queue full; surfaced as a hard error
     /// by the driver because a real CQ overrun is fatal to the QP.
     overflowed: bool,
-    total_pushed: u64,
-    total_polled: u64,
     nonempty_polls: u64,
     max_batch: u64,
 }
@@ -35,10 +32,7 @@ impl CompletionQueue {
             id,
             entries: VecDeque::with_capacity(capacity.min(1024)),
             capacity: capacity.max(1),
-            armed: false,
             overflowed: false,
-            total_pushed: 0,
-            total_polled: 0,
             nonempty_polls: 0,
             max_batch: 0,
         }
@@ -49,23 +43,15 @@ impl CompletionQueue {
         self.id
     }
 
-    /// Pushes a completion. Returns `true` if an armed notification fired
-    /// (the arm is consumed).
-    pub fn push(&mut self, cqe: Cqe) -> bool {
+    /// Pushes a completion.
+    pub fn push(&mut self, cqe: Cqe) {
         if self.entries.len() == self.capacity {
             self.overflowed = true;
             // Drop the completion; the driver turns `overflowed` into a
             // fatal error at the next poll.
-            return false;
+            return;
         }
         self.entries.push_back(cqe);
-        self.total_pushed += 1;
-        if self.armed {
-            self.armed = false;
-            true
-        } else {
-            false
-        }
     }
 
     /// Polls up to `max` completions into `out`, returning how many were
@@ -75,31 +61,11 @@ impl CompletionQueue {
         for _ in 0..n {
             out.push(self.entries.pop_front().expect("len checked"));
         }
-        self.total_polled += n as u64;
         if n > 0 {
             self.nonempty_polls += 1;
             self.max_batch = self.max_batch.max(n as u64);
         }
         n
-    }
-
-    /// Requests a notification for the next completion. Returns `true` if
-    /// completions are already pending, in which case the caller should
-    /// treat the notification as immediately fired (the arm is not
-    /// stored) — this mirrors the poll-after-arm pattern required by real
-    /// verbs to avoid losing wakeups.
-    pub fn arm(&mut self) -> bool {
-        if !self.entries.is_empty() {
-            true
-        } else {
-            self.armed = true;
-            false
-        }
-    }
-
-    /// Whether an arm is pending.
-    pub fn is_armed(&self) -> bool {
-        self.armed
     }
 
     /// Number of buffered completions.
@@ -117,19 +83,7 @@ impl CompletionQueue {
         self.overflowed
     }
 
-    /// Completions pushed over the queue's lifetime.
-    pub fn total_pushed(&self) -> u64 {
-        self.total_pushed
-    }
-
-    /// Completions polled over the queue's lifetime.
-    pub fn total_polled(&self) -> u64 {
-        self.total_polled
-    }
-
-    /// Poll calls that returned at least one completion. Together with
-    /// [`CompletionQueue::total_polled`] this gives the mean drain batch
-    /// — the amortization a shared CQ buys a multi-connection poller.
+    /// Poll calls that returned at least one completion.
     pub fn nonempty_polls(&self) -> u64 {
         self.nonempty_polls
     }
@@ -167,26 +121,6 @@ mod tests {
         assert_eq!(out.iter().map(|c| c.wr_id).collect::<Vec<_>>(), [0, 1, 2]);
         assert_eq!(cq.poll(10, &mut out), 2);
         assert_eq!(cq.len(), 0);
-        assert_eq!(cq.total_pushed(), 5);
-        assert_eq!(cq.total_polled(), 5);
-    }
-
-    #[test]
-    fn arm_fires_once_on_next_push() {
-        let mut cq = CompletionQueue::new(CqId(1), 8);
-        assert!(!cq.arm());
-        assert!(cq.is_armed());
-        assert!(cq.push(cqe(1)), "armed push must notify");
-        assert!(!cq.is_armed());
-        assert!(!cq.push(cqe(2)), "second push must not notify");
-    }
-
-    #[test]
-    fn arm_with_pending_fires_immediately() {
-        let mut cq = CompletionQueue::new(CqId(1), 8);
-        cq.push(cqe(1));
-        assert!(cq.arm(), "arm with pending completions reports immediately");
-        assert!(!cq.is_armed());
     }
 
     #[test]

@@ -36,16 +36,12 @@ use crate::wire::{Payload, WireMessage, WireOp};
 pub struct HcaConfig {
     /// Per-WQE processing latency (doorbell to wire handoff).
     pub wqe_process: SimDuration,
-    /// Default CQ capacity used by [`HcaCore::create_cq`] callers that do
-    /// not specify one.
-    pub default_cq_depth: usize,
 }
 
 impl Default for HcaConfig {
     fn default() -> Self {
         HcaConfig {
             wqe_process: SimDuration::from_nanos(250),
-            default_cq_depth: 4096,
         }
     }
 }
@@ -53,21 +49,20 @@ impl Default for HcaConfig {
 /// Side effects produced by HCA processing, applied by the driver.
 #[derive(Debug)]
 pub enum Effect {
-    /// A completion was queued on `cq`; `notify` is true if an armed
-    /// notification fired with it.
-    Completion {
-        /// Queue that received the completion.
-        cq: CqId,
-        /// True if the CQ was armed and the arm was consumed.
-        notify: bool,
-    },
+    /// A completion was queued. The driver wakes what waits on the node
+    /// (on `SimNet`, one app wake per burst of completions), and the
+    /// woken code polls its CQs to find it.
+    Completion,
     /// The HCA originated a wire message itself (RDMA READ response);
     /// the driver must run it through the transmit pipeline.
     Transmit(WireMessage),
     /// Unrecoverable protocol violation (receiver-not-ready, remote
     /// access error). A real HCA would move the QP to the error state
     /// after retries; the simulator surfaces it to the driver, which by
-    /// default treats it as a test failure.
+    /// default treats it as a test failure (`SimNet::fatal_errors`
+    /// collects it instead when asked). A message lost on the way is
+    /// not one: `SimNet` counts it by cause (`SimNet::losses`) and fails
+    /// the sender's QP.
     Fatal {
         /// The violated QP.
         qpn: QpNum,
@@ -184,15 +179,17 @@ impl HcaCore {
         self.polls_executed
     }
 
-    /// Creates a completion queue of the given depth (0 uses the
-    /// configured default).
+    /// Creates a completion queue of `depth` entries.
+    ///
+    /// # Panics
+    /// Panics if `depth` is 0. A CQ is sized by the work its QPs can
+    /// have outstanding: `ExsConfig::cq_depth` for a stream endpoint.
     pub fn create_cq(&mut self, depth: usize) -> CqId {
+        assert!(
+            depth > 0,
+            "create_cq: depth must be positive; size it with ExsConfig::cq_depth"
+        );
         let id = CqId(self.cqs.len() as u32 + 1);
-        let depth = if depth == 0 {
-            self.cfg.default_cq_depth
-        } else {
-            depth
-        };
         self.cqs.push(CompletionQueue::new(id, depth));
         id
     }
@@ -256,12 +253,6 @@ impl HcaCore {
             "completion queue {cq:?} overflowed: the ULP posted more work than CQ depth"
         );
         Ok(q.poll(max, out))
-    }
-
-    /// Arms `cq` for one notification. Returns `true` if completions are
-    /// already pending (caller should poll immediately).
-    pub fn arm_cq(&mut self, cq: CqId) -> Result<bool> {
-        Ok(self.cq_mut(cq)?.arm())
     }
 
     /// Forces a QP into the error state (fault injection: cable pull,
@@ -460,8 +451,8 @@ impl HcaCore {
     }
 
     fn push_cqe(&mut self, cq: CqId, cqe: Cqe, effects: &mut Vec<Effect>) {
-        let notify = self.cqs[index_of(cq.0)].push(cqe);
-        effects.push(Effect::Completion { cq, notify });
+        self.cqs[index_of(cq.0)].push(cqe);
+        effects.push(Effect::Completion);
     }
 
     /// Processes an arriving wire message, appending the completions,
@@ -678,10 +669,10 @@ mod tests {
     fn pair() -> (HcaCore, HcaCore, QpNum, QpNum, (CqId, CqId), (CqId, CqId)) {
         let mut a = HcaCore::new(NodeId(0), HcaConfig::default());
         let mut b = HcaCore::new(NodeId(1), HcaConfig::default());
-        let a_scq = a.create_cq(0);
-        let a_rcq = a.create_cq(0);
-        let b_scq = b.create_cq(0);
-        let b_rcq = b.create_cq(0);
+        let a_scq = a.create_cq(64);
+        let a_rcq = a.create_cq(64);
+        let b_scq = b.create_cq(64);
+        let b_rcq = b.create_cq(64);
         let qa = a.create_qp(a_scq, a_rcq, QpCaps::default()).unwrap();
         let qb = b.create_qp(b_scq, b_rcq, QpCaps::default()).unwrap();
         a.connect_qp(qa, (NodeId(1), qb)).unwrap();
@@ -717,7 +708,7 @@ mod tests {
         // Simulate transmission finishing, then delivery.
         let mut fx = Vec::new();
         a.tx_finished(qa, prep.completion, &mut fx);
-        assert!(matches!(fx[0], Effect::Completion { cq, .. } if cq == a_scq));
+        assert!(matches!(fx[0], Effect::Completion));
         let send_cqes = drain(&mut a, a_scq);
         assert_eq!(send_cqes.len(), 1);
         assert_eq!(send_cqes[0].wr_id, 11);
@@ -907,7 +898,7 @@ mod tests {
 
         // Requester consumes the response.
         let fx = deliver(&mut b, &mut a, resp);
-        assert!(matches!(fx[0], Effect::Completion { cq, .. } if cq == a_scq));
+        assert!(matches!(fx[0], Effect::Completion));
         assert_eq!(a.qp(qa).unwrap().sq_outstanding(), 0);
         let cqes = drain(&mut a, a_scq);
         assert_eq!(cqes[0].wr_id, 9);
@@ -1035,27 +1026,5 @@ mod tests {
             b.post_recv(qb, RecvWr::new(1, Sge::new(0, 1, MrKey(999)))),
             Err(VerbsError::UnknownKey(_))
         ));
-    }
-
-    #[test]
-    fn arm_and_notify_cycle() {
-        let (mut a, mut b, qa, qb, _, (_, b_rcq)) = pair();
-        let src = a.register_mr(8, Access::NONE);
-        let dst = b.register_mr(8, Access::LOCAL_WRITE);
-        b.post_recv(qb, RecvWr::new(1, dst.full_sge())).unwrap();
-        b.post_recv(qb, RecvWr::new(2, dst.full_sge())).unwrap();
-        assert!(!b.arm_cq(b_rcq).unwrap());
-
-        let prep = a.prepare_send(qa, SendWr::send(1, src.sge(0, 8))).unwrap();
-        let fx = deliver(&mut a, &mut b, &prep.msg);
-        assert!(matches!(fx[0], Effect::Completion { notify: true, .. }));
-
-        // Second completion without re-arming does not notify.
-        let prep = a.prepare_send(qa, SendWr::send(2, src.sge(0, 8))).unwrap();
-        let fx = deliver(&mut a, &mut b, &prep.msg);
-        assert!(matches!(fx[0], Effect::Completion { notify: false, .. }));
-
-        // Arming with pending completions reports immediately.
-        assert!(b.arm_cq(b_rcq).unwrap());
     }
 }

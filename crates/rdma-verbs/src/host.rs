@@ -131,10 +131,6 @@ pub struct CpuMeter {
     free_at: SimTime,
     /// Total busy time ever charged.
     busy_total: SimDuration,
-    /// Busy time charged since the last `window_reset`.
-    busy_window: SimDuration,
-    /// Start of the measurement window.
-    window_start: SimTime,
 }
 
 impl Default for CpuMeter {
@@ -149,8 +145,6 @@ impl CpuMeter {
         CpuMeter {
             free_at: SimTime::ZERO,
             busy_total: SimDuration::ZERO,
-            busy_window: SimDuration::ZERO,
-            window_start: SimTime::ZERO,
         }
     }
 
@@ -167,7 +161,6 @@ impl CpuMeter {
         let end = start + work;
         self.free_at = end;
         self.busy_total += work;
-        self.busy_window += work;
         end
     }
 
@@ -176,20 +169,13 @@ impl CpuMeter {
         self.busy_total
     }
 
-    /// Resets the measurement window at `now`.
-    pub fn window_reset(&mut self, now: SimTime) {
-        self.busy_window = SimDuration::ZERO;
-        self.window_start = now;
-    }
-
-    /// CPU usage over the current window, as a fraction in `[0, 1]`.
-    /// `now` must be at or after the window start.
+    /// CPU usage over the run so far, from time zero to `now`, as a
+    /// fraction in `[0, 1]`: 0 at time zero.
     pub fn usage(&self, now: SimTime) -> f64 {
-        let elapsed = now.saturating_duration_since(self.window_start);
-        if elapsed.is_zero() {
+        if now == SimTime::ZERO {
             return 0.0;
         }
-        (self.busy_window.as_secs_f64() / elapsed.as_secs_f64()).min(1.0)
+        (self.busy_total.as_secs_f64() / now.as_secs_f64()).min(1.0)
     }
 }
 
@@ -250,11 +236,6 @@ mod tests {
         // 300 busy out of 1000 elapsed.
         let u = cpu.usage(SimTime::from_nanos(1000));
         assert!((u - 0.3).abs() < 1e-9);
-        cpu.window_reset(SimTime::from_nanos(1000));
-        assert_eq!(cpu.usage(SimTime::from_nanos(2000)), 0.0);
-        cpu.charge(SimTime::from_nanos(1000), SimDuration::from_nanos(500));
-        let u2 = cpu.usage(SimTime::from_nanos(2000));
-        assert!((u2 - 0.5).abs() < 1e-9);
     }
 
     #[test]

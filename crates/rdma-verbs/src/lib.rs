@@ -50,7 +50,7 @@ pub use host::{CpuMeter, HostModel};
 pub use mr::{DmaSource, MemoryTable, MrInfo};
 pub use profiles::HwProfile;
 pub use qp::{QpCaps, QpState, QueuePair};
-pub use sim::{NodeApi, NodeApp, RunOutcome, SimNet};
+pub use sim::{Losses, NodeApi, NodeApp, RunOutcome, SimNet};
 pub use simnet::fabric::{FabricModel, FabricStats, FairShareConfig, FlowStats};
 pub use threaded::{ThreadNet, ThreadNode};
 pub use types::{

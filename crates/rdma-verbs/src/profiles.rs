@@ -52,7 +52,6 @@ pub fn fdr_infiniband() -> HwProfile {
         },
         hca: HcaConfig {
             wqe_process: SimDuration::from_nanos(230),
-            default_cq_depth: 1 << 16,
         },
         host: HostModel {
             // ~3.2 GiB/s effective for cache-missing copy in + copy out
@@ -113,7 +112,6 @@ pub fn roce_10g(one_way_delay: SimDuration) -> HwProfile {
         },
         hca: HcaConfig {
             wqe_process: SimDuration::from_nanos(350),
-            default_cq_depth: 1 << 16,
         },
         host: HostModel {
             // Older host: slower copies, slower posts.
@@ -183,7 +181,6 @@ pub fn ideal() -> HwProfile {
         },
         hca: HcaConfig {
             wqe_process: SimDuration::ZERO,
-            default_cq_depth: 1 << 16,
         },
         host: HostModel::free(),
     }

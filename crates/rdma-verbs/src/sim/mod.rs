@@ -24,11 +24,15 @@
 //!   completion handling step and memory copy charges the core. This is
 //!   what makes the receiver's copy cost visible as reduced throughput
 //!   and increased CPU usage, the paper's central trade-off.
-//! * **Wakeups** — completions wake the owning node's app (edge
-//!   triggered, like an armed completion channel). Apps are expected to
-//!   drain their CQs on each wake; the wakeup overhead is charged once
-//!   per wake, modelling event notification rather than busy polling
-//!   (the mode used by the paper's measurements).
+//! * **Wakeups** — a burst of completions wakes the owning node's app
+//!   once: a completion while a wake is pending schedules no other.
+//!   Apps are expected to drain their CQs on each wake; the wakeup
+//!   overhead is charged once per wake, modelling event notification
+//!   rather than busy polling (the mode used by the paper's
+//!   measurements). There is no arm state to renew.
+//! * **Losses** — a message that cannot be placed (its link is down, or
+//!   its source range is gone) is counted by cause in
+//!   [`SimNet::losses`] and fails its sender's QP a retry period later.
 //!
 //! One file per seam: this one is the set-up, inspection and
 //! fault-injection surface of [`SimNet`]; `run` is the event loop;
@@ -41,10 +45,10 @@ mod path;
 mod run;
 
 pub use node::NodeApi;
+pub use path::Losses;
 pub use run::{NodeApp, RunOutcome};
 
 use simnet::fabric::{FabricModel, FabricStats, FairShareFabric};
-use simnet::trace::TraceRing;
 use simnet::{Link, LinkConfig, SimDuration, SimTime, Xoshiro256};
 
 use crate::hca::{Effect, HcaConfig, HcaCore};
@@ -60,7 +64,7 @@ pub struct SimNet {
     fatal: Vec<String>,
     panic_on_fatal: bool,
     host_seed: u64,
-    trace: TraceRing,
+    losses: Losses,
     /// What the event being handled produced; filled by the HCA, drained
     /// by `apply_effects`, and reused so the per-event path allocates
     /// nothing for it.
@@ -82,21 +86,9 @@ impl SimNet {
             fatal: Vec::new(),
             panic_on_fatal: true,
             host_seed: 0x5EED,
-            trace: TraceRing::disabled(),
+            losses: Losses::default(),
             effects: Vec::new(),
         }
-    }
-
-    /// Enables event tracing, retaining the last `capacity` records.
-    /// Dump with [`SimNet::dump_trace`]; invaluable when a protocol run
-    /// misbehaves.
-    pub fn enable_trace(&mut self, capacity: usize) {
-        self.trace = TraceRing::new(capacity);
-    }
-
-    /// Renders the retained trace, one event per line.
-    pub fn dump_trace(&self) -> String {
-        self.trace.dump()
     }
 
     /// Sets the seed for host-side CPU jitter streams. Must be called
@@ -127,16 +119,10 @@ impl SimNet {
             self.fabric.links.is_empty(),
             "set_fabric must precede connect_nodes"
         );
-        self.fabric.fair = match &model {
+        self.fabric.fair = match model {
             FabricModel::Fifo => None,
-            FabricModel::FairShare(cfg) => Some(FairShareFabric::new(cfg.clone())),
+            FabricModel::FairShare(cfg) => Some(FairShareFabric::new(cfg)),
         };
-        self.fabric.model = model;
-    }
-
-    /// The active bandwidth-contention model.
-    pub fn fabric_model(&self) -> &FabricModel {
-        &self.fabric.model
     }
 
     /// Per-flow telemetry from the fair-share allocator (achieved bps,
@@ -185,12 +171,17 @@ impl SimNet {
         &self.fatal
     }
 
+    /// Messages lost so far, by cause.
+    pub fn losses(&self) -> Losses {
+        self.losses
+    }
+
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
         self.fabric.sched.now()
     }
 
-    /// CPU usage of `node` over its current measurement window.
+    /// CPU usage of `node` over the run so far.
     pub fn cpu_usage(&self, node: NodeId) -> f64 {
         self.nodes[node.index()].cpu.usage(self.fabric.sched.now())
     }
@@ -198,15 +189,6 @@ impl SimNet {
     /// Total busy time charged to `node`.
     pub fn cpu_busy_total(&self, node: NodeId) -> SimDuration {
         self.nodes[node.index()].cpu.busy_total()
-    }
-
-    /// Payload bytes carried so far on the directed link `a → b`.
-    pub fn link_bytes(&self, a: NodeId, b: NodeId) -> u64 {
-        self.fabric
-            .links
-            .get(a.0, b.0)
-            .map(|l| l.link.bytes_sent())
-            .unwrap_or(0)
     }
 
     /// Fault injection: takes the *directed* link `a → b` down or up.
@@ -391,7 +373,6 @@ mod tests {
     fn fifo_mode_reports_no_fabric_stats() {
         let net = SimNet::new();
         assert!(net.fabric_stats().is_none());
-        assert_eq!(net.fabric_model(), &FabricModel::Fifo);
     }
 
     #[test]

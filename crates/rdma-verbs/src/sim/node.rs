@@ -270,11 +270,6 @@ impl<'a> NodeApi<'a> {
         self.cpu_now = self.rt.cpu.charge(self.cpu_now, work);
     }
 
-    /// Arms a CQ for one notification.
-    pub fn arm_cq(&mut self, cq: CqId) -> Result<bool> {
-        self.rt.hca.arm_cq(cq)
-    }
-
     /// Writes application data into registered memory without charging
     /// CPU (setup/fill outside the measured path).
     pub fn write_mr(&mut self, key: MrKey, addr: u64, data: &[u8]) -> Result<()> {

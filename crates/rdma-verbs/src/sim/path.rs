@@ -10,7 +10,7 @@
 //! event loop). Everything a message needs on the way — the event queue,
 //! the per-pair links, the contention model — is one value, [`FabricRt`].
 
-use simnet::fabric::{FabricModel, FairShareFabric, FlowKey, Transfer};
+use simnet::fabric::{FairShareFabric, FlowKey, Transfer};
 use simnet::{EventId, Link, Scheduler, SimDuration, SimTime, Slab};
 
 use super::node::NodeRuntime;
@@ -19,7 +19,7 @@ use super::SimNet;
 use crate::hca::{Effect, PreparedSend};
 use crate::mr::DmaSource;
 use crate::types::{Cqe, NodeId, Result};
-use crate::wire::{WireMessage, WireOp};
+use crate::wire::WireMessage;
 
 /// The directed link `src → dst` and the driver state kept per node
 /// pair.
@@ -100,7 +100,6 @@ struct InFlight {
 pub(super) struct FabricRt {
     pub(super) sched: Scheduler<Ev>,
     pub(super) links: LinkTable,
-    pub(super) model: FabricModel,
     /// The flow allocator; `None` in FIFO mode, where messages take the
     /// `Link::transit` path and `pending` stays empty.
     pub(super) fair: Option<FairShareFabric>,
@@ -113,7 +112,6 @@ impl FabricRt {
         FabricRt {
             sched: Scheduler::new(),
             links: LinkTable::default(),
-            model: FabricModel::Fifo,
             fair: None,
             pending: Slab::new(),
         }
@@ -175,10 +173,7 @@ impl FabricRt {
             .msg;
         let (src, dst) = (msg.src_node(), msg.dst_node());
         let payload = msg.payload_len();
-        let link = &mut self.links.expect_mut(src.0, dst.0).link;
-        // Utilisation gauges still live on the per-pair link; timing
-        // moves to the allocator.
-        link.account(payload);
+        let link = &self.links.expect_mut(src.0, dst.0).link;
         let wire_bytes = link.config().wire_bytes(payload);
         let fair = self.fair.as_mut().expect("fair-share mode");
         let changes = fair.submit(
@@ -258,6 +253,20 @@ fn apply_flow_changes(
 /// (7 retries × a few ms on real hardware; one representative value).
 const RETRY_PERIOD: SimDuration = SimDuration::from_millis(20);
 
+simnet::stats! {
+    /// Messages a [`SimNet`] lost at delivery, by cause. Each one fails
+    /// its sender's QP a retry period later.
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+    pub struct Losses {
+        /// Sent while fault injection had the link down.
+        sum link_down: u64,
+        /// The posted source range was no longer registered at
+        /// delivery: the sender tore down after a QP error, or broke
+        /// the posted-buffer contract.
+        sum source_unreadable: u64,
+    }
+}
+
 impl SimNet {
     /// `msg` is at the far end of its link: place it, or lose it and
     /// fail the sender's QP a retry period later.
@@ -265,49 +274,20 @@ impl SimNet {
         let (src, dst) = (msg.src_node(), msg.dst_node());
         // The link is checked first: a message lost on the wire never
         // has its source read.
-        let lost = if self.fabric.links.get(src.0, dst.0).is_some_and(|l| l.down) {
-            "link down"
+        if self.fabric.links.get(src.0, dst.0).is_some_and(|l| l.down) {
+            self.losses.link_down += 1;
+        } else if place(&mut self.nodes, &msg, &mut self.effects).is_ok() {
+            self.apply_effects(dst, now);
+            return;
         } else {
-            if self.trace.is_enabled() {
-                let what = format!(
-                    "{src:?}->{dst:?} {} len={}",
-                    op_tag(&msg.op),
-                    msg.payload_len()
-                );
-                self.trace.push(now, "deliver", what);
-            }
-            match place(&mut self.nodes, &msg, &mut self.effects) {
-                Ok(()) => {
-                    self.apply_effects(dst, now);
-                    return;
-                }
-                // The posted range is no longer registered: the sender
-                // is tearing down after a QP error, or broke the
-                // posted-buffer contract.
-                Err(_) => "source unreadable",
-            }
-        };
+            self.losses.source_unreadable += 1;
+        }
         // RC would retransmit and give up after the retry period: fail
         // the sender QP.
-        if self.trace.is_enabled() {
-            let what = format!("{src:?}->{dst:?} {} ({lost})", op_tag(&msg.op));
-            self.trace.push(now, "dropped", what);
-        }
         let (node, qpn) = msg.src;
         self.fabric
             .sched
             .schedule_after(RETRY_PERIOD, Ev::QpFail { node, qpn });
-    }
-}
-
-/// Short label for a wire operation in trace output.
-fn op_tag(op: &WireOp) -> &'static str {
-    match op {
-        WireOp::Send { .. } => "send",
-        WireOp::Write { .. } => "write",
-        WireOp::WriteImm { .. } => "write-imm",
-        WireOp::ReadReq { .. } => "read-req",
-        WireOp::ReadResp { .. } => "read-resp",
     }
 }
 
@@ -352,14 +332,14 @@ mod tests {
     use crate::mr::MrInfo;
     use crate::qp::QpCaps;
     use crate::types::{Access, CqId, RecvWr, RemoteAddr, SendOpcode, SendWr};
-    use simnet::fabric::FairShareConfig;
+    use simnet::fabric::{FabricModel, FairShareConfig};
     use simnet::LinkConfig;
 
     #[test]
     fn fair_share_ping_delivers_all_and_accounts_bytes() {
         // The FIFO ping test, re-run under the fair-share fabric: same
-        // deliveries, same per-pair byte accounting, and the allocator
-        // reports one active-then-drained flow per direction used.
+        // deliveries, nothing lost, and the allocator reports one
+        // active-then-drained flow per direction used.
         let mut net = SimNet::new();
         net.set_fabric(FabricModel::FairShare(FairShareConfig::new(7)));
         let (a, b) = build_pair(&mut net);
@@ -369,7 +349,7 @@ mod tests {
         assert!(outcome.completed, "run did not finish: {outcome:?}");
         assert_eq!(pinger.completions, 10);
         assert_eq!(ponger.received, 10);
-        assert_eq!(net.link_bytes(a, b), 640, "gauges survive the fair path");
+        assert_eq!(net.losses(), Losses::default());
         let stats = net.fabric_stats().expect("fair-share telemetry");
         let fwd = stats
             .flows
@@ -549,7 +529,6 @@ mod tests {
         let (hca, propagation) = if zero_latency {
             let hca = HcaConfig {
                 wqe_process: SimDuration::ZERO,
-                ..HcaConfig::default()
             };
             (hca, SimDuration::ZERO)
         } else {
@@ -660,7 +639,6 @@ mod tests {
     #[test]
     fn message_in_flight_is_lost_when_its_source_is_deregistered_after_a_qp_error() {
         let mut p = pair();
-        p.net.enable_trace(64);
         let wr = p.wr(SendOpcode::RdmaWriteImm, 0);
         let (a, b) = (p.a, p.b);
         p.net
@@ -686,11 +664,8 @@ mod tests {
         assert!(p.dst_bytes().iter().all(|&b| b == 0), "no stale bytes");
         assert_eq!(p.bytes_copied(), 0);
         assert!(p.net.fatal_errors().is_empty());
-        assert!(
-            p.net.dump_trace().contains("(source unreadable)"),
-            "{}",
-            p.net.dump_trace()
-        );
+        let losses = p.net.losses();
+        assert_eq!((losses.source_unreadable, losses.link_down), (1, 0));
         let rq_left = p.net.with_api(b.node, |api| api.rq_len(b.qpn));
         assert_eq!(rq_left, 1, "the receive was not consumed");
     }
@@ -698,7 +673,6 @@ mod tests {
     #[test]
     fn downed_link_drops_without_reading_the_source() {
         let mut p = pair();
-        p.net.enable_trace(64);
         let (a, b) = (p.a, p.b);
         p.net.set_link_up(a.node, b.node, false);
         let wr = p.wr(SendOpcode::Send, 0);
@@ -713,9 +687,8 @@ mod tests {
             .unwrap();
         p.net
             .run(&mut [&mut Drain, &mut Drain], SimTime::from_secs(1));
-        let trace = p.net.dump_trace();
-        assert!(trace.contains("(link down)"), "{trace}");
-        assert!(!trace.contains("(source unreadable)"), "{trace}");
+        let losses = p.net.losses();
+        assert_eq!((losses.link_down, losses.source_unreadable), (1, 0));
         assert_eq!(p.bytes_copied(), 0);
         assert!(p.dst_bytes().iter().all(|&b| b == 0));
         // Retry exhaustion failed the sender QP.

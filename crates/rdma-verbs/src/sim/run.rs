@@ -129,9 +129,6 @@ impl SimNet {
                     self.apply_effects(node, now);
                 }
                 Ev::Wake { node } => {
-                    if self.trace.is_enabled() {
-                        self.trace.push(now, "wake", format!("{node:?}"));
-                    }
                     let mut api = NodeApi::on(self, node).woken();
                     apps[node.index()].on_wake(&mut api);
                 }
@@ -165,7 +162,7 @@ impl SimNet {
         let rt = &mut self.nodes[node.index()];
         for effect in effects.drain(..) {
             match effect {
-                Effect::Completion { .. } => schedule_wake(rt, &mut self.fabric.sched, node, now),
+                Effect::Completion => schedule_wake(rt, &mut self.fabric.sched, node, now),
                 Effect::Transmit(msg) => {
                     // Responder-generated message (RDMA READ response):
                     // the HCA emits it without CPU involvement, and it
@@ -211,6 +208,7 @@ mod tests {
     use crate::hca::HcaConfig;
     use crate::host::HostModel;
     use crate::qp::QpCaps;
+    use crate::sim::Losses;
     use crate::types::{Access, CqId, RecvWr, RemoteAddr, SendWr};
     use simnet::fabric::{FabricModel, FairShareConfig};
     use simnet::SimDuration;
@@ -224,7 +222,7 @@ mod tests {
         assert!(outcome.completed, "run did not finish: {outcome:?}");
         assert_eq!(pinger.completions, 10);
         assert_eq!(ponger.received, 10);
-        assert_eq!(net.link_bytes(a, b), 640);
+        assert_eq!(net.losses(), Losses::default());
         // Time passed: 10 messages through a 1 us link.
         assert!(net.now() > SimTime::from_micros(1));
     }
@@ -454,12 +452,7 @@ mod tests {
         for (class, fifo, fair) in expected {
             for (model, per_msg) in [(&FabricModel::Fifo, fifo), (&fair_share, fair)] {
                 let more = events_of(model, class, 2 * N) - events_of(model, class, N);
-                assert_eq!(
-                    (more / N, more % N),
-                    (per_msg, 0),
-                    "{class:?} on {}",
-                    model.name()
-                );
+                assert_eq!((more / N, more % N), (per_msg, 0), "{class:?} on {model:?}");
             }
         }
     }

@@ -477,7 +477,7 @@ fn apply_effects(
     let mut completed = false;
     for effect in effects.drain(..) {
         match effect {
-            Effect::Completion { .. } => completed = true,
+            Effect::Completion => completed = true,
             Effect::Transmit(msg) => {
                 // RDMA READ response: deliver synchronously to the
                 // requester, under the delivery lock of the request's

@@ -42,16 +42,6 @@ pub enum FabricModel {
     FairShare(FairShareConfig),
 }
 
-impl FabricModel {
-    /// Short stable name for reports (`"fifo"` / `"fair_share"`).
-    pub fn name(&self) -> &'static str {
-        match self {
-            FabricModel::Fifo => "fifo",
-            FabricModel::FairShare(_) => "fair_share",
-        }
-    }
-}
-
 /// Configuration for [`FabricModel::FairShare`].
 ///
 /// The RNG seed is **explicit** here (rather than implied by link

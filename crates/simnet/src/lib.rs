@@ -21,9 +21,7 @@
 //!   via [`fabric::FabricModel`],
 //! * a small, fast, seedable RNG ([`rng::SplitMix64`] and
 //!   [`rng::Xoshiro256`]) so that every simulation run is reproducible
-//!   from a single `u64` seed,
-//! * an optional bounded event trace ([`trace::TraceRing`]) used by tests
-//!   and debugging tools.
+//!   from a single `u64` seed.
 //!
 //! The engine is intentionally single-threaded: determinism is what lets
 //! the benchmark harnesses regenerate the paper's figures bit-for-bit
@@ -42,7 +40,6 @@ pub mod rng;
 pub mod slab;
 pub mod stats;
 pub mod time;
-pub mod trace;
 
 pub use event::{EventId, Scheduler};
 pub use fabric::{FabricModel, FabricStats, FairShareConfig, FairShareFabric, FlowStats, Transfer};

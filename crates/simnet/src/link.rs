@@ -78,16 +78,12 @@ impl LinkConfig {
 pub struct Link {
     config: LinkConfig,
     /// The earliest time the transmitter is free to start a new frame.
-    tx_free_at: SimTime,
+    idle_at: SimTime,
     /// The arrival time of the most recently delivered message; later
     /// messages never arrive before this (FIFO clamp under jitter).
     last_arrival: SimTime,
     /// Jitter RNG; deterministic per link.
     rng: Xoshiro256,
-    /// Total payload bytes accepted (for utilisation reporting).
-    bytes_sent: u64,
-    /// Total messages accepted.
-    messages_sent: u64,
 }
 
 impl Link {
@@ -96,11 +92,9 @@ impl Link {
     pub fn new(config: LinkConfig, seed: u64) -> Self {
         Link {
             config,
-            tx_free_at: SimTime::ZERO,
+            idle_at: SimTime::ZERO,
             last_arrival: SimTime::ZERO,
             rng: Xoshiro256::new(seed),
-            bytes_sent: 0,
-            messages_sent: 0,
         }
     }
 
@@ -116,9 +110,9 @@ impl Link {
     /// Successive calls must use non-decreasing `now` values (the DES
     /// driver guarantees this); results are strictly FIFO.
     pub fn transit(&mut self, now: SimTime, payload: u64) -> SimTime {
-        let start = now.max(self.tx_free_at);
+        let start = now.max(self.idle_at);
         let departed = start + self.config.tx_time(payload);
-        self.tx_free_at = departed;
+        self.idle_at = departed;
         let mut arrival = departed + self.config.propagation;
         if !self.config.jitter.is_zero() {
             let extra = self.rng.next_below(self.config.jitter.as_nanos() + 1);
@@ -127,33 +121,7 @@ impl Link {
         // FIFO clamp: reliable connected transport never reorders.
         arrival = arrival.max(self.last_arrival);
         self.last_arrival = arrival;
-        self.bytes_sent += payload;
-        self.messages_sent += 1;
         arrival
-    }
-
-    /// Earliest time the transmitter can begin a new frame.
-    pub fn tx_free_at(&self) -> SimTime {
-        self.tx_free_at
-    }
-
-    /// Bumps the utilisation counters without serializing on the
-    /// transmitter. The fair-share fabric model owns timing for its
-    /// transfers but still reports per-pair byte counts through the
-    /// link's gauges.
-    pub fn account(&mut self, payload: u64) {
-        self.bytes_sent += payload;
-        self.messages_sent += 1;
-    }
-
-    /// Total payload bytes accepted so far.
-    pub fn bytes_sent(&self) -> u64 {
-        self.bytes_sent
-    }
-
-    /// Total messages accepted so far.
-    pub fn messages_sent(&self) -> u64 {
-        self.messages_sent
     }
 }
 
@@ -239,16 +207,6 @@ mod tests {
             let now = SimTime::from_nanos(i * 1_000);
             assert_eq!(l1.transit(now, 256), l2.transit(now, 256));
         }
-    }
-
-    #[test]
-    fn counters_accumulate() {
-        let c = LinkConfig::simple(gbit(10), SimDuration::ZERO);
-        let mut l = Link::new(c, 0);
-        l.transit(SimTime::ZERO, 100);
-        l.transit(SimTime::ZERO, 200);
-        assert_eq!(l.bytes_sent(), 300);
-        assert_eq!(l.messages_sent(), 2);
     }
 
     #[test]
