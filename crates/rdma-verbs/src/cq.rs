@@ -11,11 +11,10 @@
 
 use std::collections::VecDeque;
 
-use crate::types::{CqId, Cqe};
+use crate::types::Cqe;
 
 /// A simulated completion queue.
 pub struct CompletionQueue {
-    id: CqId,
     entries: VecDeque<Cqe>,
     capacity: usize,
     /// Set if a push ever found the queue full; surfaced as a hard error
@@ -27,20 +26,14 @@ pub struct CompletionQueue {
 
 impl CompletionQueue {
     /// Creates a CQ able to buffer `capacity` completions.
-    pub fn new(id: CqId, capacity: usize) -> Self {
+    pub fn new(capacity: usize) -> Self {
         CompletionQueue {
-            id,
             entries: VecDeque::with_capacity(capacity.min(1024)),
             capacity: capacity.max(1),
             overflowed: false,
             nonempty_polls: 0,
             max_batch: 0,
         }
-    }
-
-    /// The queue's id.
-    pub fn id(&self) -> CqId {
-        self.id
     }
 
     /// Pushes a completion.
@@ -112,7 +105,7 @@ mod tests {
 
     #[test]
     fn push_poll_fifo() {
-        let mut cq = CompletionQueue::new(CqId(1), 8);
+        let mut cq = CompletionQueue::new(8);
         for i in 0..5 {
             cq.push(cqe(i));
         }
@@ -125,7 +118,7 @@ mod tests {
 
     #[test]
     fn batch_stats_track_drains() {
-        let mut cq = CompletionQueue::new(CqId(1), 16);
+        let mut cq = CompletionQueue::new(16);
         let mut out = Vec::new();
         assert_eq!(cq.poll(8, &mut out), 0);
         assert_eq!(cq.nonempty_polls(), 0);
@@ -140,7 +133,7 @@ mod tests {
 
     #[test]
     fn overflow_is_latched() {
-        let mut cq = CompletionQueue::new(CqId(1), 2);
+        let mut cq = CompletionQueue::new(2);
         cq.push(cqe(1));
         cq.push(cqe(2));
         assert!(!cq.overflowed());
@@ -152,7 +145,7 @@ mod tests {
 
     #[test]
     fn capacity_minimum_is_one() {
-        let mut cq = CompletionQueue::new(CqId(1), 0);
+        let mut cq = CompletionQueue::new(0);
         cq.push(cqe(1));
         assert_eq!(cq.len(), 1);
         cq.push(cqe(2));

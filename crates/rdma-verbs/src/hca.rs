@@ -189,9 +189,8 @@ impl HcaCore {
             depth > 0,
             "create_cq: depth must be positive; size it with ExsConfig::cq_depth"
         );
-        let id = CqId(self.cqs.len() as u32 + 1);
-        self.cqs.push(CompletionQueue::new(id, depth));
-        id
+        self.cqs.push(CompletionQueue::new(depth));
+        CqId(self.cqs.len() as u32)
     }
 
     /// Creates a queue pair in the RESET state.

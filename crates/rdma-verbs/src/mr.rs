@@ -26,8 +26,10 @@
 //! hands every page it covers whole — whole in both regions, at the same
 //! offset in a page on both sides — to the destination by reference: the
 //! source page becomes shared and the destination's old page is dropped.
-//! Only partial head and tail pages are copied, so the host's cost of a
-//! placement is proportional to pages, not bytes;
+//! Only partial head and tail pages are copied. The run of whole pages
+//! between them is one step over the two page tables: nothing at all
+//! when neither region was ever written, so the host's cost of a
+//! placement is per page only for pages that hold bytes;
 //! [`MemoryTable::pages_shared`] counts the pages handed over. Copy on
 //! write keeps the semantics of a copy: a later write to either side
 //! leaves the other's bytes as they were placed. A write that covers a
@@ -213,14 +215,14 @@ impl MemoryRegion {
         PAGE_LEN.min(self.len - page * PAGE_LEN)
     }
 
-    /// Page `page` to write, the page table created at the first write.
+    /// The page table to write, created at the first write.
     #[inline]
-    fn page_mut(&mut self, page: usize) -> &mut Page {
+    fn table(&mut self) -> &mut [Page] {
         if self.pages.is_empty() {
             self.pages
                 .resize_with(self.len.div_ceil(PAGE_LEN), Page::default);
         }
-        &mut self.pages[page]
+        &mut self.pages
     }
 
     /// The bytes of page `page`, zeros for an empty one.
@@ -237,7 +239,7 @@ impl MemoryRegion {
         for (page, at, n) in spans(off, src.len()) {
             let (piece, rest) = src.split_at(n);
             let len = self.page_len(page);
-            self.page_mut(page).write(at, piece, len);
+            self.table()[page].write(at, piece, len);
             src = rest;
         }
     }
@@ -251,43 +253,75 @@ impl MemoryRegion {
         }
     }
 
-    /// Places `len` bytes from `src_off` of `src` at `off`: every page
-    /// the range covers whole in both regions, at the same offset, by
-    /// reference; the rest by copy. Both ranges are within their
+    /// Places `len` bytes from `src_off` of `src` at `off`: a partial
+    /// head and tail piece by copy and, between them, the span of pages
+    /// whole in both regions at the same offset by reference, in one
+    /// step over the two page tables. Both ranges are within their
     /// regions. Returns the number of pages handed over.
     fn place(&mut self, off: usize, src: &mut MemoryRegion, src_off: usize, len: usize) -> u64 {
-        let mut shared = 0;
+        // Page boundaries coincide only at one offset in a page on both
+        // sides; otherwise the head is all of it.
+        let head = if off % PAGE_LEN == src_off % PAGE_LEN {
+            (off.next_multiple_of(PAGE_LEN) - off).min(len)
+        } else {
+            len
+        };
+        self.copy(off, src, src_off, head);
+        if head == len {
+            return 0;
+        }
+        // A short last page is whole in both regions when the range ends
+        // both of them.
+        let body = len - head;
+        let tail = if off + len == self.len && src_off + len == src.len {
+            0
+        } else {
+            body % PAGE_LEN
+        };
+        let whole = body - tail;
+        let pages = whole.div_ceil(PAGE_LEN);
+        let (at, from) = (off + head, src_off + head);
+        let (page, src_page) = (at / PAGE_LEN, from / PAGE_LEN);
+        if src.pages.is_empty() {
+            // Empty pages handed over: nothing to do if this region was
+            // never written either.
+            if let Some(span) = self.pages.get_mut(page..page + pages) {
+                span.fill_with(Page::default);
+            }
+        } else if pages > 0 {
+            let span = &mut self.table()[page..page + pages];
+            for (dst, src) in span.iter_mut().zip(&mut src.pages[src_page..]) {
+                *dst = src.share();
+            }
+        }
+        self.copy(at + whole, src, from + whole, tail);
+        pages as u64
+    }
+
+    /// Copies `len` bytes from `src_off` of `src` to `off`, a piece per
+    /// page on either side. A piece of a page the source never wrote
+    /// zeroes the destination's page, if it has one.
+    fn copy(&mut self, off: usize, src: &MemoryRegion, src_off: usize, len: usize) {
         let (mut at, mut from, end) = (off, src_off, off + len);
         while at < end {
             let (page, offset) = (at / PAGE_LEN, at % PAGE_LEN);
             let (src_page, src_offset) = (from / PAGE_LEN, from % PAGE_LEN);
             let n = (PAGE_LEN - offset.max(src_offset)).min(end - at);
             let page_len = self.page_len(page);
-            if offset == 0 && src_offset == 0 && n == page_len && n == src.page_len(src_page) {
-                let handed = src.pages.get_mut(src_page).map_or(Page::Empty, Page::share);
-                // Nothing to do for an empty page over a region that has
-                // never been written.
-                if !(matches!(handed, Page::Empty) && self.pages.is_empty()) {
-                    *self.page_mut(page) = handed;
+            match src.pages.get(src_page).and_then(Page::bytes) {
+                Some(bytes) => {
+                    let piece = &bytes[src_offset..src_offset + n];
+                    self.table()[page].write(offset, piece, page_len);
                 }
-                shared += 1;
-            } else {
-                match src.pages.get(src_page).and_then(Page::bytes) {
-                    Some(bytes) => {
-                        let piece = &bytes[src_offset..src_offset + n];
-                        self.page_mut(page).write(offset, piece, page_len);
-                    }
-                    None => {
-                        if let Some(dst) = self.pages.get_mut(page) {
-                            dst.zero(offset, n, page_len);
-                        }
+                None => {
+                    if let Some(dst) = self.pages.get_mut(page) {
+                        dst.zero(offset, n, page_len);
                     }
                 }
             }
             at += n;
             from += n;
         }
-        shared
     }
 
     /// Bytes held in pages: each page that is not empty, whole.
@@ -1061,6 +1095,75 @@ mod tests {
         b.app_read(dst.key, dst.addr, &mut read).unwrap();
         assert_eq!(read[0], pattern[0]);
         assert_eq!(read[1..], pattern[..LEN - 1]);
+    }
+
+    #[test]
+    fn a_span_of_whole_pages_is_one_step_whichever_page_tables_exist() {
+        const LEN: usize = 6 * PAGE_LEN + 100;
+        let (mut a, mut b) = (MemoryTable::new(), MemoryTable::new());
+        let src = a.register(LEN, Access::all());
+        let dst = b.register(LEN, Access::all());
+        // `len` bytes from `at` of `src` to `at` of `dst`.
+        let place = |a: &mut MemoryTable, b: &mut MemoryTable, dst: MrInfo, at: u64, len: u64| {
+            let view = a.dma_view(src.key, src.addr + at, len, Access::NONE);
+            let view = DmaSource::Region(view.unwrap());
+            b.dma_write(dst.key, dst.addr + at, view, Access::NONE)
+                .unwrap();
+        };
+        let pages = |t: &MemoryTable, mr: MrInfo| t.region(mr.key).unwrap().pages.len();
+        let read = |t: &MemoryTable, mr: MrInfo| {
+            let mut all = vec![0xEE; LEN];
+            t.app_read(mr.key, mr.addr, &mut all).unwrap();
+            all
+        };
+
+        // Neither region written: the pages, the short last one too, are
+        // counted as handed over, and nothing else happens.
+        place(&mut a, &mut b, dst, 0, LEN as u64);
+        assert_eq!((b.pages_shared(), b.bytes_copied()), (7, LEN as u64));
+        assert_eq!(
+            (pages(&a, src), pages(&b, dst), b.backed_bytes()),
+            (0, 0, 0)
+        );
+
+        // A never-written source over a written destination: the span's
+        // pages are dropped, the head and tail pieces zeroed in place.
+        b.app_write(dst.key, dst.addr, &[9; LEN]).unwrap();
+        place(&mut a, &mut b, dst, 1, 5 * PAGE - 1 + 10);
+        assert_eq!(b.pages_shared(), 7 + 4);
+        assert_eq!(
+            b.backed_bytes(),
+            LEN - 4 * PAGE_LEN,
+            "the span backs nothing"
+        );
+        let mut expect = vec![9; LEN];
+        expect[1..5 * PAGE_LEN + 10].fill(0);
+        assert_eq!(read(&b, dst), expect);
+
+        // A written source over a never-written destination: the span
+        // hands its pages over; a range that stops one byte short of the
+        // short last page copies it.
+        let pattern: Vec<u8> = (0..LEN).map(|i| (i % 251) as u8).collect();
+        a.app_write(src.key, src.addr, &pattern).unwrap();
+        let fresh = b.register(LEN, Access::all());
+        place(&mut a, &mut b, fresh, 0, LEN as u64 - 1);
+        assert_eq!(b.pages_shared(), 11 + 6);
+        for page in 0..6 {
+            assert_eq!(page_ptr(&a, src, page), page_ptr(&b, fresh, page));
+        }
+        assert_ne!(page_ptr(&a, src, 6), page_ptr(&b, fresh, 6));
+        expect.copy_from_slice(&pattern);
+        expect[LEN - 1] = 0;
+        assert_eq!(read(&b, fresh), expect);
+
+        // Both written: page for page, the short last page too when the
+        // range ends both regions.
+        place(&mut a, &mut b, dst, 0, LEN as u64);
+        assert_eq!(b.pages_shared(), 17 + 7);
+        for page in 0..7 {
+            assert_eq!(page_ptr(&a, src, page), page_ptr(&b, dst, page));
+        }
+        assert_eq!(read(&b, dst), pattern);
     }
 
     #[test]

@@ -20,8 +20,8 @@
 use std::time::Duration;
 
 use rdma_verbs::{
-    connect_pair, Access, HcaConfig, HostModel, MemoryTable, MrInfo, NodeApi, NodeApp, QpCaps,
-    RecvWr, RemoteAddr, SendWr, SimNet, ThreadNet,
+    connect_pair, Access, ConnHalf, HcaConfig, HostModel, MemoryTable, MrInfo, NodeApi, NodeApp,
+    NodeId, QpCaps, RecvWr, RemoteAddr, SendWr, SimNet, ThreadNet,
 };
 use simnet::{LinkConfig, SimDuration, SimTime};
 
@@ -124,13 +124,19 @@ impl NodeApp for Drain {
     fn on_wake(&mut self, _api: &mut NodeApi<'_>) {}
 }
 
-fn sim_copies(op: Op, offset: u64) -> ((u64, u64), (u64, u64)) {
+/// Two free hosts on a 100 Gbit/s link, and a connected QP on each.
+fn sim_pair() -> (SimNet, (NodeId, NodeId), (ConnHalf, ConnHalf)) {
     let mut net = SimNet::new();
     let a = net.add_node(HostModel::free(), HcaConfig::default());
     let b = net.add_node(HostModel::free(), HcaConfig::default());
     let link = LinkConfig::simple(100_000_000_000, SimDuration::from_micros(1));
     net.connect_nodes(a, b, link, 1);
-    let (ha, hb) = connect_pair(&mut net, a, b, QpCaps::default(), 16).unwrap();
+    let halves = connect_pair(&mut net, a, b, QpCaps::default(), 16).unwrap();
+    (net, (a, b), halves)
+}
+
+fn sim_copies(op: Op, offset: u64) -> ((u64, u64), (u64, u64)) {
+    let (mut net, (a, b), (ha, hb)) = sim_pair();
     let len = (u64::from(MIB) + offset) as usize;
     let local = net.with_api(a, |api| api.register_mr(len, Access::LOCAL_WRITE));
     let remote = net.with_api(b, |api| api.register_mr(MIB as usize, Access::all()));
@@ -184,6 +190,30 @@ fn simnet_copies_each_payload_byte_once_and_shares_the_aligned_pages() {
             assert_eq!(sim_copies(op, offset), expect, "{op:?} at {offset}");
         }
     }
+}
+
+/// A 4 MiB WRITE between two regions nobody has written: the span of
+/// whole pages is one step that hands over empty pages, and it is still
+/// counted page for page. The host copies none of the placed bytes, and
+/// neither node backs a page.
+#[test]
+fn simnet_write_between_never_written_regions_shares_every_page_and_backs_none() {
+    const LEN: u32 = 4 * MIB;
+    let (mut net, (a, b), (ha, _)) = sim_pair();
+    let local = net.with_api(a, |api| api.register_mr(LEN as usize, Access::LOCAL_WRITE));
+    let remote = net.with_api(b, |api| api.register_mr(LEN as usize, Access::all()));
+    let at = RemoteAddr {
+        addr: remote.addr,
+        rkey: remote.key,
+    };
+    let wr = SendWr::write(1, local.full_sge(), at);
+    net.with_api(a, |api| api.post_send(ha.qpn, wr)).unwrap();
+    net.run(&mut [&mut Drain, &mut Drain], SimTime::from_secs(1));
+    let (copied, shared) = net.with_api(b, |api| work(api.hca().mem()));
+    assert_eq!((copied, shared), (u64::from(LEN), 1024));
+    assert_eq!(copied - shared * 4096, 0, "bytes the host copied");
+    let mut backed = |node| net.with_api(node, |api| api.hca().mem().backed_bytes());
+    assert_eq!((backed(a), backed(b)), (0, 0));
 }
 
 #[test]

@@ -7,8 +7,9 @@
 //! show: random interleavings of every accessor on two tables — writes
 //! at page boundaries and beside them, whole and partial pages, reads
 //! of ranges never written, copies that overlap within a region,
-//! placements between the tables that do and do not line up, a region's
-//! short last page, ranges and keys that must be refused, a slot
+//! placements between the tables that do and do not line up, spans of
+//! up to ten whole pages from regions written or never written, a
+//! region's short last page, ranges and keys that must be refused, a slot
 //! deregistered (its pages possibly shared) and registered again —
 //! leave the same bytes and return the same results as a plain
 //! `vec![0; len]` per region.
@@ -27,13 +28,30 @@ use proptest::prelude::*;
 use rdma_verbs::{Access, DmaSource, MemoryTable, MrInfo, MrKey, VerbsError};
 
 const PAGE: usize = 4096;
-/// Region lengths: regions 0 and 1 live in table 0, regions 2 and 3 in
-/// table 1. Regions 0 and 2 end in short last pages of one length, so
-/// those pages can be shared; region 3's is a different length.
-const LENS: [usize; 4] = [2 * PAGE + 100, 3 * PAGE, 2 * PAGE + 100, 3 * PAGE + 7];
+/// Region lengths: regions 0, 1 and 4 live in table 0, regions 2, 3 and
+/// 5 in table 1 (`REGIONS`). Regions 0, 2, 4 and 5 end in short last
+/// pages of one length, so those pages can be shared; region 3's is a
+/// different length. Regions 4 and 5 are long enough that a placement
+/// between them has a span of up to ten whole pages, the short last
+/// one included.
+const LENS: [usize; 6] = [
+    2 * PAGE + 100,
+    3 * PAGE,
+    2 * PAGE + 100,
+    3 * PAGE + 7,
+    9 * PAGE + 100,
+    10 * PAGE + 100,
+];
+const REGIONS: [[usize; 3]; 2] = [[0, 1, 4], [2, 3, 5]];
 
 fn table_of(region: usize) -> usize {
-    region / 2
+    usize::from(!REGIONS[0].contains(&region))
+}
+
+/// Page `page` of region `region`, wrapped to the pages it has and the
+/// one past its end, then moved by `jitter` as [`near_page`] does.
+fn at_page(region: usize, page: u64, jitter: u8) -> u64 {
+    near_page(page % (LENS[region].div_ceil(PAGE) as u64 + 1), jitter)
 }
 
 #[derive(Clone, Copy, Debug)]
@@ -89,16 +107,16 @@ fn near_page(pages: u64, jitter: u8) -> u64 {
 fn range() -> impl Strategy<Value = Range> {
     (
         0usize..LENS.len(),
-        (0u64..4, any::<u8>()),
-        (0u64..4, any::<u8>()),
+        (0u64..12, any::<u8>()),
+        (0u64..12, any::<u8>()),
         0u32..8,
         0u32..16,
     )
         .prop_map(
             |(region, (page, jitter), (pages, len_jitter), shape, stale)| {
-                let off = near_page(page, jitter);
+                let off = at_page(region, page, jitter);
                 let len = match shape {
-                    0..=2 => near_page(pages, len_jitter),
+                    0..=2 => at_page(region, pages, len_jitter),
                     // To the region's end, where its last page is.
                     3 | 4 => (LENS[region] as u64).saturating_sub(off),
                     _ => u64::from(len_jitter) % 24,
@@ -113,8 +131,9 @@ fn range() -> impl Strategy<Value = Range> {
         )
 }
 
-fn dst_off() -> impl Strategy<Value = u64> {
-    (0u64..4, any::<u8>()).prop_map(|(page, jitter)| near_page(page, jitter))
+/// Page and jitter of a destination offset, for [`at_page`].
+fn dst_off() -> impl Strategy<Value = (u64, u8)> {
+    (0u64..12, any::<u8>())
 }
 
 fn op() -> impl Strategy<Value = Op> {
@@ -126,11 +145,13 @@ fn op() -> impl Strategy<Value = Op> {
         2 => (range(), access.clone()).prop_map(|(r, a)| Op::DmaView(r, a)),
         2 => (range(), access.clone()).prop_map(|(r, a)| Op::Capture(r, a)),
         2 => (range(), access.clone()).prop_map(|(r, a)| Op::Check(r, a)),
-        3 => (range(), 0usize..2, dst_off()).prop_map(|(r, other, off)| {
-            Op::LocalCopy(r, table_of(r.region) * 2 + other, off)
+        3 => (range(), 0usize..3, dst_off()).prop_map(|(r, other, (page, jitter))| {
+            let dst = REGIONS[table_of(r.region)][other];
+            Op::LocalCopy(r, dst, at_page(dst, page, jitter))
         }),
-        6 => (range(), 0usize..2, dst_off(), access).prop_map(|(r, other, off, a)| {
-            Op::Place(r, (1 - table_of(r.region)) * 2 + other, off, a)
+        6 => (range(), 0usize..3, dst_off(), access).prop_map(|(r, other, (page, jitter), a)| {
+            let dst = REGIONS[1 - table_of(r.region)][other];
+            Op::Place(r, dst, at_page(dst, page, jitter), a)
         }),
         1 => (0usize..LENS.len()).prop_map(Op::Reregister),
     ]
@@ -261,6 +282,191 @@ fn register(tables: &mut [MemoryTable; 2], region: usize, access: Access, stale:
     }
 }
 
+/// Both tables with every region registered, region `i` granted
+/// `grant(i)`, and their reference.
+fn setup(grant: impl Fn(usize) -> Access) -> ([MemoryTable; 2], Reference) {
+    let mut tables = [MemoryTable::new(), MemoryTable::new()];
+    // A key that was never issued stands in for "stale" until the first
+    // re-registration.
+    let never = MrKey(0xFFF0_0000);
+    let regions = (0..LENS.len())
+        .map(|region| register(&mut tables, region, grant(region), never))
+        .collect();
+    let reference = Reference {
+        regions,
+        copied: [0; 2],
+        shared: [0; 2],
+    };
+    (tables, reference)
+}
+
+/// Applies `op` to the tables and to the reference, and holds every
+/// region's bytes and each table's counts against the reference.
+fn apply(tables: &mut [MemoryTable; 2], reference: &mut Reference, step: usize, op: Op) {
+    match op {
+        Op::AppWrite(r, seed) => {
+            let data = fill(seed, r.len);
+            let (key, addr) = key_and_addr(reference, r);
+            let expect = reference
+                .locate(r, Access::NONE)
+                .map(|(from, _)| reference.write(r.region, from, &data));
+            let got = tables[table_of(r.region)].app_write(key, addr, &data);
+            prop_assert_eq!(got, expect, "step {}", step);
+        }
+        Op::AppRead(r) => {
+            let mut buf = vec![0xEE; r.len as usize];
+            let (key, addr) = key_and_addr(reference, r);
+            let expect = reference
+                .locate(r, Access::NONE)
+                .map(|(from, to)| reference.regions[r.region].bytes[from..to].to_vec());
+            let got = tables[table_of(r.region)]
+                .app_read(key, addr, &mut buf)
+                .map(|()| buf);
+            prop_assert_eq!(got, expect, "step {}", step);
+        }
+        Op::DmaWrite(r, seed, required) => {
+            let data = fill(seed, r.len);
+            let (key, addr) = key_and_addr(reference, r);
+            let t = table_of(r.region);
+            let expect = reference.locate(r, ACCESS[required]).map(|(from, _)| {
+                reference.write(r.region, from, &data);
+                reference.copied[t] += r.len;
+            });
+            let got = tables[t].dma_write(key, addr, DmaSource::Slice(&data), ACCESS[required]);
+            prop_assert_eq!(got, expect, "step {}", step);
+        }
+        Op::DmaView(r, required) | Op::Capture(r, required) => {
+            let (key, addr) = key_and_addr(reference, r);
+            let t = table_of(r.region);
+            let expect = reference
+                .locate(r, ACCESS[required])
+                .map(|(from, to)| reference.regions[r.region].bytes[from..to].to_vec());
+            let got = if matches!(op, Op::Capture(..)) {
+                if expect.is_ok() {
+                    reference.copied[t] += r.len;
+                }
+                tables[t]
+                    .capture(key, addr, r.len, ACCESS[required])
+                    .map(|b| b.to_vec())
+            } else {
+                tables[t]
+                    .dma_view(key, addr, r.len, ACCESS[required])
+                    .map(|v| v.to_vec())
+            };
+            prop_assert_eq!(got, expect, "step {}", step);
+        }
+        Op::Check(r, required) => {
+            let (key, addr) = key_and_addr(reference, r);
+            let expect = reference.locate(r, ACCESS[required]).map(drop);
+            let got = tables[table_of(r.region)].check(key, addr, r.len, ACCESS[required]);
+            prop_assert_eq!(got, expect);
+        }
+        Op::LocalCopy(src, dst_region, dst_off) => {
+            let dst = Range {
+                region: dst_region,
+                off: dst_off,
+                ..src
+            };
+            let (src_key, src_addr) = key_and_addr(reference, src);
+            let (dst_key, dst_addr) = key_and_addr(reference, dst);
+            let t = table_of(src.region);
+            // Both keys are looked up before either range.
+            let expect = reference
+                .locate(
+                    Range {
+                        off: 0,
+                        len: 0,
+                        ..src
+                    },
+                    Access::NONE,
+                )
+                .and(reference.locate(
+                    Range {
+                        off: 0,
+                        len: 0,
+                        ..dst
+                    },
+                    Access::NONE,
+                ))
+                .and_then(|_| {
+                    let from = reference.locate(src, Access::NONE)?;
+                    let to = reference.locate(dst, Access::NONE)?;
+                    Ok((from, to))
+                })
+                .map(|((from, from_end), (to, _))| {
+                    if src.region == dst.region {
+                        let moved = reference.regions[src.region].bytes[from..from_end].to_vec();
+                        reference.write(dst.region, to, &moved);
+                    } else {
+                        let n = src.len as usize;
+                        reference.shared[t] += reference.place(src.region, from, dst.region, to, n);
+                    }
+                    reference.copied[t] += src.len;
+                    src.len
+                });
+            let got = tables[t].local_copy(src_key, src_addr, dst_key, dst_addr, src.len);
+            prop_assert_eq!(got, expect, "step {}", step);
+        }
+        Op::Place(src, dst_region, dst_off, required) => {
+            let dst = Range {
+                region: dst_region,
+                off: dst_off,
+                ..src
+            };
+            let (src_key, src_addr) = key_and_addr(reference, src);
+            let (dst_key, dst_addr) = key_and_addr(reference, dst);
+            let t = table_of(dst.region);
+            // The source is viewed before the destination is
+            // looked up.
+            let expect = reference.locate(src, Access::NONE).and_then(|(from, _)| {
+                let (to, _) = reference.locate(dst, ACCESS[required])?;
+                let n = src.len as usize;
+                reference.shared[t] += reference.place(src.region, from, dst.region, to, n);
+                reference.copied[t] += src.len;
+                Ok(())
+            });
+            let [a, b] = &mut *tables;
+            let (from_table, to_table) = if t == 1 { (a, b) } else { (b, a) };
+            let got = from_table
+                .dma_view(src_key, src_addr, src.len, Access::NONE)
+                .and_then(|view| {
+                    let view = DmaSource::Region(view);
+                    to_table.dma_write(dst_key, dst_addr, view, ACCESS[required])
+                });
+            prop_assert_eq!(got, expect, "step {}", step);
+        }
+        Op::Reregister(region) => {
+            let old = &reference.regions[region];
+            let (stale, access) = (old.info.key, old.access);
+            prop_assert_eq!(tables[table_of(region)].deregister(stale), Ok(()));
+            reference.regions[region] = register(tables, region, access, stale);
+            prop_assert_ne!(reference.regions[region].info.key, stale);
+        }
+    }
+
+    // Every byte of every region, and per table what has been
+    // counted as moved and shared, and what is backed.
+    for (i, region) in reference.regions.iter().enumerate() {
+        let mut all = vec![0xEE; region.bytes.len()];
+        tables[table_of(i)]
+            .app_read(region.info.key, region.info.addr, &mut all)
+            .unwrap();
+        prop_assert_eq!(&all, &region.bytes, "step {}: {:?}", step, op);
+    }
+    for (t, table) in tables.iter().enumerate() {
+        prop_assert_eq!(table.bytes_copied(), reference.copied[t], "step {}", step);
+        prop_assert_eq!(
+            table.pages_shared(),
+            reference.shared[t],
+            "step {}: {:?}",
+            step,
+            op
+        );
+        let backed = reference.backed_bytes(t);
+        prop_assert_eq!(table.backed_bytes(), backed, "step {}: {:?}", step, op);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -270,142 +476,49 @@ proptest! {
         access in proptest::collection::vec(0usize..12, LENS.len()),
     ) {
         // Most runs grant everything, so that most operations succeed.
-        let grant = |i: usize| ACCESS.get(i).copied().unwrap_or(Access::all());
-        let mut tables = [MemoryTable::new(), MemoryTable::new()];
-        // A key that was never issued stands in for "stale" until the
-        // first re-registration.
-        let never = MrKey(0xFFF0_0000);
-        let regions = (0..LENS.len())
-            .map(|region| register(&mut tables, region, grant(access[region]), never))
-            .collect();
-        let mut reference = Reference { regions, copied: [0; 2], shared: [0; 2] };
-
+        let grant = |i: usize| ACCESS.get(access[i]).copied().unwrap_or(Access::all());
+        let (mut tables, mut reference) = setup(grant);
         for (step, op) in ops.iter().copied().enumerate() {
-            match op {
-                Op::AppWrite(r, seed) => {
-                    let data = fill(seed, r.len);
-                    let (key, addr) = key_and_addr(&reference, r);
-                    let expect = reference
-                        .locate(r, Access::NONE)
-                        .map(|(from, _)| reference.write(r.region, from, &data));
-                    let got = tables[table_of(r.region)].app_write(key, addr, &data);
-                    prop_assert_eq!(got, expect, "step {}", step);
-                }
-                Op::AppRead(r) => {
-                    let mut buf = vec![0xEE; r.len as usize];
-                    let (key, addr) = key_and_addr(&reference, r);
-                    let expect = reference
-                        .locate(r, Access::NONE)
-                        .map(|(from, to)| reference.regions[r.region].bytes[from..to].to_vec());
-                    let got = tables[table_of(r.region)].app_read(key, addr, &mut buf).map(|()| buf);
-                    prop_assert_eq!(got, expect, "step {}", step);
-                }
-                Op::DmaWrite(r, seed, required) => {
-                    let data = fill(seed, r.len);
-                    let (key, addr) = key_and_addr(&reference, r);
-                    let t = table_of(r.region);
-                    let expect = reference.locate(r, ACCESS[required]).map(|(from, _)| {
-                        reference.write(r.region, from, &data);
-                        reference.copied[t] += r.len;
-                    });
-                    let got = tables[t].dma_write(key, addr, DmaSource::Slice(&data), ACCESS[required]);
-                    prop_assert_eq!(got, expect, "step {}", step);
-                }
-                Op::DmaView(r, required) | Op::Capture(r, required) => {
-                    let (key, addr) = key_and_addr(&reference, r);
-                    let t = table_of(r.region);
-                    let expect = reference
-                        .locate(r, ACCESS[required])
-                        .map(|(from, to)| reference.regions[r.region].bytes[from..to].to_vec());
-                    let got = if matches!(op, Op::Capture(..)) {
-                        if expect.is_ok() {
-                            reference.copied[t] += r.len;
-                        }
-                        tables[t].capture(key, addr, r.len, ACCESS[required]).map(|b| b.to_vec())
-                    } else {
-                        tables[t].dma_view(key, addr, r.len, ACCESS[required]).map(|v| v.to_vec())
-                    };
-                    prop_assert_eq!(got, expect, "step {}", step);
-                }
-                Op::Check(r, required) => {
-                    let (key, addr) = key_and_addr(&reference, r);
-                    let expect = reference.locate(r, ACCESS[required]).map(drop);
-                    let got = tables[table_of(r.region)].check(key, addr, r.len, ACCESS[required]);
-                    prop_assert_eq!(got, expect);
-                }
-                Op::LocalCopy(src, dst_region, dst_off) => {
-                    let dst = Range { region: dst_region, off: dst_off, ..src };
-                    let (src_key, src_addr) = key_and_addr(&reference, src);
-                    let (dst_key, dst_addr) = key_and_addr(&reference, dst);
-                    let t = table_of(src.region);
-                    // Both keys are looked up before either range.
-                    let expect = reference
-                        .locate(Range { off: 0, len: 0, ..src }, Access::NONE)
-                        .and(reference.locate(Range { off: 0, len: 0, ..dst }, Access::NONE))
-                        .and_then(|_| {
-                            let from = reference.locate(src, Access::NONE)?;
-                            let to = reference.locate(dst, Access::NONE)?;
-                            Ok((from, to))
-                        })
-                        .map(|((from, from_end), (to, _))| {
-                            if src.region == dst.region {
-                                let moved = reference.regions[src.region].bytes[from..from_end].to_vec();
-                                reference.write(dst.region, to, &moved);
-                            } else {
-                                let n = src.len as usize;
-                                reference.shared[t] += reference.place(src.region, from, dst.region, to, n);
-                            }
-                            reference.copied[t] += src.len;
-                            src.len
-                        });
-                    let got = tables[t].local_copy(src_key, src_addr, dst_key, dst_addr, src.len);
-                    prop_assert_eq!(got, expect, "step {}", step);
-                }
-                Op::Place(src, dst_region, dst_off, required) => {
-                    let dst = Range { region: dst_region, off: dst_off, ..src };
-                    let (src_key, src_addr) = key_and_addr(&reference, src);
-                    let (dst_key, dst_addr) = key_and_addr(&reference, dst);
-                    let t = table_of(dst.region);
-                    // The source is viewed before the destination is
-                    // looked up.
-                    let expect = reference.locate(src, Access::NONE).and_then(|(from, _)| {
-                        let (to, _) = reference.locate(dst, ACCESS[required])?;
-                        let n = src.len as usize;
-                        reference.shared[t] += reference.place(src.region, from, dst.region, to, n);
-                        reference.copied[t] += src.len;
-                        Ok(())
-                    });
-                    let [a, b] = &mut tables;
-                    let (from_table, to_table) = if t == 1 { (a, b) } else { (b, a) };
-                    let got = from_table
-                        .dma_view(src_key, src_addr, src.len, Access::NONE)
-                        .and_then(|view| {
-                            let view = DmaSource::Region(view);
-                            to_table.dma_write(dst_key, dst_addr, view, ACCESS[required])
-                        });
-                    prop_assert_eq!(got, expect, "step {}", step);
-                }
-                Op::Reregister(region) => {
-                    let old = &reference.regions[region];
-                    let (stale, access) = (old.info.key, old.access);
-                    prop_assert_eq!(tables[table_of(region)].deregister(stale), Ok(()));
-                    reference.regions[region] = register(&mut tables, region, access, stale);
-                    prop_assert_ne!(reference.regions[region].info.key, stale);
-                }
-            }
+            apply(&mut tables, &mut reference, step, op);
+        }
+    }
 
-            // Every byte of every region, and per table what has been
-            // counted as moved and shared, and what is backed.
-            for (i, region) in reference.regions.iter().enumerate() {
-                let mut all = vec![0xEE; region.bytes.len()];
-                tables[table_of(i)].app_read(region.info.key, region.info.addr, &mut all).unwrap();
-                prop_assert_eq!(&all, &region.bytes, "step {}: {:?}", step, op);
+    /// Placements between the two long regions, 4 and 5, in every
+    /// combination of: which is the source, the source never written or
+    /// written, the destination never written or written, and each side
+    /// on a page boundary or one byte past it. Each combination runs on
+    /// new tables; the range runs to the end of both regions, stops one
+    /// byte short of it, or stops where the jitter says.
+    #[test]
+    fn long_spans_place_like_plain_vectors(
+        seeds in (any::<u8>(), any::<u8>()),
+        dst_page in 0u64..3,
+        shape in 0u32..3,
+        jitter in any::<u16>(),
+    ) {
+        for combination in 0..32 {
+            let bit = |i: u32| combination >> i & 1 == 1;
+            let (src, dst) = if bit(0) { (5, 4) } else { (4, 5) };
+            let from = u64::from(bit(1));
+            let to = dst_page * PAGE as u64 + u64::from(bit(2));
+            let (mut tables, mut reference) = setup(|_| Access::all());
+            let mut ops = Vec::new();
+            for (region, written, seed) in [(src, bit(3), seeds.0), (dst, bit(4), seeds.1)] {
+                let whole = Range { region, off: 0, len: LENS[region] as u64, stale_key: false };
+                if written {
+                    ops.push(Op::AppWrite(whole, seed));
+                }
             }
-            for (t, table) in tables.iter().enumerate() {
-                prop_assert_eq!(table.bytes_copied(), reference.copied[t], "step {}", step);
-                prop_assert_eq!(table.pages_shared(), reference.shared[t], "step {}: {:?}", step, op);
-                let backed = reference.backed_bytes(t);
-                prop_assert_eq!(table.backed_bytes(), backed, "step {}: {:?}", step, op);
+            let room = (LENS[src] as u64 - from).min(LENS[dst] as u64 - to);
+            let len = match shape {
+                0 => room,
+                1 => room - 1,
+                _ => room - u64::from(jitter) % room,
+            };
+            let range = Range { region: src, off: from, len, stale_key: false };
+            ops.push(Op::Place(range, dst, to, 0));
+            for (step, op) in ops.into_iter().enumerate() {
+                apply(&mut tables, &mut reference, step, op);
             }
         }
     }
