@@ -4,9 +4,8 @@
 //! Every protocol in the paper rides on small control messages —
 //! ADVERT, ACK, FIN (§II-C, Fig. 2–5) — sent with SEND into receives
 //! the peer posted beforehand, so each QP needs receive-credit flow
-//! control. [`crate::stream::StreamSocket`],
-//! [`crate::seqpacket::SeqPacketSocket`] and each pooled transport of a
-//! [`crate::mux::MuxEndpoint`] hold one [`Channel`], which owns the
+//! control. [`crate::stream::StreamSocket`] and each pooled transport
+//! of a [`crate::mux::MuxEndpoint`] hold one [`Channel`], which owns the
 //! QP/CQ ids, the control-slot region ([`CTRL_SLOT`] bytes per credit)
 //! and its pre-posting, the `wr_id` allocator, the RC-FIFO owner queue,
 //! the [`TxPipe`], and the [`CreditGate`]. The users differ only in the
@@ -24,7 +23,7 @@
 //! |---|---|---|
 //! | reserve | data and ADVERT/ACK/FIN need `peer_credits >= 2`: the last credit is never spent on them | both sides spend everything and neither can say what it owes |
 //! | who may spend it | only a CREDIT, and at most one is queued at a time | one per wake would pile up messages that each cost the peer a slot |
-//! | overtaking | a queued CREDIT passes messages blocked at the reserve (it carries only the count, so its place means nothing); nothing else is reordered | each side at the reserve with its CREDIT behind ADVERTs needing two credits: a symmetric SEQPACKET exchange delivered 0 of 16 messages |
+//! | overtaking | a queued CREDIT passes messages blocked at the reserve (it carries only the count, so its place means nothing); nothing else is reordered | each side at the reserve with its CREDIT behind ADVERTs needing two credits: a symmetric exchange that posts every receive before any send delivers nothing |
 //! | elision | a CREDIT with nothing left to return (an earlier message carried it) is dropped, not sent | a reserve spent on a message that returns nothing leaves the peer at zero |
 //! | no bare reply | a standalone CREDIT needs `owed >= max(threshold, 2)` | at threshold 1 (`credits` 4..=7) the slot a bare CREDIT consumed was returned with a bare CREDIT, forever: 10⁶ CREDITs per side per ms |
 //!

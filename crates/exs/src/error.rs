@@ -4,8 +4,7 @@
 //! sequence numbers, stream ids, freed-byte counts — must surface as an
 //! [`ExsError`] that breaks the affected connection, never as a panic
 //! that aborts the whole process. The local half of that contract is the
-//! socket layers' `mark_broken` paths; this module is the shared
-//! vocabulary.
+//! socket layers' `fail` paths; this module is the shared vocabulary.
 
 use crate::messages::DecodeError;
 

@@ -32,9 +32,7 @@
 //! | [`sender`] | Fig. 2 matching algorithm |
 //! | [`receiver`] | Fig. 3–5 receiver algorithms |
 //! | [`stream`] | SOCK_STREAM sockets over a verbs QP |
-//! | [`seqpacket`] | SOCK_SEQPACKET message mode (§II-C) |
 //! | [`mux`] | many streams multiplexed over a pooled QP set |
-//! | [`api`] | ES-API-flavoured convenience layer |
 //! | [`mempool`] | pin-down cache / slab MR pools / buffer leases |
 //! | [`endpoint`] | what a reactor hosts: one QP and stream 0, or a QP pool and many ids |
 //! | [`reactor`] | epoll-style readiness multiplexing of many endpoints |
@@ -47,7 +45,6 @@
 #![deny(unsafe_code)]
 
 pub mod aio;
-pub mod api;
 pub mod buffer;
 mod chan;
 pub mod config;
@@ -62,7 +59,6 @@ pub mod reactor;
 pub mod receiver;
 pub mod sender;
 pub mod seq;
-pub mod seqpacket;
 pub mod shard;
 pub mod stats;
 pub mod stream;
@@ -70,7 +66,6 @@ pub mod threaded;
 mod txpipe;
 
 pub use aio::{AioHandle, AsyncStream, Executor, SimShardDriver};
-pub use api::{Event, ExsContext, ExsFd, MsgFlags, QueuedEvent, SockType};
 pub use config::{
     ConfigError, DirectPolicy, ExsConfig, MuxAssignment, MuxConfig, ProtocolMode, ShardConfig,
     ShardPolicy, WwiMode,
@@ -84,7 +79,6 @@ pub use phase::Phase;
 pub use port::{CqPressure, VerbsPort};
 pub use reactor::{ConnId, Reactor, ReactorConfig, Readiness};
 pub use seq::Seq;
-pub use seqpacket::{SeqPacketEvent, SeqPacketSocket};
 pub use shard::{Placement, ShardBalance};
 pub use stats::{AioStats, ConnStats, PoolStats, ReactorStats, ShardStats};
 pub use stream::{ExsEvent, StreamSocket};

@@ -3,7 +3,7 @@
 //! The protocol state machines are sans-IO; the socket layer around
 //! them needs a handful of verbs operations plus host-cost accounting.
 //! [`VerbsPort`] names exactly that surface, so the same
-//! `StreamSocket`/`SeqPacketSocket` code runs over:
+//! `StreamSocket` code runs over:
 //!
 //! * the deterministic simulator (`rdma_verbs::NodeApi` — virtual time,
 //!   CPU cost model; used by every benchmark), and

@@ -10,8 +10,7 @@
 //!   SENDs;
 //! * the QP's control channel — pre-posted receive slots, the credit
 //!   rule, control-message queueing, postlist staging — is one
-//!   `chan::Channel`, shared with the message socket and the
-//!   mux transport (paper §II-B);
+//!   `chan::Channel`, shared with the mux transport (paper §II-B);
 //! * completions surface as [`ExsEvent`]s through an event-queue-style
 //!   API, mirroring the asynchronous UNH EXS interface where
 //!   `exs_send`/`exs_recv` return immediately and the application polls
@@ -178,9 +177,7 @@ pub struct StreamSocket {
     peer_fin: Option<u64>,
     /// End-of-stream already delivered to the application.
     eof_delivered: bool,
-    /// Transport failure observed; the socket is dead.
-    broken: bool,
-    /// The error that broke the socket, when one was attributable.
+    /// The error that broke the socket; `Some` means it is dead.
     last_error: Option<ExsError>,
 }
 
@@ -444,7 +441,7 @@ impl StreamSocket {
         if let Some(tail) = self.pending_sends.back_mut() {
             tail.open_cap = None;
         }
-        if !self.broken {
+        if !self.is_broken() {
             self.pump_sends(api);
             self.chan.flush_ctrl(api, &mut self.stats);
         }
@@ -533,7 +530,7 @@ impl StreamSocket {
             // as it will ever be.
             tail.open_cap = None;
         }
-        if !self.broken {
+        if !self.is_broken() {
             self.pump_sends(api);
         }
         self.try_queue_fin(api);
@@ -552,7 +549,7 @@ impl StreamSocket {
     /// the peer — drain before tearing the loop down. A broken socket
     /// reports false: nothing it holds can be sent any more.
     pub fn has_unsent(&self) -> bool {
-        if self.broken {
+        if self.is_broken() {
             return false;
         }
         !self.pending_sends.is_empty()
@@ -626,24 +623,16 @@ impl StreamSocket {
 
     /// True once the transport failed underneath the socket.
     pub fn is_broken(&self) -> bool {
-        self.broken
+        self.last_error.is_some()
     }
 
-    /// The typed error that broke the socket, when the failure was
-    /// attributable (peer protocol violation or backend verbs error).
-    /// `None` for raw transport failures reported only as a CQE status.
+    /// The typed error that broke the socket ([`ExsError::Broken`] for
+    /// a transport failure reported only as a completion status).
     pub fn last_error(&self) -> Option<&ExsError> {
         self.last_error.as_ref()
     }
 
-    fn mark_broken(&mut self) {
-        if !self.broken {
-            self.broken = true;
-            self.events.push(ExsEvent::ConnectionError);
-        }
-    }
-
-    /// Records a typed failure and breaks the connection. A malformed
+    /// Records the first failure and breaks the connection. A malformed
     /// peer kills this socket, never the process.
     fn fail(&mut self, e: ExsError) {
         if matches!(e, ExsError::Protocol(_)) {
@@ -651,8 +640,8 @@ impl StreamSocket {
         }
         if self.last_error.is_none() {
             self.last_error = Some(e);
+            self.events.push(ExsEvent::ConnectionError);
         }
-        self.mark_broken();
     }
 
     /// Drives the socket from a node wake: drains both completion
@@ -704,7 +693,7 @@ impl StreamSocket {
             api.deregister_mr(key)
                 .expect("free cancelled staging region");
         }
-        if self.broken {
+        if self.is_broken() {
             return;
         }
         self.pump_sends(api);
@@ -728,7 +717,7 @@ impl StreamSocket {
 
     pub(crate) fn on_recv_cqe(&mut self, api: &mut impl VerbsPort, cqe: Cqe) {
         if cqe.status != WcStatus::Success {
-            self.mark_broken();
+            self.fail(ExsError::Broken);
             return;
         }
         if let Err(e) = self.try_on_recv_cqe(api, cqe) {
@@ -812,7 +801,7 @@ impl StreamSocket {
 
     pub(crate) fn on_send_cqe(&mut self, api: &mut impl VerbsPort, cqe: Cqe) {
         if cqe.status != WcStatus::Success {
-            self.mark_broken();
+            self.fail(ExsError::Broken);
             return;
         }
         api.charge_cqe_cost();
@@ -983,7 +972,6 @@ impl PreparedSocket {
             fin_queued: false,
             peer_fin: None,
             eof_delivered: false,
-            broken: false,
             last_error: None,
         }
     }

@@ -1,10 +1,10 @@
 //! Shared transmit pipeline: postlist staging, selective signaling,
 //! and doorbell accounting.
 //!
-//! Every [`crate::chan::Channel`] (one per QP, under a stream socket,
-//! a message socket or a pooled mux transport) collects every WQE
-//! plannable in one progress pass — data WWIs and the control traffic
-//! they trigger — into a [`TxPipe`], then flushes it as postlists of at
+//! Every [`crate::chan::Channel`] (one per QP, under a stream socket
+//! or a pooled mux transport) collects every WQE plannable in one
+//! progress pass — data WWIs and the control traffic they trigger —
+//! into a [`TxPipe`], then flushes it as postlists of at
 //! most `tx_batch_limit` linked WQEs, each postlist paying a single
 //! doorbell (`HostModel::post_overhead`). Staged WQEs are unsignaled by default;
 //! every `signal_interval`-th is signaled, and the next signaled CQE

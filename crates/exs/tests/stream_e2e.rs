@@ -480,3 +480,197 @@ fn an_idle_pair_goes_quiet_at_every_credit_count() {
         assert_eq!(receiver.received, 8 * 512, "credits {credits}");
     }
 }
+
+/// One side of a symmetric exchange: from `on_start` it posts `n`
+/// receives and then `n` sends, so both sides fill their control
+/// queues with ADVERTs before either has returned a credit.
+struct Peer {
+    sock: StreamSocket,
+    tag: u8,
+    n: usize,
+    send_mr: MrInfo,
+    recv_mr: MrInfo,
+    sent: usize,
+    /// `(id, len)` of each completed receive, in completion order.
+    received: Vec<(u64, u32)>,
+}
+
+const SLOT: usize = 64;
+
+/// The length of message `i`, which differs from its neighbours'.
+fn message_len(i: usize) -> usize {
+    1 + (i * 7) % SLOT
+}
+
+/// Message `i` from the side tagged `tag`: bytes that name the sender
+/// and the message.
+fn message(tag: u8, i: usize) -> Vec<u8> {
+    vec![tag ^ i as u8; message_len(i)]
+}
+
+/// The stream of the first `n` messages from the side tagged `tag`.
+fn messages(tag: u8, n: usize) -> Vec<u8> {
+    (0..n).flat_map(|i| message(tag, i)).collect()
+}
+
+impl NodeApp for Peer {
+    fn on_start(&mut self, api: &mut NodeApi<'_>) {
+        let (send_mr, recv_mr) = (self.send_mr, self.recv_mr);
+        for i in 0..self.n {
+            let at = (i * SLOT) as u64;
+            self.sock
+                .exs_recv(api, &recv_mr, at, SLOT as u32, false, i as u64);
+        }
+        for i in 0..self.n {
+            let data = message(self.tag, i);
+            let at = (i * SLOT) as u64;
+            api.write_mr(send_mr.key, send_mr.addr + at, &data).unwrap();
+            self.sock
+                .exs_send(api, &send_mr, at, data.len() as u64, i as u64);
+        }
+    }
+    fn on_wake(&mut self, api: &mut NodeApi<'_>) {
+        self.sock.handle_wake(api);
+        for ev in self.sock.take_events() {
+            match ev {
+                ExsEvent::SendComplete { .. } => self.sent += 1,
+                ExsEvent::RecvComplete { id, len } => self.received.push((id, len)),
+                other => panic!("unexpected {other:?}"),
+            }
+        }
+    }
+    fn is_done(&self) -> bool {
+        let bytes: usize = self.received.iter().map(|&(_, len)| len as usize).sum();
+        self.sent == self.n && bytes == (0..self.n).map(message_len).sum()
+    }
+}
+
+/// Both sides post every receive before any send. With the CREDIT
+/// behind ADVERTs that each need two credits, neither side could
+/// return what it owed: the exchange used to deliver nothing.
+#[test]
+fn symmetric_exchange_completes_when_both_sides_advertise_first() {
+    for (credits, n) in [(8, 8), (8, 64), (16, 200), (4, 16)] {
+        let profile = ideal();
+        let mut net = SimNet::new();
+        let a = net.add_node(profile.host.clone(), profile.hca.clone());
+        let b = net.add_node(profile.host.clone(), profile.hca.clone());
+        net.connect_nodes(a, b, profile.link.clone(), 1);
+        let cfg = ExsConfig {
+            credits,
+            ..ExsConfig::default()
+        };
+        let (sa, sb) = StreamSocket::pair(&mut net, a, b, &cfg);
+        let mut peers = [(a, sa, 0x40u8), (b, sb, 0x80u8)].map(|(node, sock, tag)| {
+            net.with_api(node, |api| Peer {
+                sock,
+                tag,
+                n,
+                send_mr: api.register_mr(n * SLOT, Access::NONE),
+                recv_mr: api.register_mr(n * SLOT, Access::local_remote_write()),
+                sent: 0,
+                received: Vec::new(),
+            })
+        });
+        let [pa, pb] = &mut peers;
+        let outcome = net.run(&mut [pa, pb], SimTime::from_secs(1));
+        assert!(
+            outcome.completed,
+            "credits {credits}, {n} messages a side: {} + {} receives completed",
+            peers[0].received.len(),
+            peers[1].received.len()
+        );
+        // The receives completed in posting order, and their bytes put
+        // together are the peer's messages in order.
+        for (me, (node, peer_tag)) in [(a, 0x80u8), (b, 0x40u8)].into_iter().enumerate() {
+            let mr = peers[me].recv_mr;
+            let mut got = Vec::new();
+            for (i, &(id, len)) in peers[me].received.iter().enumerate() {
+                assert_eq!(id, i as u64, "credits {credits}: receive order");
+                let mut buf = vec![0u8; len as usize];
+                net.with_api(node, |api| {
+                    api.read_mr(mr.key, mr.addr + (i * SLOT) as u64, &mut buf)
+                        .unwrap()
+                });
+                got.extend(buf);
+            }
+            assert_eq!(got, messages(peer_tag, n), "credits {credits}: side {me}");
+        }
+    }
+}
+
+#[test]
+fn a_forged_ack_breaks_the_socket_not_the_process() {
+    use exs::{Ctrl, CtrlMsg, ExsError, ProtocolError};
+    use rdma_verbs::{connect_pair, SendWr};
+
+    let profile = ideal();
+    let mut net = SimNet::new();
+    let a = net.add_node(profile.host.clone(), profile.hca.clone());
+    let b = net.add_node(profile.host.clone(), profile.hca.clone());
+    net.connect_nodes(a, b, profile.link.clone(), 1);
+    let cfg = ExsConfig::default();
+    let (ha, hb) = connect_pair(&mut net, a, b, cfg.qp_caps(), cfg.cq_depth(1)).unwrap();
+    // The attacker sets its end up like a socket (so the victim has
+    // parameters to complete with) but then drives the QP by hand.
+    let (_, attacker_info) = net.with_api(a, |api| {
+        StreamSocket::prepare(api, a, ha.qpn, ha.send_cq, ha.recv_cq, &cfg)
+    });
+    let (victim, _) = net.with_api(b, |api| {
+        StreamSocket::prepare(api, b, hb.qpn, hb.send_cq, hb.recv_cq, &cfg)
+    });
+    let victim = victim.complete(attacker_info);
+    // An ACK frees intermediate-ring space the victim has not used.
+    let forged = CtrlMsg {
+        ctrl: Ctrl::Ack { freed: 4096 },
+        credit_return: 0,
+    };
+    net.with_api(a, |api| {
+        api.post_send(ha.qpn, SendWr::send_inline(1, forged.encode_bytes()))
+            .unwrap()
+    });
+
+    struct Victim(StreamSocket, Vec<ExsEvent>);
+    impl NodeApp for Victim {
+        fn on_start(&mut self, _api: &mut NodeApi<'_>) {}
+        fn on_wake(&mut self, api: &mut NodeApi<'_>) {
+            self.0.handle_wake(api);
+            self.1.extend(self.0.take_events());
+        }
+        fn is_done(&self) -> bool {
+            self.0.is_broken()
+        }
+    }
+    struct Attacker;
+    impl NodeApp for Attacker {
+        fn on_start(&mut self, _api: &mut NodeApi<'_>) {}
+        fn on_wake(&mut self, _api: &mut NodeApi<'_>) {}
+        fn is_done(&self) -> bool {
+            true
+        }
+    }
+    let mut victim = Victim(victim, Vec::new());
+    let outcome = net.run(&mut [&mut Attacker, &mut victim], SimTime::from_secs(1));
+    assert!(outcome.completed, "the forged ACK was not noticed");
+    assert_eq!(victim.1, [ExsEvent::ConnectionError]);
+    assert_eq!(
+        victim.0.last_error(),
+        Some(&ExsError::Protocol(ProtocolError::AckUnderflow))
+    );
+    assert_eq!(victim.0.stats().protocol_errors, 1);
+}
+
+#[test]
+#[should_panic(expected = "invalid EXS configuration")]
+fn two_credits_are_rejected_at_setup() {
+    let profile = ideal();
+    let mut net = SimNet::new();
+    let a = net.add_node(profile.host.clone(), profile.hca.clone());
+    let b = net.add_node(profile.host.clone(), profile.hca.clone());
+    net.connect_nodes(a, b, profile.link.clone(), 1);
+    let cfg = ExsConfig {
+        credits: 2,
+        ..ExsConfig::default()
+    };
+    StreamSocket::pair(&mut net, a, b, &cfg);
+}

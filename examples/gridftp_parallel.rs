@@ -16,16 +16,19 @@
 //! cargo run --release --example gridftp_parallel
 //! ```
 
-use rdma_stream::exs::{Event, ExsConfig, ExsContext, ExsFd, MsgFlags, SockType};
+use rdma_stream::exs::{ExsConfig, ExsEvent, StreamSocket};
 use rdma_stream::simnet::SimTime;
 use rdma_stream::verbs::{profiles, Access, MrInfo, NodeApi, NodeApp, SimNet};
 
 const DATASET: u64 = 64 << 20;
 const CHUNK: u64 = 1 << 20;
 
+/// One end of the transfer: its sockets in the order they were opened,
+/// each with its buffer. Every call and wake drains the socket's events
+/// into `events`.
 struct Mover {
-    ctx: Option<ExsContext>,
-    streams: Vec<(ExsFd, MrInfo)>,
+    streams: Vec<(StreamSocket, MrInfo)>,
+    events: Vec<ExsEvent>,
     is_sender: bool,
     per_stream: u64,
     sent: Vec<u64>,
@@ -39,7 +42,7 @@ struct Mover {
 impl Mover {
     fn kick(&mut self, api: &mut NodeApi<'_>) {
         for idx in 0..self.streams.len() {
-            let (fd, mr) = self.streams[idx];
+            let (sock, mr) = &mut self.streams[idx];
             if self.is_sender {
                 // Keep 4 chunks in flight per stream.
                 while self.sent[idx] < self.per_stream
@@ -49,10 +52,8 @@ impl Mover {
                     self.next_id += 1;
                     self.id_map.insert(id, idx);
                     let off = (self.sent[idx] / CHUNK % 4) * CHUNK;
-                    self.ctx
-                        .as_mut()
-                        .unwrap()
-                        .exs_send(api, fd, &mr, off, CHUNK, id);
+                    sock.exs_send(api, mr, off, CHUNK, id);
+                    self.events.extend(sock.take_events());
                     self.sent[idx] += CHUNK;
                 }
             } else {
@@ -61,15 +62,8 @@ impl Mover {
                     let id = self.next_id;
                     self.next_id += 1;
                     self.id_map.insert(id, idx);
-                    self.ctx.as_mut().unwrap().exs_recv(
-                        api,
-                        fd,
-                        &mr,
-                        0,
-                        CHUNK as u32,
-                        MsgFlags::NONE,
-                        id,
-                    );
+                    sock.exs_recv(api, mr, 0, CHUNK as u32, false, id);
+                    self.events.extend(sock.take_events());
                 }
             }
         }
@@ -81,19 +75,22 @@ impl NodeApp for Mover {
         self.kick(api);
     }
     fn on_wake(&mut self, api: &mut NodeApi<'_>) {
-        self.ctx.as_mut().unwrap().handle_wake(api);
+        for (sock, _) in &mut self.streams {
+            sock.handle_wake(api);
+            self.events.extend(sock.take_events());
+        }
         loop {
-            let events = self.ctx.as_mut().unwrap().exs_qdequeue();
+            let events = std::mem::take(&mut self.events);
             if events.is_empty() {
                 break;
             }
-            for qe in events {
-                match qe.event {
-                    Event::SendComplete { id, len } => {
+            for ev in events {
+                match ev {
+                    ExsEvent::SendComplete { id, len } => {
                         let idx = self.id_map.remove(&id).expect("stream");
                         self.acked[idx] += len;
                     }
-                    Event::RecvComplete { id, len } => {
+                    ExsEvent::RecvComplete { id, len } => {
                         let idx = self.id_map.remove(&id).expect("stream");
                         self.received[idx] += len as u64;
                         if self.received.iter().sum::<u64>() >= DATASET {
@@ -122,8 +119,6 @@ fn transfer(parallel: usize) -> (f64, SimTime) {
     let b = net.add_node(profile.host.clone(), profile.hca.clone());
     net.connect_nodes(a, b, profile.link.clone(), 21);
 
-    let mut ctx_a = ExsContext::new(a);
-    let mut ctx_b = ExsContext::new(b);
     let cfg = ExsConfig {
         ring_capacity: 64 << 20,
         ..ExsConfig::default()
@@ -133,21 +128,18 @@ fn transfer(parallel: usize) -> (f64, SimTime) {
     let mut tx_streams = Vec::new();
     let mut rx_streams = Vec::new();
     for _ in 0..parallel {
-        let (fa, fb) =
-            ExsContext::socket_pair(&mut net, &mut ctx_a, &mut ctx_b, SockType::Stream, &cfg);
-        let mr_a = net.with_api(a, |api| {
-            ctx_a.exs_mregister(api, (4 * CHUNK) as usize, Access::NONE)
-        });
+        let (fa, fb) = StreamSocket::pair(&mut net, a, b, &cfg);
+        let mr_a = net.with_api(a, |api| api.register_mr((4 * CHUNK) as usize, Access::NONE));
         let mr_b = net.with_api(b, |api| {
-            ctx_b.exs_mregister(api, CHUNK as usize, Access::local_remote_write())
+            api.register_mr(CHUNK as usize, Access::local_remote_write())
         });
         tx_streams.push((fa, mr_a));
         rx_streams.push((fb, mr_b));
     }
 
     let mut tx = Mover {
-        ctx: Some(ctx_a),
         streams: tx_streams,
+        events: Vec::new(),
         is_sender: true,
         per_stream,
         sent: vec![0; parallel],
@@ -158,8 +150,8 @@ fn transfer(parallel: usize) -> (f64, SimTime) {
         finished_at: None,
     };
     let mut rx = Mover {
-        ctx: Some(ctx_b),
         streams: rx_streams,
+        events: Vec::new(),
         is_sender: false,
         per_stream,
         sent: vec![0; parallel],

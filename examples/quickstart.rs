@@ -3,10 +3,10 @@
 //! Demonstrates the library's shape end to end:
 //!
 //! 1. build a simulated two-node RDMA fabric (FDR InfiniBand profile),
-//! 2. open a SOCK_STREAM EXS socket pair through the ES-API context,
+//! 2. open a connected EXS stream socket pair,
 //! 3. stage client sends through the registered-memory pool
 //!    ([`MemPool`] leases amortize `ibv_reg_mr` across transfers),
-//! 4. drive the event loop and drain completion events,
+//! 4. drive the event loop and drain each socket's completion events,
 //! 5. print the connection statistics (direct vs indirect transfers),
 //! 6. tear everything down and verify no registration leaks.
 //!
@@ -17,15 +17,16 @@
 
 use std::collections::HashMap;
 
-use rdma_stream::exs::{Event, ExsConfig, ExsContext, ExsFd, MemPool, MrLease, MsgFlags, SockType};
+use rdma_stream::exs::{ExsConfig, ExsEvent, MemPool, MrLease, StreamSocket};
 use rdma_stream::simnet::SimTime;
 use rdma_stream::verbs::{profiles, Access, MrInfo, NodeApi, NodeApp, SimNet};
 
 /// The client sends three greetings as one byte stream, staging each
 /// through a pooled lease instead of registering per message.
 struct Client {
-    ctx: Option<ExsContext>,
-    fd: ExsFd,
+    sock: StreamSocket,
+    /// Events drained from the socket and not yet handled.
+    events: Vec<ExsEvent>,
     pool: MemPool,
     leases: HashMap<u64, MrLease>,
     sent: usize,
@@ -49,10 +50,9 @@ impl Client {
             .write(api, 0, text.as_bytes())
             .expect("stage greeting");
         let id = self.sent as u64;
-        self.ctx
-            .as_mut()
-            .unwrap()
-            .exs_send(api, self.fd, lease.info(), 0, text.len() as u64, id);
+        self.sock
+            .exs_send(api, lease.info(), 0, text.len() as u64, id);
+        self.events.extend(self.sock.take_events());
         self.leases.insert(id, lease);
         self.sent += 1;
     }
@@ -64,9 +64,10 @@ impl NodeApp for Client {
     }
 
     fn on_wake(&mut self, api: &mut NodeApi<'_>) {
-        self.ctx.as_mut().unwrap().handle_wake(api);
-        for qe in self.ctx.as_mut().unwrap().exs_qdequeue() {
-            if let Event::SendComplete { id, len } = qe.event {
+        self.sock.handle_wake(api);
+        self.events.extend(self.sock.take_events());
+        for ev in std::mem::take(&mut self.events) {
+            if let ExsEvent::SendComplete { id, len } = ev {
                 println!(
                     "[client] send #{id} complete ({len} bytes) at {}",
                     api.now()
@@ -88,8 +89,9 @@ impl NodeApp for Client {
 
 /// The server receives the stream into fixed-size chunks.
 struct Server {
-    ctx: Option<ExsContext>,
-    fd: ExsFd,
+    sock: StreamSocket,
+    /// Events drained from the socket and not yet handled.
+    events: Vec<ExsEvent>,
     mr: Option<MrInfo>,
     received: usize,
     expected: usize,
@@ -102,10 +104,8 @@ impl Server {
         let mr = self.mr.expect("registered in main");
         // One 64-byte receive at a time: the stream layer splits and
         // coalesces as needed.
-        self.ctx
-            .as_mut()
-            .unwrap()
-            .exs_recv(api, self.fd, &mr, 0, 64, MsgFlags::NONE, self.next_id);
+        self.sock.exs_recv(api, &mr, 0, 64, false, self.next_id);
+        self.events.extend(self.sock.take_events());
         self.next_id += 1;
     }
 }
@@ -117,14 +117,15 @@ impl NodeApp for Server {
 
     fn on_wake(&mut self, api: &mut NodeApi<'_>) {
         let mr = self.mr.expect("registered");
-        self.ctx.as_mut().unwrap().handle_wake(api);
+        self.sock.handle_wake(api);
+        self.events.extend(self.sock.take_events());
         loop {
-            let events = self.ctx.as_mut().unwrap().exs_qdequeue();
+            let events = std::mem::take(&mut self.events);
             if events.is_empty() {
                 break;
             }
-            for qe in events {
-                if let Event::RecvComplete { len, .. } = qe.event {
+            for ev in events {
+                if let ExsEvent::RecvComplete { len, .. } = ev {
                     let mut buf = vec![0u8; len as usize];
                     api.read_mr(mr.key, mr.addr, &mut buf).expect("read");
                     self.text.push_str(&String::from_utf8_lossy(&buf));
@@ -151,34 +152,29 @@ fn main() {
     let b = net.add_node(profile.host.clone(), profile.hca.clone());
     net.connect_nodes(a, b, profile.link.clone(), 42);
 
-    // 2. ES-API contexts and a connected stream socket pair.
-    let mut ctx_a = ExsContext::new(a);
-    let mut ctx_b = ExsContext::new(b);
+    // 2. A connected stream socket pair.
     let cfg = ExsConfig::default();
-    let (fd_a, fd_b) =
-        ExsContext::socket_pair(&mut net, &mut ctx_a, &mut ctx_b, SockType::Stream, &cfg);
+    let (sock_a, sock_b) = StreamSocket::pair(&mut net, a, b, &cfg);
 
     // 3. I/O memory: the client stages sends through the registered
     //    memory pool (one slab registration, reused per message); the
     //    server registers its receive window directly.
     let total: usize = GREETINGS.iter().map(|g| g.len()).sum();
     let pool = MemPool::new(cfg.pool.clone());
-    let server_mr = net.with_api(b, |api| {
-        ctx_b.exs_mregister(api, 64, Access::local_remote_write())
-    });
+    let server_mr = net.with_api(b, |api| api.register_mr(64, Access::local_remote_write()));
 
     // 4. Run the applications.
     let mut client = Client {
-        ctx: Some(ctx_a),
-        fd: fd_a,
+        sock: sock_a,
+        events: Vec::new(),
         pool: pool.clone(),
         leases: HashMap::new(),
         sent: 0,
         acked: 0,
     };
     let mut server = Server {
-        ctx: Some(ctx_b),
-        fd: fd_b,
+        sock: sock_b,
+        events: Vec::new(),
         mr: Some(server_mr),
         received: 0,
         expected: total,
@@ -191,7 +187,7 @@ fn main() {
     // 5. Results.
     println!();
     println!("reassembled stream: {:?}", server.text);
-    let stats = client.ctx.as_ref().unwrap().stats(fd_a);
+    let stats = client.sock.stats();
     println!(
         "client stats: {} direct / {} indirect transfers, {} mode switches, {} adverts received",
         stats.direct_transfers,
@@ -213,15 +209,13 @@ fn main() {
         GREETINGS.len()
     );
     net.with_api(a, |api| {
-        let ctx = client.ctx.as_mut().unwrap();
-        ctx.exs_close(api, fd_a);
+        client.sock.close(api);
         pool.trim(api);
         assert_eq!(api.mr_count(), 0, "client leaked a registration");
     });
     net.with_api(b, |api| {
-        let ctx = server.ctx.as_mut().unwrap();
-        ctx.exs_close(api, fd_b);
-        ctx.exs_mderegister(api, &server_mr);
+        server.sock.close(api);
+        api.hca_deregister(server_mr.key).expect("deregister");
         assert_eq!(api.mr_count(), 0, "server leaked a registration");
     });
     println!("teardown: 0 registrations left on either node");

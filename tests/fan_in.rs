@@ -1,13 +1,11 @@
 //! Fan-in: several clients stream into one server node concurrently.
-//! Exercises multi-connection multiplexing through one ES-API context,
-//! per-stream integrity under CPU contention at the shared receiver,
-//! and link sharing on the server's ingress.
+//! Exercises many stream sockets driven from one node, per-stream
+//! integrity under CPU contention at the shared receiver, and link
+//! sharing on the server's ingress.
 
 use rdma_stream::blast::fan_in::{expected_digest, fan_in_cfg};
 use rdma_stream::blast::{run_fan_in, run_fan_in_threaded, FanInSpec, VerifyLevel};
-use rdma_stream::exs::{
-    DirectPolicy, Event, ExsConfig, ExsContext, ExsFd, MsgFlags, ProtocolMode, SockType,
-};
+use rdma_stream::exs::{DirectPolicy, ExsConfig, ExsEvent, ProtocolMode, StreamSocket};
 use rdma_stream::simnet::SimTime;
 use rdma_stream::verbs::{profiles, Access, MrInfo, NodeApi, NodeApp, NodeId, SimNet};
 
@@ -20,10 +18,10 @@ fn pattern(stream: usize, i: u64) -> u8 {
 }
 
 struct Client {
-    ctx: Option<ExsContext>,
-    fd: ExsFd,
+    sock: StreamSocket,
+    events: Vec<ExsEvent>,
     stream_idx: usize,
-    mr: Option<MrInfo>,
+    mr: MrInfo,
     sent: usize,
     acked: usize,
     pos: u64,
@@ -33,16 +31,15 @@ impl Client {
     fn kick(&mut self, api: &mut NodeApi<'_>) {
         // Two outstanding sends.
         while self.sent < MSGS && self.sent - self.acked < 2 {
-            let mr = self.mr.unwrap();
+            let mr = self.mr;
             let data: Vec<u8> = (0..MSG_LEN)
                 .map(|i| pattern(self.stream_idx, self.pos + i))
                 .collect();
             let slot = (self.sent % 2) as u64 * MSG_LEN;
             api.write_mr(mr.key, mr.addr + slot, &data).unwrap();
-            self.ctx
-                .as_mut()
-                .unwrap()
-                .exs_send(api, self.fd, &mr, slot, MSG_LEN, self.sent as u64);
+            self.sock
+                .exs_send(api, &mr, slot, MSG_LEN, self.sent as u64);
+            self.events.extend(self.sock.take_events());
             self.pos += MSG_LEN;
             self.sent += 1;
         }
@@ -54,9 +51,10 @@ impl NodeApp for Client {
         self.kick(api);
     }
     fn on_wake(&mut self, api: &mut NodeApi<'_>) {
-        self.ctx.as_mut().unwrap().handle_wake(api);
-        for qe in self.ctx.as_mut().unwrap().exs_qdequeue() {
-            if matches!(qe.event, Event::SendComplete { .. }) {
+        self.sock.handle_wake(api);
+        self.events.extend(self.sock.take_events());
+        for ev in std::mem::take(&mut self.events) {
+            if matches!(ev, ExsEvent::SendComplete { .. }) {
                 self.acked += 1;
             }
         }
@@ -67,9 +65,11 @@ impl NodeApp for Client {
     }
 }
 
+/// One socket and one receive region per client, driven in connection
+/// order; every call and wake drains the socket's events into `events`.
 struct Server {
-    ctx: Option<ExsContext>,
-    streams: Vec<(ExsFd, MrInfo)>,
+    streams: Vec<(StreamSocket, MrInfo)>,
+    events: Vec<ExsEvent>,
     received: Vec<u64>,
     next_id: u64,
     id_stream: std::collections::HashMap<u64, usize>,
@@ -77,7 +77,7 @@ struct Server {
 
 impl Server {
     fn kick(&mut self, api: &mut NodeApi<'_>) {
-        for (idx, &(fd, mr)) in self.streams.iter().enumerate() {
+        for (idx, (sock, mr)) in self.streams.iter_mut().enumerate() {
             // One outstanding receive per stream.
             if self.id_stream.values().filter(|&&s| s == idx).count() == 0
                 && self.received[idx] < MSGS as u64 * MSG_LEN
@@ -85,10 +85,8 @@ impl Server {
                 let id = self.next_id;
                 self.next_id += 1;
                 self.id_stream.insert(id, idx);
-                self.ctx
-                    .as_mut()
-                    .unwrap()
-                    .exs_recv(api, fd, &mr, 0, 32 << 10, MsgFlags::NONE, id);
+                sock.exs_recv(api, mr, 0, 32 << 10, false, id);
+                self.events.extend(sock.take_events());
             }
         }
     }
@@ -99,16 +97,19 @@ impl NodeApp for Server {
         self.kick(api);
     }
     fn on_wake(&mut self, api: &mut NodeApi<'_>) {
-        self.ctx.as_mut().unwrap().handle_wake(api);
+        for (sock, _) in &mut self.streams {
+            sock.handle_wake(api);
+            self.events.extend(sock.take_events());
+        }
         loop {
-            let events = self.ctx.as_mut().unwrap().exs_qdequeue();
+            let events = std::mem::take(&mut self.events);
             if events.is_empty() {
                 break;
             }
-            for qe in events {
-                if let Event::RecvComplete { id, len } = qe.event {
+            for ev in events {
+                if let ExsEvent::RecvComplete { id, len } = ev {
                     let idx = self.id_stream.remove(&id).expect("stream for recv id");
-                    let (_, mr) = self.streams[idx];
+                    let mr = self.streams[idx].1;
                     let mut buf = vec![0u8; len as usize];
                     api.read_mr(mr.key, mr.addr, &mut buf).unwrap();
                     for (i, &b) in buf.iter().enumerate() {
@@ -143,27 +144,24 @@ fn three_clients_one_server_streams_stay_isolated() {
         net.connect_nodes(c, server_node, profile.link.clone(), c.0 as u64);
     }
 
-    let mut server_ctx = ExsContext::new(server_node);
     let mut clients: Vec<Client> = Vec::new();
     let mut server_streams = Vec::new();
     let cfg = ExsConfig::with_mode(ProtocolMode::Dynamic);
 
     for (idx, &cnode) in client_nodes.iter().enumerate() {
-        let mut cctx = ExsContext::new(cnode);
-        let (cfd, sfd) =
-            ExsContext::socket_pair(&mut net, &mut cctx, &mut server_ctx, SockType::Stream, &cfg);
+        let (csock, ssock) = StreamSocket::pair(&mut net, cnode, server_node, &cfg);
         let mr = net.with_api(cnode, |api| {
-            cctx.exs_mregister(api, (MSG_LEN * 2) as usize, Access::NONE)
+            api.register_mr((MSG_LEN * 2) as usize, Access::NONE)
         });
         let smr = net.with_api(server_node, |api| {
-            server_ctx.exs_mregister(api, 32 << 10, Access::local_remote_write())
+            api.register_mr(32 << 10, Access::local_remote_write())
         });
-        server_streams.push((sfd, smr));
+        server_streams.push((ssock, smr));
         clients.push(Client {
-            ctx: Some(cctx),
-            fd: cfd,
+            sock: csock,
+            events: Vec::new(),
             stream_idx: idx,
-            mr: Some(mr),
+            mr,
             sent: 0,
             acked: 0,
             pos: 0,
@@ -171,8 +169,8 @@ fn three_clients_one_server_streams_stay_isolated() {
     }
 
     let mut server = Server {
-        ctx: Some(server_ctx),
         streams: server_streams,
+        events: Vec::new(),
         received: vec![0; CLIENTS],
         next_id: 0,
         id_stream: std::collections::HashMap::new(),
@@ -188,7 +186,7 @@ fn three_clients_one_server_streams_stay_isolated() {
 
     // Each stream delivered its full, uncorrupted byte sequence.
     for idx in 0..CLIENTS {
-        let st = server.ctx.as_ref().unwrap().stats(server.streams[idx].0);
+        let st = server.streams[idx].0.stats();
         assert_eq!(st.bytes_received, MSGS as u64 * MSG_LEN, "stream {idx}");
     }
     // The shared receiver worked hard: with one outstanding receive per

@@ -1,9 +1,9 @@
 //! Cross-crate integration: the blast workload driving the EXS protocol
 //! over the simulated verbs fabric, with full payload verification,
-//! determinism checks, and the ES-API layer.
+//! determinism checks, and two sockets driven from one node.
 
 use rdma_stream::blast::{run_blast, BlastSpec, SizeDist, VerifyLevel};
-use rdma_stream::exs::{Event, ExsConfig, ExsContext, MsgFlags, ProtocolMode, SockType};
+use rdma_stream::exs::{ExsConfig, ExsEvent, ProtocolMode, StreamSocket};
 use rdma_stream::simnet::SimTime;
 use rdma_stream::verbs::{profiles, Access, MrInfo, NodeApi, NodeApp, SimNet};
 
@@ -91,110 +91,91 @@ fn waitall_blast_verified() {
     assert_eq!(report.bytes, 40 * 100_000);
 }
 
-/// Mixed stream + message sockets in one ES-API context, across nodes.
+/// Two stream sockets between the same two nodes, driven in socket
+/// order: each call and each wake drains that socket's events into one
+/// queue, which the app then works through.
 struct PairApp {
-    ctx: Option<ExsContext>,
-    stream_fd: rdma_stream::exs::ExsFd,
-    seq_fd: rdma_stream::exs::ExsFd,
-    mr: Option<MrInfo>,
+    socks: Vec<StreamSocket>,
+    events: Vec<(usize, ExsEvent)>,
+    mr: MrInfo,
     is_client: bool,
-    stream_done: bool,
-    seq_done: bool,
-    posted: bool,
+    done: [bool; 2],
 }
 
 impl NodeApp for PairApp {
     fn on_start(&mut self, api: &mut NodeApi<'_>) {
-        let mr = self.mr.unwrap();
-        let ctx = self.ctx.as_mut().unwrap();
+        let mr = self.mr;
         if self.is_client {
             api.write_mr(mr.key, mr.addr, b"stream-payload!!").unwrap();
-            ctx.exs_send(api, self.stream_fd, &mr, 0, 16, 1);
-            ctx.exs_send(api, self.seq_fd, &mr, 0, 16, 2);
-        } else {
-            ctx.exs_recv(api, self.stream_fd, &mr, 0, 16, MsgFlags::WAITALL, 1);
-            ctx.exs_recv(api, self.seq_fd, &mr, 16, 16, MsgFlags::NONE, 2);
-            self.posted = true;
+        }
+        for (idx, sock) in self.socks.iter_mut().enumerate() {
+            let id = idx as u64 + 1;
+            if self.is_client {
+                sock.exs_send(api, &mr, 0, 16, id);
+            } else {
+                // The first socket waits for all 16 bytes, the second
+                // takes whatever arrives.
+                sock.exs_recv(api, &mr, 16 * idx as u64, 16, idx == 0, id);
+            }
+            self.events
+                .extend(sock.take_events().into_iter().map(|ev| (idx, ev)));
         }
     }
     fn on_wake(&mut self, api: &mut NodeApi<'_>) {
-        let ctx = self.ctx.as_mut().unwrap();
-        ctx.handle_wake(api);
-        for qe in ctx.exs_qdequeue() {
-            match qe.event {
-                Event::SendComplete { .. } if self.is_client => {
-                    if qe.fd == self.stream_fd {
-                        self.stream_done = true;
-                    } else {
-                        self.seq_done = true;
-                    }
-                }
-                Event::RecvComplete { len, .. } if !self.is_client => {
+        for (idx, sock) in self.socks.iter_mut().enumerate() {
+            sock.handle_wake(api);
+            self.events
+                .extend(sock.take_events().into_iter().map(|ev| (idx, ev)));
+        }
+        for (idx, ev) in self.events.drain(..) {
+            match ev {
+                ExsEvent::SendComplete { .. } if self.is_client => self.done[idx] = true,
+                ExsEvent::RecvComplete { len, .. } if !self.is_client => {
                     assert_eq!(len, 16);
-                    if qe.fd == self.stream_fd {
-                        self.stream_done = true;
-                    } else {
-                        self.seq_done = true;
-                    }
+                    self.done[idx] = true;
                 }
-                other => panic!("unexpected event {other:?}"),
+                other => panic!("unexpected event {other:?} on socket {idx}"),
             }
         }
     }
     fn is_done(&self) -> bool {
-        self.stream_done && self.seq_done
+        self.done == [true; 2]
     }
 }
 
 #[test]
-fn es_api_multiplexes_stream_and_seqpacket() {
+fn one_node_drives_two_stream_sockets() {
     let profile = profiles::fdr_infiniband();
     let mut net = SimNet::new();
     let a = net.add_node(profile.host.clone(), profile.hca.clone());
     let b = net.add_node(profile.host.clone(), profile.hca.clone());
     net.connect_nodes(a, b, profile.link.clone(), 17);
 
-    let mut ctx_a = ExsContext::new(a);
-    let mut ctx_b = ExsContext::new(b);
     let cfg = ExsConfig::default();
-    let (s_a, s_b) =
-        ExsContext::socket_pair(&mut net, &mut ctx_a, &mut ctx_b, SockType::Stream, &cfg);
-    let (q_a, q_b) =
-        ExsContext::socket_pair(&mut net, &mut ctx_a, &mut ctx_b, SockType::SeqPacket, &cfg);
-    assert_eq!(ctx_a.open_sockets(), 2);
+    let (s_a, s_b) = StreamSocket::pair(&mut net, a, b, &cfg);
+    let (t_a, t_b) = StreamSocket::pair(&mut net, a, b, &cfg);
+    let mr_a = net.with_api(a, |api| api.register_mr(32, Access::NONE));
+    let mr_b = net.with_api(b, |api| api.register_mr(32, Access::local_remote_write()));
 
-    let mr_a = net.with_api(a, |api| ctx_a.exs_mregister(api, 32, Access::NONE));
-    let mr_b = net.with_api(b, |api| {
-        ctx_b.exs_mregister(api, 32, Access::local_remote_write())
-    });
-
-    let mut client = PairApp {
-        ctx: Some(ctx_a),
-        stream_fd: s_a,
-        seq_fd: q_a,
-        mr: Some(mr_a),
-        is_client: true,
-        stream_done: false,
-        seq_done: false,
-        posted: false,
+    let app = |socks, mr, is_client| PairApp {
+        socks,
+        events: Vec::new(),
+        mr,
+        is_client,
+        done: [false; 2],
     };
-    let mut server = PairApp {
-        ctx: Some(ctx_b),
-        stream_fd: s_b,
-        seq_fd: q_b,
-        mr: Some(mr_b),
-        is_client: false,
-        stream_done: false,
-        seq_done: false,
-        posted: false,
-    };
+    let mut client = app(vec![s_a, t_a], mr_a, true);
+    let mut server = app(vec![s_b, t_b], mr_b, false);
     let outcome = net.run(&mut [&mut client, &mut server], SimTime::from_secs(1));
-    assert!(outcome.completed, "es-api exchange stalled: {outcome:?}");
+    assert!(
+        outcome.completed,
+        "two-socket exchange stalled: {outcome:?}"
+    );
 
     // Verify both payload copies landed at the server.
-    let sctx = server.ctx.as_ref().unwrap();
-    assert_eq!(sctx.stats(s_b).recvs_completed, 1);
-    assert_eq!(sctx.stats(q_b).recvs_completed, 1);
+    for sock in &server.socks {
+        assert_eq!(sock.stats().recvs_completed, 1);
+    }
     net.with_api(b, |api| {
         let mut buf = [0u8; 16];
         api.read_mr(mr_b.key, mr_b.addr, &mut buf).unwrap();

@@ -2,9 +2,7 @@
 //! down mid-stream, RC retry exhaustion fails the QP, and the EXS socket
 //! surfaces a `ConnectionError` event instead of hanging or panicking.
 
-use rdma_stream::exs::{
-    ExsConfig, ExsEvent, ProtocolMode, SeqPacketEvent, SeqPacketSocket, StreamSocket,
-};
+use rdma_stream::exs::{ExsConfig, ExsEvent, ProtocolMode, StreamSocket};
 use rdma_stream::simnet::{SimDuration, SimTime};
 use rdma_stream::verbs::{profiles, Access, MrInfo, NodeApi, NodeApp, SimNet};
 
@@ -147,13 +145,16 @@ fn link_cut_surfaces_connection_error() {
     assert!(net.losses().link_down > 0, "{:?}", net.losses());
 }
 
-/// One side of a two-way message exchange that never ends by itself:
-/// keeps two receives advertised and two sends in flight.
-struct MsgPeer {
-    sock: SeqPacketSocket,
+/// One side of a two-way exchange that never ends by itself: keeps two
+/// receives posted and two sends in flight.
+struct Peer {
+    sock: StreamSocket,
     send_mr: MrInfo,
     recv_mr: MrInfo,
     sends_in_flight: usize,
+    /// Sends posted so far; the next send's id, as ids of sends in
+    /// flight must differ.
+    sends_posted: u64,
     recvs_posted: usize,
     received: u64,
     broken: bool,
@@ -161,20 +162,22 @@ struct MsgPeer {
 
 const MSG: u32 = 64 << 10;
 
-impl MsgPeer {
+impl Peer {
     fn kick(&mut self, api: &mut NodeApi<'_>) {
         while !self.broken && self.recvs_posted < 2 {
-            self.sock.exs_recv(api, &self.recv_mr, 0, MSG, 0);
+            self.sock.exs_recv(api, &self.recv_mr, 0, MSG, false, 0);
             self.recvs_posted += 1;
         }
         while !self.broken && self.sends_in_flight < 2 {
-            self.sock.exs_send(api, &self.send_mr, 0, MSG, 0);
+            let id = self.sends_posted;
+            self.sock.exs_send(api, &self.send_mr, 0, MSG as u64, id);
             self.sends_in_flight += 1;
+            self.sends_posted += 1;
         }
     }
 }
 
-impl NodeApp for MsgPeer {
+impl NodeApp for Peer {
     fn on_start(&mut self, api: &mut NodeApi<'_>) {
         self.kick(api);
     }
@@ -182,13 +185,13 @@ impl NodeApp for MsgPeer {
         self.sock.handle_wake(api);
         for ev in self.sock.take_events() {
             match ev {
-                SeqPacketEvent::SendComplete { .. } => self.sends_in_flight -= 1,
-                SeqPacketEvent::RecvComplete { len, .. } => {
+                ExsEvent::SendComplete { .. } => self.sends_in_flight -= 1,
+                ExsEvent::RecvComplete { len, .. } => {
                     self.recvs_posted -= 1;
                     self.received += len as u64;
                 }
-                SeqPacketEvent::ConnectionError => self.broken = true,
-                SeqPacketEvent::SendError { .. } => panic!("every message fits"),
+                ExsEvent::ConnectionError => self.broken = true,
+                ExsEvent::PeerClosed => panic!("neither side shuts down"),
             }
         }
         self.kick(api);
@@ -198,28 +201,32 @@ impl NodeApp for MsgPeer {
     }
 }
 
+/// Both directions cut under a two-way exchange: each side has data or
+/// control messages on the wire, so each exhausts its retries and
+/// breaks with a typed error, and close still returns every
+/// registration the socket made.
 #[test]
-fn link_cut_breaks_a_message_socket_with_a_typed_error() {
+fn link_cut_breaks_both_ends_with_a_typed_error() {
     let profile = profiles::fdr_infiniband();
     let mut net = SimNet::new();
     let a = net.add_node(profile.host.clone(), profile.hca.clone());
     let b = net.add_node(profile.host.clone(), profile.hca.clone());
     net.connect_nodes(a, b, profile.link.clone(), 8);
-    let (sa, sb) = SeqPacketSocket::pair(&mut net, a, b, &ExsConfig::default());
+    let (sa, sb) = StreamSocket::pair(&mut net, a, b, &ExsConfig::default());
     let mut peers = [(a, sa), (b, sb)].map(|(node, sock)| {
-        net.with_api(node, |api| MsgPeer {
+        net.with_api(node, |api| Peer {
             sock,
             send_mr: api.register_mr(MSG as usize, Access::NONE),
             recv_mr: api.register_mr(MSG as usize, Access::local_remote_write()),
             sends_in_flight: 0,
+            sends_posted: 0,
             recvs_posted: 0,
             received: 0,
             broken: false,
         })
     });
 
-    // Run a while, then cut both directions and keep running: each
-    // side has ADVERTs or data on the wire, so each exhausts its retries.
+    // Run a while, then cut both directions and keep running.
     let [pa, pb] = &mut peers;
     let mid = net.run(&mut [pa, pb], SimTime::from_millis(2));
     assert!(
@@ -241,7 +248,7 @@ fn link_cut_breaks_a_message_socket_with_a_typed_error() {
         assert!(peer.sock.last_error().is_some());
         // A transport failure is not the peer's protocol violation.
         assert_eq!(peer.sock.stats().protocol_errors, 0);
-        // Close returns the socket's registration; the two user
+        // Close returns the socket's registrations; the two user
         // buffers are all that remains on the node.
         net.with_api(node, |api| {
             peer.sock.close(api);

@@ -2,7 +2,7 @@
 //!
 //! Every registration a socket creates — the intermediate ring, the
 //! control slots, BCopy staging regions (including ones orphaned by a
-//! cancelled send) — is released by `exs_close`, on both backends. The
+//! cancelled send) — is released by `close`, on both backends. The
 //! HCA's memory table being empty after teardown is the ground truth:
 //! in these tests every registration on the node went through the
 //! sockets or is explicitly deregistered, so one leaked region fails
@@ -12,56 +12,58 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use rdma_stream::exs::{
-    Event, ExsConfig, ExsContext, MsgFlags, ProtocolMode, ReactorConfig, ShardConfig, ShardPolicy,
-    SockType, ThreadPort, ThreadReactorPool, ThreadStream,
+    ExsConfig, ExsEvent, ProtocolMode, ReactorConfig, ShardConfig, ShardPolicy, StreamSocket,
+    ThreadPort, ThreadReactorPool, ThreadStream,
 };
 use rdma_stream::simnet::SimTime;
 use rdma_stream::verbs::threaded::ThreadNet;
 use rdma_stream::verbs::{profiles, Access, HcaConfig, MrInfo, NodeApi, NodeApp, SimNet};
 
-/// Minimal ES-API exchange: one stream send and one message send from
-/// the client, received by the server.
+/// Minimal exchange over two stream sockets between the same nodes:
+/// one send on each from the client, received by the server. Each call
+/// and each wake drains that socket's events into the app's queue.
 struct PairApp {
-    ctx: Option<ExsContext>,
-    stream_fd: rdma_stream::exs::ExsFd,
-    seq_fd: rdma_stream::exs::ExsFd,
+    socks: Vec<StreamSocket>,
+    events: Vec<(usize, ExsEvent)>,
     mr: MrInfo,
     is_client: bool,
-    stream_done: bool,
-    seq_done: bool,
+    done: [bool; 2],
 }
 
 impl NodeApp for PairApp {
     fn on_start(&mut self, api: &mut NodeApi<'_>) {
-        let ctx = self.ctx.as_mut().unwrap();
+        let mr = self.mr;
         if self.is_client {
-            api.write_mr(self.mr.key, self.mr.addr, b"lifecycle-bytes!")
-                .unwrap();
-            ctx.exs_send(api, self.stream_fd, &self.mr, 0, 16, 1);
-            ctx.exs_send(api, self.seq_fd, &self.mr, 0, 16, 2);
-        } else {
-            ctx.exs_recv(api, self.stream_fd, &self.mr, 0, 16, MsgFlags::WAITALL, 1);
-            ctx.exs_recv(api, self.seq_fd, &self.mr, 16, 16, MsgFlags::NONE, 2);
+            api.write_mr(mr.key, mr.addr, b"lifecycle-bytes!").unwrap();
+        }
+        for (idx, sock) in self.socks.iter_mut().enumerate() {
+            let id = idx as u64 + 1;
+            if self.is_client {
+                sock.exs_send(api, &mr, 0, 16, id);
+            } else {
+                sock.exs_recv(api, &mr, 16 * idx as u64, 16, idx == 0, id);
+            }
+            self.events
+                .extend(sock.take_events().into_iter().map(|ev| (idx, ev)));
         }
     }
     fn on_wake(&mut self, api: &mut NodeApi<'_>) {
-        let ctx = self.ctx.as_mut().unwrap();
-        ctx.handle_wake(api);
-        for qe in ctx.exs_qdequeue() {
-            match qe.event {
-                Event::SendComplete { .. } | Event::RecvComplete { .. } => {
-                    if qe.fd == self.stream_fd {
-                        self.stream_done = true;
-                    } else {
-                        self.seq_done = true;
-                    }
+        for (idx, sock) in self.socks.iter_mut().enumerate() {
+            sock.handle_wake(api);
+            self.events
+                .extend(sock.take_events().into_iter().map(|ev| (idx, ev)));
+        }
+        for (idx, ev) in self.events.drain(..) {
+            match ev {
+                ExsEvent::SendComplete { .. } | ExsEvent::RecvComplete { .. } => {
+                    self.done[idx] = true;
                 }
-                other => panic!("unexpected event {other:?}"),
+                other => panic!("unexpected event {other:?} on socket {idx}"),
             }
         }
     }
     fn is_done(&self) -> bool {
-        self.stream_done && self.seq_done
+        self.done == [true; 2]
     }
 }
 
@@ -73,57 +75,34 @@ fn sim_close_releases_every_socket_registration() {
     let b = net.add_node(profile.host.clone(), profile.hca.clone());
     net.connect_nodes(a, b, profile.link.clone(), 7);
 
-    let mut ctx_a = ExsContext::new(a);
-    let mut ctx_b = ExsContext::new(b);
     let cfg = ExsConfig::default();
-    let (s_a, s_b) =
-        ExsContext::socket_pair(&mut net, &mut ctx_a, &mut ctx_b, SockType::Stream, &cfg);
-    let (q_a, q_b) =
-        ExsContext::socket_pair(&mut net, &mut ctx_a, &mut ctx_b, SockType::SeqPacket, &cfg);
+    let (s_a, s_b) = StreamSocket::pair(&mut net, a, b, &cfg);
+    let (t_a, t_b) = StreamSocket::pair(&mut net, a, b, &cfg);
+    let mr_a = net.with_api(a, |api| api.register_mr(32, Access::NONE));
+    let mr_b = net.with_api(b, |api| api.register_mr(32, Access::local_remote_write()));
 
-    let mr_a = net.with_api(a, |api| ctx_a.exs_mregister(api, 32, Access::NONE));
-    let mr_b = net.with_api(b, |api| {
-        ctx_b.exs_mregister(api, 32, Access::local_remote_write())
-    });
-
-    let mut client = PairApp {
-        ctx: Some(ctx_a),
-        stream_fd: s_a,
-        seq_fd: q_a,
-        mr: mr_a,
-        is_client: true,
-        stream_done: false,
-        seq_done: false,
+    let app = |socks, mr, is_client| PairApp {
+        socks,
+        events: Vec::new(),
+        mr,
+        is_client,
+        done: [false; 2],
     };
-    let mut server = PairApp {
-        ctx: Some(ctx_b),
-        stream_fd: s_b,
-        seq_fd: q_b,
-        mr: mr_b,
-        is_client: false,
-        stream_done: false,
-        seq_done: false,
-    };
+    let mut client = app(vec![s_a, t_a], mr_a, true);
+    let mut server = app(vec![s_b, t_b], mr_b, false);
     let outcome = net.run(&mut [&mut client, &mut server], SimTime::from_secs(1));
     assert!(outcome.completed, "exchange stalled: {outcome:?}");
 
     // Teardown: close every socket, release the user regions.
-    let mut ctx_a = client.ctx.take().unwrap();
-    let mut ctx_b = server.ctx.take().unwrap();
-    net.with_api(a, |api| {
-        ctx_a.exs_close(api, s_a);
-        ctx_a.exs_close(api, q_a);
-        ctx_a.exs_mderegister(api, &mr_a);
-        assert_eq!(api.mr_count(), 0, "client node leaked registrations");
-    });
-    net.with_api(b, |api| {
-        ctx_b.exs_close(api, s_b);
-        ctx_b.exs_close(api, q_b);
-        ctx_b.exs_mderegister(api, &mr_b);
-        assert_eq!(api.mr_count(), 0, "server node leaked registrations");
-    });
-    assert_eq!(ctx_a.open_sockets(), 0);
-    assert_eq!(ctx_b.open_sockets(), 0);
+    for (node, app, mr) in [(a, &mut client, mr_a), (b, &mut server, mr_b)] {
+        net.with_api(node, |api| {
+            for sock in &mut app.socks {
+                sock.close(api);
+            }
+            api.hca_deregister(mr.key).unwrap();
+            assert_eq!(api.mr_count(), 0, "{node:?} leaked registrations");
+        });
+    }
 }
 
 /// A cancelled BCopy send's staging region (which `exs_cancel` cannot
@@ -144,23 +123,19 @@ fn sim_cancelled_staging_region_is_reclaimed() {
         sq_depth: 2,
         ..ExsConfig::default()
     };
-    let mut ctx_a = ExsContext::new(a);
-    let mut ctx_b = ExsContext::new(b);
-    let (s_a, s_b) =
-        ExsContext::socket_pair(&mut net, &mut ctx_a, &mut ctx_b, SockType::Stream, &cfg);
-    let mr = net.with_api(a, |api| ctx_a.exs_mregister(api, 64, Access::NONE));
-
+    let (mut s_a, mut s_b) = StreamSocket::pair(&mut net, a, b, &cfg);
+    let mr = net.with_api(a, |api| api.register_mr(64, Access::NONE));
     net.with_api(a, |api| {
-        ctx_a.exs_send(api, s_a, &mr, 0, 64, 1);
-        ctx_a.exs_send(api, s_a, &mr, 0, 64, 2);
-        ctx_a.exs_send(api, s_a, &mr, 0, 64, 3);
-        assert!(ctx_a.exs_cancel(s_a, 3), "send 3 should be cancellable");
-        ctx_a.exs_close(api, s_a);
-        ctx_a.exs_mderegister(api, &mr);
+        s_a.exs_send(api, &mr, 0, 64, 1);
+        s_a.exs_send(api, &mr, 0, 64, 2);
+        s_a.exs_send(api, &mr, 0, 64, 3);
+        assert!(s_a.exs_cancel(3), "send 3 should be cancellable");
+        s_a.close(api);
+        api.hca_deregister(mr.key).unwrap();
         assert_eq!(api.mr_count(), 0, "cancelled staging region leaked");
     });
     net.with_api(b, |api| {
-        ctx_b.exs_close(api, s_b);
+        s_b.close(api);
         assert_eq!(api.mr_count(), 0);
     });
 }
