@@ -2,30 +2,29 @@
 //!
 //! One [`Executor`] owns one [`Reactor`] plus every piece of aio state
 //! behind a single `Rc<RefCell<..>>`: per-channel receive buffers, the
-//! queued-operation list, the timer heap and the task slab. Futures
-//! never touch the verbs backend — they enqueue operations and park
-//! with a waker; [`Executor::turn`] applies the operations against the
-//! caller's [`VerbsPort`], polls the reactor, routes completions back
-//! to channel state, fires due timers and polls woken tasks, looping
-//! until the whole system is quiescent. Because one `turn` is a pure
-//! function of (state, port, now), the executor is byte- and
-//! schedule-deterministic under the simulator and a plain parking poll
-//! loop over the thread fabric — the same application code runs on
-//! both.
+//! queued-operation list and the task slab. Futures never touch the
+//! verbs backend — they enqueue operations and park with a waker;
+//! [`Executor::turn`] applies the operations against the caller's
+//! [`VerbsPort`], polls the reactor, routes completions back to channel
+//! state and polls woken tasks, looping until the whole system is
+//! quiescent. Because one `turn` is a pure function of (state, port),
+//! and every map it walks iterates in key order or in an order fixed by
+//! its keys, the executor is byte- and schedule-deterministic under the
+//! simulator and a plain parking poll loop over the thread fabric — the
+//! same application code runs on both.
 
 use std::cell::RefCell;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::task::{Context, Poll, Wake, Waker};
-use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 use rdma_verbs::{Access, ThreadNet, ThreadNode};
+use simnet::IntMap;
 
 use crate::error::ExsError;
 use crate::mempool::{MemPool, MemPoolConfig, MrLease};
@@ -36,11 +35,6 @@ use crate::stats::AioStats;
 use crate::threaded::ThreadPort;
 
 use super::handle::AioHandle;
-
-/// Default readahead chunk size for a channel's posted receives.
-pub(crate) const DEFAULT_CHUNK: u32 = 16 << 10;
-/// Default readahead depth (posted receives kept outstanding).
-pub(crate) const DEFAULT_DEPTH: usize = 4;
 
 type TaskFut = Pin<Box<dyn Future<Output = ()>>>;
 
@@ -115,8 +109,10 @@ pub(crate) struct Chan {
     /// Send-direction poison left by an unclean cancellation.
     pub(crate) poison: Option<ExsError>,
     pub(crate) shutdown_requested: bool,
-    pub(crate) send_ops: HashMap<u64, SendOp>,
-    pub(crate) ctl_ops: HashMap<u64, CtlOp>,
+    /// Send and control operations by op id: a failure wakes their
+    /// tasks in the order the operations were issued.
+    pub(crate) send_ops: BTreeMap<u64, SendOp>,
+    pub(crate) ctl_ops: BTreeMap<u64, CtlOp>,
     pub(crate) read_waiters: VecDeque<RecvWaiter>,
 }
 
@@ -134,8 +130,8 @@ impl Chan {
             error: None,
             poison: None,
             shutdown_requested: false,
-            send_ops: HashMap::new(),
-            ctl_ops: HashMap::new(),
+            send_ops: BTreeMap::new(),
+            ctl_ops: BTreeMap::new(),
             read_waiters: VecDeque::new(),
         }
     }
@@ -169,7 +165,7 @@ impl Chan {
         if self.error.is_none() {
             self.error = Some(err.clone());
         }
-        for (_, op) in self.send_ops.iter_mut() {
+        for op in self.send_ops.values_mut() {
             if op.done.is_none() && !op.detached {
                 op.done = Some(Err(err.clone()));
                 op.lease = None;
@@ -178,7 +174,7 @@ impl Chan {
                 }
             }
         }
-        for (_, op) in self.ctl_ops.iter_mut() {
+        for op in self.ctl_ops.values_mut() {
             if op.done.is_none() {
                 op.done = Some(Err(err.clone()));
                 if let Some(w) = op.waker.take() {
@@ -210,11 +206,6 @@ impl Chan {
         }
         Ok(())
     }
-}
-
-pub(crate) struct TimerEntry {
-    pub(crate) fired: bool,
-    pub(crate) waker: Option<Waker>,
 }
 
 /// The shared ready queue task wakers push onto. Lives outside the
@@ -268,7 +259,7 @@ impl ReadyQueue {
     /// step under the queue's lock, as a wake's push and its look at the
     /// announcement are, so a waker fired on another thread either is
     /// seen here or notifies the node.
-    fn wait(&self, node: &Arc<ThreadNode>, seen: u64, deadline: Option<Instant>) {
+    fn wait(&self, node: &Arc<ThreadNode>, seen: u64) {
         {
             let mut ready = self.q.lock();
             if !ready.tasks.is_empty() {
@@ -276,7 +267,7 @@ impl ReadyQueue {
             }
             ready.parked_on = Some(node.clone());
         }
-        node.wait_any(seen, deadline);
+        node.wait_any(seen, None);
         self.q.lock().parked_on = None;
     }
 }
@@ -302,12 +293,9 @@ impl Wake for TaskWaker {
 pub(crate) struct Inner {
     pub(crate) reactor: Reactor,
     pub(crate) pool: MemPool,
-    pub(crate) chans: HashMap<ChanKey, Chan>,
+    pub(crate) chans: IntMap<ChanKey, Chan>,
     pub(crate) actions: VecDeque<Action>,
-    timers: BinaryHeap<Reverse<(u64, u64)>>,
-    pub(crate) timer_entries: HashMap<u64, TimerEntry>,
     pub(crate) next_op: u64,
-    pub(crate) now: u64,
     pub(crate) stats: AioStats,
     tasks: Vec<Option<TaskFut>>,
     free_tasks: Vec<usize>,
@@ -355,62 +343,6 @@ impl Inner {
         self.outstanding += 1;
         self.stats.tasks_spawned += 1;
         id
-    }
-
-    pub(crate) fn arm_timer(&mut self, deadline: u64, waker: Waker) -> u64 {
-        let id = self.op_id();
-        self.timers.push(Reverse((deadline, id)));
-        self.timer_entries.insert(
-            id,
-            TimerEntry {
-                fired: false,
-                waker: Some(waker),
-            },
-        );
-        self.stats.timers_set += 1;
-        id
-    }
-
-    pub(crate) fn cancel_timer(&mut self, id: u64) {
-        if let Some(entry) = self.timer_entries.remove(&id) {
-            if !entry.fired {
-                self.stats.timer_cancels += 1;
-            }
-        }
-        // The heap entry is left behind and skipped lazily.
-    }
-
-    fn fire_due(&mut self) -> bool {
-        let mut fired = false;
-        while let Some(&Reverse((deadline, id))) = self.timers.peek() {
-            if deadline > self.now {
-                break;
-            }
-            self.timers.pop();
-            if let Some(entry) = self.timer_entries.get_mut(&id) {
-                if !entry.fired {
-                    entry.fired = true;
-                    self.stats.timer_fires += 1;
-                    if let Some(w) = entry.waker.take() {
-                        w.wake();
-                        fired = true;
-                    }
-                }
-            }
-        }
-        fired
-    }
-
-    fn next_deadline(&mut self) -> Option<u64> {
-        while let Some(&Reverse((deadline, id))) = self.timers.peek() {
-            match self.timer_entries.get(&id) {
-                Some(entry) if !entry.fired => return Some(deadline),
-                _ => {
-                    self.timers.pop();
-                }
-            }
-        }
-        None
     }
 
     /// Applies every queued operation against the port, in FIFO order.
@@ -723,8 +655,8 @@ impl Inner {
 /// [`Reactor`].
 ///
 /// On the simulator, wrap it in a [`SimShardDriver`] and run it as a
-/// `NodeApp`: timers become simulator events and whole runs stay byte-
-/// and schedule-deterministic. On the thread fabric, call
+/// `NodeApp`: every node wake turns it, and whole runs stay byte- and
+/// schedule-deterministic. On the thread fabric, call
 /// [`Executor::run_threaded`] from one service thread: the same turn
 /// function runs between waits on the node's completion generation
 /// ([`ThreadNode::wait_any`]), which a waker fired on another thread
@@ -748,12 +680,9 @@ impl Executor {
             inner: Rc::new(RefCell::new(Inner {
                 reactor,
                 pool,
-                chans: HashMap::new(),
+                chans: IntMap::default(),
                 actions: VecDeque::new(),
-                timers: BinaryHeap::new(),
-                timer_entries: HashMap::new(),
                 next_op: 0,
-                now: 0,
                 stats: AioStats::default(),
                 tasks: Vec::new(),
                 free_tasks: Vec::new(),
@@ -799,22 +728,13 @@ impl Executor {
         stats
     }
 
-    /// One executor turn: advance the clock to `now_nanos`, fire due
-    /// timers, apply queued operations, poll the reactor and route
-    /// completions, poll every woken task — looping until nothing
-    /// progresses and the reactor has no deferred backlog. Returns the
-    /// next timer deadline, for the driver to park against.
-    pub fn turn(&mut self, port: &mut impl VerbsPort, now_nanos: u64) -> Option<u64> {
-        {
-            let mut inner = self.inner.borrow_mut();
-            if now_nanos > inner.now {
-                inner.now = now_nanos;
-            }
-            inner.stats.turns += 1;
-        }
+    /// One executor turn: apply queued operations, poll the reactor and
+    /// route completions, poll every woken task — looping until nothing
+    /// progresses and the reactor has no deferred backlog.
+    pub fn turn(&mut self, port: &mut impl VerbsPort) {
+        self.inner.borrow_mut().stats.turns += 1;
         loop {
             let mut progressed = false;
-            progressed |= self.inner.borrow_mut().fire_due();
             progressed |= self.inner.borrow_mut().apply_actions(port);
             progressed |= self.inner.borrow_mut().pump_reactor(port);
             progressed |= self.run_ready();
@@ -822,7 +742,6 @@ impl Executor {
                 break;
             }
         }
-        self.inner.borrow_mut().next_deadline()
     }
 
     /// Polls every task on the ready queue (and any they wake or
@@ -866,22 +785,18 @@ impl Executor {
 
     /// Runs the executor on the calling thread over the real-thread
     /// fabric until it is drained: read the node's generation, turn,
-    /// then wait for the generation to move, for the next timer
-    /// deadline, or for a waker fired on another thread — whichever
-    /// comes first. This is the "10k tasks on one service thread" loop:
-    /// tasks and reactor share the caller's thread.
+    /// then wait for the generation to move or for a waker fired on
+    /// another thread. This is the "10k tasks on one service thread"
+    /// loop: tasks and reactor share the caller's thread.
     pub fn run_threaded(&mut self, net: &ThreadNet, node: &Arc<ThreadNode>) {
-        let epoch = Instant::now();
         loop {
             let seen = node.generation();
-            let now = epoch.elapsed().as_nanos() as u64;
-            let next = self.turn(&mut ThreadPort::new(net, node), now);
+            self.turn(&mut ThreadPort::new(net, node));
             if self.drained() {
                 break;
             }
             if !self.inner.borrow().reactor.has_backlog() {
-                let deadline = next.and_then(|at| epoch.checked_add(Duration::from_nanos(at)));
-                self.ready.wait(node, seen, deadline);
+                self.ready.wait(node, seen);
             }
         }
     }
@@ -890,16 +805,13 @@ impl Executor {
 /// Adapts [`Executor`]s to the simulator's [`rdma_verbs::NodeApp`]
 /// protocol, one executor per reactor shard on a single simulated node
 /// (a plain single-reactor server is the one-executor case). Every
-/// wake-up and timer event runs one turn of *each* executor, in shard
-/// order, and the earliest pending timer deadline is re-armed as a
-/// simulator timer event — simulated time and task time interleave
-/// deterministically. "Parallel" shards interleave on one timeline, so
-/// runs stay byte- and schedule-deterministic while exercising exactly
-/// the sharded placement the thread backend uses. The node is done
-/// only when every shard is drained ([`Executor::drained`]).
+/// wake-up runs one turn of *each* executor, in shard order. "Parallel"
+/// shards interleave on one timeline, so runs stay byte- and
+/// schedule-deterministic while exercising exactly the sharded
+/// placement the thread backend uses. The node is done only when every
+/// shard is drained ([`Executor::drained`]).
 pub struct SimShardDriver {
     shards: Vec<Executor>,
-    armed: u64,
 }
 
 impl SimShardDriver {
@@ -910,7 +822,7 @@ impl SimShardDriver {
             !shards.is_empty(),
             "a shard driver needs at least one shard"
         );
-        SimShardDriver { shards, armed: 0 }
+        SimShardDriver { shards }
     }
 
     /// Number of shards driven.
@@ -944,29 +856,12 @@ impl SimShardDriver {
     }
 
     fn pump(&mut self, api: &mut rdma_verbs::NodeApi<'_>) {
-        let now = api.now().as_nanos();
         // One turn per shard, in shard order. Each turn already loops
         // to quiescence (including its reactor's deferred backlog), and
         // cross-shard traffic on the simulator arrives as later wake
         // events, so a single pass is a complete pump.
-        let mut next: Option<u64> = None;
         for ex in &mut self.shards {
-            let deadline = ex.turn(api, now);
-            next = match (next, deadline) {
-                (Some(a), Some(b)) => Some(a.min(b)),
-                (a, b) => a.or(b),
-            };
-        }
-        if let Some(deadline) = next {
-            // Lazy re-arm: only when no earlier live timer is armed.
-            // Stale fires land on an up-to-date turn and are ignored.
-            if self.armed <= now || deadline < self.armed {
-                api.set_timer(
-                    simnet::SimDuration::from_nanos(deadline.saturating_sub(now).max(1)),
-                    0,
-                );
-                self.armed = deadline.max(now + 1);
-            }
+            ex.turn(api);
         }
     }
 }
@@ -977,11 +872,6 @@ impl rdma_verbs::NodeApp for SimShardDriver {
     }
 
     fn on_wake(&mut self, api: &mut rdma_verbs::NodeApi<'_>) {
-        self.pump(api);
-    }
-
-    fn on_timer(&mut self, api: &mut rdma_verbs::NodeApi<'_>, _token: u64) {
-        self.armed = 0;
         self.pump(api);
     }
 

@@ -20,13 +20,11 @@ use crate::error::ExsError;
 use crate::reactor::ConnId;
 
 use super::executor::{
-    Action, Chan, ChanKey, CtlOp, Inner, ReadyQueue, RecvMode, RecvWaiter, SendOp, DEFAULT_CHUNK,
-    DEFAULT_DEPTH,
+    Action, Chan, ChanKey, CtlOp, Inner, ReadyQueue, RecvMode, RecvWaiter, SendOp,
 };
-use super::time::Sleep;
 
-/// A cloneable handle onto one [`super::Executor`]: spawn tasks, wrap
-/// connections, create timers.
+/// A cloneable handle onto one [`super::Executor`]: spawn tasks and wrap
+/// connections.
 #[derive(Clone)]
 pub struct AioHandle {
     inner: Rc<RefCell<Inner>>,
@@ -43,12 +41,6 @@ impl AioHandle {
     pub fn spawn(&self, fut: impl Future<Output = ()> + 'static) {
         let id = self.inner.borrow_mut().spawn_task(Box::pin(fut));
         self.ready.push_spawn(id);
-    }
-
-    /// Wraps a hosted socket's stream (id 0) with default readahead
-    /// (16 KiB chunks, depth 4).
-    pub fn stream(&self, conn: ConnId) -> AsyncStream {
-        self.stream_with(conn, DEFAULT_CHUNK, DEFAULT_DEPTH)
     }
 
     /// Wraps a hosted socket's stream (id 0), keeping `depth` receives
@@ -68,17 +60,6 @@ impl AioHandle {
             inner: self.inner.clone(),
             key,
         }
-    }
-
-    /// A future that resolves after `dur` of executor time (simulated
-    /// time under the simulator, wall time on the thread backend).
-    pub fn sleep(&self, dur: std::time::Duration) -> Sleep {
-        Sleep::new(self.inner.clone(), dur.as_nanos() as u64)
-    }
-
-    /// Current executor time in nanoseconds.
-    pub fn now(&self) -> u64 {
-        self.inner.borrow().now
     }
 }
 

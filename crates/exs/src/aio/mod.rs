@@ -5,8 +5,9 @@
 //! deterministic single-threaded [`Executor`] owns a
 //! [`crate::Reactor`] and drives tasks whose leaf futures are stream
 //! operations ([`AsyncStream::send_all`], [`AsyncStream::recv_exact`],
-//! [`AsyncStream::flush`], [`AsyncStream::shutdown`]) plus timers
-//! ([`AioHandle::sleep`], [`timeout`]) and [`select`].
+//! [`AsyncStream::recv_some`], [`AsyncStream::flush`],
+//! [`AsyncStream::shutdown`]). There are no timers: a task waits only
+//! on its streams.
 //!
 //! Three design rules, detailed in DESIGN.md §16:
 //!
@@ -14,11 +15,11 @@
 //!    and park with their task's waker; [`Executor::turn`] — the only
 //!    code holding a [`crate::VerbsPort`] — applies operations, polls
 //!    the reactor, routes completions back to per-channel state, and
-//!    polls woken tasks. One turn is a pure function of
-//!    (state, port, now), so the same application code is byte- and
-//!    schedule-deterministic under the simulator ([`SimShardDriver`]
-//!    turns timers into sim events) and a parking poll loop on the thread
-//!    backend ([`Executor::run_threaded`]).
+//!    polls woken tasks. One turn is a pure function of (state, port),
+//!    so the same application code is byte- and schedule-deterministic
+//!    under the simulator ([`SimShardDriver`] turns on every node wake)
+//!    and a parking poll loop on the thread backend
+//!    ([`Executor::run_threaded`]).
 //! 2. **Readahead keeps zero-copy alive.** Each wrapped stream keeps a
 //!    FIFO of chunk-sized receives posted (depth ≥ 2), so the paper's
 //!    Fig. 3 advert gate stays open under async consumption and
@@ -35,10 +36,6 @@
 
 mod executor;
 mod handle;
-mod select;
-mod time;
 
 pub use executor::{Executor, SimShardDriver};
 pub use handle::{AioHandle, AsyncStream, Ctl, Recv, SendAll};
-pub use select::{select, Either, Select};
-pub use time::{timeout, Sleep, Timeout};

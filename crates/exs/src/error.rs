@@ -100,9 +100,6 @@ pub enum ExsError {
     /// mid-frame), but whether it was delivered is ambiguous to the
     /// canceller, so later sends fail fast with this error.
     Cancelled,
-    /// A [`crate::aio::timeout`]-wrapped future did not complete within
-    /// its deadline.
-    TimedOut,
     /// End of stream: the peer half-closed and fewer buffered bytes
     /// remain than the receive asked for.
     Eof,
@@ -120,7 +117,6 @@ impl std::fmt::Display for ExsError {
             ExsError::Cancelled => {
                 write!(f, "send direction poisoned by an unclean cancellation")
             }
-            ExsError::TimedOut => write!(f, "operation timed out"),
             ExsError::Eof => write!(f, "end of stream"),
             ExsError::Broken => write!(f, "connection broken"),
         }

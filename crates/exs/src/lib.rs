@@ -42,7 +42,7 @@
 //! | [`stats`] | Table III counters + event-loop aggregates |
 
 #![warn(missing_docs)]
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 pub mod aio;
 pub mod buffer;

@@ -65,12 +65,13 @@
 //! The sender pumps streams round-robin, one chunk per stream per
 //! round, so fairness under contention is structural.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 
 use rdma_verbs::{
     connect_pool, Access, CqId, Cqe, MrInfo, MrKey, NodeId, QpNum, RemoteAddr, SendWr, Sge, SimNet,
     WcOpcode, WcStatus,
 };
+use simnet::IntMap;
 
 use crate::buffer::SenderRing;
 use crate::chan::{ctrl_region_bytes, poll_cqs, Channel};
@@ -147,6 +148,9 @@ struct MuxGrant {
 /// One queued `mux_send`.
 #[derive(Debug)]
 struct MuxSend {
+    /// The endpoint's own key for this send's [`SendTrack`].
+    token: u64,
+    /// The caller's id, carried only by the completion.
     id: u64,
     addr: u64,
     len: u64,
@@ -179,6 +183,8 @@ struct MuxChunk {
 
 /// Liveness tracking for one dispatched `mux_send`.
 struct SendTrack {
+    stream: u32,
+    id: u64,
     len: u64,
     outstanding: u32,
     dispatched_all: bool,
@@ -242,8 +248,8 @@ impl MuxStream {
 /// One pooled QP with the shared resources every assigned stream rides.
 struct MuxTransport {
     /// The pooled QP's control channel, tagged with stream ids; a data
-    /// WQE's owner is the `(stream, send id)` it carries.
-    chan: Channel<u32, (u32, u64)>,
+    /// WQE's owner is the token of the send it carries.
+    chan: Channel<u32, u64>,
     ring_mr: MrInfo,
     /// Peer parameters exchanged; sending is gated until then.
     connected: bool,
@@ -259,7 +265,10 @@ struct MuxTransport {
     chunk_base: u64,
     /// Ring bytes freed by prefix pops, not yet ACKed to the peer.
     owed_ring: u64,
-    inflight: HashMap<(u32, u64), SendTrack>,
+    /// Sends in flight by token. A token is the endpoint's, issued once
+    /// per `mux_send`, so two sends the caller gave one id never share
+    /// a track.
+    inflight: IntMap<u64, SendTrack>,
     /// Streams with dispatchable sends, pumped round-robin.
     sendable: VecDeque<u32>,
     broken: bool,
@@ -278,9 +287,10 @@ pub struct MuxEndpoint {
     cfg: ExsConfig,
     cqs: Option<(CqId, CqId)>,
     transports: Vec<Option<MuxTransport>>,
-    by_qpn: HashMap<QpNum, usize>,
-    streams: HashMap<u32, MuxStream>,
-    closed: HashSet<u32>,
+    by_qpn: IntMap<QpNum, usize>,
+    streams: IntMap<u32, MuxStream>,
+    closed: BTreeSet<u32>,
+    next_token: u64,
     events: Vec<MuxEvent>,
     stats: ConnStats,
     last_error: Option<ExsError>,
@@ -301,9 +311,10 @@ impl MuxEndpoint {
             cfg,
             cqs: None,
             transports: (0..pool).map(|_| None).collect(),
-            by_qpn: HashMap::new(),
-            streams: HashMap::new(),
-            closed: HashSet::new(),
+            by_qpn: IntMap::default(),
+            streams: IntMap::default(),
+            closed: BTreeSet::new(),
+            next_token: 0,
             events: Vec::new(),
             stats: ConnStats::default(),
             last_error: None,
@@ -475,7 +486,7 @@ impl MuxEndpoint {
             chunks: VecDeque::new(),
             chunk_base: 0,
             owed_ring: 0,
-            inflight: HashMap::new(),
+            inflight: IntMap::default(),
             sendable: VecDeque::new(),
             broken: false,
         });
@@ -483,7 +494,8 @@ impl MuxEndpoint {
     }
 
     /// Completes a slot's establishment with the peer's parameters and
-    /// schedules any streams that queued sends while waiting.
+    /// schedules any streams that queued sends while waiting, in id
+    /// order.
     pub fn connect_transport(&mut self, slot: usize, peer: MuxPeerInfo) {
         let pool = self.transports.len();
         let t = self.transports[slot]
@@ -494,6 +506,7 @@ impl MuxEndpoint {
         t.peer_ring_rkey = peer.ring_rkey;
         t.chan.open(peer.credits);
         t.connected = true;
+        let first = t.sendable.len();
         for (&id, s) in self.streams.iter_mut() {
             if self.cfg.mux.assignment.slot(id, pool) == slot
                 && !s.sends.is_empty()
@@ -503,6 +516,7 @@ impl MuxEndpoint {
                 t.sendable.push_back(id);
             }
         }
+        t.sendable.make_contiguous()[first..].sort_unstable();
     }
 
     /// Depth for the shared CQ pair: every pool member's SQ and RQ can
@@ -512,7 +526,8 @@ impl MuxEndpoint {
     }
 
     /// Asynchronous send on a stream: queues and returns immediately;
-    /// [`MuxEvent::SendComplete`] reports buffer reuse. The buffer must
+    /// [`MuxEvent::SendComplete`] reports buffer reuse and carries `id`,
+    /// which need not be unique among sends in flight. The buffer must
     /// stay untouched until then.
     pub fn mux_send(
         &mut self,
@@ -539,6 +554,7 @@ impl MuxEndpoint {
             return Ok(());
         }
         s.sends.push_back(MuxSend {
+            token: self.next_token,
             id,
             addr: mr.addr + offset,
             len,
@@ -546,6 +562,7 @@ impl MuxEndpoint {
             dispatched: 0,
         });
         s.live_sends += 1;
+        self.next_token += 1;
         // The inflight track is created lazily by the pump's first
         // dispatched chunk, so sends queued before the slot's transport
         // exists need no special casing here.
@@ -723,22 +740,21 @@ impl MuxEndpoint {
         let Some(t) = self.transports[slot].as_mut() else {
             return;
         };
-        let mut completed: Vec<(u32, u64, u64)> = Vec::new();
-        for (stream, send_id) in t.chan.retire(cqe.wr_id) {
+        let mut completed: Vec<SendTrack> = Vec::new();
+        for token in t.chan.retire(cqe.wr_id) {
             let track = t
                 .inflight
-                .get_mut(&(stream, send_id))
+                .get_mut(&token)
                 .expect("send track for completed WWI");
             track.outstanding -= 1;
             if track.outstanding == 0 && track.dispatched_all {
-                let track = t
-                    .inflight
-                    .remove(&(stream, send_id))
-                    .expect("checked above");
-                completed.push((stream, send_id, track.len));
+                completed.push(t.inflight.remove(&token).expect("checked above"));
             }
         }
-        for (stream, id, len) in completed {
+        for SendTrack {
+            stream, id, len, ..
+        } in completed
+        {
             self.stats.sends_completed += 1;
             self.stats.bytes_sent += len;
             self.events.push(MuxEvent::SendComplete { stream, id, len });
@@ -1266,7 +1282,7 @@ impl MuxEndpoint {
                 TransferKind::Indirect
             };
             let imm = encode_mux_imm(kind, stream);
-            let send_id = head.id;
+            let (token, send_id) = (head.token, head.id);
             head.dispatched += chunk;
             let head_done = head.dispatched == head.len;
             if is_direct {
@@ -1289,21 +1305,19 @@ impl MuxEndpoint {
             if head_done {
                 s.sends.pop_front();
             }
-            let track = t
-                .inflight
-                .entry((stream, send_id))
-                .or_insert_with(|| SendTrack {
-                    len: 0,
-                    outstanding: 0,
-                    dispatched_all: false,
-                });
+            let track = t.inflight.entry(token).or_insert_with(|| SendTrack {
+                stream,
+                id: send_id,
+                len: 0,
+                outstanding: 0,
+                dispatched_all: false,
+            });
             track.len += chunk;
             track.outstanding += 1;
             track.dispatched_all = head_done;
-            t.chan
-                .stage_data(api, &mut self.stats, (stream, send_id), |wr_id| {
-                    SendWr::write_imm(wr_id, sge, remote, imm)
-                });
+            t.chan.stage_data(api, &mut self.stats, token, |wr_id| {
+                SendWr::write_imm(wr_id, sge, remote, imm)
+            });
             if s.sends.is_empty() {
                 s.in_send_queue = false;
                 if s.send_closed && !s.fin_queued {
@@ -1715,6 +1729,104 @@ mod tests {
             id: 9,
             len: MSG as u32
         }));
+    }
+
+    /// Two sends in flight on one stream with one caller id are two
+    /// sends: each completes with its own length, and the stream retires
+    /// once both ends closed it.
+    #[test]
+    fn two_sends_with_one_id_complete_apart_and_the_stream_retires() {
+        let (mut net, na, nb) = two_nodes();
+        let cfg = small_cfg();
+        let mut a = MuxEndpoint::new(na, &cfg);
+        let mut b = MuxEndpoint::new(nb, &cfg);
+        a.open_stream(1).unwrap();
+        b.open_stream(1).unwrap();
+        connect_mux_pair(&mut net, &mut a, &mut b);
+        let smr = net.with_api(na, |api| api.register_mr(3 * MSG, Access::NONE));
+        let rmr = net.with_api(nb, |api| {
+            api.register_mr(3 * MSG, Access::local_remote_write())
+        });
+        net.with_api(nb, |api| {
+            b.mux_recv(api, 1, &rmr, 0, 3 * MSG as u32, true, 0)
+                .unwrap();
+            b.close_stream(api, 1);
+        });
+        net.with_api(na, |api| {
+            a.mux_send(api, 1, &smr, 0, MSG as u64, 5).unwrap();
+            a.mux_send(api, 1, &smr, MSG as u64, 2 * MSG as u64, 5)
+                .unwrap();
+            a.close_stream(api, 1);
+        });
+        let retired =
+            |evs: &[MuxEvent], ep: &MuxEndpoint| closed_1(evs, ep) && ep.streams_open() == 0;
+        let mut ha = Host::new(a, retired);
+        let mut hb = Host::new(b, retired);
+        let outcome = net.run(&mut [&mut ha, &mut hb], SimTime::from_secs(1));
+        assert!(outcome.completed, "the stream never retired: {outcome:?}");
+        let sends: Vec<&MuxEvent> = ha
+            .events
+            .iter()
+            .filter(|e| matches!(e, MuxEvent::SendComplete { .. }))
+            .collect();
+        let own = |len: usize| MuxEvent::SendComplete {
+            stream: 1,
+            id: 5,
+            len: len as u64,
+        };
+        assert_eq!(sends, [&own(MSG), &own(2 * MSG)]);
+    }
+
+    /// Streams that queued sends before their slot's transport came up
+    /// are scheduled in id order, so their completions come in the same
+    /// order on every run.
+    #[test]
+    fn sends_queued_before_connect_complete_in_one_order() {
+        const QUEUED: u32 = 16;
+        let run = || {
+            let (mut net, na, nb) = two_nodes();
+            let mut cfg = small_cfg();
+            cfg.mux.qp_pool_size = 1;
+            let mut a = MuxEndpoint::new(na, &cfg);
+            let mut b = MuxEndpoint::new(nb, &cfg);
+            for id in 0..QUEUED {
+                a.open_stream(id).unwrap();
+                b.open_stream(id).unwrap();
+            }
+            let smr = net.with_api(na, |api| api.register_mr(MSG, Access::NONE));
+            net.with_api(na, |api| {
+                for id in 0..QUEUED {
+                    a.mux_send(api, id, &smr, 0, MSG as u64, id as u64).unwrap();
+                }
+            });
+            connect_mux_pair(&mut net, &mut a, &mut b);
+            let len = QUEUED as usize * MSG;
+            let rmr = net.with_api(nb, |api| api.register_mr(len, Access::local_remote_write()));
+            net.with_api(nb, |api| {
+                for id in 0..QUEUED {
+                    let off = id as u64 * MSG as u64;
+                    b.mux_recv(api, id, &rmr, off, MSG as u32, true, 0).unwrap();
+                }
+            });
+            let mut ha = Host::new(a, |evs, ep| {
+                sends_done(evs) == QUEUED as usize && ep.sends_drained()
+            });
+            let mut hb = Host::new(b, |evs, _| recvs_done(evs) == QUEUED as usize);
+            let outcome = net.run(&mut [&mut ha, &mut hb], SimTime::from_secs(1));
+            assert!(outcome.completed, "queued sends stalled: {outcome:?}");
+            let order: Vec<u32> = ha
+                .events
+                .iter()
+                .filter_map(|e| match e {
+                    MuxEvent::SendComplete { stream, .. } => Some(*stream),
+                    _ => None,
+                })
+                .collect();
+            order
+        };
+        let first = run();
+        assert_eq!(first.len(), QUEUED as usize);
+        assert_eq!(first, run(), "a second run completed in another order");
     }
 
     #[test]

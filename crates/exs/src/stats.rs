@@ -294,8 +294,8 @@ simnet::stats! {
 
 simnet::stats! {
     /// Counters for one [`crate::aio::Executor`]: task lifecycle, wake-up
-    /// efficiency (polls per wake, spurious-wake ratio), timer activity and
-    /// cancellation outcomes. A fan-in report carries them beside
+    /// efficiency (polls per wake, spurious-wake ratio) and cancellation
+    /// outcomes. A fan-in report carries them beside
     /// [`ConnStats`] / [`ReactorStats`]; the async-task table in
     /// `blast::figures` and the benchmark read the wake-up figures.
     #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -304,21 +304,14 @@ simnet::stats! {
         sum tasks_spawned: u64,
         /// Tasks polled to completion.
         sum tasks_completed: u64,
-        /// `Waker::wake` calls observed (readiness dispatch, timer fires,
-        /// buffered-byte arrivals).
+        /// `Waker::wake` calls observed (readiness dispatch, buffered-byte
+        /// arrivals, wakers fired on other threads).
         sum wakeups: u64,
         /// Task polls executed by the executor.
         sum polls: u64,
         /// Leaf-future polls that found their condition still unmet after
         /// a wake — the re-poll was wasted work.
         sum spurious_polls: u64,
-        /// Timers armed.
-        sum timers_set: u64,
-        /// Timers that reached their deadline and fired.
-        sum timer_fires: u64,
-        /// Timers dropped before firing (e.g. a `timeout` whose inner
-        /// future won).
-        sum timer_cancels: u64,
         /// Cancellations that unwound cleanly: the operation had not
         /// committed any bytes to the wire.
         sum cancels_clean: u64,
@@ -442,9 +435,6 @@ mod tests {
             wakeups: 10,
             polls: 15,
             spurious_polls: 3,
-            timers_set: 5,
-            timer_fires: 2,
-            timer_cancels: 3,
             cancels_clean: 1,
             cancels_poisoned: 6,
             turns: 20,

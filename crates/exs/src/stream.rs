@@ -70,7 +70,9 @@ pub enum ExsEvent {
 }
 
 struct PendingSend {
-    id: u64,
+    /// The socket's own key for this send's [`SendTrack`] and staging
+    /// region; the caller's id is the track's first member.
+    token: u64,
     addr: u64,
     len: u64,
     key: MrKey,
@@ -155,15 +157,20 @@ pub struct StreamSocket {
     sender: SenderHalf,
     receiver: ReceiverHalf,
     ring_mr: MrInfo,
-    /// The QP's control channel; a data WQE's owner is the id of the
+    /// The QP's control channel; a data WQE's owner is the token of the
     /// user send it carries.
     chan: Channel<(), u64>,
     pending_sends: VecDeque<PendingSend>,
+    /// Sends in flight by token. A token is the socket's, issued once
+    /// per queued send, so two sends the caller gave one id never share
+    /// a track; the caller's id travels only in the completion.
     inflight: IntMap<u64, SendTrack>,
+    next_token: u64,
     events: Vec<ExsEvent>,
     stats: ConnStats,
     actions_scratch: Vec<RecvAction>,
-    /// BCopy-mode staging regions, freed when the send completes.
+    /// BCopy-mode staging regions by token, freed when the send
+    /// completes.
     staging: IntMap<u64, MrKey>,
     /// Staging regions whose send was cancelled; freed at the next
     /// progress round (`exs_cancel` has no backend handle to free them
@@ -300,7 +307,9 @@ impl StreamSocket {
 
     /// Asynchronous send (ES-API `exs_send`): queues the operation and
     /// returns immediately. Completion is reported via
-    /// [`ExsEvent::SendComplete`] once the user buffer is reusable.
+    /// [`ExsEvent::SendComplete`] once the user buffer is reusable; the
+    /// event carries `id`, which need not be unique among sends in
+    /// flight.
     ///
     /// The buffer must stay untouched until then — the zero-copy
     /// contract the ES-API makes explicit (paper §I).
@@ -326,7 +335,7 @@ impl StreamSocket {
             self.coalesce_send(api, mr, offset, len, id);
             return;
         }
-        let (addr, key, open_cap) = if self.chan.cfg().mode == ProtocolMode::BCopy {
+        if self.chan.cfg().mode == ProtocolMode::BCopy {
             // rsockets-style BCopy: copy the user data into an internal
             // staging region first (charged to the sender's CPU), then
             // transfer from the staging copy. The user buffer is
@@ -335,26 +344,34 @@ impl StreamSocket {
             let stage = api.register_mr(len as usize, Access::NONE);
             api.copy_mr(mr.key, mr.addr + offset, stage.key, stage.addr, len)
                 .expect("BCopy staging copy");
-            self.staging.insert(id, stage.key);
-            (stage.addr, stage.key, None)
+            let token = self.queue_send(id, stage.addr, len, stage.key, None);
+            self.staging.insert(token, stage.key);
         } else {
-            (mr.addr + offset, mr.key, None)
-        };
-        self.queue_send(id, addr, len, key, open_cap);
+            self.queue_send(id, mr.addr + offset, len, mr.key, None);
+        }
         self.pump_sends(api);
         self.chan.flush_ctrl(api, &mut self.stats);
         self.chan.flush_tx(api, &mut self.stats);
     }
 
-    /// Queues one pending send, closing any open coalesce run ahead of
-    /// it (appending to a run behind a newer send would reorder the
-    /// stream).
-    fn queue_send(&mut self, id: u64, addr: u64, len: u64, key: MrKey, open_cap: Option<u64>) {
+    /// Queues one pending send under a fresh token, which it returns,
+    /// closing any open coalesce run ahead of it (appending to a run
+    /// behind a newer send would reorder the stream).
+    fn queue_send(
+        &mut self,
+        id: u64,
+        addr: u64,
+        len: u64,
+        key: MrKey,
+        open_cap: Option<u64>,
+    ) -> u64 {
         if let Some(tail) = self.pending_sends.back_mut() {
             tail.open_cap = None;
         }
+        let token = self.next_token;
+        self.next_token += 1;
         self.pending_sends.push_back(PendingSend {
-            id,
+            token,
             addr,
             len,
             key,
@@ -362,7 +379,7 @@ impl StreamSocket {
             open_cap,
         });
         self.inflight.insert(
-            id,
+            token,
             SendTrack {
                 len,
                 outstanding: 0,
@@ -370,6 +387,7 @@ impl StreamSocket {
                 members: Members::one(id, len),
             },
         );
+        token
     }
 
     /// Small-send coalescing (BCopy mode): appends the message to the
@@ -402,7 +420,7 @@ impl StreamSocket {
                 tail.open_cap = if cap == 0 { None } else { Some(cap) };
                 let track = self
                     .inflight
-                    .get_mut(&tail.id)
+                    .get_mut(&tail.token)
                     .expect("open run has a track");
                 if !track.members.is_coalesced() {
                     // The run just became a coalesced one: count its
@@ -423,8 +441,8 @@ impl StreamSocket {
             let stage = api.register_mr(cap as usize, Access::NONE);
             api.copy_mr(mr.key, mr.addr + offset, stage.key, stage.addr, len)
                 .expect("BCopy staging copy");
-            self.staging.insert(id, stage.key);
-            self.queue_send(id, stage.addr, len, stage.key, Some(cap - len));
+            let token = self.queue_send(id, stage.addr, len, stage.key, Some(cap - len));
+            self.staging.insert(token, stage.key);
         }
         if self.chan.signaled_outstanding() == 0 {
             // Nothing in flight will wake us later; dispatch now.
@@ -491,8 +509,9 @@ impl StreamSocket {
     /// Best-effort cancellation of a pending operation (ES-API
     /// `exs_cancel`). A receive cancels only while un-advertised and
     /// empty; a send cancels only before any of its bytes entered the
-    /// stream. Returns true if the operation was removed (no completion
-    /// event will follow).
+    /// stream. Of several pending sends with this id, the first
+    /// cancellable one is revoked. Returns true if the operation was
+    /// removed (no completion event will follow).
     pub fn exs_cancel(&mut self, id: u64) -> bool {
         // Try the receive queue first.
         if self.receiver.cancel_recv(id) {
@@ -502,16 +521,15 @@ impl StreamSocket {
         // merged with neighbours (a coalesced member's bytes are
         // already interleaved in the shared staging run).
         if let Some(pos) = self.pending_sends.iter().position(|p| {
-            p.id == id
-                && p.dispatched == 0
+            p.dispatched == 0
                 && self
                     .inflight
-                    .get(&id)
-                    .is_some_and(|t| !t.members.is_coalesced())
+                    .get(&p.token)
+                    .is_some_and(|t| t.members.first.0 == id && !t.members.is_coalesced())
         }) {
-            self.pending_sends.remove(pos);
-            self.inflight.remove(&id);
-            if let Some(key) = self.staging.remove(&id) {
+            let token = self.pending_sends.remove(pos).expect("found").token;
+            self.inflight.remove(&token);
+            if let Some(key) = self.staging.remove(&token) {
                 // Defer the deregistration: no backend handle here.
                 self.staging_orphans.push(key);
             }
@@ -859,7 +877,7 @@ impl StreamSocket {
             rkey: MrKey(plan.rkey),
         };
         let imm = encode_imm(kind, plan.len);
-        let owner = head.id;
+        let owner = head.token;
         let head_done = {
             let track = self.inflight.get_mut(&owner).expect("inflight entry");
             track.outstanding += 1;
@@ -963,6 +981,7 @@ impl PreparedSocket {
             chan,
             pending_sends: VecDeque::new(),
             inflight: IntMap::default(),
+            next_token: 0,
             events: Vec::new(),
             stats: ConnStats::default(),
             actions_scratch: Vec::new(),
@@ -996,7 +1015,7 @@ mod tests {
             let mr = api.register_mr(8192, Access::NONE);
             sock.exs_send(api, &mr, 0, 8192, 7);
         });
-        let track = sock.inflight.get(&7).expect("in flight until it completes");
+        let track = sock.inflight.get(&0).expect("in flight until it completes");
         assert_eq!(track.members.coalesced.capacity(), 0);
 
         // A coalesced run lists its members in send order.

@@ -1237,23 +1237,8 @@ mod tests {
         (net, node, crate::Executor::new(reactor))
     }
 
-    /// An executor whose one task sleeps turns when the timer is due,
-    /// not on a fixed tick while it waits for it.
-    #[test]
-    fn an_idle_executor_turns_for_its_timer_only() {
-        let (net, node, mut ex) = lone_executor();
-        let handle = ex.handle();
-        ex.handle()
-            .spawn(async move { handle.sleep(Duration::from_millis(200)).await });
-        let start = Instant::now();
-        ex.run_threaded(&net, &node);
-        assert!(start.elapsed() >= Duration::from_millis(200));
-        let turns = ex.stats().turns;
-        assert!(turns <= 3, "{turns} turns for one timer");
-    }
-
     /// A waker fired on another thread is the only thing that can end
-    /// this executor's wait: no timer is armed and nothing arrives.
+    /// this executor's wait: nothing arrives.
     #[test]
     fn a_waker_fired_on_another_thread_ends_the_executors_wait() {
         within(Duration::from_secs(15), || {

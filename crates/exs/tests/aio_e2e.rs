@@ -1,14 +1,18 @@
 //! End-to-end tests for the `exs::aio` async front-end: echo
-//! round-trips, timeouts, select, drop-safe cancellation and stale-id
-//! handling — on the deterministic simulator and the real-thread
-//! backend, with the same task code.
+//! round-trips, drop-safe cancellation and stale-id handling — on the
+//! deterministic simulator and the real-thread backend, with the same
+//! task code. A test drops a pending future at a point it chooses with
+//! [`support::race`].
+
+mod support;
 
 use std::cell::RefCell;
+use std::future::Future;
 use std::rc::Rc;
 use std::sync::Arc;
+use std::task::Poll;
 use std::time::Duration;
 
-use exs::aio::{select, timeout, Either};
 use exs::threaded::connect_sockets_shared;
 use exs::{
     connect_mux_pair, Executor, ExsConfig, ExsError, MuxEndpoint, Reactor, ReactorConfig,
@@ -16,6 +20,7 @@ use exs::{
 };
 use rdma_verbs::{HcaConfig, HostModel, NodeApi, NodeApp, SimNet, ThreadNet};
 use simnet::{LinkConfig, SimDuration, SimTime};
+use support::{flip_after, race, Flipped, Switch};
 
 fn small_cfg() -> ExsConfig {
     ExsConfig {
@@ -180,26 +185,34 @@ fn sim_async_echo_roundtrip() {
     assert_eq!(agg.bytes_sent, (ROUNDS * MSG) as u64);
 }
 
-/// `timeout` on a quiet stream fires (and cleanly cancels the parked
-/// receive); the same receive, re-issued, completes when the peer's
-/// delayed send lands; a generous timeout is cancelled without firing.
+/// A receive dropped on a quiet stream cancels cleanly; a receive
+/// dropped with part of its bytes buffered leaves them buffered; the
+/// next receive claims exactly those bytes when the peer's delayed send
+/// has landed.
 #[test]
-fn sim_timeout_fires_then_recv_recovers() {
+fn sim_dropped_recv_cancels_clean_then_recv_recovers() {
     let (mut net, na, nb) = two_node_net();
     let (sock_a, sock_b) = StreamSocket::pair(&mut net, na, nb, &small_cfg());
 
     let (server_ex, server_stream) = solo_executor(sock_a);
-    let h = server_ex.handle();
+    let server_switch = Switch::default();
+    let switch = server_switch.clone();
     server_ex.handle().spawn(async move {
-        // Peer sends at 5 ms; a 1 ms timeout must fire first.
-        match timeout(&h, Duration::from_millis(1), server_stream.recv_exact(MSG)).await {
-            Err(ExsError::TimedOut) => {}
-            other => panic!("expected timeout, got {other:?}"),
-        }
-        // The cancelled receive left the stream clean: re-issue wins.
-        let data = timeout(&h, Duration::from_secs(5), server_stream.recv_exact(MSG))
+        // The peer sends at 5 ms; this receive is dropped at 1 ms.
+        let quiet = race(&switch, server_stream.recv_exact(MSG)).await;
+        assert!(quiet.is_none(), "nothing arrives before 5 ms: {quiet:?}");
+        // Dropped at 10 ms holding half of what it asked for.
+        let short = race(&switch, server_stream.recv_exact(2 * MSG)).await;
+        assert!(short.is_none(), "only {MSG} bytes are ever sent: {short:?}");
+        assert_eq!(
+            server_stream.buffered(),
+            MSG,
+            "the dropped receive took nothing"
+        );
+        // The cancelled receives left the stream clean: re-issue wins.
+        let data = server_stream
+            .recv_exact(MSG)
             .await
-            .expect("generous timeout must not fire")
             .expect("delayed payload arrives");
         assert_eq!(data.len(), MSG);
         assert!(data.iter().enumerate().all(|(i, &b)| b == pattern(0, i)));
@@ -211,11 +224,14 @@ fn sim_timeout_fires_then_recv_recovers() {
     });
 
     let (client_ex, stream) = solo_executor(sock_b);
-    let ch = client_ex.handle();
+    let client_switch = Switch::default();
+    let switch = client_switch.clone();
     client_ex.handle().spawn(async move {
-        ch.sleep(Duration::from_millis(5)).await;
+        race(&switch, std::future::pending::<()>()).await;
         let data: Vec<u8> = (0..MSG).map(|i| pattern(0, i)).collect();
         stream.send_all(data).await.expect("client send");
+        // Half-close only after the server dropped its short receive.
+        race(&switch, std::future::pending::<()>()).await;
         stream.shutdown().await.expect("client shutdown");
         match stream.recv_some(MSG).await {
             Err(ExsError::Eof) => {}
@@ -223,133 +239,26 @@ fn sim_timeout_fires_then_recv_recovers() {
         }
     });
 
-    let mut server = SimShardDriver::new(vec![server_ex]);
-    let mut client = SimShardDriver::new(vec![client_ex]);
+    let ms = SimDuration::from_millis;
+    let server_drv = SimShardDriver::new(vec![server_ex]);
+    let mut server = Flipped::new(server_drv, &server_switch, vec![ms(1), ms(10)]);
+    let client_drv = SimShardDriver::new(vec![client_ex]);
+    let mut client = Flipped::new(client_drv, &client_switch, vec![ms(5), ms(20)]);
     let outcome = net.run(&mut [&mut server, &mut client], SimTime::from_secs(10));
-    assert!(outcome.completed, "timeout scenario stalled: {outcome:?}");
-
-    let stats = server.executor_ref(0).stats();
-    assert!(stats.timer_fires >= 1, "the 1 ms timeout must fire");
     assert!(
-        stats.timer_cancels >= 1,
-        "the generous timeout must be cancelled, not fired"
+        outcome.completed,
+        "dropped-receive scenario stalled: {outcome:?}"
     );
-    assert!(
-        stats.cancels_clean >= 1,
-        "the timed-out receive cancels cleanly"
+
+    let stats = server.drv.executor_ref(0).stats();
+    assert_eq!(
+        stats.cancels_clean, 2,
+        "both dropped receives cancel cleanly"
     );
     assert_eq!(
         stats.cancels_poisoned, 0,
         "receive cancellation never poisons"
     );
-}
-
-/// `select` across two connections resolves to whichever stream has
-/// data — and to the left branch when both are readable (deterministic
-/// tie-break). The losing receive cancels cleanly every round.
-#[test]
-fn sim_select_follows_readiness_with_left_bias() {
-    let mut net = SimNet::new();
-    let server_node = net.add_node(HostModel::free(), HcaConfig::default());
-    let ca = net.add_node(HostModel::free(), HcaConfig::default());
-    let cb = net.add_node(HostModel::free(), HcaConfig::default());
-    for (i, &c) in [ca, cb].iter().enumerate() {
-        net.connect_nodes(
-            c,
-            server_node,
-            LinkConfig::simple(100_000_000_000, SimDuration::from_micros(1)),
-            i as u64,
-        );
-    }
-    let cfg = small_cfg();
-    let depth = cfg.cq_depth(2);
-    let (scq, rcq) = net.with_api(server_node, |api| {
-        (api.create_cq(depth), api.create_cq(depth))
-    });
-    let mut reactor = Reactor::new(scq, rcq, ReactorConfig::default());
-    let (sock_ca, ssock_a) = StreamSocket::pair_shared(&mut net, ca, server_node, scq, rcq, &cfg);
-    let conn_a = reactor.accept(ssock_a);
-    let (sock_cb, ssock_b) = StreamSocket::pair_shared(&mut net, cb, server_node, scq, rcq, &cfg);
-    let conn_b = reactor.accept(ssock_b);
-
-    let server_ex = Executor::new(reactor);
-    let h = server_ex.handle();
-    let order = Rc::new(RefCell::new(Vec::new()));
-    let order2 = Rc::clone(&order);
-    server_ex.handle().spawn(async move {
-        let a = h.stream_with(conn_a, 4096, 2);
-        let b = h.stream_with(conn_b, 4096, 2);
-        // Client B sends immediately, client A only at 10 ms: the
-        // first select must resolve Right.
-        match select(a.recv_exact(MSG), b.recv_exact(MSG)).await {
-            Either::Right(Ok(bytes)) => {
-                assert_eq!(bytes.len(), MSG);
-                order2.borrow_mut().push('b');
-            }
-            other => panic!("expected Right(Ok), got {other:?}"),
-        }
-        // Wait until both connections have a full message buffered,
-        // then select again: ties break left, deterministically.
-        h.sleep(Duration::from_millis(20)).await;
-        match select(a.recv_exact(MSG), b.recv_exact(MSG)).await {
-            Either::Left(Ok(bytes)) => {
-                assert_eq!(bytes.len(), MSG);
-                order2.borrow_mut().push('a');
-            }
-            other => panic!("expected Left(Ok), got {other:?}"),
-        }
-        // Drain B's second message (the tie-break loser keeps its
-        // bytes buffered — nothing was lost to the cancelled branch).
-        let rest = b.recv_exact(MSG).await.expect("b's buffered message");
-        assert_eq!(rest.len(), MSG);
-        for s in [&a, &b] {
-            match s.recv_some(MSG).await {
-                Err(ExsError::Eof) => {}
-                other => panic!("expected EOF, got {other:?}"),
-            }
-            s.shutdown().await.expect("server shutdown");
-        }
-    });
-
-    // Client A: one message at 10 ms. Client B: one immediately, one
-    // at 10 ms (so the tie-break round has data on both streams).
-    let (ex_a, stream_a) = solo_executor(sock_ca);
-    let ha = ex_a.handle();
-    ex_a.handle().spawn(async move {
-        ha.sleep(Duration::from_millis(10)).await;
-        let data: Vec<u8> = (0..MSG).map(|i| pattern(0, i)).collect();
-        stream_a.send_all(data).await.expect("a send");
-        stream_a.shutdown().await.expect("a shutdown");
-        let _ = stream_a.recv_some(1).await;
-    });
-    let (ex_b, stream_b) = solo_executor(sock_cb);
-    let hb = ex_b.handle();
-    ex_b.handle().spawn(async move {
-        let data: Vec<u8> = (0..MSG).map(|i| pattern(1, i)).collect();
-        stream_b.send_all(data).await.expect("b send");
-        hb.sleep(Duration::from_millis(10)).await;
-        let data: Vec<u8> = (0..MSG).map(|i| pattern(2, i)).collect();
-        stream_b.send_all(data).await.expect("b send 2");
-        stream_b.shutdown().await.expect("b shutdown");
-        let _ = stream_b.recv_some(1).await;
-    });
-
-    let mut server = SimShardDriver::new(vec![server_ex]);
-    let mut da = SimShardDriver::new(vec![ex_a]);
-    let mut db = SimShardDriver::new(vec![ex_b]);
-    let outcome = net.run(&mut [&mut server, &mut da, &mut db], SimTime::from_secs(10));
-    assert!(outcome.completed, "select scenario stalled: {outcome:?}");
-    assert_eq!(*order.borrow(), vec!['b', 'a']);
-    let stats = server.executor_ref(0).stats();
-    // The first select's losing receive parked a waiter and must
-    // cancel cleanly. (The tie-break round's loser resolves on the
-    // winner's first poll and is dropped before it ever registers —
-    // that cancellation is free and uncounted.)
-    assert!(
-        stats.cancels_clean >= 1,
-        "the parked losing receive cancels cleanly"
-    );
-    assert_eq!(stats.cancels_poisoned, 0);
 }
 
 /// Dropping a `send_all` before the executor issues it unwinds
@@ -377,12 +286,16 @@ fn sim_unissued_send_cancels_clean_and_stream_stays_usable() {
 
     let (client_ex, stream) = solo_executor(sock_b);
     client_ex.handle().spawn(async move {
-        // The ready future wins the race on the very first poll, so
-        // the send is dropped while still queued — before the executor
-        // ever touches the verbs port with it.
-        match select(stream.send_all(vec![0xAA; 512]), std::future::ready(())).await {
-            Either::Right(()) => {}
-            Either::Left(r) => panic!("unpolled send cannot win the select: {r:?}"),
+        // Polled once and dropped in the same task poll: the send is
+        // dropped while still queued — before the executor ever
+        // touches the verbs port with it.
+        {
+            let mut send = std::pin::pin!(stream.send_all(vec![0xAA; 512]));
+            let first = std::future::poll_fn(|cx| Poll::Ready(send.as_mut().poll(cx))).await;
+            assert!(
+                first.is_pending(),
+                "a queued send cannot complete: {first:?}"
+            );
         }
         let data: Vec<u8> = (0..MSG).map(|i| pattern(0, i)).collect();
         stream
@@ -589,7 +502,8 @@ fn a_forged_ack_on_one_pool_slot_fails_only_its_streams() {
 
 /// The identical task code on the real-thread backend: a shared-CQ
 /// server executor echoing four connections from four client threads,
-/// each with its own parked executor, plus a thread-backend timeout.
+/// each with its own parked executor, and each client drops a receive
+/// from a thread of its own.
 #[test]
 fn threaded_async_echo_roundtrip() {
     const CONNS: usize = 4;
@@ -646,7 +560,6 @@ fn threaded_async_echo_roundtrip() {
         let net = Arc::clone(&net);
         clients.push(std::thread::spawn(move || {
             let (mut ex, stream) = solo_executor(csock);
-            let h = ex.handle();
             ex.handle().spawn(async move {
                 for round in 0..ROUNDS {
                     let data: Vec<u8> = (0..MSG).map(|i| pattern(idx + round, i)).collect();
@@ -656,12 +569,14 @@ fn threaded_async_echo_roundtrip() {
                         assert_eq!(b, pattern(idx + round, i), "client {idx} echo at {i}");
                     }
                 }
-                // Nothing else is inbound: a short timeout must fire
-                // on the real-thread timer path too.
-                match timeout(&h, Duration::from_millis(5), stream.recv_exact(1)).await {
-                    Err(ExsError::TimedOut) => {}
-                    other => panic!("client {idx} expected timeout, got {other:?}"),
-                }
+                // Nothing else is inbound: a receive dropped 5 ms in,
+                // by a waker fired on another thread, cancels cleanly.
+                let switch = Switch::default();
+                let quiet = race(&switch, stream.recv_exact(1));
+                let flipper = flip_after(&switch, vec![Duration::from_millis(5)]);
+                let quiet = quiet.await;
+                assert!(quiet.is_none(), "client {idx}: nothing inbound: {quiet:?}");
+                flipper.join().expect("flipper thread");
                 stream.shutdown().await.expect("client shutdown");
                 match stream.recv_some(MSG).await {
                     Err(ExsError::Eof) => {}
@@ -676,7 +591,10 @@ fn threaded_async_echo_roundtrip() {
     for c in clients {
         let stats = c.join().expect("client thread");
         assert_eq!(stats.tasks_completed, 1);
-        assert!(stats.timer_fires >= 1, "thread-backend timeout fired");
+        assert_eq!(
+            stats.cancels_clean, 1,
+            "the dropped receive cancels cleanly"
+        );
     }
     let server_stats = server.join().expect("server thread");
     assert_eq!(server_stats.tasks_completed, CONNS as u64);
@@ -687,4 +605,40 @@ fn threaded_async_echo_roundtrip() {
 /// ownership.
 fn ex_conns(reactor: &Reactor) -> Vec<exs::ConnId> {
     reactor.conn_ids()
+}
+
+/// A transport failure fails every pending send on the stream and wakes
+/// their tasks in the order the sends were issued, on every run.
+#[test]
+fn a_transport_failure_wakes_pending_sends_in_issue_order() {
+    const TASKS: usize = 8;
+    let run = || {
+        let (mut net, na, nb) = two_node_net();
+        // Direct-only, and the peer posts no receive: no advert ever
+        // arrives, so every send stays pending until the failure.
+        let cfg = ExsConfig::with_mode(exs::ProtocolMode::DirectOnly);
+        let (sock_a, _sock_b) = StreamSocket::pair(&mut net, na, nb, &cfg);
+        let qpn = sock_a.qpn();
+        let (ex, stream) = solo_executor(sock_a);
+        let woken = Rc::new(RefCell::new(Vec::new()));
+        for task in 0..TASKS {
+            let (stream, woken) = (stream.clone(), Rc::clone(&woken));
+            ex.handle().spawn(async move {
+                let sent = stream.send_all(vec![task as u8; 100]).await;
+                assert_eq!(sent, Err(ExsError::Broken), "task {task}");
+                woken.borrow_mut().push(task);
+            });
+        }
+        let mut drv = SimShardDriver::new(vec![ex]);
+        let mut idle = Idle;
+        let early = net.run(&mut [&mut drv, &mut idle], SimTime::from_millis(1));
+        assert!(!early.completed, "the sends cannot complete");
+        net.inject_qp_error(na, qpn).expect("the socket's QP");
+        let outcome = net.run(&mut [&mut drv, &mut idle], SimTime::from_millis(2));
+        assert!(outcome.completed, "failure scenario stalled: {outcome:?}");
+        Rc::try_unwrap(woken).expect("tasks done").into_inner()
+    };
+    let first = run();
+    assert_eq!(first, run(), "a second run woke the tasks in another order");
+    assert_eq!(first, (0..TASKS).collect::<Vec<_>>());
 }

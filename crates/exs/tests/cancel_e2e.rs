@@ -23,9 +23,12 @@ fn cancel_undispatched_send() {
         // Direct-only with no adverts: sends queue undispatched.
         sa.exs_send(api, &mr, 0, 100, 1);
         sa.exs_send(api, &mr, 100, 100, 2);
+        sa.exs_send(api, &mr, 200, 100, 2);
         assert!(!sa.sends_drained());
-        // Cancel the second (fully undispatched) send.
+        // Cancel the two (fully undispatched) sends with id 2: one per
+        // call, however many share the id.
         assert!(sa.exs_cancel(2));
+        assert!(sa.exs_cancel(2), "the second send with id 2 is pending too");
         // Cancelling again or cancelling the unknown fails.
         assert!(!sa.exs_cancel(2));
         assert!(!sa.exs_cancel(99));
@@ -230,4 +233,92 @@ fn asymmetric_links_apply_per_direction() {
         slow.as_nanos() > fast.as_nanos() * 20,
         "thin direction must be much slower: {fast:?} vs {slow:?}"
     );
+}
+
+/// Sends 1000 then 2000 bytes from a to b under one caller id (5) on a
+/// socket of `mode`, closes both sockets, and returns a's completions in
+/// order and whether a's node still holds a registration.
+fn two_sends_with_one_id(mode: ProtocolMode) -> (Vec<ExsEvent>, usize) {
+    struct Tx {
+        sock: StreamSocket,
+        mr: Option<rdma_verbs::MrInfo>,
+        done: Vec<ExsEvent>,
+    }
+    impl NodeApp for Tx {
+        fn on_start(&mut self, api: &mut rdma_verbs::NodeApi<'_>) {
+            let mr = api.register_mr(3000, Access::NONE);
+            api.write_mr(mr.key, mr.addr, &[7u8; 3000]).unwrap();
+            self.sock.exs_send(api, &mr, 0, 1000, 5);
+            self.sock.exs_send(api, &mr, 1000, 2000, 5);
+            self.mr = Some(mr);
+        }
+        fn on_wake(&mut self, api: &mut rdma_verbs::NodeApi<'_>) {
+            self.sock.handle_wake(api);
+            self.done.extend(self.sock.take_events());
+        }
+        fn is_done(&self) -> bool {
+            self.done.len() == 2 && self.sock.sends_drained()
+        }
+    }
+    struct Rx {
+        sock: StreamSocket,
+        got: u64,
+    }
+    impl NodeApp for Rx {
+        fn on_start(&mut self, api: &mut rdma_verbs::NodeApi<'_>) {
+            let mr = api.register_mr(3000, Access::local_remote_write());
+            self.sock.exs_recv(api, &mr, 0, 3000, true, 0);
+        }
+        fn on_wake(&mut self, api: &mut rdma_verbs::NodeApi<'_>) {
+            self.sock.handle_wake(api);
+            for ev in self.sock.take_events() {
+                if let ExsEvent::RecvComplete { len, .. } = ev {
+                    self.got += len as u64;
+                }
+            }
+        }
+        fn is_done(&self) -> bool {
+            self.got == 3000
+        }
+    }
+
+    let mut net = SimNet::new();
+    let profile = ideal();
+    let a = net.add_node(profile.host.clone(), profile.hca.clone());
+    let b = net.add_node(profile.host.clone(), profile.hca.clone());
+    net.connect_nodes(a, b, profile.link.clone(), 15);
+    let (sa, sb) = StreamSocket::pair(&mut net, a, b, &ExsConfig::with_mode(mode));
+    let mut tx = Tx {
+        sock: sa,
+        mr: None,
+        done: Vec::new(),
+    };
+    let mut rx = Rx { sock: sb, got: 0 };
+    let outcome = net.run(&mut [&mut tx, &mut rx], SimTime::from_secs(1));
+    assert!(outcome.completed, "{outcome:?} got={}", rx.got);
+    let left = net.with_api(a, |api| {
+        tx.sock.close(api);
+        api.hca_deregister(tx.mr.expect("sent").key).unwrap();
+        api.mr_count()
+    });
+    net.with_api(b, |api| rx.sock.close(api));
+    (tx.done, left)
+}
+
+/// Two sends in flight with one caller id are two sends: each completes
+/// with its own length, and a BCopy socket frees both staging regions.
+#[test]
+fn two_sends_with_one_id_complete_apart() {
+    for mode in [ProtocolMode::Dynamic, ProtocolMode::BCopy] {
+        let (done, left) = two_sends_with_one_id(mode);
+        assert_eq!(
+            done,
+            [
+                ExsEvent::SendComplete { id: 5, len: 1000 },
+                ExsEvent::SendComplete { id: 5, len: 2000 },
+            ],
+            "{mode:?}"
+        );
+        assert_eq!(left, 0, "{mode:?}: a staging region stayed registered");
+    }
 }
