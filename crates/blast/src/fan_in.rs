@@ -20,7 +20,7 @@
 use std::collections::VecDeque;
 use std::future::Future;
 use std::ops::Range;
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::ScopedJoinHandle;
 use std::time::{Duration, Instant};
 
@@ -31,9 +31,8 @@ use exs::threaded::connect_sockets_shared;
 use exs::{
     connect_mux_pair, AioHandle, AioStats, AsyncStream, ConnId, ConnStats, DirectPolicy, Endpoint,
     Executor, ExsConfig, ExsError, MemPool, MemPoolConfig, MrLease, MuxEndpoint, MuxEvent,
-    Placement, PoolStats, Reactor, ReactorConfig, ReactorStats, ShardConfig, ShardPolicy,
-    ShardStats, SimShardDriver, StreamSocket, ThreadPort, ThreadReactorPool, ThreadStream,
-    VerbsPort,
+    Placement, PoolStats, Reactor, ReactorConfig, ReactorStats, ShardPolicy, ShardStats,
+    SimShardDriver, StreamSocket, ThreadPort, VerbsPort,
 };
 use rdma_verbs::{
     Access, CqId, FabricModel, FabricStats, HcaConfig, HwProfile, MrInfo, NodeApi, NodeApp, NodeId,
@@ -95,7 +94,7 @@ pub fn fan_in_cfg() -> ExsConfig {
 
 /// One fan-in experiment configuration, for either backend;
 /// [`run_fan_in_threaded`] ignores the simulated hardware (`profile`,
-/// `fabric`, `time_limit`) and refuses `mux`.
+/// `fabric`, `time_limit`), refuses `mux` and requires `aio`.
 #[derive(Clone, Debug)]
 pub struct FanInSpec {
     /// Hardware model for every node and link (simulator only).
@@ -143,16 +142,17 @@ pub struct FanInSpec {
     /// each, stream ids in the WWI immediate). Delivered bytes and
     /// digests are identical to the QP-per-connection path; only the
     /// transport resource model changes. Ignores `pooled`. Simulator
-    /// only: the thread backend's pool hosts sockets.
+    /// only: thread executors host sockets.
     pub mux: bool,
-    /// Async server mode: instead of the callback [`ReactorServer`]
+    /// Async server mode: instead of the callback `ReactorServer`
     /// loop, the server runs one async task per stream on one
     /// [`exs::aio`] executor per shard (a `recv_some` loop that counts,
     /// and when verifying checks and digests, exactly as the callback
     /// loop does). Delivered bytes and digests are identical to the
     /// callback path; only the consumption model changes. Ignores
     /// `pooled` on the server side (the executor's readahead buffers
-    /// are always pool leases).
+    /// are always pool leases). Required on threads, where executors
+    /// are the one serving front-end.
     pub aio: bool,
     /// Reactor shards at the server (0/1 ⇒ one reactor, the classic
     /// single-loop server). With N > 1 the server runs one [`Reactor`]
@@ -175,8 +175,7 @@ pub struct FanInSpec {
     /// split NIC/core capacity max-min fairly, capping the aggregate at
     /// the bottleneck and exposing incast contention.
     pub fabric: FabricModel,
-    /// Abort threshold for the virtual clock (simulator only; see
-    /// [`THREAD_WAIT`] for threads).
+    /// Abort threshold for the virtual clock (simulator only).
     pub time_limit: SimDuration,
 }
 
@@ -286,7 +285,7 @@ pub struct FanInReport {
     /// paths.
     pub aio: Option<AioStats>,
     /// Per-shard service-loop telemetry (placement, poll and
-    /// dispatch volume, busy ratio where a wall clock exists). Present
+    /// dispatch volume). Present
     /// on every sharded-capable path — a single-shard run reports one
     /// entry, so reports across shard counts stay row-for-row
     /// comparable. `None` in mux mode: the rows count hosted endpoints,
@@ -389,9 +388,9 @@ impl FanInReport {
 
 /// What a range of the run's streams has delivered so far: byte
 /// counts, and at [`VerifyLevel::Full`] the running FNV-1a digests.
-/// Every server on either backend — the callback receive cycle, the aio
-/// server tasks, a blocking server end — accounts through here, so all
-/// of them verify and digest identically. At [`VerifyLevel::None`] only
+/// Every server on either backend — the callback receive cycle and the
+/// aio server tasks — accounts through here, so all of them verify and
+/// digest identically. At [`VerifyLevel::None`] only
 /// the counts exist: no payload byte is compared or folded and
 /// `digests` stays empty.
 struct Delivered {
@@ -1396,37 +1395,34 @@ pub fn run_fan_in(spec: &FanInSpec) -> FanInReport {
     .finish(server.into_delivered())
 }
 
-/// How long a thread run lets one blocked call wait: far beyond any
-/// healthy step, so reaching it is a lost wake-up or a protocol stall.
-pub const THREAD_WAIT: Duration = Duration::from_secs(30);
-
 /// Runs `spec` on the real-thread fabric (a [`ThreadNet`] node per
 /// client node and one for the server, zero-delay links) with the
 /// connections, payload, front-end and placement of [`run_fan_in`], and
 /// returns the same report: one spec, one workload, both backends.
 ///
-/// * Default: a [`ThreadReactorPool`] of `spec.shards` shards serves;
-///   each connection's client end sends on one thread, with at most
-///   `outstanding_sends` in flight from registered slots or (`pooled`)
-///   leases, and its server end keeps `prepost_recvs` receives posted
-///   on another.
-/// * [`FanInSpec::aio`]: each shard is an [`Executor`] on a thread of
-///   its own running the simulator's server task; each client node's
-///   streams are tasks on one client executor.
-///
-/// Every end shuts down, reads its peer's end of stream, then closes —
-/// a server end after its client. A thread run has no virtual time:
-/// `elapsed`, `events` and `link_bandwidth_bps` are zero and `fabric`
-/// is `None`.
+/// The spec must select [`FanInSpec::aio`]: each shard is an
+/// [`Executor`] on a thread of its own running the simulator's server
+/// task, and each client node's streams are tasks on one client
+/// executor, so a run starts `shards + client_nodes` threads. Once every
+/// executor has drained, each closes the endpoints it hosted and trims
+/// its staging pool: the report's reactor counters show every
+/// connection removed, and no node keeps a registration. A thread run
+/// has no virtual time: `elapsed`, `events` and `link_bandwidth_bps`
+/// are zero and `fabric` is `None`.
 ///
 /// # Panics
-/// Panics on a [`FanInSpec::mux`] spec (the pool hosts sockets only),
-/// on a wait longer than [`THREAD_WAIT`], payload corruption (with
-/// [`VerifyLevel::Full`]), or any connection error.
+/// Panics on a [`FanInSpec::mux`] spec or one without
+/// [`FanInSpec::aio`], on payload corruption (with
+/// [`VerifyLevel::Full`]), on any connection error, and on a
+/// registration left on a node after the teardown.
 pub fn run_fan_in_threaded(spec: &FanInSpec) -> FanInReport {
     assert!(
         !spec.mux,
-        "FanInSpec::mux is simulator-only: the thread backend's pool hosts sockets"
+        "FanInSpec::mux is simulator-only: thread executors host sockets"
+    );
+    assert!(
+        spec.aio,
+        "a thread run serves with executors: set FanInSpec::aio"
     );
     assert!(spec.conns >= 1, "need at least one connection");
     let mut net = ThreadNet::new();
@@ -1437,198 +1433,8 @@ pub fn run_fan_in_threaded(spec: &FanInSpec) -> FanInReport {
     for c in &clients {
         net.connect_nodes(c, &server, Duration::ZERO);
     }
-    let net = Arc::new(net);
-    if spec.aio {
-        aio_fan_in_threaded(spec, &net, &server, &clients)
-    } else {
-        blocking_fan_in_threaded(spec, &net, &server, &clients)
-    }
-}
+    let (net, server) = (&Arc::new(net), &server);
 
-/// A harness thread's result; its panic, a failed check, is the run's.
-fn joined<T>(thread: ScopedJoinHandle<'_, T>) -> T {
-    thread.join().expect("a fan-in thread failed a check")
-}
-
-/// The default front-end of [`run_fan_in_threaded`].
-fn blocking_fan_in_threaded(
-    spec: &FanInSpec,
-    net: &Arc<ThreadNet>,
-    server: &Arc<ThreadNode>,
-    clients: &[Arc<ThreadNode>],
-) -> FanInReport {
-    let setup_start = Instant::now();
-    let mut cfg = spec.cfg.clone();
-    cfg.shard = ShardConfig {
-        shards: spec.effective_shards(),
-        policy: spec.shard_policy,
-    };
-    let pool = ThreadReactorPool::new(net.clone(), server.clone(), spec.reactor, &cfg, spec.conns);
-    let recv_len = spec.effective_recv_len() as usize;
-    let ends: Vec<_> = (0..spec.conns)
-        .map(|idx| {
-            let node = &clients[idx % clients.len()];
-            let (server_end, client_end) = pool.accept(node, &cfg);
-            // Pooled: every send buffer is leased as it is needed.
-            let slots: Vec<MrInfo> = (0..spec.outstanding_sends.max(1))
-                .filter(|_| !spec.pooled)
-                .map(|_| client_end.register(spec.msg_len as usize, Access::NONE))
-                .collect();
-            let bufs: Vec<MrInfo> = (0..spec.effective_prepost())
-                .map(|_| server_end.register(recv_len, Access::local_remote_write()))
-                .collect();
-            ((client_end, slots), (server_end, bufs))
-        })
-        .collect();
-    let setup_wall = setup_start.elapsed();
-
-    let transfer_start = Instant::now();
-    let (tx, served): (Vec<ConnStats>, Vec<(ThreadStream, Delivered)>) = std::thread::scope(|s| {
-        let threads: Vec<_> = (ends.into_iter().enumerate())
-            .map(|(idx, ((client_end, slots), (server_end, bufs)))| {
-                let client = s.spawn(move || send_blocking(spec, idx, client_end, slots));
-                (
-                    client,
-                    s.spawn(move || recv_blocking(spec, idx, server_end, bufs)),
-                )
-            })
-            .collect();
-        (threads.into_iter())
-            .map(|(client, server)| (joined(client), joined(server)))
-            .unzip()
-    });
-    let transfer_wall = transfer_start.elapsed();
-
-    let per_conn = served.iter().map(|(end, _)| end.stats()).collect();
-    let (aggregate, shard_stats) = (pool.aggregate_stats(), pool.shard_stats());
-    let pool_stats = spec.pooled.then(|| pool.pool_stats());
-    let mut delivered = Delivered::new(spec, 0..spec.conns);
-    for (idx, (mut end, part)) in served.into_iter().enumerate() {
-        delivered.take(idx, &part);
-        end.close();
-    }
-    FanInReport {
-        conns: spec.conns,
-        bytes: spec.stream_len() * spec.conns as u64,
-        per_conn,
-        aggregate,
-        aggregate_tx: merged(&tx),
-        reactor: pool.reactor_stats(),
-        pool: pool_stats,
-        setup_wall,
-        transfer_wall,
-        shard_stats: Some(shard_stats),
-        ..FanInReport::default()
-    }
-    .finish(delivered)
-}
-
-/// A blocking client end's life: send connection `idx`'s messages from
-/// the `free` slots, or pool leases when none were given, at most
-/// `outstanding_sends` in flight; shut down; read the server's end of
-/// stream; close. Returns the sender-side counters.
-fn send_blocking(
-    spec: &FanInSpec,
-    idx: usize,
-    mut end: ThreadStream,
-    mut free: Vec<MrInfo>,
-) -> ConnStats {
-    // Sends in flight, oldest first, with the lease each one holds.
-    type InFlight = VecDeque<(u64, MrInfo, Option<MrLease>)>;
-    let mut in_flight = InFlight::new();
-    // Waits out the oldest send; a registered slot goes back to `free`.
-    let retire = |in_flight: &mut InFlight, free: &mut Vec<MrInfo>| {
-        let (id, mr, lease) = in_flight.pop_front().expect("a send in flight");
-        let done = end.wait_send(id, THREAD_WAIT);
-        assert!(done.is_some(), "conn {idx}: send {id} did not complete");
-        if lease.is_none() {
-            free.push(mr);
-        }
-    };
-    let mut scratch = Vec::new();
-    for pos in (0..spec.msgs_per_conn as u64).map(|m| m * spec.msg_len) {
-        if in_flight.len() == spec.outstanding_sends.max(1) {
-            retire(&mut in_flight, &mut free);
-        }
-        let (mr, lease) = match free.pop() {
-            Some(mr) => (mr, None),
-            None => {
-                let lease = end.acquire(spec.msg_len as usize, Access::NONE);
-                (*lease.info(), Some(lease))
-            }
-        };
-        if spec.verify == VerifyLevel::Full {
-            scratch.clear();
-            scratch.extend((0..spec.msg_len).map(|i| payload_byte(spec.seed, idx, pos + i)));
-            (end.node())
-                .with_hca(|h| h.mem_mut().app_write(mr.key, mr.addr, &scratch))
-                .expect("write the payload");
-        }
-        in_flight.push_back((end.send(&mr, 0, spec.msg_len), mr, lease));
-    }
-    while !in_flight.is_empty() {
-        retire(&mut in_flight, &mut free);
-    }
-    end.shutdown();
-    let eof = end.acquire(1, Access::local_remote_write());
-    let id = end.recv(eof.info(), 0, 1, false);
-    let got = end.wait_recv(id, THREAD_WAIT);
-    assert_eq!(got, Some(0), "conn {idx}: the server's end of stream");
-    let stats = end.stats();
-    drop(eof);
-    end.close();
-    stats
-}
-
-/// A blocking server end's receive cycle: a receive posted in every
-/// buffer while connection `idx` owes bytes, each completion accounted
-/// through a [`Delivered`] of its own, to the client's end of stream;
-/// then shut down. Returns the end, closed by the caller once the
-/// client has closed, and the accounting.
-fn recv_blocking(
-    spec: &FanInSpec,
-    idx: usize,
-    end: ThreadStream,
-    bufs: Vec<MrInfo>,
-) -> (ThreadStream, Delivered) {
-    let recv_len = spec.effective_recv_len();
-    let mut delivered = Delivered::new(spec, idx..idx + 1);
-    let post = |mr: MrInfo| (end.recv(&mr, 0, recv_len, false), mr);
-    let mut posted: VecDeque<(u64, MrInfo)> = bufs.into_iter().map(post).collect();
-    let mut scratch = vec![0u8; recv_len as usize];
-    while let Some((id, mr)) = posted.pop_front() {
-        let len = end.wait_recv(id, THREAD_WAIT);
-        let len = len.unwrap_or_else(|| panic!("conn {idx}: receive {id} did not complete"));
-        // End of stream: every receive still posted completes empty.
-        if len == 0 {
-            break;
-        }
-        if delivered.verifies() {
-            let chunk = &mut scratch[..len as usize];
-            (end.node())
-                .with_hca(|h| h.mem().app_read(mr.key, mr.addr, chunk))
-                .expect("read the delivered bytes");
-            delivered.absorb(idx, chunk);
-        } else {
-            delivered.count(idx, len as u64);
-        }
-        // Refill while the stream owes bytes; past that one receive
-        // stays posted, for the end of stream.
-        if delivered.received(idx) < spec.stream_len() || posted.is_empty() {
-            posted.push_back(post(mr));
-        }
-    }
-    end.shutdown();
-    (end, delivered)
-}
-
-/// The [`FanInSpec::aio`] front-end of [`run_fan_in_threaded`].
-fn aio_fan_in_threaded(
-    spec: &FanInSpec,
-    net: &Arc<ThreadNet>,
-    server: &Arc<ThreadNode>,
-    clients: &[Arc<ThreadNode>],
-) -> FanInReport {
     let setup_start = Instant::now();
     let reactor_on = |node: &ThreadNode, conns: usize, cfg: ReactorConfig| {
         let depth = spec.cfg.cq_depth(conns);
@@ -1673,50 +1479,59 @@ fn aio_fan_in_threaded(
     let setup_wall = setup_start.elapsed();
 
     let transfer_start = Instant::now();
+    let teardown = &Teardown::new(shards.len() + clients.len());
     let (runs, tx): (Vec<_>, Vec<_>) = std::thread::scope(|s| {
         let shard_threads: Vec<_> = (shards.into_iter().zip(served).zip(&server_pools))
             .map(|((reactor, conns), pool)| {
                 let ex = (reactor, pool.clone());
-                s.spawn(move || serve_shard(spec, net, server, ex, conns))
+                s.spawn(move || serve_shard(spec, (net, server), ex, conns, teardown))
             })
             .collect();
         let client_threads: Vec<_> = (senders.into_iter().zip(sent))
             .zip(clients.iter().zip(&client_pools))
             .map(|((reactor, conns), (node, pool))| {
                 let ex = (reactor, pool.clone());
-                s.spawn(move || send_from_node(spec, net, node, ex, conns))
+                s.spawn(move || send_from_node(spec, (net, node), ex, conns, teardown))
             })
             .collect();
-        let tx: Vec<ConnStats> = client_threads.into_iter().map(joined).collect();
-        let runs: Vec<ShardRun> = shard_threads.into_iter().map(joined).collect();
+        let tx: Vec<Drained> = client_threads.into_iter().map(joined).collect();
+        let runs: Vec<(Drained, Delivered)> = shard_threads.into_iter().map(joined).collect();
         (runs, tx)
     });
-    let transfer_wall = transfer_start.elapsed();
+    let drained = runs
+        .iter()
+        .map(|(run, _)| run.at)
+        .chain(tx.iter().map(|run| run.at));
+    let transfer_wall = drained.max().expect("a run has threads") - transfer_start;
+    for node in clients.iter().chain([server]) {
+        let kept = node.with_hca(|h| h.mem().len());
+        assert!(kept == 0, "{:?} kept {kept} registrations", node.id());
+    }
 
     let mut delivered = Delivered::new(spec, 0..spec.conns);
     let mut per_conn = vec![ConnStats::default(); spec.conns];
-    for run in &runs {
+    for (run, part) in &runs {
         for (idx, stats) in &run.per_conn {
-            delivered.take(*idx, &run.delivered);
+            delivered.take(*idx, part);
             per_conn[*idx] = stats.clone();
         }
     }
-    let aio_per_shard: Vec<AioStats> = runs.iter().map(|run| run.aio.clone()).collect();
+    let aio_per_shard: Vec<AioStats> = runs.iter().map(|(run, _)| run.aio.clone()).collect();
     let pools = server_pools.iter().chain(&client_pools);
     FanInReport {
         conns: spec.conns,
         bytes: spec.stream_len() * spec.conns as u64,
         per_conn,
-        aggregate: merged(runs.iter().map(|run| &run.aggregate)),
-        aggregate_tx: merged(&tx),
-        reactor: merged(runs.iter().map(|run| &run.reactor)),
+        aggregate: merged(runs.iter().map(|(run, _)| &run.aggregate)),
+        aggregate_tx: merged(tx.iter().map(|run| &run.aggregate)),
+        reactor: merged(runs.iter().map(|(run, _)| &run.closed)),
         pool: spec.pooled.then(|| merged(pools.map(MemPool::stats))),
         setup_wall,
         transfer_wall,
         aio: Some(merged(&aio_per_shard)),
         shard_stats: Some(
             (runs.iter().enumerate())
-                .map(|(s, run)| placement.row(s, &run.reactor))
+                .map(|(s, (run, _))| placement.row(s, &run.hosting))
                 .collect(),
         ),
         aio_per_shard: Some(aio_per_shard),
@@ -1725,83 +1540,146 @@ fn aio_fan_in_threaded(
     .finish(delivered)
 }
 
-/// What one aio server shard's thread hands back.
-struct ShardRun {
-    delivered: Delivered,
-    /// `(connection index, server-side counters)` in accept order.
+/// A harness thread's result; its panic, a failed check, is the run's.
+fn joined<T>(thread: ScopedJoinHandle<'_, T>) -> T {
+    thread.join().expect("a fan-in thread failed a check")
+}
+
+/// Holds the executor threads of a thread run until every one of them
+/// has drained, before any closes an endpoint: a close releases the
+/// ring and control slots its peer may still write into.
+struct Teardown {
+    left: Mutex<usize>,
+    all_in: Condvar,
+}
+
+impl Teardown {
+    fn new(threads: usize) -> Teardown {
+        Teardown {
+            left: Mutex::new(threads),
+            all_in: Condvar::new(),
+        }
+    }
+
+    /// Waits until every thread has arrived.
+    fn wait(&self) {
+        // An `Arrival` only decrements the count, so no thread panics
+        // holding it.
+        let left = self.left.lock().expect("the count is never poisoned");
+        let all_in = self.all_in.wait_while(left, |left| *left > 0);
+        drop(all_in.expect("the count is never poisoned"));
+    }
+}
+
+/// One thread's arrival at the [`Teardown`]. Dropping it counts the
+/// thread in, on a panic too, so a failed thread fails the run instead
+/// of holding the others for ever.
+struct Arrival<'a>(&'a Teardown);
+
+impl Drop for Arrival<'_> {
+    fn drop(&mut self) {
+        *self.0.left.lock().unwrap_or_else(|e| e.into_inner()) -= 1;
+        self.0.all_in.notify_all();
+    }
+}
+
+/// What an executor thread hands back once it has closed its endpoints.
+struct Drained {
+    /// When the executor drained: the end of its share of the transfer.
+    at: Instant,
+    /// `(connection index, counters)` in accept order, CQ gauges folded
+    /// in.
     per_conn: Vec<(usize, ConnStats)>,
-    reactor: ReactorStats,
+    /// The hosted endpoints' counters, summed.
     aggregate: ConnStats,
+    /// The reactor's counters while it hosted the connections, and
+    /// after it closed them.
+    hosting: ReactorStats,
+    closed: ReactorStats,
     aio: AioStats,
 }
 
-/// Runs an executor over `reactor` and `pool` on the calling thread,
-/// with the task `task` builds for each `(conn, idx)` of `conns`, until
-/// it is drained. Returns the executor and each connection's counters,
-/// CQ gauges folded in.
+/// Runs an executor over `reactor` and `pool` on `node` on the calling
+/// thread, with the task `task` builds for each `(conn, idx)` of
+/// `conns`, until it is drained. Then, once every thread of the run has
+/// drained too, closes each hosted endpoint and trims `pool`.
 fn run_executor<F: Future<Output = ()> + 'static>(
-    net: &ThreadNet,
-    node: &Arc<ThreadNode>,
+    (net, node): (&ThreadNet, &Arc<ThreadNode>),
     (reactor, pool): (Reactor, MemPool),
     conns: &[(ConnId, usize)],
+    teardown: &Teardown,
     task: impl Fn(&AioHandle, ConnId, usize) -> F,
-) -> (Executor, Vec<(usize, ConnStats)>) {
-    let mut ex = Executor::with_pool(reactor, pool);
+) -> Drained {
+    let arrival = Arrival(teardown);
+    let mut ex = Executor::with_pool(reactor, pool.clone());
     let handle = ex.handle();
     for &(conn, idx) in conns {
         handle.spawn(task(&handle, conn, idx));
     }
+    drop(handle);
     ex.run_threaded(net, node);
-    let port = ThreadPort::new(net, node);
-    let per_conn = ex.with_reactor(|r| {
-        (conns.iter())
+    let at = Instant::now();
+    let (aggregate, hosting) = ex.with_reactor(|r| (r.aggregate_conn_stats(), r.stats().clone()));
+    drop(arrival);
+    teardown.wait();
+    let mut port = ThreadPort::new(net, node);
+    let (per_conn, closed) = ex.with_reactor(|r| {
+        let per_conn = (conns.iter())
             .map(|&(conn, idx)| {
-                let ep = r.conn_mut(conn);
+                let mut ep = r.remove(conn);
                 ep.sync_cq_stats(&port);
-                (idx, ep.stats().clone())
+                let stats = ep.stats().clone();
+                ep.close(&mut port);
+                (idx, stats)
             })
-            .collect()
+            .collect();
+        (per_conn, r.stats().clone())
     });
-    (ex, per_conn)
+    let aio = ex.stats();
+    // The executor's readahead leases go back to the pool with it.
+    drop(ex);
+    pool.trim(&mut port);
+    Drained {
+        at,
+        per_conn,
+        aggregate,
+        hosting,
+        closed,
+        aio,
+    }
 }
 
 /// One aio server shard on its own thread: [`serve_stream`] for each
-/// of its connections.
+/// of its connections. Returns what it drained with, and what it
+/// delivered.
 fn serve_shard(
     spec: &FanInSpec,
-    net: &ThreadNet,
-    node: &Arc<ThreadNode>,
+    at: (&ThreadNet, &Arc<ThreadNode>),
     ex: (Reactor, MemPool),
     conns: Vec<(ConnId, usize)>,
-) -> ShardRun {
+    teardown: &Teardown,
+) -> (Drained, Delivered) {
     let (chunk, depth) = (spec.effective_recv_len(), spec.effective_prepost());
     let delivered = Rc::new(RefCell::new(Delivered::new(spec, 0..spec.conns)));
-    let (ex, per_conn) = run_executor(net, node, ex, &conns, |handle, conn, idx| {
+    let run = run_executor(at, ex, &conns, teardown, |handle, conn, idx| {
         let stream = handle.stream_of(conn, 0, chunk, depth);
         serve_stream(stream, idx, chunk as usize, Rc::clone(&delivered), true)
     });
-    let (reactor, aggregate) = ex.with_reactor(|r| (r.stats().clone(), r.aggregate_conn_stats()));
-    ShardRun {
-        delivered: last_ref(delivered),
-        per_conn,
-        reactor,
-        aggregate,
-        aio: ex.stats(),
-    }
+    (run, last_ref(delivered))
 }
 
 /// One client node's executor on its own thread: per connection, a task
 /// that sends the messages one at a time, shuts down and reads the
-/// server's end of stream. Returns the sender-side counters.
+/// server's end of stream.
 fn send_from_node(
     spec: &FanInSpec,
-    net: &ThreadNet,
-    node: &Arc<ThreadNode>,
+    at: (&ThreadNet, &Arc<ThreadNode>),
     ex: (Reactor, MemPool),
     conns: Vec<(ConnId, usize)>,
-) -> ConnStats {
+    teardown: &Teardown,
+) -> Drained {
     let (msgs, len, seed, verify) = (spec.msgs_per_conn, spec.msg_len, spec.seed, spec.verify);
-    let (ex, _) = run_executor(net, node, ex, &conns, |handle, conn, idx| {
+    run_executor(at, ex, &conns, teardown, |handle, conn, idx| {
         // One small receive: the client reads only the end of stream.
         let stream = handle.stream_with(conn, 64, 1);
         async move {
@@ -1821,8 +1699,7 @@ fn send_from_node(
                 "conn {idx}: got {end:?}, not the end of stream"
             );
         }
-    });
-    ex.with_reactor(|r| r.aggregate_conn_stats())
+    })
 }
 
 #[cfg(test)]
@@ -1875,9 +1752,8 @@ mod tests {
 
     /// Transfer-mode counters live on the sending half: the server-side
     /// aggregate saw no transfer leave, so its split reads 0, while the
-    /// client-side aggregate and the report's own ratios are defined. A
-    /// simulated shard samples no wall clock, and on the FIFO fabric no
-    /// flow rate is sampled on either side.
+    /// client-side aggregate and the report's own ratios are defined. On
+    /// the FIFO fabric no flow rate is sampled on either side.
     #[test]
     fn the_server_side_aggregate_has_no_transfer_split() {
         let report = run_fan_in(&small_spec(|_| {}));
@@ -1889,7 +1765,6 @@ mod tests {
         assert!(report.direct_ratio() > 0.0 && report.direct_byte_ratio() > 0.0);
         assert_eq!((rx.fabric_flow_samples, tx.fabric_flow_samples), (0, 0));
         for row in report.shard_stats.as_ref().expect("rows") {
-            assert_eq!((row.busy_ns, row.wall_ns, row.busy_ratio()), (0, 0, 0.0));
             assert!(row.cqes_dispatched > 0);
         }
     }
@@ -1900,33 +1775,30 @@ mod tests {
     /// time the transfer on the wall clock.
     #[test]
     fn a_thread_report_is_the_sim_report_without_virtual_time() {
-        for aio in [false, true] {
-            let spec = FanInSpec {
-                aio,
-                verify: VerifyLevel::Full,
-                ..small_spec(|_| {})
-            };
-            let thread = run_fan_in_threaded(&spec);
-            let sim = run_fan_in(&spec);
-            assert!(thread.elapsed.is_zero(), "aio {aio}");
-            let zeros = (
-                thread.events,
-                thread.client_polls,
-                thread.link_bandwidth_bps,
-            );
-            assert_eq!(zeros, (0, 0, 0), "aio {aio}");
-            assert_eq!(thread.throughput_mbps(), 0.0);
-            assert!(thread.fabric.is_none() && sim.fabric.is_none());
-            assert!(!sim.elapsed.is_zero() && sim.events > 0 && sim.client_polls > 0);
-            assert!(!thread.transfer_wall.is_zero() && !sim.transfer_wall.is_zero());
-            assert_eq!(thread.pool.is_some(), sim.pool.is_some(), "aio {aio}");
-            assert_eq!(thread.aio.is_some(), sim.aio.is_some(), "aio {aio}");
-            assert_eq!(thread.aio.is_some(), aio);
-            let rows = |r: &FanInReport| r.shard_stats.as_ref().map(Vec::len);
-            assert_eq!(rows(&thread), rows(&sim), "aio {aio}");
-            assert!(thread.mux_footprint.is_none() && sim.mux_footprint.is_none());
-            assert_eq!(thread.digests, sim.digests, "aio {aio}");
-        }
+        let spec = FanInSpec {
+            aio: true,
+            verify: VerifyLevel::Full,
+            ..small_spec(|_| {})
+        };
+        let thread = run_fan_in_threaded(&spec);
+        let sim = run_fan_in(&spec);
+        assert!(thread.elapsed.is_zero());
+        let zeros = (
+            thread.events,
+            thread.client_polls,
+            thread.link_bandwidth_bps,
+        );
+        assert_eq!(zeros, (0, 0, 0));
+        assert_eq!(thread.throughput_mbps(), 0.0);
+        assert!(thread.fabric.is_none() && sim.fabric.is_none());
+        assert!(!sim.elapsed.is_zero() && sim.events > 0 && sim.client_polls > 0);
+        assert!(!thread.transfer_wall.is_zero() && !sim.transfer_wall.is_zero());
+        assert_eq!(thread.pool.is_some(), sim.pool.is_some());
+        assert!(thread.aio.is_some() && sim.aio.is_some());
+        let rows = |r: &FanInReport| r.shard_stats.as_ref().map(Vec::len);
+        assert_eq!(rows(&thread), rows(&sim));
+        assert!(thread.mux_footprint.is_none() && sim.mux_footprint.is_none());
+        assert_eq!(thread.digests, sim.digests);
     }
 
     #[test]
@@ -1936,6 +1808,14 @@ mod tests {
             mux: true,
             ..FanInSpec::new(profiles::fdr_infiniband(), 2)
         });
+    }
+
+    /// Executors are the one way a thread run serves: a spec for the
+    /// callback server has no front-end there.
+    #[test]
+    #[should_panic(expected = "a thread run serves with executors")]
+    fn a_thread_run_refuses_a_callback_spec() {
+        run_fan_in_threaded(&FanInSpec::new(profiles::fdr_infiniband(), 2));
     }
 
     /// A client wake polls only the links with work: the CQ polls the

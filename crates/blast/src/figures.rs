@@ -1203,8 +1203,9 @@ pub fn print_all(quick: bool) {
 
 /// The thread-backend twins of two serving sweeps: every reactor-shards
 /// point, and the async-tasks point at 10 000 tasks (1 000 in quick
-/// mode), each spec run by [`run_fan_in_threaded`] with every
-/// connection's digest checked against the closed form. The Mbit/s are
+/// mode), each spec run by [`run_fan_in_threaded`] — served by
+/// executors, one thread per shard — with every connection's digest
+/// checked against the closed form. The Mbit/s are
 /// of the transfer's wall time: this measures the host, is not
 /// deterministic, and gates on nothing but the bytes.
 ///
@@ -1238,6 +1239,7 @@ pub fn print_thread_fan_ins(quick: bool) {
         let seed = point.seeds(quick)[0];
         let run = run_fan_in_threaded(&FanInSpec {
             seed,
+            aio: true,
             ..spec.clone()
         });
         assert_eq!(run.digests.len(), spec.conns, "{label}: a digest per conn");

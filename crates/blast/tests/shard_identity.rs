@@ -108,16 +108,6 @@ fn row(spec: &FanInSpec, what: &str) -> [FanInReport; 2] {
     runs
 }
 
-/// Placement moves connections between shards, never bytes within a
-/// stream: blocking server ends behind one and four shards, on both
-/// backends.
-#[test]
-fn thread_pool_blocking_rows_match_sim() {
-    for shards in [1usize, 4] {
-        row(&spec(shards, false), &format!("x{shards}"));
-    }
-}
-
 /// The async per-task server, one executor per shard, delivers the same
 /// bytes as the callback server, one server task per connection.
 #[test]
@@ -132,14 +122,14 @@ fn thread_pool_aio_rows_match_sim() {
     }
 }
 
-/// Odd-sized receive splits over a 4-shard `ThreadReactorPool` deliver
-/// the closed-form digests too; round-robin spreads the connections
-/// evenly, and the pool closes every server end it hosted.
+/// Odd-sized receive splits over four executor shards deliver the
+/// closed-form digests too; round-robin spreads the connections evenly,
+/// and each shard closes every server end it hosted.
 #[test]
 fn thread_pool_sharded_digests_match_sim() {
     let spec = FanInSpec {
         recv_len: 1500, // deliberately not a divisor of MSG_LEN
-        ..spec(4, false)
+        ..spec(4, true)
     };
     let [_, thread] = row(&spec, "x4, 1500-byte receives");
     let rows = thread.shard_stats.expect("per-shard telemetry");

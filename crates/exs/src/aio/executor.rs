@@ -48,7 +48,6 @@ pub(crate) type ChanKey = (ConnId, u32);
 pub(crate) enum Action {
     Open { key: ChanKey },
     Send { key: ChanKey, op: u64 },
-    Flush { key: ChanKey, op: u64 },
     Shutdown { key: ChanKey, op: u64 },
 }
 
@@ -353,8 +352,7 @@ impl Inner {
             match action {
                 Action::Open { key } => self.apply_open(port, key),
                 Action::Send { key, op } => self.apply_send(port, key, op),
-                Action::Flush { key, op } => self.apply_ctl(port, key, op, false),
-                Action::Shutdown { key, op } => self.apply_ctl(port, key, op, true),
+                Action::Shutdown { key, op } => self.apply_shutdown(port, key, op),
             }
         }
         acted
@@ -439,7 +437,7 @@ impl Inner {
         }
     }
 
-    fn apply_ctl(&mut self, port: &mut impl VerbsPort, key: ChanKey, op: u64, shutdown: bool) {
+    fn apply_shutdown(&mut self, port: &mut impl VerbsPort, key: ChanKey, op: u64) {
         let Inner { reactor, chans, .. } = self;
         let Some(chan) = chans.get_mut(&key) else {
             return;
@@ -447,10 +445,9 @@ impl Inner {
         let Some(entry) = chan.ctl_ops.get_mut(&op) else {
             return;
         };
-        let applied = reactor.try_conn_mut(key.0).map(|ep| match shutdown {
-            true => ep.shutdown(port, key.1),
-            false => ep.flush(port),
-        });
+        let applied = reactor
+            .try_conn_mut(key.0)
+            .map(|ep| ep.shutdown(port, key.1));
         entry.done = Some(applied.ok_or(ExsError::Stale));
         if let Some(w) = entry.waker.take() {
             w.wake();
@@ -641,9 +638,8 @@ impl Inner {
         {
             // Not applied yet: unwind the queued action too.
             chan.ctl_ops.remove(&op);
-            self.actions.retain(|a| {
-                !matches!(a, Action::Flush { op: o, .. } | Action::Shutdown { op: o, .. } if *o == op)
-            });
+            self.actions
+                .retain(|a| !matches!(a, Action::Shutdown { op: o, .. } if *o == op));
             self.stats.cancels_clean += 1;
         } else {
             chan.ctl_ops.remove(&op);
@@ -657,7 +653,7 @@ impl Inner {
 /// On the simulator, wrap it in a [`SimShardDriver`] and run it as a
 /// `NodeApp`: every node wake turns it, and whole runs stay byte- and
 /// schedule-deterministic. On the thread fabric, call
-/// [`Executor::run_threaded`] from one service thread: the same turn
+/// [`Executor::run_threaded`] from a thread of its own: the same turn
 /// function runs between waits on the node's completion generation
 /// ([`ThreadNode::wait_any`]), which a waker fired on another thread
 /// also ends.
@@ -705,17 +701,12 @@ impl Executor {
         f(&mut self.inner.borrow_mut().reactor)
     }
 
-    /// True when every spawned task has run to completion.
-    pub fn idle(&self) -> bool {
-        self.inner.borrow().outstanding == 0
-    }
-
     /// True when every task has completed *and* no registered endpoint
     /// still owes traffic to the wire ([`Reactor::has_unsent`]). The
     /// distinction matters at teardown: a shutdown's FIN can be queued
     /// behind flow control after the task that requested it has
-    /// finished, and a driver that stops at [`Executor::idle`] would
-    /// strand the peer waiting for end-of-stream.
+    /// finished, and a driver that stopped once its tasks were done
+    /// would strand the peer waiting for end-of-stream.
     pub fn drained(&self) -> bool {
         let inner = self.inner.borrow();
         inner.outstanding == 0 && !inner.reactor.has_unsent()
@@ -786,8 +777,8 @@ impl Executor {
     /// Runs the executor on the calling thread over the real-thread
     /// fabric until it is drained: read the node's generation, turn,
     /// then wait for the generation to move or for a waker fired on
-    /// another thread. This is the "10k tasks on one service thread"
-    /// loop: tasks and reactor share the caller's thread.
+    /// another thread. This is the "10k tasks on one thread" loop:
+    /// tasks and reactor share the caller's thread.
     pub fn run_threaded(&mut self, net: &ThreadNet, node: &Arc<ThreadNode>) {
         loop {
             let seen = node.generation();
@@ -823,11 +814,6 @@ impl SimShardDriver {
             "a shard driver needs at least one shard"
         );
         SimShardDriver { shards }
-    }
-
-    /// Number of shards driven.
-    pub fn shards(&self) -> usize {
-        self.shards.len()
     }
 
     /// One shard's executor.

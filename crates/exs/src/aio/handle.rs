@@ -107,16 +107,6 @@ impl AsyncStream {
         }
     }
 
-    /// Pushes out any coalesced/batched sends immediately.
-    pub fn flush(&self) -> Ctl {
-        Ctl {
-            inner: self.inner.clone(),
-            key: self.key,
-            shutdown: false,
-            op: None,
-        }
-    }
-
     /// Half-closes the sending direction (FIN after queued sends
     /// drain). Later `send_all`s fail fast.
     pub fn shutdown(&self) -> Ctl {
@@ -129,17 +119,8 @@ impl AsyncStream {
         Ctl {
             inner: self.inner.clone(),
             key: self.key,
-            shutdown: true,
             op: None,
         }
-    }
-
-    /// Bytes currently buffered and claimable without waiting.
-    pub fn buffered(&self) -> usize {
-        self.inner
-            .borrow_mut()
-            .chan_mut(self.key)
-            .map_or(0, |c| c.rx_buf.len())
     }
 }
 
@@ -324,11 +305,10 @@ impl Drop for Recv {
     }
 }
 
-/// Future of [`AsyncStream::flush`] / [`AsyncStream::shutdown`].
+/// Future of [`AsyncStream::shutdown`].
 pub struct Ctl {
     inner: Rc<RefCell<Inner>>,
     key: ChanKey,
-    shutdown: bool,
     op: Option<u64>,
 }
 
@@ -355,12 +335,7 @@ impl Future for Ctl {
                         waker: Some(cx.waker().clone()),
                     },
                 );
-                let action = if this.shutdown {
-                    Action::Shutdown { key: this.key, op }
-                } else {
-                    Action::Flush { key: this.key, op }
-                };
-                g.actions.push_back(action);
+                g.actions.push_back(Action::Shutdown { key: this.key, op });
                 this.op = Some(op);
                 Poll::Pending
             }

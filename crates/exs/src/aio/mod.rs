@@ -5,8 +5,7 @@
 //! deterministic single-threaded [`Executor`] owns a
 //! [`crate::Reactor`] and drives tasks whose leaf futures are stream
 //! operations ([`AsyncStream::send_all`], [`AsyncStream::recv_exact`],
-//! [`AsyncStream::recv_some`], [`AsyncStream::flush`],
-//! [`AsyncStream::shutdown`]). There are no timers: a task waits only
+//! [`AsyncStream::recv_some`], [`AsyncStream::shutdown`]). There are no timers: a task waits only
 //! on its streams.
 //!
 //! Three design rules, detailed in DESIGN.md §16:

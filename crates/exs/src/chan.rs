@@ -429,20 +429,22 @@ impl<T: CtrlTag, O: Copy> Channel<T, O> {
     }
 }
 
-/// Drains both completion queues into one batch, receive completions
-/// first, each marked with whether it is one.
+/// Drains both completion queues into `cqes`, receive completions
+/// first, and returns how many are receive completions. A caller that
+/// keeps `cqes` between wakes polls without allocating.
 pub(crate) fn poll_cqs(
     api: &mut impl VerbsPort,
     send_cq: CqId,
     recv_cq: CqId,
-) -> impl Iterator<Item = (Cqe, bool)> {
-    let mut cqes: Vec<Cqe> = Vec::new();
-    api.poll_cq(recv_cq, usize::MAX, &mut cqes)
+    cqes: &mut Vec<Cqe>,
+) -> usize {
+    cqes.clear();
+    api.poll_cq(recv_cq, usize::MAX, cqes)
         .expect("poll recv cq");
     let recvs = cqes.len();
-    api.poll_cq(send_cq, usize::MAX, &mut cqes)
+    api.poll_cq(send_cq, usize::MAX, cqes)
         .expect("poll send cq");
-    (cqes.into_iter().enumerate()).map(move |(i, cqe)| (cqe, i < recvs))
+    recvs
 }
 
 #[cfg(test)]

@@ -196,11 +196,10 @@ pub enum ShardPolicy {
     RoundRobin,
 }
 
-/// Sharded-reactor tunables (`ExsConfig::shard`): how many independent
-/// reactor shards a pool spreads its connections over. Each shard owns
-/// its own CQ pair and (on the thread backend) its own service thread,
-/// so aggregate throughput scales with cores instead of saturating one
-/// service thread.
+/// Sharded-reactor tunables (`ExsConfig::shard`). Nothing in the
+/// library reads them: a sharded server takes its shard count where it
+/// is built (the fan-in harness from its spec). They stay, validated,
+/// because the repo benchmark's configuration names them.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ShardConfig {
     /// Number of reactor shards. `0` or `1` ⇒ a single shard (the
@@ -214,11 +213,6 @@ impl ShardConfig {
     /// Upper bound on the shard count — far above any sane core count,
     /// low enough to catch a garbage config before it allocates CQs.
     pub const MAX_SHARDS: usize = 256;
-
-    /// Effective shard count (`0` ⇒ 1).
-    pub fn effective_shards(&self) -> usize {
-        self.shards.max(1)
-    }
 }
 
 impl Default for ShardConfig {
@@ -283,7 +277,7 @@ pub struct ExsConfig {
     /// disabled by default — every stream gets a private QP).
     pub mux: MuxConfig,
     /// Sharded-reactor tunables (see [`ShardConfig`]; a single shard by
-    /// default — the pre-sharding behaviour).
+    /// default). Read by nothing in the library.
     pub shard: ShardConfig,
 }
 
@@ -621,14 +615,8 @@ mod tests {
     #[test]
     fn shard_config_validation() {
         let c = ExsConfig::default();
-        assert_eq!(c.shard.effective_shards(), 1, "sharding must default off");
+        assert_eq!(c.shard.shards, 1, "sharding must default off");
         assert_eq!(c.shard.policy, ShardPolicy::RoundRobin);
-
-        let zero = ShardConfig {
-            shards: 0,
-            ..ShardConfig::default()
-        };
-        assert_eq!(zero.effective_shards(), 1);
 
         let bad = ExsConfig {
             shard: ShardConfig {

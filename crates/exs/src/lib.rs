@@ -32,11 +32,12 @@
 //! | [`sender`] | Fig. 2 matching algorithm |
 //! | [`receiver`] | Fig. 3–5 receiver algorithms |
 //! | [`stream`] | SOCK_STREAM sockets over a verbs QP |
+//! | [`threaded`] | blocking thread-safe streams over the real-thread fabric (§I) |
 //! | [`mux`] | many streams multiplexed over a pooled QP set |
 //! | [`mempool`] | pin-down cache / slab MR pools / buffer leases |
 //! | [`endpoint`] | what a reactor hosts: one QP and stream 0, or a QP pool and many ids |
 //! | [`reactor`] | epoll-style readiness multiplexing of many endpoints |
-//! | [`shard`] | sharded reactor pool — scale service across cores |
+//! | [`shard`] | placement over reactor shards — scale service across cores |
 //! | [`aio`] | async/await futures + deterministic executor over the reactor |
 //! | [`error`] | typed peer-attributable failures |
 //! | [`stats`] | Table III counters + event-loop aggregates |
@@ -82,4 +83,4 @@ pub use seq::Seq;
 pub use shard::{Placement, ShardBalance};
 pub use stats::{AioStats, ConnStats, PoolStats, ReactorStats, ShardStats};
 pub use stream::{ExsEvent, StreamSocket};
-pub use threaded::{ThreadPort, ThreadReactorPool, ThreadStream};
+pub use threaded::{ThreadPort, ThreadStream};

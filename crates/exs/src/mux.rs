@@ -292,6 +292,8 @@ pub struct MuxEndpoint {
     closed: BTreeSet<u32>,
     next_token: u64,
     events: Vec<MuxEvent>,
+    /// What a wake drained off the CQs, kept so a wake allocates nothing.
+    cqes: Vec<Cqe>,
     stats: ConnStats,
     last_error: Option<ExsError>,
 }
@@ -316,6 +318,7 @@ impl MuxEndpoint {
             closed: BTreeSet::new(),
             next_token: 0,
             events: Vec::new(),
+            cqes: Vec::new(),
             stats: ConnStats::default(),
             last_error: None,
         }
@@ -680,13 +683,16 @@ impl MuxEndpoint {
     /// pair, advances every transport, and queues user events.
     pub fn handle_wake(&mut self, api: &mut impl VerbsPort) {
         if let Some((send_cq, recv_cq)) = self.cqs {
-            for (cqe, is_recv) in poll_cqs(api, send_cq, recv_cq) {
-                if is_recv {
+            let mut cqes = std::mem::take(&mut self.cqes);
+            let recvs = poll_cqs(api, send_cq, recv_cq, &mut cqes);
+            for (i, cqe) in cqes.drain(..).enumerate() {
+                if i < recvs {
                     self.on_recv_cqe(api, cqe);
                 } else {
                     self.on_send_cqe(api, cqe);
                 }
             }
+            self.cqes = cqes;
         }
         self.progress(api);
     }

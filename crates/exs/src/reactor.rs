@@ -69,8 +69,8 @@
 //!
 //! The reactor is backend-agnostic: it drives any [`VerbsPort`], so the
 //! same code runs one step per wake deterministically under the
-//! discrete-event simulator and inside a shard's service thread over
-//! the real-thread fabric (see [`crate::threaded::ThreadReactorPool`]).
+//! discrete-event simulator and inside an executor's thread over the
+//! real-thread fabric ([`crate::Executor::run_threaded`]).
 //!
 //! ```text
 //!    shared recv CQ ─┐  batched drain   ┌─ slot 0 queue ─ service ≤ budget
@@ -473,9 +473,9 @@ impl Reactor {
 
     /// [`Reactor::poll`], writing the readiness set into a
     /// caller-owned buffer instead of allocating one. `out` is cleared
-    /// first. Hot loops (shard service threads, the aio pump, fan-in
-    /// servers) keep one buffer per reactor and reuse it across polls
-    /// so the steady-state dispatch path performs no allocation.
+    /// first. Hot loops (the aio pump, fan-in servers) keep one buffer
+    /// per reactor and reuse it across polls so the steady-state
+    /// dispatch path performs no allocation.
     pub fn poll_into(&mut self, api: &mut impl VerbsPort, out: &mut Vec<(ConnId, Readiness)>) {
         out.clear();
         self.stats.polls += 1;

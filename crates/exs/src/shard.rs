@@ -7,19 +7,17 @@
 //! horizontal scaling structurally simple: give each shard its own CQ
 //! pair and its own reactor, route every accepted connection to exactly
 //! one shard, and never look across the boundary again. A sharded server
-//! therefore *is* a `Vec<Reactor>` and a [`Placement`]; there is no pool
-//! type on the simulator (the fan-in harness and `proptest_shard.rs`
-//! hold the two directly), and the invariants are:
+//! therefore *is* a `Vec<Reactor>` and a [`Placement`] on either
+//! backend; there is no pool type (the fan-in harness and
+//! `proptest_shard.rs` hold the two directly), and the invariants are:
 //!
 //! * **Assignment happens once, at accept time.** [`Placement::pick`]
 //!   takes the next shard in the rotation *before* the endpoint is
 //!   created, because the choice binds it to the shard's CQ pair; its
 //!   socket state and event queues live on that shard until close.
-//! * **No cross-shard locks.** A shard's poll loop touches only its
-//!   own reactor; posting on or closing a connection takes only its
-//!   owning shard's lock. The only cross-shard step is placement at
-//!   accept — see [`crate::threaded::ThreadReactorPool`] for the
-//!   thread backend.
+//! * **No cross-shard state.** A shard's poll loop touches only its
+//!   own reactor, and on the thread backend one executor thread owns
+//!   it. The only cross-shard step is placement at accept.
 //! * **Stats merge sums.** `simnet::stats::merged` over the shards'
 //!   [`ReactorStats`] sums counters (peaks take the max); per-shard
 //!   [`ShardStats`] rows ([`Placement::row`]) ride along so imbalance
@@ -27,18 +25,18 @@
 //!
 //! On the simulator one deterministic caller polls every shard in shard
 //! order and then handles what is ready in that order; on the thread
-//! backend each shard is owned by a thread of its own (a pool's service
-//! thread, or an executor's). That is the only difference between the
-//! drivers: both produce byte-identical streams for the same workload —
+//! backend each shard is owned by an executor on a thread of its own
+//! ([`crate::Executor::run_threaded`]). That is the only difference
+//! between the drivers: both produce byte-identical streams for the same workload —
 //! enforced by the `shard_identity` tests, which run each spec on both.
 
 use crate::stats::{ReactorStats, ShardStats};
 
-/// Where a pool's accepted connections go: the next shard in a strict
-/// rotation, and the per-shard placement counts. The simulator's
-/// servers and the thread backend's `ThreadReactorPool` each hold one,
-/// so both backends place identically for the same inputs — the
-/// property the cross-backend identity tests lean on.
+/// Where a sharded server's accepted connections go: the next shard in
+/// a strict rotation, and the per-shard placement counts. The fan-in
+/// harness holds one on either backend, so both place identically for
+/// the same inputs — the property the cross-backend identity tests lean
+/// on.
 pub struct Placement {
     /// Next round-robin target.
     rr_next: usize,

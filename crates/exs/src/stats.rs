@@ -206,19 +206,17 @@ simnet::stats! {
 }
 
 simnet::stats! {
-    /// Telemetry for one shard of a sharded server (a row of
+    /// Telemetry for one shard of a sharded server: a row of
     /// [`crate::shard::Placement`] beside its reactor's counters, on
-    /// the simulator and in [`crate::threaded::ThreadReactorPool`]): how
-    /// many connections the assignment policy routed here and how hard
-    /// its service loop is working (busy ratio). A fan-in report keeps one
-    /// row per shard, so [`crate::shard::ShardBalance`] (the shard table
-    /// in `blast::figures`, the benchmark's imbalance) reads imbalance
-    /// from the rows instead of an average.
+    /// either backend. A fan-in report keeps one row per shard, so
+    /// [`crate::shard::ShardBalance`] (the shard table in
+    /// `blast::figures`, the benchmark's imbalance) reads imbalance from
+    /// the rows instead of an average.
     #[derive(Clone, Debug, Default)]
     pub struct ShardStats {
-        /// Which shard this is (0-based, stable for the pool's lifetime).
+        /// Which shard this is (0-based, stable for the server's lifetime).
         val shard_id: u32,
-        /// Connections currently hosted on the shard.
+        /// Connections hosted on the shard when the row was taken.
         val conns: u64,
         /// Connections the rotation ever routed here.
         val assigned: u64,
@@ -226,16 +224,6 @@ simnet::stats! {
         val polls: u64,
         /// Completions this shard's reactor dispatched.
         val cqes_dispatched: u64,
-        /// Nanoseconds the service loop spent doing work (holding the
-        /// reactor, harvesting events) — the numerator of the busy ratio.
-        val busy_ns: u64,
-        /// Nanoseconds the service loop existed (work + parked waiting) —
-        /// the denominator of the busy ratio. Zero on the sim backend,
-        /// where there is no wall clock to sample.
-        val wall_ns: u64,
-        /// Fraction of the shard's lifetime spent servicing rather than
-        /// parked; timer jitter can push busy past wall, so it is capped at 1.
-        ratio busy_ratio = busy_ns / wall_ns cap 1.0,
     }
 }
 
@@ -248,8 +236,7 @@ impl ReactorStats {
 
 impl ShardStats {
     /// A shard's row from its reactor's counters and its placement
-    /// count. No wall clock is sampled here; the thread backend, which
-    /// has one, fills `busy_ns`/`wall_ns` in.
+    /// count.
     pub fn new(shard_id: u32, reactor: &ReactorStats, assigned: u64) -> ShardStats {
         ShardStats {
             shard_id,
@@ -257,8 +244,6 @@ impl ShardStats {
             assigned,
             polls: reactor.polls,
             cqes_dispatched: reactor.cqes_dispatched,
-            busy_ns: 0,
-            wall_ns: 0,
         }
     }
 }
@@ -398,20 +383,6 @@ mod tests {
     }
 
     #[allow(clippy::needless_update)]
-    fn shard() -> ShardStats {
-        ShardStats {
-            shard_id: 3,
-            conns: 7,
-            assigned: 9,
-            polls: 100,
-            cqes_dispatched: 250,
-            busy_ns: 250,
-            wall_ns: 1000,
-            ..ShardStats::default()
-        }
-    }
-
-    #[allow(clippy::needless_update)]
     fn pool() -> PoolStats {
         PoolStats {
             hits: 3,
@@ -499,7 +470,6 @@ mod tests {
         assert_eq!(PoolStats::default().hit_rate(), 0.0);
         assert_eq!(AioStats::default().polls_per_wake(), 0.0);
         assert_eq!(AioStats::default().spurious_wake_ratio(), 0.0);
-        assert_eq!(ShardStats::default().busy_ratio(), 0.0);
 
         let c = conn();
         assert_eq!(c.total_transfers(), 4);
@@ -513,7 +483,6 @@ mod tests {
         assert!((pool().hit_rate() - 0.75).abs() < 1e-12);
         assert!((aio().polls_per_wake() - 1.5).abs() < 1e-12);
         assert!((aio().spurious_wake_ratio() - 0.2).abs() < 1e-12);
-        assert!((shard().busy_ratio() - 0.25).abs() < 1e-12);
     }
 
     /// The mean advert-queue depth reads 0 until a depth is sampled.
@@ -549,20 +518,12 @@ mod tests {
         assert_eq!(s.fabric_flow_mbps_max, 5000.5);
     }
 
-    /// A sim shard samples no wall clock, so its row has no busy time
-    /// and its busy ratio reads 0; a thread-backend row has all three.
-    /// Timer jitter can push busy past wall; the ratio stays <= 1.
+    /// A shard's row is its reactor's counters beside its placement
+    /// count.
     #[test]
-    fn shard_rows_have_busy_figures_only_with_a_wall_clock() {
-        let sim = ShardStats::new(0, &reactor(), 4);
-        assert_eq!((sim.conns, sim.assigned), (3, 4));
-        assert_eq!((sim.polls, sim.cqes_dispatched), (100, 55));
-        assert_eq!((sim.busy_ns, sim.wall_ns, sim.busy_ratio()), (0, 0, 0.0));
-        let hot = ShardStats {
-            busy_ns: 1200,
-            wall_ns: 1000,
-            ..ShardStats::default()
-        };
-        assert_eq!(hot.busy_ratio(), 1.0);
+    fn a_shard_row_is_its_reactors_counters_beside_its_placement() {
+        let row = ShardStats::new(2, &reactor(), 4);
+        assert_eq!((row.shard_id, row.conns, row.assigned), (2, 3, 4));
+        assert_eq!((row.polls, row.cqes_dispatched), (100, 55));
     }
 }

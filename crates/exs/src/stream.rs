@@ -169,6 +169,8 @@ pub struct StreamSocket {
     events: Vec<ExsEvent>,
     stats: ConnStats,
     actions_scratch: Vec<RecvAction>,
+    /// What a wake drained off the CQs, kept so a wake allocates nothing.
+    cqes: Vec<Cqe>,
     /// BCopy-mode staging regions by token, freed when the send
     /// completes.
     staging: IntMap<u64, MrKey>,
@@ -677,15 +679,17 @@ impl StreamSocket {
     /// ([`crate::Endpoint::quiet_cqs`]) charge those two polls for it
     /// instead of making them.
     pub fn handle_wake(&mut self, api: &mut impl VerbsPort) {
-        let mut drained = false;
-        for (cqe, is_recv) in poll_cqs(api, self.chan.send_cq(), self.chan.recv_cq()) {
-            drained = true;
-            if is_recv {
+        let mut cqes = std::mem::take(&mut self.cqes);
+        let recvs = poll_cqs(api, self.chan.send_cq(), self.chan.recv_cq(), &mut cqes);
+        let drained = !cqes.is_empty();
+        for (i, cqe) in cqes.drain(..).enumerate() {
+            if i < recvs {
                 self.on_recv_cqe(api, cqe);
             } else {
                 self.on_send_cqe(api, cqe);
             }
         }
+        self.cqes = cqes;
         if drained || self.owes_progress() {
             self.progress(api);
         }
@@ -985,6 +989,7 @@ impl PreparedSocket {
             events: Vec::new(),
             stats: ConnStats::default(),
             actions_scratch: Vec::new(),
+            cqes: Vec::new(),
             staging: IntMap::default(),
             staging_orphans: Vec::new(),
             send_closed: false,

@@ -7,44 +7,34 @@
 //! protocol state machines under genuine OS concurrency.
 //!
 //! There is one blocking connection, [`ThreadStream`], and one thing
-//! behind every handle: a **host** — a [`Reactor`] over one CQ pair, the
-//! completion mailboxes of the handles it hosts, and a count of the
-//! callers waiting on them. A handle is `(host, ConnId)`, and whichever
-//! end it is, it waits, takes progress steps, drains and closes through
-//! its host's one implementation of each:
-//!
-//! * each end of [`ThreadStream::pair`], and the client end of a
-//!   [`ThreadReactorPool`] accept, is the only handle of a host of its
-//!   own, and nothing runs for it: **the blocked caller is the progress
-//!   engine**. A thread waiting in `wait_send`/`wait_recv` (hence
-//!   `send_bytes`/`recv_exact`) polls the host itself, spins briefly on
-//!   the node's completion generation, then parks on it;
-//! * the server ends of a [`ThreadReactorPool`] share their shard's
-//!   host, which one service thread polls however many connections it
-//!   hosts — a server owes its peers progress nobody called for. The
-//!   service thread and their callers wait the same way, in the host's
-//!   one wait; the service thread's progress steps wake the callers.
+//! behind each handle: a **host** — one [`Endpoint`] over its own CQ
+//! pair, the completion mailbox of its callers, and a count of the
+//! callers waiting on it. Nothing runs for a host: **the blocked caller
+//! is the progress engine**. A thread waiting in `wait_send`/`wait_recv`
+//! (hence `send_bytes`/`recv_exact`) takes the endpoint's progress step
+//! itself ([`Endpoint::handle_wake`]), spins briefly on the node's
+//! completion generation, then parks on it; a step that completes
+//! another caller's operation wakes it.
 //!
 //! The contract that follows: **an endpoint progresses inside its
-//! calls** unless a service thread polls its host. Nothing else works
-//! for it after a call returns, so the calls that end the caller's
-//! interest in it — [`ThreadStream::shutdown`], [`ThreadStream::flush`],
-//! [`ThreadStream::close`] — drive it until it owes the wire nothing
-//! ([`StreamSocket::has_unsent`]).
+//! calls**. Nothing else works for it after a call returns, so the calls
+//! that end the caller's interest in it — [`ThreadStream::shutdown`],
+//! [`ThreadStream::flush`], [`ThreadStream::close`] — drive it until it
+//! owes the wire nothing ([`StreamSocket::has_unsent`]). Many
+//! connections are served on threads by [`crate::aio`] executors, one
+//! per shard thread ([`crate::Executor::run_threaded`]).
 //!
 //! Concurrent `send` calls are each atomic in the byte stream (the
 //! host's lock orders them); the interleaving *between* threads is
 //! unspecified, exactly like concurrent `write(2)` on a pipe.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 use rdma_verbs::threaded::{deadline_after, passed, ThreadNet, ThreadNode};
 use rdma_verbs::{Access, CqId, Cqe, MrInfo, MrKey, QpNum, RecvWr, Result, SendWr};
-use simnet::stats::merged;
 use simnet::IntMap;
 
 use crate::config::ExsConfig;
@@ -52,9 +42,8 @@ use crate::endpoint::Endpoint;
 use crate::mempool::{MemPool, MrLease};
 use crate::mux::{MuxEndpoint, MuxEvent};
 use crate::port::VerbsPort;
-use crate::reactor::{ConnId, Reactor, ReactorConfig, Readiness};
-use crate::shard::Placement;
-use crate::stats::{ConnStats, PoolStats, ReactorStats, ShardStats};
+use crate::reactor::Readiness;
+use crate::stats::ConnStats;
 use crate::stream::StreamSocket;
 
 /// [`VerbsPort`] implementation over a [`ThreadNet`] node.
@@ -175,9 +164,9 @@ fn connect_qps(
 
 /// Connects a fresh [`StreamSocket`] pair between two nodes of an
 /// existing thread fabric. Each side's QP completes onto the shared CQs
-/// given for it — a reactor's pair, as every [`ThreadStream`] host and
-/// every client-side reactor or executor multiplexing several outbound
-/// connections has — or onto a private pair for `None`.
+/// given for it — a reactor's pair, as every executor serving or
+/// driving several connections has — or onto a private pair for `None`,
+/// as each end of a [`ThreadStream`] has.
 pub fn connect_sockets_shared(
     a: &Arc<ThreadNode>,
     b: &Arc<ThreadNode>,
@@ -225,9 +214,9 @@ pub fn connect_mux_over(
     }
 }
 
-/// The completions of one hosted handle, waiting for its callers to
-/// take them by operation id. End of stream and transport failure are
-/// not kept here: they are states of the endpoint ([`Readiness`]).
+/// The completions of one host's callers, waiting for them to take them
+/// by operation id. End of stream and transport failure are not kept
+/// here: they are states of the endpoint ([`Readiness`]).
 #[derive(Default)]
 struct Mailbox {
     sends_done: IntMap<u64, u64>,
@@ -255,233 +244,101 @@ impl Mailbox {
     }
 }
 
-/// The longest `shutdown`, `flush`, `close` and a pool's teardown stay
-/// for traffic a peer that grants no credits keeps from the wire.
+/// The longest `shutdown`, `flush` and `close` stay for traffic a peer
+/// that grants no credits keeps from the wire.
 const DRAIN_BOUND: Duration = Duration::from_secs(5);
 
-/// What a host's lock guards: its reactor, and the buffers a progress
-/// step reuses so that it allocates nothing.
+/// What a host's lock guards: its endpoint, and the buffer publishing
+/// reuses so that a progress step allocates nothing.
 struct Engine {
-    reactor: Reactor,
-    ready: Vec<(ConnId, Readiness)>,
+    ep: Endpoint,
     events: Vec<MuxEvent>,
 }
 
-/// The one thing behind every [`ThreadStream`]: a reactor over one CQ
-/// pair on one node, and the mailboxes of the handles it hosts.
+/// The one thing behind a [`ThreadStream`]: an endpoint over its own CQ
+/// pair on one node, and its callers' mailbox.
 ///
-/// Lock order is `engine`, then `mailboxes`. A mailbox is created,
-/// filled and dropped only while `engine` is held, so it exists exactly
-/// as long as the reactor hosts its handle. Whoever takes completions
-/// off the reactor puts them in the mailboxes before it releases
-/// `engine`: a second caller, which polls after the first, then finds
-/// there whatever the first took off the CQs — otherwise it could poll
-/// an empty CQ, miss an event taken but not yet published, and park on a
-/// generation that has already moved.
+/// Lock order is `engine`, then `mailbox`. Whoever makes the endpoint
+/// complete something — a progress step, or a call such as a send —
+/// puts the completions in the mailbox before it releases `engine`: a
+/// second caller, which steps after the first, then finds there whatever
+/// the first took off the CQs — otherwise it could poll an empty CQ,
+/// miss an event taken but not yet published, and park on a generation
+/// that has already moved.
 struct Host {
     net: Arc<ThreadNet>,
     node: Arc<ThreadNode>,
-    /// The reactor's `(send, recv)` CQ pair.
-    cqs: (CqId, CqId),
     engine: Mutex<Engine>,
-    /// Indexed by [`ConnId`]; `None` at a free slot.
-    mailboxes: Mutex<Vec<Option<Mailbox>>>,
-    /// Callers between announcing a wait and leaving it; a thread that
-    /// polls the host whatever happens (the service thread, a drain) is
-    /// not one. A progress step that published completions wakes the
-    /// node only when this is non-zero, so the node's generation keeps
-    /// meaning "completions landed". Same store-then-load handshake as
-    /// [`ThreadNode::notify`]: a waiter counts itself in and then looks
-    /// in its mailbox, a publisher fills mailboxes and then reads the
-    /// count.
+    mailbox: Mutex<Mailbox>,
+    /// Callers between announcing a wait and leaving it. A step that
+    /// published completions wakes the node only when this is non-zero,
+    /// so the node's generation keeps meaning "completions landed". Same
+    /// store-then-load handshake as [`ThreadNode::notify`]: a waiter
+    /// counts itself in and then looks in the mailbox, a publisher fills
+    /// the mailbox and then reads the count.
     waiters: AtomicUsize,
-    /// True while a service thread polls this host; otherwise its blocked
-    /// callers do.
-    serviced: AtomicBool,
-    /// Time inside the progress steps of the threads that poll the host
-    /// whatever happens — its service thread, a drain — and the service
-    /// thread's age.
-    busy_ns: AtomicU64,
-    wall_ns: AtomicU64,
-}
-
-/// The entry at `idx`, growing `table` to hold it.
-fn slot<T>(table: &mut Vec<Option<T>>, idx: usize) -> &mut Option<T> {
-    if table.len() <= idx {
-        table.resize_with(idx + 1, || None);
-    }
-    &mut table[idx]
-}
-
-/// `conn`'s mailbox, which exists while `conn` is hosted.
-fn mailbox(boxes: &mut [Option<Mailbox>], conn: ConnId) -> &mut Mailbox {
-    boxes[conn.0 as usize]
-        .as_mut()
-        .expect("a hosted handle has a mailbox")
 }
 
 impl Host {
-    /// A host on `node` over a fresh CQ pair of `cq_depth`; a service
-    /// thread polls it if `serviced`.
-    fn new(
-        net: &Arc<ThreadNet>,
-        node: &Arc<ThreadNode>,
-        cq_depth: usize,
-        cfg: ReactorConfig,
-        serviced: bool,
-    ) -> Arc<Host> {
-        let (send_cq, recv_cq) = node.with_hca(|h| (h.create_cq(cq_depth), h.create_cq(cq_depth)));
-        Arc::new(Host {
-            net: net.clone(),
-            node: node.clone(),
-            cqs: (send_cq, recv_cq),
-            engine: Mutex::new(Engine {
-                reactor: Reactor::new(send_cq, recv_cq, cfg),
-                ready: Vec::new(),
-                events: Vec::new(),
-            }),
-            mailboxes: Mutex::new(Vec::new()),
-            waiters: AtomicUsize::new(0),
-            serviced: AtomicBool::new(serviced),
-            busy_ns: AtomicU64::new(0),
-            wall_ns: AtomicU64::new(0),
-        })
-    }
-
-    /// A host of one endpoint, over a private CQ pair, that its blocked
-    /// callers poll.
-    fn own(net: &Arc<ThreadNet>, node: &Arc<ThreadNode>, cfg: &ExsConfig) -> Arc<Host> {
-        Host::new(net, node, cfg.cq_depth(1), ReactorConfig::default(), false)
-    }
-
     fn port(&self) -> ThreadPort<'_> {
         ThreadPort::new(&self.net, &self.node)
     }
 
-    fn serviced(&self) -> bool {
-        self.serviced.load(Ordering::SeqCst)
-    }
-
-    /// Wakes the node's parked callers after completions were published,
-    /// if anyone waits (see `waiters`).
-    fn wake(&self, published: bool) {
+    /// Runs `op` on the endpoint under the host's lock and publishes
+    /// what it completed the same way; then, if it published anything
+    /// and someone waits, wakes the node's parked callers.
+    fn with_endpoint<R>(&self, op: impl FnOnce(&mut Endpoint, &mut ThreadPort<'_>) -> R) -> R {
+        let mut engine = self.engine.lock();
+        let Engine { ep, events } = &mut *engine;
+        let result = op(ep, &mut self.port());
+        let published = ep.events_pending() > 0 && self.mailbox.lock().absorb(ep, events);
+        drop(engine);
         if published && self.waiters.load(Ordering::SeqCst) != 0 {
             self.node.notify();
         }
-    }
-
-    /// The one progress step, taken by the service thread or by a
-    /// blocked caller: one bounded poll, then every ready handle's
-    /// completions into its mailbox, under the reactor lock; then the
-    /// wake-up. True if the poll left work behind
-    /// ([`Reactor::has_backlog`]), which moves no generation: step again
-    /// before parking.
-    fn poll(&self) -> bool {
-        let mut engine = self.engine.lock();
-        let Engine {
-            reactor,
-            ready,
-            events,
-        } = &mut *engine;
-        reactor.poll_into(&mut self.port(), ready);
-        let mut published = false;
-        if !ready.is_empty() {
-            let mut boxes = self.mailboxes.lock();
-            for &(conn, _) in ready.iter() {
-                published |= mailbox(&mut boxes, conn).absorb(reactor.conn_mut(conn), events);
-            }
-        }
-        let backlog = reactor.has_backlog();
-        drop(engine);
-        self.wake(published);
-        backlog
-    }
-
-    /// Runs `op` on `conn`'s endpoint under the reactor lock, and
-    /// publishes what it completed inside the call the same way.
-    fn with_endpoint<R>(
-        &self,
-        conn: ConnId,
-        op: impl FnOnce(&mut Endpoint, &mut ThreadPort<'_>) -> R,
-    ) -> R {
-        let mut engine = self.engine.lock();
-        let Engine {
-            reactor, events, ..
-        } = &mut *engine;
-        let ep = reactor.conn_mut(conn);
-        let result = op(ep, &mut self.port());
-        let published =
-            ep.events_pending() > 0 && mailbox(&mut self.mailboxes.lock(), conn).absorb(ep, events);
-        drop(engine);
-        self.wake(published);
         result
     }
 
-    /// The one blocking wait on a host — every handle's, a drain's, and
-    /// the service thread's: until `done` finds what it looks for, or
-    /// `deadline` passes (`None`: never). Each round reads the node's
-    /// generation, takes a progress step unless a service thread takes
-    /// them (`poll_always`: even then), asks `done`, and if the answer is
-    /// not there waits for the generation to move
-    /// ([`ThreadNode::wait_any`]). A `poll_always` thread is not counted
-    /// in `waiters`: what it waits for follows completions, which move
-    /// the generation on their own.
-    fn wait<T>(
-        &self,
-        deadline: Option<Instant>,
-        poll_always: bool,
-        mut done: impl FnMut() -> Option<T>,
-    ) -> Option<T> {
+    /// The one progress step: the endpoint drains both CQs and advances
+    /// the protocol ([`Endpoint::handle_wake`]), so it leaves nothing
+    /// behind to step for.
+    fn step(&self) {
+        self.with_endpoint(|ep, port| ep.handle_wake(port));
+    }
+
+    /// The one blocking wait on a host — each caller's and a drain's:
+    /// until `done` finds what it looks for, or `deadline` passes
+    /// (`None`: never). Each round reads the node's generation, takes a
+    /// progress step, counts itself in `waiters`, asks `done`, and if the
+    /// answer is not there waits for the generation to move
+    /// ([`ThreadNode::wait_any`]).
+    fn wait<T>(&self, deadline: Option<Instant>, mut done: impl FnMut() -> Option<T>) -> Option<T> {
         loop {
-            // Read before polling: whatever lands after this moves the
+            // Read before stepping: whatever lands after this moves the
             // generation, and the wait below returns at once.
             let seen = self.node.generation();
-            let backlog = if poll_always {
-                let start = Instant::now();
-                let backlog = self.poll();
-                let busy = start.elapsed().as_nanos() as u64;
-                self.busy_ns.fetch_add(busy, Ordering::Relaxed);
-                backlog
-            } else {
-                !self.serviced() && self.poll()
-            };
-            if !poll_always {
-                self.waiters.fetch_add(1, Ordering::SeqCst);
-            }
+            self.step();
+            self.waiters.fetch_add(1, Ordering::SeqCst);
             let found = done();
             let over = found.is_some() || passed(deadline);
-            if !over && !backlog {
+            if !over {
                 self.node.wait_any(seen, deadline);
             }
-            if !poll_always {
-                self.waiters.fetch_sub(1, Ordering::SeqCst);
-            }
+            self.waiters.fetch_sub(1, Ordering::SeqCst);
             if over {
                 return found;
             }
         }
     }
-
-    /// The one drain: progress steps until `owes` clears or `deadline`
-    /// passes. What `shutdown`, `flush`, `close` and a pool's teardown
-    /// end with — after them nothing would send a FIN or a held-back
-    /// message queued behind flow control. It polls even a serviced host,
-    /// since a step that only sends publishes nothing to wake it.
-    fn drain(&self, deadline: Option<Instant>, owes: impl Fn(&Reactor) -> bool) {
-        self.wait(deadline, true, || {
-            (!owes(&self.engine.lock().reactor)).then_some(())
-        });
-    }
 }
 
 /// A blocking, thread-safe stream endpoint: either end of a
-/// [`ThreadStream::pair`], or either end of a connection a
-/// [`ThreadReactorPool`] accepted.
+/// [`ThreadStream::pair`].
 ///
 /// Sharing the handle (via `Arc`) lets many threads use one connection;
 /// each operation blocks its calling thread until the protocol reports
-/// completion. Unless a pool's service thread polls its host, the
-/// endpoint progresses inside these calls (see the module docs).
+/// completion, and the endpoint progresses inside these calls (see the
+/// module docs).
 ///
 /// ```
 /// use exs::{ExsConfig, ThreadStream};
@@ -497,12 +354,11 @@ impl Host {
 /// writer.join().unwrap();
 /// ```
 pub struct ThreadStream {
-    host: Arc<Host>,
-    /// This handle's slot in its host's reactor; `None` once closed, so
-    /// the handle cannot reach whoever is hosted there next.
-    conn: Option<ConnId>,
-    /// Staging-buffer pool, shared with every other endpoint on the
-    /// same node that came from the same pair or pool.
+    host: Host,
+    /// Set by [`ThreadStream::close`]: every later call answers
+    /// "closed".
+    closed: bool,
+    /// Staging-buffer pool of this end's node.
     pool: MemPool,
     next_id: AtomicU64,
 }
@@ -510,7 +366,7 @@ pub struct ThreadStream {
 impl ThreadStream {
     /// Creates a connected pair of blocking stream endpoints over a
     /// fresh two-node thread fabric with the given real link delay,
-    /// each the one handle of a host of its own. With no delay this
+    /// each the one endpoint of a host of its own. With no delay this
     /// starts no thread at all.
     pub fn pair(cfg: &ExsConfig, delay: Duration) -> (ThreadStream, ThreadStream) {
         let mut net = ThreadNet::new();
@@ -518,45 +374,23 @@ impl ThreadStream {
         let b = net.add_node(rdma_verbs::HcaConfig::default());
         net.connect_nodes(&a, &b, delay);
         let net = Arc::new(net);
-        let own = |node| (Host::own(&net, node, cfg), MemPool::new(cfg.pool.clone()));
-        ThreadStream::connect(cfg, own(&a), own(&b))
-    }
-
-    /// Connects a socket pair between two hosts' nodes, each side
-    /// completing onto its host's CQs, and hosts each end there with the
-    /// staging pool given for it.
-    fn connect(
-        cfg: &ExsConfig,
-        (host_a, pool_a): (Arc<Host>, MemPool),
-        (host_b, pool_b): (Arc<Host>, MemPool),
-    ) -> (ThreadStream, ThreadStream) {
-        let (sock_a, sock_b) = connect_sockets_shared(
-            &host_a.node,
-            &host_b.node,
-            cfg,
-            Some(host_a.cqs),
-            Some(host_b.cqs),
-        );
-        (
-            ThreadStream::hosted(host_a, sock_a, pool_a),
-            ThreadStream::hosted(host_b, sock_b, pool_b),
-        )
-    }
-
-    /// Hosts `sock` on `host` and gives it its mailbox.
-    fn hosted(host: Arc<Host>, sock: StreamSocket, pool: MemPool) -> ThreadStream {
-        let conn = {
-            let mut engine = host.engine.lock();
-            let conn = engine.reactor.accept(sock);
-            *slot(&mut host.mailboxes.lock(), conn.0 as usize) = Some(Mailbox::default());
-            conn
-        };
-        ThreadStream {
-            host,
-            conn: Some(conn),
-            pool,
+        let (sock_a, sock_b) = connect_sockets_shared(&a, &b, cfg, None, None);
+        let hosted = |node: Arc<ThreadNode>, sock: StreamSocket| ThreadStream {
+            host: Host {
+                net: net.clone(),
+                node,
+                engine: Mutex::new(Engine {
+                    ep: sock.into(),
+                    events: Vec::new(),
+                }),
+                mailbox: Mutex::new(Mailbox::default()),
+                waiters: AtomicUsize::new(0),
+            },
+            closed: false,
+            pool: MemPool::new(cfg.pool.clone()),
             next_id: AtomicU64::new(1),
-        }
+        };
+        (hosted(a, sock_a), hosted(b, sock_b))
     }
 
     /// The endpoint's node (for memory registration and inspection).
@@ -586,7 +420,7 @@ impl ThreadStream {
         &self,
         op: impl FnOnce(&mut Endpoint, &mut ThreadPort<'_>) -> R,
     ) -> Option<R> {
-        Some(self.host.with_endpoint(self.conn?, op))
+        (!self.closed).then(|| self.host.with_endpoint(op))
     }
 
     /// Starts an asynchronous send from registered memory; returns the
@@ -606,14 +440,14 @@ impl ThreadStream {
         id
     }
 
-    /// Waits for the completion `take` finds in this handle's mailbox;
-    /// `None` at `timeout`, or at once on a closed handle.
+    /// Waits for the completion `take` finds in the mailbox; `None` at
+    /// `timeout`, or at once on a closed handle.
     fn wait<T>(&self, timeout: Duration, take: impl Fn(&mut Mailbox) -> Option<T>) -> Option<T> {
-        let conn = self.conn?;
+        if self.closed {
+            return None;
+        }
         let host = &self.host;
-        host.wait(deadline_after(timeout), false, || {
-            take(mailbox(&mut host.mailboxes.lock(), conn))
-        })
+        host.wait(deadline_after(timeout), || take(&mut host.mailbox.lock()))
     }
 
     /// Blocks until send `id` completes; returns the bytes sent, or
@@ -663,9 +497,10 @@ impl ThreadStream {
     /// [`DRAIN_BOUND`] — a peer that never grants the credits cannot
     /// hold the caller for ever.
     fn drain(&self) {
-        if let Some(conn) = self.conn {
-            self.host.drain(deadline_after(DRAIN_BOUND), |reactor| {
-                reactor.conn(conn).has_unsent()
+        if !self.closed {
+            let host = &self.host;
+            host.wait(deadline_after(DRAIN_BOUND), || {
+                (!host.engine.lock().ep.has_unsent()).then_some(())
             });
         }
     }
@@ -687,19 +522,17 @@ impl ThreadStream {
         self.drain();
     }
 
-    /// One progress step (unless a service thread takes them), then the
-    /// endpoint's level-triggered state. A closed handle reads as ended.
+    /// One progress step, then the endpoint's level-triggered state. A
+    /// closed handle reads as ended.
     fn state(&self) -> Readiness {
-        let Some(conn) = self.conn else {
-            return Readiness {
-                closed: true,
-                ..Readiness::NONE
-            };
+        let step = |ep: &mut Endpoint, port: &mut ThreadPort<'_>| {
+            ep.handle_wake(port);
+            ep.readiness()
         };
-        if !self.host.serviced() {
-            self.host.poll();
-        }
-        self.host.engine.lock().reactor.conn(conn).readiness()
+        self.with_endpoint(step).unwrap_or(Readiness {
+            closed: true,
+            ..Readiness::NONE
+        })
     }
 
     /// True once the peer has closed and its stream fully drained, and
@@ -723,201 +556,25 @@ impl ThreadStream {
         .unwrap_or_default()
     }
 
-    /// Closes the endpoint: sends what it still owes, detaches it from
-    /// its host together with its mailbox, releases every registration
-    /// the socket owns, and trims this handle's share of the staging
-    /// pool. Idle registrations held for other endpoints on the same
-    /// node stay cached; live leases elsewhere are untouched. Every later
-    /// call on the handle answers "closed".
+    /// Closes the endpoint: sends what it still owes, releases every
+    /// registration the socket owns, and trims this handle's share of
+    /// the staging pool. Idle registrations held for other endpoints on
+    /// the same node stay cached; live leases elsewhere are untouched.
+    /// Every later call on the handle answers "closed".
     pub fn close(&mut self) {
-        let Some(conn) = self.conn else {
+        if self.closed {
             return;
-        };
+        }
         self.drain();
-        self.conn = None;
+        self.closed = true;
         let host = &self.host;
-        let mut ep = {
-            let mut engine = host.engine.lock();
-            host.mailboxes.lock()[conn.0 as usize] = None;
-            engine.reactor.remove(conn)
-        };
         // Late control traffic from the peer (final ACKs, credit
         // returns) may still be in flight on a delayed link; let it
         // land while our control slots are still registered.
         host.net.quiesce();
         let mut port = host.port();
-        ep.close(&mut port);
+        host.engine.lock().ep.close(&mut port);
         self.pool.trim(&mut port);
-    }
-}
-
-/// One shard's service thread: its host's one wait, polling always,
-/// until the host is no longer serviced. Each step wakes the shard's
-/// waiting callers for what it published.
-fn spawn_service(host: Arc<Host>) -> JoinHandle<()> {
-    std::thread::spawn(move || {
-        let epoch = Instant::now();
-        host.wait(None, true, || {
-            let age = epoch.elapsed().as_nanos() as u64;
-            host.wall_ns.store(age, Ordering::Relaxed);
-            (!host.serviced()).then_some(())
-        });
-    })
-}
-
-/// [`Reactor`]s hosted on one node of the real-thread fabric — the
-/// thread backend's one serving front-end: one host per shard, one
-/// service thread per host, and a [`Placement`].
-///
-/// Where a caller-polled [`ThreadStream`] progresses only inside its
-/// owner's calls, the pool's **service thread per shard** polls for
-/// every server end it accepted: the thread is the shard host's one
-/// wait with no deadline, taking one bounded [`Reactor::poll`] over the
-/// shard's shared CQs per round and waiting on the node's completion
-/// generation ([`ThreadNode::wait_any`] — the completion-channel
-/// analogue) in between. A server end is a whole [`ThreadStream`]; its
-/// callers wait on the same generation and the service thread wakes
-/// them. With `shard.shards = 1` (the [`ExsConfig`] default) this is the
-/// classic single reactor; more shards spread CQE dispatch and readiness
-/// harvesting across cores instead of serialising on one reactor lock.
-///
-/// Sharding invariants (those of [`crate::shard`]):
-///
-/// * A connection is assigned to a shard **once**, at accept, by the
-///   rotation; it never migrates.
-/// * Post, wait, poll and close touch only the owning shard's state —
-///   no cross-shard locks. [`ThreadStream::close`] detaches the socket
-///   under the shard's reactor lock, the same lock every post takes, so
-///   it needs no message to the service thread.
-/// * Statistics aggregate by **summing** counters across shards
-///   (peaks take a max); per-shard telemetry is preserved in
-///   [`ThreadReactorPool::shard_stats`].
-pub struct ThreadReactorPool {
-    /// One per shard, all on the pool's node.
-    hosts: Vec<Arc<Host>>,
-    services: Vec<JoinHandle<()>>,
-    /// Shared by all accept callers; touched only on the accept path,
-    /// never while moving bytes.
-    placement: Mutex<Placement>,
-    /// Staging pool of the server ends, on the pool's node.
-    pool: MemPool,
-    /// One staging pool per client node, indexed by node id, shared by
-    /// every client end accepted from that node.
-    client_pools: Mutex<Vec<Option<MemPool>>>,
-}
-
-impl ThreadReactorPool {
-    /// Creates `exs_cfg.shard.effective_shards()` shards on `node`,
-    /// each with CQs sized for `max_conns` connections. The rotation
-    /// puts at most ⌈max_conns / shards⌉ on one shard, but CQ overflow
-    /// is fatal, so the depth does not lean on the placement rule.
-    pub fn new(
-        net: Arc<ThreadNet>,
-        node: Arc<ThreadNode>,
-        cfg: ReactorConfig,
-        exs_cfg: &ExsConfig,
-        max_conns: usize,
-    ) -> ThreadReactorPool {
-        let shards = exs_cfg.shard.effective_shards();
-        let cq_depth = exs_cfg.cq_depth(max_conns.max(1));
-        let hosts: Vec<Arc<Host>> = (0..shards)
-            .map(|_| Host::new(&net, &node, cq_depth, cfg, true))
-            .collect();
-        ThreadReactorPool {
-            services: hosts.iter().cloned().map(spawn_service).collect(),
-            hosts,
-            placement: Mutex::new(Placement::new(shards)),
-            pool: MemPool::new(exs_cfg.pool.clone()),
-            client_pools: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// The pool's node.
-    pub fn node(&self) -> &Arc<ThreadNode> {
-        &self.hosts[0].node
-    }
-
-    /// Number of shards.
-    pub fn shards(&self) -> usize {
-        self.hosts.len()
-    }
-
-    /// Accepts a new connection from `peer` on the next shard in the
-    /// rotation: builds a QP pair whose server side completes onto the
-    /// chosen shard's CQs and is hosted there, and returns the server
-    /// end and the client end — the latter the one handle of a host of
-    /// its own, which progresses inside its owner's calls.
-    pub fn accept(&self, peer: &Arc<ThreadNode>, cfg: &ExsConfig) -> (ThreadStream, ThreadStream) {
-        let shard = self.placement.lock().pick();
-        let server = &self.hosts[shard as usize];
-        let client_pool = {
-            let mut pools = self.client_pools.lock();
-            let pool = slot(&mut pools, peer.id().0 as usize);
-            (pool.get_or_insert_with(|| MemPool::new(cfg.pool.clone()))).clone()
-        };
-        let client = (Host::own(&server.net, peer, cfg), client_pool);
-        let (client, server) =
-            ThreadStream::connect(cfg, client, (server.clone(), self.pool.clone()));
-        (server, client)
-    }
-
-    /// Sum of all accepted connections' protocol counters, across every
-    /// shard.
-    pub fn aggregate_stats(&self) -> ConnStats {
-        merged((self.hosts.iter()).map(|host| host.engine.lock().reactor.aggregate_conn_stats()))
-    }
-
-    /// Event-loop statistics merged across shards: counters sum, peaks
-    /// take the max.
-    pub fn reactor_stats(&self) -> ReactorStats {
-        merged((self.hosts.iter()).map(|host| host.engine.lock().reactor.stats().clone()))
-    }
-
-    /// Aggregated pool counters: the server ends' staging pool merged
-    /// with every per-client-node pool created by accepts.
-    pub fn pool_stats(&self) -> PoolStats {
-        let clients = self.client_pools.lock();
-        merged(
-            std::iter::once(&self.pool)
-                .chain(clients.iter().flatten())
-                .map(MemPool::stats),
-        )
-    }
-
-    /// Per-shard telemetry snapshot: live connections, poll/dispatch
-    /// counters, placement decisions, and the service thread's busy
-    /// ratio.
-    pub fn shard_stats(&self) -> Vec<ShardStats> {
-        let placement = self.placement.lock();
-        (self.hosts.iter().enumerate())
-            .map(|(i, host)| ShardStats {
-                busy_ns: host.busy_ns.load(Ordering::Relaxed),
-                wall_ns: host.wall_ns.load(Ordering::Relaxed),
-                ..placement.row(i, host.engine.lock().reactor.stats())
-            })
-            .collect()
-    }
-}
-
-impl Drop for ThreadReactorPool {
-    fn drop(&mut self) {
-        // Every shard drains before any stops (one shared deadline): a
-        // FIN queued behind flow control at teardown must still reach
-        // the wire or the peer hangs waiting for end-of-stream.
-        let deadline = deadline_after(DRAIN_BOUND);
-        for host in &self.hosts {
-            host.drain(deadline, Reactor::has_unsent);
-        }
-        // Then stop every service thread, wake them all at once, and
-        // join. A server end still open is its callers' to poll from
-        // here on.
-        for host in &self.hosts {
-            host.serviced.store(false, Ordering::SeqCst);
-        }
-        self.node().notify();
-        for service in self.services.drain(..) {
-            let _ = service.join();
-        }
     }
 }
 
@@ -927,6 +584,7 @@ mod wake_check;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicBool;
 
     #[test]
     fn blocking_roundtrip() {
@@ -1118,8 +776,7 @@ mod tests {
 
     /// True while `stream` still owes traffic to the wire.
     fn owes(stream: &ThreadStream) -> bool {
-        let engine = stream.host.engine.lock();
-        engine.reactor.conn(stream.conn.unwrap()).has_unsent()
+        stream.host.engine.lock().ep.has_unsent()
     }
 
     /// `shutdown` is the closing side's last call. With the credits
@@ -1196,40 +853,9 @@ mod tests {
         });
     }
 
-    /// A one-shard pool over a server node and one peer node.
-    fn pool_of(cfg: &ExsConfig, max_conns: usize) -> (ThreadReactorPool, Arc<ThreadNode>) {
-        let mut net = ThreadNet::new();
-        let server = net.add_node(rdma_verbs::HcaConfig::default());
-        let peer = net.add_node(rdma_verbs::HcaConfig::default());
-        net.connect_nodes(&peer, &server, Duration::ZERO);
-        let pool = ThreadReactorPool::new(
-            Arc::new(net),
-            server,
-            ReactorConfig::default(),
-            cfg,
-            max_conns,
-        );
-        (pool, peer)
-    }
-
-    /// With nothing arriving, a pool's service thread stays parked after
-    /// its first step: its wait has no deadline to re-poll on.
-    #[test]
-    fn an_idle_pool_takes_no_progress_steps() {
-        let cfg = ExsConfig::default();
-        let (pool, _peer) = pool_of(&cfg, 1);
-        let start = Instant::now();
-        while pool.reactor_stats().polls == 0 {
-            assert!(start.elapsed() < Duration::from_secs(10), "never polled");
-            std::thread::yield_now();
-        }
-        let polls = pool.reactor_stats().polls;
-        std::thread::sleep(Duration::from_millis(200));
-        assert_eq!(pool.reactor_stats().polls, polls);
-    }
-
     /// An executor over an empty reactor on a node of its own.
     fn lone_executor() -> (ThreadNet, Arc<ThreadNode>, crate::Executor) {
+        use crate::reactor::{Reactor, ReactorConfig};
         let mut net = ThreadNet::new();
         let node = net.add_node(rdma_verbs::HcaConfig::default());
         let (send_cq, recv_cq) = node.with_hca(|h| (h.create_cq(16), h.create_cq(16)));
@@ -1270,125 +896,34 @@ mod tests {
         });
     }
 
-    /// A wait on a closed server end used to re-insert a completion
-    /// buffer nobody would free and then sleep out its timeout.
+    /// A wait on a closed handle used to re-insert a completion buffer
+    /// nobody would free and then sleep out its timeout. A closed handle
+    /// answers "closed" to every call: its counters read zero, a receive
+    /// posts nothing, and its waits return at once.
     #[test]
     fn wait_on_a_closed_handle_returns_at_once_and_inserts_nothing() {
-        let cfg = ExsConfig::default();
-        let (pool, peer) = pool_of(&cfg, 2);
-        let (mut closed, _c1) = pool.accept(&peer, &cfg);
-        let (live, _c2) = pool.accept(&peer, &cfg);
+        let (mut closed, peer) = ThreadStream::pair(&ExsConfig::default(), Duration::ZERO);
+        std::thread::scope(|s| {
+            s.spawn(|| closed.send_bytes(b"before the close").unwrap());
+            let mut buf = [0u8; 16];
+            peer.recv_exact(&mut buf).unwrap();
+        });
+        assert_eq!(closed.stats().bytes_sent, 16);
         closed.close();
+        assert_eq!(
+            closed.stats().bytes_sent,
+            0,
+            "a closed handle reports nothing"
+        );
 
-        let start = std::time::Instant::now();
+        let start = Instant::now();
         let long = Duration::from_secs(30);
-        assert_eq!(closed.wait_recv(1, long), None);
+        let dst = closed.register(64, Access::local_remote_write());
+        let id = closed.recv(&dst, 0, 64, false);
+        assert_eq!(closed.wait_recv(id, long), None);
         assert_eq!(closed.wait_send(1, long), None);
         assert!(start.elapsed() < Duration::from_secs(5));
-        let boxes = pool.hosts[0].mailboxes.lock();
-        let hosted: Vec<usize> = (boxes.iter().enumerate())
-            .filter_map(|(slot, mailbox)| mailbox.as_ref().map(|_| slot))
-            .collect();
-        assert_eq!(hosted, [live.conn.unwrap().0 as usize]);
-    }
-
-    /// A closed handle forgets its slot. The next accept reuses it, and
-    /// the closed handle reaches nothing there: its waits answer `None`
-    /// at once instead of finding the newcomer's mailbox, and a receive
-    /// on it posts nothing that could take the newcomer's bytes.
-    #[test]
-    fn a_closed_handle_does_not_reach_the_connection_that_reuses_its_slot() {
-        within(Duration::from_secs(15), || {
-            let cfg = ExsConfig::default();
-            let (pool, peer) = pool_of(&cfg, 2);
-            let (mut stale, _stale_client) = pool.accept(&peer, &cfg);
-            let slot = stale.conn;
-            stale.close();
-            let (fresh, fresh_client) = pool.accept(&peer, &cfg);
-            assert_eq!(fresh.conn, slot, "the slab reuses the freed slot");
-
-            let start = std::time::Instant::now();
-            assert_eq!(stale.wait_recv(1, Duration::from_secs(30)), None);
-            let dst = stale.register(64, Access::local_remote_write());
-            let id = stale.recv(&dst, 0, 64, false);
-            assert_eq!(stale.wait_recv(id, Duration::from_secs(30)), None);
-            assert!(start.elapsed() < Duration::from_secs(1));
-
-            std::thread::scope(|s| {
-                s.spawn(|| fresh_client.send_bytes(b"for the newcomer").unwrap());
-                let mut buf = [0u8; 16];
-                fresh.recv_exact(&mut buf).unwrap();
-                assert_eq!(&buf, b"for the newcomer");
-            });
-        });
-    }
-
-    /// The server end of a pool connection is a whole stream: over two
-    /// shards, server ends echo with `recv_exact`/`send_bytes`, shut
-    /// down (the client reads end-of-stream), report their counters and
-    /// close. Both sides pause before every message, so every hop — the
-    /// service thread's progress step, then the node's notify — has to
-    /// wake a parked caller of a serviced host.
-    #[test]
-    fn pool_server_ends_echo_shut_down_and_close_between_parked_callers() {
-        const CONNS: usize = 4;
-        const TRIPS: u32 = 50;
-        let pause = Duration::from_millis(1);
-        within(Duration::from_secs(15), move || {
-            let cfg = ExsConfig {
-                shard: crate::ShardConfig {
-                    shards: 2,
-                    policy: crate::ShardPolicy::RoundRobin,
-                },
-                ..ExsConfig::default()
-            };
-            let (pool, peer) = pool_of(&cfg, CONNS);
-            let servers: Vec<ThreadStream> = std::thread::scope(|s| {
-                let echoes: Vec<_> = (0..CONNS)
-                    .map(|_| {
-                        let (server, mut client) = pool.accept(&peer, &cfg);
-                        s.spawn(move || {
-                            let mut buf = [0u8; 4];
-                            for trip in 0..TRIPS {
-                                std::thread::sleep(pause);
-                                client.send_bytes(&trip.to_le_bytes()).unwrap();
-                                client.recv_exact(&mut buf).unwrap();
-                                assert_eq!(u32::from_le_bytes(buf), trip);
-                            }
-                            let dst = client.register(1, Access::local_remote_write());
-                            let id = client.recv(&dst, 0, 1, false);
-                            assert_eq!(client.wait_recv(id, Duration::from_secs(10)), Some(0));
-                            assert!(client.peer_closed());
-                            client.close();
-                        });
-                        s.spawn(move || {
-                            let mut buf = [0u8; 4];
-                            for _ in 0..TRIPS {
-                                server.recv_exact(&mut buf).unwrap();
-                                std::thread::sleep(pause);
-                                server.send_bytes(&buf).unwrap();
-                            }
-                            server.shutdown();
-                            server
-                        })
-                    })
-                    .collect();
-                echoes.into_iter().map(|h| h.join().unwrap()).collect()
-            });
-            assert!(pool.shard_stats().iter().all(|row| row.conns == 2));
-            for mut server in servers {
-                let stats = server.stats();
-                assert_eq!(stats.bytes_sent, 4 * u64::from(TRIPS));
-                assert_eq!(stats.bytes_received, 4 * u64::from(TRIPS));
-                assert!(!server.is_broken());
-                server.close();
-                assert_eq!(
-                    server.stats().bytes_sent,
-                    0,
-                    "a closed handle reports nothing"
-                );
-            }
-            assert_eq!(pool.reactor_stats().conns_removed, CONNS as u64);
-        });
+        let mailbox = closed.host.mailbox.lock();
+        assert!(mailbox.sends_done.is_empty() && mailbox.recvs_done.is_empty());
     }
 }

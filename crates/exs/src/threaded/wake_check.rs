@@ -1,8 +1,8 @@
 //! Exhaustive bounded check of the thread backend's wake-ups over every
 //! interleaving of the threads that use them: the node's handshake
 //! (`ThreadNode::notify` / `wait_any`: the generation and `sleepers`),
-//! a host's (a progress step publishing / `Host::wait`: the mailboxes
-//! and `waiters`), and the executor's ready queue with its
+//! a host's (a progress step or a call publishing / `Host::wait`: the
+//! mailbox and `waiters`), and the executor's ready queue with its
 //! announcement.
 //!
 //! Each actor runs a program transcribed from the real code, one
@@ -15,17 +15,10 @@
 //!
 //! * **no lost wake-up** — no reachable state has every thread parked
 //!   or finished while a parked thread's condition holds: its
-//!   completion in its mailbox, or on the CQ of a host no service
-//!   thread polls; `!serviced` or a non-empty CQ for a service thread;
-//!   a ready task or a completion for an executor;
-//! * **no stale-slot delivery** — a completion goes only into the
-//!   mailbox of the connection it belongs to, and a closed handle
-//!   reaches nothing in the slot a later accept reuses (which also
-//!   means no handle is left unpolled after `serviced` flips: a caller
-//!   whose completion sits on an unserviced host's CQ is a lost
-//!   wake-up);
-//! * **no hang** — in a state where nothing can run, every thread but
-//!   a service thread still serviced has finished.
+//!   completion in the mailbox or on its host's CQ for a caller, a
+//!   ready task or a completion for an executor;
+//! * **no hang** — in a state where nothing can run, every thread has
+//!   finished.
 //!
 //! [`Mutation`] puts back, one at a time, an ordering the real code
 //! must not have, and the `*_is_caught` tests show each is found.
@@ -33,8 +26,6 @@
 use std::collections::HashMap;
 use std::time::Instant;
 
-/// Connection slots a host's reactor may have.
-const SLOTS: usize = 2;
 /// Most actors a scenario has.
 const ACTORS: usize = 4;
 
@@ -48,30 +39,25 @@ enum Op {
     // `Host::wait`, one round.
     /// `seen = node.generation()`.
     ReadSeen,
-    /// `poll_always || !serviced()`: whether this round polls.
-    LoadServiced,
-    /// *Local*: a `poll_always` thread polls every round.
-    PollAlways,
-    /// `Host::poll` takes the reactor lock and polls one completion off
-    /// the CQ (a budget of one); more left is a backlog. A completion
-    /// of a connection no longer hosted is dropped, as the reactor
-    /// drops orphans.
+    /// `Host::step` takes the host's lock and drains the CQ
+    /// (`Endpoint::handle_wake` leaves nothing behind).
     PollTake,
-    /// Still under the reactor lock: what was taken goes into the
-    /// mailbox of the slot it was taken for, then the lock is released.
+    /// `ThreadStream::send`, say, takes the host's lock, and the call
+    /// completes completion `k` (another caller's operation).
+    Call(usize),
+    /// Still under the host's lock: what was taken or completed goes
+    /// into the mailbox, then the lock is released.
     PollPublish,
-    /// `Host::wake` loads `waiters`.
+    /// The publisher loads `waiters`.
     LoadWaiters,
     /// *Local*: notify if something was published and `waiters` was
     /// non-zero.
     DecideWake,
     /// `waiters += 1`.
     CountIn,
-    /// A caller's `done`: its completion out of its mailbox, under the
-    /// mailboxes lock.
+    /// A caller's `done`: its completion out of the mailbox, under the
+    /// mailbox's lock.
     TakeMine,
-    /// The service thread's `done`: `serviced` is false.
-    ServicedGone,
     /// `waiters -= 1`.
     CountOut,
     /// *Local*: finished if `done` found it, else the next round.
@@ -85,8 +71,7 @@ enum Op {
     /// Under the wake-up lock, `notify_all`: every parked thread wakes.
     WakeAll,
 
-    // `ThreadNode::wait_any`, entered unless `done` found it or the
-    // step left a backlog.
+    // `ThreadNode::wait_any`, entered unless `done` found it.
     /// Re-read the generation: leave if it moved, else give up and
     /// park. (A re-read that finds it unmoved and spins on changes
     /// nothing, and neither can a spinner give up on a moved generation:
@@ -102,17 +87,6 @@ enum Op {
 
     /// The deliverer lands completion `k` and notifies.
     Land(usize),
-    /// The pool's `Drop`, after its drain: `serviced = false`.
-    Unservice,
-    /// `ThreadStream::close`: under the reactor lock, the endpoint and
-    /// its mailbox leave the slot; the handle forgets its `ConnId`
-    /// unless `forget` is false.
-    Close { forget: bool },
-    /// An accept that reuses the slot, under the reactor lock.
-    Accept,
-    /// A wait on the closed handle: with its `ConnId` forgotten it
-    /// returns at once, touching nothing.
-    StaleWait,
 
     // `Executor::run_threaded`, after `ReadSeen`.
     /// The turn's reactor pump: completions off its CQ.
@@ -139,19 +113,16 @@ enum Op {
 enum Kind {
     Deliverer,
     Caller,
-    Service,
-    Dropper,
-    Closer,
     Executor,
     Waker,
 }
 
-/// What a deliverer lands.
+/// What a completion is for.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum Completion {
-    /// For the connection the `inc`-th accept put in `slot`.
-    Conn { slot: usize, inc: u8 },
-    /// For the executor's reactor.
+    /// An operation of a host's caller.
+    Host,
+    /// The executor's reactor.
     Exec,
 }
 
@@ -160,16 +131,12 @@ enum Completion {
 enum Mutation {
     /// `notify` loads `sleepers` before it bumps the generation.
     SleepersBeforeBump,
-    /// A progress step loads `waiters` before it fills the mailboxes.
+    /// A publisher loads `waiters` before it fills the mailbox.
     WaitersBeforePublish,
     /// `Host::wait` reads `seen` after its progress step.
     SeenAfterStep,
-    /// The pool's `Drop` clears `serviced` without a `notify`.
-    DropWithoutNotify,
     /// `run_threaded` parks without announcing it on the ready queue.
     ParkUnannounced,
-    /// A closed handle keeps its `ConnId`, as server handles once did.
-    HandleKeepsSlot,
 }
 
 /// One actor's part: its program and what it waits for.
@@ -186,37 +153,27 @@ struct Role {
 struct Scenario {
     completions: Vec<Completion>,
     roles: Vec<Role>,
-    /// Whether a service thread polls the host at the start.
-    serviced: bool,
-    /// Slots hosting a connection (its first) at the start.
-    hosted: usize,
 }
 
 // An actor's own variables, as bits.
-/// This round takes a progress step.
-const POLLS: u16 = 1;
-/// The step left a backlog.
-const BACKLOG: u16 = 1 << 1;
 /// `done` found it (an executor: a task is ready, so no wait).
-const FOUND: u16 = 1 << 2;
+const FOUND: u16 = 1;
 /// The step published a completion.
-const PUBLISHED: u16 = 1 << 3;
+const PUBLISHED: u16 = 1 << 1;
 /// `waiters` was non-zero.
-const WAITERS_SEEN: u16 = 1 << 4;
+const WAITERS_SEEN: u16 = 1 << 2;
 /// A notify is under way.
-const NOTIFY: u16 = 1 << 5;
+const NOTIFY: u16 = 1 << 3;
 /// `sleepers` was non-zero.
-const SLEEPERS_SEEN: u16 = 1 << 6;
+const SLEEPERS_SEEN: u16 = 1 << 4;
 /// The executor's turn progressed.
-const PROGRESS: u16 = 1 << 7;
-/// The closed handle forgot its `ConnId`.
-const FORGOT: u16 = 1 << 8;
+const PROGRESS: u16 = 1 << 5;
 /// This actor holds a `seen` it has yet to wait on.
-const SEEN: u16 = 1 << 9;
+const SEEN: u16 = 1 << 6;
 /// The generation moved since this actor read `seen`. Only whether it
 /// moved is ever asked, so the search keeps this bit rather than the
 /// values, and states that differ only in how far it moved are one.
-const MOVED: u16 = 1 << 10;
+const MOVED: u16 = 1 << 7;
 
 // The executor's one task, as bits.
 /// Polled once: its waker is registered.
@@ -243,7 +200,8 @@ enum Mode {
 struct Actor {
     pc: u8,
     mode: Mode,
-    /// Completions taken off the CQ and not yet published.
+    /// Completions taken off the CQ or made by a call, and not yet
+    /// published.
     taken: u8,
     flags: u16,
 }
@@ -265,26 +223,17 @@ impl Actor {
     }
 }
 
-/// A hosted connection: which accept put it there, and its mailbox
-/// (the completions in it, as a set).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-struct Slot {
-    inc: u8,
-    mailbox: u8,
-}
-
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 struct World {
     sleepers: u8,
     wakeup_held: bool,
-    reactor_held: bool,
+    /// The host's lock (`Host::engine`).
+    engine_held: bool,
     waiters: u8,
-    serviced: bool,
     /// Host completions landed and not yet polled, as a set.
     cq: u8,
-    slots: [Option<Slot>; SLOTS],
-    /// Accepts made per slot so far.
-    accepts: [u8; SLOTS],
+    /// Host completions published and not yet taken, as a set.
+    mailbox: u8,
     exec_cq: bool,
     /// Task ids on the ready queue.
     ready: u8,
@@ -303,12 +252,10 @@ impl Scenario {
         let mut w = World {
             sleepers: 0,
             wakeup_held: false,
-            reactor_held: false,
+            engine_held: false,
             waiters: 0,
-            serviced: self.serviced,
             cq: 0,
-            slots: [None; SLOTS],
-            accepts: [0; SLOTS],
+            mailbox: 0,
             exec_cq: false,
             // The task was spawned.
             ready: 1,
@@ -316,10 +263,6 @@ impl Scenario {
             task: 0,
             actors: [Actor::default(); ACTORS],
         };
-        for slot in 0..self.hosted {
-            w.slots[slot] = Some(Slot { inc: 0, mailbox: 0 });
-            w.accepts[slot] = 1;
-        }
         for (a, actor) in w.actors.iter_mut().enumerate() {
             if a >= self.roles.len() {
                 actor.mode = Mode::Done;
@@ -331,13 +274,6 @@ impl Scenario {
         w
     }
 
-    fn slot_of(&self, k: usize) -> (usize, u8) {
-        match self.completions[k] {
-            Completion::Conn { slot, inc } => (slot, inc),
-            Completion::Exec => unreachable!("a host completion"),
-        }
-    }
-
     fn task_done(&self, w: &World) -> bool {
         let cqe = !self.completions.contains(&Completion::Exec) || w.task & SAW_CQE != 0;
         w.task & SAW_WAKE != 0 && cqe
@@ -347,9 +283,8 @@ impl Scenario {
     /// make do nothing, until it rests on a shared step or finishes.
     fn settle(&self, w: &mut World, a: usize) {
         let role = &self.roles[a];
-        let fixed = !self.roles.iter().any(|r| r.kind == Kind::Dropper);
         loop {
-            let (done, serviced) = (self.task_done(w), w.serviced);
+            let done = self.task_done(w);
             let me = &mut w.actors[a];
             if me.mode != Mode::Run {
                 return;
@@ -360,12 +295,9 @@ impl Scenario {
             };
             let f = me.flags;
             let skip = match op {
-                Op::PollTake | Op::PollPublish | Op::LoadWaiters => f & POLLS == 0,
                 Op::Bump | Op::LoadSleepers => f & NOTIFY == 0,
                 Op::WakeAll => f & NOTIFY == 0 || f & SLEEPERS_SEEN == 0,
-                Op::Spin | Op::Park | Op::CheckGen | Op::Unpark => f & (FOUND | BACKLOG) != 0,
-                Op::Unannounce => f & FOUND != 0,
-                Op::StaleWait => f & FORGOT != 0,
+                Op::Spin | Op::Park | Op::CheckGen | Op::Unpark | Op::Unannounce => f & FOUND != 0,
                 _ => false,
             };
             if skip {
@@ -378,12 +310,6 @@ impl Scenario {
                 continue;
             }
             match op {
-                Op::PollAlways => me.flags |= POLLS,
-                // Nothing writes `serviced` in a scenario with no drop:
-                // reading it is local there.
-                Op::LoadServiced if fixed && !serviced => me.flags |= POLLS,
-                Op::ServicedGone if fixed && !serviced => me.flags |= FOUND,
-                Op::LoadServiced | Op::ServicedGone if fixed => {}
                 Op::DecideWake => {
                     let wake = f & PUBLISHED != 0 && f & WAITERS_SEEN != 0;
                     me.flags &= !(PUBLISHED | WAITERS_SEEN);
@@ -416,75 +342,44 @@ impl Scenario {
         }
     }
 
-    /// Every state one step of actor `a` leads to from `w`, into `out`;
-    /// a violation the step itself commits is an error.
-    fn step(&self, w: &World, a: usize, out: &mut Vec<World>) -> Result<(), String> {
+    /// Every state one step of actor `a` leads to from `w`, into `out`.
+    fn step(&self, w: &World, a: usize, out: &mut Vec<World>) {
         let role = &self.roles[a];
         let me = w.actors[a];
         let mut n = *w;
         match me.mode {
-            Mode::Done | Mode::Parked => return Ok(()),
+            Mode::Done | Mode::Parked => return,
             Mode::Woken => {
                 if !w.wakeup_held {
                     n.wakeup_held = true;
                     n.actors[a].mode = Mode::Run;
                     out.push(n);
                 }
-                return Ok(());
+                return;
             }
             Mode::Run => {}
         }
         let op = role.program[me.pc as usize];
         n.actors[a].pc += 1;
-        let mut emit = |mut n: World| {
-            self.settle(&mut n, a);
-            out.push(n);
-        };
         match op {
             Op::ReadSeen => n.actors[a].flags = n.actors[a].flags & !MOVED | SEEN,
-            Op::LoadServiced => {
-                if !w.serviced {
-                    n.actors[a].flags |= POLLS;
+            Op::PollTake | Op::Call(_) => {
+                if w.engine_held {
+                    return;
                 }
-            }
-            Op::PollTake => {
-                if w.reactor_held {
-                    return Ok(());
-                }
-                n.reactor_held = true;
-                if w.cq == 0 {
-                    emit(n);
-                }
-                for k in (0..self.completions.len()).filter(|&k| w.cq & bit(k) != 0) {
-                    let mut m = n;
-                    m.cq &= !bit(k);
-                    let (slot, inc) = self.slot_of(k);
-                    if m.slots[slot].is_some_and(|s| s.inc == inc) {
-                        m.actors[a].taken |= bit(k);
-                    }
-                    if m.cq != 0 {
-                        m.actors[a].flags |= BACKLOG;
-                    }
-                    emit(m);
-                }
-                return Ok(());
+                n.engine_held = true;
+                n.actors[a].taken = match op {
+                    Op::Call(k) => bit(k),
+                    _ => std::mem::take(&mut n.cq),
+                };
             }
             Op::PollPublish => {
-                for k in (0..self.completions.len()).filter(|&k| me.taken & bit(k) != 0) {
-                    let (slot, inc) = self.slot_of(k);
-                    match &mut n.slots[slot] {
-                        Some(s) if s.inc == inc => s.mailbox |= bit(k),
-                        _ => {
-                            return Err(format!(
-                                "stale-slot delivery: completion {k} published into slot {slot}, \
-                                 which no longer hosts its connection"
-                            ))
-                        }
-                    }
+                if me.taken != 0 {
+                    n.mailbox |= me.taken;
                     n.actors[a].flags |= PUBLISHED;
                 }
                 n.actors[a].taken = 0;
-                n.reactor_held = false;
+                n.engine_held = false;
             }
             Op::LoadWaiters => {
                 if w.waiters != 0 {
@@ -495,16 +390,8 @@ impl Scenario {
             Op::CountOut => n.waiters -= 1,
             Op::TakeMine => {
                 let k = role.awaits.expect("a caller awaits a completion");
-                let (slot, _) = self.slot_of(k);
-                if let Some(s) = &mut n.slots[slot] {
-                    if s.mailbox & bit(k) != 0 {
-                        s.mailbox &= !bit(k);
-                        n.actors[a].flags |= FOUND;
-                    }
-                }
-            }
-            Op::ServicedGone => {
-                if !w.serviced {
+                if w.mailbox & bit(k) != 0 {
+                    n.mailbox &= !bit(k);
                     n.actors[a].flags |= FOUND;
                 }
             }
@@ -520,7 +407,7 @@ impl Scenario {
             }
             Op::WakeAll => {
                 if w.wakeup_held {
-                    return Ok(());
+                    return;
                 }
                 for b in n.actors.iter_mut().filter(|b| b.mode == Mode::Parked) {
                     b.mode = Mode::Woken;
@@ -539,7 +426,7 @@ impl Scenario {
             }
             Op::Park => {
                 if w.wakeup_held {
-                    return Ok(());
+                    return;
                 }
                 n.wakeup_held = true;
                 n.sleepers += 1;
@@ -558,47 +445,10 @@ impl Scenario {
             }
             Op::Land(k) => {
                 match self.completions[k] {
-                    // A connection's completions exist once it does.
-                    Completion::Conn { slot, inc } if w.accepts[slot] <= inc => return Ok(()),
-                    Completion::Conn { .. } => n.cq |= bit(k),
+                    Completion::Host => n.cq |= bit(k),
                     Completion::Exec => n.exec_cq = true,
                 }
                 n.actors[a].flags |= NOTIFY;
-            }
-            Op::Unservice => {
-                n.serviced = false;
-                n.actors[a].flags |= NOTIFY;
-            }
-            Op::Close { forget } => {
-                if w.reactor_held {
-                    return Ok(());
-                }
-                let (slot, _) = self.slot_of(role.awaits.expect("the closer's new handle"));
-                n.slots[slot] = None;
-                if forget {
-                    n.actors[a].flags |= FORGOT;
-                }
-            }
-            Op::Accept => {
-                if w.reactor_held {
-                    return Ok(());
-                }
-                let (slot, inc) = self.slot_of(role.awaits.expect("the closer's new handle"));
-                assert_eq!(
-                    w.accepts[slot], inc,
-                    "the accept makes the awaited connection"
-                );
-                n.slots[slot] = Some(Slot { inc, mailbox: 0 });
-                n.accepts[slot] += 1;
-            }
-            Op::StaleWait => {
-                let (slot, inc) = self.slot_of(role.awaits.expect("the closer's new handle"));
-                if w.slots[slot].is_some_and(|s| s.inc == inc) {
-                    return Err(format!(
-                        "stale-slot delivery: a closed handle reached the connection \
-                         that reuses slot {slot}"
-                    ));
-                }
             }
             Op::TurnCq => {
                 if w.exec_cq {
@@ -628,7 +478,7 @@ impl Scenario {
             Op::Unannounce => n.parked_on = false,
             Op::PushWake => {
                 if w.task & REGISTERED == 0 {
-                    return Ok(());
+                    return;
                 }
                 n.task |= FIRED;
                 n.ready += 1;
@@ -636,31 +486,28 @@ impl Scenario {
                     n.actors[a].flags |= NOTIFY;
                 }
             }
-            Op::PollAlways | Op::DecideWake | Op::EndRound | Op::TurnEnd | Op::Repeat => {
+            Op::DecideWake | Op::EndRound | Op::TurnEnd | Op::Repeat => {
                 unreachable!("local steps are taken in settle")
             }
         }
-        emit(n);
-        Ok(())
+        self.settle(&mut n, a);
+        out.push(n);
     }
 
     /// Why parked actor `a` should not be, if it should not.
     fn wanted(&self, w: &World, a: usize) -> Option<&'static str> {
         let role = &self.roles[a];
         match role.kind {
-            Kind::Caller | Kind::Closer => {
+            Kind::Caller => {
                 let k = role.awaits.expect("a caller awaits a completion");
-                let (slot, _) = self.slot_of(k);
-                if w.slots[slot].is_some_and(|s| s.mailbox & bit(k) != 0) {
-                    Some("its completion is in its mailbox")
-                } else if !w.serviced && w.cq & bit(k) != 0 {
-                    Some("its completion is on the CQ of a host no service thread polls")
+                if w.mailbox & bit(k) != 0 {
+                    Some("its completion is in the mailbox")
+                } else if w.cq & bit(k) != 0 {
+                    Some("its completion is on its host's CQ")
                 } else {
                     None
                 }
             }
-            Kind::Service if !w.serviced => Some("its host is no longer serviced"),
-            Kind::Service if w.cq != 0 => Some("its CQ holds a completion"),
             Kind::Executor if w.ready != 0 => Some("a task is ready"),
             Kind::Executor if w.exec_cq => Some("its CQ holds a completion"),
             _ => None,
@@ -679,9 +526,7 @@ impl Scenario {
                             "lost wake-up: {kind:?} {a} stays parked, but {why}"
                         ));
                     }
-                    if kind != Kind::Service {
-                        return Err(format!("hang: {kind:?} {a} waits for what never comes"));
-                    }
+                    return Err(format!("hang: {kind:?} {a} waits for what never comes"));
                 }
                 Mode::Run | Mode::Woken => {
                     return Err(format!("deadlock: {kind:?} {a} waits for a lock"));
@@ -722,9 +567,7 @@ impl Scenario {
             next.clear();
             let mut by = Vec::new();
             for a in 0..self.roles.len() {
-                if let Err(e) = self.step(&w, a, &mut next) {
-                    return Err(format!("{e}, after\n{}", self.trace(&states, &parent, at)));
-                }
+                self.step(&w, a, &mut next);
                 by.resize(next.len(), a as u8);
             }
             if next.is_empty() {
@@ -757,38 +600,34 @@ fn notify(m: Option<Mutation>) -> Vec<Op> {
 
 const WAIT_ANY: [Op; 4] = [Op::Spin, Op::Park, Op::CheckGen, Op::Unpark];
 
-/// One round of `Host::wait`; `poll_always` for the service thread.
-fn host_round(poll_always: bool, m: Option<Mutation>) -> Vec<Op> {
+/// The end of `Host::with_endpoint`, under the host's lock taken by
+/// `PollTake` or `Call`: publish, release, and wake if anyone waits.
+fn publish(m: Option<Mutation>) -> Vec<Op> {
+    let mut p = if m == Some(Mutation::WaitersBeforePublish) {
+        vec![Op::LoadWaiters, Op::PollPublish]
+    } else {
+        vec![Op::PollPublish, Op::LoadWaiters]
+    };
+    p.push(Op::DecideWake);
+    p.extend(notify(m));
+    p
+}
+
+/// One round of `Host::wait`.
+fn host_round(m: Option<Mutation>) -> Vec<Op> {
     let late = m == Some(Mutation::SeenAfterStep);
     let mut p = Vec::new();
     if !late {
         p.push(Op::ReadSeen);
     }
-    p.push(if poll_always {
-        Op::PollAlways
-    } else {
-        Op::LoadServiced
-    });
     p.push(Op::PollTake);
-    if m == Some(Mutation::WaitersBeforePublish) {
-        p.extend([Op::LoadWaiters, Op::PollPublish]);
-    } else {
-        p.extend([Op::PollPublish, Op::LoadWaiters]);
-    }
-    p.push(Op::DecideWake);
-    p.extend(notify(m));
+    p.extend(publish(m));
     if late {
         p.push(Op::ReadSeen);
     }
-    if poll_always {
-        p.push(Op::ServicedGone);
-        p.extend(WAIT_ANY);
-    } else {
-        p.extend([Op::CountIn, Op::TakeMine]);
-        p.extend(WAIT_ANY);
-        p.push(Op::CountOut);
-    }
-    p.push(Op::EndRound);
+    p.extend([Op::CountIn, Op::TakeMine]);
+    p.extend(WAIT_ANY);
+    p.extend([Op::CountOut, Op::EndRound]);
     p
 }
 
@@ -811,32 +650,19 @@ fn deliverer(ks: &[usize], m: Option<Mutation>) -> Role {
 
 /// A caller waiting for completion `k`.
 fn caller(k: usize, m: Option<Mutation>) -> Role {
-    role(Kind::Caller, host_round(false, m), Some(k))
+    role(Kind::Caller, host_round(m), Some(k))
 }
 
-fn service(m: Option<Mutation>) -> Role {
-    role(Kind::Service, host_round(true, m), None)
-}
-
-fn dropper(m: Option<Mutation>) -> Role {
-    let mut program = vec![Op::Unservice];
-    if m != Some(Mutation::DropWithoutNotify) {
-        program.extend(notify(m));
-    }
-    role(Kind::Dropper, program, None)
-}
-
-/// Closes the handle in completion `k`'s slot, accepts the connection
-/// `k` belongs to into it, waits on the closed handle, then waits for
-/// `k` on the new one.
-fn closer(k: usize, m: Option<Mutation>) -> Role {
-    let forget = m != Some(Mutation::HandleKeepsSlot);
-    let mut program = vec![Op::Close { forget }, Op::Accept, Op::StaleWait];
+/// A caller whose call completes `made` (another caller's operation),
+/// and which then waits for completion `k`.
+fn calling(made: usize, k: usize, m: Option<Mutation>) -> Role {
+    let mut program = vec![Op::Call(made)];
+    program.extend(publish(m));
     let round = program.len() as u8;
-    program.extend(host_round(false, m));
+    program.extend(host_round(m));
     Role {
         round,
-        ..role(Kind::Closer, program, Some(k))
+        ..role(Kind::Caller, program, Some(k))
     }
 }
 
@@ -861,71 +687,30 @@ fn waker(m: Option<Mutation>) -> Role {
 
 // Scenarios.
 
-/// Two callers of one caller-polled handle (a pair end), each waiting
-/// for a completion of its own.
+/// Two callers of one handle (a pair end), each waiting for a
+/// completion of its own.
 fn own_host(m: Option<Mutation>) -> Scenario {
-    let conn = Completion::Conn { slot: 0, inc: 0 };
     Scenario {
-        completions: vec![conn, conn],
+        completions: vec![Completion::Host, Completion::Host],
         roles: vec![deliverer(&[0, 1], m), caller(0, m), caller(1, m)],
-        serviced: false,
-        hosted: 1,
     }
 }
 
-/// A pool shard: its service thread and callers on two server ends.
-fn pool(m: Option<Mutation>) -> Scenario {
+/// Two callers of one handle, one of whose calls completes the other's
+/// operation before it waits for a completion that lands.
+fn a_call_completes(m: Option<Mutation>) -> Scenario {
     Scenario {
-        completions: vec![
-            Completion::Conn { slot: 0, inc: 0 },
-            Completion::Conn { slot: 1, inc: 0 },
-        ],
-        roles: vec![
-            deliverer(&[0, 1], m),
-            service(m),
-            caller(0, m),
-            caller(1, m),
-        ],
-        serviced: true,
-        hosted: 2,
-    }
-}
-
-/// A pool shard with one caller, and the pool dropped at any moment:
-/// from then on the caller polls the host itself.
-fn pool_dropped(m: Option<Mutation>) -> Scenario {
-    Scenario {
-        completions: vec![Completion::Conn { slot: 0, inc: 0 }],
-        roles: vec![deliverer(&[0], m), service(m), caller(0, m), dropper(m)],
-        serviced: true,
-        hosted: 1,
-    }
-}
-
-/// A serviced slot closed and reused by an accept while a late
-/// completion of the closed connection is on its way, and the pool
-/// dropped at any moment.
-fn slot_reuse(m: Option<Mutation>) -> Scenario {
-    Scenario {
-        completions: vec![
-            Completion::Conn { slot: 0, inc: 0 },
-            Completion::Conn { slot: 0, inc: 1 },
-        ],
-        roles: vec![deliverer(&[0, 1], m), service(m), closer(1, m), dropper(m)],
-        serviced: true,
-        hosted: 1,
+        completions: vec![Completion::Host, Completion::Host],
+        roles: vec![deliverer(&[1], m), caller(0, m), calling(0, 1, m)],
     }
 }
 
 /// `run_threaded` with a completion for its reactor and a waker fired
-/// on another thread, beside a caller polling a host of its own on the
-/// same node.
+/// on another thread, beside a caller of a handle on the same node.
 fn aio(m: Option<Mutation>) -> Scenario {
     Scenario {
-        completions: vec![Completion::Exec, Completion::Conn { slot: 0, inc: 0 }],
+        completions: vec![Completion::Exec, Completion::Host],
         roles: vec![deliverer(&[0, 1], m), executor(m), waker(m), caller(1, m)],
-        serviced: false,
-        hosted: 1,
     }
 }
 
@@ -950,18 +735,8 @@ fn two_callers_polling_their_own_host_lose_no_wake_up() {
 }
 
 #[test]
-fn a_service_thread_and_two_callers_lose_no_wake_up() {
-    holds("pool shard, two callers", pool(None));
-}
-
-#[test]
-fn no_handle_is_left_unpolled_when_the_pool_drops() {
-    holds("pool shard, one caller, drop", pool_dropped(None));
-}
-
-#[test]
-fn a_reused_slot_gets_no_stale_completion() {
-    holds("close, reusing accept, drop", slot_reuse(None));
+fn a_call_completing_another_callers_operation_loses_no_wake_up() {
+    holds("a call completes another's", a_call_completes(None));
 }
 
 #[test]
@@ -976,7 +751,10 @@ fn notify_loading_sleepers_before_the_bump_is_caught() {
 
 #[test]
 fn publishing_after_reading_waiters_is_caught() {
-    caught(pool(Some(Mutation::WaitersBeforePublish)), "lost wake-up");
+    caught(
+        a_call_completes(Some(Mutation::WaitersBeforePublish)),
+        "lost wake-up",
+    );
 }
 
 #[test]
@@ -985,22 +763,6 @@ fn reading_seen_after_the_step_is_caught() {
 }
 
 #[test]
-fn a_drop_without_notify_is_caught() {
-    caught(
-        pool_dropped(Some(Mutation::DropWithoutNotify)),
-        "lost wake-up",
-    );
-}
-
-#[test]
 fn an_executor_parking_unannounced_is_caught() {
     caught(aio(Some(Mutation::ParkUnannounced)), "lost wake-up");
-}
-
-#[test]
-fn a_closed_handle_keeping_its_slot_is_caught() {
-    caught(
-        slot_reuse(Some(Mutation::HandleKeepsSlot)),
-        "stale-slot delivery",
-    );
 }

@@ -148,7 +148,6 @@ fn sim_async_echo_roundtrip() {
         for round in 0..ROUNDS {
             let data: Vec<u8> = (0..MSG).map(|i| pattern(round, i)).collect();
             stream.send_all(data).await.expect("client send");
-            stream.flush().await.expect("client flush");
             let echo = stream.recv_exact(MSG).await.expect("client recv");
             for (i, &b) in echo.iter().enumerate() {
                 assert_eq!(b, pattern(round, i), "echo corrupted at {i}");
@@ -204,11 +203,6 @@ fn sim_dropped_recv_cancels_clean_then_recv_recovers() {
         // Dropped at 10 ms holding half of what it asked for.
         let short = race(&switch, server_stream.recv_exact(2 * MSG)).await;
         assert!(short.is_none(), "only {MSG} bytes are ever sent: {short:?}");
-        assert_eq!(
-            server_stream.buffered(),
-            MSG,
-            "the dropped receive took nothing"
-        );
         // The cancelled receives left the stream clean: re-issue wins.
         let data = server_stream
             .recv_exact(MSG)

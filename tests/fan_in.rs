@@ -4,7 +4,7 @@
 //! sharing on the server's ingress.
 
 use rdma_stream::blast::fan_in::{expected_digest, fan_in_cfg};
-use rdma_stream::blast::{run_fan_in, run_fan_in_threaded, FanInSpec, VerifyLevel};
+use rdma_stream::blast::{run_fan_in, run_fan_in_threaded, FanInReport, FanInSpec, VerifyLevel};
 use rdma_stream::exs::{DirectPolicy, ExsConfig, ExsEvent, ProtocolMode, StreamSocket};
 use rdma_stream::simnet::SimTime;
 use rdma_stream::verbs::{profiles, Access, MrInfo, NodeApi, NodeApp, NodeId, SimNet};
@@ -12,6 +12,14 @@ use rdma_stream::verbs::{profiles, Access, MrInfo, NodeApi, NodeApp, NodeId, Sim
 const CLIENTS: usize = 3;
 const MSGS: usize = 30;
 const MSG_LEN: u64 = 64 << 10;
+
+/// `spec` on real threads, where executors serve each shard.
+fn on_threads(spec: &FanInSpec) -> FanInReport {
+    run_fan_in_threaded(&FanInSpec {
+        aio: true,
+        ..spec.clone()
+    })
+}
 
 fn pattern(stream: usize, i: u64) -> u8 {
     (i.wrapping_mul(31).wrapping_add(stream as u64 * 7)) as u8
@@ -218,7 +226,7 @@ fn reactor_fan_in_is_byte_identical_across_backends() {
         ..FanInSpec::new(profiles::fdr_infiniband(), CONNS)
     };
     let sim = run_fan_in(&spec);
-    let threaded = run_fan_in_threaded(&spec).digests;
+    let threaded = on_threads(&spec).digests;
 
     assert_eq!(sim.digests.len(), CONNS);
     assert_eq!(threaded.len(), CONNS);
@@ -262,7 +270,7 @@ fn fair_share_fan_in_is_byte_identical_across_backends() {
         fabric: FabricModel::FairShare(FairShareConfig::new(0xFA1B)),
         ..base.clone()
     });
-    let threaded = run_fan_in_threaded(&base).digests;
+    let threaded = on_threads(&base).digests;
 
     assert_eq!(fifo.digests, fair.digests, "fabric model altered bytes");
     for (idx, &thr) in threaded.iter().enumerate() {
@@ -297,7 +305,7 @@ fn pooled_fan_in_matches_unpooled_and_threaded_digests() {
         ..FanInSpec::new(profiles::fdr_infiniband(), CONNS)
     };
     let pooled = run_fan_in(&spec);
-    let threaded = run_fan_in_threaded(&spec);
+    let threaded = on_threads(&spec);
 
     assert_eq!(threaded.digests.len(), CONNS);
     for (idx, &thr) in threaded.digests.iter().enumerate() {
@@ -379,7 +387,7 @@ fn large_message_fan_in_recovers_direct_mode_on_both_backends() {
         );
 
         // Real-thread backend: the same spec, the same bar.
-        let threaded = run_fan_in_threaded(&spec);
+        let threaded = on_threads(&spec);
         assert_eq!(
             threaded.digests, report.digests,
             "backends disagree at {conns} conns"

@@ -8,9 +8,9 @@
 //!   one reactor over two shared CQs, with full payload verification —
 //!   per-stream in-order delivery at thousand-way fan-in;
 //! * 64 concurrent streams on the real-thread fabric through
-//!   `run_fan_in_threaded`: a one-shard `ThreadReactorPool`, whose
-//!   single service thread serves all 64 server ends, while the client
-//!   ends progress inside their owners' calls.
+//!   `run_fan_in_threaded`: one executor shard, whose single thread
+//!   serves all 64 server ends as tasks, while each client node's
+//!   executor drives its streams.
 //!
 //! Memory stays bounded by construction: each connection runs a small
 //! fixed ring and credit budget ([`fan_in_cfg`]-style), and the server
@@ -83,12 +83,13 @@ fn sixty_four_threaded_streams_one_service_thread() {
         outstanding_sends: 1,
         prepost_recvs: 1,
         verify: VerifyLevel::Full,
+        aio: true,
         seed: 23,
         ..FanInSpec::new(profiles::fdr_infiniband(), CONNS)
     };
     let report = run_fan_in_threaded(&spec);
 
-    // One shard: one service thread served all 64 server ends.
+    // One shard: one executor thread served all 64 server ends.
     assert_eq!(report.shard_stats.as_ref().map(Vec::len), Some(1));
     assert_eq!(report.aggregate.bytes_received, report.bytes);
     assert_eq!(report.reactor.conns_added, CONNS as u64);
