@@ -300,9 +300,10 @@ pub(crate) struct Inner {
     free_tasks: Vec<usize>,
     outstanding: usize,
     scratch: Vec<u8>,
-    /// Reusable readiness buffer for [`Inner::pump_reactor`] — the
-    /// steady-state pump allocates nothing per poll.
+    /// Reusable readiness and event buffers for [`Inner::pump_reactor`]
+    /// — the steady-state pump allocates nothing per poll.
     ready_buf: Vec<(ConnId, Readiness)>,
+    events_buf: Vec<MuxEvent>,
 }
 
 impl Inner {
@@ -459,6 +460,7 @@ impl Inner {
     /// error observed).
     fn pump_reactor(&mut self, port: &mut impl VerbsPort) -> bool {
         let mut ready = std::mem::take(&mut self.ready_buf);
+        let mut events = std::mem::take(&mut self.events_buf);
         self.reactor.poll_into(port, &mut ready);
         let mut progressed = false;
         for &(host, _) in &ready {
@@ -467,17 +469,18 @@ impl Inner {
             // end-of-stream completion behind it); drain to quiescence
             // so they cost no further reactor poll.
             while let Some(ep) = self.reactor.try_conn_mut(host) {
-                let events = ep.take_events();
+                ep.take_events_into(&mut events);
                 if events.is_empty() {
                     break;
                 }
                 progressed = true;
-                for ev in events {
+                for ev in events.drain(..) {
                     self.dispatch_event(port, host, ev);
                 }
             }
         }
         self.ready_buf = ready;
+        self.events_buf = events;
         progressed
     }
 
@@ -685,6 +688,7 @@ impl Executor {
                 outstanding: 0,
                 scratch: Vec::new(),
                 ready_buf: Vec::new(),
+                events_buf: Vec::new(),
             })),
             ready: ReadyQueue::new(),
         }
@@ -707,7 +711,7 @@ impl Executor {
     /// behind flow control after the task that requested it has
     /// finished, and a driver that stopped once its tasks were done
     /// would strand the peer waiting for end-of-stream.
-    pub fn drained(&self) -> bool {
+    pub(crate) fn drained(&self) -> bool {
         let inner = self.inner.borrow();
         inner.outstanding == 0 && !inner.reactor.has_unsent()
     }
@@ -722,7 +726,7 @@ impl Executor {
     /// One executor turn: apply queued operations, poll the reactor and
     /// route completions, poll every woken task — looping until nothing
     /// progresses and the reactor has no deferred backlog.
-    pub fn turn(&mut self, port: &mut impl VerbsPort) {
+    pub(crate) fn turn(&mut self, port: &mut impl VerbsPort) {
         self.inner.borrow_mut().stats.turns += 1;
         loop {
             let mut progressed = false;
@@ -800,7 +804,7 @@ impl Executor {
 /// shards interleave on one timeline, so runs stay byte- and
 /// schedule-deterministic while exercising exactly the sharded
 /// placement the thread backend uses. The node is done only when every
-/// shard is drained ([`Executor::drained`]).
+/// shard is drained (`Executor::drained`).
 pub struct SimShardDriver {
     shards: Vec<Executor>,
 }
@@ -824,11 +828,6 @@ impl SimShardDriver {
     /// Shared view of one shard's executor.
     pub fn executor_ref(&self, shard: usize) -> &Executor {
         &self.shards[shard]
-    }
-
-    /// A task/stream handle onto one shard's executor.
-    pub fn handle(&self, shard: usize) -> AioHandle {
-        self.shards[shard].handle()
     }
 
     /// Executor counters merged across shards.

@@ -11,7 +11,7 @@
 //! Three design rules, detailed in DESIGN.md §16:
 //!
 //! 1. **Futures never touch the verbs port.** They enqueue operations
-//!    and park with their task's waker; [`Executor::turn`] — the only
+//!    and park with their task's waker; `Executor::turn` — the only
 //!    code holding a [`crate::VerbsPort`] — applies operations, polls
 //!    the reactor, routes completions back to per-channel state, and
 //!    polls woken tasks. One turn is a pure function of (state, port),

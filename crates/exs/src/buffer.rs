@@ -36,13 +36,8 @@ impl SenderRing {
     }
 
     /// Total capacity in bytes.
-    pub fn capacity(&self) -> u64 {
+    pub(crate) fn capacity(&self) -> u64 {
         self.capacity
-    }
-
-    /// Current free bytes (`b_s`).
-    pub fn free(&self) -> u64 {
-        self.free
     }
 
     /// Bytes the peer still holds (in flight or unconsumed).
@@ -75,7 +70,7 @@ impl SenderRing {
     ///
     /// Panics on over-release; `n` must come from locally maintained
     /// state. ACK counts taken off the wire go through
-    /// [`SenderRing::checked_release`] instead.
+    /// `SenderRing::checked_release` instead.
     pub fn release(&mut self, n: u64) {
         self.checked_release(n)
             .expect("ACK released more bytes than were in use");
@@ -83,7 +78,7 @@ impl SenderRing {
 
     /// Applies an ACK, rejecting peer-supplied counts that would free
     /// more bytes than are in use (flow-control violation).
-    pub fn checked_release(&mut self, n: u64) -> Option<()> {
+    pub(crate) fn checked_release(&mut self, n: u64) -> Option<()> {
         let free = self.free.checked_add(n).filter(|&f| f <= self.capacity)?;
         self.free = free;
         Some(())
@@ -109,25 +104,20 @@ impl ReceiverRing {
         }
     }
 
-    /// Total capacity in bytes.
-    pub fn capacity(&self) -> u64 {
-        self.capacity
-    }
-
     /// Filled bytes awaiting copy-out (`b_r`).
     pub fn count(&self) -> u64 {
         self.count
     }
 
     /// True when no data awaits copy-out.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.count == 0
     }
 
     /// Records the arrival of an indirect transfer of `n` bytes.
     ///
     /// Panics on overfill; arrival counts taken off the wire go through
-    /// [`ReceiverRing::checked_arrived`] instead.
+    /// `ReceiverRing::checked_arrived` instead.
     pub fn arrived(&mut self, n: u64) {
         self.checked_arrived(n)
             .expect("indirect transfer overfilled the intermediate buffer");
@@ -135,7 +125,7 @@ impl ReceiverRing {
 
     /// Records an arrival, rejecting peer-supplied lengths that would
     /// overfill the ring (flow-control violation).
-    pub fn checked_arrived(&mut self, n: u64) -> Option<()> {
+    pub(crate) fn checked_arrived(&mut self, n: u64) -> Option<()> {
         let count = self.count.checked_add(n).filter(|&c| c <= self.capacity)?;
         self.count = count;
         Some(())
@@ -169,14 +159,14 @@ mod tests {
     #[test]
     fn sender_reserve_commit_release_cycle() {
         let mut r = SenderRing::new(100);
-        assert_eq!(r.free(), 100);
+        assert_eq!(r.free, 100);
         let (off, len) = r.contiguous_reservation(40);
         assert_eq!((off, len), (0, 40));
         r.commit(40);
-        assert_eq!(r.free(), 60);
+        assert_eq!(r.free, 60);
         assert_eq!(r.in_use(), 40);
         r.release(40);
-        assert_eq!(r.free(), 100);
+        assert_eq!(r.free, 100);
     }
 
     #[test]
@@ -208,7 +198,7 @@ mod tests {
         let mut r = SenderRing::new(100);
         r.commit(80); // cursor at 80
         r.release(30); // 30 freed at the start; 20 never used at the tail
-        assert_eq!(r.free(), 50);
+        assert_eq!(r.free, 50);
         let (off, len) = r.contiguous_reservation(50);
         assert_eq!((off, len), (80, 20), "clamped to to_wrap, not free");
         r.commit(len);
@@ -229,7 +219,7 @@ mod tests {
         r.release(60);
         r.commit(40); // cursor wrapped to 0
         r.commit(60); // cursor at 60, ring exactly full
-        assert_eq!(r.free(), 0);
+        assert_eq!(r.free, 0);
         assert_eq!(r.contiguous_reservation(1), (60, 0));
         // A zero want on a full ring is the same degenerate case.
         assert_eq!(r.contiguous_reservation(0), (60, 0));

@@ -423,10 +423,6 @@ impl<T: CtrlTag, O: Copy> Channel<T, O> {
         }
         first
     }
-
-    pub(crate) fn is_closed(&self) -> bool {
-        self.closed
-    }
 }
 
 /// Drains both completion queues into `cqes`, receive completions

@@ -39,7 +39,7 @@ impl ProtocolMode {
 
     /// True for modes that never use ADVERTs (all data goes through the
     /// intermediate buffer).
-    pub fn buffered_only(self) -> bool {
+    pub(crate) fn buffered_only(self) -> bool {
         matches!(self, ProtocolMode::IndirectOnly | ProtocolMode::BCopy)
     }
 }
@@ -100,7 +100,7 @@ impl DirectPolicy {
 
     /// Effective backlog veto threshold for a peer ring of the given
     /// capacity (0 ⇒ the full capacity).
-    pub fn effective_resync_backlog(&self, ring_capacity: u64) -> u64 {
+    pub(crate) fn effective_resync_backlog(&self, ring_capacity: u64) -> u64 {
         if self.resync_backlog == 0 {
             ring_capacity
         } else {
@@ -109,7 +109,7 @@ impl DirectPolicy {
     }
 
     /// Effective failed-wait budget (0 ⇒ 2).
-    pub fn effective_max_resync_rtts(&self) -> u32 {
+    pub(crate) fn effective_max_resync_rtts(&self) -> u32 {
         if self.max_resync_rtts == 0 {
             2
         } else {
@@ -131,7 +131,7 @@ pub enum MuxAssignment {
 
 impl MuxAssignment {
     /// The transport slot carrying the given stream.
-    pub fn slot(self, stream: u32, pool: usize) -> usize {
+    pub(crate) fn slot(self, stream: u32, pool: usize) -> usize {
         stream as usize % pool
     }
 }
@@ -170,7 +170,7 @@ impl Default for MuxConfig {
 
 impl MuxConfig {
     /// Effective per-stream indirect window for the given shared ring.
-    pub fn effective_stream_window(&self, ring_capacity: u64) -> u64 {
+    pub(crate) fn effective_stream_window(&self, ring_capacity: u64) -> u64 {
         if self.stream_window == 0 {
             (ring_capacity / 16).max(4096).min(ring_capacity)
         } else {
@@ -203,7 +203,7 @@ pub enum ShardPolicy {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ShardConfig {
     /// Number of reactor shards. `0` or `1` ⇒ a single shard (the
-    /// pre-sharding behaviour). Bounded by [`ShardConfig::MAX_SHARDS`].
+    /// pre-sharding behaviour). Bounded by `ShardConfig::MAX_SHARDS`.
     pub shards: usize,
     /// Connection-to-shard assignment: the rotation, the one policy.
     pub policy: ShardPolicy,
@@ -212,7 +212,7 @@ pub struct ShardConfig {
 impl ShardConfig {
     /// Upper bound on the shard count — far above any sane core count,
     /// low enough to catch a garbage config before it allocates CQs.
-    pub const MAX_SHARDS: usize = 256;
+    pub(crate) const MAX_SHARDS: usize = 256;
 }
 
 impl Default for ShardConfig {
@@ -410,7 +410,7 @@ impl ExsConfig {
     }
 
     /// Effective ACK threshold.
-    pub fn effective_ack_threshold(&self) -> u64 {
+    pub(crate) fn effective_ack_threshold(&self) -> u64 {
         if self.ack_threshold == 0 {
             (self.ring_capacity / 8).max(1)
         } else {
@@ -419,7 +419,7 @@ impl ExsConfig {
     }
 
     /// Effective credit-return threshold.
-    pub fn effective_credit_threshold(&self) -> u32 {
+    pub(crate) fn effective_credit_threshold(&self) -> u32 {
         if self.credit_return_threshold == 0 {
             (self.credits / 4).max(1)
         } else {
@@ -428,7 +428,7 @@ impl ExsConfig {
     }
 
     /// Effective postlist limit (0 ⇒ min(sq_depth, 64)).
-    pub fn effective_tx_batch_limit(&self) -> usize {
+    pub(crate) fn effective_tx_batch_limit(&self) -> usize {
         if self.tx_batch_limit == 0 {
             self.sq_depth.min(64)
         } else {
@@ -441,7 +441,7 @@ impl ExsConfig {
     /// postlists there is no batch retirement to amortize, and the
     /// unbatched baseline should behave exactly like the pre-batching
     /// code.
-    pub fn effective_signal_interval(&self) -> usize {
+    pub(crate) fn effective_signal_interval(&self) -> usize {
         if self.effective_tx_batch_limit() == 1 {
             return 1;
         }
@@ -453,7 +453,7 @@ impl ExsConfig {
     }
 
     /// Effective coalescing threshold (bytes; 0 when batching is off).
-    pub fn effective_coalesce_threshold(&self) -> u64 {
+    pub(crate) fn effective_coalesce_threshold(&self) -> u64 {
         if self.effective_tx_batch_limit() == 1 {
             0
         } else {

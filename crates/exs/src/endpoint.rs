@@ -91,7 +91,7 @@ impl Endpoint {
     }
 
     /// The pooled endpoint, mutably (open streams, establish pool
-    /// transports — then [`crate::Reactor::index_qps`]).
+    /// transports — then `crate::Reactor::index_qps`).
     pub fn as_mux_mut(&mut self) -> Option<&mut MuxEndpoint> {
         match &mut self.0 {
             Kind::Socket(_) => None,
@@ -161,7 +161,7 @@ impl Endpoint {
     }
 
     /// Pushes staged and coalesced traffic to the wire now.
-    pub fn flush(&mut self, api: &mut impl VerbsPort) {
+    pub(crate) fn flush(&mut self, api: &mut impl VerbsPort) {
         match &mut self.0 {
             Kind::Socket(s) => s.tx_flush(api),
             Kind::Mux(m) => m.progress(api),
@@ -171,7 +171,7 @@ impl Endpoint {
     /// Revokes operation `id` on `stream` if none of it has entered the
     /// stream; true when it was removed (no completion follows). A
     /// pooled endpoint never revokes.
-    pub fn cancel(&mut self, stream: u32, id: u64) -> bool {
+    pub(crate) fn cancel(&mut self, stream: u32, id: u64) -> bool {
         match &mut self.0 {
             Kind::Socket(s) => stream == 0 && s.exs_cancel(id),
             Kind::Mux(_) => false,
@@ -195,7 +195,7 @@ impl Endpoint {
     }
 
     /// Number of completion events queued and not yet taken.
-    pub fn events_pending(&self) -> usize {
+    pub(crate) fn events_pending(&self) -> usize {
         match &self.0 {
             Kind::Socket(s) => s.events_pending(),
             Kind::Mux(m) => m.events_pending(),
@@ -223,7 +223,7 @@ impl Endpoint {
     }
 
     /// True while the endpoint still owes traffic to the wire (see
-    /// [`StreamSocket::has_unsent`]).
+    /// `StreamSocket::has_unsent`).
     pub fn has_unsent(&self) -> bool {
         match &self.0 {
             Kind::Socket(s) => s.has_unsent(),
@@ -242,7 +242,7 @@ impl Endpoint {
 
     /// The error every operation on `stream` is doomed to, once the
     /// transport slot carrying it has failed (a socket is one slot).
-    pub fn stream_error(&self, stream: u32) -> Option<ExsError> {
+    pub(crate) fn stream_error(&self, stream: u32) -> Option<ExsError> {
         let dead = match &self.0 {
             Kind::Socket(s) => s.is_broken(),
             Kind::Mux(m) => m.slot_broken(m.slot_of(stream)),

@@ -24,23 +24,27 @@
 //!
 //! Layer map:
 //!
-//! | module | paper artifact |
+//! | module or type | paper artifact |
 //! |---|---|
-//! | [`phase`], [`seq`] | phase numbers / sequence numbers (§III) |
+//! | [`Phase`], [`Seq`] | phase numbers / sequence numbers (§III) |
 //! | [`messages`] | ADVERT / ACK / CREDIT formats, WWI immediates |
 //! | [`buffer`] | circular intermediate buffer (§III) |
 //! | [`sender`] | Fig. 2 matching algorithm |
 //! | [`receiver`] | Fig. 3–5 receiver algorithms |
-//! | [`stream`] | SOCK_STREAM sockets over a verbs QP |
+//! | [`StreamSocket`] | SOCK_STREAM sockets over a verbs QP |
 //! | [`threaded`] | blocking thread-safe streams over the real-thread fabric (§I) |
-//! | [`mux`] | many streams multiplexed over a pooled QP set |
-//! | [`mempool`] | pin-down cache / slab MR pools / buffer leases |
-//! | [`endpoint`] | what a reactor hosts: one QP and stream 0, or a QP pool and many ids |
-//! | [`reactor`] | epoll-style readiness multiplexing of many endpoints |
-//! | [`shard`] | placement over reactor shards — scale service across cores |
+//! | [`MuxEndpoint`] | many streams multiplexed over a pooled QP set |
+//! | [`MemPool`] | pin-down cache / slab MR pools / buffer leases |
+//! | [`Endpoint`] | what a reactor hosts: one QP and stream 0, or a QP pool and many ids |
+//! | [`Reactor`] | epoll-style readiness multiplexing of many endpoints |
+//! | [`Placement`] | placement over reactor shards — scale service across cores |
 //! | [`aio`] | async/await futures + deterministic executor over the reactor |
-//! | [`error`] | typed peer-attributable failures |
-//! | [`stats`] | Table III counters + event-loop aggregates |
+//! | [`ExsError`] | typed peer-attributable failures |
+//! | [`ConnStats`] | Table III counters + event-loop aggregates |
+//!
+//! A module or item is public when some file outside this crate names
+//! it; the rest is private to the crate, and the types callers use are
+//! re-exported here.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -48,28 +52,28 @@
 pub mod aio;
 pub mod buffer;
 mod chan;
-pub mod config;
-pub mod endpoint;
-pub mod error;
-pub mod mempool;
+mod config;
+mod endpoint;
+mod error;
+mod mempool;
 pub mod messages;
-pub mod mux;
-pub mod phase;
-pub mod port;
-pub mod reactor;
+mod mux;
+mod phase;
+mod port;
+mod reactor;
 pub mod receiver;
 pub mod sender;
-pub mod seq;
-pub mod shard;
-pub mod stats;
-pub mod stream;
+mod seq;
+mod shard;
+mod stats;
+mod stream;
 pub mod threaded;
 mod txpipe;
 
 pub use aio::{AioHandle, AsyncStream, Executor, SimShardDriver};
 pub use config::{
-    ConfigError, DirectPolicy, ExsConfig, MuxAssignment, MuxConfig, ProtocolMode, ShardConfig,
-    ShardPolicy, WwiMode,
+    DirectPolicy, ExsConfig, MuxAssignment, MuxConfig, ProtocolMode, ShardConfig, ShardPolicy,
+    WwiMode,
 };
 pub use endpoint::Endpoint;
 pub use error::{ExsError, ProtocolError};

@@ -38,7 +38,7 @@ mod slab;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use rdma_verbs::{Access, MrInfo, Result, Sge};
+use rdma_verbs::{Access, MrInfo, Result};
 
 use crate::port::VerbsPort;
 use crate::stats::PoolStats;
@@ -252,28 +252,13 @@ impl MrLease {
         self.requested == 0
     }
 
-    /// Class-rounded capacity of the leased region.
-    pub fn capacity(&self) -> usize {
-        self.mr.len
-    }
-
-    /// The access flags the region was registered with.
-    pub fn access(&self) -> Access {
-        self.access
-    }
-
-    /// An SGE covering `[offset, offset+len)` of the leased region.
-    pub fn sge(&self, offset: u64, len: u32) -> Sge {
-        self.mr.sge(offset, len)
-    }
-
     /// Fills the leased region from `data` at `offset`.
     pub fn write(&self, api: &mut impl VerbsPort, offset: u64, data: &[u8]) -> Result<()> {
         api.write_mr(self.mr.key, self.mr.addr + offset, data)
     }
 
     /// Reads the leased region into `buf` from `offset`.
-    pub fn read(&self, api: &impl VerbsPort, offset: u64, buf: &mut [u8]) -> Result<()> {
+    pub(crate) fn read(&self, api: &impl VerbsPort, offset: u64, buf: &mut [u8]) -> Result<()> {
         api.read_mr(self.mr.key, self.mr.addr + offset, buf)
     }
 }
@@ -348,7 +333,7 @@ mod tests {
         let mut port = TablePort::new();
         let pool = MemPool::new(MemPoolConfig::default());
         let a = pool.acquire(&mut port, 1000, Access::NONE);
-        assert_eq!(a.capacity(), 4096, "rounded to the min class");
+        assert_eq!(a.mr.len, 4096, "rounded to the min class");
         assert_eq!(a.len(), 1000);
         let key = a.info().key;
         drop(a);

@@ -18,13 +18,13 @@ use rdma_verbs::{Access, MrInfo};
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct FreeRegion {
     /// The registration (key, base address, class-rounded length).
-    pub mr: MrInfo,
+    pub(crate) mr: MrInfo,
     /// Access flags the region was registered with. Reuse requires an
     /// exact match: handing a send-only region to a receive path would
     /// trip the HCA's protection checks.
-    pub access: Access,
+    pub(crate) access: Access,
     /// Monotonic last-use stamp (larger = more recent).
-    pub stamp: u64,
+    pub(crate) stamp: u64,
 }
 
 /// The per-pool collection of size-classed free lists.
@@ -38,7 +38,7 @@ pub(crate) struct Slabs {
 impl Slabs {
     /// Empty slab set with the given minimum class size (rounded up to
     /// a power of two, at least 64 bytes).
-    pub fn new(min_class: usize) -> Slabs {
+    pub(crate) fn new(min_class: usize) -> Slabs {
         Slabs {
             classes: Vec::new(),
             min_class: (min_class.max(64) as u64).next_power_of_two(),
@@ -47,7 +47,7 @@ impl Slabs {
 
     /// The class a request of `len` bytes is served from: `len` rounded
     /// up to the next power of two, at least the minimum class.
-    pub fn class_len(&self, len: usize) -> u64 {
+    pub(crate) fn class_len(&self, len: usize) -> u64 {
         (len as u64).next_power_of_two().max(self.min_class)
     }
 
@@ -58,7 +58,7 @@ impl Slabs {
 
     /// Takes the most-recently-used idle region of `class_len` bytes
     /// registered with exactly `access`, if one exists.
-    pub fn take(&mut self, class_len: u64, access: Access) -> Option<FreeRegion> {
+    pub(crate) fn take(&mut self, class_len: u64, access: Access) -> Option<FreeRegion> {
         let idx = self.idx(class_len);
         let list = self.classes.get_mut(idx)?;
         let best = list
@@ -71,7 +71,7 @@ impl Slabs {
     }
 
     /// Parks an idle region back in its class.
-    pub fn put(&mut self, region: FreeRegion) {
+    pub(crate) fn put(&mut self, region: FreeRegion) {
         let idx = self.idx(region.mr.len as u64);
         if self.classes.len() <= idx {
             self.classes.resize_with(idx + 1, Vec::new);
@@ -81,7 +81,7 @@ impl Slabs {
 
     /// Removes and returns the globally least-recently-used idle
     /// region (the eviction victim), if any region is idle.
-    pub fn evict_lru(&mut self) -> Option<FreeRegion> {
+    pub(crate) fn evict_lru(&mut self) -> Option<FreeRegion> {
         let (ci, ri) = self
             .classes
             .iter()
@@ -97,7 +97,7 @@ impl Slabs {
     }
 
     /// Total idle bytes across all classes.
-    pub fn free_bytes(&self) -> u64 {
+    pub(crate) fn free_bytes(&self) -> u64 {
         self.classes
             .iter()
             .flat_map(|l| l.iter())
@@ -106,7 +106,7 @@ impl Slabs {
     }
 
     /// Removes every idle region (pool trim / close).
-    pub fn drain(&mut self) -> Vec<FreeRegion> {
+    pub(crate) fn drain(&mut self) -> Vec<FreeRegion> {
         let mut out = Vec::new();
         for list in &mut self.classes {
             out.append(list);

@@ -27,7 +27,7 @@ use crate::seq::Seq;
 /// Fixed size of every control message on the wire. Constant-size
 /// control messages keep the credit accounting trivial and fit easily in
 /// the QP inline limit.
-pub const CTRL_MSG_LEN: usize = 44;
+pub(crate) const CTRL_MSG_LEN: usize = 44;
 
 /// An advertised receive buffer, as carried by an ADVERT message and as
 /// queued at the sender (`q_A` in the paper).
@@ -99,16 +99,16 @@ const FLAG_MUX: u8 = 0b10;
 /// Sentinel stream id for transport-scoped multiplexed control messages
 /// (shared-ring ACKs, credit returns) that belong to the transport
 /// itself rather than any one stream.
-pub const STREAM_NONE: u32 = u32::MAX;
+pub(crate) const STREAM_NONE: u32 = u32::MAX;
 
 /// Largest stream id the mux immediate encoding can carry (31 bits; the
 /// top bit distinguishes direct from indirect placement).
-pub const MAX_MUX_STREAM: u32 = (1 << 31) - 1;
+pub(crate) const MAX_MUX_STREAM: u32 = (1 << 31) - 1;
 
 /// Errors from decoding a control message.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DecodeError {
-    /// Buffer shorter than [`CTRL_MSG_LEN`].
+    /// Buffer shorter than `CTRL_MSG_LEN`.
     TooShort(usize),
     /// Unknown message type byte.
     BadType(u8),
@@ -227,10 +227,10 @@ impl CtrlMsg {
 ///
 /// Wire layout is [`CtrlMsg::encode`]'s with two additions: flag bit 1
 /// (`FLAG_MUX`) is set and the stream id occupies the reserved bytes
-/// at offset 36. [`STREAM_NONE`] tags transport-scoped messages.
+/// at offset 36. `STREAM_NONE` tags transport-scoped messages.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct MuxCtrlMsg {
-    /// Stream this message belongs to ([`STREAM_NONE`] = the transport).
+    /// Stream this message belongs to (`STREAM_NONE` = the transport).
     pub stream: u32,
     /// The wrapped control message.
     pub msg: CtrlMsg,
@@ -238,7 +238,7 @@ pub struct MuxCtrlMsg {
 
 impl MuxCtrlMsg {
     /// Serializes to the fixed wire layout.
-    pub fn encode(&self) -> [u8; CTRL_MSG_LEN] {
+    pub(crate) fn encode(&self) -> [u8; CTRL_MSG_LEN] {
         let mut buf = self.msg.encode();
         buf[1] |= FLAG_MUX;
         buf[36..40].copy_from_slice(&self.stream.to_le_bytes());
@@ -252,7 +252,7 @@ impl MuxCtrlMsg {
     }
 
     /// Parses the fixed wire layout, requiring the stream tag.
-    pub fn decode(buf: &[u8]) -> Result<MuxCtrlMsg, DecodeError> {
+    pub(crate) fn decode(buf: &[u8]) -> Result<MuxCtrlMsg, DecodeError> {
         let msg = CtrlMsg::decode(buf)?;
         if buf[1] & FLAG_MUX == 0 {
             return Err(DecodeError::NotMux);
@@ -265,7 +265,7 @@ impl MuxCtrlMsg {
 /// Encodes a mux data immediate: top bit = indirect, low 31 bits =
 /// stream id. The chunk length travels in the completion's `byte_len`
 /// instead (both backends report it), freeing the immediate for demux.
-pub fn encode_mux_imm(kind: TransferKind, stream: u32) -> u32 {
+pub(crate) fn encode_mux_imm(kind: TransferKind, stream: u32) -> u32 {
     assert!(
         stream <= MAX_MUX_STREAM,
         "stream id {stream} exceeds imm encoding"
@@ -277,7 +277,7 @@ pub fn encode_mux_imm(kind: TransferKind, stream: u32) -> u32 {
 }
 
 /// Decodes a mux data immediate into `(kind, stream_id)`.
-pub fn decode_mux_imm(imm: u32) -> (TransferKind, u32) {
+pub(crate) fn decode_mux_imm(imm: u32) -> (TransferKind, u32) {
     if imm & IMM_INDIRECT_BIT != 0 {
         (TransferKind::Indirect, imm & !IMM_INDIRECT_BIT)
     } else {

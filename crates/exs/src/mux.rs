@@ -281,7 +281,7 @@ struct MuxTransport {
 /// ([`crate::config::MuxAssignment`]), so both ends agree without any
 /// coordination message; a slot's transport is established only when
 /// the first stream assigned to it appears (see
-/// [`MuxEndpoint::pending_slots`]).
+/// `MuxEndpoint::pending_slots`).
 pub struct MuxEndpoint {
     node: NodeId,
     cfg: ExsConfig,
@@ -324,13 +324,8 @@ impl MuxEndpoint {
         }
     }
 
-    /// This endpoint's node.
-    pub fn node(&self) -> NodeId {
-        self.node
-    }
-
     /// The endpoint's configuration (with `mux.enabled` forced on).
-    pub fn config(&self) -> &ExsConfig {
+    pub(crate) fn config(&self) -> &ExsConfig {
         &self.cfg
     }
 
@@ -367,13 +362,13 @@ impl MuxEndpoint {
     }
 
     /// Number of user events queued and not yet taken.
-    pub fn events_pending(&self) -> usize {
+    pub(crate) fn events_pending(&self) -> usize {
         self.events.len()
     }
 
     /// The shared CQ pair every pooled transport completes onto, once
     /// established.
-    pub fn cqs(&self) -> Option<(CqId, CqId)> {
+    pub(crate) fn cqs(&self) -> Option<(CqId, CqId)> {
         self.cqs
     }
 
@@ -389,7 +384,7 @@ impl MuxEndpoint {
     }
 
     /// Size of the transport pool (established or not).
-    pub fn pool_size(&self) -> usize {
+    pub(crate) fn pool_size(&self) -> usize {
         self.transports.len()
     }
 
@@ -406,14 +401,14 @@ impl MuxEndpoint {
 
     /// True once the slot's transport has failed: every stream assigned
     /// to it is dead.
-    pub fn slot_broken(&self, slot: usize) -> bool {
+    pub(crate) fn slot_broken(&self, slot: usize) -> bool {
         self.transports[slot].as_ref().is_some_and(|t| t.broken)
     }
 
     /// Opens a stream. The id must be new (never opened before on this
     /// endpoint) and fit the 31-bit immediate encoding. If the slot's
     /// transport is not yet established the stream simply queues work
-    /// until [`MuxEndpoint::connect_transport`] runs.
+    /// until `MuxEndpoint::connect_transport` runs.
     pub fn open_stream(&mut self, stream: u32) -> Result<(), ExsError> {
         if stream > MAX_MUX_STREAM {
             return Err(ProtocolError::StreamIdOverflow(stream).into());
@@ -429,7 +424,7 @@ impl MuxEndpoint {
 
     /// Slots that have at least one open stream but no established
     /// transport yet — the lazy-establishment work list.
-    pub fn pending_slots(&self) -> Vec<usize> {
+    pub(crate) fn pending_slots(&self) -> Vec<usize> {
         let pool = self.transports.len();
         let mut pending = vec![false; pool];
         for &id in self.streams.keys() {
@@ -454,7 +449,7 @@ impl MuxEndpoint {
     /// slots, pre-posts the receive credits, and returns the
     /// [`MuxPeerInfo`] to hand to the peer. All transports of one
     /// endpoint must complete onto the same `(send_cq, recv_cq)` pair.
-    pub fn prepare_transport(
+    pub(crate) fn prepare_transport(
         &mut self,
         api: &mut impl VerbsPort,
         slot: usize,
@@ -499,7 +494,7 @@ impl MuxEndpoint {
     /// Completes a slot's establishment with the peer's parameters and
     /// schedules any streams that queued sends while waiting, in id
     /// order.
-    pub fn connect_transport(&mut self, slot: usize, peer: MuxPeerInfo) {
+    pub(crate) fn connect_transport(&mut self, slot: usize, peer: MuxPeerInfo) {
         let pool = self.transports.len();
         let t = self.transports[slot]
             .as_mut()
@@ -701,7 +696,7 @@ impl MuxEndpoint {
     /// queues due FINs, flushes control traffic and credit returns.
     /// Backends that dispatch CQEs themselves (the reactor) call this
     /// once per service round instead of [`MuxEndpoint::handle_wake`].
-    pub fn progress(&mut self, api: &mut impl VerbsPort) {
+    pub(crate) fn progress(&mut self, api: &mut impl VerbsPort) {
         for slot in 0..self.transports.len() {
             let Some(t) = self.transports[slot].as_ref() else {
                 continue;
@@ -720,7 +715,7 @@ impl MuxEndpoint {
     /// Dispatches one receive-side completion to its transport. Public
     /// so a [`crate::reactor::Reactor`] hosting this endpoint can feed
     /// it CQEs it drained itself.
-    pub fn on_recv_cqe(&mut self, api: &mut impl VerbsPort, cqe: Cqe) {
+    pub(crate) fn on_recv_cqe(&mut self, api: &mut impl VerbsPort, cqe: Cqe) {
         let Some(&slot) = self.by_qpn.get(&cqe.qpn) else {
             return;
         };
@@ -734,7 +729,7 @@ impl MuxEndpoint {
     }
 
     /// Dispatches one send-side completion to its transport.
-    pub fn on_send_cqe(&mut self, api: &mut impl VerbsPort, cqe: Cqe) {
+    pub(crate) fn on_send_cqe(&mut self, api: &mut impl VerbsPort, cqe: Cqe) {
         let Some(&slot) = self.by_qpn.get(&cqe.qpn) else {
             return;
         };
@@ -1364,7 +1359,7 @@ impl MuxEndpoint {
     /// WQEs, or a closed stream whose FIN is not yet queued. Progress
     /// is CQE-driven — a service loop must not stop polling while this
     /// holds. A failed endpoint reports false.
-    pub fn has_unsent(&self) -> bool {
+    pub(crate) fn has_unsent(&self) -> bool {
         if self.last_error.is_some() {
             return false;
         }
@@ -1449,7 +1444,7 @@ impl MuxEndpoint {
 
     /// Deterministic model of this endpoint's pinned/context memory:
     /// per established transport, the shared ring, the control-slot
-    /// region, and [`WQE_SLOT_BYTES`]-sized SQ/RQ/CQ slot shares; per
+    /// region, and `WQE_SLOT_BYTES`-sized SQ/RQ/CQ slot shares; per
     /// open stream, just `size_of::<MuxStream>()`. Compare against
     /// [`MuxEndpoint::baseline_footprint`].
     pub fn memory_footprint(&self) -> u64 {

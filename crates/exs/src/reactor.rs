@@ -124,7 +124,7 @@ pub struct Readiness {
 
 impl Readiness {
     /// Readiness with every flag clear.
-    pub const NONE: Readiness = Readiness {
+    pub(crate) const NONE: Readiness = Readiness {
         readable: false,
         closed: false,
         error: false,
@@ -312,7 +312,7 @@ impl Reactor {
 
     /// Accepts an endpoint — a [`crate::StreamSocket`] or a
     /// [`crate::MuxEndpoint`] — into the event loop: every QP it owns
-    /// (a pool's future ones after [`Reactor::index_qps`]) is
+    /// (a pool's future ones after `Reactor::index_qps`) is
     /// dispatched back to it by QP number. Its CQs must be this
     /// reactor's shared CQs.
     pub fn accept(&mut self, ep: impl Into<Endpoint>) -> ConnId {
@@ -357,7 +357,7 @@ impl Reactor {
     /// Re-scans a hosted endpoint's QPs and indexes those established
     /// since the last scan. Call after lazily connecting new pool
     /// slots on an endpoint that is already hosted.
-    pub fn index_qps(&mut self, id: ConnId) {
+    pub(crate) fn index_qps(&mut self, id: ConnId) {
         let Reactor { slots, by_qpn, .. } = self;
         let slot = slots[id.0 as usize].as_ref().expect("live conn");
         slot.ep.for_each_qpn(|qpn| {
@@ -586,7 +586,7 @@ impl Reactor {
     }
 
     /// True while any hosted endpoint still owes traffic to the wire
-    /// (see [`crate::StreamSocket::has_unsent`]). A service loop that
+    /// (see `crate::StreamSocket::has_unsent`). A service loop that
     /// exits while this holds can strand a peer — most visibly an
     /// un-flushed FIN after a shutdown, which leaves the other side
     /// waiting for an end-of-stream that never comes. Broken endpoints

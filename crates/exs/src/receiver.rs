@@ -167,11 +167,6 @@ impl ReceiverHalf {
         self.ring.count()
     }
 
-    /// Outstanding prior-phase ADVERTs (`k_a`).
-    pub fn prior_phase_adverts(&self) -> u32 {
-        self.prior_phase_adverts
-    }
-
     /// Queued receives not yet advertised (`k_b`).
     pub fn unadvertised(&self) -> usize {
         self.recvs.iter().filter(|r| r.advert.is_none()).count()
@@ -281,7 +276,7 @@ impl ReceiverHalf {
     /// ADVERT is out, the sender may already be writing into the buffer
     /// (ES-API `exs_cancel` semantics: best-effort, fails for
     /// in-progress operations). Returns true if the receive was removed.
-    pub fn cancel_recv(&mut self, id: u64) -> bool {
+    pub(crate) fn cancel_recv(&mut self, id: u64) -> bool {
         let Some(pos) = self.recvs.iter().position(|r| r.op.id == id) else {
             return false;
         };
@@ -297,7 +292,7 @@ impl ReceiverHalf {
     /// sequence number. Every queued receive completes with whatever it
     /// holds (possibly zero bytes); no further ADVERTs are emitted for
     /// them. The socket layer calls this exactly once.
-    pub fn flush_eof(&mut self, stats: &mut ConnStats, actions: &mut Vec<RecvAction>) {
+    pub(crate) fn flush_eof(&mut self, stats: &mut ConnStats, actions: &mut Vec<RecvAction>) {
         debug_assert!(self.ring.is_empty(), "EOF with data still buffered");
         while let Some(r) = self.recvs.pop_front() {
             if let Some(meta) = r.advert {
@@ -564,7 +559,7 @@ mod tests {
             .iter()
             .any(|a| matches!(a, RecvAction::SendAck { freed: 50 })));
         assert_eq!(r.seq(), Seq(50));
-        assert_eq!(r.prior_phase_adverts(), 0);
+        assert_eq!(r.prior_phase_adverts, 0);
     }
 
     #[test]
@@ -622,7 +617,7 @@ mod tests {
         // An indirect transfer invalidates them (k_a = 3) and satisfies
         // only the first (40 bytes).
         r.on_indirect(40, &mut st, &mut acts).unwrap();
-        assert_eq!(r.prior_phase_adverts(), 2);
+        assert_eq!(r.prior_phase_adverts, 2);
         assert_eq!(completions(&acts), vec![(1, 40)]);
         acts.clear();
         // A new receive must NOT be advertised: prior-phase adverts
@@ -635,7 +630,7 @@ mod tests {
         // then 4, after which the gate reopens for receive 5.
         r.on_indirect(300, &mut st, &mut acts).unwrap();
         assert_eq!(completions(&acts), vec![(2, 100), (3, 100), (4, 100)]);
-        assert_eq!(r.prior_phase_adverts(), 0);
+        assert_eq!(r.prior_phase_adverts, 0);
         acts.clear();
         r.push_recv(op(5, 0x6000, 64, false), &mut st, &mut acts);
         let ads = adverts(&acts);
@@ -752,7 +747,7 @@ mod tests {
         r.flush_eof(&mut st, &mut acts);
         assert_eq!(completions(&acts), vec![(1, 40), (2, 0)]);
         assert_eq!(r.queue_len(), 0);
-        assert_eq!(r.prior_phase_adverts(), 0);
+        assert_eq!(r.prior_phase_adverts, 0);
         // Estimates are fully retired: the next advert is exact again.
         acts.clear();
         r.push_recv(op(3, 0x4000, 10, false), &mut st, &mut acts);

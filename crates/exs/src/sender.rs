@@ -47,9 +47,9 @@ struct QueuedAdvert {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct WwiPlan {
     /// Remote virtual address to write to.
-    pub raddr: u64,
+    pub(crate) raddr: u64,
     /// Remote key authorizing the write.
-    pub rkey: u32,
+    pub(crate) rkey: u32,
     /// Chunk length.
     pub len: u32,
     /// True for an indirect (intermediate-buffer) transfer.
@@ -131,11 +131,6 @@ impl SenderHalf {
     /// Queued, not-yet-consumed ADVERTs.
     pub fn advert_queue_len(&self) -> usize {
         self.adverts.len()
-    }
-
-    /// Free bytes in the remote intermediate buffer (`b_s`).
-    pub fn buffer_free(&self) -> u64 {
-        self.ring.free()
     }
 
     /// Queues an ADVERT received from the peer.
@@ -450,7 +445,7 @@ mod tests {
         assert_eq!(p.len, 300);
         assert!(s.phase().is_indirect());
         assert_eq!(st.mode_switches, 1);
-        assert_eq!(s.buffer_free(), 700);
+        assert_eq!(s.ring.in_use(), 300);
         // Second chunk continues at offset 300.
         let p2 = s.plan_transfer(100, &mut st).unwrap();
         assert_eq!(p2.raddr, ring().addr + 300);

@@ -13,35 +13,15 @@ pub struct Seq(pub u64);
 
 impl Seq {
     /// Stream start.
-    pub const ZERO: Seq = Seq(0);
+    pub(crate) const ZERO: Seq = Seq(0);
 
     /// Advances by `n` bytes.
     #[inline]
-    pub fn advance(&mut self, n: u64) {
+    pub(crate) fn advance(&mut self, n: u64) {
         self.0 = self
             .0
             .checked_add(n)
             .expect("stream sequence number overflow");
-    }
-
-    /// The position `n` bytes later.
-    #[inline]
-    pub fn plus(self, n: u64) -> Seq {
-        Seq(self.0.checked_add(n).expect("stream sequence overflow"))
-    }
-
-    /// Byte distance from `earlier` to `self` (panics if negative).
-    ///
-    /// Only for distances between *locally maintained* positions, where
-    /// a negative distance is a programming error. Distances involving
-    /// any peer-supplied sequence number must go through
-    /// [`Seq::checked_distance_from`] — a malformed peer must surface a
-    /// protocol error, not abort the process.
-    #[inline]
-    pub fn distance_from(self, earlier: Seq) -> u64 {
-        self.0
-            .checked_sub(earlier.0)
-            .expect("sequence distance underflow")
     }
 
     /// Byte distance from `earlier` to `self`, or `None` when `earlier`
@@ -49,7 +29,7 @@ impl Seq {
     /// sequence numbers that arrived off the wire (ADVERT/FIN/ACK
     /// control paths).
     #[inline]
-    pub fn checked_distance_from(self, earlier: Seq) -> Option<u64> {
+    pub(crate) fn checked_distance_from(self, earlier: Seq) -> Option<u64> {
         self.0.checked_sub(earlier.0)
     }
 }
@@ -65,24 +45,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn advance_and_plus() {
+    fn advance() {
         let mut s = Seq::ZERO;
         s.advance(10);
         assert_eq!(s, Seq(10));
-        assert_eq!(s.plus(5), Seq(15));
-        assert_eq!(s, Seq(10), "plus does not mutate");
-    }
-
-    #[test]
-    fn distance() {
-        assert_eq!(Seq(30).distance_from(Seq(12)), 18);
-        assert_eq!(Seq(5).distance_from(Seq(5)), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "underflow")]
-    fn negative_distance_panics() {
-        let _ = Seq(1).distance_from(Seq(2));
     }
 
     #[test]

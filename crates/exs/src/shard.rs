@@ -74,9 +74,9 @@ impl Placement {
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ShardBalance {
     /// Connections on the fullest shard.
-    pub max_conns: u64,
+    pub(crate) max_conns: u64,
     /// Mean connections per shard.
-    pub mean_conns: f64,
+    pub(crate) mean_conns: f64,
 }
 
 impl ShardBalance {

@@ -148,7 +148,7 @@ impl ConnStats {
 
     /// Records one advert-queue depth observation (receiver side, after
     /// an ADVERT burst).
-    pub fn sample_advert_queue(&mut self, depth: u64) {
+    pub(crate) fn sample_advert_queue(&mut self, depth: u64) {
         self.advert_queue_peak = self.advert_queue_peak.max(depth);
         self.advert_queue_sum += depth;
         self.advert_queue_samples += 1;
@@ -237,7 +237,7 @@ impl ReactorStats {
 impl ShardStats {
     /// A shard's row from its reactor's counters and its placement
     /// count.
-    pub fn new(shard_id: u32, reactor: &ReactorStats, assigned: u64) -> ShardStats {
+    pub(crate) fn new(shard_id: u32, reactor: &ReactorStats, assigned: u64) -> ShardStats {
         ShardStats {
             shard_id,
             conns: reactor.live_conns(),

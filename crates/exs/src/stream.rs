@@ -194,7 +194,7 @@ impl StreamSocket {
     /// Builds one endpoint on `node` over an already-connected QP, on
     /// either backend: registers the intermediate ring and the control
     /// slots and pre-posts the receive credits. The returned
-    /// [`SetupInfo`] must be exchanged with the peer (connection setup is
+    /// `SetupInfo` must be exchanged with the peer (connection setup is
     /// out of band, like `rdma_cm` parameter exchange).
     pub fn prepare(
         api: &mut impl VerbsPort,
@@ -283,7 +283,7 @@ impl StreamSocket {
     }
 
     /// Number of user events queued and not yet taken.
-    pub fn events_pending(&self) -> usize {
+    pub(crate) fn events_pending(&self) -> usize {
         self.events.len()
     }
 
@@ -568,7 +568,7 @@ impl StreamSocket {
     /// so a service loop that stops polling while this holds strands
     /// the peer — drain before tearing the loop down. A broken socket
     /// reports false: nothing it holds can be sent any more.
-    pub fn has_unsent(&self) -> bool {
+    pub(crate) fn has_unsent(&self) -> bool {
         if self.is_broken() {
             return false;
         }
@@ -599,15 +599,9 @@ impl StreamSocket {
             .expect("free intermediate ring at close");
     }
 
-    /// True once [`StreamSocket::close`] has released the socket's
-    /// registrations.
-    pub fn is_closed(&self) -> bool {
-        self.chan.is_closed()
-    }
-
     /// True once the peer's stream has fully ended (FIN seen and every
     /// byte delivered).
-    pub fn peer_closed(&self) -> bool {
+    pub(crate) fn peer_closed(&self) -> bool {
         self.eof_delivered
     }
 
@@ -669,7 +663,7 @@ impl StreamSocket {
     ///
     /// **The quiet rule.** A socket with no user events queued, no
     /// cancelled staging region to free and nothing unsent
-    /// ([`StreamSocket::has_unsent`]) is *quiet*: a wake that finds both
+    /// (`StreamSocket::has_unsent`) is *quiet*: a wake that finds both
     /// CQs empty costs it the two empty polls and nothing more. Protocol
     /// state moves on a completion or on an application call, and each
     /// of those ends by advancing the protocol as far as it goes, so

@@ -18,9 +18,9 @@
 //!
 //! The contract that follows: **an endpoint progresses inside its
 //! calls**. Nothing else works for it after a call returns, so the calls
-//! that end the caller's interest in it — [`ThreadStream::shutdown`],
-//! [`ThreadStream::flush`], [`ThreadStream::close`] — drive it until it
-//! owes the wire nothing ([`StreamSocket::has_unsent`]). Many
+//! that end the caller's interest in it — [`ThreadStream::flush`] and
+//! [`ThreadStream::close`] — drive it until it owes the wire nothing
+//! (`StreamSocket::has_unsent`). Many
 //! connections are served on threads by [`crate::aio`] executors, one
 //! per shard thread ([`crate::Executor::run_threaded`]).
 //!
@@ -42,7 +42,6 @@ use crate::endpoint::Endpoint;
 use crate::mempool::{MemPool, MrLease};
 use crate::mux::{MuxEndpoint, MuxEvent};
 use crate::port::VerbsPort;
-use crate::reactor::Readiness;
 use crate::stats::ConnStats;
 use crate::stream::StreamSocket;
 
@@ -188,8 +187,8 @@ pub fn connect_sockets_shared(
 /// analogue of [`crate::mux::connect_mux_pair`]. Each endpoint gets
 /// (or keeps) one shared CQ pair; one QP per pending slot is created
 /// against it on both sides, connected, and the out-of-band parameter
-/// exchange runs through [`MuxEndpoint::prepare_transport`] /
-/// [`MuxEndpoint::connect_transport`].
+/// exchange runs through `MuxEndpoint::prepare_transport` /
+/// `MuxEndpoint::connect_transport`.
 pub fn connect_mux_over(
     net: &ThreadNet,
     a: (&Arc<ThreadNode>, &mut MuxEndpoint),
@@ -514,38 +513,6 @@ impl ThreadStream {
         self.drain();
     }
 
-    /// Half-closes the sending direction. Queued data drains and the
-    /// FIN follows it before this returns (or after five seconds of a
-    /// peer granting nothing).
-    pub fn shutdown(&self) {
-        self.with_endpoint(|ep, port| ep.shutdown(port, 0));
-        self.drain();
-    }
-
-    /// One progress step, then the endpoint's level-triggered state. A
-    /// closed handle reads as ended.
-    fn state(&self) -> Readiness {
-        let step = |ep: &mut Endpoint, port: &mut ThreadPort<'_>| {
-            ep.handle_wake(port);
-            ep.readiness()
-        };
-        self.with_endpoint(step).unwrap_or(Readiness {
-            closed: true,
-            ..Readiness::NONE
-        })
-    }
-
-    /// True once the peer has closed and its stream fully drained, and
-    /// on a closed handle.
-    pub fn peer_closed(&self) -> bool {
-        self.state().closed
-    }
-
-    /// True once the transport failed underneath the socket.
-    pub fn is_broken(&self) -> bool {
-        self.state().error
-    }
-
     /// Protocol statistics snapshot, CQ-pressure gauges included; all
     /// zero on a closed handle.
     pub fn stats(&self) -> ConnStats {
@@ -584,7 +551,37 @@ mod wake_check;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reactor::Readiness;
     use std::sync::atomic::AtomicBool;
+
+    impl ThreadStream {
+        /// Half-closes the sending direction. Queued data drains and the
+        /// FIN follows it before this returns (or after five seconds of a
+        /// peer granting nothing).
+        pub(crate) fn shutdown(&self) {
+            self.with_endpoint(|ep, port| ep.shutdown(port, 0));
+            self.drain();
+        }
+
+        /// One progress step, then the endpoint's level-triggered state. A
+        /// closed handle reads as ended.
+        fn state(&self) -> Readiness {
+            let step = |ep: &mut Endpoint, port: &mut ThreadPort<'_>| {
+                ep.handle_wake(port);
+                ep.readiness()
+            };
+            self.with_endpoint(step).unwrap_or(Readiness {
+                closed: true,
+                ..Readiness::NONE
+            })
+        }
+
+        /// True once the peer has closed and its stream fully drained, and
+        /// on a closed handle.
+        pub(crate) fn peer_closed(&self) -> bool {
+            self.state().closed
+        }
+    }
 
     #[test]
     fn blocking_roundtrip() {

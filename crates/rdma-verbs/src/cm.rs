@@ -14,8 +14,6 @@ use crate::types::{CqId, NodeId, QpNum, Result};
 /// One side of an established connection.
 #[derive(Clone, Copy, Debug)]
 pub struct ConnHalf {
-    /// The node this half lives on.
-    pub node: NodeId,
     /// The connected queue pair.
     pub qpn: QpNum,
     /// CQ receiving send completions.
@@ -89,13 +87,11 @@ pub fn connect_pool(
     net.with_api(b, |api| api.connect_qp(b_qp, (a, a_qp)))?;
     Ok((
         ConnHalf {
-            node: a,
             qpn: a_qp,
             send_cq: a_send,
             recv_cq: a_recv,
         },
         ConnHalf {
-            node: b,
             qpn: b_qp,
             send_cq: b_send,
             recv_cq: b_recv,
@@ -123,8 +119,6 @@ mod tests {
             0,
         );
         let (ha, hb) = connect_pair(&mut net, a, b, QpCaps::default(), 128).unwrap();
-        assert_eq!(ha.node, a);
-        assert_eq!(hb.node, b);
         net.with_api(a, |api| {
             let qp = api.hca().qp(ha.qpn).unwrap();
             assert_eq!(qp.state(), QpState::ReadyToSend);

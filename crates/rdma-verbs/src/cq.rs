@@ -26,7 +26,7 @@ pub struct CompletionQueue {
 
 impl CompletionQueue {
     /// Creates a CQ able to buffer `capacity` completions.
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         CompletionQueue {
             entries: VecDeque::with_capacity(capacity.min(1024)),
             capacity: capacity.max(1),
@@ -37,7 +37,7 @@ impl CompletionQueue {
     }
 
     /// Pushes a completion.
-    pub fn push(&mut self, cqe: Cqe) {
+    pub(crate) fn push(&mut self, cqe: Cqe) {
         if self.entries.len() == self.capacity {
             self.overflowed = true;
             // Drop the completion; the driver turns `overflowed` into a
@@ -49,7 +49,7 @@ impl CompletionQueue {
 
     /// Polls up to `max` completions into `out`, returning how many were
     /// delivered.
-    pub fn poll(&mut self, max: usize, out: &mut Vec<Cqe>) -> usize {
+    pub(crate) fn poll(&mut self, max: usize, out: &mut Vec<Cqe>) -> usize {
         let n = max.min(self.entries.len());
         for _ in 0..n {
             out.push(self.entries.pop_front().expect("len checked"));
@@ -59,11 +59,6 @@ impl CompletionQueue {
             self.max_batch = self.max_batch.max(n as u64);
         }
         n
-    }
-
-    /// Number of buffered completions.
-    pub fn len(&self) -> usize {
-        self.entries.len()
     }
 
     /// True if no completions are buffered.
@@ -113,7 +108,7 @@ mod tests {
         assert_eq!(cq.poll(3, &mut out), 3);
         assert_eq!(out.iter().map(|c| c.wr_id).collect::<Vec<_>>(), [0, 1, 2]);
         assert_eq!(cq.poll(10, &mut out), 2);
-        assert_eq!(cq.len(), 0);
+        assert_eq!(cq.entries.len(), 0);
     }
 
     #[test]
@@ -140,14 +135,14 @@ mod tests {
         cq.push(cqe(3));
         assert!(cq.overflowed());
         // The overflowing entry was dropped.
-        assert_eq!(cq.len(), 2);
+        assert_eq!(cq.entries.len(), 2);
     }
 
     #[test]
     fn capacity_minimum_is_one() {
         let mut cq = CompletionQueue::new(0);
         cq.push(cqe(1));
-        assert_eq!(cq.len(), 1);
+        assert_eq!(cq.entries.len(), 1);
         cq.push(cqe(2));
         assert!(cq.overflowed());
     }

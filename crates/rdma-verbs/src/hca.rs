@@ -16,17 +16,18 @@
 //! Wire-facing behaviour follows RC semantics: operations are processed
 //! in arrival order, SEND and WRITE-WITH-IMM consume posted receives
 //! (receiver-not-ready is fatal — the EXS credit protocol must prevent it),
-//! RDMA WRITE/READ validate rkey, bounds and access flags against the
-//! registration table.
+//! RDMA WRITE validates rkey, bounds and access flags against the
+//! registration table. Every message on the wire is a work request some
+//! application posted: the HCA originates no traffic of its own.
 
 use bytes::Bytes;
-use simnet::{SimDuration, Slab};
+use simnet::SimDuration;
 
 use crate::cq::CompletionQueue;
 use crate::mr::{DmaSource, MemoryTable, MrInfo};
 use crate::qp::{QpCaps, QueuePair};
 use crate::types::{
-    Access, CqId, Cqe, MrKey, NodeId, QpNum, RecvWr, Result, SendOpcode, SendWr, Sge, VerbsError,
+    Access, CqId, Cqe, MrKey, NodeId, QpNum, RecvWr, Result, SendOpcode, SendWr, VerbsError,
     WcOpcode, WcStatus,
 };
 use crate::wire::{Payload, WireMessage, WireOp};
@@ -35,7 +36,7 @@ use crate::wire::{Payload, WireMessage, WireOp};
 #[derive(Clone, Debug)]
 pub struct HcaConfig {
     /// Per-WQE processing latency (doorbell to wire handoff).
-    pub wqe_process: SimDuration,
+    pub(crate) wqe_process: SimDuration,
 }
 
 impl Default for HcaConfig {
@@ -53,16 +54,12 @@ pub enum Effect {
     /// (on `SimNet`, one app wake per burst of completions), and the
     /// woken code polls its CQs to find it.
     Completion,
-    /// The HCA originated a wire message itself (RDMA READ response);
-    /// the driver must run it through the transmit pipeline.
-    Transmit(WireMessage),
     /// Unrecoverable protocol violation (receiver-not-ready, remote
     /// access error). A real HCA would move the QP to the error state
-    /// after retries; the simulator surfaces it to the driver, which by
-    /// default treats it as a test failure (`SimNet::fatal_errors`
-    /// collects it instead when asked). A message lost on the way is
-    /// not one: `SimNet` counts it by cause (`SimNet::losses`) and fails
-    /// the sender's QP.
+    /// after retries; the simulator surfaces it to the driver: `SimNet`
+    /// panics, treating it as a protocol bug, and `ThreadNet` fails the
+    /// QP. A message lost on the way is not one: `SimNet` counts it by
+    /// cause (`SimNet::losses`) and fails the sender's QP.
     Fatal {
         /// The violated QP.
         qpn: QpNum,
@@ -78,24 +75,13 @@ pub enum Effect {
 #[derive(Debug)]
 pub struct PreparedSend {
     /// The message to carry to the peer.
-    pub msg: WireMessage,
+    pub(crate) msg: WireMessage,
     /// Send-side completion for the driver to hand to
     /// [`HcaCore::tx_finished`] once the source buffer is no longer
     /// needed: `SimNet` does so when the peer's acknowledgment returns
     /// (after the message was delivered), `ThreadNet` right after it
-    /// delivered the message. `None` for unsignaled sends and for RDMA
-    /// READ, which completes on response.
-    pub completion: Option<Cqe>,
-    /// True for RDMA READ requests: the SQ slot stays occupied until the
-    /// response arrives.
-    pub is_read: bool,
-}
-
-struct PendingRead {
-    qpn: QpNum,
-    wr_id: u64,
-    sge: Sge,
-    signaled: bool,
+    /// delivered the message. `None` for unsignaled sends.
+    pub(crate) completion: Option<Cqe>,
 }
 
 /// Table index of a QP number or CQ id: both count from 1. Id 0 wraps
@@ -109,8 +95,7 @@ fn index_of(id: u32) -> usize {
 ///
 /// Every id is an index. QP numbers and CQ ids are handed out from 1
 /// and never retired, so QP `n` is `qps[n - 1]` and CQ `n` is
-/// `cqs[n - 1]`; a READ's wire token is the slot its `PendingRead`
-/// waits in; memory keys are slot + generation (see [`crate::mr`]).
+/// `cqs[n - 1]`; memory keys are slot + generation (see `mr`).
 /// Anything that walks these tables does so in id order.
 pub struct HcaCore {
     node: NodeId,
@@ -118,31 +103,24 @@ pub struct HcaCore {
     mem: MemoryTable,
     qps: Vec<QueuePair>,
     cqs: Vec<CompletionQueue>,
-    pending_reads: Slab<PendingRead>,
     polls_executed: u64,
 }
 
 impl HcaCore {
     /// Creates an empty HCA for `node`.
-    pub fn new(node: NodeId, cfg: HcaConfig) -> Self {
+    pub(crate) fn new(node: NodeId, cfg: HcaConfig) -> Self {
         HcaCore {
             node,
             cfg,
             mem: MemoryTable::new(),
             qps: Vec::new(),
             cqs: Vec::new(),
-            pending_reads: Slab::new(),
             polls_executed: 0,
         }
     }
 
-    /// This HCA's node id.
-    pub fn node(&self) -> NodeId {
-        self.node
-    }
-
     /// Static configuration.
-    pub fn config(&self) -> &HcaConfig {
+    pub(crate) fn config(&self) -> &HcaConfig {
         &self.cfg
     }
 
@@ -198,16 +176,16 @@ impl HcaCore {
         self.cq(send_cq)?;
         self.cq(recv_cq)?;
         let qpn = QpNum(self.qps.len() as u32 + 1);
-        self.qps.push(QueuePair::new(qpn, send_cq, recv_cq, caps));
+        self.qps.push(QueuePair::new(send_cq, recv_cq, caps));
         Ok(qpn)
     }
 
     /// Walks a QP through INIT → RTR → RTS against the given peer.
     pub fn connect_qp(&mut self, qpn: QpNum, remote: (NodeId, QpNum)) -> Result<()> {
         let qp = self.qp_mut(qpn)?;
-        qp.to_init()?;
-        qp.to_rtr(remote)?;
-        qp.to_rts()?;
+        qp.modify_to_init()?;
+        qp.modify_to_rtr(remote)?;
+        qp.modify_to_rts()?;
         Ok(())
     }
 
@@ -221,7 +199,7 @@ impl HcaCore {
 
     /// Mutable QP access.
     #[inline]
-    pub fn qp_mut(&mut self, qpn: QpNum) -> Result<&mut QueuePair> {
+    pub(crate) fn qp_mut(&mut self, qpn: QpNum) -> Result<&mut QueuePair> {
         self.qps
             .get_mut(index_of(qpn.0))
             .ok_or(VerbsError::UnknownQp(qpn))
@@ -237,14 +215,14 @@ impl HcaCore {
 
     /// Mutable CQ access.
     #[inline]
-    pub fn cq_mut(&mut self, cq: CqId) -> Result<&mut CompletionQueue> {
+    pub(crate) fn cq_mut(&mut self, cq: CqId) -> Result<&mut CompletionQueue> {
         self.cqs
             .get_mut(index_of(cq.0))
             .ok_or(VerbsError::UnknownCq(cq))
     }
 
     /// Polls up to `max` completions from `cq`.
-    pub fn poll_cq(&mut self, cq: CqId, max: usize, out: &mut Vec<Cqe>) -> Result<usize> {
+    pub(crate) fn poll_cq(&mut self, cq: CqId, max: usize, out: &mut Vec<Cqe>) -> Result<usize> {
         self.polls_executed += 1;
         let q = self.cq_mut(cq)?;
         assert!(
@@ -260,10 +238,10 @@ impl HcaCore {
     /// the ULP can learn which buffers were never filled. One
     /// [`Effect::Completion`] per flushed receive is appended to
     /// `effects`.
-    pub fn fail_qp(&mut self, qpn: QpNum, effects: &mut Vec<Effect>) -> Result<()> {
+    pub(crate) fn fail_qp(&mut self, qpn: QpNum, effects: &mut Vec<Effect>) -> Result<()> {
         let qp = self.qp_mut(qpn)?;
         let recv_cq = qp.recv_cq();
-        for wr in qp.to_error() {
+        for wr in qp.modify_to_error() {
             self.push_cqe(
                 recv_cq,
                 Cqe {
@@ -281,7 +259,7 @@ impl HcaCore {
     }
 
     /// Posts a receive WQE.
-    pub fn post_recv(&mut self, qpn: QpNum, wr: RecvWr) -> Result<()> {
+    pub(crate) fn post_recv(&mut self, qpn: QpNum, wr: RecvWr) -> Result<()> {
         // Validate the SGE eagerly so misuse fails at post time, like a
         // real HCA's address translation check.
         if let Some(sge) = wr.sge {
@@ -295,7 +273,7 @@ impl HcaCore {
     /// Timing, delivery and the moment the source buffer is read are the
     /// driver's job: a payload in registered memory leaves here as a
     /// checked [`Payload::Source`] description, not as bytes.
-    pub fn prepare_send(&mut self, qpn: QpNum, wr: SendWr) -> Result<PreparedSend> {
+    pub(crate) fn prepare_send(&mut self, qpn: QpNum, wr: SendWr) -> Result<PreparedSend> {
         let max_inline = self.qp(qpn)?.caps().max_inline;
         if let Some(inline) = &wr.inline {
             if inline.len() > max_inline {
@@ -318,12 +296,7 @@ impl HcaCore {
         } else if let Some(sge) = wr.sge {
             self.mem
                 .check(sge.lkey, sge.addr, sge.len as u64, Access::NONE)?;
-            if wr.opcode == SendOpcode::RdmaRead {
-                // The SGE is the local destination of the response.
-                Payload::Owned(Bytes::new())
-            } else {
-                Payload::Source(sge)
-            }
+            Payload::Source(sge)
         } else {
             Payload::Owned(Bytes::new())
         };
@@ -354,44 +327,19 @@ impl HcaCore {
                     imm: wr.imm.ok_or(VerbsError::MalformedWr("WWI without imm"))?,
                 }
             }
-            SendOpcode::RdmaRead => {
-                let r = wr
-                    .remote
-                    .ok_or(VerbsError::MalformedWr("RDMA READ without remote"))?;
-                let sge = wr
-                    .sge
-                    .ok_or(VerbsError::MalformedWr("RDMA READ without sge"))?;
-                let token = self.pending_reads.insert(PendingRead {
-                    qpn,
-                    wr_id: wr.wr_id,
-                    sge,
-                    signaled: wr.signaled,
-                });
-                WireOp::ReadReq {
-                    raddr: r.addr,
-                    rkey: r.rkey,
-                    len: sge.len,
-                    token: token as u64,
-                }
-            }
         };
 
-        let is_read = wr.opcode == SendOpcode::RdmaRead;
-        let completion = if wr.signaled && !is_read {
-            Some(Cqe {
-                wr_id: wr.wr_id,
-                status: WcStatus::Success,
-                opcode: match wr.opcode {
-                    SendOpcode::Send => WcOpcode::Send,
-                    _ => WcOpcode::RdmaWrite,
-                },
-                byte_len: payload.len() as u32,
-                imm: None,
-                qpn,
-            })
-        } else {
-            None
-        };
+        let completion = wr.signaled.then(|| Cqe {
+            wr_id: wr.wr_id,
+            status: WcStatus::Success,
+            opcode: match wr.opcode {
+                SendOpcode::Send => WcOpcode::Send,
+                _ => WcOpcode::RdmaWrite,
+            },
+            byte_len: payload.len() as u32,
+            imm: None,
+            qpn,
+        });
 
         Ok(PreparedSend {
             msg: WireMessage {
@@ -401,7 +349,6 @@ impl HcaCore {
                 payload,
             },
             completion,
-            is_read,
         })
     }
 
@@ -409,7 +356,7 @@ impl HcaCore {
     /// [`Payload::Source`] names (one allocation, one copy), or another
     /// handle on bytes that are already owned. For a driver that cannot
     /// leave the payload in the source buffer until delivery.
-    pub fn capture_payload(&mut self, payload: &Payload) -> Result<Bytes> {
+    pub(crate) fn capture_payload(&mut self, payload: &Payload) -> Result<Bytes> {
         match payload {
             Payload::Owned(bytes) => Ok(bytes.clone()),
             Payload::Source(sge) => {
@@ -419,7 +366,7 @@ impl HcaCore {
         }
     }
 
-    /// Called by the driver when a non-READ send finishes (see
+    /// Called by the driver when a send finishes (see
     /// [`PreparedSend::completion`] for when that is).
     /// Selective-signaling semantics: an unsignaled WQE's SQ
     /// slot is *not* freed here — it is parked until the next signaled
@@ -427,25 +374,21 @@ impl HcaCore {
     /// run plus itself in one batch (the ULP can only learn slots are
     /// free from a CQE, and the FIFO channel makes one CQE vouch for
     /// everything posted before it).
-    pub fn tx_finished(&mut self, qpn: QpNum, completion: Option<Cqe>, effects: &mut Vec<Effect>) {
-        if let Ok(qp) = self.qp_mut(qpn) {
-            match completion {
-                Some(_) => {
-                    qp.release_sq_batch();
-                }
-                None => qp.defer_sq_release(),
-            }
-        }
-        if let Some(cqe) = completion {
-            self.push_completion_for_send(qpn, cqe, effects);
-        }
-    }
-
-    fn push_completion_for_send(&mut self, qpn: QpNum, cqe: Cqe, effects: &mut Vec<Effect>) {
-        let cq = match self.qp(qpn) {
-            Ok(qp) => qp.send_cq(),
-            Err(_) => return,
+    pub(crate) fn tx_finished(
+        &mut self,
+        qpn: QpNum,
+        completion: Option<Cqe>,
+        effects: &mut Vec<Effect>,
+    ) {
+        let Ok(qp) = self.qp_mut(qpn) else {
+            return;
         };
+        let Some(cqe) = completion else {
+            qp.defer_sq_release();
+            return;
+        };
+        qp.release_sq_batch();
+        let cq = qp.send_cq();
         self.push_cqe(cq, cqe, effects);
     }
 
@@ -454,14 +397,13 @@ impl HcaCore {
         effects.push(Effect::Completion);
     }
 
-    /// Processes an arriving wire message, appending the completions,
-    /// responder transmissions and/or fatal errors it produces to
-    /// `effects` (the driver's scratch list, so a delivery allocates
-    /// nothing of its own). `data` is the message's payload as the
+    /// Processes an arriving wire message, appending the completions
+    /// and/or fatal errors it produces to `effects` (the driver's scratch
+    /// list, so a delivery allocates nothing of its own). `data` is the message's payload as the
     /// driver resolved it — the message's own bytes, or a view of the
     /// source region — and is placed exactly once, into the destination
     /// region ([`MemoryTable::dma_write`]).
-    pub fn handle_wire(
+    pub(crate) fn handle_wire(
         &mut self,
         msg: &WireMessage,
         data: DmaSource<'_>,
@@ -515,69 +457,6 @@ impl HcaCore {
                         status: WcStatus::RnrRetryExceeded,
                         detail: "WRITE WITH IMM arrived with no posted RECV".to_string(),
                     }),
-                }
-            }
-            WireOp::ReadReq {
-                raddr,
-                rkey,
-                len,
-                token,
-            } => match self
-                .mem
-                .capture(rkey, raddr, len as u64, Access::REMOTE_READ)
-            {
-                Ok(bytes) => {
-                    effects.push(Effect::Transmit(WireMessage {
-                        src: msg.dst,
-                        dst: msg.src,
-                        op: WireOp::ReadResp { token },
-                        payload: Payload::Owned(bytes),
-                    }));
-                }
-                Err(e) => effects.push(Effect::Fatal {
-                    qpn,
-                    status: WcStatus::RemoteAccessError,
-                    detail: format!("RDMA READ rejected: {e}"),
-                }),
-            },
-            WireOp::ReadResp { token } => {
-                let pending = u32::try_from(token)
-                    .ok()
-                    .and_then(|slot| self.pending_reads.remove(slot));
-                let Some(pending) = pending else {
-                    effects.push(Effect::Fatal {
-                        qpn,
-                        status: WcStatus::LocalProtectionError,
-                        detail: format!("READ response with unknown token {token}"),
-                    });
-                    return;
-                };
-                if let Err(e) = self.mem.dma_write(
-                    pending.sge.lkey,
-                    pending.sge.addr,
-                    data,
-                    Access::LOCAL_WRITE,
-                ) {
-                    effects.push(Effect::Fatal {
-                        qpn: pending.qpn,
-                        status: WcStatus::LocalProtectionError,
-                        detail: format!("READ response placement failed: {e}"),
-                    });
-                    return;
-                }
-                if let Ok(qp) = self.qp_mut(pending.qpn) {
-                    qp.release_sq_slot();
-                }
-                if pending.signaled {
-                    let cqe = Cqe {
-                        wr_id: pending.wr_id,
-                        status: WcStatus::Success,
-                        opcode: WcOpcode::RdmaRead,
-                        byte_len: len,
-                        imm: None,
-                        qpn: pending.qpn,
-                    };
-                    self.push_completion_for_send(pending.qpn, cqe, effects);
                 }
             }
         }
@@ -661,7 +540,7 @@ impl HcaCore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::types::RemoteAddr;
+    use crate::types::{RemoteAddr, Sge};
 
     /// Builds two connected HCAs and returns them with their QPNs and the
     /// CQ ids (send, recv) on each side.
@@ -703,7 +582,6 @@ mod tests {
         b.post_recv(qb, RecvWr::new(77, dst.full_sge())).unwrap();
 
         let prep = a.prepare_send(qa, SendWr::send(11, src.sge(0, 4))).unwrap();
-        assert!(!prep.is_read);
         // Simulate transmission finishing, then delivery.
         let mut fx = Vec::new();
         a.tx_finished(qa, prep.completion, &mut fx);
@@ -863,72 +741,6 @@ mod tests {
         let prep = a.prepare_send(qa, wr).unwrap();
         let fx = deliver(&mut a, &mut b, &prep.msg);
         assert!(matches!(fx[0], Effect::Fatal { .. }));
-    }
-
-    #[test]
-    fn rdma_read_roundtrip() {
-        let (mut a, mut b, qa, _, (a_scq, _), _) = pair();
-        let local = a.register_mr(32, Access::LOCAL_WRITE);
-        let remote = b.register_mr(32, Access::REMOTE_READ | Access::LOCAL_WRITE);
-        b.mem_mut()
-            .app_write(remote.key, remote.addr, b"read-me")
-            .unwrap();
-
-        let wr = SendWr::read(
-            9,
-            local.sge(0, 7),
-            RemoteAddr {
-                addr: remote.addr,
-                rkey: remote.key,
-            },
-        );
-        let prep = a.prepare_send(qa, wr).unwrap();
-        assert!(prep.is_read);
-        assert!(prep.completion.is_none());
-        assert_eq!(prep.msg.payload_len(), 0);
-        assert_eq!(a.qp(qa).unwrap().sq_outstanding(), 1);
-
-        // Responder handles the request and produces a response.
-        let fx = deliver(&mut a, &mut b, &prep.msg);
-        let Effect::Transmit(resp) = &fx[0] else {
-            panic!("expected Transmit effect");
-        };
-        assert_eq!(resp.payload_len(), 7);
-
-        // Requester consumes the response.
-        let fx = deliver(&mut b, &mut a, resp);
-        assert!(matches!(fx[0], Effect::Completion));
-        assert_eq!(a.qp(qa).unwrap().sq_outstanding(), 0);
-        let cqes = drain(&mut a, a_scq);
-        assert_eq!(cqes[0].wr_id, 9);
-        assert_eq!(cqes[0].opcode, WcOpcode::RdmaRead);
-        let mut buf = [0u8; 7];
-        a.mem().app_read(local.key, local.addr, &mut buf).unwrap();
-        assert_eq!(&buf, b"read-me");
-    }
-
-    #[test]
-    fn read_from_unauthorized_region_fails() {
-        let (mut a, mut b, qa, _, _, _) = pair();
-        let local = a.register_mr(8, Access::LOCAL_WRITE);
-        let remote = b.register_mr(8, Access::NONE);
-        let wr = SendWr::read(
-            1,
-            local.sge(0, 8),
-            RemoteAddr {
-                addr: remote.addr,
-                rkey: remote.key,
-            },
-        );
-        let prep = a.prepare_send(qa, wr).unwrap();
-        let fx = deliver(&mut a, &mut b, &prep.msg);
-        assert!(matches!(
-            fx[0],
-            Effect::Fatal {
-                status: WcStatus::RemoteAccessError,
-                ..
-            }
-        ));
     }
 
     #[test]

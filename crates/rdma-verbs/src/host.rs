@@ -18,30 +18,30 @@ pub struct HostModel {
     /// Sustained large-copy memory bandwidth (bytes/second) for
     /// cache-missing copies between the intermediate buffer and user
     /// memory.
-    pub memcpy_bytes_per_sec: u64,
+    pub(crate) memcpy_bytes_per_sec: u64,
     /// Fixed per-memcpy-call overhead.
-    pub memcpy_base: SimDuration,
+    pub(crate) memcpy_base: SimDuration,
     /// Cost of one `post_send`/`post_recv` verbs call (doorbell write,
     /// WQE build).
-    pub post_overhead: SimDuration,
+    pub(crate) post_overhead: SimDuration,
     /// Cost of one `poll_cq` call (amortized over a batch).
-    pub poll_overhead: SimDuration,
+    pub(crate) poll_overhead: SimDuration,
     /// Protocol-layer cost of handling one completion event.
     pub cqe_process: SimDuration,
     /// CPU cost of processing a completion-channel event (the paper uses
     /// event notification, not busy polling, for large messages —
     /// §IV-B).
-    pub event_wakeup: SimDuration,
+    pub(crate) event_wakeup: SimDuration,
     /// Sleep-to-run latency when a blocked process is woken by the
     /// completion channel: elapsed but *not* busy time (the process was
     /// in epoll_wait-style sleep). Applied only when the core was idle
     /// when the completion arrived.
-    pub wakeup_latency: SimDuration,
+    pub(crate) wakeup_latency: SimDuration,
     /// Probability that a wakeup suffers an additional scheduling stall
     /// (timer tick, interrupt, preemption) — the heavy tail of OS noise.
-    pub stall_prob: f64,
+    pub(crate) stall_prob: f64,
     /// Maximum stall length (uniformly drawn in `[0, stall_max]`).
-    pub stall_max: SimDuration,
+    pub(crate) stall_max: SimDuration,
     /// Busy-poll the completion queues instead of blocking on the
     /// completion channel: no wakeup latency and no scheduling stalls,
     /// but the core is pinned at 100% by definition (the paper's blast
@@ -49,7 +49,7 @@ pub struct HostModel {
     /// large enough that there is little advantage to busy polling",
     /// §IV-B; the latency ablation quantifies the advantage that *does*
     /// exist for small messages).
-    pub busy_poll: bool,
+    pub(crate) busy_poll: bool,
     /// Relative uniform jitter applied to every charged CPU cost,
     /// modelling OS scheduling noise: each cost is scaled by a factor
     /// drawn uniformly from `[1 − jitter_frac, 1 + jitter_frac]`.
@@ -57,19 +57,19 @@ pub struct HostModel {
     /// runs show large run-to-run variance in the direct-transfer ratio
     /// (Fig. 11b); that variance comes from exactly this noise tipping
     /// the ADVERT race one way or the other.
-    pub jitter_frac: f64,
+    pub(crate) jitter_frac: f64,
     /// Fixed cost of one `ibv_reg_mr` call: the kernel transition, page
     /// pinning setup and HCA translation-table update. Pin-down-cache
     /// papers (Taranov et al.; MPICH2-over-IB) measure this in the tens
     /// of microseconds — the cost the mempool subsystem exists to avoid.
-    pub mr_register_base: SimDuration,
+    pub(crate) mr_register_base: SimDuration,
     /// Incremental registration cost per 4 KiB page (get_user_pages +
     /// translation entry per page).
-    pub mr_register_per_page: SimDuration,
+    pub(crate) mr_register_per_page: SimDuration,
     /// Fixed cost of one `ibv_dereg_mr` call (unpin + invalidate).
-    pub mr_deregister_base: SimDuration,
+    pub(crate) mr_deregister_base: SimDuration,
     /// Incremental deregistration cost per 4 KiB page.
-    pub mr_deregister_per_page: SimDuration,
+    pub(crate) mr_deregister_per_page: SimDuration,
 }
 
 impl HostModel {
@@ -97,7 +97,7 @@ impl HostModel {
 
     /// Time to copy `bytes` through the CPU (zero-bandwidth models copy
     /// as free).
-    pub fn memcpy_time(&self, bytes: u64) -> SimDuration {
+    pub(crate) fn memcpy_time(&self, bytes: u64) -> SimDuration {
         if bytes == 0 {
             return SimDuration::ZERO;
         }
@@ -111,13 +111,13 @@ impl HostModel {
     /// Time to register a memory region of `bytes` bytes: the fixed
     /// syscall/pin setup plus a per-page pinning cost (regions are
     /// page-granular, so even a one-byte region pins one page).
-    pub fn mr_register_time(&self, bytes: u64) -> SimDuration {
+    pub(crate) fn mr_register_time(&self, bytes: u64) -> SimDuration {
         let pages = bytes.div_ceil(4096).max(1);
         self.mr_register_base + self.mr_register_per_page.mul_u64(pages)
     }
 
     /// Time to deregister a memory region of `bytes` bytes.
-    pub fn mr_deregister_time(&self, bytes: u64) -> SimDuration {
+    pub(crate) fn mr_deregister_time(&self, bytes: u64) -> SimDuration {
         let pages = bytes.div_ceil(4096).max(1);
         self.mr_deregister_base + self.mr_deregister_per_page.mul_u64(pages)
     }
@@ -141,7 +141,7 @@ impl Default for CpuMeter {
 
 impl CpuMeter {
     /// A fresh, idle core.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         CpuMeter {
             free_at: SimTime::ZERO,
             busy_total: SimDuration::ZERO,
@@ -149,14 +149,14 @@ impl CpuMeter {
     }
 
     /// The instant the core becomes idle.
-    pub fn free_at(&self) -> SimTime {
+    pub(crate) fn free_at(&self) -> SimTime {
         self.free_at
     }
 
     /// Charges `work` starting no earlier than `now`, returning the
     /// completion instant. Work requested while the core is busy queues
     /// behind it (single-core model).
-    pub fn charge(&mut self, now: SimTime, work: SimDuration) -> SimTime {
+    pub(crate) fn charge(&mut self, now: SimTime, work: SimDuration) -> SimTime {
         let start = now.max(self.free_at);
         let end = start + work;
         self.free_at = end;
@@ -165,13 +165,13 @@ impl CpuMeter {
     }
 
     /// Total busy time ever charged.
-    pub fn busy_total(&self) -> SimDuration {
+    pub(crate) fn busy_total(&self) -> SimDuration {
         self.busy_total
     }
 
     /// CPU usage over the run so far, from time zero to `now`, as a
     /// fraction in `[0, 1]`: 0 at time zero.
-    pub fn usage(&self, now: SimTime) -> f64 {
+    pub(crate) fn usage(&self, now: SimTime) -> f64 {
         if now == SimTime::ZERO {
             return 0.0;
         }

@@ -174,31 +174,6 @@ pub struct MemoryRegion {
 }
 
 impl MemoryRegion {
-    /// The region's key (lkey == rkey in this simulator).
-    pub fn key(&self) -> MrKey {
-        self.key
-    }
-
-    /// First virtual address of the region.
-    pub fn base(&self) -> u64 {
-        self.base
-    }
-
-    /// Length in bytes.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True for a zero-length registration.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Granted access flags.
-    pub fn access(&self) -> Access {
-        self.access
-    }
-
     fn check_range(&self, addr: u64, len: u64) -> Result<usize> {
         let end = addr
             .checked_add(len)
@@ -346,13 +321,8 @@ pub struct RegionView<'a> {
 
 impl RegionView<'_> {
     /// Length of the range in bytes.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.len
-    }
-
-    /// True for an empty range.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     /// The range's bytes, copied.
@@ -374,8 +344,7 @@ impl RegionView<'_> {
 
 /// Where the bytes a placement writes come from.
 pub enum DmaSource<'a> {
-    /// Bytes the caller holds: inline data, a captured payload, an RDMA
-    /// READ response.
+    /// Bytes the caller holds: inline data or a captured payload.
     Slice(&'a [u8]),
     /// A range of a region in another table, placed by page reference
     /// wherever the pages line up (see the module docs).
@@ -384,16 +353,11 @@ pub enum DmaSource<'a> {
 
 impl DmaSource<'_> {
     /// Length in bytes.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         match self {
             DmaSource::Slice(bytes) => bytes.len(),
             DmaSource::Region(view) => view.len(),
         }
-    }
-
-    /// True when there is nothing to place.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -541,14 +505,6 @@ impl MemoryTable {
         self.live == 0
     }
 
-    /// Number of table slots allocated so far, vacant ones included:
-    /// the most regions that were ever live at once, plus the reserved
-    /// slot 0 and one retired slot per 4096 registrations that cycled
-    /// through the same slot.
-    pub fn slots(&self) -> usize {
-        self.slots.len()
-    }
-
     /// Length in bytes of a live registration, if `key` is known.
     pub fn len_of(&self, key: MrKey) -> Option<usize> {
         self.region(key).ok().map(|r| r.len)
@@ -673,8 +629,8 @@ impl MemoryTable {
 
     /// HCA-side DMA read into bytes the caller owns: one allocation and
     /// one copy. For payloads that leave the lock their source is read
-    /// under — an RDMA READ response, and every send on the thread
-    /// backend, which delivers under the destination's lock alone.
+    /// under: every send on the thread backend, which delivers under the
+    /// destination's lock alone.
     pub fn capture(
         &mut self,
         key: MrKey,
@@ -757,9 +713,9 @@ mod tests {
     #[test]
     fn register_allocates_disjoint_aligned_ranges() {
         let mut t = MemoryTable::new();
-        let a = t.register(100, Access::all());
-        let b = t.register(5000, Access::all());
-        let c = t.register(0, Access::all());
+        let a = t.register(100, Access::local_remote_write());
+        let b = t.register(5000, Access::local_remote_write());
+        let c = t.register(0, Access::local_remote_write());
         assert_eq!(a.addr % PAGE, 0);
         assert_eq!(b.addr % PAGE, 0);
         assert!(b.addr >= a.addr + 100);
@@ -781,7 +737,7 @@ mod tests {
     #[test]
     fn bounds_are_enforced() {
         let mut t = MemoryTable::new();
-        let mr = t.register(16, Access::all());
+        let mr = t.register(16, Access::local_remote_write());
         assert!(matches!(
             t.app_write(mr.key, mr.addr + 10, &[0; 7]),
             Err(VerbsError::OutOfBounds { .. })
@@ -815,25 +771,34 @@ mod tests {
     #[test]
     fn access_flags_gate_dma() {
         let mut t = MemoryTable::new();
-        let ro = t.register(32, Access::REMOTE_READ);
-        // Remote write against a read-only region fails.
+        let local = t.register(32, Access::LOCAL_WRITE);
+        // Remote write against a region without the grant fails.
         assert_eq!(
-            t.dma_write(ro.key, ro.addr, Slice(&[1, 2]), Access::REMOTE_WRITE),
+            t.dma_write(local.key, local.addr, Slice(&[1, 2]), Access::REMOTE_WRITE),
             Err(VerbsError::AccessViolation)
         );
-        // Remote read is allowed.
-        assert!(t.dma_view(ro.key, ro.addr, 2, Access::REMOTE_READ).is_ok());
-        let wo = t.register(32, Access::local_remote_write());
+        // Local write is allowed.
         assert!(t
-            .dma_write(wo.key, wo.addr, Slice(&[1, 2]), Access::REMOTE_WRITE)
+            .dma_write(local.key, local.addr, Slice(&[1, 2]), Access::LOCAL_WRITE)
             .is_ok());
-        // Remote read without permission fails.
+        let remote = t.register(32, Access::REMOTE_WRITE);
+        assert!(t
+            .dma_write(
+                remote.key,
+                remote.addr,
+                Slice(&[1, 2]),
+                Access::REMOTE_WRITE
+            )
+            .is_ok());
+        // Every checked access asks for the flag.
         assert_eq!(
-            t.dma_view(wo.key, wo.addr, 2, Access::REMOTE_READ).err(),
+            t.dma_view(remote.key, remote.addr, 2, Access::LOCAL_WRITE)
+                .err(),
             Some(VerbsError::AccessViolation)
         );
         assert_eq!(
-            t.capture(wo.key, wo.addr, 2, Access::REMOTE_READ).err(),
+            t.capture(remote.key, remote.addr, 2, Access::LOCAL_WRITE)
+                .err(),
             Some(VerbsError::AccessViolation)
         );
     }
@@ -841,7 +806,7 @@ mod tests {
     #[test]
     fn deregister_invalidates_key() {
         let mut t = MemoryTable::new();
-        let mr = t.register(8, Access::all());
+        let mr = t.register(8, Access::local_remote_write());
         t.deregister(mr.key).unwrap();
         assert_eq!(
             t.app_read(mr.key, mr.addr, &mut [0u8; 1]),
@@ -873,16 +838,16 @@ mod tests {
     #[test]
     fn stale_key_stays_unknown_after_its_slot_is_reused() {
         let mut t = MemoryTable::new();
-        let other = t.register(8, Access::all());
-        let old = t.register(8, Access::all());
+        let other = t.register(8, Access::local_remote_write());
+        let old = t.register(8, Access::local_remote_write());
         t.deregister(old.key).unwrap();
         assert_unknown_everywhere(&mut t, old.key, old.addr, other);
 
         // The next registration takes the freed slot under a new key.
-        let new = t.register(8, Access::all());
+        let new = t.register(8, Access::local_remote_write());
         assert_eq!(slot_of(new.key), slot_of(old.key), "slot reused");
         assert_ne!(new.key, old.key);
-        assert_eq!(t.slots(), 3, "reserved slot 0 + two regions");
+        assert_eq!(t.slots.len(), 3, "reserved slot 0 + two regions");
         // Neither the old key at its old address nor at the new region's
         // address reaches the slot's new occupant.
         assert_unknown_everywhere(&mut t, old.key, old.addr, other);
@@ -909,12 +874,14 @@ mod tests {
     fn registration_churn_is_bounded_by_the_live_set_and_never_repeats_a_key() {
         const CYCLES: usize = 100_000;
         let mut t = MemoryTable::new();
-        let pinned: Vec<MrInfo> = (0..3).map(|_| t.register(16, Access::all())).collect();
+        let pinned: Vec<MrInfo> = (0..3)
+            .map(|_| t.register(16, Access::local_remote_write()))
+            .collect();
         let mut seen = std::collections::BTreeSet::new();
         let mut first = None;
         for _ in 0..CYCLES {
-            let a = t.register(16, Access::all());
-            let b = t.register(16, Access::all());
+            let a = t.register(16, Access::local_remote_write());
+            let b = t.register(16, Access::local_remote_write());
             assert!(seen.insert(a.key) && seen.insert(b.key), "key issued twice");
             first.get_or_insert(a.key);
             t.deregister(a.key).unwrap();
@@ -925,9 +892,9 @@ mod tests {
         // retired slot per MAX_GENERATION + 1 uses of a slot.
         let retired = 2 * CYCLES / (MAX_GENERATION as usize + 1);
         assert!(
-            t.slots() <= 1 + 5 + retired + 2,
+            t.slots.len() <= 1 + 5 + retired + 2,
             "{} slots after {CYCLES} cycles",
-            t.slots()
+            t.slots.len()
         );
         assert_unknown_everywhere(&mut t, first.unwrap(), VA_BASE, pinned[0]);
         for mr in pinned {
@@ -938,8 +905,8 @@ mod tests {
     #[test]
     fn local_copy_moves_bytes() {
         let mut t = MemoryTable::new();
-        let src = t.register(32, Access::all());
-        let dst = t.register(32, Access::all());
+        let src = t.register(32, Access::local_remote_write());
+        let dst = t.register(32, Access::local_remote_write());
         t.app_write(src.key, src.addr, b"stream-bytes").unwrap();
         let n = t
             .local_copy(src.key, src.addr, dst.key, dst.addr + 4, 12)
@@ -954,7 +921,7 @@ mod tests {
     #[test]
     fn local_copy_within_one_region_has_memmove_semantics() {
         let mut t = MemoryTable::new();
-        let mr = t.register(16, Access::all());
+        let mr = t.register(16, Access::local_remote_write());
         let fill = |t: &mut MemoryTable| t.app_write(mr.key, mr.addr, b"0123456789abcdef").unwrap();
         let read = |t: &MemoryTable| {
             let mut buf = [0u8; 16];
@@ -982,8 +949,8 @@ mod tests {
     #[test]
     fn local_copy_rejects_bad_ranges_without_writing() {
         let mut t = MemoryTable::new();
-        let src = t.register(8, Access::all());
-        let dst = t.register(8, Access::all());
+        let src = t.register(8, Access::local_remote_write());
+        let dst = t.register(8, Access::local_remote_write());
         t.app_write(dst.key, dst.addr, b"untouchd").unwrap();
         assert!(matches!(
             t.local_copy(src.key, src.addr, dst.key, dst.addr + 4, 8),
@@ -1014,7 +981,7 @@ mod tests {
     #[test]
     fn capture_and_placement_count_their_bytes_and_views_do_not() {
         let mut t = MemoryTable::new();
-        let mr = t.register(32, Access::all());
+        let mr = t.register(32, Access::local_remote_write());
         t.app_write(mr.key, mr.addr, b"payload").unwrap();
         assert_eq!(t.bytes_copied(), 0, "the app's own writes are not HCA work");
         assert_eq!(
@@ -1035,7 +1002,7 @@ mod tests {
     #[test]
     fn a_region_has_no_page_table_until_its_first_write() {
         let mut t = MemoryTable::new();
-        let mr = t.register(3 * PAGE_LEN + 5, Access::all());
+        let mr = t.register(3 * PAGE_LEN + 5, Access::local_remote_write());
         let pages = |t: &MemoryTable| t.region(mr.key).unwrap().pages.len();
         let mut buf = [1u8; 8];
         t.app_read(mr.key, mr.addr + 100, &mut buf).unwrap();
@@ -1067,8 +1034,8 @@ mod tests {
     fn a_placement_hands_over_the_pages_it_covers_whole_and_copies_the_rest() {
         const LEN: usize = 3 * PAGE_LEN + 100;
         let (mut a, mut b) = (MemoryTable::new(), MemoryTable::new());
-        let src = a.register(LEN, Access::all());
-        let dst = b.register(LEN, Access::all());
+        let src = a.register(LEN, Access::local_remote_write());
+        let dst = b.register(LEN, Access::local_remote_write());
         let pattern: Vec<u8> = (0..LEN).map(|i| (i % 251) as u8).collect();
         a.app_write(src.key, src.addr, &pattern).unwrap();
         let place = |a: &mut MemoryTable, b: &mut MemoryTable, from: u64, to: u64, len: u64| {
@@ -1101,8 +1068,8 @@ mod tests {
     fn a_span_of_whole_pages_is_one_step_whichever_page_tables_exist() {
         const LEN: usize = 6 * PAGE_LEN + 100;
         let (mut a, mut b) = (MemoryTable::new(), MemoryTable::new());
-        let src = a.register(LEN, Access::all());
-        let dst = b.register(LEN, Access::all());
+        let src = a.register(LEN, Access::local_remote_write());
+        let dst = b.register(LEN, Access::local_remote_write());
         // `len` bytes from `at` of `src` to `at` of `dst`.
         let place = |a: &mut MemoryTable, b: &mut MemoryTable, dst: MrInfo, at: u64, len: u64| {
             let view = a.dma_view(src.key, src.addr + at, len, Access::NONE);
@@ -1145,7 +1112,7 @@ mod tests {
         // short last page copies it.
         let pattern: Vec<u8> = (0..LEN).map(|i| (i % 251) as u8).collect();
         a.app_write(src.key, src.addr, &pattern).unwrap();
-        let fresh = b.register(LEN, Access::all());
+        let fresh = b.register(LEN, Access::local_remote_write());
         place(&mut a, &mut b, fresh, 0, LEN as u64 - 1);
         assert_eq!(b.pages_shared(), 11 + 6);
         for page in 0..6 {
@@ -1169,8 +1136,8 @@ mod tests {
     #[test]
     fn copy_on_write_a_shared_page_on_either_side() {
         let (mut a, mut b) = (MemoryTable::new(), MemoryTable::new());
-        let src = a.register(2 * PAGE_LEN, Access::all());
-        let dst = b.register(2 * PAGE_LEN, Access::all());
+        let src = a.register(2 * PAGE_LEN, Access::local_remote_write());
+        let dst = b.register(2 * PAGE_LEN, Access::local_remote_write());
         a.app_write(src.key, src.addr, &[1; 2 * PAGE_LEN]).unwrap();
         let view = a.dma_view(src.key, src.addr, 2 * PAGE, Access::NONE);
         b.dma_write(
@@ -1204,7 +1171,7 @@ mod tests {
     #[test]
     fn sge_helpers() {
         let mut t = MemoryTable::new();
-        let mr = t.register(128, Access::all());
+        let mr = t.register(128, Access::local_remote_write());
         let s = mr.sge(16, 32);
         assert_eq!(s.addr, mr.addr + 16);
         assert_eq!(s.len, 32);

@@ -99,7 +99,7 @@ pub fn qdr_infiniband() -> HwProfile {
 /// 10 Gbit/s RoCE through the Anue network emulator: ConnectX-2 on PCIe
 /// gen2 hosts (Xeon X5670), with a configurable fixed one-way delay.
 /// The paper sets a 48 ms round trip (24 ms each way).
-pub fn roce_10g(one_way_delay: SimDuration) -> HwProfile {
+pub(crate) fn roce_10g(one_way_delay: SimDuration) -> HwProfile {
     HwProfile {
         name: "roce-10g",
         link: LinkConfig {

@@ -53,7 +53,6 @@ impl Default for QpCaps {
 
 /// A simulated RC queue pair.
 pub struct QueuePair {
-    qpn: QpNum,
     state: QpState,
     caps: QpCaps,
     send_cq: CqId,
@@ -73,15 +72,12 @@ pub struct QueuePair {
     /// When the HCA's per-QP WQE processing pipeline frees up (the DES
     /// driver uses this to serialize WQE launches).
     pub(crate) hca_free_at: SimTime,
-    total_recv_posted: u64,
-    total_send_posted: u64,
 }
 
 impl QueuePair {
     /// Creates a QP in the RESET state.
-    pub fn new(qpn: QpNum, send_cq: CqId, recv_cq: CqId, caps: QpCaps) -> Self {
+    pub(crate) fn new(send_cq: CqId, recv_cq: CqId, caps: QpCaps) -> Self {
         QueuePair {
-            qpn,
             state: QpState::Reset,
             caps,
             send_cq,
@@ -91,43 +87,31 @@ impl QueuePair {
             sq_outstanding: 0,
             sq_deferred: 0,
             hca_free_at: SimTime::ZERO,
-            total_recv_posted: 0,
-            total_send_posted: 0,
         }
     }
 
-    /// The QP number.
-    pub fn qpn(&self) -> QpNum {
-        self.qpn
-    }
-
-    /// Current state.
-    pub fn state(&self) -> QpState {
-        self.state
-    }
-
     /// Capabilities.
-    pub fn caps(&self) -> &QpCaps {
+    pub(crate) fn caps(&self) -> &QpCaps {
         &self.caps
     }
 
     /// CQ receiving send-side completions.
-    pub fn send_cq(&self) -> CqId {
+    pub(crate) fn send_cq(&self) -> CqId {
         self.send_cq
     }
 
     /// CQ receiving receive-side completions.
-    pub fn recv_cq(&self) -> CqId {
+    pub(crate) fn recv_cq(&self) -> CqId {
         self.recv_cq
     }
 
     /// The connected peer, if any.
-    pub fn remote(&self) -> Option<(NodeId, QpNum)> {
+    pub(crate) fn remote(&self) -> Option<(NodeId, QpNum)> {
         self.remote
     }
 
     /// RESET → INIT.
-    pub fn to_init(&mut self) -> Result<()> {
+    pub(crate) fn modify_to_init(&mut self) -> Result<()> {
         if self.state != QpState::Reset {
             return Err(VerbsError::InvalidQpState);
         }
@@ -136,7 +120,7 @@ impl QueuePair {
     }
 
     /// INIT → RTR, binding the remote QP.
-    pub fn to_rtr(&mut self, remote: (NodeId, QpNum)) -> Result<()> {
+    pub(crate) fn modify_to_rtr(&mut self, remote: (NodeId, QpNum)) -> Result<()> {
         if self.state != QpState::Init {
             return Err(VerbsError::InvalidQpState);
         }
@@ -146,7 +130,7 @@ impl QueuePair {
     }
 
     /// RTR → RTS.
-    pub fn to_rts(&mut self) -> Result<()> {
+    pub(crate) fn modify_to_rts(&mut self) -> Result<()> {
         if self.state != QpState::ReadyToReceive {
             return Err(VerbsError::InvalidQpState);
         }
@@ -156,18 +140,18 @@ impl QueuePair {
 
     /// Any state → ERROR. Pending receives are drained and returned so
     /// the HCA can flush them with `WrFlushError` completions.
-    pub fn to_error(&mut self) -> Vec<RecvWr> {
+    pub(crate) fn modify_to_error(&mut self) -> Vec<RecvWr> {
         self.state = QpState::Error;
         self.rq.drain(..).collect()
     }
 
     /// True when sends may be posted.
-    pub fn can_send(&self) -> bool {
+    pub(crate) fn can_send(&self) -> bool {
         self.state == QpState::ReadyToSend
     }
 
     /// True when receives may be posted.
-    pub fn can_post_recv(&self) -> bool {
+    pub(crate) fn can_post_recv(&self) -> bool {
         matches!(
             self.state,
             QpState::Init | QpState::ReadyToReceive | QpState::ReadyToSend
@@ -175,7 +159,7 @@ impl QueuePair {
     }
 
     /// Posts a receive WQE.
-    pub fn post_recv(&mut self, wr: RecvWr) -> Result<()> {
+    pub(crate) fn post_recv(&mut self, wr: RecvWr) -> Result<()> {
         if !self.can_post_recv() {
             return Err(VerbsError::InvalidQpState);
         }
@@ -183,23 +167,22 @@ impl QueuePair {
             return Err(VerbsError::RqFull);
         }
         self.rq.push_back(wr);
-        self.total_recv_posted += 1;
         Ok(())
     }
 
     /// Consumes the receive WQE at the head of the RQ (an incoming SEND
     /// or WWI notification arrived). `None` means receiver-not-ready.
-    pub fn consume_recv(&mut self) -> Option<RecvWr> {
+    pub(crate) fn consume_recv(&mut self) -> Option<RecvWr> {
         self.rq.pop_front()
     }
 
     /// Number of posted, unconsumed receive WQEs.
-    pub fn rq_len(&self) -> usize {
+    pub(crate) fn rq_len(&self) -> usize {
         self.rq.len()
     }
 
     /// Reserves a send-queue slot. Fails with `SqFull` at capacity.
-    pub fn reserve_sq_slot(&mut self) -> Result<()> {
+    pub(crate) fn reserve_sq_slot(&mut self) -> Result<()> {
         if !self.can_send() {
             return Err(if self.state == QpState::Error {
                 VerbsError::InvalidQpState
@@ -213,21 +196,14 @@ impl QueuePair {
             return Err(VerbsError::SqFull);
         }
         self.sq_outstanding += 1;
-        self.total_send_posted += 1;
         Ok(())
-    }
-
-    /// Releases a send-queue slot (wire transmission finished).
-    pub fn release_sq_slot(&mut self) {
-        debug_assert!(self.sq_outstanding > 0, "SQ slot underflow");
-        self.sq_outstanding = self.sq_outstanding.saturating_sub(1);
     }
 
     /// Marks an unsignaled WQE's transmission as finished *without*
     /// freeing its SQ slot: the slot is retired later, in one batch,
     /// by the next signaled completion on this QP
     /// ([`QueuePair::release_sq_batch`]).
-    pub fn defer_sq_release(&mut self) {
+    pub(crate) fn defer_sq_release(&mut self) {
         debug_assert!(
             self.sq_deferred < self.sq_outstanding,
             "deferring more SQ slots than are outstanding"
@@ -239,7 +215,7 @@ impl QueuePair {
     /// unsignaled slot in one batch, returning how many slots were
     /// freed. Sound because the RC channel is FIFO: a signaled CQE
     /// proves all WQEs posted before it have completed.
-    pub fn release_sq_batch(&mut self) -> usize {
+    pub(crate) fn release_sq_batch(&mut self) -> usize {
         let n = self.sq_deferred + 1;
         debug_assert!(self.sq_outstanding >= n, "SQ batch underflow");
         self.sq_outstanding = self.sq_outstanding.saturating_sub(n);
@@ -251,22 +227,6 @@ impl QueuePair {
     pub fn sq_outstanding(&self) -> usize {
         self.sq_outstanding
     }
-
-    /// Send WQEs off the wire but still holding their SQ slot while
-    /// they await a signaled CQE.
-    pub fn sq_deferred(&self) -> usize {
-        self.sq_deferred
-    }
-
-    /// Lifetime receive posts.
-    pub fn total_recv_posted(&self) -> u64 {
-        self.total_recv_posted
-    }
-
-    /// Lifetime send posts.
-    pub fn total_send_posted(&self) -> u64 {
-        self.total_send_posted
-    }
 }
 
 #[cfg(test)]
@@ -275,15 +235,28 @@ mod tests {
     use crate::types::MrKey;
     use crate::types::Sge;
 
+    impl QueuePair {
+        /// Current state.
+        pub(crate) fn state(&self) -> QpState {
+            self.state
+        }
+
+        /// Send WQEs off the wire but still holding their SQ slot while
+        /// they await a signaled CQE.
+        pub(crate) fn sq_deferred(&self) -> usize {
+            self.sq_deferred
+        }
+    }
+
     fn qp() -> QueuePair {
-        QueuePair::new(QpNum(1), CqId(1), CqId(2), QpCaps::default())
+        QueuePair::new(CqId(1), CqId(2), QpCaps::default())
     }
 
     fn connected_qp() -> QueuePair {
         let mut q = qp();
-        q.to_init().unwrap();
-        q.to_rtr((NodeId(1), QpNum(9))).unwrap();
-        q.to_rts().unwrap();
+        q.modify_to_init().unwrap();
+        q.modify_to_rtr((NodeId(1), QpNum(9))).unwrap();
+        q.modify_to_rts().unwrap();
         q
     }
 
@@ -291,11 +264,11 @@ mod tests {
     fn lifecycle_happy_path() {
         let mut q = qp();
         assert_eq!(q.state(), QpState::Reset);
-        q.to_init().unwrap();
+        q.modify_to_init().unwrap();
         assert!(q.can_post_recv());
         assert!(!q.can_send());
-        q.to_rtr((NodeId(1), QpNum(9))).unwrap();
-        q.to_rts().unwrap();
+        q.modify_to_rtr((NodeId(1), QpNum(9))).unwrap();
+        q.modify_to_rts().unwrap();
         assert!(q.can_send());
         assert_eq!(q.remote(), Some((NodeId(1), QpNum(9))));
     }
@@ -304,12 +277,12 @@ mod tests {
     fn invalid_transitions_rejected() {
         let mut q = qp();
         assert_eq!(
-            q.to_rtr((NodeId(0), QpNum(0))),
+            q.modify_to_rtr((NodeId(0), QpNum(0))),
             Err(VerbsError::InvalidQpState)
         );
-        assert_eq!(q.to_rts(), Err(VerbsError::InvalidQpState));
-        q.to_init().unwrap();
-        assert_eq!(q.to_init(), Err(VerbsError::InvalidQpState));
+        assert_eq!(q.modify_to_rts(), Err(VerbsError::InvalidQpState));
+        q.modify_to_init().unwrap();
+        assert_eq!(q.modify_to_init(), Err(VerbsError::InvalidQpState));
     }
 
     #[test]
@@ -317,7 +290,7 @@ mod tests {
         // Pre-posting receives before connecting is the whole point of
         // the credit scheme (paper §II-B).
         let mut q = qp();
-        q.to_init().unwrap();
+        q.modify_to_init().unwrap();
         q.post_recv(RecvWr::empty(1)).unwrap();
         assert_eq!(q.rq_len(), 1);
     }
@@ -334,7 +307,6 @@ mod tests {
     #[test]
     fn rq_capacity_enforced() {
         let mut q = QueuePair::new(
-            QpNum(1),
             CqId(1),
             CqId(2),
             QpCaps {
@@ -342,7 +314,7 @@ mod tests {
                 ..QpCaps::default()
             },
         );
-        q.to_init().unwrap();
+        q.modify_to_init().unwrap();
         q.post_recv(RecvWr::empty(1)).unwrap();
         q.post_recv(RecvWr::empty(2)).unwrap();
         assert_eq!(q.post_recv(RecvWr::empty(3)), Err(VerbsError::RqFull));
@@ -362,7 +334,6 @@ mod tests {
     #[test]
     fn sq_slots_bound_outstanding() {
         let mut q = QueuePair::new(
-            QpNum(1),
             CqId(1),
             CqId(2),
             QpCaps {
@@ -370,14 +341,14 @@ mod tests {
                 ..QpCaps::default()
             },
         );
-        q.to_init().unwrap();
-        q.to_rtr((NodeId(1), QpNum(2))).unwrap();
-        q.to_rts().unwrap();
+        q.modify_to_init().unwrap();
+        q.modify_to_rtr((NodeId(1), QpNum(2))).unwrap();
+        q.modify_to_rts().unwrap();
         q.reserve_sq_slot().unwrap();
         assert_eq!(q.reserve_sq_slot(), Err(VerbsError::SqFull));
-        q.release_sq_slot();
+        q.release_sq_batch();
         q.reserve_sq_slot().unwrap();
-        assert_eq!(q.total_send_posted(), 2);
+        assert_eq!(q.sq_outstanding(), 1);
     }
 
     #[test]
@@ -401,7 +372,7 @@ mod tests {
     #[test]
     fn send_before_connect_rejected() {
         let mut q = qp();
-        q.to_init().unwrap();
+        q.modify_to_init().unwrap();
         assert!(q.reserve_sq_slot().is_err());
     }
 
@@ -410,7 +381,7 @@ mod tests {
         let mut q = connected_qp();
         q.post_recv(RecvWr::empty(1)).unwrap();
         q.post_recv(RecvWr::empty(2)).unwrap();
-        let flushed = q.to_error();
+        let flushed = q.modify_to_error();
         assert_eq!(flushed.len(), 2);
         assert_eq!(q.state(), QpState::Error);
         assert!(q.reserve_sq_slot().is_err());

@@ -46,7 +46,7 @@ mod run;
 
 pub use node::NodeApi;
 pub use path::Losses;
-pub use run::{NodeApp, RunOutcome};
+pub use run::NodeApp;
 
 use simnet::fabric::{FabricModel, FabricStats, FairShareFabric};
 use simnet::{Link, LinkConfig, SimDuration, SimTime, Xoshiro256};
@@ -61,8 +61,6 @@ use path::FabricRt;
 pub struct SimNet {
     nodes: Vec<NodeRuntime>,
     fabric: FabricRt,
-    fatal: Vec<String>,
-    panic_on_fatal: bool,
     host_seed: u64,
     losses: Losses,
     /// What the event being handled produced; filled by the HCA, drained
@@ -83,8 +81,6 @@ impl SimNet {
         SimNet {
             nodes: Vec::new(),
             fabric: FabricRt::fifo(),
-            fatal: Vec::new(),
-            panic_on_fatal: true,
             host_seed: 0x5EED,
             losses: Losses::default(),
             effects: Vec::new(),
@@ -157,18 +153,6 @@ impl SimNet {
         self.fabric
             .links
             .connect(b.0, a.0, Link::new(b_to_a, seed.wrapping_mul(2) + 1));
-    }
-
-    /// By default a [`Effect::Fatal`] (RNR, remote access error) panics,
-    /// treating it as a protocol bug. Tests that *expect* violations can
-    /// turn this off and inspect [`SimNet::fatal_errors`].
-    pub fn set_panic_on_fatal(&mut self, panic_on_fatal: bool) {
-        self.panic_on_fatal = panic_on_fatal;
-    }
-
-    /// Fatal errors collected while `panic_on_fatal` is off.
-    pub fn fatal_errors(&self) -> &[String] {
-        &self.fatal
     }
 
     /// Messages lost so far, by cause.
@@ -375,11 +359,13 @@ mod tests {
         assert!(net.fabric_stats().is_none());
     }
 
+    /// A protocol violation is a bug in the layer above: the simulator
+    /// stops on it.
     #[test]
-    fn fatal_collection_mode() {
+    #[should_panic(expected = "no posted RECV")]
+    fn a_fatal_verbs_error_panics() {
         let mut net = SimNet::new();
         let (a, b) = build_pair(&mut net);
-        net.set_panic_on_fatal(false);
 
         // A SEND with no receive posted for it.
         let (ha, _hb) = connect_pair(&mut net, a, b, QpCaps::default(), 8).unwrap();
@@ -389,7 +375,5 @@ mod tests {
                 .unwrap();
         });
         net.run(&mut [&mut Drain, &mut Idle], SimTime::from_secs(1));
-        assert_eq!(net.fatal_errors().len(), 1);
-        assert!(net.fatal_errors()[0].contains("no posted RECV"));
     }
 }

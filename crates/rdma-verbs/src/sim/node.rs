@@ -144,11 +144,6 @@ impl<'a> NodeApi<'a> {
         self
     }
 
-    /// The node this api controls.
-    pub fn node(&self) -> NodeId {
-        self.node
-    }
-
     /// The handler's current CPU-time cursor.
     pub fn now(&self) -> SimTime {
         self.cpu_now
@@ -210,7 +205,7 @@ impl<'a> NodeApi<'a> {
     }
 
     /// Connects a queue pair to a remote peer.
-    pub fn connect_qp(&mut self, qpn: QpNum, remote: (NodeId, QpNum)) -> Result<()> {
+    pub(crate) fn connect_qp(&mut self, qpn: QpNum, remote: (NodeId, QpNum)) -> Result<()> {
         self.rt.hca.connect_qp(qpn, remote)
     }
 
@@ -220,7 +215,7 @@ impl<'a> NodeApi<'a> {
         let overhead = self.rt.host.post_overhead;
         self.charge(overhead);
         let prepared = self.rt.hca.prepare_send(qpn, wr)?;
-        self.fabric.launch(self.rt, prepared, self.cpu_now, true);
+        self.fabric.launch(self.rt, prepared, self.cpu_now);
         Ok(())
     }
 
@@ -238,7 +233,7 @@ impl<'a> NodeApi<'a> {
         self.charge(overhead);
         for wr in wrs {
             let prepared = self.rt.hca.prepare_send(qpn, wr)?;
-            self.fabric.launch(self.rt, prepared, self.cpu_now, true);
+            self.fabric.launch(self.rt, prepared, self.cpu_now);
         }
         Ok(())
     }

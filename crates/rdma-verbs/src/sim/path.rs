@@ -87,10 +87,8 @@ struct InFlight {
     /// The send completion, if the work request was signaled.
     cqe: Option<Cqe>,
     /// The responder's WQE turnaround before its hardware
-    /// acknowledgment leaves. `None` when that acknowledgment retires
-    /// nothing: a READ request keeps its SQ slot until the response,
-    /// and an HCA-originated response never held one.
-    ack_turnaround: Option<SimDuration>,
+    /// acknowledgment leaves, which retires the message's SQ slot.
+    ack_turnaround: SimDuration,
 }
 
 /// The fabric runtime: the event queue, the links and the
@@ -122,34 +120,27 @@ impl FabricRt {
     /// private [`Link`] here and arrives at the computed instant; in
     /// fair-share mode it is handed to the flow allocator at pipeline
     /// exit (a `FabricStart` event) and arrives when its flow's head
-    /// completes. `owns_sq_slot` is false for HCA-originated responses,
-    /// which bypass the send queue.
+    /// completes. Every message is a posted WQE: it holds an SQ slot
+    /// until its acknowledgment returns.
     pub(super) fn launch(
         &mut self,
         rt: &mut NodeRuntime,
         prepared: PreparedSend,
         post_time: SimTime,
-        owns_sq_slot: bool,
     ) {
         let (src_node, src_qpn) = prepared.msg.src;
         let wqe_process = rt.hca.config().wqe_process;
 
         // Serialize on the QP's HCA pipeline.
-        let start = if owns_sq_slot {
-            let qp = rt.hca.qp_mut(src_qpn).expect("launch on unknown QP");
-            let start = post_time.max(qp.hca_free_at);
-            qp.hca_free_at = start + wqe_process;
-            start
-        } else {
-            post_time
-        };
+        let qp = rt.hca.qp_mut(src_qpn).expect("launch on unknown QP");
+        let start = post_time.max(qp.hca_free_at);
+        qp.hca_free_at = start + wqe_process;
         let proc_done = start + wqe_process;
 
-        let retires_slot = owns_sq_slot && !prepared.is_read;
         let tx = InFlight {
             msg: prepared.msg,
             cqe: prepared.completion,
-            ack_turnaround: retires_slot.then_some(wqe_process),
+            ack_turnaround: wqe_process,
         };
         if self.fair.is_some() {
             // Fair-share mode: the wire phase belongs to the allocator.
@@ -222,13 +213,11 @@ fn arrive(sched: &mut Scheduler<Ev>, tx: InFlight, arrival: SimTime, back_prop: 
     // retires) when the responder HCA's hardware acknowledgment returns
     // — one propagation after arrival plus the responder's WQE
     // turnaround.
-    if let Some(turnaround) = tx.ack_turnaround {
-        let cqe = tx.cqe;
-        sched.schedule_at(
-            arrival + turnaround + back_prop,
-            Ev::TxDone { node, qpn, cqe },
-        );
-    }
+    let cqe = tx.cqe;
+    sched.schedule_at(
+        arrival + tx.ack_turnaround + back_prop,
+        Ev::TxDone { node, qpn, cqe },
+    );
 }
 
 /// Cancels and reschedules head-completion events after the allocator
@@ -331,7 +320,7 @@ mod tests {
     use crate::host::HostModel;
     use crate::mr::MrInfo;
     use crate::qp::QpCaps;
-    use crate::types::{Access, CqId, RecvWr, RemoteAddr, SendOpcode, SendWr};
+    use crate::types::{Access, CqId, QpNum, RecvWr, RemoteAddr, SendOpcode, SendWr};
     use simnet::fabric::{FabricModel, FairShareConfig};
     use simnet::LinkConfig;
 
@@ -365,10 +354,30 @@ mod tests {
     const ORIGINAL: u8 = 0x5A;
     const SCRIBBLE: u8 = 0xEE;
 
+    /// One end of a [`Pair`]: its node and connected QP.
+    #[derive(Clone, Copy)]
+    struct End {
+        node: NodeId,
+        qpn: QpNum,
+        send_cq: CqId,
+        recv_cq: CqId,
+    }
+
+    impl End {
+        fn of(node: NodeId, half: ConnHalf) -> Self {
+            End {
+                node,
+                qpn: half.qpn,
+                send_cq: half.send_cq,
+                recv_cq: half.recv_cq,
+            }
+        }
+    }
+
     struct Pair {
         net: SimNet,
-        a: ConnHalf,
-        b: ConnHalf,
+        a: End,
+        b: End,
         /// Two `LEN`-byte slots on `a`, filled with `ORIGINAL`.
         src: MrInfo,
         /// Two zeroed `LEN`-byte slots on `b`.
@@ -395,8 +404,8 @@ mod tests {
         });
         Pair {
             net,
-            a: ha,
-            b: hb,
+            a: End::of(a, ha),
+            b: End::of(b, hb),
             src,
             dst,
         }
@@ -431,7 +440,6 @@ mod tests {
                 SendOpcode::Send => SendWr::send(slot, sge),
                 SendOpcode::RdmaWrite => SendWr::write(slot, sge, remote),
                 SendOpcode::RdmaWriteImm => SendWr::write_imm(slot, sge, remote, 7),
-                SendOpcode::RdmaRead => unreachable!("not a payload-carrying send"),
             }
         }
 
@@ -464,7 +472,7 @@ mod tests {
     /// moment a completion is pollable — what the posted-buffer contract
     /// allows from then on.
     struct Scribbler {
-        conn: ConnHalf,
+        conn: End,
         src: MrInfo,
         wrs: Vec<SendWr>,
         scribbled: bool,
@@ -604,7 +612,7 @@ mod tests {
             rkey: dst.key,
         };
         let mut sender = Scribbler {
-            conn: ha,
+            conn: End::of(a, ha),
             src,
             wrs: vec![SendWr::write(1, src.full_sge(), remote)],
             scribbled: false,
@@ -663,7 +671,6 @@ mod tests {
         assert_eq!(receiver.seen, 0, "a lost message completes nothing");
         assert!(p.dst_bytes().iter().all(|&b| b == 0), "no stale bytes");
         assert_eq!(p.bytes_copied(), 0);
-        assert!(p.net.fatal_errors().is_empty());
         let losses = p.net.losses();
         assert_eq!((losses.source_unreadable, losses.link_down), (1, 0));
         let rq_left = p.net.with_api(b.node, |api| api.rq_len(b.qpn));

@@ -6,7 +6,7 @@ use simnet::{Scheduler, SimTime};
 
 use super::node::{NodeApi, NodeRuntime};
 use super::SimNet;
-use crate::hca::{Effect, PreparedSend};
+use crate::hca::Effect;
 use crate::types::{Cqe, NodeId, QpNum};
 use crate::wire::WireMessage;
 
@@ -163,28 +163,11 @@ impl SimNet {
         for effect in effects.drain(..) {
             match effect {
                 Effect::Completion => schedule_wake(rt, &mut self.fabric.sched, node, now),
-                Effect::Transmit(msg) => {
-                    // Responder-generated message (RDMA READ response):
-                    // the HCA emits it without CPU involvement, and it
-                    // does not occupy an SQ slot.
-                    let prepared = PreparedSend {
-                        msg,
-                        completion: None,
-                        is_read: false,
-                    };
-                    self.fabric.launch(rt, prepared, now, false);
-                }
                 Effect::Fatal {
                     qpn,
                     status,
                     detail,
-                } => {
-                    let text = format!("node {node:?} qp {qpn:?}: {status:?}: {detail}");
-                    if self.panic_on_fatal {
-                        panic!("fatal verbs error: {text}");
-                    }
-                    self.fatal.push(text);
-                }
+                } => panic!("fatal verbs error: node {node:?} qp {qpn:?}: {status:?}: {detail}"),
             }
         }
         self.effects = effects;

@@ -214,17 +214,14 @@ impl Link {
             return false;
         };
         deliver(&self.dst, &sent.msg, &mut effects);
-        apply_effects(&self.dst, &self.src, &mut effects, fatal);
-        if !sent.is_read {
-            // A READ completes when its response is placed, above.
-            self.src
-                .hca
-                .lock()
-                .tx_finished(sent.msg.src.1, sent.completion, &mut effects);
-            if !effects.is_empty() {
-                effects.clear();
-                self.src.notify();
-            }
+        apply_effects(&self.dst, &mut effects, fatal);
+        self.src
+            .hca
+            .lock()
+            .tx_finished(sent.msg.src.1, sent.completion, &mut effects);
+        if !effects.is_empty() {
+            effects.clear();
+            self.src.notify();
         }
         true
     }
@@ -406,19 +403,9 @@ impl ThreadNet {
         }
     }
 
-    /// Every fatal verbs error a delivery has raised so far (RNR, remote
-    /// access error, placement into a deregistered buffer), as text — the
-    /// counterpart of `SimNet::fatal_errors`. A delivery does not panic
-    /// on one: like a real HCA it moves the violated QP to the error
-    /// state, which flushes its posted receives with `WrFlushError`
-    /// completions, and carries on with the link's other traffic.
-    pub fn fatal_errors(&self) -> Vec<String> {
-        self.fatal.lock().clone()
-    }
-
     /// Stops the delivery threads of delayed links and joins them;
     /// messages still queued there are dropped.
-    pub fn shutdown(&mut self) {
+    pub(crate) fn shutdown(&mut self) {
         self.stop.store(true, Ordering::Release);
         for link in self.links.iter().flatten().flatten() {
             // Under the queue lock, so the wake-up cannot fall between a
@@ -466,28 +453,12 @@ fn deliver(node: &ThreadNode, msg: &WireMessage, effects: &mut Vec<Effect>) {
         .handle_wire(msg, DmaSource::Slice(data), effects);
 }
 
-/// Applies, and drains, what a delivery at `at` produced; `peer` is the
-/// other end of the link, where a READ response goes.
-fn apply_effects(
-    at: &Arc<ThreadNode>,
-    peer: &Arc<ThreadNode>,
-    effects: &mut Vec<Effect>,
-    fatal: &Mutex<Vec<String>>,
-) {
+/// Applies, and drains, what a delivery at `at` produced.
+fn apply_effects(at: &ThreadNode, effects: &mut Vec<Effect>, fatal: &Mutex<Vec<String>>) {
     let mut completed = false;
     for effect in effects.drain(..) {
         match effect {
             Effect::Completion => completed = true,
-            Effect::Transmit(msg) => {
-                // RDMA READ response: deliver synchronously to the
-                // requester, under the delivery lock of the request's
-                // direction, so a link's responses stay in the order of
-                // its requests. Responses do not chain, so this nests
-                // once.
-                let mut effects = Vec::new();
-                deliver(peer, &msg, &mut effects);
-                apply_effects(peer, at, &mut effects, fatal);
-            }
             Effect::Fatal {
                 qpn,
                 status,
@@ -513,6 +484,18 @@ mod tests {
     use super::*;
     use crate::qp::QpCaps;
     use crate::types::{Access, WcOpcode};
+
+    impl ThreadNet {
+        /// Every fatal verbs error a delivery has raised so far (RNR, remote
+        /// access error, placement into a deregistered buffer), as text. A
+        /// delivery does not panic on one: like a real HCA it moves the
+        /// violated QP to the error state, which flushes its posted
+        /// receives with `WrFlushError` completions, and carries on with
+        /// the link's other traffic.
+        pub(crate) fn fatal_errors(&self) -> Vec<String> {
+            self.fatal.lock().clone()
+        }
+    }
 
     fn pair(delay: Duration) -> (ThreadNet, Arc<ThreadNode>, Arc<ThreadNode>) {
         let mut net = ThreadNet::new();
@@ -680,38 +663,6 @@ mod tests {
         assert_eq!(cqes.len(), 1, "unsignaled WQEs must not surface CQEs");
         assert_eq!(cqes[0].wr_id, 7);
         net.quiesce();
-    }
-
-    #[test]
-    fn threaded_rdma_read() {
-        let (net, a, b) = pair(Duration::from_millis(1));
-        let (a_qp, _b_qp, a_scq, _b_rcq) = connect(&a, &b);
-        let local = a.with_hca(|h| h.register_mr(32, Access::LOCAL_WRITE));
-        let remote = b.with_hca(|h| h.register_mr(32, Access::REMOTE_READ | Access::LOCAL_WRITE));
-        b.with_hca(|h| {
-            h.mem_mut()
-                .app_write(remote.key, remote.addr, b"read-far")
-                .unwrap()
-        });
-        net.post_send(
-            &a,
-            a_qp,
-            SendWr::read(
-                3,
-                local.sge(0, 8),
-                crate::types::RemoteAddr {
-                    addr: remote.addr,
-                    rkey: remote.key,
-                },
-            ),
-        )
-        .unwrap();
-        let cqes = a.wait_cq(a_scq, Duration::from_secs(5));
-        assert_eq!(cqes.len(), 1);
-        assert_eq!(cqes[0].opcode, WcOpcode::RdmaRead);
-        let mut buf = [0u8; 8];
-        a.with_hca(|h| h.mem().app_read(local.key, local.addr, &mut buf).unwrap());
-        assert_eq!(&buf, b"read-far");
     }
 
     /// A late SEND can land in a receive buffer its owner already

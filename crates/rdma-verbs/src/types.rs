@@ -19,7 +19,7 @@ pub struct NodeId(pub u32);
 impl NodeId {
     /// Index form for vectors keyed by node.
     #[inline]
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         self.0 as usize
     }
 }
@@ -46,12 +46,10 @@ pub struct Access(u8);
 
 impl Access {
     /// Local read is always implied; this grants local write (needed for
-    /// receive buffers and RDMA READ targets).
+    /// receive buffers).
     pub const LOCAL_WRITE: Access = Access(0b001);
     /// Remote peers may RDMA WRITE into the region.
     pub const REMOTE_WRITE: Access = Access(0b010);
-    /// Remote peers may RDMA READ from the region.
-    pub const REMOTE_READ: Access = Access(0b100);
 
     /// No remote access, no local write: a send-only source buffer.
     pub const NONE: Access = Access(0);
@@ -72,11 +70,6 @@ impl Access {
     /// writable (direct transfers land here).
     pub const fn local_remote_write() -> Access {
         Access(Self::LOCAL_WRITE.0 | Self::REMOTE_WRITE.0)
-    }
-
-    /// All flags.
-    pub const fn all() -> Access {
-        Access(0b111)
     }
 }
 
@@ -124,29 +117,27 @@ pub enum SendOpcode {
     /// RDMA WRITE WITH IMM ("WWI" in the paper): one-sided placement plus
     /// a notification consuming a posted RECV at the peer.
     RdmaWriteImm,
-    /// One-sided RDMA READ.
-    RdmaRead,
 }
 
 /// A send-queue work request.
 #[derive(Clone, Debug)]
 pub struct SendWr {
     /// Application identifier, echoed in the completion.
-    pub wr_id: WrId,
+    pub(crate) wr_id: WrId,
     /// Operation.
-    pub opcode: SendOpcode,
+    pub(crate) opcode: SendOpcode,
     /// Gather entry naming registered source memory (exclusive with
-    /// `inline`). For `RdmaRead` this is the local *destination*.
-    pub sge: Option<Sge>,
+    /// `inline`).
+    pub(crate) sge: Option<Sge>,
     /// Inline payload: data copied into the WQE at post time, so the
     /// source buffer is reusable immediately. Only for small messages
     /// (see `QpCaps::max_inline`); the EXS library uses this for ADVERTs
     /// and ACKs as the paper recommends (§II-A).
-    pub inline: Option<Bytes>,
+    pub(crate) inline: Option<Bytes>,
     /// Immediate data for `Send` (optional) and `RdmaWriteImm` (required).
-    pub imm: Option<u32>,
+    pub(crate) imm: Option<u32>,
     /// Remote target, required for RDMA operations.
-    pub remote: Option<RemoteAddr>,
+    pub(crate) remote: Option<RemoteAddr>,
     /// Whether a send completion should be generated. Unsignaled sends
     /// complete silently (their buffers must be managed by a later
     /// signaled WQE, exactly as with real verbs).
@@ -219,38 +210,10 @@ impl SendWr {
         }
     }
 
-    /// A signaled RDMA READ into registered memory.
-    pub fn read(wr_id: WrId, local: Sge, remote: RemoteAddr) -> Self {
-        SendWr {
-            wr_id,
-            opcode: SendOpcode::RdmaRead,
-            sge: Some(local),
-            inline: None,
-            imm: None,
-            remote: Some(remote),
-            signaled: true,
-        }
-    }
-
     /// Marks the request unsignaled (no send-side completion).
     pub fn unsignaled(mut self) -> Self {
         self.signaled = false;
         self
-    }
-
-    /// Payload length in bytes this WQE will put on the wire (0 for READ
-    /// requests, which only carry a descriptor).
-    pub fn payload_len(&self) -> u64 {
-        if self.opcode == SendOpcode::RdmaRead {
-            return 0;
-        }
-        if let Some(b) = &self.inline {
-            b.len() as u64
-        } else if let Some(s) = &self.sge {
-            s.len as u64
-        } else {
-            0
-        }
     }
 }
 
@@ -258,10 +221,10 @@ impl SendWr {
 #[derive(Clone, Copy, Debug)]
 pub struct RecvWr {
     /// Application identifier, echoed in the completion.
-    pub wr_id: WrId,
+    pub(crate) wr_id: WrId,
     /// Target registered memory. `None` posts a zero-length RECV that can
     /// only absorb pure notifications.
-    pub sge: Option<Sge>,
+    pub(crate) sge: Option<Sge>,
 }
 
 impl RecvWr {
@@ -286,8 +249,6 @@ pub enum WcOpcode {
     Send,
     /// An RDMA WRITE (with or without IMM) finished locally.
     RdmaWrite,
-    /// An RDMA READ response arrived.
-    RdmaRead,
     /// A RECV was consumed by an incoming SEND.
     Recv,
     /// A RECV was consumed by an incoming RDMA WRITE WITH IMM.
@@ -403,25 +364,8 @@ mod tests {
         let a = Access::LOCAL_WRITE | Access::REMOTE_WRITE;
         assert!(a.contains(Access::LOCAL_WRITE));
         assert!(a.contains(Access::REMOTE_WRITE));
-        assert!(!a.contains(Access::REMOTE_READ));
-        assert!(Access::all().contains(a));
+        assert_eq!(Access::local_remote_write(), a);
         assert!(a.contains(Access::NONE));
-    }
-
-    #[test]
-    fn payload_len_by_shape() {
-        let sge = Sge::new(0x1000, 64, MrKey(1));
-        let remote = RemoteAddr {
-            addr: 0x2000,
-            rkey: MrKey(2),
-        };
-        assert_eq!(SendWr::send(1, sge).payload_len(), 64);
-        assert_eq!(SendWr::send_inline(1, vec![0u8; 10]).payload_len(), 10);
-        assert_eq!(SendWr::write(1, sge, remote).payload_len(), 64);
-        assert_eq!(SendWr::write_imm(1, sge, remote, 7).payload_len(), 64);
-        assert_eq!(SendWr::write_imm_empty(1, remote, 7).payload_len(), 0);
-        // READ requests carry no payload toward the responder.
-        assert_eq!(SendWr::read(1, sge, remote).payload_len(), 0);
     }
 
     #[test]

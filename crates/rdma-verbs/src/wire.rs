@@ -36,23 +36,6 @@ pub enum WireOp {
         /// Immediate data delivered with the notification.
         imm: u32,
     },
-    /// RDMA READ request (no payload; the descriptor asks the responder
-    /// to return `len` bytes from `raddr`).
-    ReadReq {
-        /// Source virtual address at the responder.
-        raddr: u64,
-        /// Authorizing remote key.
-        rkey: MrKey,
-        /// Requested length.
-        len: u32,
-        /// Requester-side token correlating the response.
-        token: u64,
-    },
-    /// RDMA READ response carrying the requested bytes.
-    ReadResp {
-        /// Token from the matching `ReadReq`.
-        token: u64,
-    },
 }
 
 /// Where an in-flight message's payload bytes are.
@@ -68,8 +51,8 @@ pub enum WireOp {
 /// at post time ([`crate::hca::HcaCore::capture_payload`]).
 #[derive(Clone, Debug)]
 pub enum Payload {
-    /// Bytes the message owns: inline data, an RDMA READ response, or a
-    /// payload captured at post time.
+    /// Bytes the message owns: inline data, or a payload captured at
+    /// post time.
     Owned(Bytes),
     /// A range of the source node's registered memory, validated when
     /// the work request was posted and read when the message is
@@ -81,16 +64,11 @@ pub enum Payload {
 
 impl Payload {
     /// Payload length in bytes.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         match self {
             Payload::Owned(bytes) => bytes.len(),
             Payload::Source(sge) => sge.len as usize,
         }
-    }
-
-    /// True for a message that carries no payload bytes.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// The payload as a placement's source, copying nothing: the
@@ -99,7 +77,7 @@ impl Payload {
     /// placement shares the pages it takes (see [`crate::mr`]). Fails if
     /// that range is no longer registered (the application broke the
     /// posted-buffer contract, or is tearing down after a QP error).
-    pub fn resolve<'a>(&'a self, src_mem: &'a mut MemoryTable) -> Result<DmaSource<'a>> {
+    pub(crate) fn resolve<'a>(&'a self, src_mem: &'a mut MemoryTable) -> Result<DmaSource<'a>> {
         match self {
             Payload::Owned(bytes) => Ok(DmaSource::Slice(bytes)),
             Payload::Source(sge) => src_mem
@@ -113,28 +91,28 @@ impl Payload {
 #[derive(Clone, Debug)]
 pub struct WireMessage {
     /// Originating node and QP.
-    pub src: (NodeId, QpNum),
+    pub(crate) src: (NodeId, QpNum),
     /// Destination node and QP.
-    pub dst: (NodeId, QpNum),
+    pub(crate) dst: (NodeId, QpNum),
     /// Operation descriptor.
-    pub op: WireOp,
-    /// Payload (empty for `ReadReq` and pure notifications).
-    pub payload: Payload,
+    pub(crate) op: WireOp,
+    /// Payload (empty for pure notifications).
+    pub(crate) payload: Payload,
 }
 
 impl WireMessage {
     /// Payload length in bytes.
-    pub fn payload_len(&self) -> u64 {
+    pub(crate) fn payload_len(&self) -> u64 {
         self.payload.len() as u64
     }
 
     /// Destination node.
-    pub fn dst_node(&self) -> NodeId {
+    pub(crate) fn dst_node(&self) -> NodeId {
         self.dst.0
     }
 
     /// Source node.
-    pub fn src_node(&self) -> NodeId {
+    pub(crate) fn src_node(&self) -> NodeId {
         self.src.0
     }
 }
@@ -156,7 +134,6 @@ mod tests {
         assert_eq!(m.dst_node(), NodeId(1));
         let described = Payload::Source(Sge::new(0x1000, 64, MrKey(1)));
         assert_eq!(described.len(), 64);
-        assert!(!described.is_empty());
-        assert!(Payload::Owned(Bytes::new()).is_empty());
+        assert_eq!(Payload::Owned(Bytes::new()).len(), 0);
     }
 }

@@ -34,22 +34,20 @@ const PAGES: u64 = MIB as u64 / 4096;
 const OFFSETS: [u64; 2] = [0, 1];
 
 /// One operation moving a payload from the requester's `local` region
-/// to the responder's `remote` region, or back for `Read`.
+/// to the responder's `remote` region.
 #[derive(Clone, Copy, Debug)]
 enum Op {
     Send,
     Write,
     WriteImm,
-    Read,
     InlineSend,
     EmptyWriteImm,
 }
 
-const OPS: [Op; 6] = [
+const OPS: [Op; 5] = [
     Op::Send,
     Op::Write,
     Op::WriteImm,
-    Op::Read,
     Op::InlineSend,
     Op::EmptyWriteImm,
 ];
@@ -66,7 +64,6 @@ impl Op {
             Op::Send => SendWr::send(1, sge),
             Op::Write => SendWr::write(1, sge, at),
             Op::WriteImm => SendWr::write_imm(1, sge, at, 7),
-            Op::Read => SendWr::read(1, sge, at),
             Op::InlineSend => SendWr::send_inline(1, vec![0xAB; INLINE]),
             Op::EmptyWriteImm => SendWr::write_imm_empty(1, at, 7),
         }
@@ -77,7 +74,7 @@ impl Op {
         match self {
             Op::Send | Op::InlineSend => Some(RecvWr::new(1, remote.full_sge())),
             Op::WriteImm | Op::EmptyWriteImm => Some(RecvWr::empty(1)),
-            Op::Write | Op::Read => None,
+            Op::Write => None,
         }
     }
 
@@ -87,9 +84,6 @@ impl Op {
         let mib = u64::from(MIB);
         match self {
             Op::Send | Op::Write | Op::WriteImm => (captured * mib, mib),
-            // The responder captures the response (it has no completion
-            // to defer behind); the requester places it.
-            Op::Read => (mib, mib),
             // Inline data already travels in the work request.
             Op::InlineSend => (0, INLINE as u64),
             Op::EmptyWriteImm => (0, 0),
@@ -98,7 +92,7 @@ impl Op {
 
     /// `(requester, responder)` pages placed by reference on the
     /// simulator, the requester's payload starting `offset` bytes into
-    /// its region. A READ response is captured bytes, not a view.
+    /// its region.
     fn shared(self, offset: u64) -> (u64, u64) {
         match self {
             Op::Send | Op::Write | Op::WriteImm if offset == 0 => (0, PAGES),
@@ -139,7 +133,9 @@ fn sim_copies(op: Op, offset: u64) -> ((u64, u64), (u64, u64)) {
     let (mut net, (a, b), (ha, hb)) = sim_pair();
     let len = (u64::from(MIB) + offset) as usize;
     let local = net.with_api(a, |api| api.register_mr(len, Access::LOCAL_WRITE));
-    let remote = net.with_api(b, |api| api.register_mr(MIB as usize, Access::all()));
+    let remote = net.with_api(b, |api| {
+        api.register_mr(MIB as usize, Access::local_remote_write())
+    });
     if let Some(recv) = op.recv(remote) {
         net.with_api(b, |api| api.post_recv(hb.qpn, recv)).unwrap();
     }
@@ -166,7 +162,7 @@ fn thread_copies(op: Op, offset: u64) -> ((u64, u64), (u64, u64)) {
     };
     let len = (u64::from(MIB) + offset) as usize;
     let (a_qp, a_scq, local) = make(&a, len, Access::LOCAL_WRITE);
-    let (b_qp, _, remote) = make(&b, MIB as usize, Access::all());
+    let (b_qp, _, remote) = make(&b, MIB as usize, Access::local_remote_write());
     a.with_hca(|h| h.connect_qp(a_qp, (b.id(), b_qp)).unwrap());
     b.with_hca(|h| h.connect_qp(b_qp, (a.id(), a_qp)).unwrap());
     if let Some(recv) = op.recv(remote) {
@@ -174,8 +170,6 @@ fn thread_copies(op: Op, offset: u64) -> ((u64, u64), (u64, u64)) {
     }
     net.post_send(&a, a_qp, op.wr(local, offset, remote))
         .unwrap();
-    // A READ completes when its response has been placed; everything
-    // else is placed once the fabric is quiet.
     let done = a.wait_cq(a_scq, Duration::from_secs(30));
     assert_eq!(done.len(), 1, "{op:?}");
     net.quiesce();
@@ -201,7 +195,9 @@ fn simnet_write_between_never_written_regions_shares_every_page_and_backs_none()
     const LEN: u32 = 4 * MIB;
     let (mut net, (a, b), (ha, _)) = sim_pair();
     let local = net.with_api(a, |api| api.register_mr(LEN as usize, Access::LOCAL_WRITE));
-    let remote = net.with_api(b, |api| api.register_mr(LEN as usize, Access::all()));
+    let remote = net.with_api(b, |api| {
+        api.register_mr(LEN as usize, Access::local_remote_write())
+    });
     let at = RemoteAddr {
         addr: remote.addr,
         rkey: remote.key,
@@ -231,8 +227,8 @@ fn copy_mr_copies_its_length_once() {
     let mut net = SimNet::new();
     let node = net.add_node(HostModel::free(), HcaConfig::default());
     net.with_api(node, |api| {
-        let ring = api.register_mr(8192, Access::all());
-        let user = api.register_mr(8192, Access::all());
+        let ring = api.register_mr(8192, Access::local_remote_write());
+        let user = api.register_mr(8192, Access::local_remote_write());
         api.copy_mr(ring.key, ring.addr, user.key, user.addr + 100, 5000)
             .unwrap();
         assert_eq!(work(api.hca().mem()), (5000, 0));

@@ -3,10 +3,12 @@
 //! `SimNet` reads a send's source buffer when the message is delivered;
 //! `ThreadNet` captures it when the work request is posted. For an
 //! application that keeps the posted-buffer contract the two must be
-//! indistinguishable: random sequences of SEND / WRITE / WRITE WITH IMM /
-//! READ with random sizes, offsets and signal flags leave the same bytes
-//! in every region and the same completions, in the same order, on every
-//! CQ — and both match a sequential interpretation of the sequence.
+//! indistinguishable: random sequences of SEND / WRITE / WRITE WITH IMM
+//! with random sizes, offsets and signal flags leave the same bytes in
+//! every region and the same completions, in the same order, on every
+//! CQ — and both match a sequential interpretation of the sequence. On
+//! both, every message is a posted WQE that frees its send-queue slot
+//! once delivered, so no slot is left held at the end.
 
 use std::time::Duration;
 
@@ -27,16 +29,15 @@ enum Kind {
     Send,
     Write,
     WriteImm,
-    Read,
 }
 
 #[derive(Clone, Copy, Debug)]
 struct Op {
     kind: Kind,
     len: u32,
-    /// Offset in the requester's `local` region (source; READ target).
+    /// Offset in the requester's `local` region (source).
     local_off: u32,
-    /// Offset in the responder's `remote` region (target; READ source).
+    /// Offset in the responder's `remote` region (target).
     remote_off: u32,
     signaled: bool,
 }
@@ -48,12 +49,7 @@ impl Op {
 }
 
 fn op() -> impl Strategy<Value = Op> {
-    let kind = prop_oneof![
-        Just(Kind::Send),
-        Just(Kind::Write),
-        Just(Kind::WriteImm),
-        Just(Kind::Read),
-    ];
+    let kind = prop_oneof![Just(Kind::Send), Just(Kind::Write), Just(Kind::WriteImm),];
     let len = prop_oneof![0u32..=64, 0u32..=MAX_LEN];
     (kind, len, any::<u32>(), any::<u32>(), any::<bool>()).prop_map(
         |(kind, len, local, remote, signaled)| Op {
@@ -61,9 +57,7 @@ fn op() -> impl Strategy<Value = Op> {
             len,
             local_off: local % (REGION - len + 1),
             remote_off: remote % (REGION - len + 1),
-            // The script waits for a READ before going on, so it must
-            // be told when one is done.
-            signaled: signaled || kind == Kind::Read,
+            signaled,
         },
     )
 }
@@ -82,7 +76,8 @@ fn fill(seed: u8, len: u32) -> Vec<u8> {
         .collect()
 }
 
-/// The three regions a run can write, and both CQs' completions.
+/// The three regions a run can write, both CQs' completions, and the
+/// send-queue slots each QP still holds.
 #[derive(Debug, PartialEq)]
 struct Observed {
     local: Vec<u8>,
@@ -90,6 +85,7 @@ struct Observed {
     recv_bufs: Vec<u8>,
     send_cqes: Vec<CqeFields>,
     recv_cqes: Vec<CqeFields>,
+    sq_outstanding: (usize, usize),
 }
 
 type CqeFields = (u64, WcStatus, WcOpcode, u32, Option<u32>, QpNum);
@@ -103,7 +99,7 @@ const QPN: QpNum = QpNum(1);
 
 /// What the sequence means, one operation after another.
 fn interpret(ops: &[Op]) -> Observed {
-    let mut local = fill(0xA5, REGION);
+    let local = fill(0xA5, REGION);
     let mut remote = fill(0x3C, REGION);
     let recvs = ops.iter().filter(|o| o.consumes_recv()).count();
     let mut recv_bufs = vec![0u8; recvs * MAX_LEN as usize];
@@ -119,7 +115,6 @@ fn interpret(ops: &[Op]) -> Observed {
                 recv_bufs[at..at + n].copy_from_slice(&local[l..l + n]);
             }
             Kind::Write | Kind::WriteImm => remote[r..r + n].copy_from_slice(&local[l..l + n]),
-            Kind::Read => local[l..l + n].copy_from_slice(&remote[r..r + n]),
         }
         if op.consumes_recv() {
             let opcode = if op.kind == Kind::Send {
@@ -134,7 +129,6 @@ fn interpret(ops: &[Op]) -> Observed {
             let opcode = match op.kind {
                 Kind::Send => WcOpcode::Send,
                 Kind::Write | Kind::WriteImm => WcOpcode::RdmaWrite,
-                Kind::Read => WcOpcode::RdmaRead,
             };
             send_cqes.push((i as u64, WcStatus::Success, opcode, op.len, None, QPN));
         }
@@ -145,6 +139,7 @@ fn interpret(ops: &[Op]) -> Observed {
         recv_bufs,
         send_cqes,
         recv_cqes,
+        sq_outstanding: (0, 0),
     }
 }
 
@@ -167,7 +162,6 @@ fn send_wr(i: usize, op: &Op, m: &Regions) -> SendWr {
         Kind::Send => SendWr::send(i as u64, sge),
         Kind::Write => SendWr::write(i as u64, sge, at),
         Kind::WriteImm => SendWr::write_imm(i as u64, sge, at, i as u32),
-        Kind::Read => SendWr::read(i as u64, sge, at),
     };
     if op.signaled {
         wr
@@ -192,46 +186,23 @@ fn recv_wrs(ops: &[Op], m: &Regions) -> Vec<RecvWr> {
         .collect()
 }
 
-/// Posts the script in order, holding back after a READ until it
-/// completes (its completion is the only one whose place in the send
-/// CQ depends on timing).
+/// Posts the script in order at the start.
 struct SimRequester {
     conn: ConnHalf,
     wrs: Vec<SendWr>,
-    next: usize,
-    awaiting_read: Option<u64>,
     expect: usize,
     cqes: Vec<Cqe>,
 }
 
-impl SimRequester {
-    fn pump(&mut self, api: &mut NodeApi<'_>) {
-        while self.awaiting_read.is_none() && self.next < self.wrs.len() {
-            let wr = self.wrs[self.next].clone();
-            if wr.opcode == rdma_verbs::SendOpcode::RdmaRead {
-                self.awaiting_read = Some(wr.wr_id);
-            }
-            api.post_send(self.conn.qpn, wr).unwrap();
-            self.next += 1;
-        }
-    }
-}
-
 impl NodeApp for SimRequester {
     fn on_start(&mut self, api: &mut NodeApi<'_>) {
-        self.pump(api);
+        for wr in self.wrs.drain(..) {
+            api.post_send(self.conn.qpn, wr).unwrap();
+        }
     }
     fn on_wake(&mut self, api: &mut NodeApi<'_>) {
-        let before = self.cqes.len();
         api.poll_cq(self.conn.send_cq, usize::MAX, &mut self.cqes)
             .unwrap();
-        if self.cqes[before..]
-            .iter()
-            .any(|c| Some(c.wr_id) == self.awaiting_read)
-        {
-            self.awaiting_read = None;
-        }
-        self.pump(api);
     }
     fn is_done(&self) -> bool {
         self.cqes.len() == self.expect
@@ -267,7 +238,7 @@ fn run_sim(ops: &[Op], expect: &Observed) -> Observed {
         mr
     });
     let m = net.with_api(b, |api| {
-        let remote = api.register_mr(REGION as usize, Access::all());
+        let remote = api.register_mr(REGION as usize, Access::local_remote_write());
         api.write_mr(remote.key, remote.addr, &fill(0x3C, REGION))
             .unwrap();
         let recv_bufs = api.register_mr(expect.recv_bufs.len(), Access::LOCAL_WRITE);
@@ -289,8 +260,6 @@ fn run_sim(ops: &[Op], expect: &Observed) -> Observed {
             .enumerate()
             .map(|(i, op)| send_wr(i, op, &m))
             .collect(),
-        next: 0,
-        awaiting_read: None,
         expect: expect.send_cqes.len(),
         cqes: Vec::new(),
     };
@@ -310,12 +279,16 @@ fn run_sim(ops: &[Op], expect: &Observed) -> Observed {
             .unwrap();
         buf
     };
+    let mut outstanding =
+        |node, qpn| net.with_api(node, |api| api.hca().qp(qpn).unwrap().sq_outstanding());
+    let sq_outstanding = (outstanding(a, ha.qpn), outstanding(b, hb.qpn));
     Observed {
         local: read(&mut net, a, m.local),
         remote: read(&mut net, b, m.remote),
         recv_bufs: read(&mut net, b, m.recv_bufs),
         send_cqes: requester.cqes.iter().map(fields).collect(),
         recv_cqes: responder.cqes.iter().map(fields).collect(),
+        sq_outstanding,
     }
 }
 
@@ -356,7 +329,7 @@ fn run_threads(ops: &[Op], expect: &Observed) -> Observed {
         mr
     });
     let m = b.with_hca(|h| {
-        let remote = h.register_mr(REGION as usize, Access::all());
+        let remote = h.register_mr(REGION as usize, Access::local_remote_write());
         h.mem_mut()
             .app_write(remote.key, remote.addr, &fill(0x3C, REGION))
             .unwrap();
@@ -373,11 +346,6 @@ fn run_threads(ops: &[Op], expect: &Observed) -> Observed {
     let mut send_cqes = Vec::new();
     for (i, op) in ops.iter().enumerate() {
         net.post_send(&a, a_qp, send_wr(i, op, &m)).unwrap();
-        if op.kind == Kind::Read {
-            collect(&a, a_scq, &mut send_cqes, |c| {
-                c.iter().any(|c| c.wr_id == i as u64)
-            });
-        }
     }
     collect(&a, a_scq, &mut send_cqes, |c| {
         c.len() >= expect.send_cqes.len()
@@ -393,12 +361,15 @@ fn run_threads(ops: &[Op], expect: &Observed) -> Observed {
             .unwrap();
         buf
     };
+    let outstanding =
+        |node: &ThreadNode, qpn| node.with_hca(|h| h.qp(qpn).unwrap().sq_outstanding());
     Observed {
         local: read(&a, m.local),
         remote: read(&b, m.remote),
         recv_bufs: read(&b, m.recv_bufs),
         send_cqes: send_cqes.iter().map(fields).collect(),
         recv_cqes: recv_cqes.iter().map(fields).collect(),
+        sq_outstanding: (outstanding(&a, a_qp), outstanding(&b, b_qp)),
     }
 }
 

@@ -87,8 +87,8 @@ struct Range {
 const ACCESS: [Access; 4] = [
     Access::NONE,
     Access::LOCAL_WRITE,
-    Access::REMOTE_READ,
     Access::REMOTE_WRITE,
+    Access::local_remote_write(),
 ];
 
 /// `pages` whole pages, then mostly nothing, else a step beside the
@@ -476,7 +476,7 @@ proptest! {
         access in proptest::collection::vec(0usize..12, LENS.len()),
     ) {
         // Most runs grant everything, so that most operations succeed.
-        let grant = |i: usize| ACCESS.get(access[i]).copied().unwrap_or(Access::all());
+        let grant = |i: usize| ACCESS.get(access[i]).copied().unwrap_or(Access::local_remote_write());
         let (mut tables, mut reference) = setup(grant);
         for (step, op) in ops.iter().copied().enumerate() {
             apply(&mut tables, &mut reference, step, op);
@@ -501,7 +501,7 @@ proptest! {
             let (src, dst) = if bit(0) { (5, 4) } else { (4, 5) };
             let from = u64::from(bit(1));
             let to = dst_page * PAGE as u64 + u64::from(bit(2));
-            let (mut tables, mut reference) = setup(|_| Access::all());
+            let (mut tables, mut reference) = setup(|_| Access::local_remote_write());
             let mut ops = Vec::new();
             for (region, written, seed) in [(src, bit(3), seeds.0), (dst, bit(4), seeds.1)] {
                 let whole = Range { region, off: 0, len: LENS[region] as u64, stale_key: false };
@@ -530,7 +530,7 @@ proptest! {
 #[test]
 fn highest_offset_first_writes_then_reads_of_the_gaps() {
     let mut table = MemoryTable::new();
-    let mr = table.register(3 * PAGE, Access::all());
+    let mr = table.register(3 * PAGE, Access::local_remote_write());
     assert_eq!(table.backed_bytes(), 0, "registration touches nothing");
     let mut all = vec![0xEE; 3 * PAGE];
     table.app_read(mr.key, mr.addr, &mut all).unwrap();
@@ -558,7 +558,7 @@ fn highest_offset_first_writes_then_reads_of_the_gaps() {
 
     // The slot's next occupant starts from nothing again.
     table.deregister(mr.key).unwrap();
-    let again = table.register(3 * PAGE, Access::all());
+    let again = table.register(3 * PAGE, Access::local_remote_write());
     assert_eq!(table.backed_bytes(), 0);
     let view = table
         .dma_view(again.key, again.addr + 100, 28, Access::NONE)
@@ -573,8 +573,8 @@ fn highest_offset_first_writes_then_reads_of_the_gaps() {
 #[test]
 fn a_source_deregistered_after_a_share_leaves_the_destination_its_bytes() {
     let (mut a, mut b) = (MemoryTable::new(), MemoryTable::new());
-    let src = a.register(2 * PAGE, Access::all());
-    let dst = b.register(2 * PAGE, Access::all());
+    let src = a.register(2 * PAGE, Access::local_remote_write());
+    let dst = b.register(2 * PAGE, Access::local_remote_write());
     let payload = fill(3, 2 * PAGE as u64);
     a.app_write(src.key, src.addr, &payload).unwrap();
     let view = a.dma_view(src.key, src.addr, 2 * PAGE as u64, Access::NONE);

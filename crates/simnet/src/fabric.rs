@@ -274,11 +274,6 @@ impl FairShareFabric {
         }
     }
 
-    /// The fabric's configuration.
-    pub fn config(&self) -> &FairShareConfig {
-        &self.cfg
-    }
-
     /// Registers one directed link's capacity: `src`'s NIC uplink and
     /// `dst`'s NIC downlink are each at least `bandwidth_bps`.
     /// Bandwidth 0 means unlimited (the ideal-hardware profile).

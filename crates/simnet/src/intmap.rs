@@ -12,7 +12,7 @@
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
-/// A `HashMap` hashed by [`IntHasher`].
+/// A `HashMap` hashed by `IntHasher`.
 pub type IntMap<K, V> = HashMap<K, V, BuildHasherDefault<IntHasher>>;
 
 /// Multiplicative hashing for integer keys (64-bit golden-ratio

@@ -4,14 +4,14 @@
 //! reproduction. It provides:
 //!
 //! * a virtual nanosecond clock ([`SimTime`], [`SimDuration`]),
-//! * a deterministic event scheduler ([`event::Scheduler`]) with stable
+//! * a deterministic event scheduler ([`Scheduler`]) with stable
 //!   FIFO ordering for simultaneous events and cancellable timers,
-//! * the two id → state tables the layers above share: [`slab::Slab`]
-//!   (the id *is* the index) and [`intmap::IntMap`] (caller-chosen
+//! * the two id → state tables the layers above share: [`Slab`]
+//!   (the id *is* the index) and [`IntMap`] (caller-chosen
 //!   integer ids, cheaply hashed),
 //! * the one way the layers above declare counters: [`stats!`] (field,
 //!   merge rule and ratio accessors from one table),
-//! * a point-to-point link model ([`link::Link`]) with configurable
+//! * a point-to-point link model ([`Link`]) with configurable
 //!   bandwidth, propagation delay and jitter, preserving strict FIFO
 //!   delivery (the ordering guarantee of an RDMA reliable-connected
 //!   channel),
@@ -19,9 +19,13 @@
 //!   concurrent transfers split link capacity max-min fairly across a
 //!   two-hop (NIC + oversubscribed core) topology, selected per fabric
 //!   via [`fabric::FabricModel`],
-//! * a small, fast, seedable RNG ([`rng::SplitMix64`] and
-//!   [`rng::Xoshiro256`]) so that every simulation run is reproducible
-//!   from a single `u64` seed.
+//! * a small, fast, seedable RNG ([`Xoshiro256`], seeded through
+//!   SplitMix64) so that every simulation run is reproducible from a
+//!   single `u64` seed.
+//!
+//! A module or item is public when some file outside this crate names
+//! it; everything else is private to the crate, and the types the
+//! layers above use are re-exported here.
 //!
 //! The engine is intentionally single-threaded: determinism is what lets
 //! the benchmark harnesses regenerate the paper's figures bit-for-bit
@@ -32,19 +36,19 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod event;
+mod event;
 pub mod fabric;
-pub mod intmap;
-pub mod link;
-pub mod rng;
-pub mod slab;
+mod intmap;
+mod link;
+mod rng;
+mod slab;
 pub mod stats;
-pub mod time;
+mod time;
 
 pub use event::{EventId, Scheduler};
-pub use fabric::{FabricModel, FabricStats, FairShareConfig, FairShareFabric, FlowStats, Transfer};
+pub use fabric::{FairShareConfig, FairShareFabric, Transfer};
 pub use intmap::IntMap;
 pub use link::{Link, LinkConfig};
-pub use rng::{SplitMix64, Xoshiro256};
+pub use rng::Xoshiro256;
 pub use slab::Slab;
 pub use time::{SimDuration, SimTime};

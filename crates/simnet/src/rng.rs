@@ -18,13 +18,13 @@ pub struct SplitMix64 {
 
 impl SplitMix64 {
     /// Creates a generator from a seed. All seeds are valid.
-    pub fn new(seed: u64) -> Self {
+    pub(crate) fn new(seed: u64) -> Self {
         SplitMix64 { state: seed }
     }
 
     /// Next 64 uniformly distributed bits.
     #[inline]
-    pub fn next_u64(&mut self) -> u64 {
+    pub(crate) fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let mut z = self.state;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

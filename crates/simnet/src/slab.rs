@@ -3,7 +3,7 @@
 //!
 //! This is the table behind every id the simulator resolves once per
 //! event — a scheduled event's payload, a transfer parked in the fabric
-//! allocator, an RDMA READ awaiting its response — so a lookup is an
+//! allocator — so a lookup is an
 //! index and a bounds check, and the table is as large as the most
 //! values that were ever live at once, however many passed through.
 //!
@@ -23,14 +23,12 @@
 /// assert_eq!(slab.remove(a), Some("a"));
 /// assert_eq!(slab.get(a), None);
 /// assert_eq!(slab.insert("c"), a, "the freed slot is reused first");
-/// assert_eq!((slab.len(), slab.slots()), (2, 2));
 /// assert_eq!(slab.get(b), Some(&"b"));
 /// ```
 pub struct Slab<T> {
     slots: Vec<Slot<T>>,
     /// Head of the free list threaded through the vacant slots.
     free_head: Option<u32>,
-    len: usize,
 }
 
 enum Slot<T> {
@@ -50,7 +48,6 @@ impl<T> Slab<T> {
         Slab {
             slots: Vec::new(),
             free_head: None,
-            len: 0,
         }
     }
 
@@ -60,7 +57,6 @@ impl<T> Slab<T> {
     /// # Panics
     /// Panics if more than `u32::MAX` values are live at once.
     pub fn insert(&mut self, value: T) -> u32 {
-        self.len += 1;
         match self.free_head {
             Some(slot) => {
                 let Slot::Vacant { next_free } = self.slots[slot as usize] else {
@@ -92,7 +88,6 @@ impl<T> Slab<T> {
             unreachable!("checked full above")
         };
         self.free_head = Some(slot);
-        self.len -= 1;
         Some(value)
     }
 
@@ -107,33 +102,33 @@ impl<T> Slab<T> {
 
     /// Mutable access to the value in `slot`, if it holds one.
     #[inline]
-    pub fn get_mut(&mut self, slot: u32) -> Option<&mut T> {
+    pub(crate) fn get_mut(&mut self, slot: u32) -> Option<&mut T> {
         match self.slots.get_mut(slot as usize)? {
             Slot::Full(value) => Some(value),
             Slot::Vacant { .. } => None,
         }
-    }
-
-    /// Number of values stored.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when no value is stored.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Number of slots ever allocated, full or vacant: the high-water
-    /// mark of [`Slab::len`].
-    pub fn slots(&self) -> usize {
-        self.slots.len()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl<T> Slab<T> {
+        /// Number of values stored.
+        fn len(&self) -> usize {
+            self.slots
+                .iter()
+                .filter(|slot| matches!(slot, Slot::Full(_)))
+                .count()
+        }
+
+        /// Number of slots ever allocated, full or vacant: the
+        /// high-water mark of `len`.
+        pub(crate) fn slots(&self) -> usize {
+            self.slots.len()
+        }
+    }
 
     #[test]
     fn handles_are_stable_and_freed_slots_are_reused_lifo() {
@@ -161,7 +156,7 @@ mod tests {
         assert_eq!(s.remove(a), None, "a second remove finds the slot vacant");
         assert_eq!(s.get_mut(a), None);
         assert_eq!(s.get(99), None);
-        assert!(s.is_empty());
+        assert_eq!(s.len(), 0);
     }
 
     #[test]

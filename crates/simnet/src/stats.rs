@@ -129,7 +129,7 @@ impl Counter for bool {
 }
 
 /// Declares a counter struct from one table; see the [module
-/// docs](crate::stats) for the entry grammar and an example.
+/// docs](mod@crate::stats) for the entry grammar and an example.
 #[macro_export]
 macro_rules! stats {
     // ---- one entry per step, normalised into [fields] and [entries] ----

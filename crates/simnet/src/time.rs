@@ -65,7 +65,7 @@ impl SimTime {
     /// # Panics
     /// Panics if `earlier` is later than `self`.
     #[inline]
-    pub fn duration_since(self, earlier: SimTime) -> SimDuration {
+    pub(crate) fn duration_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(
             self.0
                 .checked_sub(earlier.0)
@@ -73,21 +73,15 @@ impl SimTime {
         )
     }
 
-    /// Saturating version of [`SimTime::duration_since`].
+    /// The span since `earlier`, or zero if `earlier` is later.
     #[inline]
     pub fn saturating_duration_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
 
-    /// Adds a duration, saturating at [`SimTime::MAX`].
-    #[inline]
-    pub fn saturating_add(self, d: SimDuration) -> SimTime {
-        SimTime(self.0.saturating_add(d.0))
-    }
-
     /// `max(self, other)`.
     #[inline]
-    pub fn max(self, other: SimTime) -> SimTime {
+    pub(crate) fn max(self, other: SimTime) -> SimTime {
         if self >= other {
             self
         } else {
@@ -126,16 +120,6 @@ impl SimDuration {
         SimDuration(s * 1_000_000_000)
     }
 
-    /// Constructs a span from fractional seconds, rounding to the nearest
-    /// nanosecond. Negative inputs clamp to zero.
-    #[inline]
-    pub fn from_secs_f64(s: f64) -> Self {
-        if s <= 0.0 {
-            return SimDuration::ZERO;
-        }
-        SimDuration((s * 1e9).round() as u64)
-    }
-
     /// Raw nanoseconds.
     #[inline]
     pub const fn as_nanos(self) -> u64 {
@@ -152,18 +136,6 @@ impl SimDuration {
     #[inline]
     pub const fn is_zero(self) -> bool {
         self.0 == 0
-    }
-
-    /// Checked addition.
-    #[inline]
-    pub fn checked_add(self, other: SimDuration) -> Option<SimDuration> {
-        self.0.checked_add(other.0).map(SimDuration)
-    }
-
-    /// Saturating subtraction.
-    #[inline]
-    pub fn saturating_sub(self, other: SimDuration) -> SimDuration {
-        SimDuration(self.0.saturating_sub(other.0))
     }
 
     /// Multiplies the span by an integer factor.
@@ -325,10 +297,6 @@ mod tests {
             t.saturating_duration_since(SimTime::from_nanos(9)),
             SimDuration::ZERO
         );
-        assert_eq!(
-            SimTime::MAX.saturating_add(SimDuration::from_nanos(1)),
-            SimTime::MAX
-        );
     }
 
     #[test]
@@ -348,13 +316,6 @@ mod tests {
     fn transmission_zero_bandwidth_is_zero() {
         // Degenerate configuration treated as "infinitely fast".
         assert!(SimDuration::transmission(100, 0).is_zero());
-    }
-
-    #[test]
-    fn from_secs_f64_clamps_and_rounds() {
-        assert_eq!(SimDuration::from_secs_f64(-1.0), SimDuration::ZERO);
-        assert_eq!(SimDuration::from_secs_f64(1e-9).as_nanos(), 1);
-        assert_eq!(SimDuration::from_secs_f64(0.5).as_nanos(), 500_000_000);
     }
 
     #[test]

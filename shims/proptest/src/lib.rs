@@ -3,8 +3,8 @@
 //! This build environment has no registry access, so the workspace
 //! vendors the subset of proptest it uses: the [`Strategy`] trait with
 //! uniform integer/bool/tuple/vec/map/union strategies, the
-//! [`proptest!`]/[`prop_oneof!`]/[`prop_assert*`] macros, and
-//! [`ProptestConfig::with_cases`]. Inputs are generated from a
+//! [`proptest!`], [`prop_oneof!`], [`prop_assert!`], [`prop_assert_eq!`]
+//! and [`prop_assert_ne!`] macros, and [`ProptestConfig::with_cases`]. Inputs are generated from a
 //! deterministic per-test, per-case RNG so failures reproduce across
 //! runs. Differences from the real crate: no shrinking (a failing case
 //! reports its inputs via the panic message Debug formatting where the
