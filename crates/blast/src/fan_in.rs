@@ -608,13 +608,18 @@ impl NodeApp for FanInClient {
     fn on_wake(&mut self, api: &mut NodeApi<'_>) {
         let mut events = std::mem::take(&mut self.events);
         let empty = |api: &NodeApi<'_>, cq| api.hca().cq(cq).expect("a link's CQ").is_empty();
+        // Empty polls of the quiet links since the last link with work:
+        // charged as one sum, which ends where their charges one by one
+        // would (nothing else is charged between them).
+        let mut quiet_polls = 0;
         for li in 0..self.links.len() {
             if let Some((send_cq, recv_cq)) = self.quiet[li] {
                 if empty(api, send_cq) && empty(api, recv_cq) {
-                    api.charge_empty_polls(2);
+                    quiet_polls += 2;
                     continue;
                 }
             }
+            api.charge_empty_polls(std::mem::take(&mut quiet_polls));
             let link = &mut self.links[li];
             link.handle_wake(api);
             link.take_events_into(&mut events);
@@ -641,6 +646,7 @@ impl NodeApp for FanInClient {
             }
             self.quiet[li] = self.links[li].quiet_cqs();
         }
+        api.charge_empty_polls(quiet_polls);
         self.events = events;
     }
     fn is_done(&self) -> bool {

@@ -87,6 +87,8 @@ struct Pinger {
     ping_sent_at: Option<SimTime>,
     rtts: Vec<SimDuration>,
     next_id: u64,
+    /// The socket's events, taken into a buffer kept between wakes.
+    events: Vec<ExsEvent>,
 }
 
 impl Pinger {
@@ -112,9 +114,11 @@ impl NodeApp for Pinger {
         self.fire(api);
     }
     fn on_wake(&mut self, api: &mut NodeApi<'_>) {
-        self.sock.as_mut().unwrap().handle_wake(api);
-        let events = self.sock.as_mut().unwrap().take_events();
-        for ev in events {
+        let sock = self.sock.as_mut().unwrap();
+        sock.handle_wake(api);
+        let mut events = std::mem::take(&mut self.events);
+        sock.take_events_into(&mut events);
+        for ev in events.drain(..) {
             if let ExsEvent::RecvComplete { len, .. } = ev {
                 assert_eq!(len, self.msg_size, "pong truncated");
                 let rtt = api
@@ -127,6 +131,7 @@ impl NodeApp for Pinger {
                 }
             }
         }
+        self.events = events;
     }
     fn is_done(&self) -> bool {
         self.completed >= self.iterations
@@ -139,6 +144,8 @@ struct Ponger {
     recv_mr: Option<MrInfo>,
     msg_size: u32,
     next_id: u64,
+    /// The socket's events, taken into a buffer kept between wakes.
+    events: Vec<ExsEvent>,
 }
 
 impl Ponger {
@@ -158,9 +165,11 @@ impl NodeApp for Ponger {
         self.post_recv(api);
     }
     fn on_wake(&mut self, api: &mut NodeApi<'_>) {
-        self.sock.as_mut().unwrap().handle_wake(api);
-        let events = self.sock.as_mut().unwrap().take_events();
-        for ev in events {
+        let sock = self.sock.as_mut().unwrap();
+        sock.handle_wake(api);
+        let mut events = std::mem::take(&mut self.events);
+        sock.take_events_into(&mut events);
+        for ev in events.drain(..) {
             if let ExsEvent::RecvComplete { id, len } = ev {
                 assert_eq!(len, self.msg_size, "ping truncated");
                 let send_mr = self.send_mr.unwrap();
@@ -171,6 +180,7 @@ impl NodeApp for Ponger {
                 self.post_recv(api);
             }
         }
+        self.events = events;
     }
     fn is_done(&self) -> bool {
         true
@@ -197,6 +207,7 @@ pub fn run_pingpong(spec: &PingPongSpec) -> PingPongReport {
         ping_sent_at: None,
         rtts: Vec::with_capacity(total),
         next_id: 0,
+        events: Vec::new(),
     };
     let mut ponger = Ponger {
         sock: Some(sock_b),
@@ -204,6 +215,7 @@ pub fn run_pingpong(spec: &PingPongSpec) -> PingPongReport {
         recv_mr: None,
         msg_size: spec.msg_size,
         next_id: 0,
+        events: Vec::new(),
     };
     net.with_api(a, |api| {
         pinger.send_mr = Some(api.register_mr(spec.msg_size as usize, Access::NONE));

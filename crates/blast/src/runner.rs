@@ -121,6 +121,8 @@ struct Client {
     started: bool,
     first_send_at: Option<SimTime>,
     scratch: Vec<u8>,
+    /// The socket's events, taken into a buffer kept between wakes.
+    events: Vec<ExsEvent>,
 }
 
 impl Client {
@@ -171,7 +173,8 @@ impl NodeApp for Client {
     fn on_wake(&mut self, api: &mut NodeApi<'_>) {
         let sock = self.sock.as_mut().unwrap();
         sock.handle_wake(api);
-        for ev in sock.take_events() {
+        sock.take_events_into(&mut self.events);
+        for ev in self.events.drain(..) {
             if let ExsEvent::SendComplete { id, .. } = ev {
                 self.free_slots.push(self.slot_of[id as usize]);
                 self.completed += 1;
@@ -197,6 +200,8 @@ struct Server {
     verify: VerifyLevel,
     digest: u64,
     finished_at: Option<SimTime>,
+    /// The socket's events, taken into a buffer kept between wakes.
+    events: Vec<ExsEvent>,
 }
 
 impl Server {
@@ -242,12 +247,13 @@ impl Server {
 
     fn drain(&mut self, api: &mut NodeApi<'_>) {
         self.kick(api);
+        let mut events = std::mem::take(&mut self.events);
         loop {
-            let events = self.sock.as_mut().unwrap().take_events();
+            self.sock.as_mut().unwrap().take_events_into(&mut events);
             if events.is_empty() {
                 break;
             }
-            for ev in events {
+            for ev in events.drain(..) {
                 if let ExsEvent::RecvComplete { id, len } = ev {
                     let slot = self.slot_of.remove(&id).expect("slot of recv");
                     if self.verify == VerifyLevel::Full {
@@ -273,6 +279,7 @@ impl Server {
             }
             self.kick(api);
         }
+        self.events = events;
     }
 }
 
@@ -346,6 +353,7 @@ pub fn run_blast(spec: &BlastSpec) -> BlastReport {
         started: false,
         first_send_at: None,
         scratch: Vec::new(),
+        events: Vec::new(),
     };
     let mut server = Server {
         sock: Some(sock_s),
@@ -360,6 +368,7 @@ pub fn run_blast(spec: &BlastSpec) -> BlastReport {
         verify: spec.verify,
         digest: FNV_OFFSET,
         finished_at: None,
+        events: Vec::new(),
     };
     net.with_api(client_node, |api| {
         for _ in 0..spec.outstanding_sends {

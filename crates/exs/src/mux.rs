@@ -1548,7 +1548,7 @@ mod tests {
         fn on_wake(&mut self, api: &mut NodeApi<'_>) {
             let ep = self.ep.as_mut().unwrap();
             ep.handle_wake(api);
-            self.events.extend(ep.take_events());
+            self.events.extend(ep.drain_events());
         }
         fn is_done(&self) -> bool {
             (self.until)(&self.events, self.ep.as_ref().unwrap())

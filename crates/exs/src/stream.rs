@@ -725,6 +725,13 @@ impl StreamSocket {
         std::mem::take(&mut self.events)
     }
 
+    /// [`StreamSocket::take_events`], appending to a caller-owned
+    /// buffer: a loop that keeps one buffer takes events without
+    /// allocating.
+    pub fn take_events_into(&mut self, out: &mut Vec<ExsEvent>) {
+        out.append(&mut self.events);
+    }
+
     /// Takes the accumulated user events one by one, keeping the
     /// queue's storage for the next ones.
     pub(crate) fn drain_events(&mut self) -> std::vec::Drain<'_, ExsEvent> {

@@ -76,12 +76,27 @@ pub enum Effect {
 pub struct PreparedSend {
     /// The message to carry to the peer.
     pub(crate) msg: WireMessage,
-    /// Send-side completion for the driver to hand to
+    /// For a signaled send, the completion for the driver to hand to
     /// [`HcaCore::tx_finished`] once the source buffer is no longer
     /// needed: `SimNet` does so when the peer's acknowledgment returns
     /// (after the message was delivered), `ThreadNet` right after it
-    /// delivered the message. `None` for unsignaled sends.
-    pub(crate) completion: Option<Cqe>,
+    /// delivered the message. `None` for an unsignaled send: the driver
+    /// does nothing when it finishes, and its SQ slot is retired by the
+    /// completion of the next signaled send on the QP
+    /// ([`SendDone::slots`]).
+    pub(crate) completion: Option<SendDone>,
+}
+
+/// A signaled send's completion and the send-queue slots it retires.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct SendDone {
+    /// The CQE for the send CQ.
+    pub(crate) cqe: Cqe,
+    /// The send's own slot plus one per unsignaled send posted on the
+    /// QP since the previous signaled one. RC acknowledges a QP's sends
+    /// in order on both drivers, so by the time this one finishes every
+    /// send before it has.
+    pub(crate) slots: u32,
 }
 
 /// Table index of a QP number or CQ id: both count from 1. Id 0 wraps
@@ -301,11 +316,6 @@ impl HcaCore {
             Payload::Owned(Bytes::new())
         };
 
-        let qp = self.qp_mut(qpn)?;
-        let remote_qp = qp.remote().ok_or(VerbsError::NotConnected)?;
-        qp.reserve_sq_slot()?;
-        let src = (self.node, qpn);
-
         let op = match wr.opcode {
             SendOpcode::Send => WireOp::Send { imm: wr.imm },
             SendOpcode::RdmaWrite => {
@@ -329,21 +339,26 @@ impl HcaCore {
             }
         };
 
-        let completion = wr.signaled.then(|| Cqe {
-            wr_id: wr.wr_id,
-            status: WcStatus::Success,
-            opcode: match wr.opcode {
-                SendOpcode::Send => WcOpcode::Send,
-                _ => WcOpcode::RdmaWrite,
+        let qp = self.qp_mut(qpn)?;
+        let remote_qp = qp.remote().ok_or(VerbsError::NotConnected)?;
+        let completion = qp.reserve_sq_slot(wr.signaled)?.map(|slots| SendDone {
+            cqe: Cqe {
+                wr_id: wr.wr_id,
+                status: WcStatus::Success,
+                opcode: match wr.opcode {
+                    SendOpcode::Send => WcOpcode::Send,
+                    _ => WcOpcode::RdmaWrite,
+                },
+                byte_len: payload.len() as u32,
+                imm: None,
+                qpn,
             },
-            byte_len: payload.len() as u32,
-            imm: None,
-            qpn,
+            slots,
         });
 
         Ok(PreparedSend {
             msg: WireMessage {
-                src,
+                src: (self.node, qpn),
                 dst: remote_qp,
                 op,
                 payload,
@@ -366,30 +381,19 @@ impl HcaCore {
         }
     }
 
-    /// Called by the driver when a send finishes (see
-    /// [`PreparedSend::completion`] for when that is).
-    /// Selective-signaling semantics: an unsignaled WQE's SQ
-    /// slot is *not* freed here — it is parked until the next signaled
-    /// completion on the same QP, which retires the whole unsignaled
-    /// run plus itself in one batch (the ULP can only learn slots are
-    /// free from a CQE, and the FIFO channel makes one CQE vouch for
-    /// everything posted before it).
-    pub(crate) fn tx_finished(
-        &mut self,
-        qpn: QpNum,
-        completion: Option<Cqe>,
-        effects: &mut Vec<Effect>,
-    ) {
-        let Ok(qp) = self.qp_mut(qpn) else {
+    /// Called by the driver when a signaled send finishes (see
+    /// [`PreparedSend::completion`] for when that is): retires its SQ
+    /// slot and those of the unsignaled run before it in one batch, and
+    /// queues its CQE. An unsignaled send has no call: the ULP can only
+    /// learn slots are free from a CQE, and the FIFO channel makes one
+    /// CQE vouch for everything posted before it.
+    pub(crate) fn tx_finished(&mut self, done: SendDone, effects: &mut Vec<Effect>) {
+        let Ok(qp) = self.qp_mut(done.cqe.qpn) else {
             return;
         };
-        let Some(cqe) = completion else {
-            qp.defer_sq_release();
-            return;
-        };
-        qp.release_sq_batch();
+        qp.release_sq_slots(done.slots);
         let cq = qp.send_cq();
-        self.push_cqe(cq, cqe, effects);
+        self.push_cqe(cq, done.cqe, effects);
     }
 
     fn push_cqe(&mut self, cq: CqId, cqe: Cqe, effects: &mut Vec<Effect>) {
@@ -584,7 +588,7 @@ mod tests {
         let prep = a.prepare_send(qa, SendWr::send(11, src.sge(0, 4))).unwrap();
         // Simulate transmission finishing, then delivery.
         let mut fx = Vec::new();
-        a.tx_finished(qa, prep.completion, &mut fx);
+        a.tx_finished(prep.completion.unwrap(), &mut fx);
         assert!(matches!(fx[0], Effect::Completion));
         let send_cqes = drain(&mut a, a_scq);
         assert_eq!(send_cqes.len(), 1);
@@ -763,36 +767,33 @@ mod tests {
             .prepare_send(qa, SendWr::send(1, src.sge(0, 8)).unsignaled())
             .unwrap();
         assert!(prep.completion.is_none());
-        let mut fx = Vec::new();
-        a.tx_finished(qa, prep.completion, &mut fx);
-        assert!(fx.is_empty());
         assert!(drain(&mut a, a_scq).is_empty());
-        // The unsignaled WQE's SQ slot stays parked until a signaled
+        // The unsignaled WQE's SQ slot stays held until a signaled
         // completion retires it.
         assert_eq!(a.qp(qa).unwrap().sq_outstanding(), 1);
-        assert_eq!(a.qp(qa).unwrap().sq_deferred(), 1);
     }
 
     #[test]
     fn signaled_cqe_retires_prior_unsignaled_slots_in_one_batch() {
         let (mut a, _, qa, _, (a_scq, _), _) = pair();
         let src = a.register_mr(8, Access::NONE);
-        // Three unsignaled sends finish transmission: slots stay held.
+        // Three unsignaled sends: their slots stay held.
         for wr_id in 1..=3 {
             let prep = a
                 .prepare_send(qa, SendWr::send(wr_id, src.sge(0, 8)).unsignaled())
                 .unwrap();
-            let mut fx = Vec::new();
-            a.tx_finished(qa, prep.completion, &mut fx);
+            assert!(prep.completion.is_none());
         }
         assert_eq!(a.qp(qa).unwrap().sq_outstanding(), 3);
-        // The fourth, signaled send retires all four slots at once.
+        // The fourth, signaled send carries the run and retires all four
+        // slots at once.
         let prep = a.prepare_send(qa, SendWr::send(4, src.sge(0, 8))).unwrap();
         assert_eq!(a.qp(qa).unwrap().sq_outstanding(), 4);
+        let done = prep.completion.unwrap();
+        assert_eq!(done.slots, 4);
         let mut fx = Vec::new();
-        a.tx_finished(qa, prep.completion, &mut fx);
+        a.tx_finished(done, &mut fx);
         assert_eq!(a.qp(qa).unwrap().sq_outstanding(), 0);
-        assert_eq!(a.qp(qa).unwrap().sq_deferred(), 0);
         let cqes = drain(&mut a, a_scq);
         assert_eq!(cqes.len(), 1, "only the signaled WQE produced a CQE");
         assert_eq!(cqes[0].wr_id, 4);

@@ -60,15 +60,15 @@ pub struct QueuePair {
     remote: Option<(NodeId, QpNum)>,
     /// Posted, not-yet-consumed receive WQEs.
     rq: VecDeque<RecvWr>,
-    /// Number of send WQEs posted whose wire transmission has not yet
-    /// finished (bounds the SQ).
+    /// Number of send WQEs posted and not yet retired by a signaled
+    /// completion (bounds the SQ).
     sq_outstanding: usize,
-    /// Send WQEs whose transmission finished *unsignaled*: their SQ
-    /// slots stay occupied until the next signaled completion retires
-    /// the whole run in one batch, as a real HCA only lets the ULP
-    /// reclaim SQ entries when a CQE is generated (selective
+    /// Unsignaled send WQEs posted since the last signaled one: their
+    /// SQ slots stay occupied until the next signaled WQE's completion
+    /// retires the whole run in one batch, as a real HCA only lets the
+    /// ULP reclaim SQ entries when a CQE is generated (selective
     /// signaling).
-    sq_deferred: usize,
+    unsignaled_run: u32,
     /// When the HCA's per-QP WQE processing pipeline frees up (the DES
     /// driver uses this to serialize WQE launches).
     pub(crate) hca_free_at: SimTime,
@@ -85,7 +85,7 @@ impl QueuePair {
             remote: None,
             rq: VecDeque::with_capacity(caps.max_recv_wr.min(1024)),
             sq_outstanding: 0,
-            sq_deferred: 0,
+            unsignaled_run: 0,
             hca_free_at: SimTime::ZERO,
         }
     }
@@ -181,8 +181,14 @@ impl QueuePair {
         self.rq.len()
     }
 
-    /// Reserves a send-queue slot. Fails with `SqFull` at capacity.
-    pub(crate) fn reserve_sq_slot(&mut self) -> Result<()> {
+    /// Reserves a send-queue slot for a WQE. Fails with `SqFull` at
+    /// capacity. A signaled WQE closes the unsignaled run before it and
+    /// gets back the slots its completion retires: its own and the
+    /// run's. Sound because the RC channel is FIFO: a signaled CQE
+    /// proves all WQEs posted before it have completed. An unsignaled
+    /// WQE joins the run and gets `None`: it has no completion, and
+    /// nothing is done when it finishes.
+    pub(crate) fn reserve_sq_slot(&mut self, signaled: bool) -> Result<Option<u32>> {
         if !self.can_send() {
             return Err(if self.state == QpState::Error {
                 VerbsError::InvalidQpState
@@ -196,37 +202,50 @@ impl QueuePair {
             return Err(VerbsError::SqFull);
         }
         self.sq_outstanding += 1;
-        Ok(())
+        if !signaled {
+            self.unsignaled_run += 1;
+            return Ok(None);
+        }
+        Ok(Some(std::mem::take(&mut self.unsignaled_run) + 1))
     }
 
-    /// Marks an unsignaled WQE's transmission as finished *without*
-    /// freeing its SQ slot: the slot is retired later, in one batch,
-    /// by the next signaled completion on this QP
-    /// ([`QueuePair::release_sq_batch`]).
-    pub(crate) fn defer_sq_release(&mut self) {
-        debug_assert!(
-            self.sq_deferred < self.sq_outstanding,
-            "deferring more SQ slots than are outstanding"
-        );
-        self.sq_deferred = (self.sq_deferred + 1).min(self.sq_outstanding);
-    }
-
-    /// Retires the signaled WQE's slot plus every previously deferred
-    /// unsignaled slot in one batch, returning how many slots were
-    /// freed. Sound because the RC channel is FIFO: a signaled CQE
-    /// proves all WQEs posted before it have completed.
-    pub(crate) fn release_sq_batch(&mut self) -> usize {
-        let n = self.sq_deferred + 1;
-        debug_assert!(self.sq_outstanding >= n, "SQ batch underflow");
-        self.sq_outstanding = self.sq_outstanding.saturating_sub(n);
-        self.sq_deferred = 0;
-        n
+    /// Retires the `slots` a signaled WQE's completion vouches for
+    /// (what [`QueuePair::reserve_sq_slot`] returned for it).
+    pub(crate) fn release_sq_slots(&mut self, slots: u32) {
+        debug_assert!(self.sq_outstanding >= slots as usize, "SQ batch underflow");
+        self.sq_outstanding = self.sq_outstanding.saturating_sub(slots as usize);
     }
 
     /// Outstanding send WQEs.
     pub fn sq_outstanding(&self) -> usize {
         self.sq_outstanding
     }
+}
+
+/// The SQ occupancy after `posted` WQEs whose signaling is `signaled`,
+/// of which the first `acked` have been acknowledged, by the rule
+/// applied one acknowledgment at a time: an unsignaled acknowledgment
+/// parks its slot, a signaled one frees its own and every parked one.
+/// What the drivers do without an event per unsignaled acknowledgment
+/// must equal it at every post and every acknowledgment.
+#[cfg(test)]
+pub(crate) fn by_the_per_ack_rule(signaled: &[bool], posted: usize, acked: usize) -> usize {
+    let (mut outstanding, mut parked) = (posted, 0);
+    for &signaled in &signaled[..acked] {
+        if signaled {
+            outstanding -= parked + 1;
+            parked = 0;
+        } else {
+            parked += 1;
+        }
+    }
+    outstanding
+}
+
+/// Whether each of `n` WQEs is signaled when every `interval`-th is.
+#[cfg(test)]
+pub(crate) fn every_nth_signaled(n: usize, interval: usize) -> Vec<bool> {
+    (1..=n).map(|i| i % interval == 0).collect()
 }
 
 #[cfg(test)]
@@ -239,12 +258,6 @@ mod tests {
         /// Current state.
         pub(crate) fn state(&self) -> QpState {
             self.state
-        }
-
-        /// Send WQEs off the wire but still holding their SQ slot while
-        /// they await a signaled CQE.
-        pub(crate) fn sq_deferred(&self) -> usize {
-            self.sq_deferred
         }
     }
 
@@ -344,36 +357,36 @@ mod tests {
         q.modify_to_init().unwrap();
         q.modify_to_rtr((NodeId(1), QpNum(2))).unwrap();
         q.modify_to_rts().unwrap();
-        q.reserve_sq_slot().unwrap();
-        assert_eq!(q.reserve_sq_slot(), Err(VerbsError::SqFull));
-        q.release_sq_batch();
-        q.reserve_sq_slot().unwrap();
+        assert_eq!(q.reserve_sq_slot(true), Ok(Some(1)));
+        assert_eq!(q.reserve_sq_slot(true), Err(VerbsError::SqFull));
+        q.release_sq_slots(1);
+        q.reserve_sq_slot(false).unwrap();
         assert_eq!(q.sq_outstanding(), 1);
     }
 
     #[test]
-    fn signaled_release_retires_deferred_batch() {
+    fn a_signaled_wqe_retires_the_unsignaled_run_before_it() {
         let mut q = connected_qp();
-        for _ in 0..5 {
-            q.reserve_sq_slot().unwrap();
-        }
-        // Four unsignaled transmissions finish: their slots stay held.
+        // Four unsignaled WQEs: their slots stay held.
         for _ in 0..4 {
-            q.defer_sq_release();
+            assert_eq!(q.reserve_sq_slot(false), Ok(None));
         }
-        assert_eq!(q.sq_outstanding(), 5);
-        assert_eq!(q.sq_deferred(), 4);
-        // The signaled completion retires all five in one batch.
-        assert_eq!(q.release_sq_batch(), 5);
+        // The signaled one carries the run; the next run starts empty.
+        assert_eq!(q.reserve_sq_slot(true), Ok(Some(5)));
+        assert_eq!(q.reserve_sq_slot(true), Ok(Some(1)));
+        assert_eq!(q.sq_outstanding(), 6);
+        // Its completion retires all five in one batch.
+        q.release_sq_slots(5);
+        assert_eq!(q.sq_outstanding(), 1);
+        q.release_sq_slots(1);
         assert_eq!(q.sq_outstanding(), 0);
-        assert_eq!(q.sq_deferred(), 0);
     }
 
     #[test]
     fn send_before_connect_rejected() {
         let mut q = qp();
         q.modify_to_init().unwrap();
-        assert!(q.reserve_sq_slot().is_err());
+        assert!(q.reserve_sq_slot(true).is_err());
     }
 
     #[test]
@@ -384,7 +397,7 @@ mod tests {
         let flushed = q.modify_to_error();
         assert_eq!(flushed.len(), 2);
         assert_eq!(q.state(), QpState::Error);
-        assert!(q.reserve_sq_slot().is_err());
+        assert!(q.reserve_sq_slot(true).is_err());
         assert!(q.post_recv(RecvWr::empty(3)).is_err());
     }
 }

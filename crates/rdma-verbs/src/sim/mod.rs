@@ -8,8 +8,9 @@
 //!   `wqe_process`, then serializes onto the link (which models
 //!   transmitter-busy, per-packet framing, propagation and optional
 //!   jitter). The message is delivered to the peer HCA at arrival, and
-//!   the send completion when the peer's acknowledgment returns, one
-//!   WQE turnaround and one propagation later.
+//!   a signaled send completes when the peer's acknowledgment returns,
+//!   one WQE turnaround and one propagation later, retiring the SQ
+//!   slots of the unsignaled sends before it with its own.
 //! * **Payload bytes** — posting copies nothing. A payload in
 //!   registered memory travels as a description of its source range and
 //!   is placed once, source region to destination region, when the
@@ -21,7 +22,8 @@
 //!   delivered after the message.
 //! * **CPU timing** — each node has one simulated core ([`crate::CpuMeter`]).
 //!   Application handlers run when the core is free; every verbs call,
-//!   completion handling step and memory copy charges the core. This is
+//!   completion handling step and memory copy charges the core, with
+//!   the host model's scheduling jitter applied (`jitter`). This is
 //!   what makes the receiver's copy cost visible as reduced throughput
 //!   and increased CPU usage, the paper's central trade-off.
 //! * **Wakeups** — a burst of completions wakes the owning node's app
@@ -37,9 +39,10 @@
 //! One file per seam: this one is the set-up, inspection and
 //! fault-injection surface of [`SimNet`]; `run` is the event loop;
 //! `node` is one node's runtime and the [`NodeApi`] handle on it;
-//! `path` is everything a message passes on its way from `post_send`
-//! to its completion.
+//! `jitter` is what a jittered charge costs; `path` is everything a
+//! message passes on its way from `post_send` to its completion.
 
+mod jitter;
 mod node;
 mod path;
 mod run;

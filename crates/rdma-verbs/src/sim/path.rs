@@ -6,8 +6,9 @@
 //! flow's head moved its last bit), **arrival** ([`arrive`] — the one
 //! place a delivery and its acknowledgment are scheduled, for both
 //! models), **deliver** ([`SimNet::deliver`] → [`place`], the one payload
-//! copy) and **ack** (`Ev::TxDone` → `HcaCore::tx_finished`, in the
-//! event loop). Everything a message needs on the way — the event queue,
+//! copy) and, for a signaled send, **ack** (`Ev::TxDone` →
+//! `HcaCore::tx_finished`, in the event loop; an unsignaled send's
+//! acknowledgment is not an event, the next signaled one covers it). Everything a message needs on the way — the event queue,
 //! the per-pair links, the contention model — is one value, [`FabricRt`].
 
 use simnet::fabric::{FairShareFabric, FlowKey, Transfer};
@@ -16,9 +17,9 @@ use simnet::{EventId, Link, Scheduler, SimDuration, SimTime, Slab};
 use super::node::NodeRuntime;
 use super::run::Ev;
 use super::SimNet;
-use crate::hca::{Effect, PreparedSend};
+use crate::hca::{Effect, PreparedSend, SendDone};
 use crate::mr::DmaSource;
-use crate::types::{Cqe, NodeId, Result};
+use crate::types::{NodeId, Result};
 use crate::wire::WireMessage;
 
 /// The directed link `src → dst` and the driver state kept per node
@@ -85,9 +86,9 @@ impl LinkTable {
 struct InFlight {
     msg: WireMessage,
     /// The send completion, if the work request was signaled.
-    cqe: Option<Cqe>,
+    done: Option<SendDone>,
     /// The responder's WQE turnaround before its hardware
-    /// acknowledgment leaves, which retires the message's SQ slot.
+    /// acknowledgment leaves.
     ack_turnaround: SimDuration,
 }
 
@@ -121,7 +122,8 @@ impl FabricRt {
     /// fair-share mode it is handed to the flow allocator at pipeline
     /// exit (a `FabricStart` event) and arrives when its flow's head
     /// completes. Every message is a posted WQE: it holds an SQ slot
-    /// until its acknowledgment returns.
+    /// until its acknowledgment returns, or an unsignaled one's until
+    /// the next signaled one's does.
     pub(super) fn launch(
         &mut self,
         rt: &mut NodeRuntime,
@@ -139,7 +141,7 @@ impl FabricRt {
 
         let tx = InFlight {
             msg: prepared.msg,
-            cqe: prepared.completion,
+            done: prepared.completion,
             ack_turnaround: wqe_process,
         };
         if self.fair.is_some() {
@@ -202,22 +204,26 @@ impl FabricRt {
 /// `tx` reaches the far HCA at `arrival`, over a link whose propagation
 /// delay is `back_prop` in the acknowledgment's direction too.
 fn arrive(sched: &mut Scheduler<Ev>, tx: InFlight, arrival: SimTime, back_prop: SimDuration) {
-    let (node, qpn) = tx.msg.src;
+    let node = tx.msg.src_node();
     // Delivery is scheduled before the completion so that it also runs
     // first when the two fall on the same instant (zero turnaround and
     // propagation): delivery is when the source buffer is read, and the
     // completion is what lets the application overwrite it.
     sched.schedule_at(arrival, Ev::Deliver { msg: tx.msg });
 
-    // Reliable-connected semantics: the send completes (and its SQ slot
-    // retires) when the responder HCA's hardware acknowledgment returns
-    // — one propagation after arrival plus the responder's WQE
-    // turnaround.
-    let cqe = tx.cqe;
-    sched.schedule_at(
-        arrival + tx.ack_turnaround + back_prop,
-        Ev::TxDone { node, qpn, cqe },
-    );
+    // Reliable-connected semantics: a signaled send completes (and its
+    // SQ slot retires, with the unsignaled run before it) when the
+    // responder HCA's hardware acknowledgment returns — one propagation
+    // after arrival plus the responder's WQE turnaround. An unsignaled
+    // send's acknowledgment changes nothing the next signaled one does
+    // not: per-QP acknowledgments return in order, so that one's
+    // covers it.
+    if let Some(done) = tx.done {
+        sched.schedule_at(
+            arrival + tx.ack_turnaround + back_prop,
+            Ev::TxDone { node, done },
+        );
+    }
 }
 
 /// Cancels and reschedules head-completion events after the allocator
@@ -348,6 +354,110 @@ mod tests {
         assert_eq!(fwd.bytes, 640);
         assert_eq!(fwd.transfers, 10);
         assert_eq!(stats.respeeds, 0, "ping-pong never has concurrent flows");
+    }
+
+    /// Posts its work requests one per `gap`, the first `gap` after the
+    /// start, and drains its send CQ on each wake.
+    struct Paced {
+        end: End,
+        wrs: std::collections::VecDeque<SendWr>,
+        gap: SimDuration,
+        started: bool,
+    }
+
+    impl NodeApp for Paced {
+        fn on_start(&mut self, api: &mut NodeApi<'_>) {
+            // Once, also when the run is continued by a later `run`.
+            if !std::mem::replace(&mut self.started, true) {
+                api.set_timer(self.gap, 0);
+            }
+        }
+        fn on_wake(&mut self, api: &mut NodeApi<'_>) {
+            api.poll_cq(self.end.send_cq, usize::MAX, &mut Vec::new())
+                .unwrap();
+        }
+        fn on_timer(&mut self, api: &mut NodeApi<'_>, _token: u64) {
+            api.post_send(self.end.qpn, self.wrs.pop_front().unwrap())
+                .unwrap();
+            if !self.wrs.is_empty() {
+                api.set_timer(self.gap, 0);
+            }
+        }
+    }
+
+    /// An unsignaled send's acknowledgment is not an event, yet the
+    /// sender's SQ occupancy at every instant — so after every post and
+    /// every acknowledgment — is what the rule applied one
+    /// acknowledgment at a time gives, on both fabric models and at
+    /// every signal interval up to 8. The run is stepped one nanosecond
+    /// at a time; a message's acknowledgment is due one responder
+    /// turnaround and one propagation after its delivery, which the
+    /// receiver's consumed RECVs date.
+    #[test]
+    fn sq_occupancy_follows_the_per_ack_rule() {
+        const N: usize = 16;
+        let gap = SimDuration::from_nanos(300);
+        let ack_after = HcaConfig::default().wqe_process + fast_link().propagation;
+        let fair_share = FabricModel::FairShare(FairShareConfig::new(7));
+        for model in [FabricModel::Fifo, fair_share] {
+            for interval in 1..=8 {
+                let signaled = crate::qp::every_nth_signaled(N, interval);
+                let mut net = SimNet::new();
+                net.set_fabric(model.clone());
+                let Pair {
+                    mut net,
+                    a,
+                    b,
+                    src,
+                    dst,
+                } = pair_on(net, HcaConfig::default(), fast_link(), false);
+                let remote = RemoteAddr {
+                    addr: dst.addr,
+                    rkey: dst.key,
+                };
+                net.with_api(b.node, |api| {
+                    (0..N).for_each(|i| api.post_recv(b.qpn, RecvWr::empty(i as u64)).unwrap())
+                });
+                let wrs = signaled
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &signal)| {
+                        let wr = SendWr::write_imm(i as u64, src.sge(0, 8), remote, 0);
+                        if signal {
+                            wr
+                        } else {
+                            wr.unsignaled()
+                        }
+                    })
+                    .collect();
+                let mut sender = Paced {
+                    end: a,
+                    wrs,
+                    gap,
+                    started: false,
+                };
+                let mut delivered_at = Vec::new();
+                let last_post = gap.mul_u64(N as u64);
+                let mut t = SimTime::ZERO;
+                while delivered_at.len() < N || t <= delivered_at[N - 1] + ack_after {
+                    net.run(&mut [&mut sender, &mut Drain], t);
+                    let delivered = N - net.with_api(b.node, |api| api.rq_len(b.qpn));
+                    delivered_at.resize(delivered, t);
+                    let posted = (t.as_nanos() / gap.as_nanos()).min(N as u64) as usize;
+                    let acked = delivered_at.iter().filter(|&&d| d + ack_after <= t).count();
+                    let held =
+                        net.with_api(a.node, |api| api.hca().qp(a.qpn).unwrap().sq_outstanding());
+                    let want = crate::qp::by_the_per_ack_rule(&signaled, posted, acked);
+                    assert_eq!(held, want, "{model:?}, interval {interval}, at {t:?}");
+                    t += SimDuration::from_nanos(1);
+                    assert!(
+                        t <= SimTime::ZERO + last_post + SimDuration::from_micros(50),
+                        "{model:?}: the run did not finish"
+                    );
+                }
+                assert_eq!(net.losses(), Losses::default());
+            }
+        }
     }
 
     const LEN: u32 = 256;

@@ -6,8 +6,8 @@ use simnet::{Scheduler, SimTime};
 
 use super::node::{NodeApi, NodeRuntime};
 use super::SimNet;
-use crate::hca::Effect;
-use crate::types::{Cqe, NodeId, QpNum};
+use crate::hca::{Effect, SendDone};
+use crate::types::{NodeId, QpNum};
 use crate::wire::WireMessage;
 
 /// Reactor interface for application logic running on a simulated node.
@@ -38,12 +38,12 @@ pub(super) enum Ev {
     Deliver {
         msg: WireMessage,
     },
-    /// The responder's acknowledgment of a message is back at the
-    /// sender: its SQ slot retires and `cqe`, if signaled, completes.
+    /// The responder's acknowledgment of a signaled send is back at
+    /// the sender: the send completes, and its SQ slot and those of the
+    /// unsignaled run before it retire.
     TxDone {
         node: NodeId,
-        qpn: QpNum,
-        cqe: Option<Cqe>,
+        done: SendDone,
     },
     Wake {
         node: NodeId,
@@ -122,10 +122,10 @@ impl SimNet {
             };
             match ev {
                 Ev::Deliver { msg } => self.deliver(msg, now),
-                Ev::TxDone { node, qpn, cqe } => {
+                Ev::TxDone { node, done } => {
                     self.nodes[node.index()]
                         .hca
-                        .tx_finished(qpn, cqe, &mut self.effects);
+                        .tx_finished(done, &mut self.effects);
                     self.apply_effects(node, now);
                 }
                 Ev::Wake { node } => {
@@ -427,7 +427,7 @@ mod tests {
         let fair_share = FabricModel::FairShare(FairShareConfig::new(7));
         let expected = [
             (Class::SignaledWwi, 4, 6),
-            (Class::UnsignaledWwi, 3, 5),
+            (Class::UnsignaledWwi, 2, 4),
             (Class::ControlSend, 4, 6),
             (Class::InlineSend, 4, 6),
         ];

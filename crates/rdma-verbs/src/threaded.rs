@@ -41,7 +41,7 @@ use parking_lot::{Condvar, Mutex};
 
 use crate::hca::{Effect, HcaConfig, HcaCore, PreparedSend};
 use crate::mr::DmaSource;
-use crate::types::{CqId, Cqe, NodeId, QpNum, RecvWr, Result, SendWr};
+use crate::types::{CqId, Cqe, NodeId, QpNum, RecvWr, Result, SendWr, WcStatus};
 use crate::wire::{Payload, WireMessage};
 
 /// One node: the HCA core behind a lock, plus completion signalling.
@@ -197,33 +197,69 @@ struct Link {
     arrived: Condvar,
     /// The delivery lock: held while one queued message is taken and
     /// applied, so deliveries happen one at a time and in queue order.
-    /// Guards the scratch list deliveries collect their effects in.
-    delivering: Mutex<Vec<Effect>>,
+    delivering: Mutex<Delivery>,
 }
 
 impl Link {
-    /// Applies the oldest queued message at the destination and then its
-    /// send completion at the source — this backend, like the simulator,
-    /// never completes a send before its message is delivered, and
-    /// completes sends in send-queue order. False, having held the
-    /// delivery lock, when nothing was queued: everything posted before
-    /// that moment has been applied in full.
-    fn deliver_next(&self, fatal: &Mutex<Vec<String>>) -> bool {
-        let mut effects = self.delivering.lock();
+    /// Applies the oldest queued message at the destination and then,
+    /// if it was signaled, its send completion at the source — this
+    /// backend, like the simulator, never completes a send before its
+    /// message is delivered, and completes sends in send-queue order.
+    /// False, having held the delivery lock, when nothing was queued:
+    /// everything posted before that moment has been applied in full.
+    fn deliver_next(&self) -> bool {
+        let mut delivery = self.delivering.lock();
         let Some(sent) = self.queue.lock().pop_front() else {
             return false;
         };
-        deliver(&self.dst, &sent.msg, &mut effects);
-        apply_effects(&self.dst, &mut effects, fatal);
-        self.src
-            .hca
-            .lock()
-            .tx_finished(sent.msg.src.1, sent.completion, &mut effects);
-        if !effects.is_empty() {
-            effects.clear();
-            self.src.notify();
+        let Delivery { effects, fatal } = &mut *delivery;
+        deliver(&self.dst, &sent.msg, effects);
+        apply_effects(&self.dst, effects, fatal);
+        if let Some(done) = sent.completion {
+            self.src.hca.lock().tx_finished(done, effects);
+            if !effects.is_empty() {
+                effects.clear();
+                self.src.notify();
+            }
         }
         true
+    }
+}
+
+/// What the holder of a link's delivery lock works with.
+#[derive(Default)]
+struct Delivery {
+    /// The scratch list a delivery collects its effects in.
+    effects: Vec<Effect>,
+    /// The fatal verbs errors deliveries over this link raised.
+    fatal: FatalErrors,
+}
+
+/// Fatal verbs errors deliveries raised, by status. A delivery does not
+/// panic on one: like a real HCA it moves the violated QP to the error
+/// state, which flushes its posted receives with `WrFlushError`
+/// completions, and carries on with the link's other traffic.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+struct FatalErrors {
+    /// An RDMA WRITE's key, bounds or access flags were refused.
+    remote_access_error: u64,
+    /// A SEND or WRITE WITH IMM found no posted receive.
+    rnr_retry_exceeded: u64,
+    /// A SEND did not fit, or could not be placed in, its receive
+    /// buffer (one deregistered before the message landed, say).
+    local_protection_error: u64,
+}
+
+impl FatalErrors {
+    fn count(&mut self, status: WcStatus) {
+        match status {
+            WcStatus::RemoteAccessError => self.remote_access_error += 1,
+            WcStatus::RnrRetryExceeded => self.rnr_retry_exceeded += 1,
+            WcStatus::LocalProtectionError => self.local_protection_error += 1,
+            WcStatus::Success | WcStatus::WrFlushError => {
+                unreachable!("a delivery raises no {status:?}")
+            }
+        }
     }
 }
 
@@ -236,8 +272,6 @@ pub struct ThreadNet {
     stop: Arc<AtomicBool>,
     /// Delivery threads: one per direction of a link with a delay.
     handles: Vec<std::thread::JoinHandle<()>>,
-    /// Every [`Effect::Fatal`] a delivery raised, as text.
-    fatal: Arc<Mutex<Vec<String>>>,
 }
 
 impl ThreadNet {
@@ -248,7 +282,6 @@ impl ThreadNet {
             links: Vec::new(),
             stop: Arc::new(AtomicBool::new(false)),
             handles: Vec::new(),
-            fatal: Arc::new(Mutex::new(Vec::new())),
         }
     }
 
@@ -283,7 +316,7 @@ impl ThreadNet {
                 delay,
                 queue: Mutex::new(VecDeque::new()),
                 arrived: Condvar::new(),
-                delivering: Mutex::new(Vec::new()),
+                delivering: Mutex::new(Delivery::default()),
             });
             let row = &mut self.links[src.id.index()];
             if row.len() <= dst.id.index() {
@@ -294,7 +327,6 @@ impl ThreadNet {
                 continue;
             }
             let stop = self.stop.clone();
-            let fatal = self.fatal.clone();
             self.handles.push(std::thread::spawn(move || loop {
                 let in_flight = {
                     let mut queue = link.queue.lock();
@@ -313,7 +345,7 @@ impl ThreadNet {
                     if stop.load(Ordering::Acquire) {
                         return;
                     }
-                    link.deliver_next(&fatal);
+                    link.deliver_next();
                 }
             }));
         }
@@ -374,7 +406,7 @@ impl ThreadNet {
         };
         if let Some(link) = link {
             if link.delay.is_zero() {
-                while link.deliver_next(&self.fatal) {}
+                while link.deliver_next() {}
             } else {
                 link.arrived.notify_one();
             }
@@ -453,20 +485,15 @@ fn deliver(node: &ThreadNode, msg: &WireMessage, effects: &mut Vec<Effect>) {
         .handle_wire(msg, DmaSource::Slice(data), effects);
 }
 
-/// Applies, and drains, what a delivery at `at` produced.
-fn apply_effects(at: &ThreadNode, effects: &mut Vec<Effect>, fatal: &Mutex<Vec<String>>) {
+/// Applies, and drains, what a delivery at `at` produced, counting
+/// each fatal error into `fatal`.
+fn apply_effects(at: &ThreadNode, effects: &mut Vec<Effect>, fatal: &mut FatalErrors) {
     let mut completed = false;
     for effect in effects.drain(..) {
         match effect {
             Effect::Completion => completed = true,
-            Effect::Fatal {
-                qpn,
-                status,
-                detail,
-            } => {
-                fatal
-                    .lock()
-                    .push(format!("node {:?} qp {qpn:?}: {status:?}: {detail}", at.id));
+            Effect::Fatal { qpn, status, .. } => {
+                fatal.count(status);
                 let mut flushed = Vec::new();
                 if at.hca.lock().fail_qp(qpn, &mut flushed).is_ok() {
                     completed |= !flushed.is_empty();
@@ -486,14 +513,17 @@ mod tests {
     use crate::types::{Access, WcOpcode};
 
     impl ThreadNet {
-        /// Every fatal verbs error a delivery has raised so far (RNR, remote
-        /// access error, placement into a deregistered buffer), as text. A
-        /// delivery does not panic on one: like a real HCA it moves the
-        /// violated QP to the error state, which flushes its posted
-        /// receives with `WrFlushError` completions, and carries on with
-        /// the link's other traffic.
-        pub(crate) fn fatal_errors(&self) -> Vec<String> {
-            self.fatal.lock().clone()
+        /// The fatal verbs errors deliveries have raised so far, over
+        /// every link.
+        fn fatal_errors(&self) -> FatalErrors {
+            let mut all = FatalErrors::default();
+            for link in self.links.iter().flatten().flatten() {
+                let one = link.delivering.lock().fatal;
+                all.remote_access_error += one.remote_access_error;
+                all.rnr_retry_exceeded += one.rnr_retry_exceeded;
+                all.local_protection_error += one.local_protection_error;
+            }
+            all
         }
     }
 
@@ -657,12 +687,42 @@ mod tests {
         a.with_hca(|h| {
             let qp = h.qp(a_qp).unwrap();
             assert_eq!(qp.sq_outstanding(), 0, "signaled CQE must retire the run");
-            assert_eq!(qp.sq_deferred(), 0);
         });
         let cqes = a.wait_cq(a_scq, Duration::from_secs(5));
         assert_eq!(cqes.len(), 1, "unsignaled WQEs must not surface CQEs");
         assert_eq!(cqes[0].wr_id, 7);
         net.quiesce();
+    }
+
+    /// Every post on a link without delay returns with its message
+    /// delivered and, if signaled, completed: after each, the SQ holds
+    /// what the per-acknowledgment rule leaves once that message is
+    /// acknowledged, and only signaled sends surfaced a CQE.
+    #[test]
+    fn sq_occupancy_follows_the_per_ack_rule() {
+        const N: usize = 24;
+        for interval in 1..=8 {
+            let signaled = crate::qp::every_nth_signaled(N, interval);
+            let (net, a, b) = pair(Duration::ZERO);
+            let (a_qp, b_qp, a_scq, _b_rcq) = connect(&a, &b);
+            let ring = b.with_hca(|h| h.register_mr(64, Access::local_remote_write()));
+            let src = a.with_hca(|h| h.register_mr(64, Access::NONE));
+            let remote = crate::types::RemoteAddr {
+                addr: ring.addr,
+                rkey: ring.key,
+            };
+            for (i, &signal) in signaled.iter().enumerate() {
+                b.post_recv(b_qp, RecvWr::empty(i as u64)).unwrap();
+                let wr = SendWr::write_imm(i as u64, src.sge(0, 8), remote, 0);
+                let wr = if signal { wr } else { wr.unsignaled() };
+                net.post_send(&a, a_qp, wr).unwrap();
+                let held = a.with_hca(|h| h.qp(a_qp).unwrap().sq_outstanding());
+                let want = crate::qp::by_the_per_ack_rule(&signaled, i + 1, i + 1);
+                assert_eq!(held, want, "interval {interval}, after message {i}");
+            }
+            let cqes = a.wait_cq(a_scq, Duration::ZERO);
+            assert_eq!(cqes.len(), N / interval, "interval {interval}");
+        }
     }
 
     /// A late SEND can land in a receive buffer its owner already
@@ -681,22 +741,59 @@ mod tests {
         net.post_send(&a, a_qp, SendWr::send(1, src.sge(0, 9)))
             .unwrap();
         net.quiesce();
-        let errors = net.fatal_errors();
-        assert_eq!(errors.len(), 1, "{errors:?}");
-        assert!(errors[0].contains("RECV placement failed"), "{errors:?}");
+        let placement_failed = FatalErrors {
+            local_protection_error: 1,
+            ..FatalErrors::default()
+        };
+        assert_eq!(net.fatal_errors(), placement_failed);
         // The QP went to the error state: the receive still posted was
         // flushed, and the waiter was woken for it.
         let cqes = b.wait_cq(b_rcq, Duration::from_secs(5));
         assert_eq!(cqes.len(), 1);
         assert_eq!(cqes[0].wr_id, 8);
-        assert_eq!(cqes[0].status, crate::types::WcStatus::WrFlushError);
+        assert_eq!(cqes[0].status, WcStatus::WrFlushError);
 
-        // The link carries on: the next message is delivered (to a dead
-        // QP) and recorded too.
+        // The link carries on: the next message is delivered, to a dead
+        // QP with no receive left, and counted too.
         net.post_send(&a, a_qp, SendWr::send(2, src.sge(0, 9)))
             .unwrap();
         net.quiesce();
-        assert_eq!(net.fatal_errors().len(), 2);
+        assert_eq!(
+            net.fatal_errors(),
+            FatalErrors {
+                rnr_retry_exceeded: 1,
+                ..placement_failed
+            }
+        );
+    }
+
+    /// A WRITE the target's registration refuses fails the target's QP
+    /// and is counted as a remote access error, on a link with a delay
+    /// too (its delivery thread counts it).
+    #[test]
+    fn a_refused_write_is_counted_by_status() {
+        for delay in [Duration::ZERO, Duration::from_micros(10)] {
+            let (net, a, b) = pair(delay);
+            let (a_qp, b_qp, _a_scq, b_rcq) = connect(&a, &b);
+            let src = a.with_hca(|h| h.register_mr(64, Access::NONE));
+            let read_only = b.with_hca(|h| h.register_mr(64, Access::LOCAL_WRITE));
+            b.post_recv(b_qp, RecvWr::empty(5)).unwrap();
+            let remote = crate::types::RemoteAddr {
+                addr: read_only.addr,
+                rkey: read_only.key,
+            };
+            net.post_send(&a, a_qp, SendWr::write(1, src.sge(0, 8), remote))
+                .unwrap();
+            let cqes = b.wait_cq(b_rcq, Duration::from_secs(5));
+            assert_eq!(cqes.len(), 1, "the QP failed and flushed its receive");
+            assert_eq!(cqes[0].status, WcStatus::WrFlushError);
+            net.quiesce();
+            let refused = FatalErrors {
+                remote_access_error: 1,
+                ..FatalErrors::default()
+            };
+            assert_eq!(net.fatal_errors(), refused, "delay {delay:?}");
+        }
     }
 
     #[test]

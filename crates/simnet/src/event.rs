@@ -14,7 +14,9 @@
 //!    delivered. This implements timers cheaply without rebuilding the
 //!    heap.
 //!
-//! The heap orders 24-byte `(at, seq, slot)` keys only; each payload
+//! The heap orders entries by one `u128` key, `at << 64 | seq` — the
+//! `(at, seq)` order in a single compare, since `seq` is unique — and
+//! carries the payload's slot beside it; each payload
 //! waits in a [`Slab`] slot, stamped with its sequence number, and is
 //! moved twice in its life — in at `schedule_at`, out at `pop` — however
 //! deep the heap is. Cancelling empties the slot and leaves the key
@@ -25,7 +27,7 @@
 //! [`Scheduler::cancel`] answers `false` without keeping any record of
 //! it.
 
-use std::cmp::Reverse;
+use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 use crate::slab::Slab;
@@ -36,6 +38,43 @@ use crate::time::SimTime;
 pub struct EventId {
     seq: u64,
     slot: u32,
+}
+
+/// A heap entry: the `(at, seq)` key as one number, and the slot of the
+/// payload. Ordered on the key alone, reversed, so that `BinaryHeap`
+/// (a max-heap) pops the earliest; `seq` is unique, so two entries
+/// never tie and the slot never decides an ordering.
+#[derive(Clone, Copy, PartialEq, Eq)]
+struct Entry {
+    key: u128,
+    slot: u32,
+}
+
+impl Entry {
+    fn new(at: SimTime, seq: u64, slot: u32) -> Self {
+        Entry {
+            key: (at.as_nanos() as u128) << 64 | seq as u128,
+            slot,
+        }
+    }
+
+    fn at(&self) -> SimTime {
+        SimTime::from_nanos((self.key >> 64) as u64)
+    }
+}
+
+impl Ord for Entry {
+    #[inline]
+    fn cmp(&self, other: &Self) -> Ordering {
+        other.key.cmp(&self.key)
+    }
+}
+
+impl PartialOrd for Entry {
+    #[inline]
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
 }
 
 /// A deterministic discrete-event queue with a virtual clock.
@@ -52,9 +91,8 @@ pub struct EventId {
 /// assert_eq!(sched.now(), SimTime::from_micros(1));
 /// ```
 pub struct Scheduler<E> {
-    /// Min-heap on `(at, seq)`; `seq` is unique, so `slot` never
-    /// decides an ordering.
-    heap: BinaryHeap<Reverse<(SimTime, u64, u32)>>,
+    /// Min-heap on `(at, seq)`, one key per entry.
+    heap: BinaryHeap<Entry>,
     /// One slot per key in the heap: the event's sequence number and
     /// its payload, `None` once cancelled.
     payloads: Slab<(u64, Option<E>)>,
@@ -118,7 +156,7 @@ impl<E> Scheduler<E> {
         let seq = self.next_seq;
         self.next_seq += 1;
         let slot = self.payloads.insert((seq, Some(payload)));
-        self.heap.push(Reverse((at, seq, slot)));
+        self.heap.push(Entry::new(at, seq, slot));
         self.live += 1;
         EventId { seq, slot }
     }
@@ -157,7 +195,8 @@ impl<E> Scheduler<E> {
     pub fn pop_until(&mut self, limit: SimTime) -> Option<(SimTime, E)> {
         // The top key is the earliest of all, live or cancelled: once it
         // is past `limit`, so is every live event.
-        while let Some(&Reverse((at, _, slot))) = self.heap.peek() {
+        while let Some(&top) = self.heap.peek() {
+            let (at, slot) = (top.at(), top.slot);
             if at > limit {
                 return None;
             }
@@ -178,12 +217,12 @@ impl<E> Scheduler<E> {
     /// The timestamp of the next live event without popping it.
     pub fn peek_time(&mut self) -> Option<SimTime> {
         // Drop cancelled keys from the top so peek is accurate.
-        while let Some(&Reverse((at, _, slot))) = self.heap.peek() {
-            if matches!(self.payloads.get(slot), Some((_, Some(_)))) {
-                return Some(at);
+        while let Some(&top) = self.heap.peek() {
+            if matches!(self.payloads.get(top.slot), Some((_, Some(_)))) {
+                return Some(top.at());
             }
             self.heap.pop();
-            self.payloads.remove(slot);
+            self.payloads.remove(top.slot);
         }
         None
     }
@@ -231,6 +270,51 @@ mod tests {
         }
         let order: Vec<_> = std::iter::from_fn(|| s.pop()).map(|(_, e)| e).collect();
         assert_eq!(order, (0..100).collect::<Vec<_>>());
+    }
+
+    /// The one-key heap pops in `(at, seq)` order: at `SimTime`'s
+    /// extremes, with the sequence numbers near their top (the low half
+    /// of the key must never carry into the time), and against a
+    /// sorted model through interleaved pushes and pops with many ties.
+    #[test]
+    fn the_one_key_keeps_time_then_scheduling_order() {
+        let times = [
+            SimTime::MAX,
+            SimTime::ZERO,
+            SimTime::from_nanos(1),
+            SimTime::from_nanos(u64::MAX - 1),
+            SimTime::MAX,
+            SimTime::from_nanos(1 << 63),
+            SimTime::ZERO,
+            SimTime::from_nanos((1 << 63) - 1),
+            SimTime::from_nanos(1),
+        ];
+        for first_seq in [0, u64::MAX - times.len() as u64] {
+            let mut s = Scheduler::new();
+            s.next_seq = first_seq;
+            for (i, &t) in times.iter().enumerate() {
+                s.schedule_at(t, i);
+            }
+            let mut want: Vec<_> = times.iter().enumerate().map(|(i, &t)| (t, i)).collect();
+            want.sort();
+            let got: Vec<_> = std::iter::from_fn(|| s.pop()).collect();
+            assert_eq!(got, want, "first seq {first_seq}");
+        }
+
+        let mut rng = crate::Xoshiro256::new(3);
+        let mut s = Scheduler::new();
+        let mut model = std::collections::BTreeSet::new();
+        for seq in 0..20_000u64 {
+            if rng.next_below(3) == 0 {
+                let (at, got) = s.pop().unwrap();
+                assert_eq!((at, got), model.pop_first().unwrap());
+            }
+            let at = s.now() + SimDuration::from_nanos(rng.next_below(4));
+            s.schedule_at(at, seq);
+            model.insert((at, seq));
+        }
+        let rest: Vec<_> = std::iter::from_fn(|| s.pop()).collect();
+        assert_eq!(rest, model.into_iter().collect::<Vec<_>>());
     }
 
     #[test]

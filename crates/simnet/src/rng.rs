@@ -70,10 +70,25 @@ impl Xoshiro256 {
         result
     }
 
-    /// Uniform draw in `[0, 1)` with 53 bits of precision.
+    /// Uniform draw in `[0, 1)` with 53 bits of precision: the draw of
+    /// [`Xoshiro256::next_u53`], scaled by [`Xoshiro256::unit_f64`].
     #[inline]
     pub fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+        Self::unit_f64(self.next_u53())
+    }
+
+    /// Uniform draw in `[0, 2^53)`: the bits behind one
+    /// [`Xoshiro256::next_f64`].
+    #[inline]
+    pub fn next_u53(&mut self) -> u64 {
+        self.next_u64() >> 11
+    }
+
+    /// The [`Xoshiro256::next_f64`] value of the draw `k` of
+    /// [`Xoshiro256::next_u53`]: `k / 2^53`, exact.
+    #[inline]
+    pub fn unit_f64(k: u64) -> f64 {
+        k as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
     /// Uniform draw in `[0, n)`. Uses Lemire's multiply-shift rejection
