@@ -22,7 +22,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::task::{Context, Poll, Wake, Waker};
 
-use parking_lot::Mutex;
+use rdma_verbs::threaded::Mailbox;
 use rdma_verbs::{Access, ThreadNet, ThreadNode};
 use simnet::IntMap;
 
@@ -210,64 +210,29 @@ impl Chan {
 /// The shared ready queue task wakers push onto. Lives outside the
 /// `RefCell` so a waker may fire while executor state is borrowed
 /// (e.g. waking a reader from inside event dispatch), or on another
-/// thread.
+/// thread: a mailbox, whose publish wakes the executor's node.
 pub(crate) struct ReadyQueue {
-    q: Mutex<Ready>,
+    /// A spawn pushes here directly: it comes from the executor's own
+    /// thread, which is not waiting.
+    pub(crate) tasks: Mailbox<VecDeque<usize>>,
     wakeups: AtomicU64,
-}
-
-#[derive(Default)]
-struct Ready {
-    tasks: VecDeque<usize>,
-    /// The node [`Executor::run_threaded`] waits on, from announcing the
-    /// wait until it leaves it: a wake pushed meanwhile notifies it.
-    parked_on: Option<Arc<ThreadNode>>,
 }
 
 impl ReadyQueue {
     fn new() -> Arc<ReadyQueue> {
         Arc::new(ReadyQueue {
-            q: Mutex::new(Ready::default()),
+            tasks: Mailbox::new(VecDeque::new()),
             wakeups: AtomicU64::new(0),
         })
     }
 
     fn push_wake(&self, id: usize) {
         self.wakeups.fetch_add(1, Ordering::Relaxed);
-        let mut ready = self.q.lock();
-        ready.tasks.push_back(id);
-        if let Some(node) = &ready.parked_on {
-            node.notify();
-        }
-    }
-
-    pub(crate) fn push_spawn(&self, id: usize) {
-        self.q.lock().tasks.push_back(id);
+        self.tasks.publish(|tasks| tasks.push_back(id));
     }
 
     fn pop(&self) -> Option<usize> {
-        self.q.lock().tasks.pop_front()
-    }
-
-    fn wakeups(&self) -> u64 {
-        self.wakeups.load(Ordering::Relaxed)
-    }
-
-    /// Waits on `node` as [`ThreadNode::wait_any`] does, unless a task
-    /// is ready. The announcement and the look at the queue are one
-    /// step under the queue's lock, as a wake's push and its look at the
-    /// announcement are, so a waker fired on another thread either is
-    /// seen here or notifies the node.
-    fn wait(&self, node: &Arc<ThreadNode>, seen: u64) {
-        {
-            let mut ready = self.q.lock();
-            if !ready.tasks.is_empty() {
-                return;
-            }
-            ready.parked_on = Some(node.clone());
-        }
-        node.wait_any(seen, None);
-        self.q.lock().parked_on = None;
+        self.tasks.lock().pop_front()
     }
 }
 
@@ -657,9 +622,8 @@ impl Inner {
 /// `NodeApp`: every node wake turns it, and whole runs stay byte- and
 /// schedule-deterministic. On the thread fabric, call
 /// [`Executor::run_threaded`] from a thread of its own: the same turn
-/// function runs between waits on the node's completion generation
-/// ([`ThreadNode::wait_any`]), which a waker fired on another thread
-/// also ends.
+/// function runs between waits on the node ([`Mailbox::wait`]), which a
+/// completion landing or a waker fired on another thread ends.
 pub struct Executor {
     inner: Rc<RefCell<Inner>>,
     ready: Arc<ReadyQueue>,
@@ -719,14 +683,14 @@ impl Executor {
     /// Executor counters, with the waker-side wake count folded in.
     pub fn stats(&self) -> AioStats {
         let mut stats = self.inner.borrow().stats.clone();
-        stats.wakeups = self.ready.wakeups();
+        stats.wakeups = self.ready.wakeups.load(Ordering::Relaxed);
         stats
     }
 
     /// One executor turn: apply queued operations, poll the reactor and
     /// route completions, poll every woken task — looping until nothing
     /// progresses and the reactor has no deferred backlog.
-    pub(crate) fn turn(&mut self, port: &mut impl VerbsPort) {
+    pub(crate) fn turn(&self, port: &mut impl VerbsPort) {
         self.inner.borrow_mut().stats.turns += 1;
         loop {
             let mut progressed = false;
@@ -741,7 +705,7 @@ impl Executor {
 
     /// Polls every task on the ready queue (and any they wake or
     /// spawn) until the queue is empty.
-    fn run_ready(&mut self) -> bool {
+    fn run_ready(&self) -> bool {
         let mut ran = false;
         while let Some(id) = self.ready.pop() {
             let fut = {
@@ -779,19 +743,20 @@ impl Executor {
     }
 
     /// Runs the executor on the calling thread over the real-thread
-    /// fabric until it is drained: read the node's generation, turn,
-    /// then wait for the generation to move or for a waker fired on
-    /// another thread. This is the "10k tasks on one thread" loop:
-    /// tasks and reactor share the caller's thread.
+    /// fabric until it is drained: turn, then wait on the node until a
+    /// completion lands or a waker fires, in the one wait loop of the
+    /// thread backend ([`Mailbox::wait`], which also reads the node's
+    /// generation before each turn). A turn leaves no reactor backlog.
+    /// This is the "10k tasks on one thread" loop: tasks and reactor
+    /// share the caller's thread.
     pub fn run_threaded(&mut self, net: &ThreadNet, node: &Arc<ThreadNode>) {
+        let tasks = &self.ready.tasks;
+        let turn = || self.turn(&mut ThreadPort::new(net, node));
+        let look = || (self.drained() || !tasks.lock().is_empty()).then_some(());
         loop {
-            let seen = node.generation();
-            self.turn(&mut ThreadPort::new(net, node));
+            tasks.wait(node, None, turn, look);
             if self.drained() {
                 break;
-            }
-            if !self.inner.borrow().reactor.has_backlog() {
-                self.ready.wait(node, seen);
             }
         }
     }

@@ -40,7 +40,7 @@ impl AioHandle {
     /// turn; results leave through state the future captures.
     pub fn spawn(&self, fut: impl Future<Output = ()> + 'static) {
         let id = self.inner.borrow_mut().spawn_task(Box::pin(fut));
-        self.ready.push_spawn(id);
+        self.ready.tasks.lock().push_back(id);
     }
 
     /// Wraps a hosted socket's stream (id 0), keeping `depth` receives

@@ -7,14 +7,14 @@
 //! protocol state machines under genuine OS concurrency.
 //!
 //! There is one blocking connection, [`ThreadStream`], and one thing
-//! behind each handle: a **host** — one [`Endpoint`] over its own CQ
-//! pair, the completion mailbox of its callers, and a count of the
-//! callers waiting on it. Nothing runs for a host: **the blocked caller
-//! is the progress engine**. A thread waiting in `wait_send`/`wait_recv`
+//! behind each handle: a [`Host`] — one [`Endpoint`] over its own CQ
+//! pair, behind a lock, and the mailbox its callers take their
+//! completions from. Nothing runs for a host: **the blocked caller is
+//! the progress engine**. A thread waiting in `wait_send`/`wait_recv`
 //! (hence `send_bytes`/`recv_exact`) takes the endpoint's progress step
-//! itself ([`Endpoint::handle_wake`]), spins briefly on the node's
-//! completion generation, then parks on it; a step that completes
-//! another caller's operation wakes it.
+//! itself ([`Endpoint::handle_wake`]) and then waits on the node; a step
+//! that completes another caller's operation wakes it. How it publishes,
+//! waits and wakes is `rdma_verbs::threaded`'s; this module plugs in.
 //!
 //! The contract that follows: **an endpoint progresses inside its
 //! calls**. Nothing else works for it after a call returns, so the calls
@@ -28,12 +28,11 @@
 //! host's lock orders them); the interleaving *between* threads is
 //! unspecified, exactly like concurrent `write(2)` on a pipe.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use parking_lot::Mutex;
-use rdma_verbs::threaded::{deadline_after, passed, ThreadNet, ThreadNode};
+use rdma_verbs::threaded::{deadline_after, Engine, Host, Mailbox, ThreadNet, ThreadNode};
 use rdma_verbs::{Access, CqId, Cqe, MrInfo, MrKey, QpNum, RecvWr, Result, SendWr};
 use simnet::IntMap;
 
@@ -217,30 +216,9 @@ pub fn connect_mux_over(
 /// by operation id. End of stream and transport failure are not kept
 /// here: they are states of the endpoint ([`Readiness`]).
 #[derive(Default)]
-struct Mailbox {
+struct Completions {
     sends_done: IntMap<u64, u64>,
     recvs_done: IntMap<u64, u32>,
-}
-
-impl Mailbox {
-    /// Moves what `ep` completed into the mailbox, through `scratch`
-    /// (which keeps its storage); true if anything moved.
-    fn absorb(&mut self, ep: &mut Endpoint, scratch: &mut Vec<MuxEvent>) -> bool {
-        ep.take_events_into(scratch);
-        let moved = !scratch.is_empty();
-        for ev in scratch.drain(..) {
-            match ev {
-                MuxEvent::SendComplete { id, len, .. } => {
-                    self.sends_done.insert(id, len);
-                }
-                MuxEvent::RecvComplete { id, len, .. } => {
-                    self.recvs_done.insert(id, len);
-                }
-                MuxEvent::StreamClosed { .. } | MuxEvent::TransportError { .. } => {}
-            }
-        }
-        moved
-    }
 }
 
 /// The longest `shutdown`, `flush` and `close` stay for traffic a peer
@@ -249,85 +227,32 @@ const DRAIN_BOUND: Duration = Duration::from_secs(5);
 
 /// What a host's lock guards: its endpoint, and the buffer publishing
 /// reuses so that a progress step allocates nothing.
-struct Engine {
+struct Guarded {
     ep: Endpoint,
     events: Vec<MuxEvent>,
 }
 
-/// The one thing behind a [`ThreadStream`]: an endpoint over its own CQ
-/// pair on one node, and its callers' mailbox.
-///
-/// Lock order is `engine`, then `mailbox`. Whoever makes the endpoint
-/// complete something — a progress step, or a call such as a send —
-/// puts the completions in the mailbox before it releases `engine`: a
-/// second caller, which steps after the first, then finds there whatever
-/// the first took off the CQs — otherwise it could poll an empty CQ,
-/// miss an event taken but not yet published, and park on a generation
-/// that has already moved.
-struct Host {
-    net: Arc<ThreadNet>,
-    node: Arc<ThreadNode>,
-    engine: Mutex<Engine>,
-    mailbox: Mutex<Mailbox>,
-    /// Callers between announcing a wait and leaving it. A step that
-    /// published completions wakes the node only when this is non-zero,
-    /// so the node's generation keeps meaning "completions landed". Same
-    /// store-then-load handshake as [`ThreadNode::notify`]: a waiter
-    /// counts itself in and then looks in the mailbox, a publisher fills
-    /// the mailbox and then reads the count.
-    waiters: AtomicUsize,
-}
+impl Engine for Guarded {
+    type Done = Completions;
 
-impl Host {
-    fn port(&self) -> ThreadPort<'_> {
-        ThreadPort::new(&self.net, &self.node)
-    }
-
-    /// Runs `op` on the endpoint under the host's lock and publishes
-    /// what it completed the same way; then, if it published anything
-    /// and someone waits, wakes the node's parked callers.
-    fn with_endpoint<R>(&self, op: impl FnOnce(&mut Endpoint, &mut ThreadPort<'_>) -> R) -> R {
-        let mut engine = self.engine.lock();
-        let Engine { ep, events } = &mut *engine;
-        let result = op(ep, &mut self.port());
-        let published = ep.events_pending() > 0 && self.mailbox.lock().absorb(ep, events);
-        drop(engine);
-        if published && self.waiters.load(Ordering::SeqCst) != 0 {
-            self.node.notify();
+    fn publish(&mut self, done: &Mailbox<Completions>) {
+        if self.ep.events_pending() == 0 {
+            return;
         }
-        result
-    }
-
-    /// The one progress step: the endpoint drains both CQs and advances
-    /// the protocol ([`Endpoint::handle_wake`]), so it leaves nothing
-    /// behind to step for.
-    fn step(&self) {
-        self.with_endpoint(|ep, port| ep.handle_wake(port));
-    }
-
-    /// The one blocking wait on a host — each caller's and a drain's:
-    /// until `done` finds what it looks for, or `deadline` passes
-    /// (`None`: never). Each round reads the node's generation, takes a
-    /// progress step, counts itself in `waiters`, asks `done`, and if the
-    /// answer is not there waits for the generation to move
-    /// ([`ThreadNode::wait_any`]).
-    fn wait<T>(&self, deadline: Option<Instant>, mut done: impl FnMut() -> Option<T>) -> Option<T> {
-        loop {
-            // Read before stepping: whatever lands after this moves the
-            // generation, and the wait below returns at once.
-            let seen = self.node.generation();
-            self.step();
-            self.waiters.fetch_add(1, Ordering::SeqCst);
-            let found = done();
-            let over = found.is_some() || passed(deadline);
-            if !over {
-                self.node.wait_any(seen, deadline);
+        self.ep.take_events_into(&mut self.events);
+        done.publish(|done| {
+            for ev in self.events.drain(..) {
+                match ev {
+                    MuxEvent::SendComplete { id, len, .. } => {
+                        done.sends_done.insert(id, len);
+                    }
+                    MuxEvent::RecvComplete { id, len, .. } => {
+                        done.recvs_done.insert(id, len);
+                    }
+                    MuxEvent::StreamClosed { .. } | MuxEvent::TransportError { .. } => {}
+                }
             }
-            self.waiters.fetch_sub(1, Ordering::SeqCst);
-            if over {
-                return found;
-            }
-        }
+        });
     }
 }
 
@@ -353,7 +278,8 @@ impl Host {
 /// writer.join().unwrap();
 /// ```
 pub struct ThreadStream {
-    host: Host,
+    host: Host<Guarded>,
+    net: Arc<ThreadNet>,
     /// Set by [`ThreadStream::close`]: every later call answers
     /// "closed".
     closed: bool,
@@ -375,16 +301,15 @@ impl ThreadStream {
         let net = Arc::new(net);
         let (sock_a, sock_b) = connect_sockets_shared(&a, &b, cfg, None, None);
         let hosted = |node: Arc<ThreadNode>, sock: StreamSocket| ThreadStream {
-            host: Host {
-                net: net.clone(),
+            host: Host::new(
                 node,
-                engine: Mutex::new(Engine {
+                Guarded {
                     ep: sock.into(),
                     events: Vec::new(),
-                }),
-                mailbox: Mutex::new(Mailbox::default()),
-                waiters: AtomicUsize::new(0),
-            },
+                },
+                Completions::default(),
+            ),
+            net: net.clone(),
             closed: false,
             pool: MemPool::new(cfg.pool.clone()),
             next_id: AtomicU64::new(1),
@@ -397,16 +322,20 @@ impl ThreadStream {
         &self.host.node
     }
 
+    fn port(&self) -> ThreadPort<'_> {
+        ThreadPort::new(&self.net, &self.host.node)
+    }
+
     /// Registers I/O memory on this endpoint's node. The caller owns
     /// the registration; prefer [`ThreadStream::acquire`] for
     /// pool-cached buffers that release themselves.
     pub fn register(&self, len: usize, access: Access) -> MrInfo {
-        self.host.node.with_hca(|h| h.register_mr(len, access))
+        self.node().with_hca(|h| h.register_mr(len, access))
     }
 
     /// Leases a registered buffer from this node's pin-down cache.
     pub fn acquire(&self, len: usize, access: Access) -> MrLease {
-        self.pool.acquire(&mut self.host.port(), len, access)
+        self.pool.acquire(&mut self.port(), len, access)
     }
 
     /// This node's staging-pool handle.
@@ -414,12 +343,20 @@ impl ThreadStream {
         &self.pool
     }
 
-    /// Runs `op` on this handle's endpoint; `None` once closed.
+    /// Runs `op` on this handle's endpoint under the host's lock, which
+    /// publishes what it completed; `None` once closed.
     fn with_endpoint<R>(
         &self,
         op: impl FnOnce(&mut Endpoint, &mut ThreadPort<'_>) -> R,
     ) -> Option<R> {
-        (!self.closed).then(|| self.host.with_endpoint(op))
+        (!self.closed).then(|| self.host.with_engine(|g| op(&mut g.ep, &mut self.port())))
+    }
+
+    /// The one progress step: the endpoint drains both CQs and advances
+    /// the protocol ([`Endpoint::handle_wake`]), so it leaves nothing
+    /// behind to step for.
+    fn step(&self) {
+        self.with_endpoint(|ep, port| ep.handle_wake(port));
     }
 
     /// Starts an asynchronous send from registered memory; returns the
@@ -439,14 +376,19 @@ impl ThreadStream {
         id
     }
 
-    /// Waits for the completion `take` finds in the mailbox; `None` at
-    /// `timeout`, or at once on a closed handle.
-    fn wait<T>(&self, timeout: Duration, take: impl Fn(&mut Mailbox) -> Option<T>) -> Option<T> {
+    /// Waits, taking progress steps, for the completion `take` finds in
+    /// the mailbox; `None` at `timeout`, or at once on a closed handle.
+    fn wait<T>(
+        &self,
+        timeout: Duration,
+        take: impl Fn(&mut Completions) -> Option<T>,
+    ) -> Option<T> {
         if self.closed {
             return None;
         }
-        let host = &self.host;
-        host.wait(deadline_after(timeout), || take(&mut host.mailbox.lock()))
+        let (node, mailbox) = (&self.host.node, &self.host.mailbox);
+        let take = || take(&mut mailbox.lock());
+        mailbox.wait(node, deadline_after(timeout), || self.step(), take)
     }
 
     /// Blocks until send `id` completes; returns the bytes sent, or
@@ -472,7 +414,7 @@ impl ThreadStream {
     pub fn send_bytes(&self, data: &[u8]) -> std::result::Result<(), &'static str> {
         let lease = self.acquire(data.len().max(1), Access::NONE);
         lease
-            .write(&mut self.host.port(), 0, data)
+            .write(&mut self.port(), 0, data)
             .map_err(|_| "staging write failed")?;
         let id = self.send(lease.info(), 0, data.len() as u64);
         self.wait_send(id, Duration::from_secs(30))
@@ -488,7 +430,7 @@ impl ThreadStream {
         self.wait_recv(id, Duration::from_secs(30))
             .ok_or("receive timed out")?;
         lease
-            .read(&self.host.port(), 0, buf)
+            .read(&self.port(), 0, buf)
             .map_err(|_| "staging read failed")
     }
 
@@ -497,10 +439,10 @@ impl ThreadStream {
     /// hold the caller for ever.
     fn drain(&self) {
         if !self.closed {
-            let host = &self.host;
-            host.wait(deadline_after(DRAIN_BOUND), || {
-                (!host.engine.lock().ep.has_unsent()).then_some(())
-            });
+            let (host, deadline) = (&self.host, deadline_after(DRAIN_BOUND));
+            let drained = || (!host.engine().ep.has_unsent()).then_some(());
+            host.mailbox
+                .wait(&host.node, deadline, || self.step(), drained);
         }
     }
 
@@ -534,25 +476,22 @@ impl ThreadStream {
         }
         self.drain();
         self.closed = true;
-        let host = &self.host;
         // Late control traffic from the peer (final ACKs, credit
         // returns) may still be in flight on a delayed link; let it
         // land while our control slots are still registered.
-        host.net.quiesce();
-        let mut port = host.port();
-        host.engine.lock().ep.close(&mut port);
+        self.net.quiesce();
+        let mut port = self.port();
+        self.host.engine().ep.close(&mut port);
         self.pool.trim(&mut port);
     }
 }
-
-#[cfg(test)]
-mod wake_check;
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::reactor::Readiness;
     use std::sync::atomic::AtomicBool;
+    use std::time::Instant;
 
     impl ThreadStream {
         /// Half-closes the sending direction. Queued data drains and the
@@ -773,7 +712,7 @@ mod tests {
 
     /// True while `stream` still owes traffic to the wire.
     fn owes(stream: &ThreadStream) -> bool {
-        stream.host.engine.lock().ep.has_unsent()
+        stream.host.engine().ep.has_unsent()
     }
 
     /// `shutdown` is the closing side's last call. With the credits

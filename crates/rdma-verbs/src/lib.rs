@@ -46,6 +46,7 @@ mod mr;
 pub mod profiles;
 mod qp;
 mod sim;
+mod sync;
 pub mod threaded;
 mod types;
 mod wire;

@@ -1,4 +1,5 @@
-//! Real-thread driver.
+//! Real-thread driver, and the wake protocol of every thread that waits
+//! on it.
 //!
 //! [`ThreadNet`] runs the same [`HcaCore`] state machines as the
 //! discrete-event driver, but under genuine OS concurrency: application
@@ -25,6 +26,12 @@
 //! locks of the two ends are taken one at a time. No HCA lock is ever
 //! held while waiting for another.
 //!
+//! Every wake-up handshake of the backend is in this file: the node's
+//! ([`ThreadNode::notify`] / [`ThreadNode::wait_any`]) and a
+//! [`Mailbox`]'s, whose [`Mailbox::wait`] is the one wait loop of every
+//! blocked caller, drain and executor. Test builds run it under a
+//! controlled scheduler (`crate::sync`, the `checked` tests).
+//!
 //! The paper's problem statement asks for "a thread-safe algorithm"
 //! (§I); the deterministic simulator cannot exercise data races, so
 //! this backend exists to do exactly that — the concurrency tests hammer
@@ -33,14 +40,14 @@
 //! threads give real (noisy) time.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::ops::DerefMut;
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, OnceLock};
-use std::time::{Duration, Instant};
-
-use parking_lot::{Condvar, Mutex};
+use std::time::Duration;
 
 use crate::hca::{Effect, HcaConfig, HcaCore, PreparedSend};
 use crate::mr::DmaSource;
+use crate::sync::{spin_loop, AtomicBool, AtomicU64, AtomicUsize, Condvar, Instant, Mutex};
 use crate::types::{CqId, Cqe, NodeId, QpNum, RecvWr, Result, SendWr, WcStatus};
 use crate::wire::{Payload, WireMessage};
 
@@ -62,21 +69,21 @@ pub struct ThreadNode {
 /// on its way should not go to sleep for it.
 const SPIN: Duration = Duration::from_micros(50);
 
-/// Threads spinning right now, process-wide. At most one per core may:
-/// more would only take the cores from the threads they wait for.
-static SPINNERS: AtomicUsize = AtomicUsize::new(0);
-
-fn spin_limit() -> usize {
+/// Threads spinning right now, and how many may: one per core,
+/// process-wide, as more would only take the cores from the threads
+/// they wait for (a controlled run counts its own).
+fn spinners() -> (&'static AtomicUsize, usize) {
+    static SPINNERS: AtomicUsize = AtomicUsize::new(0);
     static CORES: OnceLock<usize> = OnceLock::new();
-    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+    let cores =
+        || *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
+    run_spinners().unwrap_or_else(|| (&SPINNERS, cores()))
 }
 
 impl ThreadNode {
     /// Moves the generation and wakes every thread waiting in
     /// [`ThreadNode::wait_any`]. A delivery calls it when completions
-    /// land; code whose waiters look at some other state (a reactor pool
-    /// telling its shards to stop, a waker fired for a parked executor)
-    /// calls it after changing that state.
+    /// land, and a [`Mailbox`] publish when a thread waits for it.
     ///
     /// With nobody parked this is one increment and one load: the
     /// mutex and the condition variable's `FUTEX_WAKE` are skipped. No
@@ -99,14 +106,15 @@ impl ThreadNode {
     /// *before* looking for what you wait for: whatever lands after that
     /// moves the generation, and this returns at once.
     pub fn wait_any(&self, seen: u64, deadline: Option<Instant>) -> u64 {
-        if SPINNERS.fetch_add(1, Ordering::Relaxed) < spin_limit() {
+        let (spinners, limit) = spinners();
+        if spinners.fetch_add(1, Ordering::Relaxed) < limit {
             let spin_until = Instant::now() + SPIN;
             let spin_until = deadline.map_or(spin_until, |at| at.min(spin_until));
             while self.generation() == seen && Instant::now() < spin_until {
-                std::hint::spin_loop();
+                spin_loop();
             }
         }
-        SPINNERS.fetch_sub(1, Ordering::Relaxed);
+        spinners.fetch_sub(1, Ordering::Relaxed);
         if self.generation() == seen && !passed(deadline) {
             let mut guard = self.wakeup.lock();
             self.sleepers.fetch_add(1, Ordering::SeqCst);
@@ -178,6 +186,118 @@ pub fn deadline_after(timeout: Duration) -> Option<Instant> {
 /// True once `deadline` has passed; never for no deadline.
 pub fn passed(deadline: Option<Instant>) -> bool {
     deadline.is_some_and(|at| Instant::now() >= at)
+}
+
+/// What threads waiting on a node take their work from (a host's
+/// completions, an executor's ready tasks). A waiter counts itself in
+/// `waiters` and then looks, a publisher fills and then reads the count
+/// (as in [`ThreadNode::notify`]): one sees the other.
+pub struct Mailbox<M> {
+    contents: Mutex<M>,
+    waiters: AtomicUsize,
+    /// The node its waiters wait on (the first wait's).
+    node: OnceLock<Arc<ThreadNode>>,
+}
+
+impl<M> Mailbox<M> {
+    /// A mailbox holding `contents`.
+    pub fn new(contents: M) -> Self {
+        let (waiters, node) = (AtomicUsize::new(0), OnceLock::new());
+        Mailbox {
+            contents: Mutex::new(contents),
+            waiters,
+            node,
+        }
+    }
+
+    /// Locks the contents, to take from them or look; wakes nobody.
+    pub fn lock(&self) -> impl DerefMut<Target = M> + '_ {
+        self.contents.lock()
+    }
+
+    /// Fills the mailbox, then wakes its node if a thread waits on it.
+    #[inline]
+    pub fn publish(&self, fill: impl FnOnce(&mut M)) {
+        fill(&mut self.contents.lock());
+        if self.waiters.load(Ordering::SeqCst) != 0 {
+            self.node.get().expect("a waiter names its node").notify();
+        }
+    }
+
+    /// Waits on `node` until `look` finds its answer or `deadline`
+    /// passes (`None`: never). Each round reads the generation — before
+    /// the `step`, so whatever lands after it ends the wait at once —
+    /// takes the step, counts itself in, looks, and otherwise waits for
+    /// the generation to move.
+    #[inline]
+    pub fn wait<T>(
+        &self,
+        node: &Arc<ThreadNode>,
+        deadline: Option<Instant>,
+        mut step: impl FnMut(),
+        mut look: impl FnMut() -> Option<T>,
+    ) -> Option<T> {
+        let node = self.node.get_or_init(|| node.clone());
+        loop {
+            let seen = node.generation();
+            step();
+            self.waiters.fetch_add(1, Ordering::SeqCst);
+            let found = look();
+            let over = found.is_some() || passed(deadline);
+            if !over {
+                node.wait_any(seen, deadline);
+            }
+            self.waiters.fetch_sub(1, Ordering::SeqCst);
+            if over {
+                return found;
+            }
+        }
+    }
+}
+
+/// What a [`Host`] guards, which completes its callers' operations.
+pub trait Engine {
+    /// Where completions wait for their callers.
+    type Done;
+    /// Publishes into `done` what the engine completed, if anything.
+    fn publish(&mut self, done: &Mailbox<Self::Done>);
+}
+
+/// An engine on a node, stepped by its own blocked callers, and the
+/// mailbox of their completions, published before the engine's lock is
+/// released: the next caller to step finds what the last took.
+pub struct Host<E: Engine> {
+    /// The node the engine's completions land on.
+    pub node: Arc<ThreadNode>,
+    /// Its callers' completions; wait on it with [`Mailbox::wait`].
+    pub mailbox: Mailbox<E::Done>,
+    engine: Mutex<E>,
+}
+
+impl<E: Engine> Host<E> {
+    /// Hosts `engine` on `node`, with a mailbox holding `done`.
+    pub fn new(node: Arc<ThreadNode>, engine: E, done: E::Done) -> Self {
+        let (engine, mailbox) = (Mutex::new(engine), Mailbox::new(done));
+        Host {
+            node,
+            mailbox,
+            engine,
+        }
+    }
+
+    /// Locks the engine for a look, or a call that completes nothing.
+    pub fn engine(&self) -> impl DerefMut<Target = E> + '_ {
+        self.engine.lock()
+    }
+
+    /// Runs `op` on the engine, then publishes what it completed, both
+    /// under the engine's lock.
+    pub fn with_engine<R>(&self, op: impl FnOnce(&mut E) -> R) -> R {
+        let mut engine = self.engine.lock();
+        let result = op(&mut engine);
+        engine.publish(&self.mailbox);
+        result
+    }
 }
 
 /// One direction of a connection between two nodes.
@@ -506,6 +626,18 @@ fn apply_effects(at: &ThreadNode, effects: &mut Vec<Effect>, fatal: &mut FatalEr
     }
 }
 
+/// A shipping build has no controlled run.
+#[cfg(not(test))]
+fn run_spinners() -> Option<(&'static AtomicUsize, usize)> {
+    None
+}
+
+#[cfg(test)]
+use crate::sync::run_spinners;
+
+#[cfg(test)]
+mod checked;
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -813,7 +945,7 @@ mod tests {
         const HANDOFFS: u64 = 10_000;
         let long = Duration::from_secs(20);
         let (_net, a, b) = pair(Duration::ZERO);
-        let start = Instant::now();
+        let start = std::time::Instant::now();
         std::thread::scope(|s| {
             s.spawn(|| {
                 for turn in 0..HANDOFFS {
